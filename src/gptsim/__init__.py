@@ -9,6 +9,7 @@ catalogs of simulation-irreducible observables on polygon state spaces.
 
 from .scalars import EXACT, FLOAT, DEFAULT_TOLERANCE, Tolerance, ModeError
 from .lp import (
+    CertificateError,
     LinearProgram,
     LPOutcome,
     SolverLimitError,
@@ -89,7 +90,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EXACT", "FLOAT", "DEFAULT_TOLERANCE", "Tolerance", "ModeError",
-    "LinearProgram", "LPOutcome", "SolverLimitError", "lp_solve",
+    "CertificateError", "LinearProgram", "LPOutcome", "SolverLimitError", "lp_solve",
     "make_program", "verify_farkas", "verify_solution",
     "ConicResult", "HullResult", "conic_decompose", "extreme_rays",
     "in_convex_hull", "rank",

@@ -31,7 +31,7 @@ from .qubit import (
     linear_coords,
     octahedron_margins,
 )
-from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, Tolerance, vscale
+from .scalars import DEFAULT_TOLERANCE, FLOAT, Tolerance, field, vscale
 from .simulation import SimulationCertificate, SIMULABLE, is_simulable
 from .postprocessing import Postprocessing
 from .spaces import Effect, Observable, StateSpace, dual_cone_rays, observable
@@ -213,8 +213,9 @@ def polygon_irreducibles(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> Irreduci
             continue
         if theory.even:
             total = float(np.sum(c))
-            assert abs(total - 2.0) <= 1e-7, \
-                f"even-polygon trichotomic coefficient sum {total} is not 2"
+            if abs(total - 2.0) > 1e-7:
+                raise RuntimeError(
+                    f"even-polygon trichotomic coefficient sum {total} is not 2")
         obs = observable(
             theory.space,
             [(str(j + 1), vscale(float(c[j]), rays[combo[j] - 1])) for j in range(3)])
@@ -388,7 +389,7 @@ def octahedron_test(obs: QubitObservable,
     sharp orthogonal dichotomic observables; for unbiased effects the
     passing set is the octahedron inscribed in the Bloch ball.
     """
-    eps = 0 if obs.mode == EXACT else tol.eps_compare
+    eps = field(obs.mode, tol).eps_compare
     return {lab: val <= 1 + eps for lab, val in octahedron_margins(obs).items()}
 
 
@@ -592,24 +593,19 @@ def random_observable(space: StateSpace, rng, n_outcomes: Optional[int] = None,
     in exact mode and identical in structure across modes, so seeded corpora
     can be replayed in either arithmetic.
     """
-    mode = space.mode
+    F = field(space.mode, tol)
     k = n_outcomes if n_outcomes is not None else rng.randint(2, 5)
     rays = dual_cone_rays(space, tol)
     R = len(rays)
     dim = space.ambient_dim
-    gamma = [rng.randint(1, 1000) for _ in range(R)]
-    if mode == EXACT:
-        obj = tuple(Fraction(g) for g in gamma)
-        unit = space.unit
-    else:
-        obj = tuple(float(g) for g in gamma)
-        unit = space.unit
+    obj = tuple(F.coerce(rng.randint(1, 1000)) for _ in range(R))
     rows = [tuple(r[d] for r in rays) for d in range(dim)]
-    out = lp_solve(make_program(rows=rows, rhs=unit, objective=obj), mode=mode, tol=tol)
-    assert out.verdict == FEASIBLE, "the unit always decomposes over the dual rays"
+    out = lp_solve(make_program(rows=rows, rhs=space.unit, objective=obj),
+                   mode=F.mode, tol=tol)
+    if out.verdict != FEASIBLE:
+        raise RuntimeError("the unit always decomposes over the dual rays")
     c = out.solution
-    zero = Fraction(0) if mode == EXACT else 0.0
-    effects = [[zero] * dim for _ in range(k)]
+    effects = [[F.zero] * dim for _ in range(k)]
     for r_i, ray in enumerate(rays):
         if c[r_i] == 0:
             continue
@@ -620,10 +616,7 @@ def random_observable(space: StateSpace, rng, n_outcomes: Optional[int] = None,
         for x in range(k):
             if weights[x] == 0:
                 continue
-            if mode == EXACT:
-                share = c[r_i] * Fraction(weights[x], total)
-            else:
-                share = c[r_i] * (weights[x] / total)
+            share = c[r_i] * (F.coerce(weights[x]) / total)
             for d in range(dim):
                 effects[x][d] += share * ray[d]
     return observable(space, [(str(x + 1), tuple(effects[x])) for x in range(k)])

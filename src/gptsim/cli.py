@@ -2,7 +2,8 @@
 
 Verdicts always live in the JSON payload, never in the exit code: 0 means
 the computation completed (whatever the answer), 1 is reserved for a failed
-reproduction run, 2 for input errors, and 3 for solver nontermination.
+reproduction run, 2 for input errors, and 3 for solver nontermination or a
+certificate that fails replay.
 Output is deterministic for a fixed (command, config, seed): the timing
 block reports LP work counters rather than wall-clock time.
 """
@@ -26,15 +27,15 @@ from .catalog import (
     xyz_threshold_bracket,
 )
 from .geometry import extreme_rays
-from .lp import SolverLimitError
+from .lp import CertificateError, SolverLimitError
 from .qubit import as_vector_observable
 from .scalars import EXACT, FLOAT, ModeError, Tolerance
 from .serialize import (
     certificate_from_json,
     certificate_to_json,
     csv_text,
-    detect_mode,
     dump_json,
+    encode_number,
     encode_vector,
     load_json,
     load_observables,
@@ -97,10 +98,8 @@ def _load_group(path, space=None):
 
 
 def _wants_float(args, *observable_groups) -> bool:
-    if args.mode == FLOAT:
-        return True
-    if args.mode == EXACT:
-        return False
+    if args.mode is not None:
+        return args.mode == FLOAT
     modes = {o.mode for group in observable_groups for o in group}
     return FLOAT in modes
 
@@ -187,8 +186,7 @@ def cmd_sim(args) -> int:
         if target.space is None:
             raise ValueError("noise content needs a state space (--space FILE)")
         res = noise_content(target, tol)
-        value = float(res.value) if target.mode == FLOAT else str(res.value)
-        return _emit(args, {"noise_content": value,
+        return _emit(args, {"noise_content": encode_number(res.value),
                             "trivial_weights": encode_vector(res.trivial_weights)})
     raise ValueError(f"unknown sim action {args.action!r}")
 
@@ -376,6 +374,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SolverLimitError as exc:
         print(f"solver limit: {exc}", file=sys.stderr)
+        return 3
+    except CertificateError as exc:
+        print(f"certificate error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, ModeError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

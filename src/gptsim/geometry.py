@@ -16,11 +16,10 @@ from typing import Optional, Sequence
 from .lp import FEASIBLE, INFEASIBLE, lp_solve, make_program
 from .scalars import (
     DEFAULT_TOLERANCE,
-    EXACT,
     FLOAT,
     Tolerance,
+    field,
     infer_mode,
-    values_of,
     vdot,
     vscale,
     vsub,
@@ -43,35 +42,9 @@ def rank(vectors: Sequence[Sequence], tol: Tolerance = DEFAULT_TOLERANCE,
     dims = {len(v) for v in vectors}
     if len(dims) != 1:
         raise ValueError("rank: vectors must share one dimension")
-    if mode is None:
-        mode = infer_mode(values_of(vectors))
-    rows = [list(v) for v in vectors]
-    if mode == EXACT:
-        rows = [[Fraction(x) for x in r] for r in rows]
-        thresh = 0
-    else:
-        rows = [[float(x) for x in r] for r in rows]
-        scale = max((abs(x) for r in rows for x in r), default=0.0)
-        thresh = tol.eps_rank * max(scale, 1.0)
-    n_rows, n_cols = len(rows), len(rows[0])
-    r = 0
-    for col in range(n_cols):
-        piv, piv_val = -1, thresh
-        for i in range(r, n_rows):
-            if abs(rows[i][col]) > piv_val:
-                piv, piv_val = i, abs(rows[i][col])
-        if piv < 0:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        for i in range(r + 1, n_rows):
-            f = rows[i][col] / prow[col]
-            if f != 0:
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    F = field(mode or infer_mode(x for v in vectors for x in v), tol)
+    _, pivots = _eliminate(vectors, F, reduce_above=False)
+    return len(pivots)
 
 
 def null_space_vector(vectors: Sequence[Sequence], tol: Tolerance = DEFAULT_TOLERANCE,
@@ -84,44 +57,16 @@ def null_space_vector(vectors: Sequence[Sequence], tol: Tolerance = DEFAULT_TOLE
     vectors = [tuple(v) for v in vectors]
     if not vectors:
         return None
-    if mode is None:
-        mode = infer_mode(values_of(vectors))
+    F = field(mode or infer_mode(x for v in vectors for x in v), tol)
     n_cols = len(vectors[0])
-    if mode == EXACT:
-        rows = [[Fraction(x) for x in v] for v in vectors]
-        thresh = 0
-    else:
-        rows = [[float(x) for x in v] for v in vectors]
-        scale = max((abs(x) for r in rows for x in r), default=0.0)
-        thresh = tol.eps_rank * max(scale, 1.0)
-    pivots = []  # (row, col)
-    r = 0
-    for col in range(n_cols):
-        piv, piv_val = -1, thresh
-        for i in range(r, len(rows)):
-            if abs(rows[i][col]) > piv_val:
-                piv, piv_val = i, abs(rows[i][col])
-        if piv < 0:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        for i in range(len(rows)):
-            if i == r:
-                continue
-            f = rows[i][col] / prow[col]
-            if f != 0:
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        pivots.append((r, col))
-        r += 1
+    rows, pivots = _eliminate(vectors, F, reduce_above=True)
     pivot_cols = {c for (_, c) in pivots}
     free = [c for c in range(n_cols) if c not in pivot_cols]
     if not free:
         return None
-    one = Fraction(1) if mode == EXACT else 1.0
-    zero = Fraction(0) if mode == EXACT else 0.0
     fc = free[0]
-    out = [zero] * n_cols
-    out[fc] = one
+    out = [F.zero] * n_cols
+    out[fc] = F.one
     for (i, c) in pivots:
         out[c] = -rows[i][fc] / rows[i][c]
     for x in out:
@@ -130,6 +75,41 @@ def null_space_vector(vectors: Sequence[Sequence], tol: Tolerance = DEFAULT_TOLE
                 out = [-v for v in out]
             break
     return tuple(out)
+
+
+def _eliminate(vectors, F, reduce_above):
+    """Gaussian elimination with partial pivoting in the field F.
+
+    Returns the reduced rows and the (row, column) pivots. Rows below each
+    pivot are cleared; with reduce_above, rows above it too. In float mode a
+    pivot must exceed eps_rank times the largest entry (at least 1).
+    """
+    rows = [[F.coerce(x) for x in v] for v in vectors]
+    thresh = F.eps_rank and F.eps_rank * max(
+        1.0, max((abs(x) for r in rows for x in r), default=0.0))
+    n_rows, n_cols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(n_cols):
+        piv, piv_val = -1, thresh
+        for i in range(r, n_rows):
+            if abs(rows[i][col]) > piv_val:
+                piv, piv_val = i, abs(rows[i][col])
+        if piv < 0:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        for i in range(0 if reduce_above else r + 1, n_rows):
+            if i == r:
+                continue
+            f = rows[i][col] / prow[col]
+            if f != 0:
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        pivots.append((r, col))
+        r += 1
+        if r == n_rows:
+            break
+    return rows, pivots
 
 
 @dataclass(frozen=True)
@@ -162,34 +142,29 @@ def in_convex_hull(point: Sequence, generators: Sequence[Sequence],
     for g in generators:
         if len(g) != len(point):
             raise ValueError("in_convex_hull: dimension mismatch")
-    if mode is None:
-        mode = infer_mode(values_of(generators + [point]))
+    F = field(mode or infer_mode(x for v in generators + [point] for x in v), tol)
     dim = len(point)
-    one = Fraction(1) if mode == EXACT else 1.0
     rows = []
     for i in range(dim):
         rows.append(tuple(g[i] for g in generators))
-    rows.append((one,) * len(generators))
-    rhs = point + (one,)
+    rows.append((F.one,) * len(generators))
+    rhs = point + (F.one,)
     program = make_program(rows=rows, rhs=rhs)
-    out = lp_solve(program, mode=mode, tol=tol)
+    out = lp_solve(program, mode=F.mode, tol=tol)
     if out.verdict == FEASIBLE:
-        return HullResult(INSIDE, coefficients=tuple(out.solution),
-                          tolerance=None if mode == EXACT else tol)
+        return HullResult(INSIDE, coefficients=tuple(out.solution), tolerance=F.tolerance)
     # Farkas y = (phi, phi0) with phi.g + phi0 <= 0 for all g and
     # phi.point + phi0 > 0, so phi separates the point from the hull.
     phi = out.farkas[:dim]
     phi0 = out.farkas[dim]
     gap = vdot(phi, point) - max(vdot(phi, g) for g in generators)
-    return HullResult(OUTSIDE, functional=phi, gap=gap,
-                      tolerance=None if mode == EXACT else tol)
+    return HullResult(OUTSIDE, functional=phi, gap=gap, tolerance=F.tolerance)
 
 
 def replay_hull(result: HullResult, point: Sequence, generators: Sequence[Sequence],
                 tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Check a HullResult against the instance it claims to certify."""
-    mode = infer_mode(values_of(list(generators) + [list(point)]))
-    eps = 0 if mode == EXACT else tol.eps_feas
+    eps = field(infer_mode(x for v in [*generators, point] for x in v), tol).eps_feas
     if result.inside:
         lam = result.coefficients
         if len(lam) != len(generators) or any(c < -eps for c in lam):
@@ -231,9 +206,8 @@ def conic_decompose(v: Sequence, rays: Sequence[Sequence],
     rays = [tuple(r) for r in rays]
     if not rays:
         raise ValueError("conic_decompose: rays must be nonempty")
-    if mode is None:
-        mode = infer_mode(values_of(rays + [v]))
-    eps = 0 if mode == EXACT else tol.eps_compare
+    F = field(mode or infer_mode(x for r in rays + [v] for x in r), tol)
+    eps = F.eps_compare
     for r in rays:
         if len(r) != len(v):
             raise ValueError("conic_decompose: dimension mismatch")
@@ -242,21 +216,18 @@ def conic_decompose(v: Sequence, rays: Sequence[Sequence],
     dim = len(v)
     rows = [tuple(r[i] for r in rays) for i in range(dim)]
 
-    feas = lp_solve(make_program(rows=rows, rhs=v), mode=mode, tol=tol)
+    feas = lp_solve(make_program(rows=rows, rhs=v), mode=F.mode, tol=tol)
     if feas.verdict == INFEASIBLE:
-        return ConicResult(OUTSIDE, functional=feas.farkas,
-                           tolerance=None if mode == EXACT else tol)
+        return ConicResult(OUTSIDE, functional=feas.farkas, tolerance=F.tolerance)
 
-    zero = Fraction(0) if mode == EXACT else 0.0
-    one = Fraction(1) if mode == EXACT else 1.0
-    coeffs = [zero] * len(rays)
+    coeffs = [F.zero] * len(rays)
     residual = v
     greedy_ok = True
     for k in range(len(rays)):
         sub_rows = [tuple(r[i] for r in rays[k:]) for i in range(dim)]
-        sub_obj = [one] + [zero] * (len(rays) - k - 1)
+        sub_obj = [F.one] + [F.zero] * (len(rays) - k - 1)
         out = lp_solve(make_program(rows=sub_rows, rhs=residual, objective=sub_obj),
-                       mode=mode, tol=tol)
+                       mode=F.mode, tol=tol)
         if out.verdict != FEASIBLE:
             # unbounded coefficient: the ray span contains a line, so the
             # greedy maximum does not exist
@@ -266,20 +237,18 @@ def conic_decompose(v: Sequence, rays: Sequence[Sequence],
         if c > eps:
             coeffs[k] = c
             residual = vsub(residual, vscale(c, rays[k]))
-        if all(abs(x) <= eps for x in residual):
+        if F.is_zero(residual):
             break
-    if not greedy_ok or any(abs(x) > eps for x in residual):
+    if not greedy_ok or not F.is_zero(residual):
         # Fall back to the basic feasible solution, which is supported on at
         # most dim rays and reconstructs v by construction.
         coeffs = list(feas.solution)
-    return ConicResult(INSIDE, coefficients=tuple(coeffs),
-                       tolerance=None if mode == EXACT else tol)
+    return ConicResult(INSIDE, coefficients=tuple(coeffs), tolerance=F.tolerance)
 
 
 def replay_conic(result: ConicResult, v: Sequence, rays: Sequence[Sequence],
                  tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    mode = infer_mode(values_of(list(rays) + [list(v)]))
-    eps = 0 if mode == EXACT else tol.eps_feas
+    eps = field(infer_mode(x for r in [*rays, v] for x in r), tol).eps_feas
     if result.inside:
         if any(c < -eps for c in result.coefficients):
             return False
@@ -315,24 +284,23 @@ def extreme_rays(inequalities: Sequence[Sequence],
         raise ValueError(f"extreme_rays: ambient dimension {dim} exceeds limit {MAX_RAY_DIM}")
     if any(len(a) != dim for a in ineqs):
         raise ValueError("extreme_rays: dimension mismatch")
-    if mode is None:
-        mode = infer_mode(values_of(ineqs))
-    eps = 0 if mode == EXACT else tol.eps_compare
+    F = field(mode or infer_mode(x for a in ineqs for x in a), tol)
+    eps = F.eps_compare
     found = {}
     for subset in itertools.combinations(range(len(ineqs)), dim - 1):
         sub = [ineqs[i] for i in subset]
-        if rank(sub, tol=tol, mode=mode) != dim - 1:
+        if rank(sub, tol=tol, mode=F.mode) != dim - 1:
             continue
-        direction = null_space_vector(sub, tol=tol, mode=mode)
+        direction = null_space_vector(sub, tol=tol, mode=F.mode)
         if direction is None:
             continue
         for cand in (direction, vscale(-1, direction)):
             vals = [vdot(a, cand) for a in ineqs]
             if all(x >= -eps for x in vals):
                 tight = [ineqs[i] for i, x in enumerate(vals) if abs(x) <= eps]
-                if rank(tight, tol=tol, mode=mode) == dim - 1:
-                    ray = canonical_ray(cand, mode, tol)
-                    found[_ray_key(ray, mode, tol)] = ray
+                if rank(tight, tol=tol, mode=F.mode) == dim - 1:
+                    ray = canonical_ray(cand, F.mode, tol)
+                    found[F.key(ray)] = ray
                 break
     return sorted(found.values())
 
@@ -340,9 +308,8 @@ def extreme_rays(inequalities: Sequence[Sequence],
 def canonical_ray(ray: Sequence, mode: str, tol: Tolerance = DEFAULT_TOLERANCE):
     """Scale a ray to its canonical representative."""
     ray = tuple(ray)
-    eps = 0 if mode == EXACT else tol.eps_compare
     last = ray[-1]
-    if abs(last) > eps:
+    if abs(last) > field(mode, tol).eps_compare:
         return tuple(x / last for x in ray)
     sq = sum(x * x for x in ray)
     if mode == FLOAT:
@@ -371,9 +338,3 @@ def _rational_sqrt(q):
         return Fraction(num, den)
     return None
 
-
-def _ray_key(ray, mode, tol):
-    if mode == EXACT:
-        return ray
-    grid = 1.0 / tol.eps_compare
-    return tuple(round(x * grid) for x in ray)

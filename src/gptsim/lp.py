@@ -11,6 +11,8 @@ solution vector, an infeasible outcome carries a Farkas vector y with
 y'A <= 0 on nonnegative columns, y'A = 0 on free columns and y'b = 1
 (certificates are normalized to y'b = 1). `verify_solution` and
 `verify_farkas` replay either certificate against the original program.
+Code that builds an answer from a certificate raises `CertificateError`
+when the certificate fails that replay, so it never returns it.
 
 Pivoting uses the largest-coefficient rule and switches permanently to
 Bland's rule as soon as the objective stalls, which resolves degeneracy and
@@ -27,15 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .scalars import (
-    DEFAULT_TOLERANCE,
-    EXACT,
-    FLOAT,
-    Tolerance,
-    coerce_vector,
-    infer_mode,
-    vdot,
-)
+from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, Tolerance, field, infer_mode, vdot
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -55,6 +49,10 @@ def reset_stats():
 
 class SolverLimitError(RuntimeError):
     """Float-mode simplex exceeded its pivot budget without terminating."""
+
+
+class CertificateError(RuntimeError):
+    """A certificate failed replay against the instance it was issued for."""
 
 
 @dataclass(frozen=True)
@@ -122,10 +120,9 @@ class LPOutcome:
 def lp_solve(program: LinearProgram, mode: Optional[str] = None,
              tol: Tolerance = DEFAULT_TOLERANCE) -> LPOutcome:
     """Solve a LinearProgram, inferring the arithmetic mode if not given."""
-    inferred = program.mode()
     if mode is None:
-        mode = inferred
-    elif mode == EXACT and inferred == FLOAT:
+        mode = program.mode()
+    elif mode == EXACT and program.mode() == FLOAT:
         raise ValueError("exact mode requested for float data")
     stats["solves"] += 1
     if mode == EXACT:
@@ -136,9 +133,7 @@ def lp_solve(program: LinearProgram, mode: Optional[str] = None,
 def verify_solution(program: LinearProgram, solution: Sequence,
                     tol: Tolerance = DEFAULT_TOLERANCE, mode: Optional[str] = None) -> bool:
     """Replay a feasible certificate against the program."""
-    if mode is None:
-        mode = program.mode()
-    eps = 0 if mode == EXACT else tol.eps_feas
+    eps = field(mode or program.mode(), tol).eps_feas
     if len(solution) != program.num_vars:
         return False
     for row, b in zip(program.rows, program.rhs):
@@ -153,9 +148,7 @@ def verify_solution(program: LinearProgram, solution: Sequence,
 def verify_farkas(program: LinearProgram, farkas: Sequence,
                   tol: Tolerance = DEFAULT_TOLERANCE, mode: Optional[str] = None) -> bool:
     """Replay an infeasibility certificate: y'A <= 0 (=0 on free), y'b > 0."""
-    if mode is None:
-        mode = program.mode()
-    eps = 0 if mode == EXACT else tol.eps_feas
+    eps = field(mode or program.mode(), tol).eps_feas
     if len(farkas) != len(program.rows):
         return False
     combo = [vdot(farkas, col) for col in zip(*program.rows)] if program.rows else []
@@ -175,7 +168,7 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
 # standard-form column so solutions map back and Farkas handling is uniform.
 # ---------------------------------------------------------------------------
 
-def _standard_form(program: LinearProgram, mode: str):
+def _standard_form(program: LinearProgram, coerce):
     colmap = []
     for j, flag in enumerate(program.nonneg):
         colmap.append((j, 1))
@@ -184,12 +177,11 @@ def _standard_form(program: LinearProgram, mode: str):
     rows = []
     for r in program.rows:
         rows.append([sign * r[j] for (j, sign) in colmap])
-    one = Fraction(1) if mode == EXACT else 1.0
     if program.objective is None:
         cost = None
     else:
-        flip = -one if program.sense == "max" else one
-        cost = [flip * sign * program.objective[j] for (j, sign) in colmap]
+        flip = -1 if program.sense == "max" else 1
+        cost = [coerce(flip * sign * program.objective[j]) for (j, sign) in colmap]
     rhs = list(program.rhs)
     return rows, rhs, cost, colmap
 
@@ -228,7 +220,7 @@ def _crash_columns(rows, m, n):
 # ---------------------------------------------------------------------------
 
 def _solve_exact(program: LinearProgram) -> LPOutcome:
-    rows, rhs, cost, colmap = _standard_form(program, EXACT)
+    rows, rhs, cost, colmap = _standard_form(program, Fraction)
     m, n = len(rows), len(colmap)
     rows = [[Fraction(x) for x in r] for r in rows]
     rhs = [Fraction(b) for b in rhs]
@@ -270,7 +262,8 @@ def _solve_exact(program: LinearProgram) -> LPOutcome:
         red[art_col[i]] = Fraction(0)
 
     pivots = _pivot_loop(T, basis, red, allowed=n)
-    assert pivots is not None, "phase 1 cannot be unbounded"
+    if pivots is None:
+        raise RuntimeError("phase 1 cannot be unbounded")
     phase1 = -red[width - 1]
     if phase1 > 0:
         y = [Fraction(0)] * m
@@ -280,7 +273,8 @@ def _solve_exact(program: LinearProgram) -> LPOutcome:
             else:
                 y[i] = flips[i] * (1 - red[art_col[i]])
         scale = vdot(y, program.rhs)
-        assert scale > 0
+        if not scale > 0:
+            raise RuntimeError("Farkas scale must be positive")
         y = tuple(v / scale for v in y)
         stats["pivots"] += pivots
         return LPOutcome(INFEASIBLE, EXACT, farkas=y, pivots=pivots)
@@ -300,7 +294,7 @@ def _solve_exact(program: LinearProgram) -> LPOutcome:
     width = len(T[0]) if T else n + 1
     red = [Fraction(0)] * width
     for j in range(n):
-        red[j] = Fraction(cost[j])
+        red[j] = cost[j]
     for i in range(len(basis)):
         cb = cost[basis[i]] if basis[i] < n else Fraction(0)
         if cb != 0:
@@ -434,7 +428,7 @@ def _drive_out_artificials(T, basis, n):
 # ---------------------------------------------------------------------------
 
 def _solve_float(program: LinearProgram, tol: Tolerance) -> LPOutcome:
-    rows, rhs, cost, colmap = _standard_form(program, FLOAT)
+    rows, rhs, cost, colmap = _standard_form(program, float)
     m, n = len(rows), len(colmap)
     A = np.array(rows, dtype=float).reshape(m, n)
     b = np.array(rhs, dtype=float)
@@ -475,7 +469,8 @@ def _solve_float(program: LinearProgram, tol: Tolerance) -> LPOutcome:
 
     cap = 10_000 * (program.num_vars + m)
     pivots = _np_pivot_loop(T, basis, red, allowed=n, tol=tol, cap=cap)
-    assert pivots is not None, "phase 1 cannot be unbounded"
+    if pivots is None:
+        raise RuntimeError("phase 1 cannot be unbounded")
     phase1 = -red[-1]
     if phase1 > tol.eps_feas:
         y = np.zeros(m)

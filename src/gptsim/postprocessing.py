@@ -10,18 +10,18 @@ certificate is either the witnessing channel or a Farkas refutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .lp import FEASIBLE, LinearProgram, lp_solve, make_program
+from .lp import FEASIBLE, LinearProgram, lp_solve, make_program, verify_farkas
 from .scalars import (
     DEFAULT_TOLERANCE,
     EXACT,
     Tolerance,
-    infer_mode,
-    join_modes,
+    field,
+    kind_of,
+    resolve,
     to_float_vector,
-    values_of,
 )
 from .spaces import Effect, Observable
 from . import geometry
@@ -51,16 +51,21 @@ class Postprocessing:
     def entry(self, x: str, y: str):
         return self.matrix[self.source.index(x)][self.target.index(y)]
 
+    @cached_property
+    def kind(self):
+        """EXACT, FLOAT, or None when every entry is an integer."""
+        return kind_of(x for row in self.matrix for x in row)
+
     @property
     def mode(self) -> str:
-        return infer_mode(values_of(self.matrix))
+        return self.kind or EXACT
 
     def as_float(self) -> "Postprocessing":
         return Postprocessing(self.source, self.target,
                               tuple(to_float_vector(r) for r in self.matrix))
 
     def is_stochastic(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        eps = 0 if self.mode == EXACT else tol.eps_compare
+        eps = field(self.mode, tol).eps_compare
         for row in self.matrix:
             if any(v < -eps or v > 1 + eps for v in row):
                 return False
@@ -70,25 +75,23 @@ class Postprocessing:
 
 
 def identity_channel(labels: Sequence[str], mode: str = EXACT) -> Postprocessing:
-    one = Fraction(1) if mode == EXACT else 1.0
-    zero = Fraction(0) if mode == EXACT else 0.0
+    F = field(mode)
     labels = tuple(labels)
     return Postprocessing(labels, labels,
-                          tuple(tuple(one if i == j else zero for j in range(len(labels)))
+                          tuple(tuple(F.one if i == j else F.zero for j in range(len(labels)))
                                 for i in range(len(labels))))
 
 
 def merge_channel(labels: Sequence[str], merged: Sequence[str], into: str,
                   mode: str = EXACT) -> Postprocessing:
     """Deterministic channel sending every label in `merged` to `into`."""
-    one = Fraction(1) if mode == EXACT else 1.0
-    zero = Fraction(0) if mode == EXACT else 0.0
+    F = field(mode)
     labels = tuple(labels)
     target = tuple(lab for lab in labels if lab not in set(merged) or lab == into)
     rows = []
     for lab in labels:
         dest = into if lab in set(merged) else lab
-        rows.append(tuple(one if t == dest else zero for t in target))
+        rows.append(tuple(F.one if t == dest else F.zero for t in target))
     return Postprocessing(labels, target, tuple(rows))
 
 
@@ -112,8 +115,7 @@ def apply(channel: Postprocessing, obs: Observable) -> Observable:
             f"channel source labels {channel.source} do not match observable "
             f"labels {obs.labels}")
     dim = obs.dim
-    mode = join_modes(obs.mode, channel.mode)
-    zero = Fraction(0) if mode == EXACT else 0.0
+    zero = resolve((obs.kind, channel.kind)).zero
     outcomes = []
     for yi, y in enumerate(channel.target):
         acc = [zero] * dim
@@ -148,9 +150,7 @@ def relation_program(target: Observable, source: Observable) -> LinearProgram:
     xs, ys = source.labels, target.labels
     nx, ny = len(xs), len(ys)
     dim = source.dim
-    mode = join_modes(source.mode, target.mode)
-    one = Fraction(1) if mode == EXACT else 1.0
-    zero = Fraction(0) if mode == EXACT else 0.0
+    F = resolve((source.kind, target.kind))
     nvars = nx * ny
 
     def idx(xi, yi):
@@ -158,14 +158,14 @@ def relation_program(target: Observable, source: Observable) -> LinearProgram:
 
     rows, rhs = [], []
     for xi in range(nx):
-        row = [zero] * nvars
+        row = [F.zero] * nvars
         for yi in range(ny):
-            row[idx(xi, yi)] = one
+            row[idx(xi, yi)] = F.one
         rows.append(tuple(row))
-        rhs.append(one)
+        rhs.append(F.one)
     for yi in range(ny):
         for i in range(dim):
-            row = [zero] * nvars
+            row = [F.zero] * nvars
             for xi in range(nx):
                 row[idx(xi, yi)] = source.effects[xi].coeffs[i]
             rows.append(tuple(row))
@@ -179,26 +179,24 @@ def is_postprocessing_of(target: Observable, source: Observable,
     if source.space is not None and target.space is not None \
             and source.space != target.space:
         raise ValueError("observables live on different state spaces")
-    mode = join_modes(source.mode, target.mode)
+    F = resolve((source.kind, target.kind), tol)
     program = relation_program(target, source)
-    out = lp_solve(program, mode=mode, tol=tol)
-    record_tol = None if mode == EXACT else tol
+    out = lp_solve(program, mode=F.mode, tol=tol)
     if out.verdict == FEASIBLE:
         ny = len(target.labels)
         matrix = tuple(tuple(out.solution[xi * ny + yi] for yi in range(ny))
                        for xi in range(len(source.labels)))
         channel = Postprocessing(source.labels, target.labels, matrix)
         return RelationCertificate(RELATED, channel=channel, program=program,
-                                   tolerance=record_tol)
+                                   tolerance=F.tolerance)
     return RelationCertificate(UNRELATED, farkas=out.farkas, program=program,
-                               tolerance=record_tol)
+                               tolerance=F.tolerance)
 
 
 def replay_relation(cert: RelationCertificate, target: Observable,
                     source: Observable, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Re-check a relation certificate against the pair it was issued for."""
-    mode = join_modes(source.mode, target.mode)
-    eps = 0 if mode == EXACT else tol.eps_feas
+    F = resolve((source.kind, target.kind), tol)
     if cert.related:
         if not cert.channel.is_stochastic(tol):
             return False
@@ -206,12 +204,11 @@ def replay_relation(cert: RelationCertificate, target: Observable,
         for (la, ea), (lb, eb) in zip(recon.outcomes, target.outcomes):
             if la != lb:
                 return False
-            if any(abs(a - b) > eps for a, b in zip(ea.coeffs, eb.coeffs)):
+            if any(abs(a - b) > F.eps_feas for a, b in zip(ea.coeffs, eb.coeffs)):
                 return False
         return True
-    from .lp import verify_farkas
     return verify_farkas(relation_program(target, source), cert.farkas, tol=tol,
-                         mode=mode)
+                         mode=F.mode)
 
 
 def are_equivalent(a: Observable, b: Observable,
@@ -223,17 +220,16 @@ def are_equivalent(a: Observable, b: Observable,
 
 def _proportionality_groups(obs: Observable, tol: Tolerance):
     """Group outcome indices of nonzero effects by their ray direction."""
-    mode = obs.mode
-    eps = 0 if mode == EXACT else tol.eps_compare
+    F = field(obs.mode, tol)
     zero_idx, groups = [], []
     for i, eff in enumerate(obs.effects):
-        if all(abs(x) <= eps for x in eff.coeffs):
+        if F.is_zero(eff.coeffs):
             zero_idx.append(i)
             continue
         placed = False
         for grp in groups:
             rep = obs.effects[grp[0]].coeffs
-            if geometry.rank([rep, eff.coeffs], tol=tol, mode=mode) == 1:
+            if geometry.rank([rep, eff.coeffs], tol=tol, mode=F.mode) == 1:
                 grp.append(i)
                 placed = True
                 break
@@ -256,9 +252,7 @@ def minimally_sufficient_with_channels(obs: Observable,
     effects are dropped; each group merges into its lexicographically
     smallest label; the result is sorted by label.
     """
-    mode = obs.mode
-    one = Fraction(1) if mode == EXACT else 1.0
-    zero = Fraction(0) if mode == EXACT else 0.0
+    F = field(obs.mode, tol)
     zero_idx, groups = _proportionality_groups(obs, tol)
     reps = []
     for grp in groups:
@@ -280,7 +274,7 @@ def minimally_sufficient_with_channels(obs: Observable,
                 break
         if dest is None:
             dest = reps[0][0] if reps else lab  # zero effect, routed anywhere
-        fwd_rows.append(tuple(one if t == dest else zero for t in target))
+        fwd_rows.append(tuple(F.one if t == dest else F.zero for t in target))
     forward = Postprocessing(obs.labels, target, tuple(fwd_rows))
 
     back_rows = []
@@ -292,7 +286,7 @@ def minimally_sufficient_with_channels(obs: Observable,
             if i in grp:
                 row.append(obs.effects[i].coeffs[j] / total[j])
             else:
-                row.append(zero)
+                row.append(F.zero)
         back_rows.append(tuple(row))
     backward = Postprocessing(target, obs.labels, tuple(back_rows))
     return merged, forward, backward
@@ -304,10 +298,9 @@ def is_postprocessing_clean(obs: Observable, tol: Tolerance = DEFAULT_TOLERANCE)
 
     if obs.space is None:
         raise ValueError("postprocessing cleanness needs the state space")
-    mode = obs.mode
-    eps = 0 if mode == EXACT else tol.eps_compare
+    F = field(obs.mode, tol)
     for eff in obs.effects:
-        if all(abs(x) <= eps for x in eff.coeffs):
+        if F.is_zero(eff.coeffs):
             continue
         if not is_indecomposable(eff, obs.space, tol):
             return False

@@ -22,16 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .scalars import (
-    DEFAULT_TOLERANCE,
-    EXACT,
-    FLOAT,
-    Tolerance,
-    infer_mode,
-    values_of,
-)
+from .scalars import DEFAULT_TOLERANCE, EXACT, Tolerance, field, kind_of
 from .spaces import Effect, Observable
 
 
@@ -47,9 +41,14 @@ class QubitEffect:
         if len(self.e_vec) != 3:
             raise ValueError("Bloch part must be a 3-vector")
 
+    @cached_property
+    def kind(self):
+        """EXACT, FLOAT, or None when every coordinate is an integer."""
+        return kind_of((self.e0, *self.e_vec))
+
     @property
     def mode(self) -> str:
-        return infer_mode([self.e0, *self.e_vec])
+        return self.kind or EXACT
 
     def is_valid(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         """|e0| + ||e||_2 <= 1, compared through squares in exact mode."""
@@ -86,11 +85,8 @@ def qubit_to_vector(effect: QubitEffect) -> tuple:
 def linear_coords(effect: QubitEffect) -> tuple:
     """Linear coordinates (ex, ey, ez, (1+e0)/2); addition of effects is
     coordinatewise, the unit is (0,0,0,1) and the zero effect is the origin."""
-    if effect.mode == EXACT:
-        tau = (1 + Fraction(effect.e0)) / 2
-    else:
-        tau = (1.0 + float(effect.e0)) / 2.0
-    return (*effect.e_vec, tau)
+    F = field(effect.mode)
+    return (*effect.e_vec, (F.one + F.coerce(effect.e0)) / 2)
 
 
 def effect_from_linear(coeffs: Sequence) -> QubitEffect:
@@ -120,7 +116,7 @@ class QubitObservable:
         return tuple(eff for _, eff in self.outcomes)
 
     def is_valid(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        eps = 0 if self.mode == EXACT else tol.eps_feas
+        eps = field(self.mode, tol).eps_feas
         if any(not e.is_valid(tol) for e in self.effects):
             return False
         if abs(sum(1 + e.e0 for e in self.effects) - 2) > eps:
@@ -128,9 +124,14 @@ class QubitObservable:
         return all(abs(sum(e.e_vec[i] for e in self.effects)) <= eps
                    for i in range(3))
 
+    @cached_property
+    def kind(self):
+        """EXACT, FLOAT, or None when every coordinate is an integer."""
+        return kind_of(x for _, e in self.outcomes for x in (e.e0, *e.e_vec))
+
     @property
     def mode(self) -> str:
-        return infer_mode(values_of([(e.e0, *e.e_vec) for e in self.effects]))
+        return self.kind or EXACT
 
 
 def as_vector_observable(obs: QubitObservable) -> Observable:
@@ -146,10 +147,9 @@ def dichotomic(label_plus: str, label_minus: str, effect: QubitEffect) -> QubitO
 def is_postprocessing_clean(obs: QubitObservable,
                             tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Every nonzero effect must be rank one."""
-    eps = 0 if obs.mode == EXACT else tol.eps_compare
+    F = field(obs.mode, tol)
     for eff in obs.effects:
-        w0 = 1 + eff.e0
-        if abs(w0) <= eps and all(abs(x) <= eps for x in eff.e_vec):
+        if F.is_zero((1 + eff.e0, *eff.e_vec)):
             continue
         if not eff.is_rank_one(tol):
             return False

@@ -1,18 +1,31 @@
-"""Scalar arithmetic contexts: exact rationals or tolerance-based floats.
+"""Scalar arithmetic: exact rationals or tolerance-based floats, as one field.
 
 Every computation in this package runs in one of two modes. In exact mode
-all numbers are `fractions.Fraction` (integers are accepted and promoted)
-and all comparisons are exact. In float mode numbers are Python floats and
-comparisons use a `Tolerance`. A single input may not mix the two; the mode
-of a computation is inferred from its data and enforced up front.
+numbers are `fractions.Fraction` and every comparison is exact. In float
+mode numbers are Python floats and comparisons use a `Tolerance`.
+
+Data has a kind: EXACT when a Fraction occurs in it, FLOAT when a float
+does, and None when it holds integers only. Integers are mode-neutral: they
+join either mode. Fraction mixed with float raises `ModeError`, whether the
+two meet inside one input or across the inputs of one call. Objects scan
+their data once, lazily, and each public function resolves one `Field` per
+call from the kinds of its inputs (`resolve`) or from a given mode
+(`field`). The field carries what the two modes differ in: zero and one,
+the epsilons (all 0 in exact mode), the tolerance certificates record, the
+coercion of a scalar, the zero test and the dedup key.
+
+Code outside this module branches on the mode only where the two modes run
+different algorithms or read outside input: the backend choice in
+`lp.lp_solve`, the square root in `geometry.canonical_ray`,
+`QubitEffect.is_valid` and `is_rank_one`, `serialize.decode_number` and the
+command line's `--mode`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 EXACT = "exact"
 FLOAT = "float"
@@ -46,10 +59,9 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
-def infer_mode(values: Iterable) -> str:
-    """Classify a flat iterable of numbers as exact or float.
+def kind_of(values: Iterable) -> Optional[str]:
+    """EXACT if a Fraction occurs, FLOAT if a float does, None for integers only.
 
-    Integers are mode-neutral and count as exact unless a float appears.
     Mixing Fraction and float raises ModeError.
     """
     saw_fraction = False
@@ -67,39 +79,81 @@ def infer_mode(values: Iterable) -> str:
             raise ModeError(f"unsupported scalar type {type(v).__name__}")
     if saw_fraction and saw_float:
         raise ModeError("mixed exact/float arithmetic is forbidden")
-    return FLOAT if saw_float else EXACT
+    return FLOAT if saw_float else EXACT if saw_fraction else None
 
 
-def join_modes(*modes: str) -> str:
-    """Combine inferred modes of several inputs, rejecting a mix."""
-    out = EXACT
-    for m in modes:
-        if m not in (EXACT, FLOAT):
-            raise ValueError(f"unknown mode {m!r}")
-        if m == FLOAT:
-            out = FLOAT
-    # A genuine mix is caught at infer_mode level (Fraction vs float); two
-    # inputs of different pure modes are coerced by the caller explicitly.
-    if EXACT in modes and FLOAT in modes:
-        raise ModeError("inputs disagree on arithmetic mode; convert explicitly")
-    return out
+def infer_mode(values: Iterable) -> str:
+    """Classify a flat iterable of numbers as exact or float.
+
+    Integers are mode-neutral and count as exact unless a float appears.
+    Mixing Fraction and float raises ModeError.
+    """
+    return kind_of(values) or EXACT
 
 
-def as_exact(x: Number) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise ModeError(f"cannot use {x!r} in exact mode; floats must be converted explicitly")
+@dataclass(frozen=True)
+class Field:
+    """The arithmetic of one (mode, Tolerance) pair; obtain it from `field`.
+
+    `tolerance` is what certificates record: None in exact mode, where every
+    epsilon is 0 and every comparison below is exact.
+    """
+
+    mode: str
+    tol: Tolerance
+    zero: Number
+    one: Number
+    eps_rank: float
+    eps_feas: float
+    eps_compare: float
+    tolerance: Optional[Tolerance]
+    coerce: Callable
+
+    def is_zero(self, vector: Sequence) -> bool:
+        """Every entry within eps_compare of zero."""
+        eps = self.eps_compare
+        return all(abs(x) <= eps for x in vector)
+
+    def negligible(self, x) -> bool:
+        """A solver value too small to divide by: |x| <= eps_feas."""
+        return abs(x) <= self.eps_feas
+
+    def key(self, vector: Sequence) -> tuple:
+        """Dedup key: the vector itself, or in float mode its eps_compare grid cell."""
+        if self.mode == EXACT:
+            return tuple(vector)
+        grid = 1.0 / self.eps_compare
+        return tuple(round(x * grid) for x in vector)
 
 
-def as_float(x: Number) -> float:
-    return float(x)
+_FIELDS = {}
 
 
-def coerce_vector(v: Sequence[Number], mode: str) -> Vec:
-    conv = as_exact if mode == EXACT else as_float
-    return tuple(conv(x) for x in v)
+def field(mode: str, tol: Tolerance = DEFAULT_TOLERANCE) -> Field:
+    """The field of a mode and tolerance; the same object for the same pair."""
+    found = _FIELDS.get((mode, tol))
+    if found is not None:
+        return found
+    if mode == EXACT:
+        made = Field(EXACT, tol, Fraction(0), Fraction(1), 0, 0, 0, None, Fraction)
+    elif mode == FLOAT:
+        made = Field(FLOAT, tol, 0.0, 1.0, tol.eps_rank, tol.eps_feas,
+                     tol.eps_compare, tol, float)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _FIELDS.setdefault((mode, tol), made)
+
+
+def resolve(kinds: Iterable[Optional[str]], tol: Tolerance = DEFAULT_TOLERANCE) -> Field:
+    """The field for inputs of the given kinds (see `kind_of`).
+
+    Integer-only inputs (None) join either mode; FLOAT wins over them;
+    EXACT together with FLOAT raises ModeError.
+    """
+    saw = set(kinds)
+    if EXACT in saw and FLOAT in saw:
+        raise ModeError("mixed exact/float arithmetic is forbidden")
+    return field(FLOAT if FLOAT in saw else EXACT, tol)
 
 
 def to_float_vector(v: Sequence[Number]) -> Vec:
@@ -112,44 +166,9 @@ def vdot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
 
 
-def vadd(a: Sequence, b: Sequence) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a: Sequence, b: Sequence) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
 def vscale(c, a: Sequence) -> Vec:
     return tuple(c * x for x in a)
-
-
-def vzero(dim: int, mode: str) -> Vec:
-    z = Fraction(0) if mode == EXACT else 0.0
-    return (z,) * dim
-
-
-def is_zero_vector(v: Sequence, mode: str, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    if mode == EXACT:
-        return all(x == 0 for x in v)
-    return all(abs(x) <= tol.eps_compare for x in v)
-
-
-def norm2_squared(v: Sequence):
-    return sum(x * x for x in v)
-
-
-def norm2(v: Sequence) -> float:
-    return math.sqrt(float(norm2_squared(v)))
-
-
-def norm1(v: Sequence):
-    return sum(abs(x) for x in v)
-
-
-def values_of(vectors: Iterable[Sequence]) -> list:
-    """Flatten an iterable of vectors for mode inference."""
-    out = []
-    for v in vectors:
-        out.extend(v)
-    return out

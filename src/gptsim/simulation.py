@@ -20,28 +20,26 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import geometry
-from .lp import FEASIBLE, LinearProgram, lp_solve, make_program, verify_farkas
+from .lp import (
+    FEASIBLE,
+    CertificateError,
+    LinearProgram,
+    lp_solve,
+    make_program,
+    verify_farkas,
+)
 from .postprocessing import (
     Postprocessing,
     apply,
     compose,
-    identity_channel,
+    merge_channel,
     minimally_sufficient,
     minimally_sufficient_with_channels,
 )
-from .scalars import (
-    DEFAULT_TOLERANCE,
-    EXACT,
-    Tolerance,
-    infer_mode,
-    join_modes,
-    values_of,
-    vscale,
-)
+from .scalars import DEFAULT_TOLERANCE, Tolerance, field, kind_of, resolve, vscale
 from .spaces import (
     Effect,
     Observable,
@@ -70,10 +68,9 @@ class SimulationCertificate:
         return self.verdict == SIMULABLE
 
 
-def _common_mode(target: Observable, simulators: Sequence[Observable]) -> str:
-    return infer_mode(values_of(
-        [e.coeffs for e in target.effects]
-        + [e.coeffs for b in simulators for e in b.effects]))
+def _common_field(target: Observable, simulators: Sequence[Observable],
+                  tol: Tolerance = DEFAULT_TOLERANCE):
+    return resolve((target.kind, *(b.kind for b in simulators)), tol)
 
 
 def _check_same_space(target: Observable, simulators: Sequence[Observable]):
@@ -95,9 +92,8 @@ def simulation_program(target: Observable,
     constraints are constant row sums within each simulator, total weight
     one, and effect matching.
     """
-    mode = _common_mode(target, simulators)
-    one = Fraction(1) if mode == EXACT else 1.0
-    zero = Fraction(0) if mode == EXACT else 0.0
+    F = _common_field(target, simulators)
+    one, zero = F.one, F.zero
     ny = target.n_outcomes
     dim = target.dim
 
@@ -139,15 +135,13 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
     """Decide membership of `target` in the simulation set of `simulators`."""
     simulators = list(simulators)
     _check_same_space(target, simulators)
-    mode = _common_mode(target, simulators)
+    F = _common_field(target, simulators, tol)
     program = simulation_program(target, simulators)
-    out = lp_solve(program, mode=mode, tol=tol)
-    record_tol = None if mode == EXACT else tol
+    out = lp_solve(program, mode=F.mode, tol=tol)
     if out.verdict != FEASIBLE:
         return SimulationCertificate(NOT_SIMULABLE, farkas=out.farkas,
-                                     tolerance=record_tol)
+                                     tolerance=F.tolerance)
 
-    one = Fraction(1) if mode == EXACT else 1.0
     ny = target.n_outcomes
     pos = 0
     weights, channels = [], []
@@ -157,15 +151,15 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
         pos += sim.n_outcomes * ny
         ci = out.solution[n_m + i]
         weights.append(ci)
-        if ci == 0:
-            uniform = one / ny
+        if F.negligible(ci):
+            uniform = F.one / ny
             matrix = tuple((uniform,) * ny for _ in range(sim.n_outcomes))
         else:
             matrix = tuple(tuple(block[xi * ny + yi] / ci for yi in range(ny))
                            for xi in range(sim.n_outcomes))
         channels.append(Postprocessing(sim.labels, target.labels, matrix))
     return SimulationCertificate(SIMULABLE, weights=tuple(weights),
-                                 channels=tuple(channels), tolerance=record_tol)
+                                 channels=tuple(channels), tolerance=F.tolerance)
 
 
 def replay_simulation(cert: SimulationCertificate, target: Observable,
@@ -173,8 +167,8 @@ def replay_simulation(cert: SimulationCertificate, target: Observable,
                       tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Re-check a simulation certificate against its instance."""
     simulators = list(simulators)
-    mode = _common_mode(target, simulators)
-    eps = 0 if mode == EXACT else tol.eps_feas
+    F = _common_field(target, simulators, tol)
+    eps = F.eps_feas
     if cert.simulable:
         if len(cert.weights) != len(simulators):
             return False
@@ -186,9 +180,8 @@ def replay_simulation(cert: SimulationCertificate, target: Observable,
             if not chan.is_stochastic(tol):
                 return False
         dim = target.dim
-        zero = Fraction(0) if mode == EXACT else 0.0
         for yi, (label, eff) in enumerate(target.outcomes):
-            acc = [zero] * dim
+            acc = [F.zero] * dim
             for w, chan, sim in zip(cert.weights, cert.channels, simulators):
                 if w == 0:
                     continue
@@ -203,7 +196,7 @@ def replay_simulation(cert: SimulationCertificate, target: Observable,
                 return False
         return True
     program = simulation_program(target, simulators)
-    return verify_farkas(program, cert.farkas, tol=tol, mode=mode)
+    return verify_farkas(program, cert.farkas, tol=tol, mode=F.mode)
 
 
 def observable_key(obs: Observable) -> tuple:
@@ -252,8 +245,10 @@ def merge_duplicate_simulators(weights, channels, simulators) -> tuple:
     """Combine certificate entries that use the same simulator observable.
 
     Weights add; channels merge as the weight-average, matching the
-    multiplicity-reduction argument for repeated simulators.
+    multiplicity-reduction argument for repeated simulators. A group whose
+    total weight is negligible (default tolerance) keeps its first channel.
     """
+    F = resolve([kind_of(weights)])
     order = []
     grouped = {}
     for w, chan, sim in zip(weights, channels, simulators):
@@ -265,7 +260,7 @@ def merge_duplicate_simulators(weights, channels, simulators) -> tuple:
     for w, chan, sim in zip(weights, channels, simulators):
         k = observable_key(sim)
         total = grouped[k][0]
-        if total == 0:
+        if F.negligible(total):
             if grouped[k][1] is None:
                 grouped[k][1] = chan
             continue
@@ -293,12 +288,11 @@ def is_simulation_irreducible(obs: Observable,
     if obs.space is None:
         raise ValueError("simulation irreducibility needs the state space")
     hat = minimally_sufficient(obs, tol)
-    mode = hat.mode
     for eff in hat.effects:
         if not is_indecomposable(eff, obs.space, tol):
             return False
     vecs = [e.coeffs for e in hat.effects]
-    return geometry.rank(vecs, tol=tol, mode=mode) == len(vecs)
+    return geometry.rank(vecs, tol=tol, mode=hat.mode) == len(vecs)
 
 
 @dataclass(frozen=True)
@@ -329,9 +323,8 @@ def decompose_to_irreducibles(target: Observable,
         if target.space is None:
             raise ValueError("decomposition needs the state space or a refiner")
         refiner = lambda eff: decompose_into_indecomposables(eff, target.space, tol)
-    mode = target.mode
-    eps = 0 if mode == EXACT else tol.eps_compare
-    one = Fraction(1) if mode == EXACT else 1.0
+    F = field(target.mode, tol)
+    one = F.one
 
     refined_outcomes = []
     sources = []
@@ -343,8 +336,7 @@ def decompose_to_irreducibles(target: Observable,
     if not refined_outcomes:
         raise ValueError("cannot decompose an all-zero observable")
     refined = Observable(tuple(refined_outcomes), target.space)
-    zero = Fraction(0) if mode == EXACT else 0.0
-    fwd_rows = [tuple(one if lab == src else zero for lab in target.labels)
+    fwd_rows = [tuple(one if lab == src else F.zero for lab in target.labels)
                 for src in sources]
     merge_to_target = Postprocessing(refined.labels, target.labels, tuple(fwd_rows))
 
@@ -354,14 +346,14 @@ def decompose_to_irreducibles(target: Observable,
         nonlocal splits
         hat, _, back = minimally_sufficient_with_channels(obs, tol)
         vecs = [e.coeffs for e in hat.effects]
-        if geometry.rank(vecs, tol=tol, mode=mode) == len(vecs):
+        if geometry.rank(vecs, tol=tol, mode=F.mode) == len(vecs):
             return [(one, hat, back)]
         cols = [tuple(v[d] for v in vecs) for d in range(len(vecs[0]))]
-        beta = geometry.null_space_vector(cols, tol=tol, mode=mode)
+        beta = geometry.null_space_vector(cols, tol=tol, mode=F.mode)
         kappa_plus = max(beta)
         kappa_minus = min(beta)
-        assert kappa_plus > eps and kappa_minus < -eps, \
-            "dependence coefficients must take both signs"
+        if not (kappa_plus > F.eps_compare and kappa_minus < -F.eps_compare):
+            raise RuntimeError("dependence coefficients must take both signs")
         lam = kappa_plus / (kappa_plus - kappa_minus)
         c_obs = Observable(
             tuple((lab, Effect(vscale(one - b / kappa_plus, eff.coeffs)))
@@ -382,11 +374,10 @@ def decompose_to_irreducibles(target: Observable,
     leaves = [leaf for _, leaf, _ in parts]
     channels = tuple(compose(merge_to_target, chan) for _, _, chan in parts)
     weights, channels, leaves = merge_duplicate_simulators(weights, channels, leaves)
-    cert = SimulationCertificate(
-        SIMULABLE, weights=weights, channels=channels,
-        tolerance=None if mode == EXACT else tol)
+    cert = SimulationCertificate(SIMULABLE, weights=weights, channels=channels,
+                                 tolerance=F.tolerance)
     if not replay_simulation(cert, target, leaves, tol):
-        raise AssertionError("irreducible decomposition certificate failed to replay")
+        raise CertificateError("irreducible decomposition certificate failed to replay")
     return IrreducibleDecomposition(tuple(leaves), cert, splits)
 
 
@@ -411,9 +402,8 @@ def noise_content(target: Observable,
     if target.space is None:
         raise ValueError("noise content needs the state space")
     space = target.space
-    mode = join_modes(target.mode, space.mode)
-    one = Fraction(1) if mode == EXACT else 1.0
-    zero = Fraction(0) if mode == EXACT else 0.0
+    F = resolve((target.kind, space.kind), tol)
+    one, zero = F.one, F.zero
     n = target.n_outcomes
     K = len(space.extreme_states)
     nvars = n + n * K  # m_x then one slack per (outcome, state)
@@ -427,26 +417,24 @@ def noise_content(target: Observable,
             rhs.append(target.effects[xi](s))
     objective = tuple([one] * n + [zero] * (n * K))
     out = lp_solve(make_program(rows=rows, rhs=rhs, objective=objective),
-                   mode=mode, tol=tol)
-    assert out.verdict == FEASIBLE, "noise content LP is always feasible"
+                   mode=F.mode, tol=tol)
+    if out.verdict != FEASIBLE:
+        raise RuntimeError("noise content LP is always feasible")
     m = out.solution[:n]
     lam = sum(m)
-    record_tol = None if mode == EXACT else tol
-    if lam == 0 or (mode != EXACT and lam <= tol.eps_compare):
-        uniform = one / n
-        return NoiseContentResult(zero if mode == EXACT else 0.0,
-                                  (uniform,) * n, target, record_tol)
+    if lam <= F.eps_compare:
+        return NoiseContentResult(zero, (one / n,) * n, target, F.tolerance)
     t_weights = tuple(mx / lam for mx in m)
-    if lam == 1 or (mode != EXACT and abs(lam - 1) <= tol.eps_compare):
+    if abs(lam - 1) <= F.eps_compare:
         residual = Observable(
             tuple((lab, Effect(vscale(tw, space.unit)))
                   for (lab, _), tw in zip(target.outcomes, t_weights)), space)
-        return NoiseContentResult(lam, t_weights, residual, record_tol)
+        return NoiseContentResult(lam, t_weights, residual, F.tolerance)
     residual = Observable(
         tuple((lab, Effect(tuple((c - mx * u) / (one - lam)
                                  for c, u in zip(eff.coeffs, space.unit))))
               for (lab, eff), mx in zip(target.outcomes, m)), space)
-    return NoiseContentResult(lam, t_weights, residual, record_tol)
+    return NoiseContentResult(lam, t_weights, residual, F.tolerance)
 
 
 def smin(targets: Sequence[Observable], pool: Sequence[Observable],
@@ -484,7 +472,7 @@ def dichotomic_hull_necessary(target: Observable,
     simulators = list(simulators)
     _check_same_space(target, simulators)
     _require_dichotomic(simulators)
-    mode = _common_mode(target, simulators)
+    mode = _common_field(target, simulators, tol).mode
     unit = target.unit_coeffs()
     zero = tuple(0 * u for u in unit)
     gens = [e.coeffs for sim in simulators for e in sim.effects] + [zero, tuple(unit)]
@@ -511,41 +499,43 @@ def dichotomic_hull_sufficient(target: Observable,
     """
     simulators = list(simulators)
     _check_same_space(target, simulators)
-    mode = _common_mode(target, simulators)
+    F = _common_field(target, simulators, tol)
     unit = tuple(target.unit_coeffs())
     zero_vec = tuple(0 * u for u in unit)
 
-    cert = _hull_single_independent(target, simulators, unit, zero_vec, mode, tol)
+    cert = _hull_single_independent(target, simulators, unit, zero_vec, F)
     if cert is not None:
         return HullSimulationOutcome(cert, "single-independent-simulator")
-    cert = _hull_independent_dichotomic(target, simulators, unit, zero_vec, mode, tol)
+    cert = _hull_independent_dichotomic(target, simulators, unit, zero_vec, F)
     if cert is not None:
         return HullSimulationOutcome(cert, "independent-dichotomic-simulators")
-    cert = _hull_dichotomic_target(target, simulators, unit, zero_vec, mode, tol)
+    cert = _hull_dichotomic_target(target, simulators, unit, zero_vec, F)
     if cert is not None:
         return HullSimulationOutcome(cert, "dichotomic-target")
     return HullSimulationOutcome(is_simulable(target, simulators, tol), "lp")
 
 
-def _finish(cert, target, simulators, tol):
-    assert replay_simulation(cert, target, simulators, tol), \
-        "constructed hull certificate failed to replay"
+def _finish(target, simulators, weights, channels, F):
+    """The hull certificate, replayed; CertificateError if it fails."""
+    cert = SimulationCertificate(SIMULABLE, weights=tuple(weights),
+                                 channels=tuple(channels), tolerance=F.tolerance)
+    if not replay_simulation(cert, target, simulators, F.tol):
+        raise CertificateError("constructed hull certificate failed to replay")
     return cert
 
 
-def _hull_single_independent(target, simulators, unit, zero_vec, mode, tol):
+def _hull_single_independent(target, simulators, unit, zero_vec, F):
     if len(simulators) != 1:
         return None
     sim = simulators[0]
     vecs = [e.coeffs for e in sim.effects]
-    if geometry.rank(vecs, tol=tol, mode=mode) != len(vecs):
+    if geometry.rank(vecs, tol=F.tol, mode=F.mode) != len(vecs):
         return None
     gens = vecs + [zero_vec, unit]
     nx = len(vecs)
-    one = Fraction(1) if mode == EXACT else 1.0
     matrix_rows = [[] for _ in range(nx)]
     for _, eff in target.outcomes:
-        res = geometry.in_convex_hull(eff.coeffs, gens, mode=mode, tol=tol)
+        res = geometry.in_convex_hull(eff.coeffs, gens, mode=F.mode, tol=F.tol)
         if not res.inside:
             return None
         lam = res.coefficients
@@ -554,27 +544,23 @@ def _hull_single_independent(target, simulators, unit, zero_vec, mode, tol):
             matrix_rows[xi].append(lam[xi] + lam_u)
     channel = Postprocessing(sim.labels, target.labels,
                              tuple(tuple(r) for r in matrix_rows))
-    cert = SimulationCertificate(SIMULABLE, weights=(one,), channels=(channel,),
-                                 tolerance=None if mode == EXACT else tol)
-    return _finish(cert, target, simulators, tol)
+    return _finish(target, simulators, (F.one,), (channel,), F)
 
 
-def _hull_independent_dichotomic(target, simulators, unit, zero_vec, mode, tol):
+def _hull_independent_dichotomic(target, simulators, unit, zero_vec, F):
     if any(sim.n_outcomes != 2 for sim in simulators):
         return None
     plus = [sim.effects[0].coeffs for sim in simulators]
-    if geometry.rank([unit] + plus, tol=tol, mode=mode) != len(simulators) + 1:
+    if geometry.rank([unit] + plus, tol=F.tol, mode=F.mode) != len(simulators) + 1:
         return None
     m = len(simulators)
-    one = Fraction(1) if mode == EXACT else 1.0
-    eps = 0 if mode == EXACT else tol.eps_compare
     gens = []
     for sim in simulators:
         gens.extend([sim.effects[0].coeffs, sim.effects[1].coeffs])
     gens += [zero_vec, unit]
     omegas = []  # per outcome y: list of (omega_plus_i, omega_minus_i)
     for _, eff in target.outcomes:
-        res = geometry.in_convex_hull(eff.coeffs, gens, mode=mode, tol=tol)
+        res = geometry.in_convex_hull(eff.coeffs, gens, mode=F.mode, tol=F.tol)
         if not res.inside:
             return None
         lam = res.coefficients
@@ -585,35 +571,29 @@ def _hull_independent_dichotomic(target, simulators, unit, zero_vec, mode, tol):
     for i in range(m):
         w_plus = sum(om[i][0] for om in omegas)
         w_minus = sum(om[i][1] for om in omegas)
-        if mode == EXACT:
-            if w_plus != w_minus:
-                return None
-        elif abs(w_plus - w_minus) > 10 * eps:
+        if abs(w_plus - w_minus) > 10 * F.eps_compare:
             return None
         weights.append(w_plus)
     channels = []
     ny = target.n_outcomes
     for i, sim in enumerate(simulators):
-        if weights[i] == 0:
-            matrix = ((one / ny,) * ny, (one / ny,) * ny)
+        if F.negligible(weights[i]):
+            matrix = ((F.one / ny,) * ny, (F.one / ny,) * ny)
         else:
             matrix = (tuple(omegas[y][i][0] / weights[i] for y in range(ny)),
                       tuple(omegas[y][i][1] / weights[i] for y in range(ny)))
         channels.append(Postprocessing(sim.labels, target.labels, matrix))
-    cert = SimulationCertificate(SIMULABLE, weights=tuple(weights),
-                                 channels=tuple(channels),
-                                 tolerance=None if mode == EXACT else tol)
-    return _finish(cert, target, simulators, tol)
+    return _finish(target, simulators, weights, channels, F)
 
 
-def _hull_dichotomic_target(target, simulators, unit, zero_vec, mode, tol):
+def _hull_dichotomic_target(target, simulators, unit, zero_vec, F):
     if target.n_outcomes != 2:
         return None
     m = len(simulators)
-    one = Fraction(1) if mode == EXACT else 1.0
+    one = F.one
     gens = [e.coeffs for sim in simulators for e in sim.effects]
     gens += [unit, zero_vec]
-    res = geometry.in_convex_hull(target.effects[0].coeffs, gens, mode=mode, tol=tol)
+    res = geometry.in_convex_hull(target.effects[0].coeffs, gens, mode=F.mode, tol=F.tol)
     if not res.inside:
         return None
     lam = res.coefficients
@@ -631,16 +611,13 @@ def _hull_dichotomic_target(target, simulators, unit, zero_vec, mode, tol):
     channels = []
     for i, sim in enumerate(simulators):
         nx = sim.n_outcomes
-        if weights[i] == 0:
-            row_plus = [0 * one] * nx
+        if F.negligible(weights[i]):
+            row_plus = [F.zero] * nx
         else:
             row_plus = [eta[i][xi] / weights[i] for xi in range(nx)]
         matrix = tuple((rp, one - rp) for rp in row_plus)
         channels.append(Postprocessing(sim.labels, target.labels, matrix))
-    cert = SimulationCertificate(SIMULABLE, weights=tuple(weights),
-                                 channels=tuple(channels),
-                                 tolerance=None if mode == EXACT else tol)
-    return _finish(cert, target, simulators, tol)
+    return _finish(target, simulators, weights, channels, F)
 
 
 @dataclass(frozen=True)
@@ -663,8 +640,8 @@ def check_closure_laws(sample: Sequence[Observable], base: Sequence[Observable],
     """
     sample = list(sample)
     base = list(base)
-    mode = _common_mode(sample[0] if sample else base[0], base)
-    half = Fraction(1, 2) if mode == EXACT else 0.5
+    F = _common_field(sample[0] if sample else base[0], base, tol)
+    half = F.one / 2
     checks = 0
     violations = []
     for i, b in enumerate(base):
@@ -683,7 +660,7 @@ def check_closure_laws(sample: Sequence[Observable], base: Sequence[Observable],
         if not in_sim[i]:
             continue
         checks += 1
-        post = apply(_coarse_channel(a.labels, mode), a)
+        post = apply(merge_channel(a.labels, a.labels[:2], a.labels[0], F.mode), a)
         if not is_simulable(post, base, tol).simulable:
             violations.append(f"(sim7) postprocessing of sample {i} escapes sim(base)")
     for i, a in enumerate(sample):
@@ -696,21 +673,6 @@ def check_closure_laws(sample: Sequence[Observable], base: Sequence[Observable],
                 f"(sim2) sample {(i + 1) % len(sample)} simulable via adjoined "
                 f"sample {i} but not from base alone")
     return ClosureDiagnostics(checks, tuple(violations))
-
-
-def _coarse_channel(labels, mode) -> Postprocessing:
-    """Deterministic non-trivial channel: merge the first two labels."""
-    one = Fraction(1) if mode == EXACT else 1.0
-    zero = Fraction(0) if mode == EXACT else 0.0
-    labels = tuple(labels)
-    if len(labels) < 2:
-        return identity_channel(labels, mode)
-    target = labels[:1] + labels[2:]
-    rows = []
-    for lab in labels:
-        dest = labels[0] if lab in labels[:2] else lab
-        rows.append(tuple(one if t == dest else zero for t in target))
-    return Postprocessing(labels, target, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -726,8 +688,7 @@ def noise_monotonicity_check(target: Observable, simulators: Sequence[Observable
     cert = is_simulable(target, simulators, tol)
     if not cert.simulable:
         raise ValueError("noise monotonicity requires a simulable target")
-    mode = _common_mode(target, simulators)
-    eps = 0 if mode == EXACT else tol.eps_compare
+    eps = _common_field(target, simulators, tol).eps_compare
     w_target = noise_content(target, tol).value
     w_sims = tuple(noise_content(b, tol).value for b in simulators)
     return MonotonicityDiagnostics(w_target >= min(w_sims) - eps, w_target, w_sims)
@@ -760,9 +721,8 @@ def is_compatible(targets: Sequence[Observable],
             "handled by the polyhedral bracket in the catalog module")
     if any(t.space != space for t in targets):
         raise ValueError("mixed state spaces rejected")
-    mode = _common_mode(targets[0], targets)
-    one = Fraction(1) if mode == EXACT else 1.0
-    zero = Fraction(0) if mode == EXACT else 0.0
+    F = _common_field(targets[0], targets, tol)
+    one, zero = F.one, F.zero
     rays = dual_cone_rays(space, tol)
     R = len(rays)
     dim = space.ambient_dim
@@ -781,10 +741,9 @@ def is_compatible(targets: Sequence[Observable],
                         row[w * R + r_i] = ray[d]
                 rows.append(tuple(row))
                 rhs.append(t.effects[lab_i].coeffs[d])
-    out = lp_solve(make_program(rows=rows, rhs=rhs), mode=mode, tol=tol)
-    record_tol = None if mode == EXACT else tol
+    out = lp_solve(make_program(rows=rows, rhs=rhs), mode=F.mode, tol=tol)
     if out.verdict != FEASIBLE:
-        return CompatibilityResult(False, farkas=out.farkas, tolerance=record_tol)
+        return CompatibilityResult(False, farkas=out.farkas, tolerance=F.tolerance)
     effects = []
     for w, omega in enumerate(joint_outcomes):
         coeffs = [zero] * dim
@@ -803,4 +762,4 @@ def is_compatible(targets: Sequence[Observable],
                                 for lab in t.labels))
         channels.append(Postprocessing(joint.labels, t.labels, tuple(rows_c)))
     return CompatibilityResult(True, joint=joint, marginal_channels=tuple(channels),
-                               tolerance=record_tol)
+                               tolerance=F.tolerance)

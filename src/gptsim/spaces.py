@@ -11,8 +11,7 @@ summing to the unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from . import geometry
@@ -20,14 +19,12 @@ from .scalars import (
     DEFAULT_TOLERANCE,
     EXACT,
     Tolerance,
-    coerce_vector,
-    infer_mode,
-    join_modes,
+    field,
+    kind_of,
+    resolve,
     to_float_vector,
-    values_of,
     vdot,
     vscale,
-    vsub,
 )
 
 
@@ -50,9 +47,14 @@ class StateSpace:
         if len(self.unit) != self.ambient_dim:
             raise ValueError("unit dimension does not match ambient_dim")
 
+    @cached_property
+    def kind(self):
+        """EXACT, FLOAT, or None when every coordinate is an integer."""
+        return kind_of(x for v in (*self.extreme_states, self.unit) for x in v)
+
     @property
     def mode(self) -> str:
-        return infer_mode(values_of(self.extreme_states) + list(self.unit))
+        return self.kind or EXACT
 
     def as_float(self) -> "StateSpace":
         return StateSpace(self.name, self.ambient_dim,
@@ -78,11 +80,6 @@ class Effect:
 
     def as_float(self) -> "Effect":
         return Effect(to_float_vector(self.coeffs))
-
-
-def zero_effect(dim: int, mode: str = EXACT) -> Effect:
-    z = Fraction(0) if mode == EXACT else 0.0
-    return Effect((z,) * dim)
 
 
 def unit_effect(space: StateSpace) -> Effect:
@@ -126,9 +123,14 @@ class Observable:
     def dim(self) -> int:
         return self.outcomes[0][1].dim
 
+    @cached_property
+    def kind(self):
+        """EXACT, FLOAT, or None when every coefficient is an integer."""
+        return kind_of(x for _, e in self.outcomes for x in e.coeffs)
+
     @property
     def mode(self) -> str:
-        return infer_mode(values_of(e.coeffs for e in self.effects))
+        return self.kind or EXACT
 
     def unit_coeffs(self) -> tuple:
         if self.space is not None:
@@ -165,22 +167,21 @@ def validate_state_space(space: StateSpace,
     Diagnostics only; never raises.
     """
     issues = []
-    mode = space.mode
-    eps = 0 if mode == EXACT else tol.eps_compare
+    F = field(space.mode, tol)
     if not space.extreme_states:
         return SpaceDiagnostics(False, ("no extreme states",))
     for k, s in enumerate(space.extreme_states):
         val = vdot(space.unit, s)
-        if abs(val - 1) > eps:
+        if abs(val - 1) > F.eps_compare:
             issues.append(f"state {k}: unit(s) = {val}, expected 1")
-    r = geometry.rank(space.extreme_states, tol=tol, mode=mode)
+    r = geometry.rank(space.extreme_states, tol=tol, mode=F.mode)
     if r != space.ambient_dim:
         issues.append(
             f"extreme states span a {r}-dimensional subspace of the "
             f"{space.ambient_dim}-dimensional ambient space")
     seen = {}
     for k, s in enumerate(space.extreme_states):
-        key = s if mode == EXACT else tuple(round(x / tol.eps_compare) for x in s)
+        key = F.key(s)
         if key in seen:
             issues.append(f"state {k} duplicates state {seen[key]}")
         else:
@@ -188,7 +189,7 @@ def validate_state_space(space: StateSpace,
     if len(space.extreme_states) > 2:
         for k, s in enumerate(space.extreme_states):
             others = [t for i, t in enumerate(space.extreme_states) if i != k]
-            res = geometry.in_convex_hull(s, others, mode=mode, tol=tol)
+            res = geometry.in_convex_hull(s, others, mode=F.mode, tol=tol)
             if res.inside:
                 issues.append(f"state {k} is a convex combination of the others")
     return SpaceDiagnostics(not issues, tuple(issues))
@@ -199,8 +200,7 @@ def is_valid_effect(effect: Effect, space: StateSpace,
     """True iff 0 <= e(s) <= 1 on every extreme state."""
     if effect.dim != space.ambient_dim:
         raise ValueError("effect dimension does not match state space")
-    mode = join_modes(space.mode, infer_mode(effect.coeffs))
-    eps = 0 if mode == EXACT else tol.eps_compare
+    eps = resolve((space.kind, kind_of(effect.coeffs)), tol).eps_compare
     for s in space.extreme_states:
         v = effect(s)
         if v < -eps or v > 1 + eps:
@@ -215,8 +215,7 @@ def is_valid_observable(obs: Observable, space: Optional[StateSpace] = None,
     labels = obs.labels
     if len(set(labels)) != len(labels):
         return False
-    mode = obs.mode
-    eps = 0 if mode == EXACT else tol.eps_feas
+    eps = field(obs.mode, tol).eps_feas
     if space is not None:
         if any(not is_valid_effect(e, space, tol) for e in obs.effects):
             return False
@@ -249,9 +248,8 @@ def mix_observables(observables: Sequence[Observable], weights) -> Observable:
             if lab not in labels:
                 labels.append(lab)
     dim = observables[0].dim
-    mode = infer_mode(values_of(e.coeffs for o in observables for e in o.effects)
-                      + list(weights))
-    zero = (Fraction(0) if mode == EXACT else 0.0,) * dim
+    F = resolve([kind_of(weights), *(o.kind for o in observables)])
+    zero = (F.zero,) * dim
     out = []
     for lab in labels:
         acc = zero
@@ -275,12 +273,11 @@ def is_indecomposable(effect: Effect, space: StateSpace,
     Tight-state rank test: the extreme states annihilated by the effect must
     have rank exactly ambient_dim - 1. Zero effects are rejected.
     """
-    mode = join_modes(space.mode, infer_mode(effect.coeffs))
-    eps = 0 if mode == EXACT else tol.eps_compare
-    if all(abs(x) <= eps for x in effect.coeffs):
+    F = resolve((space.kind, kind_of(effect.coeffs)), tol)
+    if F.is_zero(effect.coeffs):
         raise ValueError("indecomposability is defined for nonzero effects only")
-    tight = [s for s in space.extreme_states if abs(effect(s)) <= eps]
-    return geometry.rank(tight, tol=tol, mode=mode) == space.ambient_dim - 1
+    tight = [s for s in space.extreme_states if abs(effect(s)) <= F.eps_compare]
+    return geometry.rank(tight, tol=tol, mode=F.mode) == space.ambient_dim - 1
 
 
 def decompose_into_indecomposables(effect: Effect, space: StateSpace,
@@ -291,17 +288,16 @@ def decompose_into_indecomposables(effect: Effect, space: StateSpace,
     coefficient is maximized greedily, so the decomposition is
     deterministic. The zero effect decomposes into the empty list.
     """
-    mode = join_modes(space.mode, infer_mode(effect.coeffs))
-    eps = 0 if mode == EXACT else tol.eps_compare
-    if all(abs(x) <= eps for x in effect.coeffs):
+    F = resolve((space.kind, kind_of(effect.coeffs)), tol)
+    if F.is_zero(effect.coeffs):
         return []
     if is_indecomposable(effect, space, tol):
         return [effect]
     rays = dual_cone_rays(space, tol)
-    res = geometry.conic_decompose(effect.coeffs, rays, mode=mode, tol=tol)
+    res = geometry.conic_decompose(effect.coeffs, rays, mode=F.mode, tol=tol)
     if not res.inside:
         raise ValueError("effect lies outside the positive dual cone")
-    parts = [Effect(vscale(c, r)) for c, r in zip(res.coefficients, rays) if c > eps]
+    parts = [Effect(vscale(c, r)) for c, r in zip(res.coefficients, rays) if c > F.eps_compare]
     return parts
 
 

@@ -235,3 +235,16 @@ def test_solver_limit_exits_3(capsys, monkeypatch, ct08_file, xy_file):
                            "--simulators", xy_file)
     assert code == 3
     assert "solver limit" in err
+
+
+def test_certificate_error_exits_3(capsys, monkeypatch, ct08_file, xy_file):
+    from gptsim.lp import CertificateError
+
+    def boom(*args, **kwargs):
+        raise CertificateError("certificate failed replay")
+
+    monkeypatch.setattr("gptsim.cli.is_simulable", boom)
+    code, _, err = run_cli(capsys, "sim", "check", "--target", ct08_file,
+                           "--simulators", xy_file)
+    assert code == 3
+    assert "certificate error" in err

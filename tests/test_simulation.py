@@ -308,3 +308,29 @@ def test_compatibility(sq, trit, rng):
     nu = merge_channel(sq.E.labels, ("+", "-"), "+")
     post = apply(nu, sq.E)
     assert is_compatible([sq.E, post]).compatible
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_catalog_simulation_with_negligible_weights_replays(n):
+    # float solves leave catalog weights of 1e-33..1e-15; dividing a block by
+    # such a weight gave a non-stochastic channel that failed replay
+    import random
+
+    cat = polygon_irreducibles(n)
+    for seed in range(8):
+        target = random_observable(cat.theory.space, random.Random(seed), 3)
+        cert = is_simulable(target, cat.observables)
+        assert cert.simulable
+        assert replay_simulation(cert, target, cat.observables), f"n={n} seed={seed}"
+
+
+def test_hull_certificate_failing_replay_raises(monkeypatch):
+    from gptsim import simulation
+    from gptsim.lp import CertificateError
+
+    rat = tetrahedron_rational()
+    monkeypatch.setattr(simulation, "replay_simulation", lambda *args: False)
+    with pytest.raises(CertificateError):
+        dichotomic_hull_sufficient(rat["B"], [rat["B"]])
+    with pytest.raises(CertificateError):
+        decompose_to_irreducibles(square_bit().E)
