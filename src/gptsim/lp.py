@@ -2,9 +2,10 @@
 
 Problems are stated over equality constraints `A x = b` with per-variable
 nonnegativity flags and an optional linear objective. Two backends share one
-two-phase simplex structure: an exact backend over `fractions.Fraction`
-(used whenever the inputs are rational) and a float backend on numpy arrays
-with tolerance-based comparisons.
+two-phase simplex structure: an exact backend on a tableau of Python ints,
+each row a list of numerators over one denominator (used whenever the inputs
+are rational; it returns `fractions.Fraction` values), and a float backend on
+numpy arrays with tolerance-based comparisons.
 
 Every verdict is checkable after the fact: a feasible outcome carries the
 solution vector, an infeasible outcome carries a Farkas vector y with
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -168,12 +170,17 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
 # standard-form column so solutions map back and Farkas handling is uniform.
 # ---------------------------------------------------------------------------
 
-def _standard_form(program: LinearProgram, coerce):
+def _colmap(program: LinearProgram):
     colmap = []
     for j, flag in enumerate(program.nonneg):
         colmap.append((j, 1))
         if not flag:
             colmap.append((j, -1))
+    return colmap
+
+
+def _standard_form(program: LinearProgram):
+    colmap = _colmap(program)
     rows = []
     for r in program.rows:
         rows.append([sign * r[j] for (j, sign) in colmap])
@@ -181,7 +188,7 @@ def _standard_form(program: LinearProgram, coerce):
         cost = None
     else:
         flip = -1 if program.sense == "max" else 1
-        cost = [coerce(flip * sign * program.objective[j]) for (j, sign) in colmap]
+        cost = [float(flip * sign * program.objective[j]) for (j, sign) in colmap]
     rhs = list(program.rhs)
     return rows, rhs, cost, colmap
 
@@ -216,211 +223,199 @@ def _crash_columns(rows, m, n):
 
 
 # ---------------------------------------------------------------------------
-# Exact backend: dense tableau over Fraction.
+# Exact backend: dense tableau of Python ints.
+#
+# Row i of T holds integer numerators over the positive denominator D[i]; the
+# last row is the reduced-cost row. Every updated row is divided by the gcd
+# of its entries and denominator, which keeps it as small as the equivalent
+# Fractions. A reduced cost is negative when its numerator is, and the ratio
+# test compares T[i][last] / T[i][col] by cross products (the denominator of
+# row i cancels). Fractions are built only for the returned values.
 # ---------------------------------------------------------------------------
 
-def _solve_exact(program: LinearProgram) -> LPOutcome:
-    rows, rhs, cost, colmap = _standard_form(program, Fraction)
-    m, n = len(rows), len(colmap)
-    rows = [[Fraction(x) for x in r] for r in rows]
-    rhs = [Fraction(b) for b in rhs]
-    flips = []
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-            flips.append(-1)
-        else:
-            flips.append(1)
+def _integer_row(values, signs):
+    """Numerators of sign * value over the values' least common denominator."""
+    dens = [x.denominator for x in values]
+    den = lcm(*dens)
+    return [s * x.numerator * (den // d) for s, x, d in zip(signs, values, dens)], den
 
-    crash = _crash_columns(rows, m, n)
-    crash_coeff = {i: rows[i][j] for i, j in crash.items()}
+
+def _reduced(row, den):
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [x // g for x in row], den // g
+
+
+def _solve_exact(program: LinearProgram) -> LPOutcome:
+    colmap = _colmap(program)
+    m, n = len(program.rows), len(colmap)
+    flips = [-1 if b < 0 else 1 for b in program.rhs]
+    T, D = [], []
+    for r, b, flip in zip(program.rows, program.rhs, flips):
+        row, den = _integer_row([r[j] for j, _ in colmap] + [b],
+                                [flip * s for _, s in colmap] + [flip])
+        T.append(row)
+        D.append(den)
+
+    crash = _crash_columns(T, m, n)
+    crash_coeff = {}
     art_rows = [i for i in range(m) if i not in crash]
     art_col = {i: n + k for k, i in enumerate(art_rows)}
     n_art = len(art_rows)
-    width = n + n_art + 1
-
-    T = []
     basis = []
     for i in range(m):
-        row = rows[i] + [Fraction(0)] * n_art + [rhs[i]]
+        row = T[i][:n] + [0] * n_art + T[i][n:]
         if i in crash:
-            piv = crash_coeff[i]
-            if piv != 1:
-                row = [x / piv for x in row]
+            piv = row[crash[i]]
+            crash_coeff[i] = (piv, D[i])
+            T[i], D[i] = _reduced(row, piv)
             basis.append(crash[i])
         else:
-            row[art_col[i]] = Fraction(1)
+            row[art_col[i]] = D[i]
+            T[i] = row
             basis.append(art_col[i])
-        T.append(row)
 
     # Phase 1 reduced costs for minimizing the artificial sum.
-    red = [Fraction(0)] * width
-    for j in range(width):
-        red[j] = -sum(T[i][j] for i in art_rows)
+    red_den = lcm(*[D[i] for i in art_rows])
+    red = [0] * (n + n_art + 1)
     for i in art_rows:
-        red[art_col[i]] = Fraction(0)
+        k = red_den // D[i]
+        red = [x - k * a for x, a in zip(red, T[i])]
+    for i in art_rows:
+        red[art_col[i]] = 0
+    red, red_den = _reduced(red, red_den)
+    T.append(red)
+    D.append(red_den)
 
-    pivots = _pivot_loop(T, basis, red, allowed=n)
+    pivots = _pivot_loop(T, D, basis, allowed=n)
     if pivots is None:
         raise RuntimeError("phase 1 cannot be unbounded")
-    phase1 = -red[width - 1]
-    if phase1 > 0:
-        y = [Fraction(0)] * m
+    stats["pivots"] += pivots
+    red, red_den = T[-1], D[-1]
+    if red[-1] < 0:
+        y = []
         for i in range(m):
             if i in crash:
-                y[i] = flips[i] * (-red[crash[i]] / crash_coeff[i])
+                num, den = crash_coeff[i]
+                y.append(Fraction(-flips[i] * red[crash[i]] * den, red_den * num))
             else:
-                y[i] = flips[i] * (1 - red[art_col[i]])
+                y.append(Fraction(flips[i] * (red_den - red[art_col[i]]), red_den))
         scale = vdot(y, program.rhs)
         if not scale > 0:
             raise RuntimeError("Farkas scale must be positive")
-        y = tuple(v / scale for v in y)
-        stats["pivots"] += pivots
-        return LPOutcome(INFEASIBLE, EXACT, farkas=y, pivots=pivots)
+        return LPOutcome(INFEASIBLE, EXACT, farkas=tuple(v / scale for v in y), pivots=pivots)
 
-    _drive_out_artificials(T, basis, n)
-
-    if cost is None:
-        sol = _recover_solution(_basic_solution(T, basis, n), colmap,
-                                program.num_vars, Fraction(0))
-        stats["pivots"] += pivots
+    _drive_out_artificials(T, D, basis, n)
+    if program.objective is None:
+        sol = _basic_solution(T, D, basis, colmap, program.num_vars)
         return LPOutcome(FEASIBLE, EXACT, solution=sol, pivots=pivots)
 
-    if not T and any(c < 0 for c in cost):
-        stats["pivots"] += pivots
-        return LPOutcome(UNBOUNDED, EXACT, pivots=pivots)
-
-    width = len(T[0]) if T else n + 1
-    red = [Fraction(0)] * width
-    for j in range(n):
-        red[j] = cost[j]
-    for i in range(len(basis)):
-        cb = cost[basis[i]] if basis[i] < n else Fraction(0)
-        if cb != 0:
-            for j in range(width):
-                red[j] -= cb * T[i][j]
-    more = _pivot_loop(T, basis, red, allowed=n)
+    flip = -1 if program.sense == "max" else 1
+    cost, cost_den = _integer_row([program.objective[j] for j, _ in colmap],
+                                  [flip * s for _, s in colmap])
+    red, red_den = cost + [0] * (len(T[-1]) - n), cost_den
+    for i, j in enumerate(basis):
+        if cost[j]:
+            k, c = cost_den * D[i], cost[j] * red_den
+            red, red_den = _reduced([k * x - c * a for x, a in zip(red, T[i])], red_den * k)
+    T[-1], D[-1] = red, red_den
+    more = _pivot_loop(T, D, basis, allowed=n)
     if more is None:
-        stats["pivots"] += pivots
         return LPOutcome(UNBOUNDED, EXACT, pivots=pivots)
-    pivots += more
-    sol = _recover_solution(_basic_solution(T, basis, n), colmap,
-                            program.num_vars, Fraction(0))
+    stats["pivots"] += more
+    sol = _basic_solution(T, D, basis, colmap, program.num_vars)
     value = vdot(program.objective, sol)
-    stats["pivots"] += pivots
-    return LPOutcome(FEASIBLE, EXACT, solution=sol, objective_value=value, pivots=pivots)
+    return LPOutcome(FEASIBLE, EXACT, solution=sol, objective_value=value,
+                     pivots=pivots + more)
 
 
-def _basic_solution(T, basis, n):
-    xs = [Fraction(0)] * n
-    if not T:
-        return xs
-    last = len(T[0]) - 1
-    for i in range(len(basis)):
-        if basis[i] < n:
-            xs[basis[i]] = T[i][last]
-    return xs
+def _basic_solution(T, D, basis, colmap, num_vars):
+    xs = [Fraction(0)] * len(colmap)
+    for i, j in enumerate(basis):
+        xs[j] = Fraction(T[i][-1], D[i])
+    return _recover_solution(xs, colmap, num_vars, Fraction(0))
 
 
-def _pivot_loop(T, basis, red, allowed):
-    """Exact simplex pivots to optimality on the given reduced-cost row.
+def _pivot_loop(T, D, basis, allowed):
+    """Exact simplex pivots to optimality on the reduced-cost row T[-1].
 
     Returns the pivot count, or None when an unbounded direction is found.
     Entering columns are restricted to indices < allowed so artificial
     columns never re-enter. Largest-coefficient rule until the objective
-    stalls, then Bland's rule.
+    stalls, then Bland's rule; ratio ties go to the smallest basic index.
     """
-    last = len(T[0]) - 1 if T else 0
+    m = len(basis)
+    last = len(T[-1]) - 1
     pivots = 0
     stall = 0
     bland = False
-    prev_obj = red[last] if T else None
-    while T:
-        col = -1
+    prev_num, prev_den = T[-1][last], D[-1]
+    while True:
+        red = T[-1][:allowed]
         if bland:
-            for j in range(allowed):
-                if red[j] < 0:
-                    col = j
-                    break
+            col = next((j for j, c in enumerate(red) if c < 0), -1)
         else:
-            best = Fraction(0)
-            for j in range(allowed):
-                if red[j] < best:
-                    best = red[j]
-                    col = j
+            low = min(red, default=0)
+            col = red.index(low) if low < 0 else -1
         if col < 0:
             return pivots
         row = -1
-        best_ratio = None
-        for i in range(len(T)):
+        for i in range(m):
             a = T[i][col]
             if a > 0:
-                ratio = T[i][last] / a
-                if best_ratio is None or ratio < best_ratio or \
-                        (ratio == best_ratio and basis[i] < basis[row]):
-                    best_ratio = ratio
-                    row = i
+                b = T[i][last]
+                if row < 0:
+                    row, best_a, best_b = i, a, b
+                    continue
+                lhs, rhs = b * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
+                    row, best_a, best_b = i, a, b
         if row < 0:
             return None
-        _pivot(T, basis, red, row, col)
+        _pivot(T, D, basis, row, col)
         pivots += 1
-        if red[last] == prev_obj:
+        obj_num, obj_den = T[-1][last], D[-1]
+        if obj_num * prev_den == prev_num * obj_den:
             stall += 1
             if stall > _STALL_LIMIT:
                 bland = True
         else:
             stall = 0
-        prev_obj = red[last]
-    return pivots
+        prev_num, prev_den = obj_num, obj_den
 
 
-def _pivot(T, basis, red, row, col):
-    piv = T[row][col]
-    T[row] = [x / piv for x in T[row]]
-    prow = T[row]
-    width = len(prow)
-    for i in range(len(T)):
-        if i == row:
-            continue
-        f = T[i][col]
-        if f == 0:
-            continue
-        Ti = T[i]
-        for j in range(width):
-            Ti[j] = Ti[j] - f * prow[j]
-    f = red[col]
-    if f != 0:
-        for j in range(width):
-            red[j] = red[j] - f * prow[j]
+def _pivot(T, D, basis, row, col):
+    """Scale T[row] so that its col entry is 1 and clear col from every other row."""
+    P, p = T[row], T[row][col]
+    if p < 0:
+        P, p = [-x for x in P], -p
+    P, p = _reduced(P, p)
+    T[row], D[row] = P, p
+    for i, Ti in enumerate(T):
+        f = Ti[col]
+        if f and i != row:
+            T[i], D[i] = _reduced([p * x - f * a for x, a in zip(Ti, P)], D[i] * p)
     basis[row] = col
 
 
-def _drive_out_artificials(T, basis, n):
+def _drive_out_artificials(T, D, basis, n):
     """Pivot zero-level artificial variables out of the basis.
 
     Rows whose structural coefficients are all zero are redundant and
     removed outright.
     """
     dead = []
-    zero_red = None
     for i in range(len(basis)):
         if basis[i] < n:
             continue
-        col = -1
-        for j in range(n):
-            if T[i][j] != 0:
-                col = j
-                break
+        col = next((j for j in range(n) if T[i][j]), -1)
         if col >= 0:
-            if zero_red is None:
-                zero_red = [Fraction(0)] * len(T[i])
-            _pivot(T, basis, zero_red, i, col)
+            _pivot(T, D, basis, i, col)
         else:
             dead.append(i)
     for i in reversed(dead):
-        del T[i]
-        del basis[i]
+        del T[i], D[i], basis[i]
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +423,7 @@ def _drive_out_artificials(T, basis, n):
 # ---------------------------------------------------------------------------
 
 def _solve_float(program: LinearProgram, tol: Tolerance) -> LPOutcome:
-    rows, rhs, cost, colmap = _standard_form(program, float)
+    rows, rhs, cost, colmap = _standard_form(program)
     m, n = len(rows), len(colmap)
     A = np.array(rows, dtype=float).reshape(m, n)
     b = np.array(rhs, dtype=float)

@@ -260,10 +260,22 @@ def mix_observables(observables: Sequence[Observable], weights) -> Observable:
     return Observable(tuple(out), observables[0].space)
 
 
-@lru_cache(maxsize=None)
 def dual_cone_rays(space: StateSpace, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple:
-    """Canonical extreme rays of the positive dual cone {e : e(s) >= 0}."""
-    return tuple(geometry.extreme_rays(space.extreme_states, mode=space.mode, tol=tol))
+    """Canonical extreme rays of the positive dual cone {e : e(s) >= 0}.
+
+    Cached per (space, mode, tol): a float twin (`space.as_float()`) compares
+    and hashes equal to its exact space but needs rays of its own mode.
+    """
+    return _dual_cone_rays(space, space.mode, tol)
+
+
+@lru_cache(maxsize=None)
+def _dual_cone_rays(space: StateSpace, mode: str, tol: Tolerance) -> tuple:
+    return tuple(geometry.extreme_rays(space.extreme_states, mode=mode, tol=tol))
+
+
+dual_cone_rays.cache_info = _dual_cone_rays.cache_info
+dual_cone_rays.cache_clear = _dual_cone_rays.cache_clear
 
 
 def is_indecomposable(effect: Effect, space: StateSpace,

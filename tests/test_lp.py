@@ -111,3 +111,93 @@ def test_random_rational_agreement_exact_vs_float(seed):
     else:
         assert verify_farkas(p_exact, out_e.farkas)
         assert verify_farkas(p_float, out_f.farkas)
+
+
+def test_exact_mode_rejects_float_data():
+    p = make_program(rows=[(0.5, 0.5)], rhs=(1.0,), objective=(1.0, 0.0))
+    with pytest.raises(ValueError, match="exact mode requested for float data"):
+        lp_solve(p, mode=EXACT)
+
+
+def _degenerate_programs(count, seed):
+    # Bounded programs (a simplex row) with zero right-hand sides, so many
+    # pivots leave the objective unchanged.
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m, n = rng.randint(1, 4), rng.randint(3, 7)
+        rows = [tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
+                for _ in range(m)]
+        rows.append((1,) * n)
+        rhs = tuple(F(rng.choice((0, 0, rng.randint(-3, 3))), rng.randint(1, 3))
+                    for _ in range(m)) + (1,)
+        objective = tuple(F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n))
+        out.append(make_program(rows=rows, rhs=rhs, objective=objective,
+                                sense=rng.choice(("max", "min"))))
+    return out
+
+
+def test_bland_rule_from_first_stall(monkeypatch):
+    from gptsim import lp
+
+    programs = _degenerate_programs(30, seed=5)
+    reference = [lp_solve(p) for p in programs]
+    monkeypatch.setattr(lp, "_STALL_LIMIT", 0)
+    rows = [(1, 1, 1, 0), (1, 1, 0, 1), (2, 2, 1, 1)]
+    p = make_program(rows=rows, rhs=(1, 1, 2), objective=(3, 2, 0, 0))
+    out = lp_solve(p)
+    assert out.verdict == FEASIBLE
+    assert out.objective_value == 3
+    assert verify_solution(p, out.solution)
+    verdicts = set()
+    for program, ref in zip(programs, reference):
+        out = lp_solve(program)
+        verdicts.add(out.verdict)
+        assert out.verdict == ref.verdict
+        if out.verdict == FEASIBLE:
+            assert verify_solution(program, out.solution)
+            assert out.objective_value == ref.objective_value
+        else:
+            assert verify_farkas(program, out.farkas)
+    assert verdicts == {FEASIBLE, INFEASIBLE}
+
+
+def _simulation_corpus():
+    # Seeded exact simulation LPs: square bit, classical(3) and the
+    # rational-coordinate tetrahedron, 201 programs in all.
+    import random
+
+    from gptsim.catalog import classical, random_observable, square_bit, tetrahedron_rational
+    from gptsim.simulation import simulation_program
+
+    sq, cl, rat = square_bit(), classical(3), tetrahedron_rational()
+    rng = random.Random(2026)
+    programs = []
+    for _ in range(33):
+        a, b = random_observable(sq.space, rng), random_observable(sq.space, rng)
+        c, d = random_observable(cl.space, rng), random_observable(cl.space, rng)
+        for target, sims in ((a, [sq.E, sq.F]), (a, [sq.E]), (a, [sq.F]), (a, [b]),
+                             (c, [cl.distinguishing]), (c, [d])):
+            programs.append(simulation_program(target, sims))
+    binarizations = [rat[f"C{i}"] for i in (1, 2, 3, 4)]
+    for sims in ([rat["B"]], binarizations, [rat["D1"], rat["D2"]]):
+        target = rat["A"] if sims == [rat["B"]] else rat["B"]
+        programs.append(simulation_program(target, sims))
+    return programs
+
+
+def test_exact_outcomes_pinned():
+    # Any change of pivot choice or certificate changes this digest.
+    import hashlib
+
+    digest = hashlib.sha256()
+    verdicts = set()
+    for program in _simulation_corpus():
+        out = lp_solve(program, mode=EXACT)
+        verdicts.add(out.verdict)
+        digest.update(repr(out).encode())
+    assert verdicts == {FEASIBLE, INFEASIBLE}
+    assert digest.hexdigest() == (
+        "4ec4d8acbe6c853e7e4303d8afbdc7877f018be974d689ca5d9294bbc53c8bea")

@@ -7,7 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from gptsim.catalog import random_observable, square_bit
 from gptsim.geometry import conic_decompose, in_convex_hull, replay_conic, replay_hull
-from gptsim.lp import FEASIBLE, INFEASIBLE, lp_solve, make_program, verify_farkas, verify_solution
+from gptsim.lp import (
+    FEASIBLE,
+    INFEASIBLE,
+    UNBOUNDED,
+    lp_solve,
+    make_program,
+    verify_farkas,
+    verify_solution,
+)
 from gptsim.postprocessing import are_equivalent, minimally_sufficient
 from gptsim.simulation import is_simulable, replay_simulation
 from gptsim.spaces import is_valid_observable
@@ -25,6 +33,46 @@ def small_programs(draw):
     rows = [tuple(draw(rationals) for _ in range(n)) for _ in range(m)]
     rhs = tuple(draw(rationals) for _ in range(m))
     return make_program(rows=rows, rhs=rhs)
+
+
+fine_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=10 ** 6)
+
+
+@st.composite
+def general_programs(draw):
+    # small_programs widened with free columns, an optional objective and
+    # denominators up to 10**6; an optional dependent row leaves an
+    # artificial variable basic at zero after phase 1.
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    entries = st.one_of(st.just(0), rationals, fine_rationals)
+    rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    rhs = [draw(entries) for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        k = draw(rationals)
+        rows.append([a - k * b for a, b in zip(rows[0], rows[1])])
+        rhs.append(rhs[0] - k * rhs[1])
+    nonneg = [draw(st.booleans()) for _ in range(n)]
+    objective = draw(st.none() | st.lists(entries, min_size=n, max_size=n))
+    return make_program(rows=rows, rhs=rhs, nonneg=nonneg, objective=objective,
+                        sense=draw(st.sampled_from(("max", "min"))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(general_programs())
+def test_general_lp_certificates_replay(program):
+    out = lp_solve(program)
+    if out.verdict == FEASIBLE:
+        assert verify_solution(program, out.solution)
+        if program.objective is not None:
+            assert out.objective_value == sum(
+                c * x for c, x in zip(program.objective, out.solution))
+    elif out.verdict == INFEASIBLE:
+        assert verify_farkas(program, out.farkas)
+    else:
+        assert out.verdict == UNBOUNDED and program.objective is not None
+        feasible = make_program(rows=program.rows, rhs=program.rhs, nonneg=program.nonneg)
+        assert lp_solve(feasible).verdict == FEASIBLE
 
 
 @settings(max_examples=60, deadline=None)

@@ -162,3 +162,21 @@ def test_mix_observables_union_labels(sq):
     both = mix_observables([sq.E, tri], [HALF, HALF])
     assert both.labels == ("+", "-", "x", "y")
     assert is_valid_observable(both)
+
+
+@pytest.mark.parametrize("float_first", [True, False])
+def test_dual_cone_rays_cached_per_mode(sq, float_first):
+    # The float twin of a space compares and hashes equal to it, so a cache
+    # keyed by the space alone hands one mode the other mode's rays.
+    from gptsim.scalars import FLOAT, kind_of
+
+    dual_cone_rays.cache_clear()
+    calls = [(Effect((0, 0, Fraction(1, 2))), sq.space),
+             (Effect((0.0, 0.0, 0.5)), sq.space.as_float())]
+    for effect, space in reversed(calls) if float_first else calls:
+        rays_kind = kind_of(x for r in dual_cone_rays(space) for x in r)
+        assert (rays_kind == FLOAT) == (space.kind == FLOAT)
+        parts = decompose_into_indecomposables(effect, space)
+        assert (kind_of(x for p in parts for x in p.coeffs) == FLOAT) == (space.kind == FLOAT)
+        total = [sum(p.coeffs[d] for p in parts) for d in range(3)]
+        assert max(abs(a - b) for a, b in zip(total, effect.coeffs)) <= 1e-12
