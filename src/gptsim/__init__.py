@@ -68,7 +68,13 @@ from .simulation import (
     replay_simulation,
     smin,
 )
-from .qubit import QubitEffect, QubitObservable, as_vector_observable, qubit_to_vector
+from .qubit import (
+    QubitEffect,
+    QubitObservable,
+    QubitSpace,
+    as_vector_observable,
+    qubit_to_vector,
+)
 from .catalog import (
     IrreducibleCatalog,
     PolygonTheory,
@@ -106,7 +112,8 @@ __all__ = [
     "dichotomic_hull_necessary", "dichotomic_hull_sufficient", "is_compatible",
     "is_simulable", "is_simulation_irreducible", "noise_content",
     "noise_monotonicity_check", "replay_simulation", "smin",
-    "QubitEffect", "QubitObservable", "as_vector_observable", "qubit_to_vector",
+    "QubitEffect", "QubitObservable", "QubitSpace", "as_vector_observable",
+    "qubit_to_vector",
     "IrreducibleCatalog", "PolygonTheory", "QubitSuite", "classical",
     "hexagon_noise_example", "irreducible_count_formula", "octahedron_test",
     "polygon", "polygon_irreducibles", "qubit_compatibility_bracket",

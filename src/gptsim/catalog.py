@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +27,6 @@ from .lp import FEASIBLE, lp_solve, make_program
 from .qubit import (
     QubitEffect,
     QubitObservable,
-    as_vector_observable,
     dichotomic,
     linear_coords,
     octahedron_margins,
@@ -34,7 +34,7 @@ from .qubit import (
 from .scalars import DEFAULT_TOLERANCE, FLOAT, Tolerance, field, vscale
 from .simulation import SimulationCertificate, SIMULABLE, is_simulable
 from .postprocessing import Postprocessing
-from .spaces import Effect, Observable, StateSpace, dual_cone_rays, observable
+from .spaces import Observable, StateSpace, dual_cone_rays, observable
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +553,11 @@ def xyz_threshold_bracket(facets: int = 128, t_tol: float = 1e-3,
     value, incompatible at the upper value."""
     suite = qubit_suite()
 
+    @lru_cache(maxsize=None)  # the second bisection revisits the first one's points
     def verdict(t):
         return qubit_compatibility_bracket(
             [suite.xt(t), suite.yt(t), suite.zt(t)], facets, tol)
 
-    lo_ok, hi_bad = 0.0, 1.0
     # Lower edge: largest t with an inner certificate.
     a, b = 0.0, 1.0
     while b - a > t_tol:

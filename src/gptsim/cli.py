@@ -17,7 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import lp
 from .catalog import (
-    hexagon_noise_example,
     irreducible_count_formula,
     octahedron_test,
     polygon,
@@ -52,9 +51,8 @@ from .simulation import (
     replay_simulation,
     smin,
 )
-from .spaces import Observable, validate_state_space
+from .spaces import validate_state_space
 from .reproduce import CRITERIA, run_all, run_criterion
-from . import qubit as qb
 
 
 def _tolerance(args) -> Tolerance:
@@ -90,11 +88,12 @@ def _emit(args, payload: dict, csv_body: str = None) -> int:
 
 
 def _load_group(path, space=None):
-    """Load observables; qubit documents come back in both forms."""
+    """Load observables; qubit documents become vector observables on the
+    qubit cone."""
     observables, space, is_qubit = load_observables(path, space)
     if is_qubit:
-        return [as_vector_observable(o) for o in observables], observables, space
-    return observables, None, space
+        return [as_vector_observable(o) for o in observables], space
+    return observables, space
 
 
 def _wants_float(args, *observable_groups) -> bool:
@@ -123,15 +122,13 @@ def cmd_space(args) -> int:
 def cmd_sim(args) -> int:
     tol = _tolerance(args)
     space = load_space(args.space) if args.space else None
-    targets, qubit_targets, space = _load_group(args.target, space)
-    if space is not None and qubit_targets is None:
-        targets = [Observable(t.outcomes, space) for t in targets]
+    targets, space = _load_group(args.target, space)
     target = targets[0]
 
     if args.action == "check":
         if not args.simulators:
             raise ValueError("sim check needs --simulators FILE")
-        sims, _, _ = _load_group(args.simulators, space)
+        sims, _ = _load_group(args.simulators, space)
         if _wants_float(args, targets, sims):
             target = target.as_float()
             sims = [s.as_float() for s in sims]
@@ -147,7 +144,7 @@ def cmd_sim(args) -> int:
     if args.action == "smin":
         if not args.pool:
             raise ValueError("sim smin needs --pool FILE")
-        pool, _, _ = _load_group(args.pool, space)
+        pool, _ = _load_group(args.pool, space)
         if _wants_float(args, targets, pool):
             targets = [t.as_float() for t in targets]
             pool = [p.as_float() for p in pool]
@@ -155,24 +152,14 @@ def cmd_sim(args) -> int:
         return _emit(args, {"smin": k if k is not None
                             else f"unknown above k_max={args.k_max}"})
 
-    if args.mode == FLOAT and target.space is not None:
+    if target.space is None:
+        raise ValueError(f"sim {args.action} needs a state space (--space FILE)")
+    if args.mode == FLOAT:
         target = target.as_float()
     if args.action == "irreducible":
-        if qubit_targets is not None:
-            verdict = qb.is_simulation_irreducible(qubit_targets[0], tol)
-        elif target.space is None:
-            raise ValueError("irreducibility needs a state space (--space FILE)")
-        else:
-            verdict = is_simulation_irreducible(target, tol)
-        return _emit(args, {"simulation_irreducible": verdict})
+        return _emit(args, {"simulation_irreducible": is_simulation_irreducible(target, tol)})
     if args.action == "decompose":
-        refiner = None
-        if qubit_targets is not None:
-            target = target.as_float()
-            refiner = qb.spectral_refiner
-        elif target.space is None:
-            raise ValueError("decomposition needs a polytopic state space")
-        dec = decompose_to_irreducibles(target, tol, refiner=refiner)
+        dec = decompose_to_irreducibles(target, tol)
         return _emit(args, {
             "irreducibles": [observable_to_json(o) for o in dec.observables],
             "certificate": certificate_to_json(dec.certificate),
@@ -181,10 +168,6 @@ def cmd_sim(args) -> int:
                                         list(dec.observables), tol),
         })
     if args.action == "noise":
-        if qubit_targets is not None:
-            return _emit(args, {"noise_content": qb.noise_content(qubit_targets[0], tol)})
-        if target.space is None:
-            raise ValueError("noise content needs a state space (--space FILE)")
         res = noise_content(target, tol)
         return _emit(args, {"noise_content": encode_number(res.value),
                             "trivial_weights": encode_vector(res.trivial_weights)})

@@ -8,15 +8,12 @@ for low-dimensional inequality cones.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .lp import FEASIBLE, INFEASIBLE, lp_solve, make_program
 from .scalars import (
     DEFAULT_TOLERANCE,
-    FLOAT,
     Tolerance,
     field,
     infer_mode,
@@ -308,33 +305,17 @@ def extreme_rays(inequalities: Sequence[Sequence],
 def canonical_ray(ray: Sequence, mode: str, tol: Tolerance = DEFAULT_TOLERANCE):
     """Scale a ray to its canonical representative."""
     ray = tuple(ray)
+    F = field(mode, tol)
     last = ray[-1]
-    if abs(last) > field(mode, tol).eps_compare:
+    if abs(last) > F.eps_compare:
         return tuple(x / last for x in ray)
-    sq = sum(x * x for x in ray)
-    if mode == FLOAT:
-        n = math.sqrt(sq)
-        scaled = tuple(x / n for x in ray)
-    else:
-        root = _rational_sqrt(sq)
-        if root is not None:
-            scaled = tuple(x / root for x in ray)
-        else:
-            big = max(ray, key=abs)
-            scaled = tuple(x / abs(big) for x in ray)
+    root = F.sqrt(sum(x * x for x in ray))
+    if root is None:  # irrational norm in exact mode: the largest entry becomes 1
+        root = abs(max(ray, key=abs))
+    scaled = tuple(x / root for x in ray)
     for x in scaled:
         if x != 0:
             if x < 0:
                 scaled = tuple(-v for v in scaled)
             break
     return scaled
-
-
-def _rational_sqrt(q):
-    q = Fraction(q)
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
-    return None
-

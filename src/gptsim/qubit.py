@@ -13,8 +13,13 @@ one. Two coordinate systems are used:
   used to turn qubit observables into plain vector observables so every
   simulability or postprocessing question becomes an LP in R^4.
 
-State-geometry questions (joint measurability) are not LPs over these
-coordinates; they live in the catalog module behind polyhedral brackets.
+In linear coordinates the qubit is a state space like the polytopes:
+`QubitSpace` answers the three effect-cone questions of `spaces` (rank one,
+spectral splitting, least eigenvalue), and `as_vector_observable` attaches
+it, so irreducibility, decomposition into irreducibles and noise content
+are the generic functions of `simulation`. Joint measurability is not an
+LP over these coordinates; it lives in the catalog module behind
+polyhedral brackets.
 """
 
 from __future__ import annotations
@@ -25,7 +30,15 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .scalars import DEFAULT_TOLERANCE, EXACT, Tolerance, field, kind_of
+from .scalars import (
+    DEFAULT_TOLERANCE,
+    EXACT,
+    ModeError,
+    Tolerance,
+    field,
+    kind_of,
+    resolve,
+)
 from .spaces import Effect, Observable
 
 
@@ -60,21 +73,72 @@ class QubitEffect:
         return abs(self.e0) + math.sqrt(sum(float(x) ** 2 for x in self.e_vec)) \
             <= 1 + tol.eps_compare
 
-    def is_rank_one(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        """Exactly one nonzero eigenvalue: ||e||_2 equals 1 + e0 > 0."""
-        if self.mode == EXACT:
-            w0 = 1 + Fraction(self.e0)
-            return w0 > 0 and sum(Fraction(x) ** 2 for x in self.e_vec) == w0 ** 2
-        w0 = 1.0 + float(self.e0)
-        norm = math.sqrt(sum(float(x) ** 2 for x in self.e_vec))
-        return w0 > tol.eps_compare and abs(norm - w0) <= tol.eps_compare
-
-    def min_eigenvalue(self) -> float:
-        return 0.5 * (1.0 + float(self.e0)
-                      - math.sqrt(sum(float(x) ** 2 for x in self.e_vec)))
-
     def complement(self) -> "QubitEffect":
         return QubitEffect(-self.e0, tuple(-x for x in self.e_vec))
+
+
+@dataclass(frozen=True)
+class QubitSpace:
+    """The qubit effect cone in linear coordinates (ex, ey, ez, tau).
+
+    The effect tau * id + e.sigma / 2 has eigenvalues tau +- ||e|| / 2. Its
+    data is integer-only, so it joins exact and float observables alike;
+    square roots go through `Field.sqrt`, and an exact effect whose Bloch
+    norm is irrational raises ModeError wherever the norm itself is needed.
+    """
+
+    name = "qubit"
+    ambient_dim = 4
+    unit = (0, 0, 0, 1)
+    kind = None
+
+    def as_float(self) -> "QubitSpace":
+        return self
+
+    @staticmethod
+    def _spectrum(effect: Effect, tol: Tolerance):
+        """The field of the effect, tau, the Bloch part and its norm."""
+        *bloch, tau = effect.coeffs
+        F = resolve((kind_of(effect.coeffs),), tol)
+        return F, tau, bloch, F.sqrt(sum(x * x for x in bloch))
+
+    def is_extremal(self, effect: Effect, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+        """Rank one: exactly one nonzero eigenvalue, ||e|| = 2 tau > 0."""
+        F, tau, _, norm = self._spectrum(effect, tol)
+        w0 = 2 * tau
+        return w0 > F.eps_compare and norm is not None \
+            and abs(norm - w0) <= F.eps_compare
+
+    def refine(self, effect: Effect, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
+        """Split an effect into rank-one summands.
+
+        The eigendecomposition gives at most two parts along the Bloch
+        direction; a multiple of the identity is split along the z axis.
+        """
+        F, tau, bloch, norm = self._spectrum(effect, tol)
+        if norm is None:
+            raise ModeError("exact qubit effect with an irrational Bloch norm")
+        w0 = 2 * tau
+        eps = F.eps_compare
+        if w0 <= eps and norm <= eps:
+            return []
+        if norm <= eps:
+            c = F.coerce(tau)
+            return [Effect((F.zero, F.zero, c, c / 2)), Effect((F.zero, F.zero, -c, c / 2))]
+        d = tuple(x / norm for x in bloch)
+        lam_plus = (w0 + norm) / 2
+        lam_minus = (w0 - norm) / 2
+        parts = [Effect((*(lam_plus * x for x in d), lam_plus / 2))]
+        if lam_minus > eps:
+            parts.append(Effect((*(-lam_minus * x for x in d), lam_minus / 2)))
+        return parts
+
+    def min_value(self, effect: Effect):
+        """The least eigenvalue, tau - ||e|| / 2."""
+        F, tau, _, norm = self._spectrum(effect, DEFAULT_TOLERANCE)
+        if norm is None:
+            raise ModeError("exact qubit effect with an irrational Bloch norm")
+        return F.coerce(tau) - norm / 2
 
 
 def qubit_to_vector(effect: QubitEffect) -> tuple:
@@ -137,76 +201,11 @@ class QubitObservable:
 def as_vector_observable(obs: QubitObservable) -> Observable:
     """Plain 4-dimensional vector observable in linear coordinates."""
     return Observable(tuple((lab, Effect(linear_coords(eff)))
-                            for lab, eff in obs.outcomes), None)
+                            for lab, eff in obs.outcomes), QubitSpace())
 
 
 def dichotomic(label_plus: str, label_minus: str, effect: QubitEffect) -> QubitObservable:
     return QubitObservable(((label_plus, effect), (label_minus, effect.complement())))
-
-
-def is_postprocessing_clean(obs: QubitObservable,
-                            tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Every nonzero effect must be rank one."""
-    F = field(obs.mode, tol)
-    for eff in obs.effects:
-        if F.is_zero((1 + eff.e0, *eff.e_vec)):
-            continue
-        if not eff.is_rank_one(tol):
-            return False
-    return True
-
-
-def is_simulation_irreducible(obs: QubitObservable,
-                              tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Criterion on the merged form: rank-one, linearly independent effects."""
-    from .postprocessing import minimally_sufficient
-    from . import geometry
-
-    vec = as_vector_observable(obs)
-    hat = minimally_sufficient(vec, tol)
-    for _, eff in hat.outcomes:
-        if not effect_from_linear(eff.coeffs).is_rank_one(tol):
-            return False
-    vecs = [e.coeffs for e in hat.effects]
-    return geometry.rank(vecs, tol=tol) == len(vecs)
-
-
-def noise_content(obs: QubitObservable,
-                  tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    """Largest trivial weight in a convex decomposition of a qubit observable.
-
-    The per-outcome bound m_x <= min eigenvalue of A_x is tight and sums
-    directly: validity of the residual family only constrains each effect
-    from below by the zero operator.
-    """
-    return sum(max(eff.min_eigenvalue(), 0.0) for eff in obs.effects)
-
-
-def spectral_refiner(effect: Effect, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
-    """Split a qubit effect (linear coordinates) into rank-one summands.
-
-    The eigendecomposition gives at most two parts along the Bloch
-    direction; a multiple of the identity is split along the z axis. The
-    qubit stand-in for decomposition over dual-cone rays.
-    """
-    ex, ey, ez, tau = (float(x) for x in effect.coeffs)
-    w0 = 2.0 * tau
-    norm = math.sqrt(ex * ex + ey * ey + ez * ez)
-    eps = tol.eps_compare
-    if w0 <= eps and norm <= eps:
-        return []
-    if norm <= eps:
-        c = w0 / 2.0
-        return [Effect((0.0, 0.0, c, c / 2.0)), Effect((0.0, 0.0, -c, c / 2.0))]
-    d = (ex / norm, ey / norm, ez / norm)
-    lam_plus = (w0 + norm) / 2.0
-    lam_minus = (w0 - norm) / 2.0
-    parts = [Effect((lam_plus * d[0], lam_plus * d[1], lam_plus * d[2],
-                     lam_plus / 2.0))]
-    if lam_minus > eps:
-        parts.append(Effect((-lam_minus * d[0], -lam_minus * d[1],
-                             -lam_minus * d[2], lam_minus / 2.0)))
-    return parts
 
 
 def octahedron_margins(obs: QubitObservable) -> dict:

@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import qubit as qb
 from .catalog import (
     classical,
     hexagon_explicit_certificate,
@@ -30,9 +29,8 @@ from .catalog import (
     xyz_threshold_bracket,
 )
 from .geometry import in_convex_hull, rank, replay_hull
-from .postprocessing import apply, are_equivalent, is_postprocessing_of
+from .postprocessing import are_equivalent, is_postprocessing_of
 from .qubit import as_vector_observable, random_qubit_observable
-from .scalars import Tolerance, vdot
 from .simulation import (
     check_closure_laws,
     decompose_to_irreducibles,
@@ -43,7 +41,7 @@ from .simulation import (
     replay_simulation,
     smin,
 )
-from .spaces import trivial_observable, mix_observables
+from .spaces import Observable, mix_observables, trivial_observable
 
 BASE_SEED = 20260809
 
@@ -150,7 +148,7 @@ def criterion_tetrahedron() -> CriterionResult:
         == (2 * e.coeffs[3]) ** 2
         for e in b_obs.effects)
     checks["B irreducible"] = rank_ok and weighted \
-        and qb.is_simulation_irreducible(suite.tetrahedron)
+        and is_simulation_irreducible(as_vector_observable(suite.tetrahedron))
 
     cert_a = is_simulable(rat["A"], [b_obs])
     checks["A simulable from B"] = cert_a.simulable \
@@ -317,7 +315,9 @@ def criterion_exact_float_agreement() -> CriterionResult:
     tri_corpus = [tri.distinguishing] + [random_observable(tri.space, rng)
                                          for _ in range(5)]
     suite = qubit_suite()
-    qubit_corpus = [as_vector_observable(o)
+    # bare coefficient vectors: the rescaled tetrahedron twin shares no
+    # state space with the qubit's linear coordinates
+    qubit_corpus = [Observable(as_vector_observable(o).outcomes)
                     for o in (suite.X, suite.Y, suite.Z, suite.T)]
     rat = tetrahedron_rational()
     qubit_corpus += [rat["B"], rat["A"], rat["C1"], rat["D1"]]

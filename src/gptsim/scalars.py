@@ -12,17 +12,18 @@ their data once, lazily, and each public function resolves one `Field` per
 call from the kinds of its inputs (`resolve`) or from a given mode
 (`field`). The field carries what the two modes differ in: zero and one,
 the epsilons (all 0 in exact mode), the tolerance certificates record, the
-coercion of a scalar, the zero test and the dedup key.
+coercion of a scalar, the square root (None when an exact root is
+irrational), the zero test and the dedup key.
 
 Code outside this module branches on the mode only where the two modes run
 different algorithms or read outside input: the backend choice in
-`lp.lp_solve`, the square root in `geometry.canonical_ray`,
-`QubitEffect.is_valid` and `is_rank_one`, `serialize.decode_number` and the
-command line's `--mode`.
+`lp.lp_solve`, `QubitEffect.is_valid` (squares, so that irrational norms
+need no root), `serialize.decode_number` and the command line's `--mode`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -108,6 +109,7 @@ class Field:
     eps_compare: float
     tolerance: Optional[Tolerance]
     coerce: Callable
+    sqrt: Callable
 
     def is_zero(self, vector: Sequence) -> bool:
         """Every entry within eps_compare of zero."""
@@ -135,13 +137,24 @@ def field(mode: str, tol: Tolerance = DEFAULT_TOLERANCE) -> Field:
     if found is not None:
         return found
     if mode == EXACT:
-        made = Field(EXACT, tol, Fraction(0), Fraction(1), 0, 0, 0, None, Fraction)
+        made = Field(EXACT, tol, Fraction(0), Fraction(1), 0, 0, 0, None, Fraction,
+                     _rational_sqrt)
     elif mode == FLOAT:
         made = Field(FLOAT, tol, 0.0, 1.0, tol.eps_rank, tol.eps_feas,
-                     tol.eps_compare, tol, float)
+                     tol.eps_compare, tol, float, math.sqrt)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return _FIELDS.setdefault((mode, tol), made)
+
+
+def _rational_sqrt(q) -> Optional[Fraction]:
+    """The rational square root of q, or None when it is irrational."""
+    q = Fraction(q)
+    num = math.isqrt(q.numerator)
+    den = math.isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return Fraction(num, den)
+    return None
 
 
 def resolve(kinds: Iterable[Optional[str]], tol: Tolerance = DEFAULT_TOLERANCE) -> Field:

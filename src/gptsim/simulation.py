@@ -43,6 +43,7 @@ from .scalars import DEFAULT_TOLERANCE, Tolerance, field, kind_of, resolve, vsca
 from .spaces import (
     Effect,
     Observable,
+    StateSpace,
     decompose_into_indecomposables,
     dual_cone_rays,
     is_indecomposable,
@@ -303,33 +304,27 @@ class IrreducibleDecomposition:
 
 
 def decompose_to_irreducibles(target: Observable,
-                              tol: Tolerance = DEFAULT_TOLERANCE,
-                              refiner=None) -> IrreducibleDecomposition:
+                              tol: Tolerance = DEFAULT_TOLERANCE) -> IrreducibleDecomposition:
     """Simulate `target` from finitely many simulation-irreducible observables.
 
-    Constructive route: refine every effect into indecomposable summands,
-    pass to the minimally sufficient form, and while the effects stay
-    linearly dependent with coefficients beta, split off
+    Constructive route: refine every effect into indecomposable summands
+    (`decompose_into_indecomposables`, the state space's `refine`), pass to
+    the minimally sufficient form, and while the effects stay linearly
+    dependent with coefficients beta, split off
     C_i = (1 - beta_i/max beta) B_i and D_i = (1 - beta_i/min beta) B_i,
     mixing them with weight max beta / (max beta - min beta). Channels and
     weights are composed along the recursion so the returned certificate
     replays against the input.
-
-    The default refiner decomposes effects over the dual-cone extreme rays
-    of the target's (polytopic) state space; qubit observables pass the
-    spectral refiner instead.
     """
-    if refiner is None:
-        if target.space is None:
-            raise ValueError("decomposition needs the state space or a refiner")
-        refiner = lambda eff: decompose_into_indecomposables(eff, target.space, tol)
+    if target.space is None:
+        raise ValueError("decomposition needs the state space")
     F = field(target.mode, tol)
     one = F.one
 
     refined_outcomes = []
     sources = []
     for label, eff in target.outcomes:
-        parts = refiner(eff)
+        parts = decompose_into_indecomposables(eff, target.space, tol)
         for j, part in enumerate(parts):
             refined_outcomes.append((f"{label}.{j}", part))
             sources.append(label)
@@ -393,11 +388,13 @@ class NoiseContentResult:
 
 def noise_content(target: Observable,
                   tol: Tolerance = DEFAULT_TOLERANCE) -> NoiseContentResult:
-    """Maximize lambda with A = lambda N + (1 - lambda) B, N trivial.
+    """Largest lambda with A = lambda N + (1 - lambda) B, N trivial.
 
-    The LP variables are m_x = lambda * t(x) jointly, which keeps the
-    program linear; for each outcome and extreme state the residual
-    A_x - m_x u must stay in the positive cone.
+    Closed form w(A) = sum_x min_s A_x(s). Writing m_x = lambda * t(x), the
+    residual A_x - m_x u stays in the effect cone exactly when m_x is at
+    most the least value of A_x on a state (`space.min_value`: the minimum
+    over extreme states, or the least eigenvalue for the qubit), and the
+    outcomes do not constrain each other, so each m_x takes that minimum.
     """
     if target.space is None:
         raise ValueError("noise content needs the state space")
@@ -405,22 +402,12 @@ def noise_content(target: Observable,
     F = resolve((target.kind, space.kind), tol)
     one, zero = F.one, F.zero
     n = target.n_outcomes
-    K = len(space.extreme_states)
-    nvars = n + n * K  # m_x then one slack per (outcome, state)
-    rows, rhs = [], []
-    for xi in range(n):
-        for k, s in enumerate(space.extreme_states):
-            row = [zero] * nvars
-            row[xi] = one
-            row[n + xi * K + k] = one
-            rows.append(tuple(row))
-            rhs.append(target.effects[xi](s))
-    objective = tuple([one] * n + [zero] * (n * K))
-    out = lp_solve(make_program(rows=rows, rhs=rhs, objective=objective),
-                   mode=F.mode, tol=tol)
-    if out.verdict != FEASIBLE:
-        raise RuntimeError("noise content LP is always feasible")
-    m = out.solution[:n]
+    m = []
+    for eff in target.effects:
+        mx = F.coerce(space.min_value(eff))
+        if mx < -F.eps_feas:
+            raise ValueError("noise content needs valid effects")
+        m.append(max(mx, zero))
     lam = sum(m)
     if lam <= F.eps_compare:
         return NoiseContentResult(zero, (one / n,) * n, target, F.tolerance)
@@ -715,7 +702,7 @@ def is_compatible(targets: Sequence[Observable],
     if not targets:
         raise ValueError("targets must be nonempty")
     space = targets[0].space
-    if space is None:
+    if not isinstance(space, StateSpace):
         raise ValueError(
             "compatibility needs a polytopic state space; qubit inputs are "
             "handled by the polyhedral bracket in the catalog module")

@@ -1,11 +1,23 @@
 """State spaces, effects, observables, and their structural predicates.
 
-A state space is polytopic: it is given by its extreme states in a
+Effects are dual vectors evaluated by the dot product; observables are
+finite labelled families of effects summing to the unit. A state space is
+known through its effect cone, and every space answers three questions
+about it:
+
+* `is_extremal(effect, tol)`: does the effect span an extreme ray of the
+  cone (is it indecomposable)?
+* `refine(effect, tol)`: the effect written as a sum of such extreme effects;
+* `min_value(effect)`: the least value of the effect on a state, so that an
+  effect lies in the cone exactly when its minimum is nonnegative.
+
+`StateSpace` is a polytope, given by its extreme states in a
 (d+1)-dimensional ambient space together with the unit functional, with the
 convention that the unit coefficient sits in the last ambient slot and
-extreme states have last coordinate one. Effects are dual vectors evaluated
-by the dot product; observables are finite labelled families of effects
-summing to the unit.
+extreme states have last coordinate one. The qubit's cone lives in
+`qubit.QubitSpace`. Validity, indecomposability and everything built on
+them (irreducibility, decomposition, noise content) go through these three
+methods and so hold for either kind of space.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ from .scalars import (
     to_float_vector,
     vdot,
     vscale,
+    vsub,
 )
 
 
@@ -60,6 +73,36 @@ class StateSpace:
         return StateSpace(self.name, self.ambient_dim,
                           tuple(to_float_vector(s) for s in self.extreme_states),
                           to_float_vector(self.unit))
+
+    def is_extremal(self, effect: "Effect", tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+        """Tight-state rank test: the extreme states the effect annihilates
+        must have rank exactly ambient_dim - 1."""
+        F = resolve((self.kind, kind_of(effect.coeffs)), tol)
+        tight = [s for s in self.extreme_states if abs(effect(s)) <= F.eps_compare]
+        return geometry.rank(tight, tol=tol, mode=F.mode) == self.ambient_dim - 1
+
+    def refine(self, effect: "Effect", tol: Tolerance = DEFAULT_TOLERANCE) -> list:
+        """Decompose over the dual-cone extreme rays.
+
+        Rays are processed in their canonical (sorted) order and each
+        coefficient is maximized greedily, so the decomposition is
+        deterministic. The zero effect refines into the empty list.
+        """
+        F = resolve((self.kind, kind_of(effect.coeffs)), tol)
+        if F.is_zero(effect.coeffs):
+            return []
+        if self.is_extremal(effect, tol):
+            return [effect]
+        rays = dual_cone_rays(self, tol)
+        res = geometry.conic_decompose(effect.coeffs, rays, mode=F.mode, tol=tol)
+        if not res.inside:
+            raise ValueError("effect lies outside the positive dual cone")
+        return [Effect(vscale(c, r)) for c, r in zip(res.coefficients, rays)
+                if c > F.eps_compare]
+
+    def min_value(self, effect: "Effect"):
+        """The least value of the effect over the extreme states."""
+        return min(effect(s) for s in self.extreme_states)
 
 
 @dataclass(frozen=True)
@@ -195,17 +238,14 @@ def validate_state_space(space: StateSpace,
     return SpaceDiagnostics(not issues, tuple(issues))
 
 
-def is_valid_effect(effect: Effect, space: StateSpace,
+def is_valid_effect(effect: Effect, space,
                     tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """True iff 0 <= e(s) <= 1 on every extreme state."""
+    """True iff 0 <= e <= u: both e and u - e have a nonnegative minimum."""
     if effect.dim != space.ambient_dim:
         raise ValueError("effect dimension does not match state space")
     eps = resolve((space.kind, kind_of(effect.coeffs)), tol).eps_compare
-    for s in space.extreme_states:
-        v = effect(s)
-        if v < -eps or v > 1 + eps:
-            return False
-    return True
+    rest = Effect(vsub(space.unit, effect.coeffs))
+    return space.min_value(effect) >= -eps and space.min_value(rest) >= -eps
 
 
 def is_valid_observable(obs: Observable, space: Optional[StateSpace] = None,
@@ -278,39 +318,22 @@ dual_cone_rays.cache_info = _dual_cone_rays.cache_info
 dual_cone_rays.cache_clear = _dual_cone_rays.cache_clear
 
 
-def is_indecomposable(effect: Effect, space: StateSpace,
+def is_indecomposable(effect: Effect, space,
                       tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """True iff the effect spans an extreme ray of the positive dual cone.
+    """True iff the effect spans an extreme ray of the space's effect cone.
 
-    Tight-state rank test: the extreme states annihilated by the effect must
-    have rank exactly ambient_dim - 1. Zero effects are rejected.
+    Zero effects are rejected.
     """
-    F = resolve((space.kind, kind_of(effect.coeffs)), tol)
-    if F.is_zero(effect.coeffs):
+    if resolve((space.kind, kind_of(effect.coeffs)), tol).is_zero(effect.coeffs):
         raise ValueError("indecomposability is defined for nonzero effects only")
-    tight = [s for s in space.extreme_states if abs(effect(s)) <= F.eps_compare]
-    return geometry.rank(tight, tol=tol, mode=F.mode) == space.ambient_dim - 1
+    return space.is_extremal(effect, tol)
 
 
-def decompose_into_indecomposables(effect: Effect, space: StateSpace,
+def decompose_into_indecomposables(effect: Effect, space,
                                    tol: Tolerance = DEFAULT_TOLERANCE) -> list:
-    """Write a valid effect as a finite sum of indecomposable effects.
-
-    Rays are processed in their canonical (sorted) order and each
-    coefficient is maximized greedily, so the decomposition is
-    deterministic. The zero effect decomposes into the empty list.
-    """
-    F = resolve((space.kind, kind_of(effect.coeffs)), tol)
-    if F.is_zero(effect.coeffs):
-        return []
-    if is_indecomposable(effect, space, tol):
-        return [effect]
-    rays = dual_cone_rays(space, tol)
-    res = geometry.conic_decompose(effect.coeffs, rays, mode=F.mode, tol=tol)
-    if not res.inside:
-        raise ValueError("effect lies outside the positive dual cone")
-    parts = [Effect(vscale(c, r)) for c, r in zip(res.coefficients, rays) if c > F.eps_compare]
-    return parts
+    """Write a valid effect as a finite sum of indecomposable effects
+    (`space.refine`). The zero effect decomposes into the empty list."""
+    return space.refine(effect, tol)
 
 
 def is_informationally_complete(obs: Observable, space: Optional[StateSpace] = None,

@@ -21,6 +21,7 @@ from gptsim.catalog import (
     qubit_suite,
     random_observable,
     square_bit,
+    xyz_threshold_bracket,
 )
 from gptsim.postprocessing import (
     apply,
@@ -243,6 +244,21 @@ def test_compat_bracket_examples(suite):
     res = qubit_compatibility_bracket(
         [suite.xt(t_high), suite.yt(t_high), suite.zt(t_high)], 8)
     assert res.verdict == "incompatible"
+
+
+def test_xyz_threshold_bracket_one_call_per_t(monkeypatch):
+    from gptsim import catalog
+
+    seen = []
+
+    def counting(targets, facets, tol):
+        seen.append(targets[0].effects[0].e_vec[0])
+        return qubit_compatibility_bracket(targets, facets, tol)
+
+    monkeypatch.setattr(catalog, "qubit_compatibility_bracket", counting)
+    lo, hi = xyz_threshold_bracket(facets=16, t_tol=4e-3)
+    assert (lo, hi) == (0.57421875, 0.578125)
+    assert len(seen) == len(set(seen)) == 8
 
 
 def test_compat_bracket_rejects_trichotomic(suite):

@@ -100,6 +100,25 @@ def test_sim_decompose_qubit_mixture(capsys, tmp_path):
     assert sorted(doc["certificate"]["weights"]) == [0.5, 0.5]
 
 
+@pytest.mark.parametrize("name, irreducible, noise", [
+    ("ct08", False, {"noise_content": 0.19999999999999996, "trivial_weights": [0.5, 0.5]}),
+    ("X", True, {"noise_content": "0", "trivial_weights": ["1/2", "1/2"]}),
+    ("tetrahedron", True, {"noise_content": 0.0,
+                           "trivial_weights": [0.25, 0.25, 0.25, 0.25]}),
+])
+def test_sim_irreducible_and_noise_qubit(capsys, tmp_path, name, irreducible, noise):
+    suite = qubit_suite()
+    obs = {"ct08": suite.ct(0.8), "X": suite.X, "tetrahedron": suite.tetrahedron}[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(dump_json(qubit_observable_to_json(obs)))
+    code, out, _ = run_cli(capsys, "sim", "irreducible", "--target", str(path))
+    assert code == 0
+    assert payload(out) == {"simulation_irreducible": irreducible}
+    code, out, _ = run_cli(capsys, "sim", "noise", "--target", str(path))
+    assert code == 0
+    assert payload(out) == noise
+
+
 def test_sim_smin_xyz(capsys, tmp_path):
     suite = qubit_suite()
     path = tmp_path / "xyz.json"

@@ -171,7 +171,6 @@ def test_channel_composition_matches_sequential(sq):
 def test_postprocessing_clean(sq):
     assert is_postprocessing_clean(sq.E)
     from gptsim.catalog import tetrahedron_rational
-    from gptsim import qubit as qb
     from gptsim.qubit import QubitEffect, QubitObservable
 
     noisy = QubitObservable((
@@ -180,7 +179,7 @@ def test_postprocessing_clean(sq):
         ("-", QubitEffect(F(-1, 2), (0, 0, F(-1, 2)))),
     ))
     assert noisy.is_valid()
-    assert not qb.is_postprocessing_clean(noisy)  # the half-identity outcome
+    assert not is_postprocessing_clean(as_vector_observable(noisy))  # the half-identity outcome
     tetra_vec = tetrahedron_rational()["B"]
     # every tetrahedron effect is a ray of the rationalized positivity cone,
     # checked through the weighted norm identity

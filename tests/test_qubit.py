@@ -1,4 +1,4 @@
-"""Qubit effect coordinates, validity, and the spectral refiner."""
+"""Qubit effect coordinates, validity, and the qubit effect cone."""
 
 import math
 import random
@@ -13,6 +13,7 @@ import numpy as np
 from gptsim.qubit import (
     QubitEffect,
     QubitObservable,
+    QubitSpace,
     as_vector_observable,
     dichotomic,
     effect_from_linear,
@@ -20,8 +21,9 @@ from gptsim.qubit import (
     octahedron_margins,
     qubit_to_vector,
     random_qubit_observable,
-    spectral_refiner,
 )
+from gptsim.scalars import ModeError
+from gptsim.spaces import Effect
 
 F = Fraction
 
@@ -65,14 +67,19 @@ def test_validity_boundary():
     assert not QubitEffect(0.5, (0.31, 0.4, 0.0)).is_valid()
 
 
+def _linear(eff):
+    return Effect(linear_coords(eff))
+
+
 def test_rank_one_matches_eigenvalues(suite):
     for eff in suite.tetrahedron.effects:
-        assert eff.is_rank_one()
+        assert QubitSpace().is_extremal(_linear(eff))
         assert abs(qubit_min_eigenvalue(eff.e0, eff.e_vec)) < 1e-12
-    assert not QubitEffect(0, (0, 0, 0.5)).is_rank_one()
+    assert not QubitSpace().is_extremal(_linear(QubitEffect(0, (0, 0, 0.5))))
     # min eigenvalue formula against numpy
     e = QubitEffect(0.2, (0.1, -0.3, 0.2))
-    assert abs(e.min_eigenvalue() - qubit_min_eigenvalue(e.e0, e.e_vec)) < 1e-12
+    assert abs(QubitSpace().min_value(_linear(e))
+               - qubit_min_eigenvalue(e.e0, e.e_vec)) < 1e-12
 
 
 def test_observable_validity(suite):
@@ -92,19 +99,37 @@ def test_octahedron_margins(suite):
                          ("b", QubitEffect(-0.5, (-0.6, 0, 0))))))["a"] == 1.1
 
 
-def test_spectral_refiner_sums_and_rank(suite):
-    from gptsim.spaces import Effect
-
+def test_qubit_refine_sums_and_rank(suite):
     rng = random.Random(7)
     for _ in range(20):
         obs = random_qubit_observable(rng)
         for eff in obs.effects:
             vec = linear_coords(eff)
-            parts = spectral_refiner(Effect(vec))
+            parts = QubitSpace().refine(Effect(vec))
             total = [sum(p.coeffs[d] for p in parts) for d in range(4)]
             assert max(abs(a - b) for a, b in zip(total, vec)) < 1e-9
             for p in parts:
-                assert effect_from_linear(p.coeffs).is_rank_one(), p
+                assert QubitSpace().is_extremal(p), p
+
+
+def test_qubit_cone_exact_arithmetic():
+    space = QubitSpace()
+    x_plus = Effect((F(1, 2), 0, 0, F(1, 4)))  # rank one, rational Bloch norm
+    assert space.is_extremal(x_plus)
+    assert space.min_value(x_plus) == 0
+    assert space.refine(x_plus) == [x_plus]
+    half_id = Effect((0, 0, 0, F(1, 2)))
+    assert space.refine(half_id) == [Effect((0, 0, F(1, 2), F(1, 4))),
+                                     Effect((0, 0, F(-1, 2), F(1, 4)))]
+    assert all(type(c) is F for p in space.refine(half_id) for c in p.coeffs)
+    # Bloch norm sqrt(1/8) is irrational: no rank-one verdict needs it, but
+    # the eigenvalue and the spectral split would leave exact arithmetic
+    diagonal = Effect((F(1, 4), F(1, 4), 0, F(1, 2)))
+    assert not space.is_extremal(diagonal)
+    with pytest.raises(ModeError):
+        space.min_value(diagonal)
+    with pytest.raises(ModeError):
+        space.refine(diagonal)
 
 
 def test_vector_observable_unit(suite):

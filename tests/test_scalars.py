@@ -37,6 +37,8 @@ def test_exact_field_values():
     assert not F.is_zero((Fraction(1, 10**30),))
     assert F.negligible(Fraction(0)) and not F.negligible(Fraction(1, 10**30))
     assert F.key((Fraction(1, 3), 2)) == (Fraction(1, 3), 2)
+    assert F.sqrt(Fraction(9, 4)) == Fraction(3, 2) and type(F.sqrt(4)) is Fraction
+    assert F.sqrt(Fraction(1, 2)) is None  # irrational roots have no exact value
 
 
 def test_float_field_values():
@@ -50,6 +52,7 @@ def test_float_field_values():
     assert type(F.coerce(Fraction(1, 2))) is float
     assert F.is_zero((1e-7, -1e-7)) and not F.is_zero((0.0, 1e-5))
     assert F.negligible(1e-9) and not F.negligible(1e-7)
+    assert F.sqrt(0.5) == 0.5 ** 0.5
     # the dedup key is the eps_compare grid cell, round(x * (1 / eps))
     assert F.key((0.5, -2e-6)) == (round(0.5 * (1 / 1e-6)), round(-2e-6 * (1 / 1e-6)))
 

@@ -7,7 +7,6 @@ import pytest
 
 from oracles import polytope_noise_content_direct, qubit_noise_content_grid
 
-from gptsim import qubit as qb
 from gptsim.catalog import (
     hexagon_noise_example,
     polygon_irreducibles,
@@ -17,7 +16,7 @@ from gptsim.catalog import (
     tetrahedron_rational,
 )
 from gptsim.lp import INFEASIBLE, lp_solve
-from gptsim.postprocessing import apply, merge_channel
+from gptsim.postprocessing import apply, is_postprocessing_clean, merge_channel
 from gptsim.qubit import as_vector_observable
 from gptsim.simulation import (
     check_closure_laws,
@@ -96,7 +95,7 @@ def test_deduplicate_and_certificate_lift(suite):
 
 def test_irreducibility_verdicts(sq, suite):
     assert is_simulation_irreducible(sq.E)
-    assert qb.is_simulation_irreducible(suite.tetrahedron)
+    assert is_simulation_irreducible(as_vector_observable(suite.tetrahedron))
     quarter = F(1, 4)
     a4 = observable(None, [("+1", (2 * quarter, F(0), F(0), quarter)),
                            ("-1", (-2 * quarter, F(0), F(0), quarter)),
@@ -108,19 +107,19 @@ def test_irreducibility_verdicts(sq, suite):
                             ("-1", QubitEffect(F(-1, 2), (-HALF, 0, 0))),
                             ("+2", QubitEffect(F(-1, 2), (0, HALF, 0))),
                             ("-2", QubitEffect(F(-1, 2), (0, -HALF, 0)))))
-    assert qb.is_postprocessing_clean(a4_q)
-    assert not qb.is_simulation_irreducible(a4_q)
+    assert is_postprocessing_clean(as_vector_observable(a4_q))
+    assert not is_simulation_irreducible(as_vector_observable(a4_q))
 
 
 def test_decompose_four_outcome_mixture_into_x_and_y():
-    from gptsim.qubit import QubitEffect, QubitObservable, spectral_refiner
+    from gptsim.qubit import QubitEffect, QubitObservable
 
     a4 = QubitObservable((("+1", QubitEffect(-0.5, (0.5, 0, 0))),
                           ("-1", QubitEffect(-0.5, (-0.5, 0, 0))),
                           ("+2", QubitEffect(-0.5, (0, 0.5, 0))),
                           ("-2", QubitEffect(-0.5, (0, -0.5, 0)))))
     vec = as_vector_observable(a4)
-    dec = decompose_to_irreducibles(vec, refiner=spectral_refiner)
+    dec = decompose_to_irreducibles(vec)
     assert len(dec.observables) == 2
     assert sorted(float(w) for w in dec.certificate.weights) == [0.5, 0.5]
     directions = set()
@@ -166,9 +165,12 @@ def test_noise_content_values(sq, hexagon, suite):
     triv = trivial_observable(sq.space, [("a", HALF), ("b", HALF)])
     assert noise_content(triv).value == 1
     assert noise_content(sq.E).value == 0
+    with pytest.raises(ValueError, match="valid effects"):  # -u is no effect
+        noise_content(observable(sq.space, [("a", (0, 0, 2)), ("b", (0, 0, -1))]))
     # sharp qubit observables carry no intrinsic trivial noise
-    assert qb.noise_content(suite.Z) == 0.0
-    assert abs(qb.noise_content(suite.Z) - qubit_noise_content_grid(suite.Z)) < 1e-4
+    z = as_vector_observable(suite.Z)
+    assert noise_content(z).value == 0.0
+    assert abs(noise_content(z).value - qubit_noise_content_grid(suite.Z)) < 1e-4
     # direct oracle agreement on the polytopic side
     for lam in (0.1, 0.25, 0.5):
         ex = hexagon_noise_example(lam)
@@ -190,6 +192,49 @@ def test_noise_content_residual_replays(sq, rng):
                           for u, b in zip(sq.space.unit,
                                           res.residual.effect(lab).coeffs))
             assert all(a == b for a, b in zip(recon, eff.coeffs))
+
+
+def test_noise_content_pinned():
+    # sha256 over (value, trivial weights, residual) of seeded exact
+    # observables; the digest was taken from the linear-programming version
+    import hashlib
+    import random
+
+    from gptsim.catalog import classical
+
+    digest = hashlib.sha256()
+    for name, space in (("square", square_bit().space), ("classical3", classical(3).space)):
+        rng = random.Random(f"noise-digest/{name}")
+        for k in (2, 3, 4, 5):
+            for _ in range(6):
+                res = noise_content(random_observable(space, rng, k))
+                digest.update(repr((res.value, res.trivial_weights, res.residual)).encode())
+    assert digest.hexdigest() == (
+        "19a0acd26c11db97b6d4b2635acf0af83d017f42064650924aabf4e4435a33d4")
+
+
+def test_qubit_cone_noise_and_verdicts(suite):
+    import random
+
+    from gptsim.qubit import random_qubit_observable
+    from oracles import qubit_min_eigenvalue
+
+    named = {"X": suite.X, "Y": suite.Y, "Z": suite.Z, "T": suite.T,
+             "tetrahedron": suite.tetrahedron,
+             "tetra_dichotomic": suite.tetra_dichotomic(),
+             **{f"ct({t})": suite.ct(t) for t in (0.0, 0.5, 0.8, 1.0)}}
+    rng = random.Random(2024)
+    sampled = {f"random {i}": random_qubit_observable(rng) for i in range(50)}
+    # (irreducible, postprocessing clean), as the qubit-only functions decided
+    expected = {name: (False, False) for name in {**named, **sampled}}
+    expected.update({name: (True, True)
+                     for name in ("X", "Y", "Z", "tetrahedron", "ct(1.0)")})
+    for name, obs in {**named, **sampled}.items():
+        vec = as_vector_observable(obs)
+        want = sum(max(qubit_min_eigenvalue(e.e0, e.e_vec), 0.0) for e in obs.effects)
+        assert abs(noise_content(vec).value - want) <= 1e-12, name
+        assert (is_simulation_irreducible(vec), is_postprocessing_clean(vec)) \
+            == expected[name], name
 
 
 def test_smin_examples(sq, suite, rng):
@@ -308,6 +353,11 @@ def test_compatibility(sq, trit, rng):
     nu = merge_channel(sq.E.labels, ("+", "-"), "+")
     post = apply(nu, sq.E)
     assert is_compatible([sq.E, post]).compatible
+
+
+def test_compatibility_rejects_the_qubit_cone(suite):
+    with pytest.raises(ValueError, match="bracket"):
+        is_compatible([as_vector_observable(suite.X), as_vector_observable(suite.Y)])
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
