@@ -99,7 +99,7 @@ def test_octahedron_margins(suite):
                          ("b", QubitEffect(-0.5, (-0.6, 0, 0))))))["a"] == 1.1
 
 
-def test_qubit_refine_sums_and_rank(suite):
+def test_spectral_refiner_sums_and_rank(suite):
     rng = random.Random(7)
     for _ in range(20):
         obs = random_qubit_observable(rng)
