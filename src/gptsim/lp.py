@@ -1,11 +1,14 @@
 """Linear programming with feasibility and infeasibility certificates.
 
 Problems are stated over equality constraints `A x = b` with per-variable
-nonnegativity flags and an optional linear objective. Two backends share one
-two-phase simplex structure: an exact backend on a tableau of Python ints,
-each row a list of numerators over one denominator (used whenever the inputs
-are rational; it returns `fractions.Fraction` values), and a float backend on
-numpy arrays with tolerance-based comparisons.
+nonnegativity flags and an optional linear objective. One two-phase simplex
+driver, `_simplex`, owns the algorithm: phase 1 from crash and artificial
+columns, the pivot rule, the infeasibility test and Farkas certificate,
+drive-out of artificials, phase 2, unbounded detection and solution
+recovery. The mode picks one of two kernels, which own only their numbers:
+`_IntTableau` (exact mode, for rational inputs) keeps rows of Python ints
+over per-row denominators and returns `fractions.Fraction` values;
+`_FloatTableau` (float mode) is a numpy tableau compared with tolerances.
 
 Every verdict is checkable after the fact: a feasible outcome carries the
 solution vector, an infeasible outcome carries a Farkas vector y with
@@ -16,15 +19,16 @@ Code that builds an answer from a certificate raises `CertificateError`
 when the certificate fails that replay, so it never returns it.
 
 Pivoting uses the largest-coefficient rule and switches permanently to
-Bland's rule as soon as the objective stalls, which resolves degeneracy and
-guarantees termination in exact mode. Float mode additionally caps the
+Bland's rule once the objective has stalled for more than `_STALL_LIMIT`
+pivots, which resolves degeneracy and guarantees termination in exact mode;
+ratio ties go to the smallest basic index. Float mode additionally caps the
 pivot count at 10**4 * (variables + constraints) and raises
 SolverLimitError instead of returning a verdict when the cap is hit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -127,9 +131,10 @@ def lp_solve(program: LinearProgram, mode: Optional[str] = None,
     elif mode == EXACT and program.mode() == FLOAT:
         raise ValueError("exact mode requested for float data")
     stats["solves"] += 1
-    if mode == EXACT:
-        return _solve_exact(program)
-    return _solve_float(program, tol)
+    kernel = _IntTableau if mode == EXACT else _FloatTableau
+    out = _simplex(program, kernel, field(mode, tol))
+    stats["pivots"] += out.pivots
+    return out
 
 
 def verify_solution(program: LinearProgram, solution: Sequence,
@@ -164,10 +169,9 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
 
 
 # ---------------------------------------------------------------------------
-# Standard-form conversion shared by both backends.
-#
-# Free variables are split x = x+ - x-; colmap records (variable, sign) per
-# standard-form column so solutions map back and Farkas handling is uniform.
+# The driver. Free variables are split x = x+ - x-; the column map records
+# (variable, sign) per standard-form column. Rows with a negative right-hand
+# side are negated (flips), so every starting basic value is nonnegative.
 # ---------------------------------------------------------------------------
 
 def _colmap(program: LinearProgram):
@@ -179,51 +183,105 @@ def _colmap(program: LinearProgram):
     return colmap
 
 
-def _standard_form(program: LinearProgram):
+def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
+    """Two-phase simplex on a tableau of class `kernel` in the arithmetic of F."""
     colmap = _colmap(program)
-    rows = []
-    for r in program.rows:
-        rows.append([sign * r[j] for (j, sign) in colmap])
-    if program.objective is None:
-        cost = None
-    else:
+    m, n = len(program.rows), len(colmap)
+    flips = [-1 if b < 0 else 1 for b in program.rhs]
+    tab = kernel(program, colmap, flips, F)
+    basis = tab.basis
+    cap = None if kernel.CAP is None else kernel.CAP * (program.num_vars + m)
+
+    pivots = _optimize(tab, basis, n, cap)
+    if pivots is None:
+        raise RuntimeError("phase 1 cannot be unbounded")
+    if tab.artificial_sum() > F.eps_feas:
+        # Dual values of the flipped rows, whose right-hand sides are |b|;
+        # the division by the scale also undoes the flips.
+        y = [tab.dual(i) for i in range(m)]
+        scale = tab.dot(y, [abs(b) for b in program.rhs])
+        if not scale > 0:
+            raise CertificateError("Farkas scale must be positive")
+        farkas = tuple(v / scale if flip > 0 else v / -scale for v, flip in zip(y, flips))
+        return LPOutcome(INFEASIBLE, F.mode, farkas=farkas, tolerance=F.tolerance,
+                         pivots=pivots)
+
+    # Pivot zero-level artificials out of the basis; a row with no
+    # structural coefficient left is redundant and removed.
+    dead = []
+    for i, j in enumerate(basis):
+        if j >= n:
+            col = tab.structural(i, n)
+            if col < 0:
+                dead.append(i)
+            else:
+                tab.pivot(i, col)
+                basis[i] = col
+    tab.drop(dead)
+    basis[:] = [j for i, j in enumerate(basis) if i not in dead]
+
+    more = 0
+    if program.objective is not None:
         flip = -1 if program.sense == "max" else 1
-        cost = [float(flip * sign * program.objective[j]) for (j, sign) in colmap]
-    rhs = list(program.rhs)
-    return rows, rhs, cost, colmap
+        tab.price([program.objective[j] for j, _ in colmap],
+                  [flip * s for _, s in colmap], basis)
+        more = _optimize(tab, basis, n, cap)
+        if more is None:
+            return LPOutcome(UNBOUNDED, F.mode, tolerance=F.tolerance, pivots=pivots)
+    sol = [F.zero] * program.num_vars
+    for i, col in enumerate(basis):
+        j, sign = colmap[col]
+        sol[j] = sol[j] + (tab.value(i) if sign == 1 else -tab.value(i))
+    sol = tuple(sol)
+    value = None if program.objective is None else tab.dot(program.objective, sol)
+    return LPOutcome(FEASIBLE, F.mode, solution=sol, objective_value=value,
+                     tolerance=F.tolerance, pivots=pivots + more)
 
 
-def _recover_solution(xs, colmap, num_vars, zero):
-    out = [zero] * num_vars
-    for val, (j, sign) in zip(xs, colmap):
-        out[j] = out[j] + (val if sign == 1 else -val)
-    return tuple(out)
+def _optimize(tab, basis, allowed, cap):
+    """Pivot to optimality on the reduced-cost row of `tab`.
 
-
-def _crash_columns(rows, m, n):
-    """Pick singleton columns as a partial starting basis.
-
-    A column appearing with a positive coefficient in exactly one row can
-    serve as that row's basic variable directly, so only the remaining rows
-    need artificial variables in phase 1. Returns {row: column}.
+    Returns the pivot count, or None when an unbounded direction is found.
+    Entering columns are restricted to indices < allowed so artificial
+    columns never re-enter. More than `cap` pivots raises SolverLimitError
+    (no cap when it is None).
     """
-    count = [0] * n
-    where = [-1] * n
-    for i in range(m):
-        row = rows[i]
-        for j in range(n):
-            if row[j] != 0:
-                count[j] += 1
-                where[j] = i
-    crash = {}
-    for j in range(n):
-        if count[j] == 1 and rows[where[j]][j] > 0 and where[j] not in crash:
-            crash[where[j]] = j
-    return crash
+    pivots = stall = 0
+    bland = False
+    prev = tab.objective()
+    while True:
+        col = tab.entering(allowed, bland)
+        if col < 0:
+            return pivots
+        row = tab.leaving(col, basis)
+        if row < 0:
+            return None
+        tab.pivot(row, col)
+        basis[row] = col
+        pivots += 1
+        if cap is not None and pivots > cap:
+            raise SolverLimitError(f"simplex exceeded {cap} pivots; reporting nontermination")
+        obj = tab.objective()
+        if tab.same(obj, prev):
+            stall += 1
+            if stall > _STALL_LIMIT:
+                bland = True
+        else:
+            stall = 0
+        prev = obj
+
+
+def _start_basis(crash, m, n):
+    """Row i starts on its crash column, or else on a new artificial column.
+
+    Returns the basis and {row: artificial column}.
+    """
+    art = {i: n + k for k, i in enumerate(i for i in range(m) if i not in crash)}
+    return [crash[i] if i in crash else art[i] for i in range(m)], art
 
 
 # ---------------------------------------------------------------------------
-# Exact backend: dense tableau of Python ints.
+# Exact kernel: dense tableau of Python ints.
 #
 # Row i of T holds integer numerators over the positive denominator D[i]; the
 # last row is the reduced-cost row. Every updated row is divided by the gcd
@@ -247,341 +305,238 @@ def _reduced(row, den):
     return [x // g for x in row], den // g
 
 
-def _solve_exact(program: LinearProgram) -> LPOutcome:
-    colmap = _colmap(program)
-    m, n = len(program.rows), len(colmap)
-    flips = [-1 if b < 0 else 1 for b in program.rhs]
-    T, D = [], []
-    for r, b, flip in zip(program.rows, program.rhs, flips):
-        row, den = _integer_row([r[j] for j, _ in colmap] + [b],
-                                [flip * s for _, s in colmap] + [flip])
-        T.append(row)
-        D.append(den)
+def _crash_columns(rows, m, n):
+    """{row: column} for the columns with a single nonzero, which is positive.
 
-    crash = _crash_columns(T, m, n)
-    crash_coeff = {}
-    art_rows = [i for i in range(m) if i not in crash]
-    art_col = {i: n + k for k, i in enumerate(art_rows)}
-    n_art = len(art_rows)
-    basis = []
-    for i in range(m):
-        row = T[i][:n] + [0] * n_art + T[i][n:]
-        if i in crash:
-            piv = row[crash[i]]
-            crash_coeff[i] = (piv, D[i])
-            T[i], D[i] = _reduced(row, piv)
-            basis.append(crash[i])
-        else:
-            row[art_col[i]] = D[i]
-            T[i] = row
-            basis.append(art_col[i])
-
-    # Phase 1 reduced costs for minimizing the artificial sum.
-    red_den = lcm(*[D[i] for i in art_rows])
-    red = [0] * (n + n_art + 1)
-    for i in art_rows:
-        k = red_den // D[i]
-        red = [x - k * a for x, a in zip(red, T[i])]
-    for i in art_rows:
-        red[art_col[i]] = 0
-    red, red_den = _reduced(red, red_den)
-    T.append(red)
-    D.append(red_den)
-
-    pivots = _pivot_loop(T, D, basis, allowed=n)
-    if pivots is None:
-        raise RuntimeError("phase 1 cannot be unbounded")
-    stats["pivots"] += pivots
-    red, red_den = T[-1], D[-1]
-    if red[-1] < 0:
-        y = []
-        for i in range(m):
-            if i in crash:
-                num, den = crash_coeff[i]
-                y.append(Fraction(-flips[i] * red[crash[i]] * den, red_den * num))
-            else:
-                y.append(Fraction(flips[i] * (red_den - red[art_col[i]]), red_den))
-        scale = vdot(y, program.rhs)
-        if not scale > 0:
-            raise RuntimeError("Farkas scale must be positive")
-        return LPOutcome(INFEASIBLE, EXACT, farkas=tuple(v / scale for v in y), pivots=pivots)
-
-    _drive_out_artificials(T, D, basis, n)
-    if program.objective is None:
-        sol = _basic_solution(T, D, basis, colmap, program.num_vars)
-        return LPOutcome(FEASIBLE, EXACT, solution=sol, pivots=pivots)
-
-    flip = -1 if program.sense == "max" else 1
-    cost, cost_den = _integer_row([program.objective[j] for j, _ in colmap],
-                                  [flip * s for _, s in colmap])
-    red, red_den = cost + [0] * (len(T[-1]) - n), cost_den
-    for i, j in enumerate(basis):
-        if cost[j]:
-            k, c = cost_den * D[i], cost[j] * red_den
-            red, red_den = _reduced([k * x - c * a for x, a in zip(red, T[i])], red_den * k)
-    T[-1], D[-1] = red, red_den
-    more = _pivot_loop(T, D, basis, allowed=n)
-    if more is None:
-        return LPOutcome(UNBOUNDED, EXACT, pivots=pivots)
-    stats["pivots"] += more
-    sol = _basic_solution(T, D, basis, colmap, program.num_vars)
-    value = vdot(program.objective, sol)
-    return LPOutcome(FEASIBLE, EXACT, solution=sol, objective_value=value,
-                     pivots=pivots + more)
-
-
-def _basic_solution(T, D, basis, colmap, num_vars):
-    xs = [Fraction(0)] * len(colmap)
-    for i, j in enumerate(basis):
-        xs[j] = Fraction(T[i][-1], D[i])
-    return _recover_solution(xs, colmap, num_vars, Fraction(0))
-
-
-def _pivot_loop(T, D, basis, allowed):
-    """Exact simplex pivots to optimality on the reduced-cost row T[-1].
-
-    Returns the pivot count, or None when an unbounded direction is found.
-    Entering columns are restricted to indices < allowed so artificial
-    columns never re-enter. Largest-coefficient rule until the objective
-    stalls, then Bland's rule; ratio ties go to the smallest basic index.
+    Such a column can serve as its row's basic variable directly, so only
+    the remaining rows need artificial variables in phase 1.
     """
-    m = len(basis)
-    last = len(T[-1]) - 1
-    pivots = 0
-    stall = 0
-    bland = False
-    prev_num, prev_den = T[-1][last], D[-1]
-    while True:
-        red = T[-1][:allowed]
-        if bland:
-            col = next((j for j, c in enumerate(red) if c < 0), -1)
-        else:
-            low = min(red, default=0)
-            col = red.index(low) if low < 0 else -1
-        if col < 0:
-            return pivots
-        row = -1
+    count = [0] * n
+    where = [-1] * n
+    for i in range(m):
+        row = rows[i]
+        for j in range(n):
+            if row[j] != 0:
+                count[j] += 1
+                where[j] = i
+    crash = {}
+    for j in range(n):
+        if count[j] == 1 and rows[where[j]][j] > 0 and where[j] not in crash:
+            crash[where[j]] = j
+    return crash
+
+
+class _IntTableau:
+    CAP = None  # Bland's rule terminates in exact arithmetic
+
+    def __init__(self, program, colmap, flips, F):
+        m, n = len(program.rows), len(colmap)
+        T, D = [], []
+        for r, b, flip in zip(program.rows, program.rhs, flips):
+            row, den = _integer_row([r[j] for j, _ in colmap] + [b],
+                                    [flip * s for _, s in colmap] + [flip])
+            T.append(row)
+            D.append(den)
+        crash = _crash_columns(T, m, n)
+        self.basis, self.art = _start_basis(crash, m, n)
+        self.crash = {}  # row: (column, coefficient numerator, row denominator)
         for i in range(m):
+            row = T[i][:n] + [0] * len(self.art) + T[i][n:]
+            if i in crash:
+                piv = row[crash[i]]
+                self.crash[i] = (crash[i], piv, D[i])
+                T[i], D[i] = _reduced(row, piv)
+            else:
+                row[self.art[i]] = D[i]
+                T[i] = row
+        # Phase 1 reduced costs for minimizing the artificial sum.
+        red_den = lcm(*[D[i] for i in self.art])
+        red = [0] * (n + len(self.art) + 1)
+        for i in self.art:
+            k = red_den // D[i]
+            red = [x - k * a for x, a in zip(red, T[i])]
+        for col in self.art.values():
+            red[col] = 0
+        red, red_den = _reduced(red, red_den)
+        self.T, self.D = T + [red], D + [red_den]
+
+    def entering(self, allowed, bland):
+        red = self.T[-1][:allowed]
+        if bland:
+            return next((j for j, c in enumerate(red) if c < 0), -1)
+        low = min(red, default=0)
+        return red.index(low) if low < 0 else -1
+
+    def leaving(self, col, basis):
+        T = self.T
+        row = -1
+        for i in range(len(basis)):
             a = T[i][col]
             if a > 0:
-                b = T[i][last]
+                b = T[i][-1]
                 if row < 0:
                     row, best_a, best_b = i, a, b
                     continue
                 lhs, rhs = b * best_a, best_b * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
                     row, best_a, best_b = i, a, b
-        if row < 0:
-            return None
-        _pivot(T, D, basis, row, col)
-        pivots += 1
-        obj_num, obj_den = T[-1][last], D[-1]
-        if obj_num * prev_den == prev_num * obj_den:
-            stall += 1
-            if stall > _STALL_LIMIT:
-                bland = True
-        else:
-            stall = 0
-        prev_num, prev_den = obj_num, obj_den
+        return row
 
+    def pivot(self, row, col):
+        """Scale T[row] so that its col entry is 1 and clear col from every other row."""
+        T, D = self.T, self.D
+        P, p = T[row], T[row][col]
+        if p < 0:
+            P, p = [-x for x in P], -p
+        P, p = _reduced(P, p)
+        T[row], D[row] = P, p
+        for i, Ti in enumerate(T):
+            f = Ti[col]
+            if f and i != row:
+                T[i], D[i] = _reduced([p * x - f * a for x, a in zip(Ti, P)], D[i] * p)
 
-def _pivot(T, D, basis, row, col):
-    """Scale T[row] so that its col entry is 1 and clear col from every other row."""
-    P, p = T[row], T[row][col]
-    if p < 0:
-        P, p = [-x for x in P], -p
-    P, p = _reduced(P, p)
-    T[row], D[row] = P, p
-    for i, Ti in enumerate(T):
-        f = Ti[col]
-        if f and i != row:
-            T[i], D[i] = _reduced([p * x - f * a for x, a in zip(Ti, P)], D[i] * p)
-    basis[row] = col
+    def objective(self):
+        return self.T[-1][-1], self.D[-1]
 
+    @staticmethod
+    def same(a, b):
+        return a[0] * b[1] == b[0] * a[1]
 
-def _drive_out_artificials(T, D, basis, n):
-    """Pivot zero-level artificial variables out of the basis.
+    def artificial_sum(self):
+        return Fraction(-self.T[-1][-1], self.D[-1])
 
-    Rows whose structural coefficients are all zero are redundant and
-    removed outright.
-    """
-    dead = []
-    for i in range(len(basis)):
-        if basis[i] < n:
-            continue
-        col = next((j for j in range(n) if T[i][j]), -1)
-        if col >= 0:
-            _pivot(T, D, basis, i, col)
-        else:
-            dead.append(i)
-    for i in reversed(dead):
-        del T[i], D[i], basis[i]
+    def dual(self, i):
+        """Phase-1 dual value of row i, from the reduced cost r of its starting
+        column: 1 - r for an artificial (cost 1), -r / coefficient for a
+        crash column (cost 0; its row was divided by the coefficient)."""
+        red, den = self.T[-1], self.D[-1]
+        if i in self.crash:
+            j, num, row_den = self.crash[i]
+            return Fraction(-red[j] * row_den, den * num)
+        return Fraction(den - red[self.art[i]], den)
+
+    def structural(self, i, n):
+        return next((j for j in range(n) if self.T[i][j]), -1)
+
+    def drop(self, rows):
+        for i in reversed(rows):
+            del self.T[i], self.D[i]
+
+    def price(self, values, signs, basis):
+        """Replace the reduced-cost row by that of the cost sign * value."""
+        T, D = self.T, self.D
+        cost, cost_den = _integer_row(values, signs)
+        red, red_den = cost + [0] * (len(T[-1]) - len(cost)), cost_den
+        for i, j in enumerate(basis):
+            if cost[j]:
+                k, c = cost_den * D[i], cost[j] * red_den
+                red, red_den = _reduced([k * x - c * a for x, a in zip(red, T[i])], red_den * k)
+        T[-1], D[-1] = red, red_den
+
+    def value(self, i):
+        return Fraction(self.T[i][-1], self.D[i])
+
+    dot = staticmethod(vdot)
 
 
 # ---------------------------------------------------------------------------
-# Float backend: numpy tableau, same algorithm.
+# Float kernel: numpy tableau T, one row per constraint, and the reduced-cost
+# row `red`; entries within eps_rank of zero count as zero.
 # ---------------------------------------------------------------------------
 
-def _solve_float(program: LinearProgram, tol: Tolerance) -> LPOutcome:
-    rows, rhs, cost, colmap = _standard_form(program)
-    m, n = len(rows), len(colmap)
-    A = np.array(rows, dtype=float).reshape(m, n)
-    b = np.array(rhs, dtype=float)
-    flips = np.where(b < 0, -1.0, 1.0)
-    A = A * flips[:, None]
-    b = b * flips
+class _FloatTableau:
+    CAP = 10_000  # pivots per variable and constraint before SolverLimitError
 
-    nonzero = A != 0.0
-    col_counts = nonzero.sum(axis=0)
-    crash_rows = np.full(m, -1, dtype=int)
-    crash_cols = np.full(m, -1, dtype=int)
-    crash_coeff = np.ones(m)
-    taken = np.zeros(m, dtype=bool)
-    for j in np.nonzero(col_counts == 1)[0]:
-        i = int(np.argmax(nonzero[:, j]))
-        if not taken[i] and A[i, j] > 0:
-            taken[i] = True
-            crash_rows[i] = i
-            crash_cols[i] = j
-            crash_coeff[i] = A[i, j]
-    art_rows = np.nonzero(~taken)[0]
-    n_art = len(art_rows)
-    art_col = {int(i): n + k for k, i in enumerate(art_rows)}
+    def __init__(self, program, colmap, flips, F):
+        m, n = len(program.rows), len(colmap)
+        self.eps, self.eps_compare = F.eps_rank, F.eps_compare
+        flips = np.array(flips, dtype=float)
+        A = np.array(program.rows, dtype=float).reshape(m, program.num_vars)
+        A = A[:, [j for j, _ in colmap]] * [s for _, s in colmap] * flips[:, None]
+        b = np.array(program.rhs, dtype=float) * flips
+        nonzero = A != 0.0
+        crash = {}
+        for j in np.nonzero(nonzero.sum(axis=0) == 1)[0]:
+            i = int(np.argmax(nonzero[:, j]))
+            if i not in crash and A[i, j] > 0:
+                crash[i] = int(j)
+        self.basis, self.art = _start_basis(crash, m, n)
+        self.crash = {i: (j, A[i, j]) for i, j in crash.items()}  # row: (column, coefficient)
+        T = np.hstack([A, np.zeros((m, len(self.art))), b[:, None]])
+        for i, j in crash.items():
+            if A[i, j] != 1.0:
+                T[i] /= A[i, j]
+        for i, col in self.art.items():
+            T[i, col] = 1.0
+        self.red = -T[list(self.art)].sum(axis=0) if self.art else np.zeros(T.shape[1])
+        self.red[list(self.art.values())] = 0.0
+        self.T = T
 
-    T = np.hstack([A, np.zeros((m, n_art)), b[:, None]])
-    basis = []
-    for i in range(m):
-        if taken[i]:
-            if crash_coeff[i] != 1.0:
-                T[i] /= crash_coeff[i]
-            basis.append(int(crash_cols[i]))
-        else:
-            T[i, art_col[i]] = 1.0
-            basis.append(art_col[i])
-    red = -T[art_rows].sum(axis=0) if n_art else np.zeros(T.shape[1])
-    for i in art_rows:
-        red[art_col[int(i)]] = 0.0
-
-    cap = 10_000 * (program.num_vars + m)
-    pivots = _np_pivot_loop(T, basis, red, allowed=n, tol=tol, cap=cap)
-    if pivots is None:
-        raise RuntimeError("phase 1 cannot be unbounded")
-    phase1 = -red[-1]
-    if phase1 > tol.eps_feas:
-        y = np.zeros(m)
-        for i in range(m):
-            if taken[i]:
-                y[i] = -red[int(crash_cols[i])] / crash_coeff[i]
-            else:
-                y[i] = 1.0 - red[art_col[i]]
-        y *= flips
-        scale = float(np.dot(y, np.array([float(v) for v in program.rhs])))
-        y = y / scale
-        stats["pivots"] += pivots
-        return LPOutcome(INFEASIBLE, FLOAT, farkas=tuple(float(v) for v in y),
-                         tolerance=tol, pivots=pivots)
-
-    T, basis = _np_drive_out(T, basis, n, tol)
-    if cost is None:
-        sol = _np_solution(T, basis, n, colmap, program.num_vars)
-        stats["pivots"] += pivots
-        return LPOutcome(FEASIBLE, FLOAT, solution=sol, tolerance=tol, pivots=pivots)
-
-    if T.shape[0] == 0 and min(cost, default=0.0) < -tol.eps_rank:
-        stats["pivots"] += pivots
-        return LPOutcome(UNBOUNDED, FLOAT, tolerance=tol, pivots=pivots)
-
-    c = np.zeros(T.shape[1])
-    c[:n] = cost
-    red = c.copy()
-    for i, bi in enumerate(basis):
-        if bi < n and cost[bi] != 0.0:
-            red -= cost[bi] * T[i]
-    more = _np_pivot_loop(T, basis, red, allowed=n, tol=tol, cap=cap)
-    if more is None:
-        stats["pivots"] += pivots
-        return LPOutcome(UNBOUNDED, FLOAT, tolerance=tol, pivots=pivots)
-    pivots += more
-    sol = _np_solution(T, basis, n, colmap, program.num_vars)
-    value = float(np.dot(np.array([float(v) for v in program.objective]),
-                         np.array(sol)))
-    stats["pivots"] += pivots
-    return LPOutcome(FEASIBLE, FLOAT, solution=sol, objective_value=value,
-                     tolerance=tol, pivots=pivots)
-
-
-def _np_solution(T, basis, n, colmap, num_vars):
-    xs = np.zeros(n)
-    for i, bi in enumerate(basis):
-        if bi < n:
-            xs[bi] = T[i, -1]
-    return _recover_solution(xs.tolist(), colmap, num_vars, 0.0)
-
-
-def _np_pivot_loop(T, basis, red, allowed, tol, cap):
-    eps = tol.eps_rank
-    pivots = 0
-    stall = 0
-    bland = False
-    prev_obj = red[-1]
-    while True:
-        cand = red[:allowed]
+    def entering(self, allowed, bland):
+        cand = self.red[:allowed]
         if bland:
-            hits = np.nonzero(cand < -eps)[0]
-            col = int(hits[0]) if hits.size else -1
-        else:
-            col = int(np.argmin(cand)) if allowed else -1
-            if col >= 0 and cand[col] >= -eps:
-                col = -1
-        if col < 0:
-            return pivots
+            hits = np.nonzero(cand < -self.eps)[0]
+            return int(hits[0]) if hits.size else -1
+        col = int(np.argmin(cand)) if allowed else -1
+        return -1 if col < 0 or cand[col] >= -self.eps else col
+
+    def leaving(self, col, basis):
+        T = self.T
         colvals = T[:, col]
-        ok = colvals > eps
+        ok = colvals > self.eps
         if not ok.any():
-            return None
+            return -1
         ratios = np.full(len(basis), np.inf)
         ratios[ok] = T[ok, -1] / colvals[ok]
         best = ratios.min()
-        ties = np.nonzero(ratios <= best + eps * (1 + abs(best)))[0]
-        row = int(min(ties, key=lambda i: basis[i]))
-        _np_pivot(T, basis, red, row, col)
-        pivots += 1
-        if cap is not None and pivots > cap:
-            raise SolverLimitError(
-                f"simplex exceeded {cap} pivots; reporting nontermination")
-        if abs(red[-1] - prev_obj) <= tol.eps_compare:
-            stall += 1
-            if stall > _STALL_LIMIT:
-                bland = True
-        else:
-            stall = 0
-        prev_obj = red[-1]
+        ties = np.nonzero(ratios <= best + self.eps * (1 + abs(best)))[0]
+        return int(min(ties, key=lambda i: basis[i]))
 
+    def pivot(self, row, col):
+        T, red = self.T, self.red
+        T[row] = T[row] / T[row, col]
+        factors = T[:, col].copy()
+        factors[row] = 0.0
+        T -= np.outer(factors, T[row])
+        if red[col] != 0.0:
+            red -= red[col] * T[row]
 
-def _np_pivot(T, basis, red, row, col):
-    T[row] = T[row] / T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    if red[col] != 0.0:
-        red -= red[col] * T[row]
-    basis[row] = col
+    def objective(self):
+        return self.red[-1]
 
+    def same(self, a, b):
+        return abs(a - b) <= self.eps_compare
 
-def _np_drive_out(T, basis, n, tol):
-    eps = tol.eps_rank
-    keep = []
-    for i in range(len(basis)):
-        if basis[i] < n:
-            keep.append(i)
-            continue
-        structural = np.nonzero(np.abs(T[i, :n]) > eps)[0]
-        if structural.size:
-            col = int(structural[0])
-            _np_pivot(T, basis, np.zeros(T.shape[1]), i, col)
-            keep.append(i)
-        # else: redundant row, dropped below
-    if len(keep) != len(basis):
-        T = T[keep]
-        basis = [basis[i] for i in keep]
-    return T, basis
+    def artificial_sum(self):
+        return -self.red[-1]
+
+    def dual(self, i):
+        """Phase-1 dual value of row i; see `_IntTableau.dual`."""
+        if i in self.crash:
+            j, coeff = self.crash[i]
+            return float(-self.red[j] / coeff)
+        return float(1.0 - self.red[self.art[i]])
+
+    def structural(self, i, n):
+        hits = np.nonzero(np.abs(self.T[i, :n]) > self.eps)[0]
+        return int(hits[0]) if hits.size else -1
+
+    def drop(self, rows):
+        if rows:
+            self.T = np.delete(self.T, rows, axis=0)
+
+    def price(self, values, signs, basis):
+        """Replace the reduced-cost row by that of the cost sign * value."""
+        cost = [float(s * v) for s, v in zip(signs, values)]
+        self.red = np.zeros(self.T.shape[1])
+        self.red[:len(cost)] = cost
+        for i, j in enumerate(basis):
+            if cost[j] != 0.0:
+                self.red -= cost[j] * self.T[i]
+
+    def value(self, i):
+        return float(self.T[i, -1])
+
+    @staticmethod
+    def dot(a, b):
+        return float(np.dot(np.array(a, dtype=float), np.array(b, dtype=float)))

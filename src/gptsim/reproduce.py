@@ -31,6 +31,7 @@ from .catalog import (
 from .geometry import in_convex_hull, rank, replay_hull
 from .postprocessing import are_equivalent, is_postprocessing_of
 from .qubit import as_vector_observable, random_qubit_observable
+from .scalars import field
 from .simulation import (
     check_closure_laws,
     decompose_to_irreducibles,
@@ -270,16 +271,12 @@ def criterion_noise_content() -> CriterionResult:
     for theory_space, base_rng in ((sq.space, BASE_SEED + 9),
                                    (polygon(5).space, BASE_SEED + 10)):
         rng = random.Random(base_rng)
-        exact_mode = theory_space.mode == "exact"
+        F = field(theory_space.mode)
         for lam_num, lam_den in ((1, 10), (3, 10), (7, 10)):
             for _ in range(5):
                 b_obs = random_observable(theory_space, rng)
-                if exact_mode:
-                    lam = Fraction(lam_num, lam_den)
-                    uniform = Fraction(1, b_obs.n_outcomes)
-                else:
-                    lam = lam_num / lam_den
-                    uniform = 1.0 / b_obs.n_outcomes
+                lam = F.coerce(Fraction(lam_num, lam_den))
+                uniform = F.one / b_obs.n_outcomes
                 triv_n = trivial_observable(
                     theory_space, [(lab, uniform) for lab in b_obs.labels])
                 mixed = mix_observables([triv_n, b_obs], [lam, 1 - lam])

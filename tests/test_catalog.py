@@ -7,8 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import rank_float
-
 from gptsim.catalog import (
     classical,
     hexagon_explicit_certificate,
@@ -18,16 +16,13 @@ from gptsim.catalog import (
     polygon,
     polygon_irreducibles,
     qubit_compatibility_bracket,
-    qubit_suite,
     random_observable,
-    square_bit,
     xyz_threshold_bracket,
 )
 from gptsim.postprocessing import (
     apply,
     are_equivalent,
     is_postprocessing_of,
-    merge_channel,
 )
 from gptsim.qubit import as_vector_observable, random_qubit_observable
 from gptsim.reproduce import arc_rule_count

@@ -1,7 +1,6 @@
 """Command-line behaviour: payload verdicts, exit codes, determinism."""
 
 import json
-import math
 
 import pytest
 

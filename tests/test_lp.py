@@ -119,6 +119,22 @@ def test_exact_mode_rejects_float_data():
         lp_solve(p, mode=EXACT)
 
 
+@pytest.mark.parametrize("kernel, one", [("_IntTableau", 1), ("_FloatTableau", 1.0)])
+def test_nonpositive_farkas_scale_raises(monkeypatch, kernel, one):
+    # -x0 - x1 = 1 is infeasible; row 2 starts on the crash column x2 and
+    # row 1 on an artificial. With both dual values read as -1, y'b < 0.
+    from gptsim import lp
+
+    p = make_program(rows=[(-one, -one, 0), (one, 0, one)], rhs=(one, one))
+    out = lp_solve(p)
+    assert out.verdict == INFEASIBLE and verify_farkas(p, out.farkas)
+    cls = getattr(lp, kernel)
+    monkeypatch.setattr(cls, "dual", lambda self, i: -one)
+    with pytest.raises(lp.CertificateError, match="Farkas scale must be positive"):
+        lp_solve(p)
+    assert issubclass(lp.CertificateError, RuntimeError)
+
+
 def _degenerate_programs(count, seed):
     # Bounded programs (a simplex row) with zero right-hand sides, so many
     # pivots leave the objective unchanged.
@@ -201,3 +217,56 @@ def test_exact_outcomes_pinned():
     assert verdicts == {FEASIBLE, INFEASIBLE}
     assert digest.hexdigest() == (
         "4ec4d8acbe6c853e7e4303d8afbdc7877f018be974d689ca5d9294bbc53c8bea")
+
+
+def _float_corpus(monkeypatch):
+    # Seeded float programs: the float twins of the exact corpus, polygon
+    # simulation LPs (n = 5..8) against the irreducible catalog and against
+    # one random observable, and the conic decompositions (feasibility plus
+    # greedy objectives) of the effects of random polygon observables.
+    import random
+
+    from gptsim import geometry
+    from gptsim.catalog import polygon_irreducibles, random_observable
+    from gptsim.simulation import simulation_program
+    from gptsim.spaces import dual_cone_rays
+
+    programs = [make_program(rows=[[float(x) for x in r] for r in p.rows],
+                             rhs=[float(b) for b in p.rhs], nonneg=p.nonneg)
+                for p in _simulation_corpus()]
+    conic = []
+
+    def recording(program, *args, **kwargs):
+        conic.append(program)
+        return lp_solve(program, *args, **kwargs)
+
+    for n in range(5, 9):
+        cat = polygon_irreducibles(n)
+        space = cat.theory.space
+        rays = dual_cone_rays(space)
+        rng = random.Random(100 + n)
+        for _ in range(6):
+            target, other = random_observable(space, rng), random_observable(space, rng)
+            programs.append(simulation_program(target, list(cat.observables)))
+            programs.append(simulation_program(target, [other]))
+            with monkeypatch.context() as patch:
+                patch.setattr(geometry, "lp_solve", recording)
+                for effect in target.effects:
+                    geometry.conic_decompose(effect.coeffs, rays)
+    return programs + conic
+
+
+def test_float_outcomes_pinned(monkeypatch):
+    # Verdicts and pivot counts do not depend on summation order, so any
+    # change of float pivot choice changes this digest.
+    import hashlib
+
+    digest = hashlib.sha256()
+    verdicts = []  # 836 programs, 505 with an objective
+    for program in _float_corpus(monkeypatch):
+        out = lp_solve(program, mode=FLOAT)
+        verdicts.append(out.verdict)
+        digest.update(repr((out.verdict, out.pivots)).encode())
+    assert (verdicts.count(FEASIBLE), verdicts.count(INFEASIBLE)) == (724, 112)
+    assert digest.hexdigest() == (
+        "8b92cefcd7cca36b74814e75b3300337e681eb80718bdded239705c70f87ea10")

@@ -3,8 +3,6 @@
 import math
 from fractions import Fraction
 
-import pytest
-
 from gptsim.geometry import rank
 from gptsim.postprocessing import (
     Postprocessing,
@@ -21,7 +19,7 @@ from gptsim.postprocessing import (
     replay_relation,
 )
 from gptsim.qubit import as_vector_observable
-from gptsim.spaces import Effect, Observable, observable, trivial_observable
+from gptsim.spaces import Effect, observable, trivial_observable
 
 F = Fraction
 HALF = F(1, 2)
@@ -205,7 +203,6 @@ def test_binarization(sq):
 
 def test_apply_preserves_normalization(sq, rng):
     from gptsim.catalog import random_observable
-    import random as _random
 
     for _ in range(5):
         obs = random_observable(sq.space, rng)

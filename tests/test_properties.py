@@ -1,7 +1,6 @@
 """Property-based checks with hypothesis: certificates always replay."""
 
 import random
-from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 

@@ -15,7 +15,6 @@ from gptsim.qubit import (
     QubitObservable,
     QubitSpace,
     as_vector_observable,
-    dichotomic,
     effect_from_linear,
     linear_coords,
     octahedron_margins,

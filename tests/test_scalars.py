@@ -23,6 +23,7 @@ from gptsim.simulation import is_simulable, replay_simulation
 from gptsim.spaces import observable
 
 SOURCE = pathlib.Path(gptsim.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 
 def test_exact_field_values():
@@ -122,3 +123,47 @@ def test_no_assert_statements_in_library():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in the library: {found}"
+
+
+_SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _imports_in(scope):
+    """The import statements of a scope, not those of the scopes nested in it."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _dead_imports(path):
+    """Imported names that nothing in their scope reads, or that a later
+    import in the same scope rebinds."""
+    dead = []
+    for scope in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(scope, _SCOPES):
+            continue
+        used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        bound = {}
+        for node in sorted(_imports_in(scope), key=lambda node: node.lineno):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name in bound:
+                    dead.append(f"{path.name}:{bound[name]} {name} (imported again)")
+                bound[name] = node.lineno
+        dead.extend(f"{path.name}:{line} {name}" for name, line in bound.items()
+                    if name not in used)
+    return dead
+
+
+def test_no_unused_imports():
+    # __init__.py imports names only to re-export them
+    paths = [p for p in sorted(SOURCE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(TESTS.glob("*.py"))
+    found = [entry for path in paths for entry in _dead_imports(path)]
+    assert not found, f"unused imports: {found}"

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from gptsim.catalog import qubit_suite, square_bit
 from gptsim.postprocessing import Postprocessing
 from gptsim.scalars import EXACT, FLOAT, ModeError
 from gptsim.serialize import (

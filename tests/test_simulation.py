@@ -34,7 +34,7 @@ from gptsim.simulation import (
     simulation_program,
     smin,
 )
-from gptsim.spaces import Effect, observable, trivial_observable
+from gptsim.spaces import observable, trivial_observable
 
 F = Fraction
 HALF = F(1, 2)

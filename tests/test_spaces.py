@@ -6,7 +6,6 @@ import pytest
 
 from gptsim.spaces import (
     Effect,
-    Observable,
     StateSpace,
     decompose_into_indecomposables,
     dual_cone_rays,
