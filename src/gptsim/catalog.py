@@ -1,6 +1,6 @@
 """Named theories and observables: simplices, the square bit, regular
 polygons with their complete irreducible catalogs, and the qubit example
-suite with the octahedron test and a polyhedral compatibility bracket.
+suite with the octahedron test and a compatibility decision for the qubit.
 
 Polygon constructions follow the closed forms: state k of the n-gon sits at
 sec(pi/n) times the unit direction of angle 2k pi/n on the z = 1 plane; for
@@ -204,23 +204,23 @@ def polygon_irreducibles(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> Irreduci
             index_sets.append((k, k + m))
             dicho += 1
     eps = tol.eps_compare
-    for combo in itertools.combinations(range(1, n + 1), 3):
-        mat = np.column_stack([np.array(rays[k - 1]) for k in combo])
-        if abs(np.linalg.det(mat)) <= eps:
-            continue
-        c = np.linalg.solve(mat, unit)
-        if any(cj <= eps for cj in c):
-            continue
+    combos = np.array(list(itertools.combinations(range(1, n + 1), 3)))
+    mats = np.array(rays)[combos - 1].transpose(0, 2, 1)  # the rays are columns
+    nonsingular = np.abs(np.linalg.det(mats)) > eps
+    combos, mats = combos[nonsingular], mats[nonsingular]
+    coeffs = np.linalg.solve(mats, np.broadcast_to(unit, (len(mats), 3))[..., None])[..., 0]
+    positive = np.all(coeffs > eps, axis=1)
+    for combo, c in zip(combos[positive].tolist(), coeffs[positive].tolist()):
         if theory.even:
-            total = float(np.sum(c))
+            total = sum(c)
             if abs(total - 2.0) > 1e-7:
                 raise RuntimeError(
                     f"even-polygon trichotomic coefficient sum {total} is not 2")
         obs = observable(
             theory.space,
-            [(str(j + 1), vscale(float(c[j]), rays[combo[j] - 1])) for j in range(3)])
+            [(str(j + 1), vscale(c[j], rays[combo[j] - 1])) for j in range(3)])
         members.append(obs)
-        index_sets.append(combo)
+        index_sets.append(tuple(combo))
     return IrreducibleCatalog(theory, tuple(members), tuple(index_sets),
                               dicho, len(members) - dicho)
 
@@ -394,12 +394,14 @@ def octahedron_test(obs: QubitObservable,
 
 
 # ---------------------------------------------------------------------------
-# Qubit joint measurability through polyhedral brackets.
+# Qubit joint measurability by column generation.
 #
 # Effect positivity for a qubit is the second-order-cone condition that the
-# Bloch norm not exceed 1 + e0. The bracket replaces that cone by an inner
-# cone generated by rank-one directions (feasible implies compatible) and an
-# outer cone cut out by tangent planes (infeasible implies incompatible).
+# Bloch norm not exceed 1 + e0. The program replaces that cone by an inner
+# cone generated by rank-one directions (feasible implies compatible). The
+# Farkas vector of an infeasible program either bounds every positive joint
+# observable away from the targets (incompatible) or names the rank-one
+# directions that join the inner cone in the next round.
 # ---------------------------------------------------------------------------
 
 _GRID_DIRECTIONS = None
@@ -452,22 +454,38 @@ def _target_directions(targets: Sequence[QubitObservable]) -> list:
 @dataclass(frozen=True)
 class CompatBracketResult:
     verdict: str  # compatible | incompatible | undecided
-    inner_feasible: bool
-    outer_feasible: bool
     facets: int
+
+    @property
+    def inner_feasible(self) -> bool:
+        return self.verdict == "compatible"
+
+    @property
+    def outer_feasible(self) -> bool:
+        return self.verdict != "incompatible"
+
+
+# Column-generation rounds before a bracket gives up as undecided.
+_ROUNDS = 32
 
 
 def qubit_compatibility_bracket(targets: Sequence[QubitObservable], facets: int = 128,
                                 tol: Tolerance = DEFAULT_TOLERANCE) -> CompatBracketResult:
-    """Bracketed joint-measurability decision for dichotomic qubit targets.
+    """Joint-measurability decision for dichotomic qubit targets.
 
-    Inner feasibility certifies a joint observable (hence compatibility);
-    outer infeasibility refutes any positive joint observable (hence
-    incompatibility). When inner fails and outer succeeds, the verdict is
-    undecided and a larger facet count narrows the gap. The Bloch directions
-    of the target effects are always added to the direction set so exact
-    reconstructions (for instance a target and its postprocessing) stay
-    inner-feasible at any facet count.
+    The program asks for joint effects G_w = (e_w, tau_w), one per joint
+    outcome w, that sum to the targets' effects and are nonnegative
+    combinations of rank-one effects (d, 1/2) over the facet directions plus
+    the targets' own Bloch directions (so exact reconstructions, such as a
+    target and its postprocessing, stay feasible at any facet count).
+    Feasibility certifies compatibility. When the program is infeasible, its
+    Farkas vector y summed over the rows each w enters gives z_w = (a_w,
+    b_w), and every joint observable has y.b = sum_w z_w.G_w <= 2 sum_w
+    tau_w (|a_w| + b_w / 2) with sum_w tau_w = 1, because |e_w| <= 2 tau_w.
+    So y.b > 2 max(0, max_w |a_w| + b_w / 2) refutes compatibility, for any
+    y. Otherwise every outcome with |a_w| + b_w / 2 > 0 adds the direction
+    a_w / |a_w|, whose columns y does not certify against, and the program
+    is solved again; after `_ROUNDS` programs the verdict is undecided.
     """
     targets = list(targets)
     if not targets:
@@ -475,75 +493,38 @@ def qubit_compatibility_bracket(targets: Sequence[QubitObservable], facets: int 
     for t in targets:
         if len(t.outcomes) != 2:
             raise ValueError("the bracket accepts dichotomic targets only")
+        if not t.is_valid(tol):
+            raise ValueError("bracket targets must be valid qubit observables")
+    joint = np.array(list(itertools.product(range(2), repeat=len(targets))))
+    rhs = [float(x) for t in targets for eff in t.effects for x in linear_coords(eff)]
     dirs = sphere_directions(facets) + _target_directions(targets)
-
-    inner = _joint_inner_feasible(targets, dirs, tol)
-    if inner:
-        return CompatBracketResult("compatible", True, True, facets)
-    outer = _joint_outer_feasible(targets, dirs, tol)
-    if not outer:
-        return CompatBracketResult("incompatible", False, False, facets)
-    return CompatBracketResult("undecided", False, True, facets)
-
-
-def _marginal_rows(targets, joint_outcomes, nvars, var_of):
-    """Equality rows: for each target, outcome, and coordinate, the summed
-    joint effects must reproduce the marginal effect (linear coordinates)."""
-    rows, rhs = [], []
-    for ti, t in enumerate(targets):
-        coords = [linear_coords(eff) for eff in t.effects]
-        for li, lab in enumerate(t.labels):
-            for d in range(4):
-                row = [0.0] * nvars
-                for w, omega in enumerate(joint_outcomes):
-                    if omega[ti] != li:
-                        continue
-                    var_of(row, w, d)
-                rows.append(tuple(row))
-                rhs.append(float(coords[li][d]))
-    return rows, rhs
+    for _ in range(_ROUNDS):
+        out = lp_solve(make_program(rows=_marginal_rows(joint, dirs), rhs=rhs),
+                       mode=FLOAT, tol=tol)
+        if out.verdict == FEASIBLE:
+            return CompatBracketResult("compatible", facets)
+        y = np.array(out.farkas).reshape(len(targets), 2, 4)
+        z = y[np.arange(len(targets)), joint].sum(axis=1)
+        norms = np.linalg.norm(z[:, :3], axis=1)
+        reach = norms + z[:, 3] / 2
+        yb = float(np.dot(out.farkas, rhs))
+        if yb > 2 * max(0.0, reach.max()):
+            return CompatBracketResult("incompatible", facets)
+        dirs += [tuple(z[w, :3] / norms[w]) for w in np.flatnonzero(reach > 0)]
+    return CompatBracketResult("undecided", facets)
 
 
-def _joint_inner_feasible(targets, dirs, tol) -> bool:
-    joint_outcomes = list(itertools.product(*[range(2) for _ in targets]))
-    R = len(dirs)
-    nvars = len(joint_outcomes) * R
-    rays = [(*d, 0.5) for d in dirs]  # rank-one effects (d, tau = 1/2)
-
-    def var_of(row, w, d):
-        for j in range(R):
-            row[w * R + j] += rays[j][d]
-
-    rows, rhs = _marginal_rows(targets, joint_outcomes, nvars, var_of)
-    out = lp_solve(make_program(rows=rows, rhs=rhs), mode=FLOAT, tol=tol)
-    return out.verdict == FEASIBLE
-
-
-def _joint_outer_feasible(targets, dirs, tol) -> bool:
-    joint_outcomes = list(itertools.product(*[range(2) for _ in targets]))
-    W = len(joint_outcomes)
-    n_free = W * 4
-    n_slack = W * len(dirs)
-    nvars = n_free + n_slack
-
-    def var_of(row, w, d):
-        row[w * 4 + d] += 1.0
-
-    rows, rhs = _marginal_rows(targets, joint_outcomes, nvars, var_of)
-    # Tangent planes: e . d - 2 tau + slack = 0 per joint outcome and direction.
-    for w in range(W):
-        for j, d in enumerate(dirs):
-            row = [0.0] * nvars
-            row[w * 4 + 0] = d[0]
-            row[w * 4 + 1] = d[1]
-            row[w * 4 + 2] = d[2]
-            row[w * 4 + 3] = -2.0
-            row[n_free + w * len(dirs) + j] = 1.0
-            rows.append(tuple(row))
-            rhs.append(0.0)
-    nonneg = tuple([False] * n_free + [True] * n_slack)
-    out = lp_solve(make_program(rows=rows, rhs=rhs, nonneg=nonneg), mode=FLOAT, tol=tol)
-    return out.verdict == FEASIBLE
+def _marginal_rows(joint, dirs):
+    """Rows of the marginal equalities in linear coordinates: one per
+    target, outcome and coordinate, over the columns (w, d) that put weight
+    on the rank-one effect (d, 1/2) in joint outcome w."""
+    rays = np.array([(*d, 0.5) for d in dirs]).T
+    W, R = len(joint), len(dirs)
+    rows = np.zeros((joint.shape[1], 2, 4, W * R))
+    for w, omega in enumerate(joint):
+        for ti, li in enumerate(omega):
+            rows[ti, li, :, w * R:(w + 1) * R] = rays
+    return rows.reshape(-1, W * R).tolist()
 
 
 def xyz_threshold_bracket(facets: int = 128, t_tol: float = 1e-3,
@@ -567,7 +548,7 @@ def xyz_threshold_bracket(facets: int = 128, t_tol: float = 1e-3,
         else:
             b = mid
     lo_ok = a
-    # Upper edge: smallest t whose outer relaxation is already infeasible.
+    # Upper edge: smallest t whose Farkas bound refutes compatibility.
     a, b = 0.0, 1.0
     while b - a > t_tol:
         mid = 0.5 * (a + b)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import lp
 from .catalog import (
@@ -69,7 +68,6 @@ def _config(args) -> dict:
         "seed": args.seed,
         "k_max": getattr(args, "k_max", None),
         "facets": getattr(args, "facets", None),
-        "jobs": args.jobs,
     }
 
 
@@ -207,12 +205,7 @@ def cmd_polygon(args) -> int:
         }
         return _emit(args, payload)
     if args.action == "counts":
-        ns = list(range(3, args.n_max + 1))
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(_count_row, ns))
-        else:
-            rows = [_count_row(n) for n in ns]
+        rows = [_count_row(n) for n in range(3, args.n_max + 1)]
         header = ["n", "dichotomic", "trichotomic", "enumerated", "formula", "match"]
         payload = {"rows": [dict(zip(header, r)) for r in rows],
                    "all_match": all(r[-1] for r in rows)}
@@ -301,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["json", "csv"], default="json")
     common.add_argument("--seed", type=int, default=0,
                         help="seed recorded with the run; governs any sampling")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for enumeration sweeps")
 
     parser = argparse.ArgumentParser(
         prog="gptsim",

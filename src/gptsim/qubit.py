@@ -18,8 +18,8 @@ In linear coordinates the qubit is a state space like the polytopes:
 spectral splitting, least eigenvalue), and `as_vector_observable` attaches
 it, so irreducibility, decomposition into irreducibles and noise content
 are the generic functions of `simulation`. Joint measurability is not an
-LP over these coordinates; it lives in the catalog module behind
-polyhedral brackets.
+LP over these coordinates; the catalog module decides it by column
+generation over rank-one effects.
 """
 
 from __future__ import annotations

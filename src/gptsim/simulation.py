@@ -705,7 +705,7 @@ def is_compatible(targets: Sequence[Observable],
     if not isinstance(space, StateSpace):
         raise ValueError(
             "compatibility needs a polytopic state space; qubit inputs are "
-            "handled by the polyhedral bracket in the catalog module")
+            "handled by the compatibility bracket in the catalog module")
     if any(t.space != space for t in targets):
         raise ValueError("mixed state spaces rejected")
     F = _common_field(targets[0], targets, tol)

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gptsim.catalog import (
@@ -259,6 +260,71 @@ def test_xyz_threshold_bracket_one_call_per_t(monkeypatch):
 def test_compat_bracket_rejects_trichotomic(suite):
     with pytest.raises(ValueError):
         qubit_compatibility_bracket([suite.tetrahedron], 16)
+
+
+def test_compat_bracket_rejects_invalid_targets(suite):
+    # The refutation bound needs joint effects that sum to the identity.
+    from gptsim.qubit import QubitEffect, QubitObservable, dichotomic
+
+    unnormalized = QubitObservable((("+", QubitEffect(0.2, (0.5, 0.0, 0.0))),
+                                    ("-", QubitEffect(0.2, (-0.5, 0.0, 0.0)))))
+    too_long = dichotomic("+", "-", QubitEffect(0.0, (1.5, 0.0, 0.0)))
+    for bad in (unnormalized, too_long):
+        with pytest.raises(ValueError, match="valid"):
+            qubit_compatibility_bracket([suite.Y, bad], 16)
+
+
+def _unbiased(vec):
+    from gptsim.qubit import QubitEffect, dichotomic
+
+    return dichotomic("+", "-", QubitEffect(0.0, tuple(float(x) for x in vec)))
+
+
+@pytest.mark.parametrize("facets", [8, 16])
+def test_compat_bracket_decides_busch_pairs(facets):
+    # Busch: unbiased a, b are compatible iff |a+b| + |a-b| <= 2. The strata
+    # reach within 0.01 of the threshold on both sides.
+    rng = np.random.default_rng(20 + facets)
+    for lo, hi in ((1.2, 1.9), (1.9, 1.99), (2.01, 2.1), (2.1, 2.4)):
+        for _ in range(6):
+            while True:
+                a, b = rng.normal(size=(2, 3))
+                a *= rng.uniform(0.3, 1.0) / np.linalg.norm(a)
+                b *= rng.uniform(0.3, 1.0) / np.linalg.norm(b)
+                value = np.linalg.norm(a + b) + np.linalg.norm(a - b)
+                if lo <= value <= hi:
+                    break
+            res = qubit_compatibility_bracket([_unbiased(a), _unbiased(b)], facets)
+            assert res.verdict == ("compatible" if value < 2 else "incompatible")
+
+
+@pytest.mark.parametrize("facets", [8, 16])
+def test_compat_bracket_decides_rotated_triples(facets):
+    # Rotation invariance: an orthogonal triple of unbiased dichotomic
+    # observables of Bloch length t is compatible iff t <= 1/sqrt(3).
+    rng = np.random.default_rng(40 + facets)
+    t_star = 1 / math.sqrt(3)
+    ts = [t for t in rng.uniform(0.45, 0.62, size=30) if abs(t - t_star) >= 2e-3]
+    for t in ts[:24]:
+        rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        res = qubit_compatibility_bracket([_unbiased(t * r) for r in rotation], facets)
+        assert res.verdict == ("compatible" if t < t_star else "incompatible")
+    xyz = [_unbiased(0.5774 * r) for r in np.eye(3)]
+    assert qubit_compatibility_bracket(xyz, facets).verdict == "incompatible"
+
+
+def test_polygon_catalogs_pinned():
+    # Every catalog coefficient up to MAX_POLYGON_N; the digest was taken
+    # from the one-triple-at-a-time enumeration.
+    import hashlib
+
+    digest = hashlib.sha256()
+    for n in range(3, 41):
+        cat = polygon_irreducibles(n)
+        digest.update(repr((n, cat.index_sets, cat.dichotomic_count,
+                            [obs.outcomes for obs in cat.observables])).encode())
+    assert digest.hexdigest() == (
+        "8300a00d851a4a878feec143a3767b693e6c7a58a9ec954ca58970adbb891d6d")
 
 
 def test_named_qubit_observables_pairwise_inequivalent(suite):

@@ -189,6 +189,18 @@ def test_qubit_compat_bracket_fixed_targets(capsys, tmp_path):
     assert payload(out)["verdict"] == "incompatible"
 
 
+def test_qubit_compat_bracket_invalid_target_exit_2(capsys, tmp_path):
+    suite = qubit_suite()
+    path = tmp_path / "xlong.json"
+    path.write_text(dump_json({"observables": [
+        qubit_observable_to_json(suite.xt(1.5)), qubit_observable_to_json(suite.yt(1.0))]}))
+    code, out, err = run_cli(capsys, "qubit", "compat-bracket",
+                             "--targets", str(path), "--facets", "16")
+    assert code == 2
+    assert out == ""
+    assert "valid" in err
+
+
 def test_reproduce_single(capsys):
     code, out, err = run_cli(capsys, "reproduce", "polygon-counts")
     assert code == 0
@@ -209,14 +221,6 @@ def test_byte_identical_output(capsys, ct08_file, xy_file):
     _, out2, _ = run_cli(capsys, "sim", "check", "--target", ct08_file,
                          "--simulators", xy_file)
     assert out1 == out2
-
-
-def test_jobs_flag_matches_serial(capsys):
-    _, serial, _ = run_cli(capsys, "polygon", "counts", "--n-max", "8",
-                           "--format", "csv")
-    _, parallel, _ = run_cli(capsys, "polygon", "counts", "--n-max", "8",
-                             "--format", "csv", "--jobs", "2")
-    assert serial == parallel
 
 
 def test_csv_and_json_verdicts_identical(capsys):
