@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .lp import FEASIBLE, INFEASIBLE, lp_solve, make_program
+from .lp import FEASIBLE, INFEASIBLE, UNBOUNDED, lp_solve, make_program
 from .scalars import (
     DEFAULT_TOLERANCE,
     Tolerance,
@@ -19,7 +19,6 @@ from .scalars import (
     infer_mode,
     vdot,
     vscale,
-    vsub,
 )
 
 INSIDE = "inside"
@@ -66,12 +65,13 @@ def null_space_vector(vectors: Sequence[Sequence], tol: Tolerance = DEFAULT_TOLE
     out[fc] = F.one
     for (i, c) in pivots:
         out[c] = -rows[i][fc] / rows[i][c]
-    for x in out:
-        if x != 0:
-            if x < 0:
-                out = [-v for v in out]
-            break
-    return tuple(out)
+    return _leading_positive(out)
+
+
+def _leading_positive(vector) -> tuple:
+    """The vector, negated if its first nonzero entry is negative."""
+    lead = next((x for x in vector if x != 0), 0)
+    return tuple(-x for x in vector) if lead < 0 else tuple(vector)
 
 
 def _eliminate(vectors, F, reduce_above):
@@ -153,7 +153,6 @@ def in_convex_hull(point: Sequence, generators: Sequence[Sequence],
     # Farkas y = (phi, phi0) with phi.g + phi0 <= 0 for all g and
     # phi.point + phi0 > 0, so phi separates the point from the hull.
     phi = out.farkas[:dim]
-    phi0 = out.farkas[dim]
     gap = vdot(phi, point) - max(vdot(phi, g) for g in generators)
     return HullResult(OUTSIDE, functional=phi, gap=gap, tolerance=F.tolerance)
 
@@ -194,53 +193,35 @@ def conic_decompose(v: Sequence, rays: Sequence[Sequence],
                     tol: Tolerance = DEFAULT_TOLERANCE) -> ConicResult:
     """Write v as a nonnegative combination of the rays, deterministically.
 
-    The coefficient of each ray is maximized greedily in the order the rays
-    are given, which yields a decomposition supported on at most dim rays
-    (each positive step moves the residual to a strictly smaller face).
-    Failure returns a separating functional phi with phi(v) > 0 >= phi(ray).
+    One LP with tie-breaks takes the lexicographic maximum of the
+    coefficients in ray order, a vertex on at most dim rays. If one is
+    unbounded (the ray span holds a line) before the earlier ones write all
+    of v, the basic solution of the feasibility program stands in. Failure
+    returns a separating functional phi with phi(v) > 0 >= phi(ray).
     """
     v = tuple(v)
     rays = [tuple(r) for r in rays]
     if not rays:
         raise ValueError("conic_decompose: rays must be nonempty")
     F = field(mode or infer_mode(x for r in rays + [v] for x in r), tol)
-    eps = F.eps_compare
     for r in rays:
         if len(r) != len(v):
             raise ValueError("conic_decompose: dimension mismatch")
         if all(x == 0 for x in r):
             raise ValueError("conic_decompose: zero ray")
-    dim = len(v)
-    rows = [tuple(r[i] for r in rays) for i in range(dim)]
-
-    feas = lp_solve(make_program(rows=rows, rhs=v), mode=F.mode, tol=tol)
-    if feas.verdict == INFEASIBLE:
-        return ConicResult(OUTSIDE, functional=feas.farkas, tolerance=F.tolerance)
-
-    coeffs = [F.zero] * len(rays)
-    residual = v
-    greedy_ok = True
-    for k in range(len(rays)):
-        sub_rows = [tuple(r[i] for r in rays[k:]) for i in range(dim)]
-        sub_obj = [F.one] + [F.zero] * (len(rays) - k - 1)
-        out = lp_solve(make_program(rows=sub_rows, rhs=residual, objective=sub_obj),
-                       mode=F.mode, tol=tol)
-        if out.verdict != FEASIBLE:
-            # unbounded coefficient: the ray span contains a line, so the
-            # greedy maximum does not exist
-            greedy_ok = False
-            break
-        c = out.solution[0]
-        if c > eps:
-            coeffs[k] = c
-            residual = vsub(residual, vscale(c, rays[k]))
-        if F.is_zero(residual):
-            break
-    if not greedy_ok or not F.is_zero(residual):
-        # Fall back to the basic feasible solution, which is supported on at
-        # most dim rays and reconstructs v by construction.
-        coeffs = list(feas.solution)
-    return ConicResult(INSIDE, coefficients=tuple(coeffs), tolerance=F.tolerance)
+    rows = [tuple(r[i] for r in rays) for i in range(len(v))]
+    units = [tuple(F.one if j == k else F.zero for j in range(len(rays)))
+             for k in range(len(rays))]
+    out = lp_solve(make_program(rows=rows, rhs=v, objective=units[0], tiebreaks=units[1:]),
+                   mode=F.mode, tol=tol)
+    if out.verdict == INFEASIBLE:
+        return ConicResult(OUTSIDE, functional=out.farkas, tolerance=F.tolerance)
+    if out.verdict == UNBOUNDED:
+        # coefficient k, the first the ray raises, is unbounded
+        k = next((j for j, d in enumerate(out.ray) if d > F.eps_compare), 0)
+        if not F.is_zero(out.solution[k:]):
+            out = lp_solve(make_program(rows=rows, rhs=v), mode=F.mode, tol=tol)
+    return ConicResult(INSIDE, coefficients=out.solution, tolerance=F.tolerance)
 
 
 def replay_conic(result: ConicResult, v: Sequence, rays: Sequence[Sequence],
@@ -312,10 +293,4 @@ def canonical_ray(ray: Sequence, mode: str, tol: Tolerance = DEFAULT_TOLERANCE):
     root = F.sqrt(sum(x * x for x in ray))
     if root is None:  # irrational norm in exact mode: the largest entry becomes 1
         root = abs(max(ray, key=abs))
-    scaled = tuple(x / root for x in ray)
-    for x in scaled:
-        if x != 0:
-            if x < 0:
-                scaled = tuple(-v for v in scaled)
-            break
-    return scaled
+    return _leading_positive([x / root for x in ray])

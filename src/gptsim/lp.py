@@ -1,11 +1,14 @@
 """Linear programming with feasibility and infeasibility certificates.
 
 Problems are stated over equality constraints `A x = b` with per-variable
-nonnegativity flags and an optional linear objective. One two-phase simplex
-driver, `_simplex`, owns the algorithm: phase 1 from crash and artificial
-columns, the pivot rule, the infeasibility test and Farkas certificate,
-drive-out of artificials, phase 2, unbounded detection and solution
-recovery. The mode picks one of two kernels, which own only their numbers:
+nonnegativity flags, an optional linear objective and optional tie-breaks.
+One two-phase simplex driver, `_simplex`, owns the algorithm: phase 1 from
+crash and artificial columns, the pivot rule, the infeasibility test and
+Farkas certificate, drive-out of artificials, phase 2, unbounded detection
+and solution recovery. Phase 2 optimizes the objectives in turn in one
+tableau: after each, the nonbasic columns with nonzero reduced cost are
+fixed at zero, so the next one sees only the optimal face (a lexicographic
+optimum). The mode picks one of two kernels, which own only their numbers:
 `_IntTableau` (exact mode, for rational inputs) keeps rows of Python ints
 over per-row denominators and returns `fractions.Fraction` values;
 `_FloatTableau` (float mode) is a numpy tableau compared with tolerances.
@@ -13,16 +16,17 @@ over per-row denominators and returns `fractions.Fraction` values;
 Every verdict is checkable after the fact: a feasible outcome carries the
 solution vector, an infeasible outcome carries a Farkas vector y with
 y'A <= 0 on nonnegative columns, y'A = 0 on free columns and y'b = 1
-(certificates are normalized to y'b = 1). `verify_solution` and
-`verify_farkas` replay either certificate against the original program.
-Code that builds an answer from a certificate raises `CertificateError`
-when the certificate fails that replay, so it never returns it.
+(certificates are normalized to y'b = 1), an unbounded outcome a vertex
+and a ray along which the objective improves. `verify_solution` and
+`verify_farkas` replay the first two against the original program. Code
+that builds an answer from a certificate raises `CertificateError` when
+the certificate fails that replay, so it never returns it.
 
 Pivoting uses the largest-coefficient rule and switches permanently to
 Bland's rule once the objective has stalled for more than `_STALL_LIMIT`
 pivots, which resolves degeneracy and guarantees termination in exact mode;
 ratio ties go to the smallest basic index. Float mode additionally caps the
-pivot count at 10**4 * (variables + constraints) and raises
+pivots of a whole solve at 10**4 * (variables + constraints) and raises
 SolverLimitError instead of returning a verdict when the cap is hit.
 """
 
@@ -63,7 +67,8 @@ class CertificateError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Equality-form program: rows . x = rhs, x_j >= 0 where nonneg[j]."""
+    """Equality-form program: rows . x = rhs, x_j >= 0 where nonneg[j]. Each
+    tie-break is optimized over the optimal face of the objectives before it."""
 
     num_vars: int
     rows: tuple
@@ -71,6 +76,7 @@ class LinearProgram:
     nonneg: tuple
     objective: Optional[tuple] = None
     sense: str = "max"
+    tiebreaks: tuple = ()
 
     def __post_init__(self):
         if len(self.rows) != len(self.rhs):
@@ -80,20 +86,26 @@ class LinearProgram:
                 raise ValueError("constraint row width must equal variable count")
         if len(self.nonneg) != self.num_vars:
             raise ValueError("nonneg flags must cover every variable")
-        if self.objective is not None and len(self.objective) != self.num_vars:
+        if self.objective is None and self.tiebreaks:
+            raise ValueError("tie-breaks need an objective")
+        if any(len(c) != self.num_vars for c in self.objectives()):
             raise ValueError("objective width must equal variable count")
         if self.sense not in ("max", "min"):
             raise ValueError("sense must be 'max' or 'min'")
 
+    def objectives(self) -> tuple:
+        """The objective and its tie-breaks, in order; empty without one."""
+        return () if self.objective is None else (self.objective,) + self.tiebreaks
+
     def mode(self) -> str:
         vals = [x for r in self.rows for x in r]
         vals.extend(self.rhs)
-        if self.objective is not None:
-            vals.extend(self.objective)
+        vals.extend(x for c in self.objectives() for x in c)
         return infer_mode(vals)
 
 
-def make_program(rows, rhs, nonneg=None, objective=None, sense="max") -> LinearProgram:
+def make_program(rows, rhs, nonneg=None, objective=None, sense="max",
+                 tiebreaks=()) -> LinearProgram:
     """Convenience constructor; nonneg defaults to all-nonnegative."""
     rows = tuple(tuple(r) for r in rows)
     n = len(rows[0]) if rows else (len(objective) if objective else 0)
@@ -106,6 +118,7 @@ def make_program(rows, rhs, nonneg=None, objective=None, sense="max") -> LinearP
         nonneg=tuple(nonneg),
         objective=tuple(objective) if objective is not None else None,
         sense=sense,
+        tiebreaks=tuple(tuple(c) for c in tiebreaks),
     )
 
 
@@ -192,8 +205,8 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
     basis = tab.basis
     cap = None if kernel.CAP is None else kernel.CAP * (program.num_vars + m)
 
-    pivots = _optimize(tab, basis, n, cap)
-    if pivots is None:
+    pivots, col = _optimize(tab, basis, n, cap, 0)
+    if col >= 0:
         raise RuntimeError("phase 1 cannot be unbounded")
     if tab.artificial_sum() > F.eps_feas:
         # Dual values of the flipped rows, whose right-hand sides are |b|;
@@ -220,42 +233,54 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
     tab.drop(dead)
     basis[:] = [j for i, j in enumerate(basis) if i not in dead]
 
-    more = 0
-    if program.objective is not None:
-        flip = -1 if program.sense == "max" else 1
-        tab.price([program.objective[j] for j, _ in colmap],
-                  [flip * s for _, s in colmap], basis)
-        more = _optimize(tab, basis, n, cap)
-        if more is None:
-            return LPOutcome(UNBOUNDED, F.mode, tolerance=F.tolerance, pivots=pivots)
-    sol = [F.zero] * program.num_vars
-    for i, col in enumerate(basis):
+    # Phase 2. Fixed columns are zeroed and priced at zero: they never enter.
+    signs = [(-1 if program.sense == "max" else 1) * s for _, s in colmap]
+    fixed, ray = set(), None
+    for k, objective in enumerate(program.objectives()):
+        if k:
+            fixed.update(tab.fix(n, basis))
+            if len(fixed) + len(basis) == n:
+                break
+        tab.price([0 if col in fixed else objective[j] for col, (j, _) in enumerate(colmap)],
+                  signs, basis)
+        total, col = _optimize(tab, basis, n, cap, pivots)
+        if col >= 0:  # the count leaves out this objective's pivots
+            ray = _recover(program, colmap, [col] + basis,
+                           [F.one] + [-tab.value(i, col) for i in range(len(basis))], F)
+            break
+        pivots = total
+    sol = _recover(program, colmap, basis, [tab.value(i) for i in range(len(basis))], F)
+    value = None if ray or program.objective is None else tab.dot(program.objective, sol)
+    return LPOutcome(UNBOUNDED if ray else FEASIBLE, F.mode, solution=sol,
+                     objective_value=value, ray=ray, tolerance=F.tolerance, pivots=pivots)
+
+
+def _recover(program, colmap, cols, values, F):
+    """The variables whose standard-form columns `cols` hold `values`."""
+    x = [F.zero] * program.num_vars
+    for col, v in zip(cols, values):
         j, sign = colmap[col]
-        sol[j] = sol[j] + (tab.value(i) if sign == 1 else -tab.value(i))
-    sol = tuple(sol)
-    value = None if program.objective is None else tab.dot(program.objective, sol)
-    return LPOutcome(FEASIBLE, F.mode, solution=sol, objective_value=value,
-                     tolerance=F.tolerance, pivots=pivots + more)
+        x[j] = x[j] + (v if sign == 1 else -v)
+    return tuple(x)
 
 
-def _optimize(tab, basis, allowed, cap):
+def _optimize(tab, basis, allowed, cap, pivots):
     """Pivot to optimality on the reduced-cost row of `tab`.
 
-    Returns the pivot count, or None when an unbounded direction is found.
-    Entering columns are restricted to indices < allowed so artificial
-    columns never re-enter. More than `cap` pivots raises SolverLimitError
-    (no cap when it is None).
+    Counts on from the solve's `pivots` so far and returns the count with -1,
+    or with the entering column of an unbounded direction. Entering columns
+    are restricted to indices < allowed so artificial columns never re-enter.
+    A count above `cap` raises SolverLimitError (no cap when it is None).
     """
-    pivots = stall = 0
-    bland = False
+    stall, bland = 0, False
     prev = tab.objective()
     while True:
         col = tab.entering(allowed, bland)
         if col < 0:
-            return pivots
+            return pivots, -1
         row = tab.leaving(col, basis)
         if row < 0:
-            return None
+            return pivots, col
         tab.pivot(row, col)
         basis[row] = col
         pivots += 1
@@ -422,6 +447,14 @@ class _IntTableau:
         for i in reversed(rows):
             del self.T[i], self.D[i]
 
+    def fix(self, allowed, basis):
+        """Zero the columns < allowed with nonzero reduced cost; returns them."""
+        cols = [j for j in range(allowed) if self.T[-1][j]]
+        for row in self.T:
+            for j in cols:
+                row[j] = 0
+        return cols
+
     def price(self, values, signs, basis):
         """Replace the reduced-cost row by that of the cost sign * value."""
         T, D = self.T, self.D
@@ -433,8 +466,8 @@ class _IntTableau:
                 red, red_den = _reduced([k * x - c * a for x, a in zip(red, T[i])], red_den * k)
         T[-1], D[-1] = red, red_den
 
-    def value(self, i):
-        return Fraction(self.T[i][-1], self.D[i])
+    def value(self, i, col=-1):  # by default the basic value of row i
+        return Fraction(self.T[i][col], self.D[i])
 
     dot = staticmethod(vdot)
 
@@ -525,6 +558,13 @@ class _FloatTableau:
         if rows:
             self.T = np.delete(self.T, rows, axis=0)
 
+    def fix(self, allowed, basis):
+        """Zero the nonbasic columns < allowed with reduced cost above eps."""
+        cols = [int(j) for j in np.nonzero(self.red[:allowed] > self.eps)[0] if j not in basis]
+        self.T[:, cols] = 0.0
+        self.red[cols] = 0.0
+        return cols
+
     def price(self, values, signs, basis):
         """Replace the reduced-cost row by that of the cost sign * value."""
         cost = [float(s * v) for s, v in zip(signs, values)]
@@ -534,8 +574,8 @@ class _FloatTableau:
             if cost[j] != 0.0:
                 self.red -= cost[j] * self.T[i]
 
-    def value(self, i):
-        return float(self.T[i, -1])
+    def value(self, i, col=-1):
+        return float(self.T[i, col])
 
     @staticmethod
     def dot(a, b):

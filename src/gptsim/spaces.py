@@ -84,9 +84,9 @@ class StateSpace:
     def refine(self, effect: "Effect", tol: Tolerance = DEFAULT_TOLERANCE) -> list:
         """Decompose over the dual-cone extreme rays.
 
-        Rays are processed in their canonical (sorted) order and each
-        coefficient is maximized greedily, so the decomposition is
-        deterministic. The zero effect refines into the empty list.
+        The coefficients are the lexicographic maximum in the rays' canonical
+        (sorted) order, so the decomposition is deterministic. The zero
+        effect refines into the empty list.
         """
         F = resolve((self.kind, kind_of(effect.coeffs)), tol)
         if F.is_zero(effect.coeffs):

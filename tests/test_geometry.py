@@ -70,7 +70,7 @@ def test_hull_idempotent_after_appending_point():
 
 
 def test_conic_square_bit_unit(sq):
-    # Rays given in caller order: the greedy maximization finds u = E+ + E-.
+    # Rays given in caller order: the lexicographic maximum is u = E+ + E-.
     e_plus = sq.E.effects[0].coeffs
     e_minus = sq.E.effects[1].coeffs
     f_plus = sq.F.effects[0].coeffs
@@ -138,3 +138,77 @@ def test_extreme_rays_polygon_rotation_symmetry(n):
     for r in rays:
         rotated = (c * r[0] - s * r[1], s * r[0] + c * r[1], r[2])
         assert tuple(round(x, 6) for x in rotated) in keys
+
+
+def _conic_corpus():
+    # Seeded exact decompositions: the dual-cone rays of the square bit,
+    # classical(3) and classical(4) in canonical and shuffled order, two
+    # spans that hold a line, and 300 random rational cones in dims 2-4
+    # (about a third hold a line; for about a third, v is a random vector,
+    # often outside the cone).
+    import random
+
+    from gptsim.catalog import classical, random_observable, square_bit
+    from gptsim.spaces import dual_cone_rays
+
+    rng = random.Random(7)
+    cases = []
+    for theory in (square_bit(), classical(3), classical(4)):
+        space = theory.space
+        rays = list(dual_cone_rays(space))
+        shuffled = rays[:]
+        rng.shuffle(shuffled)
+        vs = [space.unit] + [e.coeffs for _ in range(4)
+                             for e in random_observable(space, rng).effects]
+        cases.extend((v, order) for v in vs for order in (rays, shuffled))
+    # The line (0, 1), (0, -1) is met after nothing of v is left, then before.
+    cases.append(((1, 1), [(1, 1), (1, 0), (0, 1), (0, -1)]))
+    cases.append(((1, 0), [(1, 1), (1, 0), (0, 1), (0, -1)]))
+    for _ in range(300):
+        dim = rng.randint(2, 4)
+        rays = []
+        while len(rays) < rng.randint(2, 6):
+            r = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
+            if any(r):
+                rays.append(r)
+        if rng.random() < 0.3:
+            line = rays[rng.randrange(len(rays))]
+            rays.insert(rng.randrange(len(rays) + 1), tuple(-x for x in line))
+        if rng.random() < 0.7:
+            weights = [F(rng.randint(0, 3), rng.randint(1, 2)) for _ in rays]
+            v = tuple(sum(w * r[i] for w, r in zip(weights, rays)) for i in range(dim))
+        else:
+            v = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
+        cases.append((v, rays))
+    return cases
+
+
+def test_conic_outcomes_pinned():
+    # The coefficients are the lexicographic maximum in ray order, which is
+    # unique, so any change of the decomposition changes this digest.
+    import hashlib
+
+    digest = hashlib.sha256()
+    for v, rays in _conic_corpus():
+        res = conic_decompose(v, rays)
+        assert replay_conic(res, v, rays)
+        digest.update(repr(res).encode())
+    assert digest.hexdigest() == (
+        "06e3f5a3ada5b5bfe4ad8a6991efe4e257f11883bc5c0e88b5f909948010e31f")
+
+
+@pytest.mark.parametrize("v, rays, solves, coefficients", [
+    # pointed cone: one lexicographic solve
+    ((2, 1), [(1, 0), (1, 1), (0, 1)], 1, (2, 0, 1)),
+    # a line met after nothing of v is left: the vertex of the solve stands
+    ((1, 1), [(1, 1), (1, 0), (0, 1), (0, -1)], 1, (1, 0, 0, 0)),
+    # a line met before: the feasibility program is solved as well
+    ((1, 0), [(1, 1), (1, 0), (0, 1), (0, -1)], 2, (0, 1, 0, 0)),
+])
+def test_conic_decompose_solve_count(v, rays, solves, coefficients):
+    from gptsim import lp
+
+    before = lp.stats["solves"]
+    res = conic_decompose(v, rays)
+    assert lp.stats["solves"] - before == solves
+    assert res.coefficients == coefficients

@@ -49,6 +49,10 @@ def test_unbounded_reported_distinctly():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         make_program(rows=[(1, 1), (1,)], rhs=(1, 1))
+    with pytest.raises(ValueError, match="tie-breaks need an objective"):
+        make_program(rows=[(1, 1)], rhs=(1,), tiebreaks=[(1, 0)])
+    with pytest.raises(ValueError, match="objective width"):
+        make_program(rows=[(1, 1)], rhs=(1,), objective=(1, 0), tiebreaks=[(1,)])
 
 
 def test_exact_solution_is_fraction():
@@ -219,14 +223,36 @@ def test_exact_outcomes_pinned():
         "4ec4d8acbe6c853e7e4303d8afbdc7877f018be974d689ca5d9294bbc53c8bea")
 
 
-def _float_corpus(monkeypatch):
+def _greedy_conic_programs(v, rays):
+    # The programs of the ray-by-ray greedy conic decomposition: the
+    # feasibility program, then per ray the maximum of its coefficient over
+    # what is left of v, until an objective is unbounded or nothing is left.
+    rows = [tuple(r[i] for r in rays) for i in range(len(v))]
+    programs = [make_program(rows=rows, rhs=v)]
+    if lp_solve(programs[0]).verdict == INFEASIBLE:
+        return programs
+    residual = tuple(v)
+    for k in range(len(rays)):
+        programs.append(make_program(rows=[row[k:] for row in rows], rhs=residual,
+                                     objective=[1.0] + [0.0] * (len(rays) - k - 1)))
+        out = lp_solve(programs[-1])
+        if out.verdict != FEASIBLE:
+            break
+        c = out.solution[0]
+        if c > 1e-9:
+            residual = tuple(x - c * y for x, y in zip(residual, rays[k]))
+        if all(abs(x) <= 1e-9 for x in residual):
+            break
+    return programs
+
+
+def _float_corpus():
     # Seeded float programs: the float twins of the exact corpus, polygon
     # simulation LPs (n = 5..8) against the irreducible catalog and against
-    # one random observable, and the conic decompositions (feasibility plus
-    # greedy objectives) of the effects of random polygon observables.
+    # one random observable, and the greedy conic decompositions of the
+    # effects of random polygon observables.
     import random
 
-    from gptsim import geometry
     from gptsim.catalog import polygon_irreducibles, random_observable
     from gptsim.simulation import simulation_program
     from gptsim.spaces import dual_cone_rays
@@ -235,11 +261,6 @@ def _float_corpus(monkeypatch):
                              rhs=[float(b) for b in p.rhs], nonneg=p.nonneg)
                 for p in _simulation_corpus()]
     conic = []
-
-    def recording(program, *args, **kwargs):
-        conic.append(program)
-        return lp_solve(program, *args, **kwargs)
-
     for n in range(5, 9):
         cat = polygon_irreducibles(n)
         space = cat.theory.space
@@ -249,24 +270,61 @@ def _float_corpus(monkeypatch):
             target, other = random_observable(space, rng), random_observable(space, rng)
             programs.append(simulation_program(target, list(cat.observables)))
             programs.append(simulation_program(target, [other]))
-            with monkeypatch.context() as patch:
-                patch.setattr(geometry, "lp_solve", recording)
-                for effect in target.effects:
-                    geometry.conic_decompose(effect.coeffs, rays)
+            for effect in target.effects:
+                conic.extend(_greedy_conic_programs(effect.coeffs, rays))
     return programs + conic
 
 
-def test_float_outcomes_pinned(monkeypatch):
+def test_float_outcomes_pinned():
     # Verdicts and pivot counts do not depend on summation order, so any
     # change of float pivot choice changes this digest.
     import hashlib
 
     digest = hashlib.sha256()
     verdicts = []  # 836 programs, 505 with an objective
-    for program in _float_corpus(monkeypatch):
+    for program in _float_corpus():
         out = lp_solve(program, mode=FLOAT)
         verdicts.append(out.verdict)
         digest.update(repr((out.verdict, out.pivots)).encode())
     assert (verdicts.count(FEASIBLE), verdicts.count(INFEASIBLE)) == (724, 112)
     assert digest.hexdigest() == (
         "8b92cefcd7cca36b74814e75b3300337e681eb80718bdded239705c70f87ea10")
+
+
+def test_pivot_cap_counts_the_whole_solve(monkeypatch):
+    # Phase 1 and phase 2 take two pivots each. A cap of 3 (half a pivot per
+    # variable and constraint) admits either phase alone but not the solve.
+    from gptsim import lp
+
+    rows, rhs = [(0.0, 2.0, 3.0, 3.0), (3.0, 2.0, 3.0, 1.0)], (4.0, 4.0)
+    p = make_program(rows=rows, rhs=rhs, objective=(1.0, 2.0, 1.0, 2.0))
+    assert lp_solve(make_program(rows=rows, rhs=rhs)).pivots == 2
+    assert lp_solve(p).pivots == 4
+    monkeypatch.setattr(lp._FloatTableau, "CAP", 0.5)
+    with pytest.raises(lp.SolverLimitError, match="exceeded 3.0 pivots"):
+        lp_solve(p)
+    monkeypatch.setattr(lp._FloatTableau, "CAP", 1)
+    assert lp_solve(p).solution == (0.0, 2.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("one", [1, 1.0])
+def test_tiebreaks_optimize_over_the_optimal_face(one):
+    # x0 + x1 + x2 = 1 and x3 = x4, all nonnegative. Maximizing x0 + x1 ties
+    # on the edge x2 = 0; the tie-break x1 + 2 x2 alone would pick x2 = 1, but
+    # over that edge it picks x1 = 1. A third objective, x3, is unbounded
+    # along x3 = x4.
+    zero = 0 * one
+    rows = [(one, one, one, zero, zero), (zero, zero, zero, one, -one)]
+    first = (one, one, zero, zero, zero)
+    second = (zero, one, 2 * one, zero, zero)
+    alone = lp_solve(make_program(rows=rows, rhs=(one, zero), objective=second))
+    assert alone.solution == (0, 0, 1, 0, 0)
+    p = make_program(rows=rows, rhs=(one, zero), objective=first, tiebreaks=[second])
+    out = lp_solve(p)
+    assert out.verdict == FEASIBLE and verify_solution(p, out.solution)
+    assert out.solution == (0, 1, 0, 0, 0) and out.objective_value == 1
+    third = (zero, zero, zero, one, zero)
+    p = make_program(rows=rows, rhs=(one, zero), objective=first, tiebreaks=[second, third])
+    out = lp_solve(p)
+    assert out.verdict == UNBOUNDED and out.solution == (0, 1, 0, 0, 0)
+    assert out.ray == (0, 0, 0, 1, 1)

@@ -72,6 +72,12 @@ def test_general_lp_certificates_replay(program):
         assert out.verdict == UNBOUNDED and program.objective is not None
         feasible = make_program(rows=program.rows, rhs=program.rhs, nonneg=program.nonneg)
         assert lp_solve(feasible).verdict == FEASIBLE
+        # The vertex is feasible and the objective grows without bound along the ray.
+        assert verify_solution(program, out.solution)
+        assert all(sum(a * d for a, d in zip(row, out.ray)) == 0 for row in program.rows)
+        assert all(d >= 0 for d, flag in zip(out.ray, program.nonneg) if flag)
+        gain = sum(c * d for c, d in zip(program.objective, out.ray))
+        assert (gain > 0) if program.sense == "max" else (gain < 0)
 
 
 @settings(max_examples=60, deadline=None)
