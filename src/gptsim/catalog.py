@@ -1,6 +1,7 @@
 """Named theories and observables: simplices, the square bit, regular
 polygons with their complete irreducible catalogs, and the qubit example
-suite with the octahedron test and a compatibility decision for the qubit.
+suite with the octahedron test and the compatibility bracket, which starts
+`simulation.is_compatible` from rank-one qubit effects over a facet count.
 
 Polygon constructions follow the closed forms: state k of the n-gon sits at
 sec(pi/n) times the unit direction of angle 2k pi/n on the z = 1 plane; for
@@ -27,12 +28,19 @@ from .lp import FEASIBLE, lp_solve, make_program
 from .qubit import (
     QubitEffect,
     QubitObservable,
+    as_vector_observable,
     dichotomic,
-    linear_coords,
     octahedron_margins,
+    sphere_directions,
 )
-from .scalars import DEFAULT_TOLERANCE, FLOAT, Tolerance, field, vscale
-from .simulation import SimulationCertificate, SIMULABLE, is_simulable
+from .scalars import DEFAULT_TOLERANCE, Tolerance, field, vscale
+from .simulation import (
+    SIMULABLE,
+    CompatibilityResult,
+    SimulationCertificate,
+    is_compatible,
+    is_simulable,
+)
 from .postprocessing import Postprocessing
 from .spaces import Observable, StateSpace, dual_cone_rays, observable
 
@@ -394,137 +402,27 @@ def octahedron_test(obs: QubitObservable,
 
 
 # ---------------------------------------------------------------------------
-# Qubit joint measurability by column generation.
-#
-# Effect positivity for a qubit is the second-order-cone condition that the
-# Bloch norm not exceed 1 + e0. The program replaces that cone by an inner
-# cone generated by rank-one directions (feasible implies compatible). The
-# Farkas vector of an infeasible program either bounds every positive joint
-# observable away from the targets (incompatible) or names the rank-one
-# directions that join the inner cone in the next round.
+# Qubit joint measurability: `simulation.is_compatible` from a chosen set of
+# rank-one effects.
 # ---------------------------------------------------------------------------
 
-_GRID_DIRECTIONS = None
-
-
-def _grid_directions():
-    """The 26 normalized sign-grid directions: corners, axes, edge midpoints."""
-    global _GRID_DIRECTIONS
-    if _GRID_DIRECTIONS is None:
-        corners = [d for d in itertools.product((-1.0, 0.0, 1.0), repeat=3)
-                   if sum(abs(x) for x in d) == 3]
-        axes = [d for d in itertools.product((-1.0, 0.0, 1.0), repeat=3)
-                if sum(abs(x) for x in d) == 1]
-        edges = [d for d in itertools.product((-1.0, 0.0, 1.0), repeat=3)
-                 if sum(abs(x) for x in d) == 2]
-        ordered = corners + axes + edges
-        _GRID_DIRECTIONS = [
-            tuple(x / math.sqrt(sum(v * v for v in d)) for x in d) for d in ordered]
-    return _GRID_DIRECTIONS
-
-
-def sphere_directions(count: int) -> list:
-    """Deterministic well-spread unit directions: the sign grid first, then
-    a golden-angle spiral."""
-    if count < 8:
-        raise ValueError("at least 8 facet directions are required")
-    dirs = list(_grid_directions())[:count]
-    i = 0
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    while len(dirs) < count:
-        z = 1.0 - 2.0 * (i + 0.5) / (count - 25)
-        z = max(-1.0, min(1.0, z))
-        r = math.sqrt(max(0.0, 1.0 - z * z))
-        phi = golden * i
-        dirs.append((r * math.cos(phi), r * math.sin(phi), z))
-        i += 1
-    return dirs[:count]
-
-
-def _target_directions(targets: Sequence[QubitObservable]) -> list:
-    out = []
-    for obs in targets:
-        for eff in obs.effects:
-            norm = math.sqrt(sum(float(x) ** 2 for x in eff.e_vec))
-            if norm > 1e-12:
-                out.append(tuple(float(x) / norm for x in eff.e_vec))
-    return out
-
-
-@dataclass(frozen=True)
-class CompatBracketResult:
-    verdict: str  # compatible | incompatible | undecided
-    facets: int
-
-    @property
-    def inner_feasible(self) -> bool:
-        return self.verdict == "compatible"
-
-    @property
-    def outer_feasible(self) -> bool:
-        return self.verdict != "incompatible"
-
-
-# Column-generation rounds before a bracket gives up as undecided.
-_ROUNDS = 32
-
-
 def qubit_compatibility_bracket(targets: Sequence[QubitObservable], facets: int = 128,
-                                tol: Tolerance = DEFAULT_TOLERANCE) -> CompatBracketResult:
-    """Joint-measurability decision for dichotomic qubit targets.
-
-    The program asks for joint effects G_w = (e_w, tau_w), one per joint
-    outcome w, that sum to the targets' effects and are nonnegative
-    combinations of rank-one effects (d, 1/2) over the facet directions plus
-    the targets' own Bloch directions (so exact reconstructions, such as a
-    target and its postprocessing, stay feasible at any facet count).
-    Feasibility certifies compatibility. When the program is infeasible, its
-    Farkas vector y summed over the rows each w enters gives z_w = (a_w,
-    b_w), and every joint observable has y.b = sum_w z_w.G_w <= 2 sum_w
-    tau_w (|a_w| + b_w / 2) with sum_w tau_w = 1, because |e_w| <= 2 tau_w.
-    So y.b > 2 max(0, max_w |a_w| + b_w / 2) refutes compatibility, for any
-    y. Otherwise every outcome with |a_w| + b_w / 2 > 0 adds the direction
-    a_w / |a_w|, whose columns y does not certify against, and the program
-    is solved again; after `_ROUNDS` programs the verdict is undecided.
-    """
+                                tol: Tolerance = DEFAULT_TOLERANCE) -> CompatibilityResult:
+    """Joint-measurability decision for dichotomic qubit targets, in float
+    arithmetic: `is_compatible` started from the rank-one effects (d, 1/2)
+    over `sphere_directions(facets)` plus the targets' own Bloch directions
+    (so exact reconstructions, such as a target and its postprocessing, stay
+    feasible at any facet count)."""
     targets = list(targets)
-    if not targets:
-        raise ValueError("targets must be nonempty")
-    for t in targets:
-        if len(t.outcomes) != 2:
-            raise ValueError("the bracket accepts dichotomic targets only")
-        if not t.is_valid(tol):
-            raise ValueError("bracket targets must be valid qubit observables")
-    joint = np.array(list(itertools.product(range(2), repeat=len(targets))))
-    rhs = [float(x) for t in targets for eff in t.effects for x in linear_coords(eff)]
-    dirs = sphere_directions(facets) + _target_directions(targets)
-    for _ in range(_ROUNDS):
-        out = lp_solve(make_program(rows=_marginal_rows(joint, dirs), rhs=rhs),
-                       mode=FLOAT, tol=tol)
-        if out.verdict == FEASIBLE:
-            return CompatBracketResult("compatible", facets)
-        y = np.array(out.farkas).reshape(len(targets), 2, 4)
-        z = y[np.arange(len(targets)), joint].sum(axis=1)
-        norms = np.linalg.norm(z[:, :3], axis=1)
-        reach = norms + z[:, 3] / 2
-        yb = float(np.dot(out.farkas, rhs))
-        if yb > 2 * max(0.0, reach.max()):
-            return CompatBracketResult("incompatible", facets)
-        dirs += [tuple(z[w, :3] / norms[w]) for w in np.flatnonzero(reach > 0)]
-    return CompatBracketResult("undecided", facets)
-
-
-def _marginal_rows(joint, dirs):
-    """Rows of the marginal equalities in linear coordinates: one per
-    target, outcome and coordinate, over the columns (w, d) that put weight
-    on the rank-one effect (d, 1/2) in joint outcome w."""
-    rays = np.array([(*d, 0.5) for d in dirs]).T
-    W, R = len(joint), len(dirs)
-    rows = np.zeros((joint.shape[1], 2, 4, W * R))
-    for w, omega in enumerate(joint):
-        for ti, li in enumerate(omega):
-            rows[ti, li, :, w * R:(w + 1) * R] = rays
-    return rows.reshape(-1, W * R).tolist()
+    if any(len(t.outcomes) != 2 for t in targets):
+        raise ValueError("the bracket accepts dichotomic targets only")
+    vectors = [as_vector_observable(t).as_float() for t in targets]
+    dirs = sphere_directions(facets)
+    for eff in (e for v in vectors for e in v.effects):
+        norm = math.sqrt(sum(x ** 2 for x in eff.coeffs[:3]))
+        if norm > 1e-12:
+            dirs.append(tuple(x / norm for x in eff.coeffs[:3]))
+    return is_compatible(vectors, tol, generators=[(*d, 0.5) for d in dirs])
 
 
 def xyz_threshold_bracket(facets: int = 128, t_tol: float = 1e-3,
@@ -532,6 +430,8 @@ def xyz_threshold_bracket(facets: int = 128, t_tol: float = 1e-3,
     """Bisection bracket for the largest noise level at which the orthogonal
     triple stays compatible. Returns (lower, upper): compatible at the lower
     value, incompatible at the upper value."""
+    if t_tol <= 0:
+        raise ValueError("t_tol must be positive")
     suite = qubit_suite()
 
     @lru_cache(maxsize=None)  # the second bisection revisits the first one's points
@@ -539,11 +439,11 @@ def xyz_threshold_bracket(facets: int = 128, t_tol: float = 1e-3,
         return qubit_compatibility_bracket(
             [suite.xt(t), suite.yt(t), suite.zt(t)], facets, tol)
 
-    # Lower edge: largest t with an inner certificate.
+    # Lower edge: largest t with a joint observable.
     a, b = 0.0, 1.0
     while b - a > t_tol:
         mid = 0.5 * (a + b)
-        if verdict(mid).inner_feasible:
+        if verdict(mid).compatible:
             a = mid
         else:
             b = mid

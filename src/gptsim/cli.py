@@ -240,9 +240,9 @@ def cmd_qubit(args) -> int:
             raise ValueError("compat-bracket expects qubit observables")
         res = qubit_compatibility_bracket(observables, facets=args.facets, tol=tol)
         return _emit(args, {"verdict": res.verdict,
-                            "inner_feasible": res.inner_feasible,
-                            "outer_feasible": res.outer_feasible,
-                            "facets": res.facets})
+                            "inner_feasible": res.verdict == "compatible",
+                            "outer_feasible": res.verdict != "incompatible",
+                            "facets": args.facets})
     if args.action == "suite":
         payload = {
             "X": qubit_observable_to_json(suite.X),

@@ -14,16 +14,18 @@ one. Two coordinate systems are used:
   simulability or postprocessing question becomes an LP in R^4.
 
 In linear coordinates the qubit is a state space like the polytopes:
-`QubitSpace` answers the three effect-cone questions of `spaces` (rank one,
-spectral splitting, least eigenvalue), and `as_vector_observable` attaches
-it, so irreducibility, decomposition into irreducibles and noise content
-are the generic functions of `simulation`. Joint measurability is not an
-LP over these coordinates; the catalog module decides it by column
-generation over rank-one effects.
+`QubitSpace` answers the effect-cone questions of `spaces` (rank one,
+spectral splitting, least eigenvalue; rank-one effects over
+`sphere_directions` as generators and the closed-form price 2 ||a|| + b),
+and `as_vector_observable` attaches it, so irreducibility, decomposition
+into irreducibles, noise content and compatibility are the generic
+functions of `simulation`. The rank-one generators are floats, so qubit
+compatibility is decided in float arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -139,6 +141,57 @@ class QubitSpace:
         if norm is None:
             raise ModeError("exact qubit effect with an irrational Bloch norm")
         return F.coerce(tau) - norm / 2
+
+    def generators(self, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
+        """The rank-one effects (d, 1/2) over `sphere_directions(128)`."""
+        return [(*d, 0.5) for d in sphere_directions(128)]
+
+    def price(self, z: Sequence, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple:
+        """2 ||a|| + b for z = (a, b), the largest value of z on an effect
+        with tau = 1 (value one at the maximally mixed state), and the
+        rank-one effect (a / ||a||, 1/2) that attains it up to a factor 2."""
+        F, b, a, norm = self._spectrum(Effect(tuple(z)), tol)
+        if norm is None:
+            raise ModeError("exact qubit functional with an irrational Bloch norm")
+        d = tuple(x / norm for x in a) if norm else (F.zero, F.zero, F.one)
+        return 2 * norm + b, (*d, F.one / 2)
+
+
+_GRID_DIRECTIONS = None
+
+
+def _grid_directions():
+    """The 26 normalized sign-grid directions: corners, axes, edge midpoints."""
+    global _GRID_DIRECTIONS
+    if _GRID_DIRECTIONS is None:
+        corners = [d for d in itertools.product((-1.0, 0.0, 1.0), repeat=3)
+                   if sum(abs(x) for x in d) == 3]
+        axes = [d for d in itertools.product((-1.0, 0.0, 1.0), repeat=3)
+                if sum(abs(x) for x in d) == 1]
+        edges = [d for d in itertools.product((-1.0, 0.0, 1.0), repeat=3)
+                 if sum(abs(x) for x in d) == 2]
+        ordered = corners + axes + edges
+        _GRID_DIRECTIONS = [
+            tuple(x / math.sqrt(sum(v * v for v in d)) for x in d) for d in ordered]
+    return _GRID_DIRECTIONS
+
+
+def sphere_directions(count: int) -> list:
+    """Deterministic well-spread unit directions: the sign grid first, then
+    a golden-angle spiral."""
+    if count < 8:
+        raise ValueError("at least 8 facet directions are required")
+    dirs = list(_grid_directions())[:count]
+    i = 0
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    while len(dirs) < count:
+        z = 1.0 - 2.0 * (i + 0.5) / (count - 25)
+        z = max(-1.0, min(1.0, z))
+        r = math.sqrt(max(0.0, 1.0 - z * z))
+        phi = golden * i
+        dirs.append((r * math.cos(phi), r * math.sin(phi), z))
+        i += 1
+    return dirs[:count]
 
 
 def qubit_to_vector(effect: QubitEffect) -> tuple:

@@ -70,12 +70,13 @@ def kind_of(values: Iterable) -> Optional[str]:
     for v in values:
         if isinstance(v, bool):
             raise ModeError("booleans are not scalars")
-        if isinstance(v, Fraction):
-            saw_fraction = True
+        # Fraction last: for any other type its check is a slow ABC lookup.
+        if isinstance(v, float):
+            saw_float = True
         elif isinstance(v, int):
             pass
-        elif isinstance(v, float):
-            saw_float = True
+        elif isinstance(v, Fraction):
+            saw_fraction = True
         else:
             raise ModeError(f"unsupported scalar type {type(v).__name__}")
     if saw_fraction and saw_float:

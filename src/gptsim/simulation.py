@@ -13,7 +13,10 @@ The module also hosts the derived notions: simulation irreducibility,
 decomposition into irreducibles (the constructive splitting argument),
 noise content, the minimal simulation number over an explicit simulator
 pool, the dichotomic convex-hull conditions, closure-law diagnostics, and
-compatibility via a joint observable on the product outcome set.
+compatibility: one joint-observable program on the product outcome set for
+every effect cone, grown by column generation from the cone's generators
+and refuted through its `price` (one round for a polytope, whose generators
+are all its dual-cone rays).
 """
 
 from __future__ import annotations
@@ -39,14 +42,13 @@ from .postprocessing import (
     minimally_sufficient,
     minimally_sufficient_with_channels,
 )
-from .scalars import DEFAULT_TOLERANCE, Tolerance, field, kind_of, resolve, vscale
+from .scalars import DEFAULT_TOLERANCE, Tolerance, field, kind_of, resolve, vdot, vscale
 from .spaces import (
     Effect,
     Observable,
-    StateSpace,
     decompose_into_indecomposables,
-    dual_cone_rays,
     is_indecomposable,
+    is_valid_observable,
     mix_observables,
 )
 
@@ -683,70 +685,82 @@ def noise_monotonicity_check(target: Observable, simulators: Sequence[Observable
 
 @dataclass(frozen=True)
 class CompatibilityResult:
-    compatible: bool
+    verdict: str  # compatible | incompatible | undecided
     joint: Optional[Observable] = None
     marginal_channels: Optional[tuple] = None
     farkas: Optional[tuple] = None
     tolerance: Optional[Tolerance] = None
 
+    @property
+    def compatible(self) -> bool:
+        return self.verdict == "compatible"
 
-def is_compatible(targets: Sequence[Observable],
-                  tol: Tolerance = DEFAULT_TOLERANCE) -> CompatibilityResult:
+
+# Column-generation rounds before a compatibility decision gives up as undecided.
+_ROUNDS = 32
+
+
+def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERANCE,
+                  generators: Optional[Sequence] = None) -> CompatibilityResult:
     """Joint-observable existence on the product outcome set.
 
-    The joint effects are parameterized as nonnegative combinations of the
-    dual-cone extreme rays, so positivity is automatic and the marginal
-    requirements are linear equalities. Equivalent to smin(targets) <= 1.
+    The joint effects G_w are nonnegative combinations of effect-cone
+    generators (`space.generators(tol)` unless given), so the marginal
+    requirements are linear equalities. If they are infeasible, the Farkas
+    vector y summed over the rows each joint outcome w enters gives z_w, and
+    every joint observable has y.b = sum_w z_w.G_w <= sum_w G_w(c)
+    price(z_w) <= max(0, max_w price(z_w)), as sum_w G_w(c) = u(c) = 1 at
+    the cone's interior state c. A larger y.b refutes compatibility;
+    otherwise the effects attaining a positive price join the generators
+    and the program is solved again, up to `_ROUNDS` programs (then
+    undecided). A polytope starts from every dual-cone ray, so its first
+    program decides. Equivalent to smin(targets) <= 1.
     """
     targets = list(targets)
     if not targets:
         raise ValueError("targets must be nonempty")
     space = targets[0].space
-    if not isinstance(space, StateSpace):
-        raise ValueError(
-            "compatibility needs a polytopic state space; qubit inputs are "
-            "handled by the compatibility bracket in the catalog module")
     if any(t.space != space for t in targets):
         raise ValueError("mixed state spaces rejected")
-    F = _common_field(targets[0], targets, tol)
-    one, zero = F.one, F.zero
-    rays = dual_cone_rays(space, tol)
-    R = len(rays)
-    dim = space.ambient_dim
-    joint_outcomes = list(itertools.product(*[t.labels for t in targets]))
-    n_joint = len(joint_outcomes)
-    nvars = n_joint * R
-    rows, rhs = [], []
-    for ti, t in enumerate(targets):
-        for lab_i, lab in enumerate(t.labels):
-            for d in range(dim):
-                row = [zero] * nvars
-                for w, omega in enumerate(joint_outcomes):
-                    if omega[ti] != lab:
-                        continue
-                    for r_i, ray in enumerate(rays):
-                        row[w * R + r_i] = ray[d]
-                rows.append(tuple(row))
-                rhs.append(t.effects[lab_i].coeffs[d])
-    out = lp_solve(make_program(rows=rows, rhs=rhs), mode=F.mode, tol=tol)
-    if out.verdict != FEASIBLE:
-        return CompatibilityResult(False, farkas=out.farkas, tolerance=F.tolerance)
-    effects = []
-    for w, omega in enumerate(joint_outcomes):
-        coeffs = [zero] * dim
-        for r_i, ray in enumerate(rays):
-            c = out.solution[w * R + r_i]
-            if c != 0:
-                for d in range(dim):
-                    coeffs[d] += c * ray[d]
-        effects.append(("|".join(omega), Effect(tuple(coeffs))))
-    joint = Observable(tuple(effects), space)
-    channels = []
-    for ti, t in enumerate(targets):
-        rows_c = []
-        for omega in joint_outcomes:
-            rows_c.append(tuple(one if omega[ti] == lab else zero
-                                for lab in t.labels))
-        channels.append(Postprocessing(joint.labels, t.labels, tuple(rows_c)))
-    return CompatibilityResult(True, joint=joint, marginal_channels=tuple(channels),
+    if not all(is_valid_observable(t, space, tol) for t in targets):
+        raise ValueError("compatibility targets must be valid observables")
+    gens = list(space.generators(tol) if generators is None else generators)
+    # Generators share one arithmetic, so the first stands for all of them.
+    F = resolve((*(t.kind for t in targets), kind_of(x for g in gens[:1] for x in g)), tol)
+    zero, dim = F.zero, space.ambient_dim
+    joint_outcomes = list(itertools.product(*[range(t.n_outcomes) for t in targets]))
+    starts = list(itertools.accumulate((t.n_outcomes * dim for t in targets), initial=0))
+    rhs = [x for t in targets for eff in t.effects for x in eff.coeffs]
+    for _ in range(_ROUNDS):
+        cols, zeros = [[g[d] for g in gens] for d in range(dim)], [zero] * len(gens)
+        rows = [list(itertools.chain.from_iterable(cols[d] if omega[ti] == li else zeros
+                                                    for omega in joint_outcomes))
+                for ti, t in enumerate(targets) for li in range(t.n_outcomes)
+                for d in range(dim)]
+        out = lp_solve(make_program(rows=rows, rhs=rhs), mode=F.mode, tol=tol)
+        if out.verdict == FEASIBLE:
+            break
+        y = out.farkas
+        prices = [space.price([sum(y[starts[ti] + li * dim + d] for ti, li in enumerate(omega))
+                               for d in range(dim)], tol)
+                  for omega in joint_outcomes]
+        if vdot(y, rhs) > max(zero, *(p for p, _ in prices)):
+            return CompatibilityResult("incompatible", farkas=y, tolerance=F.tolerance)
+        gens += [g for p, g in prices if p > 0]
+    else:
+        return CompatibilityResult("undecided", tolerance=F.tolerance)
+    sol, coeffs = out.solution, [[zero] * dim for _ in joint_outcomes]
+    for i in itertools.compress(range(len(sol)), sol):  # the nonzero weights
+        w, g = divmod(i, len(gens))
+        coeffs[w] = [a + sol[i] * x for a, x in zip(coeffs[w], gens[g])]
+    joint = Observable(tuple(("|".join(t.labels[li] for t, li in zip(targets, omega)),
+                              Effect(tuple(c))) for omega, c in zip(joint_outcomes, coeffs)),
+                       space)
+    channels = tuple(
+        Postprocessing(joint.labels, t.labels,
+                       tuple(tuple(F.one if omega[ti] == li else zero
+                                   for li in range(t.n_outcomes))
+                             for omega in joint_outcomes))
+        for ti, t in enumerate(targets))
+    return CompatibilityResult("compatible", joint=joint, marginal_channels=channels,
                                tolerance=F.tolerance)

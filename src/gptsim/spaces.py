@@ -2,22 +2,26 @@
 
 Effects are dual vectors evaluated by the dot product; observables are
 finite labelled families of effects summing to the unit. A state space is
-known through its effect cone, and every space answers three questions
+known through its effect cone, and every space answers these questions
 about it:
 
 * `is_extremal(effect, tol)`: does the effect span an extreme ray of the
   cone (is it indecomposable)?
 * `refine(effect, tol)`: the effect written as a sum of such extreme effects;
 * `min_value(effect)`: the least value of the effect on a state, so that an
-  effect lies in the cone exactly when its minimum is nonnegative.
+  effect lies in the cone exactly when its minimum is nonnegative;
+* `generators(tol)` and `price(z, tol)`, for `simulation.is_compatible`:
+  extreme effects that start the joint-observable program, and the largest
+  value of the functional z on an effect of unit weight at a fixed interior
+  state, with an extreme effect (up to a positive factor) attaining it.
 
 `StateSpace` is a polytope, given by its extreme states in a
 (d+1)-dimensional ambient space together with the unit functional, with the
 convention that the unit coefficient sits in the last ambient slot and
 extreme states have last coordinate one. The qubit's cone lives in
 `qubit.QubitSpace`. Validity, indecomposability and everything built on
-them (irreducibility, decomposition, noise content) go through these three
-methods and so hold for either kind of space.
+them (irreducibility, decomposition, noise content, compatibility) go
+through these methods and so hold for either kind of space.
 """
 
 from __future__ import annotations
@@ -103,6 +107,18 @@ class StateSpace:
     def min_value(self, effect: "Effect"):
         """The least value of the effect over the extreme states."""
         return min(effect(s) for s in self.extreme_states)
+
+    def generators(self, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple:
+        """Every dual-cone extreme ray."""
+        return dual_cone_rays(self, tol)
+
+    def price(self, z: Sequence, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple:
+        """max over rays r of z.r / r(c), c the barycenter of the extreme
+        states, and a ray that attains it."""
+        n = len(self.extreme_states)
+        c = [field(self.mode).coerce(sum(x)) / n for x in zip(*self.extreme_states)]
+        return max(((vdot(z, r) / vdot(r, c), r) for r in dual_cone_rays(self, tol)),
+                   key=lambda pair: pair[0])
 
 
 @dataclass(frozen=True)

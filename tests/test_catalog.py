@@ -20,6 +20,7 @@ from gptsim.catalog import (
     random_observable,
     xyz_threshold_bracket,
 )
+from gptsim.lp import CertificateError
 from gptsim.postprocessing import (
     apply,
     are_equivalent,
@@ -255,6 +256,22 @@ def test_xyz_threshold_bracket_one_call_per_t(monkeypatch):
     lo, hi = xyz_threshold_bracket(facets=16, t_tol=4e-3)
     assert (lo, hi) == (0.57421875, 0.578125)
     assert len(seen) == len(set(seen)) == 8
+
+
+def test_xyz_threshold_bracket_rejects_nonpositive_t_tol():
+    # A bisection to width zero ends in a near-threshold program instead.
+    for t_tol in (0, -1):
+        with pytest.raises(ValueError, match="t_tol must be positive"):
+            xyz_threshold_bracket(facets=8, t_tol=t_tol)
+
+
+@pytest.mark.xfail(strict=True, raises=CertificateError,
+                   reason="float Farkas scale check fails 1.1e-7 above 1/sqrt(3)")
+@pytest.mark.parametrize("facets", [8, 128])
+def test_bracket_near_threshold_farkas_scale(suite, facets):
+    t = 0.577350378036499
+    res = qubit_compatibility_bracket([suite.xt(t), suite.yt(t), suite.zt(t)], facets)
+    assert res.verdict != "compatible"
 
 
 def test_compat_bracket_rejects_trichotomic(suite):

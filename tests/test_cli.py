@@ -201,6 +201,14 @@ def test_qubit_compat_bracket_invalid_target_exit_2(capsys, tmp_path):
     assert "valid" in err
 
 
+def test_qubit_compat_bracket_nonpositive_t_tol_exit_2(capsys):
+    code, out, err = run_cli(capsys, "qubit", "compat-bracket", "--targets", "xyz",
+                             "--facets", "8", "--t-tol", "0")
+    assert code == 2
+    assert out == ""
+    assert "t_tol must be positive" in err
+
+
 def test_reproduce_single(capsys):
     code, out, err = run_cli(capsys, "reproduce", "polygon-counts")
     assert code == 0

@@ -16,7 +16,12 @@ from gptsim.catalog import (
     tetrahedron_rational,
 )
 from gptsim.lp import INFEASIBLE, lp_solve
-from gptsim.postprocessing import apply, is_postprocessing_clean, merge_channel
+from gptsim.postprocessing import (
+    Postprocessing,
+    apply,
+    is_postprocessing_clean,
+    merge_channel,
+)
 from gptsim.qubit import as_vector_observable
 from gptsim.simulation import (
     check_closure_laws,
@@ -355,9 +360,85 @@ def test_compatibility(sq, trit, rng):
     assert is_compatible([sq.E, post]).compatible
 
 
-def test_compatibility_rejects_the_qubit_cone(suite):
-    with pytest.raises(ValueError, match="bracket"):
+def test_compatibility_on_the_qubit_cone(suite):
+    from gptsim.qubit import QubitSpace
+    from gptsim.scalars import ModeError
+    from gptsim.spaces import is_valid_effect
+
+    x, y = (as_vector_observable(o).as_float() for o in (suite.X, suite.Y))
+    nu = Postprocessing(("+", "-"), ("+", "-"), ((0.8, 0.2), (0.3, 0.7)))
+    post = apply(nu, x)
+    res = is_compatible([x, post])
+    assert res.verdict == "compatible"
+    for chan, target in zip(res.marginal_channels, (x, post)):
+        for got, want in zip(apply(chan, res.joint).effects, target.effects):
+            assert max(abs(a - b) for a, b in zip(got.coeffs, want.coeffs)) <= 1e-9
+    assert all(is_valid_effect(e, QubitSpace()) for e in res.joint.effects)
+
+    res = is_compatible([x, y])
+    assert res.verdict == "incompatible"
+    assert res.farkas is not None
+
+    with pytest.raises(ModeError):
         is_compatible([as_vector_observable(suite.X), as_vector_observable(suite.Y)])
+
+
+def test_compatibility_outcomes_pinned():
+    # sha256 over seeded polytope decisions (verdict, joint observable,
+    # marginal channels, Farkas vector) and seeded qubit bracket decisions
+    # (verdict, solves, pivots); the digest was taken when polytopes and the
+    # qubit still had separate compatibility code.
+    import hashlib
+    import random
+
+    from gptsim import lp
+    from gptsim.catalog import (
+        classical,
+        polygon,
+        qubit_compatibility_bracket,
+    )
+    from gptsim.qubit import QubitEffect, dichotomic
+
+    digest = hashlib.sha256()
+    verdicts = set()
+    spaces = {"square": square_bit().space, "classical3": classical(3).space,
+              "classical4": classical(4).space, "pentagon": polygon(5).space,
+              "hexagon": polygon(6).space}
+    for name, space in spaces.items():
+        rng = random.Random(f"compat-digest/{name}")
+        for i in range(6):
+            targets = [random_observable(space, rng, rng.randint(2, 3))
+                       for _ in range(3 if i % 3 == 0 else 2)]
+            res = is_compatible(targets)
+            verdicts.add(res.compatible)
+            digest.update(repr((res.compatible, res.joint, res.marginal_channels,
+                                res.farkas)).encode())
+    for n in (5, 6):
+        obs = polygon_irreducibles(n).observables
+        for a, b in ((0, 1), (0, 2), (1, 3)):
+            res = is_compatible([obs[a], obs[b]])
+            verdicts.add(res.compatible)
+            digest.update(repr((res.compatible, res.joint, res.marginal_channels,
+                                res.farkas)).encode())
+    assert verdicts == {True, False}
+
+    rng = random.Random("compat-digest/qubit")
+    qubit_verdicts = set()
+    for i in range(12):
+        targets = []
+        for _ in range(2 if i % 2 else 3):
+            v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+            scale = rng.uniform(0.45, 0.85) / math.sqrt(sum(c * c for c in v))
+            targets.append(dichotomic("+", "-", QubitEffect(0.0, tuple(c * scale for c in v))))
+        for facets in (8, 16):
+            solves, pivots = lp.stats["solves"], lp.stats["pivots"]
+            verdict = qubit_compatibility_bracket(targets, facets).verdict
+            qubit_verdicts.add(verdict)
+            digest.update(repr((verdict, lp.stats["solves"] - solves,
+                                lp.stats["pivots"] - pivots)).encode())
+    assert qubit_verdicts == {"compatible", "incompatible"}
+    assert digest.hexdigest() == (
+        "ba9738cb119c92c2fd6503652175b1e005afe4bad671bcda7c8574730d105026")
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
