@@ -211,7 +211,7 @@ def polygon_irreducibles(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> Irreduci
             members.append(obs)
             index_sets.append((k, k + m))
             dicho += 1
-    eps = tol.eps_compare
+    eps = tol.eps
     combos = np.array(list(itertools.combinations(range(1, n + 1), 3)))
     mats = np.array(rays)[combos - 1].transpose(0, 2, 1)  # the rays are columns
     nonsingular = np.abs(np.linalg.det(mats)) > eps
@@ -397,7 +397,7 @@ def octahedron_test(obs: QubitObservable,
     sharp orthogonal dichotomic observables; for unbiased effects the
     passing set is the octahedron inscribed in the Bloch ball.
     """
-    eps = field(obs.mode, tol).eps_compare
+    eps = field(obs.mode, tol).eps
     return {lab: val <= 1 + eps for lab, val in octahedron_margins(obs).items()}
 
 
@@ -417,7 +417,7 @@ def qubit_compatibility_bracket(targets: Sequence[QubitObservable], facets: int 
     if any(len(t.outcomes) != 2 for t in targets):
         raise ValueError("the bracket accepts dichotomic targets only")
     vectors = [as_vector_observable(t).as_float() for t in targets]
-    dirs = sphere_directions(facets)
+    dirs = list(sphere_directions(facets))
     for eff in (e for v in vectors for e in v.effects):
         norm = math.sqrt(sum(x ** 2 for x in eff.coeffs[:3]))
         if norm > 1e-12:

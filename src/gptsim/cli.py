@@ -55,9 +55,7 @@ from .reproduce import CRITERIA, run_all, run_criterion
 
 
 def _tolerance(args) -> Tolerance:
-    if args.eps is None:
-        return Tolerance()
-    return Tolerance(eps_rank=args.eps, eps_feas=args.eps, eps_compare=args.eps)
+    return Tolerance() if args.eps is None else Tolerance(args.eps)
 
 
 def _config(args) -> dict:
@@ -290,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", choices=[EXACT, FLOAT], default=None,
                         help="force the arithmetic mode (default: inferred)")
     common.add_argument("--eps", type=float, default=None,
-                        help="override all float-mode tolerances")
+                        help="override the float-mode tolerance")
     common.add_argument("--format", choices=["json", "csv"], default="json")
     common.add_argument("--seed", type=int, default=0,
                         help="seed recorded with the run; governs any sampling")

@@ -11,7 +11,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .lp import FEASIBLE, INFEASIBLE, UNBOUNDED, lp_solve, make_program
+from .lp import (
+    FEASIBLE,
+    INFEASIBLE,
+    UNBOUNDED,
+    lp_solve,
+    make_program,
+    verify_farkas,
+    verify_solution,
+)
 from .scalars import (
     DEFAULT_TOLERANCE,
     Tolerance,
@@ -29,7 +37,7 @@ def rank(vectors: Sequence[Sequence], tol: Tolerance = DEFAULT_TOLERANCE,
          mode: Optional[str] = None) -> int:
     """Rank of a list of equal-length vectors by elimination with pivoting.
 
-    Exact over rationals; in float mode a pivot below eps_rank (relative to
+    Exact over rationals; in float mode a pivot below eps (relative to
     the largest entry) counts as zero. An empty list has rank 0.
     """
     vectors = [tuple(v) for v in vectors]
@@ -79,10 +87,10 @@ def _eliminate(vectors, F, reduce_above):
 
     Returns the reduced rows and the (row, column) pivots. Rows below each
     pivot are cleared; with reduce_above, rows above it too. In float mode a
-    pivot must exceed eps_rank times the largest entry (at least 1).
+    pivot must exceed eps times the largest entry (at least 1).
     """
     rows = [[F.coerce(x) for x in v] for v in vectors]
-    thresh = F.eps_rank and F.eps_rank * max(
+    thresh = F.eps and F.eps * max(
         1.0, max((abs(x) for r in rows for x in r), default=0.0))
     n_rows, n_cols = len(rows), len(rows[0])
     pivots = []
@@ -140,38 +148,32 @@ def in_convex_hull(point: Sequence, generators: Sequence[Sequence],
         if len(g) != len(point):
             raise ValueError("in_convex_hull: dimension mismatch")
     F = field(mode or infer_mode(x for v in generators + [point] for x in v), tol)
-    dim = len(point)
-    rows = []
-    for i in range(dim):
-        rows.append(tuple(g[i] for g in generators))
-    rows.append((F.one,) * len(generators))
-    rhs = point + (F.one,)
-    program = make_program(rows=rows, rhs=rhs)
-    out = lp_solve(program, mode=F.mode, tol=tol)
+    out = lp_solve(_hull_program(point, generators, F), mode=F.mode, tol=tol)
     if out.verdict == FEASIBLE:
         return HullResult(INSIDE, coefficients=tuple(out.solution), tolerance=F.tolerance)
     # Farkas y = (phi, phi0) with phi.g + phi0 <= 0 for all g and
     # phi.point + phi0 > 0, so phi separates the point from the hull.
-    phi = out.farkas[:dim]
+    phi = out.farkas[:len(point)]
     gap = vdot(phi, point) - max(vdot(phi, g) for g in generators)
     return HullResult(OUTSIDE, functional=phi, gap=gap, tolerance=F.tolerance)
+
+
+def _hull_program(point, generators, F):
+    """Convex weights on the generators that sum to the point."""
+    rows = [tuple(g[i] for g in generators) for i in range(len(point))]
+    rows.append((F.one,) * len(generators))
+    return make_program(rows=rows, rhs=tuple(point) + (F.one,))
 
 
 def replay_hull(result: HullResult, point: Sequence, generators: Sequence[Sequence],
                 tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Check a HullResult against the instance it claims to certify."""
-    eps = field(infer_mode(x for v in [*generators, point] for x in v), tol).eps_feas
+    F = field(infer_mode(x for v in [*generators, point] for x in v), tol)
     if result.inside:
-        lam = result.coefficients
-        if len(lam) != len(generators) or any(c < -eps for c in lam):
-            return False
-        if abs(sum(lam) - 1) > eps:
-            return False
-        recon = [sum(c * g[i] for c, g in zip(lam, generators))
-                 for i in range(len(point))]
-        return all(abs(a - b) <= eps for a, b in zip(recon, point))
+        return verify_solution(_hull_program(point, generators, F), result.coefficients,
+                               tol, F.mode)
     phi = result.functional
-    return vdot(phi, point) - max(vdot(phi, g) for g in generators) > eps
+    return vdot(phi, point) - max(vdot(phi, g) for g in generators) > F.eps
 
 
 @dataclass(frozen=True)
@@ -209,7 +211,7 @@ def conic_decompose(v: Sequence, rays: Sequence[Sequence],
             raise ValueError("conic_decompose: dimension mismatch")
         if all(x == 0 for x in r):
             raise ValueError("conic_decompose: zero ray")
-    rows = [tuple(r[i] for r in rays) for i in range(len(v))]
+    rows = _conic_rows(v, rays)
     units = [tuple(F.one if j == k else F.zero for j in range(len(rays)))
              for k in range(len(rays))]
     out = lp_solve(make_program(rows=rows, rhs=v, objective=units[0], tiebreaks=units[1:]),
@@ -218,25 +220,25 @@ def conic_decompose(v: Sequence, rays: Sequence[Sequence],
         return ConicResult(OUTSIDE, functional=out.farkas, tolerance=F.tolerance)
     if out.verdict == UNBOUNDED:
         # coefficient k, the first the ray raises, is unbounded
-        k = next((j for j, d in enumerate(out.ray) if d > F.eps_compare), 0)
+        k = next((j for j, d in enumerate(out.ray) if d > F.eps), 0)
         if not F.is_zero(out.solution[k:]):
             out = lp_solve(make_program(rows=rows, rhs=v), mode=F.mode, tol=tol)
     return ConicResult(INSIDE, coefficients=out.solution, tolerance=F.tolerance)
 
 
+def _conic_rows(v, rays):
+    """One row per coordinate of v, one column per ray."""
+    return [tuple(r[i] for r in rays) for i in range(len(v))]
+
+
 def replay_conic(result: ConicResult, v: Sequence, rays: Sequence[Sequence],
                  tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    eps = field(infer_mode(x for r in [*rays, v] for x in r), tol).eps_feas
+    """Check a ConicResult against the rows its solver built."""
+    mode = infer_mode(x for r in [*rays, v] for x in r)
+    program = make_program(rows=_conic_rows(v, rays), rhs=v)
     if result.inside:
-        if any(c < -eps for c in result.coefficients):
-            return False
-        recon = [sum(c * r[i] for c, r in zip(result.coefficients, rays))
-                 for i in range(len(v))]
-        return all(abs(a - b) <= eps for a, b in zip(recon, v))
-    phi = result.functional
-    if not vdot(phi, v) > eps:
-        return False
-    return all(vdot(phi, r) <= eps for r in rays)
+        return verify_solution(program, result.coefficients, tol, mode)
+    return verify_farkas(program, result.functional, tol, mode)
 
 
 MAX_RAY_DIM = 4
@@ -263,7 +265,7 @@ def extreme_rays(inequalities: Sequence[Sequence],
     if any(len(a) != dim for a in ineqs):
         raise ValueError("extreme_rays: dimension mismatch")
     F = field(mode or infer_mode(x for a in ineqs for x in a), tol)
-    eps = F.eps_compare
+    eps = F.eps
     found = {}
     for subset in itertools.combinations(range(len(ineqs)), dim - 1):
         sub = [ineqs[i] for i in subset]
@@ -288,7 +290,7 @@ def canonical_ray(ray: Sequence, mode: str, tol: Tolerance = DEFAULT_TOLERANCE):
     ray = tuple(ray)
     F = field(mode, tol)
     last = ray[-1]
-    if abs(last) > F.eps_compare:
+    if abs(last) > F.eps:
         return tuple(x / last for x in ray)
     root = F.sqrt(sum(x * x for x in ray))
     if root is None:  # irrational norm in exact mode: the largest entry becomes 1

@@ -153,7 +153,7 @@ def lp_solve(program: LinearProgram, mode: Optional[str] = None,
 def verify_solution(program: LinearProgram, solution: Sequence,
                     tol: Tolerance = DEFAULT_TOLERANCE, mode: Optional[str] = None) -> bool:
     """Replay a feasible certificate against the program."""
-    eps = field(mode or program.mode(), tol).eps_feas
+    eps = field(mode or program.mode(), tol).eps
     if len(solution) != program.num_vars:
         return False
     for row, b in zip(program.rows, program.rhs):
@@ -168,7 +168,7 @@ def verify_solution(program: LinearProgram, solution: Sequence,
 def verify_farkas(program: LinearProgram, farkas: Sequence,
                   tol: Tolerance = DEFAULT_TOLERANCE, mode: Optional[str] = None) -> bool:
     """Replay an infeasibility certificate: y'A <= 0 (=0 on free), y'b > 0."""
-    eps = field(mode or program.mode(), tol).eps_feas
+    eps = field(mode or program.mode(), tol).eps
     if len(farkas) != len(program.rows):
         return False
     combo = [vdot(farkas, col) for col in zip(*program.rows)] if program.rows else []
@@ -208,7 +208,7 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
     pivots, col = _optimize(tab, basis, n, cap, 0)
     if col >= 0:
         raise RuntimeError("phase 1 cannot be unbounded")
-    if tab.artificial_sum() > F.eps_feas:
+    if tab.artificial_sum() > F.eps:
         # Dual values of the flipped rows, whose right-hand sides are |b|;
         # the division by the scale also undoes the flips.
         y = [tab.dual(i) for i in range(m)]
@@ -474,7 +474,7 @@ class _IntTableau:
 
 # ---------------------------------------------------------------------------
 # Float kernel: numpy tableau T, one row per constraint, and the reduced-cost
-# row `red`; entries within eps_rank of zero count as zero.
+# row `red`; entries within eps of zero count as zero.
 # ---------------------------------------------------------------------------
 
 class _FloatTableau:
@@ -482,7 +482,7 @@ class _FloatTableau:
 
     def __init__(self, program, colmap, flips, F):
         m, n = len(program.rows), len(colmap)
-        self.eps, self.eps_compare = F.eps_rank, F.eps_compare
+        self.eps = F.eps
         flips = np.array(flips, dtype=float)
         A = np.array(program.rows, dtype=float).reshape(m, program.num_vars)
         A = A[:, [j for j, _ in colmap]] * [s for _, s in colmap] * flips[:, None]
@@ -538,7 +538,7 @@ class _FloatTableau:
         return self.red[-1]
 
     def same(self, a, b):
-        return abs(a - b) <= self.eps_compare
+        return abs(a - b) <= self.eps
 
     def artificial_sum(self):
         return -self.red[-1]

@@ -48,9 +48,6 @@ class Postprocessing:
             if len(r) != len(self.target):
                 raise ValueError("one matrix column per target label required")
 
-    def entry(self, x: str, y: str):
-        return self.matrix[self.source.index(x)][self.target.index(y)]
-
     @cached_property
     def kind(self):
         """EXACT, FLOAT, or None when every entry is an integer."""
@@ -65,7 +62,7 @@ class Postprocessing:
                               tuple(to_float_vector(r) for r in self.matrix))
 
     def is_stochastic(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        eps = field(self.mode, tol).eps_compare
+        eps = field(self.mode, tol).eps
         for row in self.matrix:
             if any(v < -eps or v > 1 + eps for v in row):
                 return False
@@ -204,7 +201,7 @@ def replay_relation(cert: RelationCertificate, target: Observable,
         for (la, ea), (lb, eb) in zip(recon.outcomes, target.outcomes):
             if la != lb:
                 return False
-            if any(abs(a - b) > F.eps_feas for a, b in zip(ea.coeffs, eb.coeffs)):
+            if any(abs(a - b) > F.eps for a, b in zip(ea.coeffs, eb.coeffs)):
                 return False
         return True
     return verify_farkas(relation_program(target, source), cert.farkas, tol=tol,

@@ -29,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .scalars import (
@@ -73,7 +73,7 @@ class QubitEffect:
                 return False
             return sum(Fraction(x) ** 2 for x in self.e_vec) <= slack ** 2
         return abs(self.e0) + math.sqrt(sum(float(x) ** 2 for x in self.e_vec)) \
-            <= 1 + tol.eps_compare
+            <= 1 + tol.eps
 
     def complement(self) -> "QubitEffect":
         return QubitEffect(-self.e0, tuple(-x for x in self.e_vec))
@@ -108,8 +108,7 @@ class QubitSpace:
         """Rank one: exactly one nonzero eigenvalue, ||e|| = 2 tau > 0."""
         F, tau, _, norm = self._spectrum(effect, tol)
         w0 = 2 * tau
-        return w0 > F.eps_compare and norm is not None \
-            and abs(norm - w0) <= F.eps_compare
+        return w0 > F.eps and norm is not None and abs(norm - w0) <= F.eps
 
     def refine(self, effect: Effect, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
         """Split an effect into rank-one summands.
@@ -121,7 +120,7 @@ class QubitSpace:
         if norm is None:
             raise ModeError("exact qubit effect with an irrational Bloch norm")
         w0 = 2 * tau
-        eps = F.eps_compare
+        eps = F.eps
         if w0 <= eps and norm <= eps:
             return []
         if norm <= eps:
@@ -157,31 +156,16 @@ class QubitSpace:
         return 2 * norm + b, (*d, F.one / 2)
 
 
-_GRID_DIRECTIONS = None
-
-
-def _grid_directions():
-    """The 26 normalized sign-grid directions: corners, axes, edge midpoints."""
-    global _GRID_DIRECTIONS
-    if _GRID_DIRECTIONS is None:
-        corners = [d for d in itertools.product((-1.0, 0.0, 1.0), repeat=3)
-                   if sum(abs(x) for x in d) == 3]
-        axes = [d for d in itertools.product((-1.0, 0.0, 1.0), repeat=3)
-                if sum(abs(x) for x in d) == 1]
-        edges = [d for d in itertools.product((-1.0, 0.0, 1.0), repeat=3)
-                 if sum(abs(x) for x in d) == 2]
-        ordered = corners + axes + edges
-        _GRID_DIRECTIONS = [
-            tuple(x / math.sqrt(sum(v * v for v in d)) for x in d) for d in ordered]
-    return _GRID_DIRECTIONS
-
-
-def sphere_directions(count: int) -> list:
-    """Deterministic well-spread unit directions: the sign grid first, then
-    a golden-angle spiral."""
+@lru_cache(maxsize=None)
+def sphere_directions(count: int) -> tuple:
+    """Deterministic well-spread unit directions: the 26 normalized sign-grid
+    directions (corners, axes, edge midpoints) first, then a golden-angle
+    spiral."""
     if count < 8:
         raise ValueError("at least 8 facet directions are required")
-    dirs = list(_grid_directions())[:count]
+    grid = list(itertools.product((-1.0, 0.0, 1.0), repeat=3))
+    ordered = [d for k in (3, 1, 2) for d in grid if sum(abs(x) for x in d) == k]
+    dirs = [tuple(x / math.sqrt(sum(v * v for v in d)) for x in d) for d in ordered][:count]
     i = 0
     golden = math.pi * (3.0 - math.sqrt(5.0))
     while len(dirs) < count:
@@ -191,7 +175,7 @@ def sphere_directions(count: int) -> list:
         phi = golden * i
         dirs.append((r * math.cos(phi), r * math.sin(phi), z))
         i += 1
-    return dirs[:count]
+    return tuple(dirs)
 
 
 def qubit_to_vector(effect: QubitEffect) -> tuple:
@@ -233,7 +217,7 @@ class QubitObservable:
         return tuple(eff for _, eff in self.outcomes)
 
     def is_valid(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        eps = field(self.mode, tol).eps_feas
+        eps = field(self.mode, tol).eps
         if any(not e.is_valid(tol) for e in self.effects):
             return False
         if abs(sum(1 + e.e0 for e in self.effects) - 2) > eps:

@@ -11,9 +11,9 @@ two meet inside one input or across the inputs of one call. Objects scan
 their data once, lazily, and each public function resolves one `Field` per
 call from the kinds of its inputs (`resolve`) or from a given mode
 (`field`). The field carries what the two modes differ in: zero and one,
-the epsilons (all 0 in exact mode), the tolerance certificates record, the
-coercion of a scalar, the square root (None when an exact root is
-irrational), the zero test and the dedup key.
+the one threshold `eps` (0 in exact mode), the tolerance certificates
+record, the coercion of a scalar, the square root (None when an exact root
+is irrational), the zero test and the dedup key.
 
 Code outside this module branches on the mode only where the two modes run
 different algorithms or read outside input: the backend choice in
@@ -41,20 +41,14 @@ class ModeError(TypeError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Comparison thresholds used by every float-mode computation.
+    """The float-mode threshold: a magnitude at most eps counts as zero, in
+    pivot and rank decisions, certificate residuals and value comparisons."""
 
-    eps_rank governs pivot/rank decisions, eps_feas constraint residuals,
-    eps_compare generic value comparisons.
-    """
-
-    eps_rank: float = 1e-9
-    eps_feas: float = 1e-9
-    eps_compare: float = 1e-9
+    eps: float = 1e-9
 
     def __post_init__(self):
-        for name in ("eps_rank", "eps_feas", "eps_compare"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+        if not self.eps > 0:
+            raise ValueError("eps must be strictly positive")
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -97,35 +91,29 @@ def infer_mode(values: Iterable) -> str:
 class Field:
     """The arithmetic of one (mode, Tolerance) pair; obtain it from `field`.
 
-    `tolerance` is what certificates record: None in exact mode, where every
-    epsilon is 0 and every comparison below is exact.
+    `tolerance` is what certificates record: None in exact mode, where eps
+    is 0 and every comparison below is exact.
     """
 
     mode: str
     tol: Tolerance
     zero: Number
     one: Number
-    eps_rank: float
-    eps_feas: float
-    eps_compare: float
+    eps: float
     tolerance: Optional[Tolerance]
     coerce: Callable
     sqrt: Callable
 
     def is_zero(self, vector: Sequence) -> bool:
-        """Every entry within eps_compare of zero."""
-        eps = self.eps_compare
+        """Every entry within eps of zero."""
+        eps = self.eps
         return all(abs(x) <= eps for x in vector)
 
-    def negligible(self, x) -> bool:
-        """A solver value too small to divide by: |x| <= eps_feas."""
-        return abs(x) <= self.eps_feas
-
     def key(self, vector: Sequence) -> tuple:
-        """Dedup key: the vector itself, or in float mode its eps_compare grid cell."""
+        """Dedup key: the vector itself, or in float mode its eps grid cell."""
         if self.mode == EXACT:
             return tuple(vector)
-        grid = 1.0 / self.eps_compare
+        grid = 1.0 / self.eps
         return tuple(round(x * grid) for x in vector)
 
 
@@ -138,11 +126,9 @@ def field(mode: str, tol: Tolerance = DEFAULT_TOLERANCE) -> Field:
     if found is not None:
         return found
     if mode == EXACT:
-        made = Field(EXACT, tol, Fraction(0), Fraction(1), 0, 0, 0, None, Fraction,
-                     _rational_sqrt)
+        made = Field(EXACT, tol, Fraction(0), Fraction(1), 0, None, Fraction, _rational_sqrt)
     elif mode == FLOAT:
-        made = Field(FLOAT, tol, 0.0, 1.0, tol.eps_rank, tol.eps_feas,
-                     tol.eps_compare, tol, float, math.sqrt)
+        made = Field(FLOAT, tol, 0.0, 1.0, tol.eps, tol, float, math.sqrt)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return _FIELDS.setdefault((mode, tol), made)

@@ -154,7 +154,7 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
         pos += sim.n_outcomes * ny
         ci = out.solution[n_m + i]
         weights.append(ci)
-        if F.negligible(ci):
+        if abs(ci) <= F.eps:
             uniform = F.one / ny
             matrix = tuple((uniform,) * ny for _ in range(sim.n_outcomes))
         else:
@@ -171,9 +171,12 @@ def replay_simulation(cert: SimulationCertificate, target: Observable,
     """Re-check a simulation certificate against its instance."""
     simulators = list(simulators)
     F = _common_field(target, simulators, tol)
-    eps = F.eps_feas
+    eps = F.eps
     if cert.simulable:
-        if len(cert.weights) != len(simulators):
+        if not len(cert.weights) == len(cert.channels) == len(simulators):
+            return False
+        if any(chan.source != sim.labels or chan.target != target.labels
+               for chan, sim in zip(cert.channels, simulators)):
             return False
         if any(w < -eps or w > 1 + eps for w in cert.weights):
             return False
@@ -263,7 +266,7 @@ def merge_duplicate_simulators(weights, channels, simulators) -> tuple:
     for w, chan, sim in zip(weights, channels, simulators):
         k = observable_key(sim)
         total = grouped[k][0]
-        if F.negligible(total):
+        if abs(total) <= F.eps:
             if grouped[k][1] is None:
                 grouped[k][1] = chan
             continue
@@ -349,7 +352,7 @@ def decompose_to_irreducibles(target: Observable,
         beta = geometry.null_space_vector(cols, tol=tol, mode=F.mode)
         kappa_plus = max(beta)
         kappa_minus = min(beta)
-        if not (kappa_plus > F.eps_compare and kappa_minus < -F.eps_compare):
+        if not (kappa_plus > F.eps and kappa_minus < -F.eps):
             raise RuntimeError("dependence coefficients must take both signs")
         lam = kappa_plus / (kappa_plus - kappa_minus)
         c_obs = Observable(
@@ -407,14 +410,14 @@ def noise_content(target: Observable,
     m = []
     for eff in target.effects:
         mx = F.coerce(space.min_value(eff))
-        if mx < -F.eps_feas:
+        if mx < -F.eps:
             raise ValueError("noise content needs valid effects")
         m.append(max(mx, zero))
     lam = sum(m)
-    if lam <= F.eps_compare:
+    if lam <= F.eps:
         return NoiseContentResult(zero, (one / n,) * n, target, F.tolerance)
     t_weights = tuple(mx / lam for mx in m)
-    if abs(lam - 1) <= F.eps_compare:
+    if abs(lam - 1) <= F.eps:
         residual = Observable(
             tuple((lab, Effect(vscale(tw, space.unit)))
                   for (lab, _), tw in zip(target.outcomes, t_weights)), space)
@@ -560,13 +563,13 @@ def _hull_independent_dichotomic(target, simulators, unit, zero_vec, F):
     for i in range(m):
         w_plus = sum(om[i][0] for om in omegas)
         w_minus = sum(om[i][1] for om in omegas)
-        if abs(w_plus - w_minus) > 10 * F.eps_compare:
+        if abs(w_plus - w_minus) > 10 * F.eps:
             return None
         weights.append(w_plus)
     channels = []
     ny = target.n_outcomes
     for i, sim in enumerate(simulators):
-        if F.negligible(weights[i]):
+        if abs(weights[i]) <= F.eps:
             matrix = ((F.one / ny,) * ny, (F.one / ny,) * ny)
         else:
             matrix = (tuple(omegas[y][i][0] / weights[i] for y in range(ny)),
@@ -600,7 +603,7 @@ def _hull_dichotomic_target(target, simulators, unit, zero_vec, F):
     channels = []
     for i, sim in enumerate(simulators):
         nx = sim.n_outcomes
-        if F.negligible(weights[i]):
+        if abs(weights[i]) <= F.eps:
             row_plus = [F.zero] * nx
         else:
             row_plus = [eta[i][xi] / weights[i] for xi in range(nx)]
@@ -677,7 +680,7 @@ def noise_monotonicity_check(target: Observable, simulators: Sequence[Observable
     cert = is_simulable(target, simulators, tol)
     if not cert.simulable:
         raise ValueError("noise monotonicity requires a simulable target")
-    eps = _common_field(target, simulators, tol).eps_compare
+    eps = _common_field(target, simulators, tol).eps
     w_target = noise_content(target, tol).value
     w_sims = tuple(noise_content(b, tol).value for b in simulators)
     return MonotonicityDiagnostics(w_target >= min(w_sims) - eps, w_target, w_sims)

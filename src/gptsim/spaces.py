@@ -82,7 +82,7 @@ class StateSpace:
         """Tight-state rank test: the extreme states the effect annihilates
         must have rank exactly ambient_dim - 1."""
         F = resolve((self.kind, kind_of(effect.coeffs)), tol)
-        tight = [s for s in self.extreme_states if abs(effect(s)) <= F.eps_compare]
+        tight = [s for s in self.extreme_states if abs(effect(s)) <= F.eps]
         return geometry.rank(tight, tol=tol, mode=F.mode) == self.ambient_dim - 1
 
     def refine(self, effect: "Effect", tol: Tolerance = DEFAULT_TOLERANCE) -> list:
@@ -102,7 +102,7 @@ class StateSpace:
         if not res.inside:
             raise ValueError("effect lies outside the positive dual cone")
         return [Effect(vscale(c, r)) for c, r in zip(res.coefficients, rays)
-                if c > F.eps_compare]
+                if c > F.eps]
 
     def min_value(self, effect: "Effect"):
         """The least value of the effect over the extreme states."""
@@ -231,7 +231,7 @@ def validate_state_space(space: StateSpace,
         return SpaceDiagnostics(False, ("no extreme states",))
     for k, s in enumerate(space.extreme_states):
         val = vdot(space.unit, s)
-        if abs(val - 1) > F.eps_compare:
+        if abs(val - 1) > F.eps:
             issues.append(f"state {k}: unit(s) = {val}, expected 1")
     r = geometry.rank(space.extreme_states, tol=tol, mode=F.mode)
     if r != space.ambient_dim:
@@ -259,7 +259,7 @@ def is_valid_effect(effect: Effect, space,
     """True iff 0 <= e <= u: both e and u - e have a nonnegative minimum."""
     if effect.dim != space.ambient_dim:
         raise ValueError("effect dimension does not match state space")
-    eps = resolve((space.kind, kind_of(effect.coeffs)), tol).eps_compare
+    eps = resolve((space.kind, kind_of(effect.coeffs)), tol).eps
     rest = Effect(vsub(space.unit, effect.coeffs))
     return space.min_value(effect) >= -eps and space.min_value(rest) >= -eps
 
@@ -271,7 +271,7 @@ def is_valid_observable(obs: Observable, space: Optional[StateSpace] = None,
     labels = obs.labels
     if len(set(labels)) != len(labels):
         return False
-    eps = field(obs.mode, tol).eps_feas
+    eps = field(obs.mode, tol).eps
     if space is not None:
         if any(not is_valid_effect(e, space, tol) for e in obs.effects):
             return False

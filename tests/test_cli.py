@@ -5,8 +5,14 @@ import json
 import pytest
 
 from gptsim.cli import main
-from gptsim.serialize import dump_json, qubit_observable_to_json, space_to_json
+from gptsim.serialize import (
+    dump_json,
+    observable_to_json,
+    qubit_observable_to_json,
+    space_to_json,
+)
 from gptsim.catalog import qubit_suite, square_bit
+from gptsim.spaces import mix_observables
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +87,43 @@ def test_sim_check_verify_roundtrip(capsys, tmp_path, ct08_file, xy_file):
                            "--simulators", xy_file, "--verify", str(cert_path))
     assert code == 0
     assert payload(out)["verified"] is True
+
+
+def _square_bit_check(tmp_path, target, simulators) -> list:
+    """`sim check` arguments for a target and simulators on the square bit."""
+    docs = {"space": space_to_json(square_bit().space), "target": observable_to_json(target),
+            "simulators": {"observables": [observable_to_json(s) for s in simulators]}}
+    args = ["sim", "check"]
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(dump_json(doc))
+        args += [f"--{name}", str(path)]
+    return args
+
+
+def test_sim_check_verify_malformed_certificate(capsys, tmp_path):
+    sq = square_bit()
+    args = _square_bit_check(tmp_path, sq.E, [sq.E, sq.F])
+    code, out, _ = run_cli(capsys, *args)
+    cert = payload(out)["certificate"]
+    used = cert["channels"][0]
+    used["source"], used["matrix"] = used["source"][:1], used["matrix"][:1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    code, out, _ = run_cli(capsys, *args, "--verify", str(bad))
+    assert code == 0
+    assert payload(out)["verified"] is False
+
+
+@pytest.mark.parametrize("eps, verdict", [(None, "not_simulable"), ("1e-3", "simulable")])
+def test_sim_check_eps_reaches_solve_and_replay(capsys, tmp_path, eps, verdict):
+    sq = square_bit()
+    e, f = sq.E.as_float(), sq.F.as_float()
+    args = _square_bit_check(tmp_path, mix_observables([e, f], [1 - 1e-6, 1e-6]), [e])
+    code, out, _ = run_cli(capsys, *args, *(["--eps", eps] if eps else []))
+    assert code == 0
+    assert payload(out)["verdict"] == verdict
+    assert payload(out)["replay"] is True
 
 
 def test_sim_decompose_qubit_mixture(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Simulability decisions, certificates, and derived quantities."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -49,6 +50,23 @@ def test_identity_simulation(sq):
     cert = is_simulable(sq.E, [sq.E])
     assert cert.simulable
     assert replay_simulation(cert, sq.E, [sq.E])
+
+
+@pytest.mark.parametrize("defect", ["missing-channel", "relabelled-source",
+                                    "relabelled-target", "one-source-row"])
+def test_replay_rejects_malformed_simulable_certificate(sq, defect):
+    sims = [sq.E, sq.F]
+    cert = is_simulable(sq.E, sims)
+    assert cert.simulable and replay_simulation(cert, sq.E, sims)
+    used, spare = cert.channels
+    channels = {
+        "missing-channel": (used,),
+        "relabelled-source": (Postprocessing(("a", "b"), used.target, used.matrix), spare),
+        "relabelled-target": (Postprocessing(used.source, ("a", "b"), used.matrix), spare),
+        "one-source-row": (Postprocessing(("+",), used.target, used.matrix[:1]), spare),
+    }[defect]
+    bad = dataclasses.replace(cert, channels=channels)
+    assert replay_simulation(bad, sq.E, sims) is False
 
 
 def test_mixed_spaces_rejected(sq, trit):
