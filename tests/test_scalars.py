@@ -67,11 +67,16 @@ def test_field_is_one_object_per_mode_and_tolerance():
         field("decimal")
 
 
+@pytest.mark.parametrize("name", ["eps_rank", "eps_feas", "eps_compare"])
 @pytest.mark.parametrize("value", [0.0, -1e-9])
-def test_tolerance_rejects_nonpositive(value):
+def test_tolerance_rejects_nonpositive(name, value):
+    # rank, feasibility and comparison all read the one eps: a nonpositive
+    # eps is refused, and no per-role keyword can set one of them apart
     assert [f.name for f in dataclasses.fields(Tolerance)] == ["eps"]
     with pytest.raises(ValueError):
         Tolerance(value)
+    with pytest.raises(TypeError):
+        Tolerance(**{name: value})
 
 
 def test_kinds_and_their_combination():
