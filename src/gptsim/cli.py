@@ -103,6 +103,10 @@ def _wants_float(args, *observable_groups) -> bool:
 
 def cmd_space(args) -> int:
     space = load_space(args.file)
+    if args.mode == FLOAT:
+        space = space.as_float()
+    elif args.mode == EXACT and space.kind == FLOAT:
+        raise ValueError("exact mode requested for float data")
     tol = _tolerance(args)
     if args.action == "validate":
         diag = validate_state_space(space, tol)

@@ -18,9 +18,12 @@ solution vector, an infeasible outcome carries a Farkas vector y with
 y'A <= 0 on nonnegative columns, y'A = 0 on free columns and y'b = 1
 (certificates are normalized to y'b = 1), an unbounded outcome a vertex
 and a ray along which the objective improves. `verify_solution` and
-`verify_farkas` replay the first two against the original program. Code
-that builds an answer from a certificate raises `CertificateError` when
-the certificate fails that replay, so it never returns it.
+`verify_farkas` replay the first two against the original program: in
+exact mode on integers, by clearing denominators with `_integer_row` and
+testing signs of integer dot products (as Applegate, Cook, Dash & Espinoza
+2007 check exact LP certificates), in float mode with eps. Code that
+builds an answer from a certificate raises `CertificateError` when the
+certificate fails that replay, so it never returns it.
 
 Pivoting uses the largest-coefficient rule and switches permanently to
 Bland's rule once the objective has stalled for more than `_STALL_LIMIT`
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -152,10 +156,23 @@ def lp_solve(program: LinearProgram, mode: Optional[str] = None,
 
 def verify_solution(program: LinearProgram, solution: Sequence,
                     tol: Tolerance = DEFAULT_TOLERANCE, mode: Optional[str] = None) -> bool:
-    """Replay a feasible certificate against the program."""
-    eps = field(mode or program.mode(), tol).eps
+    """Replay a feasible certificate against the program.
+
+    Exact mode clears x to integers X over L and row i, rhs included, to
+    integers N_i, B_i, then tests N_i . X == B_i * L and X_j >= 0; a float
+    raises ValueError. Float mode allows eps.
+    """
+    mode = mode or program.mode()
     if len(solution) != program.num_vars:
         return False
+    if mode == EXACT:
+        X, L = _integer_row(solution, repeat(1))
+        for r, b in zip(program.rows, program.rhs):
+            N, _ = _integer_row((*r, b), repeat(1))
+            if sum(a * x for a, x in zip(N, X)) != N[-1] * L:  # zip stops before B_i
+                return False
+        return all(x >= 0 for x, flag in zip(X, program.nonneg) if flag)
+    eps = field(mode, tol).eps
     for row, b in zip(program.rows, program.rhs):
         if abs(vdot(row, solution) - b) > eps:
             return False
@@ -167,18 +184,39 @@ def verify_solution(program: LinearProgram, solution: Sequence,
 
 def verify_farkas(program: LinearProgram, farkas: Sequence,
                   tol: Tolerance = DEFAULT_TOLERANCE, mode: Optional[str] = None) -> bool:
-    """Replay an infeasibility certificate: y'A <= 0 (=0 on free), y'b > 0."""
-    eps = field(mode or program.mode(), tol).eps
+    """Replay an infeasibility certificate: y'A <= 0 (=0 on free), y'b > 0.
+
+    Exact mode clears y to integers Y and each row i with Y_i != 0, rhs
+    included, to integers over D_i. The sum of Y_i * (L / D_i) times row i,
+    L the lcm of the D_i, is (y'A, y'b) times a positive number, so its
+    signs are tested exactly; a float it reads raises ValueError. Float
+    mode allows eps.
+    """
+    mode = mode or program.mode()
     if len(farkas) != len(program.rows):
         return False
-    combo = [vdot(farkas, col) for col in zip(*program.rows)] if program.rows else []
+    if mode == EXACT:
+        eps = 0
+        Y, _ = _integer_row(farkas, repeat(1))
+        terms = [(y, *_integer_row((*r, b), repeat(1)))
+                 for y, r, b in zip(Y, program.rows, program.rhs) if y]
+        L = lcm(*(den for _, _, den in terms))
+        acc = [0] * (program.num_vars + 1)
+        for y, row, den in terms:
+            k = y * (L // den)
+            acc = [a + k * x for a, x in zip(acc, row)]
+        combo, yb = acc[:-1], acc[-1]
+    else:
+        eps = field(mode, tol).eps
+        combo = [vdot(farkas, col) for col in zip(*program.rows)] if program.rows else []
+        yb = vdot(farkas, program.rhs)
     for z, flag in zip(combo, program.nonneg):
         if flag:
             if z > eps:
                 return False
         elif abs(z) > eps:
             return False
-    return bool(vdot(farkas, program.rhs) > eps)
+    return bool(yb > eps)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +355,12 @@ def _start_basis(crash, m, n):
 # ---------------------------------------------------------------------------
 
 def _integer_row(values, signs):
-    """Numerators of sign * value over the values' least common denominator."""
-    dens = [x.denominator for x in values]
+    """Numerators of sign * value over the values' least common denominator;
+    a float value raises ValueError."""
+    try:
+        dens = [x.denominator for x in values]
+    except AttributeError:
+        raise ValueError("exact mode requested for float data") from None
     den = lcm(*dens)
     return [s * x.numerator * (den // d) for s, x, d in zip(signs, values, dens)], den
 

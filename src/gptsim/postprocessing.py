@@ -195,12 +195,13 @@ def replay_relation(cert: RelationCertificate, target: Observable,
     """Re-check a relation certificate against the pair it was issued for."""
     F = resolve((source.kind, target.kind), tol)
     if cert.related:
-        if not cert.channel.is_stochastic(tol):
+        channel = cert.channel
+        if channel.source != source.labels or channel.target != target.labels:
             return False
-        recon = apply(cert.channel, source)
-        for (la, ea), (lb, eb) in zip(recon.outcomes, target.outcomes):
-            if la != lb:
-                return False
+        if not channel.is_stochastic(tol):
+            return False
+        recon = apply(channel, source)
+        for ea, eb in zip(recon.effects, target.effects):
             if any(abs(a - b) > F.eps for a, b in zip(ea.coeffs, eb.coeffs)):
                 return False
         return True

@@ -47,8 +47,8 @@ class Tolerance:
     eps: float = 1e-9
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be strictly positive")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be strictly positive and finite")
 
 
 DEFAULT_TOLERANCE = Tolerance()

@@ -54,6 +54,31 @@ def test_space_rays_squarebit(capsys, squarebit_file):
     assert len(payload(out)["rays"]) == 4
 
 
+def test_space_rays_mode_float_converts(capsys, squarebit_file):
+    code, out, _ = run_cli(capsys, "space", "rays", squarebit_file, "--mode", "float")
+    assert code == 0
+    rays = payload(out)["rays"]
+    assert len(rays) == 4
+    assert all(isinstance(x, float) for ray in rays for x in ray)
+    code, out, _ = run_cli(capsys, "space", "validate", squarebit_file, "--mode", "float")
+    assert code == 0 and payload(out)["valid"] is True
+
+
+def test_space_mode_exact_on_float_space_exit_2(capsys, tmp_path):
+    path = tmp_path / "squarebit-float.json"
+    path.write_text(dump_json(space_to_json(square_bit().space.as_float())))
+    for action in ("rays", "validate"):
+        code, _, err = run_cli(capsys, "space", action, str(path), "--mode", "exact")
+        assert code == 2
+        assert "exact mode requested for float data" in err
+
+
+def test_space_rays_eps_inf_exit_2(capsys, squarebit_file):
+    code, out, err = run_cli(capsys, "space", "rays", squarebit_file, "--eps", "inf")
+    assert code == 2 and out == ""
+    assert "input error" in err
+
+
 def test_space_validate_ok(capsys, squarebit_file):
     code, out, _ = run_cli(capsys, "space", "validate", squarebit_file)
     assert code == 0

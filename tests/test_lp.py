@@ -123,6 +123,26 @@ def test_exact_mode_rejects_float_data():
         lp_solve(p, mode=EXACT)
 
 
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_verifiers_on_a_program_without_rows(mode):
+    p = make_program(rows=[], rhs=[], nonneg=(True, False), objective=(1, 0))
+    assert not verify_farkas(p, (), mode=mode)  # y'b = 0 refutes nothing
+    assert not verify_farkas(p, (1,), mode=mode)
+    assert verify_solution(p, (0, -3), mode=mode)
+    assert not verify_solution(p, (-1, 0), mode=mode)
+    assert not verify_solution(p, (0,), mode=mode)
+
+
+def test_exact_verifiers_reject_float_data():
+    p = make_program(rows=[(0.5, 0.5)], rhs=(1.0,))
+    q = make_program(rows=[(1, 1)], rhs=(2,))
+    for program, farkas, solution in ((p, (F(1),), (F(1), F(1))), (q, (1.0,), (1.0, 1.0))):
+        with pytest.raises(ValueError, match="exact mode requested for float data"):
+            verify_farkas(program, farkas, mode=EXACT)
+        with pytest.raises(ValueError, match="exact mode requested for float data"):
+            verify_solution(program, solution, mode=EXACT)
+
+
 @pytest.mark.parametrize("kernel, one", [("_IntTableau", 1), ("_FloatTableau", 1.0)])
 def test_nonpositive_farkas_scale_raises(monkeypatch, kernel, one):
     # -x0 - x1 = 1 is infeasible; row 2 starts on the crash column x2 and

@@ -16,6 +16,8 @@ from gptsim.postprocessing import (
     merge_channel,
     minimally_sufficient,
     minimally_sufficient_with_channels,
+    RELATED,
+    RelationCertificate,
     replay_relation,
 )
 from gptsim.qubit import as_vector_observable
@@ -74,6 +76,17 @@ def test_tetrahedron_merge_related():
     cert = is_postprocessing_of(rat["A"], rat["B"])
     assert cert.related
     assert replay_relation(cert, rat["A"], rat["B"])
+
+
+def test_replay_relation_requires_matching_labels(sq):
+    # An extra all-zero "x" column reconstructs E on the labels it shares
+    # with E; a replay that zips outcomes would accept it.
+    extra = Postprocessing(("+", "-"), ("+", "-", "x"), ((1, 0, 0), (0, 1, 0)))
+    assert not replay_relation(RelationCertificate(RELATED, channel=extra), sq.E, sq.E)
+    renamed = Postprocessing(("a", "b"), ("+", "-"), ((1, 0), (0, 1)))
+    assert not replay_relation(RelationCertificate(RELATED, channel=renamed), sq.E, sq.E)
+    identity = identity_channel(sq.E.labels)
+    assert replay_relation(RelationCertificate(RELATED, channel=identity), sq.E, sq.E)
 
 
 def test_sharp_x_y_unrelated(suite):

@@ -1,6 +1,7 @@
 """Property-based checks with hypothesis: certificates always replay."""
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +17,7 @@ from gptsim.lp import (
     verify_solution,
 )
 from gptsim.postprocessing import are_equivalent, minimally_sufficient
+from gptsim.scalars import vdot
 from gptsim.simulation import is_simulable, replay_simulation
 from gptsim.spaces import is_valid_observable
 
@@ -78,6 +80,54 @@ def test_general_lp_certificates_replay(program):
         assert all(d >= 0 for d, flag in zip(out.ray, program.nonneg) if flag)
         gain = sum(c * d for c, d in zip(program.objective, out.ray))
         assert (gain > 0) if program.sense == "max" else (gain < 0)
+
+
+def _reference_farkas(program, y):
+    # the Fraction replay that the integer verifier replaced
+    combo = [vdot(y, col) for col in zip(*program.rows)] if program.rows else []
+    for z, flag in zip(combo, program.nonneg):
+        if (z > 0) if flag else (z != 0):
+            return False
+    return vdot(y, program.rhs) > 0
+
+
+def _reference_solution(program, x):
+    return (all(vdot(row, x) == b for row, b in zip(program.rows, program.rhs))
+            and all(v >= 0 for v, flag in zip(x, program.nonneg) if flag))
+
+
+@st.composite
+def verifier_programs(draw):
+    # general_programs with integer entries too, or integer entries only
+    if draw(st.booleans()):
+        entries = st.integers(-20, 20)
+    else:
+        entries = st.one_of(st.just(0), st.integers(-20, 20), rationals, fine_rationals)
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    rhs = [draw(entries) for _ in range(m)]
+    nonneg = [draw(st.booleans()) for _ in range(n)]
+    return make_program(rows=rows, rhs=rhs, nonneg=nonneg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(verifier_programs(), st.data())
+def test_exact_verifiers_match_fraction_reference(program, data):
+    # The solver's certificate replays true under both; a copy with one
+    # entry moved by 1/10**12 or set to zero usually replays false, and
+    # both verifiers must give the same bool on it.
+    out = lp_solve(program)
+    if out.verdict == INFEASIBLE:
+        cert, verify, reference = out.farkas, verify_farkas, _reference_farkas
+    else:
+        cert, verify, reference = out.solution, verify_solution, _reference_solution
+    assert verify(program, cert) and reference(program, cert)
+    i = data.draw(st.integers(0, len(cert) - 1))
+    step = data.draw(st.sampled_from((1, -1))) * Fraction(1, 10 ** 12)
+    for changed in (cert[i] + step, 0):
+        tampered = cert[:i] + (changed,) + cert[i + 1:]
+        assert verify(program, tampered) == reference(program, tampered)
 
 
 @settings(max_examples=60, deadline=None)

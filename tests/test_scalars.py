@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import math
 import pathlib
 from fractions import Fraction
 
@@ -77,6 +78,12 @@ def test_tolerance_rejects_nonpositive(name, value):
         Tolerance(value)
     with pytest.raises(TypeError):
         Tolerance(**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_tolerance_rejects_nonfinite(value):
+    with pytest.raises(ValueError):
+        Tolerance(value)
 
 
 def test_kinds_and_their_combination():

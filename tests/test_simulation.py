@@ -69,6 +69,26 @@ def test_replay_rejects_malformed_simulable_certificate(sq, defect):
     assert replay_simulation(bad, sq.E, sims) is False
 
 
+def test_replay_rejects_tampered_exact_farkas():
+    # B is not simulable from the binarizations; its exact Farkas vector y is
+    # tight (y'A_j = 0) on some column j. Moving one y_i by 1/10**12 in the
+    # sign of A_ij makes y'A_j positive: a float replay with eps 1e-9 would
+    # pass it, the exact one must not.
+    rat = tetrahedron_rational()
+    target, sims = rat["B"], [rat[f"C{i}"] for i in (1, 2, 3, 4)]
+    cert = is_simulable(target, sims)
+    assert not cert.simulable and replay_simulation(cert, target, sims)
+    program = simulation_program(target, sims)
+    y = list(cert.farkas)
+    j = next(j for j, col in enumerate(zip(*program.rows))
+             if any(col) and sum(a * b for a, b in zip(y, col)) == 0)
+    i = next(i for i, row in enumerate(program.rows) if row[j] != 0)
+    y[i] += F(1 if program.rows[i][j] > 0 else -1, 10 ** 12)
+    for farkas in (tuple(y), tuple(-v for v in cert.farkas), cert.farkas[:-1]):
+        bad = dataclasses.replace(cert, farkas=farkas)
+        assert replay_simulation(bad, target, sims) is False
+
+
 def test_mixed_spaces_rejected(sq, trit):
     with pytest.raises(ValueError):
         is_simulable(sq.E, [trit.distinguishing])
