@@ -57,9 +57,7 @@ from .simulation import (
     SimulationCertificate,
     check_closure_laws,
     decompose_to_irreducibles,
-    deduplicate_simulators,
     dichotomic_hull_necessary,
-    dichotomic_hull_sufficient,
     is_compatible,
     is_simulable,
     is_simulation_irreducible,
@@ -108,9 +106,8 @@ __all__ = [
     "identity_channel", "is_postprocessing_clean", "is_postprocessing_of",
     "minimally_sufficient",
     "IrreducibleDecomposition", "NoiseContentResult", "SimulationCertificate",
-    "check_closure_laws", "decompose_to_irreducibles", "deduplicate_simulators",
-    "dichotomic_hull_necessary", "dichotomic_hull_sufficient", "is_compatible",
-    "is_simulable", "is_simulation_irreducible", "noise_content",
+    "check_closure_laws", "decompose_to_irreducibles", "dichotomic_hull_necessary",
+    "is_compatible", "is_simulable", "is_simulation_irreducible", "noise_content",
     "noise_monotonicity_check", "replay_simulation", "smin",
     "QubitEffect", "QubitObservable", "QubitSpace", "as_vector_observable",
     "qubit_to_vector",

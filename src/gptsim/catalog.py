@@ -19,7 +19,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -429,35 +428,23 @@ def xyz_threshold_bracket(facets: int = 128, t_tol: float = 1e-3,
                           tol: Tolerance = DEFAULT_TOLERANCE) -> tuple:
     """Bisection bracket for the largest noise level at which the orthogonal
     triple stays compatible. Returns (lower, upper): compatible at the lower
-    value, incompatible at the upper value."""
+    value, incompatible at the upper value. An undecided verdict stops the
+    bisection, so the returned bracket then straddles the undecided value."""
     if t_tol <= 0:
         raise ValueError("t_tol must be positive")
     suite = qubit_suite()
-
-    @lru_cache(maxsize=None)  # the second bisection revisits the first one's points
-    def verdict(t):
-        return qubit_compatibility_bracket(
-            [suite.xt(t), suite.yt(t), suite.zt(t)], facets, tol)
-
-    # Lower edge: largest t with a joint observable.
     a, b = 0.0, 1.0
     while b - a > t_tol:
         mid = 0.5 * (a + b)
-        if verdict(mid).compatible:
+        res = qubit_compatibility_bracket(
+            [suite.xt(mid), suite.yt(mid), suite.zt(mid)], facets, tol)
+        if res.verdict == "undecided":
+            break
+        if res.compatible:
             a = mid
         else:
             b = mid
-    lo_ok = a
-    # Upper edge: smallest t whose Farkas bound refutes compatibility.
-    a, b = 0.0, 1.0
-    while b - a > t_tol:
-        mid = 0.5 * (a + b)
-        if verdict(mid).verdict == "incompatible":
-            b = mid
-        else:
-            a = mid
-    hi_bad = b
-    return lo_ok, hi_bad
+    return a, b
 
 
 # ---------------------------------------------------------------------------

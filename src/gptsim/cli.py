@@ -92,21 +92,22 @@ def _load_group(path, space=None):
     return observables, space
 
 
-def _wants_float(args, *observable_groups) -> bool:
-    if args.mode is not None:
-        return args.mode == FLOAT
-    modes = {o.mode for group in observable_groups for o in group}
-    return FLOAT in modes
+def _in_mode(args, *groups) -> list:
+    """Groups of observables (or state spaces) in the requested arithmetic:
+    `--mode float` converts every item, `--mode exact` refuses float data,
+    and without `--mode` one float item makes every item float."""
+    floats = any(x.kind == FLOAT for group in groups for x in group)
+    if args.mode == EXACT and floats:
+        raise ValueError("exact mode requested for float data")
+    if args.mode == FLOAT or floats:
+        return [[x.as_float() for x in group] for group in groups]
+    return [list(group) for group in groups]
 
 
 # -- space ---------------------------------------------------------------
 
 def cmd_space(args) -> int:
-    space = load_space(args.file)
-    if args.mode == FLOAT:
-        space = space.as_float()
-    elif args.mode == EXACT and space.kind == FLOAT:
-        raise ValueError("exact mode requested for float data")
+    [[space]] = _in_mode(args, [load_space(args.file)])
     tol = _tolerance(args)
     if args.action == "validate":
         diag = validate_state_space(space, tol)
@@ -123,15 +124,13 @@ def cmd_sim(args) -> int:
     tol = _tolerance(args)
     space = load_space(args.space) if args.space else None
     targets, space = _load_group(args.target, space)
-    target = targets[0]
 
     if args.action == "check":
         if not args.simulators:
             raise ValueError("sim check needs --simulators FILE")
         sims, _ = _load_group(args.simulators, space)
-        if _wants_float(args, targets, sims):
-            target = target.as_float()
-            sims = [s.as_float() for s in sims]
+        targets, sims = _in_mode(args, targets, sims)
+        target = targets[0]
         if args.verify:
             cert = certificate_from_json(load_json(args.verify))
             return _emit(args, {"verified":
@@ -145,17 +144,15 @@ def cmd_sim(args) -> int:
         if not args.pool:
             raise ValueError("sim smin needs --pool FILE")
         pool, _ = _load_group(args.pool, space)
-        if _wants_float(args, targets, pool):
-            targets = [t.as_float() for t in targets]
-            pool = [p.as_float() for p in pool]
+        targets, pool = _in_mode(args, targets, pool)
         k = smin(targets, pool, k_max=args.k_max, tol=tol)
         return _emit(args, {"smin": k if k is not None
                             else f"unknown above k_max={args.k_max}"})
 
+    (targets,) = _in_mode(args, targets)
+    target = targets[0]
     if target.space is None:
         raise ValueError(f"sim {args.action} needs a state space (--space FILE)")
-    if args.mode == FLOAT:
-        target = target.as_float()
     if args.action == "irreducible":
         return _emit(args, {"simulation_irreducible": is_simulation_irreducible(target, tol)})
     if args.action == "decompose":

@@ -208,11 +208,11 @@ class QubitObservable:
             self, "outcomes",
             tuple((str(lab), eff) for lab, eff in self.outcomes))
 
-    @property
+    @cached_property
     def labels(self) -> tuple:
         return tuple(lab for lab, _ in self.outcomes)
 
-    @property
+    @cached_property
     def effects(self) -> tuple:
         return tuple(eff for _, eff in self.outcomes)
 

@@ -12,11 +12,11 @@ replayable.
 The module also hosts the derived notions: simulation irreducibility,
 decomposition into irreducibles (the constructive splitting argument),
 noise content, the minimal simulation number over an explicit simulator
-pool, the dichotomic convex-hull conditions, closure-law diagnostics, and
-compatibility: one joint-observable program on the product outcome set for
-every effect cone, grown by column generation from the cone's generators
-and refuted through its `price` (one round for a polytope, whose generators
-are all its dual-cone rays).
+pool, the necessary dichotomic convex-hull condition, closure-law
+diagnostics, and compatibility: one joint-observable program on the product
+outcome set for every effect cone, grown by column generation from the
+cone's generators and refuted through its `price` (one round for a
+polytope, whose generators are all its dual-cone rays).
 """
 
 from __future__ import annotations
@@ -205,48 +205,6 @@ def replay_simulation(cert: SimulationCertificate, target: Observable,
     return verify_farkas(program, cert.farkas, tol=tol, mode=F.mode)
 
 
-def observable_key(obs: Observable) -> tuple:
-    """Hashable identity of an observable: its labelled effect table."""
-    return tuple((lab, eff.coeffs) for lab, eff in obs.outcomes)
-
-
-def deduplicate_simulators(simulators: Sequence[Observable]) -> list:
-    """Remove exact duplicates, keeping first occurrences in order."""
-    seen = set()
-    out = []
-    for sim in simulators:
-        key = observable_key(sim)
-        if key not in seen:
-            seen.add(key)
-            out.append(sim)
-    return out
-
-
-def pad_certificate(cert: SimulationCertificate, original: Sequence[Observable],
-                    reduced: Sequence[Observable]) -> SimulationCertificate:
-    """Lift a certificate over deduplicated simulators back to the full list.
-
-    Each original entry receives the reduced entry's channel; weights go to
-    the first occurrence and zero elsewhere.
-    """
-    if not cert.simulable:
-        return cert
-    reduced_keys = [observable_key(s) for s in reduced]
-    weights, channels = [], []
-    used = set()
-    for sim in original:
-        k = observable_key(sim)
-        idx = reduced_keys.index(k)
-        if idx in used:
-            weights.append(cert.weights[idx] * 0)
-        else:
-            used.add(idx)
-            weights.append(cert.weights[idx])
-        channels.append(cert.channels[idx])
-    return SimulationCertificate(SIMULABLE, weights=tuple(weights),
-                                 channels=tuple(channels), tolerance=cert.tolerance)
-
-
 def merge_duplicate_simulators(weights, channels, simulators) -> tuple:
     """Combine certificate entries that use the same simulator observable.
 
@@ -255,16 +213,12 @@ def merge_duplicate_simulators(weights, channels, simulators) -> tuple:
     total weight is negligible (default tolerance) keeps its first channel.
     """
     F = resolve([kind_of(weights)])
-    order = []
-    grouped = {}
-    for w, chan, sim in zip(weights, channels, simulators):
-        k = observable_key(sim)
-        if k not in grouped:
-            grouped[k] = [w * 0, None, sim]
-            order.append(k)
-        grouped[k][0] = grouped[k][0] + w
-    for w, chan, sim in zip(weights, channels, simulators):
-        k = observable_key(sim)
+    # An observable's identity is its labelled effect table.
+    keys = [tuple((lab, eff.coeffs) for lab, eff in sim.outcomes) for sim in simulators]
+    grouped = {}  # key -> [total weight, merged channel, simulator], first-seen order
+    for k, w, sim in zip(keys, weights, simulators):
+        grouped.setdefault(k, [w * 0, None, sim])[0] += w
+    for k, w, chan in zip(keys, weights, channels):
         total = grouped[k][0]
         if abs(total) <= F.eps:
             if grouped[k][1] is None:
@@ -278,13 +232,8 @@ def merge_duplicate_simulators(weights, channels, simulators) -> tuple:
             summed = tuple(tuple(a + b for a, b in zip(ra, rb))
                            for ra, rb in zip(prev.matrix, scaled))
             grouped[k][1] = Postprocessing(chan.source, chan.target, summed)
-    new_w, new_c, new_s = [], [], []
-    for k in order:
-        w, chan, sim = grouped[k]
-        new_w.append(w)
-        new_c.append(chan)
-        new_s.append(sim)
-    return tuple(new_w), tuple(new_c), new_s
+    groups = list(grouped.values())
+    return tuple(g[0] for g in groups), tuple(g[1] for g in groups), [g[2] for g in groups]
 
 
 def is_simulation_irreducible(obs: Observable,
@@ -470,146 +419,6 @@ def dichotomic_hull_necessary(target: Observable,
     gens = [e.coeffs for sim in simulators for e in sim.effects] + [zero, tuple(unit)]
     return {lab: geometry.in_convex_hull(eff.coeffs, gens, mode=mode, tol=tol)
             for lab, eff in target.outcomes}
-
-
-@dataclass(frozen=True)
-class HullSimulationOutcome:
-    certificate: SimulationCertificate
-    method: str
-
-
-def dichotomic_hull_sufficient(target: Observable,
-                               simulators: Sequence[Observable],
-                               tol: Tolerance = DEFAULT_TOLERANCE) -> HullSimulationOutcome:
-    """Constructive simulability from convex-hull coefficients.
-
-    Tries, in order: a single simulator with linearly independent effects; a
-    dichotomic simulator family with {u, B_i(+)} linearly independent; a
-    dichotomic target with arbitrary simulators. When a hypothesis holds and
-    the hull memberships do, the weights and channels come straight from the
-    constructive proofs. Otherwise the decision defers to the general LP.
-    """
-    simulators = list(simulators)
-    _check_same_space(target, simulators)
-    F = _common_field(target, simulators, tol)
-    unit = tuple(target.unit_coeffs())
-    zero_vec = tuple(0 * u for u in unit)
-
-    cert = _hull_single_independent(target, simulators, unit, zero_vec, F)
-    if cert is not None:
-        return HullSimulationOutcome(cert, "single-independent-simulator")
-    cert = _hull_independent_dichotomic(target, simulators, unit, zero_vec, F)
-    if cert is not None:
-        return HullSimulationOutcome(cert, "independent-dichotomic-simulators")
-    cert = _hull_dichotomic_target(target, simulators, unit, zero_vec, F)
-    if cert is not None:
-        return HullSimulationOutcome(cert, "dichotomic-target")
-    return HullSimulationOutcome(is_simulable(target, simulators, tol), "lp")
-
-
-def _finish(target, simulators, weights, channels, F):
-    """The hull certificate, replayed; CertificateError if it fails."""
-    cert = SimulationCertificate(SIMULABLE, weights=tuple(weights),
-                                 channels=tuple(channels), tolerance=F.tolerance)
-    if not replay_simulation(cert, target, simulators, F.tol):
-        raise CertificateError("constructed hull certificate failed to replay")
-    return cert
-
-
-def _hull_single_independent(target, simulators, unit, zero_vec, F):
-    if len(simulators) != 1:
-        return None
-    sim = simulators[0]
-    vecs = [e.coeffs for e in sim.effects]
-    if geometry.rank(vecs, tol=F.tol, mode=F.mode) != len(vecs):
-        return None
-    gens = vecs + [zero_vec, unit]
-    nx = len(vecs)
-    matrix_rows = [[] for _ in range(nx)]
-    for _, eff in target.outcomes:
-        res = geometry.in_convex_hull(eff.coeffs, gens, mode=F.mode, tol=F.tol)
-        if not res.inside:
-            return None
-        lam = res.coefficients
-        lam_u = lam[nx + 1]
-        for xi in range(nx):
-            matrix_rows[xi].append(lam[xi] + lam_u)
-    channel = Postprocessing(sim.labels, target.labels,
-                             tuple(tuple(r) for r in matrix_rows))
-    return _finish(target, simulators, (F.one,), (channel,), F)
-
-
-def _hull_independent_dichotomic(target, simulators, unit, zero_vec, F):
-    if any(sim.n_outcomes != 2 for sim in simulators):
-        return None
-    plus = [sim.effects[0].coeffs for sim in simulators]
-    if geometry.rank([unit] + plus, tol=F.tol, mode=F.mode) != len(simulators) + 1:
-        return None
-    m = len(simulators)
-    gens = []
-    for sim in simulators:
-        gens.extend([sim.effects[0].coeffs, sim.effects[1].coeffs])
-    gens += [zero_vec, unit]
-    omegas = []  # per outcome y: list of (omega_plus_i, omega_minus_i)
-    for _, eff in target.outcomes:
-        res = geometry.in_convex_hull(eff.coeffs, gens, mode=F.mode, tol=F.tol)
-        if not res.inside:
-            return None
-        lam = res.coefficients
-        lam_u = lam[2 * m + 1]
-        omegas.append([(lam[2 * i] + lam_u / m, lam[2 * i + 1] + lam_u / m)
-                       for i in range(m)])
-    weights = []
-    for i in range(m):
-        w_plus = sum(om[i][0] for om in omegas)
-        w_minus = sum(om[i][1] for om in omegas)
-        if abs(w_plus - w_minus) > 10 * F.eps:
-            return None
-        weights.append(w_plus)
-    channels = []
-    ny = target.n_outcomes
-    for i, sim in enumerate(simulators):
-        if abs(weights[i]) <= F.eps:
-            matrix = ((F.one / ny,) * ny, (F.one / ny,) * ny)
-        else:
-            matrix = (tuple(omegas[y][i][0] / weights[i] for y in range(ny)),
-                      tuple(omegas[y][i][1] / weights[i] for y in range(ny)))
-        channels.append(Postprocessing(sim.labels, target.labels, matrix))
-    return _finish(target, simulators, weights, channels, F)
-
-
-def _hull_dichotomic_target(target, simulators, unit, zero_vec, F):
-    if target.n_outcomes != 2:
-        return None
-    m = len(simulators)
-    one = F.one
-    gens = [e.coeffs for sim in simulators for e in sim.effects]
-    gens += [unit, zero_vec]
-    res = geometry.in_convex_hull(target.effects[0].coeffs, gens, mode=F.mode, tol=F.tol)
-    if not res.inside:
-        return None
-    lam = res.coefficients
-    n_gen = len(gens)
-    lam_u = lam[n_gen - 2]
-    eta = []
-    pos = 0
-    for sim in simulators:
-        eta.append([lam[pos + xi] + lam_u / m for xi in range(sim.n_outcomes)])
-        pos += sim.n_outcomes
-    weights = []
-    for i in range(m - 1):
-        weights.append(max(eta[i]))
-    weights.append(one - sum(weights) if m > 1 else one)
-    channels = []
-    for i, sim in enumerate(simulators):
-        nx = sim.n_outcomes
-        if abs(weights[i]) <= F.eps:
-            row_plus = [F.zero] * nx
-        else:
-            row_plus = [eta[i][xi] / weights[i] for xi in range(nx)]
-        matrix = tuple((rp, one - rp) for rp in row_plus)
-        channels.append(Postprocessing(sim.labels, target.labels, matrix))
-    return _finish(target, simulators, weights, channels, F)
 
 
 @dataclass(frozen=True)

@@ -160,11 +160,11 @@ class Observable:
             fixed.append((str(label), eff))
         object.__setattr__(self, "outcomes", tuple(fixed))
 
-    @property
+    @cached_property
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.outcomes)
 
-    @property
+    @cached_property
     def effects(self) -> tuple:
         return tuple(eff for _, eff in self.outcomes)
 

@@ -29,6 +29,7 @@ from gptsim.postprocessing import (
 from gptsim.qubit import as_vector_observable, random_qubit_observable
 from gptsim.reproduce import arc_rule_count
 from gptsim.simulation import (
+    CompatibilityResult,
     is_simulable,
     is_simulation_irreducible,
     replay_simulation,
@@ -256,6 +257,29 @@ def test_xyz_threshold_bracket_one_call_per_t(monkeypatch):
     lo, hi = xyz_threshold_bracket(facets=16, t_tol=4e-3)
     assert (lo, hi) == (0.57421875, 0.578125)
     assert len(seen) == len(set(seen)) == 8
+
+
+def test_xyz_threshold_bracket_stops_on_undecided(monkeypatch):
+    from gptsim import catalog
+
+    verdicts = {}
+
+    def undecided_third(targets, facets, tol):
+        t = targets[0].effects[0].e_vec[0]
+        if len(verdicts) == 2:
+            res = CompatibilityResult("undecided")
+        else:
+            res = qubit_compatibility_bracket(targets, facets, tol)
+        verdicts[t] = res.verdict
+        return res
+
+    monkeypatch.setattr(catalog, "qubit_compatibility_bracket", undecided_third)
+    lo, hi = xyz_threshold_bracket(facets=16, t_tol=4e-3)
+    assert len(verdicts) == 3 and list(verdicts.values())[-1] == "undecided"
+    t_undecided = list(verdicts)[-1]
+    assert lo < t_undecided < hi
+    assert verdicts.get(lo, "compatible") == "compatible"
+    assert verdicts.get(hi, "incompatible") == "incompatible"
 
 
 def test_xyz_threshold_bracket_rejects_nonpositive_t_tol():

@@ -73,6 +73,24 @@ def test_space_mode_exact_on_float_space_exit_2(capsys, tmp_path):
         assert "exact mode requested for float data" in err
 
 
+@pytest.mark.parametrize("action", ["check", "smin", "noise", "irreducible", "decompose"])
+def test_sim_mode_exact_on_float_data_exit_2(capsys, tmp_path, action):
+    sq = square_bit()
+    e, f = sq.E.as_float(), sq.F.as_float()
+    docs = {"space": space_to_json(e.space), "target": observable_to_json(e),
+            "group": {"observables": [observable_to_json(e), observable_to_json(f)]}}
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(dump_json(doc))
+    group = {"check": ["--simulators", str(paths["group"])],
+             "smin": ["--pool", str(paths["group"])]}.get(action, [])
+    code, out, err = run_cli(capsys, "sim", action, "--space", str(paths["space"]),
+                             "--target", str(paths["target"]), *group, "--mode", "exact")
+    assert code == 2 and out == ""
+    assert "exact mode requested for float data" in err
+
+
 def test_space_rays_eps_inf_exit_2(capsys, squarebit_file):
     code, out, err = run_cli(capsys, "space", "rays", squarebit_file, "--eps", "inf")
     assert code == 2 and out == ""

@@ -136,6 +136,12 @@ def test_no_assert_statements_in_library():
     assert not found, f"assert statements in the library: {found}"
 
 
+def test_every_exported_name_resolves():
+    # a name deleted from the library must leave __all__ with it
+    missing = [name for name in gptsim.__all__ if not hasattr(gptsim, name)]
+    assert not missing, f"__all__ names that do not resolve: {missing}"
+
+
 _SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 

@@ -11,7 +11,6 @@ from oracles import polytope_noise_content_direct, qubit_noise_content_grid
 from gptsim.catalog import (
     hexagon_noise_example,
     polygon_irreducibles,
-    qubit_suite,
     random_observable,
     square_bit,
     tetrahedron_rational,
@@ -27,15 +26,12 @@ from gptsim.qubit import as_vector_observable
 from gptsim.simulation import (
     check_closure_laws,
     decompose_to_irreducibles,
-    deduplicate_simulators,
     dichotomic_hull_necessary,
-    dichotomic_hull_sufficient,
     is_compatible,
     is_simulable,
     is_simulation_irreducible,
     noise_content,
     noise_monotonicity_check,
-    pad_certificate,
     replay_simulation,
     simulation_program,
     smin,
@@ -120,20 +116,6 @@ def test_hexagon_quarter_certificate_weights():
     cert = ex.certificate
     assert cert.simulable
     assert max(abs(w - 1.0 / 3.0) for w in cert.weights) < 1e-9
-
-
-def test_deduplicate_and_certificate_lift(suite):
-    x = as_vector_observable(suite.X)
-    y = as_vector_observable(suite.Y)
-    sims = [x, x, y]
-    reduced = deduplicate_simulators(sims)
-    assert reduced == [x, y]
-    target = as_vector_observable(suite.X)
-    cert_red = is_simulable(target, reduced)
-    cert_full = pad_certificate(cert_red, sims, reduced)
-    assert replay_simulation(cert_full, target, sims)
-    assert is_simulable(target, sims).simulable == \
-        is_simulable(target, reduced).simulable
 
 
 def test_irreducibility_verdicts(sq, suite):
@@ -317,42 +299,6 @@ def test_hull_necessary(suite, hexagon):
     assert not is_simulable(c9, sims).simulable
 
 
-def test_hull_sufficient_patterns(sq, suite):
-    # (c) single simulator with linearly independent effects
-    rat = tetrahedron_rational()
-    out = dichotomic_hull_sufficient(rat["B"], [rat["B"]])
-    assert out.method == "single-independent-simulator"
-    assert out.certificate.simulable
-
-    # (b) dichotomic simulators with independent plus effects: the octahedron
-    xyz = [as_vector_observable(o).as_float()
-           for o in (suite.X, suite.Y, suite.Z)]
-    inner = as_vector_observable(
-        qubit_suite().ct(0.7))  # passes the octahedron test
-    out = dichotomic_hull_sufficient(inner, xyz)
-    assert out.method == "independent-dichotomic-simulators"
-    assert out.certificate.simulable
-    assert replay_simulation(out.certificate, inner, xyz)
-
-    # (a) dichotomic target, arbitrary simulators
-    mid = observable(sq.space, [
-        ("+", tuple(HALF * (a + b) for a, b in zip(sq.E.effects[0].coeffs,
-                                                   sq.F.effects[0].coeffs))),
-        ("-", tuple(HALF * (a + b) for a, b in zip(sq.E.effects[1].coeffs,
-                                                   sq.F.effects[1].coeffs)))])
-    out = dichotomic_hull_sufficient(mid, [sq.E, sq.F])
-    assert out.certificate.simulable
-    assert replay_simulation(out.certificate, mid, [sq.E, sq.F])
-
-
-def test_hull_sufficient_defers_to_lp(suite):
-    rat = tetrahedron_rational()
-    binar = [rat[f"C{i}"] for i in (1, 2, 3, 4)]
-    out = dichotomic_hull_sufficient(rat["B"], binar)
-    assert out.method == "lp"
-    assert not out.certificate.simulable
-
-
 def test_closure_laws_small(sq, rng):
     sample = [random_observable(sq.space, rng) for _ in range(6)]
     diag = check_closure_laws(sample, [sq.E, sq.F])
@@ -493,13 +439,10 @@ def test_catalog_simulation_with_negligible_weights_replays(n):
         assert replay_simulation(cert, target, cat.observables), f"n={n} seed={seed}"
 
 
-def test_hull_certificate_failing_replay_raises(monkeypatch):
+def test_decomposition_failing_replay_raises(monkeypatch):
     from gptsim import simulation
     from gptsim.lp import CertificateError
 
-    rat = tetrahedron_rational()
     monkeypatch.setattr(simulation, "replay_simulation", lambda *args: False)
-    with pytest.raises(CertificateError):
-        dichotomic_hull_sufficient(rat["B"], [rat["B"]])
     with pytest.raises(CertificateError):
         decompose_to_irreducibles(square_bit().E)
