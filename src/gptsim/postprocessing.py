@@ -3,8 +3,9 @@
 A postprocessing is a row-stochastic matrix from a source outcome set to a
 target outcome set. Applying it to an observable mixes the source effects
 into target effects. Whether one observable is a postprocessing of another
-is a single LP feasibility question over the channel entries; the returned
-certificate is either the witnessing channel or a Farkas refutation.
+is simulation from that one observable (`simulation.is_simulable`), and the
+returned certificate is either the witnessing channel or a Farkas refutation
+of the simulation program.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .lp import FEASIBLE, LinearProgram, lp_solve, make_program, verify_farkas
 from .scalars import (
     DEFAULT_TOLERANCE,
     EXACT,
@@ -134,7 +134,6 @@ class RelationCertificate:
     verdict: str
     channel: Optional[Postprocessing] = None
     farkas: Optional[tuple] = None
-    program: Optional[LinearProgram] = None
     tolerance: Optional[Tolerance] = None
 
     @property
@@ -142,71 +141,27 @@ class RelationCertificate:
         return self.verdict == RELATED
 
 
-def relation_program(target: Observable, source: Observable) -> LinearProgram:
-    """LP over channel entries nu_xy deciding target = nu o source."""
-    xs, ys = source.labels, target.labels
-    nx, ny = len(xs), len(ys)
-    dim = source.dim
-    F = resolve((source.kind, target.kind))
-    nvars = nx * ny
-
-    def idx(xi, yi):
-        return xi * ny + yi
-
-    rows, rhs = [], []
-    for xi in range(nx):
-        row = [F.zero] * nvars
-        for yi in range(ny):
-            row[idx(xi, yi)] = F.one
-        rows.append(tuple(row))
-        rhs.append(F.one)
-    for yi in range(ny):
-        for i in range(dim):
-            row = [F.zero] * nvars
-            for xi in range(nx):
-                row[idx(xi, yi)] = source.effects[xi].coeffs[i]
-            rows.append(tuple(row))
-            rhs.append(target.effects[yi].coeffs[i])
-    return make_program(rows=rows, rhs=rhs)
-
-
 def is_postprocessing_of(target: Observable, source: Observable,
                          tol: Tolerance = DEFAULT_TOLERANCE) -> RelationCertificate:
-    """Decide whether `target` can be obtained from `source` by a channel."""
-    if source.space is not None and target.space is not None \
-            and source.space != target.space:
-        raise ValueError("observables live on different state spaces")
-    F = resolve((source.kind, target.kind), tol)
-    program = relation_program(target, source)
-    out = lp_solve(program, mode=F.mode, tol=tol)
-    if out.verdict == FEASIBLE:
-        ny = len(target.labels)
-        matrix = tuple(tuple(out.solution[xi * ny + yi] for yi in range(ny))
-                       for xi in range(len(source.labels)))
-        channel = Postprocessing(source.labels, target.labels, matrix)
-        return RelationCertificate(RELATED, channel=channel, program=program,
-                                   tolerance=F.tolerance)
-    return RelationCertificate(UNRELATED, farkas=out.farkas, program=program,
-                               tolerance=F.tolerance)
+    """Decide whether `target` can be obtained from `source` by a channel,
+    i.e. whether `source` alone simulates it."""
+    from .simulation import is_simulable
+
+    cert = is_simulable(target, [source], tol)
+    if cert.simulable:
+        return RelationCertificate(RELATED, channel=cert.channels[0],
+                                   tolerance=cert.tolerance)
+    return RelationCertificate(UNRELATED, farkas=cert.farkas, tolerance=cert.tolerance)
 
 
 def replay_relation(cert: RelationCertificate, target: Observable,
                     source: Observable, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Re-check a relation certificate against the pair it was issued for."""
-    F = resolve((source.kind, target.kind), tol)
-    if cert.related:
-        channel = cert.channel
-        if channel.source != source.labels or channel.target != target.labels:
-            return False
-        if not channel.is_stochastic(tol):
-            return False
-        recon = apply(channel, source)
-        for ea, eb in zip(recon.effects, target.effects):
-            if any(abs(a - b) > F.eps for a, b in zip(ea.coeffs, eb.coeffs)):
-                return False
-        return True
-    return verify_farkas(relation_program(target, source), cert.farkas, tol=tol,
-                         mode=F.mode)
+    """Re-check a relation certificate as a one-simulator simulation with weight 1."""
+    from .simulation import NOT_SIMULABLE, SIMULABLE, SimulationCertificate, replay_simulation
+
+    sim = SimulationCertificate(SIMULABLE if cert.related else NOT_SIMULABLE, weights=(1,),
+                                channels=(cert.channel,), farkas=cert.farkas)
+    return replay_simulation(sim, target, [source], tol)
 
 
 def are_equivalent(a: Observable, b: Observable,

@@ -173,6 +173,9 @@ def certificate_to_json(cert: SimulationCertificate) -> dict:
 
 def certificate_from_json(doc: dict, mode=None) -> SimulationCertificate:
     mode = mode or detect_mode(doc)
+    for key in ("weights", "channels") if doc["verdict"] == SIMULABLE else ("farkas",):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"certificate field {key!r} must be a list")
     if doc["verdict"] == SIMULABLE:
         return SimulationCertificate(
             SIMULABLE,

@@ -6,8 +6,10 @@ channels nu_i. Substituting M_i = p_i * nu_i linearizes the bilinear form
 exactly, so membership is one LP feasibility problem: nonnegative variables
 M_i[x,y] with constant row sums c_i inside each simulator, sum_i c_i = 1,
 and effect-matching equalities. Feasible solutions are unfolded back into
-weights and channels; infeasibility yields a Farkas certificate. Both are
-replayable.
+weights and channels; infeasibility yields a Farkas certificate. Both replay
+through the LP verifiers against the same program. With one simulator B the
+simulation set is {nu o B}, so the postprocessing relation is this program
+too (`postprocessing.is_postprocessing_of`).
 
 The module also hosts the derived notions: simulation irreducibility,
 decomposition into irreducibles (the constructive splitting argument),
@@ -33,6 +35,7 @@ from .lp import (
     lp_solve,
     make_program,
     verify_farkas,
+    verify_solution,
 )
 from .postprocessing import (
     Postprocessing,
@@ -79,7 +82,7 @@ def _common_field(target: Observable, simulators: Sequence[Observable],
 def _check_same_space(target: Observable, simulators: Sequence[Observable]):
     if not simulators:
         raise ValueError("simulators must be nonempty")
-    spaces = {obs.space for obs in [target, *simulators]}
+    spaces = {obs.space for obs in [target, *simulators]} - {None}
     if len(spaces) > 1:
         raise ValueError("mixed state spaces rejected")
     dims = {obs.dim for obs in [target, *simulators]}
@@ -168,41 +171,27 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
 def replay_simulation(cert: SimulationCertificate, target: Observable,
                       simulators: Sequence[Observable],
                       tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Re-check a simulation certificate against its instance."""
+    """Re-check a simulation certificate against its instance.
+
+    A refutation replays as a Farkas vector of `simulation_program`. Simulable
+    weights and channels must match the simulators' and target's labels and
+    be stochastic; they then replay as that program's solution
+    (w_i nu_i[x,y] ..., w_i ...).
+    """
     simulators = list(simulators)
-    F = _common_field(target, simulators, tol)
-    eps = F.eps
-    if cert.simulable:
-        if not len(cert.weights) == len(cert.channels) == len(simulators):
-            return False
-        if any(chan.source != sim.labels or chan.target != target.labels
-               for chan, sim in zip(cert.channels, simulators)):
-            return False
-        if any(w < -eps or w > 1 + eps for w in cert.weights):
-            return False
-        if abs(sum(cert.weights) - 1) > eps:
-            return False
-        for chan in cert.channels:
-            if not chan.is_stochastic(tol):
-                return False
-        dim = target.dim
-        for yi, (label, eff) in enumerate(target.outcomes):
-            acc = [F.zero] * dim
-            for w, chan, sim in zip(cert.weights, cert.channels, simulators):
-                if w == 0:
-                    continue
-                for xi in range(sim.n_outcomes):
-                    f = w * chan.matrix[xi][yi]
-                    if f == 0:
-                        continue
-                    c = sim.effects[xi].coeffs
-                    for d in range(dim):
-                        acc[d] += f * c[d]
-            if any(abs(a - b) > eps for a, b in zip(acc, eff.coeffs)):
-                return False
-        return True
+    mode = _common_field(target, simulators, tol).mode
     program = simulation_program(target, simulators)
-    return verify_farkas(program, cert.farkas, tol=tol, mode=F.mode)
+    if not cert.simulable:
+        return verify_farkas(program, cert.farkas, tol=tol, mode=mode)
+    if not len(cert.weights) == len(cert.channels) == len(simulators):
+        return False
+    if any(chan.source != sim.labels or chan.target != target.labels
+           or not chan.is_stochastic(tol)
+           for chan, sim in zip(cert.channels, simulators)):
+        return False
+    blocks = [w * v for w, chan in zip(cert.weights, cert.channels)
+              for row in chan.matrix for v in row]
+    return verify_solution(program, (*blocks, *cert.weights), tol=tol, mode=mode)
 
 
 def merge_duplicate_simulators(weights, channels, simulators) -> tuple:

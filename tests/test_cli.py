@@ -158,6 +158,25 @@ def test_sim_check_verify_malformed_certificate(capsys, tmp_path):
     assert payload(out)["verified"] is False
 
 
+@pytest.mark.parametrize("field, value", [("farkas", None), ("farkas", "12"),
+                                          ("weights", None), ("channels", None)])
+def test_sim_check_verify_rejects_non_list_fields(capsys, tmp_path, field, value):
+    # A certificate field that is not a list is an input error (exit 2), not
+    # a traceback, and a string is not read as a vector of its characters.
+    sq = square_bit()
+    args = _square_bit_check(tmp_path, sq.E, [sq.E, sq.F])
+    code, out, _ = run_cli(capsys, *args)
+    cert = payload(out)["certificate"]
+    if field == "farkas":
+        cert = {"verdict": "not_simulable"}
+    cert[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    code, out, err = run_cli(capsys, *args, "--verify", str(bad))
+    assert code == 2 and not out
+    assert f"certificate field {field!r} must be a list" in err
+
+
 @pytest.mark.parametrize("eps, verdict", [(None, "not_simulable"), ("1e-3", "simulable")])
 def test_sim_check_eps_reaches_solve_and_replay(capsys, tmp_path, eps, verdict):
     sq = square_bit()

@@ -89,6 +89,21 @@ def test_replay_relation_requires_matching_labels(sq):
     assert replay_relation(RelationCertificate(RELATED, channel=identity), sq.E, sq.E)
 
 
+def test_replay_relation_rejects_non_stochastic_channel(sq):
+    # The halves of E and F are linearly dependent (E+ + E- = F+ + F- = u),
+    # so the rows (1, 1) on E and (0, 0) on F rebuild the fair coin exactly,
+    # with entries in [0, 1] but row sums 2 and 0.
+    halves = observable(sq.space, [(name + lab, tuple(HALF * x for x in eff.coeffs))
+                                   for name, obs in (("e", sq.E), ("f", sq.F))
+                                   for lab, eff in obs.outcomes])
+    coin = trivial_observable(sq.space, [("h", HALF), ("t", HALF)])
+    bad = Postprocessing(halves.labels, coin.labels, ((1, 1), (1, 1), (0, 0), (0, 0)))
+    assert apply(bad, halves) == coin
+    assert not replay_relation(RelationCertificate(RELATED, channel=bad), coin, halves)
+    cert = is_postprocessing_of(coin, halves)
+    assert cert.related and replay_relation(cert, coin, halves)
+
+
 def test_sharp_x_y_unrelated(suite):
     x = as_vector_observable(suite.X)
     y = as_vector_observable(suite.Y)
@@ -229,3 +244,35 @@ def test_apply_preserves_normalization(sq, rng):
         out = apply(chan, obs)
         total = tuple(sum(e.coeffs[d] for e in out.effects) for d in range(3))
         assert total == sq.space.unit
+
+
+def _relation_corpus():
+    # Seeded (target, source) pairs: random square-bit and classical(3)
+    # observables against each other and against a coarse-graining, the
+    # float twins of those pairs, and the same pairs on polygons n = 5..8.
+    import random
+
+    from gptsim.catalog import classical, polygon, random_observable, square_bit
+
+    def coarse(obs):
+        return apply(merge_channel(obs.labels, obs.labels[:2], obs.labels[0], obs.mode), obs)
+
+    rng = random.Random(2026)
+    spaces = [square_bit().space, classical(3).space] * 10
+    spaces += [polygon(n).space for n in range(5, 9) for _ in range(4)]
+    exact, polygons = [], []
+    for space in spaces:
+        a, b = random_observable(space, rng), random_observable(space, rng)
+        pairs = [(a, b), (b, a), (coarse(a), a), (a, coarse(a))]
+        (exact if space.mode == "exact" else polygons).extend(pairs)
+    return exact + [(t.as_float(), s.as_float()) for t, s in exact] + polygons
+
+
+def test_relation_verdicts_pinned():
+    # Verdicts only: a Farkas vector's length follows the program's shape.
+    import hashlib
+
+    verdicts = [is_postprocessing_of(t, s).verdict for t, s in _relation_corpus()]
+    assert (verdicts.count(RELATED), len(verdicts)) == (66, 224)
+    assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == (
+        "bafbe5e758b69742ccb91e7e43d3e18f6bdf5756746f1a96b5e6e257a1fa089a")

@@ -20,7 +20,9 @@ from gptsim.postprocessing import (
     Postprocessing,
     apply,
     is_postprocessing_clean,
+    is_postprocessing_of,
     merge_channel,
+    replay_relation,
 )
 from gptsim.qubit import as_vector_observable
 from gptsim.simulation import (
@@ -36,7 +38,7 @@ from gptsim.simulation import (
     simulation_program,
     smin,
 )
-from gptsim.spaces import observable, trivial_observable
+from gptsim.spaces import Observable, observable, trivial_observable
 
 F = Fraction
 HALF = F(1, 2)
@@ -66,28 +68,43 @@ def test_replay_rejects_malformed_simulable_certificate(sq, defect):
 
 
 def test_replay_rejects_tampered_exact_farkas():
-    # B is not simulable from the binarizations; its exact Farkas vector y is
-    # tight (y'A_j = 0) on some column j. Moving one y_i by 1/10**12 in the
-    # sign of A_ij makes y'A_j positive: a float replay with eps 1e-9 would
-    # pass it, the exact one must not.
+    # B is neither simulable from the binarizations nor a postprocessing of
+    # C1; each exact Farkas vector y is tight (y'A_j = 0) on some column j.
+    # Moving one y_i by 1/10**12 in the sign of A_ij makes y'A_j positive: a
+    # float replay with eps 1e-9 would pass it, the exact one must not.
     rat = tetrahedron_rational()
     target, sims = rat["B"], [rat[f"C{i}"] for i in (1, 2, 3, 4)]
-    cert = is_simulable(target, sims)
-    assert not cert.simulable and replay_simulation(cert, target, sims)
-    program = simulation_program(target, sims)
-    y = list(cert.farkas)
-    j = next(j for j, col in enumerate(zip(*program.rows))
-             if any(col) and sum(a * b for a, b in zip(y, col)) == 0)
-    i = next(i for i, row in enumerate(program.rows) if row[j] != 0)
-    y[i] += F(1 if program.rows[i][j] > 0 else -1, 10 ** 12)
-    for farkas in (tuple(y), tuple(-v for v in cert.farkas), cert.farkas[:-1]):
-        bad = dataclasses.replace(cert, farkas=farkas)
-        assert replay_simulation(bad, target, sims) is False
+    cases = [(is_simulable(target, sims), sims,
+              lambda c: replay_simulation(c, target, sims)),
+             (is_postprocessing_of(target, sims[0]), sims[:1],
+              lambda c: replay_relation(c, target, sims[0]))]
+    for cert, used, replay in cases:
+        assert cert.farkas is not None and replay(cert)
+        program = simulation_program(target, used)
+        y = list(cert.farkas)
+        j = next(j for j, col in enumerate(zip(*program.rows))
+                 if any(col) and sum(a * b for a, b in zip(y, col)) == 0)
+        i = next(i for i, row in enumerate(program.rows) if row[j] != 0)
+        y[i] += F(1 if program.rows[i][j] > 0 else -1, 10 ** 12)
+        for farkas in (tuple(y), tuple(-v for v in cert.farkas), cert.farkas[:-1]):
+            bad = dataclasses.replace(cert, farkas=farkas)
+            assert replay(bad) is False
 
 
 def test_mixed_spaces_rejected(sq, trit):
     with pytest.raises(ValueError):
         is_simulable(sq.E, [trit.distinguishing])
+
+
+def test_bare_observable_joins_any_space(sq, trit):
+    # A space that is not set matches any space; two set spaces must agree.
+    bare = Observable(sq.E.outcomes, None)
+    assert is_simulable(bare, [sq.E]).simulable and is_simulable(sq.E, [bare]).simulable
+    assert is_postprocessing_of(bare, sq.E).related and is_postprocessing_of(sq.E, bare).related
+    with pytest.raises(ValueError):
+        is_postprocessing_of(sq.E, trit.distinguishing)
+    with pytest.raises(ValueError):
+        is_simulable(bare, [sq.E, trit.distinguishing])
 
 
 def test_c_half_mixture_simulable(suite):
