@@ -15,7 +15,6 @@ rational embeddings and exact certificates.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +40,7 @@ from .simulation import (
     is_simulable,
 )
 from .postprocessing import Postprocessing
-from .spaces import Observable, StateSpace, dual_cone_rays, observable
+from .spaces import Effect, Observable, StateSpace, dual_cone_rays, observable
 
 
 # ---------------------------------------------------------------------------
@@ -211,23 +210,25 @@ def polygon_irreducibles(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> Irreduci
             index_sets.append((k, k + m))
             dicho += 1
     eps = tol.eps
-    combos = np.array(list(itertools.combinations(range(1, n + 1), 3)))
-    mats = np.array(rays)[combos - 1].transpose(0, 2, 1)  # the rays are columns
+    below = np.less.outer(np.arange(n), np.arange(n))
+    combos = np.argwhere(below[:, :, None] & below[None]) + 1  # i < j < k, lexicographic
+    ray_array = np.array(rays)
+    mats = ray_array[combos - 1].transpose(0, 2, 1)  # the rays are columns
     nonsingular = np.abs(np.linalg.det(mats)) > eps
     combos, mats = combos[nonsingular], mats[nonsingular]
     coeffs = np.linalg.solve(mats, np.broadcast_to(unit, (len(mats), 3))[..., None])[..., 0]
     positive = np.all(coeffs > eps, axis=1)
-    for combo, c in zip(combos[positive].tolist(), coeffs[positive].tolist()):
-        if theory.even:
-            total = sum(c)
-            if abs(total - 2.0) > 1e-7:
-                raise RuntimeError(
-                    f"even-polygon trichotomic coefficient sum {total} is not 2")
-        obs = observable(
-            theory.space,
-            [(str(j + 1), vscale(c[j], rays[combo[j] - 1])) for j in range(3)])
-        members.append(obs)
-        index_sets.append(tuple(combo))
+    combos, coeffs = combos[positive], coeffs[positive]
+    if theory.even:
+        totals = coeffs.sum(axis=1)
+        off = np.flatnonzero(np.abs(totals - 2.0) > 1e-7)
+        if off.size:
+            raise RuntimeError(
+                f"even-polygon trichotomic coefficient sum {float(totals[off[0]])} is not 2")
+    scaled = (coeffs[:, :, None] * ray_array[combos - 1]).tolist()
+    members.extend(Observable((("1", Effect(a)), ("2", Effect(b)), ("3", Effect(c))),
+                              theory.space) for a, b, c in scaled)
+    index_sets.extend(map(tuple, combos.tolist()))
     return IrreducibleCatalog(theory, tuple(members), tuple(index_sets),
                               dicho, len(members) - dicho)
 

@@ -527,7 +527,9 @@ class _FloatTableau:
         self.eps = F.eps
         flips = np.array(flips, dtype=float)
         A = np.array(program.rows, dtype=float).reshape(m, program.num_vars)
-        A = A[:, [j for j, _ in colmap]] * [s for _, s in colmap] * flips[:, None]
+        if n > program.num_vars:  # a free column was split
+            A = A[:, [j for j, _ in colmap]] * [s for _, s in colmap]
+        A *= flips[:, None]
         b = np.array(program.rhs, dtype=float) * flips
         nonzero = A != 0.0
         crash = {}
@@ -556,25 +558,28 @@ class _FloatTableau:
         return -1 if col < 0 or cand[col] >= -self.eps else col
 
     def leaving(self, col, basis):
-        T = self.T
+        """The row of least ratio; ties go to the smallest basic index."""
+        T, eps = self.T, self.eps
         colvals = T[:, col]
-        ok = colvals > self.eps
-        if not ok.any():
+        rows = (colvals > eps).nonzero()[0]
+        if not rows.size:
             return -1
-        ratios = np.full(len(basis), np.inf)
-        ratios[ok] = T[ok, -1] / colvals[ok]
-        best = ratios.min()
-        ties = np.nonzero(ratios <= best + self.eps * (1 + abs(best)))[0]
-        return int(min(ties, key=lambda i: basis[i]))
+        ratios = T[rows, -1] / colvals[rows]
+        best = float(ratios.min())
+        ties = rows[ratios <= best + eps * (1 + abs(best))]
+        if ties.size == 1:
+            return int(ties[0])
+        return min(ties.tolist(), key=basis.__getitem__)
 
     def pivot(self, row, col):
         T, red = self.T, self.red
-        T[row] = T[row] / T[row, col]
+        prow = T[row]
+        prow /= prow[col]
         factors = T[:, col].copy()
         factors[row] = 0.0
-        T -= np.outer(factors, T[row])
+        T -= factors[:, None] * prow
         if red[col] != 0.0:
-            red -= red[col] * T[row]
+            red -= red[col] * prow
 
     def objective(self):
         return self.red[-1]

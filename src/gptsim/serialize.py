@@ -157,10 +157,38 @@ def postprocessing_to_json(channel: Postprocessing) -> dict:
             "matrix": [encode_vector(r) for r in channel.matrix]}
 
 
-def postprocessing_from_json(doc: dict, mode=None) -> Postprocessing:
+def _listed(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list")
+    return value
+
+
+def _numbers(value, mode: str, what: str):
+    if not all(isinstance(x, (int, float, str)) for x in _listed(value, what)):
+        raise ValueError(f"{what} must be a list of numbers")
+    return decode_vector(value, mode)
+
+
+def postprocessing_from_json(doc: dict, mode=None, name: str = "") -> Postprocessing:
+    """Decode a channel; a malformed field raises ValueError naming it.
+
+    `name` is the channel's place in an enclosing certificate, such as
+    ``channels[0]``; the errors then name certificate fields.
+    """
+    kind, path = ("certificate", name + ".") if name else ("postprocessing", "")
+
+    def field(key: str) -> str:
+        return f"{kind} field {path + key!r}"
+
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} field {name!r} must be an object" if name
+                         else "a postprocessing must be an object")
     mode = mode or detect_mode(doc)
-    return Postprocessing(tuple(doc["source"]), tuple(doc["target"]),
-                          tuple(decode_vector(r, mode) for r in doc["matrix"]))
+    matrix = _listed(doc["matrix"], field("matrix"))
+    return Postprocessing(
+        tuple(_listed(doc["source"], field("source"))),
+        tuple(_listed(doc["target"], field("target"))),
+        tuple(_numbers(row, mode, field(f"matrix[{i}]")) for i, row in enumerate(matrix)))
 
 
 def certificate_to_json(cert: SimulationCertificate) -> dict:
@@ -172,17 +200,15 @@ def certificate_to_json(cert: SimulationCertificate) -> dict:
 
 
 def certificate_from_json(doc: dict, mode=None) -> SimulationCertificate:
+    """Decode a certificate; a malformed field raises ValueError naming it."""
     mode = mode or detect_mode(doc)
-    for key in ("weights", "channels") if doc["verdict"] == SIMULABLE else ("farkas",):
-        if not isinstance(doc[key], list):
-            raise ValueError(f"certificate field {key!r} must be a list")
-    if doc["verdict"] == SIMULABLE:
+    if doc["verdict"] != SIMULABLE:
         return SimulationCertificate(
-            SIMULABLE,
-            weights=decode_vector(doc["weights"], mode),
-            channels=tuple(postprocessing_from_json(c, mode) for c in doc["channels"]))
-    return SimulationCertificate(NOT_SIMULABLE,
-                                 farkas=decode_vector(doc["farkas"], mode))
+            NOT_SIMULABLE, farkas=_numbers(doc["farkas"], mode, "certificate field 'farkas'"))
+    weights = _numbers(doc["weights"], mode, "certificate field 'weights'")
+    channels = _listed(doc["channels"], "certificate field 'channels'")
+    return SimulationCertificate(SIMULABLE, weights=weights, channels=tuple(
+        postprocessing_from_json(c, mode, f"channels[{k}]") for k, c in enumerate(channels)))
 
 
 # -- file-level loaders ------------------------------------------------------

@@ -82,8 +82,10 @@ def _common_field(target: Observable, simulators: Sequence[Observable],
 def _check_same_space(target: Observable, simulators: Sequence[Observable]):
     if not simulators:
         raise ValueError("simulators must be nonempty")
-    spaces = {obs.space for obs in [target, *simulators]} - {None}
-    if len(spaces) > 1:
+    # == and not a set: a frozen StateSpace hashes all its coordinates on
+    # every call, while == between the same object returns at once
+    spaces = [obs.space for obs in [target, *simulators] if obs.space is not None]
+    if any(space != spaces[0] for space in spaces[1:]):
         raise ValueError("mixed state spaces rejected")
     dims = {obs.dim for obs in [target, *simulators]}
     if len(dims) > 1:

@@ -177,6 +177,35 @@ def test_sim_check_verify_rejects_non_list_fields(capsys, tmp_path, field, value
     assert f"certificate field {field!r} must be a list" in err
 
 
+@pytest.mark.parametrize("path, value, field", [
+    (("channels",), [None], "channels[0]"),
+    (("channels", 0, "matrix"), None, "channels[0].matrix"),
+    (("channels", 0, "matrix"), [None], "channels[0].matrix[0]"),
+    (("farkas",), [[1]], "farkas"),
+])
+def test_sim_check_verify_names_malformed_nested_field(capsys, tmp_path, path, value, field):
+    # A malformed entry inside a certificate field is an input error (exit
+    # 2) whose message names the entry, not a TypeError traceback or a
+    # misleading mode error.
+    sq = square_bit()
+    args = _square_bit_check(tmp_path, sq.E, [sq.E, sq.F])
+    code, out, _ = run_cli(capsys, *args)
+    cert = payload(out)["certificate"]
+    assert cert["verdict"] == "simulable"
+    if path[0] == "farkas":
+        cert = {"verdict": "not_simulable"}
+    node = cert
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    code, out, err = run_cli(capsys, *args, "--verify", str(bad))
+    assert code == 2 and not out
+    assert f"certificate field {field!r} must be" in err
+    assert "Traceback" not in err and "exact-mode" not in err
+
+
 @pytest.mark.parametrize("eps, verdict", [(None, "not_simulable"), ("1e-3", "simulable")])
 def test_sim_check_eps_reaches_solve_and_replay(capsys, tmp_path, eps, verdict):
     sq = square_bit()

@@ -311,6 +311,55 @@ def test_float_outcomes_pinned():
         "8b92cefcd7cca36b74814e75b3300337e681eb80718bdded239705c70f87ea10")
 
 
+def test_float_ratio_ties_go_to_the_smallest_basic_index():
+    # Rows 0-2 start on their crash columns 3, 1 and 2; row 1 is negated
+    # (its right-hand side is negative) and scaled by its crash coefficient.
+    # Entering x0, rows 0 and 1 tie within eps (ratios 1 and 1 + 1e-12) and
+    # row 2 (ratio 2) does not. The tie goes to row 1, whose basic index is
+    # the smaller, although row 0 comes first and has the smaller ratio.
+    from gptsim import lp
+    from gptsim.scalars import DEFAULT_TOLERANCE, field
+
+    rows = [(1.0, 0.0, 0.0, 1.0), (-2.0, -2.0, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0)]
+    p = make_program(rows=rows, rhs=(1.0, -2.0 - 2e-12, 2.0), objective=(1.0, 0.0, 0.0, 0.0))
+    colmap = lp._colmap(p)
+    assert len(colmap) == p.num_vars  # no free column is split
+    tab = lp._FloatTableau(p, colmap, [1, -1, 1], field(FLOAT, DEFAULT_TOLERANCE))
+    assert tab.basis == [3, 1, 2] and not tab.art
+    assert tab.leaving(0, tab.basis) == 1
+    assert tab.leaving(0, [1, 3, 2]) == 0
+    out = lp_solve(p)
+    assert out.verdict == FEASIBLE and out.pivots == 1
+    assert out.solution[1] == 0.0 and out.solution[3] != 0.0  # x1 left, x3 stayed
+
+
+@pytest.mark.parametrize("last", [1, -1])
+@pytest.mark.parametrize("sense", ["max", "min"])
+@pytest.mark.parametrize("objective", [(1, 0, 0, 0, 0), (0, 1, -1, 0, 1), (-1, 2, 0, 1, 0)])
+def test_float_free_columns_and_flips_agree_with_exact(objective, sense, last):
+    # x0 and x4 are free, so their columns are split, and row 0 is negated;
+    # with last = -1 row 3 is negated too and x1 + x2 = -1 is infeasible.
+    # The float kernel takes the exact kernel's pivots to the same verdict.
+    from gptsim import lp
+
+    rows = [(1, -1, 0, 0, 1), (1, 0, 1, 0, -1), (0, 1, 1, 1, 2), (0, 1, 1, 0, 0)]
+    rhs, nonneg = (-2, 3, 4, last), (False, True, True, True, False)
+    exact = make_program(rows=rows, rhs=rhs, objective=objective, sense=sense, nonneg=nonneg)
+    assert len(lp._colmap(exact)) > exact.num_vars
+    floats = make_program(rows=[[float(x) for x in r] for r in rows],
+                          rhs=[float(b) for b in rhs], objective=[float(c) for c in objective],
+                          sense=sense, nonneg=nonneg)
+    ref, out = lp_solve(exact, mode=EXACT), lp_solve(floats, mode=FLOAT)
+    assert out.verdict == ref.verdict == (FEASIBLE if last > 0 else INFEASIBLE)
+    assert out.pivots == ref.pivots
+    if last > 0:
+        assert out.solution == pytest.approx([float(x) for x in ref.solution], abs=1e-12)
+        assert verify_solution(floats, out.solution)
+    else:
+        assert out.farkas == pytest.approx([float(y) for y in ref.farkas], abs=1e-12)
+        assert verify_farkas(floats, out.farkas)
+
+
 def test_pivot_cap_counts_the_whole_solve(monkeypatch):
     # Phase 1 and phase 2 take two pivots each. A cap of 3 (half a pivot per
     # variable and constraint) admits either phase alone but not the solve.

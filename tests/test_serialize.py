@@ -1,6 +1,7 @@
 """JSON round-trips, mode detection, and homogeneity enforcement."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,20 @@ def test_postprocessing_roundtrip():
     chan = Postprocessing(("a", "b"), ("x",), ((F(1),), (F(1),)))
     back = postprocessing_from_json(postprocessing_to_json(chan))
     assert back == chan
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("matrix", None, "matrix"),
+    ("matrix", [None], "matrix[0]"),
+    ("source", None, "source"),
+])
+def test_postprocessing_from_json_names_malformed_field(key, value, field):
+    doc = postprocessing_to_json(Postprocessing(("a", "b"), ("x",), ((F(1),), (F(1),))))
+    doc[key] = value
+    with pytest.raises(ValueError, match=re.escape(f"postprocessing field '{field}' must be")):
+        postprocessing_from_json(doc)
+    with pytest.raises(ValueError, match="must be an object"):
+        postprocessing_from_json(None)
 
 
 def test_certificate_roundtrip(sq):

@@ -94,6 +94,13 @@ def test_replay_rejects_tampered_exact_farkas():
 def test_mixed_spaces_rejected(sq, trit):
     with pytest.raises(ValueError):
         is_simulable(sq.E, [trit.distinguishing])
+    # spaces compare by value: an equal copy joins, any later mismatch fails
+    states = tuple(tuple(list(s)) for s in sq.space.extreme_states)
+    copy = dataclasses.replace(sq.space, extreme_states=states)
+    assert copy is not sq.space
+    assert is_simulable(sq.E, [dataclasses.replace(sq.E, space=copy)]).simulable
+    with pytest.raises(ValueError, match="mixed state spaces"):
+        is_simulable(sq.E, [sq.E, sq.F, trit.distinguishing])
 
 
 def test_bare_observable_joins_any_space(sq, trit):
