@@ -2,6 +2,9 @@
 
 Problems are stated over equality constraints `A x = b` with per-variable
 nonnegativity flags, an optional linear objective and optional tie-breaks.
+The rows of A are a tuple of tuples or, for float data only, a read-only
+2-D float ndarray, which the float kernel copies in one step; a program
+holding an array is not hashable.
 One two-phase simplex driver, `_simplex`, owns the algorithm: phase 1 from
 crash and artificial columns, the pivot rule, the infeasibility test and
 Farkas certificate, drive-out of artificials, phase 2, unbounded detection
@@ -72,7 +75,10 @@ class CertificateError(RuntimeError):
 @dataclass(frozen=True)
 class LinearProgram:
     """Equality-form program: rows . x = rhs, x_j >= 0 where nonneg[j]. Each
-    tie-break is optimized over the optimal face of the objectives before it."""
+    tie-break is optimized over the optimal face of the objectives before it.
+
+    `rows` is a tuple of tuples or a read-only 2-D float ndarray (float data
+    only); a program with ndarray rows is not hashable."""
 
     num_vars: int
     rows: tuple
@@ -110,9 +116,18 @@ class LinearProgram:
 
 def make_program(rows, rhs, nonneg=None, objective=None, sense="max",
                  tiebreaks=()) -> LinearProgram:
-    """Convenience constructor; nonneg defaults to all-nonnegative."""
-    rows = tuple(tuple(r) for r in rows)
-    n = len(rows[0]) if rows else (len(objective) if objective else 0)
+    """Convenience constructor; nonneg defaults to all-nonnegative.
+
+    A 2-D float ndarray of rows is kept as a read-only view, without a copy;
+    any other rows become a tuple of tuples.
+    """
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == float:
+        rows = rows.view()
+        rows.flags.writeable = False
+        n = rows.shape[1]
+    else:
+        rows = tuple(tuple(r) for r in rows)
+        n = len(rows[0]) if len(rows) else (len(objective) if objective is not None else 0)
     if nonneg is None:
         nonneg = (True,) * n
     return LinearProgram(
@@ -173,7 +188,7 @@ def verify_solution(program: LinearProgram, solution: Sequence,
                 return False
         return all(x >= 0 for x, flag in zip(X, program.nonneg) if flag)
     eps = field(mode, tol).eps
-    for row, b in zip(program.rows, program.rhs):
+    for row, b in zip(_python_rows(program), program.rhs):
         if abs(vdot(row, solution) - b) > eps:
             return False
     for x, flag in zip(solution, program.nonneg):
@@ -208,7 +223,8 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
         combo, yb = acc[:-1], acc[-1]
     else:
         eps = field(mode, tol).eps
-        combo = [vdot(farkas, col) for col in zip(*program.rows)] if program.rows else []
+        rows = _python_rows(program)
+        combo = [vdot(farkas, col) for col in zip(*rows)] if len(rows) else []
         yb = vdot(farkas, program.rhs)
     for z, flag in zip(combo, program.nonneg):
         if flag:
@@ -217,6 +233,13 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
         elif abs(z) > eps:
             return False
     return bool(yb > eps)
+
+
+def _python_rows(program: LinearProgram):
+    """The rows, an ndarray's as lists of Python floats: the same numbers,
+    which the float replay sums faster than numpy scalars."""
+    rows = program.rows
+    return rows.tolist() if isinstance(rows, np.ndarray) else rows
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +295,8 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
     basis[:] = [j for i, j in enumerate(basis) if i not in dead]
 
     # Phase 2. Fixed columns are zeroed and priced at zero: they never enter.
-    signs = [(-1 if program.sense == "max" else 1) * s for _, s in colmap]
+    if program.objective is not None:
+        signs = [(-1 if program.sense == "max" else 1) * s for _, s in colmap]
     fixed, ray = set(), None
     for k, objective in enumerate(program.objectives()):
         if k:

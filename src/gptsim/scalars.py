@@ -13,7 +13,8 @@ call from the kinds of its inputs (`resolve`) or from a given mode
 (`field`). The field carries what the two modes differ in: zero and one,
 the one threshold `eps` (0 in exact mode), the tolerance certificates
 record, the coercion of a scalar, the square root (None when an exact root
-is irrational), the zero test and the dedup key.
+is irrational), the numpy dtype that holds its numbers, the zero test and
+the dedup key.
 
 Code outside this module branches on the mode only where the two modes run
 different algorithms or read outside input: the backend choice in
@@ -103,6 +104,7 @@ class Field:
     tolerance: Optional[Tolerance]
     coerce: Callable
     sqrt: Callable
+    dtype: type  # float, or object for Fractions
 
     def is_zero(self, vector: Sequence) -> bool:
         """Every entry within eps of zero."""
@@ -126,9 +128,10 @@ def field(mode: str, tol: Tolerance = DEFAULT_TOLERANCE) -> Field:
     if found is not None:
         return found
     if mode == EXACT:
-        made = Field(EXACT, tol, Fraction(0), Fraction(1), 0, None, Fraction, _rational_sqrt)
+        made = Field(EXACT, tol, Fraction(0), Fraction(1), 0, None, Fraction, _rational_sqrt,
+                     object)
     elif mode == FLOAT:
-        made = Field(FLOAT, tol, 0.0, 1.0, tol.eps, tol, float, math.sqrt)
+        made = Field(FLOAT, tol, 0.0, 1.0, tol.eps, tol, float, math.sqrt, float)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return _FIELDS.setdefault((mode, tol), made)

@@ -27,6 +27,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import geometry
 from .lp import (
     FEASIBLE,
@@ -532,19 +534,23 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
     F = resolve((*(t.kind for t in targets), kind_of(x for g in gens[:1] for x in g)), tol)
     zero, dim = F.zero, space.ambient_dim
     joint_outcomes = list(itertools.product(*[range(t.n_outcomes) for t in targets]))
-    starts = list(itertools.accumulate((t.n_outcomes * dim for t in targets), initial=0))
+    # Rows come in blocks of dim, one block per (target ti, outcome li).
+    firsts = list(itertools.accumulate((t.n_outcomes for t in targets), initial=0))
+    blocks, ws = zip(*((firsts[ti] + li, w) for w, omega in enumerate(joint_outcomes)
+                       for ti, li in enumerate(omega)))
     rhs = [x for t in targets for eff in t.effects for x in eff.coeffs]
     for _ in range(_ROUNDS):
-        cols, zeros = [[g[d] for g in gens] for d in range(dim)], [zero] * len(gens)
-        rows = [list(itertools.chain.from_iterable(cols[d] if omega[ti] == li else zeros
-                                                    for omega in joint_outcomes))
-                for ti, t in enumerate(targets) for li in range(t.n_outcomes)
-                for d in range(dim)]
+        # Block (ti, li) holds the generators (as columns) under every joint
+        # outcome w with w_ti = li, and zeros elsewhere. The blocks are
+        # placed, not multiplied in: 0.0 * x is -0.0 for negative x.
+        A = np.full((firsts[-1], dim, len(joint_outcomes), len(gens)), zero, dtype=F.dtype)
+        A[blocks, :, ws, :] = np.array(gens, dtype=F.dtype).reshape(len(gens), dim).T
+        rows = A.reshape(firsts[-1] * dim, len(joint_outcomes) * len(gens))
         out = lp_solve(make_program(rows=rows, rhs=rhs), mode=F.mode, tol=tol)
         if out.verdict == FEASIBLE:
             break
         y = out.farkas
-        prices = [space.price([sum(y[starts[ti] + li * dim + d] for ti, li in enumerate(omega))
+        prices = [space.price([sum(y[(firsts[ti] + li) * dim + d] for ti, li in enumerate(omega))
                                for d in range(dim)], tol)
                   for omega in joint_outcomes]
         if vdot(y, rhs) > max(zero, *(p for p, _ in prices)):

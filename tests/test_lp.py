@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gptsim.lp import (
@@ -125,12 +126,19 @@ def test_exact_mode_rejects_float_data():
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_verifiers_on_a_program_without_rows(mode):
-    p = make_program(rows=[], rhs=[], nonneg=(True, False), objective=(1, 0))
-    assert not verify_farkas(p, (), mode=mode)  # y'b = 0 refutes nothing
-    assert not verify_farkas(p, (1,), mode=mode)
-    assert verify_solution(p, (0, -3), mode=mode)
-    assert not verify_solution(p, (-1, 0), mode=mode)
-    assert not verify_solution(p, (0,), mode=mode)
+    # the twin's rows are a zero-row float array, which keeps its width even
+    # without an objective to give one
+    assert make_program(rows=np.zeros((0, 2)), rhs=[]).num_vars == 2
+    p, twin = (make_program(rows=rows, rhs=[], nonneg=(True, False), objective=(1, 0))
+               for rows in ([], np.zeros((0, 2))))
+    assert isinstance(twin.rows, np.ndarray)
+    assert repr(lp_solve(twin, mode=mode)) == repr(lp_solve(p, mode=mode))
+    for program in (p, twin):
+        assert not verify_farkas(program, (), mode=mode)  # y'b = 0 refutes nothing
+        assert not verify_farkas(program, (1,), mode=mode)
+        assert verify_solution(program, (0, -3), mode=mode)
+        assert not verify_solution(program, (-1, 0), mode=mode)
+        assert not verify_solution(program, (0,), mode=mode)
 
 
 def test_exact_verifiers_reject_float_data():
@@ -339,25 +347,49 @@ def test_float_ratio_ties_go_to_the_smallest_basic_index():
 def test_float_free_columns_and_flips_agree_with_exact(objective, sense, last):
     # x0 and x4 are free, so their columns are split, and row 0 is negated;
     # with last = -1 row 3 is negated too and x1 + x2 = -1 is infeasible.
-    # The float kernel takes the exact kernel's pivots to the same verdict.
+    # The float kernel takes the exact kernel's pivots to the same verdict,
+    # and a twin with the float rows as one array gives the same outcome.
     from gptsim import lp
 
     rows = [(1, -1, 0, 0, 1), (1, 0, 1, 0, -1), (0, 1, 1, 1, 2), (0, 1, 1, 0, 0)]
     rhs, nonneg = (-2, 3, 4, last), (False, True, True, True, False)
     exact = make_program(rows=rows, rhs=rhs, objective=objective, sense=sense, nonneg=nonneg)
     assert len(lp._colmap(exact)) > exact.num_vars
-    floats = make_program(rows=[[float(x) for x in r] for r in rows],
-                          rhs=[float(b) for b in rhs], objective=[float(c) for c in objective],
-                          sense=sense, nonneg=nonneg)
+    floats, twin = (make_program(rows=float_rows, rhs=[float(b) for b in rhs],
+                                 objective=[float(c) for c in objective], sense=sense,
+                                 nonneg=nonneg)
+                    for float_rows in ([[float(x) for x in r] for r in rows],
+                                       np.array(rows, dtype=float)))
+    assert isinstance(twin.rows, np.ndarray)
     ref, out = lp_solve(exact, mode=EXACT), lp_solve(floats, mode=FLOAT)
+    assert repr(lp_solve(twin, mode=FLOAT)) == repr(out)
     assert out.verdict == ref.verdict == (FEASIBLE if last > 0 else INFEASIBLE)
     assert out.pivots == ref.pivots
     if last > 0:
         assert out.solution == pytest.approx([float(x) for x in ref.solution], abs=1e-12)
-        assert verify_solution(floats, out.solution)
+        wrong = (out.solution[0] + 1e-6, *out.solution[1:])
+        for program in (floats, twin):
+            assert verify_solution(program, out.solution)
+            assert not verify_solution(program, wrong)
     else:
         assert out.farkas == pytest.approx([float(y) for y in ref.farkas], abs=1e-12)
-        assert verify_farkas(floats, out.farkas)
+        for program in (floats, twin):
+            assert verify_farkas(program, out.farkas)
+            assert not verify_farkas(program, tuple(-y for y in out.farkas))
+
+
+def test_array_rows_are_read_only_and_survive_a_solve():
+    A = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]])
+    p = make_program(rows=A, rhs=[1.0, -0.5], objective=[0.0, 1.0, 1.0])
+    assert np.shares_memory(p.rows, A)  # a view, not a copy
+    with pytest.raises(ValueError, match="read-only"):
+        p.rows[0, 0] = 2.0
+    with pytest.raises(TypeError):
+        hash(p)
+    out = lp_solve(p)
+    assert out.verdict == FEASIBLE and out.pivots > 0
+    assert verify_solution(p, out.solution)
+    assert np.array_equal(p.rows, [[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]])
 
 
 def test_pivot_cap_counts_the_whole_solve(monkeypatch):

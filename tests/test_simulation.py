@@ -391,6 +391,28 @@ def test_compatibility_on_the_qubit_cone(suite):
         is_compatible([as_vector_observable(suite.X), as_vector_observable(suite.Y)])
 
 
+def test_compatibility_from_no_generators(sq):
+    # column generation from an empty generator list: the first program has
+    # no columns, so every generator comes from pricing a Farkas vector
+    from gptsim import lp
+    from gptsim.qubit import QubitEffect, QubitSpace, dichotomic
+    from gptsim.spaces import is_valid_effect
+
+    res = is_compatible([sq.E, sq.F], generators=[])
+    assert res.verdict == "incompatible"
+    assert res.farkas == (0, -1, -2, 0, 1, -2, -1, 0, 1, 1, 0, 1)
+
+    x, y = (as_vector_observable(dichotomic("+", "-", QubitEffect(0.0, v))).as_float()
+            for v in ((0.5, 0.0, 0.0), (0.0, 0.5, 0.0)))
+    solves = lp.stats["solves"]
+    res = is_compatible([x, y], generators=[])
+    assert res.verdict == "compatible" and lp.stats["solves"] - solves == 5
+    for chan, target in zip(res.marginal_channels, (x, y)):
+        for got, want in zip(apply(chan, res.joint).effects, target.effects):
+            assert max(abs(a - b) for a, b in zip(got.coeffs, want.coeffs)) <= 1e-9
+    assert all(is_valid_effect(e, QubitSpace()) for e in res.joint.effects)
+
+
 def test_compatibility_outcomes_pinned():
     # sha256 over seeded polytope decisions (verdict, joint observable,
     # marginal channels, Farkas vector) and seeded qubit bracket decisions
@@ -470,3 +492,34 @@ def test_decomposition_failing_replay_raises(monkeypatch):
     monkeypatch.setattr(simulation, "replay_simulation", lambda *args: False)
     with pytest.raises(CertificateError):
         decompose_to_irreducibles(square_bit().E)
+
+
+def test_bracket_128_outcomes_pinned():
+    # sha256 over seeded dichotomic qubit triples and pairs at the benchmark's
+    # 128 facets: (verdict, joint observable, marginal channels, Farkas
+    # vector, solves, pivots), so every float certificate bit is pinned.
+    import hashlib
+    import random
+
+    from gptsim import lp
+    from gptsim.catalog import qubit_compatibility_bracket
+    from gptsim.qubit import QubitEffect, dichotomic
+
+    rng = random.Random("bracket-128-digest")
+    digest = hashlib.sha256()
+    verdicts = set()
+    for i in range(24):
+        targets = []
+        for _ in range(2 if i % 2 else 3):
+            v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+            scale = rng.uniform(0.45, 0.85) / math.sqrt(sum(c * c for c in v))
+            targets.append(dichotomic("+", "-", QubitEffect(0.0, tuple(c * scale for c in v))))
+        solves, pivots = lp.stats["solves"], lp.stats["pivots"]
+        res = qubit_compatibility_bracket(targets, 128)
+        verdicts.add(res.verdict)
+        digest.update(repr((res.verdict, res.joint, res.marginal_channels, res.farkas,
+                            lp.stats["solves"] - solves,
+                            lp.stats["pivots"] - pivots)).encode())
+    assert verdicts == {"compatible", "incompatible"}
+    assert digest.hexdigest() == (
+        "8f8e350f67c5c79e1ee2a54475ddb1d18047aef1c634feaae72ce64d2082d7e2")
