@@ -20,7 +20,6 @@ from .lp import (
 )
 from .geometry import (
     ConicResult,
-    HullResult,
     conic_decompose,
     extreme_rays,
     in_convex_hull,
@@ -46,7 +45,6 @@ from .postprocessing import (
     apply,
     are_equivalent,
     binarization,
-    identity_channel,
     is_postprocessing_clean,
     is_postprocessing_of,
     minimally_sufficient,
@@ -71,7 +69,6 @@ from .qubit import (
     QubitObservable,
     QubitSpace,
     as_vector_observable,
-    qubit_to_vector,
 )
 from .catalog import (
     IrreducibleCatalog,
@@ -96,21 +93,18 @@ __all__ = [
     "EXACT", "FLOAT", "DEFAULT_TOLERANCE", "Tolerance", "ModeError",
     "CertificateError", "LinearProgram", "LPOutcome", "SolverLimitError", "lp_solve",
     "make_program", "verify_farkas", "verify_solution",
-    "ConicResult", "HullResult", "conic_decompose", "extreme_rays",
-    "in_convex_hull", "rank",
+    "ConicResult", "conic_decompose", "extreme_rays", "in_convex_hull", "rank",
     "Effect", "Observable", "StateSpace", "decompose_into_indecomposables",
     "dual_cone_rays", "is_indecomposable", "is_informationally_complete",
     "is_valid_effect", "is_valid_observable", "mix_observables", "observable",
     "trivial_observable", "validate_state_space",
     "Postprocessing", "apply", "are_equivalent", "binarization",
-    "identity_channel", "is_postprocessing_clean", "is_postprocessing_of",
-    "minimally_sufficient",
+    "is_postprocessing_clean", "is_postprocessing_of", "minimally_sufficient",
     "IrreducibleDecomposition", "NoiseContentResult", "SimulationCertificate",
     "check_closure_laws", "decompose_to_irreducibles", "dichotomic_hull_necessary",
     "is_compatible", "is_simulable", "is_simulation_irreducible", "noise_content",
     "noise_monotonicity_check", "replay_simulation", "smin",
     "QubitEffect", "QubitObservable", "QubitSpace", "as_vector_observable",
-    "qubit_to_vector",
     "IrreducibleCatalog", "PolygonTheory", "QubitSuite", "classical",
     "hexagon_noise_example", "irreducible_count_formula", "octahedron_test",
     "polygon", "polygon_irreducibles", "qubit_compatibility_bracket",

@@ -39,7 +39,7 @@ from .simulation import (
     is_compatible,
     is_simulable,
 )
-from .postprocessing import Postprocessing
+from .postprocessing import Postprocessing, binarization
 from .spaces import Effect, Observable, StateSpace, dual_cone_rays, observable
 
 
@@ -361,10 +361,6 @@ def tetrahedron_rational() -> dict:
          (Fraction(0), Fraction(0), Fraction(1)))
     quarter = Fraction(1, 4)
     b_effects = [tuple(x / 2 for x in bi) + (quarter,) for bi in b]
-    u = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
-
-    def minus(a, c):
-        return tuple(x - y for x, y in zip(a, c))
 
     def plus(a, c):
         return tuple(x + y for x, y in zip(a, c))
@@ -372,9 +368,7 @@ def tetrahedron_rational() -> dict:
     B = observable(None, [(str(i + 1), b_effects[i]) for i in range(4)])
     A = observable(None, [("+", plus(b_effects[0], b_effects[1])),
                           ("-", plus(b_effects[2], b_effects[3]))])
-    cs = {f"C{i + 1}": observable(None, [("+", b_effects[i]),
-                                         ("-", minus(u, b_effects[i]))])
-          for i in range(4)}
+    cs = {f"C{i}": binarization(B, str(i)) for i in range(1, 5)}
     d1 = observable(None, [("1", b_effects[0]), ("2", b_effects[1]),
                            ("3", plus(b_effects[2], b_effects[3]))])
     d2 = observable(None, [("1", b_effects[2]), ("2", b_effects[3]),

@@ -1,8 +1,10 @@
 """Convex geometry primitives built on the LP core.
 
-Rank via pivoted elimination, convex-hull membership with separating
-functionals, deterministic conic decomposition, and extreme-ray enumeration
-for low-dimensional inequality cones.
+Rank via pivoted elimination, deterministic conic decomposition with
+separating functionals, and extreme-ray enumeration for low-dimensional
+inequality cones. Convex-hull membership is conic decomposition of the
+lifted point (point, 1) over the lifted generators (g, 1), so both verdicts
+of both queries replay through `verify_solution`/`verify_farkas`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .lp import (
-    FEASIBLE,
     INFEASIBLE,
     UNBOUNDED,
     lp_solve,
@@ -118,65 +119,6 @@ def _eliminate(vectors, F, reduce_above):
 
 
 @dataclass(frozen=True)
-class HullResult:
-    """Convex-hull membership verdict with its certificate.
-
-    Inside: convex coefficients over the generators. Outside: a functional
-    phi with phi(point) > max over generators; `gap` is that margin.
-    """
-
-    verdict: str
-    coefficients: Optional[tuple] = None
-    functional: Optional[tuple] = None
-    gap: Optional[object] = None
-    tolerance: Optional[Tolerance] = None
-
-    @property
-    def inside(self) -> bool:
-        return self.verdict == INSIDE
-
-
-def in_convex_hull(point: Sequence, generators: Sequence[Sequence],
-                   mode: Optional[str] = None,
-                   tol: Tolerance = DEFAULT_TOLERANCE) -> HullResult:
-    """Decide membership of `point` in the convex hull of `generators`."""
-    point = tuple(point)
-    generators = [tuple(g) for g in generators]
-    if not generators:
-        raise ValueError("in_convex_hull: generators must be nonempty")
-    for g in generators:
-        if len(g) != len(point):
-            raise ValueError("in_convex_hull: dimension mismatch")
-    F = field(mode or infer_mode(x for v in generators + [point] for x in v), tol)
-    out = lp_solve(_hull_program(point, generators, F), mode=F.mode, tol=tol)
-    if out.verdict == FEASIBLE:
-        return HullResult(INSIDE, coefficients=tuple(out.solution), tolerance=F.tolerance)
-    # Farkas y = (phi, phi0) with phi.g + phi0 <= 0 for all g and
-    # phi.point + phi0 > 0, so phi separates the point from the hull.
-    phi = out.farkas[:len(point)]
-    gap = vdot(phi, point) - max(vdot(phi, g) for g in generators)
-    return HullResult(OUTSIDE, functional=phi, gap=gap, tolerance=F.tolerance)
-
-
-def _hull_program(point, generators, F):
-    """Convex weights on the generators that sum to the point."""
-    rows = [tuple(g[i] for g in generators) for i in range(len(point))]
-    rows.append((F.one,) * len(generators))
-    return make_program(rows=rows, rhs=tuple(point) + (F.one,))
-
-
-def replay_hull(result: HullResult, point: Sequence, generators: Sequence[Sequence],
-                tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Check a HullResult against the instance it claims to certify."""
-    F = field(infer_mode(x for v in [*generators, point] for x in v), tol)
-    if result.inside:
-        return verify_solution(_hull_program(point, generators, F), result.coefficients,
-                               tol, F.mode)
-    phi = result.functional
-    return vdot(phi, point) - max(vdot(phi, g) for g in generators) > F.eps
-
-
-@dataclass(frozen=True)
 class ConicResult:
     """Conic decomposition of a vector over given rays, or a refutation."""
 
@@ -239,6 +181,31 @@ def replay_conic(result: ConicResult, v: Sequence, rays: Sequence[Sequence],
     if result.inside:
         return verify_solution(program, result.coefficients, tol, mode)
     return verify_farkas(program, result.functional, tol, mode)
+
+
+def in_convex_hull(point: Sequence, generators: Sequence[Sequence],
+                   mode: Optional[str] = None,
+                   tol: Tolerance = DEFAULT_TOLERANCE) -> ConicResult:
+    """Decide membership of `point` in the convex hull of `generators`.
+
+    The point is in the hull exactly when (point, 1) is in the cone of the
+    lifted generators (g, 1), so this is `conic_decompose` on the lift:
+    inside carries the lexicographic-maximum convex weights, outside a
+    Farkas vector (phi, phi0) with phi.g + phi0 <= 0 < phi.point + phi0.
+    """
+    return conic_decompose(*_lift(point, generators, mode), mode=mode, tol=tol)
+
+
+def replay_hull(result: ConicResult, point: Sequence, generators: Sequence[Sequence],
+                tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+    """Check a hull verdict as the conic verdict of the lifted instance."""
+    return replay_conic(result, *_lift(point, generators), tol)
+
+
+def _lift(point, generators, mode=None):
+    """(point, 1) and the generators (g, 1)."""
+    one = field(mode or infer_mode(x for v in [*generators, point] for x in v)).one
+    return (*point, one), [(*g, one) for g in generators]
 
 
 MAX_RAY_DIM = 4

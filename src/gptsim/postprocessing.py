@@ -23,7 +23,7 @@ from .scalars import (
     resolve,
     to_float_vector,
 )
-from .spaces import Effect, Observable
+from .spaces import Effect, Observable, is_indecomposable
 from . import geometry
 
 RELATED = "related"
@@ -69,14 +69,6 @@ class Postprocessing:
             if abs(sum(row) - 1) > eps:
                 return False
         return True
-
-
-def identity_channel(labels: Sequence[str], mode: str = EXACT) -> Postprocessing:
-    F = field(mode)
-    labels = tuple(labels)
-    return Postprocessing(labels, labels,
-                          tuple(tuple(F.one if i == j else F.zero for j in range(len(labels)))
-                                for i in range(len(labels))))
 
 
 def merge_channel(labels: Sequence[str], merged: Sequence[str], into: str,
@@ -247,8 +239,6 @@ def minimally_sufficient_with_channels(obs: Observable,
 
 def is_postprocessing_clean(obs: Observable, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """True iff every nonzero effect is indecomposable."""
-    from .spaces import is_indecomposable
-
     if obs.space is None:
         raise ValueError("postprocessing cleanness needs the state space")
     F = field(obs.mode, tol)

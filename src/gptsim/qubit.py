@@ -178,22 +178,11 @@ def sphere_directions(count: int) -> tuple:
     return tuple(dirs)
 
 
-def qubit_to_vector(effect: QubitEffect) -> tuple:
-    """Display coordinates (e0, ex, ey, ez); the identity maps to (1,0,0,0)."""
-    return (effect.e0, *effect.e_vec)
-
-
 def linear_coords(effect: QubitEffect) -> tuple:
     """Linear coordinates (ex, ey, ez, (1+e0)/2); addition of effects is
     coordinatewise, the unit is (0,0,0,1) and the zero effect is the origin."""
     F = field(effect.mode)
     return (*effect.e_vec, (F.one + F.coerce(effect.e0)) / 2)
-
-
-def effect_from_linear(coeffs: Sequence) -> QubitEffect:
-    ex, ey, ez, tau = coeffs
-    e0 = 2 * tau - 1
-    return QubitEffect(e0, (ex, ey, ez))
 
 
 @dataclass(frozen=True)

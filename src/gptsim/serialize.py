@@ -77,8 +77,8 @@ def _looks_rational(s: str) -> bool:
 
 
 def decode_number(x, mode: str):
-    if isinstance(x, bool):
-        raise ModeError("booleans are not numbers")
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+        raise ModeError(f"{x!r} is not a number")
     if mode == EXACT:
         if isinstance(x, int):
             return Fraction(x)
@@ -106,12 +106,17 @@ def space_to_json(space: StateSpace) -> dict:
 
 
 def space_from_json(doc: dict, mode=None) -> StateSpace:
+    doc = _object(doc, "a state space")
     mode = mode or detect_mode(doc)
+    if not isinstance(doc["ambient_dim"], (int, str)):
+        raise ValueError("space field 'ambient_dim' must be an integer")
+    states = _listed(doc["extreme_states"], "space field 'extreme_states'")
     return StateSpace(
         name=str(doc["name"]),
         ambient_dim=int(doc["ambient_dim"]),
-        extreme_states=tuple(decode_vector(s, mode) for s in doc["extreme_states"]),
-        unit=decode_vector(doc["unit"], mode),
+        extreme_states=tuple(_numbers(s, mode, f"space field 'extreme_states[{k}]'")
+                             for k, s in enumerate(states)),
+        unit=_numbers(doc["unit"], mode, "space field 'unit'"),
     )
 
 
@@ -124,10 +129,9 @@ def observable_to_json(obs: Observable) -> dict:
 
 def observable_from_json(doc: dict, space: StateSpace = None, mode=None) -> Observable:
     mode = mode or detect_mode(doc)
-    outcomes = tuple(
-        (o["label"], Effect(decode_vector(o["coeffs"], mode)))
-        for o in doc["outcomes"])
-    return Observable(outcomes, space)
+    return Observable(tuple(
+        (o["label"], Effect(_numbers(o["coeffs"], mode, f"observable field '{at}.coeffs'")))
+        for at, o in _outcomes(doc)), space)
 
 
 def qubit_observable_to_json(obs: QubitObservable) -> dict:
@@ -138,16 +142,17 @@ def qubit_observable_to_json(obs: QubitObservable) -> dict:
 
 def qubit_observable_from_json(doc: dict, mode=None) -> QubitObservable:
     mode = mode or detect_mode(doc)
-    outcomes = tuple(
+    return QubitObservable(tuple(
         (o["label"], QubitEffect(decode_number(o["e0"], mode),
-                                 decode_vector(o["e"], mode)))
-        for o in doc["outcomes"])
-    return QubitObservable(outcomes)
+                                 _numbers(o["e"], mode, f"observable field '{at}.e'")))
+        for at, o in _outcomes(doc)))
 
 
-def is_qubit_observable_doc(doc: dict) -> bool:
-    outcomes = doc.get("outcomes")
-    return bool(outcomes) and "e0" in outcomes[0]
+def _outcomes(doc) -> list:
+    """(field name, object) of each outcome of an observable document."""
+    outcomes = _listed(_object(doc, "an observable")["outcomes"], "observable field 'outcomes'")
+    return [(f"outcomes[{k}]", _object(o, f"observable field 'outcomes[{k}]'"))
+            for k, o in enumerate(outcomes)]
 
 
 # -- channels and certificates ----------------------------------------------
@@ -155,6 +160,12 @@ def is_qubit_observable_doc(doc: dict) -> bool:
 def postprocessing_to_json(channel: Postprocessing) -> dict:
     return {"source": list(channel.source), "target": list(channel.target),
             "matrix": [encode_vector(r) for r in channel.matrix]}
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object")
+    return value
 
 
 def _listed(value, what: str) -> list:
@@ -180,9 +191,7 @@ def postprocessing_from_json(doc: dict, mode=None, name: str = "") -> Postproces
     def field(key: str) -> str:
         return f"{kind} field {path + key!r}"
 
-    if not isinstance(doc, dict):
-        raise ValueError(f"{kind} field {name!r} must be an object" if name
-                         else "a postprocessing must be an object")
+    _object(doc, f"{kind} field {name!r}" if name else "a postprocessing")
     mode = mode or detect_mode(doc)
     matrix = _listed(doc["matrix"], field("matrix"))
     return Postprocessing(
@@ -201,6 +210,7 @@ def certificate_to_json(cert: SimulationCertificate) -> dict:
 
 def certificate_from_json(doc: dict, mode=None) -> SimulationCertificate:
     """Decode a certificate; a malformed field raises ValueError naming it."""
+    doc = _object(doc, "a certificate")
     mode = mode or detect_mode(doc)
     if doc["verdict"] != SIMULABLE:
         return SimulationCertificate(
@@ -235,25 +245,24 @@ def load_observables(path, space: StateSpace = None):
     their "payload" key; qubit documents (with e0 fields) are returned as
     such for the caller to convert. Returns (observables, space, qubit_flag).
     """
-    doc = load_json(path)
+    doc = _object(load_json(path), f"{path}: the document")
     if "payload" in doc and isinstance(doc["payload"], dict):
         doc = doc["payload"]
     mode = detect_mode(doc)
     if "space" in doc and doc["space"] is not None:
         space = space_from_json(doc["space"], mode)
-    if "observables" in doc:
-        docs = doc["observables"]
-    elif "outcomes" in doc:
-        docs = [doc]
-    else:
+    docs = _listed(doc["observables"], "field 'observables'") if "observables" in doc \
+        else [doc] if "outcomes" in doc else []
+    if not docs:
         raise ValueError(f"{path}: no observables found")
-    if is_qubit_observable_doc(docs[0]):
+    first = _outcomes(docs[0])
+    if first and "e0" in first[0][1]:
         return [qubit_observable_from_json(d, mode) for d in docs], space, True
     return [observable_from_json(d, space, mode) for d in docs], space, False
 
 
 def load_space(path) -> StateSpace:
-    doc = load_json(path)
+    doc = _object(load_json(path), f"{path}: the document")
     if "payload" in doc and isinstance(doc["payload"], dict):
         doc = doc["payload"]
     if "space" in doc and isinstance(doc["space"], dict):

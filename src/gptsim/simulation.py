@@ -43,6 +43,7 @@ from .postprocessing import (
     Postprocessing,
     apply,
     compose,
+    is_postprocessing_clean,
     merge_channel,
     minimally_sufficient,
     minimally_sufficient_with_channels,
@@ -52,7 +53,6 @@ from .spaces import (
     Effect,
     Observable,
     decompose_into_indecomposables,
-    is_indecomposable,
     is_valid_observable,
     mix_observables,
 )
@@ -236,9 +236,8 @@ def is_simulation_irreducible(obs: Observable,
     if obs.space is None:
         raise ValueError("simulation irreducibility needs the state space")
     hat = minimally_sufficient(obs, tol)
-    for eff in hat.effects:
-        if not is_indecomposable(eff, obs.space, tol):
-            return False
+    if not is_postprocessing_clean(hat, tol):
+        return False
     vecs = [e.coeffs for e in hat.effects]
     return geometry.rank(vecs, tol=tol, mode=hat.mode) == len(vecs)
 

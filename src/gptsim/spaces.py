@@ -141,10 +141,6 @@ class Effect:
         return Effect(to_float_vector(self.coeffs))
 
 
-def unit_effect(space: StateSpace) -> Effect:
-    return Effect(space.unit)
-
-
 @dataclass(frozen=True)
 class Observable:
     """Finite outcome-labelled family of effects summing to the unit."""

@@ -225,11 +225,12 @@ def test_compat_bracket_examples(suite):
     assert qubit_compatibility_bracket([suite.X, suite.Y], 16).verdict == \
         "incompatible"
     from gptsim.postprocessing import Postprocessing
-    from gptsim.qubit import QubitObservable, effect_from_linear
+    from gptsim.qubit import QubitEffect, QubitObservable
 
     nu = Postprocessing(("+", "-"), ("+", "-"), ((0.8, 0.2), (0.3, 0.7)))
     nu_obs = apply(nu, as_vector_observable(suite.X).as_float())
-    post = QubitObservable(tuple((lab, effect_from_linear(e.coeffs))
+    # linear coordinates (ex, ey, ez, tau) back to the bias e0 = 2 tau - 1
+    post = QubitObservable(tuple((lab, QubitEffect(2 * e.coeffs[3] - 1, e.coeffs[:3]))
                                  for lab, e in nu_obs.outcomes))
     for facets in (8, 16):
         res = qubit_compatibility_bracket([suite.X, post], facets)

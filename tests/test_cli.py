@@ -177,6 +177,16 @@ def test_sim_check_verify_rejects_non_list_fields(capsys, tmp_path, field, value
     assert f"certificate field {field!r} must be a list" in err
 
 
+def test_sim_check_verify_rejects_a_non_object_certificate(capsys, tmp_path):
+    sq = square_bit()
+    args = _square_bit_check(tmp_path, sq.E, [sq.E, sq.F])
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1]")
+    code, out, err = run_cli(capsys, *args, "--verify", str(bad))
+    assert code == 2 and not out
+    assert "input error: a certificate must be an object" in err
+
+
 @pytest.mark.parametrize("path, value, field", [
     (("channels",), [None], "channels[0]"),
     (("channels", 0, "matrix"), None, "channels[0].matrix"),
@@ -204,6 +214,47 @@ def test_sim_check_verify_names_malformed_nested_field(capsys, tmp_path, path, v
     assert code == 2 and not out
     assert f"certificate field {field!r} must be" in err
     assert "Traceback" not in err and "exact-mode" not in err
+
+
+@pytest.mark.parametrize("which, doc, message", [
+    ("space", {"ambient_dim": None}, "space field 'ambient_dim' must be an integer"),
+    ("space", {"extreme_states": [None]}, "space field 'extreme_states[0]' must be a list"),
+    ("space", {"unit": "001"}, "space field 'unit' must be a list"),
+    ("target", {"outcomes": [{"label": "+", "coeffs": None}]},
+     "observable field 'outcomes[0].coeffs' must be a list"),
+    ("target", {"outcomes": None}, "observable field 'outcomes' must be a list"),
+    ("target", {"outcomes": [None]}, "observable field 'outcomes[0]' must be an object"),
+    ("target", {"observables": None}, "field 'observables' must be a list"),
+    ("target", {"observables": [None]}, "an observable must be an object"),
+    ("target", {"observables": []}, "no observables found"),
+    ("target", {"outcomes": [{"label": "+", "e0": "0", "e": None}]},
+     "observable field 'outcomes[0].e' must be a list"),
+    ("target", {"outcomes": [{"label": "+", "e0": [0], "e": ["0", "0", "1"]}]},
+     "[0] is not a number"),
+])
+@pytest.mark.parametrize("command", ["check", "noise"])
+def test_sim_malformed_observable_or_space_exit_2(capsys, tmp_path, command, which, doc,
+                                                  message):
+    # A field of the wrong type is an input error (exit 2) that names the
+    # field, not a TypeError traceback.
+    sq = square_bit()
+    args = _square_bit_check(tmp_path, sq.E, [sq.E, sq.F])
+    if command == "noise":
+        args = ["sim", "noise", *args[2:6]]
+    path = tmp_path / f"{which}.json"
+    base = space_to_json(sq.space) if which == "space" else {}
+    path.write_text(json.dumps({**base, **doc}))
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and not out
+    assert "input error: " in err and message in err
+
+
+def test_space_validate_malformed_state_exit_2(capsys, tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({**space_to_json(square_bit().space), "extreme_states": [None]}))
+    code, out, err = run_cli(capsys, "space", "validate", str(path))
+    assert code == 2 and not out
+    assert "space field 'extreme_states[0]' must be a list" in err
 
 
 @pytest.mark.parametrize("eps, verdict", [(None, "not_simulable"), ("1e-3", "simulable")])

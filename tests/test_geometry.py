@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gptsim.geometry import (
+    ConicResult,
     canonical_ray,
     conic_decompose,
     extreme_rays,
@@ -14,6 +15,7 @@ from gptsim.geometry import (
     replay_conic,
     replay_hull,
 )
+from gptsim.lp import make_program, verify_farkas
 from gptsim.scalars import EXACT, FLOAT
 
 F = Fraction
@@ -51,15 +53,35 @@ def test_hull_inside_unit_square():
     res = in_convex_hull((F(1, 2), F(1, 2)), gens)
     assert res.inside
     assert replay_hull(res, (F(1, 2), F(1, 2)), gens)
-    assert sum(res.coefficients) == 1
+    # the lexicographic maximum of the convex weights in generator order
+    assert res.coefficients == (F(1, 2), 0, 0, F(1, 2))
 
 
 def test_hull_outside_with_functional():
     gens = [(0, 0), (1, 0), (0, 1), (1, 1)]
     res = in_convex_hull((2, 0), gens)
     assert not res.inside
-    assert res.gap > 0
+    *phi, phi0 = res.functional
+    assert all(sum(a * x for a, x in zip(phi, g)) + phi0 <= 0 for g in gens)
+    assert sum(a * x for a, x in zip(phi, (2, 0))) + phi0 > 0
     assert replay_hull(res, (2, 0), gens)
+
+
+@pytest.mark.parametrize("kind", [F, float])
+def test_hull_refutation_is_a_farkas_vector_of_the_lifted_program(kind):
+    # Outside the hull of the generators g, the point is outside the cone of
+    # the (g, 1): the refutation (phi, phi0) is a Farkas vector of that
+    # program, one entry longer than the point, and its negation is not.
+    gens = [tuple(kind(x) for x in g) for g in [(0, 0), (2, 0), (0, 2)]]
+    point = tuple(kind(x) for x in (F(3, 2), 1))
+    res = in_convex_hull(point, gens)
+    assert not res.inside and len(res.functional) == 3
+    lifted = make_program(rows=[[g[0] for g in gens], [g[1] for g in gens], [1, 1, 1]],
+                          rhs=(*point, 1))
+    assert verify_farkas(lifted, res.functional)
+    assert replay_hull(res, point, gens)
+    negated = ConicResult(res.verdict, functional=tuple(-y for y in res.functional))
+    assert not replay_hull(negated, point, gens)
 
 
 def test_hull_idempotent_after_appending_point():

@@ -10,7 +10,6 @@ from gptsim.postprocessing import (
     are_equivalent,
     binarization,
     compose,
-    identity_channel,
     is_postprocessing_clean,
     is_postprocessing_of,
     merge_channel,
@@ -25,10 +24,6 @@ from gptsim.spaces import Effect, observable, trivial_observable
 
 F = Fraction
 HALF = F(1, 2)
-
-
-def test_identity_channel_is_noop(sq):
-    assert apply(identity_channel(sq.E.labels), sq.E) == sq.E
 
 
 def test_merge_channel_adds_effects(sq):
@@ -85,7 +80,7 @@ def test_replay_relation_requires_matching_labels(sq):
     assert not replay_relation(RelationCertificate(RELATED, channel=extra), sq.E, sq.E)
     renamed = Postprocessing(("a", "b"), ("+", "-"), ((1, 0), (0, 1)))
     assert not replay_relation(RelationCertificate(RELATED, channel=renamed), sq.E, sq.E)
-    identity = identity_channel(sq.E.labels)
+    identity = Postprocessing(("+", "-"), ("+", "-"), ((1, 0), (0, 1)))
     assert replay_relation(RelationCertificate(RELATED, channel=identity), sq.E, sq.E)
 
 

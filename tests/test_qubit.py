@@ -15,10 +15,8 @@ from gptsim.qubit import (
     QubitObservable,
     QubitSpace,
     as_vector_observable,
-    effect_from_linear,
     linear_coords,
     octahedron_margins,
-    qubit_to_vector,
     random_qubit_observable,
 )
 from gptsim.scalars import ModeError
@@ -28,26 +26,20 @@ F = Fraction
 
 
 def test_display_coordinates_named_points(suite):
-    assert qubit_to_vector(suite.X.effects[0]) == (0, 1, 0, 0)
-    assert qubit_to_vector(suite.T.effects[0]) == (1, 0, 0, 0)   # identity
-    assert qubit_to_vector(suite.T.effects[1]) == (-1, 0, 0, 0)  # zero effect
-    assert qubit_to_vector(suite.ct(0.5).effects[0]) == \
+    def display(eff):
+        return (eff.e0, *eff.e_vec)
+
+    assert display(suite.X.effects[0]) == (0, 1, 0, 0)
+    assert display(suite.T.effects[0]) == (1, 0, 0, 0)   # identity
+    assert display(suite.T.effects[1]) == (-1, 0, 0, 0)  # zero effect
+    assert display(suite.ct(0.5).effects[0]) == \
         (0.0, 0.5 / math.sqrt(2), 0.5 / math.sqrt(2), 0.0)
 
 
 def test_linear_coordinates_roundtrip_exact():
     eff = QubitEffect(F(1, 3), (F(1, 5), F(-2, 5), F(0)))
-    back = effect_from_linear(linear_coords(eff))
-    assert back == eff
-
-
-def test_display_coordinates_roundtrip_preserves_validity():
-    eff = QubitEffect(F(1, 5), (F(3, 5), F(0), F(1, 5)))
-    assert eff.is_valid()
-    vec = qubit_to_vector(eff)
-    back = QubitEffect(vec[0], vec[1:])
-    assert back == eff
-    assert back.is_valid()
+    ex, ey, ez, tau = linear_coords(eff)
+    assert QubitEffect(2 * tau - 1, (ex, ey, ez)) == eff
 
 
 def test_linear_coordinates_additive(suite):

@@ -26,6 +26,7 @@ from gptsim.spaces import observable
 
 SOURCE = pathlib.Path(gptsim.__file__).parent
 TESTS = pathlib.Path(__file__).parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def test_exact_field_values():
@@ -184,3 +185,38 @@ def test_no_unused_imports():
     paths += sorted(TESTS.glob("*.py"))
     found = [entry for path in paths for entry in _dead_imports(path)]
     assert not found, f"unused imports: {found}"
+
+
+def _references(tree, skip):
+    """Names that the nodes of a parsed module read, as variables, as
+    attributes or as strings (tracer tables name functions by string),
+    leaving out the top-level definitions whose names are in `skip`."""
+    names = set()
+    for top in tree.body:
+        if isinstance(top, _SCOPES[1:]) and top.name in skip:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_every_library_definition_is_used_or_exported():
+    # a module-level function or class that nothing in the library or the
+    # benchmark reads, outside its own definition, and that gptsim does not
+    # export is dead code
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in [*sorted(SOURCE.glob("*.py")), *sorted(PERFBENCH.glob("*.py"))]}
+    unused = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in trees[path].body:
+            if not isinstance(top, _SCOPES[1:]) or top.name in gptsim.__all__:
+                continue
+            if not any(top.name in _references(tree, {top.name} if other == path else ())
+                       for other, tree in trees.items()):
+                unused.append(f"{path.name}:{top.lineno} {top.name}")
+    assert not unused, f"unused library definitions: {unused}"

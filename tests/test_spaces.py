@@ -16,7 +16,6 @@ from gptsim.spaces import (
     mix_observables,
     observable,
     trivial_observable,
-    unit_effect,
     validate_state_space,
 )
 
@@ -48,7 +47,7 @@ def test_bad_normalization_flagged(sq):
 
 
 def test_unit_and_zero_are_valid_effects(sq):
-    assert is_valid_effect(unit_effect(sq.space), sq.space)
+    assert is_valid_effect(Effect(sq.space.unit), sq.space)
     assert is_valid_effect(Effect((0, 0, 0)), sq.space)
 
 
@@ -64,7 +63,7 @@ def test_hexagon_extreme_effect_validity(hexagon):
 
 def test_indecomposable_square_bit(sq):
     assert is_indecomposable(sq.E.effects[0], sq.space)
-    assert not is_indecomposable(unit_effect(sq.space), sq.space)
+    assert not is_indecomposable(Effect(sq.space.unit), sq.space)
 
 
 def test_indecomposable_scaling_invariance(hexagon):
@@ -83,7 +82,7 @@ def test_decompose_singleton_for_indecomposable(sq):
 
 
 def test_decompose_square_bit_unit(sq):
-    parts = decompose_into_indecomposables(unit_effect(sq.space), sq.space)
+    parts = decompose_into_indecomposables(Effect(sq.space.unit), sq.space)
     assert len(parts) == 2
     total = tuple(sum(p.coeffs[d] for p in parts) for d in range(3))
     assert total == sq.space.unit
