@@ -15,6 +15,9 @@ optimum). The mode picks one of two kernels, which own only their numbers:
 `_IntTableau` (exact mode, for rational inputs) keeps rows of Python ints
 over per-row denominators and returns `fractions.Fraction` values;
 `_FloatTableau` (float mode) is a numpy tableau compared with tolerances.
+An exact-mode request checks only the objectives for floats up front;
+`_integer_row` rejects a float row or right-hand side while `_IntTableau`
+clears it, before any pivot, and a rejected program is no solve.
 
 Every verdict is checkable after the fact: a feasible outcome carries the
 solution vector, an infeasible outcome carries a Farkas vector y with
@@ -24,9 +27,10 @@ and a ray along which the objective improves. `verify_solution` and
 `verify_farkas` replay the first two against the original program: in
 exact mode on integers, by clearing denominators with `_integer_row` and
 testing signs of integer dot products (as Applegate, Cook, Dash & Espinoza
-2007 check exact LP certificates), in float mode with eps. Code that
-builds an answer from a certificate raises `CertificateError` when the
-certificate fails that replay, so it never returns it.
+2007 check exact LP certificates), in float mode with eps, which a NaN
+fails. Code that builds an answer from a certificate raises
+`CertificateError` when the certificate fails that replay, so it never
+returns it.
 
 Pivoting uses the largest-coefficient rule and switches permanently to
 Bland's rule once the objective has stalled for more than `_STALL_LIMIT`
@@ -160,9 +164,8 @@ def lp_solve(program: LinearProgram, mode: Optional[str] = None,
     """Solve a LinearProgram, inferring the arithmetic mode if not given."""
     if mode is None:
         mode = program.mode()
-    elif mode == EXACT and program.mode() == FLOAT:
+    elif mode == EXACT and infer_mode(x for c in program.objectives() for x in c) == FLOAT:
         raise ValueError("exact mode requested for float data")
-    stats["solves"] += 1
     kernel = _IntTableau if mode == EXACT else _FloatTableau
     out = _simplex(program, kernel, field(mode, tol))
     stats["pivots"] += out.pivots
@@ -181,18 +184,18 @@ def verify_solution(program: LinearProgram, solution: Sequence,
     if len(solution) != program.num_vars:
         return False
     if mode == EXACT:
-        X, L = _integer_row(solution, repeat(1))
+        X, L = _integer_row(solution)
         for r, b in zip(program.rows, program.rhs):
-            N, _ = _integer_row((*r, b), repeat(1))
+            N, _ = _integer_row((*r, b))
             if sum(a * x for a, x in zip(N, X)) != N[-1] * L:  # zip stops before B_i
                 return False
         return all(x >= 0 for x, flag in zip(X, program.nonneg) if flag)
-    eps = field(mode, tol).eps
+    eps = field(mode, tol).eps  # each test is written so that a NaN fails it
     for row, b in zip(_python_rows(program), program.rhs):
-        if abs(vdot(row, solution) - b) > eps:
+        if not abs(vdot(row, solution) - b) <= eps:
             return False
     for x, flag in zip(solution, program.nonneg):
-        if flag and x < -eps:
+        if flag and not x >= -eps:
             return False
     return True
 
@@ -212,8 +215,8 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
         return False
     if mode == EXACT:
         eps = 0
-        Y, _ = _integer_row(farkas, repeat(1))
-        terms = [(y, *_integer_row((*r, b), repeat(1)))
+        Y, _ = _integer_row(farkas)
+        terms = [(y, *_integer_row((*r, b)))
                  for y, r, b in zip(Y, program.rows, program.rhs) if y]
         L = lcm(*(den for _, _, den in terms))
         acc = [0] * (program.num_vars + 1)
@@ -226,11 +229,8 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
         rows = _python_rows(program)
         combo = [vdot(farkas, col) for col in zip(*rows)] if len(rows) else []
         yb = vdot(farkas, program.rhs)
-    for z, flag in zip(combo, program.nonneg):
-        if flag:
-            if z > eps:
-                return False
-        elif abs(z) > eps:
+    for z, flag in zip(combo, program.nonneg):  # a NaN fails each test
+        if not (z <= eps if flag else abs(z) <= eps):
             return False
     return bool(yb > eps)
 
@@ -243,18 +243,16 @@ def _python_rows(program: LinearProgram):
 
 
 # ---------------------------------------------------------------------------
-# The driver. Free variables are split x = x+ - x-; the column map records
-# (variable, sign) per standard-form column. Rows with a negative right-hand
+# The driver. Free variables are split x = x+ - x-; the column map holds the
+# variable j of each standard-form column, as ~j for a column x-. Without a
+# free variable it is the identity, a range. Rows with a negative right-hand
 # side are negated (flips), so every starting basic value is nonnegative.
 # ---------------------------------------------------------------------------
 
 def _colmap(program: LinearProgram):
-    colmap = []
-    for j, flag in enumerate(program.nonneg):
-        colmap.append((j, 1))
-        if not flag:
-            colmap.append((j, -1))
-    return colmap
+    if all(program.nonneg):
+        return range(program.num_vars)
+    return [c for j, flag in enumerate(program.nonneg) for c in ((j,) if flag else (j, ~j))]
 
 
 def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
@@ -263,6 +261,7 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
     m, n = len(program.rows), len(colmap)
     flips = [-1 if b < 0 else 1 for b in program.rhs]
     tab = kernel(program, colmap, flips, F)
+    stats["solves"] += 1  # only now: a program the kernel rejects is no solve
     basis = tab.basis
     cap = None if kernel.CAP is None else kernel.CAP * (program.num_vars + m)
 
@@ -296,15 +295,17 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
 
     # Phase 2. Fixed columns are zeroed and priced at zero: they never enter.
     if program.objective is not None:
-        signs = [(-1 if program.sense == "max" else 1) * s for _, s in colmap]
+        sense = -1 if program.sense == "max" else 1
+        signs = repeat(sense) if n == program.num_vars else [
+            sense if j >= 0 else -sense for j in colmap]
     fixed, ray = set(), None
     for k, objective in enumerate(program.objectives()):
         if k:
             fixed.update(tab.fix(n, basis))
             if len(fixed) + len(basis) == n:
                 break
-        tab.price([0 if col in fixed else objective[j] for col, (j, _) in enumerate(colmap)],
-                  signs, basis)
+        tab.price([0 if col in fixed else objective[j if j >= 0 else ~j]
+                   for col, j in enumerate(colmap)], signs, basis)
         total, col = _optimize(tab, basis, n, cap, pivots)
         if col >= 0:  # the count leaves out this objective's pivots
             ray = _recover(program, colmap, [col] + basis,
@@ -321,8 +322,10 @@ def _recover(program, colmap, cols, values, F):
     """The variables whose standard-form columns `cols` hold `values`."""
     x = [F.zero] * program.num_vars
     for col, v in zip(cols, values):
-        j, sign = colmap[col]
-        x[j] = x[j] + (v if sign == 1 else -v)
+        j = colmap[col]
+        if j < 0:
+            j, v = ~j, -v
+        x[j] = x[j] + v
     return tuple(x)
 
 
@@ -371,25 +374,31 @@ def _start_basis(crash, m, n):
 # Exact kernel: dense tableau of Python ints.
 #
 # Row i of T holds integer numerators over the positive denominator D[i]; the
-# last row is the reduced-cost row. Every updated row is divided by the gcd
-# of its entries and denominator, which keeps it as small as the equivalent
-# Fractions. A reduced cost is negative when its numerator is, and the ratio
+# last row is the reduced-cost row. The pivot rule compares numerators only
+# within the reduced-cost row, which share one denominator, and the ratio
 # test compares T[i][last] / T[i][col] by cross products (the denominator of
-# row i cancels). Fractions are built only for the returned values.
+# row i cancels), so no choice depends on a row's scale. A row is therefore
+# divided by the gcd of its entries and denominator only once the
+# denominator has outgrown a machine word, which bounds the growth of its
+# integers. Fractions, which are normalized, are built only for the
+# returned values.
 # ---------------------------------------------------------------------------
 
-def _integer_row(values, signs):
-    """Numerators of sign * value over the values' least common denominator;
-    a float value raises ValueError."""
+def _integer_row(values, signs=None):
+    """Numerators of sign * value over the values' least common denominator
+    (every sign +1 without `signs`); a float value raises ValueError."""
     try:
         dens = [x.denominator for x in values]
     except AttributeError:
         raise ValueError("exact mode requested for float data") from None
     den = lcm(*dens)
-    return [s * x.numerator * (den // d) for s, x, d in zip(signs, values, dens)], den
+    row = [x.numerator if d == den else x.numerator * (den // d) for x, d in zip(values, dens)]
+    return (row if signs is None else [s * x for s, x in zip(signs, row)]), den
 
 
 def _reduced(row, den):
+    if den < 1 << 64:
+        return row, den
     g = gcd(den, *row)
     if g == 1:
         return row, den
@@ -424,8 +433,9 @@ class _IntTableau:
         m, n = len(program.rows), len(colmap)
         T, D = [], []
         for r, b, flip in zip(program.rows, program.rhs, flips):
-            row, den = _integer_row([r[j] for j, _ in colmap] + [b],
-                                    [flip * s for _, s in colmap] + [flip])
+            if n > program.num_vars:  # a free column was split
+                r = [r[j] if j >= 0 else -r[~j] for j in colmap]
+            row, den = _integer_row((*r, b), None if flip > 0 else repeat(-1))
             T.append(row)
             D.append(den)
         crash = _crash_columns(T, m, n)
@@ -552,7 +562,8 @@ class _FloatTableau:
         flips = np.array(flips, dtype=float)
         A = np.array(program.rows, dtype=float).reshape(m, program.num_vars)
         if n > program.num_vars:  # a free column was split
-            A = A[:, [j for j, _ in colmap]] * [s for _, s in colmap]
+            A = A[:, [j if j >= 0 else ~j for j in colmap]] * [
+                1 if j >= 0 else -1 for j in colmap]
         A *= flips[:, None]
         b = np.array(program.rhs, dtype=float) * flips
         nonzero = A != 0.0

@@ -62,11 +62,11 @@ class Postprocessing:
                               tuple(to_float_vector(r) for r in self.matrix))
 
     def is_stochastic(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        eps = field(self.mode, tol).eps
+        eps = field(self.mode, tol).eps  # each test is written so that a NaN fails it
         for row in self.matrix:
-            if any(v < -eps or v > 1 + eps for v in row):
+            if not all(-eps <= v <= 1 + eps for v in row):
                 return False
-            if abs(sum(row) - 1) > eps:
+            if not abs(sum(row) - 1) <= eps:
                 return False
         return True
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import csv
 import json
+import math
 from fractions import Fraction
 
 from .postprocessing import Postprocessing
@@ -79,6 +80,8 @@ def _looks_rational(s: str) -> bool:
 def decode_number(x, mode: str):
     if isinstance(x, bool) or not isinstance(x, (int, float, str)):
         raise ModeError(f"{x!r} is not a number")
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ModeError(f"{x!r} is not a finite number")
     if mode == EXACT:
         if isinstance(x, int):
             return Fraction(x)

@@ -48,7 +48,7 @@ from .postprocessing import (
     minimally_sufficient,
     minimally_sufficient_with_channels,
 )
-from .scalars import DEFAULT_TOLERANCE, Tolerance, field, kind_of, resolve, vdot, vscale
+from .scalars import DEFAULT_TOLERANCE, FLOAT, Tolerance, field, kind_of, resolve, vdot, vscale
 from .spaces import (
     Effect,
     Observable,
@@ -94,16 +94,30 @@ def _check_same_space(target: Observable, simulators: Sequence[Observable]):
         raise ValueError("observables live in different ambient dimensions")
 
 
+_memo = ((), None)  # ((target, *simulators), program) of the last program built
+
+
 def simulation_program(target: Observable,
                        simulators: Sequence[Observable]) -> LinearProgram:
     """The feasibility LP whose solutions are scaled simulation schemes.
 
     Variables are the blocks M_i[x,y] >= 0 followed by the weights c_i; the
     constraints are constant row sums within each simulator, total weight
-    one, and effect matching.
+    one, and effect matching. Structural 0 and +-1 entries are ints in exact
+    mode, which clear cheaply, and floats in float mode, which convert fast.
+
+    The last program is memoized by the identity (`is`) of the target and of
+    each simulator, so a replay right after its decision reuses it; the memo
+    holds the observables, so their ids are not recycled. A miss drops the
+    memoized program before it builds the next one.
     """
+    global _memo
+    key, (last_key, program) = (target, *simulators), _memo
+    if len(key) == len(last_key) and all(a is b for a, b in zip(key, last_key)):
+        return program
+    _memo = program = ((), None)  # no reference to the last program outlives the build
     F = _common_field(target, simulators)
-    one, zero = F.one, F.zero
+    zero, one = (F.zero, F.one) if F.mode == FLOAT else (0, 1)
     ny = target.n_outcomes
     dim = target.dim
 
@@ -137,7 +151,9 @@ def simulation_program(target: Observable,
                     row[offsets[i] + xi * ny + yi] = sim.effects[xi].coeffs[d]
             rows.append(tuple(row))
             rhs.append(target.effects[yi].coeffs[d])
-    return make_program(rows=rows, rhs=rhs)
+    program = make_program(rows=rows, rhs=rhs)
+    _memo = (key, program)
+    return program
 
 
 def is_simulable(target: Observable, simulators: Sequence[Observable],

@@ -187,6 +187,27 @@ def test_sim_check_verify_rejects_a_non_object_certificate(capsys, tmp_path):
     assert "input error: a certificate must be an object" in err
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_sim_check_verify_rejects_non_finite_certificate_numbers(capsys, tmp_path, value):
+    # json reads NaN and Infinity; a certificate holding them is an input
+    # error (exit 2), not a certificate that verifies.
+    sq = square_bit()
+    e, f = sq.E.as_float(), sq.F.as_float()
+    args = _square_bit_check(tmp_path, e, [e, f])
+    code, out, _ = run_cli(capsys, *args)
+    cert = payload(out)["certificate"]
+    assert code == 0 and cert["verdict"] == "simulable"
+    cert["weights"] = [float(value)] * len(cert["weights"])
+    for chan in cert["channels"]:
+        chan["matrix"] = [[float(value)] * len(row) for row in chan["matrix"]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    assert value in bad.read_text()
+    code, out, err = run_cli(capsys, *args, "--verify", str(bad))
+    assert code == 2 and not out
+    assert "input error:" in err and "is not a finite number" in err
+
+
 @pytest.mark.parametrize("path, value, field", [
     (("channels",), [None], "channels[0]"),
     (("channels", 0, "matrix"), None, "channels[0].matrix"),

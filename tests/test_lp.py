@@ -124,6 +124,34 @@ def test_exact_mode_rejects_float_data():
         lp_solve(p, mode=EXACT)
 
 
+@pytest.mark.parametrize("where", ["objective", "rows"])
+def test_exact_mode_rejects_float_data_before_solving(where):
+    # -x0 - x1 = 1 is infeasible in phase 1, so a float objective must be
+    # caught up front; a float row is caught while the exact kernel clears
+    # it. Neither rejected program counts as a solve.
+    from gptsim import lp
+
+    row, objective = ((-1.0, -1), (1, 0)) if where == "rows" else ((-1, -1), (1.0, 0))
+    p = make_program(rows=[row], rhs=(1,), objective=objective)
+    solves = lp.stats["solves"]
+    with pytest.raises(ValueError, match="exact mode requested for float data"):
+        lp_solve(p, mode=EXACT)
+    assert lp.stats["solves"] == solves
+    assert lp_solve(p, mode=FLOAT).verdict == INFEASIBLE
+    assert lp.stats["solves"] == solves + 1
+
+
+def test_float_verifiers_reject_nan():
+    nan = float("nan")
+    p = make_program(rows=[(1.0, 1.0)], rhs=(1.0,), nonneg=(True, False))
+    assert verify_solution(p, (0.5, 0.5))
+    for solution in ((nan, nan), (nan, 1.0), (0.5, nan)):
+        assert verify_solution(p, solution) is False
+    q = make_program(rows=[(1.0, 1.0)], rhs=(-1.0,))
+    assert verify_farkas(q, (-1.0,))
+    assert verify_farkas(q, (nan,)) is False
+
+
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_verifiers_on_a_program_without_rows(mode):
     # the twin's rows are a zero-row float array, which keeps its width even

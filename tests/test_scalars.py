@@ -187,14 +187,14 @@ def test_no_unused_imports():
     assert not found, f"unused imports: {found}"
 
 
-def _references(tree, skip):
-    """Names that the nodes of a parsed module read, as variables, as
-    attributes or as strings (tracer tables name functions by string),
-    leaving out the top-level definitions whose names are in `skip`."""
-    names = set()
+def _references(tree):
+    """(name, names read) for each top-level statement of a parsed module:
+    the names it reads as variables, as attributes or as strings (tracer
+    tables name functions by string), and the name it defines when it is a
+    function or class definition, else None."""
+    found = []
     for top in tree.body:
-        if isinstance(top, _SCOPES[1:]) and top.name in skip:
-            continue
+        names = set()
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -202,7 +202,8 @@ def _references(tree, skip):
                 names.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)
-    return names
+        found.append((top.name if isinstance(top, _SCOPES[1:]) else None, names))
+    return found
 
 
 def test_every_library_definition_is_used_or_exported():
@@ -211,12 +212,14 @@ def test_every_library_definition_is_used_or_exported():
     # export is dead code
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in [*sorted(SOURCE.glob("*.py")), *sorted(PERFBENCH.glob("*.py"))]}
+    references = {path: _references(tree) for path, tree in trees.items()}
     unused = []
     for path in sorted(SOURCE.glob("*.py")):
         for top in trees[path].body:
             if not isinstance(top, _SCOPES[1:]) or top.name in gptsim.__all__:
                 continue
-            if not any(top.name in _references(tree, {top.name} if other == path else ())
-                       for other, tree in trees.items()):
+            if not any(top.name in names for other, found in references.items()
+                       for defined, names in found
+                       if not (other == path and defined == top.name)):
                 unused.append(f"{path.name}:{top.lineno} {top.name}")
     assert not unused, f"unused library definitions: {unused}"

@@ -11,6 +11,7 @@ from gptsim.scalars import EXACT, FLOAT, ModeError
 from gptsim.serialize import (
     certificate_from_json,
     certificate_to_json,
+    decode_number,
     detect_mode,
     load_observables,
     load_space,
@@ -108,6 +109,14 @@ def test_float_file_rejects_rational_strings():
     doc = {"outcomes": [{"label": "a", "coeffs": [0.5, "1/2"]}]}
     with pytest.raises(ModeError):
         observable_from_json(doc)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_decode_number_rejects_non_finite_floats(value):
+    with pytest.raises(ModeError, match=f"{value!r} is not a finite number"):
+        decode_number(value, FLOAT)
+    with pytest.raises(ModeError):
+        observable_from_json({"outcomes": [{"label": "a", "coeffs": [value, 0.5]}]})
 
 
 def test_load_observables_group(tmp_path, sq):

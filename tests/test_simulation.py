@@ -91,6 +91,59 @@ def test_replay_rejects_tampered_exact_farkas():
             assert replay(bad) is False
 
 
+def test_replay_against_another_instance_rebuilds_the_program(sq):
+    # The memoized program of the last decision or replay must not answer a
+    # replay with another simulator list or another target. F from [F] and
+    # E from [E] are simulable, so the Farkas vector of F from [E] refutes
+    # neither, and E's scheme from [E, F] does not simulate F.
+    cert = is_simulable(sq.F, [sq.E])
+    assert not cert.simulable and replay_simulation(cert, sq.F, [sq.E])
+    assert replay_simulation(cert, sq.F, [sq.F]) is False
+    assert replay_simulation(cert, sq.E, [sq.E]) is False
+    cert = is_simulable(sq.E, [sq.E, sq.F])
+    assert cert.simulable
+    assert replay_simulation(cert, sq.F, [sq.E, sq.F]) is False
+
+
+def test_replay_against_equal_distinct_observables(sq):
+    # Equal observables that are other objects rebuild an equal program,
+    # and the certificate replays against it.
+    def twin(obs):
+        return Observable(obs.outcomes, obs.space)
+
+    sims = [sq.E, sq.F]
+    program = simulation_program(sq.E, sims)
+    assert simulation_program(sq.E, list(sims)) is program
+    rebuilt = simulation_program(twin(sq.E), [twin(s) for s in sims])
+    assert rebuilt is not program and rebuilt == program
+    for target in (sq.E, twin(sq.E)):
+        cert = is_simulable(target, sims)
+        assert cert.simulable
+        assert replay_simulation(cert, twin(sq.E), [twin(s) for s in sims])
+    refuted = is_simulable(sq.F, [sq.E])
+    assert replay_simulation(refuted, twin(sq.F), [twin(sq.E)])
+
+
+def test_replay_rejects_nan_certificates(sq):
+    # NaN weights and channels fail the stochasticity test and the solution
+    # replay, and a NaN Farkas vector fails the Farkas replay.
+    nan = float("nan")
+    target, sims = sq.E.as_float(), [sq.E.as_float(), sq.F.as_float()]
+    cert = is_simulable(target, sims)
+    assert cert.simulable and replay_simulation(cert, target, sims)
+    channels = tuple(Postprocessing(c.source, c.target, tuple((nan,) * len(r) for r in c.matrix))
+                     for c in cert.channels)
+    assert not any(c.is_stochastic() for c in channels)
+    for bad in (dataclasses.replace(cert, weights=(nan, nan), channels=channels),
+                dataclasses.replace(cert, weights=(nan, nan)),
+                dataclasses.replace(cert, channels=channels)):
+        assert replay_simulation(bad, target, sims) is False
+    refuted = is_simulable(sims[1], sims[:1])
+    assert not refuted.simulable and replay_simulation(refuted, sims[1], sims[:1])
+    nan_farkas = dataclasses.replace(refuted, farkas=(nan,) * len(refuted.farkas))
+    assert replay_simulation(nan_farkas, sims[1], sims[:1]) is False
+
+
 def test_mixed_spaces_rejected(sq, trit):
     with pytest.raises(ValueError):
         is_simulable(sq.E, [trit.distinguishing])
