@@ -3,8 +3,8 @@
 Problems are stated over equality constraints `A x = b` with per-variable
 nonnegativity flags, an optional linear objective and optional tie-breaks.
 The rows of A are a tuple of tuples or, for float data only, a read-only
-2-D float ndarray, which the float kernel copies in one step; a program
-holding an array is not hashable.
+2-D float ndarray, which the float kernel copies in one step and the float
+verifiers read without a copy; a program holding an array is not hashable.
 One two-phase simplex driver, `_simplex`, owns the algorithm: phase 1 from
 crash and artificial columns, the pivot rule, the infeasibility test and
 Farkas certificate, drive-out of artificials, phase 2, unbounded detection
@@ -27,8 +27,10 @@ and a ray along which the objective improves. `verify_solution` and
 `verify_farkas` replay the first two against the original program: in
 exact mode on integers, by clearing denominators with `_integer_row` and
 testing signs of integer dot products (as Applegate, Cook, Dash & Espinoza
-2007 check exact LP certificates), in float mode with eps, which a NaN
-fails. Code that builds an answer from a certificate raises
+2007 check exact LP certificates), in float mode by one matrix-vector
+product over the rows, tuple or ndarray (A x for a solution, y'A for a
+Farkas vector), whose entries are tested against eps so that an inf or a
+NaN fails. Code that builds an answer from a certificate raises
 `CertificateError` when the certificate fails that replay, so it never
 returns it.
 
@@ -82,7 +84,8 @@ class LinearProgram:
     tie-break is optimized over the optimal face of the objectives before it.
 
     `rows` is a tuple of tuples or a read-only 2-D float ndarray (float data
-    only); a program with ndarray rows is not hashable."""
+    only); a program with ndarray rows is not hashable. Float replay of
+    either is one matrix-vector product over the rows as one float array."""
 
     num_vars: int
     rows: tuple
@@ -178,7 +181,8 @@ def verify_solution(program: LinearProgram, solution: Sequence,
 
     Exact mode clears x to integers X over L and row i, rhs included, to
     integers N_i, B_i, then tests N_i . X == B_i * L and X_j >= 0; a float
-    raises ValueError. Float mode allows eps.
+    raises ValueError. Float mode computes A x as one matrix-vector product
+    over the rows, tuple or ndarray, and allows eps in each row and sign.
     """
     mode = mode or program.mode()
     if len(solution) != program.num_vars:
@@ -190,14 +194,12 @@ def verify_solution(program: LinearProgram, solution: Sequence,
             if sum(a * x for a, x in zip(N, X)) != N[-1] * L:  # zip stops before B_i
                 return False
         return all(x >= 0 for x, flag in zip(X, program.nonneg) if flag)
-    eps = field(mode, tol).eps  # each test is written so that a NaN fails it
-    for row, b in zip(_python_rows(program), program.rhs):
-        if not abs(vdot(row, solution) - b) <= eps:
-            return False
-    for x, flag in zip(solution, program.nonneg):
-        if flag and not x >= -eps:
-            return False
-    return True
+    eps = field(mode, tol).eps
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail every test
+        x = np.asarray(solution, dtype=float)
+        residual = _float_rows(program) @ x - np.asarray(program.rhs, dtype=float)
+        return bool((np.abs(residual) <= eps).all()
+                    and (x[np.asarray(program.nonneg, dtype=bool)] >= -eps).all())
 
 
 def verify_farkas(program: LinearProgram, farkas: Sequence,
@@ -208,38 +210,36 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
     included, to integers over D_i. The sum of Y_i * (L / D_i) times row i,
     L the lcm of the D_i, is (y'A, y'b) times a positive number, so its
     signs are tested exactly; a float it reads raises ValueError. Float
-    mode allows eps.
+    mode computes y'A as one vector-matrix product over the rows, tuple or
+    ndarray, and allows eps in each sign.
     """
     mode = mode or program.mode()
     if len(farkas) != len(program.rows):
         return False
-    if mode == EXACT:
-        eps = 0
-        Y, _ = _integer_row(farkas)
-        terms = [(y, *_integer_row((*r, b)))
-                 for y, r, b in zip(Y, program.rows, program.rhs) if y]
-        L = lcm(*(den for _, _, den in terms))
-        acc = [0] * (program.num_vars + 1)
-        for y, row, den in terms:
-            k = y * (L // den)
-            acc = [a + k * x for a, x in zip(acc, row)]
-        combo, yb = acc[:-1], acc[-1]
-    else:
+    if mode != EXACT:
         eps = field(mode, tol).eps
-        rows = _python_rows(program)
-        combo = [vdot(farkas, col) for col in zip(*rows)] if len(rows) else []
-        yb = vdot(farkas, program.rhs)
-    for z, flag in zip(combo, program.nonneg):  # a NaN fails each test
-        if not (z <= eps if flag else abs(z) <= eps):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail every test
+            y = np.asarray(farkas, dtype=float)
+            combo = y @ _float_rows(program)
+            combo = np.where(program.nonneg, combo, np.abs(combo))
+            return bool((combo <= eps).all() and y @ np.asarray(program.rhs, dtype=float) > eps)
+    Y, _ = _integer_row(farkas)
+    terms = [(y, *_integer_row((*r, b)))
+             for y, r, b in zip(Y, program.rows, program.rhs) if y]
+    L = lcm(*(den for _, _, den in terms))
+    acc = [0] * (program.num_vars + 1)
+    for y, row, den in terms:
+        k = y * (L // den)
+        acc = [a + k * x for a, x in zip(acc, row)]
+    for z, flag in zip(acc, program.nonneg):  # zip stops before y'b
+        if not (z <= 0 if flag else z == 0):
             return False
-    return bool(yb > eps)
+    return acc[-1] > 0
 
 
-def _python_rows(program: LinearProgram):
-    """The rows, an ndarray's as lists of Python floats: the same numbers,
-    which the float replay sums faster than numpy scalars."""
-    rows = program.rows
-    return rows.tolist() if isinstance(rows, np.ndarray) else rows
+def _float_rows(program: LinearProgram):
+    """The rows as one m x n float array: an ndarray's without a copy."""
+    return np.asarray(program.rows, dtype=float).reshape(len(program.rhs), program.num_vars)
 
 
 # ---------------------------------------------------------------------------

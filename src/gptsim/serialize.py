@@ -89,7 +89,10 @@ def decode_number(x, mode: str):
             return Fraction(x)
         raise ModeError(f"float literal {x!r} in an exact-mode file")
     if isinstance(x, (int, float)):
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:  # an int beyond the largest float
+            raise ModeError(f"{x!r} is too large for a float") from None
     raise ModeError(f"rational string {x!r} in a float-mode file")
 
 

@@ -103,8 +103,15 @@ def simulation_program(target: Observable,
 
     Variables are the blocks M_i[x,y] >= 0 followed by the weights c_i; the
     constraints are constant row sums within each simulator, total weight
-    one, and effect matching. Structural 0 and +-1 entries are ints in exact
-    mode, which clear cheaply, and floats in float mode, which convert fast.
+    one, and effect matching. Row g < X (X the simulators' outcomes in turn)
+    holds ones across block row g and -1 in its simulator's weight column;
+    row X is the weight row; row X + 1 + y * dim + d matches coefficient d
+    of target effect y with the simulators' coefficients d under column y
+    of every block. Float mode places these blocks into one zeroed float
+    ndarray, which the float kernel and the float verifiers take as it is.
+    Exact mode keeps tuples of int 0 and +-1 and the effects' own numbers,
+    which the exact kernel clears to integers: an object array placed the
+    same way holds the same entries but is slower to build.
 
     The last program is memoized by the identity (`is`) of the target and of
     each simulator, so a replay right after its decision reuses it; the memo
@@ -117,40 +124,36 @@ def simulation_program(target: Observable,
         return program
     _memo = program = ((), None)  # no reference to the last program outlives the build
     F = _common_field(target, simulators)
+    ny, dim, k = target.n_outcomes, target.dim, len(simulators)
+    sizes = [sim.n_outcomes for sim in simulators]
+    nx = sum(sizes)
+    c0 = nx * ny  # block M_i starts at column ny * (outcomes of the simulators before i)
     zero, one = (F.zero, F.one) if F.mode == FLOAT else (0, 1)
-    ny = target.n_outcomes
-    dim = target.dim
-
-    offsets = []
-    pos = 0
-    for sim in simulators:
-        offsets.append(pos)
-        pos += sim.n_outcomes * ny
-    c0 = pos
-    nvars = pos + len(simulators)
-
-    rows, rhs = [], []
-    for i, sim in enumerate(simulators):
-        for xi in range(sim.n_outcomes):
-            row = [zero] * nvars
-            for yi in range(ny):
-                row[offsets[i] + xi * ny + yi] = one
-            row[c0 + i] = -one
+    rhs = [zero] * nx + [one] + [x for eff in target.effects for x in eff.coeffs]
+    effects = [eff.coeffs for sim in simulators for eff in sim.effects]  # row g's effect
+    if F.mode == FLOAT:
+        # Placed, not multiplied in: 0.0 * x is -0.0 for negative x.
+        rows = np.zeros((nx + 1 + ny * dim, c0 + k))
+        g = np.arange(nx)
+        rows[:nx, :c0].reshape(nx, nx, ny)[g, g] = 1.0
+        rows[g, c0 + np.repeat(np.arange(k), sizes)] = -1.0
+        rows[nx, c0:] = 1.0
+        coeffs = np.array(effects, dtype=float).T  # column g: row g's effect
+        rows[nx + 1:, :c0].reshape(ny, dim, nx, ny)[range(ny), :, :, range(ny)] = coeffs
+    else:
+        rows = []  # of tuples, which make_program keeps without a second copy
+        owners = (i for i, n in enumerate(sizes) for _ in range(n))  # row g's simulator
+        for g, i in enumerate(owners):
+            row = [0] * (c0 + k)
+            row[g * ny:(g + 1) * ny] = [1] * ny
+            row[c0 + i] = -1
             rows.append(tuple(row))
-            rhs.append(zero)
-    row = [zero] * nvars
-    for i in range(len(simulators)):
-        row[c0 + i] = one
-    rows.append(tuple(row))
-    rhs.append(one)
-    for yi in range(ny):
-        for d in range(dim):
-            row = [zero] * nvars
-            for i, sim in enumerate(simulators):
-                for xi in range(sim.n_outcomes):
-                    row[offsets[i] + xi * ny + yi] = sim.effects[xi].coeffs[d]
-            rows.append(tuple(row))
-            rhs.append(target.effects[yi].coeffs[d])
+        rows.append((0,) * c0 + (1,) * k)
+        for yi in range(ny):
+            for d in range(dim):
+                row = [0] * (c0 + k)
+                row[yi:c0:ny] = [coeffs[d] for coeffs in effects]
+                rows.append(tuple(row))
     program = make_program(rows=rows, rhs=rhs)
     _memo = (key, program)
     return program

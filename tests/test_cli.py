@@ -208,6 +208,21 @@ def test_sim_check_verify_rejects_non_finite_certificate_numbers(capsys, tmp_pat
     assert "input error:" in err and "is not a finite number" in err
 
 
+def test_sim_check_rejects_an_int_too_large_for_a_float(capsys, tmp_path):
+    # a float-mode file reads ints as floats; one beyond the largest float is
+    # an input error (exit 2), not an OverflowError traceback
+    sq = square_bit()
+    e, f = sq.E.as_float(), sq.F.as_float()
+    args = _square_bit_check(tmp_path, e, [e, f])
+    target = tmp_path / "target.json"
+    doc = json.loads(target.read_text())
+    doc["outcomes"][0]["coeffs"][0] = 10 ** 400
+    target.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and not out
+    assert "input error:" in err and "is too large for a float" in err
+
+
 @pytest.mark.parametrize("path, value, field", [
     (("channels",), [None], "channels[0]"),
     (("channels", 0, "matrix"), None, "channels[0].matrix"),

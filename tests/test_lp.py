@@ -1,5 +1,6 @@
 """LP solver tests: verdicts, certificates, and exact/float agreement."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from gptsim.lp import (
     verify_farkas,
     verify_solution,
 )
-from gptsim.scalars import EXACT, FLOAT
+from gptsim.scalars import DEFAULT_TOLERANCE, EXACT, FLOAT
 
 
 F = Fraction
@@ -141,15 +142,42 @@ def test_exact_mode_rejects_float_data_before_solving(where):
     assert lp.stats["solves"] == solves + 1
 
 
+def _with_array_twin(rows, rhs, nonneg):
+    return [make_program(rows=r, rhs=rhs, nonneg=nonneg)
+            for r in (rows, np.array(rows, dtype=float))]
+
+
 def test_float_verifiers_reject_nan():
+    # products beyond the largest float read as inf or NaN, which fail too,
+    # and raise no RuntimeWarning (which tier-1 turns into an error)
     nan = float("nan")
-    p = make_program(rows=[(1.0, 1.0)], rhs=(1.0,), nonneg=(True, False))
-    assert verify_solution(p, (0.5, 0.5))
-    for solution in ((nan, nan), (nan, 1.0), (0.5, nan)):
-        assert verify_solution(p, solution) is False
-    q = make_program(rows=[(1.0, 1.0)], rhs=(-1.0,))
-    assert verify_farkas(q, (-1.0,))
-    assert verify_farkas(q, (nan,)) is False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in _with_array_twin([(1.0, 1.0)], (1.0,), (True, False)):
+            assert verify_solution(p, (0.5, 0.5))
+            for solution in ((nan, nan), (nan, 1.0), (0.5, nan), (1e308, 1e308)):
+                assert verify_solution(p, solution) is False
+        for q in _with_array_twin([(1.0, 1.0)], (-1.0,), (True, True)):
+            assert verify_farkas(q, (-1.0,))
+            assert verify_farkas(q, (nan,)) is False
+        for q in _with_array_twin([(4.0,), (4.0,)], (4.0, -4.0), (True,)):
+            assert verify_farkas(q, (1e308, -1e308)) is False  # inf - inf in y'A
+
+
+def test_float_verifiers_allow_eps_and_no_more():
+    eps = DEFAULT_TOLERANCE.eps
+    for p in _with_array_twin([(1.0, 1.0)], (1.0,), (True, False)):
+        assert verify_solution(p, (0.5, 0.5 + eps / 2))
+        assert not verify_solution(p, (0.5, 0.5 + 2 * eps))
+        assert verify_solution(p, (-eps / 2, 1.0))
+        assert not verify_solution(p, (-2 * eps, 1.0))
+    # y = (-1, 1) refutes x1 + x2 = 1 and x1 + x2 = 2; y'A is the residual
+    for q in _with_array_twin([(1.0, 1.0), (1.0, 1.0)], (1.0, 2.0), (True, False)):
+        assert verify_farkas(q, (-1.0, 1.0))
+        assert verify_farkas(q, (-1.0, 1.0 + eps / 2))
+        assert verify_farkas(q, (-1.0, 1.0 - eps / 2))  # free column: |y'A| <= eps
+        assert not verify_farkas(q, (-1.0, 1.0 + 2 * eps))
+        assert not verify_farkas(q, (-1.0, 1.0 - 2 * eps))
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])

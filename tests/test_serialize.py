@@ -119,6 +119,15 @@ def test_decode_number_rejects_non_finite_floats(value):
         observable_from_json({"outcomes": [{"label": "a", "coeffs": [value, 0.5]}]})
 
 
+def test_decode_number_rejects_ints_too_large_for_a_float():
+    with pytest.raises(ModeError, match=r"^10{400} is too large for a float$"):
+        decode_number(10 ** 400, FLOAT)
+    with pytest.raises(ModeError, match="is too large for a float"):
+        observable_from_json({"outcomes": [{"label": "a", "coeffs": [-10 ** 400, 0.5]}]})
+    assert decode_number(10 ** 300, FLOAT) == 1e300
+    assert decode_number(10 ** 400, EXACT) == 10 ** 400
+
+
 def test_load_observables_group(tmp_path, sq):
     path = tmp_path / "obs.json"
     doc = {"space": space_to_json(sq.space),

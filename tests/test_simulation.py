@@ -4,6 +4,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import polytope_noise_content_direct, qubit_noise_content_grid
@@ -122,6 +123,56 @@ def test_replay_against_equal_distinct_observables(sq):
         assert replay_simulation(cert, twin(sq.E), [twin(s) for s in sims])
     refuted = is_simulable(sq.F, [sq.E])
     assert replay_simulation(refuted, twin(sq.F), [twin(sq.E)])
+
+
+def _program_layout(target, simulators, zero, one):
+    """simulation_program's rows built entry by entry from its docstring."""
+    ny, dim, k = target.n_outcomes, target.dim, len(simulators)
+    outcomes = [(i, eff) for i, sim in enumerate(simulators) for eff in sim.effects]
+    c0 = len(outcomes) * ny
+    rows = []
+    for g, (i, _) in enumerate(outcomes):
+        rows.append([one if g * ny <= j < (g + 1) * ny else -one if j == c0 + i else zero
+                     for j in range(c0 + k)])
+    rows.append([zero] * c0 + [one] * k)
+    for y in range(ny):
+        for d in range(dim):
+            row = [zero] * (c0 + k)
+            for g, (_, eff) in enumerate(outcomes):
+                row[g * ny + y] = eff.coeffs[d]
+            rows.append(row)
+    rhs = [zero] * len(outcomes) + [one] + [x for eff in target.effects for x in eff.coeffs]
+    return rows, rhs
+
+
+def test_float_simulation_program_is_one_read_only_array():
+    # one simulator and several, with 2, 3 and 4 outcomes, and a -0.0
+    # coefficient whose sign the placed blocks keep
+    target = Observable((("a", (0.25, -0.0, 0.5)), ("b", (0.75, 1.0, -0.5)),
+                         ("c", (0.0, 0.0, 1.0))))
+    two = Observable((("p", (0.5, -0.0, 0.25)), ("q", (0.5, 1.0, 0.75))))
+    four = Observable(tuple((f"r{j}", (0.25, -0.0 if j else 0.5, j / 4)) for j in range(4)))
+    for sims in ([two], [target, two], [two, four, target]):
+        program = simulation_program(target, sims)
+        rows, rhs = _program_layout(target, sims, 0.0, 1.0)
+        expected = np.array(rows, dtype=float)
+        assert isinstance(program.rows, np.ndarray) and program.rows.dtype == float
+        assert not program.rows.flags.writeable
+        assert program.rows.shape == expected.shape
+        assert np.array_equal(program.rows, expected)
+        assert np.array_equal(np.signbit(program.rows), np.signbit(expected))
+        assert np.signbit(program.rows).any()
+        assert program.rhs == tuple(rhs)
+
+
+def test_exact_simulation_program_keeps_int_and_fraction_tuples(sq):
+    sims = [sq.E, sq.F, sq.E]
+    program = simulation_program(sq.F, sims)
+    rows, rhs = _program_layout(sq.F, sims, 0, 1)
+    assert isinstance(program.rows, tuple) and all(isinstance(r, tuple) for r in program.rows)
+    assert program.rows == tuple(map(tuple, rows)) and program.rhs == tuple(rhs)
+    assert [[type(x) for x in r] for r in program.rows] == [[type(x) for x in r] for r in rows]
+    assert {type(x) for r in program.rows for x in r} == {int, Fraction}
 
 
 def test_replay_rejects_nan_certificates(sq):
