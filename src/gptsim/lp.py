@@ -3,8 +3,9 @@
 Problems are stated over equality constraints `A x = b` with per-variable
 nonnegativity flags, an optional linear objective and optional tie-breaks.
 The rows of A are a tuple of tuples or, for float data only, a read-only
-2-D float ndarray, which the float kernel copies in one step and the float
-verifiers read without a copy; a program holding an array is not hashable.
+2-D float ndarray; a program holding an array is not hashable. Either way
+the float kernel and the float verifiers read the program as float arrays
+(`LinearProgram.float_data`), converted at most once per program.
 One two-phase simplex driver, `_simplex`, owns the algorithm: phase 1 from
 crash and artificial columns, the pivot rule, the infeasibility test and
 Farkas certificate, drive-out of artificials, phase 2, unbounded detection
@@ -14,7 +15,10 @@ fixed at zero, so the next one sees only the optimal face (a lexicographic
 optimum). The mode picks one of two kernels, which own only their numbers:
 `_IntTableau` (exact mode, for rational inputs) keeps rows of Python ints
 over per-row denominators and returns `fractions.Fraction` values;
-`_FloatTableau` (float mode) is a numpy tableau compared with tolerances.
+`_FloatRevised` (float mode) is the revised simplex method in numpy,
+compared with tolerances: it keeps A and a small inverse of the basis
+instead of the tableau, so a pivot on a program of m rows costs O(m^2) plus
+one pricing product over A, not a rewrite of m x (n + m) entries.
 An exact-mode request checks only the objectives for floats up front;
 `_integer_row` rejects a float row or right-hand side while `_IntTableau`
 clears it, before any pivot, and a rejected program is no solve.
@@ -30,22 +34,30 @@ testing signs of integer dot products (as Applegate, Cook, Dash & Espinoza
 2007 check exact LP certificates), in float mode by one matrix-vector
 product over the rows, tuple or ndarray (A x for a solution, y'A for a
 Farkas vector), whose entries are tested against eps so that an inf or a
-NaN fails. Code that builds an answer from a certificate raises
-`CertificateError` when the certificate fails that replay, so it never
-returns it.
+NaN fails. The driver replays every float FEASIBLE or UNBOUNDED outcome
+with `verify_solution` and raises `CertificateError` instead of returning
+one that fails; a float Farkas vector is not replayed there, since the
+absolute eps rejects correct refutations of badly scaled programs. Code
+that builds an answer from a certificate raises `CertificateError` when the
+certificate fails that replay, so it never returns it.
 
 Pivoting uses the largest-coefficient rule and switches permanently to
 Bland's rule once the objective has stalled for more than `_STALL_LIMIT`
 pivots, which resolves degeneracy and guarantees termination in exact mode;
-ratio ties go to the smallest basic index. Float mode additionally caps the
-pivots of a whole solve at 10**4 * (variables + constraints) and raises
-SolverLimitError instead of returning a verdict when the cap is hit.
+ratio ties go to the smallest basic index. In float mode a pivot must also
+exceed eps times the largest entry of its column when that is above 1, and
+an artificial left in the basis after phase 1 is pivoted out at level zero,
+so that a near-singular basis does not turn rounding noise into basic
+values. Float mode caps the pivots of a whole solve at 10**4 * (variables +
+constraints) and raises SolverLimitError instead of returning a verdict
+when the cap is hit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -85,7 +97,8 @@ class LinearProgram:
 
     `rows` is a tuple of tuples or a read-only 2-D float ndarray (float data
     only); a program with ndarray rows is not hashable. Float replay of
-    either is one matrix-vector product over the rows as one float array."""
+    either is one matrix-vector product over the rows as one float array,
+    `float_data`, which the float kernel reads too."""
 
     num_vars: int
     rows: tuple
@@ -98,9 +111,9 @@ class LinearProgram:
     def __post_init__(self):
         if len(self.rows) != len(self.rhs):
             raise ValueError("row count does not match rhs length")
-        for r in self.rows:
-            if len(r) != self.num_vars:
-                raise ValueError("constraint row width must equal variable count")
+        if (self.rows.shape[1:] != (self.num_vars,) if isinstance(self.rows, np.ndarray)
+                else any(len(r) != self.num_vars for r in self.rows)):
+            raise ValueError("constraint row width must equal variable count")
         if len(self.nonneg) != self.num_vars:
             raise ValueError("nonneg flags must cover every variable")
         if self.objective is None and self.tiebreaks:
@@ -119,6 +132,17 @@ class LinearProgram:
         vals.extend(self.rhs)
         vals.extend(x for c in self.objectives() for x in c)
         return infer_mode(vals)
+
+    @cached_property
+    def float_data(self) -> tuple:
+        """(A, b, nonneg) as read-only float, float and bool arrays, made on
+        first use: an ndarray's rows come without a copy, tuple rows are
+        converted once for the float kernel and the float verifiers."""
+        data = (np.asarray(self.rows, dtype=float).reshape(len(self.rhs), self.num_vars),
+                np.asarray(self.rhs, dtype=float), np.asarray(self.nonneg, dtype=bool))
+        for a in data:
+            a.flags.writeable = False
+        return data
 
 
 def make_program(rows, rhs, nonneg=None, objective=None, sense="max",
@@ -169,7 +193,7 @@ def lp_solve(program: LinearProgram, mode: Optional[str] = None,
         mode = program.mode()
     elif mode == EXACT and infer_mode(x for c in program.objectives() for x in c) == FLOAT:
         raise ValueError("exact mode requested for float data")
-    kernel = _IntTableau if mode == EXACT else _FloatTableau
+    kernel = _IntTableau if mode == EXACT else _FloatRevised
     out = _simplex(program, kernel, field(mode, tol))
     stats["pivots"] += out.pivots
     return out
@@ -194,12 +218,11 @@ def verify_solution(program: LinearProgram, solution: Sequence,
             if sum(a * x for a, x in zip(N, X)) != N[-1] * L:  # zip stops before B_i
                 return False
         return all(x >= 0 for x, flag in zip(X, program.nonneg) if flag)
+    A, b, nonneg = program.float_data
     eps = field(mode, tol).eps
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail every test
         x = np.asarray(solution, dtype=float)
-        residual = _float_rows(program) @ x - np.asarray(program.rhs, dtype=float)
-        return bool((np.abs(residual) <= eps).all()
-                    and (x[np.asarray(program.nonneg, dtype=bool)] >= -eps).all())
+        return bool((np.abs(A @ x - b) <= eps).all() and (x[nonneg] >= -eps).all())
 
 
 def verify_farkas(program: LinearProgram, farkas: Sequence,
@@ -217,12 +240,13 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
     if len(farkas) != len(program.rows):
         return False
     if mode != EXACT:
+        A, b, nonneg = program.float_data
         eps = field(mode, tol).eps
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail every test
             y = np.asarray(farkas, dtype=float)
-            combo = y @ _float_rows(program)
-            combo = np.where(program.nonneg, combo, np.abs(combo))
-            return bool((combo <= eps).all() and y @ np.asarray(program.rhs, dtype=float) > eps)
+            combo = y @ A
+            combo = np.where(nonneg, combo, np.abs(combo))
+            return bool((combo <= eps).all() and y @ b > eps)
     Y, _ = _integer_row(farkas)
     terms = [(y, *_integer_row((*r, b)))
              for y, r, b in zip(Y, program.rows, program.rhs) if y]
@@ -235,11 +259,6 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
         if not (z <= 0 if flag else z == 0):
             return False
     return acc[-1] > 0
-
-
-def _float_rows(program: LinearProgram):
-    """The rows as one m x n float array: an ndarray's without a copy."""
-    return np.asarray(program.rows, dtype=float).reshape(len(program.rhs), program.num_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +307,7 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
             if col < 0:
                 dead.append(i)
             else:
-                tab.pivot(i, col)
+                tab.drive_out(i, col)
                 basis[i] = col
     tab.drop(dead)
     basis[:] = [j for i, j in enumerate(basis) if i not in dead]
@@ -313,6 +332,8 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
             break
         pivots = total
     sol = _recover(program, colmap, basis, [tab.value(i) for i in range(len(basis))], F)
+    if F.mode == FLOAT and not verify_solution(program, sol, F.tolerance, mode=FLOAT):
+        raise CertificateError("float solution fails replay against its program")
     value = None if ray or program.objective is None else tab.dot(program.objective, sol)
     return LPOutcome(UNBOUNDED if ray else FEASIBLE, F.mode, solution=sol,
                      objective_value=value, ray=ray, tolerance=F.tolerance, pivots=pivots)
@@ -519,6 +540,8 @@ class _IntTableau:
     def structural(self, i, n):
         return next((j for j in range(n) if self.T[i][j]), -1)
 
+    drive_out = pivot  # the artificial's level is exactly zero
+
     def drop(self, rows):
         for i in reversed(rows):
             del self.T[i], self.D[i]
@@ -549,23 +572,35 @@ class _IntTableau:
 
 
 # ---------------------------------------------------------------------------
-# Float kernel: numpy tableau T, one row per constraint, and the reduced-cost
-# row `red`; entries within eps of zero count as zero.
+# Float kernel: the revised simplex method (Dantzig & Orchard-Hays 1954).
+# Instead of the whole tableau it keeps the flipped constraint matrix with
+# the cost as its last row, C = [A ; c] (structural columns only: the
+# artificial column of row i is the unit column e_i), and the inverse of the
+# extended basis [B 0 ; c_B 1] beside the basic values,
+#     R = [B^-1  0  x_B ; -y  1  -z],  y = c_B B^-1,  z = c_B x_B,
+# an (m+1) x (m+2) array. The tableau column of j is R[:, :-1] @ C[:, j], its
+# last entry the reduced cost c_j - y A_j, and the reduced-cost row is
+# R[-1, :-1] @ C, so pricing is one vector-matrix product, the entering
+# column one matrix-vector product and a pivot one rank-1 update of R.
+# Entries within eps of zero count as zero.
 # ---------------------------------------------------------------------------
 
-class _FloatTableau:
+class _FloatRevised:
     CAP = 10_000  # pivots per variable and constraint before SolverLimitError
 
     def __init__(self, program, colmap, flips, F):
         m, n = len(program.rows), len(colmap)
         self.eps = F.eps
-        flips = np.array(flips, dtype=float)
-        A = np.array(program.rows, dtype=float).reshape(m, program.num_vars)
+        A, b, _ = program.float_data
         if n > program.num_vars:  # a free column was split
             A = A[:, [j if j >= 0 else ~j for j in colmap]] * [
                 1 if j >= 0 else -1 for j in colmap]
-        A *= flips[:, None]
-        b = np.array(program.rhs, dtype=float) * flips
+        C = np.zeros((m + 1, n))  # phase 1 prices structural columns at zero
+        C[:m] = A
+        negated = [i for i, flip in enumerate(flips) if flip < 0]
+        if negated:
+            C[negated] *= -1.0
+        A = C[:m]
         nonzero = A != 0.0
         crash = {}
         for j in np.nonzero(nonzero.sum(axis=0) == 1)[0]:
@@ -573,91 +608,123 @@ class _FloatTableau:
             if i not in crash and A[i, j] > 0:
                 crash[i] = int(j)
         self.basis, self.art = _start_basis(crash, m, n)
-        self.crash = {i: (j, A[i, j]) for i, j in crash.items()}  # row: (column, coefficient)
-        T = np.hstack([A, np.zeros((m, len(self.art))), b[:, None]])
+        # The extended basis is diagonal: crash coefficients, and ones for
+        # the artificials and the cost row.
+        diag = np.ones(m + 1)
         for i, j in crash.items():
-            if A[i, j] != 1.0:
-                T[i] /= A[i, j]
-        for i, col in self.art.items():
-            T[i, col] = 1.0
-        self.red = -T[list(self.art)].sum(axis=0) if self.art else np.zeros(T.shape[1])
-        self.red[list(self.art.values())] = 0.0
-        self.T = T
+            diag[i] = A[i, j]
+        R = np.zeros((m + 1, m + 2))
+        np.fill_diagonal(R, 1.0 / diag)
+        R[:m, -1] = np.abs(b) / diag[:m]
+        # Phase 1 minimizes the artificial sum: y is 1 on artificial rows.
+        arts = list(self.art)
+        R[-1, arts] = -1.0
+        R[-1, -1] = -R[arts, -1].sum()
+        self.C = C
+        self._inverse(R)
+        self.red, self.col, self.d = None, -1, None
+
+    def _inverse(self, R):
+        """Install R with its views: the inverse, the basic values and -y."""
+        self.R, self.Q, self.x, self.ybar = R, R[:, :-1], R[:-1, -1], R[-1, :-1]
+
+    def column(self, col):
+        """The tableau column of `col`, reduced cost last; kept until R or C
+        changes."""
+        if col != self.col:
+            self.col, self.d = col, self.Q @ self.C[:, col]
+        return self.d
 
     def entering(self, allowed, bland):
+        self.red = self.ybar @ self.C
         cand = self.red[:allowed]
         if bland:
             hits = np.nonzero(cand < -self.eps)[0]
             return int(hits[0]) if hits.size else -1
-        col = int(np.argmin(cand)) if allowed else -1
+        col = int(cand.argmin()) if allowed else -1
         return -1 if col < 0 or cand[col] >= -self.eps else col
 
     def leaving(self, col, basis):
-        """The row of least ratio; ties go to the smallest basic index."""
-        T, eps = self.T, self.eps
-        colvals = T[:, col]
-        rows = (colvals > eps).nonzero()[0]
-        if not rows.size:
-            return -1
-        ratios = T[rows, -1] / colvals[rows]
-        best = float(ratios.min())
+        """The row of least ratio; ties go to the smallest basic index. A
+        pivot must exceed eps times the column's largest entry when that is
+        above 1, so that an ill-conditioned basis does not pivot on noise."""
+        eps = self.eps
+        d = self.column(col)[:-1]
+        rows = (d > eps).nonzero()[0]
+        if rows.size < 2:
+            return int(rows[0]) if rows.size else -1
+        piv = d[rows]
+        top = piv[piv.argmax()]
+        if top > 1.0:
+            keep = piv > eps * top
+            rows, piv = rows[keep], piv[keep]
+        ratios = self.x[rows] / piv
+        best = float(ratios[ratios.argmin()])
         ties = rows[ratios <= best + eps * (1 + abs(best))]
         if ties.size == 1:
             return int(ties[0])
         return min(ties.tolist(), key=basis.__getitem__)
 
     def pivot(self, row, col):
-        T, red = self.T, self.red
-        prow = T[row]
-        prow /= prow[col]
-        factors = T[:, col].copy()
-        factors[row] = 0.0
-        T -= factors[:, None] * prow
-        if red[col] != 0.0:
-            red -= red[col] * prow
+        R, d = self.R, self.column(col)
+        prow = R[row]
+        prow /= d[row]
+        d[row] = 0.0
+        R -= d[:, None] * prow
+        self.col = -1
 
     def objective(self):
-        return self.red[-1]
+        return self.R[-1, -1]
 
     def same(self, a, b):
         return abs(a - b) <= self.eps
 
     def artificial_sum(self):
-        return -self.red[-1]
+        return -self.R[-1, -1]
 
     def dual(self, i):
-        """Phase-1 dual value of row i; see `_IntTableau.dual`."""
-        if i in self.crash:
-            j, coeff = self.crash[i]
-            return float(-self.red[j] / coeff)
-        return float(1.0 - self.red[self.art[i]])
+        """Phase-1 dual value of row i."""
+        return float(-self.R[-1, i])
 
     def structural(self, i, n):
-        hits = np.nonzero(np.abs(self.T[i, :n]) > self.eps)[0]
+        hits = np.nonzero(np.abs(self.Q[i] @ self.C[:, :n]) > self.eps)[0]
         return int(hits[0]) if hits.size else -1
 
+    def drive_out(self, i, col):
+        """Pivot the artificial of row i out for `col`. Phase 1 left it at a
+        level within eps of zero, which a pivot on a small entry would spread
+        over every basic value as level / entry; it leaves at level zero."""
+        self.R[i, -1] = 0.0
+        self.pivot(i, col)
+
     def drop(self, rows):
+        """Remove rows whose artificial stays basic. Column i of B^-1 is then
+        the unit vector e_i, so deleting row and column i of R leaves the
+        inverse of the remaining basis."""
         if rows:
-            self.T = np.delete(self.T, rows, axis=0)
+            keep = [i for i in range(len(self.R)) if i not in rows]  # and the last row
+            self._inverse(self.R[keep][:, keep + [-1]])
+            self.C = self.C[keep]
+            self.col = -1
 
     def fix(self, allowed, basis):
-        """Zero the nonbasic columns < allowed with reduced cost above eps."""
+        """Zero the nonbasic columns < allowed whose reduced cost, as the
+        last `entering` priced it, is above eps."""
         cols = [int(j) for j in np.nonzero(self.red[:allowed] > self.eps)[0] if j not in basis]
-        self.T[:, cols] = 0.0
-        self.red[cols] = 0.0
+        self.C[:, cols] = 0.0
+        self.col = -1
         return cols
 
     def price(self, values, signs, basis):
-        """Replace the reduced-cost row by that of the cost sign * value."""
-        cost = [float(s * v) for s, v in zip(signs, values)]
-        self.red = np.zeros(self.T.shape[1])
-        self.red[:len(cost)] = cost
-        for i, j in enumerate(basis):
-            if cost[j] != 0.0:
-                self.red -= cost[j] * self.T[i]
+        """Replace the cost by sign * value and the duals by c_B B^-1."""
+        C, R = self.C, self.R
+        C[-1] = [float(s * v) for s, v in zip(signs, values)]
+        R[-1] = -(C[-1, basis] @ R[:-1])
+        R[-1, -2] = 1.0
+        self.col = -1
 
-    def value(self, i, col=-1):
-        return float(self.T[i, col])
+    def value(self, i, col=-1):  # by default the basic value of row i
+        return float(self.R[i, -1] if col < 0 else self.column(col)[i])
 
     @staticmethod
     def dot(a, b):

@@ -290,13 +290,25 @@ def test_xyz_threshold_bracket_rejects_nonpositive_t_tol():
             xyz_threshold_bracket(facets=8, t_tol=t_tol)
 
 
-@pytest.mark.xfail(strict=True, raises=CertificateError,
-                   reason="float Farkas scale check fails 1.1e-7 above 1/sqrt(3)")
 @pytest.mark.parametrize("facets", [8, 128])
 def test_bracket_near_threshold_farkas_scale(suite, facets):
+    # 1.1e-7 above 1/sqrt(3) the bases are nearly singular; the float
+    # decision still refutes, with a positive Farkas scale.
     t = 0.577350378036499
     res = qubit_compatibility_bracket([suite.xt(t), suite.yt(t), suite.zt(t)], facets)
-    assert res.verdict != "compatible"
+    assert res.verdict == "incompatible"
+
+
+@pytest.mark.parametrize("facets", [8, 16, 128])
+def test_bracket_near_threshold_never_compatible(suite, facets):
+    # Soundness this close to the threshold: a float solution that fails
+    # replay raises CertificateError, so none can read as "compatible".
+    t = 0.577350378036499
+    try:
+        res = qubit_compatibility_bracket([suite.xt(t), suite.yt(t), suite.zt(t)], facets)
+    except CertificateError:
+        return
+    assert res.verdict == "incompatible"
 
 
 def test_compat_bracket_rejects_trichotomic(suite):
@@ -353,6 +365,14 @@ def test_compat_bracket_decides_rotated_triples(facets):
         assert res.verdict == ("compatible" if t < t_star else "incompatible")
     xyz = [_unbiased(0.5774 * r) for r in np.eye(3)]
     assert qubit_compatibility_bracket(xyz, facets).verdict == "incompatible"
+    # 1e-7 below the threshold the final bases are nearly singular, and an
+    # artificial pivoted out at its rounding level would spread it over the
+    # solution, which then fails replay.
+    for _ in range(3):
+        rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        res = qubit_compatibility_bracket(
+            [_unbiased((t_star - 1e-7) * r) for r in rotation], facets)
+        assert res.verdict == "compatible"
 
 
 def test_polygon_catalogs_pinned():

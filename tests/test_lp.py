@@ -55,6 +55,11 @@ def test_dimension_mismatch_rejected():
         make_program(rows=[(1, 1)], rhs=(1,), tiebreaks=[(1, 0)])
     with pytest.raises(ValueError, match="objective width"):
         make_program(rows=[(1, 1)], rhs=(1,), objective=(1, 0), tiebreaks=[(1,)])
+    from gptsim.lp import LinearProgram
+
+    for rows in (np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 1))):
+        with pytest.raises(ValueError, match="constraint row width"):
+            LinearProgram(num_vars=2, rows=rows, rhs=(0.0,) * len(rows), nonneg=(True, True))
 
 
 def test_exact_solution_is_fraction():
@@ -207,7 +212,7 @@ def test_exact_verifiers_reject_float_data():
             verify_solution(program, solution, mode=EXACT)
 
 
-@pytest.mark.parametrize("kernel, one", [("_IntTableau", 1), ("_FloatTableau", 1.0)])
+@pytest.mark.parametrize("kernel, one", [("_IntTableau", 1), ("_FloatRevised", 1.0)])
 def test_nonpositive_farkas_scale_raises(monkeypatch, kernel, one):
     # -x0 - x1 = 1 is infeasible; row 2 starts on the crash column x2 and
     # row 1 on an artificial. With both dual values read as -1, y'b < 0.
@@ -221,6 +226,24 @@ def test_nonpositive_farkas_scale_raises(monkeypatch, kernel, one):
     with pytest.raises(lp.CertificateError, match="Farkas scale must be positive"):
         lp_solve(p)
     assert issubclass(lp.CertificateError, RuntimeError)
+
+
+def test_float_solution_failing_replay_raises(monkeypatch):
+    # Every float FEASIBLE or UNBOUNDED outcome is replayed against its
+    # program before it leaves lp_solve.
+    from gptsim import lp
+
+    bounded = make_program(rows=[(1.0, 1.0, 0.0), (0.0, 1.0, -1.0)], rhs=(1.0, 0.0),
+                           objective=(1.0, 0.0, 0.0))
+    unbounded = make_program(rows=[(1.0, -1.0)], rhs=(1.0,), objective=(1.0, 0.0))
+    assert lp_solve(bounded).verdict == FEASIBLE
+    assert lp_solve(unbounded).verdict == UNBOUNDED
+    value = lp._FloatRevised.value
+    monkeypatch.setattr(lp._FloatRevised, "value",
+                        lambda self, i, col=-1: value(self, i, col) + (1e-6 if col < 0 else 0.0))
+    for program in (bounded, unbounded):
+        with pytest.raises(lp.CertificateError, match="fails replay"):
+            lp_solve(program)
 
 
 def _degenerate_programs(count, seed):
@@ -365,14 +388,14 @@ def test_float_outcomes_pinned():
     import hashlib
 
     digest = hashlib.sha256()
-    verdicts = []  # 836 programs, 505 with an objective
+    verdicts = []  # 849 programs, 516 with an objective
     for program in _float_corpus():
         out = lp_solve(program, mode=FLOAT)
         verdicts.append(out.verdict)
         digest.update(repr((out.verdict, out.pivots)).encode())
-    assert (verdicts.count(FEASIBLE), verdicts.count(INFEASIBLE)) == (724, 112)
+    assert (verdicts.count(FEASIBLE), verdicts.count(INFEASIBLE)) == (736, 113)
     assert digest.hexdigest() == (
-        "8b92cefcd7cca36b74814e75b3300337e681eb80718bdded239705c70f87ea10")
+        "bc894f152fe704306359745c2d7f15b5fb1443462c66ccf0538a2acb3f10b925")
 
 
 def test_float_ratio_ties_go_to_the_smallest_basic_index():
@@ -388,7 +411,7 @@ def test_float_ratio_ties_go_to_the_smallest_basic_index():
     p = make_program(rows=rows, rhs=(1.0, -2.0 - 2e-12, 2.0), objective=(1.0, 0.0, 0.0, 0.0))
     colmap = lp._colmap(p)
     assert len(colmap) == p.num_vars  # no free column is split
-    tab = lp._FloatTableau(p, colmap, [1, -1, 1], field(FLOAT, DEFAULT_TOLERANCE))
+    tab = lp._FloatRevised(p, colmap, [1, -1, 1], field(FLOAT, DEFAULT_TOLERANCE))
     assert tab.basis == [3, 1, 2] and not tab.art
     assert tab.leaving(0, tab.basis) == 1
     assert tab.leaving(0, [1, 3, 2]) == 0
@@ -457,11 +480,11 @@ def test_pivot_cap_counts_the_whole_solve(monkeypatch):
     p = make_program(rows=rows, rhs=rhs, objective=(1.0, 2.0, 1.0, 2.0))
     assert lp_solve(make_program(rows=rows, rhs=rhs)).pivots == 2
     assert lp_solve(p).pivots == 4
-    monkeypatch.setattr(lp._FloatTableau, "CAP", 0.5)
+    monkeypatch.setattr(lp._FloatRevised, "CAP", 0.5)
     with pytest.raises(lp.SolverLimitError, match="exceeded 3.0 pivots"):
         lp_solve(p)
-    monkeypatch.setattr(lp._FloatTableau, "CAP", 1)
-    assert lp_solve(p).solution == (0.0, 2.0, 0.0, 0.0)
+    monkeypatch.setattr(lp._FloatRevised, "CAP", 1)
+    assert lp_solve(p).solution == pytest.approx((0.0, 2.0, 0.0, 0.0), abs=1e-15)
 
 
 @pytest.mark.parametrize("one", [1, 1.0])

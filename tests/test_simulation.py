@@ -517,11 +517,52 @@ def test_compatibility_from_no_generators(sq):
     assert all(is_valid_effect(e, QubitSpace()) for e in res.joint.effects)
 
 
+@pytest.mark.parametrize("name", ["classical4", "square"])
+def test_compatibility_float_agrees_with_exact_on_wide_programs(monkeypatch, name):
+    # Seeded triples of rational observables: each program has many more
+    # columns (joint outcomes times dual rays) than rows. The float twin
+    # reaches the exact verdict, and every LP certificate of either replays.
+    # Every pair of classical observables is compatible.
+    import random
+
+    from gptsim import lp, simulation
+    from gptsim.catalog import classical
+
+    solved = []
+
+    def recording(program, mode=None, tol=lp.DEFAULT_TOLERANCE):
+        out = lp.lp_solve(program, mode=mode, tol=tol)
+        solved.append((program, out))
+        return out
+
+    monkeypatch.setattr(simulation, "lp_solve", recording)
+    space = {"classical4": classical(4), "square": square_bit()}[name].space
+    rng = random.Random(f"wide-compat/{name}")
+    verdicts = set()
+    for _ in range(8):
+        targets = [random_observable(space, rng, rng.randint(2, 4)) for _ in range(3)]
+        exact = is_compatible(targets)
+        floats = is_compatible([t.as_float() for t in targets])
+        assert floats.verdict == exact.verdict
+        verdicts.add(exact.verdict)
+        if exact.compatible:
+            assert [apply(c, exact.joint).effects for c in exact.marginal_channels] == [
+                t.effects for t in targets]
+    assert verdicts == ({"compatible"} if name == "classical4" else
+                        {"compatible", "incompatible"})
+    assert {out.mode for _, out in solved} == {"exact", "float"}
+    for program, out in solved:
+        if out.verdict == INFEASIBLE:
+            assert lp.verify_farkas(program, out.farkas, mode=out.mode)
+        else:
+            assert lp.verify_solution(program, out.solution, mode=out.mode)
+
+
 def test_compatibility_outcomes_pinned():
     # sha256 over seeded polytope decisions (verdict, joint observable,
     # marginal channels, Farkas vector) and seeded qubit bracket decisions
-    # (verdict, solves, pivots); the digest was taken when polytopes and the
-    # qubit still had separate compatibility code.
+    # (verdict, solves, pivots). Retaken for the revised float kernel, whose
+    # 84 verdicts equal those of the float tableau before it.
     import hashlib
     import random
 
@@ -572,7 +613,7 @@ def test_compatibility_outcomes_pinned():
                                 lp.stats["pivots"] - pivots)).encode())
     assert qubit_verdicts == {"compatible", "incompatible"}
     assert digest.hexdigest() == (
-        "ba9738cb119c92c2fd6503652175b1e005afe4bad671bcda7c8574730d105026")
+        "a41967a89561f1c30c8f764a1ad1877493f52fada3c8f166cb45a6aba20fa01e")
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -601,7 +642,8 @@ def test_decomposition_failing_replay_raises(monkeypatch):
 def test_bracket_128_outcomes_pinned():
     # sha256 over seeded dichotomic qubit triples and pairs at the benchmark's
     # 128 facets: (verdict, joint observable, marginal channels, Farkas
-    # vector, solves, pivots), so every float certificate bit is pinned.
+    # vector, solves, pivots), so every float certificate bit is pinned. The
+    # float kernel's products sum in the order of numpy's BLAS build.
     import hashlib
     import random
 
@@ -626,4 +668,4 @@ def test_bracket_128_outcomes_pinned():
                             lp.stats["pivots"] - pivots)).encode())
     assert verdicts == {"compatible", "incompatible"}
     assert digest.hexdigest() == (
-        "8f8e350f67c5c79e1ee2a54475ddb1d18047aef1c634feaae72ce64d2082d7e2")
+        "1fc585ecce75943b12c5eebeb0a43f3b1c9a26fc50ba32834c3dfa48c70f11d8")
