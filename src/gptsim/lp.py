@@ -1,11 +1,15 @@
 """Linear programming with feasibility and infeasibility certificates.
 
-Problems are stated over equality constraints `A x = b` with per-variable
-nonnegativity flags, an optional linear objective and optional tie-breaks.
-The rows of A are a tuple of tuples or, for float data only, a read-only
-2-D float ndarray; a program holding an array is not hashable. Either way
-the float kernel and the float verifiers read the program as float arrays
-(`LinearProgram.float_data`), converted at most once per program.
+Every program has one form: equality constraints `A x = b` over
+nonnegative variables, `x >= 0`, with an optional linear objective to
+maximize and optional tie-breaks, maximized in turn. The library asks
+nothing else: simulation, postprocessing and compatibility weights and
+conic coefficients are nonnegative, and a minimum is the maximum of the
+negated objective. The rows of A are a tuple of tuples or, for float data
+only, a read-only 2-D float ndarray; a program holding an array is not
+hashable. Either way the float kernel and the float verifiers read the
+program as float arrays (`LinearProgram.float_data`), converted at most
+once per program.
 One two-phase simplex driver, `_simplex`, owns the algorithm: phase 1 from
 crash and artificial columns, the pivot rule, the infeasibility test and
 Farkas certificate, drive-out of artificials, phase 2, unbounded detection
@@ -25,16 +29,14 @@ clears it, before any pivot, and a rejected program is no solve.
 
 Every verdict is checkable after the fact: a feasible outcome carries the
 solution vector, an infeasible outcome carries a Farkas vector y with
-y'A <= 0 on nonnegative columns, y'A = 0 on free columns and y'b = 1
-(certificates are normalized to y'b = 1), an unbounded outcome a vertex
-and a ray along which the objective improves. `verify_solution` and
-`verify_farkas` replay the first two against the original program: in
-exact mode on integers, by clearing denominators with `_integer_row` and
-testing signs of integer dot products (as Applegate, Cook, Dash & Espinoza
-2007 check exact LP certificates), in float mode by one matrix-vector
-product over the rows, tuple or ndarray (A x for a solution, y'A for a
-Farkas vector), whose entries are tested against eps so that an inf or a
-NaN fails. The driver replays every float FEASIBLE or UNBOUNDED outcome
+y'A <= 0 and y'b = 1, an unbounded outcome a vertex and a ray along which
+the objective improves. `verify_solution` and `verify_farkas` replay the
+first two against the original program: in exact mode on integers, by
+clearing denominators with `_integer_row` and testing signs of integer dot
+products (as Applegate, Cook, Dash & Espinoza 2007 check exact LP
+certificates), in float mode by one matrix-vector product over the rows,
+tuple or ndarray (A x for a solution, y'A for a Farkas vector), whose
+entries are tested against eps so that an inf or a NaN fails. The driver replays every float FEASIBLE or UNBOUNDED outcome
 with `verify_solution` and raises `CertificateError` instead of returning
 one that fails; a float Farkas vector is not replayed there, since the
 absolute eps rejects correct refutations of badly scaled programs. Code
@@ -58,7 +60,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -87,13 +88,15 @@ class SolverLimitError(RuntimeError):
 
 
 class CertificateError(RuntimeError):
-    """A certificate failed replay against the instance it was issued for."""
+    """A certificate failed replay against the instance it was issued for, or
+    the solver broke down before it could issue one."""
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Equality-form program: rows . x = rhs, x_j >= 0 where nonneg[j]. Each
-    tie-break is optimized over the optimal face of the objectives before it.
+    """Equality-form program: maximize the objective subject to rows . x = rhs
+    and x >= 0. Each tie-break is maximized over the optimal face of the
+    objectives before it.
 
     `rows` is a tuple of tuples or a read-only 2-D float ndarray (float data
     only); a program with ndarray rows is not hashable. Float replay of
@@ -103,9 +106,7 @@ class LinearProgram:
     num_vars: int
     rows: tuple
     rhs: tuple
-    nonneg: tuple
     objective: Optional[tuple] = None
-    sense: str = "max"
     tiebreaks: tuple = ()
 
     def __post_init__(self):
@@ -114,14 +115,17 @@ class LinearProgram:
         if (self.rows.shape[1:] != (self.num_vars,) if isinstance(self.rows, np.ndarray)
                 else any(len(r) != self.num_vars for r in self.rows)):
             raise ValueError("constraint row width must equal variable count")
-        if len(self.nonneg) != self.num_vars:
-            raise ValueError("nonneg flags must cover every variable")
         if self.objective is None and self.tiebreaks:
             raise ValueError("tie-breaks need an objective")
         if any(len(c) != self.num_vars for c in self.objectives()):
             raise ValueError("objective width must equal variable count")
-        if self.sense not in ("max", "min"):
-            raise ValueError("sense must be 'max' or 'min'")
+
+    @property
+    def nonneg(self) -> tuple:
+        """(True,) * num_vars: every variable is nonnegative. Kept read-only
+        for perfbench's tracer (`perfbench/tracer.py::_tableau_width`), the
+        one reader of per-variable flags."""
+        return (True,) * self.num_vars
 
     def objectives(self) -> tuple:
         """The objective and its tie-breaks, in order; empty without one."""
@@ -135,19 +139,18 @@ class LinearProgram:
 
     @cached_property
     def float_data(self) -> tuple:
-        """(A, b, nonneg) as read-only float, float and bool arrays, made on
-        first use: an ndarray's rows come without a copy, tuple rows are
-        converted once for the float kernel and the float verifiers."""
+        """(A, b) as read-only float arrays, made on first use: an ndarray's
+        rows come without a copy, tuple rows are converted once for the float
+        kernel and the float verifiers."""
         data = (np.asarray(self.rows, dtype=float).reshape(len(self.rhs), self.num_vars),
-                np.asarray(self.rhs, dtype=float), np.asarray(self.nonneg, dtype=bool))
+                np.asarray(self.rhs, dtype=float))
         for a in data:
             a.flags.writeable = False
         return data
 
 
-def make_program(rows, rhs, nonneg=None, objective=None, sense="max",
-                 tiebreaks=()) -> LinearProgram:
-    """Convenience constructor; nonneg defaults to all-nonnegative.
+def make_program(rows, rhs, objective=None, tiebreaks=()) -> LinearProgram:
+    """Convenience constructor.
 
     A 2-D float ndarray of rows is kept as a read-only view, without a copy;
     any other rows become a tuple of tuples.
@@ -159,15 +162,11 @@ def make_program(rows, rhs, nonneg=None, objective=None, sense="max",
     else:
         rows = tuple(tuple(r) for r in rows)
         n = len(rows[0]) if len(rows) else (len(objective) if objective is not None else 0)
-    if nonneg is None:
-        nonneg = (True,) * n
     return LinearProgram(
         num_vars=n,
         rows=rows,
         rhs=tuple(rhs),
-        nonneg=tuple(nonneg),
         objective=tuple(objective) if objective is not None else None,
-        sense=sense,
         tiebreaks=tuple(tuple(c) for c in tiebreaks),
     )
 
@@ -204,7 +203,7 @@ def verify_solution(program: LinearProgram, solution: Sequence,
     """Replay a feasible certificate against the program.
 
     Exact mode clears x to integers X over L and row i, rhs included, to
-    integers N_i, B_i, then tests N_i . X == B_i * L and X_j >= 0; a float
+    integers N_i, B_i, then tests N_i . X == B_i * L and X >= 0; a float
     raises ValueError. Float mode computes A x as one matrix-vector product
     over the rows, tuple or ndarray, and allows eps in each row and sign.
     """
@@ -217,17 +216,17 @@ def verify_solution(program: LinearProgram, solution: Sequence,
             N, _ = _integer_row((*r, b))
             if sum(a * x for a, x in zip(N, X)) != N[-1] * L:  # zip stops before B_i
                 return False
-        return all(x >= 0 for x, flag in zip(X, program.nonneg) if flag)
-    A, b, nonneg = program.float_data
+        return all(x >= 0 for x in X)
+    A, b = program.float_data
     eps = field(mode, tol).eps
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail every test
         x = np.asarray(solution, dtype=float)
-        return bool((np.abs(A @ x - b) <= eps).all() and (x[nonneg] >= -eps).all())
+        return bool((np.abs(A @ x - b) <= eps).all() and (x >= -eps).all())
 
 
 def verify_farkas(program: LinearProgram, farkas: Sequence,
                   tol: Tolerance = DEFAULT_TOLERANCE, mode: Optional[str] = None) -> bool:
-    """Replay an infeasibility certificate: y'A <= 0 (=0 on free), y'b > 0.
+    """Replay an infeasibility certificate: y'A <= 0 and y'b > 0.
 
     Exact mode clears y to integers Y and each row i with Y_i != 0, rhs
     included, to integers over D_i. The sum of Y_i * (L / D_i) times row i,
@@ -240,13 +239,11 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
     if len(farkas) != len(program.rows):
         return False
     if mode != EXACT:
-        A, b, nonneg = program.float_data
+        A, b = program.float_data
         eps = field(mode, tol).eps
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail every test
             y = np.asarray(farkas, dtype=float)
-            combo = y @ A
-            combo = np.where(nonneg, combo, np.abs(combo))
-            return bool((combo <= eps).all() and y @ b > eps)
+            return bool((y @ A <= eps).all() and y @ b > eps)
     Y, _ = _integer_row(farkas)
     terms = [(y, *_integer_row((*r, b)))
              for y, r, b in zip(Y, program.rows, program.rhs) if y]
@@ -255,38 +252,28 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
     for y, row, den in terms:
         k = y * (L // den)
         acc = [a + k * x for a, x in zip(acc, row)]
-    for z, flag in zip(acc, program.nonneg):  # zip stops before y'b
-        if not (z <= 0 if flag else z == 0):
-            return False
-    return acc[-1] > 0
+    *combo, yb = acc
+    return all(z <= 0 for z in combo) and yb > 0
 
 
 # ---------------------------------------------------------------------------
-# The driver. Free variables are split x = x+ - x-; the column map holds the
-# variable j of each standard-form column, as ~j for a column x-. Without a
-# free variable it is the identity, a range. Rows with a negative right-hand
-# side are negated (flips), so every starting basic value is nonnegative.
+# The driver. Rows with a negative right-hand side are negated (flips), so
+# every starting basic value is nonnegative. Both kernels minimize: phase 1
+# the artificial sum, phase 2 the negated objective.
 # ---------------------------------------------------------------------------
-
-def _colmap(program: LinearProgram):
-    if all(program.nonneg):
-        return range(program.num_vars)
-    return [c for j, flag in enumerate(program.nonneg) for c in ((j,) if flag else (j, ~j))]
-
 
 def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
     """Two-phase simplex on a tableau of class `kernel` in the arithmetic of F."""
-    colmap = _colmap(program)
-    m, n = len(program.rows), len(colmap)
+    m, n = len(program.rows), program.num_vars
     flips = [-1 if b < 0 else 1 for b in program.rhs]
-    tab = kernel(program, colmap, flips, F)
+    tab = kernel(program, flips, F)
     stats["solves"] += 1  # only now: a program the kernel rejects is no solve
     basis = tab.basis
-    cap = None if kernel.CAP is None else kernel.CAP * (program.num_vars + m)
+    cap = None if kernel.CAP is None else kernel.CAP * (n + m)
 
     pivots, col = _optimize(tab, basis, n, cap, 0)
-    if col >= 0:
-        raise RuntimeError("phase 1 cannot be unbounded")
+    if col >= 0:  # the artificial sum is bounded below by 0: a numerical breakdown
+        raise CertificateError("phase 1 cannot be unbounded")
     if tab.artificial_sum() > F.eps:
         # Dual values of the flipped rows, whose right-hand sides are |b|;
         # the division by the scale also undoes the flips.
@@ -313,25 +300,20 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
     basis[:] = [j for i, j in enumerate(basis) if i not in dead]
 
     # Phase 2. Fixed columns are zeroed and priced at zero: they never enter.
-    if program.objective is not None:
-        sense = -1 if program.sense == "max" else 1
-        signs = repeat(sense) if n == program.num_vars else [
-            sense if j >= 0 else -sense for j in colmap]
     fixed, ray = set(), None
     for k, objective in enumerate(program.objectives()):
         if k:
             fixed.update(tab.fix(n, basis))
             if len(fixed) + len(basis) == n:
                 break
-        tab.price([0 if col in fixed else objective[j if j >= 0 else ~j]
-                   for col, j in enumerate(colmap)], signs, basis)
+        tab.price([0 if col in fixed else -c for col, c in enumerate(objective)], basis)
         total, col = _optimize(tab, basis, n, cap, pivots)
         if col >= 0:  # the count leaves out this objective's pivots
-            ray = _recover(program, colmap, [col] + basis,
+            ray = _recover(n, [col] + basis,
                            [F.one] + [-tab.value(i, col) for i in range(len(basis))], F)
             break
         pivots = total
-    sol = _recover(program, colmap, basis, [tab.value(i) for i in range(len(basis))], F)
+    sol = _recover(n, basis, [tab.value(i) for i in range(len(basis))], F)
     if F.mode == FLOAT and not verify_solution(program, sol, F.tolerance, mode=FLOAT):
         raise CertificateError("float solution fails replay against its program")
     value = None if ray or program.objective is None else tab.dot(program.objective, sol)
@@ -339,14 +321,12 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
                      objective_value=value, ray=ray, tolerance=F.tolerance, pivots=pivots)
 
 
-def _recover(program, colmap, cols, values, F):
-    """The variables whose standard-form columns `cols` hold `values`."""
-    x = [F.zero] * program.num_vars
+def _recover(n, cols, values, F):
+    """The n variables, `values` in columns `cols` and zero elsewhere; F.zero
+    + v turns a float -0.0 into 0.0."""
+    x = [F.zero] * n
     for col, v in zip(cols, values):
-        j = colmap[col]
-        if j < 0:
-            j, v = ~j, -v
-        x[j] = x[j] + v
+        x[col] = F.zero + v
     return tuple(x)
 
 
@@ -405,16 +385,16 @@ def _start_basis(crash, m, n):
 # returned values.
 # ---------------------------------------------------------------------------
 
-def _integer_row(values, signs=None):
-    """Numerators of sign * value over the values' least common denominator
-    (every sign +1 without `signs`); a float value raises ValueError."""
+def _integer_row(values):
+    """Numerators of the values over their least common denominator; a float
+    value raises ValueError."""
     try:
         dens = [x.denominator for x in values]
     except AttributeError:
         raise ValueError("exact mode requested for float data") from None
     den = lcm(*dens)
-    row = [x.numerator if d == den else x.numerator * (den // d) for x, d in zip(values, dens)]
-    return (row if signs is None else [s * x for s, x in zip(signs, row)]), den
+    return [x.numerator if d == den else x.numerator * (den // d)
+            for x, d in zip(values, dens)], den
 
 
 def _reduced(row, den):
@@ -450,14 +430,12 @@ def _crash_columns(rows, m, n):
 class _IntTableau:
     CAP = None  # Bland's rule terminates in exact arithmetic
 
-    def __init__(self, program, colmap, flips, F):
-        m, n = len(program.rows), len(colmap)
+    def __init__(self, program, flips, F):
+        m, n = len(program.rows), program.num_vars
         T, D = [], []
         for r, b, flip in zip(program.rows, program.rhs, flips):
-            if n > program.num_vars:  # a free column was split
-                r = [r[j] if j >= 0 else -r[~j] for j in colmap]
-            row, den = _integer_row((*r, b), None if flip > 0 else repeat(-1))
-            T.append(row)
+            row, den = _integer_row((*r, b))
+            T.append(row if flip > 0 else [-x for x in row])
             D.append(den)
         crash = _crash_columns(T, m, n)
         self.basis, self.art = _start_basis(crash, m, n)
@@ -554,10 +532,10 @@ class _IntTableau:
                 row[j] = 0
         return cols
 
-    def price(self, values, signs, basis):
-        """Replace the reduced-cost row by that of the cost sign * value."""
+    def price(self, values, basis):
+        """Replace the reduced-cost row by that of the cost `values`."""
         T, D = self.T, self.D
-        cost, cost_den = _integer_row(values, signs)
+        cost, cost_den = _integer_row(values)
         red, red_den = cost + [0] * (len(T[-1]) - len(cost)), cost_den
         for i, j in enumerate(basis):
             if cost[j]:
@@ -588,13 +566,10 @@ class _IntTableau:
 class _FloatRevised:
     CAP = 10_000  # pivots per variable and constraint before SolverLimitError
 
-    def __init__(self, program, colmap, flips, F):
-        m, n = len(program.rows), len(colmap)
+    def __init__(self, program, flips, F):
+        m, n = len(program.rows), program.num_vars
         self.eps = F.eps
-        A, b, _ = program.float_data
-        if n > program.num_vars:  # a free column was split
-            A = A[:, [j if j >= 0 else ~j for j in colmap]] * [
-                1 if j >= 0 else -1 for j in colmap]
+        A, b = program.float_data
         C = np.zeros((m + 1, n))  # phase 1 prices structural columns at zero
         C[:m] = A
         negated = [i for i, flip in enumerate(flips) if flip < 0]
@@ -715,10 +690,10 @@ class _FloatRevised:
         self.col = -1
         return cols
 
-    def price(self, values, signs, basis):
-        """Replace the cost by sign * value and the duals by c_B B^-1."""
+    def price(self, values, basis):
+        """Replace the cost by `values` and the duals by c_B B^-1."""
         C, R = self.C, self.R
-        C[-1] = [float(s * v) for s, v in zip(signs, values)]
+        C[-1] = [float(v) for v in values]
         R[-1] = -(C[-1, basis] @ R[:-1])
         R[-1, -2] = 1.0
         self.col = -1

@@ -182,21 +182,10 @@ def criterion_hexagon_noise() -> CriterionResult:
     pattern_ok = verdicts == expected
 
     ex = hexagon_noise_example(0.25)
-    cert = hexagon_explicit_certificate()
-    residual = 0.0
-    for yi, (_, eff) in enumerate(ex.observable.outcomes):
-        recon = [0.0] * 3
-        for w, chan, sim in zip(cert.weights, cert.channels, ex.simulators):
-            for xi in range(2):
-                f = w * chan.matrix[xi][yi]
-                for d in range(3):
-                    recon[d] += f * sim.effects[xi].coeffs[d]
-        residual = max(residual,
-                       max(abs(a - b) for a, b in zip(recon, eff.coeffs)))
-    replay_ok = residual <= 1e-12
-    ok = pattern_ok and replay_ok
-    return _result("hexagon-noise", ok,
-                   f"verdicts={verdicts}; explicit certificate residual={residual:.2e}")
+    replay_ok = replay_simulation(hexagon_explicit_certificate(), ex.observable,
+                                  ex.simulators)
+    return _result("hexagon-noise", pattern_ok and replay_ok,
+                   f"verdicts={verdicts}; explicit certificate replay: {replay_ok}")
 
 
 def criterion_qubit_triplet_compat() -> CriterionResult:

@@ -407,7 +407,7 @@ def test_qubit_compat_bracket_fixed_targets(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "qubit", "compat-bracket",
                            "--targets", str(path), "--facets", "16")
     assert code == 0
-    assert payload(out)["verdict"] == "incompatible"
+    assert payload(out) == {"verdict": "incompatible", "facets": 16}
 
 
 def test_qubit_compat_bracket_invalid_target_exit_2(capsys, tmp_path):
@@ -499,3 +499,14 @@ def test_certificate_error_exits_3(capsys, monkeypatch, ct08_file, xy_file):
                            "--simulators", xy_file)
     assert code == 3
     assert "certificate error" in err
+
+
+def test_phase_1_breakdown_exits_3(capsys, monkeypatch, ct08_file, xy_file):
+    # a float ratio test that finds no leaving row in phase 1 is a solver
+    # breakdown, reported as a certificate error rather than a traceback
+    monkeypatch.setattr("gptsim.lp._FloatRevised.leaving", lambda self, col, basis: -1)
+    code, out, err = run_cli(capsys, "sim", "check", "--target", ct08_file,
+                             "--simulators", xy_file)
+    assert code == 3
+    assert out == ""
+    assert "certificate error: phase 1 cannot be unbounded" in err

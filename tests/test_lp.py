@@ -59,26 +59,16 @@ def test_dimension_mismatch_rejected():
 
     for rows in (np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 1))):
         with pytest.raises(ValueError, match="constraint row width"):
-            LinearProgram(num_vars=2, rows=rows, rhs=(0.0,) * len(rows), nonneg=(True, True))
+            LinearProgram(num_vars=2, rows=rows, rhs=(0.0,) * len(rows))
 
 
 def test_exact_solution_is_fraction():
-    p = make_program(rows=[(F(1, 3), F(1, 2))], rhs=(F(1),), objective=(1, 1), sense="min")
+    p = make_program(rows=[(F(1, 3), F(1, 2))], rhs=(F(1),), objective=(-1, -1))
     out = lp_solve(p)
     assert out.verdict == FEASIBLE
     assert all(isinstance(x, Fraction) for x in out.solution)
-    # min x+y over x/3 + y/2 = 1 picks the y axis: y = 2.
-    assert out.objective_value == 2
-
-
-def test_free_variable_support():
-    # x free, y >= 0: x + y = -3 forces x negative when y small.
-    p = make_program(rows=[(1, 1)], rhs=(-3,), nonneg=(False, True),
-                     objective=(0, 1), sense="min")
-    out = lp_solve(p)
-    assert out.verdict == FEASIBLE
-    assert out.solution[0] == -3
-    assert out.solution[1] == 0
+    # max -(x+y) over x/3 + y/2 = 1 picks the y axis: y = 2.
+    assert out.objective_value == -2
 
 
 def test_float_mode_and_tolerance_recorded():
@@ -147,9 +137,8 @@ def test_exact_mode_rejects_float_data_before_solving(where):
     assert lp.stats["solves"] == solves + 1
 
 
-def _with_array_twin(rows, rhs, nonneg):
-    return [make_program(rows=r, rhs=rhs, nonneg=nonneg)
-            for r in (rows, np.array(rows, dtype=float))]
+def _with_array_twin(rows, rhs):
+    return [make_program(rows=r, rhs=rhs) for r in (rows, np.array(rows, dtype=float))]
 
 
 def test_float_verifiers_reject_nan():
@@ -158,31 +147,30 @@ def test_float_verifiers_reject_nan():
     nan = float("nan")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for p in _with_array_twin([(1.0, 1.0)], (1.0,), (True, False)):
+        for p in _with_array_twin([(1.0, 1.0)], (1.0,)):
             assert verify_solution(p, (0.5, 0.5))
             for solution in ((nan, nan), (nan, 1.0), (0.5, nan), (1e308, 1e308)):
                 assert verify_solution(p, solution) is False
-        for q in _with_array_twin([(1.0, 1.0)], (-1.0,), (True, True)):
+        for q in _with_array_twin([(1.0, 1.0)], (-1.0,)):
             assert verify_farkas(q, (-1.0,))
             assert verify_farkas(q, (nan,)) is False
-        for q in _with_array_twin([(4.0,), (4.0,)], (4.0, -4.0), (True,)):
+        for q in _with_array_twin([(4.0,), (4.0,)], (4.0, -4.0)):
             assert verify_farkas(q, (1e308, -1e308)) is False  # inf - inf in y'A
 
 
 def test_float_verifiers_allow_eps_and_no_more():
     eps = DEFAULT_TOLERANCE.eps
-    for p in _with_array_twin([(1.0, 1.0)], (1.0,), (True, False)):
+    for p in _with_array_twin([(1.0, 1.0)], (1.0,)):
         assert verify_solution(p, (0.5, 0.5 + eps / 2))
         assert not verify_solution(p, (0.5, 0.5 + 2 * eps))
         assert verify_solution(p, (-eps / 2, 1.0))
         assert not verify_solution(p, (-2 * eps, 1.0))
     # y = (-1, 1) refutes x1 + x2 = 1 and x1 + x2 = 2; y'A is the residual
-    for q in _with_array_twin([(1.0, 1.0), (1.0, 1.0)], (1.0, 2.0), (True, False)):
+    for q in _with_array_twin([(1.0, 1.0), (1.0, 1.0)], (1.0, 2.0)):
         assert verify_farkas(q, (-1.0, 1.0))
         assert verify_farkas(q, (-1.0, 1.0 + eps / 2))
-        assert verify_farkas(q, (-1.0, 1.0 - eps / 2))  # free column: |y'A| <= eps
         assert not verify_farkas(q, (-1.0, 1.0 + 2 * eps))
-        assert not verify_farkas(q, (-1.0, 1.0 - 2 * eps))
+        assert verify_farkas(q, (-1.0, 1.0 - 2 * eps))  # y'A < 0 refutes too
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
@@ -190,15 +178,16 @@ def test_verifiers_on_a_program_without_rows(mode):
     # the twin's rows are a zero-row float array, which keeps its width even
     # without an objective to give one
     assert make_program(rows=np.zeros((0, 2)), rhs=[]).num_vars == 2
-    p, twin = (make_program(rows=rows, rhs=[], nonneg=(True, False), objective=(1, 0))
+    p, twin = (make_program(rows=rows, rhs=[], objective=(1, 0))
                for rows in ([], np.zeros((0, 2))))
     assert isinstance(twin.rows, np.ndarray)
     assert repr(lp_solve(twin, mode=mode)) == repr(lp_solve(p, mode=mode))
     for program in (p, twin):
         assert not verify_farkas(program, (), mode=mode)  # y'b = 0 refutes nothing
         assert not verify_farkas(program, (1,), mode=mode)
-        assert verify_solution(program, (0, -3), mode=mode)
+        assert verify_solution(program, (0, 3), mode=mode)
         assert not verify_solution(program, (-1, 0), mode=mode)
+        assert not verify_solution(program, (0, -3), mode=mode)
         assert not verify_solution(program, (0,), mode=mode)
 
 
@@ -226,6 +215,19 @@ def test_nonpositive_farkas_scale_raises(monkeypatch, kernel, one):
     with pytest.raises(lp.CertificateError, match="Farkas scale must be positive"):
         lp_solve(p)
     assert issubclass(lp.CertificateError, RuntimeError)
+
+
+@pytest.mark.parametrize("kernel, one", [("_IntTableau", 1), ("_FloatRevised", 1.0)])
+def test_unbounded_phase_1_raises_certificate_error(monkeypatch, kernel, one):
+    # No column of x0 + x1 = 2, x0 - x1 = 0 is a crash column, so phase 1
+    # must pivot; a ratio test that finds no leaving row is a breakdown.
+    from gptsim import lp
+
+    p = make_program(rows=[(one, one), (one, -one)], rhs=(2 * one, 0 * one))
+    assert lp_solve(p).pivots > 0
+    monkeypatch.setattr(getattr(lp, kernel), "leaving", lambda self, col, basis: -1)
+    with pytest.raises(lp.CertificateError, match="phase 1 cannot be unbounded"):
+        lp_solve(p)
 
 
 def test_float_solution_failing_replay_raises(monkeypatch):
@@ -261,8 +263,8 @@ def _degenerate_programs(count, seed):
         rhs = tuple(F(rng.choice((0, 0, rng.randint(-3, 3))), rng.randint(1, 3))
                     for _ in range(m)) + (1,)
         objective = tuple(F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n))
-        out.append(make_program(rows=rows, rhs=rhs, objective=objective,
-                                sense=rng.choice(("max", "min"))))
+        sign = rng.choice((1, -1))  # -1: the minimum, as the maximum of -objective
+        out.append(make_program(rows=rows, rhs=rhs, objective=[sign * c for c in objective]))
     return out
 
 
@@ -365,7 +367,7 @@ def _float_corpus():
     from gptsim.spaces import dual_cone_rays
 
     programs = [make_program(rows=[[float(x) for x in r] for r in p.rows],
-                             rhs=[float(b) for b in p.rhs], nonneg=p.nonneg)
+                             rhs=[float(b) for b in p.rhs])
                 for p in _simulation_corpus()]
     conic = []
     for n in range(5, 9):
@@ -409,9 +411,7 @@ def test_float_ratio_ties_go_to_the_smallest_basic_index():
 
     rows = [(1.0, 0.0, 0.0, 1.0), (-2.0, -2.0, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0)]
     p = make_program(rows=rows, rhs=(1.0, -2.0 - 2e-12, 2.0), objective=(1.0, 0.0, 0.0, 0.0))
-    colmap = lp._colmap(p)
-    assert len(colmap) == p.num_vars  # no free column is split
-    tab = lp._FloatRevised(p, colmap, [1, -1, 1], field(FLOAT, DEFAULT_TOLERANCE))
+    tab = lp._FloatRevised(p, [1, -1, 1], field(FLOAT, DEFAULT_TOLERANCE))
     assert tab.basis == [3, 1, 2] and not tab.art
     assert tab.leaving(0, tab.basis) == 1
     assert tab.leaving(0, [1, 3, 2]) == 0
@@ -424,19 +424,22 @@ def test_float_ratio_ties_go_to_the_smallest_basic_index():
 @pytest.mark.parametrize("sense", ["max", "min"])
 @pytest.mark.parametrize("objective", [(1, 0, 0, 0, 0), (0, 1, -1, 0, 1), (-1, 2, 0, 1, 0)])
 def test_float_free_columns_and_flips_agree_with_exact(objective, sense, last):
-    # x0 and x4 are free, so their columns are split, and row 0 is negated;
-    # with last = -1 row 3 is negated too and x1 + x2 = -1 is infeasible.
-    # The float kernel takes the exact kernel's pivots to the same verdict,
-    # and a twin with the float rows as one array gives the same outcome.
-    from gptsim import lp
+    # x0 and x4 are free, each written as the difference of two nonnegative
+    # columns (columns 0-1 and 5-6), and row 0 is negated; with last = -1
+    # row 3 is negated too and x1 + x2 = -1 is infeasible. A minimum is the
+    # maximum of the negated objective. The float kernel takes the exact
+    # kernel's pivots to the same verdict, and a twin with the float rows as
+    # one array gives the same outcome.
+    def split(r):
+        return (r[0], -r[0], *r[1:], -r[-1])
 
-    rows = [(1, -1, 0, 0, 1), (1, 0, 1, 0, -1), (0, 1, 1, 1, 2), (0, 1, 1, 0, 0)]
-    rhs, nonneg = (-2, 3, 4, last), (False, True, True, True, False)
-    exact = make_program(rows=rows, rhs=rhs, objective=objective, sense=sense, nonneg=nonneg)
-    assert len(lp._colmap(exact)) > exact.num_vars
+    rows = [split(r) for r in
+            [(1, -1, 0, 0, 1), (1, 0, 1, 0, -1), (0, 1, 1, 1, 2), (0, 1, 1, 0, 0)]]
+    rhs = (-2, 3, 4, last)
+    objective = split(objective if sense == "max" else [-c for c in objective])
+    exact = make_program(rows=rows, rhs=rhs, objective=objective)
     floats, twin = (make_program(rows=float_rows, rhs=[float(b) for b in rhs],
-                                 objective=[float(c) for c in objective], sense=sense,
-                                 nonneg=nonneg)
+                                 objective=[float(c) for c in objective])
                     for float_rows in ([[float(x) for x in r] for r in rows],
                                        np.array(rows, dtype=float)))
     assert isinstance(twin.rows, np.ndarray)

@@ -41,7 +41,7 @@ fine_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=10 **
 
 @st.composite
 def general_programs(draw):
-    # small_programs widened with free columns, an optional objective and
+    # small_programs widened with an optional objective, zero entries and
     # denominators up to 10**6; an optional dependent row leaves an
     # artificial variable basic at zero after phase 1.
     m = draw(st.integers(1, 3))
@@ -53,10 +53,8 @@ def general_programs(draw):
         k = draw(rationals)
         rows.append([a - k * b for a, b in zip(rows[0], rows[1])])
         rhs.append(rhs[0] - k * rhs[1])
-    nonneg = [draw(st.booleans()) for _ in range(n)]
     objective = draw(st.none() | st.lists(entries, min_size=n, max_size=n))
-    return make_program(rows=rows, rhs=rhs, nonneg=nonneg, objective=objective,
-                        sense=draw(st.sampled_from(("max", "min"))))
+    return make_program(rows=rows, rhs=rhs, objective=objective)
 
 
 @settings(max_examples=150, deadline=None)
@@ -72,28 +70,24 @@ def test_general_lp_certificates_replay(program):
         assert verify_farkas(program, out.farkas)
     else:
         assert out.verdict == UNBOUNDED and program.objective is not None
-        feasible = make_program(rows=program.rows, rhs=program.rhs, nonneg=program.nonneg)
+        feasible = make_program(rows=program.rows, rhs=program.rhs)
         assert lp_solve(feasible).verdict == FEASIBLE
         # The vertex is feasible and the objective grows without bound along the ray.
         assert verify_solution(program, out.solution)
         assert all(sum(a * d for a, d in zip(row, out.ray)) == 0 for row in program.rows)
-        assert all(d >= 0 for d, flag in zip(out.ray, program.nonneg) if flag)
-        gain = sum(c * d for c, d in zip(program.objective, out.ray))
-        assert (gain > 0) if program.sense == "max" else (gain < 0)
+        assert all(d >= 0 for d in out.ray)
+        assert sum(c * d for c, d in zip(program.objective, out.ray)) > 0
 
 
 def _reference_farkas(program, y):
     # the Fraction replay that the integer verifier replaced
     combo = [vdot(y, col) for col in zip(*program.rows)] if program.rows else []
-    for z, flag in zip(combo, program.nonneg):
-        if (z > 0) if flag else (z != 0):
-            return False
-    return vdot(y, program.rhs) > 0
+    return all(z <= 0 for z in combo) and vdot(y, program.rhs) > 0
 
 
 def _reference_solution(program, x):
     return (all(vdot(row, x) == b for row, b in zip(program.rows, program.rhs))
-            and all(v >= 0 for v, flag in zip(x, program.nonneg) if flag))
+            and all(v >= 0 for v in x))
 
 
 @st.composite
@@ -107,8 +101,7 @@ def verifier_programs(draw):
     n = draw(st.integers(1, 5))
     rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
     rhs = [draw(entries) for _ in range(m)]
-    nonneg = [draw(st.booleans()) for _ in range(n)]
-    return make_program(rows=rows, rhs=rhs, nonneg=nonneg)
+    return make_program(rows=rows, rhs=rhs)
 
 
 @settings(max_examples=150, deadline=None)
