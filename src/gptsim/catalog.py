@@ -425,7 +425,7 @@ def xyz_threshold_bracket(facets: int = 128, t_tol: float = 1e-3,
     triple stays compatible. Returns (lower, upper): compatible at the lower
     value, incompatible at the upper value. An undecided verdict stops the
     bisection, so the returned bracket then straddles the undecided value."""
-    if t_tol <= 0:
+    if not t_tol > 0:  # NaN too, which would end the bisection at once
         raise ValueError("t_tol must be positive")
     suite = qubit_suite()
     a, b = 0.0, 1.0

@@ -125,7 +125,6 @@ class ConicResult:
     verdict: str  # inside | outside
     coefficients: Optional[tuple] = None
     functional: Optional[tuple] = None
-    tolerance: Optional[Tolerance] = None
 
     @property
     def inside(self) -> bool:
@@ -159,13 +158,13 @@ def conic_decompose(v: Sequence, rays: Sequence[Sequence],
     out = lp_solve(make_program(rows=rows, rhs=v, objective=units[0], tiebreaks=units[1:]),
                    mode=F.mode, tol=tol)
     if out.verdict == INFEASIBLE:
-        return ConicResult(OUTSIDE, functional=out.farkas, tolerance=F.tolerance)
+        return ConicResult(OUTSIDE, functional=out.farkas)
     if out.verdict == UNBOUNDED:
         # coefficient k, the first the ray raises, is unbounded
         k = next((j for j, d in enumerate(out.ray) if d > F.eps), 0)
         if not F.is_zero(out.solution[k:]):
             out = lp_solve(make_program(rows=rows, rhs=v), mode=F.mode, tol=tol)
-    return ConicResult(INSIDE, coefficients=out.solution, tolerance=F.tolerance)
+    return ConicResult(INSIDE, coefficients=out.solution)
 
 
 def _conic_rows(v, rays):

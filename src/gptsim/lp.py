@@ -181,7 +181,6 @@ class LPOutcome:
     objective_value: Optional[object] = None
     farkas: Optional[tuple] = None
     ray: Optional[tuple] = None
-    tolerance: Optional[Tolerance] = None
     pivots: int = 0
 
 
@@ -282,8 +281,7 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
         if not scale > 0:
             raise CertificateError("Farkas scale must be positive")
         farkas = tuple(v / scale if flip > 0 else v / -scale for v, flip in zip(y, flips))
-        return LPOutcome(INFEASIBLE, F.mode, farkas=farkas, tolerance=F.tolerance,
-                         pivots=pivots)
+        return LPOutcome(INFEASIBLE, F.mode, farkas=farkas, pivots=pivots)
 
     # Pivot zero-level artificials out of the basis; a row with no
     # structural coefficient left is redundant and removed.
@@ -314,11 +312,11 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
             break
         pivots = total
     sol = _recover(n, basis, [tab.value(i) for i in range(len(basis))], F)
-    if F.mode == FLOAT and not verify_solution(program, sol, F.tolerance, mode=FLOAT):
+    if F.mode == FLOAT and not verify_solution(program, sol, F.tol, mode=FLOAT):
         raise CertificateError("float solution fails replay against its program")
     value = None if ray or program.objective is None else tab.dot(program.objective, sol)
     return LPOutcome(UNBOUNDED if ray else FEASIBLE, F.mode, solution=sol,
-                     objective_value=value, ray=ray, tolerance=F.tolerance, pivots=pivots)
+                     objective_value=value, ray=ray, pivots=pivots)
 
 
 def _recover(n, cols, values, F):

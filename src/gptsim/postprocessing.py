@@ -2,17 +2,17 @@
 
 A postprocessing is a row-stochastic matrix from a source outcome set to a
 target outcome set. Applying it to an observable mixes the source effects
-into target effects. Whether one observable is a postprocessing of another
-is simulation from that one observable (`simulation.is_simulable`), and the
-returned certificate is either the witnessing channel or a Farkas refutation
-of the simulation program.
+into target effects. B is a postprocessing of A exactly when the one-element
+set {A} simulates B, so the relation is `simulation.is_simulable` with one
+simulator, and its certificate is a `SimulationCertificate`: weight (1,) and
+the witnessing channel, or a Farkas refutation of the simulation program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .scalars import (
     DEFAULT_TOLERANCE,
@@ -25,10 +25,6 @@ from .scalars import (
 )
 from .spaces import Effect, Observable, is_indecomposable
 from . import geometry
-
-RELATED = "related"
-UNRELATED = "unrelated"
-
 
 @dataclass(frozen=True)
 class Postprocessing:
@@ -119,48 +115,29 @@ def apply(channel: Postprocessing, obs: Observable) -> Observable:
     return Observable(tuple(outcomes), obs.space)
 
 
-@dataclass(frozen=True)
-class RelationCertificate:
-    """Outcome of a postprocessing-relation query B = nu o A."""
-
-    verdict: str
-    channel: Optional[Postprocessing] = None
-    farkas: Optional[tuple] = None
-    tolerance: Optional[Tolerance] = None
-
-    @property
-    def related(self) -> bool:
-        return self.verdict == RELATED
-
-
 def is_postprocessing_of(target: Observable, source: Observable,
-                         tol: Tolerance = DEFAULT_TOLERANCE) -> RelationCertificate:
+                         tol: Tolerance = DEFAULT_TOLERANCE):
     """Decide whether `target` can be obtained from `source` by a channel,
-    i.e. whether `source` alone simulates it."""
+    i.e. whether `source` alone simulates it: `is_simulable(target, [source])`."""
     from .simulation import is_simulable
 
-    cert = is_simulable(target, [source], tol)
-    if cert.simulable:
-        return RelationCertificate(RELATED, channel=cert.channels[0],
-                                   tolerance=cert.tolerance)
-    return RelationCertificate(UNRELATED, farkas=cert.farkas, tolerance=cert.tolerance)
+    return is_simulable(target, [source], tol)
 
 
-def replay_relation(cert: RelationCertificate, target: Observable,
-                    source: Observable, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Re-check a relation certificate as a one-simulator simulation with weight 1."""
-    from .simulation import NOT_SIMULABLE, SIMULABLE, SimulationCertificate, replay_simulation
+def replay_relation(cert, target: Observable, source: Observable,
+                    tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+    """Re-check a relation certificate: `replay_simulation(cert, target, [source])`.
+    Kept by name because perfbench's relation decisions and its tracer call it."""
+    from .simulation import replay_simulation
 
-    sim = SimulationCertificate(SIMULABLE if cert.related else NOT_SIMULABLE, weights=(1,),
-                                channels=(cert.channel,), farkas=cert.farkas)
-    return replay_simulation(sim, target, [source], tol)
+    return replay_simulation(cert, target, [source], tol)
 
 
 def are_equivalent(a: Observable, b: Observable,
                    tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Postprocessing equivalence: channels exist in both directions."""
-    return (is_postprocessing_of(b, a, tol).related
-            and is_postprocessing_of(a, b, tol).related)
+    return (is_postprocessing_of(b, a, tol).simulable
+            and is_postprocessing_of(a, b, tol).simulable)
 
 
 def _proportionality_groups(obs: Observable, tol: Tolerance):

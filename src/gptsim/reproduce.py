@@ -320,8 +320,8 @@ def criterion_exact_float_agreement() -> CriterionResult:
         for a, b in itertools.combinations(corpus[:6], 2):
             check(is_simulable(a, [b]).simulable,
                   is_simulable(a.as_float(), [b.as_float()]).simulable)
-            check(is_postprocessing_of(a, b).related,
-                  is_postprocessing_of(a.as_float(), b.as_float()).related)
+            check(is_postprocessing_of(a, b).simulable,
+                  is_postprocessing_of(a.as_float(), b.as_float()).simulable)
             check(are_equivalent(a, b),
                   are_equivalent(a.as_float(), b.as_float()))
     for corpus, base in ((sq_corpus, [sq.E, sq.F]),

@@ -11,15 +11,17 @@ two meet inside one input or across the inputs of one call. Objects scan
 their data once, lazily, and each public function resolves one `Field` per
 call from the kinds of its inputs (`resolve`) or from a given mode
 (`field`). The field carries what the two modes differ in: zero and one,
-the one threshold `eps` (0 in exact mode), the tolerance certificates
-record, the coercion of a scalar, the square root (None when an exact root
-is irrational), the numpy dtype that holds its numbers, the zero test and
-the dedup key.
+the one threshold `eps` (0 in exact mode), the coercion of a scalar, the
+square root (None when an exact root is irrational), the numpy dtype that
+holds its numbers, the zero test and the dedup key.
 
 Code outside this module branches on the mode only where the two modes run
 different algorithms or read outside input: the backend choice in
-`lp.lp_solve`, `QubitEffect.is_valid` (squares, so that irrational norms
-need no root), `serialize.decode_number` and the command line's `--mode`.
+`lp.lp_solve`, the exact and float replays in `lp.verify_solution` and
+`lp.verify_farkas`, the float-only replay in `lp._simplex`, the float-array
+versus exact-tuple layout of `simulation.simulation_program`,
+`QubitEffect.is_valid` (squares, so that irrational norms need no root),
+`serialize.decode_number` and the command line's `--mode`.
 """
 
 from __future__ import annotations
@@ -92,8 +94,7 @@ def infer_mode(values: Iterable) -> str:
 class Field:
     """The arithmetic of one (mode, Tolerance) pair; obtain it from `field`.
 
-    `tolerance` is what certificates record: None in exact mode, where eps
-    is 0 and every comparison below is exact.
+    In exact mode eps is 0 and every comparison below is exact.
     """
 
     mode: str
@@ -101,7 +102,6 @@ class Field:
     zero: Number
     one: Number
     eps: float
-    tolerance: Optional[Tolerance]
     coerce: Callable
     sqrt: Callable
     dtype: type  # float, or object for Fractions
@@ -128,10 +128,9 @@ def field(mode: str, tol: Tolerance = DEFAULT_TOLERANCE) -> Field:
     if found is not None:
         return found
     if mode == EXACT:
-        made = Field(EXACT, tol, Fraction(0), Fraction(1), 0, None, Fraction, _rational_sqrt,
-                     object)
+        made = Field(EXACT, tol, Fraction(0), Fraction(1), 0, Fraction, _rational_sqrt, object)
     elif mode == FLOAT:
-        made = Field(FLOAT, tol, 0.0, 1.0, tol.eps, tol, float, math.sqrt, float)
+        made = Field(FLOAT, tol, 0.0, 1.0, tol.eps, float, math.sqrt, float)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return _FIELDS.setdefault((mode, tol), made)

@@ -135,9 +135,13 @@ def observable_to_json(obs: Observable) -> dict:
 
 def observable_from_json(doc: dict, space: StateSpace = None, mode=None) -> Observable:
     mode = mode or detect_mode(doc)
-    return Observable(tuple(
-        (o["label"], Effect(_numbers(o["coeffs"], mode, f"observable field '{at}.coeffs'")))
-        for at, o in _outcomes(doc)), space)
+    outcomes = [(at, o["label"], _numbers(o["coeffs"], mode, f"observable field '{at}.coeffs'"))
+                for at, o in _outcomes(doc)]
+    dim = len(outcomes[0][2]) if space is None else space.ambient_dim
+    for at, _, coeffs in outcomes:
+        if len(coeffs) != dim:
+            raise ValueError(f"observable field '{at}.coeffs' must have {dim} entries")
+    return Observable(tuple((label, Effect(coeffs)) for _, label, coeffs in outcomes), space)
 
 
 def qubit_observable_to_json(obs: QubitObservable) -> dict:
@@ -157,6 +161,8 @@ def qubit_observable_from_json(doc: dict, mode=None) -> QubitObservable:
 def _outcomes(doc) -> list:
     """(field name, object) of each outcome of an observable document."""
     outcomes = _listed(_object(doc, "an observable")["outcomes"], "observable field 'outcomes'")
+    if not outcomes:
+        raise ValueError("observable field 'outcomes' must be nonempty")
     return [(f"outcomes[{k}]", _object(o, f"observable field 'outcomes[{k}]'"))
             for k, o in enumerate(outcomes)]
 

@@ -9,7 +9,8 @@ and effect-matching equalities. Feasible solutions are unfolded back into
 weights and channels; infeasibility yields a Farkas certificate. Both replay
 through the LP verifiers against the same program. With one simulator B the
 simulation set is {nu o B}, so the postprocessing relation is this program
-too (`postprocessing.is_postprocessing_of`).
+and this certificate too, with weights (1,) and one channel
+(`postprocessing.is_postprocessing_of`).
 
 The module also hosts the derived notions: simulation irreducibility,
 decomposition into irreducibles (the constructive splitting argument),
@@ -69,7 +70,6 @@ class SimulationCertificate:
     weights: Optional[tuple] = None
     channels: Optional[tuple] = None
     farkas: Optional[tuple] = None
-    tolerance: Optional[Tolerance] = None
 
     @property
     def simulable(self) -> bool:
@@ -168,8 +168,7 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
     program = simulation_program(target, simulators)
     out = lp_solve(program, mode=F.mode, tol=tol)
     if out.verdict != FEASIBLE:
-        return SimulationCertificate(NOT_SIMULABLE, farkas=out.farkas,
-                                     tolerance=F.tolerance)
+        return SimulationCertificate(NOT_SIMULABLE, farkas=out.farkas)
 
     ny = target.n_outcomes
     pos = 0
@@ -188,7 +187,7 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
                            for xi in range(sim.n_outcomes))
         channels.append(Postprocessing(sim.labels, target.labels, matrix))
     return SimulationCertificate(SIMULABLE, weights=tuple(weights),
-                                 channels=tuple(channels), tolerance=F.tolerance)
+                                 channels=tuple(channels))
 
 
 def replay_simulation(cert: SimulationCertificate, target: Observable,
@@ -334,8 +333,7 @@ def decompose_to_irreducibles(target: Observable,
     leaves = [leaf for _, leaf, _ in parts]
     channels = tuple(compose(merge_to_target, chan) for _, _, chan in parts)
     weights, channels, leaves = merge_duplicate_simulators(weights, channels, leaves)
-    cert = SimulationCertificate(SIMULABLE, weights=weights, channels=channels,
-                                 tolerance=F.tolerance)
+    cert = SimulationCertificate(SIMULABLE, weights=weights, channels=channels)
     if not replay_simulation(cert, target, leaves, tol):
         raise CertificateError("irreducible decomposition certificate failed to replay")
     return IrreducibleDecomposition(tuple(leaves), cert, splits)
@@ -348,7 +346,6 @@ class NoiseContentResult:
     value: object
     trivial_weights: tuple
     residual: Optional[Observable]
-    tolerance: Optional[Tolerance] = None
 
 
 def noise_content(target: Observable,
@@ -375,18 +372,18 @@ def noise_content(target: Observable,
         m.append(max(mx, zero))
     lam = sum(m)
     if lam <= F.eps:
-        return NoiseContentResult(zero, (one / n,) * n, target, F.tolerance)
+        return NoiseContentResult(zero, (one / n,) * n, target)
     t_weights = tuple(mx / lam for mx in m)
     if abs(lam - 1) <= F.eps:
         residual = Observable(
             tuple((lab, Effect(vscale(tw, space.unit)))
                   for (lab, _), tw in zip(target.outcomes, t_weights)), space)
-        return NoiseContentResult(lam, t_weights, residual, F.tolerance)
+        return NoiseContentResult(lam, t_weights, residual)
     residual = Observable(
         tuple((lab, Effect(tuple((c - mx * u) / (one - lam)
                                  for c, u in zip(eff.coeffs, space.unit))))
               for (lab, eff), mx in zip(target.outcomes, m)), space)
-    return NoiseContentResult(lam, t_weights, residual, F.tolerance)
+    return NoiseContentResult(lam, t_weights, residual)
 
 
 def smin(targets: Sequence[Observable], pool: Sequence[Observable],
@@ -512,7 +509,6 @@ class CompatibilityResult:
     joint: Optional[Observable] = None
     marginal_channels: Optional[tuple] = None
     farkas: Optional[tuple] = None
-    tolerance: Optional[Tolerance] = None
 
     @property
     def compatible(self) -> bool:
@@ -572,10 +568,10 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
                                for d in range(dim)], tol)
                   for omega in joint_outcomes]
         if vdot(y, rhs) > max(zero, *(p for p, _ in prices)):
-            return CompatibilityResult("incompatible", farkas=y, tolerance=F.tolerance)
+            return CompatibilityResult("incompatible", farkas=y)
         gens += [g for p, g in prices if p > 0]
     else:
-        return CompatibilityResult("undecided", tolerance=F.tolerance)
+        return CompatibilityResult("undecided")
     sol, coeffs = out.solution, [[zero] * dim for _ in joint_outcomes]
     for i in itertools.compress(range(len(sol)), sol):  # the nonzero weights
         w, g = divmod(i, len(gens))
@@ -589,5 +585,4 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
                                    for li in range(t.n_outcomes))
                              for omega in joint_outcomes))
         for ti, t in enumerate(targets))
-    return CompatibilityResult("compatible", joint=joint, marginal_channels=channels,
-                               tolerance=F.tolerance)
+    return CompatibilityResult("compatible", joint=joint, marginal_channels=channels)

@@ -278,9 +278,10 @@ def is_valid_observable(obs: Observable, space: Optional[StateSpace] = None,
 
 
 def trivial_observable(space: StateSpace, dist) -> Observable:
-    """Observable with effects t(x) * u for the given (label, weight) pairs."""
-    total = sum(w for _, w in dist)
-    if total != 1 and abs(float(total) - 1.0) > 1e-12:
+    """Observable with effects t(x) * u for the given (label, weight) pairs,
+    whose sum is 1 within the eps of their own field (0 in exact mode)."""
+    weights = [w for _, w in dist]
+    if not abs(sum(weights) - 1) <= resolve([kind_of(weights)]).eps:  # NaN fails too
         raise ValueError("trivial observable weights must sum to 1")
     return Observable(tuple((lab, Effect(vscale(w, space.unit))) for lab, w in dist),
                       space)

@@ -45,7 +45,7 @@ def test_classical_bit_reads_everything(rng):
     assert validate_state_space(bit.space).valid
     for _ in range(5):
         obs = random_observable(bit.space, rng)
-        assert is_postprocessing_of(obs, bit.distinguishing).related
+        assert is_postprocessing_of(obs, bit.distinguishing).simulable
 
 
 def test_classical_trit_single_irreducible_class(trit, rng):
@@ -285,7 +285,7 @@ def test_xyz_threshold_bracket_stops_on_undecided(monkeypatch):
 
 def test_xyz_threshold_bracket_rejects_nonpositive_t_tol():
     # A bisection to width zero ends in a near-threshold program instead.
-    for t_tol in (0, -1):
+    for t_tol in (0, -1, float("nan")):
         with pytest.raises(ValueError, match="t_tol must be positive"):
             xyz_threshold_bracket(facets=8, t_tol=t_tol)
 

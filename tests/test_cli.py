@@ -267,6 +267,17 @@ def test_sim_check_verify_names_malformed_nested_field(capsys, tmp_path, path, v
      "observable field 'outcomes[0].e' must be a list"),
     ("target", {"outcomes": [{"label": "+", "e0": [0], "e": ["0", "0", "1"]}]},
      "[0] is not a number"),
+    ("target", {"outcomes": []}, "observable field 'outcomes' must be nonempty"),
+    # unequal lengths, and lengths other than the space's ambient_dim 3
+    ("target", {"outcomes": [{"label": "+", "coeffs": ["1/2", "0", "1/2"]},
+                             {"label": "-", "coeffs": ["1/2", "0"]}]},
+     "observable field 'outcomes[1].coeffs' must have 3 entries"),
+    ("target", {"outcomes": [{"label": "+", "coeffs": ["1/2", "0"]},
+                             {"label": "-", "coeffs": ["1/2", "0"]}]},
+     "observable field 'outcomes[0].coeffs' must have 3 entries"),
+    ("target", {"outcomes": [{"label": "+", "coeffs": ["1/2", "0", "1/2", "0"]},
+                             {"label": "-", "coeffs": ["1/2", "0", "1/2", "0"]}]},
+     "observable field 'outcomes[0].coeffs' must have 3 entries"),
 ])
 @pytest.mark.parametrize("command", ["check", "noise"])
 def test_sim_malformed_observable_or_space_exit_2(capsys, tmp_path, command, which, doc,

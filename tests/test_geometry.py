@@ -216,7 +216,7 @@ def test_conic_outcomes_pinned():
         assert replay_conic(res, v, rays)
         digest.update(repr(res).encode())
     assert digest.hexdigest() == (
-        "06e3f5a3ada5b5bfe4ad8a6991efe4e257f11883bc5c0e88b5f909948010e31f")
+        "324561a10b5452165a1d9abc02dcba193246fa96d77684de5f73e51da8a18eac")
 
 
 @pytest.mark.parametrize("v, rays, solves, coefficients", [

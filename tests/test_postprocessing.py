@@ -15,11 +15,10 @@ from gptsim.postprocessing import (
     merge_channel,
     minimally_sufficient,
     minimally_sufficient_with_channels,
-    RELATED,
-    RelationCertificate,
     replay_relation,
 )
 from gptsim.qubit import as_vector_observable
+from gptsim.simulation import SIMULABLE, SimulationCertificate
 from gptsim.spaces import Effect, observable, trivial_observable
 
 F = Fraction
@@ -60,7 +59,7 @@ def test_postprocessing_produces_ct_from_equal_mixture(suite):
 def test_any_observable_reaches_trivial(sq):
     triv = trivial_observable(sq.space, [("t0", F(1, 3)), ("t1", F(2, 3))])
     cert = is_postprocessing_of(triv, sq.E)
-    assert cert.related
+    assert cert.simulable
     assert replay_relation(cert, triv, sq.E)
 
 
@@ -69,19 +68,23 @@ def test_tetrahedron_merge_related():
 
     rat = tetrahedron_rational()
     cert = is_postprocessing_of(rat["A"], rat["B"])
-    assert cert.related
+    assert cert.simulable
     assert replay_relation(cert, rat["A"], rat["B"])
+
+
+def _related(channel):
+    return SimulationCertificate(SIMULABLE, weights=(1,), channels=(channel,))
 
 
 def test_replay_relation_requires_matching_labels(sq):
     # An extra all-zero "x" column reconstructs E on the labels it shares
     # with E; a replay that zips outcomes would accept it.
     extra = Postprocessing(("+", "-"), ("+", "-", "x"), ((1, 0, 0), (0, 1, 0)))
-    assert not replay_relation(RelationCertificate(RELATED, channel=extra), sq.E, sq.E)
+    assert not replay_relation(_related(extra), sq.E, sq.E)
     renamed = Postprocessing(("a", "b"), ("+", "-"), ((1, 0), (0, 1)))
-    assert not replay_relation(RelationCertificate(RELATED, channel=renamed), sq.E, sq.E)
+    assert not replay_relation(_related(renamed), sq.E, sq.E)
     identity = Postprocessing(("+", "-"), ("+", "-"), ((1, 0), (0, 1)))
-    assert replay_relation(RelationCertificate(RELATED, channel=identity), sq.E, sq.E)
+    assert replay_relation(_related(identity), sq.E, sq.E)
 
 
 def test_replay_relation_rejects_non_stochastic_channel(sq):
@@ -94,16 +97,16 @@ def test_replay_relation_rejects_non_stochastic_channel(sq):
     coin = trivial_observable(sq.space, [("h", HALF), ("t", HALF)])
     bad = Postprocessing(halves.labels, coin.labels, ((1, 1), (1, 1), (0, 0), (0, 0)))
     assert apply(bad, halves) == coin
-    assert not replay_relation(RelationCertificate(RELATED, channel=bad), coin, halves)
+    assert not replay_relation(_related(bad), coin, halves)
     cert = is_postprocessing_of(coin, halves)
-    assert cert.related and replay_relation(cert, coin, halves)
+    assert cert.simulable and replay_relation(cert, coin, halves)
 
 
 def test_sharp_x_y_unrelated(suite):
     x = as_vector_observable(suite.X)
     y = as_vector_observable(suite.Y)
     cert = is_postprocessing_of(y, x)
-    assert not cert.related
+    assert not cert.simulable
     assert replay_relation(cert, y, x)
     # independent reason: Y(+) is outside the span of X's effects
     assert rank([e.coeffs for e in x.effects]) == 2
@@ -168,22 +171,22 @@ def test_preorder_reflexive_transitive(sq, rng):
     corpus = [random_observable(sq.space, rng) for _ in range(4)]
     corpus += [sq.E, sq.F]
     for a in corpus:
-        assert is_postprocessing_of(a, a).related
+        assert is_postprocessing_of(a, a).simulable
     chains = 0
     for a in corpus:
         for b in corpus:
-            if not is_postprocessing_of(b, a).related:
+            if not is_postprocessing_of(b, a).simulable:
                 continue
             for c in corpus:
-                if is_postprocessing_of(c, b).related:
+                if is_postprocessing_of(c, b).simulable:
                     chains += 1
-                    assert is_postprocessing_of(c, a).related
+                    assert is_postprocessing_of(c, a).simulable
     assert chains > 0
 
 
 def test_channel_composition_matches_sequential(sq):
     triv = trivial_observable(sq.space, [("x", F(1, 4)), ("y", F(3, 4))])
-    first = is_postprocessing_of(triv, sq.E).channel
+    first = is_postprocessing_of(triv, sq.E).channels[0]
     second = merge_channel(("x", "y"), ("x", "y"), "x")
     combined = compose(second, first)
     assert apply(combined, sq.E) == apply(second, apply(first, sq.E))
@@ -267,7 +270,8 @@ def test_relation_verdicts_pinned():
     # Verdicts only: a Farkas vector's length follows the program's shape.
     import hashlib
 
-    verdicts = [is_postprocessing_of(t, s).verdict for t, s in _relation_corpus()]
-    assert (verdicts.count(RELATED), len(verdicts)) == (66, 224)
+    verdicts = ["related" if is_postprocessing_of(t, s).simulable else "unrelated"
+                for t, s in _relation_corpus()]
+    assert (verdicts.count("related"), len(verdicts)) == (66, 224)
     assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == (
         "bafbe5e758b69742ccb91e7e43d3e18f6bdf5756746f1a96b5e6e257a1fa089a")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gptsim.postprocessing import Postprocessing
+from gptsim.postprocessing import Postprocessing, is_postprocessing_of, replay_relation
 from gptsim.scalars import EXACT, FLOAT, ModeError
 from gptsim.serialize import (
     certificate_from_json,
@@ -26,6 +26,7 @@ from gptsim.serialize import (
     dump_json,
 )
 from gptsim.simulation import is_simulable, replay_simulation
+from gptsim.spaces import trivial_observable
 
 F = Fraction
 
@@ -97,6 +98,26 @@ def test_certificate_roundtrip(sq):
     back = certificate_from_json(json.loads(json.dumps(certificate_to_json(bad))))
     assert not back.simulable
     assert replay_simulation(back, sq.E, [sq.F])
+
+
+def test_relation_certificate_roundtrip(sq):
+    # a relation certificate is a simulation certificate, so it stores and
+    # replays like one
+    coin = trivial_observable(sq.space, [("h", F(1, 3)), ("t", F(2, 3))])
+    for target, source, related in ((coin, sq.E, True), (sq.E, sq.F, False)):
+        cert = is_postprocessing_of(target, source)
+        assert cert.simulable == related
+        back = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
+        assert back == cert
+        assert replay_relation(back, target, source)
+
+
+def test_observable_without_space_takes_the_first_length():
+    # with a space the length is its ambient_dim (test_cli's malformed cases)
+    doc = {"outcomes": [{"label": "a", "coeffs": ["1/2", "1/2"]},
+                        {"label": "b", "coeffs": ["1/2", "1/2", "0"]}]}
+    with pytest.raises(ValueError, match=re.escape("'outcomes[1].coeffs' must have 2 entries")):
+        observable_from_json(doc)
 
 
 def test_mixed_mode_rejected():

@@ -211,7 +211,7 @@ def test_bare_observable_joins_any_space(sq, trit):
     # A space that is not set matches any space; two set spaces must agree.
     bare = Observable(sq.E.outcomes, None)
     assert is_simulable(bare, [sq.E]).simulable and is_simulable(sq.E, [bare]).simulable
-    assert is_postprocessing_of(bare, sq.E).related and is_postprocessing_of(sq.E, bare).related
+    assert is_postprocessing_of(bare, sq.E).simulable and is_postprocessing_of(sq.E, bare).simulable
     with pytest.raises(ValueError):
         is_postprocessing_of(sq.E, trit.distinguishing)
     with pytest.raises(ValueError):

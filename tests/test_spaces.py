@@ -162,6 +162,18 @@ def test_mix_observables_union_labels(sq):
     assert is_valid_observable(both)
 
 
+def test_trivial_observable_weights_sum_to_one_in_their_own_field(sq):
+    # exact weights get no float slack: a sum 10^-13 above 1 is no observable
+    with pytest.raises(ValueError, match="must sum to 1"):
+        trivial_observable(sq.space, [("x", HALF), ("y", HALF + Fraction(1, 10 ** 13))])
+    # float weights get the eps that is_valid_observable applies to the sum
+    close = trivial_observable(sq.space.as_float(), [("x", 0.5), ("y", 0.5 + 1e-10)])
+    assert is_valid_observable(close)
+    for y in (0.5 + 1e-8, float("nan")):
+        with pytest.raises(ValueError, match="must sum to 1"):
+            trivial_observable(sq.space.as_float(), [("x", 0.5), ("y", y)])
+
+
 @pytest.mark.parametrize("float_first", [True, False])
 def test_dual_cone_rays_cached_per_mode(sq, float_first):
     # The float twin of a space compares and hashes equal to it, so a cache
