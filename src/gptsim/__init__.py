@@ -64,12 +64,7 @@ from .simulation import (
     replay_simulation,
     smin,
 )
-from .qubit import (
-    QubitEffect,
-    QubitObservable,
-    QubitSpace,
-    as_vector_observable,
-)
+from .qubit import QubitEffect, QubitSpace
 from .catalog import (
     IrreducibleCatalog,
     PolygonTheory,
@@ -104,7 +99,7 @@ __all__ = [
     "check_closure_laws", "decompose_to_irreducibles", "dichotomic_hull_necessary",
     "is_compatible", "is_simulable", "is_simulation_irreducible", "noise_content",
     "noise_monotonicity_check", "replay_simulation", "smin",
-    "QubitEffect", "QubitObservable", "QubitSpace", "as_vector_observable",
+    "QubitEffect", "QubitSpace",
     "IrreducibleCatalog", "PolygonTheory", "QubitSuite", "classical",
     "hexagon_noise_example", "irreducible_count_formula", "octahedron_test",
     "polygon", "polygon_irreducibles", "qubit_compatibility_bracket",

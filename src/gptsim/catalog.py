@@ -25,8 +25,7 @@ import numpy as np
 from .lp import FEASIBLE, lp_solve, make_program
 from .qubit import (
     QubitEffect,
-    QubitObservable,
-    as_vector_observable,
+    QubitSpace,
     dichotomic,
     octahedron_margins,
     sphere_directions,
@@ -292,29 +291,30 @@ def hexagon_explicit_certificate() -> SimulationCertificate:
 
 @dataclass(frozen=True)
 class QubitSuite:
-    """The named qubit observables used throughout the examples."""
+    """The named qubit observables used throughout the examples, each an
+    `Observable` over `QubitSpace`."""
 
-    X: QubitObservable
-    Y: QubitObservable
-    Z: QubitObservable
-    T: QubitObservable              # trivial: identity and zero
-    tetrahedron: QubitObservable    # four rank-one effects at tetrahedron vertices
+    X: Observable
+    Y: Observable
+    Z: Observable
+    T: Observable              # trivial: identity and zero
+    tetrahedron: Observable    # four rank-one effects at tetrahedron vertices
 
-    def xt(self, t) -> QubitObservable:
+    def xt(self, t) -> Observable:
         return dichotomic("+", "-", QubitEffect(0.0, (float(t), 0.0, 0.0)))
 
-    def yt(self, t) -> QubitObservable:
+    def yt(self, t) -> Observable:
         return dichotomic("+", "-", QubitEffect(0.0, (0.0, float(t), 0.0)))
 
-    def zt(self, t) -> QubitObservable:
+    def zt(self, t) -> Observable:
         return dichotomic("+", "-", QubitEffect(0.0, (0.0, 0.0, float(t))))
 
-    def ct(self, t) -> QubitObservable:
+    def ct(self, t) -> Observable:
         """Diagonal observable between X and Y, with Bloch length t."""
         a = float(t) / math.sqrt(2.0)
         return dichotomic("+", "-", QubitEffect(0.0, (a, a, 0.0)))
 
-    def tetra_dichotomic(self) -> QubitObservable:
+    def tetra_dichotomic(self) -> Observable:
         """Merge of the tetrahedron into its first-two vs last-two outcomes."""
         b = TETRAHEDRON_BLOCH
         e_plus = tuple((b[0][i] + b[1][i]) / 2.0 for i in range(3))
@@ -333,11 +333,11 @@ def qubit_suite() -> QubitSuite:
     x = dichotomic("+", "-", QubitEffect(0, (1, 0, 0)))
     y = dichotomic("+", "-", QubitEffect(0, (0, 1, 0)))
     z = dichotomic("+", "-", QubitEffect(0, (0, 0, 1)))
-    t = QubitObservable((("+", QubitEffect(1, (0, 0, 0))),
-                         ("-", QubitEffect(-1, (0, 0, 0)))))
-    tetra = QubitObservable(tuple(
+    t = Observable((("+", QubitEffect(1, (0, 0, 0))),
+                    ("-", QubitEffect(-1, (0, 0, 0)))), QubitSpace())
+    tetra = Observable(tuple(
         (str(i + 1), QubitEffect(-0.5, tuple(c / 2.0 for c in TETRAHEDRON_BLOCH[i])))
-        for i in range(4)))
+        for i in range(4)), QubitSpace())
     return QubitSuite(x, y, z, t, tetra)
 
 
@@ -383,7 +383,7 @@ def tetrahedron_rational() -> dict:
             "hull_point": hull_point, "hull_generators": tuple(hull_gens)}
 
 
-def octahedron_test(obs: QubitObservable,
+def octahedron_test(obs: Observable,
                     tol: Tolerance = DEFAULT_TOLERANCE) -> dict:
     """Per-effect test |e0| + ||e||_1 <= 1.
 
@@ -400,7 +400,7 @@ def octahedron_test(obs: QubitObservable,
 # rank-one effects.
 # ---------------------------------------------------------------------------
 
-def qubit_compatibility_bracket(targets: Sequence[QubitObservable], facets: int = 128,
+def qubit_compatibility_bracket(targets: Sequence[Observable], facets: int = 128,
                                 tol: Tolerance = DEFAULT_TOLERANCE) -> CompatibilityResult:
     """Joint-measurability decision for dichotomic qubit targets, in float
     arithmetic: `is_compatible` started from the rank-one effects (d, 1/2)
@@ -408,9 +408,9 @@ def qubit_compatibility_bracket(targets: Sequence[QubitObservable], facets: int 
     (so exact reconstructions, such as a target and its postprocessing, stay
     feasible at any facet count)."""
     targets = list(targets)
-    if any(len(t.outcomes) != 2 for t in targets):
-        raise ValueError("the bracket accepts dichotomic targets only")
-    vectors = [as_vector_observable(t).as_float() for t in targets]
+    if any(len(t.outcomes) != 2 or not isinstance(t.space, QubitSpace) for t in targets):
+        raise ValueError("the bracket accepts dichotomic qubit observables only")
+    vectors = [t.as_float() for t in targets]
     dirs = list(sphere_directions(facets))
     for eff in (e for v in vectors for e in v.effects):
         norm = math.sqrt(sum(x ** 2 for x in eff.coeffs[:3]))

@@ -26,7 +26,6 @@ from .catalog import (
 )
 from .geometry import extreme_rays
 from .lp import CertificateError, SolverLimitError
-from .qubit import as_vector_observable
 from .scalars import EXACT, FLOAT, ModeError, Tolerance
 from .serialize import (
     certificate_from_json,
@@ -83,15 +82,6 @@ def _emit(args, payload: dict, csv_body: str = None) -> int:
     return 0
 
 
-def _load_group(path, space=None):
-    """Load observables; qubit documents become vector observables on the
-    qubit cone."""
-    observables, space, is_qubit = load_observables(path, space)
-    if is_qubit:
-        return [as_vector_observable(o) for o in observables], space
-    return observables, space
-
-
 def _in_mode(args, *groups) -> list:
     """Groups of observables (or state spaces) in the requested arithmetic:
     `--mode float` converts every item, `--mode exact` refuses float data,
@@ -123,12 +113,12 @@ def cmd_space(args) -> int:
 def cmd_sim(args) -> int:
     tol = _tolerance(args)
     space = load_space(args.space) if args.space else None
-    targets, space = _load_group(args.target, space)
+    targets, space = load_observables(args.target, space)
 
     if args.action == "check":
         if not args.simulators:
             raise ValueError("sim check needs --simulators FILE")
-        sims, _ = _load_group(args.simulators, space)
+        sims, _ = load_observables(args.simulators, space)
         targets, sims = _in_mode(args, targets, sims)
         target = targets[0]
         if args.verify:
@@ -143,7 +133,7 @@ def cmd_sim(args) -> int:
     if args.action == "smin":
         if not args.pool:
             raise ValueError("sim smin needs --pool FILE")
-        pool, _ = _load_group(args.pool, space)
+        pool, _ = load_observables(args.pool, space)
         targets, pool = _in_mode(args, targets, pool)
         k = smin(targets, pool, k_max=args.k_max, tol=tol)
         return _emit(args, {"smin": k if k is not None
@@ -234,9 +224,7 @@ def cmd_qubit(args) -> int:
                                            tol=tol)
             return _emit(args, {"family": "xyz", "facets": args.facets,
                                 "lower": lo, "upper": hi, "width": hi - lo})
-        observables, _, is_qubit = load_observables(args.targets)
-        if not is_qubit:
-            raise ValueError("compat-bracket expects qubit observables")
+        observables, _ = load_observables(args.targets)
         res = qubit_compatibility_bracket(observables, facets=args.facets, tol=tol)
         return _emit(args, {"verdict": res.verdict, "facets": args.facets})
     if args.action == "suite":

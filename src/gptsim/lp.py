@@ -36,12 +36,15 @@ clearing denominators with `_integer_row` and testing signs of integer dot
 products (as Applegate, Cook, Dash & Espinoza 2007 check exact LP
 certificates), in float mode by one matrix-vector product over the rows,
 tuple or ndarray (A x for a solution, y'A for a Farkas vector), whose
-entries are tested against eps so that an inf or a NaN fails. The driver replays every float FEASIBLE or UNBOUNDED outcome
-with `verify_solution` and raises `CertificateError` instead of returning
-one that fails; a float Farkas vector is not replayed there, since the
-absolute eps rejects correct refutations of badly scaled programs. Code
-that builds an answer from a certificate raises `CertificateError` when the
-certificate fails that replay, so it never returns it.
+entries are tested against eps so that an inf or a NaN fails. `_simplex`
+replays every float FEASIBLE or UNBOUNDED outcome with `verify_solution`,
+and the ray of an UNBOUNDED one against A r = 0, r >= 0 and c'r > 0 for
+the objective c that grows along it, and raises `CertificateError` instead
+of returning one that fails; a float Farkas vector is not replayed there,
+since the absolute eps rejects correct refutations of badly scaled
+programs. Code that builds an answer from a certificate raises
+`CertificateError` when the certificate fails that replay, so it never
+returns it.
 
 Pivoting uses the largest-coefficient rule and switches permanently to
 Bland's rule once the objective has stalled for more than `_STALL_LIMIT`
@@ -314,9 +317,21 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
     sol = _recover(n, basis, [tab.value(i) for i in range(len(basis))], F)
     if F.mode == FLOAT and not verify_solution(program, sol, F.tol, mode=FLOAT):
         raise CertificateError("float solution fails replay against its program")
+    if F.mode == FLOAT and ray and not _ray_replays(program, ray, objective, F.eps):
+        raise CertificateError("float unbounded ray fails replay against its program")
     value = None if ray or program.objective is None else tab.dot(program.objective, sol)
     return LPOutcome(UNBOUNDED if ray else FEASIBLE, F.mode, solution=sol,
                      objective_value=value, ray=ray, pivots=pivots)
+
+
+def _ray_replays(program: LinearProgram, ray, objective, eps) -> bool:
+    """A r = 0 and r >= 0 within eps in each row and sign, and c'r > eps for
+    the objective c that grows along r; an inf or a NaN fails."""
+    A, _ = program.float_data
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.asarray(ray, dtype=float)
+        return bool((np.abs(A @ r) <= eps).all() and (r >= -eps).all()
+                    and np.asarray(objective, dtype=float) @ r > eps)
 
 
 def _recover(n, cols, values, F):

@@ -1,26 +1,21 @@
-"""Qubit effects and observables in effect coordinates.
+"""Qubit observables: `Observable`s over `QubitSpace`.
 
-A qubit effect is parameterized as half of (1 + e0) times the identity plus
-the Bloch part dotted into the Pauli vector; it is a valid effect exactly
-when the absolute bias plus the Euclidean norm of the Bloch part is at most
-one. Two coordinate systems are used:
-
-* display/hull coordinates (e0, ex, ey, ez): the paper-style affine
-  embedding under which the simulators' effect hull becomes the unit
-  1-norm ball, used for hull queries and the octahedron test;
-* linear coordinates (ex, ey, ez, (1 + e0) / 2): a genuinely linear,
-  invertible encoding with the unit-effect coefficient in the last slot,
-  used to turn qubit observables into plain vector observables so every
-  simulability or postprocessing question becomes an LP in R^4.
-
-In linear coordinates the qubit is a state space like the polytopes:
-`QubitSpace` answers the effect-cone questions of `spaces` (rank one,
-spectral splitting, least eigenvalue; rank-one effects over
-`sphere_directions` as generators and the closed-form price 2 ||a|| + b),
-and `as_vector_observable` attaches it, so irreducibility, decomposition
+A qubit effect tau * id + e.sigma / 2 has the linear coordinates
+(ex, ey, ez, tau): addition of effects is coordinatewise, the unit is
+(0, 0, 0, 1) and the zero effect is the origin. In these coordinates the
+qubit is a state space like the polytopes: `QubitSpace` answers the
+effect-cone questions of `spaces` (rank one, spectral splitting, least
+eigenvalue; rank-one effects over `sphere_directions` as generators and the
+closed-form price 2 ||a|| + b), so validity, irreducibility, decomposition
 into irreducibles, noise content and compatibility are the generic
-functions of `simulation`. The rank-one generators are floats, so qubit
-compatibility is decided in float arithmetic.
+functions of `spaces` and `simulation`. The rank-one generators are floats,
+so qubit compatibility is decided in float arithmetic.
+
+The paper writes the same effect as ((1 + e0) id + e.sigma) / 2, with the
+bias e0 = 2 tau - 1: valid exactly when |e0| + ||e||_2 <= 1, and reachable
+with the three sharp orthogonal dichotomic observables exactly when
+|e0| + ||e||_1 <= 1 (`octahedron_margins`). That display form is only an
+input and file format: `QubitEffect` reads it, and `serialize` writes it.
 """
 
 from __future__ import annotations
@@ -28,8 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .scalars import (
@@ -41,42 +35,7 @@ from .scalars import (
     kind_of,
     resolve,
 )
-from .spaces import Effect, Observable
-
-
-@dataclass(frozen=True)
-class QubitEffect:
-    """Bias e0 and Bloch vector e of the effect ((1+e0) id + e.sigma) / 2."""
-
-    e0: object
-    e_vec: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "e_vec", tuple(self.e_vec))
-        if len(self.e_vec) != 3:
-            raise ValueError("Bloch part must be a 3-vector")
-
-    @cached_property
-    def kind(self):
-        """EXACT, FLOAT, or None when every coordinate is an integer."""
-        return kind_of((self.e0, *self.e_vec))
-
-    @property
-    def mode(self) -> str:
-        return self.kind or EXACT
-
-    def is_valid(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        """|e0| + ||e||_2 <= 1, compared through squares in exact mode."""
-        if self.mode == EXACT:
-            slack = 1 - abs(Fraction(self.e0))
-            if slack < 0:
-                return False
-            return sum(Fraction(x) ** 2 for x in self.e_vec) <= slack ** 2
-        return abs(self.e0) + math.sqrt(sum(float(x) ** 2 for x in self.e_vec)) \
-            <= 1 + tol.eps
-
-    def complement(self) -> "QubitEffect":
-        return QubitEffect(-self.e0, tuple(-x for x in self.e_vec))
+from .spaces import Effect, Observable, is_valid_observable
 
 
 @dataclass(frozen=True)
@@ -178,74 +137,38 @@ def sphere_directions(count: int) -> tuple:
     return tuple(dirs)
 
 
-def linear_coords(effect: QubitEffect) -> tuple:
-    """Linear coordinates (ex, ey, ez, (1+e0)/2); addition of effects is
-    coordinatewise, the unit is (0,0,0,1) and the zero effect is the origin."""
-    F = field(effect.mode)
-    return (*effect.e_vec, (F.one + F.coerce(effect.e0)) / 2)
+def QubitEffect(e0, e: Sequence) -> Effect:
+    """The effect ((1 + e0) id + e.sigma) / 2 of bias e0 and Bloch vector e,
+    in linear coordinates (ex, ey, ez, (1 + e0) / 2)."""
+    e = tuple(e)
+    if len(e) != 3:
+        raise ValueError("Bloch part must be a 3-vector")
+    F = field(kind_of((e0, *e)) or EXACT)
+    return Effect((*e, (F.one + F.coerce(e0)) / 2))
 
 
-@dataclass(frozen=True)
-class QubitObservable:
-    """Finite family of qubit effects with biases and Bloch parts summing
-    to the identity."""
-
-    outcomes: tuple  # of (label, QubitEffect)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "outcomes",
-            tuple((str(lab), eff) for lab, eff in self.outcomes))
-
-    @cached_property
-    def labels(self) -> tuple:
-        return tuple(lab for lab, _ in self.outcomes)
-
-    @cached_property
-    def effects(self) -> tuple:
-        return tuple(eff for _, eff in self.outcomes)
-
-    def is_valid(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        eps = field(self.mode, tol).eps
-        if any(not e.is_valid(tol) for e in self.effects):
-            return False
-        if abs(sum(1 + e.e0 for e in self.effects) - 2) > eps:
-            return False
-        return all(abs(sum(e.e_vec[i] for e in self.effects)) <= eps
-                   for i in range(3))
-
-    @cached_property
-    def kind(self):
-        """EXACT, FLOAT, or None when every coordinate is an integer."""
-        return kind_of(x for _, e in self.outcomes for x in (e.e0, *e.e_vec))
-
-    @property
-    def mode(self) -> str:
-        return self.kind or EXACT
+def dichotomic(label_plus: str, label_minus: str, effect: Effect) -> Observable:
+    """The qubit observable (effect, id - effect). The complement's Bloch
+    part is negated rather than subtracted from zero, so a float 0.0 turns
+    into -0.0 there."""
+    *bloch, tau = effect.coeffs
+    complement = Effect((*(-x for x in bloch), 1 - tau))
+    return Observable(((label_plus, effect), (label_minus, complement)), QubitSpace())
 
 
-def as_vector_observable(obs: QubitObservable) -> Observable:
-    """Plain 4-dimensional vector observable in linear coordinates."""
-    return Observable(tuple((lab, Effect(linear_coords(eff)))
-                            for lab, eff in obs.outcomes), QubitSpace())
-
-
-def dichotomic(label_plus: str, label_minus: str, effect: QubitEffect) -> QubitObservable:
-    return QubitObservable(((label_plus, effect), (label_minus, effect.complement())))
-
-
-def octahedron_margins(obs: QubitObservable) -> dict:
-    """Per-outcome values |e0| + ||e||_1; at most one iff the effect is
-    reachable with the three sharp orthogonal dichotomic observables."""
-    out = {}
-    for lab, eff in obs.outcomes:
-        out[lab] = abs(eff.e0) + sum(abs(x) for x in eff.e_vec)
-    return out
+def octahedron_margins(obs: Observable) -> dict:
+    """Per-outcome values |e0| + ||e||_1, e0 = 2 tau - 1; at most one iff the
+    effect is reachable with the three sharp orthogonal dichotomic
+    observables."""
+    if not isinstance(obs.space, QubitSpace):
+        raise ValueError("octahedron margins are defined for qubit observables only")
+    return {lab: abs(2 * eff.coeffs[3] - 1) + sum(abs(x) for x in eff.coeffs[:3])
+            for lab, eff in obs.outcomes}
 
 
 def random_qubit_observable(rng, n_outcomes: Optional[int] = None,
                             boundary_margin: Optional[float] = None,
-                            max_tries: int = 200) -> QubitObservable:
+                            max_tries: int = 200) -> Observable:
     """Sample a valid qubit observable.
 
     Outcome weights w_x = 1 + e0_x are a random positive split of 2; Bloch
@@ -275,8 +198,8 @@ def random_qubit_observable(rng, n_outcomes: Optional[int] = None,
         gamma = 0.2 + 0.75 * rng.random()
         effs = [QubitEffect(wx - 1.0, tuple(gamma * scale * x for x in v))
                 for wx, v in zip(w, vecs)]
-        obs = QubitObservable(tuple((str(i + 1), e) for i, e in enumerate(effs)))
-        if not obs.is_valid():
+        obs = Observable(tuple((str(i + 1), e) for i, e in enumerate(effs)), QubitSpace())
+        if not is_valid_observable(obs):
             continue
         if boundary_margin is not None:
             margins = octahedron_margins(obs).values()

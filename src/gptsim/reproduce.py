@@ -30,7 +30,7 @@ from .catalog import (
 )
 from .geometry import in_convex_hull, rank, replay_hull
 from .postprocessing import are_equivalent, is_postprocessing_of
-from .qubit import as_vector_observable, random_qubit_observable
+from .qubit import random_qubit_observable
 from .scalars import field
 from .simulation import (
     check_closure_laws,
@@ -105,11 +105,10 @@ def criterion_square_bit_universality() -> CriterionResult:
 
 def criterion_qubit_ct_threshold() -> CriterionResult:
     suite = qubit_suite()
-    sims = [as_vector_observable(suite.X).as_float(),
-            as_vector_observable(suite.Y).as_float()]
+    sims = [suite.X.as_float(), suite.Y.as_float()]
 
     def simulable(t):
-        return is_simulable(as_vector_observable(suite.ct(t)), sims).simulable
+        return is_simulable(suite.ct(t), sims).simulable
 
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-7:
@@ -122,13 +121,13 @@ def criterion_qubit_ct_threshold() -> CriterionResult:
     target = 1.0 / math.sqrt(2.0)
     thr_ok = abs(threshold - target) <= 1e-6
 
-    xyz = [as_vector_observable(o).as_float() for o in (suite.X, suite.Y, suite.Z)]
+    xyz = [o.as_float() for o in (suite.X, suite.Y, suite.Z)]
     rng = random.Random(BASE_SEED + 3)
     disagreements = 0
     for _ in range(200):
         obs = random_qubit_observable(rng, boundary_margin=1e-7)
         oct_ok = all(octahedron_test(obs).values())
-        lp_ok = is_simulable(as_vector_observable(obs), xyz).simulable
+        lp_ok = is_simulable(obs, xyz).simulable
         if oct_ok != lp_ok:
             disagreements += 1
     ok = thr_ok and disagreements == 0
@@ -149,7 +148,7 @@ def criterion_tetrahedron() -> CriterionResult:
         == (2 * e.coeffs[3]) ** 2
         for e in b_obs.effects)
     checks["B irreducible"] = rank_ok and weighted \
-        and is_simulation_irreducible(as_vector_observable(suite.tetrahedron))
+        and is_simulation_irreducible(suite.tetrahedron)
 
     cert_a = is_simulable(rat["A"], [b_obs])
     checks["A simulable from B"] = cert_a.simulable \
@@ -195,7 +194,7 @@ def criterion_qubit_triplet_compat() -> CriterionResult:
     contains = lo <= target <= hi
 
     suite = qubit_suite()
-    xyz = [as_vector_observable(o) for o in (suite.X, suite.Y, suite.Z)]
+    xyz = [suite.X, suite.Y, suite.Z]
     k = smin(xyz, xyz, k_max=3)
     ok = width_ok and contains and k == 3
     return _result("qubit-triplet-compat", ok,
@@ -303,7 +302,7 @@ def criterion_exact_float_agreement() -> CriterionResult:
     suite = qubit_suite()
     # bare coefficient vectors: the rescaled tetrahedron twin shares no
     # state space with the qubit's linear coordinates
-    qubit_corpus = [Observable(as_vector_observable(o).outcomes)
+    qubit_corpus = [Observable(o.outcomes)
                     for o in (suite.X, suite.Y, suite.Z, suite.T)]
     rat = tetrahedron_rational()
     qubit_corpus += [rat["B"], rat["A"], rat["C1"], rat["D1"]]

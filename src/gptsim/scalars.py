@@ -20,7 +20,6 @@ different algorithms or read outside input: the backend choice in
 `lp.lp_solve`, the exact and float replays in `lp.verify_solution` and
 `lp.verify_farkas`, the float-only replay in `lp._simplex`, the float-array
 versus exact-tuple layout of `simulation.simulation_program`,
-`QubitEffect.is_valid` (squares, so that irrational norms need no root),
 `serialize.decode_number` and the command line's `--mode`.
 """
 

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .postprocessing import Postprocessing
-from .qubit import QubitEffect, QubitObservable
+from .qubit import QubitEffect, QubitSpace
 from .scalars import EXACT, FLOAT, ModeError
 from .simulation import SIMULABLE, NOT_SIMULABLE, SimulationCertificate
 from .spaces import Effect, Observable, StateSpace
@@ -144,18 +144,20 @@ def observable_from_json(doc: dict, space: StateSpace = None, mode=None) -> Obse
     return Observable(tuple((label, Effect(coeffs)) for _, label, coeffs in outcomes), space)
 
 
-def qubit_observable_to_json(obs: QubitObservable) -> dict:
-    return {"outcomes": [{"label": lab, "e0": encode_number(eff.e0),
-                          "e": encode_vector(eff.e_vec)}
+def qubit_observable_to_json(obs: Observable) -> dict:
+    """The display form: bias e0 = 2 tau - 1 and Bloch vector e of each
+    effect (ex, ey, ez, tau)."""
+    return {"outcomes": [{"label": lab, "e0": encode_number(2 * eff.coeffs[3] - 1),
+                          "e": encode_vector(eff.coeffs[:3])}
                          for lab, eff in obs.outcomes]}
 
 
-def qubit_observable_from_json(doc: dict, mode=None) -> QubitObservable:
+def qubit_observable_from_json(doc: dict, mode=None) -> Observable:
     mode = mode or detect_mode(doc)
-    return QubitObservable(tuple(
+    return Observable(tuple(
         (o["label"], QubitEffect(decode_number(o["e0"], mode),
                                  _numbers(o["e"], mode, f"observable field '{at}.e'")))
-        for at, o in _outcomes(doc)))
+        for at, o in _outcomes(doc)), QubitSpace())
 
 
 def _outcomes(doc) -> list:
@@ -254,8 +256,8 @@ def load_observables(path, space: StateSpace = None):
 
     Accepts a bare observable document, {"observables": [...]}, or either
     with an embedded {"space": ...}; report envelopes are unwrapped through
-    their "payload" key; qubit documents (with e0 fields) are returned as
-    such for the caller to convert. Returns (observables, space, qubit_flag).
+    their "payload" key. Qubit documents (with e0 fields) are read over
+    `QubitSpace`. Returns (observables, space).
     """
     doc = _object(load_json(path), f"{path}: the document")
     if "payload" in doc and isinstance(doc["payload"], dict):
@@ -269,8 +271,8 @@ def load_observables(path, space: StateSpace = None):
         raise ValueError(f"{path}: no observables found")
     first = _outcomes(docs[0])
     if first and "e0" in first[0][1]:
-        return [qubit_observable_from_json(d, mode) for d in docs], space, True
-    return [observable_from_json(d, space, mode) for d in docs], space, False
+        return [qubit_observable_from_json(d, mode) for d in docs], QubitSpace()
+    return [observable_from_json(d, space, mode) for d in docs], space
 
 
 def load_space(path) -> StateSpace:

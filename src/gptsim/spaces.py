@@ -154,6 +154,8 @@ class Observable:
             if not isinstance(eff, Effect):
                 eff = Effect(tuple(eff))
             fixed.append((str(label), eff))
+        if not fixed:
+            raise ValueError("an observable needs at least one outcome")
         object.__setattr__(self, "outcomes", tuple(fixed))
 
     @cached_property

@@ -16,21 +16,23 @@ SIGMA = (
 IDENTITY = np.eye(2, dtype=complex)
 
 
-def qubit_matrix(e0, e_vec):
-    m = (1.0 + float(e0)) * IDENTITY
+def qubit_matrix(coeffs):
+    """tau * id + e.sigma / 2 of the linear coordinates (ex, ey, ez, tau)."""
+    *e_vec, tau = coeffs
+    m = float(tau) * IDENTITY
     for c, s in zip(e_vec, SIGMA):
-        m = m + float(c) * s
-    return 0.5 * m
+        m = m + 0.5 * float(c) * s
+    return m
 
 
-def qubit_min_eigenvalue(e0, e_vec) -> float:
-    return float(np.linalg.eigvalsh(qubit_matrix(e0, e_vec))[0])
+def qubit_min_eigenvalue(coeffs) -> float:
+    return float(np.linalg.eigvalsh(qubit_matrix(coeffs))[0])
 
 
 def qubit_noise_content_grid(obs, steps: int = 20001) -> float:
     """Dense grid over lambda: feasible iff lambda t_x <= min-eig(A_x) can
     hold with the t summing to one, i.e. iff lambda <= sum of min-eigs."""
-    mineigs = [max(qubit_min_eigenvalue(e.e0, e.e_vec), 0.0) for e in obs.effects]
+    mineigs = [max(qubit_min_eigenvalue(e.coeffs), 0.0) for e in obs.effects]
     best = 0.0
     for k in range(steps):
         lam = k / (steps - 1)

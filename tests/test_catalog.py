@@ -26,7 +26,7 @@ from gptsim.postprocessing import (
     are_equivalent,
     is_postprocessing_of,
 )
-from gptsim.qubit import as_vector_observable, random_qubit_observable
+from gptsim.qubit import QubitSpace, random_qubit_observable
 from gptsim.reproduce import arc_rule_count
 from gptsim.simulation import (
     CompatibilityResult,
@@ -194,15 +194,15 @@ def test_hexagon_explicit_certificate_replays():
 
 
 def test_qubit_suite_construction(suite):
-    bloch = [e.e_vec for e in suite.tetrahedron.effects]
+    bloch = [e.coeffs[:3] for e in suite.tetrahedron.effects]
     total = tuple(sum(v[d] for v in bloch) for d in range(3))
     assert max(abs(x) for x in total) < 1e-12
     for v in bloch:
         assert abs(sum(x * x for x in v) - 0.25) < 1e-12  # half-length vectors
-    assert suite.xt(1).effects[0].e_vec == (1.0, 0.0, 0.0)
+    assert suite.xt(1).effects[0].coeffs == (1.0, 0.0, 0.0, 0.5)
     ct = suite.ct(0.5)
     a = 0.5 / math.sqrt(2)
-    assert max(abs(x - y) for x, y in zip(ct.effects[0].e_vec, (a, a, 0))) < 1e-15
+    assert max(abs(x - y) for x, y in zip(ct.effects[0].coeffs, (a, a, 0, 0.5))) < 1e-15
 
 
 def test_octahedron_boundary_cases(suite):
@@ -212,26 +212,21 @@ def test_octahedron_boundary_cases(suite):
 
 
 def test_octahedron_agrees_with_lp(suite):
-    xyz = [as_vector_observable(o).as_float()
-           for o in (suite.X, suite.Y, suite.Z)]
+    xyz = [o.as_float() for o in (suite.X, suite.Y, suite.Z)]
     rng = random.Random(321)
     for _ in range(40):
         obs = random_qubit_observable(rng, boundary_margin=1e-7)
         assert all(octahedron_test(obs).values()) == \
-            is_simulable(as_vector_observable(obs), xyz).simulable
+            is_simulable(obs, xyz).simulable
 
 
 def test_compat_bracket_examples(suite):
     assert qubit_compatibility_bracket([suite.X, suite.Y], 16).verdict == \
         "incompatible"
     from gptsim.postprocessing import Postprocessing
-    from gptsim.qubit import QubitEffect, QubitObservable
 
     nu = Postprocessing(("+", "-"), ("+", "-"), ((0.8, 0.2), (0.3, 0.7)))
-    nu_obs = apply(nu, as_vector_observable(suite.X).as_float())
-    # linear coordinates (ex, ey, ez, tau) back to the bias e0 = 2 tau - 1
-    post = QubitObservable(tuple((lab, QubitEffect(2 * e.coeffs[3] - 1, e.coeffs[:3]))
-                                 for lab, e in nu_obs.outcomes))
+    post = apply(nu, suite.X.as_float())
     for facets in (8, 16):
         res = qubit_compatibility_bracket([suite.X, post], facets)
         assert res.verdict == "compatible"
@@ -251,7 +246,7 @@ def test_xyz_threshold_bracket_one_call_per_t(monkeypatch):
     seen = []
 
     def counting(targets, facets, tol):
-        seen.append(targets[0].effects[0].e_vec[0])
+        seen.append(targets[0].effects[0].coeffs[0])
         return qubit_compatibility_bracket(targets, facets, tol)
 
     monkeypatch.setattr(catalog, "qubit_compatibility_bracket", counting)
@@ -266,7 +261,7 @@ def test_xyz_threshold_bracket_stops_on_undecided(monkeypatch):
     verdicts = {}
 
     def undecided_third(targets, facets, tol):
-        t = targets[0].effects[0].e_vec[0]
+        t = targets[0].effects[0].coeffs[0]
         if len(verdicts) == 2:
             res = CompatibilityResult("undecided")
         else:
@@ -318,10 +313,11 @@ def test_compat_bracket_rejects_trichotomic(suite):
 
 def test_compat_bracket_rejects_invalid_targets(suite):
     # The refutation bound needs joint effects that sum to the identity.
-    from gptsim.qubit import QubitEffect, QubitObservable, dichotomic
+    from gptsim.qubit import QubitEffect, dichotomic
+    from gptsim.spaces import Observable
 
-    unnormalized = QubitObservable((("+", QubitEffect(0.2, (0.5, 0.0, 0.0))),
-                                    ("-", QubitEffect(0.2, (-0.5, 0.0, 0.0)))))
+    unnormalized = Observable((("+", QubitEffect(0.2, (0.5, 0.0, 0.0))),
+                               ("-", QubitEffect(0.2, (-0.5, 0.0, 0.0)))), QubitSpace())
     too_long = dichotomic("+", "-", QubitEffect(0.0, (1.5, 0.0, 0.0)))
     for bad in (unnormalized, too_long):
         with pytest.raises(ValueError, match="valid"):
@@ -392,8 +388,7 @@ def test_polygon_catalogs_pinned():
 def test_named_qubit_observables_pairwise_inequivalent(suite):
     # finitely many named representatives stand in for the continuum of
     # inequivalent irreducible qubit observables
-    named = [as_vector_observable(o).as_float()
-             for o in (suite.X, suite.Y, suite.Z, suite.tetrahedron)]
+    named = [o.as_float() for o in (suite.X, suite.Y, suite.Z, suite.tetrahedron)]
     for a, b in itertools.combinations(named, 2):
         assert not are_equivalent(a, b)
 

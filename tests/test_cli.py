@@ -403,11 +403,46 @@ def test_qubit_octahedron(capsys, ct08_file):
     assert payload(out)["all_pass"] is True
 
 
+def _unbiased_doc(plus, minus):
+    return {"outcomes": [{"e": plus, "e0": 0.0, "label": "+"},
+                         {"e": minus, "e0": 0.0, "label": "-"}]}
+
+
+def _exact_doc(*outcomes):
+    return {"outcomes": [{"e": e, "e0": e0, "label": label} for label, e0, e in outcomes]}
+
+
+SUITE_PAYLOAD = {
+    "X": _exact_doc(("+", "0", ["1", "0", "0"]), ("-", "0", ["-1", "0", "0"])),
+    "Y": _exact_doc(("+", "0", ["0", "1", "0"]), ("-", "0", ["0", "-1", "0"])),
+    "Z": _exact_doc(("+", "0", ["0", "0", "1"]), ("-", "0", ["0", "0", "-1"])),
+    "T": _exact_doc(("+", "1", ["0", "0", "0"]), ("-", "-1", ["0", "0", "0"])),
+    "tetrahedron": {"outcomes": [
+        {"e": [0.47140452079103173, 0.0, -0.16666666666666666], "e0": -0.5, "label": "1"},
+        {"e": [-0.23570226039551587, 0.408248290463863, -0.16666666666666666],
+         "e0": -0.5, "label": "2"},
+        {"e": [-0.23570226039551587, -0.408248290463863, -0.16666666666666666],
+         "e0": -0.5, "label": "3"},
+        {"e": [0.0, 0.0, 0.5], "e0": -0.5, "label": "4"}]},
+}
+
+
 def test_qubit_suite_dump(capsys):
+    # Compared as parsed JSON, where -0.0 == 0.0: the complements' Bloch
+    # zeros print as -0.0, their bias as 0.0 (e0 = 2 tau - 1 with tau = 0.5).
+    code, out, _ = run_cli(capsys, "qubit", "suite")
+    assert code == 0
+    assert payload(out) == SUITE_PAYLOAD
     code, out, _ = run_cli(capsys, "qubit", "suite", "--t", "0.8")
     assert code == 0
-    doc = payload(out)
-    assert set(doc) >= {"X", "Y", "Z", "T", "tetrahedron", "Ct"}
+    c = 0.565685424949238  # 0.8 / sqrt(2)
+    assert payload(out) == {
+        **SUITE_PAYLOAD,
+        "Xt": _unbiased_doc([0.8, 0.0, 0.0], [-0.8, -0.0, -0.0]),
+        "Yt": _unbiased_doc([0.0, 0.8, 0.0], [-0.0, -0.8, -0.0]),
+        "Zt": _unbiased_doc([0.0, 0.0, 0.8], [-0.0, -0.0, -0.8]),
+        "Ct": _unbiased_doc([c, c, 0.0], [-c, -c, -0.0]),
+    }
 
 
 def test_qubit_compat_bracket_fixed_targets(capsys, tmp_path):
@@ -431,6 +466,18 @@ def test_qubit_compat_bracket_invalid_target_exit_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "valid" in err
+
+
+def test_qubit_compat_bracket_non_qubit_targets_exit_2(capsys, tmp_path):
+    sq = square_bit()
+    path = tmp_path / "ef.json"
+    path.write_text(dump_json({"space": space_to_json(sq.space), "observables": [
+        observable_to_json(sq.E), observable_to_json(sq.F)]}))
+    code, out, err = run_cli(capsys, "qubit", "compat-bracket",
+                             "--targets", str(path), "--facets", "16")
+    assert code == 2
+    assert out == ""
+    assert "dichotomic qubit observables only" in err
 
 
 def test_qubit_compat_bracket_nonpositive_t_tol_exit_2(capsys):

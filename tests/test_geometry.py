@@ -39,9 +39,7 @@ def test_rank_qubit_four_outcome_is_three():
 
 
 def test_rank_tetrahedron_is_four(suite):
-    from gptsim.qubit import linear_coords
-
-    vecs = [linear_coords(e) for e in suite.tetrahedron.effects]
+    vecs = [e.coeffs for e in suite.tetrahedron.effects]
     assert rank(vecs) == 4
     for i in range(4):
         sub = [v for k, v in enumerate(vecs) if k != i]

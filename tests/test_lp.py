@@ -248,6 +248,32 @@ def test_float_solution_failing_replay_raises(monkeypatch):
             lp_solve(program)
 
 
+def test_float_unbounded_ray_replays(monkeypatch):
+    # `_simplex` replays the ray of a float UNBOUNDED outcome as well:
+    # A r = 0, r >= 0 and c'r > 0 for the objective c that grows along it.
+    from gptsim import lp
+
+    grows = [(1.0, 0.0), (0.0, 0.0, 0.0, 1.0, 0.0)]
+    programs = [
+        make_program(rows=[(1.0, -1.0)], rhs=(1.0,), objective=grows[0]),
+        make_program(rows=[(1.0, 1.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0, -1.0)],
+                     rhs=(1.0, 0.0), objective=(1.0, 1.0, 0.0, 0.0, 0.0),
+                     tiebreaks=[grows[1]]),
+    ]
+    for program, c in zip(programs, grows):
+        out = lp_solve(program)
+        assert out.verdict == UNBOUNDED
+        A, _ = program.float_data
+        r = np.array(out.ray)
+        assert np.abs(A @ r).max() <= 1e-12 and r.min() >= 0 and np.dot(c, r) >= 1
+    value = lp._FloatRevised.value
+    monkeypatch.setattr(lp._FloatRevised, "value",
+                        lambda self, i, col=-1: value(self, i, col) + (1e-6 if col >= 0 else 0.0))
+    for program in programs:
+        with pytest.raises(lp.CertificateError, match="unbounded ray fails replay"):
+            lp_solve(program)
+
+
 def _degenerate_programs(count, seed):
     # Bounded programs (a simplex row) with zero right-hand sides, so many
     # pivots leave the objective unchanged.

@@ -17,7 +17,6 @@ from gptsim.postprocessing import (
     minimally_sufficient_with_channels,
     replay_relation,
 )
-from gptsim.qubit import as_vector_observable
 from gptsim.simulation import SIMULABLE, SimulationCertificate
 from gptsim.spaces import Effect, observable, trivial_observable
 
@@ -46,11 +45,11 @@ def test_postprocessing_produces_ct_from_equal_mixture(suite):
         (0.5 * (1 + root2 * t), 0.5 * (1 - root2 * t)),
         (0.5 * (1 - root2 * t), 0.5 * (1 + root2 * t))))
     assert chan.is_stochastic()
-    mixture = as_vector_observable(suite.ct(1.0 / root2))
+    mixture = suite.ct(1.0 / root2)
     assert max(abs(x) for x in
                (mixture.effects[0].coeffs[0] - 0.5,
                 mixture.effects[0].coeffs[1] - 0.5)) < 1e-12
-    ct = as_vector_observable(suite.ct(t))
+    ct = suite.ct(t)
     out = apply(chan, mixture)
     for got, want in zip(out.effects, ct.effects):
         assert max(abs(a - b) for a, b in zip(got.coeffs, want.coeffs)) < 1e-12
@@ -103,8 +102,8 @@ def test_replay_relation_rejects_non_stochastic_channel(sq):
 
 
 def test_sharp_x_y_unrelated(suite):
-    x = as_vector_observable(suite.X)
-    y = as_vector_observable(suite.Y)
+    x = suite.X
+    y = suite.Y
     cert = is_postprocessing_of(y, x)
     assert not cert.simulable
     assert replay_relation(cert, y, x)
@@ -195,15 +194,16 @@ def test_channel_composition_matches_sequential(sq):
 def test_postprocessing_clean(sq):
     assert is_postprocessing_clean(sq.E)
     from gptsim.catalog import tetrahedron_rational
-    from gptsim.qubit import QubitEffect, QubitObservable
+    from gptsim.qubit import QubitEffect, QubitSpace
+    from gptsim.spaces import Observable, is_valid_observable
 
-    noisy = QubitObservable((
+    noisy = Observable((
         ("0", QubitEffect(0, (0, 0, 0))),
         ("+", QubitEffect(F(-1, 2), (0, 0, F(1, 2)))),
         ("-", QubitEffect(F(-1, 2), (0, 0, F(-1, 2)))),
-    ))
-    assert noisy.is_valid()
-    assert not is_postprocessing_clean(as_vector_observable(noisy))  # the half-identity outcome
+    ), QubitSpace())
+    assert is_valid_observable(noisy)
+    assert not is_postprocessing_clean(noisy)  # the half-identity outcome
     tetra_vec = tetrahedron_rational()["B"]
     # every tetrahedron effect is a ray of the rationalized positivity cone,
     # checked through the weighted norm identity

@@ -12,73 +12,85 @@ import numpy as np
 
 from gptsim.qubit import (
     QubitEffect,
-    QubitObservable,
     QubitSpace,
-    as_vector_observable,
-    linear_coords,
+    dichotomic,
     octahedron_margins,
     random_qubit_observable,
 )
 from gptsim.scalars import ModeError
-from gptsim.spaces import Effect
+from gptsim.spaces import Effect, Observable, is_valid_effect, is_valid_observable
 
 F = Fraction
 
 
 def test_display_coordinates_named_points(suite):
-    def display(eff):
-        return (eff.e0, *eff.e_vec)
-
-    assert display(suite.X.effects[0]) == (0, 1, 0, 0)
-    assert display(suite.T.effects[0]) == (1, 0, 0, 0)   # identity
-    assert display(suite.T.effects[1]) == (-1, 0, 0, 0)  # zero effect
-    assert display(suite.ct(0.5).effects[0]) == \
-        (0.0, 0.5 / math.sqrt(2), 0.5 / math.sqrt(2), 0.0)
+    # (e0, ex, ey, ez) in the paper's display form, read by QubitEffect
+    assert suite.X.effects[0] == QubitEffect(0, (1, 0, 0))
+    assert suite.T.effects[0] == QubitEffect(1, (0, 0, 0))   # identity
+    assert suite.T.effects[1] == QubitEffect(-1, (0, 0, 0))  # zero effect
+    assert suite.ct(0.5).effects[0] == \
+        QubitEffect(0.0, (0.5 / math.sqrt(2), 0.5 / math.sqrt(2), 0.0))
+    assert suite.X.effects[0].coeffs == (1, 0, 0, F(1, 2))
+    assert suite.T.effects[0].coeffs == (0, 0, 0, 1)
+    assert suite.T.effects[1].coeffs == (0, 0, 0, 0)
 
 
 def test_linear_coordinates_roundtrip_exact():
     eff = QubitEffect(F(1, 3), (F(1, 5), F(-2, 5), F(0)))
-    ex, ey, ez, tau = linear_coords(eff)
+    assert type(eff) is Effect
+    ex, ey, ez, tau = eff.coeffs
+    assert tau == F(2, 3) and (ex, ey, ez) == (F(1, 5), F(-2, 5), 0)
     assert QubitEffect(2 * tau - 1, (ex, ey, ez)) == eff
+    with pytest.raises(ValueError, match="3-vector"):
+        QubitEffect(0, (1, 0))
 
 
-def test_linear_coordinates_additive(suite):
-    a = suite.X.effects[0]
-    b = suite.Y.effects[0]
-    summed = QubitEffect(a.e0 + b.e0 + 1, tuple(x + y for x, y in
-                                                zip(a.e_vec, b.e_vec)))
-    lin = tuple(x + y for x, y in zip(linear_coords(a), linear_coords(b)))
-    assert linear_coords(summed) == lin
+def test_linear_coordinates_additive():
+    a, b = (F(1, 3), (F(1, 5), 0, 0)), (F(-1, 2), (0, F(1, 4), 0))
+    summed = QubitEffect(a[0] + b[0] + 1, tuple(x + y for x, y in zip(a[1], b[1])))
+    lin = tuple(x + y for x, y in zip(QubitEffect(*a).coeffs, QubitEffect(*b).coeffs))
+    assert summed.coeffs == lin
 
 
 def test_validity_boundary():
-    assert QubitEffect(F(1, 2), (F(1, 2), 0, 0)).is_valid()
-    assert not QubitEffect(F(1, 2), (F(3, 5), 0, 0)).is_valid()
-    assert QubitEffect(0.5, (0.3, 0.4, 0.0)).is_valid()       # 0.5 + 0.5
-    assert not QubitEffect(0.5, (0.31, 0.4, 0.0)).is_valid()
+    space = QubitSpace()
+    assert is_valid_effect(QubitEffect(F(1, 2), (F(1, 2), 0, 0)), space)
+    assert not is_valid_effect(QubitEffect(F(1, 2), (F(3, 5), 0, 0)), space)
+    assert is_valid_effect(QubitEffect(0.5, (0.3, 0.4, 0.0)), space)       # 0.5 + 0.5
+    assert not is_valid_effect(QubitEffect(0.5, (0.31, 0.4, 0.0)), space)
+    # the exact Bloch norm sqrt(1/2) gives no exact least eigenvalue
+    with pytest.raises(ModeError):
+        is_valid_effect(QubitEffect(0, (F(1, 2), F(1, 2), 0)), space)
 
 
-def _linear(eff):
-    return Effect(linear_coords(eff))
+def test_dichotomic_is_an_observable_on_the_qubit_cone():
+    obs = dichotomic("+", "-", QubitEffect(0.0, (0.8, 0.0, 0.0)))
+    assert type(obs) is Observable and obs.space == QubitSpace()
+    assert is_valid_observable(obs)
+    # the complement's Bloch part is negated, so its zeros are -0.0
+    assert obs.effects[1].coeffs == (-0.8, 0.0, 0.0, 0.5)
+    assert [math.copysign(1.0, x) for x in obs.effects[1].coeffs] == [-1.0, -1.0, -1.0, 1.0]
+    exact = dichotomic("+", "-", QubitEffect(F(1, 3), (0, 0, F(1, 3))))
+    assert exact.effects[1].coeffs == (0, 0, F(-1, 3), F(1, 3))
+    assert is_valid_observable(exact)
 
 
 def test_rank_one_matches_eigenvalues(suite):
     for eff in suite.tetrahedron.effects:
-        assert QubitSpace().is_extremal(_linear(eff))
-        assert abs(qubit_min_eigenvalue(eff.e0, eff.e_vec)) < 1e-12
-    assert not QubitSpace().is_extremal(_linear(QubitEffect(0, (0, 0, 0.5))))
+        assert QubitSpace().is_extremal(eff)
+        assert abs(qubit_min_eigenvalue(eff.coeffs)) < 1e-12
+    assert not QubitSpace().is_extremal(QubitEffect(0, (0, 0, 0.5)))
     # min eigenvalue formula against numpy
     e = QubitEffect(0.2, (0.1, -0.3, 0.2))
-    assert abs(QubitSpace().min_value(_linear(e))
-               - qubit_min_eigenvalue(e.e0, e.e_vec)) < 1e-12
+    assert abs(QubitSpace().min_value(e) - qubit_min_eigenvalue(e.coeffs)) < 1e-12
 
 
 def test_observable_validity(suite):
-    assert suite.X.is_valid()
-    assert suite.tetrahedron.is_valid()
-    bad = QubitObservable((("+", QubitEffect(0, (1, 0, 0))),
-                           ("-", QubitEffect(0, (-0.5, 0, 0)))))
-    assert not bad.is_valid()
+    assert is_valid_observable(suite.X)
+    assert is_valid_observable(suite.tetrahedron)
+    bad = Observable((("+", QubitEffect(0.0, (1.0, 0.0, 0.0))),
+                      ("-", QubitEffect(0.0, (-0.5, 0.0, 0.0)))), QubitSpace())
+    assert not is_valid_observable(bad)
 
 
 def test_octahedron_margins(suite):
@@ -86,8 +98,10 @@ def test_octahedron_margins(suite):
     margins = octahedron_margins(suite.ct(0.8))
     assert abs(margins["+"] - 0.8 * math.sqrt(2)) < 1e-12
     assert octahedron_margins(
-        QubitObservable((("a", QubitEffect(0.5, (0.6, 0, 0))),
-                         ("b", QubitEffect(-0.5, (-0.6, 0, 0))))))["a"] == 1.1
+        Observable((("a", QubitEffect(0.5, (0.6, 0, 0))),
+                    ("b", QubitEffect(-0.5, (-0.6, 0, 0)))), QubitSpace()))["a"] == 1.1
+    with pytest.raises(ValueError, match="qubit observables only"):
+        octahedron_margins(Observable(suite.X.outcomes))  # no space: not a qubit
 
 
 def test_spectral_refiner_sums_and_rank(suite):
@@ -95,10 +109,9 @@ def test_spectral_refiner_sums_and_rank(suite):
     for _ in range(20):
         obs = random_qubit_observable(rng)
         for eff in obs.effects:
-            vec = linear_coords(eff)
-            parts = QubitSpace().refine(Effect(vec))
+            parts = QubitSpace().refine(eff)
             total = [sum(p.coeffs[d] for p in parts) for d in range(4)]
-            assert max(abs(a - b) for a, b in zip(total, vec)) < 1e-9
+            assert max(abs(a - b) for a, b in zip(total, eff.coeffs)) < 1e-9
             for p in parts:
                 assert QubitSpace().is_extremal(p), p
 
@@ -124,8 +137,8 @@ def test_qubit_cone_exact_arithmetic():
 
 
 def test_vector_observable_unit(suite):
-    vec = as_vector_observable(suite.X)
-    total = tuple(sum(e.coeffs[d] for e in vec.effects) for d in range(4))
+    assert suite.X.space == QubitSpace()
+    total = tuple(sum(e.coeffs[d] for e in suite.X.effects) for d in range(4))
     assert total == (0, 0, 0, 1)
 
 
@@ -133,8 +146,8 @@ def test_random_qubit_observables_valid():
     rng = random.Random(99)
     for _ in range(50):
         obs = random_qubit_observable(rng)
-        assert obs.is_valid()
-        mat = sum(np.array(qubit_matrix(e.e0, e.e_vec)) for e in obs.effects)
+        assert obs.space == QubitSpace() and is_valid_observable(obs)
+        mat = sum(np.array(qubit_matrix(e.coeffs)) for e in obs.effects)
         assert np.allclose(mat, np.eye(2))
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gptsim.postprocessing import Postprocessing, is_postprocessing_of, replay_relation
+from gptsim.qubit import QubitSpace
 from gptsim.scalars import EXACT, FLOAT, ModeError
 from gptsim.serialize import (
     certificate_from_json,
@@ -26,7 +27,7 @@ from gptsim.serialize import (
     dump_json,
 )
 from gptsim.simulation import is_simulable, replay_simulation
-from gptsim.spaces import trivial_observable
+from gptsim.spaces import is_valid_observable, trivial_observable
 
 F = Fraction
 
@@ -67,7 +68,7 @@ def test_qubit_observable_roundtrip(suite):
     assert back == suite.X
     tetra = qubit_observable_from_json(
         json.loads(json.dumps(qubit_observable_to_json(suite.tetrahedron))))
-    assert tetra.is_valid()
+    assert tetra.space == QubitSpace() and is_valid_observable(tetra)
 
 
 def test_postprocessing_roundtrip():
@@ -154,11 +155,21 @@ def test_load_observables_group(tmp_path, sq):
     doc = {"space": space_to_json(sq.space),
            "observables": [observable_to_json(sq.E), observable_to_json(sq.F)]}
     path.write_text(dump_json(doc))
-    loaded, space, is_qubit = load_observables(str(path))
-    assert not is_qubit
+    loaded, space = load_observables(str(path))
     assert space == sq.space
     assert len(loaded) == 2
     assert loaded[0].effects == sq.E.effects
+
+
+def test_load_observables_qubit_documents(tmp_path, suite):
+    # e0 documents are read over the qubit cone, in linear coordinates
+    path = tmp_path / "xt.json"
+    path.write_text(dump_json({"observables": [
+        qubit_observable_to_json(o) for o in (suite.xt(0.5), suite.ct(0.8))]}))
+    loaded, space = load_observables(str(path))
+    assert space == QubitSpace() and all(o.space == space for o in loaded)
+    assert loaded == [suite.xt(0.5), suite.ct(0.8)]
+    assert loaded[0].effects[1].coeffs == (-0.5, -0.0, -0.0, 0.5)
 
 
 def test_load_space_from_envelope(tmp_path, sq):

@@ -25,7 +25,6 @@ from gptsim.postprocessing import (
     merge_channel,
     replay_relation,
 )
-from gptsim.qubit import as_vector_observable
 from gptsim.simulation import (
     check_closure_laws,
     decompose_to_irreducibles,
@@ -219,18 +218,16 @@ def test_bare_observable_joins_any_space(sq, trit):
 
 
 def test_c_half_mixture_simulable(suite):
-    sims = [as_vector_observable(suite.X).as_float(),
-            as_vector_observable(suite.Y).as_float()]
-    target = as_vector_observable(suite.ct(1.0 / math.sqrt(2.0)))
+    sims = [suite.X.as_float(), suite.Y.as_float()]
+    target = suite.ct(1.0 / math.sqrt(2.0))
     cert = is_simulable(target, sims)
     assert cert.simulable
     assert replay_simulation(cert, target, sims)
 
 
 def test_ct_above_threshold_not_simulable(suite):
-    sims = [as_vector_observable(suite.X).as_float(),
-            as_vector_observable(suite.Y).as_float()]
-    target = as_vector_observable(suite.ct(0.8))
+    sims = [suite.X.as_float(), suite.Y.as_float()]
+    target = suite.ct(0.8)
     cert = is_simulable(target, sims)
     assert not cert.simulable
     assert replay_simulation(cert, target, sims)
@@ -248,30 +245,29 @@ def test_hexagon_quarter_certificate_weights():
 
 def test_irreducibility_verdicts(sq, suite):
     assert is_simulation_irreducible(sq.E)
-    assert is_simulation_irreducible(as_vector_observable(suite.tetrahedron))
+    assert is_simulation_irreducible(suite.tetrahedron)
     quarter = F(1, 4)
     a4 = observable(None, [("+1", (2 * quarter, F(0), F(0), quarter)),
                            ("-1", (-2 * quarter, F(0), F(0), quarter)),
                            ("+2", (F(0), 2 * quarter, F(0), quarter)),
                            ("-2", (F(0), -2 * quarter, F(0), quarter))])
     # postprocessing clean (all rank one) yet reducible
-    from gptsim.qubit import QubitEffect, QubitObservable
-    a4_q = QubitObservable((("+1", QubitEffect(F(-1, 2), (HALF, 0, 0))),
-                            ("-1", QubitEffect(F(-1, 2), (-HALF, 0, 0))),
-                            ("+2", QubitEffect(F(-1, 2), (0, HALF, 0))),
-                            ("-2", QubitEffect(F(-1, 2), (0, -HALF, 0)))))
-    assert is_postprocessing_clean(as_vector_observable(a4_q))
-    assert not is_simulation_irreducible(as_vector_observable(a4_q))
+    from gptsim.qubit import QubitEffect, QubitSpace
+    a4_q = Observable((("+1", QubitEffect(F(-1, 2), (HALF, 0, 0))),
+                       ("-1", QubitEffect(F(-1, 2), (-HALF, 0, 0))),
+                       ("+2", QubitEffect(F(-1, 2), (0, HALF, 0))),
+                       ("-2", QubitEffect(F(-1, 2), (0, -HALF, 0)))), QubitSpace())
+    assert is_postprocessing_clean(a4_q)
+    assert not is_simulation_irreducible(a4_q)
 
 
 def test_decompose_four_outcome_mixture_into_x_and_y():
-    from gptsim.qubit import QubitEffect, QubitObservable
+    from gptsim.qubit import QubitEffect, QubitSpace
 
-    a4 = QubitObservable((("+1", QubitEffect(-0.5, (0.5, 0, 0))),
-                          ("-1", QubitEffect(-0.5, (-0.5, 0, 0))),
-                          ("+2", QubitEffect(-0.5, (0, 0.5, 0))),
-                          ("-2", QubitEffect(-0.5, (0, -0.5, 0)))))
-    vec = as_vector_observable(a4)
+    vec = Observable((("+1", QubitEffect(-0.5, (0.5, 0, 0))),
+                      ("-1", QubitEffect(-0.5, (-0.5, 0, 0))),
+                      ("+2", QubitEffect(-0.5, (0, 0.5, 0))),
+                      ("-2", QubitEffect(-0.5, (0, -0.5, 0)))), QubitSpace())
     dec = decompose_to_irreducibles(vec)
     assert len(dec.observables) == 2
     assert sorted(float(w) for w in dec.certificate.weights) == [0.5, 0.5]
@@ -321,7 +317,7 @@ def test_noise_content_values(sq, hexagon, suite):
     with pytest.raises(ValueError, match="valid effects"):  # -u is no effect
         noise_content(observable(sq.space, [("a", (0, 0, 2)), ("b", (0, 0, -1))]))
     # sharp qubit observables carry no intrinsic trivial noise
-    z = as_vector_observable(suite.Z)
+    z = suite.Z
     assert noise_content(z).value == 0.0
     assert abs(noise_content(z).value - qubit_noise_content_grid(suite.Z)) < 1e-4
     # direct oracle agreement on the polytopic side
@@ -383,26 +379,24 @@ def test_qubit_cone_noise_and_verdicts(suite):
     expected.update({name: (True, True)
                      for name in ("X", "Y", "Z", "tetrahedron", "ct(1.0)")})
     for name, obs in {**named, **sampled}.items():
-        vec = as_vector_observable(obs)
-        want = sum(max(qubit_min_eigenvalue(e.e0, e.e_vec), 0.0) for e in obs.effects)
-        assert abs(noise_content(vec).value - want) <= 1e-12, name
-        assert (is_simulation_irreducible(vec), is_postprocessing_clean(vec)) \
+        want = sum(max(qubit_min_eigenvalue(e.coeffs), 0.0) for e in obs.effects)
+        assert abs(noise_content(obs).value - want) <= 1e-12, name
+        assert (is_simulation_irreducible(obs), is_postprocessing_clean(obs)) \
             == expected[name], name
 
 
 def test_smin_examples(sq, suite, rng):
-    xyz = [as_vector_observable(o) for o in (suite.X, suite.Y, suite.Z)]
+    xyz = [suite.X, suite.Y, suite.Z]
     assert smin(xyz, xyz, k_max=3) == 3
-    ab = [as_vector_observable(suite.X).as_float(),
-          as_vector_observable(suite.Y).as_float()]
-    ct7 = as_vector_observable(suite.ct(0.7))
+    ab = [suite.X.as_float(), suite.Y.as_float()]
+    ct7 = suite.ct(0.7)
     assert smin([ab[0], ab[1], ct7], ab, k_max=2) == 2
     targets = [random_observable(sq.space, rng) for _ in range(10)]
     assert smin(targets, [sq.E, sq.F], k_max=2) <= 2
 
 
 def test_smin_unknown_above_kmax(suite):
-    xyz = [as_vector_observable(o) for o in (suite.X, suite.Y, suite.Z)]
+    xyz = [suite.X, suite.Y, suite.Z]
     assert smin(xyz, xyz, k_max=2) is None
 
 
@@ -419,9 +413,8 @@ def test_hull_necessary(suite, hexagon):
     # the hull condition is necessary, not sufficient
     assert not is_simulable(rat["B"], binar).simulable
 
-    sims = [as_vector_observable(suite.X).as_float(),
-            as_vector_observable(suite.Y).as_float()]
-    c9 = as_vector_observable(suite.ct(0.9))
+    sims = [suite.X.as_float(), suite.Y.as_float()]
+    c9 = suite.ct(0.9)
     outside = dichotomic_hull_necessary(c9, sims)
     assert any(not r.inside for r in outside.values())
     assert not is_simulable(c9, sims).simulable
@@ -434,8 +427,8 @@ def test_closure_laws_small(sq, rng):
 
 
 def test_closure_base_without_target(suite):
-    x = as_vector_observable(suite.X)
-    y = as_vector_observable(suite.Y)
+    x = suite.X
+    y = suite.Y
     diag = check_closure_laws([y], [x])
     assert diag.ok  # sim1 holds; Y is simply not in sim({X})
     assert not is_simulable(y, [x]).simulable
@@ -477,7 +470,7 @@ def test_compatibility_on_the_qubit_cone(suite):
     from gptsim.scalars import ModeError
     from gptsim.spaces import is_valid_effect
 
-    x, y = (as_vector_observable(o).as_float() for o in (suite.X, suite.Y))
+    x, y = (o.as_float() for o in (suite.X, suite.Y))
     nu = Postprocessing(("+", "-"), ("+", "-"), ((0.8, 0.2), (0.3, 0.7)))
     post = apply(nu, x)
     res = is_compatible([x, post])
@@ -492,7 +485,7 @@ def test_compatibility_on_the_qubit_cone(suite):
     assert res.farkas is not None
 
     with pytest.raises(ModeError):
-        is_compatible([as_vector_observable(suite.X), as_vector_observable(suite.Y)])
+        is_compatible([suite.X, suite.Y])
 
 
 def test_compatibility_from_no_generators(sq):
@@ -506,7 +499,7 @@ def test_compatibility_from_no_generators(sq):
     assert res.verdict == "incompatible"
     assert res.farkas == (0, -1, -2, 0, 1, -2, -1, 0, 1, 1, 0, 1)
 
-    x, y = (as_vector_observable(dichotomic("+", "-", QubitEffect(0.0, v))).as_float()
+    x, y = (dichotomic("+", "-", QubitEffect(0.0, v)).as_float()
             for v in ((0.5, 0.0, 0.0), (0.0, 0.5, 0.0)))
     solves = lp.stats["solves"]
     res = is_compatible([x, y], generators=[])

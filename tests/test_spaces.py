@@ -6,6 +6,7 @@ import pytest
 
 from gptsim.spaces import (
     Effect,
+    Observable,
     StateSpace,
     decompose_into_indecomposables,
     dual_cone_rays,
@@ -138,6 +139,14 @@ def test_informationally_complete_qubit_mixture():
     outcomes.append(("-4", (F(0), F(0), F(0), F(0))))
     obs = observable(None, outcomes)
     assert is_informationally_complete(obs)
+
+
+def test_observable_needs_an_outcome(sq):
+    # an empty family sums to no unit: its noise content divided by zero
+    # and it read as simulation irreducible
+    for build in (lambda: Observable((), sq.space), lambda: observable(sq.space, [])):
+        with pytest.raises(ValueError, match="at least one outcome"):
+            build()
 
 
 def test_valid_observable_complements(sq, rng):
