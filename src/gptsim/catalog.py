@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -168,15 +170,39 @@ def irreducible_count_formula(n: int) -> int:
 
 @dataclass(frozen=True)
 class IrreducibleCatalog:
+    """The simulation-irreducible observables of a polygon, one per
+    relabelling class, as `polygon_irreducibles` enumerates them.
+
+    Every check runs at enumeration. The members are built on the first read
+    of `observables`; the counts come from `index_sets` and never build them.
+    """
+
     theory: PolygonTheory
-    observables: tuple
-    index_sets: tuple  # ray indices (1-based) per member, parallel list
-    dichotomic_count: int
-    trichotomic_count: int
+    index_sets: tuple  # ray indices (1-based) per member: pairs, then triples
+    # the triples' effects, coefficient times ray: shape (triples, 3, 3)
+    scaled: np.ndarray = dataclass_field(compare=False, repr=False)
+
+    @cached_property
+    def observables(self) -> tuple:
+        rays = self.theory.extreme_effects
+        space = self.theory.space
+        pairs = (observable(space, [("+", rays[i - 1]), ("-", rays[j - 1])])
+                 for i, j in self.index_sets[:self.dichotomic_count])
+        triples = (Observable((("1", Effect(a)), ("2", Effect(b)), ("3", Effect(c))), space)
+                   for a, b, c in self.scaled.tolist())
+        return (*pairs, *triples)
 
     @property
     def count(self) -> int:
-        return len(self.observables)
+        return len(self.index_sets)
+
+    @property
+    def dichotomic_count(self) -> int:
+        return sum(len(t) == 2 for t in self.index_sets)
+
+    @property
+    def trichotomic_count(self) -> int:
+        return self.count - self.dichotomic_count
 
 
 MAX_POLYGON_N = 40
@@ -197,17 +223,10 @@ def polygon_irreducibles(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> Irreduci
     theory = polygon(n)
     rays = theory.extreme_effects
     unit = np.array(theory.unit)
-    members = []
     index_sets = []
-    dicho = 0
     if theory.even:
         m = n // 2
-        for k in range(1, m + 1):
-            obs = observable(theory.space,
-                             [("+", rays[k - 1]), ("-", rays[(k - 1 + m) % n])])
-            members.append(obs)
-            index_sets.append((k, k + m))
-            dicho += 1
+        index_sets.extend((k, k + m) for k in range(1, m + 1))
     eps = tol.eps
     below = np.less.outer(np.arange(n), np.arange(n))
     combos = np.argwhere(below[:, :, None] & below[None]) + 1  # i < j < k, lexicographic
@@ -224,12 +243,10 @@ def polygon_irreducibles(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> Irreduci
         if off.size:
             raise RuntimeError(
                 f"even-polygon trichotomic coefficient sum {float(totals[off[0]])} is not 2")
-    scaled = (coeffs[:, :, None] * ray_array[combos - 1]).tolist()
-    members.extend(Observable((("1", Effect(a)), ("2", Effect(b)), ("3", Effect(c))),
-                              theory.space) for a, b, c in scaled)
     index_sets.extend(map(tuple, combos.tolist()))
-    return IrreducibleCatalog(theory, tuple(members), tuple(index_sets),
-                              dicho, len(members) - dicho)
+    scaled = coeffs[:, :, None] * ray_array[combos - 1]
+    scaled.flags.writeable = False  # the members are built from it later
+    return IrreducibleCatalog(theory, tuple(index_sets), scaled)
 
 
 # ---------------------------------------------------------------------------

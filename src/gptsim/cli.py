@@ -26,6 +26,7 @@ from .catalog import (
 )
 from .geometry import extreme_rays
 from .lp import CertificateError, SolverLimitError
+from .qubit import QubitSpace
 from .scalars import EXACT, FLOAT, ModeError, Tolerance
 from .serialize import (
     certificate_from_json,
@@ -209,8 +210,13 @@ def cmd_qubit(args) -> int:
     suite = qubit_suite()
     if args.action == "octahedron":
         if args.obs:
-            from .serialize import qubit_observable_from_json
-            obs = qubit_observable_from_json(load_json(args.obs))
+            observables, space = load_observables(args.obs)
+            qubit = isinstance(space, QubitSpace)
+            if len(observables) != 1 or not qubit:
+                raise ValueError(
+                    f"{args.obs}: octahedron needs exactly one qubit observable, found "
+                    f"{len(observables)} {'qubit' if qubit else 'non-qubit'} observable(s)")
+            obs = observables[0]
         elif args.t is not None:
             obs = suite.ct(args.t)
         else:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gptsim.catalog import (
+    MAX_POLYGON_N,
     classical,
     hexagon_explicit_certificate,
     hexagon_noise_example,
@@ -148,7 +149,7 @@ def test_polygon4_is_square_bit_up_to_relabelling(sq):
     assert table_polygon == table_sq
 
 
-@pytest.mark.parametrize("n", range(3, 17))
+@pytest.mark.parametrize("n", range(3, MAX_POLYGON_N + 1))
 def test_polygon_counts_match_formula_and_brute_force(n):
     cat = polygon_irreducibles(n)
     assert cat.count == irreducible_count_formula(n) == arc_rule_count(n)
@@ -158,6 +159,35 @@ def test_polygon_counts_match_formula_and_brute_force(n):
         assert cat.trichotomic_count == m * (m - 1) * (m - 2) // 3
     else:
         assert cat.dichotomic_count == 0
+    assert "observables" not in vars(cat)  # counting builds no member
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 9, 12, MAX_POLYGON_N])
+def test_polygon_catalog_members_follow_index_sets(n):
+    cat = polygon_irreducibles(n)
+    rays = cat.theory.extreme_effects
+    assert len(cat.observables) == cat.count
+    for obs, t in zip(cat.observables, cat.index_sets):
+        assert obs.space is cat.theory.space
+        picked = [rays[k - 1] for k in t]
+        if len(t) == 2:
+            assert obs.labels == ("+", "-")
+            assert [e.coeffs for e in obs.effects] == picked
+            continue
+        assert obs.labels == ("1", "2", "3")
+        for eff, ray in zip(obs.effects, picked):
+            e, r = np.array(eff.coeffs), np.array(ray)
+            c = e @ r / (r @ r)
+            assert c > 1e-9
+            assert np.allclose(e, c * r, rtol=0, atol=1e-12)
+
+
+def test_polygon_catalogs_compare_by_value():
+    a, b = polygon_irreducibles(8), polygon_irreducibles(8)
+    assert a == b and hash(a) == hash(b)
+    assert a.observables  # a cached member tuple takes no part in equality
+    assert a == b
+    assert a != polygon_irreducibles(7)
 
 
 @pytest.mark.parametrize("n", [5, 6, 8])

@@ -403,6 +403,35 @@ def test_qubit_octahedron(capsys, ct08_file):
     assert payload(out)["all_pass"] is True
 
 
+def test_qubit_octahedron_reads_listed_and_enveloped_files(capsys, tmp_path, ct08_file):
+    code, out, _ = run_cli(capsys, "qubit", "octahedron", "--obs", ct08_file)
+    expected = payload(out)
+    ct = qubit_observable_to_json(qubit_suite().ct(0.8))
+    listed = tmp_path / "listed.json"
+    listed.write_text(dump_json({"observables": [ct]}))
+    code, out, _ = run_cli(capsys, "qubit", "suite", "--t", "0.8")
+    envelope = json.loads(out)
+    envelope["payload"] = {"observables": [envelope["payload"]["Ct"]]}
+    enveloped = tmp_path / "enveloped.json"
+    enveloped.write_text(dump_json(envelope))
+    for path in (listed, enveloped):
+        code, out, err = run_cli(capsys, "qubit", "octahedron", "--obs", str(path))
+        assert (code, err) == (0, "")
+        assert payload(out) == expected
+
+
+def test_qubit_octahedron_needs_one_qubit_observable_exit_2(capsys, tmp_path, xy_file):
+    sq = square_bit()
+    square = tmp_path / "e.json"
+    square.write_text(dump_json({"space": space_to_json(sq.space),
+                                 "observables": [observable_to_json(sq.E)]}))
+    for path, found in ((xy_file, "found 2 qubit"), (str(square), "found 1 non-qubit")):
+        code, out, err = run_cli(capsys, "qubit", "octahedron", "--obs", path)
+        assert (code, out) == (2, "")
+        assert "octahedron needs exactly one qubit observable" in err
+        assert found in err
+
+
 def _unbiased_doc(plus, minus):
     return {"outcomes": [{"e": plus, "e0": 0.0, "label": "+"},
                          {"e": minus, "e0": 0.0, "label": "-"}]}
