@@ -18,29 +18,33 @@ tableau: after each, the nonbasic columns with nonzero reduced cost are
 fixed at zero, so the next one sees only the optimal face (a lexicographic
 optimum). The mode picks one of two kernels, which own only their numbers:
 `_IntTableau` (exact mode, for rational inputs) keeps rows of Python ints
-over per-row denominators and returns `fractions.Fraction` values;
+over per-row denominators, updates a row only at the nonzeros of the pivot
+row and scales it only when the pivot does not divide its entry, and
+returns `fractions.Fraction` values;
 `_FloatRevised` (float mode) is the revised simplex method in numpy,
 compared with tolerances: it keeps A and a small inverse of the basis
 instead of the tableau, so a pivot on a program of m rows costs O(m^2) plus
 one pricing product over A, not a rewrite of m x (n + m) entries.
-An exact-mode request checks only the objectives for floats up front;
-`_integer_row` rejects a float row or right-hand side while `_IntTableau`
-clears it, before any pivot, and a rejected program is no solve.
+Exact mode reads the rows and right-hand sides cleared to integers once per
+program (`LinearProgram.integer_data`); a request checks only the objectives
+for floats up front, and a float row or right-hand side raises ValueError
+when the kernel reads `integer_data`, before any pivot, so a rejected
+program is no solve.
 
 Every verdict is checkable after the fact: a feasible outcome carries the
 solution vector, an infeasible outcome carries a Farkas vector y with
 y'A <= 0 and y'b = 1, an unbounded outcome a vertex and a ray along which
 the objective improves. `verify_solution` and `verify_farkas` replay the
 first two against the original program: in exact mode on integers, by
-clearing denominators with `_integer_row` and testing signs of integer dot
-products (as Applegate, Cook, Dash & Espinoza 2007 check exact LP
-certificates), in float mode by one matrix-vector product over the rows,
-tuple or ndarray (A x for a solution, y'A for a Farkas vector), whose
-entries are tested against eps so that an inf or a NaN fails. `_simplex`
-replays every float FEASIBLE or UNBOUNDED outcome with `verify_solution`,
-and the ray of an UNBOUNDED one against A r = 0, r >= 0 and c'r > 0 for
-the objective c that grows along it, and raises `CertificateError` instead
-of returning one that fails; a float Farkas vector is not replayed there,
+reading `integer_data`, clearing the certificate's denominators and
+testing signs of integer dot products (as Applegate, Cook, Dash & Espinoza
+2007 check exact LP certificates), in float mode by one matrix-vector
+product over the rows, tuple or ndarray (A x for a solution, y'A for a
+Farkas vector), whose entries are tested against eps so that an inf or a
+NaN fails. `_simplex` replays every float FEASIBLE or UNBOUNDED outcome
+with `verify_solution`, and the ray of an UNBOUNDED one against A r = 0,
+r >= 0 and c'r > 0 for the objective c that grows along it, and raises
+`CertificateError` instead of returning one that fails; a float Farkas vector is not replayed there,
 since the absolute eps rejects correct refutations of badly scaled
 programs. Code that builds an answer from a certificate raises
 `CertificateError` when the certificate fails that replay, so it never
@@ -141,6 +145,14 @@ class LinearProgram:
         return infer_mode(vals)
 
     @cached_property
+    def integer_data(self) -> tuple:
+        """Each row with its rhs cleared to integers, as (numerators, positive
+        denominator) with the numerators a tuple, made on first use for the
+        exact kernel and the exact verifiers; a float raises ValueError."""
+        return tuple((tuple(row), den) for row, den in
+                     (_integer_row((*r, b)) for r, b in zip(self.rows, self.rhs)))
+
+    @cached_property
     def float_data(self) -> tuple:
         """(A, b) as read-only float arrays, made on first use: an ndarray's
         rows come without a copy, tuple rows are converted once for the float
@@ -204,18 +216,18 @@ def verify_solution(program: LinearProgram, solution: Sequence,
                     tol: Tolerance = DEFAULT_TOLERANCE, mode: Optional[str] = None) -> bool:
     """Replay a feasible certificate against the program.
 
-    Exact mode clears x to integers X over L and row i, rhs included, to
-    integers N_i, B_i, then tests N_i . X == B_i * L and X >= 0; a float
-    raises ValueError. Float mode computes A x as one matrix-vector product
-    over the rows, tuple or ndarray, and allows eps in each row and sign.
+    Exact mode clears x to integers X over L and reads row i, rhs included,
+    as integers N_i, B_i from `integer_data`, then tests N_i . X == B_i * L
+    and X >= 0; a float raises ValueError. Float mode computes A x as one
+    matrix-vector product over the rows, tuple or ndarray, and allows eps in
+    each row and sign.
     """
     mode = mode or program.mode()
     if len(solution) != program.num_vars:
         return False
     if mode == EXACT:
         X, L = _integer_row(solution)
-        for r, b in zip(program.rows, program.rhs):
-            N, _ = _integer_row((*r, b))
+        for N, _ in program.integer_data:
             if sum(a * x for a, x in zip(N, X)) != N[-1] * L:  # zip stops before B_i
                 return False
         return all(x >= 0 for x in X)
@@ -230,12 +242,13 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
                   tol: Tolerance = DEFAULT_TOLERANCE, mode: Optional[str] = None) -> bool:
     """Replay an infeasibility certificate: y'A <= 0 and y'b > 0.
 
-    Exact mode clears y to integers Y and each row i with Y_i != 0, rhs
-    included, to integers over D_i. The sum of Y_i * (L / D_i) times row i,
-    L the lcm of the D_i, is (y'A, y'b) times a positive number, so its
-    signs are tested exactly; a float it reads raises ValueError. Float
-    mode computes y'A as one vector-matrix product over the rows, tuple or
-    ndarray, and allows eps in each sign.
+    Exact mode clears y to integers Y and reads each row i, rhs included,
+    as integers over D_i from `integer_data`. The sum over Y_i != 0 of
+    Y_i * (L / D_i) times row i, L the lcm of those D_i, is (y'A, y'b)
+    times a positive number, so its signs are tested exactly; a float in y
+    or in the program raises ValueError. Float mode computes y'A as one
+    vector-matrix product over the rows, tuple or ndarray, and allows eps
+    in each sign.
     """
     mode = mode or program.mode()
     if len(farkas) != len(program.rows):
@@ -247,8 +260,7 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
             y = np.asarray(farkas, dtype=float)
             return bool((y @ A <= eps).all() and y @ b > eps)
     Y, _ = _integer_row(farkas)
-    terms = [(y, *_integer_row((*r, b)))
-             for y, r, b in zip(Y, program.rows, program.rhs) if y]
+    terms = [(y, row, den) for y, (row, den) in zip(Y, program.integer_data) if y]
     L = lcm(*(den for _, _, den in terms))
     acc = [0] * (program.num_vars + 1)
     for y, row, den in terms:
@@ -388,14 +400,19 @@ def _start_basis(crash, m, n):
 # Exact kernel: dense tableau of Python ints.
 #
 # Row i of T holds integer numerators over the positive denominator D[i]; the
-# last row is the reduced-cost row. The pivot rule compares numerators only
-# within the reduced-cost row, which share one denominator, and the ratio
-# test compares T[i][last] / T[i][col] by cross products (the denominator of
-# row i cancels), so no choice depends on a row's scale. A row is therefore
-# divided by the gcd of its entries and denominator only once the
-# denominator has outgrown a machine word, which bounds the growth of its
-# integers. Fractions, which are normalized, are built only for the
-# returned values.
+# last row is the reduced-cost row. The rows start as lists copied from the
+# program's `integer_data`, which clears each program to integers once, since
+# the kernel updates its rows in place. The pivot rule compares numerators
+# only within the reduced-cost row, which share one denominator, and the
+# ratio test compares T[i][last] / T[i][col] by cross products (the
+# denominator of row i cancels), so no choice depends on a row's scale. A
+# pivot on P over p, or a cost set-up, subtracts f / p times P from a row
+# (`_eliminate`), and only at the nonzeros of P: when p divides f, in place
+# over the row's own denominator; otherwise the row and its denominator are
+# first scaled by p / gcd(p, f). A row is divided by the gcd of its entries
+# and denominator only once the denominator has outgrown a machine word,
+# which bounds the growth of its integers. Fractions, which are normalized,
+# are built only for the returned values.
 # ---------------------------------------------------------------------------
 
 def _integer_row(values):
@@ -406,6 +423,8 @@ def _integer_row(values):
     except AttributeError:
         raise ValueError("exact mode requested for float data") from None
     den = lcm(*dens)
+    if den == 1:
+        return [x.numerator for x in values], 1
     return [x.numerator if d == den else x.numerator * (den // d)
             for x, d in zip(values, dens)], den
 
@@ -417,6 +436,24 @@ def _reduced(row, den):
     if g == 1:
         return row, den
     return [x // g for x in row], den // g
+
+
+def _eliminate(row, den, f, P, p, nz):
+    """row / den - (f / den) * (P / p) as (numerators, denominator), for a
+    row P over p > 0 whose nonzero columns are nz. When p divides f, row is
+    updated in place and den is kept; otherwise the row is scaled by
+    L = p / gcd(p, f) and its denominator becomes den * L."""
+    g = gcd(p, f)
+    if g == p:
+        q = f // p
+        for j in nz:
+            row[j] -= q * P[j]
+        return row, den
+    scale, q = p // g, f // g
+    row = [scale * x for x in row]
+    for j in nz:
+        row[j] -= q * P[j]
+    return _reduced(row, den * scale)
 
 
 def _crash_columns(rows, m, n):
@@ -445,32 +482,30 @@ class _IntTableau:
 
     def __init__(self, program, flips, F):
         m, n = len(program.rows), program.num_vars
-        T, D = [], []
-        for r, b, flip in zip(program.rows, program.rhs, flips):
-            row, den = _integer_row((*r, b))
-            T.append(row if flip > 0 else [-x for x in row])
-            D.append(den)
+        data = program.integer_data
+        T = [list(r) if flip > 0 else [-x for x in r] for (r, _), flip in zip(data, flips)]
+        D = [den for _, den in data]
         crash = _crash_columns(T, m, n)
         self.basis, self.art = _start_basis(crash, m, n)
         self.crash = {}  # row: (column, coefficient numerator, row denominator)
-        for i in range(m):
-            row = T[i][:n] + [0] * len(self.art) + T[i][n:]
+        pad = [0] * len(self.art)
+        for i, row in enumerate(T):
+            row[n:n] = pad
             if i in crash:
                 piv = row[crash[i]]
                 self.crash[i] = (crash[i], piv, D[i])
                 T[i], D[i] = _reduced(row, piv)
             else:
                 row[self.art[i]] = D[i]
-                T[i] = row
-        # Phase 1 reduced costs for minimizing the artificial sum.
-        red_den = lcm(*[D[i] for i in self.art])
-        red = [0] * (n + len(self.art) + 1)
+        # Phase 1 reduced costs for minimizing the artificial sum: minus the
+        # sum of the artificial rows (f = den subtracts a row whole), zero on
+        # the artificial columns.
+        red, red_den = [0] * (n + len(pad) + 1), 1
         for i in self.art:
-            k = red_den // D[i]
-            red = [x - k * a for x, a in zip(red, T[i])]
+            red, red_den = _eliminate(red, red_den, red_den, T[i], D[i],
+                                      [j for j, a in enumerate(T[i]) if a])
         for col in self.art.values():
             red[col] = 0
-        red, red_den = _reduced(red, red_den)
         self.T, self.D = T + [red], D + [red_den]
 
     def entering(self, allowed, bland):
@@ -503,10 +538,11 @@ class _IntTableau:
             P, p = [-x for x in P], -p
         P, p = _reduced(P, p)
         T[row], D[row] = P, p
+        nz = [j for j, a in enumerate(P) if a]
         for i, Ti in enumerate(T):
             f = Ti[col]
             if f and i != row:
-                T[i], D[i] = _reduced([p * x - f * a for x, a in zip(Ti, P)], D[i] * p)
+                T[i], D[i] = _eliminate(Ti, D[i], f, P, p, nz)
 
     def objective(self):
         return self.T[-1][-1], self.D[-1]
@@ -546,14 +582,15 @@ class _IntTableau:
         return cols
 
     def price(self, values, basis):
-        """Replace the reduced-cost row by that of the cost `values`."""
+        """Replace the reduced-cost row by that of the cost `values`: clear
+        each basic column j from it with its row i, where T[i][j] == D[i]."""
         T, D = self.T, self.D
-        cost, cost_den = _integer_row(values)
-        red, red_den = cost + [0] * (len(T[-1]) - len(cost)), cost_den
+        cost, red_den = _integer_row(values)
+        red = cost + [0] * (len(T[-1]) - len(cost))
         for i, j in enumerate(basis):
-            if cost[j]:
-                k, c = cost_den * D[i], cost[j] * red_den
-                red, red_den = _reduced([k * x - c * a for x, a in zip(red, T[i])], red_den * k)
+            if red[j]:
+                red, red_den = _eliminate(red, red_den, red[j], T[i], D[i],
+                                          [k for k, a in enumerate(T[i]) if a])
         T[-1], D[-1] = red, red_den
 
     def value(self, i, col=-1):  # by default the basic value of row i

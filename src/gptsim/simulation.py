@@ -110,11 +110,13 @@ def simulation_program(target: Observable,
     of every block. Float mode places these blocks into one zeroed float
     ndarray, which the float kernel and the float verifiers take as it is.
     Exact mode keeps tuples of int 0 and +-1 and the effects' own numbers,
-    which the exact kernel clears to integers: an object array placed the
-    same way holds the same entries but is slower to build.
+    which the program clears to integers once, on first read of its
+    `integer_data`: an object array placed the same way holds the same
+    entries but is slower to build.
 
     The last program is memoized by the identity (`is`) of the target and of
-    each simulator, so a replay right after its decision reuses it; the memo
+    each simulator, so a replay right after its decision reuses it, and with
+    it the integer clearing that the decision's exact solve made; the memo
     holds the observables, so their ids are not recycled. A miss drops the
     memoized program before it builds the next one.
     """

@@ -2,9 +2,12 @@
 
 These deliberately avoid the library's own computational paths: eigenvalues
 come from numpy on explicit 2x2 matrices, polytope noise content from a
-direct minimum over extreme states, and simulability of dichotomic targets
-from a dense grid over mixing weights where that is tractable.
+direct minimum over extreme states, simulability of dichotomic targets
+from a dense grid over mixing weights where that is tractable, and exact
+LP outcomes from a dense simplex tableau of plain Fractions.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -57,3 +60,134 @@ def rank_float(vectors, tol=1e-9) -> int:
     m = np.asarray(vectors, dtype=float)
     s = np.linalg.svd(m, compute_uv=False)
     return int(np.sum(s > tol * max(1.0, s[0] if len(s) else 1.0)))
+
+
+def fraction_simplex(program, stall_limit):
+    """Two-phase simplex on a dense tableau of Fractions, with the rules of
+    `gptsim.lp`, for an exact program.
+
+    Rows with a negative right-hand side are negated. A column with a single
+    nonzero, which is positive, starts its row (the first such column per
+    row); every other row starts on an artificial, numbered in row order.
+    Both phases minimize: phase 1 the artificial sum, phase 2 the negated
+    objective, then each tie-break with the columns of nonzero reduced cost
+    fixed at zero. The entering column has the least reduced cost (the
+    first on ties) until the objective has stalled for more than
+    `stall_limit` pivots, and from then on the first negative one; the
+    leaving row has the least ratio, ties to the smallest basic index.
+    After phase 1 each basic artificial is pivoted out on its row's first
+    nonzero structural column, or its row dropped when there is none.
+
+    Returns (verdict, solution, farkas, ray, objective value, pivots) as
+    `lp_solve` reports them; the pivot count leaves out drive-out pivots and
+    those of an objective found unbounded.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    m, n = len(program.rows), program.num_vars
+    flips = [-1 if b < 0 else 1 for b in program.rhs]
+    A = [[f * Fraction(x) for x in r] + [f * Fraction(b)]
+         for r, b, f in zip(program.rows, program.rhs, flips)]
+    crash = {}
+    for j in range(n):
+        hits = [i for i in range(m) if A[i][j]]
+        if len(hits) == 1 and A[hits[0]][j] > 0 and hits[0] not in crash:
+            crash[hits[0]] = j
+    arts = [i for i in range(m) if i not in crash]
+    width = n + len(arts)
+    T, basis = [], []
+    for i, row in enumerate(A):
+        row = row[:n] + [zero] * len(arts) + row[n:]
+        if i in crash:
+            basis.append(crash[i])
+            row = [x / A[i][crash[i]] for x in row]
+        else:
+            basis.append(n + arts.index(i))
+            row[basis[-1]] = one
+        T.append(row)
+
+    def price(cost):  # the reduced-cost row of `cost`, kept as T's last row
+        red = list(cost)
+        for i, j in enumerate(basis):
+            red = [r - cost[j] * x for r, x in zip(red, T[i])]
+        T.append(red)
+
+    def pivot(r, col):
+        T[r] = [x / T[r][col] for x in T[r]]
+        for i in range(len(T)):
+            if i != r and T[i][col]:
+                f = T[i][col]
+                T[i] = [x - f * y for x, y in zip(T[i], T[r])]
+
+    def optimize(pivots):
+        stall, bland, prev = 0, False, T[-1][-1]
+        while True:
+            neg = [j for j in range(n) if T[-1][j] < 0]
+            if not neg:
+                return pivots, -1
+            col = neg[0] if bland else min(neg, key=lambda j: T[-1][j])
+            rows = [i for i in range(len(basis)) if T[i][col] > 0]
+            if not rows:
+                return pivots, col
+            r = min(rows, key=lambda i: (T[i][-1] / T[i][col], basis[i]))
+            pivot(r, col)
+            basis[r] = col
+            pivots += 1
+            if T[-1][-1] == prev:
+                stall += 1
+                bland = bland or stall > stall_limit
+            else:
+                stall = 0
+            prev = T[-1][-1]
+
+    price([zero] * n + [one] * len(arts) + [zero])
+    pivots, _ = optimize(0)
+    if T[-1][-1] < 0:  # minus the artificial sum
+        # Dual values c_B B^-1 of the negated rows, from the reduced costs
+        # of the starting columns: cost 1 on an artificial, 0 on a crash column.
+        y = [-T[-1][crash[i]] / A[i][crash[i]] if i in crash
+             else one - T[-1][n + arts.index(i)] for i in range(m)]
+        scale = sum(v * abs(Fraction(b)) for v, b in zip(y, program.rhs))
+        farkas = tuple(v * f / scale for v, f in zip(y, flips))
+        return ("infeasible", None, farkas, None, None, pivots)
+
+    dead = []
+    for i, j in enumerate(basis):
+        if j >= n:
+            col = next((k for k in range(n) if T[i][k]), -1)
+            if col < 0:
+                dead.append(i)
+            else:
+                pivot(i, col)
+                basis[i] = col
+    for i in reversed(dead):
+        del T[i], basis[i]
+
+    fixed, ray = set(), None
+    for k, objective in enumerate(program.objectives()):
+        if k:
+            cols = [j for j in range(n) if T[-1][j]]
+            for row in T:
+                for j in cols:
+                    row[j] = zero
+            fixed.update(cols)
+            if len(fixed) + len(basis) == n:
+                break
+        T.pop()
+        price([zero if j in fixed else -Fraction(c) for j, c in enumerate(objective)]
+              + [zero] * (width - n + 1))
+        total, col = optimize(pivots)
+        if col >= 0:
+            ray = [zero] * n
+            ray[col] = one
+            for i, j in enumerate(basis):
+                ray[j] = -T[i][col]
+            ray = tuple(ray)
+            break
+        pivots = total
+    solution = [zero] * n
+    for i, j in enumerate(basis):
+        solution[j] = T[i][-1]
+    value = None
+    if ray is None and program.objective is not None:
+        value = sum(Fraction(c) * x for c, x in zip(program.objective, solution))
+    return ("unbounded" if ray else "feasible", tuple(solution), None, ray, value, pivots)

@@ -537,3 +537,105 @@ def test_tiebreaks_optimize_over_the_optimal_face(one):
     out = lp_solve(p)
     assert out.verdict == UNBOUNDED and out.solution == (0, 1, 0, 0, 0)
     assert out.ray == (0, 0, 0, 1, 1)
+
+
+def _oracle_programs(seed, count):
+    # Seeded exact programs over denominators up to 2**65, beyond a machine
+    # word: a third with a random right-hand side (mostly infeasible), a
+    # third made feasible by a nonnegative point and bounded by a sum row,
+    # with a 0/1 objective whose optimal face is often wider than a vertex
+    # and up to two tie-breaks, and a third feasible but possibly unbounded.
+    import random
+
+    rng = random.Random(seed)
+    dens = (1, 1, 2, 3, 6, 2**65, 3**41, 2**31 * 3**21)
+
+    def entry():
+        return F(rng.randint(-9, 9), rng.choice(dens))
+
+    programs = []
+    for k in range(count):
+        m, n = rng.randint(2, 5), rng.randint(3, 7)
+        rows = [[entry() if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(m)]
+        if k % 3 == 0:
+            rhs = [entry() for _ in range(m)]
+        else:
+            x0 = [rng.choice((0, 0, abs(entry()))) for _ in range(n)]
+            rhs = [sum(a * x for a, x in zip(r, x0)) for r in rows]
+            if k % 3 == 1:
+                rows.append([1] * n)
+                rhs.append(sum(x0))
+        objective, tiebreaks = None, ()
+        if k % 3 or rng.random() < 0.5:
+            objective = [rng.choice((0, 0, 0, 1)) for _ in range(n)]
+            tiebreaks = [[rng.choice((0, entry())) for _ in range(n)]
+                         for _ in range(rng.randint(0, 2))]
+        programs.append(make_program(rows, rhs, objective, tiebreaks))
+    return programs
+
+
+@pytest.mark.parametrize("stall_limit", [None, 0])
+def test_exact_kernel_matches_fraction_oracle(monkeypatch, stall_limit):
+    # The integer kernel's outcomes equal those of a plain Fraction tableau
+    # under the same rules, on programs that reach each arithmetic path of
+    # the kernel: rows reduced by a gcd once past a machine word, updates
+    # where the pivot does not divide the entry, and more than one pricing.
+    from math import gcd
+
+    from gptsim import lp
+    from oracles import fraction_simplex
+
+    if stall_limit is not None:
+        monkeypatch.setattr(lp, "_STALL_LIMIT", stall_limit)
+    hits = {"reduced by a gcd": 0, "pivot divides": 0, "pivot does not divide": 0,
+            "priced twice": 0}
+    reduced, eliminate, price = lp._reduced, lp._eliminate, lp._IntTableau.price
+
+    def counted_reduced(row, den):
+        out = reduced(row, den)
+        hits["reduced by a gcd"] += out[1] != den
+        return out
+
+    def counted_eliminate(row, den, f, P, p, nz):
+        hits["pivot divides" if gcd(p, f) == p else "pivot does not divide"] += 1
+        return eliminate(row, den, f, P, p, nz)
+
+    def counted_price(self, values, basis):
+        self.priced = getattr(self, "priced", 0) + 1
+        hits["priced twice"] += self.priced == 2
+        return price(self, values, basis)
+
+    monkeypatch.setattr(lp, "_reduced", counted_reduced)
+    monkeypatch.setattr(lp, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(lp._IntTableau, "price", counted_price)
+    verdicts = set()
+    for program in _oracle_programs(31, 90):
+        out = lp_solve(program, mode=EXACT)
+        verdicts.add(out.verdict)
+        assert (out.verdict, out.solution, out.farkas, out.ray, out.objective_value,
+                out.pivots) == fraction_simplex(program, lp._STALL_LIMIT)
+    assert verdicts == {FEASIBLE, INFEASIBLE, UNBOUNDED}
+    assert all(hits.values()), hits
+
+
+def test_exact_solves_leave_their_program_unchanged():
+    # The kernel updates its rows in place; they are copies, so solving,
+    # replaying and solving again sees the same program each time.
+    p = make_program(rows=[(F(1, 2), 1, 0, F(-1, 3)), (3, F(2, 5), 1, 0), (1, 1, 1, 1)],
+                     rhs=(F(1, 4), 2, 1), objective=(1, 0, 2, F(1, 7)),
+                     tiebreaks=[(0, 1, 0, 0)])
+    rows, rhs = p.rows, p.rhs
+    first = lp_solve(p, mode=EXACT)
+    data = p.integer_data
+    assert first.verdict == FEASIBLE and first.pivots > 0
+    assert lp_solve(p, mode=EXACT) == first
+    assert verify_solution(p, first.solution, mode=EXACT)
+    assert lp_solve(p, mode=EXACT) == first
+    assert p.rows == rows and p.rhs == rhs and p.integer_data is data
+    assert data == tuple((tuple(r), d) for r, d in (
+        ([6, 12, 0, -4, 3], 12), ([15, 2, 5, 0, 10], 5), ([1, 1, 1, 1, 1], 1)))
+    q = make_program(rows=[(1, -1), (-1, 1)], rhs=(1, 1))
+    out = lp_solve(q, mode=EXACT)
+    assert out.verdict == INFEASIBLE and verify_farkas(q, out.farkas, mode=EXACT)
+    assert lp_solve(q, mode=EXACT) == out
+    assert q.integer_data == (((1, -1, 1), 1), ((-1, 1, 1), 1))
