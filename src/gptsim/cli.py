@@ -4,7 +4,7 @@ Verdicts always live in the JSON payload, never in the exit code: 0 means
 the computation completed (whatever the answer), 1 is reserved for a failed
 reproduction run, 2 for input errors, and 3 for solver nontermination or a
 certificate that fails replay.
-Output is deterministic for a fixed (command, config, seed): the timing
+Output is deterministic for a fixed (command, config): the timing
 block reports LP work counters rather than wall-clock time.
 """
 
@@ -63,7 +63,6 @@ def _config(args) -> dict:
         "mode": args.mode,
         "eps": args.eps,
         "format": args.format,
-        "seed": args.seed,
         "k_max": getattr(args, "k_max", None),
         "facets": getattr(args, "facets", None),
     }
@@ -195,6 +194,8 @@ def cmd_polygon(args) -> int:
         }
         return _emit(args, payload)
     if args.action == "counts":
+        if args.n_max < 3:
+            raise ValueError("--n-max must be at least 3")
         rows = [_count_row(n) for n in range(3, args.n_max + 1)]
         header = ["n", "dichotomic", "trichotomic", "enumerated", "formula", "match"]
         payload = {"rows": [dict(zip(header, r)) for r in rows],
@@ -282,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--eps", type=float, default=None,
                         help="override the float-mode tolerance")
     common.add_argument("--format", choices=["json", "csv"], default="json")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed recorded with the run; governs any sampling")
 
     parser = argparse.ArgumentParser(
         prog="gptsim",

@@ -139,8 +139,8 @@ def conic_decompose(v: Sequence, rays: Sequence[Sequence],
     One LP with tie-breaks takes the lexicographic maximum of the
     coefficients in ray order, a vertex on at most dim rays. If one is
     unbounded (the ray span holds a line) before the earlier ones write all
-    of v, the basic solution of the feasibility program stands in. Failure
-    returns a separating functional phi with phi(v) > 0 >= phi(ray).
+    of v, the feasibility solve's vertex, which is not unique, stands in.
+    Failure returns a separating functional phi with phi(v) > 0 >= phi(ray).
     """
     v = tuple(v)
     rays = [tuple(r) for r in rays]

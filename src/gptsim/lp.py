@@ -11,12 +11,13 @@ hashable. Either way the float kernel and the float verifiers read the
 program as float arrays (`LinearProgram.float_data`), converted at most
 once per program.
 One two-phase simplex driver, `_simplex`, owns the algorithm: phase 1 from
-crash and artificial columns, the pivot rule, the infeasibility test and
-Farkas certificate, drive-out of artificials, phase 2, unbounded detection
-and solution recovery. Phase 2 optimizes the objectives in turn in one
-tableau: after each, the nonbasic columns with nonzero reduced cost are
-fixed at zero, so the next one sees only the optimal face (a lexicographic
-optimum). The mode picks one of two kernels, which own only their numbers:
+artificial columns (row i starts on column n + i), the pivot rule, the
+infeasibility test and Farkas certificate, drive-out of artificials, phase
+2, unbounded detection and solution recovery. Phase 2 optimizes the
+objectives in turn in one tableau: after each, the nonbasic columns with
+nonzero reduced cost are fixed at zero, so the next one sees only the
+optimal face (a lexicographic optimum). The mode picks one of two
+kernels, which own only their numbers:
 `_IntTableau` (exact mode, for rational inputs) keeps rows of Python ints
 over per-row denominators, updates a row only at the nonzeros of the pivot
 row and scales it only when the pivot does not divide its entry, and
@@ -387,15 +388,6 @@ def _optimize(tab, basis, allowed, cap, pivots):
         prev = obj
 
 
-def _start_basis(crash, m, n):
-    """Row i starts on its crash column, or else on a new artificial column.
-
-    Returns the basis and {row: artificial column}.
-    """
-    art = {i: n + k for k, i in enumerate(i for i in range(m) if i not in crash)}
-    return [crash[i] if i in crash else art[i] for i in range(m)], art
-
-
 # ---------------------------------------------------------------------------
 # Exact kernel: dense tableau of Python ints.
 #
@@ -456,27 +448,6 @@ def _eliminate(row, den, f, P, p, nz):
     return _reduced(row, den * scale)
 
 
-def _crash_columns(rows, m, n):
-    """{row: column} for the columns with a single nonzero, which is positive.
-
-    Such a column can serve as its row's basic variable directly, so only
-    the remaining rows need artificial variables in phase 1.
-    """
-    count = [0] * n
-    where = [-1] * n
-    for i in range(m):
-        row = rows[i]
-        for j in range(n):
-            if row[j] != 0:
-                count[j] += 1
-                where[j] = i
-    crash = {}
-    for j in range(n):
-        if count[j] == 1 and rows[where[j]][j] > 0 and where[j] not in crash:
-            crash[where[j]] = j
-    return crash
-
-
 class _IntTableau:
     CAP = None  # Bland's rule terminates in exact arithmetic
 
@@ -485,27 +456,19 @@ class _IntTableau:
         data = program.integer_data
         T = [list(r) if flip > 0 else [-x for x in r] for (r, _), flip in zip(data, flips)]
         D = [den for _, den in data]
-        crash = _crash_columns(T, m, n)
-        self.basis, self.art = _start_basis(crash, m, n)
-        self.crash = {}  # row: (column, coefficient numerator, row denominator)
-        pad = [0] * len(self.art)
-        for i, row in enumerate(T):
-            row[n:n] = pad
-            if i in crash:
-                piv = row[crash[i]]
-                self.crash[i] = (crash[i], piv, D[i])
-                T[i], D[i] = _reduced(row, piv)
-            else:
-                row[self.art[i]] = D[i]
         # Phase 1 reduced costs for minimizing the artificial sum: minus the
-        # sum of the artificial rows (f = den subtracts a row whole), zero on
-        # the artificial columns.
-        red, red_den = [0] * (n + len(pad) + 1), 1
-        for i in self.art:
-            red, red_den = _eliminate(red, red_den, red_den, T[i], D[i],
-                                      [j for j, a in enumerate(T[i]) if a])
-        for col in self.art.values():
-            red[col] = 0
+        # sum of the rows (f = den subtracts a row whole), zero on the
+        # artificial columns.
+        red, red_den = [0] * (n + 1), 1
+        for row, den in zip(T, D):
+            red, red_den = _eliminate(red, red_den, red_den, row, den,
+                                      [j for j, a in enumerate(row) if a])
+        # Row i starts on its artificial column n + i, which holds 1 = D[i] / D[i].
+        for i, row in enumerate(T):
+            row[n:n] = [0] * m
+            row[n + i] = D[i]
+        red[n:n] = [0] * m
+        self.n, self.basis = n, list(range(n, n + m))
         self.T, self.D = T + [red], D + [red_den]
 
     def entering(self, allowed, bland):
@@ -555,14 +518,10 @@ class _IntTableau:
         return Fraction(-self.T[-1][-1], self.D[-1])
 
     def dual(self, i):
-        """Phase-1 dual value of row i, from the reduced cost r of its starting
-        column: 1 - r for an artificial (cost 1), -r / coefficient for a
-        crash column (cost 0; its row was divided by the coefficient)."""
+        """Phase-1 dual value of row i: 1 - r, with r the reduced cost of its
+        artificial column n + i (cost 1)."""
         red, den = self.T[-1], self.D[-1]
-        if i in self.crash:
-            j, num, row_den = self.crash[i]
-            return Fraction(-red[j] * row_den, den * num)
-        return Fraction(den - red[self.art[i]], den)
+        return Fraction(den - red[self.n + i], den)
 
     def structural(self, i, n):
         return next((j for j in range(n) if self.T[i][j]), -1)
@@ -610,7 +569,8 @@ class _IntTableau:
 # last entry the reduced cost c_j - y A_j, and the reduced-cost row is
 # R[-1, :-1] @ C, so pricing is one vector-matrix product, the entering
 # column one matrix-vector product and a pivot one rank-1 update of R.
-# Entries within eps of zero count as zero.
+# Phase 1 starts with every row on its artificial: R is the identity beside
+# |b|, with -y = -1 on every row. Entries within eps of zero count as zero.
 # ---------------------------------------------------------------------------
 
 class _FloatRevised:
@@ -625,26 +585,11 @@ class _FloatRevised:
         negated = [i for i, flip in enumerate(flips) if flip < 0]
         if negated:
             C[negated] *= -1.0
-        A = C[:m]
-        nonzero = A != 0.0
-        crash = {}
-        for j in np.nonzero(nonzero.sum(axis=0) == 1)[0]:
-            i = int(np.argmax(nonzero[:, j]))
-            if i not in crash and A[i, j] > 0:
-                crash[i] = int(j)
-        self.basis, self.art = _start_basis(crash, m, n)
-        # The extended basis is diagonal: crash coefficients, and ones for
-        # the artificials and the cost row.
-        diag = np.ones(m + 1)
-        for i, j in crash.items():
-            diag[i] = A[i, j]
-        R = np.zeros((m + 1, m + 2))
-        np.fill_diagonal(R, 1.0 / diag)
-        R[:m, -1] = np.abs(b) / diag[:m]
-        # Phase 1 minimizes the artificial sum: y is 1 on artificial rows.
-        arts = list(self.art)
-        R[-1, arts] = -1.0
-        R[-1, -1] = -R[arts, -1].sum()
+        self.basis = list(range(n, n + m))
+        R = np.eye(m + 1, m + 2)
+        R[:m, -1] = np.abs(b)
+        R[-1, :m] = -1.0
+        R[-1, -1] = -R[:m, -1].sum()
         self.C = C
         self._inverse(R)
         self.red, self.col, self.d = None, -1, None

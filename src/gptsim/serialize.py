@@ -226,7 +226,9 @@ def certificate_from_json(doc: dict, mode=None) -> SimulationCertificate:
     """Decode a certificate; a malformed field raises ValueError naming it."""
     doc = _object(doc, "a certificate")
     mode = mode or detect_mode(doc)
-    if doc["verdict"] != SIMULABLE:
+    if doc["verdict"] not in (SIMULABLE, NOT_SIMULABLE):
+        raise ValueError("certificate field 'verdict' must be 'simulable' or 'not_simulable'")
+    if doc["verdict"] == NOT_SIMULABLE:
         return SimulationCertificate(
             NOT_SIMULABLE, farkas=_numbers(doc["farkas"], mode, "certificate field 'farkas'"))
     weights = _numbers(doc["weights"], mode, "certificate field 'weights'")

@@ -394,10 +394,13 @@ def smin(targets: Sequence[Observable], pool: Sequence[Observable],
 
     Exhaustive search in increasing k, subsets in lexicographic order.
     Returns None when no subset of size <= k_max works (unknown above
-    k_max); the value is exact relative to the pool.
+    k_max); the value is exact relative to the pool. k_max < 1 raises
+    ValueError.
     """
     if not pool:
         raise ValueError("pool must be nonempty")
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
     pool = list(pool)
     for k in range(1, min(k_max, len(pool)) + 1):
         for subset in itertools.combinations(pool, k):

@@ -66,15 +66,14 @@ def fraction_simplex(program, stall_limit):
     """Two-phase simplex on a dense tableau of Fractions, with the rules of
     `gptsim.lp`, for an exact program.
 
-    Rows with a negative right-hand side are negated. A column with a single
-    nonzero, which is positive, starts its row (the first such column per
-    row); every other row starts on an artificial, numbered in row order.
-    Both phases minimize: phase 1 the artificial sum, phase 2 the negated
-    objective, then each tie-break with the columns of nonzero reduced cost
-    fixed at zero. The entering column has the least reduced cost (the
-    first on ties) until the objective has stalled for more than
-    `stall_limit` pivots, and from then on the first negative one; the
-    leaving row has the least ratio, ties to the smallest basic index.
+    Rows with a negative right-hand side are negated, and row i starts on
+    its artificial column n + i. Both phases minimize: phase 1 the
+    artificial sum, phase 2 the negated objective, then each tie-break
+    with the columns of nonzero reduced cost fixed at zero. The entering
+    column has the least reduced cost (the first on ties) until the
+    objective has stalled for more than `stall_limit` pivots, and from then
+    on the first negative one; the leaving row has the least ratio, ties to
+    the smallest basic index.
     After phase 1 each basic artificial is pivoted out on its row's first
     nonzero structural column, or its row dropped when there is none.
 
@@ -87,23 +86,9 @@ def fraction_simplex(program, stall_limit):
     flips = [-1 if b < 0 else 1 for b in program.rhs]
     A = [[f * Fraction(x) for x in r] + [f * Fraction(b)]
          for r, b, f in zip(program.rows, program.rhs, flips)]
-    crash = {}
-    for j in range(n):
-        hits = [i for i in range(m) if A[i][j]]
-        if len(hits) == 1 and A[hits[0]][j] > 0 and hits[0] not in crash:
-            crash[hits[0]] = j
-    arts = [i for i in range(m) if i not in crash]
-    width = n + len(arts)
-    T, basis = [], []
-    for i, row in enumerate(A):
-        row = row[:n] + [zero] * len(arts) + row[n:]
-        if i in crash:
-            basis.append(crash[i])
-            row = [x / A[i][crash[i]] for x in row]
-        else:
-            basis.append(n + arts.index(i))
-            row[basis[-1]] = one
-        T.append(row)
+    T = [row[:n] + [one if k == i else zero for k in range(m)] + row[n:]
+         for i, row in enumerate(A)]
+    basis = list(range(n, n + m))
 
     def price(cost):  # the reduced-cost row of `cost`, kept as T's last row
         red = list(cost)
@@ -139,13 +124,12 @@ def fraction_simplex(program, stall_limit):
                 stall = 0
             prev = T[-1][-1]
 
-    price([zero] * n + [one] * len(arts) + [zero])
+    price([zero] * n + [one] * m + [zero])
     pivots, _ = optimize(0)
     if T[-1][-1] < 0:  # minus the artificial sum
         # Dual values c_B B^-1 of the negated rows, from the reduced costs
-        # of the starting columns: cost 1 on an artificial, 0 on a crash column.
-        y = [-T[-1][crash[i]] / A[i][crash[i]] if i in crash
-             else one - T[-1][n + arts.index(i)] for i in range(m)]
+        # of the artificial columns, whose cost is 1.
+        y = [one - T[-1][n + i] for i in range(m)]
         scale = sum(v * abs(Fraction(b)) for v, b in zip(y, program.rhs))
         farkas = tuple(v * f / scale for v, f in zip(y, flips))
         return ("infeasible", None, farkas, None, None, pivots)
@@ -174,7 +158,7 @@ def fraction_simplex(program, stall_limit):
                 break
         T.pop()
         price([zero if j in fixed else -Fraction(c) for j, c in enumerate(objective)]
-              + [zero] * (width - n + 1))
+              + [zero] * (m + 1))
         total, col = optimize(pivots)
         if col >= 0:
             ray = [zero] * n

@@ -21,10 +21,10 @@ LP_WORK = {
     "tetrahedron": (4, 42),
     "hexagon-noise": (6, 83),
     "qubit-triplet-compat": (24, 1859),
-    "closure-laws": (505, 9225),
+    "closure-laws": (505, 9229),
     "structural-cross-validation": (1300, 7077),
     "noise-content": (70, 622),
-    "exact-float-agreement": (349, 2736),
+    "exact-float-agreement": (349, 2768),
 }
 
 

@@ -177,6 +177,19 @@ def test_sim_check_verify_rejects_non_list_fields(capsys, tmp_path, field, value
     assert f"certificate field {field!r} must be a list" in err
 
 
+@pytest.mark.parametrize("verdict", ["simulabel", "", None, 1])
+def test_sim_check_verify_rejects_an_unknown_verdict(capsys, tmp_path, verdict):
+    # A verdict other than simulable or not_simulable is an input error, not
+    # a refutation to replay.
+    sq = square_bit()
+    args = _square_bit_check(tmp_path, sq.E, [sq.E, sq.F])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"verdict": verdict, "farkas": ["1"]}))
+    code, out, err = run_cli(capsys, *args, "--verify", str(bad))
+    assert code == 2 and not out
+    assert "certificate field 'verdict' must be" in err
+
+
 def test_sim_check_verify_rejects_a_non_object_certificate(capsys, tmp_path):
     sq = square_bit()
     args = _square_bit_check(tmp_path, sq.E, [sq.E, sq.F])
@@ -361,12 +374,29 @@ def test_sim_smin_xyz(capsys, tmp_path):
     assert payload(out)["smin"] == 3
 
 
+def test_sim_smin_k_max_below_1_exit_2(capsys, tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text(dump_json(qubit_observable_to_json(qubit_suite().X)))
+    code, out, err = run_cli(capsys, "sim", "smin", "--target", str(path),
+                             "--pool", str(path), "--k-max", "0")
+    assert code == 2 and not out
+    assert "k_max must be at least 1" in err
+
+
 def test_polygon_counts_all_match(capsys):
     code, out, _ = run_cli(capsys, "polygon", "counts", "--n-max", "10")
     assert code == 0
     doc = payload(out)
     assert doc["all_match"] is True
     assert [r["n"] for r in doc["rows"]] == list(range(3, 11))
+
+
+@pytest.mark.parametrize("n_max", ["2", "0", "-5"])
+def test_polygon_counts_empty_range_exit_2(capsys, n_max):
+    # An empty range checks nothing, so it cannot report all_match.
+    code, out, err = run_cli(capsys, "polygon", "counts", "--n-max", n_max)
+    assert code == 2 and not out
+    assert "--n-max must be at least 3" in err
 
 
 def test_polygon_counts_csv(capsys):
@@ -523,6 +553,14 @@ def test_reproduce_single(capsys):
     doc = payload(out)
     assert doc["all_passed"] is True
     assert "[pass] polygon-counts" in err
+
+
+def test_envelope_config_has_no_seed(capsys):
+    code, out, _ = run_cli(capsys, "reproduce", "tetrahedron")
+    assert code == 0
+    assert set(json.loads(out)["config"]) == {"mode", "eps", "format", "k_max", "facets"}
+    with pytest.raises(SystemExit):
+        main(["reproduce", "tetrahedron", "--seed", "1"])
 
 
 def test_reproduce_unknown_id(capsys):

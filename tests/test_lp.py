@@ -203,8 +203,8 @@ def test_exact_verifiers_reject_float_data():
 
 @pytest.mark.parametrize("kernel, one", [("_IntTableau", 1), ("_FloatRevised", 1.0)])
 def test_nonpositive_farkas_scale_raises(monkeypatch, kernel, one):
-    # -x0 - x1 = 1 is infeasible; row 2 starts on the crash column x2 and
-    # row 1 on an artificial. With both dual values read as -1, y'b < 0.
+    # -x0 - x1 = 1 is infeasible, and each row starts on its artificial.
+    # With both dual values read as -1, y'b < 0.
     from gptsim import lp
 
     p = make_program(rows=[(-one, -one, 0), (one, 0, one)], rhs=(one, one))
@@ -219,8 +219,8 @@ def test_nonpositive_farkas_scale_raises(monkeypatch, kernel, one):
 
 @pytest.mark.parametrize("kernel, one", [("_IntTableau", 1), ("_FloatRevised", 1.0)])
 def test_unbounded_phase_1_raises_certificate_error(monkeypatch, kernel, one):
-    # No column of x0 + x1 = 2, x0 - x1 = 0 is a crash column, so phase 1
-    # must pivot; a ratio test that finds no leaving row is a breakdown.
+    # x0 + x1 = 2, x0 - x1 = 0 start on their artificials, so phase 1 must
+    # pivot; a ratio test that finds no leaving row is a breakdown.
     from gptsim import lp
 
     p = make_program(rows=[(one, one), (one, -one)], rhs=(2 * one, 0 * one))
@@ -355,7 +355,7 @@ def test_exact_outcomes_pinned():
         digest.update(repr(out).encode())
     assert verdicts == {FEASIBLE, INFEASIBLE}
     assert digest.hexdigest() == (
-        "e318f92f5a4b036f7d010d93f472c32a53b88ee78311c20be5daa8f1cb476f82")
+        "686d9d0ed27c57ce5c46361cfee02de5d4c821ff30d203627a6ce58e5ce05676")
 
 
 def _greedy_conic_programs(v, rays):
@@ -423,27 +423,47 @@ def test_float_outcomes_pinned():
         digest.update(repr((out.verdict, out.pivots)).encode())
     assert (verdicts.count(FEASIBLE), verdicts.count(INFEASIBLE)) == (736, 113)
     assert digest.hexdigest() == (
-        "bc894f152fe704306359745c2d7f15b5fb1443462c66ccf0538a2acb3f10b925")
+        "e0bc811d3d5178cad9143d708c0555b8e0313a5eebbf79b320d5747e9184485a")
 
 
 def test_float_ratio_ties_go_to_the_smallest_basic_index():
-    # Rows 0-2 start on their crash columns 3, 1 and 2; row 1 is negated
-    # (its right-hand side is negative) and scaled by its crash coefficient.
-    # Entering x0, rows 0 and 1 tie within eps (ratios 1 and 1 + 1e-12) and
-    # row 2 (ratio 2) does not. The tie goes to row 1, whose basic index is
-    # the smaller, although row 0 comes first and has the smaller ratio.
+    # Every row starts on its artificial, so the basic values are |b| =
+    # (1, 2 + 2e-12, 2), and the column of x0 in the flipped rows is
+    # (1, 2, 1). Rows 0 and 1 tie within eps (ratios 1 and 1 + 1e-12) and
+    # row 2 (ratio 2) does not. The tie goes to the row whose basic index is
+    # the smaller, row 1 too, although row 0 comes first and has the smaller
+    # ratio.
     from gptsim import lp
     from gptsim.scalars import DEFAULT_TOLERANCE, field
 
     rows = [(1.0, 0.0, 0.0, 1.0), (-2.0, -2.0, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0)]
     p = make_program(rows=rows, rhs=(1.0, -2.0 - 2e-12, 2.0), objective=(1.0, 0.0, 0.0, 0.0))
     tab = lp._FloatRevised(p, [1, -1, 1], field(FLOAT, DEFAULT_TOLERANCE))
-    assert tab.basis == [3, 1, 2] and not tab.art
-    assert tab.leaving(0, tab.basis) == 1
-    assert tab.leaving(0, [1, 3, 2]) == 0
-    out = lp_solve(p)
-    assert out.verdict == FEASIBLE and out.pivots == 1
-    assert out.solution[1] == 0.0 and out.solution[3] != 0.0  # x1 left, x3 stayed
+    for basis, row in (([4, 5, 6], 0), ([5, 4, 6], 1), ([3, 1, 2], 1), ([1, 3, 2], 0)):
+        assert tab.leaving(0, basis) == row
+
+
+def test_singleton_columns_start_on_artificials():
+    # Column x2 has one nonzero, positive, in row 1, the case that once
+    # started row 1 on x2. Row i starts on artificial column n + i in both
+    # kernels, and both decide the feasible and the infeasible variant
+    # alike, with certificates that replay.
+    from gptsim import lp
+    from gptsim.scalars import DEFAULT_TOLERANCE, field
+
+    for sign, verdict in ((1, FEASIBLE), (-1, INFEASIBLE)):
+        rows, rhs = [(sign, sign, 0), (1, 0, 1)], (1, 1)
+        outs = []
+        for kernel, mode, kind in ((lp._IntTableau, EXACT, F), (lp._FloatRevised, FLOAT, float)):
+            p = make_program(rows=[[kind(x) for x in r] for r in rows],
+                             rhs=[kind(b) for b in rhs], objective=[kind(0), kind(0), kind(1)])
+            assert kernel(p, [1, 1], field(mode, DEFAULT_TOLERANCE)).basis == list(range(3, 5))
+            out = lp_solve(p, mode=mode)
+            assert out.verdict == verdict
+            assert (verify_solution(p, out.solution) if verdict == FEASIBLE
+                    else verify_farkas(p, out.farkas))
+            outs.append(out)
+        assert outs[0].solution == outs[1].solution and outs[0].farkas == outs[1].farkas
 
 
 @pytest.mark.parametrize("last", [1, -1])

@@ -101,6 +101,12 @@ def test_certificate_roundtrip(sq):
     assert replay_simulation(back, sq.E, [sq.F])
 
 
+def test_certificate_with_an_unknown_verdict_is_rejected():
+    # a misspelt verdict is not read as a refutation
+    with pytest.raises(ValueError, match="certificate field 'verdict' must be"):
+        certificate_from_json({"verdict": "simulabel", "farkas": ["1"]})
+
+
 def test_relation_certificate_roundtrip(sq):
     # a relation certificate is a simulation certificate, so it stores and
     # replays like one

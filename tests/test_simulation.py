@@ -400,6 +400,12 @@ def test_smin_unknown_above_kmax(suite):
     assert smin(xyz, xyz, k_max=2) is None
 
 
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_smin_rejects_k_max_below_1(suite, k_max):
+    with pytest.raises(ValueError, match="k_max must be at least 1"):
+        smin([suite.X], [suite.X], k_max=k_max)
+
+
 def test_hull_necessary(suite, hexagon):
     ex = hexagon_noise_example(0.25)
     results = dichotomic_hull_necessary(ex.observable, list(ex.simulators))
