@@ -11,9 +11,11 @@ hashable. Either way the float kernel and the float verifiers read the
 program as float arrays (`LinearProgram.float_data`), converted at most
 once per program.
 One two-phase simplex driver, `_simplex`, owns the algorithm: phase 1 from
-artificial columns (row i starts on column n + i), the pivot rule, the
-infeasibility test and Farkas certificate, drive-out of artificials, phase
-2, unbounded detection and solution recovery. Phase 2 optimizes the
+artificial columns (row i starts on column n + i unless the program's
+`start` names a unit column e_i for it, which then starts basic at level
+b_i and costs nothing in phase 1), the pivot rule, the infeasibility test
+and Farkas certificate, drive-out of artificials, phase 2, unbounded
+detection and solution recovery. Phase 2 optimizes the
 objectives in turn in one tableau: after each, the nonbasic columns with
 nonzero reduced cost are fixed at zero, so the next one sees only the
 optimal face (a lexicographic optimum). The mode picks one of two
@@ -109,13 +111,20 @@ class LinearProgram:
     `rows` is a tuple of tuples or a read-only 2-D float ndarray (float data
     only); a program with ndarray rows is not hashable. Float replay of
     either is one matrix-vector product over the rows as one float array,
-    `float_data`, which the float kernel reads too."""
+    `float_data`, which the float kernel reads too.
+
+    `start` holds (row, column) pairs: the simplex starts each named row on
+    that column instead of its artificial. The column must be the unit
+    column e_row and the row's right-hand side nonnegative, so that the
+    column is basic at level rhs[row]; a row named twice, an index out of
+    range or any other column raises ValueError."""
 
     num_vars: int
     rows: tuple
     rhs: tuple
     objective: Optional[tuple] = None
     tiebreaks: tuple = ()
+    start: tuple = ()
 
     def __post_init__(self):
         if len(self.rows) != len(self.rhs):
@@ -127,6 +136,27 @@ class LinearProgram:
             raise ValueError("tie-breaks need an objective")
         if any(len(c) != self.num_vars for c in self.objectives()):
             raise ValueError("objective width must equal variable count")
+        if self.start:
+            self._check_start()
+
+    def _check_start(self):
+        m, n = len(self.rhs), self.num_vars
+        named, cols = zip(*self.start)
+        if not all(0 <= i < m for i in named) or not all(0 <= j < n for j in cols):
+            raise ValueError("start names a row or column out of range")
+        if len(set(named)) != len(named):
+            raise ValueError("start names a row twice")
+        if any(self.rhs[i] < 0 for i in named):
+            raise ValueError("a started row needs a nonnegative right-hand side")
+        if isinstance(self.rows, np.ndarray):
+            block = self.rows[:, cols]
+            unit = ((block[named, range(len(cols))] == 1).all()
+                    and np.count_nonzero(block) == len(cols))
+        else:
+            columns = list(zip(*self.rows))
+            unit = all(columns[j].count(0) == m - 1 and columns[j][i] == 1 for i, j in self.start)
+        if not unit:
+            raise ValueError("a start column must be the unit column of its row")
 
     @property
     def nonneg(self) -> tuple:
@@ -165,7 +195,7 @@ class LinearProgram:
         return data
 
 
-def make_program(rows, rhs, objective=None, tiebreaks=()) -> LinearProgram:
+def make_program(rows, rhs, objective=None, tiebreaks=(), start=()) -> LinearProgram:
     """Convenience constructor.
 
     A 2-D float ndarray of rows is kept as a read-only view, without a copy;
@@ -184,6 +214,7 @@ def make_program(rows, rhs, objective=None, tiebreaks=()) -> LinearProgram:
         rhs=tuple(rhs),
         objective=tuple(objective) if objective is not None else None,
         tiebreaks=tuple(tuple(c) for c in tiebreaks),
+        start=tuple((int(i), int(j)) for i, j in start),
     )
 
 
@@ -290,13 +321,9 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
     if col >= 0:  # the artificial sum is bounded below by 0: a numerical breakdown
         raise CertificateError("phase 1 cannot be unbounded")
     if tab.artificial_sum() > F.eps:
-        # Dual values of the flipped rows, whose right-hand sides are |b|;
-        # the division by the scale also undoes the flips.
-        y = [tab.dual(i) for i in range(m)]
-        scale = tab.dot(y, [abs(b) for b in program.rhs])
-        if not scale > 0:
+        farkas = tab.farkas(program, flips)
+        if farkas is None:
             raise CertificateError("Farkas scale must be positive")
-        farkas = tuple(v / scale if flip > 0 else v / -scale for v, flip in zip(y, flips))
         return LPOutcome(INFEASIBLE, F.mode, farkas=farkas, pivots=pivots)
 
     # Pivot zero-level artificials out of the basis; a row with no
@@ -335,6 +362,16 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
     value = None if ray or program.objective is None else tab.dot(program.objective, sol)
     return LPOutcome(UNBOUNDED if ray else FEASIBLE, F.mode, solution=sol,
                      objective_value=value, ray=ray, pivots=pivots)
+
+
+def _initial_basis(program: LinearProgram) -> list:
+    """Row i's starting basic column: the one `program.start` names for it,
+    or its artificial n + i."""
+    n = program.num_vars
+    basis = list(range(n, n + len(program.rhs)))
+    for i, j in program.start:
+        basis[i] = j
+    return basis
 
 
 def _ray_replays(program: LinearProgram, ray, objective, eps) -> bool:
@@ -456,19 +493,22 @@ class _IntTableau:
         data = program.integer_data
         T = [list(r) if flip > 0 else [-x for x in r] for (r, _), flip in zip(data, flips)]
         D = [den for _, den in data]
-        # Phase 1 reduced costs for minimizing the artificial sum: minus the
-        # sum of the rows (f = den subtracts a row whole), zero on the
-        # artificial columns.
+        basis = _initial_basis(program)
+        # Phase 1 reduced costs for minimizing the sum of the artificials that
+        # start basic: minus the sum of their rows (f = den subtracts a row
+        # whole), zero on the artificial columns. A started row's unit column
+        # holds D[i] / D[i] = 1 and is zero in every other row.
         red, red_den = [0] * (n + 1), 1
-        for row, den in zip(T, D):
-            red, red_den = _eliminate(red, red_den, red_den, row, den,
-                                      [j for j, a in enumerate(row) if a])
-        # Row i starts on its artificial column n + i, which holds 1 = D[i] / D[i].
+        for row, den, j in zip(T, D, basis):
+            if j >= n:
+                red, red_den = _eliminate(red, red_den, red_den, row, den,
+                                          [k for k, a in enumerate(row) if a])
+        # Row i has its artificial column n + i, which holds 1 = D[i] / D[i].
         for i, row in enumerate(T):
             row[n:n] = [0] * m
             row[n + i] = D[i]
         red[n:n] = [0] * m
-        self.n, self.basis = n, list(range(n, n + m))
+        self.n, self.basis, self.cost = n, basis, [j >= n for j in basis]
         self.T, self.D = T + [red], D + [red_den]
 
     def entering(self, allowed, bland):
@@ -518,10 +558,26 @@ class _IntTableau:
         return Fraction(-self.T[-1][-1], self.D[-1])
 
     def dual(self, i):
-        """Phase-1 dual value of row i: 1 - r, with r the reduced cost of its
-        artificial column n + i (cost 1)."""
-        red, den = self.T[-1], self.D[-1]
-        return Fraction(den - red[self.n + i], den)
+        """Phase-1 dual value of row i times the reduced-cost denominator
+        den, an integer: cost_i * den - r, with r the numerator of the
+        reduced cost of its artificial column n + i, whose cost cost_i is 1
+        if the row started on it and 0 if it started on a structural column."""
+        return self.cost[i] * self.D[-1] - self.T[-1][self.n + i]
+
+    def farkas(self, program, flips):
+        """y / y'|b| with the flips undone, for the duals y = v / den of the
+        flipped rows, whose right-hand sides are |b|; None unless y'|b| > 0.
+        With b_j = B_j / D_j read from `integer_data` and L the lcm of the
+        D_j that count, y'|b| = N / (L den) for the integer N = sum_j v_j
+        |B_j| L / D_j, so entry i is the one Fraction v_i L / +-N."""
+        v = [self.dual(i) for i in range(len(flips))]
+        terms = [(x * abs(row[-1]), den) for x, (row, den) in zip(v, program.integer_data)
+                 if x and row[-1]]
+        L = lcm(*(den for _, den in terms))
+        N = sum(t * (L // den) for t, den in terms)
+        if not N > 0:
+            return None
+        return tuple(Fraction(x * L, N if flip > 0 else -N) for x, flip in zip(v, flips))
 
     def structural(self, i, n):
         return next((j for j in range(n) if self.T[i][j]), -1)
@@ -569,8 +625,10 @@ class _IntTableau:
 # last entry the reduced cost c_j - y A_j, and the reduced-cost row is
 # R[-1, :-1] @ C, so pricing is one vector-matrix product, the entering
 # column one matrix-vector product and a pivot one rank-1 update of R.
-# Phase 1 starts with every row on its artificial: R is the identity beside
-# |b|, with -y = -1 on every row. Entries within eps of zero count as zero.
+# Phase 1 starts each row on its artificial or on the unit column the
+# program names for it, so B is the identity: R is the identity beside |b|,
+# with -y = -1 on a row started on its artificial and 0 on a started row.
+# Entries within eps of zero count as zero.
 # ---------------------------------------------------------------------------
 
 class _FloatRevised:
@@ -585,11 +643,16 @@ class _FloatRevised:
         negated = [i for i, flip in enumerate(flips) if flip < 0]
         if negated:
             C[negated] *= -1.0
-        self.basis = list(range(n, n + m))
+        self.basis = _initial_basis(program)
         R = np.eye(m + 1, m + 2)
         R[:m, -1] = np.abs(b)
         R[-1, :m] = -1.0
-        R[-1, -1] = -R[:m, -1].sum()
+        art = R[:m, -1]  # the basic values of the rows started on artificials
+        if program.start:
+            started = [i for i, _ in program.start]
+            R[-1, started] = 0.0
+            art = np.delete(art, started)
+        R[-1, -1] = -art.sum()
         self.C = C
         self._inverse(R)
         self.red, self.col, self.d = None, -1, None
@@ -655,6 +718,15 @@ class _FloatRevised:
     def dual(self, i):
         """Phase-1 dual value of row i."""
         return float(-self.R[-1, i])
+
+    def farkas(self, program, flips):
+        """y / y'|b| with the flips undone, for the duals y of the flipped
+        rows, whose right-hand sides are |b|; None unless y'|b| > 0."""
+        y = [self.dual(i) for i in range(len(flips))]
+        scale = self.dot(y, [abs(b) for b in program.rhs])
+        if not scale > 0:
+            return None
+        return tuple(v / scale if flip > 0 else v / -scale for v, flip in zip(y, flips))
 
     def structural(self, i, n):
         hits = np.nonzero(np.abs(self.Q[i] @ self.C[:, :n]) > self.eps)[0]

@@ -94,54 +94,80 @@ def _check_same_space(target: Observable, simulators: Sequence[Observable]):
         raise ValueError("observables live in different ambient dimensions")
 
 
-_memo = ((), None)  # ((target, *simulators), program) of the last program built
+_memo = ((), None, None)  # ((target, *simulators), tol, program) of the last program built
 
 
-def simulation_program(target: Observable,
-                       simulators: Sequence[Observable]) -> LinearProgram:
+def _sums_agree(target: Observable, simulators: Sequence[Observable], F) -> bool:
+    """Every simulator's effects sum to the target's effect sum: exactly in
+    exact mode, within eps in each coordinate in float mode."""
+    s = target.effect_sum
+    if F.mode != FLOAT:
+        return all(sim.effect_sum == s for sim in simulators)
+    return all(len(sim.effect_sum) == len(s)
+               and all(abs(a - b) <= F.eps for a, b in zip(sim.effect_sum, s))
+               for sim in simulators)
+
+
+def simulation_program(target: Observable, simulators: Sequence[Observable],
+                       tol: Tolerance = DEFAULT_TOLERANCE) -> LinearProgram:
     """The feasibility LP whose solutions are scaled simulation schemes.
 
     Variables are the blocks M_i[x,y] >= 0 followed by the weights c_i; the
     constraints are constant row sums within each simulator, total weight
-    one, and effect matching. Row g < X (X the simulators' outcomes in turn)
-    holds ones across block row g and -1 in its simulator's weight column;
-    row X is the weight row; row X + 1 + y * dim + d matches coefficient d
-    of target effect y with the simulators' coefficients d under column y
-    of every block. Float mode places these blocks into one zeroed float
-    ndarray, which the float kernel and the float verifiers take as it is.
-    Exact mode keeps tuples of int 0 and +-1 and the effects' own numbers,
-    which the program clears to integers once, on first read of its
-    `integer_data`: an object array placed the same way holds the same
-    entries but is slower to build.
+    one, and effect matching for every target outcome but the last. Row
+    g < X (X the simulators' outcomes in turn) holds ones across block row
+    g and -1 in its simulator's weight column; row X is the weight row W;
+    row X + 1 + y * dim + d, for y < ny - 1, matches coefficient d of
+    target effect y with the simulators' coefficients d under column y of
+    every block.
+
+    The last outcome's rows are implied. When every simulator's effects sum
+    to the target's effect sum s, row (last, d) is s(d) W + sum_g B_g(d)
+    RS_g - sum_{y < last} row (y, d), with RS_g row g and B_g the effect of
+    row g, and its right-hand side A_last(d) is s(d) - sum_{y < last} A_y(d).
+    So the sums must agree (exactly in exact mode, within eps in each
+    coordinate in float mode), or ValueError is raised. Without those rows
+    column g * ny + ny - 1, M[g, last], is the unit column of row g, and the
+    program starts each row g on it (`LinearProgram.start`).
+
+    Float mode places these blocks into one zeroed float ndarray, which the
+    float kernel and the float verifiers take as it is. Exact mode keeps
+    tuples of int 0 and +-1 and the effects' own numbers, which the program
+    clears to integers once, on first read of its `integer_data`: an object
+    array placed the same way holds the same entries but is slower to build.
 
     The last program is memoized by the identity (`is`) of the target and of
-    each simulator, so a replay right after its decision reuses it, and with
-    it the integer clearing that the decision's exact solve made; the memo
-    holds the observables, so their ids are not recycled. A miss drops the
-    memoized program before it builds the next one.
+    each simulator and by the tolerance, so a replay right after its
+    decision reuses it, and with it the integer clearing that the decision's
+    exact solve made; the memo holds the observables, so their ids are not
+    recycled. A miss drops the memoized program before it builds the next one.
     """
     global _memo
-    key, (last_key, program) = (target, *simulators), _memo
-    if len(key) == len(last_key) and all(a is b for a, b in zip(key, last_key)):
+    key, (last_key, last_tol, program) = (target, *simulators), _memo
+    if (len(key) == len(last_key) and all(a is b for a, b in zip(key, last_key))
+            and last_tol == tol):
         return program
-    _memo = program = ((), None)  # no reference to the last program outlives the build
-    F = _common_field(target, simulators)
+    _memo = program = ((), None, None)  # no reference to the last program outlives the build
+    F = _common_field(target, simulators, tol)
+    if not _sums_agree(target, simulators, F):
+        raise ValueError("the target's effects and each simulator's must sum to one vector")
     ny, dim, k = target.n_outcomes, target.dim, len(simulators)
     sizes = [sim.n_outcomes for sim in simulators]
     nx = sum(sizes)
     c0 = nx * ny  # block M_i starts at column ny * (outcomes of the simulators before i)
     zero, one = (F.zero, F.one) if F.mode == FLOAT else (0, 1)
-    rhs = [zero] * nx + [one] + [x for eff in target.effects for x in eff.coeffs]
+    rhs = [zero] * nx + [one] + [x for eff in target.effects[:-1] for x in eff.coeffs]
     effects = [eff.coeffs for sim in simulators for eff in sim.effects]  # row g's effect
     if F.mode == FLOAT:
         # Placed, not multiplied in: 0.0 * x is -0.0 for negative x.
-        rows = np.zeros((nx + 1 + ny * dim, c0 + k))
+        rows = np.zeros((nx + 1 + (ny - 1) * dim, c0 + k))
         g = np.arange(nx)
         rows[:nx, :c0].reshape(nx, nx, ny)[g, g] = 1.0
         rows[g, c0 + np.repeat(np.arange(k), sizes)] = -1.0
         rows[nx, c0:] = 1.0
         coeffs = np.array(effects, dtype=float).T  # column g: row g's effect
-        rows[nx + 1:, :c0].reshape(ny, dim, nx, ny)[range(ny), :, :, range(ny)] = coeffs
+        kept = range(ny - 1)
+        rows[nx + 1:, :c0].reshape(ny - 1, dim, nx, ny)[kept, :, :, kept] = coeffs
     else:
         rows = []  # of tuples, which make_program keeps without a second copy
         owners = (i for i, n in enumerate(sizes) for _ in range(n))  # row g's simulator
@@ -151,26 +177,48 @@ def simulation_program(target: Observable,
             row[c0 + i] = -1
             rows.append(tuple(row))
         rows.append((0,) * c0 + (1,) * k)
-        for yi in range(ny):
+        for yi in range(ny - 1):
             for d in range(dim):
                 row = [0] * (c0 + k)
                 row[yi:c0:ny] = [coeffs[d] for coeffs in effects]
                 rows.append(tuple(row))
-    program = make_program(rows=rows, rhs=rhs)
-    _memo = (key, program)
+    program = make_program(rows=rows, rhs=rhs,
+                           start=[(g, g * ny + ny - 1) for g in range(nx)])
+    _memo = (key, tol, program)
     return program
+
+
+def _last_outcome_holds(target: Observable, simulators: Sequence[Observable],
+                        x: Sequence, eps: float) -> bool:
+    """The rows `simulation_program` drops, for a float solution x: sum_g
+    M[g, last] B_g(d) = A_last(d) within eps for each d; an inf or a NaN
+    fails."""
+    ny = target.n_outcomes
+    effects = np.array([eff.coeffs for sim in simulators for eff in sim.effects], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        column = np.asarray(x[ny - 1:len(effects) * ny:ny], dtype=float)
+        gap = column @ effects - np.asarray(target.effects[-1].coeffs, dtype=float)
+        return bool((np.abs(gap) <= eps).all())
 
 
 def is_simulable(target: Observable, simulators: Sequence[Observable],
                  tol: Tolerance = DEFAULT_TOLERANCE) -> SimulationCertificate:
-    """Decide membership of `target` in the simulation set of `simulators`."""
+    """Decide membership of `target` in the simulation set of `simulators`.
+
+    A target whose effects do not sum to the simulators' common effect sum
+    raises ValueError (`simulation_program`). A float solution is tested on
+    the rows the program drops as well, and one that fails them raises
+    CertificateError. A Farkas vector is padded with zeros in the dropped
+    rows, so it has one entry per row of the full program."""
     simulators = list(simulators)
     _check_same_space(target, simulators)
     F = _common_field(target, simulators, tol)
-    program = simulation_program(target, simulators)
+    program = simulation_program(target, simulators, tol)
     out = lp_solve(program, mode=F.mode, tol=tol)
     if out.verdict != FEASIBLE:
-        return SimulationCertificate(NOT_SIMULABLE, farkas=out.farkas)
+        return SimulationCertificate(NOT_SIMULABLE, farkas=out.farkas + (F.zero,) * target.dim)
+    if F.mode == FLOAT and not _last_outcome_holds(target, simulators, out.solution, F.eps):
+        raise CertificateError("float solution fails the target's last-outcome rows")
 
     ny = target.n_outcomes
     pos = 0
@@ -197,25 +245,50 @@ def replay_simulation(cert: SimulationCertificate, target: Observable,
                       tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Re-check a simulation certificate against its instance.
 
-    A refutation replays as a Farkas vector of `simulation_program`. Simulable
-    weights and channels must match the simulators' and target's labels and
-    be stochastic; they then replay as that program's solution
-    (w_i nu_i[x,y] ..., w_i ...).
+    A target whose effects do not sum to the simulators' common effect sum
+    is simulable from them by no scheme, and no certificate replays for it.
+    Otherwise a refutation has one entry per row of the full program, the
+    last outcome's rows included, and replays as a Farkas vector of
+    `simulation_program` once a nonzero last block y_last is folded into the
+    kept rows by the implied-row identity: y_g += sum_d y_last,d B_g(d),
+    y_W += sum_d y_last,d s(d) and y_y,d -= y_last,d for y < last. So a
+    vector solved from the full program, as files written before the
+    program dropped those rows hold, replays too. Simulable weights and
+    channels must match the simulators' and target's labels and be
+    stochastic; they then replay as that program's solution
+    (w_i nu_i[x,y] ..., w_i ...), in float mode with the dropped rows
+    tested at eps as well (in exact mode the identity makes them hold).
     """
     simulators = list(simulators)
-    mode = _common_field(target, simulators, tol).mode
-    program = simulation_program(target, simulators)
+    F = _common_field(target, simulators, tol)
+    try:
+        program = simulation_program(target, simulators, tol)
+    except ValueError:  # the effect sums differ, so no scheme exists
+        return False
     if not cert.simulable:
-        return verify_farkas(program, cert.farkas, tol=tol, mode=mode)
+        dim = target.dim
+        if len(cert.farkas) != len(program.rows) + dim:
+            return False
+        y, last = list(cert.farkas[:-dim]), cert.farkas[-dim:]
+        if any(last):
+            effects = [eff.coeffs for sim in simulators for eff in sim.effects]
+            nx = len(effects)
+            for g, e in enumerate(effects):
+                y[g] += vdot(last, e)
+            y[nx] += vdot(last, target.effect_sum)
+            for r in range(nx + 1, len(y)):
+                y[r] -= last[(r - nx - 1) % dim]
+        return verify_farkas(program, y, tol=tol, mode=F.mode)
     if not len(cert.weights) == len(cert.channels) == len(simulators):
         return False
     if any(chan.source != sim.labels or chan.target != target.labels
            or not chan.is_stochastic(tol)
            for chan, sim in zip(cert.channels, simulators)):
         return False
-    blocks = [w * v for w, chan in zip(cert.weights, cert.channels)
-              for row in chan.matrix for v in row]
-    return verify_solution(program, (*blocks, *cert.weights), tol=tol, mode=mode)
+    x = (*(w * v for w, chan in zip(cert.weights, cert.channels)
+           for row in chan.matrix for v in row), *cert.weights)
+    return (verify_solution(program, x, tol=tol, mode=F.mode)
+            and (F.mode != FLOAT or _last_outcome_holds(target, simulators, x, F.eps)))
 
 
 def merge_duplicate_simulators(weights, channels, simulators) -> tuple:

@@ -185,17 +185,21 @@ class Observable:
         """EXACT, FLOAT, or None when every coefficient is an integer."""
         return kind_of(x for _, e in self.outcomes for x in e.coeffs)
 
+    @cached_property
+    def effect_sum(self) -> tuple:
+        """The coefficients of the sum of the effects: the unit for a valid
+        observable."""
+        total = self.effects[0].coeffs
+        for eff in self.effects[1:]:
+            total = tuple(a + b for a, b in zip(total, eff.coeffs))
+        return total
+
     @property
     def mode(self) -> str:
         return self.kind or EXACT
 
     def unit_coeffs(self) -> tuple:
-        if self.space is not None:
-            return tuple(self.space.unit)
-        total = self.effects[0].coeffs
-        for eff in self.effects[1:]:
-            total = tuple(a + b for a, b in zip(total, eff.coeffs))
-        return total
+        return tuple(self.space.unit) if self.space is not None else self.effect_sum
 
     def as_float(self) -> "Observable":
         return Observable(tuple((lab, eff.as_float()) for lab, eff in self.outcomes),

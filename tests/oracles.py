@@ -67,8 +67,10 @@ def fraction_simplex(program, stall_limit):
     `gptsim.lp`, for an exact program.
 
     Rows with a negative right-hand side are negated, and row i starts on
-    its artificial column n + i. Both phases minimize: phase 1 the
-    artificial sum, phase 2 the negated objective, then each tie-break
+    the unit column that `program.start` names for it, or else on its
+    artificial column n + i. Both phases minimize: phase 1 the sum of the
+    artificials that start basic, phase 2 the negated objective, then each
+    tie-break
     with the columns of nonzero reduced cost fixed at zero. The entering
     column has the least reduced cost (the first on ties) until the
     objective has stalled for more than `stall_limit` pivots, and from then
@@ -89,6 +91,9 @@ def fraction_simplex(program, stall_limit):
     T = [row[:n] + [one if k == i else zero for k in range(m)] + row[n:]
          for i, row in enumerate(A)]
     basis = list(range(n, n + m))
+    for i, j in program.start:
+        basis[i] = j
+    cost = [zero] * n + [one if j >= n else zero for j in basis] + [zero]
 
     def price(cost):  # the reduced-cost row of `cost`, kept as T's last row
         red = list(cost)
@@ -124,12 +129,12 @@ def fraction_simplex(program, stall_limit):
                 stall = 0
             prev = T[-1][-1]
 
-    price([zero] * n + [one] * m + [zero])
+    price(cost)
     pivots, _ = optimize(0)
     if T[-1][-1] < 0:  # minus the artificial sum
         # Dual values c_B B^-1 of the negated rows, from the reduced costs
-        # of the artificial columns, whose cost is 1.
-        y = [one - T[-1][n + i] for i in range(m)]
+        # of the artificial columns.
+        y = [cost[n + i] - T[-1][n + i] for i in range(m)]
         scale = sum(v * abs(Fraction(b)) for v, b in zip(y, program.rhs))
         farkas = tuple(v * f / scale for v, f in zip(y, flips))
         return ("infeasible", None, farkas, None, None, pivots)

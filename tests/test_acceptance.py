@@ -11,20 +11,20 @@ from gptsim import lp
 from gptsim.reproduce import CRITERIA, run_criterion
 
 # The LP work of each criterion, (solves, pivots). `gptsim reproduce all`
-# reports only the sum (2788, 27433), which keeps its value when one
+# reports only the sum (2788, 23720), which keeps its value when one
 # criterion's work moves to another. The counts do not depend on the order
 # in which the criteria run.
 LP_WORK = {
     "polygon-counts": (0, 0),
-    "square-bit-universality": (306, 2343),
-    "qubit-ct-threshold": (224, 3446),
-    "tetrahedron": (4, 42),
+    "square-bit-universality": (306, 2431),
+    "qubit-ct-threshold": (224, 3228),
+    "tetrahedron": (4, 35),
     "hexagon-noise": (6, 83),
-    "qubit-triplet-compat": (24, 1859),
-    "closure-laws": (505, 9229),
-    "structural-cross-validation": (1300, 7077),
-    "noise-content": (70, 622),
-    "exact-float-agreement": (349, 2768),
+    "qubit-triplet-compat": (24, 1847),
+    "closure-laws": (505, 7065),
+    "structural-cross-validation": (1300, 6476),
+    "noise-content": (70, 517),
+    "exact-float-agreement": (349, 2038),
 }
 
 

@@ -635,3 +635,48 @@ def test_phase_1_breakdown_exits_3(capsys, monkeypatch, ct08_file, xy_file):
     assert code == 3
     assert out == ""
     assert "certificate error: phase 1 cannot be unbounded" in err
+
+
+def test_sim_check_target_with_another_effect_sum_exit_2(capsys, tmp_path):
+    # The simulation program drops the target's last-outcome rows only when
+    # they are implied, which needs one effect sum for target and simulators.
+    from gptsim.spaces import Observable
+
+    sq = square_bit()
+    half = Observable((("+", sq.E.effects[0].coeffs),), sq.space)
+    code, out, err = run_cli(capsys, *_square_bit_check(tmp_path, half, [sq.E, sq.F]))
+    assert code == 2 and not out
+    assert "sum to one vector" in err
+
+
+def test_sim_check_verify_full_layout_farkas(capsys, tmp_path):
+    # A refutation with one entry per row of the full program, the last
+    # outcome's rows included, as `sim check` wrote before those rows were
+    # dropped, verifies; the same vector tampered in its last block so that
+    # it refutes nothing does not.
+    from fractions import Fraction
+
+    from test_simulation import _program_layout
+
+    from gptsim.lp import lp_solve, make_program, verify_farkas
+    from gptsim.serialize import certificate_to_json
+    from gptsim.simulation import NOT_SIMULABLE, SimulationCertificate
+
+    sq = square_bit()
+    rows, rhs, _ = _program_layout(sq.F, [sq.E], 0, 1, full=True)
+    program = make_program(rows, rhs)
+    farkas = list(lp_solve(program).farkas)
+    assert any(farkas[-3:])
+    args = _square_bit_check(tmp_path, sq.F, [sq.E])
+    tight = next(j for j, col in enumerate(zip(*rows))
+                 if any(col[-3:]) and sum(a * b for a, b in zip(farkas, col)) == 0)
+    i = next(i for i in range(len(rows) - 3, len(rows)) if rows[i][tight])
+    tampered = list(farkas)
+    tampered[i] += Fraction(1 if rows[i][tight] > 0 else -1, 1000)
+    assert not verify_farkas(program, tampered)
+    for y, verified in ((farkas, True), (tampered, False)):
+        path = tmp_path / "cert.json"
+        path.write_text(dump_json(certificate_to_json(
+            SimulationCertificate(NOT_SIMULABLE, farkas=tuple(y)))))
+        code, out, _ = run_cli(capsys, *args, "--verify", str(path))
+        assert code == 0 and payload(out)["verified"] is verified

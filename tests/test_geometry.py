@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from corpora import conic_corpus
 from gptsim.geometry import (
     ConicResult,
     canonical_ray,
@@ -160,49 +161,6 @@ def test_extreme_rays_polygon_rotation_symmetry(n):
         assert tuple(round(x, 6) for x in rotated) in keys
 
 
-def _conic_corpus():
-    # Seeded exact decompositions: the dual-cone rays of the square bit,
-    # classical(3) and classical(4) in canonical and shuffled order, two
-    # spans that hold a line, and 300 random rational cones in dims 2-4
-    # (about a third hold a line; for about a third, v is a random vector,
-    # often outside the cone).
-    import random
-
-    from gptsim.catalog import classical, random_observable, square_bit
-    from gptsim.spaces import dual_cone_rays
-
-    rng = random.Random(7)
-    cases = []
-    for theory in (square_bit(), classical(3), classical(4)):
-        space = theory.space
-        rays = list(dual_cone_rays(space))
-        shuffled = rays[:]
-        rng.shuffle(shuffled)
-        vs = [space.unit] + [e.coeffs for _ in range(4)
-                             for e in random_observable(space, rng).effects]
-        cases.extend((v, order) for v in vs for order in (rays, shuffled))
-    # The line (0, 1), (0, -1) is met after nothing of v is left, then before.
-    cases.append(((1, 1), [(1, 1), (1, 0), (0, 1), (0, -1)]))
-    cases.append(((1, 0), [(1, 1), (1, 0), (0, 1), (0, -1)]))
-    for _ in range(300):
-        dim = rng.randint(2, 4)
-        rays = []
-        while len(rays) < rng.randint(2, 6):
-            r = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
-            if any(r):
-                rays.append(r)
-        if rng.random() < 0.3:
-            line = rays[rng.randrange(len(rays))]
-            rays.insert(rng.randrange(len(rays) + 1), tuple(-x for x in line))
-        if rng.random() < 0.7:
-            weights = [F(rng.randint(0, 3), rng.randint(1, 2)) for _ in rays]
-            v = tuple(sum(w * r[i] for w, r in zip(weights, rays)) for i in range(dim))
-        else:
-            v = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
-        cases.append((v, rays))
-    return cases
-
-
 def test_conic_outcomes_pinned():
     # The coefficients are the lexicographic maximum in ray order, which is
     # unique, except where the span holds a line met before v is written:
@@ -211,7 +169,7 @@ def test_conic_outcomes_pinned():
     import hashlib
 
     digest = hashlib.sha256()
-    for v, rays in _conic_corpus():
+    for v, rays in conic_corpus():
         res = conic_decompose(v, rays)
         assert replay_conic(res, v, rays)
         digest.update(repr(res).encode())

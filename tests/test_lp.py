@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from corpora import float_corpus, oracle_programs, simulation_corpus
 from gptsim.lp import (
     FEASIBLE,
     INFEASIBLE,
@@ -319,95 +320,19 @@ def test_bland_rule_from_first_stall(monkeypatch):
     assert verdicts == {FEASIBLE, INFEASIBLE}
 
 
-def _simulation_corpus():
-    # Seeded exact simulation LPs: square bit, classical(3) and the
-    # rational-coordinate tetrahedron, 201 programs in all.
-    import random
-
-    from gptsim.catalog import classical, random_observable, square_bit, tetrahedron_rational
-    from gptsim.simulation import simulation_program
-
-    sq, cl, rat = square_bit(), classical(3), tetrahedron_rational()
-    rng = random.Random(2026)
-    programs = []
-    for _ in range(33):
-        a, b = random_observable(sq.space, rng), random_observable(sq.space, rng)
-        c, d = random_observable(cl.space, rng), random_observable(cl.space, rng)
-        for target, sims in ((a, [sq.E, sq.F]), (a, [sq.E]), (a, [sq.F]), (a, [b]),
-                             (c, [cl.distinguishing]), (c, [d])):
-            programs.append(simulation_program(target, sims))
-    binarizations = [rat[f"C{i}"] for i in (1, 2, 3, 4)]
-    for sims in ([rat["B"]], binarizations, [rat["D1"], rat["D2"]]):
-        target = rat["A"] if sims == [rat["B"]] else rat["B"]
-        programs.append(simulation_program(target, sims))
-    return programs
-
-
 def test_exact_outcomes_pinned():
     # Any change of pivot choice or certificate changes this digest.
     import hashlib
 
     digest = hashlib.sha256()
     verdicts = set()
-    for program in _simulation_corpus():
+    for program in simulation_corpus():
         out = lp_solve(program, mode=EXACT)
         verdicts.add(out.verdict)
         digest.update(repr(out).encode())
     assert verdicts == {FEASIBLE, INFEASIBLE}
     assert digest.hexdigest() == (
-        "686d9d0ed27c57ce5c46361cfee02de5d4c821ff30d203627a6ce58e5ce05676")
-
-
-def _greedy_conic_programs(v, rays):
-    # The programs of the ray-by-ray greedy conic decomposition: the
-    # feasibility program, then per ray the maximum of its coefficient over
-    # what is left of v, until an objective is unbounded or nothing is left.
-    rows = [tuple(r[i] for r in rays) for i in range(len(v))]
-    programs = [make_program(rows=rows, rhs=v)]
-    if lp_solve(programs[0]).verdict == INFEASIBLE:
-        return programs
-    residual = tuple(v)
-    for k in range(len(rays)):
-        programs.append(make_program(rows=[row[k:] for row in rows], rhs=residual,
-                                     objective=[1.0] + [0.0] * (len(rays) - k - 1)))
-        out = lp_solve(programs[-1])
-        if out.verdict != FEASIBLE:
-            break
-        c = out.solution[0]
-        if c > 1e-9:
-            residual = tuple(x - c * y for x, y in zip(residual, rays[k]))
-        if all(abs(x) <= 1e-9 for x in residual):
-            break
-    return programs
-
-
-def _float_corpus():
-    # Seeded float programs: the float twins of the exact corpus, polygon
-    # simulation LPs (n = 5..8) against the irreducible catalog and against
-    # one random observable, and the greedy conic decompositions of the
-    # effects of random polygon observables.
-    import random
-
-    from gptsim.catalog import polygon_irreducibles, random_observable
-    from gptsim.simulation import simulation_program
-    from gptsim.spaces import dual_cone_rays
-
-    programs = [make_program(rows=[[float(x) for x in r] for r in p.rows],
-                             rhs=[float(b) for b in p.rhs])
-                for p in _simulation_corpus()]
-    conic = []
-    for n in range(5, 9):
-        cat = polygon_irreducibles(n)
-        space = cat.theory.space
-        rays = dual_cone_rays(space)
-        rng = random.Random(100 + n)
-        for _ in range(6):
-            target, other = random_observable(space, rng), random_observable(space, rng)
-            programs.append(simulation_program(target, list(cat.observables)))
-            programs.append(simulation_program(target, [other]))
-            for effect in target.effects:
-                conic.extend(_greedy_conic_programs(effect.coeffs, rays))
-    return programs + conic
+        "60153d5f8a4f7cc47e1abb5c519c94c135500c70459e1056af4669758cfdbfb8")
 
 
 def test_float_outcomes_pinned():
@@ -417,13 +342,13 @@ def test_float_outcomes_pinned():
 
     digest = hashlib.sha256()
     verdicts = []  # 849 programs, 516 with an objective
-    for program in _float_corpus():
+    for program in float_corpus():
         out = lp_solve(program, mode=FLOAT)
         verdicts.append(out.verdict)
         digest.update(repr((out.verdict, out.pivots)).encode())
     assert (verdicts.count(FEASIBLE), verdicts.count(INFEASIBLE)) == (736, 113)
     assert digest.hexdigest() == (
-        "e0bc811d3d5178cad9143d708c0555b8e0313a5eebbf79b320d5747e9184485a")
+        "c2f73d6db91ea0470e1c38d4e6e216617314d8a87075185acac4dba989430d5d")
 
 
 def test_float_ratio_ties_go_to_the_smallest_basic_index():
@@ -559,41 +484,6 @@ def test_tiebreaks_optimize_over_the_optimal_face(one):
     assert out.ray == (0, 0, 0, 1, 1)
 
 
-def _oracle_programs(seed, count):
-    # Seeded exact programs over denominators up to 2**65, beyond a machine
-    # word: a third with a random right-hand side (mostly infeasible), a
-    # third made feasible by a nonnegative point and bounded by a sum row,
-    # with a 0/1 objective whose optimal face is often wider than a vertex
-    # and up to two tie-breaks, and a third feasible but possibly unbounded.
-    import random
-
-    rng = random.Random(seed)
-    dens = (1, 1, 2, 3, 6, 2**65, 3**41, 2**31 * 3**21)
-
-    def entry():
-        return F(rng.randint(-9, 9), rng.choice(dens))
-
-    programs = []
-    for k in range(count):
-        m, n = rng.randint(2, 5), rng.randint(3, 7)
-        rows = [[entry() if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(m)]
-        if k % 3 == 0:
-            rhs = [entry() for _ in range(m)]
-        else:
-            x0 = [rng.choice((0, 0, abs(entry()))) for _ in range(n)]
-            rhs = [sum(a * x for a, x in zip(r, x0)) for r in rows]
-            if k % 3 == 1:
-                rows.append([1] * n)
-                rhs.append(sum(x0))
-        objective, tiebreaks = None, ()
-        if k % 3 or rng.random() < 0.5:
-            objective = [rng.choice((0, 0, 0, 1)) for _ in range(n)]
-            tiebreaks = [[rng.choice((0, entry())) for _ in range(n)]
-                         for _ in range(rng.randint(0, 2))]
-        programs.append(make_program(rows, rhs, objective, tiebreaks))
-    return programs
-
-
 @pytest.mark.parametrize("stall_limit", [None, 0])
 def test_exact_kernel_matches_fraction_oracle(monkeypatch, stall_limit):
     # The integer kernel's outcomes equal those of a plain Fraction tableau
@@ -629,13 +519,86 @@ def test_exact_kernel_matches_fraction_oracle(monkeypatch, stall_limit):
     monkeypatch.setattr(lp, "_eliminate", counted_eliminate)
     monkeypatch.setattr(lp._IntTableau, "price", counted_price)
     verdicts = set()
-    for program in _oracle_programs(31, 90):
+    programs = oracle_programs(31, 90)
+    started = [_with_slack_start(p) for p in programs[::2]] + simulation_corpus()[::4]
+    for program in programs + started:
         out = lp_solve(program, mode=EXACT)
-        verdicts.add(out.verdict)
+        verdicts.add((out.verdict, bool(program.start)))
         assert (out.verdict, out.solution, out.farkas, out.ray, out.objective_value,
                 out.pivots) == fraction_simplex(program, lp._STALL_LIMIT)
-    assert verdicts == {FEASIBLE, INFEASIBLE, UNBOUNDED}
+    assert verdicts == {(v, s) for v in (FEASIBLE, INFEASIBLE, UNBOUNDED) for s in (False, True)}
     assert all(hits.values()), hits
+
+
+def _with_slack_start(program):
+    # The program with a unit column appended for each row of nonnegative
+    # right-hand side, priced at zero, which starts that row.
+    n = program.num_vars
+    named = [i for i, b in enumerate(program.rhs) if b >= 0]
+    rows = [list(r) + [int(i == k) for k in named] for i, r in enumerate(program.rows)]
+    pad = [0] * len(named)
+    return make_program(rows, program.rhs,
+                        None if program.objective is None else list(program.objective) + pad,
+                        [list(t) + pad for t in program.tiebreaks],
+                        start=[(i, n + t) for t, i in enumerate(named)])
+
+
+@pytest.mark.parametrize("array", [False, True])
+@pytest.mark.parametrize("start, message", [
+    ([(0, 1)], "unit column"),        # column 1 has a second nonzero
+    ([(0, 2)], "unit column"),        # 2, not 1, in row 0
+    ([(1, 0)], "unit column"),        # column 0 is e_0, not e_1
+    ([(2, 3)], "out of range"),
+    ([(0, 5)], "out of range"),
+    ([(-1, 3)], "out of range"),
+    ([(0, 0), (0, 3)], "row twice"),
+    ([(1, 3)], "nonnegative right-hand side"),
+])
+def test_malformed_start_raises(array, start, message):
+    rows = [(1.0, 1.0, 2.0, 0.0, 0.0), (0.0, 1.0, 0.0, 1.0, 0.0)]
+    rows = np.array(rows) if array else rows
+    assert make_program(rows, (1.0, 2.0), start=[(0, 0), (1, 3)]).start == ((0, 0), (1, 3))
+    with pytest.raises(ValueError, match=message):
+        make_program(rows, (1.0, -2.0) if "right-hand" in message else (1.0, 2.0),
+                     start=start)
+
+
+def test_programs_without_a_start_keep_their_outcomes():
+    # The full outcomes, every float bit included, of the oracle programs
+    # and their float twins, which name no start; the digest was taken
+    # before programs could name one.
+    import hashlib
+
+    digest = hashlib.sha256()
+    programs = oracle_programs(31, 90)
+    twins = [make_program([[float(x) for x in r] for r in p.rows], [float(b) for b in p.rhs],
+                          None if p.objective is None else [float(c) for c in p.objective],
+                          [[float(c) for c in t] for t in p.tiebreaks]) for p in programs]
+    for program, mode in [(p, EXACT) for p in programs] + [(p, FLOAT) for p in twins]:
+        assert not program.start
+        digest.update(repr(lp_solve(program, mode=mode)).encode())
+    assert digest.hexdigest() == (
+        "41fe231ce42eb64b46d0b75107815c91a6e452acc820fa42fa4fce8c99679333")
+
+
+@pytest.mark.parametrize("kernel, mode, one", [("_IntTableau", EXACT, 1),
+                                               ("_FloatRevised", FLOAT, 1.0)])
+def test_started_rows_cost_nothing_in_phase_1(kernel, mode, one):
+    # Row 0 starts on its unit column x2 and row 1 on its artificial, so
+    # phase 1 prices row 0 at 0 and row 1 above 0 (the integer kernel's
+    # duals carry its positive denominator). Row 1, -x0 - x1 = 1, is
+    # infeasible at the start, and its Farkas vector is (0, 1).
+    from gptsim import lp
+    from gptsim.scalars import field
+
+    p = make_program(rows=[(one, 0 * one, one), (-one, -one, 0 * one)], rhs=(one, one),
+                     start=[(0, 2)])
+    tab = getattr(lp, kernel)(p, [1, 1], field(mode, DEFAULT_TOLERANCE))
+    assert tab.basis == [2, 4]
+    assert [tab.dual(i) for i in range(2)] == [0, tab.dual(1)] and tab.dual(1) > 0
+    out = lp_solve(p, mode=mode)
+    assert out.verdict == INFEASIBLE and out.pivots == 0
+    assert out.farkas == (0, 1) and verify_farkas(p, out.farkas)
 
 
 def test_exact_solves_leave_their_program_unchanged():

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+from corpora import relation_corpus
 from gptsim.geometry import rank
 from gptsim.postprocessing import (
     Postprocessing,
@@ -244,34 +245,12 @@ def test_apply_preserves_normalization(sq, rng):
         assert total == sq.space.unit
 
 
-def _relation_corpus():
-    # Seeded (target, source) pairs: random square-bit and classical(3)
-    # observables against each other and against a coarse-graining, the
-    # float twins of those pairs, and the same pairs on polygons n = 5..8.
-    import random
-
-    from gptsim.catalog import classical, polygon, random_observable, square_bit
-
-    def coarse(obs):
-        return apply(merge_channel(obs.labels, obs.labels[:2], obs.labels[0], obs.mode), obs)
-
-    rng = random.Random(2026)
-    spaces = [square_bit().space, classical(3).space] * 10
-    spaces += [polygon(n).space for n in range(5, 9) for _ in range(4)]
-    exact, polygons = [], []
-    for space in spaces:
-        a, b = random_observable(space, rng), random_observable(space, rng)
-        pairs = [(a, b), (b, a), (coarse(a), a), (a, coarse(a))]
-        (exact if space.mode == "exact" else polygons).extend(pairs)
-    return exact + [(t.as_float(), s.as_float()) for t, s in exact] + polygons
-
-
 def test_relation_verdicts_pinned():
     # Verdicts only: a Farkas vector's length follows the program's shape.
     import hashlib
 
     verdicts = ["related" if is_postprocessing_of(t, s).simulable else "unrelated"
-                for t, s in _relation_corpus()]
+                for t, s in relation_corpus()]
     assert (verdicts.count("related"), len(verdicts)) == (66, 224)
     assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == (
         "bafbe5e758b69742ccb91e7e43d3e18f6bdf5756746f1a96b5e6e257a1fa089a")

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from corpora import bracket_corpus, compatibility_corpus
 from oracles import polytope_noise_content_direct, qubit_noise_content_grid
 
 from gptsim.catalog import (
@@ -16,7 +17,7 @@ from gptsim.catalog import (
     square_bit,
     tetrahedron_rational,
 )
-from gptsim.lp import INFEASIBLE, lp_solve
+from gptsim.lp import INFEASIBLE, lp_solve, make_program, verify_farkas
 from gptsim.postprocessing import (
     Postprocessing,
     apply,
@@ -26,6 +27,8 @@ from gptsim.postprocessing import (
     replay_relation,
 )
 from gptsim.simulation import (
+    NOT_SIMULABLE,
+    SimulationCertificate,
     check_closure_laws,
     decompose_to_irreducibles,
     dichotomic_hull_necessary,
@@ -124,54 +127,152 @@ def test_replay_against_equal_distinct_observables(sq):
     assert replay_simulation(refuted, twin(sq.F), [twin(sq.E)])
 
 
-def _program_layout(target, simulators, zero, one):
-    """simulation_program's rows built entry by entry from its docstring."""
+def _program_layout(target, simulators, zero, one, full=False):
+    """simulation_program's rows, right-hand side and start built entry by
+    entry from its docstring; with `full`, the rows of the target's last
+    outcome are kept too, as `simulation_program` laid them out before it
+    dropped them."""
     ny, dim, k = target.n_outcomes, target.dim, len(simulators)
     outcomes = [(i, eff) for i, sim in enumerate(simulators) for eff in sim.effects]
     c0 = len(outcomes) * ny
+    kept = ny if full else ny - 1
     rows = []
     for g, (i, _) in enumerate(outcomes):
         rows.append([one if g * ny <= j < (g + 1) * ny else -one if j == c0 + i else zero
                      for j in range(c0 + k)])
     rows.append([zero] * c0 + [one] * k)
-    for y in range(ny):
+    for y in range(kept):
         for d in range(dim):
             row = [zero] * (c0 + k)
             for g, (_, eff) in enumerate(outcomes):
                 row[g * ny + y] = eff.coeffs[d]
             rows.append(row)
-    rhs = [zero] * len(outcomes) + [one] + [x for eff in target.effects for x in eff.coeffs]
-    return rows, rhs
+    rhs = ([zero] * len(outcomes) + [one]
+           + [x for eff in target.effects[:kept] for x in eff.coeffs])
+    start = tuple((g, g * ny + ny - 1) for g in range(len(outcomes)))
+    return rows, rhs, start
 
 
 def test_float_simulation_program_is_one_read_only_array():
     # one simulator and several, with 2, 3 and 4 outcomes, and a -0.0
-    # coefficient whose sign the placed blocks keep
+    # coefficient whose sign the placed blocks keep; a one-outcome target
+    # keeps no effect-matching row
     target = Observable((("a", (0.25, -0.0, 0.5)), ("b", (0.75, 1.0, -0.5)),
                          ("c", (0.0, 0.0, 1.0))))
     two = Observable((("p", (0.5, -0.0, 0.25)), ("q", (0.5, 1.0, 0.75))))
-    four = Observable(tuple((f"r{j}", (0.25, -0.0 if j else 0.5, j / 4)) for j in range(4)))
-    for sims in ([two], [target, two], [two, four, target]):
-        program = simulation_program(target, sims)
-        rows, rhs = _program_layout(target, sims, 0.0, 1.0)
+    four = Observable(tuple((f"r{j}", (0.25, (0.5, -0.0, 0.25, 0.25)[j], j / 6))
+                            for j in range(4)))
+    one = Observable((("u", (1.0, 1.0, 1.0)),))
+    for tgt, sims in ((target, [two]), (target, [target, two]), (target, [two, four, target]),
+                      (one, [two, four])):
+        program = simulation_program(tgt, sims)
+        rows, rhs, start = _program_layout(tgt, sims, 0.0, 1.0)
         expected = np.array(rows, dtype=float)
         assert isinstance(program.rows, np.ndarray) and program.rows.dtype == float
         assert not program.rows.flags.writeable
         assert program.rows.shape == expected.shape
         assert np.array_equal(program.rows, expected)
         assert np.array_equal(np.signbit(program.rows), np.signbit(expected))
-        assert np.signbit(program.rows).any()
-        assert program.rhs == tuple(rhs)
+        assert np.signbit(program.rows).any() or tgt is one
+        assert program.rhs == tuple(rhs) and program.start == start
 
 
 def test_exact_simulation_program_keeps_int_and_fraction_tuples(sq):
     sims = [sq.E, sq.F, sq.E]
     program = simulation_program(sq.F, sims)
-    rows, rhs = _program_layout(sq.F, sims, 0, 1)
+    rows, rhs, start = _program_layout(sq.F, sims, 0, 1)
     assert isinstance(program.rows, tuple) and all(isinstance(r, tuple) for r in program.rows)
     assert program.rows == tuple(map(tuple, rows)) and program.rhs == tuple(rhs)
+    assert program.start == start
     assert [[type(x) for x in r] for r in program.rows] == [[type(x) for x in r] for r in rows]
     assert {type(x) for r in program.rows for x in r} == {int, Fraction}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_replay_tests_the_last_outcome(sq, mode):
+    # A scheme for E from [E, F] satisfies every kept row of a target that
+    # differs from E only in its last effect, since both lay out the same
+    # kept rows; its replay against that target fails.
+    def cast(obs):
+        return obs.as_float() if mode == "float" else obs
+
+    sims = [cast(sq.E), cast(sq.F)]
+    target = cast(sq.E)
+    cert = is_simulable(target, sims)
+    assert cert.simulable and replay_simulation(cert, target, sims)
+    (first, a), (last, _) = target.outcomes
+    other = Observable(((first, a), (last, cast(sq.F).effects[0])), target.space)
+    zero, one = (0.0, 1.0) if mode == "float" else (0, 1)
+    assert _program_layout(other, sims, zero, one) == _program_layout(target, sims, zero, one)
+    assert replay_simulation(cert, other, sims) is False
+
+
+def test_float_replay_tests_the_dropped_rows(monkeypatch):
+    # Kept rows off by 0.9e-9 (within eps) add up to 1.8e-9 in the dropped
+    # row: x = (1, 0) from [x] with weight 1 + 0.9e-9 and a channel that
+    # moves 1.8e-9 of outcome a to b. The program's rows accept the scheme;
+    # the replay and a decision that returned it do not.
+    from gptsim import simulation
+    from gptsim.lp import FEASIBLE, CertificateError, LPOutcome, verify_solution
+
+    x = Observable((("a", (1.0, 0.0)), ("b", (0.0, 1.0))))
+    w, tau = 1.0 + 0.9e-9, 1.8e-9
+    chan = Postprocessing(x.labels, x.labels, ((1.0 - tau, tau), (0.0, 1.0)))
+    cert = dataclasses.replace(is_simulable(x, [x]), weights=(w,), channels=(chan,))
+    solution = tuple(w * v for row in chan.matrix for v in row) + (w,)
+    assert verify_solution(simulation_program(x, [x]), solution)
+    assert replay_simulation(cert, x, [x]) is False
+    monkeypatch.setattr(simulation, "lp_solve",
+                        lambda *args, **kwargs: LPOutcome(FEASIBLE, "float", solution=solution))
+    with pytest.raises(CertificateError, match="last-outcome rows"):
+        is_simulable(x, [x])
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_unequal_effect_sums_rejected(sq, mode):
+    # A target whose effects do not sum to the simulators' unit: the dropped
+    # rows would not be implied, so no program is built for it.
+    half = Observable((("+", sq.E.effects[0].coeffs),), sq.space)
+    target, sims = (half, [sq.E]) if mode == "exact" else (half.as_float(), [sq.E.as_float()])
+    with pytest.raises(ValueError, match="sum to one vector"):
+        is_simulable(target, sims)
+    with pytest.raises(ValueError, match="sum to one vector"):
+        is_postprocessing_of(target, sims[0])
+    cert = is_simulable(sims[0], sims)
+    assert replay_simulation(cert, target, sims) is False
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_full_layout_farkas_replays(sq, mode):
+    # Certificates written before the last outcome's rows were dropped have
+    # one entry per row of the full layout, with a nonzero last block; the
+    # replay folds it into the kept rows. A vector tampered in that block so
+    # that it is no refutation of the full program fails.
+    rat = tetrahedron_rational()
+    target, sims = rat["B"], [rat[f"C{i}"] for i in (1, 2, 3, 4)]
+    zero, one = (0, 1)
+    if mode == "float":
+        target, sims, zero, one = target.as_float(), [s.as_float() for s in sims], 0.0, 1.0
+    rows, rhs, _ = _program_layout(target, sims, zero, one, full=True)
+    program = make_program(rows=rows, rhs=rhs)
+    farkas = lp_solve(program).farkas
+    dim = target.dim
+    assert any(farkas[-dim:])
+    cert = SimulationCertificate(NOT_SIMULABLE, farkas=farkas)
+    assert replay_simulation(cert, target, sims)
+    new = is_simulable(target, sims)
+    assert len(new.farkas) == len(farkas) and not any(new.farkas[-dim:])
+    assert verify_farkas(program, new.farkas)  # zero-padded: a refutation of the full rows
+    # tamper: raise y'A_j above zero on a column tight for y, through a last-block row
+    y = list(farkas)
+    tight = [j for j, col in enumerate(zip(*program.rows))
+             if abs(sum(a * b for a, b in zip(y, col))) <= 1e-12
+             and any(col[len(y) - dim:])]
+    j = tight[0]
+    i = next(i for i in range(len(y) - dim, len(y)) if program.rows[i][j] != 0)
+    y[i] += (1 if program.rows[i][j] > 0 else -1) * (F(1, 10**6) if mode == "exact" else 1e-6)
+    assert not verify_farkas(program, y)
+    assert replay_simulation(dataclasses.replace(cert, farkas=tuple(y)), target, sims) is False
 
 
 def test_replay_rejects_nan_certificates(sq):
@@ -563,47 +664,22 @@ def test_compatibility_outcomes_pinned():
     # (verdict, solves, pivots). Retaken for the revised float kernel, whose
     # 84 verdicts equal those of the float tableau before it.
     import hashlib
-    import random
 
     from gptsim import lp
-    from gptsim.catalog import (
-        classical,
-        polygon,
-        qubit_compatibility_bracket,
-    )
-    from gptsim.qubit import QubitEffect, dichotomic
+    from gptsim.catalog import qubit_compatibility_bracket
 
     digest = hashlib.sha256()
     verdicts = set()
-    spaces = {"square": square_bit().space, "classical3": classical(3).space,
-              "classical4": classical(4).space, "pentagon": polygon(5).space,
-              "hexagon": polygon(6).space}
-    for name, space in spaces.items():
-        rng = random.Random(f"compat-digest/{name}")
-        for i in range(6):
-            targets = [random_observable(space, rng, rng.randint(2, 3))
-                       for _ in range(3 if i % 3 == 0 else 2)]
-            res = is_compatible(targets)
-            verdicts.add(res.compatible)
-            digest.update(repr((res.compatible, res.joint, res.marginal_channels,
-                                res.farkas)).encode())
-    for n in (5, 6):
-        obs = polygon_irreducibles(n).observables
-        for a, b in ((0, 1), (0, 2), (1, 3)):
-            res = is_compatible([obs[a], obs[b]])
-            verdicts.add(res.compatible)
-            digest.update(repr((res.compatible, res.joint, res.marginal_channels,
-                                res.farkas)).encode())
+    polytope, qubit = compatibility_corpus()
+    for targets in polytope:
+        res = is_compatible(targets)
+        verdicts.add(res.compatible)
+        digest.update(repr((res.compatible, res.joint, res.marginal_channels,
+                            res.farkas)).encode())
     assert verdicts == {True, False}
 
-    rng = random.Random("compat-digest/qubit")
     qubit_verdicts = set()
-    for i in range(12):
-        targets = []
-        for _ in range(2 if i % 2 else 3):
-            v = [rng.gauss(0.0, 1.0) for _ in range(3)]
-            scale = rng.uniform(0.45, 0.85) / math.sqrt(sum(c * c for c in v))
-            targets.append(dichotomic("+", "-", QubitEffect(0.0, tuple(c * scale for c in v))))
+    for targets in qubit:
         for facets in (8, 16):
             solves, pivots = lp.stats["solves"], lp.stats["pivots"]
             verdict = qubit_compatibility_bracket(targets, facets).verdict
@@ -644,21 +720,13 @@ def test_bracket_128_outcomes_pinned():
     # vector, solves, pivots), so every float certificate bit is pinned. The
     # float kernel's products sum in the order of numpy's BLAS build.
     import hashlib
-    import random
 
     from gptsim import lp
     from gptsim.catalog import qubit_compatibility_bracket
-    from gptsim.qubit import QubitEffect, dichotomic
 
-    rng = random.Random("bracket-128-digest")
     digest = hashlib.sha256()
     verdicts = set()
-    for i in range(24):
-        targets = []
-        for _ in range(2 if i % 2 else 3):
-            v = [rng.gauss(0.0, 1.0) for _ in range(3)]
-            scale = rng.uniform(0.45, 0.85) / math.sqrt(sum(c * c for c in v))
-            targets.append(dichotomic("+", "-", QubitEffect(0.0, tuple(c * scale for c in v))))
+    for targets in bracket_corpus():
         solves, pivots = lp.stats["solves"], lp.stats["pivots"]
         res = qubit_compatibility_bracket(targets, 128)
         verdicts.add(res.verdict)
