@@ -45,7 +45,8 @@ testing signs of integer dot products (as Applegate, Cook, Dash & Espinoza
 product over the rows, tuple or ndarray (A x for a solution, y'A for a
 Farkas vector), whose entries are tested against eps so that an inf or a
 NaN fails. `_simplex` replays every float FEASIBLE or UNBOUNDED outcome
-with `verify_solution`, and the ray of an UNBOUNDED one against A r = 0,
+by `verify_solution`'s test, on the float array its solution tuple is
+made from, and the ray of an UNBOUNDED one against A r = 0,
 r >= 0 and c'r > 0 for the objective c that grows along it, and raises
 `CertificateError` instead of returning one that fails; a float Farkas vector is not replayed there,
 since the absolute eps rejects correct refutations of badly scaled
@@ -263,10 +264,14 @@ def verify_solution(program: LinearProgram, solution: Sequence,
             if sum(a * x for a, x in zip(N, X)) != N[-1] * L:  # zip stops before B_i
                 return False
         return all(x >= 0 for x in X)
+    return _solution_replays(program, np.asarray(solution, dtype=float), field(mode, tol).eps)
+
+
+def _solution_replays(program: LinearProgram, x, eps) -> bool:
+    """A x = b within eps in each row and x >= 0 within eps in each entry,
+    for a float array x; an inf or a NaN fails."""
     A, b = program.float_data
-    eps = field(mode, tol).eps
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail every test
-        x = np.asarray(solution, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
         return bool((np.abs(A @ x - b) <= eps).all() and (x >= -eps).all())
 
 
@@ -354,9 +359,16 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
                            [F.one] + [-tab.value(i, col) for i in range(len(basis))], F)
             break
         pivots = total
-    sol = _recover(n, basis, [tab.value(i) for i in range(len(basis))], F)
-    if F.mode == FLOAT and not verify_solution(program, sol, F.tol, mode=FLOAT):
-        raise CertificateError("float solution fails replay against its program")
+    if F.mode == FLOAT:
+        # The replay reads the array that the solution is made from, so it
+        # tests the very floats returned, without a round trip through a tuple.
+        x = np.zeros(n)
+        x[basis] = [F.zero + tab.value(i) for i in range(len(basis))]
+        sol = tuple(x.tolist())
+        if not _solution_replays(program, x, F.eps):
+            raise CertificateError("float solution fails replay against its program")
+    else:
+        sol = _recover(n, basis, [tab.value(i) for i in range(len(basis))], F)
     if F.mode == FLOAT and ray and not _ray_replays(program, ray, objective, F.eps):
         raise CertificateError("float unbounded ray fails replay against its program")
     value = None if ray or program.objective is None else tab.dot(program.objective, sol)

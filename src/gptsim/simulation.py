@@ -20,6 +20,13 @@ diagnostics, and compatibility: one joint-observable program on the product
 outcome set for every effect cone, grown by column generation from the
 cone's generators and refuted through its `price` (one round for a
 polytope, whose generators are all its dual-cone rays).
+
+Both programs leave out rows that equal effect sums imply: a simulation
+program the target's last-outcome rows, a compatibility program the
+last-outcome block of every target after the first. A float answer is
+tested on the rows left out, at eps, and raises CertificateError if it
+fails them; a refutation is padded with zeros there, so it keeps one entry
+per row of the full layout.
 """
 
 from __future__ import annotations
@@ -597,6 +604,21 @@ class CompatibilityResult:
 _ROUNDS = 32
 
 
+def _last_marginals_hold(targets: Sequence[Observable], joint_outcomes: Sequence,
+                         coeffs: Sequence, eps: float) -> bool:
+    """The blocks `is_compatible` drops, for a float joint with effects
+    `coeffs` on `joint_outcomes`: for every target after the first, the sum
+    of the joint effects whose outcome is that target's last is its last
+    effect within eps in each coordinate; an inf or a NaN fails."""
+    for ti, t in enumerate(targets[1:], 1):
+        last = t.n_outcomes - 1
+        marginal = (sum(col) for col in zip(*(c for c, omega in zip(coeffs, joint_outcomes)
+                                               if omega[ti] == last)))
+        if not all(abs(a - b) <= eps for a, b in zip(marginal, t.effects[-1].coeffs)):
+            return False
+    return True
+
+
 def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERANCE,
                   generators: Optional[Sequence] = None) -> CompatibilityResult:
     """Joint-observable existence on the product outcome set.
@@ -612,6 +634,22 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
     and the program is solved again, up to `_ROUNDS` programs (then
     undecided). A polytope starts from every dual-cone ray, so its first
     program decides. Equivalent to smin(targets) <= 1.
+
+    Row layout: the full layout has a block of dim rows per (target t,
+    outcome l), in target order and then outcome order, each matching
+    coefficient d of A^t_l with the marginal sum_{w: w_t = l} G_w(d). The
+    program drops the last-outcome block of every target after the first,
+    so it has dim * (sum_t n_t - (k - 1)) rows for k targets. Those rows are
+    implied: row (t, last, d) = sum_l row (0, l, d) - sum_{l < last}
+    row (t, l, d), with right-hand side A^t_last(d) = u(d) - sum_{l < last}
+    A^t_l(d), since every target passed `is_valid_observable` (effects sum
+    to u, exactly in exact mode, within eps per coordinate in float mode).
+    A float joint is therefore also tested on the dropped blocks: each
+    target's last marginal must be its last effect within eps in each
+    coordinate, or CertificateError is raised (in exact mode the identity
+    makes them hold). A Farkas vector of the program is padded with zeros in
+    the dropped blocks, which keeps it a refutation of the full layout, so
+    `farkas` has one entry per full-layout row and the pricing reads it.
     """
     targets = list(targets)
     if not targets:
@@ -626,27 +664,34 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
     F = resolve((*(t.kind for t in targets), kind_of(x for g in gens[:1] for x in g)), tol)
     zero, dim = F.zero, space.ambient_dim
     joint_outcomes = list(itertools.product(*[range(t.n_outcomes) for t in targets]))
-    # Rows come in blocks of dim, one block per (target ti, outcome li).
+    # Full-layout block b = firsts[ti] + li holds the rows of (target ti,
+    # outcome li); the program keeps every block but the last of each target
+    # after the first, and kept[j] is the full block of program block j.
     firsts = list(itertools.accumulate((t.n_outcomes for t in targets), initial=0))
-    blocks, ws = zip(*((firsts[ti] + li, w) for w, omega in enumerate(joint_outcomes)
-                       for ti, li in enumerate(omega)))
-    rhs = [x for t in targets for eff in t.effects for x in eff.coeffs]
+    kept = [b for b in range(firsts[-1]) if b + 1 not in firsts[2:]]
+    at = {b: j for j, b in enumerate(kept)}
+    blocks, ws = zip(*((at[firsts[ti] + li], w) for w, omega in enumerate(joint_outcomes)
+                       for ti, li in enumerate(omega) if firsts[ti] + li in at))
+    effects = [eff.coeffs for t in targets for eff in t.effects]  # full block b's effect
+    rhs = [x for b in kept for x in effects[b]]
     for _ in range(_ROUNDS):
-        # Block (ti, li) holds the generators (as columns) under every joint
-        # outcome w with w_ti = li, and zeros elsewhere. The blocks are
-        # placed, not multiplied in: 0.0 * x is -0.0 for negative x.
-        A = np.full((firsts[-1], dim, len(joint_outcomes), len(gens)), zero, dtype=F.dtype)
+        # Block j holds the generators (as columns) under every joint outcome
+        # w with w_ti = li for its (ti, li), and zeros elsewhere. The blocks
+        # are placed, not multiplied in: 0.0 * x is -0.0 for negative x.
+        A = np.full((len(kept), dim, len(joint_outcomes), len(gens)), zero, dtype=F.dtype)
         A[blocks, :, ws, :] = np.array(gens, dtype=F.dtype).reshape(len(gens), dim).T
-        rows = A.reshape(firsts[-1] * dim, len(joint_outcomes) * len(gens))
+        rows = A.reshape(len(kept) * dim, len(joint_outcomes) * len(gens))
         out = lp_solve(make_program(rows=rows, rhs=rhs), mode=F.mode, tol=tol)
         if out.verdict == FEASIBLE:
             break
-        y = out.farkas
+        y = [zero] * (firsts[-1] * dim)  # zeros in the dropped blocks
+        for j, b in enumerate(kept):
+            y[b * dim:(b + 1) * dim] = out.farkas[j * dim:(j + 1) * dim]
         prices = [space.price([sum(y[(firsts[ti] + li) * dim + d] for ti, li in enumerate(omega))
                                for d in range(dim)], tol)
                   for omega in joint_outcomes]
-        if vdot(y, rhs) > max(zero, *(p for p, _ in prices)):
-            return CompatibilityResult("incompatible", farkas=y)
+        if vdot(out.farkas, rhs) > max(zero, *(p for p, _ in prices)):
+            return CompatibilityResult("incompatible", farkas=tuple(y))
         gens += [g for p, g in prices if p > 0]
     else:
         return CompatibilityResult("undecided")
@@ -654,6 +699,8 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
     for i in itertools.compress(range(len(sol)), sol):  # the nonzero weights
         w, g = divmod(i, len(gens))
         coeffs[w] = [a + sol[i] * x for a, x in zip(coeffs[w], gens[g])]
+    if F.mode == FLOAT and not _last_marginals_hold(targets, joint_outcomes, coeffs, F.eps):
+        raise CertificateError("float joint fails a target's last-outcome marginal")
     joint = Observable(tuple(("|".join(t.labels[li] for t, li in zip(targets, omega)),
                               Effect(tuple(c))) for omega, c in zip(joint_outcomes, coeffs)),
                        space)

@@ -11,7 +11,7 @@ from gptsim import lp
 from gptsim.reproduce import CRITERIA, run_criterion
 
 # The LP work of each criterion, (solves, pivots). `gptsim reproduce all`
-# reports only the sum (2788, 23720), which keeps its value when one
+# reports only the sum (2788, 22764), which keeps its value when one
 # criterion's work moves to another. The counts do not depend on the order
 # in which the criteria run.
 LP_WORK = {
@@ -20,7 +20,7 @@ LP_WORK = {
     "qubit-ct-threshold": (224, 3228),
     "tetrahedron": (4, 35),
     "hexagon-noise": (6, 83),
-    "qubit-triplet-compat": (24, 1847),
+    "qubit-triplet-compat": (24, 891),
     "closure-laws": (505, 7065),
     "structural-cross-validation": (1300, 6476),
     "noise-content": (70, 517),

@@ -360,6 +360,15 @@ def _unbiased(vec):
     return dichotomic("+", "-", QubitEffect(0.0, tuple(float(x) for x in vec)))
 
 
+def _marginals_reproduce(res, targets) -> bool:
+    """Every marginal of a compatible verdict's joint is its target's
+    effect within eps, the last outcomes, which the program drops, too."""
+    return all(abs(a - b) <= 1e-9
+               for chan, target in zip(res.marginal_channels, targets)
+               for got, want in zip(apply(chan, res.joint).effects, target.effects)
+               for a, b in zip(got.coeffs, want.coeffs))
+
+
 @pytest.mark.parametrize("facets", [8, 16])
 def test_compat_bracket_decides_busch_pairs(facets):
     # Busch: unbiased a, b are compatible iff |a+b| + |a-b| <= 2. The strata
@@ -374,8 +383,10 @@ def test_compat_bracket_decides_busch_pairs(facets):
                 value = np.linalg.norm(a + b) + np.linalg.norm(a - b)
                 if lo <= value <= hi:
                     break
-            res = qubit_compatibility_bracket([_unbiased(a), _unbiased(b)], facets)
+            targets = [_unbiased(a), _unbiased(b)]
+            res = qubit_compatibility_bracket(targets, facets)
             assert res.verdict == ("compatible" if value < 2 else "incompatible")
+            assert not res.compatible or _marginals_reproduce(res, targets)
 
 
 @pytest.mark.parametrize("facets", [8, 16])
@@ -387,8 +398,10 @@ def test_compat_bracket_decides_rotated_triples(facets):
     ts = [t for t in rng.uniform(0.45, 0.62, size=30) if abs(t - t_star) >= 2e-3]
     for t in ts[:24]:
         rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        res = qubit_compatibility_bracket([_unbiased(t * r) for r in rotation], facets)
+        targets = [_unbiased(t * r) for r in rotation]
+        res = qubit_compatibility_bracket(targets, facets)
         assert res.verdict == ("compatible" if t < t_star else "incompatible")
+        assert not res.compatible or _marginals_reproduce(res, targets)
     xyz = [_unbiased(0.5774 * r) for r in np.eye(3)]
     assert qubit_compatibility_bracket(xyz, facets).verdict == "incompatible"
     # 1e-7 below the threshold the final bases are nearly singular, and an
@@ -396,9 +409,9 @@ def test_compat_bracket_decides_rotated_triples(facets):
     # solution, which then fails replay.
     for _ in range(3):
         rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        res = qubit_compatibility_bracket(
-            [_unbiased((t_star - 1e-7) * r) for r in rotation], facets)
-        assert res.verdict == "compatible"
+        targets = [_unbiased((t_star - 1e-7) * r) for r in rotation]
+        res = qubit_compatibility_bracket(targets, facets)
+        assert res.verdict == "compatible" and _marginals_reproduce(res, targets)
 
 
 def test_polygon_catalogs_pinned():

@@ -1,6 +1,7 @@
 """Simulability decisions, certificates, and derived quantities."""
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -604,7 +605,7 @@ def test_compatibility_from_no_generators(sq):
 
     res = is_compatible([sq.E, sq.F], generators=[])
     assert res.verdict == "incompatible"
-    assert res.farkas == (0, -1, -2, 0, 1, -2, -1, 0, 1, 1, 0, 1)
+    assert res.farkas == (2, -2, -2, 2, 2, -2, -2, 0, 0, 0, 0, 0)
 
     x, y = (dichotomic("+", "-", QubitEffect(0.0, v)).as_float()
             for v in ((0.5, 0.0, 0.0), (0.0, 0.5, 0.0)))
@@ -615,6 +616,73 @@ def test_compatibility_from_no_generators(sq):
         for got, want in zip(apply(chan, res.joint).effects, target.effects):
             assert max(abs(a - b) for a, b in zip(got.coeffs, want.coeffs)) <= 1e-9
     assert all(is_valid_effect(e, QubitSpace()) for e in res.joint.effects)
+
+
+def test_compatibility_programs_drop_implied_blocks(monkeypatch, sq, suite):
+    # Every target after the first loses its last-outcome block, so each
+    # program has dim * (sum n_t - (k - 1)) rows, whatever the round.
+    from gptsim import lp, simulation
+
+    programs = []
+
+    def recording(program, mode=None, tol=lp.DEFAULT_TOLERANCE):
+        programs.append(program)
+        return lp.lp_solve(program, mode=mode, tol=tol)
+
+    monkeypatch.setattr(simulation, "lp_solve", recording)
+    three = trivial_observable(sq.space, [(lab, F(1, 3)) for lab in "abc"])
+    polytope = [[sq.E, sq.F], [sq.E, three], [sq.E, sq.F, three], [three, sq.E, sq.F]]
+    qubit = [[suite.X, suite.Y], [suite.xt(0.5), suite.yt(0.5), suite.zt(0.5)],
+             [suite.X, suite.tetrahedron], [suite.tetrahedron, suite.xt(0.3), suite.Y]]
+    cases = (polytope + [[t.as_float() for t in ts] for ts in polytope]
+             + [[t.as_float() for t in ts] for ts in qubit])
+    verdicts = set()
+    for targets in cases:
+        programs.clear()
+        verdicts.add(is_compatible(targets).verdict)
+        rows = targets[0].dim * (sum(t.n_outcomes for t in targets) - (len(targets) - 1))
+        assert programs and all(len(p.rhs) == rows for p in programs)
+    assert verdicts == {"compatible", "incompatible"}
+
+
+def test_compatibility_refutation_pads_dropped_blocks(sq):
+    # An exact refutation has one entry per row of the full layout, zeros in
+    # the dropped blocks, and refutes the full program with every block.
+    three = trivial_observable(sq.space, [(lab, F(1, 3)) for lab in "abc"])
+    gens = sq.space.generators()
+    for targets, dropped in (([sq.E, sq.F], [3]), ([sq.E, sq.F, three], [3, 6])):
+        res = is_compatible(targets)
+        assert res.verdict == "incompatible"
+        dim, blocks = sq.space.ambient_dim, [(ti, li) for ti, t in enumerate(targets)
+                                              for li in range(t.n_outcomes)]
+        assert len(res.farkas) == len(blocks) * dim
+        for b in dropped:
+            assert res.farkas[b * dim:(b + 1) * dim] == (0,) * dim
+        joint = list(itertools.product(*[range(t.n_outcomes) for t in targets]))
+        full = make_program(
+            rows=[[g[d] if omega[ti] == li else 0 for omega in joint for g in gens]
+                  for ti, li in blocks for d in range(dim)],
+            rhs=[x for t in targets for eff in t.effects for x in eff.coeffs])
+        assert verify_farkas(full, res.farkas)
+
+
+def test_compatibility_float_joint_failing_dropped_blocks_raises(monkeypatch, suite):
+    # A float joint is tested on the blocks the program drops: a solve whose
+    # joint misses a target's last effect raises instead of returning it.
+    from gptsim import lp, simulation
+    from gptsim.lp import CertificateError
+
+    x = suite.X.as_float()
+    post = apply(Postprocessing(("+", "-"), ("+", "-"), ((0.8, 0.2), (0.3, 0.7))), x)
+    assert is_compatible([x, post]).compatible
+
+    def scaled(program, mode=None, tol=lp.DEFAULT_TOLERANCE):
+        out = lp.lp_solve(program, mode=mode, tol=tol)
+        return dataclasses.replace(out, solution=tuple(v * (1 + 1e-6) for v in out.solution))
+
+    monkeypatch.setattr(simulation, "lp_solve", scaled)
+    with pytest.raises(CertificateError, match="last-outcome marginal"):
+        is_compatible([x, post])
 
 
 @pytest.mark.parametrize("name", ["classical4", "square"])
@@ -662,7 +730,9 @@ def test_compatibility_outcomes_pinned():
     # sha256 over seeded polytope decisions (verdict, joint observable,
     # marginal channels, Farkas vector) and seeded qubit bracket decisions
     # (verdict, solves, pivots). Retaken for the revised float kernel, whose
-    # 84 verdicts equal those of the float tableau before it.
+    # 84 verdicts equal those of the float tableau before it, and again when
+    # the programs dropped their implied last-outcome blocks, with every
+    # decision verdict unchanged.
     import hashlib
 
     from gptsim import lp
@@ -688,7 +758,7 @@ def test_compatibility_outcomes_pinned():
                                 lp.stats["pivots"] - pivots)).encode())
     assert qubit_verdicts == {"compatible", "incompatible"}
     assert digest.hexdigest() == (
-        "a41967a89561f1c30c8f764a1ad1877493f52fada3c8f166cb45a6aba20fa01e")
+        "f1c794cade86b823d43e45fa2bac77947214ccb3fa68089a8ba5cb6dee8d10e0")
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -735,4 +805,4 @@ def test_bracket_128_outcomes_pinned():
                             lp.stats["pivots"] - pivots)).encode())
     assert verdicts == {"compatible", "incompatible"}
     assert digest.hexdigest() == (
-        "1fc585ecce75943b12c5eebeb0a43f3b1c9a26fc50ba32834c3dfa48c70f11d8")
+        "eaed295d85ff3d58012e3c1ec1c8b67ed52905f2c2e7d85df2ca26f742241ce2")
