@@ -19,7 +19,8 @@ Code outside this module branches on the mode only where the two modes run
 different algorithms or read outside input: the backend choice in
 `lp.lp_solve`, the exact and float replays in `lp.verify_solution` and
 `lp.verify_farkas`, the float-only replay in `lp._simplex`, the float-array
-versus exact-tuple layout of `simulation.simulation_program`,
+versus exact-tuple layout of `simulation.simulation_program`, the integer
+clearing of the simulation replay's numbers (`simulation._cleared`),
 `serialize.decode_number` and the command line's `--mode`.
 """
 

@@ -7,10 +7,11 @@ exactly, so membership is one LP feasibility problem: nonnegative variables
 M_i[x,y] with constant row sums c_i inside each simulator, sum_i c_i = 1,
 and effect-matching equalities. Feasible solutions are unfolded back into
 weights and channels; infeasibility yields a Farkas certificate. Both replay
-through the LP verifiers against the same program. With one simulator B the
-simulation set is {nu o B}, so the postprocessing relation is this program
-and this certificate too, with weights (1,) and one channel
-(`postprocessing.is_postprocessing_of`).
+against the definition, from the certificate and the observables alone
+(`replay_simulation`), so a fault in the program builder cannot pass its own
+replay. With one simulator B the simulation set is {nu o B}, so the
+postprocessing relation is this program and this certificate too, with
+weights (1,) and one channel (`postprocessing.is_postprocessing_of`).
 
 The module also hosts the derived notions: simulation irreducibility,
 decomposition into irreducibles (the constructive splitting argument),
@@ -24,9 +25,9 @@ polytope, whose generators are all its dual-cone rays).
 Both programs leave out rows that equal effect sums imply: a simulation
 program the target's last-outcome rows, a compatibility program the
 last-outcome block of every target after the first. A float answer is
-tested on the rows left out, at eps, and raises CertificateError if it
-fails them; a refutation is padded with zeros there, so it keeps one entry
-per row of the full layout.
+tested on every row, those left out included, at eps, and raises
+CertificateError if it fails them; a refutation is padded with zeros in the
+rows left out, so it keeps one entry per row of the full layout.
 """
 
 from __future__ import annotations
@@ -38,15 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import geometry
-from .lp import (
-    FEASIBLE,
-    CertificateError,
-    LinearProgram,
-    lp_solve,
-    make_program,
-    verify_farkas,
-    verify_solution,
-)
+from .lp import FEASIBLE, CertificateError, LinearProgram, _integer_row, lp_solve, make_program
 from .postprocessing import (
     Postprocessing,
     apply,
@@ -101,9 +94,6 @@ def _check_same_space(target: Observable, simulators: Sequence[Observable]):
         raise ValueError("observables live in different ambient dimensions")
 
 
-_memo = ((), None, None)  # ((target, *simulators), tol, program) of the last program built
-
-
 def _sums_agree(target: Observable, simulators: Sequence[Observable], F) -> bool:
     """Every simulator's effects sum to the target's effect sum: exactly in
     exact mode, within eps in each coordinate in float mode."""
@@ -142,19 +132,7 @@ def simulation_program(target: Observable, simulators: Sequence[Observable],
     tuples of int 0 and +-1 and the effects' own numbers, which the program
     clears to integers once, on first read of its `integer_data`: an object
     array placed the same way holds the same entries but is slower to build.
-
-    The last program is memoized by the identity (`is`) of the target and of
-    each simulator and by the tolerance, so a replay right after its
-    decision reuses it, and with it the integer clearing that the decision's
-    exact solve made; the memo holds the observables, so their ids are not
-    recycled. A miss drops the memoized program before it builds the next one.
     """
-    global _memo
-    key, (last_key, last_tol, program) = (target, *simulators), _memo
-    if (len(key) == len(last_key) and all(a is b for a, b in zip(key, last_key))
-            and last_tol == tol):
-        return program
-    _memo = program = ((), None, None)  # no reference to the last program outlives the build
     F = _common_field(target, simulators, tol)
     if not _sums_agree(target, simulators, F):
         raise ValueError("the target's effects and each simulator's must sum to one vector")
@@ -189,23 +167,35 @@ def simulation_program(target: Observable, simulators: Sequence[Observable],
                 row = [0] * (c0 + k)
                 row[yi:c0:ny] = [coeffs[d] for coeffs in effects]
                 rows.append(tuple(row))
-    program = make_program(rows=rows, rhs=rhs,
-                           start=[(g, g * ny + ny - 1) for g in range(nx)])
-    _memo = (key, tol, program)
-    return program
+    return make_program(rows=rows, rhs=rhs, start=[(g, g * ny + ny - 1) for g in range(nx)])
 
 
-def _last_outcome_holds(target: Observable, simulators: Sequence[Observable],
-                        x: Sequence, eps: float) -> bool:
-    """The rows `simulation_program` drops, for a float solution x: sum_g
-    M[g, last] B_g(d) = A_last(d) within eps for each d; an inf or a NaN
-    fails."""
-    ny = target.n_outcomes
-    effects = np.array([eff.coeffs for sim in simulators for eff in sim.effects], dtype=float)
+def _cleared(F, *parts) -> tuple:
+    """Each part (a sequence of numbers) as an array, then their one positive
+    scale D: integers over the least common denominator of all parts
+    (`lp._integer_row`) in exact mode, floats over D = 1 in float mode. So a
+    test of a cleared value against eps needs no scaling: eps is 0 in exact
+    mode, and D is 1 in float mode."""
+    flat = [x for part in parts for x in part]
+    values, D = (flat, 1) if F.mode == FLOAT else _integer_row(flat)
+    array, ends = np.array(values, dtype=F.dtype), [0, *itertools.accumulate(map(len, parts))]
+    return (*(array[a:b] for a, b in zip(ends, ends[1:])), D)
+
+
+def _matches_target(target: Observable, simulators: Sequence[Observable],
+                    x: Sequence, F) -> bool:
+    """sum_g M[g, y] B_g = A_y in every coordinate of every outcome y, the
+    last included, for x in the layout of `simulation_program` (M[g, y] at
+    g * ny + y, B_g the effect of the simulators' outcome g): exactly in
+    exact mode, within eps in float mode; an inf or a NaN fails."""
+    ny, dim = target.n_outcomes, target.dim
+    effects = [c for sim in simulators for eff in sim.effects for c in eff.coeffs]
+    nx = len(effects) // dim
+    M, B, A, D = _cleared(F, x[:nx * ny], effects,
+                          [c for eff in target.effects for c in eff.coeffs])
     with np.errstate(over="ignore", invalid="ignore"):
-        column = np.asarray(x[ny - 1:len(effects) * ny:ny], dtype=float)
-        gap = column @ effects - np.asarray(target.effects[-1].coeffs, dtype=float)
-        return bool((np.abs(gap) <= eps).all())
+        gap = M.reshape(nx, ny).T @ B.reshape(nx, dim) - A.reshape(ny, dim) * D  # times D^2
+        return bool((abs(gap) <= F.eps).all())
 
 
 def is_simulable(target: Observable, simulators: Sequence[Observable],
@@ -224,7 +214,7 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
     out = lp_solve(program, mode=F.mode, tol=tol)
     if out.verdict != FEASIBLE:
         return SimulationCertificate(NOT_SIMULABLE, farkas=out.farkas + (F.zero,) * target.dim)
-    if F.mode == FLOAT and not _last_outcome_holds(target, simulators, out.solution, F.eps):
+    if F.mode == FLOAT and not _matches_target(target, simulators, out.solution, F):
         raise CertificateError("float solution fails the target's last-outcome rows")
 
     ny = target.n_outcomes
@@ -250,52 +240,60 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
 def replay_simulation(cert: SimulationCertificate, target: Observable,
                       simulators: Sequence[Observable],
                       tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Re-check a simulation certificate against its instance.
+    """Re-check a simulation certificate against the definition of
+    simulation, from the certificate and the observables alone: it builds no
+    program. Observables of different ambient dimensions or state spaces
+    raise ValueError, as in `is_simulable`. Exact values are cleared to
+    integers and compared exactly, float values within eps, and a NaN fails
+    every test.
 
-    A target whose effects do not sum to the simulators' common effect sum
-    is simulable from them by no scheme, and no certificate replays for it.
-    Otherwise a refutation has one entry per row of the full program, the
-    last outcome's rows included, and replays as a Farkas vector of
-    `simulation_program` once a nonzero last block y_last is folded into the
-    kept rows by the implied-row identity: y_g += sum_d y_last,d B_g(d),
-    y_W += sum_d y_last,d s(d) and y_y,d -= y_last,d for y < last. So a
-    vector solved from the full program, as files written before the
-    program dropped those rows hold, replays too. Simulable weights and
-    channels must match the simulators' and target's labels and be
-    stochastic; they then replay as that program's solution
-    (w_i nu_i[x,y] ..., w_i ...), in float mode with the dropped rows
-    tested at eps as well (in exact mode the identity makes them hold).
+    Simulable weights w and channels nu must match the simulators' and the
+    target's labels, the channels be stochastic and the weights a
+    probability vector (each at least -eps, summing to 1). Then M[g, y] =
+    w_i nu_i[x, y], for g the outcome x of simulator i, must give
+    sum_g M[g, y] B_g = A_y for every outcome y (`_matches_target`).
+
+    A refutation is a Farkas vector of the full program, the target's last
+    outcome's rows included: alpha_g for the row sum of each simulator
+    outcome g, beta for the total weight, then phi_y (dim entries) for the
+    effect of each target outcome y. It replays when alpha_g + phi_y . B_g
+    <= 0 for every column M[g, y], beta <= sum_{g in i} alpha_g for every
+    weight column c_i, and beta + sum_y phi_y . A_y > 0. A vector padded with
+    zeros in the last block, as `is_simulable` writes it, and one solved
+    from the full program, as files written before the program dropped
+    those rows hold, replay alike. A target whose effects do not sum to the
+    simulators' effect sum is simulable by no scheme, so no simulable
+    certificate replays for it.
     """
     simulators = list(simulators)
+    _check_same_space(target, simulators)
     F = _common_field(target, simulators, tol)
-    try:
-        program = simulation_program(target, simulators, tol)
-    except ValueError:  # the effect sums differ, so no scheme exists
-        return False
     if not cert.simulable:
-        dim = target.dim
-        if len(cert.farkas) != len(program.rows) + dim:
+        ny, dim = target.n_outcomes, target.dim
+        sizes = [sim.n_outcomes for sim in simulators]
+        nx = sum(sizes)
+        if len(cert.farkas) != nx + 1 + ny * dim:
             return False
-        y, last = list(cert.farkas[:-dim]), cert.farkas[-dim:]
-        if any(last):
-            effects = [eff.coeffs for sim in simulators for eff in sim.effects]
-            nx = len(effects)
-            for g, e in enumerate(effects):
-                y[g] += vdot(last, e)
-            y[nx] += vdot(last, target.effect_sum)
-            for r in range(nx + 1, len(y)):
-                y[r] -= last[(r - nx - 1) % dim]
-        return verify_farkas(program, y, tol=tol, mode=F.mode)
+        y, B, A, D = _cleared(F, cert.farkas,
+                              [c for sim in simulators for eff in sim.effects for c in eff.coeffs],
+                              [c for eff in target.effects for c in eff.coeffs])
+        alpha, beta, phi = y[:nx], y[nx], y[nx + 1:].reshape(ny, dim)
+        starts = list(itertools.accumulate(sizes[:-1], initial=0))
+        with np.errstate(over="ignore", invalid="ignore"):  # each test fails on an inf or a NaN
+            columns = alpha[:, None] * D + B.reshape(nx, dim) @ phi.T  # times D^2
+            weights = beta - np.add.reduceat(alpha, starts)  # times D
+            value = beta * D + phi.ravel() @ A  # times D^2
+            return bool((columns <= F.eps).all() and (weights <= F.eps).all() and value > F.eps)
     if not len(cert.weights) == len(cert.channels) == len(simulators):
         return False
     if any(chan.source != sim.labels or chan.target != target.labels
            or not chan.is_stochastic(tol)
            for chan, sim in zip(cert.channels, simulators)):
         return False
-    x = (*(w * v for w, chan in zip(cert.weights, cert.channels)
-           for row in chan.matrix for v in row), *cert.weights)
-    return (verify_solution(program, x, tol=tol, mode=F.mode)
-            and (F.mode != FLOAT or _last_outcome_holds(target, simulators, x, F.eps)))
+    if not (all(w >= -F.eps for w in cert.weights) and abs(sum(cert.weights) - 1) <= F.eps):
+        return False
+    x = [w * v for w, chan in zip(cert.weights, cert.channels) for row in chan.matrix for v in row]
+    return _matches_target(target, simulators, x, F)
 
 
 def merge_duplicate_simulators(weights, channels, simulators) -> tuple:

@@ -12,10 +12,17 @@ vector, at the default tolerance). Numbers are exact strings ("3/4") or
 float reprs. Solves are recorded where `lp_solve` hands the program to the
 driver, so a decision that solves several programs (a conic decomposition,
 a compatibility bracket, a `reproduce` criterion) gives several lines.
+After its solves, each decision gives one line of its own, without a solve
+index: the decision's verdict ("passed" or "failed" for a criterion) and,
+for a relation decision, whether `replay_simulation` accepts its
+certificate (null for the others).
 `diff` prints, per corpus, how many solves moved program, verdict,
 certificate or pivots, the pivot totals and the replay failures, then one
-line per solve that moved. Run `dump` on the parent commit in a second
-checkout and on the change, then `diff` the two files.
+line per solve that moved, then the same for the decisions' verdicts and
+replays, and "moved nothing" when no solve or decision moved, went or
+appeared. It exits 1 when a solve's or a decision's verdict moves or a
+replay is lost. Run `dump` on the parent commit in a second checkout and on
+the change, then `diff` the two files.
 
 The test modules build their pinned corpora from the functions here, so a
 dump covers exactly what the digests pin.
@@ -46,9 +53,14 @@ from gptsim.geometry import conic_decompose
 from gptsim.lp import FEASIBLE, INFEASIBLE, lp_solve, make_program
 from gptsim.postprocessing import apply, is_postprocessing_of, merge_channel
 from gptsim.qubit import QubitEffect, dichotomic
-from gptsim.reproduce import CRITERIA, run_criterion
+from gptsim.reproduce import CRITERIA, CriterionResult, run_criterion
 from gptsim.scalars import EXACT, FLOAT
-from gptsim.simulation import is_compatible, simulation_program
+from gptsim.simulation import (
+    SimulationCertificate,
+    is_compatible,
+    replay_simulation,
+    simulation_program,
+)
 from gptsim.spaces import dual_cone_rays
 
 F = Fraction
@@ -288,9 +300,22 @@ def _line(corpus, index, solve, program, out) -> dict:
             "pivots": out.pivots, "replays": replays}
 
 
+def _decision(corpus, index, decide, result) -> dict:
+    if isinstance(result, CriterionResult):
+        verdict = "passed" if result.passed else "failed"
+    else:
+        verdict = result.verdict
+    replays = None
+    if isinstance(result, SimulationCertificate):  # a relation decision
+        target, source = decide.args
+        replays = replay_simulation(result, target, [source])
+    return {"corpus": corpus, "index": index, "verdict": verdict, "replays": replays}
+
+
 def record(corpus):
     """The dump lines of one corpus: each decision runs with `lp._simplex`
-    wrapped, and every solve it makes becomes one line."""
+    wrapped, every solve it makes becomes one line, and its own result one
+    more."""
     decisions = CORPORA[corpus]()
     solves, simplex = [], lp._simplex
 
@@ -304,8 +329,9 @@ def record(corpus):
     try:
         for index, decide in enumerate(decisions):
             solves.clear()
-            decide()
+            result = decide()
             lines.extend(_line(corpus, index, k, p, out) for k, (p, out) in enumerate(solves))
+            lines.append(_decision(corpus, index, decide, result))
     finally:
         lp._simplex = simplex
     return lines
@@ -318,40 +344,56 @@ def dump(path):
                 fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
-def _load(path) -> dict:
-    """{corpus: {(index, solve): line}}, corpora in file order."""
-    out = {}
+def _load(path) -> tuple:
+    """({corpus: {(index, solve): line}}, {corpus: {index: line}}): the solve
+    lines and the decision lines, corpora in file order."""
+    solves, decisions = {}, {}
     with open(path) as fh:
         for text in fh:
             line = json.loads(text)
-            out.setdefault(line["corpus"], {})[line["index"], line["solve"]] = line
-    return out
+            if "solve" in line:
+                solves.setdefault(line["corpus"], {})[line["index"], line["solve"]] = line
+            else:
+                decisions.setdefault(line["corpus"], {})[line["index"]] = line
+    return solves, decisions
 
 
 _CERTIFICATE = ("solution", "farkas", "ray", "objective")
 
+_SOLVE_MOVES = {
+    "program": lambda a, b: a["shape"] != b["shape"],
+    "verdict": lambda a, b: a["verdict"] != b["verdict"],
+    "certificate": lambda a, b: any(a[f] != b[f] for f in _CERTIFICATE),
+    "pivots": lambda a, b: a["pivots"] != b["pivots"],
+    "replay lost": lambda a, b: a["replays"] and not b["replays"],
+}
+
+_DECISION_MOVES = {
+    "verdict": _SOLVE_MOVES["verdict"],
+    "replay lost": _SOLVE_MOVES["replay lost"],
+}
+
+
+def _moves(a, b, tests) -> tuple:
+    """({key: names of the tests that hold} for the keys of both a and b, the
+    count of each test, the number of keys gone and new)."""
+    moved = {k: [f for f, test in tests.items() if test(a[k], b[k])] for k in a if k in b}
+    count = {f: sum(f in fields for fields in moved.values()) for f in tests}
+    return moved, count, len(a) - len(moved), len(b) - len(moved)
+
 
 def diff(old_path, new_path, file=sys.stdout):
     """Print per corpus what moved between two dumps; returns the number of
-    solves whose verdict moved or whose certificate fails replay in NEW
-    where it replayed in OLD."""
-    old, new = _load(old_path), _load(new_path)
-    alarms = 0
-    for corpus in dict.fromkeys([*old, *new]):
+    solves and decisions whose verdict moved or whose certificate fails
+    replay in NEW where it replayed in OLD."""
+    (old, old_decisions), (new, new_decisions) = _load(old_path), _load(new_path)
+    alarms = changes = 0
+    for corpus in dict.fromkeys([*old, *new, *old_decisions, *new_decisions]):
         a, b = old.get(corpus, {}), new.get(corpus, {})
-        both = [k for k in a if k in b]
-        moved = {k: [f for f, moves in (
-            ("program", a[k]["shape"] != b[k]["shape"]),
-            ("verdict", a[k]["verdict"] != b[k]["verdict"]),
-            ("certificate", any(a[k][f] != b[k][f] for f in _CERTIFICATE)),
-            ("pivots", a[k]["pivots"] != b[k]["pivots"]),
-            ("replay lost", a[k]["replays"] and not b[k]["replays"])) if moves]
-            for k in both}
-        count = {f: sum(f in fields for fields in moved.values())
-                 for f in ("program", "verdict", "certificate", "pivots", "replay lost")}
+        moved, count, gone, added = _moves(a, b, _SOLVE_MOVES)
         alarms += count["verdict"] + count["replay lost"]
-        print(f"{corpus}: {len(a)} -> {len(b)} solves"
-              f" ({len(a) - len(both)} gone, {len(b) - len(both)} new);"
+        changes += sum(count.values()) + gone + added
+        print(f"{corpus}: {len(a)} -> {len(b)} solves ({gone} gone, {added} new);"
               f" moved: {', '.join(f'{f} {n}' for f, n in count.items())};"
               f" pivots {sum(x['pivots'] for x in a.values())}"
               f" -> {sum(x['pivots'] for x in b.values())};"
@@ -363,6 +405,19 @@ def diff(old_path, new_path, file=sys.stdout):
                 print(f"  #{index}.{solve}: {', '.join(fields)};"
                       f" {before['verdict']} -> {after['verdict']},"
                       f" pivots {before['pivots']} -> {after['pivots']}", file=file)
+        a, b = old_decisions.get(corpus, {}), new_decisions.get(corpus, {})
+        moved, count, gone, added = _moves(a, b, _DECISION_MOVES)
+        alarms += count["verdict"] + count["replay lost"]
+        changes += sum(count.values()) + gone + added
+        print(f"  decisions: {len(a)} -> {len(b)} ({gone} gone, {added} new);"
+              f" moved: {', '.join(f'{f} {n}' for f, n in count.items())}", file=file)
+        for index, fields in moved.items():
+            if fields:
+                print(f"  decision #{index}: {', '.join(fields)};"
+                      f" {a[index]['verdict']} -> {b[index]['verdict']},"
+                      f" replays {a[index]['replays']} -> {b[index]['replays']}", file=file)
+    if not changes:
+        print("moved nothing", file=file)
     return alarms
 
 
@@ -370,7 +425,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m tests.corpora", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("dump", help="write one JSON line per solve of each corpus")
+    p = sub.add_parser("dump", help="write one JSON line per solve and per decision of each corpus")
     p.add_argument("out")
     p = sub.add_parser("diff", help="print what moved between two dumps")
     p.add_argument("old")

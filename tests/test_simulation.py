@@ -29,6 +29,7 @@ from gptsim.postprocessing import (
 )
 from gptsim.simulation import (
     NOT_SIMULABLE,
+    SIMULABLE,
     SimulationCertificate,
     check_closure_laws,
     decompose_to_irreducibles,
@@ -95,11 +96,11 @@ def test_replay_rejects_tampered_exact_farkas():
             assert replay(bad) is False
 
 
-def test_replay_against_another_instance_rebuilds_the_program(sq):
-    # The memoized program of the last decision or replay must not answer a
-    # replay with another simulator list or another target. F from [F] and
-    # E from [E] are simulable, so the Farkas vector of F from [E] refutes
-    # neither, and E's scheme from [E, F] does not simulate F.
+def test_replay_rejects_a_certificate_for_another_instance(sq):
+    # A certificate replays against its own instance only, not against
+    # another simulator list or another target. F from [F] and E from [E]
+    # are simulable, so the Farkas vector of F from [E] refutes neither, and
+    # E's scheme from [E, F] does not simulate F.
     cert = is_simulable(sq.F, [sq.E])
     assert not cert.simulable and replay_simulation(cert, sq.F, [sq.E])
     assert replay_simulation(cert, sq.F, [sq.F]) is False
@@ -109,17 +110,43 @@ def test_replay_against_another_instance_rebuilds_the_program(sq):
     assert replay_simulation(cert, sq.F, [sq.E, sq.F]) is False
 
 
+def test_replay_rejects_schemes_of_a_faulty_builder(sq, monkeypatch):
+    # A builder that drops the coordinate-0 effect rows of the first two
+    # target outcomes turns some refutable targets SIMULABLE. The replay
+    # checks the definition, not a program, so it rejects every one of them.
+    import random
+
+    from gptsim import simulation
+
+    built = simulation.simulation_program
+
+    def faulty(target, simulators, tol=None):
+        program = built(target, simulators)
+        nx = sum(sim.n_outcomes for sim in simulators)
+        dropped = {nx + 1 + y * target.dim for y in range(min(2, target.n_outcomes - 1))}
+        kept = [r for r in range(len(program.rhs)) if r not in dropped]
+        return make_program([program.rows[r] for r in kept], [program.rhs[r] for r in kept],
+                            start=program.start)
+
+    rng = random.Random(28)
+    cases = [(random_observable(sq.space, rng), [sim]) for _ in range(100) for sim in (sq.E, sq.F)]
+    refuted = [(t, sims) for t, sims in cases if not is_simulable(t, sims).simulable]
+    monkeypatch.setattr(simulation, "simulation_program", faulty)
+    wrong = [(t, sims, cert) for t, sims in refuted
+             for cert in [is_simulable(t, sims)] if cert.simulable]
+    assert wrong
+    assert not any(replay_simulation(cert, t, sims) for t, sims, cert in wrong)
+
+
 def test_replay_against_equal_distinct_observables(sq):
-    # Equal observables that are other objects rebuild an equal program,
-    # and the certificate replays against it.
+    # Equal observables that are other objects build an equal program, and
+    # the certificate replays against them.
     def twin(obs):
         return Observable(obs.outcomes, obs.space)
 
     sims = [sq.E, sq.F]
     program = simulation_program(sq.E, sims)
-    assert simulation_program(sq.E, list(sims)) is program
-    rebuilt = simulation_program(twin(sq.E), [twin(s) for s in sims])
-    assert rebuilt is not program and rebuilt == program
+    assert simulation_program(twin(sq.E), [twin(s) for s in sims]) == program
     for target in (sq.E, twin(sq.E)):
         cert = is_simulable(target, sims)
         assert cert.simulable
@@ -247,8 +274,9 @@ def test_unequal_effect_sums_rejected(sq, mode):
 def test_full_layout_farkas_replays(sq, mode):
     # Certificates written before the last outcome's rows were dropped have
     # one entry per row of the full layout, with a nonzero last block; the
-    # replay folds it into the kept rows. A vector tampered in that block so
-    # that it is no refutation of the full program fails.
+    # replay reads them as Farkas vectors of the full program. A vector
+    # tampered in that block so that it is no refutation of the full program
+    # fails.
     rat = tetrahedron_rational()
     target, sims = rat["B"], [rat[f"C{i}"] for i in (1, 2, 3, 4)]
     zero, one = (0, 1)
@@ -278,7 +306,8 @@ def test_full_layout_farkas_replays(sq, mode):
 
 def test_replay_rejects_nan_certificates(sq):
     # NaN weights and channels fail the stochasticity test and the solution
-    # replay, and a NaN Farkas vector fails the Farkas replay.
+    # replay, and a NaN Farkas vector fails the Farkas replay, also with one
+    # NaN entry: one weight, one alpha, beta or one phi.
     nan = float("nan")
     target, sims = sq.E.as_float(), [sq.E.as_float(), sq.F.as_float()]
     cert = is_simulable(target, sims)
@@ -288,12 +317,37 @@ def test_replay_rejects_nan_certificates(sq):
     assert not any(c.is_stochastic() for c in channels)
     for bad in (dataclasses.replace(cert, weights=(nan, nan), channels=channels),
                 dataclasses.replace(cert, weights=(nan, nan)),
+                dataclasses.replace(cert, weights=(nan, cert.weights[1])),
                 dataclasses.replace(cert, channels=channels)):
         assert replay_simulation(bad, target, sims) is False
     refuted = is_simulable(sims[1], sims[:1])
     assert not refuted.simulable and replay_simulation(refuted, sims[1], sims[:1])
-    nan_farkas = dataclasses.replace(refuted, farkas=(nan,) * len(refuted.farkas))
-    assert replay_simulation(nan_farkas, sims[1], sims[:1]) is False
+    # layout: alpha for the two outcomes of E, then beta, then phi
+    for entries in (range(len(refuted.farkas)), [0], [2], [3]):
+        farkas = [nan if i in entries else v for i, v in enumerate(refuted.farkas)]
+        nan_farkas = dataclasses.replace(refuted, farkas=tuple(farkas))
+        assert replay_simulation(nan_farkas, sims[1], sims[:1]) is False
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_replay_tests_weights_and_weight_columns(sq, mode):
+    # Each of these matches every target effect, so only the test named
+    # rejects it: weights (2, -1) over [E, E] (a negative weight); weight 2
+    # for the doubled E from [E] (weights summing to 2); and y = (0, 0, 0, 0,
+    # beta = 1, 0, ...) for E from [E, F], which passes every column M[g, y]
+    # but not the weight columns (beta <= sum of the alphas of simulator i).
+    e = sq.E.as_float() if mode == "float" else sq.E
+    one, zero = (1.0, 0.0) if mode == "float" else (1, 0)
+    identity = Postprocessing(e.labels, e.labels, ((one, zero), (zero, one)))
+    scheme = SimulationCertificate(SIMULABLE, weights=(one, zero), channels=(identity,) * 2)
+    assert replay_simulation(scheme, e, [e, e])
+    assert not replay_simulation(dataclasses.replace(scheme, weights=(2 * one, -one)), e, [e, e])
+    doubled = Observable(tuple((lab, tuple(2 * c for c in eff.coeffs)) for lab, eff in e.outcomes))
+    twice = SimulationCertificate(SIMULABLE, weights=(2 * one,), channels=(identity,))
+    assert not replay_simulation(twice, doubled, [e])
+    sims = [e, sq.F.as_float() if mode == "float" else sq.F]
+    beta = SimulationCertificate(NOT_SIMULABLE, farkas=(zero,) * 4 + (one,) + (zero,) * 6)
+    assert not replay_simulation(beta, e, sims)
 
 
 def test_mixed_spaces_rejected(sq, trit):
