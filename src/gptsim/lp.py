@@ -29,10 +29,12 @@ compared with tolerances: it keeps A and a small inverse of the basis
 instead of the tableau, so a pivot on a program of m rows costs O(m^2) plus
 one pricing product over A, not a rewrite of m x (n + m) entries.
 Exact mode reads the rows and right-hand sides cleared to integers once per
-program (`LinearProgram.integer_data`); a request checks only the objectives
-for floats up front, and a float row or right-hand side raises ValueError
-when the kernel reads `integer_data`, before any pivot, so a rejected
-program is no solve.
+program (`LinearProgram.integer_data`): cleared from the rows on first
+read, or filled in with the same integers by a builder that knows its
+layout (`simulation.simulation_program`). A request checks only the
+objectives for floats up front, and a float row or right-hand side raises
+ValueError when the kernel reads `integer_data`, before any pivot, so a
+rejected program is no solve.
 
 Every verdict is checkable after the fact: a feasible outcome carries the
 solution vector, an infeasible outcome carries a Farkas vector y with
@@ -179,8 +181,13 @@ class LinearProgram:
     @cached_property
     def integer_data(self) -> tuple:
         """Each row with its rhs cleared to integers, as (numerators, positive
-        denominator) with the numerators a tuple, made on first use for the
-        exact kernel and the exact verifiers; a float raises ValueError."""
+        denominator) with the numerators a tuple and the denominator their
+        least common one, for the exact kernel and the exact verifiers.
+        Made from the rows on first read; a float raises ValueError. The
+        builder of a program, and only it, may fill it first by storing the
+        value in the instance's `__dict__` before anything reads it
+        (`simulation.simulation_program` does, from its layout); a filled
+        value must equal this generic clearing, row for row."""
         return tuple((tuple(row), den) for row, den in
                      (_integer_row((*r, b)) for r, b in zip(self.rows, self.rhs)))
 
@@ -368,7 +375,11 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
         if not _solution_replays(program, x, F.eps):
             raise CertificateError("float solution fails replay against its program")
     else:
-        sol = _recover(n, basis, [tab.value(i) for i in range(len(basis))], F)
+        # Exact values need no -0.0 fix-up: each is one Fraction of the kernel.
+        x = [F.zero] * n
+        for i, col in enumerate(basis):
+            x[col] = tab.value(i)
+        sol = tuple(x)
     if F.mode == FLOAT and ray and not _ray_replays(program, ray, objective, F.eps):
         raise CertificateError("float unbounded ray fails replay against its program")
     value = None if ray or program.objective is None else tab.dot(program.objective, sol)
@@ -397,8 +408,9 @@ def _ray_replays(program: LinearProgram, ray, objective, eps) -> bool:
 
 
 def _recover(n, cols, values, F):
-    """The n variables, `values` in columns `cols` and zero elsewhere; F.zero
-    + v turns a float -0.0 into 0.0."""
+    """An unbounded ray's n entries, `values` in columns `cols` and zero
+    elsewhere; F.zero + v turns a float -0.0 into 0.0. Only rays come here:
+    `_simplex` builds each solution itself."""
     x = [F.zero] * n
     for col, v in zip(cols, values):
         x[col] = F.zero + v

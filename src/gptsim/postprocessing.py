@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+from .lp import _integer_row
 from .scalars import (
     DEFAULT_TOLERANCE,
     EXACT,
@@ -58,6 +59,15 @@ class Postprocessing:
                               tuple(to_float_vector(r) for r in self.matrix))
 
     def is_stochastic(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+        """Every entry in [0, 1] and every row summing to 1. Exact mode clears
+        each row once to integers N over D (`lp._integer_row`) and tests
+        sum N = D and N_j >= 0, so that N_j <= D; float mode allows eps."""
+        if self.mode == EXACT:
+            for row in self.matrix:
+                N, D = _integer_row(row)
+                if sum(N) != D or min(N) < 0:  # an empty row fails the sum first
+                    return False
+            return True
         eps = field(self.mode, tol).eps  # each test is written so that a NaN fails it
         for row in self.matrix:
             if not all(-eps <= v <= 1 + eps for v in row):

@@ -18,9 +18,13 @@ holds its numbers, the zero test and the dedup key.
 Code outside this module branches on the mode only where the two modes run
 different algorithms or read outside input: the backend choice in
 `lp.lp_solve`, the exact and float replays in `lp.verify_solution` and
-`lp.verify_farkas`, the float-only replay in `lp._simplex`, the float-array
-versus exact-tuple layout of `simulation.simulation_program`, the integer
-clearing of the simulation replay's numbers (`simulation._cleared`),
+`lp.verify_farkas`, the float-only replay in `lp._simplex` (an exact
+solution is the kernel's Fractions as they are), the float-array versus
+exact-tuple layout of `simulation.simulation_program` (whose exact branch
+also fills the program's cleared rows), the integer clearing of the
+simulation replay's numbers (`simulation._cleared`), the integer tests of
+an exact channel (`postprocessing.Postprocessing.is_stochastic`) and of an
+exact minimum over a polytope's extreme states (`spaces.StateSpace.min_value`),
 `serialize.decode_number` and the command line's `--mode`.
 """
 

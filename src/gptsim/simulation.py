@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -129,9 +130,13 @@ def simulation_program(target: Observable, simulators: Sequence[Observable],
 
     Float mode places these blocks into one zeroed float ndarray, which the
     float kernel and the float verifiers take as it is. Exact mode keeps
-    tuples of int 0 and +-1 and the effects' own numbers, which the program
-    clears to integers once, on first read of its `integer_data`: an object
-    array placed the same way holds the same entries but is slower to build.
+    tuples of int 0 and +-1 and the effects' own numbers (an object array
+    placed the same way holds the same entries but is slower to build), and
+    fills the program's `integer_data` from the same layout instead of
+    leaving the program to scan every entry for its denominator: the
+    row-sum and weight rows are their own integers over 1, and effect row
+    (y, d) is cleared over one lcm, of coordinate d's simulator column
+    (cleared once for every y) and A_y(d).
     """
     F = _common_field(target, simulators, tol)
     if not _sums_agree(target, simulators, F):
@@ -143,6 +148,7 @@ def simulation_program(target: Observable, simulators: Sequence[Observable],
     zero, one = (F.zero, F.one) if F.mode == FLOAT else (0, 1)
     rhs = [zero] * nx + [one] + [x for eff in target.effects[:-1] for x in eff.coeffs]
     effects = [eff.coeffs for sim in simulators for eff in sim.effects]  # row g's effect
+    start = [(g, g * ny + ny - 1) for g in range(nx)]
     if F.mode == FLOAT:
         # Placed, not multiplied in: 0.0 * x is -0.0 for negative x.
         rows = np.zeros((nx + 1 + (ny - 1) * dim, c0 + k))
@@ -153,21 +159,34 @@ def simulation_program(target: Observable, simulators: Sequence[Observable],
         coeffs = np.array(effects, dtype=float).T  # column g: row g's effect
         kept = range(ny - 1)
         rows[nx + 1:, :c0].reshape(ny - 1, dim, nx, ny)[kept, :, :, kept] = coeffs
-    else:
-        rows = []  # of tuples, which make_program keeps without a second copy
-        owners = (i for i, n in enumerate(sizes) for _ in range(n))  # row g's simulator
-        for g, i in enumerate(owners):
+        return make_program(rows=rows, rhs=rhs, start=start)
+    rows = []  # of tuples, which make_program keeps without a second copy
+    cleared = []  # the same rows, rhs appended, as (integers, denominator)
+    owners = (i for i, n in enumerate(sizes) for _ in range(n))  # row g's simulator
+    for g, i in enumerate(owners):
+        row = [0] * (c0 + k)
+        row[g * ny:(g + 1) * ny] = [1] * ny
+        row[c0 + i] = -1
+        rows.append(tuple(row))
+        cleared.append(((*row, 0), 1))
+    rows.append((0,) * c0 + (1,) * k)
+    cleared.append(((0,) * c0 + (1,) * (k + 1), 1))
+    columns = [[coeffs[d] for coeffs in effects] for d in range(dim)]
+    over = [_integer_row(column) for column in columns]  # coordinate d over its lcm
+    for yi, eff in enumerate(target.effects[:-1]):
+        for column, (nums, den), a in zip(columns, over, eff.coeffs):
             row = [0] * (c0 + k)
-            row[g * ny:(g + 1) * ny] = [1] * ny
-            row[c0 + i] = -1
+            row[yi:c0:ny] = column
             rows.append(tuple(row))
-        rows.append((0,) * c0 + (1,) * k)
-        for yi in range(ny - 1):
-            for d in range(dim):
-                row = [0] * (c0 + k)
-                row[yi:c0:ny] = [coeffs[d] for coeffs in effects]
-                rows.append(tuple(row))
-    return make_program(rows=rows, rhs=rhs, start=[(g, g * ny + ny - 1) for g in range(nx)])
+            full = lcm(den, a.denominator)  # the lcm of the row and its rhs
+            if full != den:
+                nums = [x * (full // den) for x in nums]
+            row.append(a.numerator * (full // a.denominator))
+            row[yi:c0:ny] = nums
+            cleared.append((tuple(row), full))
+    program = make_program(rows=rows, rhs=rhs, start=start)
+    vars(program)["integer_data"] = tuple(cleared)  # filled before any read
+    return program
 
 
 def _cleared(F, *parts) -> tuple:

@@ -27,13 +27,17 @@ through these methods and so hold for either kind of space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Optional, Sequence
 
 from . import geometry
+from .lp import _integer_row
 from .scalars import (
     DEFAULT_TOLERANCE,
     EXACT,
+    FLOAT,
     Tolerance,
     field,
     kind_of,
@@ -104,8 +108,28 @@ class StateSpace:
         return [Effect(vscale(c, r)) for c, r in zip(res.coefficients, rays)
                 if c > F.eps]
 
+    @cached_property
+    def _integer_states(self) -> tuple:
+        """The extreme states as integer tuples over one positive denominator
+        D, as (states, D): made once per space on the first exact
+        `min_value`; a float raises ValueError."""
+        flat, D = _integer_row([x for s in self.extreme_states for x in s])
+        n = self.ambient_dim
+        return tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n)), D
+
     def min_value(self, effect: "Effect"):
-        """The least value of the effect over the extreme states."""
+        """The least value of the effect over the extreme states. With no
+        float on either side, the effect cleared to integers E over L and the
+        states to S over D give it as the one Fraction min_S (E . S) / (L D);
+        otherwise, or when the dimensions differ, it is min effect(s)."""
+        if self.kind != FLOAT and effect.dim == self.ambient_dim:
+            try:
+                E, L = _integer_row(effect.coeffs)
+            except ValueError:  # a float effect
+                pass
+            else:
+                states, D = self._integer_states
+                return Fraction(min(sum(map(mul, E, s)) for s in states), L * D)
         return min(effect(s) for s in self.extreme_states)
 
     def generators(self, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple:

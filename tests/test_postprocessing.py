@@ -1,6 +1,7 @@
 """Channels, the postprocessing relation, and minimal sufficiency."""
 
 import math
+import random
 from fractions import Fraction
 
 from corpora import relation_corpus
@@ -100,6 +101,51 @@ def test_replay_relation_rejects_non_stochastic_channel(sq):
     assert not replay_relation(_related(bad), coin, halves)
     cert = is_postprocessing_of(coin, halves)
     assert cert.simulable and replay_relation(cert, coin, halves)
+
+
+def _stochastic_reference(matrix) -> bool:
+    return all(0 <= v <= 1 for row in matrix for v in row) and all(
+        sum(row, F(0)) == 1 for row in matrix)
+
+
+def test_exact_is_stochastic_matches_fraction_reference():
+    tiny = F(1, 10 ** 30)
+    edges = [  # (matrix, stochastic)
+        (((F(0), F(1)), (F(1), F(0)), (HALF, HALF)), True),  # entries exactly 0 and 1
+        (((HALF, HALF + tiny),), False),  # row sum 1 + 1e-30
+        (((HALF, HALF - tiny),), False),  # row sum 1 - 1e-30
+        (((1 + tiny, -tiny),), False),  # sum 1, one entry negative and one above 1
+        (((F(3, 2), -HALF),), False),
+        (((0, 1), (1, 0)), True),  # ints only
+        (((1, 1),), False),
+        (((), ()), False),  # an empty target: each row sums to 0
+        ((), True),  # no source outcome: no row to test
+    ]
+    rng = random.Random(29)
+    seeded = []
+    for _ in range(200):
+        rows, width = [], rng.randint(1, 4)
+        for _ in range(rng.randint(1, 4)):
+            row = [F(rng.randint(0, 9), rng.randint(1, 2 ** 70)) for _ in range(width)]
+            total = sum(row, F(0))
+            rows.append([v / total for v in row] if total else [F(1)] + row[1:])
+        row = rng.choice(rows)  # stochastic unless this entry moves
+        j = rng.randrange(width)
+        row[j] += rng.choice([0, 0, tiny, -tiny, -row[j] - tiny])
+        seeded.append(tuple(map(tuple, rows)))
+    for matrix, expected in edges + [(m, _stochastic_reference(m)) for m in seeded]:
+        chan = Postprocessing([f"x{i}" for i in range(len(matrix))],
+                              [f"y{j}" for j in range(len(matrix[0]) if matrix else 2)], matrix)
+        assert chan.mode == "exact"
+        assert chan.is_stochastic() is expected is _stochastic_reference(matrix)
+    assert 40 < sum(map(_stochastic_reference, seeded)) < 160
+
+
+def test_float_is_stochastic_fails_nan():
+    nan = float("nan")
+    assert Postprocessing(("a",), ("x", "y"), ((0.5, 0.5),)).is_stochastic()
+    for row in ((nan, 1.0), (0.0, nan), (nan, nan)):
+        assert not Postprocessing(("a",), ("x", "y"), (row,)).is_stochastic()
 
 
 def test_sharp_x_y_unrelated(suite):

@@ -3,12 +3,13 @@
 import dataclasses
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from corpora import bracket_corpus, compatibility_corpus
+from corpora import bracket_corpus, compatibility_corpus, simulation_corpus
 from oracles import polytope_noise_content_direct, qubit_noise_content_grid
 
 from gptsim.catalog import (
@@ -214,6 +215,39 @@ def test_exact_simulation_program_keeps_int_and_fraction_tuples(sq):
     assert program.start == start
     assert [[type(x) for x in r] for r in program.rows] == [[type(x) for x in r] for r in rows]
     assert {type(x) for r in program.rows for x in r} == {int, Fraction}
+
+
+def _shared_sum_observable(rng, n, kinds, unit):
+    """n effects whose coordinate d is of kind kinds[d] ("int", "zero",
+    "small" or "big": a Fraction with a denominator past 2**64), the last
+    one completing the sum to `unit` exactly."""
+    big = 2 ** 64
+    draw = {"int": lambda: rng.randint(-3, 3), "zero": lambda: 0,
+            "small": lambda: F(rng.randint(-5, 5), rng.randint(1, 6)),
+            "big": lambda: F(rng.randint(-big, big), big + rng.randint(1, big))}
+    effects = [tuple(draw[kind]() for kind in kinds) for _ in range(n - 1)]
+    last = tuple(u - sum(e[d] for e in effects) for d, u in enumerate(unit))
+    return Observable(tuple((str(j), e) for j, e in enumerate(effects + [last])))
+
+
+def test_exact_builder_fills_the_generic_clearing():
+    # simulation_program clears its rows from the layout; the program would
+    # clear the same rows and right-hand sides entry by entry
+    rng = random.Random(29)
+    programs = simulation_corpus()
+    for kinds, unit in ((("int", "zero", "small", "big"), (1, 0, F(1, 3), F(2, 7))),
+                        (("big", "small", "zero", "int"), (F(1, 2 ** 65 + 1), 1, 0, 2)),
+                        (("int", "zero", "int"), (1, 0, 1))):
+        for n_target, sizes in ((3, [2]), (2, [3, 1]), (4, [2, 2, 3]), (1, [2])):
+            target = _shared_sum_observable(rng, n_target, kinds, unit)
+            sims = [_shared_sum_observable(rng, n, kinds, unit) for n in sizes]
+            programs.append(simulation_program(target, sims))
+    assert max(den for p in programs for _, den in p.integer_data) > 2 ** 64
+    for program in programs:
+        assert "integer_data" in vars(program)  # filled by the builder, not on first read
+        generic = make_program(rows=program.rows, rhs=program.rhs).integer_data
+        assert program.integer_data == generic
+        assert all(type(x) is int for row, den in program.integer_data for x in (*row, den))
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

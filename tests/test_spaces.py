@@ -1,9 +1,11 @@
 """State spaces, effects, and structural predicates."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from gptsim.catalog import tetrahedron_rational
 from gptsim.spaces import (
     Effect,
     Observable,
@@ -199,3 +201,42 @@ def test_dual_cone_rays_cached_per_mode(sq, float_first):
         assert (kind_of(x for p in parts for x in p.coeffs) == FLOAT) == (space.kind == FLOAT)
         total = [sum(p.coeffs[d] for p in parts) for d in range(3)]
         assert max(abs(a - b) for a, b in zip(total, effect.coeffs)) <= 1e-12
+
+
+def _rational_tetrahedron_space():
+    """The simplex whose extreme states are the rational points b_i of
+    `tetrahedron_rational()`'s observable B (its effects are (b_i / 2, 1/4))."""
+    points = [tuple(2 * x for x in eff.coeffs[:3]) for eff in tetrahedron_rational()["B"].effects]
+    return StateSpace("rational tetrahedron", 4, [(*b, 1) for b in points], (0, 0, 0, 1))
+
+
+def test_exact_min_value_is_the_fraction_minimum(sq, trit):
+    rng = random.Random(29)
+    big = 2 ** 64
+    rat = tetrahedron_rational()
+    cases = [(sq.space, [e for obs in (sq.E, sq.F) for e in obs.effects]),
+             (trit.space, list(trit.distinguishing.effects)),
+             (_rational_tetrahedron_space(), [e for obs in (rat["A"], rat["B"], rat["D1"])
+                                              for e in obs.effects]),
+             # integer states: integer effects too take the exact path
+             (StateSpace("integer triangle", 3, [(1, 0, 1), (0, 1, 1), (0, 0, 1)], (0, 0, 1)),
+              [Effect((HALF, 0, Fraction(1, 3)))])]
+    for space, effects in cases:
+        d = space.ambient_dim
+        effects += [Effect(tuple(rng.randint(-3, 3) for _ in range(d))) for _ in range(5)]
+        effects += [Effect(tuple(Fraction(rng.randint(-big, big), rng.randint(1, 4 * big))
+                                 for _ in range(d))) for _ in range(20)]
+        for effect in effects:
+            got = space.min_value(effect)
+            assert type(got) is Fraction
+            assert got == min(effect(s) for s in space.extreme_states)
+        # a float space, and a float effect on an integer space, keep the
+        # float minimum bit for bit
+        float_space = space.as_float()
+        pairs = [(float_space, effect.as_float()) for effect in effects]
+        if space.kind is None:
+            pairs += [(space, effect.as_float()) for effect in effects]
+        for sp, eff in pairs:
+            got = sp.min_value(eff)
+            assert type(got) is float
+            assert got.hex() == min(eff(s) for s in sp.extreme_states).hex()
