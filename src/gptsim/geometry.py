@@ -3,8 +3,10 @@
 Rank via pivoted elimination, deterministic conic decomposition with
 separating functionals, and extreme-ray enumeration for low-dimensional
 inequality cones. Convex-hull membership is conic decomposition of the
-lifted point (point, 1) over the lifted generators (g, 1), so both verdicts
-of both queries replay through `verify_solution`/`verify_farkas`.
+lifted point (point, 1) over the lifted generators (g, 1). Both verdicts of
+both queries replay against the definition on the vector and the rays
+(`replay_conic`), so a fault in the program `conic_decompose` builds cannot
+pass its own replay.
 """
 
 from __future__ import annotations
@@ -13,22 +15,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .lp import (
-    INFEASIBLE,
-    UNBOUNDED,
-    lp_solve,
-    make_program,
-    verify_farkas,
-    verify_solution,
-)
-from .scalars import (
-    DEFAULT_TOLERANCE,
-    Tolerance,
-    field,
-    infer_mode,
-    vdot,
-    vscale,
-)
+import numpy as np
+
+from .lp import INFEASIBLE, UNBOUNDED, lp_solve, make_program
+from .scalars import DEFAULT_TOLERANCE, Tolerance, cleared, field, infer_mode, vdot, vscale
 
 INSIDE = "inside"
 OUTSIDE = "outside"
@@ -152,7 +142,7 @@ def conic_decompose(v: Sequence, rays: Sequence[Sequence],
             raise ValueError("conic_decompose: dimension mismatch")
         if all(x == 0 for x in r):
             raise ValueError("conic_decompose: zero ray")
-    rows = _conic_rows(v, rays)
+    rows = [tuple(r[i] for r in rays) for i in range(len(v))]  # one column per ray
     units = [tuple(F.one if j == k else F.zero for j in range(len(rays)))
              for k in range(len(rays))]
     out = lp_solve(make_program(rows=rows, rhs=v, objective=units[0], tiebreaks=units[1:]),
@@ -167,19 +157,27 @@ def conic_decompose(v: Sequence, rays: Sequence[Sequence],
     return ConicResult(INSIDE, coefficients=out.solution)
 
 
-def _conic_rows(v, rays):
-    """One row per coordinate of v, one column per ray."""
-    return [tuple(r[i] for r in rays) for i in range(len(v))]
-
-
 def replay_conic(result: ConicResult, v: Sequence, rays: Sequence[Sequence],
                  tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Check a ConicResult against the rows its solver built."""
-    mode = infer_mode(x for r in [*rays, v] for x in r)
-    program = make_program(rows=_conic_rows(v, rays), rhs=v)
-    if result.inside:
-        return verify_solution(program, result.coefficients, tol, mode)
-    return verify_farkas(program, result.functional, tol, mode)
+    """Check a ConicResult against the definition, on v and the rays alone:
+    one coefficient c_k >= -eps per ray with sum_k c_k r_k = v, or a functional
+    phi as long as v with phi . r_k <= eps for every ray and phi . v > eps.
+    Exact values compare exactly and floats within eps (`scalars.cleared`), and
+    an inf or a NaN fails. Rays of another length than v raise ValueError, and
+    a float among Fractions raises ModeError, as mixed modes do everywhere."""
+    if any(len(r) != len(v) for r in rays):
+        raise ValueError("replay_conic: dimension mismatch")
+    cert = result.coefficients if result.inside else result.functional
+    if cert is None or len(cert) != (len(rays) if result.inside else len(v)):
+        return False
+    F = field(infer_mode(x for part in (*rays, v, cert) for x in part), tol)
+    X, R, V, D = cleared(F, cert, [x for r in rays for x in r], v)
+    R = R.reshape(len(rays), len(v))
+    with np.errstate(over="ignore", invalid="ignore"):  # each test fails on an inf or a NaN
+        if result.inside:  # X R and V D are D^2 times sum_k c_k r_k and v
+            return bool((X >= -F.eps).all() and (abs(X @ R - V * D) <= F.eps).all())
+        return bool((abs(X) < np.inf).all()  # D^2 times phi . r_k and phi . v:
+                    and (R @ X <= F.eps).all() and X @ V > F.eps)
 
 
 def in_convex_hull(point: Sequence, generators: Sequence[Sequence],
@@ -192,19 +190,14 @@ def in_convex_hull(point: Sequence, generators: Sequence[Sequence],
     inside carries the lexicographic-maximum convex weights, outside a
     Farkas vector (phi, phi0) with phi.g + phi0 <= 0 < phi.point + phi0.
     """
-    return conic_decompose(*_lift(point, generators, mode), mode=mode, tol=tol)
+    return conic_decompose((*point, 1), [(*g, 1) for g in generators], mode=mode, tol=tol)
 
 
 def replay_hull(result: ConicResult, point: Sequence, generators: Sequence[Sequence],
                 tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Check a hull verdict as the conic verdict of the lifted instance."""
-    return replay_conic(result, *_lift(point, generators), tol)
-
-
-def _lift(point, generators, mode=None):
-    """(point, 1) and the generators (g, 1)."""
-    one = field(mode or infer_mode(x for v in [*generators, point] for x in v)).one
-    return (*point, one), [(*g, one) for g in generators]
+    """Check a hull verdict as the conic verdict of the lifted instance; the
+    int 1 of the lift joins either mode."""
+    return replay_conic(result, (*point, 1), [(*g, 1) for g in generators], tol)
 
 
 MAX_RAY_DIM = 4

@@ -15,7 +15,7 @@ artificial columns (row i starts on column n + i unless the program's
 `start` names a unit column e_i for it, which then starts basic at level
 b_i and costs nothing in phase 1), the pivot rule, the infeasibility test
 and Farkas certificate, drive-out of artificials, phase 2, unbounded
-detection and solution recovery. Phase 2 optimizes the
+detection and solution and ray recovery. Phase 2 optimizes the
 objectives in turn in one tableau: after each, the nonbasic columns with
 nonzero reduced cost are fixed at zero, so the next one sees only the
 optimal face (a lexicographic optimum). The mode picks one of two
@@ -30,8 +30,9 @@ instead of the tableau, so a pivot on a program of m rows costs O(m^2) plus
 one pricing product over A, not a rewrite of m x (n + m) entries.
 Exact mode reads the rows and right-hand sides cleared to integers once per
 program (`LinearProgram.integer_data`): cleared from the rows on first
-read, or filled in with the same integers by a builder that knows its
-layout (`simulation.simulation_program`). A request checks only the
+read by `scalars.integer_row`, the package's one clearing, or filled in
+with the same integers by a builder that knows its layout
+(`simulation.simulation_program`). A request checks only the
 objectives for floats up front, and a float row or right-hand side raises
 ValueError when the kernel reads `integer_data`, before any pivot, so a
 rejected program is no solve.
@@ -78,7 +79,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, Tolerance, field, infer_mode, vdot
+from .scalars import (
+    DEFAULT_TOLERANCE,
+    EXACT,
+    FLOAT,
+    Tolerance,
+    field,
+    infer_mode,
+    integer_row,
+    vdot,
+)
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -183,13 +193,13 @@ class LinearProgram:
         """Each row with its rhs cleared to integers, as (numerators, positive
         denominator) with the numerators a tuple and the denominator their
         least common one, for the exact kernel and the exact verifiers.
-        Made from the rows on first read; a float raises ValueError. The
-        builder of a program, and only it, may fill it first by storing the
-        value in the instance's `__dict__` before anything reads it
-        (`simulation.simulation_program` does, from its layout); a filled
-        value must equal this generic clearing, row for row."""
+        Made from the rows on first read (`scalars.integer_row`); a float
+        raises ValueError. The builder of a program, and only it, may fill it
+        first by storing the value in the instance's `__dict__` before anything
+        reads it (`simulation.simulation_program` does, from its layout); a
+        filled value must equal this generic clearing, row for row."""
         return tuple((tuple(row), den) for row, den in
-                     (_integer_row((*r, b)) for r, b in zip(self.rows, self.rhs)))
+                     (integer_row((*r, b)) for r, b in zip(self.rows, self.rhs)))
 
     @cached_property
     def float_data(self) -> tuple:
@@ -266,7 +276,7 @@ def verify_solution(program: LinearProgram, solution: Sequence,
     if len(solution) != program.num_vars:
         return False
     if mode == EXACT:
-        X, L = _integer_row(solution)
+        X, L = integer_row(solution)
         for N, _ in program.integer_data:
             if sum(a * x for a, x in zip(N, X)) != N[-1] * L:  # zip stops before B_i
                 return False
@@ -303,7 +313,7 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail every test
             y = np.asarray(farkas, dtype=float)
             return bool((y @ A <= eps).all() and y @ b > eps)
-    Y, _ = _integer_row(farkas)
+    Y, _ = integer_row(farkas)
     terms = [(y, row, den) for y, (row, den) in zip(Y, program.integer_data) if y]
     L = lcm(*(den for _, _, den in terms))
     acc = [0] * (program.num_vars + 1)
@@ -362,8 +372,9 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
         tab.price([0 if col in fixed else -c for col, c in enumerate(objective)], basis)
         total, col = _optimize(tab, basis, n, cap, pivots)
         if col >= 0:  # the count leaves out this objective's pivots
-            ray = _recover(n, [col] + basis,
-                           [F.one] + [-tab.value(i, col) for i in range(len(basis))], F)
+            # F.zero + v turns a float -0.0 into 0.0
+            basic = {j: -tab.value(i, col) for i, j in enumerate(basis)}
+            ray = tuple(F.one if j == col else F.zero + basic.get(j, F.zero) for j in range(n))
             break
         pivots = total
     if F.mode == FLOAT:
@@ -405,16 +416,6 @@ def _ray_replays(program: LinearProgram, ray, objective, eps) -> bool:
         r = np.asarray(ray, dtype=float)
         return bool((np.abs(A @ r) <= eps).all() and (r >= -eps).all()
                     and np.asarray(objective, dtype=float) @ r > eps)
-
-
-def _recover(n, cols, values, F):
-    """An unbounded ray's n entries, `values` in columns `cols` and zero
-    elsewhere; F.zero + v turns a float -0.0 into 0.0. Only rays come here:
-    `_simplex` builds each solution itself."""
-    x = [F.zero] * n
-    for col, v in zip(cols, values):
-        x[col] = F.zero + v
-    return tuple(x)
 
 
 def _optimize(tab, basis, allowed, cap, pivots):
@@ -467,20 +468,6 @@ def _optimize(tab, basis, allowed, cap, pivots):
 # which bounds the growth of its integers. Fractions, which are normalized,
 # are built only for the returned values.
 # ---------------------------------------------------------------------------
-
-def _integer_row(values):
-    """Numerators of the values over their least common denominator; a float
-    value raises ValueError."""
-    try:
-        dens = [x.denominator for x in values]
-    except AttributeError:
-        raise ValueError("exact mode requested for float data") from None
-    den = lcm(*dens)
-    if den == 1:
-        return [x.numerator for x in values], 1
-    return [x.numerator if d == den else x.numerator * (den // d)
-            for x, d in zip(values, dens)], den
-
 
 def _reduced(row, den):
     if den < 1 << 64:
@@ -624,7 +611,7 @@ class _IntTableau:
         """Replace the reduced-cost row by that of the cost `values`: clear
         each basic column j from it with its row i, where T[i][j] == D[i]."""
         T, D = self.T, self.D
-        cost, red_den = _integer_row(values)
+        cost, red_den = integer_row(values)
         red = cost + [0] * (len(T[-1]) - len(cost))
         for i, j in enumerate(basis):
             if red[j]:

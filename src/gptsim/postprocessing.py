@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .lp import _integer_row
 from .scalars import (
     DEFAULT_TOLERANCE,
     EXACT,
@@ -22,6 +21,7 @@ from .scalars import (
     field,
     kind_of,
     resolve,
+    scaled,
     to_float_vector,
 )
 from .spaces import Effect, Observable, is_indecomposable
@@ -59,22 +59,13 @@ class Postprocessing:
                               tuple(to_float_vector(r) for r in self.matrix))
 
     def is_stochastic(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        """Every entry in [0, 1] and every row summing to 1. Exact mode clears
-        each row once to integers N over D (`lp._integer_row`) and tests
-        sum N = D and N_j >= 0, so that N_j <= D; float mode allows eps."""
-        if self.mode == EXACT:
-            for row in self.matrix:
-                N, D = _integer_row(row)
-                if sum(N) != D or min(N) < 0:  # an empty row fails the sum first
-                    return False
-            return True
-        eps = field(self.mode, tol).eps  # each test is written so that a NaN fails it
-        for row in self.matrix:
-            if not all(-eps <= v <= 1 + eps for v in row):
-                return False
-            if not abs(sum(row) - 1) <= eps:
-                return False
-        return True
+        """Every entry in [0, 1] and every row summing to 1: each row, cleared
+        once to N over D (`scalars.scaled`), has |sum N - D| <= eps, then
+        min N >= -eps and max N <= D + eps, so an empty row or a NaN fails
+        the sum before min or max reads it."""
+        F = field(self.mode, tol)
+        return all(abs(sum(N) - D) <= F.eps and min(N) >= -F.eps and max(N) <= D + F.eps
+                   for N, D in (scaled(F, row) for row in self.matrix))
 
 
 def merge_channel(labels: Sequence[str], merged: Sequence[str], into: str,

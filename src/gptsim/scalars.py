@@ -21,19 +21,24 @@ different algorithms or read outside input: the backend choice in
 `lp.verify_farkas`, the float-only replay in `lp._simplex` (an exact
 solution is the kernel's Fractions as they are), the float-array versus
 exact-tuple layout of `simulation.simulation_program` (whose exact branch
-also fills the program's cleared rows), the integer clearing of the
-simulation replay's numbers (`simulation._cleared`), the integer tests of
-an exact channel (`postprocessing.Postprocessing.is_stochastic`) and of an
-exact minimum over a polytope's extreme states (`spaces.StateSpace.min_value`),
-`serialize.decode_number` and the command line's `--mode`.
+also fills the program's cleared rows), the integer test of an exact
+minimum over a polytope's extreme states (`spaces.StateSpace.min_value`),
+`serialize.decode_number` and the command line's `--mode`. The one clearing
+of numbers to integers lives here: `integer_row` (rationals over their
+least common denominator), and `scaled` and `cleared` (a field's numbers
+over one scale D, floats over D = 1), so one test against eps reads both
+modes and every definition check clears through them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 EXACT = "exact"
 FLOAT = "float"
@@ -160,6 +165,34 @@ def resolve(kinds: Iterable[Optional[str]], tol: Tolerance = DEFAULT_TOLERANCE) 
     if EXACT in saw and FLOAT in saw:
         raise ModeError("mixed exact/float arithmetic is forbidden")
     return field(FLOAT if FLOAT in saw else EXACT, tol)
+
+
+def integer_row(values) -> tuple:
+    """Numerators of the values over their least common denominator, as
+    (list of ints, positive int); a float value raises ValueError."""
+    try:
+        dens = [x.denominator for x in values]
+    except AttributeError:
+        raise ValueError("exact mode requested for float data") from None
+    den = math.lcm(*dens)
+    if den == 1:
+        return [x.numerator for x in values], 1
+    return [x.numerator if d == den else x.numerator * (den // d)
+            for x, d in zip(values, dens)], den
+
+
+def scaled(F: Field, values: Sequence) -> tuple:
+    """(values, D) for one scale D > 0: integers over their lcm (`integer_row`)
+    in exact mode, where eps is 0, and the values over D = 1 in float mode."""
+    return (values, 1) if F.mode == FLOAT else integer_row(values)
+
+
+def cleared(F: Field, *parts) -> tuple:
+    """Each part (a sequence of numbers) as an array of `F.dtype`, then the
+    one scale D of all parts together (`scaled`)."""
+    values, D = scaled(F, [x for part in parts for x in part])
+    array, ends = np.array(values, dtype=F.dtype), [0, *itertools.accumulate(map(len, parts))]
+    return (*(array[a:b] for a, b in zip(ends, ends[1:])), D)
 
 
 def to_float_vector(v: Sequence[Number]) -> Vec:

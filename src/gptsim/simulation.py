@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import geometry
-from .lp import FEASIBLE, CertificateError, LinearProgram, _integer_row, lp_solve, make_program
+from .lp import FEASIBLE, CertificateError, LinearProgram, lp_solve, make_program
 from .postprocessing import (
     Postprocessing,
     apply,
@@ -50,7 +50,18 @@ from .postprocessing import (
     minimally_sufficient,
     minimally_sufficient_with_channels,
 )
-from .scalars import DEFAULT_TOLERANCE, FLOAT, Tolerance, field, kind_of, resolve, vdot, vscale
+from .scalars import (
+    DEFAULT_TOLERANCE,
+    FLOAT,
+    Tolerance,
+    cleared,
+    field,
+    integer_row,
+    kind_of,
+    resolve,
+    vdot,
+    vscale,
+)
 from .spaces import (
     Effect,
     Observable,
@@ -161,18 +172,18 @@ def simulation_program(target: Observable, simulators: Sequence[Observable],
         rows[nx + 1:, :c0].reshape(ny - 1, dim, nx, ny)[kept, :, :, kept] = coeffs
         return make_program(rows=rows, rhs=rhs, start=start)
     rows = []  # of tuples, which make_program keeps without a second copy
-    cleared = []  # the same rows, rhs appended, as (integers, denominator)
+    integers = []  # the same rows, rhs appended, as (integers, denominator)
     owners = (i for i, n in enumerate(sizes) for _ in range(n))  # row g's simulator
     for g, i in enumerate(owners):
         row = [0] * (c0 + k)
         row[g * ny:(g + 1) * ny] = [1] * ny
         row[c0 + i] = -1
         rows.append(tuple(row))
-        cleared.append(((*row, 0), 1))
+        integers.append(((*row, 0), 1))
     rows.append((0,) * c0 + (1,) * k)
-    cleared.append(((0,) * c0 + (1,) * (k + 1), 1))
+    integers.append(((0,) * c0 + (1,) * (k + 1), 1))
     columns = [[coeffs[d] for coeffs in effects] for d in range(dim)]
-    over = [_integer_row(column) for column in columns]  # coordinate d over its lcm
+    over = [integer_row(column) for column in columns]  # coordinate d over its lcm
     for yi, eff in enumerate(target.effects[:-1]):
         for column, (nums, den), a in zip(columns, over, eff.coeffs):
             row = [0] * (c0 + k)
@@ -183,22 +194,10 @@ def simulation_program(target: Observable, simulators: Sequence[Observable],
                 nums = [x * (full // den) for x in nums]
             row.append(a.numerator * (full // a.denominator))
             row[yi:c0:ny] = nums
-            cleared.append((tuple(row), full))
+            integers.append((tuple(row), full))
     program = make_program(rows=rows, rhs=rhs, start=start)
-    vars(program)["integer_data"] = tuple(cleared)  # filled before any read
+    vars(program)["integer_data"] = tuple(integers)  # filled before any read
     return program
-
-
-def _cleared(F, *parts) -> tuple:
-    """Each part (a sequence of numbers) as an array, then their one positive
-    scale D: integers over the least common denominator of all parts
-    (`lp._integer_row`) in exact mode, floats over D = 1 in float mode. So a
-    test of a cleared value against eps needs no scaling: eps is 0 in exact
-    mode, and D is 1 in float mode."""
-    flat = [x for part in parts for x in part]
-    values, D = (flat, 1) if F.mode == FLOAT else _integer_row(flat)
-    array, ends = np.array(values, dtype=F.dtype), [0, *itertools.accumulate(map(len, parts))]
-    return (*(array[a:b] for a, b in zip(ends, ends[1:])), D)
 
 
 def _matches_target(target: Observable, simulators: Sequence[Observable],
@@ -210,8 +209,8 @@ def _matches_target(target: Observable, simulators: Sequence[Observable],
     ny, dim = target.n_outcomes, target.dim
     effects = [c for sim in simulators for eff in sim.effects for c in eff.coeffs]
     nx = len(effects) // dim
-    M, B, A, D = _cleared(F, x[:nx * ny], effects,
-                          [c for eff in target.effects for c in eff.coeffs])
+    M, B, A, D = cleared(F, x[:nx * ny], effects,
+                         [c for eff in target.effects for c in eff.coeffs])
     with np.errstate(over="ignore", invalid="ignore"):
         gap = M.reshape(nx, ny).T @ B.reshape(nx, dim) - A.reshape(ny, dim) * D  # times D^2
         return bool((abs(gap) <= F.eps).all())
@@ -293,9 +292,9 @@ def replay_simulation(cert: SimulationCertificate, target: Observable,
         nx = sum(sizes)
         if len(cert.farkas) != nx + 1 + ny * dim:
             return False
-        y, B, A, D = _cleared(F, cert.farkas,
-                              [c for sim in simulators for eff in sim.effects for c in eff.coeffs],
-                              [c for eff in target.effects for c in eff.coeffs])
+        y, B, A, D = cleared(F, cert.farkas,
+                             [c for sim in simulators for eff in sim.effects for c in eff.coeffs],
+                             [c for eff in target.effects for c in eff.coeffs])
         alpha, beta, phi = y[:nx], y[nx], y[nx + 1:].reshape(ny, dim)
         starts = list(itertools.accumulate(sizes[:-1], initial=0))
         with np.errstate(over="ignore", invalid="ignore"):  # each test fails on an inf or a NaN

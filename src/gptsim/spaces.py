@@ -33,13 +33,13 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import geometry
-from .lp import _integer_row
 from .scalars import (
     DEFAULT_TOLERANCE,
     EXACT,
     FLOAT,
     Tolerance,
     field,
+    integer_row,
     kind_of,
     resolve,
     to_float_vector,
@@ -113,7 +113,7 @@ class StateSpace:
         """The extreme states as integer tuples over one positive denominator
         D, as (states, D): made once per space on the first exact
         `min_value`; a float raises ValueError."""
-        flat, D = _integer_row([x for s in self.extreme_states for x in s])
+        flat, D = integer_row([x for s in self.extreme_states for x in s])
         n = self.ambient_dim
         return tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n)), D
 
@@ -124,7 +124,7 @@ class StateSpace:
         otherwise, or when the dimensions differ, it is min effect(s)."""
         if self.kind != FLOAT and effect.dim == self.ambient_dim:
             try:
-                E, L = _integer_row(effect.coeffs)
+                E, L = integer_row(effect.coeffs)
             except ValueError:  # a float effect
                 pass
             else:
@@ -294,17 +294,13 @@ def is_valid_observable(obs: Observable, space: Optional[StateSpace] = None,
                         tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Labels distinct, effects valid (when a space is known), sum equals u."""
     space = space if space is not None else obs.space
-    labels = obs.labels
-    if len(set(labels)) != len(labels):
+    if len(set(obs.labels)) != obs.n_outcomes:
         return False
+    if space is None:
+        return True
     eps = field(obs.mode, tol).eps
-    if space is not None:
-        if any(not is_valid_effect(e, space, tol) for e in obs.effects):
-            return False
-        unit = space.unit
-        total = [sum(e.coeffs[i] for e in obs.effects) for i in range(obs.dim)]
-        return all(abs(a - b) <= eps for a, b in zip(total, unit))
-    return True
+    return (all(is_valid_effect(e, space, tol) for e in obs.effects)
+            and all(abs(a - b) <= eps for a, b in zip(obs.effect_sum, space.unit)))
 
 
 def trivial_observable(space: StateSpace, dist) -> Observable:

@@ -17,7 +17,7 @@ from gptsim.geometry import (
     replay_hull,
 )
 from gptsim.lp import make_program, verify_farkas
-from gptsim.scalars import EXACT, FLOAT
+from gptsim.scalars import EXACT, FLOAT, ModeError
 
 F = Fraction
 
@@ -192,3 +192,72 @@ def test_conic_decompose_solve_count(v, rays, solves, coefficients):
     res = conic_decompose(v, rays)
     assert lp.stats["solves"] - before == solves
     assert res.coefficients == coefficients
+
+
+def test_conic_replay_rejects_decompositions_of_a_faulty_builder(sq, monkeypatch):
+    # A builder that drops coordinate 0 (its row and its right-hand side)
+    # lets the coefficients miss v there. The replay checks sum_k c_k r_k = v
+    # on the rays, not a program, so it rejects every such decomposition.
+    import random
+
+    from gptsim import geometry
+    from gptsim.catalog import random_observable
+    from gptsim.spaces import dual_cone_rays
+
+    rng = random.Random(30)
+    effects = []
+    while len(effects) < 30:
+        effects.extend(e.coeffs for e in random_observable(sq.space, rng).effects)
+    rays = dual_cone_rays(sq.space)
+    built = geometry.make_program
+    monkeypatch.setattr(geometry, "make_program",
+                        lambda rows, rhs, **kw: built(rows[1:], rhs[1:], **kw))
+    wrong = []
+    for v in effects[:30]:
+        res = conic_decompose(v, rays)
+        sums = [sum(c * r[d] for c, r in zip(res.coefficients, rays)) for d in range(len(v))]
+        if tuple(sums) != v:
+            wrong.append((v, res))
+    assert wrong
+    assert not any(replay_conic(res, v, rays) for v, res in wrong)
+
+
+@pytest.mark.parametrize("kind", [F, float])
+def test_conic_and_hull_replays_reject_malformed_certificates(kind):
+    # One entry too few or too many fails both replays in both modes, and so
+    # does a NaN or an inf entry in float mode; among Fractions such an entry
+    # mixes the modes and raises ModeError.
+    nan, inf = float("nan"), float("inf")
+
+    def vec(*xs):
+        return tuple(kind(x) for x in xs)
+
+    def malformed(res):
+        cert = res.coefficients if res.inside else res.functional
+        field_name = "coefficients" if res.inside else "functional"
+        for bad in ((nan,) * len(cert), (nan, *cert[1:]), (*cert[:-1], inf),
+                    cert[:-1], (*cert, cert[0])):
+            yield ConicResult(res.verdict, **{field_name: bad})
+
+    rays = [vec(1, 0), vec(1, 1), vec(0, 1)]
+    gens = [vec(0, 0), vec(2, 0), vec(0, 2)]
+    cases = [(replay_conic, conic_decompose, vec(2, 1), rays),
+             (replay_conic, conic_decompose, vec(-1, 0), rays),
+             (replay_hull, in_convex_hull, vec(F(1, 2), F(1, 2)), gens),
+             (replay_hull, in_convex_hull, vec(2, 2), gens)]
+    verdicts = set()
+    for replay, decide, v, generators in cases:
+        res = decide(v, generators)
+        verdicts.add(res.verdict)
+        assert replay(res, v, generators)
+        for bad in malformed(res):
+            if kind is F and any(isinstance(x, float) for x in bad.coefficients or bad.functional):
+                with pytest.raises(ModeError):
+                    replay(bad, v, generators)
+            else:
+                assert replay(bad, v, generators) is False
+    assert verdicts == {"inside", "outside"}
+    # phi = (-inf, 0) separates (-1, 0) from the cone of (1, 0) and (1, 1)
+    # in every comparison, but it is no functional.
+    assert replay_conic(ConicResult("outside", functional=(-inf, 0.0)),
+                        (-1.0, 0.0), [(1.0, 0.0), (1.0, 1.0)]) is False

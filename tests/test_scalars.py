@@ -16,10 +16,13 @@ from gptsim.scalars import (
     FLOAT,
     ModeError,
     Tolerance,
+    cleared,
     field,
     infer_mode,
+    integer_row,
     kind_of,
     resolve,
+    scaled,
 )
 from gptsim.simulation import is_simulable, replay_simulation
 from gptsim.spaces import observable
@@ -101,6 +104,23 @@ def test_kinds_and_their_combination():
         resolve([EXACT, None, FLOAT])
 
 
+def test_clearing_over_one_scale():
+    # exact numbers become integers over their least common denominator,
+    # floats stay as they are over 1, and several parts share one scale
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    assert integer_row([third, half, 2]) == ([2, 3, 12], 6)
+    assert integer_row([1, -2]) == ([1, -2], 1)
+    with pytest.raises(ValueError):
+        integer_row([half, 0.5])
+    assert scaled(field(EXACT), (third, 0)) == ([1, 0], 3)
+    assert scaled(field(FLOAT), (0.25, 1)) == ((0.25, 1), 1)
+    a, b, D = cleared(field(EXACT), [half], (third, 1))
+    assert (a.tolist(), b.tolist(), D) == ([3], [2, 6], 6)
+    assert all(type(x) is int for x in (*a, *b))
+    a, b, D = cleared(field(FLOAT), [0.5], (1, 2.0))
+    assert (a.dtype, a.tolist(), b.tolist(), D) == (float, [0.5], [1.0, 2.0], 1)
+
+
 def _int_source():
     return observable(None, [("a", (1, 0)), ("b", (0, 1))])
 
@@ -133,6 +153,19 @@ def test_no_assert_statements_in_library():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in the library: {found}"
+
+
+def test_no_private_names_imported_across_modules():
+    # a helper that another module needs is public where it lives, as the
+    # integer clearing is scalars.integer_row
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "gptsim"):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert not found, f"private names imported from other modules: {found}"
 
 
 def test_every_exported_name_resolves():
