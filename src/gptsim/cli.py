@@ -297,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("sim", parents=[common], help="simulability decisions")
     p_sim.add_argument("action",
-                       choices=["check", "irreducible", "decompose", "smin", "noise"])
+                       choices=["check", "irreducible", "decompose", "smin", "noise"],
+                       help="decompose prints the irreducible leaves, their certificate"
+                            " and splits, which is leaves - 1")
     p_sim.add_argument("--target", required=True)
     p_sim.add_argument("--simulators")
     p_sim.add_argument("--pool")

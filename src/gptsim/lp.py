@@ -302,7 +302,7 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
     times a positive number, so its signs are tested exactly; a float in y
     or in the program raises ValueError. Float mode computes y'A as one
     vector-matrix product over the rows, tuple or ndarray, and allows eps
-    in each sign.
+    in each sign; an inf or a NaN in y fails.
     """
     mode = mode or program.mode()
     if len(farkas) != len(program.rows):
@@ -310,9 +310,9 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
     if mode != EXACT:
         A, b = program.float_data
         eps = field(mode, tol).eps
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail every test
-            y = np.asarray(farkas, dtype=float)
-            return bool((y @ A <= eps).all() and y @ b > eps)
+        y = np.asarray(farkas, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a test
+            return bool(np.isfinite(y).all() and (y @ A <= eps).all() and y @ b > eps)
     Y, _ = integer_row(farkas)
     terms = [(y, row, den) for y, (row, den) in zip(Y, program.integer_data) if y]
     L = lcm(*(den for _, _, den in terms))

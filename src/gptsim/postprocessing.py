@@ -81,19 +81,6 @@ def merge_channel(labels: Sequence[str], merged: Sequence[str], into: str,
     return Postprocessing(labels, target, tuple(rows))
 
 
-def compose(later: Postprocessing, earlier: Postprocessing) -> Postprocessing:
-    """Channel equal to applying `earlier` first, then `later`."""
-    if earlier.target != later.source:
-        raise ValueError("channel composition: outcome sets do not match")
-    rows = []
-    for x in range(len(earlier.source)):
-        rows.append(tuple(
-            sum(earlier.matrix[x][k] * later.matrix[k][z]
-                for k in range(len(earlier.target)))
-            for z in range(len(later.target))))
-    return Postprocessing(earlier.source, later.target, tuple(rows))
-
-
 def apply(channel: Postprocessing, obs: Observable) -> Observable:
     """Postprocess an observable: (nu o A)_y = sum_x nu_xy A_x."""
     if channel.source != obs.labels:

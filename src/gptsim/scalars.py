@@ -21,8 +21,12 @@ different algorithms or read outside input: the backend choice in
 `lp.verify_farkas`, the float-only replay in `lp._simplex` (an exact
 solution is the kernel's Fractions as they are), the float-array versus
 exact-tuple layout of `simulation.simulation_program` (whose exact branch
-also fills the program's cleared rows), the integer test of an exact
-minimum over a polytope's extreme states (`spaces.StateSpace.min_value`),
+also fills the program's cleared rows), the effect-sum guard
+`simulation._sums_agree` (exact equality, or eps in each coordinate), the
+float-only tests of a float answer on the rows its program leaves out
+(`_matches_target` in `simulation.is_simulable`, `_last_marginals_hold` in
+`simulation.is_compatible`), the integer test of an exact minimum over a
+polytope's extreme states (`spaces.StateSpace.min_value`),
 `serialize.decode_number` and the command line's `--mode`. The one clearing
 of numbers to integers lives here: `integer_row` (rationals over their
 least common denominator), and `scaled` and `cleared` (a field's numbers

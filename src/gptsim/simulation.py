@@ -14,13 +14,14 @@ postprocessing relation is this program and this certificate too, with
 weights (1,) and one channel (`postprocessing.is_postprocessing_of`).
 
 The module also hosts the derived notions: simulation irreducibility,
-decomposition into irreducibles (the constructive splitting argument),
-noise content, the minimal simulation number over an explicit simulator
-pool, the necessary dichotomic convex-hull condition, closure-law
-diagnostics, and compatibility: one joint-observable program on the product
-outcome set for every effect cone, grown by column generation from the
-cone's generators and refuted through its `price` (one round for a
-polytope, whose generators are all its dual-cone rays).
+decomposition into irreducibles (vertex peeling of the polytope of weights
+on the target's refined rays: at most s - 2 leaves for s rays), noise
+content, the minimal simulation number over an explicit simulator pool, the
+necessary dichotomic convex-hull condition, closure-law diagnostics, and
+compatibility: one joint-observable program on the product outcome set
+for every effect cone, grown by column generation from the cone's
+generators and refuted through its `price` (one round for a polytope,
+whose generators are all its dual-cone rays).
 
 Both programs leave out rows that equal effect sums imply: a simulation
 program the target's last-outcome rows, a compatibility program the
@@ -44,11 +45,9 @@ from .lp import FEASIBLE, CertificateError, LinearProgram, lp_solve, make_progra
 from .postprocessing import (
     Postprocessing,
     apply,
-    compose,
     is_postprocessing_clean,
     merge_channel,
     minimally_sufficient,
-    minimally_sufficient_with_channels,
 )
 from .scalars import (
     DEFAULT_TOLERANCE,
@@ -314,37 +313,6 @@ def replay_simulation(cert: SimulationCertificate, target: Observable,
     return _matches_target(target, simulators, x, F)
 
 
-def merge_duplicate_simulators(weights, channels, simulators) -> tuple:
-    """Combine certificate entries that use the same simulator observable.
-
-    Weights add; channels merge as the weight-average, matching the
-    multiplicity-reduction argument for repeated simulators. A group whose
-    total weight is negligible (default tolerance) keeps its first channel.
-    """
-    F = resolve([kind_of(weights)])
-    # An observable's identity is its labelled effect table.
-    keys = [tuple((lab, eff.coeffs) for lab, eff in sim.outcomes) for sim in simulators]
-    grouped = {}  # key -> [total weight, merged channel, simulator], first-seen order
-    for k, w, sim in zip(keys, weights, simulators):
-        grouped.setdefault(k, [w * 0, None, sim])[0] += w
-    for k, w, chan in zip(keys, weights, channels):
-        total = grouped[k][0]
-        if abs(total) <= F.eps:
-            if grouped[k][1] is None:
-                grouped[k][1] = chan
-            continue
-        scaled = tuple(tuple((w / total) * v for v in row) for row in chan.matrix)
-        if grouped[k][1] is None:
-            grouped[k][1] = Postprocessing(chan.source, chan.target, scaled)
-        else:
-            prev = grouped[k][1]
-            summed = tuple(tuple(a + b for a, b in zip(ra, rb))
-                           for ra, rb in zip(prev.matrix, scaled))
-            grouped[k][1] = Postprocessing(chan.source, chan.target, summed)
-    groups = list(grouped.values())
-    return tuple(g[0] for g in groups), tuple(g[1] for g in groups), [g[2] for g in groups]
-
-
 def is_simulation_irreducible(obs: Observable,
                               tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Criterion on the minimally sufficient form: linearly independent
@@ -362,79 +330,84 @@ def is_simulation_irreducible(obs: Observable,
 class IrreducibleDecomposition:
     observables: tuple
     certificate: SimulationCertificate
-    splits: int
+
+    @property
+    def splits(self) -> int:
+        """Leaves - 1, the mixing steps that part the leaves."""
+        return len(self.observables) - 1
+
+
+def _drop_along(x: dict, d: dict, F) -> tuple:
+    """(x - t d, t) for the largest t >= 0 that keeps x nonnegative, with x
+    and d maps from ray index to value and x the positive entries only. An
+    entry that falls to zero (in float mode, to eps times its old value)
+    leaves the map, so at least the ray that attains t drops."""
+    t = min(x[r] / b for r, b in d.items() if b > 0)
+    moved = {r: a - t * d.get(r, 0) for r, a in x.items()}
+    return {r: m for r, m in moved.items() if m > F.eps * x[r]}, t
 
 
 def decompose_to_irreducibles(target: Observable,
                               tol: Tolerance = DEFAULT_TOLERANCE) -> IrreducibleDecomposition:
-    """Simulate `target` from finitely many simulation-irreducible observables.
+    """Simulate `target` from at most max(1, s - 2) simulation-irreducible
+    observables, s the number of distinct rays its effects refine onto.
 
-    Constructive route: refine every effect into indecomposable summands
-    (`decompose_into_indecomposables`, the state space's `refine`), pass to
-    the minimally sufficient form, and while the effects stay linearly
-    dependent with coefficients beta, split off
-    C_i = (1 - beta_i/max beta) B_i and D_i = (1 - beta_i/min beta) B_i,
-    mixing them with weight max beta / (max beta - min beta). Channels and
-    weights are composed along the recursion so the returned certificate
-    replays against the input.
+    Each effect A_y is refined into indecomposable parts (the space's
+    `refine`), grouped by ray (`F.key` of `geometry.canonical_ray`). With E_r
+    the sum of the parts on ray r and nu(y|r) the share of E_r from outcome
+    y, A_y = sum_r mu_r nu(y|r) E_r at mu = 1, a point of P = {mu >= 0 :
+    sum_r mu_r E_r = u}. A point of P is a vertex exactly when the E_r of
+    its support are linearly independent, and then its observable (mu_r E_r)
+    is simulation irreducible by the paper's criterion. The E_r are extreme
+    rays of the effect cone, pairwise not proportional, so no three lie in a
+    plane and dim P <= s - 3 for s >= 3. Peeling: null vectors of the
+    residual's support (`geometry.null_space_vector`) walk inside its face
+    to a vertex v, each step dropping a ray; the largest alpha with
+    mu - alpha v >= 0 drops another. With rho the weight left (mu in rho P),
+    v / rho is a leaf of weight alpha rho, and its channel is nu restricted
+    to its support. Each peel leaves a proper face of the last, so at most
+    dim P + 1 leaves come out. Leaf outcomes are labelled `<label>.<j>` after
+    the first part on their ray. A certificate that fails
+    `replay_simulation` raises CertificateError.
     """
     if target.space is None:
         raise ValueError("decomposition needs the state space")
     F = field(target.mode, tol)
-    one = F.one
-
-    refined_outcomes = []
-    sources = []
-    for label, eff in target.outcomes:
-        parts = decompose_into_indecomposables(eff, target.space, tol)
-        for j, part in enumerate(parts):
-            refined_outcomes.append((f"{label}.{j}", part))
-            sources.append(label)
-    if not refined_outcomes:
+    groups = {}  # ray key -> (label of its first part, [(outcome index, part)])
+    for y, (label, eff) in enumerate(target.outcomes):
+        for j, part in enumerate(decompose_into_indecomposables(eff, target.space, tol)):
+            key = F.key(geometry.canonical_ray(part.coeffs, F.mode, tol))
+            groups.setdefault(key, (f"{label}.{j}", []))[1].append((y, part.coeffs))
+    if not groups:
         raise ValueError("cannot decompose an all-zero observable")
-    refined = Observable(tuple(refined_outcomes), target.space)
-    fwd_rows = [tuple(one if lab == src else F.zero for lab in target.labels)
-                for src in sources]
-    merge_to_target = Postprocessing(refined.labels, target.labels, tuple(fwd_rows))
-
-    splits = 0
-
-    def process(obs: Observable) -> list:
-        nonlocal splits
-        hat, _, back = minimally_sufficient_with_channels(obs, tol)
-        vecs = [e.coeffs for e in hat.effects]
-        if geometry.rank(vecs, tol=tol, mode=F.mode) == len(vecs):
-            return [(one, hat, back)]
-        cols = [tuple(v[d] for v in vecs) for d in range(len(vecs[0]))]
-        beta = geometry.null_space_vector(cols, tol=tol, mode=F.mode)
-        kappa_plus = max(beta)
-        kappa_minus = min(beta)
-        if not (kappa_plus > F.eps and kappa_minus < -F.eps):
-            raise RuntimeError("dependence coefficients must take both signs")
-        lam = kappa_plus / (kappa_plus - kappa_minus)
-        c_obs = Observable(
-            tuple((lab, Effect(vscale(one - b / kappa_plus, eff.coeffs)))
-                  for (lab, eff), b in zip(hat.outcomes, beta)), obs.space)
-        d_obs = Observable(
-            tuple((lab, Effect(vscale(one - b / kappa_minus, eff.coeffs)))
-                  for (lab, eff), b in zip(hat.outcomes, beta)), obs.space)
-        splits += 1
-        out = []
-        for w, leaf, chan in process(c_obs):
-            out.append((lam * w, leaf, compose(back, chan)))
-        for w, leaf, chan in process(d_obs):
-            out.append(((one - lam) * w, leaf, compose(back, chan)))
-        return out
-
-    parts = process(refined)
-    weights = tuple(w for w, _, _ in parts)
-    leaves = [leaf for _, leaf, _ in parts]
-    channels = tuple(compose(merge_to_target, chan) for _, _, chan in parts)
-    weights, channels, leaves = merge_duplicate_simulators(weights, channels, leaves)
-    cert = SimulationCertificate(SIMULABLE, weights=weights, channels=channels)
+    labels, effects, shares = [], [], []
+    for label, parts in groups.values():
+        total = tuple(map(sum, zip(*(c for _, c in parts))))
+        d = max(range(len(total)), key=lambda i: abs(total[i]))
+        nu = [F.zero] * target.n_outcomes
+        for y, c in parts:
+            nu[y] += c[d] / total[d]
+        labels.append(label)
+        effects.append(total)
+        shares.append(tuple(nu))
+    mu, rho = dict.fromkeys(range(len(effects)), F.one), F.one
+    weights, leaves, channels = [], [], []
+    while mu:
+        v = mu
+        while (beta := geometry.null_space_vector(
+                [[effects[r][i] for r in v] for i in range(target.dim)], tol, F.mode)) is not None:
+            v = _drop_along(v, dict(zip(v, beta)), F)[0]
+        mu, alpha = _drop_along(mu, v, F)
+        leaves.append(Observable(tuple((labels[r], Effect(vscale(x / rho, effects[r])))
+                                       for r, x in v.items()), target.space))
+        channels.append(Postprocessing(leaves[-1].labels, target.labels,
+                                       tuple(shares[r] for r in v)))
+        weights.append(alpha * rho)
+        rho -= weights[-1]
+    cert = SimulationCertificate(SIMULABLE, weights=tuple(weights), channels=tuple(channels))
     if not replay_simulation(cert, target, leaves, tol):
         raise CertificateError("irreducible decomposition certificate failed to replay")
-    return IrreducibleDecomposition(tuple(leaves), cert, splits)
+    return IrreducibleDecomposition(tuple(leaves), cert)
 
 
 @dataclass(frozen=True)

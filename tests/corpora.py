@@ -13,9 +13,10 @@ float reprs. Solves are recorded where `lp_solve` hands the program to the
 driver, so a decision that solves several programs (a conic decomposition,
 a compatibility bracket, a `reproduce` criterion) gives several lines.
 After its solves, each decision gives one line of its own, without a solve
-index: the decision's verdict ("passed" or "failed" for a criterion) and,
-for a relation decision, whether `replay_simulation` accepts its
-certificate (null for the others).
+index: the decision's verdict ("passed" or "failed" for a criterion,
+"<k> leaves" for a decomposition) and whether `replay_simulation` accepts
+its certificate, against the source for a relation decision and against
+the leaves for a decomposition (null for the others).
 `diff` prints, per corpus, how many solves moved program, verdict,
 certificate or pivots, the pivot totals and the replay failures, then one
 line per solve that moved, then the same for the decisions' verdicts and
@@ -56,7 +57,9 @@ from gptsim.qubit import QubitEffect, dichotomic
 from gptsim.reproduce import CRITERIA, CriterionResult, run_criterion
 from gptsim.scalars import EXACT, FLOAT
 from gptsim.simulation import (
+    IrreducibleDecomposition,
     SimulationCertificate,
+    decompose_to_irreducibles,
     is_compatible,
     replay_simulation,
     simulation_program,
@@ -254,6 +257,18 @@ def compatibility_corpus():
     return polytope, _qubit_targets(random.Random("compat-digest/qubit"), 12)
 
 
+def decomposition_corpus():
+    """Seeded random observables with 2-5 outcomes to decompose into
+    irreducibles: six on each polygon n = 5..8 (float) and twelve on the
+    square bit (exact)."""
+    observables = []
+    for n in range(5, 9):
+        rng = random.Random(f"decomposition/{n}")
+        observables.extend(random_observable(polygon(n).space, rng) for _ in range(6))
+    rng = random.Random("decomposition/square")
+    return observables + [random_observable(square_bit().space, rng) for _ in range(12)]
+
+
 def bracket_corpus():
     """24 seeded dichotomic qubit triples and pairs for 128-facet brackets."""
     return _qubit_targets(random.Random("bracket-128-digest"), 24)
@@ -273,6 +288,8 @@ CORPORA = {
     "conic": lambda: [partial(conic_decompose, v, rays) for v, rays in conic_corpus()],
     "relation": lambda: [partial(is_postprocessing_of, t, s) for t, s in relation_corpus()],
     "compatibility": _compatibility_decisions,
+    "decomposition": lambda: [partial(decompose_to_irreducibles, obs)
+                              for obs in decomposition_corpus()],
     "bracket-128": lambda: [partial(qubit_compatibility_bracket, targets, 128)
                             for targets in bracket_corpus()],
     "reproduce": lambda: [partial(run_criterion, cid) for cid in CRITERIA],
@@ -301,11 +318,14 @@ def _line(corpus, index, solve, program, out) -> dict:
 
 
 def _decision(corpus, index, decide, result) -> dict:
+    replays = None
     if isinstance(result, CriterionResult):
         verdict = "passed" if result.passed else "failed"
+    elif isinstance(result, IrreducibleDecomposition):
+        verdict = f"{len(result.observables)} leaves"
+        replays = replay_simulation(result.certificate, *decide.args, list(result.observables))
     else:
         verdict = result.verdict
-    replays = None
     if isinstance(result, SimulationCertificate):  # a relation decision
         target, source = decide.args
         replays = replay_simulation(result, target, [source])

@@ -341,6 +341,7 @@ def test_sim_decompose_qubit_mixture(capsys, tmp_path):
     doc = payload(out)
     assert doc["replay"] is True
     assert len(doc["irreducibles"]) == 2
+    assert doc["splits"] == 1  # leaves - 1
     assert sorted(doc["certificate"]["weights"]) == [0.5, 0.5]
 
 

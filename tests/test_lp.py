@@ -159,6 +159,18 @@ def test_float_verifiers_reject_nan():
             assert verify_farkas(q, (1e308, -1e308)) is False  # inf - inf in y'A
 
 
+def test_float_farkas_with_an_infinite_entry_fails():
+    # y = (-inf, 0) meets no zero here: y'A = (-inf, -inf) <= eps and
+    # y'b = inf > eps, so only a finiteness test on y rejects it
+    inf, nan = float("inf"), float("nan")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in _with_array_twin([(1.0, 1.0), (0.0, 1.0)], (-1.0, 0.0)):
+            assert verify_farkas(q, (-1.0, 0.0))
+            assert verify_farkas(q, (-inf, 0.0)) is False
+            assert verify_farkas(q, (-1.0, nan)) is False
+
+
 def test_float_verifiers_allow_eps_and_no_more():
     eps = DEFAULT_TOLERANCE.eps
     for p in _with_array_twin([(1.0, 1.0)], (1.0,)):

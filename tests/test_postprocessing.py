@@ -11,7 +11,6 @@ from gptsim.postprocessing import (
     apply,
     are_equivalent,
     binarization,
-    compose,
     is_postprocessing_clean,
     is_postprocessing_of,
     merge_channel,
@@ -228,14 +227,6 @@ def test_preorder_reflexive_transitive(sq, rng):
                     chains += 1
                     assert is_postprocessing_of(c, a).simulable
     assert chains > 0
-
-
-def test_channel_composition_matches_sequential(sq):
-    triv = trivial_observable(sq.space, [("x", F(1, 4)), ("y", F(3, 4))])
-    first = is_postprocessing_of(triv, sq.E).channels[0]
-    second = merge_channel(("x", "y"), ("x", "y"), "x")
-    combined = compose(second, first)
-    assert apply(combined, sq.E) == apply(second, apply(first, sq.E))
 
 
 def test_postprocessing_clean(sq):

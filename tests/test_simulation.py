@@ -14,11 +14,13 @@ from oracles import polytope_noise_content_direct, qubit_noise_content_grid
 
 from gptsim.catalog import (
     hexagon_noise_example,
+    polygon,
     polygon_irreducibles,
     random_observable,
     square_bit,
     tetrahedron_rational,
 )
+from gptsim.geometry import canonical_ray
 from gptsim.lp import INFEASIBLE, lp_solve, make_program, verify_farkas
 from gptsim.postprocessing import (
     Postprocessing,
@@ -28,6 +30,7 @@ from gptsim.postprocessing import (
     merge_channel,
     replay_relation,
 )
+from gptsim.scalars import field
 from gptsim.simulation import (
     NOT_SIMULABLE,
     SIMULABLE,
@@ -44,7 +47,12 @@ from gptsim.simulation import (
     simulation_program,
     smin,
 )
-from gptsim.spaces import Observable, observable, trivial_observable
+from gptsim.spaces import (
+    Observable,
+    decompose_into_indecomposables,
+    observable,
+    trivial_observable,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -487,17 +495,55 @@ def test_decompose_hexagon_trivial(hexagon):
         assert is_simulation_irreducible(leaf)
 
 
-def test_decompose_split_budget(sq, rng):
-    # each split drops one nonzero outcome of the refined form
-    from gptsim.spaces import decompose_into_indecomposables
+def _refined_rays(obs):
+    """The distinct rays the observable's effects refine onto."""
+    F = field(obs.mode)
+    return {F.key(canonical_ray(part.coeffs, F.mode)) for eff in obs.effects
+            for part in decompose_into_indecomposables(eff, obs.space)}
 
-    for _ in range(5):
-        obs = random_observable(sq.space, rng)
-        refined_size = sum(
-            len(decompose_into_indecomposables(eff, sq.space))
-            for eff in obs.effects)
+
+@pytest.mark.parametrize("n", [12, 30])
+def test_decompose_leaf_budget(n):
+    # vertex peeling: each leaf is a vertex of the polytope of ray weights,
+    # whose dimension is at most s - 3 for s distinct refined rays
+    space = polygon(n).space
+    for seed in range(10):
+        obs = random_observable(space, random.Random(seed), 3 + seed % 4)
         dec = decompose_to_irreducibles(obs)
-        assert dec.splits <= max(0, refined_size - 1)
+        s = len(_refined_rays(obs))
+        assert len(dec.observables) <= max(1, s - 2), f"n={n} seed={seed} s={s}"
+        assert dec.splits == len(dec.observables) - 1
+        assert all(is_simulation_irreducible(leaf) for leaf in dec.observables)
+        assert replay_simulation(dec.certificate, obs, list(dec.observables))
+
+
+def test_decompose_exact_weights_sum_to_one(sq, rng):
+    for _ in range(10):
+        obs = random_observable(sq.space, rng)
+        dec = decompose_to_irreducibles(obs)
+        weights = dec.certificate.weights
+        assert all(isinstance(w, Fraction) for w in weights)
+        assert sum(weights) == 1
+        assert len(dec.observables) <= max(1, len(_refined_rays(obs)) - 2)
+        assert replay_simulation(dec.certificate, obs, list(dec.observables))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_decompose_groups_outcomes_on_one_ray(sq, mode):
+    # E+ split into two halves beside E-: one ray carries two outcomes, so
+    # one leaf (E+, E-) comes out, and its channel shares the E+ ray
+    plus, minus = sq.E.effects
+    obs = observable(sq.space, [("a", tuple(HALF * x for x in plus.coeffs)),
+                                ("b", tuple(HALF * x for x in plus.coeffs)),
+                                ("c", minus.coeffs)])
+    obs = obs.as_float() if mode == "float" else obs
+    dec = decompose_to_irreducibles(obs)
+    (leaf,) = dec.observables
+    assert leaf.labels == ("a.0", "c.0")
+    assert leaf.effects == (sq.E.as_float() if mode == "float" else sq.E).effects
+    assert dec.certificate.weights == (1,)
+    assert dec.certificate.channels[0].matrix == ((HALF, HALF, 0), (0, 0, 1))
+    assert replay_simulation(dec.certificate, obs, [leaf])
 
 
 def test_noise_content_values(sq, hexagon, suite):
