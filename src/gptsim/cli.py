@@ -5,7 +5,9 @@ the computation completed (whatever the answer), 1 is reserved for a failed
 reproduction run, 2 for input errors, and 3 for solver nontermination or a
 certificate that fails replay.
 Output is deterministic for a fixed (command, config): the timing
-block reports LP work counters rather than wall-clock time.
+block reports LP work counters rather than wall-clock time. A polytope
+refinement decided from a stored basis (`spaces.StateSpace.refine`) is not
+an LP solve, and adds to neither counter.
 """
 
 from __future__ import annotations

@@ -67,6 +67,22 @@ def null_space_vector(vectors: Sequence[Sequence], tol: Tolerance = DEFAULT_TOLE
     return _leading_positive(out)
 
 
+def inverse(matrix: Sequence[Sequence], tol: Tolerance = DEFAULT_TOLERANCE,
+            mode: Optional[str] = None):
+    """The inverse of a square matrix as a tuple of rows, or None when it is
+    singular (in float mode, when a pivot is at most eps times the largest
+    entry). Full elimination of [matrix | I] in the field."""
+    rows = [tuple(r) for r in matrix]
+    n = len(rows)
+    F = field(mode or infer_mode(x for r in rows for x in r), tol)
+    extended = [(*r, *(F.one if j == i else F.zero for j in range(n)))
+                for i, r in enumerate(rows)]
+    reduced, pivots = _eliminate(extended, F, reduce_above=True)
+    if len(pivots) != n or pivots[-1][1] != n - 1:
+        return None
+    return tuple(tuple(x / reduced[i][i] for x in reduced[i][n:]) for i in range(n))
+
+
 def _leading_positive(vector) -> tuple:
     """The vector, negated if its first nonzero entry is negative."""
     lead = next((x for x in vector if x != 0), 0)

@@ -520,9 +520,12 @@ def check_closure_laws(sample: Sequence[Observable], base: Sequence[Observable],
     Checks: every base member simulates from the base; mixtures and
     postprocessings of simulable sample members stay simulable; and the
     transitivity surrogate (simulable A adjoined to the base adds nothing).
+    An empty base raises ValueError, as empty simulators do in `is_simulable`.
     """
     sample = list(sample)
     base = list(base)
+    if not base:
+        raise ValueError("base must be nonempty")
     F = _common_field(sample[0] if sample else base[0], base, tol)
     half = F.one / 2
     checks = 0

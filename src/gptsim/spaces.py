@@ -18,10 +18,15 @@ about it:
 `StateSpace` is a polytope, given by its extreme states in a
 (d+1)-dimensional ambient space together with the unit functional, with the
 convention that the unit coefficient sits in the last ambient slot and
-extreme states have last coordinate one. The qubit's cone lives in
-`qubit.QubitSpace`. Validity, indecomposability and everything built on
-them (irreducibility, decomposition, noise content, compatibility) go
-through these methods and so hold for either kind of space.
+extreme states have last coordinate one. Its refinements are lexicographic
+conic decompositions over the dual-cone rays, which share one constraint
+matrix per space: each refinement first tries the bases that earlier ones
+ended on, kept beside the `dual_cone_rays` cache, and solves an LP only when
+none of them is feasible for the effect (`StateSpace.refine`). The qubit's
+cone lives in `qubit.QubitSpace`. Validity, indecomposability and
+everything built on them (irreducibility, decomposition, noise content,
+compatibility) go through these methods and so hold for either kind of
+space.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import geometry
 from .scalars import (
@@ -94,7 +101,25 @@ class StateSpace:
 
         The coefficients are the lexicographic maximum in the rays' canonical
         (sorted) order, so the decomposition is deterministic. The zero
-        effect refines into the empty list.
+        effect refines into the empty list, and a non-extremal effect outside
+        the cone raises ValueError.
+
+        A non-extremal effect v is first tried on the lexicographically
+        optimal bases that earlier refinements over the same rays ended on
+        (kept per (space, mode, tol) beside the `dual_cone_rays` cache, in
+        insertion order): X = B^-1 v for every stored basis B at once, and
+        the first X >= -eps gives the coefficients if they pass
+        `geometry.replay_conic`. Otherwise `geometry.conic_decompose` solves
+        its LP, and an answer with exactly dim positive coefficients stores
+        its support as a new basis. This is exact, not a heuristic: such an
+        answer is a nondegenerate vertex, so its one basis is optimal for
+        the tie-broken objective c_0 + d c_1 + d^2 c_2 + ... at every small
+        d > 0, which is what the lexicographic maximum is. Its reduced costs
+        do not depend on v, so the basis stays optimal for every v it keeps
+        primal feasible (Gal, "Postoptimal Analyses, Parametric Programming,
+        and Related Topics", 1995), and the lexicographic maximum over a
+        polytope is one point. Exact mode therefore returns the LP's own
+        Fractions, and float mode agrees with the LP within rounding.
         """
         F = resolve((self.kind, kind_of(effect.coeffs)), tol)
         if F.is_zero(effect.coeffs):
@@ -102,11 +127,18 @@ class StateSpace:
         if self.is_extremal(effect, tol):
             return [effect]
         rays = dual_cone_rays(self, tol)
-        res = geometry.conic_decompose(effect.coeffs, rays, mode=F.mode, tol=tol)
-        if not res.inside:
-            raise ValueError("effect lies outside the positive dual cone")
-        return [Effect(vscale(c, r)) for c, r in zip(res.coefficients, rays)
-                if c > F.eps]
+        key = (self, self.mode, F.mode, tol)
+        bases = _BASES.get(key)
+        if bases is None:
+            bases = _BASES[key] = _Bases(rays, F)
+        coefficients = bases.decide(effect.coeffs)
+        if coefficients is None:
+            res = geometry.conic_decompose(effect.coeffs, rays, mode=F.mode, tol=tol)
+            if not res.inside:
+                raise ValueError("effect lies outside the positive dual cone")
+            coefficients = res.coefficients
+            bases.add(coefficients)
+        return [Effect(vscale(c, r)) for c, r in zip(coefficients, rays) if c > F.eps]
 
     @cached_property
     def _integer_states(self) -> tuple:
@@ -344,6 +376,8 @@ def dual_cone_rays(space: StateSpace, tol: Tolerance = DEFAULT_TOLERANCE) -> tup
 
     Cached per (space, mode, tol): a float twin (`space.as_float()`) compares
     and hashes equal to its exact space but needs rays of its own mode.
+    `dual_cone_rays.cache_clear()` also empties the bases that `refine`
+    stores beside this cache.
     """
     return _dual_cone_rays(space, space.mode, tol)
 
@@ -353,8 +387,65 @@ def _dual_cone_rays(space: StateSpace, mode: str, tol: Tolerance) -> tuple:
     return tuple(geometry.extreme_rays(space.extreme_states, mode=mode, tol=tol))
 
 
+class _Bases:
+    """The lexicographically optimal bases of the refinements over one
+    space's rays in one field F, in insertion order: each a support (ray
+    indices, one per dimension) and the inverse of its ray columns, all the
+    inverses stacked in one array of `F.dtype`. The rays are held in F's
+    numbers, so that a float effect on an integer space reads float ones."""
+
+    def __init__(self, rays: tuple, F):
+        self.F = F
+        self.rays = tuple(tuple(map(F.coerce, r)) for r in rays)
+        self.dim = len(self.rays[0])
+        self.supports = []
+        self.inverses = np.empty((0, self.dim, self.dim), dtype=F.dtype)
+
+    def decide(self, v: Sequence) -> Optional[list]:
+        """The coefficients over the rays from the first stored basis B with
+        B^-1 v >= -eps, if they pass `geometry.replay_conic` on the basis's
+        rays (the other coefficients are zero); else None."""
+        if not self.supports:
+            return None
+        F = self.F
+        X = self.inverses @ np.array(v, dtype=F.dtype)
+        feasible = np.flatnonzero((X >= -F.eps).all(axis=1))
+        if not feasible.size:
+            return None
+        support, x = self.supports[feasible[0]], X[feasible[0]].tolist()
+        res = geometry.ConicResult(geometry.INSIDE, coefficients=tuple(x))
+        if not geometry.replay_conic(res, v, [self.rays[j] for j in support], F.tol):
+            return None
+        coefficients = [F.zero] * len(self.rays)
+        for j, c in zip(support, x):
+            coefficients[j] = c
+        return coefficients
+
+    def add(self, coefficients: Sequence):
+        """Store the support of an LP answer with exactly dim positive
+        coefficients, unless it is stored already or its rays are singular."""
+        F, d = self.F, self.dim
+        support = tuple(j for j, c in enumerate(coefficients) if c > F.eps)
+        if len(support) != d or support in self.supports:
+            return
+        inverse = geometry.inverse([[self.rays[j][i] for j in support] for i in range(d)],
+                                   F.tol, F.mode)
+        if inverse is not None:
+            self.supports.append(support)
+            self.inverses = np.concatenate(
+                [self.inverses, np.array([inverse], dtype=F.dtype)])
+
+
+_BASES = {}  # (space, rays mode, field mode, tol) -> _Bases
+
+
+def _cache_clear():
+    _dual_cone_rays.cache_clear()
+    _BASES.clear()
+
+
 dual_cone_rays.cache_info = _dual_cone_rays.cache_info
-dual_cone_rays.cache_clear = _dual_cone_rays.cache_clear
+dual_cone_rays.cache_clear = _cache_clear
 
 
 def is_indecomposable(effect: Effect, space,

@@ -5,9 +5,10 @@
 
 `dump` runs every corpus and writes one canonical JSON line per LP solve:
 corpus, decision index, solve index within the decision, program shape
-(rows, columns), verdict, solution, Farkas vector, ray, objective value,
-pivots, and whether the certificate replays against the program that was
-solved (`verify_solution` for a solution, `verify_farkas` for a Farkas
+(rows, columns), a digest of the program (rows, right-hand side,
+objectives and start), verdict, solution, Farkas vector, ray, objective
+value, pivots, and whether the certificate replays against the program that
+was solved (`verify_solution` for a solution, `verify_farkas` for a Farkas
 vector, at the default tolerance). Numbers are exact strings ("3/4") or
 float reprs. Solves are recorded where `lp_solve` hands the program to the
 driver, so a decision that solves several programs (a conic decomposition,
@@ -17,13 +18,17 @@ index: the decision's verdict ("passed" or "failed" for a criterion,
 "<k> leaves" for a decomposition) and whether `replay_simulation` accepts
 its certificate, against the source for a relation decision and against
 the leaves for a decomposition (null for the others).
-`diff` prints, per corpus, how many solves moved program, verdict,
-certificate or pivots, the pivot totals and the replay failures, then one
-line per solve that moved, then the same for the decisions' verdicts and
-replays, and "moved nothing" when no solve or decision moved, went or
-appeared. It exits 1 when a solve's or a decision's verdict moves or a
-replay is lost. Run `dump` on the parent commit in a second checkout and on
-the change, then `diff` the two files.
+`diff` pairs the solves of each decision by program digest, in order: each
+solve of NEW takes the first solve of OLD after the last one paired that
+has its digest, so a solve that a change skips reads as gone and one whose
+program moved as gone and new. It prints, per corpus, how many paired
+solves moved verdict, certificate or pivots, the pivot totals and the
+replay failures, then one line per paired solve that moved, then the same
+for the decisions' verdicts and replays, and "moved nothing" when no solve
+or decision moved, went or appeared. It exits 1 when the verdict of a
+paired solve or of a decision moves or a replay is lost. Run `dump` on the
+parent commit in a second checkout and on the change, then `diff` the two
+files.
 
 The test modules build their pinned corpora from the functions here, so a
 dump covers exactly what the digests pin.
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -304,13 +310,23 @@ def _vector(v):
     return None if v is None else [_number(x) for x in v]
 
 
+def _digest(program) -> str:
+    """A digest of what defines the program: rows (a tuple or an ndarray),
+    right-hand side, objectives and start."""
+    rows = program.rows.tolist() if hasattr(program.rows, "tolist") else program.rows
+    text = json.dumps([[_vector(r) for r in rows], _vector(program.rhs),
+                       [_vector(c) for c in program.objectives()], program.start])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def _line(corpus, index, solve, program, out) -> dict:
     if out.verdict == INFEASIBLE:
         replays = lp.verify_farkas(program, out.farkas, mode=out.mode)
     else:
         replays = lp.verify_solution(program, out.solution, mode=out.mode)
     return {"corpus": corpus, "index": index, "solve": solve,
-            "shape": [len(program.rhs), program.num_vars], "verdict": out.verdict,
+            "shape": [len(program.rhs), program.num_vars], "program": _digest(program),
+            "verdict": out.verdict,
             "solution": _vector(out.solution), "farkas": _vector(out.farkas),
             "ray": _vector(out.ray),
             "objective": None if out.objective_value is None else _number(out.objective_value),
@@ -335,7 +351,9 @@ def _decision(corpus, index, decide, result) -> dict:
 def record(corpus):
     """The dump lines of one corpus: each decision runs with `lp._simplex`
     wrapped, every solve it makes becomes one line, and its own result one
-    more."""
+    more. The corpus starts from empty ray and basis caches, so its lines do
+    not depend on the corpora dumped before it."""
+    dual_cone_rays.cache_clear()
     decisions = CORPORA[corpus]()
     solves, simplex = [], lp._simplex
 
@@ -365,23 +383,43 @@ def dump(path):
 
 
 def _load(path) -> tuple:
-    """({corpus: {(index, solve): line}}, {corpus: {index: line}}): the solve
-    lines and the decision lines, corpora in file order."""
+    """({corpus: {index: [solve lines in file order]}}, {corpus: {index:
+    line}}): the solve lines and the decision lines, corpora in file order."""
     solves, decisions = {}, {}
     with open(path) as fh:
         for text in fh:
             line = json.loads(text)
             if "solve" in line:
-                solves.setdefault(line["corpus"], {})[line["index"], line["solve"]] = line
+                solves.setdefault(line["corpus"], {}).setdefault(line["index"], []).append(line)
             else:
                 decisions.setdefault(line["corpus"], {})[line["index"]] = line
     return solves, decisions
 
 
+def _paired(a, b) -> tuple:
+    """Pair the solves of each decision by program digest, in order: each
+    solve of b takes the first unpaired solve of a after the last pair that
+    has its digest. Returns ({(index, solve in a, solve in b): (line in a,
+    line in b)}, solves of a left unpaired, solves of b left unpaired)."""
+    pairs, gone, added = {}, 0, 0
+    for index in dict.fromkeys([*a, *b]):
+        old, new = a.get(index, []), b.get(index, [])
+        digests, at, paired = [x["program"] for x in old], 0, 0
+        for line in new:
+            try:
+                at = digests.index(line["program"], at)
+            except ValueError:  # no solve of this program left in a
+                continue
+            pairs[index, old[at]["solve"], line["solve"]] = old[at], line
+            at, paired = at + 1, paired + 1
+        gone += len(old) - paired
+        added += len(new) - paired
+    return pairs, gone, added
+
+
 _CERTIFICATE = ("solution", "farkas", "ray", "objective")
 
 _SOLVE_MOVES = {
-    "program": lambda a, b: a["shape"] != b["shape"],
     "verdict": lambda a, b: a["verdict"] != b["verdict"],
     "certificate": lambda a, b: any(a[f] != b[f] for f in _CERTIFICATE),
     "pivots": lambda a, b: a["pivots"] != b["pivots"],
@@ -394,39 +432,41 @@ _DECISION_MOVES = {
 }
 
 
-def _moves(a, b, tests) -> tuple:
-    """({key: names of the tests that hold} for the keys of both a and b, the
-    count of each test, the number of keys gone and new)."""
-    moved = {k: [f for f, test in tests.items() if test(a[k], b[k])] for k in a if k in b}
-    count = {f: sum(f in fields for fields in moved.values()) for f in tests}
-    return moved, count, len(a) - len(moved), len(b) - len(moved)
+def _moves(pairs, tests) -> tuple:
+    """({key: names of the tests that hold} for each (a, b) pair, the count
+    of each test)."""
+    moved = {k: [f for f, test in tests.items() if test(a, b)] for k, (a, b) in pairs.items()}
+    return moved, {f: sum(f in fields for fields in moved.values()) for f in tests}
 
 
 def diff(old_path, new_path, file=sys.stdout):
     """Print per corpus what moved between two dumps; returns the number of
-    solves and decisions whose verdict moved or whose certificate fails
-    replay in NEW where it replayed in OLD."""
+    paired solves and decisions whose verdict moved or whose certificate
+    fails replay in NEW where it replayed in OLD."""
     (old, old_decisions), (new, new_decisions) = _load(old_path), _load(new_path)
     alarms = changes = 0
     for corpus in dict.fromkeys([*old, *new, *old_decisions, *new_decisions]):
         a, b = old.get(corpus, {}), new.get(corpus, {})
-        moved, count, gone, added = _moves(a, b, _SOLVE_MOVES)
+        pairs, gone, added = _paired(a, b)
+        moved, count = _moves(pairs, _SOLVE_MOVES)
         alarms += count["verdict"] + count["replay lost"]
         changes += sum(count.values()) + gone + added
+        a = [x for lines in a.values() for x in lines]
+        b = [x for lines in b.values() for x in lines]
         print(f"{corpus}: {len(a)} -> {len(b)} solves ({gone} gone, {added} new);"
               f" moved: {', '.join(f'{f} {n}' for f, n in count.items())};"
-              f" pivots {sum(x['pivots'] for x in a.values())}"
-              f" -> {sum(x['pivots'] for x in b.values())};"
-              f" replay failures {sum(not x['replays'] for x in a.values())}"
-              f" -> {sum(not x['replays'] for x in b.values())}", file=file)
-        for (index, solve), fields in moved.items():
+              f" pivots {sum(x['pivots'] for x in a)} -> {sum(x['pivots'] for x in b)};"
+              f" replay failures {sum(not x['replays'] for x in a)}"
+              f" -> {sum(not x['replays'] for x in b)}", file=file)
+        for (index, solve, paired), fields in moved.items():
             if fields:
-                before, after = a[index, solve], b[index, solve]
-                print(f"  #{index}.{solve}: {', '.join(fields)};"
-                      f" {before['verdict']} -> {after['verdict']},"
+                before, after = pairs[index, solve, paired]
+                print(f"  #{index}.{solve}" + (f" (now .{paired})" if paired != solve else "")
+                      + f": {', '.join(fields)}; {before['verdict']} -> {after['verdict']},"
                       f" pivots {before['pivots']} -> {after['pivots']}", file=file)
         a, b = old_decisions.get(corpus, {}), new_decisions.get(corpus, {})
-        moved, count, gone, added = _moves(a, b, _DECISION_MOVES)
+        moved, count = _moves({k: (a[k], b[k]) for k in a if k in b}, _DECISION_MOVES)
+        gone, added = len(a) - len(moved), len(b) - len(moved)
         alarms += count["verdict"] + count["replay lost"]
         changes += sum(count.values()) + gone + added
         print(f"  decisions: {len(a)} -> {len(b)} ({gone} gone, {added} new);"

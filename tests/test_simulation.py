@@ -668,6 +668,13 @@ def test_closure_laws_small(sq, rng):
     assert diag.ok
 
 
+@pytest.mark.parametrize("with_sample", [False, True])
+def test_closure_laws_empty_base_raises(sq, with_sample):
+    # an empty base and no sample read base[0] and raised IndexError
+    with pytest.raises(ValueError, match="base must be nonempty"):
+        check_closure_laws([sq.E] if with_sample else [], [])
+
+
 def test_closure_base_without_target(suite):
     x = suite.X
     y = suite.Y

@@ -2,10 +2,14 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from gptsim.catalog import tetrahedron_rational
+from gptsim import lp
+from gptsim.catalog import classical, polygon, random_observable, square_bit, tetrahedron_rational
+from gptsim.geometry import conic_decompose
+from gptsim.scalars import FLOAT, kind_of, vscale
 from gptsim.spaces import (
     Effect,
     Observable,
@@ -240,3 +244,97 @@ def test_exact_min_value_is_the_fraction_minimum(sq, trit):
             got = sp.min_value(eff)
             assert type(got) is float
             assert got.hex() == min(eff(s) for s in sp.extreme_states).hex()
+
+
+def _seeded_effects(space, seed):
+    rng = random.Random(seed)
+    return [e for _ in range(8) for e in random_observable(space, rng).effects]
+
+
+def _from_lp(effect, space):
+    """The parts that `refine` makes of one `conic_decompose` answer."""
+    res = conic_decompose(effect.coeffs, dual_cone_rays(space), mode=space.mode)
+    eps = 1e-9 if space.mode == "float" else 0
+    return [vscale(c, r) for c, r in zip(res.coefficients, dual_cone_rays(space)) if c > eps]
+
+
+REFINED_THEORIES = {**{f"polygon{n}": partial(polygon, n) for n in (5, 6, 7, 8)},
+                    "square": square_bit, "classical3": partial(classical, 3)}
+
+
+@pytest.mark.parametrize("name", list(REFINED_THEORIES))
+def test_warm_refinements_equal_cold_ones_and_the_lp(name):
+    # a refinement decided from a stored basis is the lexicographic maximum
+    # that the LP finds: the same Fractions in exact mode, the same support
+    # within eps in float mode
+    space = REFINED_THEORIES[name]().space
+    effects = _seeded_effects(space, f"refine/{name}")
+    cold = []
+    for effect in effects:
+        dual_cone_rays.cache_clear()
+        cold.append([p.coeffs for p in space.refine(effect)])
+    dual_cone_rays.cache_clear()
+    lp.reset_stats()
+    warm = [[p.coeffs for p in space.refine(effect)] for effect in effects]
+    assert lp.stats["solves"] < len(effects) // 2  # the store decided most of them
+    lps = [_from_lp(effect, space) for effect in effects]
+    if space.mode == "exact":
+        assert warm == cold == lps
+        assert all(type(x) is Fraction for parts in warm for p in parts for x in p)
+    else:
+        for parts in zip(warm, cold, lps):
+            assert len({len(p) for p in parts}) == 1
+            for a, b, c in zip(*parts):
+                assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12
+                assert max(abs(x - y) for x, y in zip(a, c)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["polygon7", "square"])
+def test_warm_store_still_rejects_effects_outside_the_cone(name):
+    space = REFINED_THEORIES[name]().space
+    dual_cone_rays.cache_clear()
+    for effect in _seeded_effects(space, 5):
+        space.refine(effect)
+    rng = random.Random(6)
+    outside = [Effect(tuple(-x for x in space.unit))]
+    while len(outside) < 10:
+        e = Effect(tuple(rng.uniform(-1, 1) if space.mode == "float" else F(rng.randint(-4, 4), 3)
+                         for _ in range(space.ambient_dim)))
+        if space.min_value(e) < 0 and not space.is_extremal(e):
+            outside.append(e)
+    for effect in outside:
+        with pytest.raises(ValueError, match="outside the positive dual cone"):
+            space.refine(effect)
+
+
+def test_float_refinements_never_read_exact_bases():
+    # the float twin and a float effect on an integer square bit each start
+    # from an empty store of their own, whatever the exact store holds
+    space = StateSpace("integer square", 3, [(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1)],
+                       (0, 0, 1))
+    assert space.kind is None
+    dual_cone_rays.cache_clear()
+    effect = next(e for e in _seeded_effects(space, 8) if len(space.refine(e)) == 3)
+    lp.reset_stats()
+    space.refine(effect)
+    assert lp.stats["solves"] == 0  # the exact store holds its basis
+    for space_ in (space.as_float(), space):
+        parts = space_.refine(effect.as_float())
+        assert kind_of(x for p in parts for x in p.coeffs) == FLOAT
+        assert lp.stats["solves"] == 1
+        lp.reset_stats()
+
+
+def test_cache_clear_empties_the_stored_bases(pentagon):
+    # an effect on three rays stores its basis; the next refinement of it
+    # reads the store until the cache is cleared
+    space = pentagon.space
+    effect = next(e for e in _seeded_effects(space, 9) if len(space.refine(e)) == 3)
+    dual_cone_rays.cache_clear()
+    lp.reset_stats()
+    space.refine(effect)
+    space.refine(effect)
+    assert lp.stats["solves"] == 1
+    dual_cone_rays.cache_clear()
+    space.refine(effect)
+    assert lp.stats["solves"] == 2
