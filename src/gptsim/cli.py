@@ -6,8 +6,11 @@ reproduction run, 2 for input errors, and 3 for solver nontermination or a
 certificate that fails replay.
 Output is deterministic for a fixed (command, config): the timing
 block reports LP work counters rather than wall-clock time. A polytope
-refinement decided from a stored basis (`spaces.StateSpace.refine`) is not
-an LP solve, and adds to neither counter.
+refinement decided from a stored basis (`spaces.StateSpace.refine`) and a
+simulation decided from the simulation-set store (`simulation.is_simulable`)
+are not LP solves, and add to neither counter. Each command starts from
+empty stores (`dual_cone_rays.cache_clear()`), so its output does not depend
+on the commands run before it in the same process.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .simulation import (
     replay_simulation,
     smin,
 )
-from .spaces import validate_state_space
+from .spaces import dual_cone_rays, validate_state_space
 from .reproduce import CRITERIA, run_all, run_criterion
 
 
@@ -337,6 +340,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     lp.reset_stats()
+    dual_cone_rays.cache_clear()
     try:
         return args.fn(args)
     except SolverLimitError as exc:

@@ -55,7 +55,10 @@ r >= 0 and c'r > 0 for the objective c that grows along it, and raises
 since the absolute eps rejects correct refutations of badly scaled
 programs. Code that builds an answer from a certificate raises
 `CertificateError` when the certificate fails that replay, so it never
-returns it.
+returns it. A FEASIBLE or UNBOUNDED outcome also carries the final basis
+and its inverse B^-1, read from the kernel's final state with no extra
+elimination (`LPOutcome`), so that a caller can decide another right-hand
+side over the same rows without a solve (`simulation.is_simulable`).
 
 Pivoting uses the largest-coefficient rule and switches permanently to
 Bland's rule once the objective has stalled for more than `_STALL_LIMIT`
@@ -71,6 +74,7 @@ when the cap is hit.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -238,7 +242,19 @@ def make_program(rows, rhs, objective=None, tiebreaks=(), start=()) -> LinearPro
 
 @dataclass(frozen=True)
 class LPOutcome:
-    """Solve result plus the data needed to replay it."""
+    """Solve result plus the data needed to replay it.
+
+    A FEASIBLE or UNBOUNDED outcome also carries the kernel's final basis,
+    row i's basic column in `basis`, and its inverse B^-1 in `inverse`: one
+    row per basic column and one column per program row, with the flips
+    undone, so that x_B = B^-1 b for the program's own b. In exact mode each
+    row is (integer numerators, positive denominator), the tableau's
+    artificial columns as they are; in float mode it is a read-only float
+    array. A row the solve found redundant and dropped keeps its artificial
+    column n + i as its basic column, at level zero for b: its row of B^-1
+    gives that level for another b, which the program's rows leave
+    consistent only at zero. Neither field is part of the outcome's repr or
+    equality."""
 
     verdict: str
     mode: str
@@ -247,6 +263,8 @@ class LPOutcome:
     farkas: Optional[tuple] = None
     ray: Optional[tuple] = None
     pivots: int = 0
+    basis: Optional[tuple] = dataclasses.field(default=None, repr=False, compare=False)
+    inverse: Optional[object] = dataclasses.field(default=None, repr=False, compare=False)
 
 
 def lp_solve(program: LinearProgram, mode: Optional[str] = None,
@@ -394,8 +412,11 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
     if F.mode == FLOAT and ray and not _ray_replays(program, ray, objective, F.eps):
         raise CertificateError("float unbounded ray fails replay against its program")
     value = None if ray or program.objective is None else tab.dot(program.objective, sol)
+    for i in dead:  # in increasing order, so each lands at its own row
+        basis.insert(i, n + i)
     return LPOutcome(UNBOUNDED if ray else FEASIBLE, F.mode, solution=sol,
-                     objective_value=value, ray=ray, pivots=pivots)
+                     objective_value=value, ray=ray, pivots=pivots,
+                     basis=tuple(basis), inverse=tab.inverse(flips))
 
 
 def _initial_basis(program: LinearProgram) -> list:
@@ -596,6 +617,10 @@ class _IntTableau:
     drive_out = pivot  # the artificial's level is exactly zero
 
     def drop(self, rows):
+        """Remove rows whose artificial stays basic, keeping each one's
+        artificial columns, its row of B^-1, for `inverse`."""
+        n, m = self.n, len(self.T) - 1
+        self.dropped = [(i, self.T[i][n:n + m], self.D[i]) for i in rows]
         for i in reversed(rows):
             del self.T[i], self.D[i]
 
@@ -621,6 +646,23 @@ class _IntTableau:
 
     def value(self, i, col=-1):  # by default the basic value of row i
         return Fraction(self.T[i][col], self.D[i])
+
+    def inverse(self, flips):
+        """B^-1 as (numerators, denominator) per program row: the row's
+        artificial columns over its denominator, negated in the columns of
+        flipped rows; a dropped row's as `drop` read them."""
+        n, m = self.n, len(flips)
+        rows = [row[n:n + m] for row in self.T[:-1]]
+        dens = self.D[:-1]
+        for i, row, den in self.dropped:
+            rows.insert(i, row)
+            dens.insert(i, den)
+        if -1 in flips:
+            negated = [j for j, flip in enumerate(flips) if flip < 0]
+            for inv in rows:
+                for j in negated:
+                    inv[j] = -inv[j]
+        return tuple(zip(map(tuple, rows), dens))
 
     dot = staticmethod(vdot)
 
@@ -753,7 +795,8 @@ class _FloatRevised:
     def drop(self, rows):
         """Remove rows whose artificial stays basic. Column i of B^-1 is then
         the unit vector e_i, so deleting row and column i of R leaves the
-        inverse of the remaining basis."""
+        inverse of the remaining basis; row i of B^-1 is kept for `inverse`."""
+        self.dropped = (rows, self.R[rows, :len(self.R) - 1])  # a copy: rows is a list
         if rows:
             keep = [i for i in range(len(self.R)) if i not in rows]  # and the last row
             self._inverse(self.R[keep][:, keep + [-1]])
@@ -778,6 +821,23 @@ class _FloatRevised:
 
     def value(self, i, col=-1):  # by default the basic value of row i
         return float(self.R[i, -1] if col < 0 else self.column(col)[i])
+
+    def inverse(self, flips):
+        """B^-1, one row per program row, the flips undone: R's inverse in
+        the rows and columns of the rows kept, and a dropped row's row as
+        `drop` read it. Column i of a dropped row is zero in every other row."""
+        m, (dead, rows) = len(flips), self.dropped
+        if dead:
+            inv = np.zeros((m, m))
+            kept = np.delete(np.arange(m), dead)
+            inv[np.ix_(kept, kept)] = self.R[:len(kept), :len(kept)]
+            inv[dead] = rows
+        else:
+            inv = self.R[:m, :m].copy()
+        if -1 in flips:
+            inv *= np.asarray(flips, dtype=float)
+        inv.flags.writeable = False
+        return inv
 
     @staticmethod
     def dot(a, b):

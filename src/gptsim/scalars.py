@@ -25,8 +25,11 @@ also fills the program's cleared rows), the effect-sum guard
 `simulation._sums_agree` (exact equality, or eps in each coordinate), the
 float-only tests of a float answer on the rows its program leaves out
 (`_matches_target` in `simulation.is_simulable`, `_last_marginals_hold` in
-`simulation.is_compatible`), the integer test of an exact minimum over a
-polytope's extreme states (`spaces.StateSpace.min_value`),
+`simulation.is_compatible`) and of a scheme read from the simulation-set
+store on every row (an exact one is built as Fractions over each basis
+row's denominator), the integer products of an exact effect with a
+polytope's extreme states against the float array of them
+(`spaces.StateSpace.min_value`, `is_extremal`),
 `serialize.decode_number` and the command line's `--mode`. The one clearing
 of numbers to integers lives here: `integer_row` (rationals over their
 least common denominator), and `scaled` and `cleared` (a field's numbers

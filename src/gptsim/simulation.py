@@ -29,12 +29,27 @@ last-outcome block of every target after the first. A float answer is
 tested on every row, those left out included, at eps, and raises
 CertificateError if it fails them; a refutation is padded with zeros in the
 rows left out, so it keeps one entry per row of the full layout.
+
+One simulation set is tested against many targets (every target against
+(E, F) on the square bit, the subsets of one pool in `smin`, one source in
+the postprocessing relation), and its program depends on the target only
+through the right-hand side b. The program has no objective, so any basis
+B with B^-1 b >= 0 is a feasible vertex, whichever target it was found
+for; and a Farkas vector y with y'A <= 0 keeps that property for every
+target, since A is the set's, so y'b > 0 refutes a new b (Gal,
+"Postoptimal Analyses, Parametric Programming, and Related Topics", 1995;
+Bixby, Oper. Res. 50, 2002). `is_simulable` therefore keeps, per
+simulation set, the final bases and the refutations of its solves, and
+decides a target from them before it builds a program
+(`is_simulable` says how).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Optional, Sequence
 
@@ -58,6 +73,7 @@ from .scalars import (
     integer_row,
     kind_of,
     resolve,
+    scaled,
     vdot,
     vscale,
 )
@@ -65,6 +81,7 @@ from .spaces import (
     Effect,
     Observable,
     decompose_into_indecomposables,
+    dual_cone_rays,
     is_valid_observable,
     mix_observables,
 )
@@ -116,6 +133,11 @@ def _sums_agree(target: Observable, simulators: Sequence[Observable], F) -> bool
                for sim in simulators)
 
 
+def _require_sums(target: Observable, simulators: Sequence[Observable], F):
+    if not _sums_agree(target, simulators, F):
+        raise ValueError("the target's effects and each simulator's must sum to one vector")
+
+
 def simulation_program(target: Observable, simulators: Sequence[Observable],
                        tol: Tolerance = DEFAULT_TOLERANCE) -> LinearProgram:
     """The feasibility LP whose solutions are scaled simulation schemes.
@@ -149,8 +171,7 @@ def simulation_program(target: Observable, simulators: Sequence[Observable],
     (cleared once for every y) and A_y(d).
     """
     F = _common_field(target, simulators, tol)
-    if not _sums_agree(target, simulators, F):
-        raise ValueError("the target's effects and each simulator's must sum to one vector")
+    _require_sums(target, simulators, F)
     ny, dim, k = target.n_outcomes, target.dim, len(simulators)
     sizes = [sim.n_outcomes for sim in simulators]
     nx = sum(sizes)
@@ -215,33 +236,19 @@ def _matches_target(target: Observable, simulators: Sequence[Observable],
         return bool((abs(gap) <= F.eps).all())
 
 
-def is_simulable(target: Observable, simulators: Sequence[Observable],
-                 tol: Tolerance = DEFAULT_TOLERANCE) -> SimulationCertificate:
-    """Decide membership of `target` in the simulation set of `simulators`.
-
-    A target whose effects do not sum to the simulators' common effect sum
-    raises ValueError (`simulation_program`). A float solution is tested on
-    the rows the program drops as well, and one that fails them raises
-    CertificateError. A Farkas vector is padded with zeros in the dropped
-    rows, so it has one entry per row of the full program."""
-    simulators = list(simulators)
-    _check_same_space(target, simulators)
-    F = _common_field(target, simulators, tol)
-    program = simulation_program(target, simulators, tol)
-    out = lp_solve(program, mode=F.mode, tol=tol)
-    if out.verdict != FEASIBLE:
-        return SimulationCertificate(NOT_SIMULABLE, farkas=out.farkas + (F.zero,) * target.dim)
-    if F.mode == FLOAT and not _matches_target(target, simulators, out.solution, F):
-        raise CertificateError("float solution fails the target's last-outcome rows")
-
+def _scheme(target: Observable, simulators: Sequence[Observable], x: Sequence,
+            F) -> SimulationCertificate:
+    """The weights c_i and channels M_i / c_i of a solution x in the layout
+    of `simulation_program`; a simulator of weight within eps of zero gets
+    the uniform channel."""
     ny = target.n_outcomes
     pos = 0
     weights, channels = [], []
     n_m = sum(sim.n_outcomes * ny for sim in simulators)
     for i, sim in enumerate(simulators):
-        block = out.solution[pos:pos + sim.n_outcomes * ny]
+        block = x[pos:pos + sim.n_outcomes * ny]
         pos += sim.n_outcomes * ny
-        ci = out.solution[n_m + i]
+        ci = x[n_m + i]
         weights.append(ci)
         if abs(ci) <= F.eps:
             uniform = F.one / ny
@@ -252,6 +259,229 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
         channels.append(Postprocessing(sim.labels, target.labels, matrix))
     return SimulationCertificate(SIMULABLE, weights=tuple(weights),
                                  channels=tuple(channels))
+
+
+def _farkas_bounds(F, y, B, D, sizes: Sequence[int], ny: int) -> bool:
+    """The target-free half of a refutation: alpha_g + phi_y . B_g <= eps
+    for every column M[g, y] and beta <= sum_{g in i} alpha_g for every
+    weight column c_i, for a Farkas vector y = (alpha, beta, phi) of the
+    full layout and the simulators' effects B (row g's effect), both cleared
+    over D; an inf or a NaN fails."""
+    nx = sum(sizes)
+    alpha, beta, phi = y[:nx], y[nx], y[nx + 1:].reshape(ny, -1)
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = alpha[:, None] * D + B.reshape(nx, -1) @ phi.T  # times D^2
+        weights = beta - np.add.reduceat(alpha, starts)  # times D
+        return bool((columns <= F.eps).all() and (weights <= F.eps).all())
+
+
+def _rows_hold(simulators: Sequence[Observable], ny: int, x: Sequence, F) -> bool:
+    """x >= -eps, and the row-sum and weight rows of `simulation_program`
+    within eps, for a float x in its layout: sum_y M[g, y] = c_i for each
+    outcome g of simulator i, and sum_i c_i = 1; an inf or a NaN fails."""
+    sizes = [sim.n_outcomes for sim in simulators]
+    x = np.asarray(x, dtype=float)
+    M, c = x[:sum(sizes) * ny].reshape(-1, ny), x[sum(sizes) * ny:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool((x >= -F.eps).all()
+                    and (abs(M.sum(axis=1) - np.repeat(c, sizes)) <= F.eps).all()
+                    and abs(c.sum() - 1) <= F.eps)
+
+
+# The simulation-set store of `is_simulable`: at most _SET_CAP sets, the
+# least recently used leaving first, each keeping at most _ANSWER_CAP bases
+# and _ANSWER_CAP refutations (the first ones stored).
+_SET_CAP = 64
+_ANSWER_CAP = 8
+_SETS = {}  # (builder, solver, simulator coefficient keys, outcomes, mode, eps) -> _Answers
+dual_cone_rays.stores.append(_SETS)
+
+
+class _Answers:
+    """What the solves over one simulation set left behind, in insertion
+    order. The program's A is fixed by the set, and a target reaches only
+    the weight row and the effect rows of its first ny - 1 outcomes, the r
+    entries of b = (1, A_0, ..., A_{ny-2}) that can be nonzero; the
+    row-sum rows have right-hand side 0. So a refutation keeps its entries
+    on those rows (beta, phi) and a basis the columns of B^-1 on them, all
+    stacked in one array each. In exact mode both are cleared to integers:
+    a refutation over its own scale, a basis row over its denominator
+    (kept in `dens`). A solve's answer waits in `pending` and is stored
+    when the set is decided again, so a set decided once costs no tests
+    and no copies."""
+
+    def __init__(self, simulators: Sequence[Observable], ny: int, F):
+        self.F, self.ny = F, ny
+        self.sizes = [sim.n_outcomes for sim in simulators]
+        self.nx, self.dim = sum(self.sizes), simulators[0].dim
+        self.n = self.nx * ny + len(simulators)  # the program's columns
+        self.r = 1 + (ny - 1) * self.dim
+        self.m = self.nx + self.r  # the program's rows
+        self.pending = None
+        self.farkas = []  # full-layout Farkas vectors, as returned
+        self.refuting = None  # (refutations, r)
+        self.bases = []  # each row's basic column, n + i for a dropped row
+        self.inverses = None  # (bases, m, r)
+        self.structural = None  # (bases, m): the basic column is < n
+        self.dens = []
+
+    def decide(self, target: Observable, simulators: Sequence[Observable]):
+        """A certificate for the target from the first stored refutation y
+        with y.b > eps, else from the first stored basis with B^-1 b >= -eps
+        (and within eps of zero in a dropped row); None when neither is
+        found, or when a float scheme fails a row of the full layout."""
+        if self.pending is not None:
+            self.pending()
+            self.pending = None
+        if not (self.farkas or self.bases):
+            return None  # `simulation_program` tests the effect sums
+        F = self.F
+        _require_sums(target, simulators, F)
+        b, L = scaled(F, [F.one, *(c for eff in target.effects[:-1] for c in eff.coeffs)])
+        b = np.array(b, dtype=F.dtype)
+        if self.farkas:
+            hits = np.flatnonzero(self.refuting @ b > F.eps)
+            if hits.size:
+                return SimulationCertificate(NOT_SIMULABLE, farkas=self.farkas[hits[0]])
+        if not self.bases:
+            return None
+        X = self.inverses @ b
+        feasible = np.flatnonzero(((X >= -F.eps) & ((X <= F.eps) | self.structural))
+                                  .all(axis=1))
+        if not feasible.size:
+            return None
+        k = feasible[0]
+        kept = [(col, v, den) for col, v, den in zip(self.bases[k], X[k], self.dens[k])
+                if col < self.n]
+        if F.mode == FLOAT:
+            x = np.zeros(self.n)
+            x[[col for col, _, _ in kept]] = [F.zero + v for _, v, _ in kept]
+            x = tuple(x.tolist())
+            if not (_rows_hold(simulators, self.ny, x, F)
+                    and _matches_target(target, simulators, x, F)):
+                return None
+        else:
+            x = [F.zero] * self.n
+            for col, v, den in kept:
+                x[col] = Fraction(v, den * L)
+        return _scheme(target, simulators, x, F)
+
+    def refuted(self, farkas: tuple, simulators: Sequence[Observable]):
+        """Store a full-layout Farkas vector, if there is room and it passes
+        the target-free half of `replay_simulation` (`_farkas_bounds`)."""
+        F = self.F
+        if len(self.farkas) >= _ANSWER_CAP or len(farkas) != self.m + self.dim:
+            return
+        y, B, D = cleared(F, farkas, [c for sim in simulators for eff in sim.effects
+                                      for c in eff.coeffs])
+        if not _farkas_bounds(F, y, B, D, self.sizes, self.ny):
+            return
+        self.farkas.append(farkas)
+        self.refuting = _stacked(self.refuting, y[self.nx:self.m])
+
+    def solved(self, out, rows: int):
+        """Store the final basis of a solve of this set's program with `rows`
+        rows, if there is room and it is new."""
+        if (len(self.bases) >= _ANSWER_CAP or rows != self.m or out.basis is None
+                or out.basis in self.bases):
+            return
+        nx = self.nx
+        if self.F.mode == FLOAT:
+            inverse, dens = out.inverse[:, nx:], (1,) * self.m
+        else:
+            inverse = np.array([row[nx:] for row, _ in out.inverse], dtype=object)
+            dens = tuple(den for _, den in out.inverse)
+        self.bases.append(out.basis)
+        self.dens.append(dens)
+        self.inverses = _stacked(self.inverses, inverse)
+        self.structural = _stacked(self.structural,
+                                   np.array([col < self.n for col in out.basis]))
+
+
+def _stacked(stack, item):
+    """The array `stack` with `item` appended along a new first axis."""
+    item = np.array(item)[None]  # a copy, which holds nothing else alive
+    return item if stack is None else np.concatenate([stack, item])
+
+
+def _answers(target: Observable, simulators: Sequence[Observable], F) -> _Answers:
+    """The store of the target's simulation set, made if new, and now the
+    most recently used. The set is keyed by what the program's A depends
+    on, and by the builder and the solver that answered for it, as this
+    module names them now: a replaced or wrapped `simulation_program` or
+    `lp_solve` reads a store of its own."""
+    key = (simulation_program, lp_solve, tuple(sim.coefficient_key for sim in simulators),
+           target.n_outcomes, F.mode, F.eps)
+    answers = _SETS.pop(key, None)
+    if answers is None:
+        answers = _Answers(simulators, target.n_outcomes, F)
+        if len(_SETS) >= _SET_CAP:
+            del _SETS[next(iter(_SETS))]
+    _SETS[key] = answers
+    return answers
+
+
+def is_simulable(target: Observable, simulators: Sequence[Observable],
+                 tol: Tolerance = DEFAULT_TOLERANCE) -> SimulationCertificate:
+    """Decide membership of `target` in the simulation set of `simulators`.
+
+    A target whose effects do not sum to the simulators' common effect sum
+    raises ValueError, before any answer is read from the store or solved
+    (`simulation_program`). A float solution is tested on the rows the
+    program drops as well, and one that fails them raises CertificateError.
+    A Farkas vector is padded with zeros in the dropped rows, so it has one
+    entry per row of the full program.
+
+    The simulation set's store is read first. It is keyed by what the
+    program's A depends on: the simulators' effect coefficients in order,
+    the target's outcome count, the field mode and eps (and the builder and
+    solver, `_answers`). A target reaches only the weight row and its first
+    ny - 1 outcomes' effect rows, b = (1, A_0, ..., A_{ny-2}) there and 0 in
+    the row-sum rows. It is refuted by the first stored Farkas vector y with
+    y.b > eps; otherwise it is simulable by the first stored basis with
+    B^-1 b >= -eps in every row (and within eps of zero in a row the solve
+    dropped as redundant, whose equation b must still meet), all bases in
+    one stacked product. Only when neither is found is the program built
+    and solved, and the solve's answer joins the store when the set is
+    decided again. Store answers are checked as LP answers of their mode
+    are: a float scheme on every row of the full layout at eps (row sums,
+    total weight, `_matches_target`), or it is not returned; an exact one
+    is B^-1 b in integers over each row's denominator, one Fraction per
+    basic value, from the kernel's own exact B^-1, and so as exact as an
+    answer of the kernel. A refutation's target-free inequalities, the
+    column and weight tests of `replay_simulation`, are tested once, when it
+    is stored, so each reuse tests y.b > eps alone.
+
+    Verdicts never depend on earlier calls, but certificates may: a target
+    decided from the store gets the scheme of an earlier basis or an
+    earlier target's refutation (normalized to y.b = 1 for that target),
+    which replays as well as the LP's own. (A float target within eps of
+    the set's boundary is the exception the LP already has: phase 1 tests
+    a sum of residuals against eps, the store each row.) The store keeps at
+    most `_SET_CAP` sets, the least recently used leaving first, and at
+    most `_ANSWER_CAP` bases and `_ANSWER_CAP` refutations per set, the
+    first ones stored; it is read in insertion order, so the hash seed
+    changes nothing, and `dual_cone_rays.cache_clear()` empties it. A
+    decision answered from the store is not an LP solve: `lp.stats` does
+    not move."""
+    simulators = list(simulators)
+    _check_same_space(target, simulators)
+    F = _common_field(target, simulators, tol)
+    answers = _answers(target, simulators, F)
+    cert = answers.decide(target, simulators)
+    if cert is not None:
+        return cert
+    program = simulation_program(target, simulators, tol)
+    out = lp_solve(program, mode=F.mode, tol=tol)
+    if out.verdict != FEASIBLE:
+        farkas = out.farkas + (F.zero,) * target.dim
+        answers.pending = partial(answers.refuted, farkas, simulators)
+        return SimulationCertificate(NOT_SIMULABLE, farkas=farkas)
+    if F.mode == FLOAT and not _matches_target(target, simulators, out.solution, F):
+        raise CertificateError("float solution fails the target's last-outcome rows")
+    answers.pending = partial(answers.solved, out, len(program.rhs))
+    return _scheme(target, simulators, out.solution, F)
 
 
 def replay_simulation(cert: SimulationCertificate, target: Observable,
@@ -294,13 +524,9 @@ def replay_simulation(cert: SimulationCertificate, target: Observable,
         y, B, A, D = cleared(F, cert.farkas,
                              [c for sim in simulators for eff in sim.effects for c in eff.coeffs],
                              [c for eff in target.effects for c in eff.coeffs])
-        alpha, beta, phi = y[:nx], y[nx], y[nx + 1:].reshape(ny, dim)
-        starts = list(itertools.accumulate(sizes[:-1], initial=0))
-        with np.errstate(over="ignore", invalid="ignore"):  # each test fails on an inf or a NaN
-            columns = alpha[:, None] * D + B.reshape(nx, dim) @ phi.T  # times D^2
-            weights = beta - np.add.reduceat(alpha, starts)  # times D
-            value = beta * D + phi.ravel() @ A  # times D^2
-            return bool((columns <= F.eps).all() and (weights <= F.eps).all() and value > F.eps)
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN value fails
+            value = y[nx] * D + y[nx + 1:] @ A  # times D^2
+        return _farkas_bounds(F, y, B, D, sizes, ny) and bool(value > F.eps)
     if not len(cert.weights) == len(cert.channels) == len(simulators):
         return False
     if any(chan.source != sim.labels or chan.target != target.labels

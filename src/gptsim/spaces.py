@@ -90,11 +90,27 @@ class StateSpace:
                           to_float_vector(self.unit))
 
     def is_extremal(self, effect: "Effect", tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        """Tight-state rank test: the extreme states the effect annihilates
-        must have rank exactly ambient_dim - 1."""
+        """Tight-state rank test: the effect is at least -eps on every
+        extreme state (it lies in the cone), and the extreme states it
+        annihilates have rank exactly ambient_dim - 1. One product of the
+        states with the effect gives both: the integer states
+        (`_integer_states`) and the cleared effect in exact mode, a float
+        array of the states in float mode."""
+        if effect.dim != self.ambient_dim:
+            raise ValueError(f"dimension mismatch {effect.dim} vs {self.ambient_dim}")
         F = resolve((self.kind, kind_of(effect.coeffs)), tol)
-        tight = [s for s in self.extreme_states if abs(effect(s)) <= F.eps]
-        return geometry.rank(tight, tol=tol, mode=F.mode) == self.ambient_dim - 1
+        if F.mode == FLOAT:  # a list, as Python reads a few floats faster than numpy
+            values = (self._float_states @ np.array(effect.coeffs, dtype=float)).tolist()
+        else:
+            E, _ = integer_row(effect.coeffs)
+            values = [sum(map(mul, E, s)) for s in self._integer_states[0]]
+        if not min(values) >= -F.eps:  # a NaN coefficient makes every value NaN
+            return False
+        tight = [i for i, v in enumerate(values) if v <= F.eps]
+        if len(tight) < self.ambient_dim - 1:
+            return False
+        states = [self.extreme_states[i] for i in tight]
+        return geometry.rank(states, tol=tol, mode=F.mode) == self.ambient_dim - 1
 
     def refine(self, effect: "Effect", tol: Tolerance = DEFAULT_TOLERANCE) -> list:
         """Decompose over the dual-cone extreme rays.
@@ -141,10 +157,16 @@ class StateSpace:
         return [Effect(vscale(c, r)) for c, r in zip(coefficients, rays) if c > F.eps]
 
     @cached_property
+    def _float_states(self) -> np.ndarray:
+        """The extreme states as one float array, a row each: made once per
+        space on the first float `is_extremal`."""
+        return np.array(self.extreme_states, dtype=float).reshape(-1, self.ambient_dim)
+
+    @cached_property
     def _integer_states(self) -> tuple:
         """The extreme states as integer tuples over one positive denominator
         D, as (states, D): made once per space on the first exact
-        `min_value`; a float raises ValueError."""
+        `min_value` or `is_extremal`; a float raises ValueError."""
         flat, D = integer_row([x for s in self.extreme_states for x in s])
         n = self.ambient_dim
         return tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n)), D
@@ -242,6 +264,13 @@ class Observable:
         return kind_of(x for _, e in self.outcomes for x in e.coeffs)
 
     @cached_property
+    def coefficient_key(self) -> "CoefficientKey":
+        """The effects' coefficients in order, as a key hashed once per
+        observable: equal for observables with equal coefficients, whatever
+        their labels and space."""
+        return CoefficientKey(tuple(eff.coeffs for eff in self.effects), self.kind)
+
+    @cached_property
     def effect_sum(self) -> tuple:
         """The coefficients of the sum of the effects: the unit for a valid
         observable."""
@@ -264,6 +293,27 @@ class Observable:
     def relabelled(self, mapping: dict) -> "Observable":
         return Observable(tuple((mapping.get(lab, lab), eff)
                                 for lab, eff in self.outcomes), self.space)
+
+
+class CoefficientKey:
+    """A tuple of coefficient tuples with its hash computed once. Exact and
+    integer coefficients hash by their numerators, in a fraction of the time
+    of a `Fraction` hash. Equal keys of one kind hash equal; an integer key
+    and an equal float key may not, which costs a lookup a miss, never a
+    wrong match."""
+
+    __slots__ = ("values", "_hash")
+
+    def __init__(self, values: tuple, kind):
+        self.values = values
+        self._hash = hash(values if kind == FLOAT else
+                          tuple(x.numerator for vector in values for x in vector))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return isinstance(other, CoefficientKey) and self.values == other.values
 
 
 def observable(space: Optional[StateSpace], items) -> Observable:
@@ -376,8 +426,10 @@ def dual_cone_rays(space: StateSpace, tol: Tolerance = DEFAULT_TOLERANCE) -> tup
 
     Cached per (space, mode, tol): a float twin (`space.as_float()`) compares
     and hashes equal to its exact space but needs rays of its own mode.
-    `dual_cone_rays.cache_clear()` also empties the bases that `refine`
-    stores beside this cache.
+    `dual_cone_rays.cache_clear()` also empties every store listed in
+    `dual_cone_rays.stores`: the bases that `refine` keeps beside this cache,
+    and the simulation-set store of `simulation.is_simulable` (bases and
+    refutations per simulation set), which that module adds on import.
     """
     return _dual_cone_rays(space, space.mode, tol)
 
@@ -441,11 +493,13 @@ _BASES = {}  # (space, rays mode, field mode, tol) -> _Bases
 
 def _cache_clear():
     _dual_cone_rays.cache_clear()
-    _BASES.clear()
+    for store in dual_cone_rays.stores:
+        store.clear()
 
 
 dual_cone_rays.cache_info = _dual_cone_rays.cache_info
 dual_cone_rays.cache_clear = _cache_clear
+dual_cone_rays.stores = [_BASES]  # each emptied by cache_clear()
 
 
 def is_indecomposable(effect: Effect, space,

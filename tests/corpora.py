@@ -351,8 +351,8 @@ def _decision(corpus, index, decide, result) -> dict:
 def record(corpus):
     """The dump lines of one corpus: each decision runs with `lp._simplex`
     wrapped, every solve it makes becomes one line, and its own result one
-    more. The corpus starts from empty ray and basis caches, so its lines do
-    not depend on the corpora dumped before it."""
+    more. The corpus starts from empty ray caches and answer stores, so its
+    lines do not depend on the corpora dumped before it."""
     dual_cone_rays.cache_clear()
     decisions = CORPORA[corpus]()
     solves, simplex = [], lp._simplex

@@ -12,22 +12,23 @@ from gptsim.reproduce import CRITERIA, run_criterion
 from gptsim.spaces import dual_cone_rays
 
 # The LP work of each criterion, (solves, pivots). `gptsim reproduce all`
-# reports only the sum (1852, 18956), which keeps its value when one
-# criterion's work moves to another. Each criterion starts from empty ray
-# and basis caches, so the counts do not depend on the order in which the
-# criteria or the other test modules run; a refinement decided from a
-# stored basis is no solve.
+# reports only its total, which runs the criteria in one process and so
+# shares stores between them. Each criterion here starts from empty ray
+# caches and answer stores, so the counts do not depend on the order in
+# which the criteria or the other test modules run; a refinement decided
+# from a stored basis, and a simulation decided from a stored basis or
+# refutation, is no solve.
 LP_WORK = {
     "polygon-counts": (0, 0),
-    "square-bit-universality": (306, 2431),
-    "qubit-ct-threshold": (224, 3228),
+    "square-bit-universality": (128, 681),
+    "qubit-ct-threshold": (146, 2492),
     "tetrahedron": (4, 35),
-    "hexagon-noise": (6, 83),
+    "hexagon-noise": (4, 55),
     "qubit-triplet-compat": (24, 891),
-    "closure-laws": (505, 7065),
+    "closure-laws": (358, 5379),
     "structural-cross-validation": (364, 2668),
-    "noise-content": (70, 517),
-    "exact-float-agreement": (349, 2038),
+    "noise-content": (67, 473),
+    "exact-float-agreement": (177, 1112),
 }
 
 

@@ -634,3 +634,42 @@ def test_exact_solves_leave_their_program_unchanged():
     assert out.verdict == INFEASIBLE and verify_farkas(q, out.farkas, mode=EXACT)
     assert lp_solve(q, mode=EXACT) == out
     assert q.integer_data == (((1, -1, 1), 1), ((-1, 1, 1), 1))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_final_basis_and_inverse(mode):
+    # B^-1 b is the basic part of the solution (zero at a dropped row's
+    # artificial), and B^-1 times the basis columns is the identity, a
+    # dropped row's basic column being its artificial, the unit column
+    # negated where the row's rhs is negative; neither field enters the
+    # outcome's repr or equality
+    import dataclasses
+
+    programs = oracle_programs(31, 90) + simulation_corpus() if mode == EXACT else float_corpus()
+    checked = dropped = 0
+    for p in programs:
+        out = lp_solve(p, mode)
+        assert repr(out) == repr(dataclasses.replace(out, basis=None, inverse=None))
+        assert out == dataclasses.replace(out, basis=None, inverse=None)
+        if out.verdict == INFEASIBLE:
+            assert out.basis is None and out.inverse is None
+            continue
+        n, m = p.num_vars, len(p.rhs)
+        assert len(out.basis) == m
+        dropped += any(j >= n for j in out.basis)
+        x = list(out.solution) + [0] * m
+        columns = [[p.rows[i][j] if j < n else (-1 if p.rhs[i] < 0 else 1) * (j - n == i)
+                    for i in range(m)] for j in out.basis]
+        if mode == EXACT:
+            for (row, den), j in zip(out.inverse, out.basis):
+                assert F(sum(a * b for a, b in zip(row, p.rhs)), den) == x[j]
+                assert [F(sum(a * c for a, c in zip(row, col)), den) for col in columns] == \
+                    [int(k == j) for k in out.basis]
+        else:
+            assert not out.inverse.flags.writeable
+            basic = out.inverse @ np.asarray(p.rhs, dtype=float)
+            assert np.abs(basic - np.asarray(x)[list(out.basis)]).max() <= 1e-9
+            identity = out.inverse @ np.array(columns, dtype=float).T
+            assert np.abs(identity - np.eye(m)).max() <= 1e-8
+        checked += 1
+    assert checked > 100 and dropped > 10

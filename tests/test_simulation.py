@@ -947,3 +947,164 @@ def test_bracket_128_outcomes_pinned():
     assert verdicts == {"compatible", "incompatible"}
     assert digest.hexdigest() == (
         "eaed295d85ff3d58012e3c1ec1c8b67ed52905f2c2e7d85df2ca26f742241ce2")
+
+
+# ---------------------------------------------------------------------------
+# The simulation-set store of `is_simulable`.
+# ---------------------------------------------------------------------------
+
+def _store_cases(name):
+    """Seeded (target, simulators) pairs over simulation sets that repeat:
+    exact square-bit and classical(3) targets, float polygon targets."""
+    from gptsim.catalog import classical
+
+    rng = random.Random(f"store/{name}")
+    if name == "square":
+        sq = square_bit()
+        other = random_observable(sq.space, rng, 3)
+        sets = [[sq.E, sq.F], [sq.E], [sq.F], [other]]
+        space = sq.space
+    elif name == "classical3":
+        cl = classical(3)
+        sets = [[cl.distinguishing], [random_observable(cl.space, rng, 3)]]
+        space = cl.space
+    else:
+        cat = polygon_irreducibles(int(name[-1]))
+        space = cat.theory.space
+        sets = [list(cat.observables), [random_observable(space, rng, 3)]]
+    return [(random_observable(space, rng, 2 + k % 3), sets[k % len(sets)])
+            for k in range(24 * len(sets))]
+
+
+@pytest.mark.parametrize("name", ["square", "classical3", "polygon5", "polygon6",
+                                  "polygon7", "polygon8"])
+def test_warm_store_verdicts_equal_cold_ones(name):
+    # the store decides many targets, with the verdict of a cold solve and a
+    # certificate that replays; exact certificates stay Fractions
+    from gptsim import lp
+    from gptsim.spaces import dual_cone_rays
+
+    cases = _store_cases(name)
+    cold = []
+    for target, sims in cases:
+        dual_cone_rays.cache_clear()
+        cold.append(is_simulable(target, sims).verdict)
+    dual_cone_rays.cache_clear()
+    lp.reset_stats()
+    warm = [is_simulable(target, sims) for target, sims in cases]
+    assert [cert.verdict for cert in warm] == cold
+    assert lp.stats["solves"] < len(cases)  # the store decided some
+    for cert, (target, sims) in zip(warm, cases):
+        assert replay_simulation(cert, target, sims)
+        if name in ("square", "classical3"):
+            numbers = cert.weights if cert.simulable else cert.farkas
+            assert all(isinstance(x, (int, Fraction)) for x in numbers)
+
+
+def test_store_decides_a_repeated_target_and_cache_clear_empties_it(sq):
+    from gptsim import lp
+    from gptsim.spaces import dual_cone_rays
+
+    target = random_observable(sq.space, random.Random(3), 3)
+    for sims in ([sq.E, sq.F], [sq.E], [sq.F]):
+        lp.reset_stats()
+        first, second = is_simulable(target, sims), is_simulable(target, sims)
+        assert lp.stats["solves"] == 1  # the second answer came from the store
+        assert first.verdict == second.verdict
+        assert replay_simulation(second, target, sims)
+        dual_cone_rays.cache_clear()
+        is_simulable(target, sims)
+        assert lp.stats["solves"] == 2
+
+
+def test_warm_store_still_rejects_other_effect_sums(sq):
+    # with one outcome, b is the weight row alone, so a stored basis is
+    # feasible for every one-outcome target; the sums are tested first
+    unit = Observable((("u", sq.space.unit),), sq.space)
+    for _ in range(3):
+        assert is_simulable(unit, [sq.E]).simulable
+    half = Observable((("+", sq.E.effects[0].coeffs),), sq.space)
+    with pytest.raises(ValueError, match="sum to one vector"):
+        is_simulable(half, [sq.E])
+
+
+def test_store_never_returns_a_corrupted_inverse():
+    # every stored float inverse is scaled by 1.01: a scheme read from it
+    # has total weight 1.01, fails the full layout, and the LP decides instead
+    from gptsim import lp, simulation
+
+    cases = [(target, sims) for target, sims in _store_cases("polygon6") if len(sims) > 1]
+    lp.reset_stats()
+    for target, sims in cases:
+        assert is_simulable(target, sims).simulable
+    assert lp.stats["solves"] < len(cases)
+    for answers in simulation._SETS.values():
+        if answers.pending is not None:  # the last solve's answer, kept on the next decision
+            answers.pending()
+            answers.pending = None
+        answers.inverses = answers.inverses * 1.01
+    lp.reset_stats()
+    for target, sims in cases:
+        cert = is_simulable(target, sims)
+        assert cert.simulable and replay_simulation(cert, target, sims)
+    assert lp.stats["solves"] == len(cases)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_store_never_keeps_a_corrupted_refutation(sq, mode, monkeypatch):
+    # A solver that returns one corrupted Farkas vector: its decision
+    # carries it, as any answer of the solver, but the store tests it before
+    # keeping it, and the corrupted vector, which claims y.b > 0 for every
+    # target from [E], is never returned for another target.
+    from gptsim import simulation
+
+    cast = (lambda obs: obs.as_float()) if mode == "float" else (lambda obs: obs)
+    sims = [cast(sq.E)]
+    solve, calls = simulation.lp_solve, []
+
+    def corrupting(program, mode=None, tol=None):
+        out = solve(program, mode=mode, tol=tol)
+        calls.append(out)
+        if len(calls) == 1:  # beta = 1 and nothing else: y.b = 1 for every target
+            zero = field(mode).zero
+            farkas = [zero] * len(program.rhs)
+            farkas[len(sq.E.effects)] = zero + 1
+            out = dataclasses.replace(out, verdict=INFEASIBLE, solution=None,
+                                      farkas=tuple(farkas))
+        return out
+
+    monkeypatch.setattr(simulation, "lp_solve", corrupting)
+    rng = random.Random(11)
+    targets = [cast(random_observable(sq.space, rng, 2)) for _ in range(8)]
+    targets.append(cast(Observable((("+", sq.E.effects[0].coeffs),
+                                    ("-", sq.E.effects[1].coeffs)), sq.space)))
+    first = is_simulable(targets[0], sims)
+    assert not first.simulable and not replay_simulation(first, targets[0], sims)
+    for target in targets[1:]:
+        cert = is_simulable(target, sims)
+        assert replay_simulation(cert, target, sims)
+    assert is_simulable(targets[-1], sims).simulable
+
+
+def test_store_stays_at_its_caps(sq):
+    # more distinct simulation sets than the cap: the least recently used
+    # leave; many targets over one set: at most the cap of each kind of answer
+    from gptsim import simulation
+
+    rng = random.Random(12)
+    others = [random_observable(sq.space, rng, 2) for _ in range(simulation._SET_CAP + 10)]
+    target = random_observable(sq.space, rng, 2)
+    for other in others:
+        is_simulable(target, [other])
+        assert len(simulation._SETS) <= simulation._SET_CAP
+    assert len(simulation._SETS) == simulation._SET_CAP
+    kept = list(simulation._SETS.values())[-3:]
+    for other in others[-3:]:  # the most recent sets are kept
+        is_simulable(target, [other])
+    assert list(simulation._SETS.values())[-3:] == kept
+    targets = [random_observable(sq.space, rng, 3) for _ in range(200)]
+    for sims in ([sq.E], [sq.E, sq.F], [random_observable(sq.space, rng, 3)]):
+        for target in targets:
+            is_simulable(target, sims)
+    counts = [(len(a.farkas), len(a.bases)) for a in simulation._SETS.values()]
+    assert max(max(c) for c in counts) == simulation._ANSWER_CAP

@@ -338,3 +338,20 @@ def test_cache_clear_empties_the_stored_bases(pentagon):
     dual_cone_rays.cache_clear()
     space.refine(effect)
     assert lp.stats["solves"] == 2
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_effect_outside_the_cone_is_not_extremal(sq, mode):
+    # (1, 0, -1) vanishes on two adjacent extreme states of the square bit,
+    # which span rank 2 = dim - 1, but is -2 on the other two: it lies
+    # outside the effect cone, so it is no indecomposable effect and
+    # `refine` rejects it
+    effect = Effect((1, 0, -1))
+    space = sq.space
+    if mode == "float":
+        effect, space = effect.as_float(), space.as_float()
+    assert space.min_value(effect) == -2
+    assert not space.is_extremal(effect)
+    assert not is_indecomposable(effect, space)
+    with pytest.raises(ValueError, match="outside the positive dual cone"):
+        space.refine(effect)
