@@ -61,6 +61,7 @@ from .simulation import (
     is_simulation_irreducible,
     noise_content,
     noise_monotonicity_check,
+    replay_compatibility,
     replay_simulation,
     smin,
 )
@@ -98,7 +99,7 @@ __all__ = [
     "IrreducibleDecomposition", "NoiseContentResult", "SimulationCertificate",
     "check_closure_laws", "decompose_to_irreducibles", "dichotomic_hull_necessary",
     "is_compatible", "is_simulable", "is_simulation_irreducible", "noise_content",
-    "noise_monotonicity_check", "replay_simulation", "smin",
+    "noise_monotonicity_check", "replay_compatibility", "replay_simulation", "smin",
     "QubitEffect", "QubitSpace",
     "IrreducibleCatalog", "PolygonTheory", "QubitSuite", "classical",
     "hexagon_noise_example", "irreducible_count_formula", "octahedron_test",

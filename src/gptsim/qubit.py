@@ -5,11 +5,12 @@ A qubit effect tau * id + e.sigma / 2 has the linear coordinates
 (0, 0, 0, 1) and the zero effect is the origin. In these coordinates the
 qubit is a state space like the polytopes: `QubitSpace` answers the
 effect-cone questions of `spaces` (rank one, spectral splitting, least
-eigenvalue; rank-one effects over `sphere_directions` as generators and the
-closed-form price 2 ||a|| + b), so validity, irreducibility, decomposition
-into irreducibles, noise content and compatibility are the generic
-functions of `spaces` and `simulation`. The rank-one generators are floats,
-so qubit compatibility is decided in float arithmetic.
+eigenvalue; rank-one effects over `sphere_directions` as generators, the
+closed-form price 2 ||a|| + b, and a rotation to a canonical frame), so
+validity, irreducibility, decomposition into irreducibles, noise content
+and compatibility are the generic functions of `spaces` and `simulation`.
+The rank-one generators are floats, so qubit compatibility is decided in
+float arithmetic.
 
 The paper writes the same effect as ((1 + e0) id + e.sigma) / 2, with the
 bias e0 = 2 tau - 1: valid exactly when |e0| + ||e||_2 <= 1, and reachable
@@ -25,6 +26,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .scalars import (
     DEFAULT_TOLERANCE,
@@ -103,6 +106,41 @@ class QubitSpace:
     def generators(self, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
         """The rank-one effects (d, 1/2) over `sphere_directions(128)`."""
         return [(*d, 0.5) for d in sphere_directions(128)]
+
+    def canonical_frame(self, effects: Sequence,
+                        tol: Tolerance = DEFAULT_TOLERANCE) -> Optional[np.ndarray]:
+        """The rotation of the Bloch ball, as a 4 x 4 array T acting on
+        coefficients (tau fixed), that sends the first Bloch part among the
+        effects' longer than eps along z, and the next one whose part
+        orthogonal to that is longer than eps into the xz-plane with x > 0.
+        With no such second part, x is the axis least aligned with z, made
+        orthogonal to it. None, the identity, when no Bloch part is longer
+        than eps or an effect is exact (a rotation is float). A rotation is
+        a symmetry of the qubit: it keeps the cone, the unit and `price`."""
+        if kind_of(x for e in effects for x in e) == EXACT:
+            return None
+        eps, z, x = tol.eps, None, None
+        for *bloch, _ in effects:
+            if z is not None:
+                along = sum(a * b for a, b in zip(bloch, z))
+                bloch = [a - along * b for a, b in zip(bloch, z)]
+            norm = math.sqrt(sum(a * a for a in bloch))
+            if norm > eps:
+                if z is not None:
+                    x = [a / norm for a in bloch]
+                    break
+                z = [a / norm for a in bloch]
+        if z is None:
+            return None
+        if x is None:
+            k = min(range(3), key=lambda i: abs(z[i]))
+            x = [(i == k) - z[k] * z[i] for i in range(3)]
+            norm = math.sqrt(sum(a * a for a in x))
+            x = [a / norm for a in x]
+        y = [z[1] * x[2] - z[2] * x[1], z[2] * x[0] - z[0] * x[2], z[0] * x[1] - z[1] * x[0]]
+        T = np.eye(4)
+        T[:3, :3] = (x, y, z)
+        return T
 
     def price(self, z: Sequence, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple:
         """2 ||a|| + b for z = (a, b), the largest value of z on an effect

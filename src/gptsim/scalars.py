@@ -23,12 +23,13 @@ solution is the kernel's Fractions as they are), the float-array versus
 exact-tuple layout of `simulation.simulation_program` (whose exact branch
 also fills the program's cleared rows), the effect-sum guard
 `simulation._sums_agree` (exact equality, or eps in each coordinate), the
-float-only tests of a float answer on the rows its program leaves out
-(`_matches_target` in `simulation.is_simulable`, `_last_marginals_hold` in
-`simulation.is_compatible`) and of a scheme read from the simulation-set
-store on every row (an exact one is built as Fractions over each basis
-row's denominator), the integer products of an exact effect with a
-polytope's extreme states against the float array of them
+float-only test of a float answer on the rows its program leaves out
+(`_matches_target` in `simulation.is_simulable`) and of a scheme read from
+the simulation-set store on every row (an exact one is built as Fractions
+over each basis row's denominator), the float or integer B^-1 that the
+compatibility store keeps (`simulation._JointAnswers.solved`), the integer
+products of an exact effect with a polytope's extreme states against the
+float array of them
 (`spaces.StateSpace.min_value`, `is_extremal`),
 `serialize.decode_number` and the command line's `--mode`. The one clearing
 of numbers to integers lives here: `integer_row` (rationals over their

@@ -41,7 +41,11 @@ target, since A is the set's, so y'b > 0 refutes a new b (Gal,
 Bixby, Oper. Res. 50, 2002). `is_simulable` therefore keeps, per
 simulation set, the final bases and the refutations of its solves, and
 decides a target from them before it builds a program
-(`is_simulable` says how).
+(`is_simulable` says how). Compatibility is the k = 1 case: its programs
+share A across targets of the same outcome counts (up to the generators),
+so `is_compatible` keeps the same two kinds of answers per layout, in the
+canonical frame of the space's symmetries (`is_compatible` says how), and
+`replay_compatibility` checks every answer against the definition.
 """
 
 from __future__ import annotations
@@ -289,48 +293,115 @@ def _rows_hold(simulators: Sequence[Observable], ny: int, x: Sequence, F) -> boo
                     and abs(c.sum() - 1) <= F.eps)
 
 
-# The simulation-set store of `is_simulable`: at most _SET_CAP sets, the
-# least recently used leaving first, each keeping at most _ANSWER_CAP bases
-# and _ANSWER_CAP refutations (the first ones stored).
+# The answer stores: `is_simulable` keeps at most _SET_CAP simulation sets,
+# and `is_compatible` at most _SET_CAP joint layouts, the least recently used
+# leaving first. A simulation set keeps at most _ANSWER_CAP bases and
+# _ANSWER_CAP refutations, a joint layout _JOINT_CAP of each (the first ones
+# stored).
 _SET_CAP = 64
 _ANSWER_CAP = 8
-_SETS = {}  # (builder, solver, simulator coefficient keys, outcomes, mode, eps) -> _Answers
-dual_cone_rays.stores.append(_SETS)
+_JOINT_CAP = 64
+_SETS = {}  # (builder, solver, simulator coefficient keys, outcomes, mode, eps) -> _SetAnswers
+_JOINTS = {}  # (solver, space, outcome counts, mode, eps) -> _JointAnswers
+dual_cone_rays.stores.extend([_SETS, _JOINTS])
 
 
 class _Answers:
-    """What the solves over one simulation set left behind, in insertion
-    order. The program's A is fixed by the set, and a target reaches only
-    the weight row and the effect rows of its first ny - 1 outcomes, the r
-    entries of b = (1, A_0, ..., A_{ny-2}) that can be nonzero; the
-    row-sum rows have right-hand side 0. So a refutation keeps its entries
-    on those rows (beta, phi) and a basis the columns of B^-1 on them, all
-    stacked in one array each. In exact mode both are cleared to integers:
-    a refutation over its own scale, a basis row over its denominator
-    (kept in `dens`). A solve's answer waits in `pending` and is stored
-    when the set is decided again, so a set decided once costs no tests
-    and no copies."""
+    """The answers of earlier solves over one constraint matrix A, each kind
+    stacked in one array of the field's numbers, in insertion order. A
+    refutation is a vector y on the rows that b reaches, with a bound that
+    y.b of any feasible b stays below (0 for a Farkas vector: y'A <= 0), so
+    y.b above its bound refutes b. A basis is its B^-1, restricted to the
+    columns of the rows b reaches, with a mask of the rows whose basic column
+    is structural: B^-1 b >= -eps, and within eps of zero in a row whose
+    artificial stayed basic (a row the solve dropped as redundant, whose
+    equation b must still meet), is a feasible vertex for b. Each scan
+    returns the first hit, so the hash seed changes nothing."""
+
+    def __init__(self, F):
+        self.F = F
+        self.refuting = None
+        self.limits = None  # each refutation's bound + eps; None while every bound is 0
+        self.inverses = self.structural = None
+
+    def refutation(self, b, L) -> Optional[int]:
+        """The index of the first stored refutation y with y.b > its bound +
+        eps, for b cleared over the scale L (`scalars.scaled`)."""
+        if self.refuting is None:
+            return None
+        limits = self.F.eps if self.limits is None else self.limits * L
+        hits = np.flatnonzero(self.refuting @ b > limits)
+        return int(hits[0]) if hits.size else None
+
+    def basis(self, b) -> Optional[tuple]:
+        """(k, B_k^-1 b) for the first stored basis k feasible for b."""
+        if self.inverses is None:
+            return None
+        eps = self.F.eps
+        X = self.inverses @ b
+        feasible = np.flatnonzero(((X >= -eps) & ((X <= eps) | self.structural)).all(axis=1))
+        return (int(feasible[0]), X[feasible[0]]) if feasible.size else None
+
+    def keep_refutation(self, y, bound=None):
+        """Stack y with its bound. A store of Farkas vectors (bound 0) passes
+        none and keeps no bounds, which the exact scan compares fastest; a
+        store passes bounds for all its refutations or for none."""
+        self.refuting = _stacked(self.refuting, y)
+        if bound is not None:
+            self.limits = _stacked(self.limits, bound + self.F.eps)
+
+    def keep_basis(self, inverse, structural):
+        self.inverses = _stacked(self.inverses, inverse)
+        self.structural = _stacked(self.structural, structural)
+
+
+def _stacked(stack, item):
+    """The array `stack` with `item` appended along a new first axis."""
+    item = np.array(item)[None]  # a copy, which holds nothing else alive
+    return item if stack is None else np.concatenate([stack, item])
+
+
+def _recent(store: dict, key, make):
+    """store[key], made by `make()` if new, and now the most recently used;
+    the least recently used key leaves when a new one would pass _SET_CAP."""
+    answers = store.pop(key, None)
+    if answers is None:
+        answers = make()
+        if len(store) >= _SET_CAP:
+            del store[next(iter(store))]
+    store[key] = answers
+    return answers
+
+
+class _SetAnswers(_Answers):
+    """What the solves over one simulation set left behind. The program's A
+    is fixed by the set, and a target reaches only the weight row and the
+    effect rows of its first ny - 1 outcomes, the r entries of b = (1, A_0,
+    ..., A_{ny-2}) that can be nonzero; the row-sum rows have right-hand
+    side 0. So a refutation keeps its entries on those rows (beta, phi) and
+    a basis the columns of B^-1 on them. In exact mode both are cleared to
+    integers: a refutation over its own scale, a basis row over its
+    denominator (kept in `dens`). A solve's answer waits in `pending` and is
+    stored when the set is decided again, so a set decided once costs no
+    tests and no copies."""
 
     def __init__(self, simulators: Sequence[Observable], ny: int, F):
-        self.F, self.ny = F, ny
+        super().__init__(F)
+        self.ny = ny
         self.sizes = [sim.n_outcomes for sim in simulators]
         self.nx, self.dim = sum(self.sizes), simulators[0].dim
         self.n = self.nx * ny + len(simulators)  # the program's columns
-        self.r = 1 + (ny - 1) * self.dim
-        self.m = self.nx + self.r  # the program's rows
+        self.m = self.nx + 1 + (ny - 1) * self.dim  # the program's rows
         self.pending = None
         self.farkas = []  # full-layout Farkas vectors, as returned
-        self.refuting = None  # (refutations, r)
         self.bases = []  # each row's basic column, n + i for a dropped row
-        self.inverses = None  # (bases, m, r)
-        self.structural = None  # (bases, m): the basic column is < n
         self.dens = []
 
     def decide(self, target: Observable, simulators: Sequence[Observable]):
         """A certificate for the target from the first stored refutation y
-        with y.b > eps, else from the first stored basis with B^-1 b >= -eps
-        (and within eps of zero in a dropped row); None when neither is
-        found, or when a float scheme fails a row of the full layout."""
+        with y.b > eps, else from the first stored basis feasible for b; None
+        when neither is found, or when a float scheme fails a row of the full
+        layout."""
         if self.pending is not None:
             self.pending()
             self.pending = None
@@ -340,19 +411,14 @@ class _Answers:
         _require_sums(target, simulators, F)
         b, L = scaled(F, [F.one, *(c for eff in target.effects[:-1] for c in eff.coeffs)])
         b = np.array(b, dtype=F.dtype)
-        if self.farkas:
-            hits = np.flatnonzero(self.refuting @ b > F.eps)
-            if hits.size:
-                return SimulationCertificate(NOT_SIMULABLE, farkas=self.farkas[hits[0]])
-        if not self.bases:
+        k = self.refutation(b, L)
+        if k is not None:
+            return SimulationCertificate(NOT_SIMULABLE, farkas=self.farkas[k])
+        hit = self.basis(b)
+        if hit is None:
             return None
-        X = self.inverses @ b
-        feasible = np.flatnonzero(((X >= -F.eps) & ((X <= F.eps) | self.structural))
-                                  .all(axis=1))
-        if not feasible.size:
-            return None
-        k = feasible[0]
-        kept = [(col, v, den) for col, v, den in zip(self.bases[k], X[k], self.dens[k])
+        k, X = hit
+        kept = [(col, v, den) for col, v, den in zip(self.bases[k], X, self.dens[k])
                 if col < self.n]
         if F.mode == FLOAT:
             x = np.zeros(self.n)
@@ -378,7 +444,7 @@ class _Answers:
         if not _farkas_bounds(F, y, B, D, self.sizes, self.ny):
             return
         self.farkas.append(farkas)
-        self.refuting = _stacked(self.refuting, y[self.nx:self.m])
+        self.keep_refutation(y[self.nx:self.m])
 
     def solved(self, out, rows: int):
         """Store the final basis of a solve of this set's program with `rows`
@@ -394,32 +460,7 @@ class _Answers:
             dens = tuple(den for _, den in out.inverse)
         self.bases.append(out.basis)
         self.dens.append(dens)
-        self.inverses = _stacked(self.inverses, inverse)
-        self.structural = _stacked(self.structural,
-                                   np.array([col < self.n for col in out.basis]))
-
-
-def _stacked(stack, item):
-    """The array `stack` with `item` appended along a new first axis."""
-    item = np.array(item)[None]  # a copy, which holds nothing else alive
-    return item if stack is None else np.concatenate([stack, item])
-
-
-def _answers(target: Observable, simulators: Sequence[Observable], F) -> _Answers:
-    """The store of the target's simulation set, made if new, and now the
-    most recently used. The set is keyed by what the program's A depends
-    on, and by the builder and the solver that answered for it, as this
-    module names them now: a replaced or wrapped `simulation_program` or
-    `lp_solve` reads a store of its own."""
-    key = (simulation_program, lp_solve, tuple(sim.coefficient_key for sim in simulators),
-           target.n_outcomes, F.mode, F.eps)
-    answers = _SETS.pop(key, None)
-    if answers is None:
-        answers = _Answers(simulators, target.n_outcomes, F)
-        if len(_SETS) >= _SET_CAP:
-            del _SETS[next(iter(_SETS))]
-    _SETS[key] = answers
-    return answers
+        self.keep_basis(inverse, np.array([col < self.n for col in out.basis]))
 
 
 def is_simulable(target: Observable, simulators: Sequence[Observable],
@@ -436,7 +477,7 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
     The simulation set's store is read first. It is keyed by what the
     program's A depends on: the simulators' effect coefficients in order,
     the target's outcome count, the field mode and eps (and the builder and
-    solver, `_answers`). A target reaches only the weight row and its first
+    solver in use). A target reaches only the weight row and its first
     ny - 1 outcomes' effect rows, b = (1, A_0, ..., A_{ny-2}) there and 0 in
     the row-sum rows. It is refuted by the first stored Farkas vector y with
     y.b > eps; otherwise it is simulable by the first stored basis with
@@ -468,7 +509,12 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
     simulators = list(simulators)
     _check_same_space(target, simulators)
     F = _common_field(target, simulators, tol)
-    answers = _answers(target, simulators, F)
+    # Keyed by what the program's A depends on, and by the builder and the
+    # solver that answered for it, as this module names them now: a replaced
+    # or wrapped `simulation_program` or `lp_solve` reads a store of its own.
+    key = (simulation_program, lp_solve, tuple(sim.coefficient_key for sim in simulators),
+           target.n_outcomes, F.mode, F.eps)
+    answers = _recent(_SETS, key, lambda: _SetAnswers(simulators, target.n_outcomes, F))
     cert = answers.decide(target, simulators)
     if cert is not None:
         return cert
@@ -822,19 +868,145 @@ class CompatibilityResult:
 _ROUNDS = 32
 
 
-def _last_marginals_hold(targets: Sequence[Observable], joint_outcomes: Sequence,
-                         coeffs: Sequence, eps: float) -> bool:
-    """The blocks `is_compatible` drops, for a float joint with effects
-    `coeffs` on `joint_outcomes`: for every target after the first, the sum
-    of the joint effects whose outcome is that target's last is its last
-    effect within eps in each coordinate; an inf or a NaN fails."""
-    for ti, t in enumerate(targets[1:], 1):
-        last = t.n_outcomes - 1
-        marginal = (sum(col) for col in zip(*(c for c, omega in zip(coeffs, joint_outcomes)
-                                               if omega[ti] == last)))
-        if not all(abs(a - b) <= eps for a, b in zip(marginal, t.effects[-1].coeffs)):
-            return False
-    return True
+def _prices(space, y: Sequence, counts: Sequence[int], tol: Tolerance) -> list:
+    """`space.price(z_w)` for every joint outcome w of targets with these
+    outcome counts, in product order, where z_w is y, a vector of the full
+    layout of `is_compatible`, summed over the blocks that w enters."""
+    dim = space.ambient_dim
+    firsts = list(itertools.accumulate(counts, initial=0))
+    return [space.price([sum(y[(firsts[ti] + li) * dim + d] for ti, li in enumerate(omega))
+                         for d in range(dim)], tol)
+            for omega in itertools.product(*map(range, counts))]
+
+
+def _joint_effects(terms, n: int, dim: int, zero) -> list:
+    """The coefficients of the n joint effects G_w, each the sum of x g over
+    the terms (w, x, g)."""
+    coeffs = [[zero] * dim for _ in range(n)]
+    for w, x, g in terms:
+        coeffs[w] = [a + x * c for a, c in zip(coeffs[w], g)]
+    return coeffs
+
+
+def _joint_result(targets: Sequence[Observable], answers: "_JointAnswers",
+                  coeffs: Sequence) -> CompatibilityResult:
+    """The compatible verdict for the joint effects `coeffs` on the joint
+    outcomes of `answers`, labelled `a|b|...` by the targets' labels, with
+    the deterministic marginal channels."""
+    joint = Observable(tuple(("|".join(t.labels[li] for t, li in zip(targets, omega)),
+                              Effect(tuple(c)))
+                             for omega, c in zip(answers.joint_outcomes, coeffs)),
+                       targets[0].space)
+    channels = tuple(Postprocessing(joint.labels, t.labels, matrix)
+                     for t, matrix in zip(targets, answers.marginals))
+    return CompatibilityResult("compatible", joint=joint, marginal_channels=channels)
+
+
+def _turned(values, frame: np.ndarray, dim: int) -> np.ndarray:
+    """values, read as consecutive blocks of dim coefficients, each block v
+    mapped to frame @ v: one row per block."""
+    return np.asarray(values, dtype=float).reshape(-1, dim) @ frame.T
+
+
+class _JointAnswers(_Answers):
+    """The layout of `is_compatible`'s programs for targets of fixed outcome
+    counts, and the answers of their solves, each kept in the canonical frame
+    of the targets it was solved for (`canonical_frame` of the space).
+
+    The full layout has a block of dim rows per (target t, outcome l), in
+    target order and then outcome order; a program keeps the blocks in
+    `kept`, and `entries` places the generators: (program block, joint
+    outcome) for every block a joint outcome enters. A program's columns are
+    generators under joint outcomes, and the generators change from call to
+    call, so a basis keeps, beside its B^-1, the joint outcome and the
+    generator of each row's basic column (`owners`, -1 for an artificial,
+    and `vectors`), and B^-1 b >= -eps gives the joint effects G_w, sums of
+    nonnegative multiples of effects. A refutation keeps its full-layout y
+    with its target-free bound P(y) = max(0, max_w price(z_w)): every joint
+    observable has y.b <= P(y), whatever generators built it. Exact bases
+    are the kernel's integer B^-1, a row over its denominator (`dens`)."""
+
+    def __init__(self, counts: Sequence[int], dim: int, F):
+        super().__init__(F)
+        self.dim = dim
+        self.joint_outcomes = list(itertools.product(*map(range, counts)))
+        # Full-layout block b = firsts[ti] + li holds the rows of (target ti,
+        # outcome li); the programs keep every block but the last of each
+        # target after the first, and kept[j] is the full block of block j.
+        firsts = list(itertools.accumulate(counts, initial=0))
+        self.kept = [b for b in range(firsts[-1]) if b + 1 not in firsts[2:]]
+        at = {b: j for j, b in enumerate(self.kept)}
+        self.entries = tuple(zip(*((at[firsts[ti] + li], w)
+                                   for w, omega in enumerate(self.joint_outcomes)
+                                   for ti, li in enumerate(omega) if firsts[ti] + li in at)))
+        self.marginals = tuple(  # target ti's channel: w -> w_ti
+            tuple(tuple(F.one if omega[ti] == li else F.zero for li in range(n))
+                  for omega in self.joint_outcomes)
+            for ti, n in enumerate(counts))
+        self.owners, self.vectors, self.dens = [], [], []  # per basis, a row each
+
+    def decide(self, targets: Sequence[Observable], frame, tol: Tolerance):
+        """The answer of the first stored refutation y with y.b > P(y) +
+        eps, else of the first stored basis feasible for b, for b the
+        targets' effects turned by `frame` (None: the identity), turned back
+        into the targets' frame; None when neither is found, or when the
+        answer fails `replay_compatibility`."""
+        if self.refuting is None and not self.owners:
+            return None
+        F, dim = self.F, self.dim
+        b = [c for t in targets for eff in t.effects for c in eff.coeffs]
+        if frame is not None:
+            b = _turned(b, frame, dim).ravel()
+        b, L = scaled(F, b)
+        b = np.array(b, dtype=F.dtype)
+        k = self.refutation(b, L)
+        if k is not None:
+            y = self.refuting[k] if frame is None else _turned(self.refuting[k], frame.T, dim)
+            result = CompatibilityResult("incompatible", farkas=tuple(y.ravel().tolist()))
+        else:
+            hit = self.basis(b.reshape(-1, dim)[self.kept].ravel())
+            if hit is None:
+                return None
+            k, X = hit
+            terms = ((w, F.coerce(v) / (den * L), g) for w, v, den, g
+                     in zip(self.owners[k], X.tolist(), self.dens[k], self.vectors[k].tolist())
+                     if w >= 0)
+            coeffs = _joint_effects(terms, len(self.joint_outcomes), dim, F.zero)
+            if frame is not None:
+                coeffs = _turned(coeffs, frame.T, dim).tolist()
+            result = _joint_result(targets, self, coeffs)
+        return result if replay_compatibility(result, targets, tol) else None
+
+    def refuted(self, y: tuple, bound, frame):
+        """Store a full-layout refutation with its bound P(y), turned by
+        `frame`, if there is room."""
+        if self.refuting is not None and len(self.refuting) >= _JOINT_CAP:
+            return
+        y = np.array(y, dtype=self.F.dtype) if frame is None else _turned(y, frame, self.dim)
+        self.keep_refutation(y.ravel(), bound)
+
+    def solved(self, out, gens: Sequence, frame):
+        """Store the final basis of a solve over the generators `gens`, its
+        B^-1 and generators turned by `frame`, if there is room."""
+        if len(self.owners) >= _JOINT_CAP or out.basis is None:
+            return
+        F, dim, n = self.F, self.dim, len(self.joint_outcomes) * len(gens)
+        owners = [col // len(gens) if col < n else -1 for col in out.basis]
+        vectors = [gens[col % len(gens)] if col < n else (F.zero,) * dim for col in out.basis]
+        if F.mode == FLOAT:
+            inverse, dens = out.inverse, (1,) * len(owners)
+        else:
+            inverse = np.array([row for row, _ in out.inverse], dtype=object)
+            dens = tuple(den for _, den in out.inverse)
+        if frame is None:
+            vectors = np.array(vectors, dtype=F.dtype)
+        else:
+            inverse = _turned(inverse, frame, dim).reshape(inverse.shape)
+            vectors = _turned(vectors, frame, dim)
+        self.owners.append(owners)
+        self.vectors.append(vectors)
+        self.dens.append(dens)
+        self.keep_basis(inverse, np.array([w >= 0 for w in owners]))
 
 
 def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERANCE,
@@ -862,12 +1034,41 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
     row (t, l, d), with right-hand side A^t_last(d) = u(d) - sum_{l < last}
     A^t_l(d), since every target passed `is_valid_observable` (effects sum
     to u, exactly in exact mode, within eps per coordinate in float mode).
-    A float joint is therefore also tested on the dropped blocks: each
-    target's last marginal must be its last effect within eps in each
-    coordinate, or CertificateError is raised (in exact mode the identity
-    makes them hold). A Farkas vector of the program is padded with zeros in
-    the dropped blocks, which keeps it a refutation of the full layout, so
-    `farkas` has one entry per full-layout row and the pricing reads it.
+    A Farkas vector of the program is padded with zeros in the dropped
+    blocks, which keeps it a refutation of the full layout, so `farkas` has
+    one entry per full-layout row and the pricing reads it. Every verdict
+    the LP reaches is replayed against the definition
+    (`replay_compatibility`), and one that fails raises CertificateError: a
+    float joint is so tested on the dropped blocks too, each marginal within
+    eps of its target in each coordinate (in exact mode the identity makes
+    them hold).
+
+    The program's A depends on the targets only through their outcome
+    counts (and on the generators), so a store keyed by the space, the
+    outcome counts, the field mode, eps and the `lp_solve` this module names
+    now is read first. It holds up to `_JOINT_CAP` refutations, each with
+    its bound P(y) = max(0, max_w price(z_w)), and up to `_JOINT_CAP` final
+    bases, each with the joint outcome and generator of every basic column
+    (`_JointAnswers`), the first ones stored, for up to `_SET_CAP` keys,
+    the least recently used leaving first. Answers are kept in the
+    canonical frame of the targets they were solved for: the symmetry of
+    the space that `space.canonical_frame` gives for the targets' effects
+    (the identity for a polytope; for the qubit a rotation, so every
+    rotation of one orthogonal triple reads one b). A decision turns its
+    targets' b into their frame and is refuted by the first stored y with
+    y.b > P(y) + eps, else decided by the first stored basis with B^-1 b >=
+    -eps (all bases in one stacked product). The answer, turned back, must
+    pass `replay_compatibility`, or it counts as a miss; the frame only
+    chooses which answers are tried. On a miss the program is solved as
+    above, and its answer joins the store. Exact answers are the kernel's
+    integer B^-1 times b, as exact as the kernel's own.
+
+    Verdicts never depend on earlier calls, but certificates may, as in
+    `is_simulable`, with two exceptions: a float target within eps of the
+    boundary, as for the LP, and a decision the LP would leave undecided
+    after `_ROUNDS` programs (too few generators), which a stored answer may
+    decide. `dual_cone_rays.cache_clear()` empties the store, and a decision
+    answered from it is not an LP solve: `lp.stats` does not move.
     """
     targets = list(targets)
     if not targets:
@@ -881,16 +1082,15 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
     # Generators share one arithmetic, so the first stands for all of them.
     F = resolve((*(t.kind for t in targets), kind_of(x for g in gens[:1] for x in g)), tol)
     zero, dim = F.zero, space.ambient_dim
-    joint_outcomes = list(itertools.product(*[range(t.n_outcomes) for t in targets]))
-    # Full-layout block b = firsts[ti] + li holds the rows of (target ti,
-    # outcome li); the program keeps every block but the last of each target
-    # after the first, and kept[j] is the full block of program block j.
-    firsts = list(itertools.accumulate((t.n_outcomes for t in targets), initial=0))
-    kept = [b for b in range(firsts[-1]) if b + 1 not in firsts[2:]]
-    at = {b: j for j, b in enumerate(kept)}
-    blocks, ws = zip(*((at[firsts[ti] + li], w) for w, omega in enumerate(joint_outcomes)
-                       for ti, li in enumerate(omega) if firsts[ti] + li in at))
+    counts = tuple(t.n_outcomes for t in targets)
+    answers = _recent(_JOINTS, (lp_solve, space, counts, F.mode, F.eps),
+                      lambda: _JointAnswers(counts, dim, F))
     effects = [eff.coeffs for t in targets for eff in t.effects]  # full block b's effect
+    frame = space.canonical_frame(effects, tol)
+    result = answers.decide(targets, frame, tol)
+    if result is not None:
+        return result
+    joint_outcomes, kept, (blocks, ws) = answers.joint_outcomes, answers.kept, answers.entries
     rhs = [x for b in kept for x in effects[b]]
     for _ in range(_ROUNDS):
         # Block j holds the generators (as columns) under every joint outcome
@@ -902,30 +1102,78 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
         out = lp_solve(make_program(rows=rows, rhs=rhs), mode=F.mode, tol=tol)
         if out.verdict == FEASIBLE:
             break
-        y = [zero] * (firsts[-1] * dim)  # zeros in the dropped blocks
+        y = [zero] * (len(effects) * dim)  # zeros in the dropped blocks
         for j, b in enumerate(kept):
             y[b * dim:(b + 1) * dim] = out.farkas[j * dim:(j + 1) * dim]
-        prices = [space.price([sum(y[(firsts[ti] + li) * dim + d] for ti, li in enumerate(omega))
-                               for d in range(dim)], tol)
-                  for omega in joint_outcomes]
-        if vdot(out.farkas, rhs) > max(zero, *(p for p, _ in prices)):
-            return CompatibilityResult("incompatible", farkas=tuple(y))
+        prices = _prices(space, y, counts, tol)
+        bound = max(zero, *(p for p, _ in prices))
+        if vdot(out.farkas, rhs) > bound:
+            result = CompatibilityResult("incompatible", farkas=tuple(y))
+            if not replay_compatibility(result, targets, tol):
+                raise CertificateError("compatibility refutation fails replay")
+            answers.refuted(result.farkas, bound, frame)
+            return result
         gens += [g for p, g in prices if p > 0]
     else:
         return CompatibilityResult("undecided")
-    sol, coeffs = out.solution, [[zero] * dim for _ in joint_outcomes]
-    for i in itertools.compress(range(len(sol)), sol):  # the nonzero weights
-        w, g = divmod(i, len(gens))
-        coeffs[w] = [a + sol[i] * x for a, x in zip(coeffs[w], gens[g])]
-    if F.mode == FLOAT and not _last_marginals_hold(targets, joint_outcomes, coeffs, F.eps):
-        raise CertificateError("float joint fails a target's last-outcome marginal")
-    joint = Observable(tuple(("|".join(t.labels[li] for t, li in zip(targets, omega)),
-                              Effect(tuple(c))) for omega, c in zip(joint_outcomes, coeffs)),
-                       space)
-    channels = tuple(
-        Postprocessing(joint.labels, t.labels,
-                       tuple(tuple(F.one if omega[ti] == li else zero
-                                   for li in range(t.n_outcomes))
-                             for omega in joint_outcomes))
-        for ti, t in enumerate(targets))
-    return CompatibilityResult("compatible", joint=joint, marginal_channels=channels)
+    sol = out.solution
+    coeffs = _joint_effects(((i // len(gens), sol[i], gens[i % len(gens)])
+                             for i in itertools.compress(range(len(sol)), sol)),  # nonzero weights
+                            len(joint_outcomes), dim, zero)
+    result = _joint_result(targets, answers, coeffs)
+    if not replay_compatibility(result, targets, tol):
+        raise CertificateError("compatibility joint fails replay")
+    answers.solved(out, gens, frame)
+    return result
+
+
+def replay_compatibility(result: CompatibilityResult, targets: Sequence[Observable],
+                         tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+    """Re-check a compatibility verdict against the definition, from the
+    result and the targets alone: it builds no program and reads no
+    generators. Exact values are compared exactly, float values within eps,
+    and an inf or a NaN fails; an undecided result has nothing to replay and
+    fails.
+
+    A refutation is a vector y of the full layout of `is_compatible` (a
+    block of dim entries per target outcome, in target order). With z_w the
+    sum of y's blocks that the joint outcome w enters, every joint
+    observable has y.b <= max(0, max_w price(z_w)), b the targets' effects
+    in the same layout (`is_compatible` says why), so y replays when y.b
+    exceeds that bound. A compatible verdict replays when the joint is an
+    observable on the targets' space whose effects lie in the cone
+    (`space.min_value` >= -eps) and sum to the unit, and each marginal
+    channel, stochastic and from the joint's labels to its target's,
+    reproduces its target in every coordinate of every effect."""
+    targets = list(targets)
+    space = targets[0].space
+    b = [c for t in targets for eff in t.effects for c in eff.coeffs]
+    if result.verdict == "incompatible":
+        y = result.farkas
+        if y is None or len(y) != len(b):
+            return False
+        F = resolve((*(t.kind for t in targets), kind_of(y)), tol)
+        prices = _prices(space, y, [t.n_outcomes for t in targets], tol)
+        return bool(vdot(y, b) > max(F.zero, *(p for p, _ in prices)))
+    joint, channels = result.joint, result.marginal_channels
+    if (not result.compatible or joint is None or channels is None
+            or len(channels) != len(targets) or joint.space != space
+            or any(chan.source != joint.labels or chan.target != t.labels
+                   for chan, t in zip(channels, targets))):
+        return False
+    nw, dim = joint.n_outcomes, space.ambient_dim
+    # Row w of C holds every channel's row w in turn: C.T @ J stacks the
+    # marginals in the layout of b.
+    entries = [x for w in range(nw) for chan in channels for x in chan.matrix[w]]
+    F = resolve((joint.kind, kind_of(entries), *(t.kind for t in targets)), tol)
+    if not all(space.min_value(e) >= -F.eps for e in joint.effects):
+        return False
+    J, A, U, D = cleared(F, [c for e in joint.effects for c in e.coeffs], b, space.unit)
+    C, E = cleared(F, entries)  # the channels' entries over one scale E
+    C, J, eps = C.reshape(nw, -1), J.reshape(nw, dim), F.eps
+    starts = list(itertools.accumulate((t.n_outcomes for t in targets[:-1]), initial=0))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or a NaN fails
+        return bool((abs(J.sum(axis=0) - U) <= eps).all()
+                    and (C >= -eps).all() and (C <= E + eps).all()
+                    and (abs(np.add.reduceat(C, starts, axis=1) - E) <= eps).all()
+                    and (abs(C.T @ J - A.reshape(-1, dim) * E) <= eps).all())  # times D E

@@ -13,7 +13,12 @@ about it:
 * `generators(tol)` and `price(z, tol)`, for `simulation.is_compatible`:
   extreme effects that start the joint-observable program, and the largest
   value of the functional z on an effect of unit weight at a fixed interior
-  state, with an extreme effect (up to a positive factor) attaining it.
+  state, with an extreme effect (up to a positive factor) attaining it;
+* `canonical_frame(effects, tol)`: a symmetry of the space, a linear map T
+  of effect coefficients (None for the identity) that preserves the cone,
+  the unit and `price`, and moves the given effects to a position fixed by
+  their geometry, so that `simulation.is_compatible` reads the answers it
+  stored for one set of targets for every image of it under a symmetry.
 
 `StateSpace` is a polytope, given by its extreme states in a
 (d+1)-dimensional ambient space together with the unit functional, with the
@@ -189,6 +194,11 @@ class StateSpace:
     def generators(self, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple:
         """Every dual-cone extreme ray."""
         return dual_cone_rays(self, tol)
+
+    def canonical_frame(self, effects: Sequence, tol: Tolerance = DEFAULT_TOLERANCE) -> None:
+        """None, the identity: a polytope's symmetries are not searched, so
+        its effects stay in their own coordinates."""
+        return None
 
     def price(self, z: Sequence, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple:
         """max over rays r of z.r / r(c), c the barycenter of the extreme

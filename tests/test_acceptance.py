@@ -16,15 +16,15 @@ from gptsim.spaces import dual_cone_rays
 # shares stores between them. Each criterion here starts from empty ray
 # caches and answer stores, so the counts do not depend on the order in
 # which the criteria or the other test modules run; a refinement decided
-# from a stored basis, and a simulation decided from a stored basis or
-# refutation, is no solve.
+# from a stored basis, and a simulation or compatibility decided from a
+# stored basis or refutation, is no solve.
 LP_WORK = {
     "polygon-counts": (0, 0),
     "square-bit-universality": (128, 681),
     "qubit-ct-threshold": (146, 2492),
     "tetrahedron": (4, 35),
     "hexagon-noise": (4, 55),
-    "qubit-triplet-compat": (24, 891),
+    "qubit-triplet-compat": (23, 833),
     "closure-laws": (358, 5379),
     "structural-cross-validation": (364, 2668),
     "noise-content": (67, 473),

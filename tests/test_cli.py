@@ -578,6 +578,17 @@ def test_byte_identical_output(capsys, ct08_file, xy_file):
     assert out1 == out2
 
 
+def test_compat_bracket_byte_identical_in_one_process(capsys, xy_file):
+    # each command starts from empty stores, so the second run solves again
+    # instead of reading the first run's answer, and its envelope is the same
+    _, out1, _ = run_cli(capsys, "qubit", "compat-bracket", "--targets", xy_file,
+                         "--facets", "16")
+    _, out2, _ = run_cli(capsys, "qubit", "compat-bracket", "--targets", xy_file,
+                         "--facets", "16")
+    assert out1 == out2
+    assert json.loads(out1)["timing"]["lp_solves"] > 0
+
+
 def test_csv_and_json_verdicts_identical(capsys):
     _, as_json, _ = run_cli(capsys, "polygon", "counts", "--n-max", "7")
     _, as_csv, _ = run_cli(capsys, "polygon", "counts", "--n-max", "7",

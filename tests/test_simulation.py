@@ -48,6 +48,7 @@ from gptsim.simulation import (
     smin,
 )
 from gptsim.spaces import (
+    Effect,
     Observable,
     decompose_into_indecomposables,
     observable,
@@ -808,8 +809,9 @@ def test_compatibility_refutation_pads_dropped_blocks(sq):
 
 
 def test_compatibility_float_joint_failing_dropped_blocks_raises(monkeypatch, suite):
-    # A float joint is tested on the blocks the program drops: a solve whose
-    # joint misses a target's last effect raises instead of returning it.
+    # A float joint is replayed on every block, those the program drops
+    # included: a solve whose joint misses a target's effects raises instead
+    # of returning it.
     from gptsim import lp, simulation
     from gptsim.lp import CertificateError
 
@@ -822,7 +824,7 @@ def test_compatibility_float_joint_failing_dropped_blocks_raises(monkeypatch, su
         return dataclasses.replace(out, solution=tuple(v * (1 + 1e-6) for v in out.solution))
 
     monkeypatch.setattr(simulation, "lp_solve", scaled)
-    with pytest.raises(CertificateError, match="last-outcome marginal"):
+    with pytest.raises(CertificateError, match="joint fails replay"):
         is_compatible([x, post])
 
 
@@ -872,8 +874,10 @@ def test_compatibility_outcomes_pinned():
     # marginal channels, Farkas vector) and seeded qubit bracket decisions
     # (verdict, solves, pivots). Retaken for the revised float kernel, whose
     # 84 verdicts equal those of the float tableau before it, and again when
-    # the programs dropped their implied last-outcome blocks, with every
-    # decision verdict unchanged.
+    # the programs dropped their implied last-outcome blocks, and again when
+    # `is_compatible` read stored bases and refutations first (some
+    # decisions answered from the store, with no solve), with every decision
+    # verdict unchanged each time.
     import hashlib
 
     from gptsim import lp
@@ -899,7 +903,7 @@ def test_compatibility_outcomes_pinned():
                                 lp.stats["pivots"] - pivots)).encode())
     assert qubit_verdicts == {"compatible", "incompatible"}
     assert digest.hexdigest() == (
-        "f1c794cade86b823d43e45fa2bac77947214ccb3fa68089a8ba5cb6dee8d10e0")
+        "aefcf0aaf6899e5f4c75ca1a99a3f851559e46e1e1f27c98c4eaaa7826b6c367")
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -929,7 +933,9 @@ def test_bracket_128_outcomes_pinned():
     # sha256 over seeded dichotomic qubit triples and pairs at the benchmark's
     # 128 facets: (verdict, joint observable, marginal channels, Farkas
     # vector, solves, pivots), so every float certificate bit is pinned. The
-    # float kernel's products sum in the order of numpy's BLAS build.
+    # float kernel's products sum in the order of numpy's BLAS build. Retaken
+    # when `is_compatible` read its store first (3 of 31 solves answered from
+    # it), with every verdict unchanged.
     import hashlib
 
     from gptsim import lp
@@ -946,7 +952,7 @@ def test_bracket_128_outcomes_pinned():
                             lp.stats["pivots"] - pivots)).encode())
     assert verdicts == {"compatible", "incompatible"}
     assert digest.hexdigest() == (
-        "eaed295d85ff3d58012e3c1ec1c8b67ed52905f2c2e7d85df2ca26f742241ce2")
+        "66b03984f6ada21e9a586aefcc6cd89dac6605721ed3dd01d19fda8a4289c2ac")
 
 
 # ---------------------------------------------------------------------------
@@ -1108,3 +1114,277 @@ def test_store_stays_at_its_caps(sq):
             is_simulable(target, sims)
     counts = [(len(a.farkas), len(a.bases)) for a in simulation._SETS.values()]
     assert max(max(c) for c in counts) == simulation._ANSWER_CAP
+
+
+# ---------------------------------------------------------------------------
+# The compatibility store of `is_compatible`, and `replay_compatibility`.
+# ---------------------------------------------------------------------------
+
+def _rotation(rng):
+    """A seeded random proper rotation of R^3, from a unit quaternion."""
+    q = [rng.gauss(0.0, 1.0) for _ in range(4)]
+    w, x, y, z = (v / math.sqrt(sum(c * c for c in q)) for v in q)
+    return np.array(((1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)),
+                     (2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)),
+                     (2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y))))
+
+
+def _rotated(obs, R):
+    """The qubit observable with every Bloch part turned by R."""
+    return Observable(tuple((lab, tuple(R @ np.array(eff.coeffs[:3])) + (eff.coeffs[3],))
+                            for lab, eff in obs.outcomes), obs.space)
+
+
+def _bracket(targets, facets=128):
+    from gptsim.catalog import qubit_compatibility_bracket
+
+    return qubit_compatibility_bracket(targets, facets)
+
+
+def test_qubit_canonical_frame():
+    # a proper rotation that fixes tau, sends the first Bloch part along z and
+    # the next independent one into the xz-plane with x > 0; so every
+    # rotation of one orthogonal triple reads the same b
+    from gptsim.qubit import QubitEffect, QubitSpace, dichotomic
+
+    space, rng = QubitSpace(), random.Random(5)
+    triple = [dichotomic("+", "-", QubitEffect(0.0, v)).as_float()
+              for v in ((0.5, 0, 0), (0, 0.5, 0), (0, 0, 0.5))]
+    frames = []
+    for _ in range(6):
+        R = _rotation(rng)
+        targets = [_rotated(t, R) for t in triple]
+        effects = [eff.coeffs for t in targets for eff in t.effects]
+        T = space.canonical_frame(effects)
+        assert np.allclose(T @ T.T, np.eye(4), atol=1e-12)
+        assert abs(np.linalg.det(T) - 1) < 1e-12 and T[3, 3] == 1
+        first, second = (T @ np.array(effects[0]))[:3], (T @ np.array(effects[2]))[:3]
+        assert np.allclose(first[:2], 0, atol=1e-12) and first[2] > 0
+        assert abs(second[1]) < 1e-12 and second[0] > 0
+        frames.append(np.array(effects) @ T.T)
+        for eff in effects:
+            turned = T @ np.array(eff)
+            gap = space.min_value(Effect(tuple(turned))) - space.min_value(Effect(eff))
+            assert abs(gap) < 1e-12
+    assert all(np.allclose(b, frames[0], atol=1e-12) for b in frames)
+    # one direction only: completed to a rotation; none, or exact effects: the identity
+    T = space.canonical_frame([(0.3, 0.4, 0.0, 0.5)])
+    assert np.allclose(T @ T.T, np.eye(4)) and np.allclose(T[2, :3], (0.6, 0.8, 0.0))
+    assert space.canonical_frame([(0.0, 0.0, 0.0, 0.5)]) is None
+    assert space.canonical_frame([(F(1, 2), 0, 0, F(1, 2))]) is None
+    assert square_bit().space.canonical_frame([(1, 0, 0)]) is None
+
+
+@pytest.mark.parametrize("store", ["cold", "warm"])
+def test_rotated_brackets_keep_their_verdicts(store):
+    # metamorphic: compatibility is invariant under the qubit's symmetries, so
+    # seeded rotations of the bracket corpus give the unrotated verdicts, from
+    # a cold store and from a warm one, and every answer replays
+    from gptsim import lp
+    from gptsim.simulation import replay_compatibility
+    from gptsim.spaces import dual_cone_rays
+
+    rng = random.Random("rotated-brackets")
+    cases = [(targets, [_rotated(t, R) for t in targets])
+             for targets in bracket_corpus() for R in (_rotation(rng), _rotation(rng))]
+    verdicts = {id(targets): _bracket(targets).verdict for targets, _ in cases[::2]}
+    dual_cone_rays.cache_clear()
+    lp.reset_stats()
+    for targets, turned in cases:
+        if store == "cold":
+            dual_cone_rays.cache_clear()
+        res = _bracket(turned)
+        assert res.verdict == verdicts[id(targets)]
+        assert replay_compatibility(res, [t.as_float() for t in turned])
+    if store == "warm":
+        assert lp.stats["solves"] < len(cases)  # the store decided some
+
+
+def _joint_cases(name):
+    """(decide, targets) pairs for the warm-store tests: the polytope lists of
+    `compatibility_corpus()` (exact, and their float twins), its qubit lists
+    at 8 and 16 facets, and `bracket_corpus()` at 128."""
+    polytope, qubit = compatibility_corpus()
+    if name == "polytope-exact":  # each list twice, as few exact layouts repeat
+        exact = [(is_compatible, targets) for targets in polytope
+                 if all(t.kind != "float" for t in targets)]
+        return exact + exact
+    if name == "polytope-float":
+        return [(is_compatible, [t.as_float() for t in targets]) for targets in polytope]
+    if name == "qubit":
+        return [(lambda ts, f=facets: _bracket(ts, f), targets)
+                for targets in qubit for facets in (8, 16)]
+    return [(_bracket, targets) for targets in bracket_corpus()]
+
+
+@pytest.mark.parametrize("name", ["polytope-exact", "polytope-float", "qubit", "bracket"])
+def test_warm_joint_store_verdicts_equal_cold_ones(name):
+    # the store decides some decisions, with the verdict of a cold solve and
+    # an answer that replays; exact answers stay exact
+    from gptsim import lp
+    from gptsim.simulation import replay_compatibility
+    from gptsim.spaces import dual_cone_rays
+
+    cases = _joint_cases(name)
+    cold = []
+    lp.reset_stats()
+    for decide, targets in cases:
+        dual_cone_rays.cache_clear()
+        cold.append(decide(targets).verdict)
+    cold_solves = lp.stats["solves"]
+    dual_cone_rays.cache_clear()
+    lp.reset_stats()
+    warm = [decide(targets) for decide, targets in cases]
+    assert [res.verdict for res in warm] == cold
+    assert lp.stats["solves"] < cold_solves  # the store decided some
+    for res, (decide, targets) in zip(warm, cases):
+        if decide is not is_compatible:
+            targets = [t.as_float() for t in targets]
+        assert replay_compatibility(res, targets)
+        if name == "polytope-exact" and res.compatible:
+            assert [apply(c, res.joint).effects for c in res.marginal_channels] == [
+                t.effects for t in targets]
+        elif name == "polytope-exact":
+            assert all(isinstance(x, (int, Fraction)) for x in res.farkas)
+
+
+def _triples(count, seed, lo, hi):
+    """Seeded randomly rotated orthogonal triples of unbiased qubit
+    observables, of Bloch lengths from lo to hi in equal steps: compatible
+    below 1/sqrt(3), not above it."""
+    from gptsim.qubit import QubitEffect, dichotomic
+
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        R, t = _rotation(rng), lo + (hi - lo) * k / max(1, count - 1)
+        out.append([dichotomic("+", "-", QubitEffect(0.0, tuple(t * R[:, j]))) for j in range(3)])
+    return out
+
+
+def test_joint_store_decides_a_rotated_triple_and_cache_clear_empties_it():
+    from gptsim import lp, simulation
+    from gptsim.spaces import dual_cone_rays
+
+    first, second = _triples(2, 3, 0.5, 0.5)
+    lp.reset_stats()
+    assert _bracket(first).compatible
+    solves = lp.stats["solves"]
+    assert solves >= 1 and simulation._JOINTS
+    assert _bracket(second).compatible  # the same triple in another frame
+    assert lp.stats["solves"] == solves
+    dual_cone_rays.cache_clear()
+    assert not simulation._JOINTS
+    assert _bracket(second).compatible
+    assert lp.stats["solves"] > solves
+
+
+def _decided_by_solves(cases):
+    """Decide each case and return whether each made an LP solve."""
+    from gptsim import lp
+
+    solved = []
+    for targets in cases:
+        before = lp.stats["solves"]
+        res = _bracket(targets)
+        solved.append((res, lp.stats["solves"] > before))
+    return solved
+
+
+def test_joint_store_never_returns_a_corrupted_inverse(monkeypatch):
+    # every stored inverse is scaled by 1.01: a joint read from it sums to
+    # 1.01 u, fails the replay, and the LP decides instead
+    from gptsim import simulation
+    from gptsim.simulation import replay_compatibility
+
+    cases = _triples(40, 21, 0.45, 0.55)
+    assert not all(solved for _, solved in _decided_by_solves(cases))  # the store decided some
+    for answers in simulation._JOINTS.values():
+        answers.inverses = answers.inverses * 1.01
+    monkeypatch.setattr(simulation, "_JOINT_CAP", 0)  # no new answer joins the store
+    for (res, solved), targets in zip(_decided_by_solves(cases), cases):
+        assert solved and res.compatible
+        assert replay_compatibility(res, [t.as_float() for t in targets])
+
+
+def test_joint_store_never_returns_a_lowered_refutation(monkeypatch):
+    # every stored bound P(y) is lowered by 10, so each stored y passes the
+    # store's test for every target; a compatible target's answer then fails
+    # the replay, and the LP decides instead
+    from gptsim import simulation
+    from gptsim.simulation import replay_compatibility
+
+    refuted = _triples(12, 22, 0.6, 0.7)
+    assert all(not res.compatible for res, _ in _decided_by_solves(refuted))
+    for answers in simulation._JOINTS.values():
+        answers.limits = answers.limits - 10
+    monkeypatch.setattr(simulation, "_JOINT_CAP", 0)
+    compatible = _triples(12, 23, 0.45, 0.55)
+    for (res, solved), targets in zip(_decided_by_solves(compatible), compatible):
+        assert solved and res.compatible
+        assert replay_compatibility(res, [t.as_float() for t in targets])
+
+
+def test_joint_store_stays_at_its_caps(monkeypatch):
+    # many decisions over one layout: at most the cap of each kind of answer;
+    # more layouts than the key cap: the least recently used leave
+    from gptsim import simulation
+    from gptsim.qubit import QubitEffect, dichotomic
+
+    monkeypatch.setattr(simulation, "_JOINT_CAP", 3)
+    monkeypatch.setattr(simulation, "_SET_CAP", 3)
+    # longest first: a triple's refutation need not refute a shorter one
+    for targets in _triples(30, 24, 0.45, 0.54) + _triples(30, 25, 0.75, 0.58):
+        _bracket(targets)
+    (answers,) = simulation._JOINTS.values()
+    assert len(answers.owners) == len(answers.inverses) == 3
+    assert len(answers.refuting) == len(answers.limits) == 3
+    rng = random.Random(26)
+    for k in range(1, 6):  # one to five dichotomic targets: five layouts
+        targets = [dichotomic("+", "-", QubitEffect(0.0, tuple(rng.uniform(-0.3, 0.3)
+                                                               for _ in range(3))))
+                   for _ in range(k)]
+        _bracket(targets)
+        assert len(simulation._JOINTS) <= 3
+    assert [len(key[2]) for key in simulation._JOINTS] == [3, 4, 5]
+
+
+def test_replay_compatibility_rejects_tampered_answers(sq):
+    from gptsim.simulation import CompatibilityResult, replay_compatibility
+
+    x, y = _triples(1, 27, 0.5, 0.5)[0][:2]
+    targets = [x.as_float(), y.as_float()]
+    res = _bracket([x, y])
+    assert res.compatible and replay_compatibility(res, targets)
+    joint = res.joint
+    scaled_joint = Observable(tuple((lab, tuple(1.01 * c for c in eff.coeffs))
+                                    for lab, eff in joint.outcomes), joint.space)
+    outside = Observable(tuple((lab, eff.coeffs[:3] + (eff.coeffs[3] - 0.2 * (k == 0)
+                                                      + 0.2 * (k == 1),))
+                               for k, (lab, eff) in enumerate(joint.outcomes)), joint.space)
+    swapped = (res.marginal_channels[1], res.marginal_channels[0])
+    for bad in (dataclasses.replace(res, joint=scaled_joint),
+                dataclasses.replace(res, joint=outside),
+                dataclasses.replace(res, marginal_channels=swapped),
+                dataclasses.replace(res, verdict="undecided"),
+                CompatibilityResult("incompatible", farkas=(0.0,) * 16)):
+        assert not replay_compatibility(bad, targets)
+    refutation = is_compatible([sq.E, sq.F])
+    assert replay_compatibility(refutation, [sq.E, sq.F])
+    flipped = dataclasses.replace(refutation, farkas=tuple(-v for v in refutation.farkas))
+    assert not replay_compatibility(flipped, [sq.E, sq.F])
+    assert not replay_compatibility(dataclasses.replace(refutation, farkas=refutation.farkas[:-1]),
+                                    [sq.E, sq.F])
+
+
+@pytest.mark.parametrize("verdict", ["compatible", "incompatible"])
+def test_compatibility_answer_failing_replay_raises(monkeypatch, sq, verdict):
+    # the LP's own answer is replayed: one that fails raises, cold or warm
+    from gptsim import simulation
+    from gptsim.lp import CertificateError
+
+    targets = [sq.E, sq.F] if verdict == "incompatible" else [sq.E, sq.E]
+    assert is_compatible(targets).verdict == verdict
+    monkeypatch.setattr(simulation, "replay_compatibility", lambda *args: False)
+    with pytest.raises(CertificateError, match="fails replay"):
+        is_compatible(targets)
