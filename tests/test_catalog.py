@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gptsim.catalog import (
+    CRAMER_SLACK,
     MAX_POLYGON_N,
     classical,
     hexagon_explicit_certificate,
@@ -29,6 +30,7 @@ from gptsim.postprocessing import (
 )
 from gptsim.qubit import QubitSpace, random_qubit_observable
 from gptsim.reproduce import arc_rule_count
+from gptsim.scalars import Tolerance
 from gptsim.simulation import (
     CompatibilityResult,
     is_simulable,
@@ -414,9 +416,77 @@ def test_compat_bracket_decides_rotated_triples(facets):
         assert res.verdict == "compatible" and _marginals_reproduce(res, targets)
 
 
+@pytest.mark.parametrize("n", range(3, MAX_POLYGON_N + 1))
+def test_polygon_enumeration_matches_one_triple_at_a_time(n):
+    # the reference the pinned digest was taken from: its own np.linalg.det
+    # and np.linalg.solve call per triple; eps = 5e-2 rejects members, so
+    # there the accepted set moves with eps and must still agree
+    theory = polygon(n)
+    rays = np.array(theory.extreme_effects)
+    unit = np.array(theory.unit)
+    triples = np.array(list(itertools.combinations(range(n), 3)))
+    mats = [rays[t].T for t in triples]
+    dets = np.array([np.linalg.det(m) for m in mats])
+    coeffs = np.array([np.linalg.solve(m, unit) for m in mats])
+    for eps in (1e-12, 1e-9, 1e-6, 1e-3, 5e-2):
+        kept = (np.abs(dets) > eps) & np.all(coeffs > eps, axis=1)
+        cat = polygon_irreducibles(n, Tolerance(eps))
+        pairs = cat.index_sets[:cat.dichotomic_count]
+        assert cat.index_sets == pairs + tuple(map(tuple, (triples[kept] + 1).tolist()))
+        assert np.array_equal(cat.scaled, coeffs[kept][:, :, None] * rays[triples[kept]])
+
+
+@pytest.mark.parametrize("n", range(3, MAX_POLYGON_N + 1))
+def test_cramer_values_stay_within_the_slack_of_lu(n):
+    # the candidate test of `polygon_irreducibles` is sound at every eps as
+    # long as Cramer's values sit within CRAMER_SLACK of LU's on every
+    # triple; the slack keeps a factor of ten over the difference
+    theory = polygon(n)
+    rays = np.array(theory.extreme_effects)
+    triples = np.array(list(itertools.combinations(range(n), 3)))
+    mats = rays[triples].transpose(0, 2, 1)
+    dets = np.linalg.det(mats)
+    coeffs = np.linalg.solve(mats, np.broadcast_to(theory.unit, (len(mats), 3))[..., None])[..., 0]
+    x, y, z = rays.T
+    minors = np.multiply.outer(x, y) - np.multiply.outer(y, x)
+    i, j, k = triples.T
+    numerators = np.stack((minors[j, k], minors[k, i], minors[i, j]), axis=1)
+    cramer_dets = z[i] * numerators[:, 0] + z[j] * numerators[:, 1] + z[k] * numerators[:, 2]
+    assert np.abs(cramer_dets - dets).max() < CRAMER_SLACK / 10
+    assert np.abs(numerators / cramer_dets[:, None] - coeffs).max() < CRAMER_SLACK / 10
+
+
+def test_polygon_enumeration_factors_only_the_members(monkeypatch):
+    # a deterministic work count: one LU stack of the members, not of all
+    # C(40, 3) = 9880 triples
+    stacks = {"det": [], "solve": []}
+
+    def counting(name):
+        factor = getattr(np.linalg, name)
+
+        def counted(a, *rest):
+            stacks[name].append(len(a))
+            return factor(a, *rest)
+        return counted
+
+    for name in stacks:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    cat = polygon_irreducibles(40)
+    assert cat.trichotomic_count == 2280
+    assert stacks == {"det": [2280], "solve": [2280]}
+
+
+def test_polygon_triple_members_sum_to_the_unit():
+    for n in range(3, MAX_POLYGON_N + 1):
+        cat = polygon_irreducibles(n)
+        assert len(cat.scaled) == cat.trichotomic_count
+        assert np.allclose(cat.scaled.sum(axis=1), cat.theory.unit, rtol=0, atol=1e-12)
+
+
 def test_polygon_catalogs_pinned():
     # Every catalog coefficient up to MAX_POLYGON_N; the digest was taken
-    # from the one-triple-at-a-time enumeration.
+    # from the one-triple-at-a-time enumeration, which
+    # `test_polygon_enumeration_matches_one_triple_at_a_time` replays.
     import hashlib
 
     digest = hashlib.sha256()
