@@ -5,12 +5,11 @@ the computation completed (whatever the answer), 1 is reserved for a failed
 reproduction run, 2 for input errors, and 3 for solver nontermination or a
 certificate that fails replay.
 Output is deterministic for a fixed (command, config): the timing
-block reports LP work counters rather than wall-clock time. A polytope
-refinement decided from a stored basis (`spaces.StateSpace.refine`) and a
-simulation decided from the simulation-set store (`simulation.is_simulable`)
-are not LP solves, and add to neither counter. Each command starts from
-empty stores (`dual_cone_rays.cache_clear()`), so its output does not depend
-on the commands run before it in the same process.
+block reports LP work counters rather than wall-clock time. A decision
+answered from an answer store (`lp.Answers`) is no LP solve and adds to
+neither counter. Each command starts from empty stores
+(`dual_cone_rays.cache_clear()`), so its output does not depend on the
+commands run before it in the same process.
 """
 
 from __future__ import annotations

@@ -58,7 +58,8 @@ programs. Code that builds an answer from a certificate raises
 returns it. A FEASIBLE or UNBOUNDED outcome also carries the final basis
 and its inverse B^-1, read from the kernel's final state with no extra
 elimination (`LPOutcome`), so that a caller can decide another right-hand
-side over the same rows without a solve (`simulation.is_simulable`).
+side over the same rows without a solve: `Answers` keeps such bases and
+Farkas vectors per constraint matrix, in one registry (`answers`).
 
 Pivoting uses the largest-coefficient rule and switches permanently to
 Bland's rule once the objective has stalled for more than `_STALL_LIMIT`
@@ -842,3 +843,113 @@ class _FloatRevised:
     @staticmethod
     def dot(a, b):
         return float(np.dot(np.array(a, dtype=float), np.array(b, dtype=float)))
+
+
+class Answers:
+    """Answers of earlier solves of programs that share one constraint
+    matrix A and differ in b, so that a new b is decided without a solve.
+    Callers subclass it to translate b in and certificates out, one store
+    per space's rays (`spaces.StateSpace.refine`), per simulation set
+    (`simulation.is_simulable`) and per layout (`simulation.is_compatible`).
+
+    A basis B with B^-1 b >= 0 is a feasible vertex for b whichever b it was
+    found for, and optimal when its reduced costs do not depend on b (no
+    objective, or a nondegenerate lexicographic optimum); a Farkas vector y
+    with y'A <= 0 refutes every b with y.b > 0 (Gal, "Postoptimal Analyses,
+    Parametric Programming, and Related Topics", 1995). Refutations are
+    stacked as y on the rows that b reaches, with a bound that y.b of every
+    feasible b stays below (0 for a Farkas vector: `limits` stays None);
+    bases as B^-1 in the columns of those rows, with a mask of the rows
+    whose basic column is structural, since a row the solve dropped
+    (`LPOutcome`) needs B^-1 b within eps of zero. Exact B^-1 is kept as
+    integers, each row over its denominator (`dens`).
+
+    A scan returns the first stored answer that decides b, so the hash seed
+    changes nothing. A store keeps at most `cap` bases and `cap`
+    refutations, the first ones stored; callers test for room before they
+    translate an answer. A solve's answer waits in `pending` until `answers`
+    reads its key again, so a key read once costs no copies. Verdicts never
+    depend on earlier calls: a caller tests a stored answer as it tests an
+    LP answer of its mode, and one that fails is a miss. Certificates may,
+    and replay as well as the LP's own. (A float b within eps of the
+    boundary is the LP's exception too: phase 1 tests a sum of residuals
+    against eps, the store each row.) An answer from the store is no LP
+    solve: `stats` does not move."""
+
+    def __init__(self, F, cap: int):
+        self.F, self.cap, self.pending = F, cap, None
+        self.bases, self.refutations = [], []  # what turns each answer into a certificate
+        self.refuting = self.limits = self.inverses = self.structural = self.dens = None
+
+    def refutation(self, b, L=1):
+        """The payload of the first stored refutation y with y.b > its bound
+        + eps, for b cleared over the scale L; None when none refutes b."""
+        if self.refuting is None:
+            return None
+        limits = self.F.eps if self.limits is None else self.limits * L
+        hits = np.flatnonzero(self.refuting @ b > limits)
+        return self.refutations[hits[0]] if hits.size else None
+
+    def basis(self, b, L=1) -> Optional[tuple]:
+        """(payload, B^-1 b as the field's numbers, a row each) for the first
+        stored basis feasible for b, b cleared over the scale L; else None."""
+        if self.inverses is None:
+            return None
+        F = self.F
+        X = self.inverses @ b
+        feasible = np.flatnonzero(((X >= -F.eps) & ((X <= F.eps) | self.structural)).all(axis=1))
+        if not feasible.size:
+            return None
+        k = int(feasible[0])
+        if F.mode == FLOAT:  # + 0.0 turns a -0.0 into 0.0
+            return self.bases[k], (X[k] + F.zero).tolist()
+        return self.bases[k], list(map(Fraction, X[k].tolist(), (self.dens[k] * L).tolist()))
+
+    def keep_refutation(self, payload, y, bound=None):
+        """Stack y with its bound: bounds for all refutations or for none."""
+        self.refutations.append(payload)
+        self.refuting = _stacked(self.refuting, y)
+        if bound is not None:
+            self.limits = _stacked(self.limits, bound + self.F.eps)
+
+    def keep_basis(self, payload, inverse, structural, reached=slice(None)):
+        """Stack B^-1, as `LPOutcome.inverse` holds it (a float array, or
+        exact rows of (numerators, denominator)), in the columns `reached`."""
+        if self.F.mode == FLOAT:
+            inverse = np.asarray(inverse, dtype=float)[:, reached]
+        else:
+            self.dens = _stacked(self.dens, [den for _, den in inverse], object)
+            inverse = [row[reached] for row, _ in inverse]
+        self.bases.append(payload)
+        self.inverses = _stacked(self.inverses, inverse, self.F.dtype)
+        self.structural = _stacked(self.structural, structural)
+
+
+def _stacked(stack, item, dtype=None):
+    """The array `stack` with `item` appended along a new first axis."""
+    item = np.array(item, dtype=dtype)[None]  # a copy, which holds nothing else alive
+    return item if stack is None else np.concatenate([stack, item])
+
+
+_KEYS = 64
+_ANSWERS = {}  # key -> Answers, the least recently used first
+
+
+def answers(key, make) -> Answers:
+    """The `Answers` of `key` (made by `make()` if new), its pending answer
+    stored, now the most recently used. Every caller's keys, each starting
+    with the caller's kind, share at most `_KEYS` places, the least recently
+    used leaving first; `spaces.dual_cone_rays.cache_clear()` empties them."""
+    store = _ANSWERS.pop(key, None)
+    if store is None:
+        store = make()
+        if len(_ANSWERS) >= _KEYS:
+            del _ANSWERS[next(iter(_ANSWERS))]
+    elif store.pending is not None:
+        pending, store.pending = store.pending, None
+        pending()
+    _ANSWERS[key] = store
+    return store
+
+
+answers.cache_clear = _ANSWERS.clear

@@ -25,9 +25,9 @@ also fills the program's cleared rows), the effect-sum guard
 `simulation._sums_agree` (exact equality, or eps in each coordinate), the
 float-only test of a float answer on the rows its program leaves out
 (`_matches_target` in `simulation.is_simulable`) and of a scheme read from
-the simulation-set store on every row (an exact one is built as Fractions
-over each basis row's denominator), the float or integer B^-1 that the
-compatibility store keeps (`simulation._JointAnswers.solved`), the integer
+the simulation-set store on every row, the float or integer B^-1 that every
+answer store keeps and the basic values it reads from it (`lp.Answers`:
+Fractions over each basis row's denominator in exact mode), the integer
 products of an exact effect with a polytope's extreme states against the
 float array of them
 (`spaces.StateSpace.min_value`, `is_extremal`),

@@ -32,27 +32,15 @@ rows left out, so it keeps one entry per row of the full layout.
 
 One simulation set is tested against many targets (every target against
 (E, F) on the square bit, the subsets of one pool in `smin`, one source in
-the postprocessing relation), and its program depends on the target only
-through the right-hand side b. The program has no objective, so any basis
-B with B^-1 b >= 0 is a feasible vertex, whichever target it was found
-for; and a Farkas vector y with y'A <= 0 keeps that property for every
-target, since A is the set's, so y'b > 0 refutes a new b (Gal,
-"Postoptimal Analyses, Parametric Programming, and Related Topics", 1995;
-Bixby, Oper. Res. 50, 2002). `is_simulable` therefore keeps, per
-simulation set, the final bases and the refutations of its solves, and
-decides a target from them before it builds a program
-(`is_simulable` says how). Compatibility is the k = 1 case: its programs
-share A across targets of the same outcome counts (up to the generators),
-so `is_compatible` keeps the same two kinds of answers per layout, in the
-canonical frame of the space's symmetries (`is_compatible` says how), and
-`replay_compatibility` checks every answer against the definition.
+the postprocessing relation) with programs that differ only in b, as are
+compatibility programs of one layout; both first read the answers of
+earlier solves (`lp.Answers`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from math import lcm
 from typing import Optional, Sequence
@@ -60,7 +48,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import geometry
-from .lp import FEASIBLE, CertificateError, LinearProgram, lp_solve, make_program
+from .lp import FEASIBLE, Answers, CertificateError, LinearProgram, answers, lp_solve, make_program
 from .postprocessing import (
     Postprocessing,
     apply,
@@ -85,7 +73,6 @@ from .spaces import (
     Effect,
     Observable,
     decompose_into_indecomposables,
-    dual_cone_rays,
     is_valid_observable,
     mix_observables,
 )
@@ -293,174 +280,66 @@ def _rows_hold(simulators: Sequence[Observable], ny: int, x: Sequence, F) -> boo
                     and abs(c.sum() - 1) <= F.eps)
 
 
-# The answer stores: `is_simulable` keeps at most _SET_CAP simulation sets,
-# and `is_compatible` at most _SET_CAP joint layouts, the least recently used
-# leaving first. A simulation set keeps at most _ANSWER_CAP bases and
-# _ANSWER_CAP refutations, a joint layout _JOINT_CAP of each (the first ones
-# stored).
-_SET_CAP = 64
-_ANSWER_CAP = 8
-_JOINT_CAP = 64
-_SETS = {}  # (builder, solver, simulator coefficient keys, outcomes, mode, eps) -> _SetAnswers
-_JOINTS = {}  # (solver, space, outcome counts, mode, eps) -> _JointAnswers
-dual_cone_rays.stores.extend([_SETS, _JOINTS])
-
-
-class _Answers:
-    """The answers of earlier solves over one constraint matrix A, each kind
-    stacked in one array of the field's numbers, in insertion order. A
-    refutation is a vector y on the rows that b reaches, with a bound that
-    y.b of any feasible b stays below (0 for a Farkas vector: y'A <= 0), so
-    y.b above its bound refutes b. A basis is its B^-1, restricted to the
-    columns of the rows b reaches, with a mask of the rows whose basic column
-    is structural: B^-1 b >= -eps, and within eps of zero in a row whose
-    artificial stayed basic (a row the solve dropped as redundant, whose
-    equation b must still meet), is a feasible vertex for b. Each scan
-    returns the first hit, so the hash seed changes nothing."""
-
-    def __init__(self, F):
-        self.F = F
-        self.refuting = None
-        self.limits = None  # each refutation's bound + eps; None while every bound is 0
-        self.inverses = self.structural = None
-
-    def refutation(self, b, L) -> Optional[int]:
-        """The index of the first stored refutation y with y.b > its bound +
-        eps, for b cleared over the scale L (`scalars.scaled`)."""
-        if self.refuting is None:
-            return None
-        limits = self.F.eps if self.limits is None else self.limits * L
-        hits = np.flatnonzero(self.refuting @ b > limits)
-        return int(hits[0]) if hits.size else None
-
-    def basis(self, b) -> Optional[tuple]:
-        """(k, B_k^-1 b) for the first stored basis k feasible for b."""
-        if self.inverses is None:
-            return None
-        eps = self.F.eps
-        X = self.inverses @ b
-        feasible = np.flatnonzero(((X >= -eps) & ((X <= eps) | self.structural)).all(axis=1))
-        return (int(feasible[0]), X[feasible[0]]) if feasible.size else None
-
-    def keep_refutation(self, y, bound=None):
-        """Stack y with its bound. A store of Farkas vectors (bound 0) passes
-        none and keeps no bounds, which the exact scan compares fastest; a
-        store passes bounds for all its refutations or for none."""
-        self.refuting = _stacked(self.refuting, y)
-        if bound is not None:
-            self.limits = _stacked(self.limits, bound + self.F.eps)
-
-    def keep_basis(self, inverse, structural):
-        self.inverses = _stacked(self.inverses, inverse)
-        self.structural = _stacked(self.structural, structural)
-
-
-def _stacked(stack, item):
-    """The array `stack` with `item` appended along a new first axis."""
-    item = np.array(item)[None]  # a copy, which holds nothing else alive
-    return item if stack is None else np.concatenate([stack, item])
-
-
-def _recent(store: dict, key, make):
-    """store[key], made by `make()` if new, and now the most recently used;
-    the least recently used key leaves when a new one would pass _SET_CAP."""
-    answers = store.pop(key, None)
-    if answers is None:
-        answers = make()
-        if len(store) >= _SET_CAP:
-            del store[next(iter(store))]
-    store[key] = answers
-    return answers
-
-
-class _SetAnswers(_Answers):
-    """What the solves over one simulation set left behind. The program's A
-    is fixed by the set, and a target reaches only the weight row and the
-    effect rows of its first ny - 1 outcomes, the r entries of b = (1, A_0,
-    ..., A_{ny-2}) that can be nonzero; the row-sum rows have right-hand
-    side 0. So a refutation keeps its entries on those rows (beta, phi) and
-    a basis the columns of B^-1 on them. In exact mode both are cleared to
-    integers: a refutation over its own scale, a basis row over its
-    denominator (kept in `dens`). A solve's answer waits in `pending` and is
-    stored when the set is decided again, so a set decided once costs no
-    tests and no copies."""
+class _SetAnswers(Answers):
+    """The answers of the solves over one simulation set (`lp.Answers`), at
+    most 8 of each kind. A target reaches the weight row and the effect rows
+    of its first ny - 1 outcomes, b = (1, A_0, ..., A_{ny-2}), and there a
+    refutation keeps its entries (beta, phi), its payload the full-layout
+    Farkas vector, and a basis its B^-1 columns, its payload each row's
+    basic column (n + i for a dropped row)."""
 
     def __init__(self, simulators: Sequence[Observable], ny: int, F):
-        super().__init__(F)
+        super().__init__(F, cap=8)
         self.ny = ny
         self.sizes = [sim.n_outcomes for sim in simulators]
         self.nx, self.dim = sum(self.sizes), simulators[0].dim
         self.n = self.nx * ny + len(simulators)  # the program's columns
         self.m = self.nx + 1 + (ny - 1) * self.dim  # the program's rows
-        self.pending = None
-        self.farkas = []  # full-layout Farkas vectors, as returned
-        self.bases = []  # each row's basic column, n + i for a dropped row
-        self.dens = []
 
     def decide(self, target: Observable, simulators: Sequence[Observable]):
-        """A certificate for the target from the first stored refutation y
-        with y.b > eps, else from the first stored basis feasible for b; None
-        when neither is found, or when a float scheme fails a row of the full
-        layout."""
-        if self.pending is not None:
-            self.pending()
-            self.pending = None
-        if not (self.farkas or self.bases):
+        """A certificate for the target from the stored answers; None when
+        none decides it, or when a float scheme fails a row of the full layout."""
+        if not (self.refutations or self.bases):
             return None  # `simulation_program` tests the effect sums
         F = self.F
         _require_sums(target, simulators, F)
         b, L = scaled(F, [F.one, *(c for eff in target.effects[:-1] for c in eff.coeffs)])
         b = np.array(b, dtype=F.dtype)
-        k = self.refutation(b, L)
-        if k is not None:
-            return SimulationCertificate(NOT_SIMULABLE, farkas=self.farkas[k])
-        hit = self.basis(b)
+        farkas = self.refutation(b, L)
+        if farkas is not None:
+            return SimulationCertificate(NOT_SIMULABLE, farkas=farkas)
+        hit = self.basis(b, L)
         if hit is None:
             return None
-        k, X = hit
-        kept = [(col, v, den) for col, v, den in zip(self.bases[k], X, self.dens[k])
-                if col < self.n]
-        if F.mode == FLOAT:
-            x = np.zeros(self.n)
-            x[[col for col, _, _ in kept]] = [F.zero + v for _, v, _ in kept]
-            x = tuple(x.tolist())
-            if not (_rows_hold(simulators, self.ny, x, F)
-                    and _matches_target(target, simulators, x, F)):
-                return None
-        else:
-            x = [F.zero] * self.n
-            for col, v, den in kept:
-                x[col] = Fraction(v, den * L)
+        basis, values = hit
+        x = [F.zero] * self.n
+        for col, v in zip(basis, values):
+            if col < self.n:
+                x[col] = v
+        if F.mode == FLOAT and not (_rows_hold(simulators, self.ny, x, F)
+                                    and _matches_target(target, simulators, x, F)):
+            return None
         return _scheme(target, simulators, x, F)
 
     def refuted(self, farkas: tuple, simulators: Sequence[Observable]):
-        """Store a full-layout Farkas vector, if there is room and it passes
-        the target-free half of `replay_simulation` (`_farkas_bounds`)."""
+        """Store a full-layout Farkas vector that passes the target-free half
+        of `replay_simulation` (`_farkas_bounds`), if there is room."""
         F = self.F
-        if len(self.farkas) >= _ANSWER_CAP or len(farkas) != self.m + self.dim:
+        if len(self.refutations) >= self.cap or len(farkas) != self.m + self.dim:
             return
         y, B, D = cleared(F, farkas, [c for sim in simulators for eff in sim.effects
                                       for c in eff.coeffs])
-        if not _farkas_bounds(F, y, B, D, self.sizes, self.ny):
-            return
-        self.farkas.append(farkas)
-        self.keep_refutation(y[self.nx:self.m])
+        if _farkas_bounds(F, y, B, D, self.sizes, self.ny):
+            self.keep_refutation(farkas, y[self.nx:self.m])
 
     def solved(self, out, rows: int):
         """Store the final basis of a solve of this set's program with `rows`
         rows, if there is room and it is new."""
-        if (len(self.bases) >= _ANSWER_CAP or rows != self.m or out.basis is None
+        if (len(self.bases) >= self.cap or rows != self.m or out.basis is None
                 or out.basis in self.bases):
             return
-        nx = self.nx
-        if self.F.mode == FLOAT:
-            inverse, dens = out.inverse[:, nx:], (1,) * self.m
-        else:
-            inverse = np.array([row[nx:] for row, _ in out.inverse], dtype=object)
-            dens = tuple(den for _, den in out.inverse)
-        self.bases.append(out.basis)
-        self.dens.append(dens)
-        self.keep_basis(inverse, np.array([col < self.n for col in out.basis]))
+        self.keep_basis(out.basis, out.inverse, [col < self.n for col in out.basis],
+                        slice(self.nx, None))
 
 
 def is_simulable(target: Observable, simulators: Sequence[Observable],
@@ -474,59 +353,31 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
     A Farkas vector is padded with zeros in the dropped rows, so it has one
     entry per row of the full program.
 
-    The simulation set's store is read first. It is keyed by what the
-    program's A depends on: the simulators' effect coefficients in order,
-    the target's outcome count, the field mode and eps (and the builder and
-    solver in use). A target reaches only the weight row and its first
-    ny - 1 outcomes' effect rows, b = (1, A_0, ..., A_{ny-2}) there and 0 in
-    the row-sum rows. It is refuted by the first stored Farkas vector y with
-    y.b > eps; otherwise it is simulable by the first stored basis with
-    B^-1 b >= -eps in every row (and within eps of zero in a row the solve
-    dropped as redundant, whose equation b must still meet), all bases in
-    one stacked product. Only when neither is found is the program built
-    and solved, and the solve's answer joins the store when the set is
-    decided again. Store answers are checked as LP answers of their mode
-    are: a float scheme on every row of the full layout at eps (row sums,
-    total weight, `_matches_target`), or it is not returned; an exact one
-    is B^-1 b in integers over each row's denominator, one Fraction per
-    basic value, from the kernel's own exact B^-1, and so as exact as an
-    answer of the kernel. A refutation's target-free inequalities, the
-    column and weight tests of `replay_simulation`, are tested once, when it
-    is stored, so each reuse tests y.b > eps alone.
-
-    Verdicts never depend on earlier calls, but certificates may: a target
-    decided from the store gets the scheme of an earlier basis or an
-    earlier target's refutation (normalized to y.b = 1 for that target),
-    which replays as well as the LP's own. (A float target within eps of
-    the set's boundary is the exception the LP already has: phase 1 tests
-    a sum of residuals against eps, the store each row.) The store keeps at
-    most `_SET_CAP` sets, the least recently used leaving first, and at
-    most `_ANSWER_CAP` bases and `_ANSWER_CAP` refutations per set, the
-    first ones stored; it is read in insertion order, so the hash seed
-    changes nothing, and `dual_cone_rays.cache_clear()` empties it. A
-    decision answered from the store is not an LP solve: `lp.stats` does
-    not move."""
+    The program is solved only when the set's stored answers
+    (`_SetAnswers`) do not decide the target. A float scheme read from them
+    is tested on every row of the full layout at eps, or it is not returned;
+    a refutation's target-free inequalities are tested when it is stored."""
     simulators = list(simulators)
     _check_same_space(target, simulators)
     F = _common_field(target, simulators, tol)
     # Keyed by what the program's A depends on, and by the builder and the
     # solver that answered for it, as this module names them now: a replaced
     # or wrapped `simulation_program` or `lp_solve` reads a store of its own.
-    key = (simulation_program, lp_solve, tuple(sim.coefficient_key for sim in simulators),
-           target.n_outcomes, F.mode, F.eps)
-    answers = _recent(_SETS, key, lambda: _SetAnswers(simulators, target.n_outcomes, F))
-    cert = answers.decide(target, simulators)
+    key = ("simulation", simulation_program, lp_solve,
+           tuple(sim.coefficient_key for sim in simulators), target.n_outcomes, F.mode, F.eps)
+    store = answers(key, lambda: _SetAnswers(simulators, target.n_outcomes, F))
+    cert = store.decide(target, simulators)
     if cert is not None:
         return cert
     program = simulation_program(target, simulators, tol)
     out = lp_solve(program, mode=F.mode, tol=tol)
     if out.verdict != FEASIBLE:
         farkas = out.farkas + (F.zero,) * target.dim
-        answers.pending = partial(answers.refuted, farkas, simulators)
+        store.pending = partial(store.refuted, farkas, simulators)
         return SimulationCertificate(NOT_SIMULABLE, farkas=farkas)
     if F.mode == FLOAT and not _matches_target(target, simulators, out.solution, F):
         raise CertificateError("float solution fails the target's last-outcome rows")
-    answers.pending = partial(answers.solved, out, len(program.rhs))
+    store.pending = partial(store.solved, out, len(program.rhs))
     return _scheme(target, simulators, out.solution, F)
 
 
@@ -888,17 +739,17 @@ def _joint_effects(terms, n: int, dim: int, zero) -> list:
     return coeffs
 
 
-def _joint_result(targets: Sequence[Observable], answers: "_JointAnswers",
+def _joint_result(targets: Sequence[Observable], store: "_JointAnswers",
                   coeffs: Sequence) -> CompatibilityResult:
     """The compatible verdict for the joint effects `coeffs` on the joint
-    outcomes of `answers`, labelled `a|b|...` by the targets' labels, with
+    outcomes of `store`, labelled `a|b|...` by the targets' labels, with
     the deterministic marginal channels."""
     joint = Observable(tuple(("|".join(t.labels[li] for t, li in zip(targets, omega)),
                               Effect(tuple(c)))
-                             for omega, c in zip(answers.joint_outcomes, coeffs)),
+                             for omega, c in zip(store.joint_outcomes, coeffs)),
                        targets[0].space)
     channels = tuple(Postprocessing(joint.labels, t.labels, matrix)
-                     for t, matrix in zip(targets, answers.marginals))
+                     for t, matrix in zip(targets, store.marginals))
     return CompatibilityResult("compatible", joint=joint, marginal_channels=channels)
 
 
@@ -908,26 +759,24 @@ def _turned(values, frame: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(values, dtype=float).reshape(-1, dim) @ frame.T
 
 
-class _JointAnswers(_Answers):
+class _JointAnswers(Answers):
     """The layout of `is_compatible`'s programs for targets of fixed outcome
-    counts, and the answers of their solves, each kept in the canonical frame
-    of the targets it was solved for (`canonical_frame` of the space).
+    counts, and the answers of their solves (`lp.Answers`, at most 64 of
+    each kind), each in the canonical frame of the targets it was solved for
+    (`space.canonical_frame`: the identity for a polytope, a rotation for
+    the qubit, so every rotation of one orthogonal triple reads one b).
 
-    The full layout has a block of dim rows per (target t, outcome l), in
-    target order and then outcome order; a program keeps the blocks in
-    `kept`, and `entries` places the generators: (program block, joint
-    outcome) for every block a joint outcome enters. A program's columns are
-    generators under joint outcomes, and the generators change from call to
-    call, so a basis keeps, beside its B^-1, the joint outcome and the
-    generator of each row's basic column (`owners`, -1 for an artificial,
-    and `vectors`), and B^-1 b >= -eps gives the joint effects G_w, sums of
-    nonnegative multiples of effects. A refutation keeps its full-layout y
-    with its target-free bound P(y) = max(0, max_w price(z_w)): every joint
-    observable has y.b <= P(y), whatever generators built it. Exact bases
-    are the kernel's integer B^-1, a row over its denominator (`dens`)."""
+    A program keeps the full layout's blocks in `kept`, and `entries` places
+    the generators: (program block, joint outcome) for every block a joint
+    outcome enters. The generators change from call to call, so a basis's
+    payload is the joint outcome and the generator of each row's basic
+    column (-1 and zeros for an artificial): B^-1 b >= -eps gives the joint
+    effects G_w. A refutation is its full-layout y, also its payload, with
+    its target-free bound P(y) = max(0, max_w price(z_w)), which every joint
+    observable's y.b stays below, whatever generators built it."""
 
     def __init__(self, counts: Sequence[int], dim: int, F):
-        super().__init__(F)
+        super().__init__(F, cap=64)
         self.dim = dim
         self.joint_outcomes = list(itertools.product(*map(range, counts)))
         # Full-layout block b = firsts[ti] + li holds the rows of (target ti,
@@ -943,15 +792,12 @@ class _JointAnswers(_Answers):
             tuple(tuple(F.one if omega[ti] == li else F.zero for li in range(n))
                   for omega in self.joint_outcomes)
             for ti, n in enumerate(counts))
-        self.owners, self.vectors, self.dens = [], [], []  # per basis, a row each
 
     def decide(self, targets: Sequence[Observable], frame, tol: Tolerance):
-        """The answer of the first stored refutation y with y.b > P(y) +
-        eps, else of the first stored basis feasible for b, for b the
-        targets' effects turned by `frame` (None: the identity), turned back
-        into the targets' frame; None when neither is found, or when the
-        answer fails `replay_compatibility`."""
-        if self.refuting is None and not self.owners:
+        """The stored answer for b, the targets' effects turned by `frame`
+        (None: the identity), turned back into the targets' frame; None when
+        none decides b, or when the answer fails `replay_compatibility`."""
+        if not (self.refutations or self.bases):
             return None
         F, dim = self.F, self.dim
         b = [c for t in targets for eff in t.effects for c in eff.coeffs]
@@ -959,18 +805,17 @@ class _JointAnswers(_Answers):
             b = _turned(b, frame, dim).ravel()
         b, L = scaled(F, b)
         b = np.array(b, dtype=F.dtype)
-        k = self.refutation(b, L)
-        if k is not None:
-            y = self.refuting[k] if frame is None else _turned(self.refuting[k], frame.T, dim)
+        y = self.refutation(b, L)
+        if y is not None:
+            if frame is not None:
+                y = _turned(y, frame.T, dim)
             result = CompatibilityResult("incompatible", farkas=tuple(y.ravel().tolist()))
         else:
-            hit = self.basis(b.reshape(-1, dim)[self.kept].ravel())
+            hit = self.basis(b.reshape(-1, dim)[self.kept].ravel(), L)
             if hit is None:
                 return None
-            k, X = hit
-            terms = ((w, F.coerce(v) / (den * L), g) for w, v, den, g
-                     in zip(self.owners[k], X.tolist(), self.dens[k], self.vectors[k].tolist())
-                     if w >= 0)
+            (owners, vectors), values = hit
+            terms = ((w, v, g) for w, v, g in zip(owners, values, vectors.tolist()) if w >= 0)
             coeffs = _joint_effects(terms, len(self.joint_outcomes), dim, F.zero)
             if frame is not None:
                 coeffs = _turned(coeffs, frame.T, dim).tolist()
@@ -978,35 +823,26 @@ class _JointAnswers(_Answers):
         return result if replay_compatibility(result, targets, tol) else None
 
     def refuted(self, y: tuple, bound, frame):
-        """Store a full-layout refutation with its bound P(y), turned by
-        `frame`, if there is room."""
-        if self.refuting is not None and len(self.refuting) >= _JOINT_CAP:
+        """Store a full-layout refutation with its bound P(y), turned by `frame`."""
+        if len(self.refutations) >= self.cap:
             return
         y = np.array(y, dtype=self.F.dtype) if frame is None else _turned(y, frame, self.dim)
-        self.keep_refutation(y.ravel(), bound)
+        self.keep_refutation(y.ravel(), y.ravel(), bound)
 
     def solved(self, out, gens: Sequence, frame):
-        """Store the final basis of a solve over the generators `gens`, its
-        B^-1 and generators turned by `frame`, if there is room."""
-        if len(self.owners) >= _JOINT_CAP or out.basis is None:
+        """Store the final basis of a solve over `gens`, turned by `frame`."""
+        if len(self.bases) >= self.cap or out.basis is None:
             return
         F, dim, n = self.F, self.dim, len(self.joint_outcomes) * len(gens)
         owners = [col // len(gens) if col < n else -1 for col in out.basis]
         vectors = [gens[col % len(gens)] if col < n else (F.zero,) * dim for col in out.basis]
-        if F.mode == FLOAT:
-            inverse, dens = out.inverse, (1,) * len(owners)
-        else:
-            inverse = np.array([row for row, _ in out.inverse], dtype=object)
-            dens = tuple(den for _, den in out.inverse)
+        inverse = out.inverse
         if frame is None:
             vectors = np.array(vectors, dtype=F.dtype)
-        else:
+        else:  # a float B^-1: a frame is a rotation
             inverse = _turned(inverse, frame, dim).reshape(inverse.shape)
             vectors = _turned(vectors, frame, dim)
-        self.owners.append(owners)
-        self.vectors.append(vectors)
-        self.dens.append(dens)
-        self.keep_basis(inverse, np.array([w >= 0 for w in owners]))
+        self.keep_basis((owners, vectors), inverse, [w >= 0 for w in owners])
 
 
 def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERANCE,
@@ -1044,31 +880,10 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
     them hold).
 
     The program's A depends on the targets only through their outcome
-    counts (and on the generators), so a store keyed by the space, the
-    outcome counts, the field mode, eps and the `lp_solve` this module names
-    now is read first. It holds up to `_JOINT_CAP` refutations, each with
-    its bound P(y) = max(0, max_w price(z_w)), and up to `_JOINT_CAP` final
-    bases, each with the joint outcome and generator of every basic column
-    (`_JointAnswers`), the first ones stored, for up to `_SET_CAP` keys,
-    the least recently used leaving first. Answers are kept in the
-    canonical frame of the targets they were solved for: the symmetry of
-    the space that `space.canonical_frame` gives for the targets' effects
-    (the identity for a polytope; for the qubit a rotation, so every
-    rotation of one orthogonal triple reads one b). A decision turns its
-    targets' b into their frame and is refuted by the first stored y with
-    y.b > P(y) + eps, else decided by the first stored basis with B^-1 b >=
-    -eps (all bases in one stacked product). The answer, turned back, must
-    pass `replay_compatibility`, or it counts as a miss; the frame only
-    chooses which answers are tried. On a miss the program is solved as
-    above, and its answer joins the store. Exact answers are the kernel's
-    integer B^-1 times b, as exact as the kernel's own.
-
-    Verdicts never depend on earlier calls, but certificates may, as in
-    `is_simulable`, with two exceptions: a float target within eps of the
-    boundary, as for the LP, and a decision the LP would leave undecided
-    after `_ROUNDS` programs (too few generators), which a stored answer may
-    decide. `dual_cone_rays.cache_clear()` empties the store, and a decision
-    answered from it is not an LP solve: `lp.stats` does not move.
+    counts (and on the generators), so the layout's stored answers
+    (`_JointAnswers`) are read first; one that fails `replay_compatibility`
+    is a miss. They may decide what the LP would leave undecided after
+    `_ROUNDS` programs (too few generators).
     """
     targets = list(targets)
     if not targets:
@@ -1083,14 +898,14 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
     F = resolve((*(t.kind for t in targets), kind_of(x for g in gens[:1] for x in g)), tol)
     zero, dim = F.zero, space.ambient_dim
     counts = tuple(t.n_outcomes for t in targets)
-    answers = _recent(_JOINTS, (lp_solve, space, counts, F.mode, F.eps),
-                      lambda: _JointAnswers(counts, dim, F))
+    store = answers(("compatibility", lp_solve, space, counts, F.mode, F.eps),
+                    lambda: _JointAnswers(counts, dim, F))
     effects = [eff.coeffs for t in targets for eff in t.effects]  # full block b's effect
     frame = space.canonical_frame(effects, tol)
-    result = answers.decide(targets, frame, tol)
+    result = store.decide(targets, frame, tol)
     if result is not None:
         return result
-    joint_outcomes, kept, (blocks, ws) = answers.joint_outcomes, answers.kept, answers.entries
+    joint_outcomes, kept, (blocks, ws) = store.joint_outcomes, store.kept, store.entries
     rhs = [x for b in kept for x in effects[b]]
     for _ in range(_ROUNDS):
         # Block j holds the generators (as columns) under every joint outcome
@@ -1111,7 +926,7 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
             result = CompatibilityResult("incompatible", farkas=tuple(y))
             if not replay_compatibility(result, targets, tol):
                 raise CertificateError("compatibility refutation fails replay")
-            answers.refuted(result.farkas, bound, frame)
+            store.pending = partial(store.refuted, result.farkas, bound, frame)
             return result
         gens += [g for p, g in prices if p > 0]
     else:
@@ -1120,10 +935,10 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
     coeffs = _joint_effects(((i // len(gens), sol[i], gens[i % len(gens)])
                              for i in itertools.compress(range(len(sol)), sol)),  # nonzero weights
                             len(joint_outcomes), dim, zero)
-    result = _joint_result(targets, answers, coeffs)
+    result = _joint_result(targets, store, coeffs)
     if not replay_compatibility(result, targets, tol):
         raise CertificateError("compatibility joint fails replay")
-    answers.solved(out, gens, frame)
+    store.pending = partial(store.solved, out, gens, frame)
     return result
 
 

@@ -26,8 +26,8 @@ convention that the unit coefficient sits in the last ambient slot and
 extreme states have last coordinate one. Its refinements are lexicographic
 conic decompositions over the dual-cone rays, which share one constraint
 matrix per space: each refinement first tries the bases that earlier ones
-ended on, kept beside the `dual_cone_rays` cache, and solves an LP only when
-none of them is feasible for the effect (`StateSpace.refine`). The qubit's
+ended on (an `lp.Answers`), and solves an LP only when none of them is
+feasible for the effect (`StateSpace.refine`). The qubit's
 cone lives in `qubit.QubitSpace`. Validity, indecomposability and
 everything built on them (irreducibility, decomposition, noise content,
 compatibility) go through these methods and so hold for either kind of
@@ -38,18 +38,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import geometry
+from . import geometry, lp
 from .scalars import (
     DEFAULT_TOLERANCE,
     EXACT,
     FLOAT,
     Tolerance,
+    cleared,
     field,
     integer_row,
     kind_of,
@@ -125,22 +126,14 @@ class StateSpace:
         effect refines into the empty list, and a non-extremal effect outside
         the cone raises ValueError.
 
-        A non-extremal effect v is first tried on the lexicographically
-        optimal bases that earlier refinements over the same rays ended on
-        (kept per (space, mode, tol) beside the `dual_cone_rays` cache, in
-        insertion order): X = B^-1 v for every stored basis B at once, and
-        the first X >= -eps gives the coefficients if they pass
-        `geometry.replay_conic`. Otherwise `geometry.conic_decompose` solves
-        its LP, and an answer with exactly dim positive coefficients stores
-        its support as a new basis. This is exact, not a heuristic: such an
-        answer is a nondegenerate vertex, so its one basis is optimal for
-        the tie-broken objective c_0 + d c_1 + d^2 c_2 + ... at every small
-        d > 0, which is what the lexicographic maximum is. Its reduced costs
-        do not depend on v, so the basis stays optimal for every v it keeps
-        primal feasible (Gal, "Postoptimal Analyses, Parametric Programming,
-        and Related Topics", 1995), and the lexicographic maximum over a
-        polytope is one point. Exact mode therefore returns the LP's own
-        Fractions, and float mode agrees with the LP within rounding.
+        A non-extremal effect is first tried on the bases that earlier
+        refinements over the same rays ended on (`_Bases`); otherwise
+        `geometry.conic_decompose` solves its LP, and an answer with exactly
+        dim positive coefficients stores its support. Such an answer is a
+        nondegenerate vertex, whose basis is optimal for the tie-broken
+        objective c_0 + d c_1 + d^2 c_2 + ... at every small d > 0 whatever
+        the effect, so exact mode returns the LP's own Fractions, and float
+        mode agrees with the LP within rounding.
         """
         F = resolve((self.kind, kind_of(effect.coeffs)), tol)
         if F.is_zero(effect.coeffs):
@@ -148,17 +141,14 @@ class StateSpace:
         if self.is_extremal(effect, tol):
             return [effect]
         rays = dual_cone_rays(self, tol)
-        key = (self, self.mode, F.mode, tol)
-        bases = _BASES.get(key)
-        if bases is None:
-            bases = _BASES[key] = _Bases(rays, F)
-        coefficients = bases.decide(effect.coeffs)
+        store = lp.answers(("refinement", self, self.mode, F.mode, tol), lambda: _Bases(rays, F))
+        coefficients = store.decide(effect.coeffs)
         if coefficients is None:
             res = geometry.conic_decompose(effect.coeffs, rays, mode=F.mode, tol=tol)
             if not res.inside:
                 raise ValueError("effect lies outside the positive dual cone")
             coefficients = res.coefficients
-            bases.add(coefficients)
+            store.pending = partial(store.add, coefficients)
         return [Effect(vscale(c, r)) for c, r in zip(coefficients, rays) if c > F.eps]
 
     @cached_property
@@ -436,10 +426,9 @@ def dual_cone_rays(space: StateSpace, tol: Tolerance = DEFAULT_TOLERANCE) -> tup
 
     Cached per (space, mode, tol): a float twin (`space.as_float()`) compares
     and hashes equal to its exact space but needs rays of its own mode.
-    `dual_cone_rays.cache_clear()` also empties every store listed in
-    `dual_cone_rays.stores`: the bases that `refine` keeps beside this cache,
-    and the simulation-set store of `simulation.is_simulable` (bases and
-    refutations per simulation set), which that module adds on import.
+    `dual_cone_rays.cache_clear()` also empties every answer store: the
+    registry `lp.answers` of refinement bases, simulation sets and
+    compatibility layouts (`lp.Answers`).
     """
     return _dual_cone_rays(space, space.mode, tol)
 
@@ -449,67 +438,53 @@ def _dual_cone_rays(space: StateSpace, mode: str, tol: Tolerance) -> tuple:
     return tuple(geometry.extreme_rays(space.extreme_states, mode=mode, tol=tol))
 
 
-class _Bases:
+class _Bases(lp.Answers):
     """The lexicographically optimal bases of the refinements over one
-    space's rays in one field F, in insertion order: each a support (ray
-    indices, one per dimension) and the inverse of its ray columns, all the
-    inverses stacked in one array of `F.dtype`. The rays are held in F's
-    numbers, so that a float effect on an integer space reads float ones."""
+    space's rays in one field F (`lp.Answers`, at most 64): a basis's
+    payload is its support (ray indices, one per dimension), its inverse
+    that of the support's rays. The rays are held in F's numbers, so that a
+    float effect on an integer space reads float ones."""
 
     def __init__(self, rays: tuple, F):
-        self.F = F
+        super().__init__(F, cap=64)
         self.rays = tuple(tuple(map(F.coerce, r)) for r in rays)
-        self.dim = len(self.rays[0])
-        self.supports = []
-        self.inverses = np.empty((0, self.dim, self.dim), dtype=F.dtype)
 
     def decide(self, v: Sequence) -> Optional[list]:
-        """The coefficients over the rays from the first stored basis B with
-        B^-1 v >= -eps, if they pass `geometry.replay_conic` on the basis's
-        rays (the other coefficients are zero); else None."""
-        if not self.supports:
-            return None
+        """The coefficients over the rays from the first stored basis feasible
+        for v, if they pass `geometry.replay_conic`; else None."""
         F = self.F
-        X = self.inverses @ np.array(v, dtype=F.dtype)
-        feasible = np.flatnonzero((X >= -F.eps).all(axis=1))
-        if not feasible.size:
+        hit = self.basis(*cleared(F, v))
+        if hit is None:
             return None
-        support, x = self.supports[feasible[0]], X[feasible[0]].tolist()
+        support, x = hit
         res = geometry.ConicResult(geometry.INSIDE, coefficients=tuple(x))
         if not geometry.replay_conic(res, v, [self.rays[j] for j in support], F.tol):
             return None
-        coefficients = [F.zero] * len(self.rays)
-        for j, c in zip(support, x):
-            coefficients[j] = c
-        return coefficients
+        placed = dict(zip(support, x))
+        return [placed.get(j, F.zero) for j in range(len(self.rays))]
 
     def add(self, coefficients: Sequence):
         """Store the support of an LP answer with exactly dim positive
-        coefficients, unless it is stored already or its rays are singular."""
-        F, d = self.F, self.dim
+        coefficients, if it is new, there is room and its rays are regular."""
+        F, d = self.F, len(self.rays[0])
         support = tuple(j for j, c in enumerate(coefficients) if c > F.eps)
-        if len(support) != d or support in self.supports:
+        if len(support) != d or support in self.bases or len(self.bases) >= self.cap:
             return
         inverse = geometry.inverse([[self.rays[j][i] for j in support] for i in range(d)],
                                    F.tol, F.mode)
         if inverse is not None:
-            self.supports.append(support)
-            self.inverses = np.concatenate(
-                [self.inverses, np.array([inverse], dtype=F.dtype)])
-
-
-_BASES = {}  # (space, rays mode, field mode, tol) -> _Bases
+            if F.mode != FLOAT:  # rows of integers over a denominator, as lp keeps them
+                inverse = [integer_row(row) for row in inverse]
+            self.keep_basis(support, inverse, [True] * d)
 
 
 def _cache_clear():
     _dual_cone_rays.cache_clear()
-    for store in dual_cone_rays.stores:
-        store.clear()
+    lp.answers.cache_clear()
 
 
 dual_cone_rays.cache_info = _dual_cone_rays.cache_info
 dual_cone_rays.cache_clear = _cache_clear
-dual_cone_rays.stores = [_BASES]  # each emptied by cache_clear()
 
 
 def is_indecomposable(effect: Effect, space,

@@ -8,8 +8,9 @@ from gptsim.spaces import dual_cone_rays
 
 @pytest.fixture(autouse=True)
 def empty_stores():
-    """Each test starts from empty ray caches and answer stores (the
-    refinement bases and the simulation-set store), so no test's outcome
+    """Each test starts from empty ray caches and answer stores (every
+    `lp.Answers` in the registry `lp.answers`: the refinement bases, the
+    simulation-set and the compatibility stores), so no test's outcome
     depends on the tests that ran before it."""
     dual_cone_rays.cache_clear()
 

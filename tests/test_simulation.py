@@ -982,6 +982,14 @@ def _store_cases(name):
             for k in range(24 * len(sets))]
 
 
+def _stores(kind):
+    """The answer stores of one kind ("refinement", "simulation" or
+    "compatibility") by key, least recently used first."""
+    from gptsim import lp
+
+    return {key: store for key, store in lp._ANSWERS.items() if key[0] == kind}
+
+
 @pytest.mark.parametrize("name", ["square", "classical3", "polygon5", "polygon6",
                                   "polygon7", "polygon8"])
 def test_warm_store_verdicts_equal_cold_ones(name):
@@ -1037,14 +1045,14 @@ def test_warm_store_still_rejects_other_effect_sums(sq):
 def test_store_never_returns_a_corrupted_inverse():
     # every stored float inverse is scaled by 1.01: a scheme read from it
     # has total weight 1.01, fails the full layout, and the LP decides instead
-    from gptsim import lp, simulation
+    from gptsim import lp
 
     cases = [(target, sims) for target, sims in _store_cases("polygon6") if len(sims) > 1]
     lp.reset_stats()
     for target, sims in cases:
         assert is_simulable(target, sims).simulable
     assert lp.stats["solves"] < len(cases)
-    for answers in simulation._SETS.values():
+    for answers in _stores("simulation").values():
         if answers.pending is not None:  # the last solve's answer, kept on the next decision
             answers.pending()
             answers.pending = None
@@ -1095,25 +1103,26 @@ def test_store_never_keeps_a_corrupted_refutation(sq, mode, monkeypatch):
 def test_store_stays_at_its_caps(sq):
     # more distinct simulation sets than the cap: the least recently used
     # leave; many targets over one set: at most the cap of each kind of answer
-    from gptsim import simulation
+    from gptsim import lp
 
     rng = random.Random(12)
-    others = [random_observable(sq.space, rng, 2) for _ in range(simulation._SET_CAP + 10)]
+    others = [random_observable(sq.space, rng, 2) for _ in range(lp._KEYS + 10)]
     target = random_observable(sq.space, rng, 2)
     for other in others:
         is_simulable(target, [other])
-        assert len(simulation._SETS) <= simulation._SET_CAP
-    assert len(simulation._SETS) == simulation._SET_CAP
-    kept = list(simulation._SETS.values())[-3:]
+        assert len(_stores("simulation")) <= lp._KEYS
+    assert len(_stores("simulation")) == lp._KEYS
+    kept = list(_stores("simulation").values())[-3:]
     for other in others[-3:]:  # the most recent sets are kept
         is_simulable(target, [other])
-    assert list(simulation._SETS.values())[-3:] == kept
+    assert list(_stores("simulation").values())[-3:] == kept
     targets = [random_observable(sq.space, rng, 3) for _ in range(200)]
     for sims in ([sq.E], [sq.E, sq.F], [random_observable(sq.space, rng, 3)]):
         for target in targets:
             is_simulable(target, sims)
-    counts = [(len(a.farkas), len(a.bases)) for a in simulation._SETS.values()]
-    assert max(max(c) for c in counts) == simulation._ANSWER_CAP
+    stores = _stores("simulation").values()
+    counts = [(len(a.refutations), len(a.bases)) for a in stores]
+    assert max(max(c) for c in counts) == max(a.cap for a in stores) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -1263,18 +1272,18 @@ def _triples(count, seed, lo, hi):
 
 
 def test_joint_store_decides_a_rotated_triple_and_cache_clear_empties_it():
-    from gptsim import lp, simulation
+    from gptsim import lp
     from gptsim.spaces import dual_cone_rays
 
     first, second = _triples(2, 3, 0.5, 0.5)
     lp.reset_stats()
     assert _bracket(first).compatible
     solves = lp.stats["solves"]
-    assert solves >= 1 and simulation._JOINTS
+    assert solves >= 1 and _stores("compatibility")
     assert _bracket(second).compatible  # the same triple in another frame
     assert lp.stats["solves"] == solves
     dual_cone_rays.cache_clear()
-    assert not simulation._JOINTS
+    assert not _stores("compatibility")
     assert _bracket(second).compatible
     assert lp.stats["solves"] > solves
 
@@ -1291,34 +1300,32 @@ def _decided_by_solves(cases):
     return solved
 
 
-def test_joint_store_never_returns_a_corrupted_inverse(monkeypatch):
+def test_joint_store_never_returns_a_corrupted_inverse():
     # every stored inverse is scaled by 1.01: a joint read from it sums to
     # 1.01 u, fails the replay, and the LP decides instead
-    from gptsim import simulation
     from gptsim.simulation import replay_compatibility
 
     cases = _triples(40, 21, 0.45, 0.55)
     assert not all(solved for _, solved in _decided_by_solves(cases))  # the store decided some
-    for answers in simulation._JOINTS.values():
+    for answers in _stores("compatibility").values():
         answers.inverses = answers.inverses * 1.01
-    monkeypatch.setattr(simulation, "_JOINT_CAP", 0)  # no new answer joins the store
+        answers.cap = 0  # no new answer joins the store
     for (res, solved), targets in zip(_decided_by_solves(cases), cases):
         assert solved and res.compatible
         assert replay_compatibility(res, [t.as_float() for t in targets])
 
 
-def test_joint_store_never_returns_a_lowered_refutation(monkeypatch):
+def test_joint_store_never_returns_a_lowered_refutation():
     # every stored bound P(y) is lowered by 10, so each stored y passes the
     # store's test for every target; a compatible target's answer then fails
     # the replay, and the LP decides instead
-    from gptsim import simulation
     from gptsim.simulation import replay_compatibility
 
     refuted = _triples(12, 22, 0.6, 0.7)
     assert all(not res.compatible for res, _ in _decided_by_solves(refuted))
-    for answers in simulation._JOINTS.values():
+    for answers in _stores("compatibility").values():
         answers.limits = answers.limits - 10
-    monkeypatch.setattr(simulation, "_JOINT_CAP", 0)
+        answers.cap = 0
     compatible = _triples(12, 23, 0.45, 0.55)
     for (res, solved), targets in zip(_decided_by_solves(compatible), compatible):
         assert solved and res.compatible
@@ -1328,16 +1335,18 @@ def test_joint_store_never_returns_a_lowered_refutation(monkeypatch):
 def test_joint_store_stays_at_its_caps(monkeypatch):
     # many decisions over one layout: at most the cap of each kind of answer;
     # more layouts than the key cap: the least recently used leave
-    from gptsim import simulation
+    from gptsim import lp
     from gptsim.qubit import QubitEffect, dichotomic
 
-    monkeypatch.setattr(simulation, "_JOINT_CAP", 3)
-    monkeypatch.setattr(simulation, "_SET_CAP", 3)
+    monkeypatch.setattr(lp, "_KEYS", 3)
     # longest first: a triple's refutation need not refute a shorter one
-    for targets in _triples(30, 24, 0.45, 0.54) + _triples(30, 25, 0.75, 0.58):
+    triples = _triples(30, 24, 0.45, 0.54) + _triples(30, 25, 0.75, 0.58)
+    _bracket(triples[0])
+    (answers,) = _stores("compatibility").values()
+    answers.cap = 3
+    for targets in triples[1:]:
         _bracket(targets)
-    (answers,) = simulation._JOINTS.values()
-    assert len(answers.owners) == len(answers.inverses) == 3
+    assert len(answers.bases) == len(answers.inverses) == 3
     assert len(answers.refuting) == len(answers.limits) == 3
     rng = random.Random(26)
     for k in range(1, 6):  # one to five dichotomic targets: five layouts
@@ -1345,8 +1354,92 @@ def test_joint_store_stays_at_its_caps(monkeypatch):
                                                                for _ in range(3))))
                    for _ in range(k)]
         _bracket(targets)
-        assert len(simulation._JOINTS) <= 3
-    assert [len(key[2]) for key in simulation._JOINTS] == [3, 4, 5]
+        assert len(_stores("compatibility")) <= 3
+    assert [len(key[3]) for key in _stores("compatibility")] == [3, 4, 5]
+
+
+# ---------------------------------------------------------------------------
+# One registry and one deferral policy for every answer store.
+# ---------------------------------------------------------------------------
+
+def _three_ray_effect(space, seed):
+    """A seeded effect that refines onto exactly dim rays: its LP answer
+    stores a basis."""
+    rng = random.Random(seed)
+    while True:
+        for effect in random_observable(space, rng).effects:
+            if len(space.refine(effect)) == space.ambient_dim:
+                return effect
+
+
+def test_registry_bounds_refinement_bases_too(pentagon, sq):
+    # the refinement bases share the registry's keys: a refinement key read
+    # again within the last lp._KEYS keys stays, and one that more distinct
+    # simulation sets push out leaves, so its next refinement solves again
+    from gptsim import lp
+    from gptsim.spaces import dual_cone_rays
+
+    space = pentagon.space
+    effect = _three_ray_effect(space, 13)
+    dual_cone_rays.cache_clear()
+    rng = random.Random(14)
+    target = random_observable(sq.space, rng, 2)
+    others = iter([random_observable(sq.space, rng, 2) for _ in range(lp._KEYS + 80)])
+
+    def refine_solves():
+        before = lp.stats["solves"]
+        space.refine(effect)
+        return lp.stats["solves"] - before
+
+    def decide_sets(count):
+        for other in itertools.islice(others, count):
+            is_simulable(target, [other])
+
+    assert refine_solves() == 1
+    decide_sets(40)
+    assert refine_solves() == 0  # read again: now the most recently used
+    decide_sets(40)  # 80 sets since the first refinement, 40 since the last
+    assert refine_solves() == 0
+    assert len(lp._ANSWERS) == lp._KEYS
+    decide_sets(lp._KEYS)
+    assert not _stores("refinement")
+    assert refine_solves() == 1
+
+
+def _decide_twice(kind, sq):
+    """One decision of the given kind that solves an LP, then a
+    `decide()` that repeats it."""
+    if kind == "refinement":
+        space = polygon(5).space
+        effect = _three_ray_effect(space, 13)
+        return lambda: space.refine(effect)
+    if kind == "simulation":
+        target = random_observable(sq.space, random.Random(3), 3)
+        return lambda: is_simulable(target, [sq.E, sq.F])
+    targets = _triples(1, 3, 0.5, 0.5)[0]
+    return lambda: _bracket(targets)
+
+
+@pytest.mark.parametrize("kind", ["refinement", "simulation", "compatibility"])
+def test_every_store_defers_an_answer_until_its_key_is_read_again(kind, sq):
+    # one deferral policy: after one decision its key holds the answer in
+    # `pending` and nothing stacked; the next read stacks it before it scans,
+    # so the repeat is decided from the store
+    from gptsim import lp
+    from gptsim.spaces import dual_cone_rays
+
+    decide = _decide_twice(kind, sq)
+    dual_cone_rays.cache_clear()
+    lp.reset_stats()
+    decide()
+    assert lp.stats["solves"] >= 1
+    (store,) = _stores(kind).values()
+    assert store.pending is not None
+    assert store.inverses is store.refuting is None and not (store.bases or store.refutations)
+    solves = lp.stats["solves"]
+    decide()
+    assert lp.stats["solves"] == solves
+    assert store.pending is None and (store.bases or store.refutations)
 
 
 def test_replay_compatibility_rejects_tampered_answers(sq):

@@ -340,6 +340,24 @@ def test_cache_clear_empties_the_stored_bases(pentagon):
     assert lp.stats["solves"] == 2
 
 
+def test_refinement_store_stays_at_its_cap():
+    # a refinement key keeps at most its cap of supports, the first ones stored
+    space = polygon(8).space
+    effects = _seeded_effects(space, 10)
+    dual_cone_rays.cache_clear()
+    space.refine(effects[0])
+    (store,) = [store for key, store in lp._ANSWERS.items() if key[0] == "refinement"]
+    assert store.cap == 64
+    store.cap = 2
+    for effect in effects:
+        space.refine(effect)
+    assert len(store.bases) == len(set(store.bases)) == len(store.inverses) == 2
+    kept = list(store.bases)
+    for effect in _seeded_effects(space, 11):
+        space.refine(effect)
+    assert store.bases == kept
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_effect_outside_the_cone_is_not_extremal(sq, mode):
     # (1, 0, -1) vanishes on two adjacent extreme states of the square bit,
