@@ -15,10 +15,9 @@ rational embeddings and exact certificates.
 The irreducible triples are the ray triples whose cone holds u strictly
 inside. Since u = (0, 0, 1), Cramer's rule for [r_i r_j r_k] c = u has the
 planar determinants D[a, b] = x_a y_b - y_a x_b of the rays as its
-numerators, so one n x n table D prices every triple. The enumeration keeps
-the triples whose Cramer values exceed eps less a fixed slack, wider than
-any Cramer-LU difference over the supported n, and runs the LU tests on
-those candidates only.
+numerators, so one n x n table D prices every triple. A triple is a member
+when its Cramer determinant and coefficients exceed eps, and LU solves the
+members alone for the coefficients that the catalog keeps.
 """
 
 from __future__ import annotations
@@ -215,36 +214,25 @@ class IrreducibleCatalog:
 
 MAX_POLYGON_N = 40
 
-# How far below eps Cramer's determinant and coefficients may fall and the
-# triple still be factored: 18 times the largest Cramer-LU difference over
-# the supported n (5.6e-12, on a coefficient of about 160).
-CRAMER_SLACK = 1e-10
-
 
 def polygon_irreducibles(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> IrreducibleCatalog:
     """Enumerate the simulation-irreducible observables of the n-gon.
 
     Members are the antipodal dichotomic pairs (even n) and, one per
     unordered index triple i < j < k in lexicographic order, the ray triples
-    whose coefficients c solving [r_i r_j r_k] c = u are strictly positive:
-    |det| > eps and every c > eps by LU (`np.linalg.det`, `np.linalg.solve`),
+    whose coefficients c solving [r_i r_j r_k] c = u are strictly positive,
     and for even n the coefficient sum must be two, as the plane geometry
     forces. For odd n the rays are the g family.
 
-    Only candidate triples are factored. With r = (x, y, z) and u = (0, 0, 1),
-    Cramer's rule puts the 2x2 minors of the top two rows in the numerators:
-    c = (D[j, k], D[k, i], D[i, j]) / det with D[a, b] = x_a y_b - y_a x_b and
-    det = z_i D[j, k] + z_j D[k, i] + z_k D[i, j]. So one n x n table D,
-    built from two outer products, gives every triple's det and c (no triple
-    of a supported n is singular: |det| >= 4.8e-4). A triple is a candidate
-    when Cramer's |det| and every Cramer c exceed eps - CRAMER_SLACK.
-    Cramer's values and LU's are fixed by the rays alone, not by eps, and
-    for every triple of every supported n they differ by at most 5.6e-12
-    (`test_cramer_values_stay_within_the_slack_of_lu` checks all of them);
-    so a triple that passes the LU tests at any eps passes the candidate
-    test, and the LU tests on the candidates accept exactly the triples,
-    with exactly the coefficients, that they accept over all C(n, 3)
-    triples (2280 of 9880 at n = 40 and the default eps).
+    With r = (x, y, z) and u = (0, 0, 1), Cramer's rule puts the 2x2 minors
+    of the top two rows in the numerators: c = (D[j, k], D[k, i], D[i, j]) /
+    det with D[a, b] = x_a y_b - y_a x_b and det = z_i D[j, k] + z_j D[k, i]
+    + z_k D[i, j]. So one n x n table D, built from two outer products,
+    gives every triple's det and c (no triple of a supported n is singular:
+    |det| >= 4.8e-4), and a triple is a member when Cramer's |det| and
+    every Cramer c exceed eps. LU (`np.linalg.solve`) then factors the
+    members alone, 2280 of the 9880 triples at n = 40 and the default eps,
+    and its c are the coefficients kept.
     """
     if not 3 <= n <= MAX_POLYGON_N:
         raise ValueError(f"polygon enumeration supports 3 <= n <= {MAX_POLYGON_N}")
@@ -263,15 +251,10 @@ def polygon_irreducibles(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> Irreduci
     i, j, k = np.nonzero(below[:, :, None] & below[None])  # i < j < k, lexicographic
     numerators = np.stack((minors[j, k], minors[k, i], minors[i, j]))
     dets = z[i] * numerators[0] + z[j] * numerators[1] + z[k] * numerators[2]
-    floor = eps - CRAMER_SLACK
-    candidate = (np.abs(dets) > floor) & np.all(numerators / dets > floor, axis=0)
-    combos = np.stack((i[candidate], j[candidate], k[candidate]), axis=1)
+    member = (np.abs(dets) > eps) & np.all(numerators / dets > eps, axis=0)
+    combos = np.stack((i[member], j[member], k[member]), axis=1)
     mats = ray_array[combos].transpose(0, 2, 1)  # the rays are columns
-    nonsingular = np.abs(np.linalg.det(mats)) > eps
-    combos, mats = combos[nonsingular], mats[nonsingular]
     coeffs = np.linalg.solve(mats, np.broadcast_to(unit, (len(mats), 3))[..., None])[..., 0]
-    positive = np.all(coeffs > eps, axis=1)
-    combos, coeffs = combos[positive], coeffs[positive]
     if theory.even:
         totals = coeffs.sum(axis=1)
         off = np.flatnonzero(np.abs(totals - 2.0) > 1e-7)

@@ -11,6 +11,7 @@ pass its own replay.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -67,22 +68,6 @@ def null_space_vector(vectors: Sequence[Sequence], tol: Tolerance = DEFAULT_TOLE
     return _leading_positive(out)
 
 
-def inverse(matrix: Sequence[Sequence], tol: Tolerance = DEFAULT_TOLERANCE,
-            mode: Optional[str] = None):
-    """The inverse of a square matrix as a tuple of rows, or None when it is
-    singular (in float mode, when a pivot is at most eps times the largest
-    entry). Full elimination of [matrix | I] in the field."""
-    rows = [tuple(r) for r in matrix]
-    n = len(rows)
-    F = field(mode or infer_mode(x for r in rows for x in r), tol)
-    extended = [(*r, *(F.one if j == i else F.zero for j in range(n)))
-                for i, r in enumerate(rows)]
-    reduced, pivots = _eliminate(extended, F, reduce_above=True)
-    if len(pivots) != n or pivots[-1][1] != n - 1:
-        return None
-    return tuple(tuple(x / reduced[i][i] for x in reduced[i][n:]) for i in range(n))
-
-
 def _leading_positive(vector) -> tuple:
     """The vector, negated if its first nonzero entry is negative."""
     lead = next((x for x in vector if x != 0), 0)
@@ -126,11 +111,18 @@ def _eliminate(vectors, F, reduce_above):
 
 @dataclass(frozen=True)
 class ConicResult:
-    """Conic decomposition of a vector over given rays, or a refutation."""
+    """Conic decomposition of a vector over given rays, or a refutation.
+
+    An inside verdict from `conic_decompose` also carries the final basis
+    and B^-1 of the LP whose solution the coefficients are (`LPOutcome`'s
+    `basis` and `inverse`, ray indices as columns); neither field is part of
+    the repr or equality."""
 
     verdict: str  # inside | outside
     coefficients: Optional[tuple] = None
     functional: Optional[tuple] = None
+    basis: Optional[tuple] = dataclasses.field(default=None, repr=False, compare=False)
+    inverse: Optional[object] = dataclasses.field(default=None, repr=False, compare=False)
 
     @property
     def inside(self) -> bool:
@@ -170,7 +162,7 @@ def conic_decompose(v: Sequence, rays: Sequence[Sequence],
         k = next((j for j, d in enumerate(out.ray) if d > F.eps), 0)
         if not F.is_zero(out.solution[k:]):
             out = lp_solve(make_program(rows=rows, rhs=v), mode=F.mode, tol=tol)
-    return ConicResult(INSIDE, coefficients=out.solution)
+    return ConicResult(INSIDE, coefficients=out.solution, basis=out.basis, inverse=out.inverse)
 
 
 def replay_conic(result: ConicResult, v: Sequence, rays: Sequence[Sequence],
@@ -261,13 +253,14 @@ def extreme_rays(inequalities: Sequence[Sequence],
 
 
 def canonical_ray(ray: Sequence, mode: str, tol: Tolerance = DEFAULT_TOLERANCE):
-    """Scale a ray to its canonical representative."""
+    """Scale a ray to its canonical representative, in the numbers of the
+    mode (an integer ray's entries become Fractions in exact mode)."""
     ray = tuple(ray)
     F = field(mode, tol)
-    last = ray[-1]
+    last = F.coerce(ray[-1])
     if abs(last) > F.eps:
         return tuple(x / last for x in ray)
     root = F.sqrt(sum(x * x for x in ray))
     if root is None:  # irrational norm in exact mode: the largest entry becomes 1
-        root = abs(max(ray, key=abs))
+        root = F.coerce(abs(max(ray, key=abs)))
     return _leading_positive([x / root for x in ray])

@@ -417,7 +417,7 @@ def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
         basis.insert(i, n + i)
     return LPOutcome(UNBOUNDED if ray else FEASIBLE, F.mode, solution=sol,
                      objective_value=value, ray=ray, pivots=pivots,
-                     basis=tuple(basis), inverse=tab.inverse(flips))
+                     basis=tuple(basis), inverse=tab.basis_inverse(flips))
 
 
 def _initial_basis(program: LinearProgram) -> list:
@@ -648,7 +648,7 @@ class _IntTableau:
     def value(self, i, col=-1):  # by default the basic value of row i
         return Fraction(self.T[i][col], self.D[i])
 
-    def inverse(self, flips):
+    def basis_inverse(self, flips):
         """B^-1 as (numerators, denominator) per program row: the row's
         artificial columns over its denominator, negated in the columns of
         flipped rows; a dropped row's as `drop` read them."""
@@ -823,7 +823,7 @@ class _FloatRevised:
     def value(self, i, col=-1):  # by default the basic value of row i
         return float(self.R[i, -1] if col < 0 else self.column(col)[i])
 
-    def inverse(self, flips):
+    def basis_inverse(self, flips):
         """B^-1, one row per program row, the flips undone: R's inverse in
         the rows and columns of the rows kept, and a dropped row's row as
         `drop` read it. Column i of a dropped row is zero in every other row."""

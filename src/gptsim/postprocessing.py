@@ -11,7 +11,8 @@ the witnessing channel, or a Farkas refutation of the simulation program.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Sequence
 
 from .scalars import (
@@ -128,28 +129,36 @@ def are_equivalent(a: Observable, b: Observable,
             and is_postprocessing_of(a, b, tol).simulable)
 
 
-def _proportionality_groups(obs: Observable, tol: Tolerance):
-    """Group outcome indices of nonzero effects by their ray direction."""
+def _proportionality_groups(obs: Observable, tol: Tolerance) -> list:
+    """Outcome indices of the nonzero effects grouped by ray, in order of
+    first appearance: by the key (`F.key`) of the canonical ray
+    (`geometry.canonical_ray`), as `simulation.decompose_to_irreducibles`
+    groups its parts."""
     F = field(obs.mode, tol)
-    zero_idx, groups = [], []
+    groups = {}
     for i, eff in enumerate(obs.effects):
-        if F.is_zero(eff.coeffs):
-            zero_idx.append(i)
-            continue
-        placed = False
-        for grp in groups:
-            rep = obs.effects[grp[0]].coeffs
-            if geometry.rank([rep, eff.coeffs], tol=tol, mode=F.mode) == 1:
-                grp.append(i)
-                placed = True
-                break
-        if not placed:
-            groups.append([i])
-    return zero_idx, groups
+        if not F.is_zero(eff.coeffs):
+            key = F.key(geometry.canonical_ray(eff.coeffs, F.mode, tol))
+            groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _merged(obs: Observable, tol: Tolerance) -> tuple:
+    """(merged, groups): each group of proportional effects summed under its
+    smallest label, sorted by label, with the (label, effect, indices) of
+    each group in that order."""
+    groups = []
+    for grp in _proportionality_groups(obs, tol):
+        coeffs = reduce(lambda a, b: tuple(map(add, a, b)), (obs.effects[i].coeffs for i in grp))
+        groups.append((min(obs.labels[i] for i in grp), Effect(coeffs), grp))
+    groups.sort(key=lambda t: t[0])
+    return Observable(tuple((lab, eff) for lab, eff, _ in groups), obs.space), groups
 
 
 def minimally_sufficient(obs: Observable, tol: Tolerance = DEFAULT_TOLERANCE) -> Observable:
-    return minimally_sufficient_with_channels(obs, tol)[0]
+    """The merged observable of `minimally_sufficient_with_channels`,
+    without its channels."""
+    return _merged(obs, tol)[0]
 
 
 def minimally_sufficient_with_channels(obs: Observable,
@@ -163,43 +172,18 @@ def minimally_sufficient_with_channels(obs: Observable,
     smallest label; the result is sorted by label.
     """
     F = field(obs.mode, tol)
-    zero_idx, groups = _proportionality_groups(obs, tol)
-    reps = []
-    for grp in groups:
-        label = min(obs.labels[i] for i in grp)
-        coeffs = obs.effects[grp[0]].coeffs
-        for i in grp[1:]:
-            coeffs = tuple(a + b for a, b in zip(coeffs, obs.effects[i].coeffs))
-        reps.append((label, Effect(coeffs), grp))
-    reps.sort(key=lambda t: t[0])
-    merged = Observable(tuple((lab, eff) for lab, eff, _ in reps), obs.space)
-
-    target = merged.labels
-    fwd_rows = []
-    for i, lab in enumerate(obs.labels):
-        dest = None
-        for rlab, _, grp in reps:
-            if i in grp:
-                dest = rlab
-                break
-        if dest is None:
-            dest = reps[0][0] if reps else lab  # zero effect, routed anywhere
-        fwd_rows.append(tuple(F.one if t == dest else F.zero for t in target))
-    forward = Postprocessing(obs.labels, target, tuple(fwd_rows))
-
+    merged, groups = _merged(obs, tol)
+    target, n = merged.labels, obs.n_outcomes
+    to = {i: lab for lab, _, grp in groups for i in grp}  # a zero effect goes to target[0]
+    forward = Postprocessing(obs.labels, target, tuple(
+        tuple(F.one if t == to.get(i, target[0]) else F.zero for t in target) for i in range(n)))
     back_rows = []
-    for rlab, eff, grp in reps:
+    for _, eff, grp in groups:
         total = eff.coeffs
         j = max(range(len(total)), key=lambda k: abs(total[k]))
-        row = []
-        for i, lab in enumerate(obs.labels):
-            if i in grp:
-                row.append(obs.effects[i].coeffs[j] / total[j])
-            else:
-                row.append(F.zero)
-        back_rows.append(tuple(row))
-    backward = Postprocessing(target, obs.labels, tuple(back_rows))
-    return merged, forward, backward
+        back_rows.append(tuple(obs.effects[i].coeffs[j] / total[j] if i in grp else F.zero
+                               for i in range(n)))
+    return merged, forward, Postprocessing(target, obs.labels, tuple(back_rows))
 
 
 def is_postprocessing_clean(obs: Observable, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:

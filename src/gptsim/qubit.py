@@ -61,7 +61,10 @@ class QubitSpace:
 
     @staticmethod
     def _spectrum(effect: Effect, tol: Tolerance):
-        """The field of the effect, tau, the Bloch part and its norm."""
+        """The field of the effect, tau, the Bloch part and its norm; an
+        effect of another dimension than 4 raises ValueError."""
+        if len(effect.coeffs) != 4:
+            raise ValueError(f"dimension mismatch {len(effect.coeffs)} vs 4")
         *bloch, tau = effect.coeffs
         F = resolve((kind_of(effect.coeffs),), tol)
         return F, tau, bloch, F.sqrt(sum(x * x for x in bloch))

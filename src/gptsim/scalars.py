@@ -26,11 +26,12 @@ also fills the program's cleared rows), the effect-sum guard
 float-only test of a float answer on the rows its program leaves out
 (`_matches_target` in `simulation.is_simulable`) and of a scheme read from
 the simulation-set store on every row, the float or integer B^-1 that every
-answer store keeps and the basic values it reads from it (`lp.Answers`:
-Fractions over each basis row's denominator in exact mode), the integer
-products of an exact effect with a polytope's extreme states against the
-float array of them
-(`spaces.StateSpace.min_value`, `is_extremal`),
+answer store keeps as its LP left it (`LPOutcome.inverse`, so no store
+clears or inverts a basis of its own) and the basic values it reads from it
+(`lp.Answers`: Fractions over each basis row's denominator in exact mode),
+the integer products of an exact effect with a polytope's extreme states
+against the float array of them (`spaces.StateSpace.min_value`,
+`is_extremal`),
 `serialize.decode_number` and the command line's `--mode`. The one clearing
 of numbers to integers lives here: `integer_row` (rationals over their
 least common denominator), and `scaled` and `cleared` (a field's numbers

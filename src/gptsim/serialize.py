@@ -83,11 +83,12 @@ def decode_number(x, mode: str):
     if isinstance(x, float) and not math.isfinite(x):
         raise ModeError(f"{x!r} is not a finite number")
     if mode == EXACT:
-        if isinstance(x, int):
+        if isinstance(x, float):
+            raise ModeError(f"float literal {x!r} in an exact-mode file")
+        try:
             return Fraction(x)
-        if isinstance(x, str):
-            return Fraction(x)
-        raise ModeError(f"float literal {x!r} in an exact-mode file")
+        except ZeroDivisionError:
+            raise ModeError(f"{x!r} has a zero denominator") from None
     if isinstance(x, (int, float)):
         try:
             return float(x)

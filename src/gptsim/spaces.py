@@ -129,11 +129,11 @@ class StateSpace:
         A non-extremal effect is first tried on the bases that earlier
         refinements over the same rays ended on (`_Bases`); otherwise
         `geometry.conic_decompose` solves its LP, and an answer with exactly
-        dim positive coefficients stores its support. Such an answer is a
-        nondegenerate vertex, whose basis is optimal for the tie-broken
-        objective c_0 + d c_1 + d^2 c_2 + ... at every small d > 0 whatever
-        the effect, so exact mode returns the LP's own Fractions, and float
-        mode agrees with the LP within rounding.
+        dim positive coefficients stores the LP's basis with its B^-1. Such
+        an answer is a nondegenerate vertex, whose basis is optimal for the
+        tie-broken objective c_0 + d c_1 + d^2 c_2 + ... at every small
+        d > 0 whatever the effect, so exact mode returns the LP's own
+        Fractions, and float mode agrees with the LP within rounding.
         """
         F = resolve((self.kind, kind_of(effect.coeffs)), tol)
         if F.is_zero(effect.coeffs):
@@ -148,7 +148,7 @@ class StateSpace:
             if not res.inside:
                 raise ValueError("effect lies outside the positive dual cone")
             coefficients = res.coefficients
-            store.pending = partial(store.add, coefficients)
+            store.pending = partial(store.add, res)
         return [Effect(vscale(c, r)) for c, r in zip(coefficients, rays) if c > F.eps]
 
     @cached_property
@@ -170,7 +170,8 @@ class StateSpace:
         """The least value of the effect over the extreme states. With no
         float on either side, the effect cleared to integers E over L and the
         states to S over D give it as the one Fraction min_S (E . S) / (L D);
-        otherwise, or when the dimensions differ, it is min effect(s)."""
+        otherwise it is min effect(s). An effect of another dimension than
+        the space raises ValueError."""
         if self.kind != FLOAT and effect.dim == self.ambient_dim:
             try:
                 E, L = integer_row(effect.coeffs)
@@ -441,9 +442,10 @@ def _dual_cone_rays(space: StateSpace, mode: str, tol: Tolerance) -> tuple:
 class _Bases(lp.Answers):
     """The lexicographically optimal bases of the refinements over one
     space's rays in one field F (`lp.Answers`, at most 64): a basis's
-    payload is its support (ray indices, one per dimension), its inverse
-    that of the support's rays. The rays are held in F's numbers, so that a
-    float effect on an integer space reads float ones."""
+    payload is the LP's final basis (ray indices, row i's basic ray at i)
+    and its B^-1 the one the LP ended on (`geometry.ConicResult.inverse`),
+    so no basis is inverted twice. The rays are held in F's numbers, so
+    that a float effect on an integer space reads float ones."""
 
     def __init__(self, rays: tuple, F):
         super().__init__(F, cap=64)
@@ -463,19 +465,15 @@ class _Bases(lp.Answers):
         placed = dict(zip(support, x))
         return [placed.get(j, F.zero) for j in range(len(self.rays))]
 
-    def add(self, coefficients: Sequence):
-        """Store the support of an LP answer with exactly dim positive
-        coefficients, if it is new, there is room and its rays are regular."""
-        F, d = self.F, len(self.rays[0])
-        support = tuple(j for j, c in enumerate(coefficients) if c > F.eps)
-        if len(support) != d or support in self.bases or len(self.bases) >= self.cap:
+    def add(self, res: geometry.ConicResult):
+        """Store the LP's basis and B^-1 behind an answer with exactly dim
+        positive coefficients, if there is room and its support (the set of
+        its basic rays, in any row order) is new."""
+        d = len(self.rays[0])
+        if (sum(c > self.F.eps for c in res.coefficients) != d or len(self.bases) >= self.cap
+                or frozenset(res.basis) in map(frozenset, self.bases)):
             return
-        inverse = geometry.inverse([[self.rays[j][i] for j in support] for i in range(d)],
-                                   F.tol, F.mode)
-        if inverse is not None:
-            if F.mode != FLOAT:  # rows of integers over a denominator, as lp keeps them
-                inverse = [integer_row(row) for row in inverse]
-            self.keep_basis(support, inverse, [True] * d)
+        self.keep_basis(res.basis, res.inverse, [True] * d)
 
 
 def _cache_clear():

@@ -3,13 +3,19 @@
 These deliberately avoid the library's own computational paths: eigenvalues
 come from numpy on explicit 2x2 matrices, polytope noise content from a
 direct minimum over extreme states, simulability of dichotomic targets
-from a dense grid over mixing weights where that is tractable, and exact
-LP outcomes from a dense simplex tableau of plain Fractions.
+from a dense grid over mixing weights where that is tractable, exact
+LP outcomes from a dense simplex tableau of plain Fractions, and the
+minimally sufficient form from pairwise rank tests.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+from gptsim.geometry import rank
+from gptsim.postprocessing import Postprocessing
+from gptsim.scalars import DEFAULT_TOLERANCE, field
+from gptsim.spaces import Effect, Observable
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -180,3 +186,46 @@ def fraction_simplex(program, stall_limit):
     if ray is None and program.objective is not None:
         value = sum(Fraction(c) * x for c, x in zip(program.objective, solution))
     return ("unbounded" if ray else "feasible", tuple(solution), None, ray, value, pivots)
+
+
+def minimally_sufficient_pairwise(obs, tol=DEFAULT_TOLERANCE):
+    """(merged, forward, backward) of `minimally_sufficient_with_channels`,
+    with the nonzero effects grouped pairwise: each joins the first group
+    whose first effect has rank one with it (`geometry.rank`), up to n^2 / 2
+    eliminations. The one intended difference from the library: in float
+    mode it groups by the eps grid cell (`Field.key`) of each effect's
+    canonical ray, as `simulation.decompose_to_irreducibles` already does,
+    where this takes a pivot above eps times the largest entry as rank two;
+    effects proportional up to rounding fall into one group either way."""
+    F = field(obs.mode, tol)
+    groups = []
+    for i, eff in enumerate(obs.effects):
+        if F.is_zero(eff.coeffs):
+            continue
+        for grp in groups:
+            if rank([obs.effects[grp[0]].coeffs, eff.coeffs], tol=tol, mode=F.mode) == 1:
+                grp.append(i)
+                break
+        else:
+            groups.append([i])
+    reps = []
+    for grp in groups:
+        coeffs = obs.effects[grp[0]].coeffs
+        for i in grp[1:]:
+            coeffs = tuple(a + b for a, b in zip(coeffs, obs.effects[i].coeffs))
+        reps.append((min(obs.labels[i] for i in grp), Effect(coeffs), grp))
+    reps.sort(key=lambda t: t[0])
+    merged = Observable(tuple((lab, eff) for lab, eff, _ in reps), obs.space)
+    target = merged.labels
+    fwd_rows = []
+    for i in range(obs.n_outcomes):
+        dest = next((lab for lab, _, grp in reps if i in grp), target[0])
+        fwd_rows.append(tuple(F.one if t == dest else F.zero for t in target))
+    back_rows = []
+    for _, eff, grp in reps:
+        total = eff.coeffs
+        j = max(range(len(total)), key=lambda k: abs(total[k]))
+        back_rows.append(tuple(obs.effects[i].coeffs[j] / total[j] if i in grp else F.zero
+                               for i in range(obs.n_outcomes)))
+    return (merged, Postprocessing(obs.labels, target, tuple(fwd_rows)),
+            Postprocessing(target, obs.labels, tuple(back_rows)))

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from gptsim.catalog import (
-    CRAMER_SLACK,
     MAX_POLYGON_N,
     classical,
     hexagon_explicit_certificate,
@@ -438,9 +437,11 @@ def test_polygon_enumeration_matches_one_triple_at_a_time(n):
 
 @pytest.mark.parametrize("n", range(3, MAX_POLYGON_N + 1))
 def test_cramer_values_stay_within_the_slack_of_lu(n):
-    # the candidate test of `polygon_irreducibles` is sound at every eps as
-    # long as Cramer's values sit within CRAMER_SLACK of LU's on every
-    # triple; the slack keeps a factor of ten over the difference
+    # `polygon_irreducibles` decides membership by Cramer's values and keeps
+    # LU's coefficients; the two agree on a triple unless eps lies within
+    # their difference of its values, which stays a factor of ten below a
+    # slack of 1e-10 on every triple (5.6e-12 at most)
+    slack = 1e-10
     theory = polygon(n)
     rays = np.array(theory.extreme_effects)
     triples = np.array(list(itertools.combinations(range(n), 3)))
@@ -452,28 +453,33 @@ def test_cramer_values_stay_within_the_slack_of_lu(n):
     i, j, k = triples.T
     numerators = np.stack((minors[j, k], minors[k, i], minors[i, j]), axis=1)
     cramer_dets = z[i] * numerators[:, 0] + z[j] * numerators[:, 1] + z[k] * numerators[:, 2]
-    assert np.abs(cramer_dets - dets).max() < CRAMER_SLACK / 10
-    assert np.abs(numerators / cramer_dets[:, None] - coeffs).max() < CRAMER_SLACK / 10
+    assert np.abs(cramer_dets - dets).max() < slack / 10
+    assert np.abs(numerators / cramer_dets[:, None] - coeffs).max() < slack / 10
 
 
 def test_polygon_enumeration_factors_only_the_members(monkeypatch):
-    # a deterministic work count: one LU stack of the members, not of all
-    # C(40, 3) = 9880 triples
-    stacks = {"det": [], "solve": []}
+    # a deterministic work count: Cramer's rule decides membership, so no
+    # determinant is taken, and one LU stack solves the members alone, not
+    # all C(40, 3) = 9880 triples
+    calls = {"det": [], "solve": []}
 
-    def counting(name):
+    def recording(name):
         factor = getattr(np.linalg, name)
 
-        def counted(a, *rest):
-            stacks[name].append(len(a))
+        def recorded(a, *rest):
+            calls[name].append(np.array(a))
             return factor(a, *rest)
-        return counted
+        return recorded
 
-    for name in stacks:
-        monkeypatch.setattr(np.linalg, name, counting(name))
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, recording(name))
     cat = polygon_irreducibles(40)
     assert cat.trichotomic_count == 2280
-    assert stacks == {"det": [2280], "solve": [2280]}
+    assert not calls["det"]
+    (solved,) = calls["solve"]
+    rays = np.array(cat.theory.extreme_effects)
+    members = np.array(cat.index_sets[cat.dichotomic_count:]) - 1
+    assert np.array_equal(solved, rays[members].transpose(0, 2, 1))
 
 
 def test_polygon_triple_members_sum_to_the_unit():

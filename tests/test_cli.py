@@ -111,6 +111,38 @@ def test_malformed_file_exit_2(capsys, tmp_path):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("where", ["space", "observable", "qubit", "certificate"])
+def test_zero_denominator_exit_2(capsys, tmp_path, where):
+    # a rational string over zero is an input error (exit 2) naming the
+    # value, not a ZeroDivisionError traceback (exit 1)
+    sq = square_bit()
+    args = _square_bit_check(tmp_path, sq.E, [sq.E, sq.F])
+    if where == "space":
+        doc = space_to_json(sq.space)
+        doc["extreme_states"][0][0] = "1/0"
+        path = tmp_path / "space.json"
+        args = ["space", "validate", str(path)]
+    elif where == "observable":
+        doc = observable_to_json(sq.E)
+        doc["outcomes"][0]["coeffs"][0] = "1/0"
+        path = tmp_path / "target.json"
+    elif where == "qubit":
+        doc = qubit_observable_to_json(qubit_suite().X)
+        doc["outcomes"][0]["e0"] = "1/0"
+        path = tmp_path / "qubit.json"
+        args = ["sim", "noise", "--target", str(path)]
+    else:
+        code, out, _ = run_cli(capsys, *args)
+        doc = payload(out)["certificate"]
+        doc["weights"][0] = "1/0"
+        path = tmp_path / "cert.json"
+        args += ["--verify", str(path)]
+    path.write_text(dump_json(doc))
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and not out
+    assert "input error: '1/0' has a zero denominator" in err
+
+
 def test_sim_check_ct08_not_simulable(capsys, ct08_file, xy_file):
     code, out, _ = run_cli(capsys, "sim", "check", "--target", ct08_file,
                            "--simulators", xy_file)

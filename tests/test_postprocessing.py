@@ -4,7 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from corpora import relation_corpus
+from gptsim.catalog import classical, polygon, qubit_suite, random_observable, square_bit
 from gptsim.geometry import rank
 from gptsim.postprocessing import (
     Postprocessing,
@@ -18,8 +21,10 @@ from gptsim.postprocessing import (
     minimally_sufficient_with_channels,
     replay_relation,
 )
+from gptsim.scalars import field, vscale
 from gptsim.simulation import SIMULABLE, SimulationCertificate
 from gptsim.spaces import Effect, observable, trivial_observable
+from oracles import minimally_sufficient_pairwise
 
 F = Fraction
 HALF = F(1, 2)
@@ -208,6 +213,56 @@ def test_minimally_sufficient_idempotent_and_smaller(sq, rng):
         assert hat.n_outcomes <= obs.n_outcomes
         assert minimally_sufficient(hat) == hat
         assert are_equivalent(obs, hat)
+
+
+def _split(obs, rng):
+    """obs with about half its effects split in two proportional parts and,
+    now and then, a zero effect inserted."""
+    F = field(obs.mode)
+    items = []
+    for lab, eff in obs.outcomes:
+        if rng.random() < 0.5:
+            w = F.coerce(rng.randint(1, 9)) / 10
+            items += [(lab + "a", vscale(w, eff.coeffs)), (lab + "b", vscale(1 - w, eff.coeffs))]
+        else:
+            items.append((lab, eff.coeffs))
+    if rng.random() < 0.3:
+        items.insert(rng.randrange(len(items) + 1), ("z", (F.zero,) * obs.dim))
+    return observable(obs.space, items)
+
+
+def _grouping_inputs(family):
+    rng = random.Random(f"grouping/{family}")
+    theories = {"square": square_bit, "classical3": lambda: classical(3),
+                **{f"polygon{n}": (lambda n=n: polygon(n)) for n in (5, 6, 7, 8)}}
+    if family in theories:
+        space = theories[family]().space
+        for _ in range(6):
+            obs = random_observable(space, rng)
+            yield from (obs, _split(obs, rng))
+    elif family == "qubit":
+        suite = qubit_suite()
+        for obs in (suite.X, suite.Y, suite.Z, suite.tetrahedron, suite.ct(0.8)):
+            yield from (obs, _split(obs, rng), _split(obs.as_float(), rng))
+    else:  # one effect split by the factors 10^k, k = -6..6
+        sq = square_bit()
+        obs = sq.E if family == "powers-exact" else sq.E.as_float()
+        (e, f), ten = obs.effects, field(obs.mode).coerce(10)
+        for k in range(-6, 7):
+            c = ten ** k
+            yield observable(obs.space, [("a", vscale(c / (1 + c), e.coeffs)),
+                                         ("b", vscale(1 / (1 + c), e.coeffs)), ("c", f.coeffs)])
+
+
+@pytest.mark.parametrize("family", ["square", "classical3", "polygon5", "polygon6", "polygon7",
+                                    "polygon8", "qubit", "powers-exact", "powers-float"])
+def test_minimally_sufficient_matches_the_pairwise_rank_grouping(family):
+    # grouping by the canonical ray's key gives the labels, effects and
+    # channels that pairwise rank tests give
+    for obs in _grouping_inputs(family):
+        expected = minimally_sufficient_pairwise(obs)
+        assert minimally_sufficient(obs) == expected[0]
+        assert minimally_sufficient_with_channels(obs) == expected
 
 
 def test_preorder_reflexive_transitive(sq, rng):

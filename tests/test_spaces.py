@@ -9,7 +9,9 @@ import pytest
 from gptsim import lp
 from gptsim.catalog import classical, polygon, random_observable, square_bit, tetrahedron_rational
 from gptsim.geometry import conic_decompose
+from gptsim.qubit import QubitSpace
 from gptsim.scalars import FLOAT, kind_of, vscale
+from gptsim.simulation import noise_content
 from gptsim.spaces import (
     Effect,
     Observable,
@@ -373,3 +375,51 @@ def test_effect_outside_the_cone_is_not_extremal(sq, mode):
     assert not is_indecomposable(effect, space)
     with pytest.raises(ValueError, match="outside the positive dual cone"):
         space.refine(effect)
+
+
+def test_refinement_store_holds_the_lps_own_bases(monkeypatch):
+    # each stored basis is the final basis of a conic LP, in its row order,
+    # with that LP's B^-1, and a support (its set of rays) is stored once,
+    # whatever order another LP's rows put it in
+    import gptsim.geometry as geometry
+
+    solved = set()
+
+    def recording(*args, **kwargs):
+        out = lp.lp_solve(*args, **kwargs)
+        solved.add(out.basis)
+        return out
+
+    monkeypatch.setattr(geometry, "lp_solve", recording)
+    dual_cone_rays.cache_clear()
+    for name, theory in REFINED_THEORIES.items():
+        space = theory().space
+        for seed in range(3):
+            for effect in _seeded_effects(space, f"{name}/{seed}"):
+                space.refine(effect)
+                space.as_float().refine(effect.as_float())
+    stored = [basis for key, store in lp._ANSWERS.items() if key[0] == "refinement"
+              for basis in store.bases]
+    assert len(stored) > 20
+    assert set(stored) <= solved
+    for key, store in lp._ANSWERS.items():
+        if key[0] == "refinement":
+            assert len({frozenset(b) for b in store.bases}) == len(store.bases)
+
+
+@pytest.mark.parametrize("space, coeffs", [
+    (square_bit().space, (HALF, 0, 0, HALF)),
+    (square_bit().space.as_float(), (0.5, 0.0, 0.0, 0.5)),
+    (QubitSpace(), (0.1, 0.2, 0.5)),
+    (QubitSpace(), (F(1, 10), F(1, 5), HALF)),
+], ids=["square-exact", "square-float", "qubit-float", "qubit-exact"])
+def test_effects_of_another_dimension_raise(space, coeffs):
+    # every cone method and the noise content built on `min_value` reject an
+    # effect whose dimension is not the space's, rather than read its
+    # coefficients as if it were
+    effect = Effect(coeffs)
+    for method in (space.is_extremal, space.refine, space.min_value):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            method(effect)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        noise_content(observable(space, [("a", coeffs), ("b", coeffs)]))
