@@ -61,6 +61,26 @@ elimination (`LPOutcome`), so that a caller can decide another right-hand
 side over the same rows without a solve: `Answers` keeps such bases and
 Farkas vectors per constraint matrix, in one registry (`answers`).
 
+A float program without an objective may also start from a given basis,
+one column per row with n + i for row i's artificial (`lp_solve`'s
+`start`), such as the `LPOutcome.basis` of another solve over the same
+rows that a store kept. With no cost every basis is dual feasible, so
+`_simplex` runs a dual phase from it instead of phase 1 (Koberstein 2005;
+Bixby 2002): `_FloatRevised.restart` inverts B once, and each pivot lets
+the row furthest out of feasibility leave, a basic value below -eps or a
+basic artificial at a level beyond eps either way (an artificial may only
+sit at zero), for the nonbasic structural column whose entry alpha_rj in
+that row, signed to move its value toward zero, is most negative below
+-eps. When no column qualifies, row r refutes
+the program: y = (row r of B^-1) / x_r, which is -(row r of B^-1) / |x_r|
+for a value below zero, has y'A <= 0 and y'b = 1 once the flips are
+undone. The dual phase makes at most `_DUAL_CAP` pivots per row. A
+singular B, the cap, or a Farkas vector that fails `verify_farkas`'s test
+sends the program to the cold two phases, the only fallback, with the
+pivots spent so far counted; a primal feasible basis goes on to the
+drive-out of artificials at level zero and the float replay, as phase 1's
+does. Exact mode and programs with an objective take no start.
+
 Pivoting uses the largest-coefficient rule and switches permanently to
 Bland's rule once the objective has stalled for more than `_STALL_LIMIT`
 pivots, which resolves degeneracy and guarantees termination in exact mode;
@@ -101,6 +121,9 @@ UNBOUNDED = "unbounded"
 
 # Consecutive non-improving pivots tolerated before switching to Bland's rule.
 _STALL_LIMIT = 30
+
+# Dual-phase pivots per row before a started solve gives up and runs cold.
+_DUAL_CAP = 2
 
 # Deterministic work counters, reported by the CLI in place of wall-clock time.
 stats = {"solves": 0, "pivots": 0}
@@ -269,14 +292,27 @@ class LPOutcome:
 
 
 def lp_solve(program: LinearProgram, mode: Optional[str] = None,
-             tol: Tolerance = DEFAULT_TOLERANCE) -> LPOutcome:
-    """Solve a LinearProgram, inferring the arithmetic mode if not given."""
+             tol: Tolerance = DEFAULT_TOLERANCE, start: Optional[Sequence] = None) -> LPOutcome:
+    """Solve a LinearProgram, inferring the arithmetic mode if not given.
+
+    `start` is a basis to start from, as `LPOutcome.basis` holds one: row
+    i's basic column, structural or n + i for row i's artificial. Only a
+    float program without an objective takes one (the dual phase of the
+    module docstring); any other, or a start of another length or naming
+    another column, raises ValueError before any solve."""
     if mode is None:
         mode = program.mode()
     elif mode == EXACT and infer_mode(x for c in program.objectives() for x in c) == FLOAT:
         raise ValueError("exact mode requested for float data")
+    if start is not None:
+        if mode == EXACT or program.objective is not None:
+            raise ValueError("a start needs a float program without an objective")
+        n = program.num_vars
+        if len(start) != len(program.rhs) or not all(
+                0 <= j < n or j == n + i for i, j in enumerate(start)):
+            raise ValueError("a start names a structural column or its row's artificial per row")
     kernel = _IntTableau if mode == EXACT else _FloatRevised
-    out = _simplex(program, kernel, field(mode, tol))
+    out = _simplex(program, kernel, field(mode, tol), start)
     stats["pivots"] += out.pivots
     return out
 
@@ -327,11 +363,7 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
     if len(farkas) != len(program.rows):
         return False
     if mode != EXACT:
-        A, b = program.float_data
-        eps = field(mode, tol).eps
-        y = np.asarray(farkas, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a test
-            return bool(np.isfinite(y).all() and (y @ A <= eps).all() and y @ b > eps)
+        return _farkas_replays(program, np.asarray(farkas, dtype=float), field(mode, tol).eps)
     Y, _ = integer_row(farkas)
     terms = [(y, row, den) for y, (row, den) in zip(Y, program.integer_data) if y]
     L = lcm(*(den for _, _, den in terms))
@@ -343,29 +375,48 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
     return all(z <= 0 for z in combo) and yb > 0
 
 
+def _farkas_replays(program: LinearProgram, y, eps) -> bool:
+    """y'A <= eps in each entry and y'b > eps, for a float array y; an inf
+    or a NaN fails."""
+    A, b = program.float_data
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a test
+        return bool(np.isfinite(y).all() and (y @ A <= eps).all() and y @ b > eps)
+
+
 # ---------------------------------------------------------------------------
 # The driver. Rows with a negative right-hand side are negated (flips), so
 # every starting basic value is nonnegative. Both kernels minimize: phase 1
 # the artificial sum, phase 2 the negated objective.
 # ---------------------------------------------------------------------------
 
-def _simplex(program: LinearProgram, kernel, F) -> LPOutcome:
-    """Two-phase simplex on a tableau of class `kernel` in the arithmetic of F."""
+def _simplex(program: LinearProgram, kernel, F, start=None) -> LPOutcome:
+    """Two-phase simplex on a tableau of class `kernel` in the arithmetic of
+    F; given a `start` (float kernel only), the dual phase from it first."""
     m, n = len(program.rows), program.num_vars
     flips = [-1 if b < 0 else 1 for b in program.rhs]
     tab = kernel(program, flips, F)
     stats["solves"] += 1  # only now: a program the kernel rejects is no solve
-    basis = tab.basis
     cap = None if kernel.CAP is None else kernel.CAP * (n + m)
 
-    pivots, col = _optimize(tab, basis, n, cap, 0)
-    if col >= 0:  # the artificial sum is bounded below by 0: a numerical breakdown
-        raise CertificateError("phase 1 cannot be unbounded")
-    if tab.artificial_sum() > F.eps:
-        farkas = tab.farkas(program, flips)
-        if farkas is None:
-            raise CertificateError("Farkas scale must be positive")
-        return LPOutcome(INFEASIBLE, F.mode, farkas=farkas, pivots=pivots)
+    pivots, row = 0, None
+    if start is not None and tab.restart(start):
+        pivots, row = _dual(tab, n, _DUAL_CAP * m)
+        if row is not None and row >= 0:
+            y = tab.row_farkas(row, flips)
+            if _farkas_replays(program, y, F.eps):
+                return LPOutcome(INFEASIBLE, F.mode, farkas=tuple(y.tolist()), pivots=pivots)
+        if row != -1:  # the cap, or a refutation that fails replay: solve cold
+            tab = kernel(program, flips, F)
+    basis = tab.basis
+    if row != -1:  # phase 1
+        pivots, col = _optimize(tab, basis, n, cap, pivots)
+        if col >= 0:  # the artificial sum is bounded below by 0: a numerical breakdown
+            raise CertificateError("phase 1 cannot be unbounded")
+        if tab.artificial_sum() > F.eps:
+            farkas = tab.farkas(program, flips)
+            if farkas is None:
+                raise CertificateError("Farkas scale must be positive")
+            return LPOutcome(INFEASIBLE, F.mode, farkas=farkas, pivots=pivots)
 
     # Pivot zero-level artificials out of the basis; a row with no
     # structural coefficient left is redundant and removed.
@@ -438,6 +489,27 @@ def _ray_replays(program: LinearProgram, ray, objective, eps) -> bool:
         r = np.asarray(ray, dtype=float)
         return bool((np.abs(A @ r) <= eps).all() and (r >= -eps).all()
                     and np.asarray(objective, dtype=float) @ r > eps)
+
+
+def _dual(tab, n, cap):
+    """The dual phase on the kernel's restarted basis, for a program
+    without an objective: pivot the row furthest out of feasibility out
+    until none is. Returns the pivots with -1 once the basis is primal
+    feasible, with the row that no entering column repairs, or with None
+    when `cap` pivots did not suffice."""
+    basis, pivots = tab.basis, 0
+    while True:
+        row = tab.infeasible(n)
+        if row < 0:
+            return pivots, -1
+        col = tab.repair(row, n)
+        if col < 0:
+            return pivots, row
+        if pivots >= cap:
+            return pivots, None
+        tab.pivot(row, col)
+        basis[row] = col
+        pivots += 1
 
 
 def _optimize(tab, basis, allowed, cap, pivots):
@@ -682,6 +754,8 @@ class _IntTableau:
 # Phase 1 starts each row on its artificial or on the unit column the
 # program names for it, so B is the identity: R is the identity beside |b|,
 # with -y = -1 on a row started on its artificial and 0 on a started row.
+# A dual phase restarts from a given basis instead, with no cost: R is B^-1
+# beside B^-1 |b| over the last row (0 1 0).
 # Entries within eps of zero count as zero.
 # ---------------------------------------------------------------------------
 
@@ -714,6 +788,53 @@ class _FloatRevised:
     def _inverse(self, R):
         """Install R with its views: the inverse, the basic values and -y."""
         self.R, self.Q, self.x, self.ybar = R, R[:, :-1], R[:-1, -1], R[-1, :-1]
+
+    def restart(self, start) -> bool:
+        """Start from the basis `start` (row i's basic column, n + i for the
+        artificial e_i) with no cost, B inverted once; False, with nothing
+        changed, when B is singular."""
+        m, n = len(self.basis), self.C.shape[1]
+        cols = np.asarray(start, dtype=int)
+        ours = cols < n
+        B = np.eye(m)
+        B[:, ours] = self.C[:m, cols[ours]]
+        try:
+            inverse = np.linalg.inv(B)
+        except np.linalg.LinAlgError:
+            return False
+        R = np.zeros((m + 1, m + 2))
+        R[:m, :m] = inverse
+        R[:m, -1] = inverse @ self.x  # x is still |b|, the slack start's values
+        R[m, m] = 1.0
+        self._inverse(R)
+        self.basis, self.col = list(start), -1
+        return True
+
+    def infeasible(self, n):
+        """The row furthest out of feasibility beyond eps, -1 if none: a
+        basic value below -eps, or a basic artificial's level beyond eps
+        either way."""
+        x = self.x
+        gap = np.where(np.asarray(self.basis) < n, -x, np.abs(x))
+        rows = np.flatnonzero(gap > self.eps)
+        return int(rows[gap[rows].argmax()]) if rows.size else -1
+
+    def repair(self, row, n):
+        """The nonbasic structural column whose entry in `row` of B^-1 A is
+        most negative below -eps, the row negated when its value is above
+        zero (an artificial's), so that the column moves the value toward
+        zero as it enters; -1 if none."""
+        alpha = self.Q[row] @ self.C
+        if self.x[row] > 0:
+            alpha = -alpha
+        alpha[[j for j in self.basis if j < n]] = 0.0
+        col = int(alpha.argmin()) if n else -1
+        return -1 if col < 0 or alpha[col] >= -self.eps else col
+
+    def row_farkas(self, row, flips):
+        """(row of B^-1) / x_row with the flips undone, a float array: a
+        Farkas vector when `repair` finds no column for the row."""
+        return self.R[row, :len(flips)] / self.x[row] * flips
 
     def column(self, col):
         """The tableau column of `col`, reduced cost last; kept until R or C
@@ -865,7 +986,10 @@ class Answers:
     integers, each row over its denominator (`dens`).
 
     A scan returns the first stored answer that decides b, so the hash seed
-    changes nothing. A store keeps at most `cap` bases and `cap`
+    changes nothing. When no stored basis is feasible for b, the scan that
+    tested them all names the one with the fewest rows out of feasibility,
+    the first of ties: a float caller starts the LP's dual phase there
+    (`lp_solve`'s `start`). A store keeps at most `cap` bases and `cap`
     refutations, the first ones stored; callers test for room before they
     translate an answer. A solve's answer waits in `pending` until `answers`
     reads its key again, so a key read once costs no copies. Verdicts never
@@ -892,15 +1016,17 @@ class Answers:
 
     def basis(self, b, L=1) -> Optional[tuple]:
         """(payload, B^-1 b as the field's numbers, a row each) for the first
-        stored basis feasible for b, b cleared over the scale L; else None."""
+        stored basis feasible for b, b cleared over the scale L. When none
+        is, (payload, None) for the basis with the fewest failing rows, the
+        first of ties; None when no basis is stored."""
         if self.inverses is None:
             return None
         F = self.F
         X = self.inverses @ b
-        feasible = np.flatnonzero(((X >= -F.eps) & ((X <= F.eps) | self.structural)).all(axis=1))
-        if not feasible.size:
-            return None
-        k = int(feasible[0])
+        failing = (~((X >= -F.eps) & ((X <= F.eps) | self.structural))).sum(axis=1)
+        k = int(failing.argmin())
+        if failing[k]:
+            return self.bases[k], None
         if F.mode == FLOAT:  # + 0.0 turns a -0.0 into 0.0
             return self.bases[k], (X[k] + F.zero).tolist()
         return self.bases[k], list(map(Fraction, X[k].tolist(), (self.dens[k] * L).tolist()))

@@ -34,7 +34,8 @@ One simulation set is tested against many targets (every target against
 (E, F) on the square bit, the subsets of one pool in `smin`, one source in
 the postprocessing relation) with programs that differ only in b, as are
 compatibility programs of one layout; both first read the answers of
-earlier solves (`lp.Answers`).
+earlier solves (`lp.Answers`), and a float simulation program that they do
+not decide is solved from the stored basis nearest to feasibility.
 """
 
 from __future__ import annotations
@@ -296,30 +297,34 @@ class _SetAnswers(Answers):
         self.n = self.nx * ny + len(simulators)  # the program's columns
         self.m = self.nx + 1 + (ny - 1) * self.dim  # the program's rows
 
-    def decide(self, target: Observable, simulators: Sequence[Observable]):
-        """A certificate for the target from the stored answers; None when
-        none decides it, or when a float scheme fails a row of the full layout."""
+    def decide(self, target: Observable, simulators: Sequence[Observable]) -> tuple:
+        """(certificate, None) for the target from the stored answers. On a
+        miss, (None, the stored basis with the fewest rows out of
+        feasibility), or (None, None) when no basis is stored or a float
+        scheme of a feasible one fails a row of the full layout."""
         if not (self.refutations or self.bases):
-            return None  # `simulation_program` tests the effect sums
+            return None, None  # `simulation_program` tests the effect sums
         F = self.F
         _require_sums(target, simulators, F)
         b, L = scaled(F, [F.one, *(c for eff in target.effects[:-1] for c in eff.coeffs)])
         b = np.array(b, dtype=F.dtype)
         farkas = self.refutation(b, L)
         if farkas is not None:
-            return SimulationCertificate(NOT_SIMULABLE, farkas=farkas)
+            return SimulationCertificate(NOT_SIMULABLE, farkas=farkas), None
         hit = self.basis(b, L)
         if hit is None:
-            return None
+            return None, None
         basis, values = hit
+        if values is None:
+            return None, basis
         x = [F.zero] * self.n
         for col, v in zip(basis, values):
             if col < self.n:
                 x[col] = v
         if F.mode == FLOAT and not (_rows_hold(simulators, self.ny, x, F)
                                     and _matches_target(target, simulators, x, F)):
-            return None
-        return _scheme(target, simulators, x, F)
+            return None, None
+        return _scheme(target, simulators, x, F), None
 
     def refuted(self, farkas: tuple, simulators: Sequence[Observable]):
         """Store a full-layout Farkas vector that passes the target-free half
@@ -356,7 +361,12 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
     The program is solved only when the set's stored answers
     (`_SetAnswers`) do not decide the target. A float scheme read from them
     is tested on every row of the full layout at eps, or it is not returned;
-    a refutation's target-free inequalities are tested when it is stored."""
+    a refutation's target-free inequalities are tested when it is stored.
+    A float solve starts from the stored basis with the fewest rows out of
+    feasibility for the target, when one is stored (`lp_solve`'s `start`,
+    the dual phase); its answer is tested as a cold solve's. Exact solves
+    start cold: rebuilding the integer tableau from B^-1 costs more than
+    the few pivots a start saves there."""
     simulators = list(simulators)
     _check_same_space(target, simulators)
     F = _common_field(target, simulators, tol)
@@ -366,11 +376,11 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
     key = ("simulation", simulation_program, lp_solve,
            tuple(sim.coefficient_key for sim in simulators), target.n_outcomes, F.mode, F.eps)
     store = answers(key, lambda: _SetAnswers(simulators, target.n_outcomes, F))
-    cert = store.decide(target, simulators)
+    cert, start = store.decide(target, simulators)
     if cert is not None:
         return cert
     program = simulation_program(target, simulators, tol)
-    out = lp_solve(program, mode=F.mode, tol=tol)
+    out = lp_solve(program, mode=F.mode, tol=tol, start=start if F.mode == FLOAT else None)
     if out.verdict != FEASIBLE:
         farkas = out.farkas + (F.zero,) * target.dim
         store.pending = partial(store.refuted, farkas, simulators)
@@ -812,7 +822,7 @@ class _JointAnswers(Answers):
             result = CompatibilityResult("incompatible", farkas=tuple(y.ravel().tolist()))
         else:
             hit = self.basis(b.reshape(-1, dim)[self.kept].ravel(), L)
-            if hit is None:
+            if hit is None or hit[1] is None:
                 return None
             (owners, vectors), values = hit
             terms = ((w, v, g) for w, v, g in zip(owners, values, vectors.tolist()) if w >= 0)

@@ -95,6 +95,10 @@ class StateSpace:
                           tuple(to_float_vector(s) for s in self.extreme_states),
                           to_float_vector(self.unit))
 
+    def _require_dim(self, effect: "Effect"):
+        if effect.dim != self.ambient_dim:
+            raise ValueError(f"dimension mismatch {effect.dim} vs {self.ambient_dim}")
+
     def is_extremal(self, effect: "Effect", tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         """Tight-state rank test: the effect is at least -eps on every
         extreme state (it lies in the cone), and the extreme states it
@@ -102,8 +106,7 @@ class StateSpace:
         states with the effect gives both: the integer states
         (`_integer_states`) and the cleared effect in exact mode, a float
         array of the states in float mode."""
-        if effect.dim != self.ambient_dim:
-            raise ValueError(f"dimension mismatch {effect.dim} vs {self.ambient_dim}")
+        self._require_dim(effect)
         F = resolve((self.kind, kind_of(effect.coeffs)), tol)
         if F.mode == FLOAT:  # a list, as Python reads a few floats faster than numpy
             values = (self._float_states @ np.array(effect.coeffs, dtype=float)).tolist()
@@ -123,8 +126,9 @@ class StateSpace:
 
         The coefficients are the lexicographic maximum in the rays' canonical
         (sorted) order, so the decomposition is deterministic. The zero
-        effect refines into the empty list, and a non-extremal effect outside
-        the cone raises ValueError.
+        effect refines into the empty list; an effect of another dimension
+        than the space, zero or not, and a non-extremal effect outside the
+        cone raise ValueError.
 
         A non-extremal effect is first tried on the bases that earlier
         refinements over the same rays ended on (`_Bases`); otherwise
@@ -135,6 +139,7 @@ class StateSpace:
         d > 0 whatever the effect, so exact mode returns the LP's own
         Fractions, and float mode agrees with the LP within rounding.
         """
+        self._require_dim(effect)
         F = resolve((self.kind, kind_of(effect.coeffs)), tol)
         if F.is_zero(effect.coeffs):
             return []
@@ -222,7 +227,8 @@ class Effect:
 
 @dataclass(frozen=True)
 class Observable:
-    """Finite outcome-labelled family of effects summing to the unit."""
+    """Finite outcome-labelled family of effects summing to the unit. At
+    least one outcome, and effects of one dimension, or ValueError."""
 
     outcomes: tuple  # of (label, Effect)
     space: Optional[StateSpace] = None
@@ -235,6 +241,9 @@ class Observable:
             fixed.append((str(label), eff))
         if not fixed:
             raise ValueError("an observable needs at least one outcome")
+        dims = {len(eff.coeffs) for _, eff in fixed}
+        if len(dims) > 1:
+            raise ValueError(f"dimension mismatch between effects of dimensions {sorted(dims)}")
         object.__setattr__(self, "outcomes", tuple(fixed))
 
     @cached_property
@@ -456,7 +465,7 @@ class _Bases(lp.Answers):
         for v, if they pass `geometry.replay_conic`; else None."""
         F = self.F
         hit = self.basis(*cleared(F, v))
-        if hit is None:
+        if hit is None or hit[1] is None:
             return None
         support, x = hit
         res = geometry.ConicResult(geometry.INSIDE, coefficients=tuple(x))

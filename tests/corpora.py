@@ -75,23 +75,49 @@ from gptsim.spaces import dual_cone_rays
 F = Fraction
 
 
-def simulation_corpus():
-    """Seeded exact simulation LPs: square bit, classical(3) and the
-    rational-coordinate tetrahedron, 201 programs in all."""
+def simulation_cases():
+    """Seeded exact (target, simulators) pairs: square bit, classical(3)
+    and the rational-coordinate tetrahedron, 201 in all."""
     sq, cl, rat = square_bit(), classical(3), tetrahedron_rational()
     rng = random.Random(2026)
-    programs = []
+    cases = []
     for _ in range(33):
         a, b = random_observable(sq.space, rng), random_observable(sq.space, rng)
         c, d = random_observable(cl.space, rng), random_observable(cl.space, rng)
-        for target, sims in ((a, [sq.E, sq.F]), (a, [sq.E]), (a, [sq.F]), (a, [b]),
-                             (c, [cl.distinguishing]), (c, [d])):
-            programs.append(simulation_program(target, sims))
+        cases.extend(((a, [sq.E, sq.F]), (a, [sq.E]), (a, [sq.F]), (a, [b]),
+                      (c, [cl.distinguishing]), (c, [d])))
     binarizations = [rat[f"C{i}"] for i in (1, 2, 3, 4)]
     for sims in ([rat["B"]], binarizations, [rat["D1"], rat["D2"]]):
-        target = rat["A"] if sims == [rat["B"]] else rat["B"]
-        programs.append(simulation_program(target, sims))
-    return programs
+        cases.append((rat["A"] if sims == [rat["B"]] else rat["B"], sims))
+    return cases
+
+
+def simulation_corpus():
+    """The exact simulation LPs of `simulation_cases`."""
+    return [simulation_program(target, sims) for target, sims in simulation_cases()]
+
+
+def polygon_simulation_cases():
+    """Seeded float (target, simulators) pairs on polygons n = 5..8: six
+    random targets each, against the irreducible catalog and then against
+    one random observable."""
+    cases = []
+    for n in range(5, 9):
+        cat = polygon_irreducibles(n)
+        space = cat.theory.space
+        rng = random.Random(100 + n)
+        for _ in range(6):
+            target, other = random_observable(space, rng), random_observable(space, rng)
+            cases.extend(((target, list(cat.observables)), (target, [other])))
+    return cases
+
+
+def float_simulation_cases():
+    """The (target, simulators) pairs behind the simulation LPs of
+    `float_corpus`: the float twins of `simulation_cases`, then
+    `polygon_simulation_cases`."""
+    return ([(target.as_float(), [sim.as_float() for sim in sims])
+             for target, sims in simulation_cases()] + polygon_simulation_cases())
 
 
 def greedy_conic_programs(v, rays):
@@ -125,18 +151,10 @@ def float_corpus():
     programs = [dataclasses.replace(p, rows=tuple(tuple(float(x) for x in r) for r in p.rows),
                                     rhs=tuple(float(b) for b in p.rhs))
                 for p in simulation_corpus()]
-    conic = []
-    for n in range(5, 9):
-        cat = polygon_irreducibles(n)
-        space = cat.theory.space
-        rays = dual_cone_rays(space)
-        rng = random.Random(100 + n)
-        for _ in range(6):
-            target, other = random_observable(space, rng), random_observable(space, rng)
-            programs.append(simulation_program(target, list(cat.observables)))
-            programs.append(simulation_program(target, [other]))
-            for effect in target.effects:
-                conic.extend(greedy_conic_programs(effect.coeffs, rays))
+    cases = polygon_simulation_cases()
+    programs.extend(simulation_program(target, sims) for target, sims in cases)
+    conic = [program for target, _ in cases[::2] for effect in target.effects
+             for program in greedy_conic_programs(effect.coeffs, dual_cone_rays(target.space))]
     return programs + conic
 
 
@@ -357,8 +375,8 @@ def record(corpus):
     decisions = CORPORA[corpus]()
     solves, simplex = [], lp._simplex
 
-    def recorded(program, kernel, F):
-        out = simplex(program, kernel, F)
+    def recorded(program, kernel, F, start=None):
+        out = simplex(program, kernel, F, start)
         solves.append((program, out))
         return out
 

@@ -673,3 +673,76 @@ def test_final_basis_and_inverse(mode):
             assert np.abs(identity - np.eye(m)).max() <= 1e-8
         checked += 1
     assert checked > 100 and dropped > 10
+
+
+def test_a_start_needs_a_float_program_without_an_objective():
+    # exact mode and objectives take no start, and a start names one
+    # structural column or the row's own artificial per row
+    p = make_program(rows=[(1, 1, 0), (0, 1, 1)], rhs=(1, 1))
+    q = make_program(rows=[(1.0, 1.0, 0.0), (0.0, 1.0, 1.0)], rhs=(1.0, 1.0),
+                     objective=(1.0, 0.0, 0.0))
+    for program, mode in ((p, EXACT), (p, None), (q, FLOAT)):
+        with pytest.raises(ValueError, match="float program without an objective"):
+            lp_solve(program, mode=mode, start=(0, 2))
+    for start in ((0,), (0, 1, 2), (0, 3), (4, 1), (-1, 2), (0, 5)):
+        with pytest.raises(ValueError, match="its row's artificial"):
+            lp_solve(p, mode=FLOAT, start=start)
+    assert lp_solve(p, mode=FLOAT, start=(3, 4)).verdict == FEASIBLE
+
+
+def test_a_dropped_rows_artificial_above_zero_refutes():
+    # Row 1 is twice row 0, so the solve for b = (1, 2) drops it and ends
+    # with its artificial basic. For b = (1, 3) that basis has B^-1 b >= 0
+    # with the artificial at level 1: the dual phase refutes from its row
+    # at once, where a cold solve pivots first.
+    p = make_program(rows=[(1.0, 1.0), (2.0, 2.0)], rhs=(1.0, 2.0))
+    start = lp_solve(p).basis
+    assert start == (0, 3)
+    q = make_program(rows=p.rows, rhs=(1.0, 3.0))
+    out = lp_solve(q, start=start)
+    assert out.verdict == INFEASIBLE and out.pivots == 0
+    assert out.farkas == (-2.0, 1.0) and verify_farkas(q, out.farkas)
+    assert lp_solve(q).pivots > 0
+
+
+def _polygon_starts():
+    """(program, start) pairs: each LP of a target against a polygon catalog
+    in `polygon_simulation_cases`, started from the final basis of every
+    other one of its shape that has one."""
+    from corpora import polygon_simulation_cases
+    from gptsim.simulation import simulation_program
+
+    programs = [simulation_program(target, sims)
+                for target, sims in polygon_simulation_cases() if len(sims) > 1]
+    bases = [lp_solve(program).basis for program in programs]
+    return [(program, start) for i, program in enumerate(programs)
+            for j, start in enumerate(bases)
+            if start and i != j and programs[j].rows.shape == program.rows.shape]
+
+
+def test_a_singular_start_or_the_dual_cap_solves_cold(monkeypatch):
+    # A start whose B is singular, or a dual phase that reaches its cap
+    # (patched to 0 pivots per row), gives the cold outcome, pivot count
+    # included; with the cap in place the same starts save pivots.
+    from gptsim import lp
+
+    p = make_program(rows=[(1.0, 1.0, 0.0), (2.0, 2.0, 1.0)], rhs=(1.0, 3.0))
+    assert lp_solve(p, start=(0, 1)) == lp_solve(p)  # columns 0 and 1 are parallel
+    starts = _polygon_starts()
+    warm = [lp_solve(program, start=start) for program, start in starts]
+    cold = [lp_solve(program) for program, _ in starts]
+    assert [out.verdict for out in warm] == [out.verdict for out in cold]
+    assert sum(out.pivots for out in warm) < sum(out.pivots for out in cold)
+    # a start feasible for b needs no pivot, so it reaches no cap
+    starts, cold = zip(*((s, out) for s, out, w in zip(starts, cold, warm) if w.pivots))
+    ends = []
+
+    def recorded(tab, n, cap):
+        ends.append(dual(tab, n, cap))
+        return ends[-1]
+
+    dual = lp._dual
+    monkeypatch.setattr(lp, "_dual", recorded)
+    monkeypatch.setattr(lp, "_DUAL_CAP", 0)
+    assert [lp_solve(program, start=start) for program, start in starts] == list(cold)
+    assert ends and all(end == (0, None) for end in ends)

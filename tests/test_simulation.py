@@ -9,7 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from corpora import bracket_corpus, compatibility_corpus, simulation_corpus
+from corpora import (
+    bracket_corpus,
+    compatibility_corpus,
+    float_simulation_cases,
+    simulation_corpus,
+)
 from oracles import polytope_noise_content_direct, qubit_noise_content_grid
 
 from gptsim.catalog import (
@@ -1015,6 +1020,41 @@ def test_warm_store_verdicts_equal_cold_ones(name):
             assert all(isinstance(x, (int, Fraction)) for x in numbers)
 
 
+def test_every_stored_basis_starts_a_solve_to_the_cold_verdict(monkeypatch):
+    # Every basis that the float simulation corpora store, as the start of
+    # the LP of every target of its set: the dual phase reaches the verdict
+    # of a cold solve and a certificate that replays. Not-simulable targets
+    # take its Farkas path, a row that no entering column repairs.
+    from gptsim import lp, simulation
+
+    monkeypatch.setattr(lp, "_KEYS", 1000)  # every set keeps its store
+    cases = float_simulation_cases()
+    for target, sims in cases:
+        is_simulable(target, sims)
+    bases = {}
+    for key, answers in _stores("simulation").items():
+        if answers.pending is not None:  # the last solve's answer, kept on the next decision
+            answers.pending()
+            answers.pending = None
+        bases[key[3:5]] = list(answers.bases)
+    start, refuted = [], []
+    row_farkas = lp._FloatRevised.row_farkas
+    monkeypatch.setattr(simulation._SetAnswers, "decide", lambda *args: (None, start[0]))
+    monkeypatch.setattr(lp._FloatRevised, "row_farkas",
+                        lambda *args: refuted.append(args[1]) or row_farkas(*args))
+    started = 0
+    for target, sims in cases:
+        cold = lp_solve(simulation_program(target, sims)).verdict
+        for basis in bases.get((tuple(sim.coefficient_key for sim in sims),
+                                target.n_outcomes), ()):
+            start[:] = [basis]
+            cert = is_simulable(target, sims)
+            assert cert.simulable == (cold != INFEASIBLE)
+            assert replay_simulation(cert, target, sims)
+            started += 1
+    assert started > 200 and len(refuted) > 20
+
+
 def test_store_decides_a_repeated_target_and_cache_clear_empties_it(sq):
     from gptsim import lp
     from gptsim.spaces import dual_cone_rays
@@ -1076,8 +1116,8 @@ def test_store_never_keeps_a_corrupted_refutation(sq, mode, monkeypatch):
     sims = [cast(sq.E)]
     solve, calls = simulation.lp_solve, []
 
-    def corrupting(program, mode=None, tol=None):
-        out = solve(program, mode=mode, tol=tol)
+    def corrupting(program, mode=None, tol=None, start=None):
+        out = solve(program, mode=mode, tol=tol, start=start)
         calls.append(out)
         if len(calls) == 1:  # beta = 1 and nothing else: y.b = 1 for every target
             zero = field(mode).zero

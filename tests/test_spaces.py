@@ -157,6 +157,15 @@ def test_observable_needs_an_outcome(sq):
             build()
 
 
+def test_observable_effects_share_one_dimension(sq):
+    # a short effect summed as a truncated (0, 0) and was dropped by
+    # minimally_sufficient as a zero effect
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        observable(sq.space, [("a", (0, 0, 1)), ("b", (0, 0))])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Observable((("a", Effect((1, 0))), ("b", Effect((0, 0, 1)))))
+
+
 def test_valid_observable_complements(sq, rng):
     from gptsim.catalog import random_observable
 
@@ -421,5 +430,7 @@ def test_effects_of_another_dimension_raise(space, coeffs):
     for method in (space.is_extremal, space.refine, space.min_value):
         with pytest.raises(ValueError, match="dimension mismatch"):
             method(effect)
+    with pytest.raises(ValueError, match="dimension mismatch"):  # zero, and still another dimension
+        space.refine(Effect(tuple(0 * x for x in coeffs)))
     with pytest.raises(ValueError, match="dimension mismatch"):
         noise_content(observable(space, [("a", coeffs), ("b", coeffs)]))
