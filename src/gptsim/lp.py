@@ -55,16 +55,19 @@ r >= 0 and c'r > 0 for the objective c that grows along it, and raises
 since the absolute eps rejects correct refutations of badly scaled
 programs. Code that builds an answer from a certificate raises
 `CertificateError` when the certificate fails that replay, so it never
-returns it. A FEASIBLE or UNBOUNDED outcome also carries the final basis
-and its inverse B^-1, read from the kernel's final state with no extra
-elimination (`LPOutcome`), so that a caller can decide another right-hand
-side over the same rows without a solve: `Answers` keeps such bases and
-Farkas vectors per constraint matrix, in one registry (`answers`).
+returns it. Every outcome also carries the final basis and its inverse
+B^-1, read from the kernel's final state with no extra elimination
+(`LPOutcome`), so that a caller can decide another right-hand side over the
+same rows without a solve: `Answers` keeps such bases and Farkas vectors per
+constraint matrix, in one registry (`answers`).
 
 A float program without an objective may also start from a given basis,
 one column per row with n + i for row i's artificial (`lp_solve`'s
 `start`), such as the `LPOutcome.basis` of another solve over the same
-rows that a store kept. With no cost every basis is dual feasible, so
+rows that a store kept, or that of an infeasible solve over fewer columns,
+renumbered for the program that adds columns to it (a round of column
+generation, `simulation.is_compatible`). With no cost every basis is dual
+feasible, so
 `_simplex` runs a dual phase from it instead of phase 1 (Koberstein 2005;
 Bixby 2002): `_FloatRevised.restart` inverts B once, and each pivot lets
 the row furthest out of feasibility leave, a basic value below -eps or a
@@ -268,16 +271,19 @@ def make_program(rows, rhs, objective=None, tiebreaks=(), start=()) -> LinearPro
 class LPOutcome:
     """Solve result plus the data needed to replay it.
 
-    A FEASIBLE or UNBOUNDED outcome also carries the kernel's final basis,
-    row i's basic column in `basis`, and its inverse B^-1 in `inverse`: one
-    row per basic column and one column per program row, with the flips
-    undone, so that x_B = B^-1 b for the program's own b. In exact mode each
-    row is (integer numerators, positive denominator), the tableau's
-    artificial columns as they are; in float mode it is a read-only float
-    array. A row the solve found redundant and dropped keeps its artificial
-    column n + i as its basic column, at level zero for b: its row of B^-1
-    gives that level for another b, which the program's rows leave
-    consistent only at zero. Neither field is part of the outcome's repr or
+    Every outcome also carries the kernel's final basis, row i's basic
+    column in `basis`, and its inverse B^-1 in `inverse`: one row per basic
+    column and one column per program row, with the flips undone, so that
+    x_B = B^-1 b for the program's own b. In exact mode each row is (integer
+    numerators, positive denominator), the tableau's artificial columns as
+    they are; in float mode it is a read-only float array. A row the solve
+    found redundant and dropped keeps its artificial column n + i as its
+    basic column, at level zero for b: its row of B^-1 gives that level for
+    another b, which the program's rows leave consistent only at zero. An
+    INFEASIBLE outcome's basis is the one it refuted from, phase 1's or the
+    dual phase's, with a row out of feasibility (a basic value below zero or
+    an artificial above it); a later solve over more columns may start from
+    it (`lp_solve`'s `start`). Neither field is part of the outcome's repr or
     equality."""
 
     verdict: str
@@ -295,11 +301,11 @@ def lp_solve(program: LinearProgram, mode: Optional[str] = None,
              tol: Tolerance = DEFAULT_TOLERANCE, start: Optional[Sequence] = None) -> LPOutcome:
     """Solve a LinearProgram, inferring the arithmetic mode if not given.
 
-    `start` is a basis to start from, as `LPOutcome.basis` holds one: row
-    i's basic column, structural or n + i for row i's artificial. Only a
-    float program without an objective takes one (the dual phase of the
-    module docstring); any other, or a start of another length or naming
-    another column, raises ValueError before any solve."""
+    `start` is a basis to start from, as `LPOutcome.basis` holds one, of
+    any verdict: row i's basic column, structural or n + i for row i's
+    artificial. Only a float program without an objective takes one (the
+    dual phase of the module docstring); any other, or a start of another
+    length or naming another column, raises ValueError before any solve."""
     if mode is None:
         mode = program.mode()
     elif mode == EXACT and infer_mode(x for c in program.objectives() for x in c) == FLOAT:
@@ -404,7 +410,8 @@ def _simplex(program: LinearProgram, kernel, F, start=None) -> LPOutcome:
         if row is not None and row >= 0:
             y = tab.row_farkas(row, flips)
             if _farkas_replays(program, y, F.eps):
-                return LPOutcome(INFEASIBLE, F.mode, farkas=tuple(y.tolist()), pivots=pivots)
+                return LPOutcome(INFEASIBLE, F.mode, farkas=tuple(y.tolist()), pivots=pivots,
+                                 basis=tuple(tab.basis), inverse=tab.basis_inverse(flips))
         if row != -1:  # the cap, or a refutation that fails replay: solve cold
             tab = kernel(program, flips, F)
     basis = tab.basis
@@ -416,7 +423,8 @@ def _simplex(program: LinearProgram, kernel, F, start=None) -> LPOutcome:
             farkas = tab.farkas(program, flips)
             if farkas is None:
                 raise CertificateError("Farkas scale must be positive")
-            return LPOutcome(INFEASIBLE, F.mode, farkas=farkas, pivots=pivots)
+            return LPOutcome(INFEASIBLE, F.mode, farkas=farkas, pivots=pivots,
+                             basis=tuple(basis), inverse=tab.basis_inverse(flips))
 
     # Pivot zero-level artificials out of the basis; a row with no
     # structural coefficient left is redundant and removed.
@@ -614,7 +622,7 @@ class _IntTableau:
             row[n + i] = D[i]
         red[n:n] = [0] * m
         self.n, self.basis, self.cost = n, basis, [j >= n for j in basis]
-        self.T, self.D = T + [red], D + [red_den]
+        self.T, self.D, self.dropped = T + [red], D + [red_den], []
 
     def entering(self, allowed, bland):
         red = self.T[-1][:allowed]
@@ -781,7 +789,7 @@ class _FloatRevised:
             R[-1, started] = 0.0
             art = np.delete(art, started)
         R[-1, -1] = -art.sum()
-        self.C = C
+        self.C, self.dropped = C, ([], None)
         self._inverse(R)
         self.red, self.col, self.d = None, -1, None
 
@@ -988,8 +996,8 @@ class Answers:
     A scan returns the first stored answer that decides b, so the hash seed
     changes nothing. When no stored basis is feasible for b, the scan that
     tested them all names the one with the fewest rows out of feasibility,
-    the first of ties: a float caller starts the LP's dual phase there
-    (`lp_solve`'s `start`). A store keeps at most `cap` bases and `cap`
+    the first of ties: a float caller of the simulation or compatibility
+    store starts the LP's dual phase there (`lp_solve`'s `start`). A store keeps at most `cap` bases and `cap`
     refutations, the first ones stored; callers test for room before they
     translate an answer. A solve's answer waits in `pending` until `answers`
     reads its key again, so a key read once costs no copies. Verdicts never

@@ -106,6 +106,18 @@ class QubitSpace:
             raise ModeError("exact qubit effect with an irrational Bloch norm")
         return F.coerce(tau) - norm / 2
 
+    def is_effect(self, effect: Effect, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+        """0 <= e <= u: both eigenvalues tau +- ||e|| / 2 lie within eps of
+        [0, 1], so the least ones of e and of u - e, tau - ||e|| / 2 and
+        (1 - tau) - ||e|| / 2, are at least -eps. One Bloch norm serves
+        both (u - e has the negated Bloch part), with the numbers that
+        `min_value` of each gives."""
+        F, tau, _, norm = self._spectrum(effect, tol)
+        if norm is None:
+            raise ModeError("exact qubit effect with an irrational Bloch norm")
+        half = norm / 2
+        return F.coerce(tau) - half >= -F.eps and F.coerce(1 - tau) - half >= -F.eps
+
     def generators(self, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
         """The rank-one effects (d, 1/2) over `sphere_directions(128)`."""
         return [(*d, 0.5) for d in sphere_directions(128)]

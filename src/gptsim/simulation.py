@@ -34,8 +34,9 @@ One simulation set is tested against many targets (every target against
 (E, F) on the square bit, the subsets of one pool in `smin`, one source in
 the postprocessing relation) with programs that differ only in b, as are
 compatibility programs of one layout; both first read the answers of
-earlier solves (`lp.Answers`), and a float simulation program that they do
-not decide is solved from the stored basis nearest to feasibility.
+earlier solves (`lp.Answers`), and a float program that they do not decide
+is solved from the stored basis nearest to feasibility (a later round of
+compatibility's column generation from the basis of the round before).
 """
 
 from __future__ import annotations
@@ -769,6 +770,26 @@ def _turned(values, frame: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(values, dtype=float).reshape(-1, dim) @ frame.T
 
 
+def _owners(basis, gens: int, joint: int) -> tuple:
+    """(joint outcome, generator index) of each basic column of a program
+    over `gens` generators and `joint` joint outcomes, where column
+    w * gens + g holds generator g under joint outcome w: two int arrays,
+    with joint outcome -1 for row i's artificial, column joint * gens + i,
+    whose index is any one below `gens`."""
+    if not gens:  # every basic column is an artificial
+        return np.full(len(basis), -1), np.zeros(len(basis), dtype=int)
+    owners, index = np.divmod(basis, gens)
+    owners[owners >= joint] = -1
+    return owners, index
+
+
+def _columns(owners, index, gens: int, joint: int) -> list:
+    """The basis that `_owners` read, as columns of the program over `gens`
+    generators and `joint` joint outcomes."""
+    artificial = joint * gens + np.arange(len(owners))
+    return np.where(owners >= 0, owners * gens + index, artificial).tolist()
+
+
 class _JointAnswers(Answers):
     """The layout of `is_compatible`'s programs for targets of fixed outcome
     counts, and the answers of their solves (`lp.Answers`, at most 64 of
@@ -779,10 +800,12 @@ class _JointAnswers(Answers):
     A program keeps the full layout's blocks in `kept`, and `entries` places
     the generators: (program block, joint outcome) for every block a joint
     outcome enters. The generators change from call to call, so a basis's
-    payload is the joint outcome and the generator of each row's basic
-    column (-1 and zeros for an artificial): B^-1 b >= -eps gives the joint
-    effects G_w. A refutation is its full-layout y, also its payload, with
-    its target-free bound P(y) = max(0, max_w price(z_w)), which every joint
+    payload is one array pair, the joint outcome of each row's basic column
+    (-1 for an artificial) and its generator (any one for an artificial):
+    B^-1 b >= -eps gives the joint effects G_w, and the generators, turned
+    back and joined to a call's own, let that call's solve start from the
+    basis. A refutation is its full-layout y, also its payload, with its
+    target-free bound P(y) = max(0, max_w price(z_w)), which every joint
     observable's y.b stays below, whatever generators built it."""
 
     def __init__(self, counts: Sequence[int], dim: int, F):
@@ -803,12 +826,14 @@ class _JointAnswers(Answers):
                   for omega in self.joint_outcomes)
             for ti, n in enumerate(counts))
 
-    def decide(self, targets: Sequence[Observable], frame, tol: Tolerance):
-        """The stored answer for b, the targets' effects turned by `frame`
-        (None: the identity), turned back into the targets' frame; None when
-        none decides b, or when the answer fails `replay_compatibility`."""
+    def decide(self, targets: Sequence[Observable], frame, tol: Tolerance) -> tuple:
+        """(answer, None) for b, the targets' effects turned by `frame` (None:
+        the identity), from the stored answers turned back into the targets'
+        frame. On a miss, (None, the payload of the stored basis with the
+        fewest rows out of feasibility), or (None, None) when no basis is
+        stored or the answer of a feasible one fails `replay_compatibility`."""
         if not (self.refutations or self.bases):
-            return None
+            return None, None
         F, dim = self.F, self.dim
         b = [c for t in targets for eff in t.effects for c in eff.coeffs]
         if frame is not None:
@@ -822,15 +847,37 @@ class _JointAnswers(Answers):
             result = CompatibilityResult("incompatible", farkas=tuple(y.ravel().tolist()))
         else:
             hit = self.basis(b.reshape(-1, dim)[self.kept].ravel(), L)
-            if hit is None or hit[1] is None:
-                return None
+            if hit is None:
+                return None, None
+            if hit[1] is None:
+                return None, hit[0]
             (owners, vectors), values = hit
-            terms = ((w, v, g) for w, v, g in zip(owners, values, vectors.tolist()) if w >= 0)
+            terms = ((w, v, g) for w, v, g in zip(owners.tolist(), values, vectors.tolist())
+                     if w >= 0)
             coeffs = _joint_effects(terms, len(self.joint_outcomes), dim, F.zero)
             if frame is not None:
                 coeffs = _turned(coeffs, frame.T, dim).tolist()
             result = _joint_result(targets, self, coeffs)
-        return result if replay_compatibility(result, targets, tol) else None
+        return (result if replay_compatibility(result, targets, tol) else None), None
+
+    def restored(self, payload, gens: list, frame) -> tuple:
+        """(gens, then the generators of the stored basis `payload` turned
+        back by `frame` that are not among them; that basis as `_owners`
+        reads it over those generators)."""
+        owners, vectors = payload
+        if frame is not None:
+            vectors = _turned(vectors, frame.T, self.dim)
+        gens = list(gens)
+        at = {tuple(g): k for k, g in enumerate(gens)}
+        index = []
+        for w, g in zip(owners.tolist(), vectors.tolist()):
+            k = 0
+            if w >= 0:
+                k = at.setdefault(tuple(g), len(gens))
+                if k == len(gens):
+                    gens.append(tuple(g))
+            index.append(k)
+        return gens, (owners, np.array(index, dtype=int))
 
     def refuted(self, y: tuple, bound, frame):
         """Store a full-layout refutation with its bound P(y), turned by `frame`."""
@@ -839,20 +886,17 @@ class _JointAnswers(Answers):
         y = np.array(y, dtype=self.F.dtype) if frame is None else _turned(y, frame, self.dim)
         self.keep_refutation(y.ravel(), y.ravel(), bound)
 
-    def solved(self, out, gens: Sequence, frame):
-        """Store the final basis of a solve over `gens`, turned by `frame`."""
-        if len(self.bases) >= self.cap or out.basis is None:
+    def solved(self, out, vectors: np.ndarray, frame):
+        """Store the final basis of a solve over the generators `vectors`
+        (one row each), turned by `frame`."""
+        if len(self.bases) >= self.cap:
             return
-        F, dim, n = self.F, self.dim, len(self.joint_outcomes) * len(gens)
-        owners = [col // len(gens) if col < n else -1 for col in out.basis]
-        vectors = [gens[col % len(gens)] if col < n else (F.zero,) * dim for col in out.basis]
-        inverse = out.inverse
-        if frame is None:
-            vectors = np.array(vectors, dtype=F.dtype)
-        else:  # a float B^-1: a frame is a rotation
-            inverse = _turned(inverse, frame, dim).reshape(inverse.shape)
-            vectors = _turned(vectors, frame, dim)
-        self.keep_basis((owners, vectors), inverse, [w >= 0 for w in owners])
+        owners, index = _owners(out.basis, len(vectors), len(self.joint_outcomes))
+        inverse, basic = out.inverse, vectors[index]
+        if frame is not None:  # a float B^-1: a frame is a rotation
+            inverse = _turned(inverse, frame, self.dim).reshape(inverse.shape)
+            basic = _turned(basic, frame, self.dim)
+        self.keep_basis((owners, basic), inverse, owners >= 0)
 
 
 def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERANCE,
@@ -893,7 +937,13 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
     counts (and on the generators), so the layout's stored answers
     (`_JointAnswers`) are read first; one that fails `replay_compatibility`
     is a miss. They may decide what the LP would leave undecided after
-    `_ROUNDS` programs (too few generators).
+    `_ROUNDS` programs (too few generators). A float solve starts from a
+    basis (`lp_solve`'s `start`, the dual phase): the first from the stored
+    basis with the fewest rows out of feasibility, whose generators, turned
+    back by `frame`, join the program's columns where they are not among
+    them, and each later one from the basis the round before ended on, its
+    columns renumbered for the generators that round added. Exact solves
+    start cold.
     """
     targets = list(targets)
     if not targets:
@@ -912,19 +962,24 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
                     lambda: _JointAnswers(counts, dim, F))
     effects = [eff.coeffs for t in targets for eff in t.effects]  # full block b's effect
     frame = space.canonical_frame(effects, tol)
-    result = store.decide(targets, frame, tol)
+    result, near = store.decide(targets, frame, tol)
     if result is not None:
         return result
-    joint_outcomes, kept, (blocks, ws) = store.joint_outcomes, store.kept, store.entries
+    joint, kept, (blocks, ws) = len(store.joint_outcomes), store.kept, store.entries
     rhs = [x for b in kept for x in effects[b]]
+    basic = None  # the start, as `_owners` reads it (float mode only)
+    if near is not None and F.mode == FLOAT:
+        gens, basic = store.restored(near, gens, frame)
     for _ in range(_ROUNDS):
         # Block j holds the generators (as columns) under every joint outcome
         # w with w_ti = li for its (ti, li), and zeros elsewhere. The blocks
         # are placed, not multiplied in: 0.0 * x is -0.0 for negative x.
-        A = np.full((len(kept), dim, len(joint_outcomes), len(gens)), zero, dtype=F.dtype)
-        A[blocks, :, ws, :] = np.array(gens, dtype=F.dtype).reshape(len(gens), dim).T
-        rows = A.reshape(len(kept) * dim, len(joint_outcomes) * len(gens))
-        out = lp_solve(make_program(rows=rows, rhs=rhs), mode=F.mode, tol=tol)
+        vectors = np.array(gens, dtype=F.dtype).reshape(len(gens), dim)
+        A = np.full((len(kept), dim, joint, len(gens)), zero, dtype=F.dtype)
+        A[blocks, :, ws, :] = vectors.T
+        rows = A.reshape(len(kept) * dim, joint * len(gens))
+        start = None if basic is None else _columns(*basic, len(gens), joint)
+        out = lp_solve(make_program(rows=rows, rhs=rhs), mode=F.mode, tol=tol, start=start)
         if out.verdict == FEASIBLE:
             break
         y = [zero] * (len(effects) * dim)  # zeros in the dropped blocks
@@ -938,17 +993,19 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
                 raise CertificateError("compatibility refutation fails replay")
             store.pending = partial(store.refuted, result.farkas, bound, frame)
             return result
+        if F.mode == FLOAT:
+            basic = _owners(out.basis, len(gens), joint)
         gens += [g for p, g in prices if p > 0]
     else:
         return CompatibilityResult("undecided")
     sol = out.solution
     coeffs = _joint_effects(((i // len(gens), sol[i], gens[i % len(gens)])
                              for i in itertools.compress(range(len(sol)), sol)),  # nonzero weights
-                            len(joint_outcomes), dim, zero)
+                            joint, dim, zero)
     result = _joint_result(targets, store, coeffs)
     if not replay_compatibility(result, targets, tol):
         raise CertificateError("compatibility joint fails replay")
-    store.pending = partial(store.solved, out, gens, frame)
+    store.pending = partial(store.solved, out, vectors, frame)
     return result
 
 

@@ -10,6 +10,8 @@ about it:
 * `refine(effect, tol)`: the effect written as a sum of such extreme effects;
 * `min_value(effect)`: the least value of the effect on a state, so that an
   effect lies in the cone exactly when its minimum is nonnegative;
+* `is_effect(effect, tol)`: is it an effect, 0 <= e <= u, with both e and
+  u - e at least -eps on every state (`is_valid_effect`);
 * `generators(tol)` and `price(z, tol)`, for `simulation.is_compatible`:
   extreme effects that start the joint-observable program, and the largest
   value of the functional z on an effect of unit weight at a fixed interior
@@ -186,6 +188,13 @@ class StateSpace:
                 states, D = self._integer_states
                 return Fraction(min(sum(map(mul, E, s)) for s in states), L * D)
         return min(effect(s) for s in self.extreme_states)
+
+    def is_effect(self, effect: "Effect", tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+        """0 <= e <= u: the least values of e and of u - e on a state are at
+        least -eps."""
+        eps = resolve((self.kind, kind_of(effect.coeffs)), tol).eps
+        rest = Effect(vsub(self.unit, effect.coeffs))
+        return self.min_value(effect) >= -eps and self.min_value(rest) >= -eps
 
     def generators(self, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple:
         """Every dual-cone extreme ray."""
@@ -374,12 +383,11 @@ def validate_state_space(space: StateSpace,
 
 def is_valid_effect(effect: Effect, space,
                     tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """True iff 0 <= e <= u: both e and u - e have a nonnegative minimum."""
+    """True iff 0 <= e <= u: both e and u - e have a nonnegative minimum
+    (`space.is_effect`)."""
     if effect.dim != space.ambient_dim:
         raise ValueError("effect dimension does not match state space")
-    eps = resolve((space.kind, kind_of(effect.coeffs)), tol).eps
-    rest = Effect(vsub(space.unit, effect.coeffs))
-    return space.min_value(effect) >= -eps and space.min_value(rest) >= -eps
+    return space.is_effect(effect, tol)
 
 
 def is_valid_observable(obs: Observable, space: Optional[StateSpace] = None,

@@ -298,6 +298,34 @@ def bracket_corpus():
     return _qubit_targets(random.Random("bracket-128-digest"), 24)
 
 
+def started_programs(decisions) -> list:
+    """(program, start) for every LP that the decisions, run in order from
+    empty ray caches and answer stores, solve from a starting basis."""
+    dual_cone_rays.cache_clear()
+    runs, simplex = [], lp._simplex
+
+    def recorded(program, kernel, F, start=None):
+        if start is not None:
+            runs.append((program, start))
+        return simplex(program, kernel, F, start)
+
+    lp._simplex = recorded
+    try:
+        for decide in decisions:
+            decide()
+    finally:
+        lp._simplex = simplex
+    return runs
+
+
+def bracket_starts() -> list:
+    """(program, start) for every LP that the 128-facet brackets of
+    `bracket_corpus` solve from a basis: a stored one in the first round,
+    the round before's in each later one."""
+    return started_programs(partial(qubit_compatibility_bracket, targets, 128)
+                            for targets in bracket_corpus())
+
+
 def _compatibility_decisions():
     polytope, qubit = compatibility_corpus()
     return ([partial(is_compatible, targets) for targets in polytope]

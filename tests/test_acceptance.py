@@ -17,15 +17,17 @@ from gptsim.spaces import dual_cone_rays
 # caches and answer stores, so the counts do not depend on the order in
 # which the criteria or the other test modules run; a refinement decided
 # from a stored basis, and a simulation or compatibility decided from a
-# stored basis or refutation, is no solve. A float simulation solve starts
-# from the stored basis nearest its target, and its dual-phase pivots count.
+# stored basis or refutation, is no solve. A float simulation or
+# compatibility solve starts from the stored basis nearest its target (a
+# later compatibility round from the round before's), and its dual-phase
+# pivots count.
 LP_WORK = {
     "polygon-counts": (0, 0),
     "square-bit-universality": (128, 681),
     "qubit-ct-threshold": (146, 436),
     "tetrahedron": (4, 35),
     "hexagon-noise": (4, 32),
-    "qubit-triplet-compat": (23, 833),
+    "qubit-triplet-compat": (24, 524),
     "closure-laws": (363, 3326),
     "structural-cross-validation": (364, 2668),
     "noise-content": (67, 402),

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from corpora import float_corpus, oracle_programs, simulation_corpus
+from corpora import bracket_starts, float_corpus, oracle_programs, simulation_corpus
 from gptsim.lp import (
     FEASIBLE,
     INFEASIBLE,
@@ -642,37 +642,45 @@ def test_final_basis_and_inverse(mode):
     # artificial), and B^-1 times the basis columns is the identity, a
     # dropped row's basic column being its artificial, the unit column
     # negated where the row's rhs is negative; neither field enters the
-    # outcome's repr or equality
+    # outcome's repr or equality. An infeasible outcome carries the basis it
+    # refuted from, phase 1's or the dual phase's: B^-1 b leaves a row out
+    # of feasibility, a basic value below zero or an artificial above it.
     import dataclasses
 
-    programs = oracle_programs(31, 90) + simulation_corpus() if mode == EXACT else float_corpus()
-    checked = dropped = 0
-    for p in programs:
-        out = lp_solve(p, mode)
+    if mode == EXACT:
+        cases = [(p, None) for p in oracle_programs(31, 90) + simulation_corpus()]
+    else:
+        cases = [(p, None) for p in float_corpus()] + _polygon_starts()[::5] + bracket_starts()
+    checked, dropped, refuted = 0, 0, {None: 0, "started": 0}
+    for p, start in cases:
+        out = lp_solve(p, mode, start=start)
         assert repr(out) == repr(dataclasses.replace(out, basis=None, inverse=None))
         assert out == dataclasses.replace(out, basis=None, inverse=None)
-        if out.verdict == INFEASIBLE:
-            assert out.basis is None and out.inverse is None
-            continue
         n, m = p.num_vars, len(p.rhs)
         assert len(out.basis) == m
-        dropped += any(j >= n for j in out.basis)
-        x = list(out.solution) + [0] * m
         columns = [[p.rows[i][j] if j < n else (-1 if p.rhs[i] < 0 else 1) * (j - n == i)
                     for i in range(m)] for j in out.basis]
         if mode == EXACT:
+            basic = [F(sum(a * b for a, b in zip(row, p.rhs)), den) for row, den in out.inverse]
             for (row, den), j in zip(out.inverse, out.basis):
-                assert F(sum(a * b for a, b in zip(row, p.rhs)), den) == x[j]
                 assert [F(sum(a * c for a, c in zip(row, col)), den) for col in columns] == \
                     [int(k == j) for k in out.basis]
         else:
             assert not out.inverse.flags.writeable
             basic = out.inverse @ np.asarray(p.rhs, dtype=float)
-            assert np.abs(basic - np.asarray(x)[list(out.basis)]).max() <= 1e-9
             identity = out.inverse @ np.array(columns, dtype=float).T
             assert np.abs(identity - np.eye(m)).max() <= 1e-8
+        if out.verdict == INFEASIBLE:
+            eps = 0 if mode == EXACT else 1e-9
+            assert any(v < -eps or (j >= n and abs(v) > eps) for v, j in zip(basic, out.basis))
+            refuted["started" if start else None] += 1
+            continue
+        dropped += any(j >= n for j in out.basis)
+        x = list(out.solution) + [0] * m
+        assert max(abs(v - x[j]) for v, j in zip(basic, out.basis)) <= (0 if mode == EXACT else 1e-9)
         checked += 1
-    assert checked > 100 and dropped > 10
+    assert checked > 100 and dropped > 10 and refuted[None] > 20
+    assert mode == EXACT or refuted["started"] > 10
 
 
 def test_a_start_needs_a_float_program_without_an_objective():

@@ -157,3 +157,44 @@ def test_random_qubit_observable_margin_filter():
         obs = random_qubit_observable(rng, boundary_margin=1e-3)
         for val in octahedron_margins(obs).values():
             assert abs(val - 1.0) >= 1e-3
+
+
+def _two_minima(effect, space, eps):
+    """The validity test from two least eigenvalues, of e and of u - e."""
+    rest = Effect(tuple(a - b for a, b in zip(space.unit, effect.coeffs)))
+    return space.min_value(effect) >= -eps and space.min_value(rest) >= -eps
+
+
+def test_is_effect_matches_the_two_minima():
+    # one Bloch norm per effect gives the verdicts of `min_value` on e and
+    # on u - e: seeded float effects, those whose least eigenvalue of e or of
+    # u - e lies within eps of zero or just beyond it (e near 0 and near u
+    # among them), and exact effects with rational Bloch norms
+    space, rng, eps = QubitSpace(), random.Random("is-effect"), 1e-9
+    effects = []
+    for _ in range(150):
+        v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        length = rng.choice((0.0, 1e-12, rng.uniform(0.0, 1.2)))
+        bloch = tuple(length * x / math.sqrt(sum(y * y for y in v)) for x in v)
+        half = math.sqrt(sum(x * x for x in bloch)) / 2
+        for tau in (rng.uniform(-0.2, 1.2), half, 1 - half):
+            for shift in (0.0, eps / 2, -eps / 2, 2 * eps, -2 * eps):
+                effects.append((Effect((*bloch, tau + shift)), eps))
+    for a, b, c in ((3, 4, 0), (0, 0, 0), (2, 3, 6), (1, 4, 8)):
+        norm = max(1, math.isqrt(a * a + b * b + c * c))
+        for s in (F(1, 2), F(1, 3), F(7, 10)):
+            bloch = tuple(F(x, norm) * s for x in (a, b, c))
+            for tau in (s / 2, 1 - s / 2, s / 2 - F(1, 10**12), 1 - s / 2 + F(1, 10**12)):
+                effects.append((Effect((*bloch, tau)), 0))
+    verdicts = []
+    for effect, bound in effects:
+        old = _two_minima(effect, space, bound)
+        assert space.is_effect(effect) == is_valid_effect(effect, space) == old, effect
+        verdicts.append(old)
+    assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+    # an exact effect with an irrational Bloch norm raises as before
+    diagonal = Effect((F(1, 4), F(1, 4), 0, F(1, 2)))
+    for check in (space.is_effect, lambda e: is_valid_effect(e, space),
+                  lambda e: _two_minima(e, space, 0)):
+        with pytest.raises(ModeError):
+            check(diagonal)

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -772,9 +773,9 @@ def test_compatibility_programs_drop_implied_blocks(monkeypatch, sq, suite):
 
     programs = []
 
-    def recording(program, mode=None, tol=lp.DEFAULT_TOLERANCE):
+    def recording(program, mode=None, tol=lp.DEFAULT_TOLERANCE, start=None):
         programs.append(program)
-        return lp.lp_solve(program, mode=mode, tol=tol)
+        return lp.lp_solve(program, mode=mode, tol=tol, start=start)
 
     monkeypatch.setattr(simulation, "lp_solve", recording)
     three = trivial_observable(sq.space, [(lab, F(1, 3)) for lab in "abc"])
@@ -824,8 +825,8 @@ def test_compatibility_float_joint_failing_dropped_blocks_raises(monkeypatch, su
     post = apply(Postprocessing(("+", "-"), ("+", "-"), ((0.8, 0.2), (0.3, 0.7))), x)
     assert is_compatible([x, post]).compatible
 
-    def scaled(program, mode=None, tol=lp.DEFAULT_TOLERANCE):
-        out = lp.lp_solve(program, mode=mode, tol=tol)
+    def scaled(program, mode=None, tol=lp.DEFAULT_TOLERANCE, start=None):
+        out = lp.lp_solve(program, mode=mode, tol=tol, start=start)
         return dataclasses.replace(out, solution=tuple(v * (1 + 1e-6) for v in out.solution))
 
     monkeypatch.setattr(simulation, "lp_solve", scaled)
@@ -846,8 +847,8 @@ def test_compatibility_float_agrees_with_exact_on_wide_programs(monkeypatch, nam
 
     solved = []
 
-    def recording(program, mode=None, tol=lp.DEFAULT_TOLERANCE):
-        out = lp.lp_solve(program, mode=mode, tol=tol)
+    def recording(program, mode=None, tol=lp.DEFAULT_TOLERANCE, start=None):
+        out = lp.lp_solve(program, mode=mode, tol=tol, start=start)
         solved.append((program, out))
         return out
 
@@ -881,8 +882,10 @@ def test_compatibility_outcomes_pinned():
     # 84 verdicts equal those of the float tableau before it, and again when
     # the programs dropped their implied last-outcome blocks, and again when
     # `is_compatible` read stored bases and refutations first (some
-    # decisions answered from the store, with no solve), with every decision
-    # verdict unchanged each time.
+    # decisions answered from the store, with no solve), and again when its
+    # float solves started from a basis (the nearest stored one, then the
+    # round before's: 1512 -> 923 pivots over the compatibility corpus),
+    # with every decision verdict unchanged each time.
     import hashlib
 
     from gptsim import lp
@@ -908,7 +911,7 @@ def test_compatibility_outcomes_pinned():
                                 lp.stats["pivots"] - pivots)).encode())
     assert qubit_verdicts == {"compatible", "incompatible"}
     assert digest.hexdigest() == (
-        "aefcf0aaf6899e5f4c75ca1a99a3f851559e46e1e1f27c98c4eaaa7826b6c367")
+        "39dabf6e509ce3a3ba87212438180d27671ff8037f0ba0ec6fc92652314efab6")
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -940,7 +943,9 @@ def test_bracket_128_outcomes_pinned():
     # vector, solves, pivots), so every float certificate bit is pinned. The
     # float kernel's products sum in the order of numpy's BLAS build. Retaken
     # when `is_compatible` read its store first (3 of 31 solves answered from
-    # it), with every verdict unchanged.
+    # it), and when its solves started from a basis (the nearest stored one,
+    # then the round before's: 1256 -> 972 pivots), with every verdict
+    # unchanged.
     import hashlib
 
     from gptsim import lp
@@ -957,7 +962,7 @@ def test_bracket_128_outcomes_pinned():
                             lp.stats["pivots"] - pivots)).encode())
     assert verdicts == {"compatible", "incompatible"}
     assert digest.hexdigest() == (
-        "66b03984f6ada21e9a586aefcc6cd89dac6605721ed3dd01d19fda8a4289c2ac")
+        "90d429cf7db1972a9257d9cd9b4fe33bf12e37f2aeab10506b9b7d5ab679b773")
 
 
 # ---------------------------------------------------------------------------
@@ -1379,8 +1384,10 @@ def test_joint_store_stays_at_its_caps(monkeypatch):
     from gptsim.qubit import QubitEffect, dichotomic
 
     monkeypatch.setattr(lp, "_KEYS", 3)
-    # longest first: a triple's refutation need not refute a shorter one
-    triples = _triples(30, 24, 0.45, 0.54) + _triples(30, 25, 0.75, 0.58)
+    # longest first: a triple's refutation need not refute a shorter one;
+    # the last six follow the third refutation, so that one is stored too
+    triples = (_triples(30, 24, 0.45, 0.54) + _triples(30, 25, 0.75, 0.58)
+               + _triples(6, 27, 0.9, 0.58))
     _bracket(triples[0])
     (answers,) = _stores("compatibility").values()
     answers.cap = 3
@@ -1396,6 +1403,119 @@ def test_joint_store_stays_at_its_caps(monkeypatch):
         _bracket(targets)
         assert len(_stores("compatibility")) <= 3
     assert [len(key[3]) for key in _stores("compatibility")] == [3, 4, 5]
+
+
+def _compatibility_and_bracket_decisions():
+    """The decisions of the compatibility and bracket-128 corpora, each with
+    its targets as the decision reads them (a bracket's as floats)."""
+    from corpora import CORPORA
+
+    decisions = CORPORA["compatibility"]() + CORPORA["bracket-128"]()
+    return [(d, [t.as_float() for t in d.args[0]] if d.func is not is_compatible
+             else d.args[0]) for d in decisions]
+
+
+def test_every_stored_joint_basis_starts_a_solve_to_the_cold_verdict(monkeypatch):
+    # Every basis that the float layouts of the compatibility and
+    # bracket-128 corpora store, as the first round's start of every later
+    # decision of its layout: each decision reaches the verdict of a cold
+    # one and an answer that `replay_compatibility` accepts. Refutations
+    # take the dual phase's Farkas path, a row that no column repairs.
+    from gptsim import lp, simulation
+    from gptsim.simulation import replay_compatibility
+    from gptsim.spaces import dual_cone_rays
+
+    monkeypatch.setattr(lp, "_KEYS", 1000)  # every layout keeps its store
+    cases = _compatibility_and_bracket_decisions()
+    cold = []
+    for decide, _ in cases:
+        dual_cone_rays.cache_clear()
+        cold.append(decide().verdict)
+    dual_cone_rays.cache_clear()
+    stored = []  # (store, bases stored before the decision), a decision each
+    for decide, _ in cases:
+        decide()  # its own answer waits in `pending`
+        store = list(_stores("compatibility").values())[-1]
+        stored.append((store, len(store.bases)))
+    for store in _stores("compatibility").values():
+        if store.pending is not None:
+            store.pending()
+            store.pending = None
+    starts = [store.bases[:count] if store.F.mode == "float" else [] for store, count in stored]
+    start, refuted = [], []
+    row_farkas = lp._FloatRevised.row_farkas
+    monkeypatch.setattr(simulation._JointAnswers, "decide", lambda *args: (None, start[0]))
+    monkeypatch.setattr(lp._FloatRevised, "row_farkas",
+                        lambda *args: refuted.append(args[1]) or row_farkas(*args))
+    started = 0
+    for (decide, targets), verdict, bases in zip(cases, cold, starts):
+        for basis in bases:
+            start[:] = [basis]
+            res = decide()
+            assert res.verdict == verdict
+            assert replay_compatibility(res, targets)
+            started += 1
+    assert started > 200 and len(refuted) > 50
+
+
+def test_a_later_round_starts_from_the_round_before():
+    # From empty stores, every started solve of the qubit brackets of the
+    # compatibility and bracket-128 corpora is a round after the first,
+    # started from the basis on which the round before refuted, its columns
+    # renumbered for the added generators: it reaches the verdict of a cold
+    # solve of its program, with a certificate that replays against that
+    # program, and saves pivots overall.
+    from corpora import started_programs
+
+    from gptsim import lp
+    from gptsim.simulation import replay_compatibility
+    from gptsim.spaces import dual_cone_rays
+
+    decided = []
+
+    def cold_store(targets, facets):
+        dual_cone_rays.cache_clear()
+        decided.append((_bracket(targets, facets), [t.as_float() for t in targets]))
+
+    brackets = [(targets, facets) for targets in compatibility_corpus()[1] for facets in (8, 16)]
+    brackets += [(targets, 128) for targets in bracket_corpus()]
+    runs = started_programs(partial(cold_store, *bracket) for bracket in brackets)
+    assert all(replay_compatibility(res, targets) for res, targets in decided)
+    warm = [lp_solve(program, start=start) for program, start in runs]
+    cold = [lp_solve(program) for program, _ in runs]
+    assert [out.verdict for out in warm] == [out.verdict for out in cold]
+    for (program, _), out in zip(runs, warm):
+        if out.verdict == INFEASIBLE:
+            assert verify_farkas(program, out.farkas)
+        else:
+            assert lp.verify_solution(program, out.solution)
+    assert len(runs) > 10 and {out.verdict for out in warm} == {INFEASIBLE, "feasible"}
+    assert sum(out.pivots for out in warm) < sum(out.pivots for out in cold)
+
+
+def test_a_capped_compatibility_start_solves_cold(monkeypatch):
+    # every started solve of the bracket corpus that pivots in its dual
+    # phase, first round or later, gives the cold outcome, pivot count
+    # included, once the dual phase may make no pivot (`_DUAL_CAP` = 0)
+    from corpora import bracket_starts
+
+    from gptsim import lp
+
+    runs = [(program, start) for program, start in bracket_starts()
+            if lp_solve(program, start=start).pivots]
+    cold = [lp_solve(program) for program, _ in runs]
+    ends = []
+
+    def recorded(tab, n, cap):
+        ends.append(dual(tab, n, cap))
+        return ends[-1]
+
+    dual = lp._dual
+    monkeypatch.setattr(lp, "_dual", recorded)
+    monkeypatch.setattr(lp, "_DUAL_CAP", 0)
+    assert len(runs) > 10
+    assert [lp_solve(program, start=start) for program, start in runs] == cold
+    assert len(ends) == len(runs) and all(end == (0, None) for end in ends)
 
 
 # ---------------------------------------------------------------------------
