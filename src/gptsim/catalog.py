@@ -37,7 +37,7 @@ from .qubit import (
     QubitSpace,
     dichotomic,
     octahedron_margins,
-    sphere_directions,
+    rank_one_generators,
 )
 from .scalars import DEFAULT_TOLERANCE, Tolerance, field, vscale
 from .simulation import (
@@ -439,19 +439,20 @@ def qubit_compatibility_bracket(targets: Sequence[Observable], facets: int = 128
                                 tol: Tolerance = DEFAULT_TOLERANCE) -> CompatibilityResult:
     """Joint-measurability decision for dichotomic qubit targets, in float
     arithmetic: `is_compatible` started from the rank-one effects (d, 1/2)
-    over `sphere_directions(facets)` plus the targets' own Bloch directions
-    (so exact reconstructions, such as a target and its postprocessing, stay
-    feasible at any facet count)."""
+    over `sphere_directions(facets)`, made once per facet count
+    (`rank_one_generators`), plus those over the targets' own Bloch
+    directions (so exact reconstructions, such as a target and its
+    postprocessing, stay feasible at any facet count)."""
     targets = list(targets)
     if any(len(t.outcomes) != 2 or not isinstance(t.space, QubitSpace) for t in targets):
         raise ValueError("the bracket accepts dichotomic qubit observables only")
     vectors = [t.as_float() for t in targets]
-    dirs = list(sphere_directions(facets))
+    gens = list(rank_one_generators(facets))
     for eff in (e for v in vectors for e in v.effects):
         norm = math.sqrt(sum(x ** 2 for x in eff.coeffs[:3]))
         if norm > 1e-12:
-            dirs.append(tuple(x / norm for x in eff.coeffs[:3]))
-    return is_compatible(vectors, tol, generators=[(*d, 0.5) for d in dirs])
+            gens.append((*(x / norm for x in eff.coeffs[:3]), 0.5))
+    return is_compatible(vectors, tol, generators=gens)
 
 
 def xyz_threshold_bracket(facets: int = 128, t_tol: float = 1e-3,

@@ -991,7 +991,10 @@ class Answers:
     bases as B^-1 in the columns of those rows, with a mask of the rows
     whose basic column is structural, since a row the solve dropped
     (`LPOutcome`) needs B^-1 b within eps of zero. Exact B^-1 is kept as
-    integers, each row over its denominator (`dens`).
+    integers, each row over its denominator (`dens`). Each stack is the view
+    of the filled rows of a buffer that doubles up to the cap, so that
+    storing an answer copies one row, and filling a store copies O(cap)
+    rows (`_push`).
 
     A scan returns the first stored answer that decides b, so the hash seed
     changes nothing. When no stored basis is feasible for b, the scan that
@@ -1012,6 +1015,7 @@ class Answers:
         self.F, self.cap, self.pending = F, cap, None
         self.bases, self.refutations = [], []  # what turns each answer into a certificate
         self.refuting = self.limits = self.inverses = self.structural = self.dens = None
+        self.buffers = {}  # stack name -> the array behind its view
 
     def refutation(self, b, L=1):
         """The payload of the first stored refutation y with y.b > its bound
@@ -1042,9 +1046,9 @@ class Answers:
     def keep_refutation(self, payload, y, bound=None):
         """Stack y with its bound: bounds for all refutations or for none."""
         self.refutations.append(payload)
-        self.refuting = _stacked(self.refuting, y)
+        self._push("refuting", y)
         if bound is not None:
-            self.limits = _stacked(self.limits, bound + self.F.eps)
+            self._push("limits", bound + self.F.eps)
 
     def keep_basis(self, payload, inverse, structural, reached=slice(None)):
         """Stack B^-1, as `LPOutcome.inverse` holds it (a float array, or
@@ -1052,17 +1056,28 @@ class Answers:
         if self.F.mode == FLOAT:
             inverse = np.asarray(inverse, dtype=float)[:, reached]
         else:
-            self.dens = _stacked(self.dens, [den for _, den in inverse], object)
+            self._push("dens", [den for _, den in inverse], object)
             inverse = [row[reached] for row, _ in inverse]
         self.bases.append(payload)
-        self.inverses = _stacked(self.inverses, inverse, self.F.dtype)
-        self.structural = _stacked(self.structural, structural)
+        self._push("inverses", inverse, self.F.dtype)
+        self._push("structural", structural)
 
-
-def _stacked(stack, item, dtype=None):
-    """The array `stack` with `item` appended along a new first axis."""
-    item = np.array(item, dtype=dtype)[None]  # a copy, which holds nothing else alive
-    return item if stack is None else np.concatenate([stack, item])
+    def _push(self, name: str, item, dtype=None):
+        """Append item to the stack `name` (None while empty) by one row copy
+        into its buffer. A full buffer, or a stack that is no longer the view
+        of its buffer (a caller replaced it), moves to a new buffer of twice
+        the rows, at most the cap. The buffer doubles rather than starting at
+        the cap because most exact simulation-set stores keep one answer, and
+        a buffer of the cap would fill cap x m x m object slots for it."""
+        item, stack = np.asarray(item, dtype=dtype), getattr(self, name)
+        n, buffer = 0 if stack is None else len(stack), self.buffers.get(name)
+        if buffer is None or stack is None or stack.base is not buffer or n == len(buffer):
+            rows = max(n + 1, min(2 * n, self.cap))
+            buffer = self.buffers[name] = np.empty((rows, *item.shape), item.dtype)
+            if n:
+                buffer[:n] = stack
+        buffer[n] = item
+        setattr(self, name, buffer[:n + 1])
 
 
 _KEYS = 64

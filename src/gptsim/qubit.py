@@ -37,6 +37,7 @@ from .scalars import (
     field,
     kind_of,
     resolve,
+    rows_kind,
 )
 from .spaces import Effect, Observable, is_valid_observable
 
@@ -59,20 +60,10 @@ class QubitSpace:
     def as_float(self) -> "QubitSpace":
         return self
 
-    @staticmethod
-    def _spectrum(effect: Effect, tol: Tolerance):
-        """The field of the effect, tau, the Bloch part and its norm; an
-        effect of another dimension than 4 raises ValueError."""
-        if len(effect.coeffs) != 4:
-            raise ValueError(f"dimension mismatch {len(effect.coeffs)} vs 4")
-        *bloch, tau = effect.coeffs
-        F = resolve((kind_of(effect.coeffs),), tol)
-        return F, tau, bloch, F.sqrt(sum(x * x for x in bloch))
-
     def is_extremal(self, effect: Effect, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         """Rank one: exactly one nonzero eigenvalue, ||e|| = 2 tau > 0."""
-        F, tau, _, norm = self._spectrum(effect, tol)
-        w0 = 2 * tau
+        F, (row,), (norm,) = self._norms([effect.coeffs], tol, exact_roots=False)
+        w0 = 2 * row[3]
         return w0 > F.eps and norm is not None and abs(norm - w0) <= F.eps
 
     def refine(self, effect: Effect, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
@@ -81,9 +72,7 @@ class QubitSpace:
         The eigendecomposition gives at most two parts along the Bloch
         direction; a multiple of the identity is split along the z axis.
         """
-        F, tau, bloch, norm = self._spectrum(effect, tol)
-        if norm is None:
-            raise ModeError("exact qubit effect with an irrational Bloch norm")
+        F, ((*bloch, tau),), (norm,) = self._norms([effect.coeffs], tol)
         w0 = 2 * tau
         eps = F.eps
         if w0 <= eps and norm <= eps:
@@ -99,28 +88,29 @@ class QubitSpace:
             parts.append(Effect((*(-lam_minus * x for x in d), lam_minus / 2)))
         return parts
 
-    def min_value(self, effect: Effect):
-        """The least eigenvalue, tau - ||e|| / 2."""
-        F, tau, _, norm = self._spectrum(effect, DEFAULT_TOLERANCE)
-        if norm is None:
+    @staticmethod
+    def _norms(effects: Sequence, tol: Tolerance, exact_roots: bool = True) -> tuple:
+        """(field, coefficient rows, Bloch norms) of many effects (coefficient
+        vectors, or an array of them) of one field, in one pass, each norm
+        the root of x^2 + y^2 + z^2 summed in that order (`Field.sqrt`). An
+        irrational exact norm raises ModeError, or is None when
+        `exact_roots` is false; an effect of another dimension than 4
+        raises ValueError."""
+        F = resolve((rows_kind(effects, 4),), tol)
+        rows = effects.tolist() if isinstance(effects, np.ndarray) else effects
+        norms = [F.sqrt(x * x + y * y + z * z) for x, y, z, _ in rows]
+        if exact_roots and None in norms:
             raise ModeError("exact qubit effect with an irrational Bloch norm")
-        return F.coerce(tau) - norm / 2
+        return F, rows, norms
 
-    def is_effect(self, effect: Effect, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        """0 <= e <= u: both eigenvalues tau +- ||e|| / 2 lie within eps of
-        [0, 1], so the least ones of e and of u - e, tau - ||e|| / 2 and
-        (1 - tau) - ||e|| / 2, are at least -eps. One Bloch norm serves
-        both (u - e has the negated Bloch part), with the numbers that
-        `min_value` of each gives."""
-        F, tau, _, norm = self._spectrum(effect, tol)
-        if norm is None:
-            raise ModeError("exact qubit effect with an irrational Bloch norm")
-        half = norm / 2
-        return F.coerce(tau) - half >= -F.eps and F.coerce(1 - tau) - half >= -F.eps
+    def min_values(self, effects: Sequence) -> list:
+        """The least eigenvalue tau - ||e|| / 2 of each effect (`_norms`)."""
+        F, rows, norms = self._norms(effects, DEFAULT_TOLERANCE)
+        return [F.coerce(e[3]) - norm / 2 for e, norm in zip(rows, norms)]
 
     def generators(self, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
         """The rank-one effects (d, 1/2) over `sphere_directions(128)`."""
-        return [(*d, 0.5) for d in sphere_directions(128)]
+        return list(rank_one_generators(128))
 
     def canonical_frame(self, effects: Sequence,
                         tol: Tolerance = DEFAULT_TOLERANCE) -> Optional[np.ndarray]:
@@ -131,7 +121,7 @@ class QubitSpace:
         With no such second part, x is the axis least aligned with z, made
         orthogonal to it. None, the identity, when no Bloch part is longer
         than eps or an effect is exact (a rotation is float). A rotation is
-        a symmetry of the qubit: it keeps the cone, the unit and `price`."""
+        a symmetry of the qubit: it keeps the cone, the unit and `prices`."""
         if kind_of(x for e in effects for x in e) == EXACT:
             return None
         eps, z, x = tol.eps, None, None
@@ -157,15 +147,17 @@ class QubitSpace:
         T[:3, :3] = (x, y, z)
         return T
 
-    def price(self, z: Sequence, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple:
-        """2 ||a|| + b for z = (a, b), the largest value of z on an effect
-        with tau = 1 (value one at the maximally mixed state), and the
-        rank-one effect (a / ||a||, 1/2) that attains it up to a factor 2."""
-        F, b, a, norm = self._spectrum(Effect(tuple(z)), tol)
-        if norm is None:
-            raise ModeError("exact qubit functional with an irrational Bloch norm")
-        d = tuple(x / norm for x in a) if norm else (F.zero, F.zero, F.one)
-        return 2 * norm + b, (*d, F.one / 2)
+    def prices(self, Z: Sequence, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple:
+        """(values, effects): for each z = (a, b), a row of Z, 2 ||a|| + b,
+        the largest value of z on an effect with tau = 1 (value one at the
+        maximally mixed state), and the rank-one effect (a / ||a||, 1/2)
+        that attains it up to a factor 2, (0, 0, 1, 1/2) when a = 0; the
+        norms from `_norms`."""
+        F, rows, norms = self._norms(Z, tol)
+        half = F.one / 2
+        return ([2 * norm + z[3] for z, norm in zip(rows, norms)],
+                [(*(x / norm for x in z[:3]), half) if norm else (F.zero, F.zero, F.one, half)
+                 for z, norm in zip(rows, norms)])
 
 
 @lru_cache(maxsize=None)
@@ -188,6 +180,12 @@ def sphere_directions(count: int) -> tuple:
         dirs.append((r * math.cos(phi), r * math.sin(phi), z))
         i += 1
     return tuple(dirs)
+
+
+@lru_cache(maxsize=None)
+def rank_one_generators(count: int) -> tuple:
+    """The rank-one effects (d, 1/2) over `sphere_directions(count)`."""
+    return tuple((*d, 0.5) for d in sphere_directions(count))
 
 
 def QubitEffect(e0, e: Sequence) -> Effect:

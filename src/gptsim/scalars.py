@@ -30,8 +30,9 @@ answer store keeps as its LP left it (`LPOutcome.inverse`, so no store
 clears or inverts a basis of its own) and the basic values it reads from it
 (`lp.Answers`: Fractions over each basis row's denominator in exact mode),
 the integer products of an exact effect with a polytope's extreme states
-against the float array of them (`spaces.StateSpace.min_value`,
-`is_extremal`),
+against the float array of them (`spaces.StateSpace.min_values`, `prices`,
+`is_extremal`), the exact Bloch norms of qubit effects against one float
+array of them (`qubit.QubitSpace._norms`),
 `serialize.decode_number` and the command line's `--mode`. The one clearing
 of numbers to integers lives here: `integer_row` (rationals over their
 least common denominator), and `scaled` and `cleared` (a field's numbers
@@ -97,6 +98,21 @@ def kind_of(values: Iterable) -> Optional[str]:
     if saw_fraction and saw_float:
         raise ModeError("mixed exact/float arithmetic is forbidden")
     return FLOAT if saw_float else EXACT if saw_fraction else None
+
+
+def require_dim(rows, dim: int):
+    """ValueError unless every vector of `rows` (a sequence of coefficient
+    vectors, or a 2-d array) has dim entries."""
+    wrong = ({rows.shape[1]} if isinstance(rows, np.ndarray) else set(map(len, rows))) - {dim}
+    if wrong:
+        raise ValueError(f"dimension mismatch {min(wrong)} vs {dim}")
+
+
+def rows_kind(rows, dim: int) -> Optional[str]:
+    """The kind (`kind_of`) of a sequence of coefficient vectors of dim
+    entries each (`require_dim`), FLOAT at once for a float array."""
+    require_dim(rows, dim)
+    return FLOAT if getattr(rows, "dtype", None) == float else kind_of(x for r in rows for x in r)
 
 
 def infer_mode(values: Iterable) -> str:
@@ -214,8 +230,16 @@ def vdot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
 
 
-def vsub(a: Sequence, b: Sequence) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
+def dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B.T for two float or two object arrays, each entry summed from
+    zero over the coordinates in order, so that it is the number `vdot`
+    gives, bit for bit (a BLAS product may sum in another order); an inf or
+    a NaN gives no warning."""
+    out = np.zeros((len(A), len(B)), dtype=A.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(A.shape[1]):
+            out += np.multiply.outer(A[:, d], B[:, d])
+    return out
 
 
 def vscale(c, a: Sequence) -> Vec:

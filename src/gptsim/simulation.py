@@ -20,7 +20,7 @@ content, the minimal simulation number over an explicit simulator pool, the
 necessary dichotomic convex-hull condition, closure-law diagnostics, and
 compatibility: one joint-observable program on the product outcome set
 for every effect cone, grown by column generation from the cone's
-generators and refuted through its `price` (one round for a polytope,
+generators and refuted through its `prices` (one round for a polytope,
 whose generators are all its dual-cone rays).
 
 Both programs leave out rows that equal effect sums imply: a simulation
@@ -74,8 +74,8 @@ from .scalars import (
 from .spaces import (
     Effect,
     Observable,
+    are_valid_observables,
     decompose_into_indecomposables,
-    is_valid_observable,
     mix_observables,
 )
 
@@ -559,9 +559,10 @@ def noise_content(target: Observable,
 
     Closed form w(A) = sum_x min_s A_x(s). Writing m_x = lambda * t(x), the
     residual A_x - m_x u stays in the effect cone exactly when m_x is at
-    most the least value of A_x on a state (`space.min_value`: the minimum
-    over extreme states, or the least eigenvalue for the qubit), and the
-    outcomes do not constrain each other, so each m_x takes that minimum.
+    most the least value of A_x on a state (`space.min_values`, one call for
+    every outcome: the minimum over extreme states, or the least eigenvalue
+    for the qubit), and the outcomes do not constrain each other, so each
+    m_x takes that minimum.
     """
     if target.space is None:
         raise ValueError("noise content needs the state space")
@@ -570,8 +571,7 @@ def noise_content(target: Observable,
     one, zero = F.one, F.zero
     n = target.n_outcomes
     m = []
-    for eff in target.effects:
-        mx = F.coerce(space.min_value(eff))
+    for mx in map(F.coerce, space.min_values([eff.coeffs for eff in target.effects])):
         if mx < -F.eps:
             raise ValueError("noise content needs valid effects")
         m.append(max(mx, zero))
@@ -714,6 +714,16 @@ def noise_monotonicity_check(target: Observable, simulators: Sequence[Observable
     return MonotonicityDiagnostics(w_target >= min(w_sims) - eps, w_target, w_sims)
 
 
+def _targets_space(targets: list):
+    """The one state space of a nonempty target list, or ValueError."""
+    if not targets:
+        raise ValueError("targets must be nonempty")
+    space = targets[0].space
+    if any(t.space is not space and t.space != space for t in targets):
+        raise ValueError("mixed state spaces rejected")
+    return space
+
+
 @dataclass(frozen=True)
 class CompatibilityResult:
     verdict: str  # compatible | incompatible | undecided
@@ -730,38 +740,29 @@ class CompatibilityResult:
 _ROUNDS = 32
 
 
-def _prices(space, y: Sequence, counts: Sequence[int], tol: Tolerance) -> list:
-    """`space.price(z_w)` for every joint outcome w of targets with these
+def _prices(space, y: Sequence, counts: Sequence[int], F, tol: Tolerance) -> tuple:
+    """`space.prices` of z_w for every joint outcome w of targets with these
     outcome counts, in product order, where z_w is y, a vector of the full
-    layout of `is_compatible`, summed over the blocks that w enters."""
-    dim = space.ambient_dim
-    firsts = list(itertools.accumulate(counts, initial=0))
-    return [space.price([sum(y[(firsts[ti] + li) * dim + d] for ti, li in enumerate(omega))
-                         for d in range(dim)], tol)
-            for omega in itertools.product(*map(range, counts))]
+    layout of `is_compatible`, summed over the blocks that w enters: one
+    array accumulation from zero, target by target, as a Python sum adds."""
+    omegas = np.array(list(itertools.product(*map(range, counts))))
+    Y = np.array(y, dtype=F.dtype).reshape(-1, space.ambient_dim)
+    Z = np.zeros((len(omegas), Y.shape[1]), dtype=F.dtype)
+    for first, column in zip(itertools.accumulate(counts, initial=0), omegas.T):
+        Z += Y[first + column]
+    return space.prices(Z, tol)
 
 
-def _joint_effects(terms, n: int, dim: int, zero) -> list:
-    """The coefficients of the n joint effects G_w, each the sum of x g over
-    the terms (w, x, g)."""
-    coeffs = [[zero] * dim for _ in range(n)]
-    for w, x, g in terms:
-        coeffs[w] = [a + x * c for a, c in zip(coeffs[w], g)]
-    return coeffs
-
-
-def _joint_result(targets: Sequence[Observable], store: "_JointAnswers",
-                  coeffs: Sequence) -> CompatibilityResult:
-    """The compatible verdict for the joint effects `coeffs` on the joint
-    outcomes of `store`, labelled `a|b|...` by the targets' labels, with
-    the deterministic marginal channels."""
-    joint = Observable(tuple(("|".join(t.labels[li] for t, li in zip(targets, omega)),
-                              Effect(tuple(c)))
-                             for omega, c in zip(store.joint_outcomes, coeffs)),
-                       targets[0].space)
-    channels = tuple(Postprocessing(joint.labels, t.labels, matrix)
-                     for t, matrix in zip(targets, store.marginals))
-    return CompatibilityResult("compatible", joint=joint, marginal_channels=channels)
+def _joint_effects(owners, weights, vectors: np.ndarray, n: int, F) -> list:
+    """The coefficients of the n joint effects G_w, a list each: G_w is the
+    sum of x g over the terms (w, x, g) of `owners`, `weights` and the rows
+    of `vectors` whose owner w is not negative, added in term order from
+    zero as a Python sum adds them (`np.add.at`)."""
+    used = owners >= 0
+    coeffs = np.full((n, vectors.shape[1]), F.zero, dtype=F.dtype)
+    np.add.at(coeffs, owners[used],
+              (np.asarray(weights, dtype=F.dtype)[:, None] * vectors)[used])
+    return coeffs.tolist()
 
 
 def _turned(values, frame: np.ndarray, dim: int) -> np.ndarray:
@@ -825,6 +826,22 @@ class _JointAnswers(Answers):
             tuple(tuple(F.one if omega[ti] == li else F.zero for li in range(n))
                   for omega in self.joint_outcomes)
             for ti, n in enumerate(counts))
+        self.labelled = None  # (targets' labels, joint labels, channels) of the last result
+
+    def result(self, targets: Sequence[Observable], coeffs: list) -> CompatibilityResult:
+        """The compatible verdict for the joint effects `coeffs` on the joint
+        outcomes, labelled `a|b|...` by the targets' labels, with the
+        deterministic marginal channels; labels and channels are made once
+        for a run of targets with the same labels."""
+        key = tuple(t.labels for t in targets)
+        if self.labelled is None or self.labelled[0] != key:
+            joint = tuple("|".join(t.labels[li] for t, li in zip(targets, omega))
+                          for omega in self.joint_outcomes)
+            self.labelled = key, joint, tuple(Postprocessing(joint, t.labels, matrix)
+                                              for t, matrix in zip(targets, self.marginals))
+        _, joint, channels = self.labelled
+        return CompatibilityResult("compatible", marginal_channels=channels, joint=Observable(
+            tuple(zip(joint, map(Effect, coeffs))), targets[0].space))
 
     def decide(self, targets: Sequence[Observable], frame, tol: Tolerance) -> tuple:
         """(answer, None) for b, the targets' effects turned by `frame` (None:
@@ -852,12 +869,10 @@ class _JointAnswers(Answers):
             if hit[1] is None:
                 return None, hit[0]
             (owners, vectors), values = hit
-            terms = ((w, v, g) for w, v, g in zip(owners.tolist(), values, vectors.tolist())
-                     if w >= 0)
-            coeffs = _joint_effects(terms, len(self.joint_outcomes), dim, F.zero)
+            coeffs = _joint_effects(owners, values, vectors, len(self.joint_outcomes), F)
             if frame is not None:
                 coeffs = _turned(coeffs, frame.T, dim).tolist()
-            result = _joint_result(targets, self, coeffs)
+            result = self.result(targets, coeffs)
         return (result if replay_compatibility(result, targets, tol) else None), None
 
     def restored(self, payload, gens: list, frame) -> tuple:
@@ -946,12 +961,8 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
     start cold.
     """
     targets = list(targets)
-    if not targets:
-        raise ValueError("targets must be nonempty")
-    space = targets[0].space
-    if any(t.space != space for t in targets):
-        raise ValueError("mixed state spaces rejected")
-    if not all(is_valid_observable(t, space, tol) for t in targets):
+    space = _targets_space(targets)
+    if not are_valid_observables(targets, space, tol):
         raise ValueError("compatibility targets must be valid observables")
     gens = list(space.generators(tol) if generators is None else generators)
     # Generators share one arithmetic, so the first stands for all of them.
@@ -985,8 +996,8 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
         y = [zero] * (len(effects) * dim)  # zeros in the dropped blocks
         for j, b in enumerate(kept):
             y[b * dim:(b + 1) * dim] = out.farkas[j * dim:(j + 1) * dim]
-        prices = _prices(space, y, counts, tol)
-        bound = max(zero, *(p for p, _ in prices))
+        prices, priced = _prices(space, y, counts, F, tol)
+        bound = max(zero, *prices)
         if vdot(out.farkas, rhs) > bound:
             result = CompatibilityResult("incompatible", farkas=tuple(y))
             if not replay_compatibility(result, targets, tol):
@@ -995,14 +1006,13 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
             return result
         if F.mode == FLOAT:
             basic = _owners(out.basis, len(gens), joint)
-        gens += [g for p, g in prices if p > 0]
+        gens += [g for p, g in zip(prices, priced) if p > 0]
     else:
         return CompatibilityResult("undecided")
-    sol = out.solution
-    coeffs = _joint_effects(((i // len(gens), sol[i], gens[i % len(gens)])
-                             for i in itertools.compress(range(len(sol)), sol)),  # nonzero weights
-                            joint, dim, zero)
-    result = _joint_result(targets, store, coeffs)
+    sol = np.array(out.solution, dtype=F.dtype)
+    used = np.flatnonzero(sol)  # the nonzero weights
+    coeffs = _joint_effects(used // len(gens), sol[used], vectors[used % len(gens)], joint, F)
+    result = store.result(targets, coeffs)
     if not replay_compatibility(result, targets, tol):
         raise CertificateError("compatibility joint fails replay")
     store.pending = partial(store.solved, out, vectors, frame)
@@ -1024,19 +1034,19 @@ def replay_compatibility(result: CompatibilityResult, targets: Sequence[Observab
     in the same layout (`is_compatible` says why), so y replays when y.b
     exceeds that bound. A compatible verdict replays when the joint is an
     observable on the targets' space whose effects lie in the cone
-    (`space.min_value` >= -eps) and sum to the unit, and each marginal
+    (`space.min_values` >= -eps, one call for all) and sum to the unit, and each marginal
     channel, stochastic and from the joint's labels to its target's,
     reproduces its target in every coordinate of every effect."""
     targets = list(targets)
-    space = targets[0].space
+    space = _targets_space(targets)
     b = [c for t in targets for eff in t.effects for c in eff.coeffs]
     if result.verdict == "incompatible":
         y = result.farkas
         if y is None or len(y) != len(b):
             return False
         F = resolve((*(t.kind for t in targets), kind_of(y)), tol)
-        prices = _prices(space, y, [t.n_outcomes for t in targets], tol)
-        return bool(vdot(y, b) > max(F.zero, *(p for p, _ in prices)))
+        prices, _ = _prices(space, y, [t.n_outcomes for t in targets], F, tol)
+        return bool(vdot(y, b) > max(F.zero, *prices))
     joint, channels = result.joint, result.marginal_channels
     if (not result.compatible or joint is None or channels is None
             or len(channels) != len(targets) or joint.space != space
@@ -1047,12 +1057,13 @@ def replay_compatibility(result: CompatibilityResult, targets: Sequence[Observab
     # Row w of C holds every channel's row w in turn: C.T @ J stacks the
     # marginals in the layout of b.
     entries = [x for w in range(nw) for chan in channels for x in chan.matrix[w]]
-    F = resolve((joint.kind, kind_of(entries), *(t.kind for t in targets)), tol)
-    if not all(space.min_value(e) >= -F.eps for e in joint.effects):
-        return False
-    J, A, U, D = cleared(F, [c for e in joint.effects for c in e.coeffs], b, space.unit)
+    flat = [c for e in joint.effects for c in e.coeffs]
+    F = resolve((kind_of(flat), *(chan.kind for chan in channels), *(t.kind for t in targets)), tol)
+    J, A, U, D = cleared(F, flat, b, space.unit)
     C, E = cleared(F, entries)  # the channels' entries over one scale E
     C, J, eps = C.reshape(nw, -1), J.reshape(nw, dim), F.eps
+    if not all(v >= -eps for v in space.min_values(J)):  # J is the joint times D > 0
+        return False
     starts = list(itertools.accumulate((t.n_outcomes for t in targets[:-1]), initial=0))
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or a NaN fails
         return bool((abs(J.sum(axis=0) - U) <= eps).all()

@@ -8,17 +8,20 @@ about it:
 * `is_extremal(effect, tol)`: does the effect span an extreme ray of the
   cone (is it indecomposable)?
 * `refine(effect, tol)`: the effect written as a sum of such extreme effects;
-* `min_value(effect)`: the least value of the effect on a state, so that an
-  effect lies in the cone exactly when its minimum is nonnegative;
-* `is_effect(effect, tol)`: is it an effect, 0 <= e <= u, with both e and
-  u - e at least -eps on every state (`is_valid_effect`);
-* `generators(tol)` and `price(z, tol)`, for `simulation.is_compatible`:
-  extreme effects that start the joint-observable program, and the largest
-  value of the functional z on an effect of unit weight at a fixed interior
-  state, with an extreme effect (up to a positive factor) attaining it;
+* `min_values(effects)`: the least value on a state of each effect (a
+  coefficient vector), so that an effect lies in the cone exactly when its
+  minimum is nonnegative. It takes every effect of a question at once:
+  `is_valid_effect` and `are_valid_observables` ask it about every e and
+  u - e together, and `simulation.noise_content` and
+  `simulation.replay_compatibility` about all their effects;
+* `generators(tol)` and `prices(Z, tol)`, for `simulation.is_compatible`:
+  extreme effects that start the joint-observable program, and for each
+  functional z, a row of Z, the largest value of z on an effect of unit
+  weight at a fixed interior state, with an extreme effect (up to a
+  positive factor) attaining it; one call prices every joint outcome;
 * `canonical_frame(effects, tol)`: a symmetry of the space, a linear map T
   of effect coefficients (None for the identity) that preserves the cone,
-  the unit and `price`, and moves the given effects to a position fixed by
+  the unit and `prices`, and moves the given effects to a position fixed by
   their geometry, so that `simulation.is_compatible` reads the answers it
   stored for one set of targets for every image of it under a symmetry.
 
@@ -51,16 +54,19 @@ from .scalars import (
     DEFAULT_TOLERANCE,
     EXACT,
     FLOAT,
+    ModeError,
     Tolerance,
     cleared,
+    dots,
     field,
     integer_row,
     kind_of,
+    require_dim,
     resolve,
+    rows_kind,
     to_float_vector,
     vdot,
     vscale,
-    vsub,
 )
 
 
@@ -93,6 +99,9 @@ class StateSpace:
         return self.kind or EXACT
 
     def as_float(self) -> "StateSpace":
+        """The space over floats: itself when every coordinate is a float."""
+        if all(type(x) is float for v in (*self.extreme_states, self.unit) for x in v):
+            return self
         return StateSpace(self.name, self.ambient_dim,
                           tuple(to_float_vector(s) for s in self.extreme_states),
                           to_float_vector(self.unit))
@@ -161,40 +170,41 @@ class StateSpace:
     @cached_property
     def _float_states(self) -> np.ndarray:
         """The extreme states as one float array, a row each: made once per
-        space on the first float `is_extremal`."""
+        space on the first float `is_extremal` or `min_values`."""
         return np.array(self.extreme_states, dtype=float).reshape(-1, self.ambient_dim)
 
     @cached_property
     def _integer_states(self) -> tuple:
         """The extreme states as integer tuples over one positive denominator
         D, as (states, D): made once per space on the first exact
-        `min_value` or `is_extremal`; a float raises ValueError."""
+        `min_values` or `is_extremal`; a float raises ValueError."""
         flat, D = integer_row([x for s in self.extreme_states for x in s])
         n = self.ambient_dim
         return tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n)), D
 
-    def min_value(self, effect: "Effect"):
-        """The least value of the effect over the extreme states. With no
-        float on either side, the effect cleared to integers E over L and the
-        states to S over D give it as the one Fraction min_S (E . S) / (L D);
-        otherwise it is min effect(s). An effect of another dimension than
-        the space raises ValueError."""
-        if self.kind != FLOAT and effect.dim == self.ambient_dim:
+    def min_values(self, effects: Sequence) -> list:
+        """The least value over the extreme states of each effect (a
+        coefficient vector). With no float on either side, an effect cleared
+        to integers E over L and the states to S over D give it as the one
+        Fraction min_S (E . S) / (L D); otherwise one array of the float
+        products of every effect with every state (`scalars.dots`) gives
+        each row's first least value, the float of min over `vdot`. An
+        effect of another dimension than the space raises ValueError, and
+        a float one on a space with a Fraction in it ModeError."""
+        require_dim(effects, self.ambient_dim)
+        if self.kind != FLOAT:
             try:
-                E, L = integer_row(effect.coeffs)
-            except ValueError:  # a float effect
-                pass
+                cleared = list(map(integer_row, effects))
+            except ValueError:  # a float coefficient
+                if self.kind == EXACT:
+                    raise ModeError("float effects on an exact state space") from None
             else:
                 states, D = self._integer_states
-                return Fraction(min(sum(map(mul, E, s)) for s in states), L * D)
-        return min(effect(s) for s in self.extreme_states)
-
-    def is_effect(self, effect: "Effect", tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        """0 <= e <= u: the least values of e and of u - e on a state are at
-        least -eps."""
-        eps = resolve((self.kind, kind_of(effect.coeffs)), tol).eps
-        rest = Effect(vsub(self.unit, effect.coeffs))
-        return self.min_value(effect) >= -eps and self.min_value(rest) >= -eps
+                return [Fraction(min(sum(map(mul, E, s)) for s in states), L * D)
+                        for E, L in cleared]
+        values = dots(np.asarray(effects, dtype=float).reshape(len(effects), self.ambient_dim),
+                      self._float_states)
+        return values[np.arange(len(effects)), values.argmin(axis=1)].tolist()
 
     def generators(self, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple:
         """Every dual-cone extreme ray."""
@@ -205,13 +215,20 @@ class StateSpace:
         its effects stay in their own coordinates."""
         return None
 
-    def price(self, z: Sequence, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple:
-        """max over rays r of z.r / r(c), c the barycenter of the extreme
-        states, and a ray that attains it."""
+    def prices(self, Z: Sequence, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple:
+        """(values, rays): for each functional z, a row of Z, max over rays r
+        of z.r / r(c), c the barycenter of the extreme states, and the first
+        ray that attains it, from one array of the products of every z with
+        every ray (`scalars.dots`: floats, or exact numbers with no float
+        on either side)."""
+        dtype = float if FLOAT in (self.kind, rows_kind(Z, self.ambient_dim)) else object
+        rays = dual_cone_rays(self, tol)
         n = len(self.extreme_states)
         c = [field(self.mode).coerce(sum(x)) / n for x in zip(*self.extreme_states)]
-        return max(((vdot(z, r) / vdot(r, c), r) for r in dual_cone_rays(self, tol)),
-                   key=lambda pair: pair[0])
+        ratios = (dots(np.array(Z, dtype=dtype).reshape(len(Z), self.ambient_dim),
+                       np.array(rays, dtype=dtype)) / np.array([vdot(r, c) for r in rays], dtype))
+        best = ratios.argmax(axis=1)
+        return ratios[np.arange(len(Z)), best].tolist(), [rays[k] for k in best]
 
 
 @dataclass(frozen=True)
@@ -237,7 +254,9 @@ class Effect:
 @dataclass(frozen=True)
 class Observable:
     """Finite outcome-labelled family of effects summing to the unit. At
-    least one outcome, and effects of one dimension, or ValueError."""
+    least one outcome, and effects of one dimension, or ValueError. Its
+    `labels` and `effects`, which nearly every use reads, are tuples made
+    with it (a first `cached_property` read costs about a microsecond)."""
 
     outcomes: tuple  # of (label, Effect)
     space: Optional[StateSpace] = None
@@ -254,14 +273,8 @@ class Observable:
         if len(dims) > 1:
             raise ValueError(f"dimension mismatch between effects of dimensions {sorted(dims)}")
         object.__setattr__(self, "outcomes", tuple(fixed))
-
-    @cached_property
-    def labels(self) -> tuple:
-        return tuple(label for label, _ in self.outcomes)
-
-    @cached_property
-    def effects(self) -> tuple:
-        return tuple(eff for _, eff in self.outcomes)
+        object.__setattr__(self, "labels", tuple(label for label, _ in fixed))
+        object.__setattr__(self, "effects", tuple(eff for _, eff in fixed))
 
     def effect(self, label: str) -> Effect:
         for lab, eff in self.outcomes:
@@ -306,8 +319,12 @@ class Observable:
         return tuple(self.space.unit) if self.space is not None else self.effect_sum
 
     def as_float(self) -> "Observable":
-        return Observable(tuple((lab, eff.as_float()) for lab, eff in self.outcomes),
-                          self.space.as_float() if self.space is not None else None)
+        """The observable over floats: itself when every coefficient is a
+        float and its space (if any) is a float space already."""
+        space = self.space.as_float() if self.space is not None else None
+        if space is self.space and all(type(x) is float for e in self.effects for x in e.coeffs):
+            return self
+        return Observable(tuple((lab, eff.as_float()) for lab, eff in self.outcomes), space)
 
     def relabelled(self, mapping: dict) -> "Observable":
         return Observable(tuple((mapping.get(lab, lab), eff)
@@ -383,24 +400,41 @@ def validate_state_space(space: StateSpace,
 
 def is_valid_effect(effect: Effect, space,
                     tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """True iff 0 <= e <= u: both e and u - e have a nonnegative minimum
-    (`space.is_effect`)."""
+    """True iff 0 <= e <= u: both e and u - e have a least value of at least
+    -eps on the states (`_in_unit_interval`)."""
     if effect.dim != space.ambient_dim:
         raise ValueError("effect dimension does not match state space")
-    return space.is_effect(effect, tol)
+    return _in_unit_interval([effect.coeffs], space,
+                             resolve((space.kind, kind_of(effect.coeffs)), tol).eps)
 
 
 def is_valid_observable(obs: Observable, space: Optional[StateSpace] = None,
                         tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Labels distinct, effects valid (when a space is known), sum equals u."""
-    space = space if space is not None else obs.space
-    if len(set(obs.labels)) != obs.n_outcomes:
+    return are_valid_observables([obs], space if space is not None else obs.space, tol)
+
+
+def are_valid_observables(observables: Sequence[Observable], space,
+                          tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+    """`is_valid_observable` for every observable on one space (None: the
+    labels only), with one `space.min_values` call for all their effects."""
+    if any(len(set(obs.labels)) != obs.n_outcomes for obs in observables):
         return False
     if space is None:
         return True
-    eps = field(obs.mode, tol).eps
-    return (all(is_valid_effect(e, space, tol) for e in obs.effects)
-            and all(abs(a - b) <= eps for a, b in zip(obs.effect_sum, space.unit)))
+    if any(obs.dim != space.ambient_dim for obs in observables):
+        raise ValueError("effect dimension does not match state space")
+    eps = resolve((space.kind, *(obs.kind for obs in observables)), tol).eps
+    return (_in_unit_interval([e.coeffs for obs in observables for e in obs.effects], space, eps)
+            and all(abs(a - b) <= eps
+                    for obs in observables for a, b in zip(obs.effect_sum, space.unit)))
+
+
+def _in_unit_interval(vectors: Sequence, space, eps) -> bool:
+    """0 <= e <= u for every coefficient vector e: the least values of each e
+    and each u - e, from one `space.min_values` call, are at least -eps."""
+    rests = [tuple(a - b for a, b in zip(space.unit, e)) for e in vectors]
+    return all(v >= -eps for v in space.min_values(vectors + rests))
 
 
 def trivial_observable(space: StateSpace, dist) -> Observable:

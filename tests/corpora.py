@@ -15,18 +15,22 @@ driver, so a decision that solves several programs (a conic decomposition,
 a compatibility bracket, a `reproduce` criterion) gives several lines.
 After its solves, each decision gives one line of its own, without a solve
 index: the decision's verdict ("passed" or "failed" for a criterion,
-"<k> leaves" for a decomposition) and whether `replay_simulation` accepts
-its certificate, against the source for a relation decision and against
-the leaves for a decomposition (null for the others).
+"<k> leaves" for a decomposition), a digest of the certificate it returned
+(the repr of its result: an answer read from a store makes no solve, so
+only this digest sees it), and whether `replay_simulation` accepts its
+certificate, against the source for a relation decision and against the
+leaves for a decomposition (null for the others).
 `diff` pairs the solves of each decision by program digest, in order: each
 solve of NEW takes the first solve of OLD after the last one paired that
 has its digest, so a solve that a change skips reads as gone and one whose
 program moved as gone and new. It prints, per corpus, how many paired
 solves moved verdict, certificate or pivots, the pivot totals and the
 replay failures, then one line per paired solve that moved, then the same
-for the decisions' verdicts and replays, and "moved nothing" when no solve
-or decision moved, went or appeared. It exits 1 when the verdict of a
-paired solve or of a decision moves or a replay is lost. Run `dump` on the
+for the decisions' verdicts, certificates and replays, and "moved nothing"
+when no solve or decision moved, went or appeared. It exits 1 when the
+verdict of a paired solve or of a decision moves or a replay is lost; a
+moved certificate is reported, not an alarm, and a dump written before
+decision lines carried the digest compares none. Run `dump` on the
 parent commit in a second checkout and on the change, then `diff` the two
 files.
 
@@ -391,7 +395,8 @@ def _decision(corpus, index, decide, result) -> dict:
     if isinstance(result, SimulationCertificate):  # a relation decision
         target, source = decide.args
         replays = replay_simulation(result, target, [source])
-    return {"corpus": corpus, "index": index, "verdict": verdict, "replays": replays}
+    return {"corpus": corpus, "index": index, "verdict": verdict, "replays": replays,
+            "certificate": hashlib.sha256(repr(result).encode()).hexdigest()[:16]}
 
 
 def record(corpus):
@@ -474,6 +479,8 @@ _SOLVE_MOVES = {
 
 _DECISION_MOVES = {
     "verdict": _SOLVE_MOVES["verdict"],
+    "certificate": lambda a, b: ("certificate" in a and "certificate" in b
+                                 and a["certificate"] != b["certificate"]),
     "replay lost": _SOLVE_MOVES["replay lost"],
 }
 

@@ -5,7 +5,9 @@ come from numpy on explicit 2x2 matrices, polytope noise content from a
 direct minimum over extreme states, simulability of dichotomic targets
 from a dense grid over mixing weights where that is tractable, exact
 LP outcomes from a dense simplex tableau of plain Fractions, and the
-minimally sufficient form from pairwise rank tests.
+minimally sufficient form from pairwise rank tests. `min_value` and
+`price` keep the per-effect cone formulas that `min_values` and `prices`
+answer for many effects at once.
 """
 
 from fractions import Fraction
@@ -14,8 +16,9 @@ import numpy as np
 
 from gptsim.geometry import rank
 from gptsim.postprocessing import Postprocessing
-from gptsim.scalars import DEFAULT_TOLERANCE, field
-from gptsim.spaces import Effect, Observable
+from gptsim.qubit import QubitSpace
+from gptsim.scalars import DEFAULT_TOLERANCE, FLOAT, ModeError, field, kind_of, resolve, vdot
+from gptsim.spaces import Effect, Observable, dual_cone_rays
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -36,6 +39,43 @@ def qubit_matrix(coeffs):
 
 def qubit_min_eigenvalue(coeffs) -> float:
     return float(np.linalg.eigvalsh(qubit_matrix(coeffs))[0])
+
+
+def _qubit_spectrum(coeffs, tol):
+    """The field of one qubit effect, tau, its Bloch part and its norm."""
+    if len(coeffs) != 4:
+        raise ValueError(f"dimension mismatch {len(coeffs)} vs 4")
+    *bloch, tau = coeffs
+    F = resolve((kind_of(coeffs),), tol)
+    norm = F.sqrt(sum(x * x for x in bloch))
+    if norm is None:
+        raise ModeError("exact qubit effect with an irrational Bloch norm")
+    return F, tau, bloch, norm
+
+
+def min_value(space, coeffs):
+    """The least value of one effect on a state, one effect at a time: the
+    qubit's tau - ||e|| / 2, or a polytope's least `vdot` over its extreme
+    states (a Fraction when neither side holds a float)."""
+    if isinstance(space, QubitSpace):
+        F, tau, _, norm = _qubit_spectrum(coeffs, DEFAULT_TOLERANCE)
+        return F.coerce(tau) - norm / 2
+    least = min(vdot(coeffs, s) for s in space.extreme_states)
+    return least if space.kind == FLOAT or kind_of(coeffs) == FLOAT else Fraction(least)
+
+
+def price(space, z, tol=DEFAULT_TOLERANCE) -> tuple:
+    """(value, effect) for one functional z: the qubit's 2 ||a|| + b with
+    (a / ||a||, 1/2), or a polytope's max over rays r of z.r / r(c), c the
+    barycenter of its extreme states, with the first ray attaining it."""
+    if isinstance(space, QubitSpace):
+        F, b, a, norm = _qubit_spectrum(z, tol)
+        d = tuple(x / norm for x in a) if norm else (F.zero, F.zero, F.one)
+        return 2 * norm + b, (*d, F.one / 2)
+    n = len(space.extreme_states)
+    c = [field(space.mode).coerce(sum(x)) / n for x in zip(*space.extreme_states)]
+    return max(((vdot(z, r) / vdot(r, c), r) for r in dual_cone_rays(space, tol)),
+               key=lambda pair: pair[0])
 
 
 def qubit_noise_content_grid(obs, steps: int = 20001) -> float:

@@ -39,3 +39,21 @@ def test_a_verdict_moved_on_the_same_program_is_an_alarm(tmp_path):
     assert alarms == 1
     assert "c: 2 -> 2 solves (1 gone, 1 new); moved: verdict 1," in text
     assert "#0.1 (now .0): verdict; feasible -> infeasible" in text
+
+
+def test_a_moved_certificate_is_reported_not_an_alarm(tmp_path):
+    # a decision line's certificate digest: a move is counted, and a dump
+    # written before decision lines carried it compares none
+    def run(old, new):
+        paths = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+        for path, line in zip(paths, (old, new)):
+            path.write_text(json.dumps(line) + "\n")
+        out = io.StringIO()
+        return diff(*paths, file=out), out.getvalue()
+
+    alarms, text = run(dict(DECISION, certificate="a"), dict(DECISION, certificate="b"))
+    assert alarms == 0
+    assert "moved: verdict 0, certificate 1, replay lost 0" in text and "moved nothing" not in text
+    assert "decision #0: certificate; passed -> passed" in text
+    alarms, text = run(DECISION, dict(DECISION, certificate="b"))
+    assert alarms == 0 and "moved nothing" in text

@@ -754,3 +754,37 @@ def test_a_singular_start_or_the_dual_cap_solves_cold(monkeypatch):
     monkeypatch.setattr(lp, "_DUAL_CAP", 0)
     assert [lp_solve(program, start=start) for program, start in starts] == list(cold)
     assert ends and all(end == (0, None) for end in ends)
+
+
+def test_answer_stacks_are_views_of_buffers_that_double_up_to_the_cap():
+    # storing an answer copies one row into a buffer of 1, 2, 4, ... rows,
+    # at most the cap; each stack reads the filled rows in storing order,
+    # and a stack that a caller replaced is copied, not lost, when the next
+    # answer comes
+    from gptsim import lp
+    from gptsim.scalars import field
+
+    store = lp.Answers(field(FLOAT), cap=3)
+    assert store.inverses is store.refuting is None
+    for k, rows in enumerate((1, 2, 3)):
+        store.keep_basis(("basis", k), np.full((2, 2), float(k)), [True, k > 0])
+        store.keep_refutation(("y", k), [float(k), 1.0], bound=float(k))
+        buffers = dict(store.buffers)
+        assert {name: len(b) for name, b in buffers.items()} == dict.fromkeys(buffers, rows)
+    assert set(buffers) == {"inverses", "structural", "refuting", "limits"}
+    assert store.bases == [("basis", 0), ("basis", 1), ("basis", 2)]
+    assert all(getattr(store, name).base is buffer for name, buffer in buffers.items())
+    assert store.inverses[:, 0, 0].tolist() == [0.0, 1.0, 2.0]
+    assert store.structural.tolist() == [[True, False], [True, True], [True, True]]
+    assert store.limits.tolist() == [1e-9, 1 + 1e-9, 2 + 1e-9]
+    store.inverses = store.inverses * 2
+    store.keep_basis(("basis", 3), np.full((2, 2), 3.0), [True, True])
+    assert store.inverses[:, 0, 0].tolist() == [0.0, 2.0, 4.0, 3.0]
+    assert store.refuting.base is buffers["refuting"]
+    big = lp.Answers(field(FLOAT), cap=64)
+    for k in range(5):
+        big.keep_refutation(k, [1.0])
+        assert len(big.buffers["refuting"]) == (1, 2, 4, 4, 8)[k]
+    exact = lp.Answers(field(EXACT), cap=2)
+    exact.keep_basis(0, [(np.array([1, 2]), 3), (np.array([4, 5]), 6)], [True, True])
+    assert exact.dens.tolist() == [[3, 6]] and exact.inverses.tolist() == [[[1, 2], [4, 5]]]

@@ -1,11 +1,15 @@
-"""Property-based checks with hypothesis: certificates always replay."""
+"""Property-based checks with hypothesis: certificates always replay, and the
+effect cone's many-effect calls give the one-effect numbers."""
 
+import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptsim.catalog import random_observable, square_bit
+from oracles import min_value as oracle_min, price as oracle_price
+from gptsim.catalog import classical, polygon, random_observable, square_bit
 from gptsim.geometry import conic_decompose, in_convex_hull, replay_conic, replay_hull
 from gptsim.lp import (
     FEASIBLE,
@@ -17,9 +21,10 @@ from gptsim.lp import (
     verify_solution,
 )
 from gptsim.postprocessing import are_equivalent, minimally_sufficient
-from gptsim.scalars import vdot
+from gptsim.qubit import QubitSpace
+from gptsim.scalars import ModeError, vdot
 from gptsim.simulation import is_simulable, replay_simulation
-from gptsim.spaces import is_valid_observable
+from gptsim.spaces import Effect, StateSpace, is_valid_effect, is_valid_observable
 
 SQ = square_bit()
 
@@ -186,3 +191,88 @@ def test_simulability_monotone_in_base(seed):
     obs = random_observable(SQ.space, rng)
     if is_simulable(obs, [SQ.E]).simulable:
         assert is_simulable(obs, [SQ.E, SQ.F]).simulable
+
+
+# The cone calls against the one-effect formulas of `oracles.min_value` and
+# `oracles.price`: polytopes exact and float (float rows on an integer space
+# too), and the qubit.
+CONES = {"square": SQ.space, "square-float": SQ.space.as_float(),
+         "square-integer": StateSpace("integer square", 3, [(1, 1, 1), (-1, 1, 1), (-1, -1, 1),
+                                                            (1, -1, 1)], (0, 0, 1)),
+         "classical3": classical(3).space, "classical3-float": classical(3).space.as_float(),
+         **{f"polygon{n}": polygon(n).space for n in range(5, 9)}, "qubit": QubitSpace()}
+# hypothesis favours short floats, whose sums round in no order; seeded
+# uniform draws carry every bit
+floats = st.one_of(st.floats(-3, 3), st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+                   st.integers(0, 2 ** 32).map(lambda k: random.Random(k).uniform(-3, 3)))
+# (2a, 2b, 1 - a^2 - b^2) / (1 + a^2 + b^2) is a rational point on the unit sphere
+sphere = st.tuples(rationals, rationals).map(
+    lambda ab: tuple(c / (1 + ab[0] ** 2 + ab[1] ** 2)
+                     for c in (2 * ab[0], 2 * ab[1], 1 - ab[0] ** 2 - ab[1] ** 2)))
+
+
+@st.composite
+def cone_rows(draw):
+    """(space, rows): one to six coefficient vectors of one field."""
+    name = draw(st.sampled_from(sorted(CONES)))
+    space = CONES[name]
+    if name == "qubit" and draw(st.booleans()):  # exact, with rational Bloch norms
+        rows = draw(st.lists(st.tuples(sphere, rationals, rationals), min_size=1, max_size=6))
+        return space, [(*(r * x for x in d), tau) for d, r, tau in rows]
+    exact = space.kind == "exact" or (name != "qubit" and space.kind is None
+                                      and draw(st.booleans()))
+    entries = rationals if exact else floats
+    return space, draw(st.lists(st.tuples(*[entries] * space.ambient_dim), min_size=1, max_size=6))
+
+
+def _same(got, want):
+    """Bit for bit for floats (so -0.0 is not 0.0), equal for exact numbers."""
+    if isinstance(want, float):
+        return type(got) is float and got.hex() == want.hex()
+    return got == want and not isinstance(got, float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone_rows(), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+def test_cone_calls_match_the_one_effect_oracles(case, bad, data):
+    space, rows = case
+    assert all(map(_same, space.min_values(rows), [oracle_min(space, r) for r in rows]))
+    values, effects = space.prices(rows)
+    for z, value, effect in zip(rows, values, effects):
+        want_value, want_effect = oracle_price(space, z)
+        assert _same(value, want_value) and all(map(_same, effect, want_effect))
+    # a row with a NaN or an inf among float rows: every other row keeps its
+    # number, the row is no effect, a NaN gives a NaN, and nothing warns
+    if not any(isinstance(x, Fraction) for r in rows for x in r):
+        at, d = data.draw(st.integers(0, len(rows))), data.draw(st.integers(0, len(rows[0]) - 1))
+        broken = tuple(bad if k == d else x for k, x in enumerate(rows[at % len(rows)]))
+        mixed = [*rows[:at], broken, *rows[at:]]
+        got = space.min_values(mixed)
+        assert all(map(_same, got[:at] + got[at + 1:], [oracle_min(space, r) for r in rows]))
+        assert not is_valid_effect(Effect(broken), space)
+        assert not math.isnan(bad) or math.isnan(got[at])
+        space.prices(mixed)
+    # a row of another dimension raises ValueError, whatever the others
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        space.min_values([*rows, (*rows[0], rows[0][0])])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        space.prices([(*rows[0], rows[0][0])])
+
+
+def test_an_irrational_exact_bloch_norm_raises():
+    diagonal = (Fraction(1, 4), Fraction(1, 4), 0, Fraction(1, 2))  # ||e||^2 = 1/8
+    for call in (QubitSpace().min_values, QubitSpace().prices):
+        with pytest.raises(ModeError):
+            call([(0, 0, Fraction(1, 2), Fraction(1, 2)), diagonal])
+
+
+def test_seeded_qubit_rows_match_the_one_effect_oracles():
+    # full-precision floats, where a sum taken in another order or a norm by
+    # another formula would move last bits that hypothesis's short floats keep
+    rng, space = random.Random("qubit-rows"), QubitSpace()
+    rows = [tuple(rng.uniform(-1, 1) for _ in range(4)) for _ in range(2000)]
+    assert all(map(_same, space.min_values(rows), [oracle_min(space, r) for r in rows]))
+    values, effects = space.prices(rows)
+    for z, value, effect in zip(rows, values, effects):
+        want_value, want_effect = oracle_price(space, z)
+        assert _same(value, want_value) and all(map(_same, effect, want_effect))

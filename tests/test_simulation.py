@@ -54,7 +54,6 @@ from gptsim.simulation import (
     smin,
 )
 from gptsim.spaces import (
-    Effect,
     Observable,
     decompose_into_indecomposables,
     observable,
@@ -1218,7 +1217,7 @@ def test_qubit_canonical_frame():
         frames.append(np.array(effects) @ T.T)
         for eff in effects:
             turned = T @ np.array(eff)
-            gap = space.min_value(Effect(tuple(turned))) - space.min_value(Effect(eff))
+            gap = np.subtract(*space.min_values([tuple(turned), eff]))
             assert abs(gap) < 1e-12
     assert all(np.allclose(b, frames[0], atol=1e-12) for b in frames)
     # one direction only: completed to a rotation; none, or exact effects: the identity
@@ -1641,3 +1640,66 @@ def test_compatibility_answer_failing_replay_raises(monkeypatch, sq, verdict):
     monkeypatch.setattr(simulation, "replay_compatibility", lambda *args: False)
     with pytest.raises(CertificateError, match="fails replay"):
         is_compatible(targets)
+
+
+def test_replay_compatibility_rejects_no_targets_and_mixed_spaces(sq, suite):
+    # as `is_compatible` and `replay_simulation` do, with ValueError rather
+    # than an IndexError or a False verdict
+    from gptsim.simulation import CompatibilityResult, replay_compatibility
+
+    refutation = is_compatible([sq.E, sq.F])
+    for result in (refutation, CompatibilityResult("undecided")):
+        with pytest.raises(ValueError, match="targets must be nonempty"):
+            replay_compatibility(result, [])
+        with pytest.raises(ValueError, match="mixed state spaces rejected"):
+            replay_compatibility(result, [sq.E, suite.X])
+
+
+def test_a_bracket_store_hit_asks_the_cone_once_for_targets_and_once_for_its_joint(monkeypatch):
+    # a hit validates the six effects of a triple and their complements with
+    # one `min_values` call, replays its eight joint effects with another,
+    # and solves nothing
+    from gptsim import lp
+    from gptsim.qubit import QubitSpace
+
+    triple = _triples(1, 31, 0.5, 0.5)[0]
+    assert _bracket(triple).compatible  # solved: its basis is stored on the next call
+    calls, min_values = [], QubitSpace.min_values
+
+    def counted(self, effects):
+        calls.append(len(effects))
+        return min_values(self, effects)
+
+    monkeypatch.setattr(QubitSpace, "min_values", counted)
+    lp.reset_stats()
+    res = _bracket(triple)
+    assert res.compatible and lp.stats["solves"] == 0
+    assert calls == [12, 8]
+
+
+def test_a_float_observable_is_its_own_float_copy(sq, suite):
+    x = suite.X.as_float()
+    assert x.as_float() is x and x.space.as_float() is x.space
+    twin = sq.E.as_float()
+    assert twin is not sq.E and twin.as_float() is twin and twin.space.as_float() is twin.space
+    assert twin == sq.E and all(type(c) is float for e in twin.effects for c in e.coeffs)
+
+
+def test_the_bracket_starts_from_the_cached_generators_and_the_targets_directions(monkeypatch):
+    from gptsim import catalog
+    from gptsim.qubit import QubitSpace, rank_one_generators
+
+    seen = []
+    monkeypatch.setattr(catalog, "is_compatible",
+                        lambda targets, tol, generators: seen.append(generators))
+    triple = _triples(1, 32, 0.5, 0.5)[0]
+    for _ in range(2):
+        _bracket(triple, 16)
+    first, second = seen
+    assert first == second and first is not second
+    assert first[:16] == list(rank_one_generators(16)) and len(first) == 16 + 6
+    assert rank_one_generators(16) is rank_one_generators(16)
+    assert QubitSpace().generators() == list(rank_one_generators(128))
+    for (x, y, z, tau), eff in zip(first[16:], (e for t in triple for e in t.effects)):
+        assert tau == 0.5 and max(abs(a - b / math.dist(eff.coeffs[:3], (0, 0, 0)))
+                                  for a, b in zip((x, y, z), eff.coeffs[:3])) < 1e-12

@@ -241,8 +241,7 @@ def test_exact_min_value_is_the_fraction_minimum(sq, trit):
         effects += [Effect(tuple(rng.randint(-3, 3) for _ in range(d))) for _ in range(5)]
         effects += [Effect(tuple(Fraction(rng.randint(-big, big), rng.randint(1, 4 * big))
                                  for _ in range(d))) for _ in range(20)]
-        for effect in effects:
-            got = space.min_value(effect)
+        for effect, got in zip(effects, space.min_values([e.coeffs for e in effects])):
             assert type(got) is Fraction
             assert got == min(effect(s) for s in space.extreme_states)
         # a float space, and a float effect on an integer space, keep the
@@ -252,7 +251,7 @@ def test_exact_min_value_is_the_fraction_minimum(sq, trit):
         if space.kind is None:
             pairs += [(space, effect.as_float()) for effect in effects]
         for sp, eff in pairs:
-            got = sp.min_value(eff)
+            got, = sp.min_values([eff.coeffs])
             assert type(got) is float
             assert got.hex() == min(eff(s) for s in sp.extreme_states).hex()
 
@@ -311,7 +310,7 @@ def test_warm_store_still_rejects_effects_outside_the_cone(name):
     while len(outside) < 10:
         e = Effect(tuple(rng.uniform(-1, 1) if space.mode == "float" else F(rng.randint(-4, 4), 3)
                          for _ in range(space.ambient_dim)))
-        if space.min_value(e) < 0 and not space.is_extremal(e):
+        if space.min_values([e.coeffs])[0] < 0 and not space.is_extremal(e):
             outside.append(e)
     for effect in outside:
         with pytest.raises(ValueError, match="outside the positive dual cone"):
@@ -379,7 +378,7 @@ def test_effect_outside_the_cone_is_not_extremal(sq, mode):
     space = sq.space
     if mode == "float":
         effect, space = effect.as_float(), space.as_float()
-    assert space.min_value(effect) == -2
+    assert space.min_values([effect.coeffs]) == [-2]
     assert not space.is_extremal(effect)
     assert not is_indecomposable(effect, space)
     with pytest.raises(ValueError, match="outside the positive dual cone"):
@@ -423,11 +422,11 @@ def test_refinement_store_holds_the_lps_own_bases(monkeypatch):
     (QubitSpace(), (F(1, 10), F(1, 5), HALF)),
 ], ids=["square-exact", "square-float", "qubit-float", "qubit-exact"])
 def test_effects_of_another_dimension_raise(space, coeffs):
-    # every cone method and the noise content built on `min_value` reject an
+    # every cone method and the noise content built on `min_values` reject an
     # effect whose dimension is not the space's, rather than read its
     # coefficients as if it were
     effect = Effect(coeffs)
-    for method in (space.is_extremal, space.refine, space.min_value):
+    for method in (space.is_extremal, space.refine, lambda e: space.min_values([e.coeffs])):
         with pytest.raises(ValueError, match="dimension mismatch"):
             method(effect)
     with pytest.raises(ValueError, match="dimension mismatch"):  # zero, and still another dimension
