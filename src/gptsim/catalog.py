@@ -41,7 +41,6 @@ from .qubit import (
 )
 from .scalars import DEFAULT_TOLERANCE, Tolerance, field, vscale
 from .simulation import (
-    SIMULABLE,
     CompatibilityResult,
     SimulationCertificate,
     is_compatible,
@@ -316,8 +315,7 @@ def hexagon_explicit_certificate() -> SimulationCertificate:
         plus_row = tuple(1.0 if i == k else 0.0 for k in range(3))
         minus_row = tuple(0.0 if i == k else 0.5 for k in range(3))
         channels.append(Postprocessing(("+", "-"), target, (plus_row, minus_row)))
-    return SimulationCertificate(SIMULABLE, weights=(third, third, third),
-                                 channels=tuple(channels))
+    return SimulationCertificate.from_scheme((third, third, third), channels)
 
 
 # ---------------------------------------------------------------------------

@@ -87,9 +87,9 @@ def _emit(args, payload: dict, csv_body: str = None) -> int:
 
 
 def _in_mode(args, *groups) -> list:
-    """Groups of observables (or state spaces) in the requested arithmetic:
-    `--mode float` converts every item, `--mode exact` refuses float data,
-    and without `--mode` one float item makes every item float."""
+    """Groups of observables, state spaces or certificates in the requested
+    arithmetic: `--mode float` converts every item, `--mode exact` refuses
+    float data, and without `--mode` one float item makes every item float."""
     floats = any(x.kind == FLOAT for group in groups for x in group)
     if args.mode == EXACT and floats:
         raise ValueError("exact mode requested for float data")
@@ -123,12 +123,11 @@ def cmd_sim(args) -> int:
         if not args.simulators:
             raise ValueError("sim check needs --simulators FILE")
         sims, _ = load_observables(args.simulators, space)
-        targets, sims = _in_mode(args, targets, sims)
+        certs = [certificate_from_json(load_json(args.verify))] if args.verify else []
+        targets, sims, certs = _in_mode(args, targets, sims, certs)
         target = targets[0]
-        if args.verify:
-            cert = certificate_from_json(load_json(args.verify))
-            return _emit(args, {"verified":
-                                replay_simulation(cert, target, sims, tol)})
+        if certs:
+            return _emit(args, {"verified": replay_simulation(certs[0], target, sims, tol)})
         cert = is_simulable(target, sims, tol)
         return _emit(args, {"verdict": cert.verdict,
                             "certificate": certificate_to_json(cert),

@@ -23,7 +23,6 @@ from .scalars import (
     kind_of,
     resolve,
     scaled,
-    to_float_vector,
 )
 from .spaces import Effect, Observable, is_indecomposable
 from . import geometry
@@ -54,10 +53,6 @@ class Postprocessing:
     @property
     def mode(self) -> str:
         return self.kind or EXACT
-
-    def as_float(self) -> "Postprocessing":
-        return Postprocessing(self.source, self.target,
-                              tuple(to_float_vector(r) for r in self.matrix))
 
     def is_stochastic(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         """Every entry in [0, 1] and every row summing to 1: each row, cleared

@@ -22,10 +22,10 @@ different algorithms or read outside input: the backend choice in
 solution is the kernel's Fractions as they are), the float-array versus
 exact-tuple layout of `simulation.simulation_program` (whose exact branch
 also fills the program's cleared rows), the effect-sum guard
-`simulation._sums_agree` (exact equality, or eps in each coordinate), the
-float-only test of a float answer on the rows its program leaves out
-(`_matches_target` in `simulation.is_simulable`) and of a scheme read from
-the simulation-set store on every row, the float or integer B^-1 that every
+`simulation._require_sums` (exact equality, or eps in each coordinate), the
+float-only test of a float scheme, solved or read from the simulation-set
+store, on every row of the full layout (`simulation._scheme_holds`, which
+a replay runs in both modes), the float or integer B^-1 that every
 answer store keeps as its LP left it (`LPOutcome.inverse`, so no store
 clears or inverts a basis of its own) and the basic values it reads from it
 (`lp.Answers`: Fractions over each basis row's denominator in exact mode),

@@ -234,8 +234,8 @@ def certificate_from_json(doc: dict, mode=None) -> SimulationCertificate:
             NOT_SIMULABLE, farkas=_numbers(doc["farkas"], mode, "certificate field 'farkas'"))
     weights = _numbers(doc["weights"], mode, "certificate field 'weights'")
     channels = _listed(doc["channels"], "certificate field 'channels'")
-    return SimulationCertificate(SIMULABLE, weights=weights, channels=tuple(
-        postprocessing_from_json(c, mode, f"channels[{k}]") for k, c in enumerate(channels)))
+    return SimulationCertificate.from_scheme(weights, [
+        postprocessing_from_json(c, mode, f"channels[{k}]") for k, c in enumerate(channels)])
 
 
 # -- file-level loaders ------------------------------------------------------

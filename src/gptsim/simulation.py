@@ -5,13 +5,23 @@ as A_y = sum_i p_i (nu_i o B_i)_y for a probability distribution p and
 channels nu_i. Substituting M_i = p_i * nu_i linearizes the bilinear form
 exactly, so membership is one LP feasibility problem: nonnegative variables
 M_i[x,y] with constant row sums c_i inside each simulator, sum_i c_i = 1,
-and effect-matching equalities. Feasible solutions are unfolded back into
-weights and channels; infeasibility yields a Farkas certificate. Both replay
-against the definition, from the certificate and the observables alone
+and effect-matching equalities. A solution x = (M, c) is the certificate
+as solved; infeasibility yields a Farkas certificate. Both replay against
+the definition, from the certificate and the observables alone
 (`replay_simulation`), so a fault in the program builder cannot pass its own
 replay. With one simulator B the simulation set is {nu o B}, so the
 postprocessing relation is this program and this certificate too, with
 weights (1,) and one channel (`postprocessing.is_postprocessing_of`).
+
+The definition needs no division, so neither does the replay of x. With
+p_i = c_i and nu_i = M_i / c_i where c_i > 0 (a block of weight zero is
+zero, and any channel serves it), x is a scheme exactly when M >= 0, each
+row of block i sums to c_i, sum_i c_i = 1 and sum_g M[g, y] B_g = A_y for
+every outcome y. The replay tests just that on x: on integers over one
+denominator in exact mode, making no Fraction, and at eps on the solved
+numbers in float mode, where M_i / c_i would scale a residual by 1 / c_i.
+Weights and channels are views of x for output; read in, they form x by
+M_i = w_i nu_i (`SimulationCertificate.from_scheme`).
 
 The module also hosts the derived notions: simulation irreducibility,
 decomposition into irreducibles (vertex peeling of the polytope of weights
@@ -42,7 +52,7 @@ compatibility's column generation from the basis of the round before).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from math import lcm
 from typing import Optional, Sequence
@@ -60,6 +70,7 @@ from .postprocessing import (
 )
 from .scalars import (
     DEFAULT_TOLERANCE,
+    EXACT,
     FLOAT,
     Tolerance,
     cleared,
@@ -68,6 +79,7 @@ from .scalars import (
     kind_of,
     resolve,
     scaled,
+    to_float_vector,
     vdot,
     vscale,
 )
@@ -85,16 +97,49 @@ NOT_SIMULABLE = "not_simulable"
 
 @dataclass(frozen=True)
 class SimulationCertificate:
-    """Either explicit (weights, channels) or a Farkas refutation."""
+    """Either a scheme x = (M, c) of `simulation_program`, with a (source,
+    target) label pair per simulator in `labels`, or a Farkas refutation."""
 
     verdict: str
-    weights: Optional[tuple] = None
-    channels: Optional[tuple] = None
+    scheme: Optional[tuple] = None
+    labels: Optional[tuple] = None
     farkas: Optional[tuple] = None
+
+    @classmethod
+    def from_scheme(cls, weights: Sequence, channels: Sequence) -> "SimulationCertificate":
+        """The certificate of weights w_i and channels nu_i: M_i = w_i nu_i."""
+        blocks = (w * v for w, chan in zip(weights, channels) for row in chan.matrix for v in row)
+        return cls(SIMULABLE, scheme=(*blocks, *weights),
+                   labels=tuple((chan.source, chan.target) for chan in channels))
 
     @property
     def simulable(self) -> bool:
         return self.verdict == SIMULABLE
+
+    @property
+    def kind(self):
+        return kind_of(self.scheme if self.simulable else self.farkas)
+
+    def as_float(self) -> "SimulationCertificate":
+        return replace(self, scheme=self.scheme and to_float_vector(self.scheme),
+                       farkas=self.farkas and to_float_vector(self.farkas))
+
+    @property
+    def weights(self) -> Optional[tuple]:
+        """The weights c_i: the scheme's last entries, one per label pair."""
+        return self.scheme[len(self.scheme) - len(self.labels):] if self.simulable else None
+
+    @property
+    def channels(self) -> Optional[tuple]:
+        """The channels M_i / c_i, for output: uniform for a weight within
+        eps (the default tolerance) of zero."""
+        if not self.simulable:
+            return None
+        F, entries = field(self.kind or EXACT), iter(self.scheme)  # block rows in turn
+        return tuple(Postprocessing(source, target, [
+            [F.one / len(target) if abs(c) <= F.eps else F.coerce(m) / c
+             for m in itertools.islice(entries, len(target))] for _ in source])
+            for (source, target), c in zip(self.labels, self.weights))
 
 
 def _common_field(target: Observable, simulators: Sequence[Observable],
@@ -115,19 +160,17 @@ def _check_same_space(target: Observable, simulators: Sequence[Observable]):
         raise ValueError("observables live in different ambient dimensions")
 
 
-def _sums_agree(target: Observable, simulators: Sequence[Observable], F) -> bool:
-    """Every simulator's effects sum to the target's effect sum: exactly in
-    exact mode, within eps in each coordinate in float mode."""
+def _require_sums(target: Observable, simulators: Sequence[Observable], F):
+    """ValueError unless every simulator's effects sum to the target's effect
+    sum: exactly in exact mode, within eps in each coordinate in float mode."""
     s = target.effect_sum
     if F.mode != FLOAT:
-        return all(sim.effect_sum == s for sim in simulators)
-    return all(len(sim.effect_sum) == len(s)
-               and all(abs(a - b) <= F.eps for a, b in zip(sim.effect_sum, s))
-               for sim in simulators)
-
-
-def _require_sums(target: Observable, simulators: Sequence[Observable], F):
-    if not _sums_agree(target, simulators, F):
+        agree = all(sim.effect_sum == s for sim in simulators)
+    else:
+        agree = all(len(sim.effect_sum) == len(s)
+                    and all(abs(a - b) <= F.eps for a, b in zip(sim.effect_sum, s))
+                    for sim in simulators)
+    if not agree:
         raise ValueError("the target's effects and each simulator's must sum to one vector")
 
 
@@ -213,45 +256,11 @@ def simulation_program(target: Observable, simulators: Sequence[Observable],
     return program
 
 
-def _matches_target(target: Observable, simulators: Sequence[Observable],
-                    x: Sequence, F) -> bool:
-    """sum_g M[g, y] B_g = A_y in every coordinate of every outcome y, the
-    last included, for x in the layout of `simulation_program` (M[g, y] at
-    g * ny + y, B_g the effect of the simulators' outcome g): exactly in
-    exact mode, within eps in float mode; an inf or a NaN fails."""
-    ny, dim = target.n_outcomes, target.dim
-    effects = [c for sim in simulators for eff in sim.effects for c in eff.coeffs]
-    nx = len(effects) // dim
-    M, B, A, D = cleared(F, x[:nx * ny], effects,
-                         [c for eff in target.effects for c in eff.coeffs])
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = M.reshape(nx, ny).T @ B.reshape(nx, dim) - A.reshape(ny, dim) * D  # times D^2
-        return bool((abs(gap) <= F.eps).all())
-
-
-def _scheme(target: Observable, simulators: Sequence[Observable], x: Sequence,
-            F) -> SimulationCertificate:
-    """The weights c_i and channels M_i / c_i of a solution x in the layout
-    of `simulation_program`; a simulator of weight within eps of zero gets
-    the uniform channel."""
-    ny = target.n_outcomes
-    pos = 0
-    weights, channels = [], []
-    n_m = sum(sim.n_outcomes * ny for sim in simulators)
-    for i, sim in enumerate(simulators):
-        block = x[pos:pos + sim.n_outcomes * ny]
-        pos += sim.n_outcomes * ny
-        ci = x[n_m + i]
-        weights.append(ci)
-        if abs(ci) <= F.eps:
-            uniform = F.one / ny
-            matrix = tuple((uniform,) * ny for _ in range(sim.n_outcomes))
-        else:
-            matrix = tuple(tuple(block[xi * ny + yi] / ci for yi in range(ny))
-                           for xi in range(sim.n_outcomes))
-        channels.append(Postprocessing(sim.labels, target.labels, matrix))
-    return SimulationCertificate(SIMULABLE, weights=tuple(weights),
-                                 channels=tuple(channels))
+def _simulable(target: Observable, simulators: Sequence[Observable],
+               x: Sequence) -> SimulationCertificate:
+    """The simulable certificate of a solution x of `simulation_program`."""
+    return SimulationCertificate(SIMULABLE, scheme=tuple(x),
+                                 labels=tuple((sim.labels, target.labels) for sim in simulators))
 
 
 def _farkas_bounds(F, y, B, D, sizes: Sequence[int], ny: int) -> bool:
@@ -269,17 +278,25 @@ def _farkas_bounds(F, y, B, D, sizes: Sequence[int], ny: int) -> bool:
         return bool((columns <= F.eps).all() and (weights <= F.eps).all())
 
 
-def _rows_hold(simulators: Sequence[Observable], ny: int, x: Sequence, F) -> bool:
-    """x >= -eps, and the row-sum and weight rows of `simulation_program`
-    within eps, for a float x in its layout: sum_y M[g, y] = c_i for each
-    outcome g of simulator i, and sum_i c_i = 1; an inf or a NaN fails."""
-    sizes = [sim.n_outcomes for sim in simulators]
-    x = np.asarray(x, dtype=float)
-    M, c = x[:sum(sizes) * ny].reshape(-1, ny), x[sum(sizes) * ny:]
+def _scheme_holds(target: Observable, simulators: Sequence[Observable], x: Sequence,
+                  F) -> bool:
+    """x has one entry per column of `simulation_program`, x >= -eps, sum_y
+    M[g, y] = c_i for each outcome g of simulator i, sum_i c_i = 1, and
+    sum_g M[g, y] B_g = A_y for every outcome y, the last included: tested
+    on x and the effects cleared over one scale D, exactly in exact mode and
+    within eps in float mode; an inf or a NaN fails."""
+    sizes, ny, dim = [sim.n_outcomes for sim in simulators], target.n_outcomes, target.dim
+    nx = sum(sizes)
+    if len(x) != nx * ny + len(sizes):
+        return False
+    X, B, A, D = cleared(F, x, [c for sim in simulators for eff in sim.effects for c in eff.coeffs],
+                         [c for eff in target.effects for c in eff.coeffs])
+    M, c = X[:nx * ny].reshape(nx, ny), X[nx * ny:]
     with np.errstate(over="ignore", invalid="ignore"):
-        return bool((x >= -F.eps).all()
+        gap = M.T @ B.reshape(nx, dim) - A.reshape(ny, dim) * D  # times D^2
+        return bool((X >= -F.eps).all()
                     and (abs(M.sum(axis=1) - np.repeat(c, sizes)) <= F.eps).all()
-                    and abs(c.sum() - 1) <= F.eps)
+                    and abs(c.sum() - D) <= F.eps and (abs(gap) <= F.eps).all())
 
 
 class _SetAnswers(Answers):
@@ -322,10 +339,9 @@ class _SetAnswers(Answers):
         for col, v in zip(basis, values):
             if col < self.n:
                 x[col] = v
-        if F.mode == FLOAT and not (_rows_hold(simulators, self.ny, x, F)
-                                    and _matches_target(target, simulators, x, F)):
+        if F.mode == FLOAT and not _scheme_holds(target, simulators, x, F):
             return None, None
-        return _scheme(target, simulators, x, F), None
+        return _simulable(target, simulators, x), None
 
     def refuted(self, farkas: tuple, simulators: Sequence[Observable]):
         """Store a full-layout Farkas vector that passes the target-free half
@@ -386,10 +402,10 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
         farkas = out.farkas + (F.zero,) * target.dim
         store.pending = partial(store.refuted, farkas, simulators)
         return SimulationCertificate(NOT_SIMULABLE, farkas=farkas)
-    if F.mode == FLOAT and not _matches_target(target, simulators, out.solution, F):
+    if F.mode == FLOAT and not _scheme_holds(target, simulators, out.solution, F):
         raise CertificateError("float solution fails the target's last-outcome rows")
     store.pending = partial(store.solved, out, len(program.rhs))
-    return _scheme(target, simulators, out.solution, F)
+    return _simulable(target, simulators, out.solution)
 
 
 def replay_simulation(cert: SimulationCertificate, target: Observable,
@@ -398,15 +414,17 @@ def replay_simulation(cert: SimulationCertificate, target: Observable,
     """Re-check a simulation certificate against the definition of
     simulation, from the certificate and the observables alone: it builds no
     program. Observables of different ambient dimensions or state spaces
-    raise ValueError, as in `is_simulable`. Exact values are cleared to
-    integers and compared exactly, float values within eps, and a NaN fails
-    every test.
+    raise ValueError, as in `is_simulable`; the field is resolved over the
+    certificate's numbers too, so exact and float ones mixed raise
+    ModeError. Exact values are cleared to integers over one denominator
+    and compared exactly, float values within eps, and a NaN fails every
+    test.
 
-    Simulable weights w and channels nu must match the simulators' and the
-    target's labels, the channels be stochastic and the weights a
-    probability vector (each at least -eps, summing to 1). Then M[g, y] =
-    w_i nu_i[x, y], for g the outcome x of simulator i, must give
-    sum_g M[g, y] B_g = A_y for every outcome y (`_matches_target`).
+    A scheme x = (M, c) replays when it carries the simulators' and the
+    target's label pairs and satisfies the definition as the module
+    docstring states it, with no division (`_scheme_holds`): x >= -eps,
+    every row of block i sums to c_i, sum_i c_i = 1, and sum_g M[g, y] B_g
+    = A_y for every outcome y.
 
     A refutation is a Farkas vector of the full program, the target's last
     outcome's rows included: alpha_g for the row sum of each simulator
@@ -422,7 +440,7 @@ def replay_simulation(cert: SimulationCertificate, target: Observable,
     """
     simulators = list(simulators)
     _check_same_space(target, simulators)
-    F = _common_field(target, simulators, tol)
+    F = resolve((target.kind, *(b.kind for b in simulators), cert.kind), tol)
     if not cert.simulable:
         ny, dim = target.n_outcomes, target.dim
         sizes = [sim.n_outcomes for sim in simulators]
@@ -435,16 +453,8 @@ def replay_simulation(cert: SimulationCertificate, target: Observable,
         with np.errstate(over="ignore", invalid="ignore"):  # a NaN value fails
             value = y[nx] * D + y[nx + 1:] @ A  # times D^2
         return _farkas_bounds(F, y, B, D, sizes, ny) and bool(value > F.eps)
-    if not len(cert.weights) == len(cert.channels) == len(simulators):
-        return False
-    if any(chan.source != sim.labels or chan.target != target.labels
-           or not chan.is_stochastic(tol)
-           for chan, sim in zip(cert.channels, simulators)):
-        return False
-    if not (all(w >= -F.eps for w in cert.weights) and abs(sum(cert.weights) - 1) <= F.eps):
-        return False
-    x = [w * v for w, chan in zip(cert.weights, cert.channels) for row in chan.matrix for v in row]
-    return _matches_target(target, simulators, x, F)
+    return (cert.labels == tuple((sim.labels, target.labels) for sim in simulators)
+            and _scheme_holds(target, simulators, cert.scheme, F))
 
 
 def is_simulation_irreducible(obs: Observable,
@@ -498,11 +508,11 @@ def decompose_to_irreducibles(target: Observable,
     residual's support (`geometry.null_space_vector`) walk inside its face
     to a vertex v, each step dropping a ray; the largest alpha with
     mu - alpha v >= 0 drops another. With rho the weight left (mu in rho P),
-    v / rho is a leaf of weight alpha rho, and its channel is nu restricted
-    to its support. Each peel leaves a proper face of the last, so at most
-    dim P + 1 leaves come out. Leaf outcomes are labelled `<label>.<j>` after
-    the first part on their ray. A certificate that fails
-    `replay_simulation` raises CertificateError.
+    v / rho is a leaf of weight alpha rho, and its rows of M are alpha rho
+    times nu restricted to its support. Each peel leaves a proper face of
+    the last, so at most dim P + 1 leaves come out. Leaf outcomes are
+    labelled `<label>.<j>` after the first part on their ray. A certificate
+    that fails `replay_simulation` raises CertificateError.
     """
     if target.space is None:
         raise ValueError("decomposition needs the state space")
@@ -525,7 +535,7 @@ def decompose_to_irreducibles(target: Observable,
         effects.append(total)
         shares.append(tuple(nu))
     mu, rho = dict.fromkeys(range(len(effects)), F.one), F.one
-    weights, leaves, channels = [], [], []
+    weights, leaves, blocks = [], [], []
     while mu:
         v = mu
         while (beta := geometry.null_space_vector(
@@ -534,11 +544,10 @@ def decompose_to_irreducibles(target: Observable,
         mu, alpha = _drop_along(mu, v, F)
         leaves.append(Observable(tuple((labels[r], Effect(vscale(x / rho, effects[r])))
                                        for r, x in v.items()), target.space))
-        channels.append(Postprocessing(leaves[-1].labels, target.labels,
-                                       tuple(shares[r] for r in v)))
         weights.append(alpha * rho)
+        blocks += [weights[-1] * s for r in v for s in shares[r]]
         rho -= weights[-1]
-    cert = SimulationCertificate(SIMULABLE, weights=tuple(weights), channels=tuple(channels))
+    cert = _simulable(target, leaves, blocks + weights)
     if not replay_simulation(cert, target, leaves, tol):
         raise CertificateError("irreducible decomposition certificate failed to replay")
     return IrreducibleDecomposition(tuple(leaves), cert)
@@ -597,9 +606,12 @@ def smin(targets: Sequence[Observable], pool: Sequence[Observable],
 
     Exhaustive search in increasing k, subsets in lexicographic order.
     Returns None when no subset of size <= k_max works (unknown above
-    k_max); the value is exact relative to the pool. k_max < 1 raises
-    ValueError.
+    k_max); the value is exact relative to the pool. An empty target list
+    or pool, or k_max < 1, raises ValueError.
     """
+    targets = list(targets)
+    if not targets:
+        raise ValueError("targets must be nonempty")
     if not pool:
         raise ValueError("pool must be nonempty")
     if k_max < 1:
@@ -612,12 +624,6 @@ def smin(targets: Sequence[Observable], pool: Sequence[Observable],
     return None
 
 
-def _require_dichotomic(simulators: Sequence[Observable]):
-    for sim in simulators:
-        if sim.n_outcomes != 2:
-            raise ValueError("simulators must all be dichotomic")
-
-
 def dichotomic_hull_necessary(target: Observable,
                               simulators: Sequence[Observable],
                               tol: Tolerance = DEFAULT_TOLERANCE) -> dict:
@@ -628,7 +634,8 @@ def dichotomic_hull_necessary(target: Observable,
     """
     simulators = list(simulators)
     _check_same_space(target, simulators)
-    _require_dichotomic(simulators)
+    if any(sim.n_outcomes != 2 for sim in simulators):
+        raise ValueError("simulators must all be dichotomic")
     mode = _common_field(target, simulators, tol).mode
     unit = target.unit_coeffs()
     zero = tuple(0 * u for u in unit)

@@ -16,10 +16,12 @@ a compatibility bracket, a `reproduce` criterion) gives several lines.
 After its solves, each decision gives one line of its own, without a solve
 index: the decision's verdict ("passed" or "failed" for a criterion,
 "<k> leaves" for a decomposition), a digest of the certificate it returned
-(the repr of its result: an answer read from a store makes no solve, so
-only this digest sees it), and whether `replay_simulation` accepts its
-certificate, against the source for a relation decision and against the
-leaves for a decomposition (null for the others).
+(an answer read from a store makes no solve, so only this digest sees it),
+and whether `replay_simulation` accepts its certificate, against the source
+for a relation decision and against the leaves for a decomposition (null
+for the others). A relation certificate is digested as `serialize` writes
+it, a decomposition with its leaves, and another result by its repr, so a
+change of a certificate's in-memory form alone moves no digest.
 `diff` pairs the solves of each decision by program digest, in order: each
 solve of NEW takes the first solve of OLD after the last one paired that
 has its digest, so a solve that a change skips reads as gone and one whose
@@ -66,6 +68,7 @@ from gptsim.postprocessing import apply, is_postprocessing_of, merge_channel
 from gptsim.qubit import QubitEffect, dichotomic
 from gptsim.reproduce import CRITERIA, CriterionResult, run_criterion
 from gptsim.scalars import EXACT, FLOAT
+from gptsim.serialize import certificate_to_json, observable_to_json
 from gptsim.simulation import (
     IrreducibleDecomposition,
     SimulationCertificate,
@@ -384,19 +387,22 @@ def _line(corpus, index, solve, program, out) -> dict:
 
 
 def _decision(corpus, index, decide, result) -> dict:
-    replays = None
+    replays, written = None, repr(result)
     if isinstance(result, CriterionResult):
         verdict = "passed" if result.passed else "failed"
     elif isinstance(result, IrreducibleDecomposition):
         verdict = f"{len(result.observables)} leaves"
         replays = replay_simulation(result.certificate, *decide.args, list(result.observables))
+        written = json.dumps([certificate_to_json(result.certificate),
+                              [observable_to_json(obs) for obs in result.observables]])
     else:
         verdict = result.verdict
     if isinstance(result, SimulationCertificate):  # a relation decision
         target, source = decide.args
         replays = replay_simulation(result, target, [source])
+        written = json.dumps(certificate_to_json(result))
     return {"corpus": corpus, "index": index, "verdict": verdict, "replays": replays,
-            "certificate": hashlib.sha256(repr(result).encode()).hexdigest()[:16]}
+            "certificate": hashlib.sha256(written.encode()).hexdigest()[:16]}
 
 
 def record(corpus):

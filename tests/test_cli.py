@@ -724,3 +724,70 @@ def test_sim_check_verify_full_layout_farkas(capsys, tmp_path):
             SimulationCertificate(NOT_SIMULABLE, farkas=tuple(y)))))
         code, out, _ = run_cli(capsys, *args, "--verify", str(path))
         assert code == 0 and payload(out)["verified"] is verified
+
+
+@pytest.mark.parametrize("target, simulators", [("E", "EF"), ("F", "E")])
+def test_sim_check_verifies_a_float_certificate_of_exact_observables(capsys, tmp_path,
+                                                                     target, simulators):
+    # Without --mode one float item makes every item float, and the
+    # certificate file is one of the items: a float scheme or refutation
+    # verifies against exact observables. --mode exact refuses it.
+    from gptsim.serialize import certificate_to_json, detect_mode
+    from gptsim.simulation import is_simulable
+
+    sq = square_bit()
+    target, sims = getattr(sq, target), [getattr(sq, s) for s in simulators]
+    cert = is_simulable(target.as_float(), [s.as_float() for s in sims])
+    doc = certificate_to_json(cert)
+    assert detect_mode(doc) == "float" and cert.simulable == (target is sq.E)
+    path = tmp_path / "fc.json"
+    path.write_text(dump_json(doc))
+    args = [*_square_bit_check(tmp_path, target, sims), "--verify", str(path)]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and payload(out)["verified"] is True
+    code, out, err = run_cli(capsys, *args, "--mode", "exact")
+    assert code == 2 and not out
+    assert "exact mode requested for float data" in err
+
+
+# Certificates as `sim check` wrote them before a scheme was stored as the
+# LP's solution: weights and channels (the float ones divided back out of
+# that solution) for the square-bit target E / 3 + 2 F / 3 from [E, F], and
+# the refutation of F from [E].
+_OLD_CERTIFICATES = {
+    "exact": '{"verdict": "simulable", "weights": ["1/3", "2/3"], "channels": ['
+             '{"source": ["+", "-"], "target": ["+", "-"], "matrix": [["1", "0"], ["0", "1"]]}, '
+             '{"source": ["+", "-"], "target": ["+", "-"], "matrix": [["1", "0"], ["0", "1"]]}]}',
+    "float": '{"verdict": "simulable", "weights": [0.33333333333333326, 0.6666666666666667], '
+             '"channels": [{"source": ["+", "-"], "target": ["+", "-"], '
+             '"matrix": [[1.0000000000000004, 0.0], [0.0, 1.0000000000000004]]}, '
+             '{"source": ["+", "-"], "target": ["+", "-"], "matrix": [[1.0, 0.0], [0.0, 1.0]]}]}',
+    "refutation": '{"verdict": "not_simulable", "farkas": ["0", "0", "0", "-2", "0", "0", "0", '
+                  '"0", "0"]}',
+}
+
+
+@pytest.mark.parametrize("which", sorted(_OLD_CERTIFICATES))
+def test_sim_check_verifies_old_certificate_files(capsys, tmp_path, which):
+    # Each old file verifies, an exact one under --mode float too; the same
+    # scheme with one channel's target labels permuted does not, though its
+    # numbers are unchanged.
+    from fractions import Fraction
+
+    sq = square_bit()
+    mixed = mix_observables([sq.E, sq.F], [Fraction(1, 3), Fraction(2, 3)])
+    target, sims = (sq.F, [sq.E]) if which == "refutation" else (mixed, [sq.E, sq.F])
+    if which == "float":
+        target, sims = target.as_float(), [s.as_float() for s in sims]
+    doc = json.loads(_OLD_CERTIFICATES[which])
+    args = _square_bit_check(tmp_path, target, sims)
+    path = tmp_path / "cert.json"
+    path.write_text(dump_json(doc))
+    for mode in [[]] if which == "float" else [[], ["--mode", "float"]]:
+        code, out, _ = run_cli(capsys, *args, "--verify", str(path), *mode)
+        assert code == 0 and payload(out)["verified"] is True
+    if which != "refutation":
+        doc["channels"][1]["target"].reverse()
+        path.write_text(dump_json(doc))
+        code, out, _ = run_cli(capsys, *args, "--verify", str(path))
+        assert code == 0 and payload(out)["verified"] is False

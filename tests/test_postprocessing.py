@@ -22,7 +22,7 @@ from gptsim.postprocessing import (
     replay_relation,
 )
 from gptsim.scalars import field, vscale
-from gptsim.simulation import SIMULABLE, SimulationCertificate
+from gptsim.simulation import SimulationCertificate
 from gptsim.spaces import Effect, observable, trivial_observable
 from oracles import minimally_sufficient_pairwise
 
@@ -78,7 +78,7 @@ def test_tetrahedron_merge_related():
 
 
 def _related(channel):
-    return SimulationCertificate(SIMULABLE, weights=(1,), channels=(channel,))
+    return SimulationCertificate.from_scheme((1,), (channel,))
 
 
 def test_replay_relation_requires_matching_labels(sq):

@@ -36,10 +36,9 @@ from gptsim.postprocessing import (
     merge_channel,
     replay_relation,
 )
-from gptsim.scalars import field
+from gptsim.scalars import ModeError, field
 from gptsim.simulation import (
     NOT_SIMULABLE,
-    SIMULABLE,
     SimulationCertificate,
     check_closure_laws,
     decompose_to_irreducibles,
@@ -77,13 +76,15 @@ def test_replay_rejects_malformed_simulable_certificate(sq, defect):
     cert = is_simulable(sq.E, sims)
     assert cert.simulable and replay_simulation(cert, sq.E, sims)
     used, spare = cert.channels
+    assert replay_simulation(SimulationCertificate.from_scheme(cert.weights, (used, spare)),
+                             sq.E, sims)
     channels = {
         "missing-channel": (used,),
         "relabelled-source": (Postprocessing(("a", "b"), used.target, used.matrix), spare),
         "relabelled-target": (Postprocessing(used.source, ("a", "b"), used.matrix), spare),
         "one-source-row": (Postprocessing(("+",), used.target, used.matrix[:1]), spare),
     }[defect]
-    bad = dataclasses.replace(cert, channels=channels)
+    bad = SimulationCertificate.from_scheme(cert.weights, channels)
     assert replay_simulation(bad, sq.E, sims) is False
 
 
@@ -294,8 +295,8 @@ def test_float_replay_tests_the_dropped_rows(monkeypatch):
     x = Observable((("a", (1.0, 0.0)), ("b", (0.0, 1.0))))
     w, tau = 1.0 + 0.9e-9, 1.8e-9
     chan = Postprocessing(x.labels, x.labels, ((1.0 - tau, tau), (0.0, 1.0)))
-    cert = dataclasses.replace(is_simulable(x, [x]), weights=(w,), channels=(chan,))
-    solution = tuple(w * v for row in chan.matrix for v in row) + (w,)
+    cert = SimulationCertificate.from_scheme((w,), (chan,))
+    solution = cert.scheme
     assert verify_solution(simulation_program(x, [x]), solution)
     assert replay_simulation(cert, x, [x]) is False
     monkeypatch.setattr(simulation, "lp_solve",
@@ -353,21 +354,19 @@ def test_full_layout_farkas_replays(sq, mode):
 
 
 def test_replay_rejects_nan_certificates(sq):
-    # NaN weights and channels fail the stochasticity test and the solution
-    # replay, and a NaN Farkas vector fails the Farkas replay, also with one
-    # NaN entry: one weight, one alpha, beta or one phi.
+    # NaN weights and channels make NaN entries of the scheme, which fail
+    # its replay, and a NaN Farkas vector fails the Farkas replay, also with
+    # one NaN entry: one weight, one alpha, beta or one phi.
     nan = float("nan")
     target, sims = sq.E.as_float(), [sq.E.as_float(), sq.F.as_float()]
     cert = is_simulable(target, sims)
     assert cert.simulable and replay_simulation(cert, target, sims)
-    channels = tuple(Postprocessing(c.source, c.target, tuple((nan,) * len(r) for r in c.matrix))
-                     for c in cert.channels)
-    assert not any(c.is_stochastic() for c in channels)
-    for bad in (dataclasses.replace(cert, weights=(nan, nan), channels=channels),
-                dataclasses.replace(cert, weights=(nan, nan)),
-                dataclasses.replace(cert, weights=(nan, cert.weights[1])),
-                dataclasses.replace(cert, channels=channels)):
-        assert replay_simulation(bad, target, sims) is False
+    weights, channels = cert.weights, cert.channels
+    nan_channels = tuple(Postprocessing(c.source, c.target, tuple((nan,) * len(r) for r in c.matrix))
+                         for c in channels)
+    for bad in (((nan, nan), nan_channels), ((nan, nan), channels),
+                ((nan, weights[1]), channels), (weights, nan_channels)):
+        assert replay_simulation(SimulationCertificate.from_scheme(*bad), target, sims) is False
     refuted = is_simulable(sims[1], sims[:1])
     assert not refuted.simulable and replay_simulation(refuted, sims[1], sims[:1])
     # layout: alpha for the two outcomes of E, then beta, then phi
@@ -381,21 +380,44 @@ def test_replay_rejects_nan_certificates(sq):
 def test_replay_tests_weights_and_weight_columns(sq, mode):
     # Each of these matches every target effect, so only the test named
     # rejects it: weights (2, -1) over [E, E] (a negative weight); weight 2
-    # for the doubled E from [E] (weights summing to 2); and y = (0, 0, 0, 0,
-    # beta = 1, 0, ...) for E from [E, F], which passes every column M[g, y]
-    # but not the weight columns (beta <= sum of the alphas of simulator i).
+    # for the doubled E from [E] (weights summing to 2); weights (1/2, 1/2)
+    # over [E, E] with channel rows (3/2, 0) and (1/2, 0) for outcome +,
+    # whose block rows sum to 3/4 and 1/4, not to their weight 1/2; and y =
+    # (0, 0, 0, 0, beta = 1, 0, ...) for E from [E, F], which passes every
+    # column M[g, y] but not the weight columns (beta <= sum of the alphas
+    # of simulator i).
     e = sq.E.as_float() if mode == "float" else sq.E
-    one, zero = (1.0, 0.0) if mode == "float" else (1, 0)
+    one, zero, half = (1.0, 0.0, 0.5) if mode == "float" else (1, 0, HALF)
     identity = Postprocessing(e.labels, e.labels, ((one, zero), (zero, one)))
-    scheme = SimulationCertificate(SIMULABLE, weights=(one, zero), channels=(identity,) * 2)
-    assert replay_simulation(scheme, e, [e, e])
-    assert not replay_simulation(dataclasses.replace(scheme, weights=(2 * one, -one)), e, [e, e])
+    scheme = SimulationCertificate.from_scheme((one, zero), (identity,) * 2)
+    assert scheme.simulable and replay_simulation(scheme, e, [e, e])
+    negative = SimulationCertificate.from_scheme((2 * one, -one), (identity,) * 2)
+    assert not replay_simulation(negative, e, [e, e])
     doubled = Observable(tuple((lab, tuple(2 * c for c in eff.coeffs)) for lab, eff in e.outcomes))
-    twice = SimulationCertificate(SIMULABLE, weights=(2 * one,), channels=(identity,))
+    twice = SimulationCertificate.from_scheme((2 * one,), (identity,))
     assert not replay_simulation(twice, doubled, [e])
+    uneven = [Postprocessing(e.labels, e.labels, ((one + s, zero), (zero, one)))
+              for s in (half, -half)]
+    assert not replay_simulation(SimulationCertificate.from_scheme((half, half), uneven), e, [e, e])
     sims = [e, sq.F.as_float() if mode == "float" else sq.F]
     beta = SimulationCertificate(NOT_SIMULABLE, farkas=(zero,) * 4 + (one,) + (zero,) * 6)
     assert not replay_simulation(beta, e, sims)
+
+
+def test_replay_resolves_the_field_over_the_certificate(sq):
+    # A float certificate, a scheme or a refutation, against exact
+    # observables mixes the modes, as does an exact one against float
+    # observables: ModeError, as in replay_compatibility. Converted, each
+    # replays.
+    for target, sims in ((sq.E, [sq.E, sq.F]), (sq.F, [sq.E])):
+        floats = target.as_float(), [s.as_float() for s in sims]
+        exact, rounded = is_simulable(target, sims), is_simulable(*floats)
+        assert exact.verdict == rounded.verdict
+        for cert, args in ((rounded, (target, sims)), (exact, floats)):
+            with pytest.raises(ModeError):
+                replay_simulation(cert, *args)
+        assert replay_simulation(exact.as_float(), *floats)
+        assert replay_simulation(rounded, *floats)
 
 
 def test_mixed_spaces_rejected(sq, trit):
@@ -646,6 +668,13 @@ def test_smin_unknown_above_kmax(suite):
 def test_smin_rejects_k_max_below_1(suite, k_max):
     with pytest.raises(ValueError, match="k_max must be at least 1"):
         smin([suite.X], [suite.X], k_max=k_max)
+
+
+def test_smin_rejects_no_targets(suite):
+    # all() over no targets is true, so without the check smin([], pool)
+    # would return 1 having decided nothing
+    with pytest.raises(ValueError, match="targets must be nonempty"):
+        smin([], [suite.X])
 
 
 def test_hull_necessary(suite, hexagon):
