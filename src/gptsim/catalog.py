@@ -119,11 +119,23 @@ class PolygonTheory:
     space: StateSpace
     extreme_effects: tuple      # even: e_k; odd: the g_k family (dual-cone rays)
     f_effects: Optional[tuple]  # odd only: the upper family f_k = u - g_k
-    dichotomic_observables: tuple
 
     @property
     def even(self) -> bool:
         return self.n % 2 == 0
+
+    @cached_property
+    def dichotomic_observables(self) -> tuple:
+        """The extreme dichotomic observables, made on first read: (e_k,
+        e_{k+n/2}) for k < n/2 when n is even, (f_k, g_k) for every k when
+        n is odd."""
+        if self.even:
+            m = self.n // 2
+            return tuple(observable(self.space, [("+", self.extreme_effects[k]),
+                                                 ("-", self.extreme_effects[k + m])])
+                         for k in range(m))
+        return tuple(observable(self.space, [("+", f), ("-", g)])
+                     for f, g in zip(self.f_effects, self.extreme_effects))
 
     @property
     def unit(self) -> tuple:
@@ -147,11 +159,7 @@ def polygon(n: int) -> PolygonTheory:
         effects = tuple(
             (0.5 * math.cos(ray_angle(k)), 0.5 * math.sin(ray_angle(k)), 0.5)
             for k in range(1, n + 1))
-        m = n // 2
-        dichos = tuple(
-            observable(space, [("+", effects[k]), ("-", effects[(k + m) % n])])
-            for k in range(m))
-        return PolygonTheory(n, space, effects, None, dichos)
+        return PolygonTheory(n, space, effects, None)
 
     denom = 1.0 + sec
     f_eff = tuple(
@@ -160,9 +168,7 @@ def polygon(n: int) -> PolygonTheory:
     g_eff = tuple(
         (-math.cos(ray_angle(k)) / denom, -math.sin(ray_angle(k)) / denom, 1.0 / denom)
         for k in range(1, n + 1))
-    dichos = tuple(
-        observable(space, [("+", f_eff[k]), ("-", g_eff[k])]) for k in range(n))
-    return PolygonTheory(n, space, g_eff, f_eff, dichos)
+    return PolygonTheory(n, space, g_eff, f_eff)
 
 
 def irreducible_count_formula(n: int) -> int:

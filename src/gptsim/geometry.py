@@ -178,14 +178,36 @@ def replay_conic(result: ConicResult, v: Sequence, rays: Sequence[Sequence],
     cert = result.coefficients if result.inside else result.functional
     if cert is None or len(cert) != (len(rays) if result.inside else len(v)):
         return False
+    if result.inside:
+        return replay_inside([cert], [v], [rays], tol)[0]
     F = field(infer_mode(x for part in (*rays, v, cert) for x in part), tol)
     X, R, V, D = cleared(F, cert, [x for r in rays for x in r], v)
     R = R.reshape(len(rays), len(v))
     with np.errstate(over="ignore", invalid="ignore"):  # each test fails on an inf or a NaN
-        if result.inside:  # X R and V D are D^2 times sum_k c_k r_k and v
-            return bool((X >= -F.eps).all() and (abs(X @ R - V * D) <= F.eps).all())
         return bool((abs(X) < np.inf).all()  # D^2 times phi . r_k and phi . v:
                     and (R @ X <= F.eps).all() and X @ V > F.eps)
+
+
+def replay_inside(coefficients: Sequence, vectors: Sequence, rays: Sequence,
+                  tol: Tolerance = DEFAULT_TOLERANCE) -> list:
+    """`replay_conic` of inside results, many at once: for each coefficient
+    vector c, vector v and list of rays (as many rays as c has entries,
+    the same count for all, each as long as v), whether every c_k >= -eps
+    and sum_k c_k r_k = v. All parts are cleared over one scale D
+    (`scalars.cleared`), so c R and v D are D^2 times sum_k c_k r_k and v:
+    exact values compare exactly, floats within eps, and an inf or a NaN
+    fails. Each c R is a (1, k) by (k, dim) product, one call of the
+    matrix-vector kernel, so every float is the one the item alone gets."""
+    if not vectors:
+        return []
+    F = field(infer_mode(itertools.chain(*coefficients, *vectors, *itertools.chain(*rays))), tol)
+    count, k, dim = len(vectors), len(coefficients[0]), len(vectors[0])
+    X, R, V, D = cleared(F, [c for cs in coefficients for c in cs],
+                         [x for rs in rays for r in rs for x in r], [x for v in vectors for x in v])
+    X, R, V = X.reshape(count, k), R.reshape(count, k, dim), V.reshape(count, dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ((X >= -F.eps).all(axis=1)
+                & (abs((X[:, None, :] @ R)[:, 0] - V * D) <= F.eps).all(axis=1)).tolist()
 
 
 def in_convex_hull(point: Sequence, generators: Sequence[Sequence],

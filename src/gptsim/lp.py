@@ -35,7 +35,8 @@ with the same integers by a builder that knows its layout
 (`simulation.simulation_program`). A request checks only the
 objectives for floats up front, and a float row or right-hand side raises
 ValueError when the kernel reads `integer_data`, before any pivot, so a
-rejected program is no solve.
+rejected program is no solve. A float program with an inf or a NaN among
+its numbers is rejected with ValueError before its solve too.
 
 Every verdict is checkable after the fact: a feasible outcome carries the
 solution vector, an infeasible outcome carries a Farkas vector y with
@@ -102,7 +103,8 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from itertools import chain
+from math import gcd, isfinite, lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -305,11 +307,15 @@ def lp_solve(program: LinearProgram, mode: Optional[str] = None,
     any verdict: row i's basic column, structural or n + i for row i's
     artificial. Only a float program without an objective takes one (the
     dual phase of the module docstring); any other, or a start of another
-    length or naming another column, raises ValueError before any solve."""
+    length or naming another column, raises ValueError before any solve,
+    as does an inf or a NaN in a float program's rows, right-hand side or
+    objectives."""
     if mode is None:
         mode = program.mode()
     elif mode == EXACT and infer_mode(x for c in program.objectives() for x in c) == FLOAT:
         raise ValueError("exact mode requested for float data")
+    if mode == FLOAT and not _finite(program):
+        raise ValueError("a float program needs finite numbers")
     if start is not None:
         if mode == EXACT or program.objective is not None:
             raise ValueError("a start needs a float program without an objective")
@@ -321,6 +327,12 @@ def lp_solve(program: LinearProgram, mode: Optional[str] = None,
     out = _simplex(program, kernel, field(mode, tol), start)
     stats["pivots"] += out.pivots
     return out
+
+
+def _finite(program: LinearProgram) -> bool:
+    """Every number of the program, as the float kernel reads it, is finite."""
+    return bool(np.isfinite(program.float_data[0]).all()) and all(
+        map(isfinite, chain(program.rhs, *program.objectives())))
 
 
 def verify_solution(program: LinearProgram, solution: Sequence,
@@ -1033,15 +1045,47 @@ class Answers:
         first of ties; None when no basis is stored."""
         if self.inverses is None:
             return None
-        F = self.F
         X = self.inverses @ b
-        failing = (~((X >= -F.eps) & ((X <= F.eps) | self.structural))).sum(axis=1)
+        failing = self._failing(X, self.structural)
         k = int(failing.argmin())
         if failing[k]:
             return self.bases[k], None
-        if F.mode == FLOAT:  # + 0.0 turns a -0.0 into 0.0
-            return self.bases[k], (X[k] + F.zero).tolist()
-        return self.bases[k], list(map(Fraction, X[k].tolist(), (self.dens[k] * L).tolist()))
+        return self.bases[k], self._levels(X[k], k, L)
+
+    def feasible(self, B: np.ndarray, Ls: Sequence, start: int = 0) -> list:
+        """`basis` for many b at once, the rows of B, each cleared over its
+        scale in Ls, against the bases stored from `start` on: for each b,
+        (the index of the first of them feasible for b, B^-1 b), or (None,
+        None) when none is. Viewed as (count, 1, m, 1), B makes numpy's
+        matmul call the matrix-vector kernel for each pair of a stored B^-1
+        and a b, the kernel of `basis`'s product, so each float is the one
+        that b alone gets (B's transpose, one (m, count) operand, would go
+        to the matrix-matrix kernel, which rounds otherwise). An inf or a
+        NaN is feasible for no basis and gives no warning."""
+        if self.inverses is None or start >= len(self.bases):
+            return [(None, None)] * len(B)
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = (self.inverses[start:] @ B[:, None, :, None])[..., 0]
+            ok = self._failing(X, self.structural[start:]) == 0
+        found = []
+        for x, row, L in zip(X, ok, Ls):
+            k = int(row.argmax())
+            found.append((start + k, self._levels(x[k], start + k, L)) if row[k] else (None, None))
+        return found
+
+    def _failing(self, X, structural):
+        """The count of rows of each B^-1 b in X (the last axis) out of
+        feasibility: below -eps, or above eps where the basic column is not
+        structural."""
+        F = self.F
+        return (~((X >= -F.eps) & ((X <= F.eps) | structural))).sum(axis=-1)
+
+    def _levels(self, x, k, L) -> list:
+        """B^-1 b of stored basis k, x, as the field's numbers: exact rows
+        over their denominators times L."""
+        if self.F.mode == FLOAT:  # + 0.0 turns a -0.0 into 0.0
+            return (x + self.F.zero).tolist()
+        return list(map(Fraction, x.tolist(), (self.dens[k] * L).tolist()))
 
     def keep_refutation(self, payload, y, bound=None):
         """Stack y with its bound: bounds for all refutations or for none."""

@@ -24,7 +24,7 @@ from .scalars import (
     resolve,
     scaled,
 )
-from .spaces import Effect, Observable, is_indecomposable
+from .spaces import Effect, Observable
 from . import geometry
 
 @dataclass(frozen=True)
@@ -182,16 +182,12 @@ def minimally_sufficient_with_channels(obs: Observable,
 
 
 def is_postprocessing_clean(obs: Observable, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """True iff every nonzero effect is indecomposable."""
+    """True iff every nonzero effect is indecomposable: one `is_extremal`
+    call for them all."""
     if obs.space is None:
         raise ValueError("postprocessing cleanness needs the state space")
     F = field(obs.mode, tol)
-    for eff in obs.effects:
-        if F.is_zero(eff.coeffs):
-            continue
-        if not is_indecomposable(eff, obs.space, tol):
-            return False
-    return True
+    return all(obs.space.is_extremal([e for e in obs.effects if not F.is_zero(e.coeffs)], tol))
 
 
 def binarization(obs: Observable, label: str) -> Observable:

@@ -60,32 +60,38 @@ class QubitSpace:
     def as_float(self) -> "QubitSpace":
         return self
 
-    def is_extremal(self, effect: Effect, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        """Rank one: exactly one nonzero eigenvalue, ||e|| = 2 tau > 0."""
-        F, (row,), (norm,) = self._norms([effect.coeffs], tol, exact_roots=False)
-        w0 = 2 * row[3]
-        return w0 > F.eps and norm is not None and abs(norm - w0) <= F.eps
+    def is_extremal(self, effects: Sequence, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
+        """Rank one, for each effect: exactly one nonzero eigenvalue, ||e|| =
+        2 tau > 0, the norms from one `_norms` pass."""
+        F, rows, norms = self._norms([e.coeffs for e in effects], tol, exact_roots=False)
+        return [2 * row[3] > F.eps and norm is not None and abs(norm - 2 * row[3]) <= F.eps
+                for row, norm in zip(rows, norms)]
 
-    def refine(self, effect: Effect, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
-        """Split an effect into rank-one summands.
+    def refine(self, effects: Sequence, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
+        """Split each effect into rank-one summands, the norms from one
+        `_norms` pass.
 
         The eigendecomposition gives at most two parts along the Bloch
         direction; a multiple of the identity is split along the z axis.
         """
-        F, ((*bloch, tau),), (norm,) = self._norms([effect.coeffs], tol)
-        w0 = 2 * tau
+        F, rows, norms = self._norms([e.coeffs for e in effects], tol)
         eps = F.eps
-        if w0 <= eps and norm <= eps:
-            return []
-        if norm <= eps:
-            c = F.coerce(tau)
-            return [Effect((F.zero, F.zero, c, c / 2)), Effect((F.zero, F.zero, -c, c / 2))]
-        d = tuple(x / norm for x in bloch)
-        lam_plus = (w0 + norm) / 2
-        lam_minus = (w0 - norm) / 2
-        parts = [Effect((*(lam_plus * x for x in d), lam_plus / 2))]
-        if lam_minus > eps:
-            parts.append(Effect((*(-lam_minus * x for x in d), lam_minus / 2)))
+        parts = []
+        for (*bloch, tau), norm in zip(rows, norms):
+            w0 = 2 * tau
+            if w0 <= eps and norm <= eps:
+                parts.append([])
+            elif norm <= eps:
+                c = F.coerce(tau)
+                parts.append([Effect((F.zero, F.zero, c, c / 2)),
+                              Effect((F.zero, F.zero, -c, c / 2))])
+            else:
+                d = tuple(x / norm for x in bloch)
+                lam_plus = (w0 + norm) / 2
+                lam_minus = (w0 - norm) / 2
+                parts.append([Effect((*(lam_plus * x for x in d), lam_plus / 2))])
+                if lam_minus > eps:
+                    parts[-1].append(Effect((*(-lam_minus * x for x in d), lam_minus / 2)))
         return parts
 
     @staticmethod

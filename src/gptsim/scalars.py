@@ -112,7 +112,9 @@ def rows_kind(rows, dim: int) -> Optional[str]:
     """The kind (`kind_of`) of a sequence of coefficient vectors of dim
     entries each (`require_dim`), FLOAT at once for a float array."""
     require_dim(rows, dim)
-    return FLOAT if getattr(rows, "dtype", None) == float else kind_of(x for r in rows for x in r)
+    if getattr(rows, "dtype", None) == float:
+        return FLOAT
+    return kind_of(itertools.chain.from_iterable(rows))
 
 
 def infer_mode(values: Iterable) -> str:

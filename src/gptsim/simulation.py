@@ -87,7 +87,6 @@ from .spaces import (
     Effect,
     Observable,
     are_valid_observables,
-    decompose_into_indecomposables,
     mix_observables,
 )
 
@@ -118,7 +117,15 @@ class SimulationCertificate:
 
     @property
     def kind(self):
-        return kind_of(self.scheme if self.simulable else self.farkas)
+        """EXACT, FLOAT, or None when every number is an integer: scanned
+        once per certificate, as every replay resolves its field over it.
+        It is kept as a plain attribute, since a `cached_property` would
+        give every certificate a `__dict__` of its own."""
+        kind = getattr(self, "_kind", False)
+        if kind is False:
+            kind = kind_of(self.scheme if self.simulable else self.farkas)
+            object.__setattr__(self, "_kind", kind)
+        return kind
 
     def as_float(self) -> "SimulationCertificate":
         return replace(self, scheme=self.scheme and to_float_vector(self.scheme),
@@ -460,10 +467,17 @@ def replay_simulation(cert: SimulationCertificate, target: Observable,
 def is_simulation_irreducible(obs: Observable,
                               tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Criterion on the minimally sufficient form: linearly independent
-    indecomposable effects."""
-    if obs.space is None:
+    indecomposable effects. More effects than the space has dimensions are
+    never independent, so such a form is decided without the cone call
+    (`is_postprocessing_clean`) once the space and the observable agree on
+    dimension and field, as that call would test."""
+    space = obs.space
+    if space is None:
         raise ValueError("simulation irreducibility needs the state space")
     hat = minimally_sufficient(obs, tol)
+    if hat.n_outcomes > space.ambient_dim == hat.dim:
+        resolve((space.kind, hat.kind), tol)
+        return False
     if not is_postprocessing_clean(hat, tol):
         return False
     vecs = [e.coeffs for e in hat.effects]
@@ -496,15 +510,16 @@ def decompose_to_irreducibles(target: Observable,
     """Simulate `target` from at most max(1, s - 2) simulation-irreducible
     observables, s the number of distinct rays its effects refine onto.
 
-    Each effect A_y is refined into indecomposable parts (the space's
-    `refine`), grouped by ray (`F.key` of `geometry.canonical_ray`). With E_r
-    the sum of the parts on ray r and nu(y|r) the share of E_r from outcome
-    y, A_y = sum_r mu_r nu(y|r) E_r at mu = 1, a point of P = {mu >= 0 :
-    sum_r mu_r E_r = u}. A point of P is a vertex exactly when the E_r of
-    its support are linearly independent, and then its observable (mu_r E_r)
-    is simulation irreducible by the paper's criterion. The E_r are extreme
-    rays of the effect cone, pairwise not proportional, so no three lie in a
-    plane and dim P <= s - 3 for s >= 3. Peeling: null vectors of the
+    Each effect A_y is refined into indecomposable parts (one call of the
+    space's `refine` for them all), grouped by ray (`F.key` of
+    `geometry.canonical_ray`). With E_r the sum of the parts on ray r and
+    nu(y|r) the share of E_r from outcome y, A_y = sum_r mu_r nu(y|r) E_r
+    at mu = 1, a point of P = {mu >= 0 : sum_r mu_r E_r = u}. A point of P
+    is a vertex exactly when the E_r of its support are linearly
+    independent, and then its observable (mu_r E_r) is simulation
+    irreducible by the paper's criterion. The E_r are extreme rays of the
+    effect cone, pairwise not proportional, so no three lie in a plane and
+    dim P <= s - 3 for s >= 3. Peeling: null vectors of the
     residual's support (`geometry.null_space_vector`) walk inside its face
     to a vertex v, each step dropping a ray; the largest alpha with
     mu - alpha v >= 0 drops another. With rho the weight left (mu in rho P),
@@ -518,8 +533,9 @@ def decompose_to_irreducibles(target: Observable,
         raise ValueError("decomposition needs the state space")
     F = field(target.mode, tol)
     groups = {}  # ray key -> (label of its first part, [(outcome index, part)])
-    for y, (label, eff) in enumerate(target.outcomes):
-        for j, part in enumerate(decompose_into_indecomposables(eff, target.space, tol)):
+    refined = target.space.refine(target.effects, tol)
+    for y, (label, parts) in enumerate(zip(target.labels, refined)):
+        for j, part in enumerate(parts):
             key = F.key(geometry.canonical_ray(part.coeffs, F.mode, tol))
             groups.setdefault(key, (f"{label}.{j}", []))[1].append((y, part.coeffs))
     if not groups:
@@ -581,7 +597,7 @@ def noise_content(target: Observable,
     n = target.n_outcomes
     m = []
     for mx in map(F.coerce, space.min_values([eff.coeffs for eff in target.effects])):
-        if mx < -F.eps:
+        if not mx >= -F.eps:  # a NaN fails too
             raise ValueError("noise content needs valid effects")
         m.append(max(mx, zero))
     lam = sum(m)

@@ -5,15 +5,25 @@ finite labelled families of effects summing to the unit. A state space is
 known through its effect cone, and every space answers these questions
 about it:
 
-* `is_extremal(effect, tol)`: does the effect span an extreme ray of the
-  cone (is it indecomposable)?
-* `refine(effect, tol)`: the effect written as a sum of such extreme effects;
+* `is_extremal(effects, tol)`: for each effect, does it span an extreme
+  ray of the cone (is it indecomposable)?
+* `refine(effects, tol)`: each effect written as a sum of such extreme
+  effects;
 * `min_values(effects)`: the least value on a state of each effect (a
   coefficient vector), so that an effect lies in the cone exactly when its
-  minimum is nonnegative. It takes every effect of a question at once:
-  `is_valid_effect` and `are_valid_observables` ask it about every e and
-  u - e together, and `simulation.noise_content` and
-  `simulation.replay_compatibility` about all their effects;
+  minimum is nonnegative.
+
+These three take every effect of a question at once, in one field for the
+space and all of them: `is_valid_effect` and `are_valid_observables` ask
+`min_values` about every e and u - e together, `simulation.noise_content`
+and `simulation.replay_compatibility` about all their effects;
+`postprocessing.is_postprocessing_clean` asks `is_extremal` about every
+nonzero effect of an observable, and
+`simulation.decompose_to_irreducibles` asks `refine` about every effect of
+its target. The one-effect `is_indecomposable` and
+`decompose_into_indecomposables` wrap them. The other calls serve
+compatibility:
+
 * `generators(tol)` and `prices(Z, tol)`, for `simulation.is_compatible`:
   extreme effects that start the joint-observable program, and for each
   functional z, a row of Z, the largest value of z on an effect of unit
@@ -28,11 +38,14 @@ about it:
 `StateSpace` is a polytope, given by its extreme states in a
 (d+1)-dimensional ambient space together with the unit functional, with the
 convention that the unit coefficient sits in the last ambient slot and
-extreme states have last coordinate one. Its refinements are lexicographic
-conic decompositions over the dual-cone rays, which share one constraint
-matrix per space: each refinement first tries the bases that earlier ones
-ended on (an `lp.Answers`), and solves an LP only when none of them is
-feasible for the effect (`StateSpace.refine`). The qubit's
+extreme states have last coordinate one. Its extremality test ranks the
+extreme states on which an effect vanishes, and keeps the rank of each
+such tight set, of which a polytope has one per face
+(`StateSpace._face_ranks`). Its refinements are lexicographic conic
+decompositions over the dual-cone rays, which share one constraint matrix
+per space: each refinement first tries the bases that earlier ones ended
+on (an `lp.Answers`), and solves an LP only when none of them is feasible
+for the effect (`StateSpace.refine`). The qubit's
 cone lives in `qubit.QubitSpace`. Validity, indecomposability and
 everything built on them (irreducibility, decomposition, noise content,
 compatibility) go through these methods and so hold for either kind of
@@ -68,6 +81,9 @@ from .scalars import (
     vdot,
     vscale,
 )
+
+# Tight sets whose rank one space keeps (`StateSpace._face_ranks`).
+_FACE_RANKS = 1024
 
 
 @dataclass(frozen=True)
@@ -106,66 +122,131 @@ class StateSpace:
                           tuple(to_float_vector(s) for s in self.extreme_states),
                           to_float_vector(self.unit))
 
-    def _require_dim(self, effect: "Effect"):
-        if effect.dim != self.ambient_dim:
-            raise ValueError(f"dimension mismatch {effect.dim} vs {self.ambient_dim}")
+    def is_extremal(self, effects: Sequence, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
+        """The tight-state rank test, one bool per effect: the effect is at
+        least -eps on every extreme state (it lies in the cone), and the
+        extreme states it annihilates, its tight set, have rank exactly
+        ambient_dim - 1. One field is resolved over the space and every
+        effect (`_field`), and one product of the states with the effects
+        gives all their values (`_values`).
 
-    def is_extremal(self, effect: "Effect", tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        """Tight-state rank test: the effect is at least -eps on every
-        extreme state (it lies in the cone), and the extreme states it
-        annihilates have rank exactly ambient_dim - 1. One product of the
-        states with the effect gives both: the integer states
-        (`_integer_states`) and the cleared effect in exact mode, a float
-        array of the states in float mode."""
-        self._require_dim(effect)
-        F = resolve((self.kind, kind_of(effect.coeffs)), tol)
-        if F.mode == FLOAT:  # a list, as Python reads a few floats faster than numpy
-            values = (self._float_states @ np.array(effect.coeffs, dtype=float)).tolist()
-        else:
-            E, _ = integer_row(effect.coeffs)
-            values = [sum(map(mul, E, s)) for s in self._integer_states[0]]
+        The rank of a tight set is computed once per space and kept
+        (`_face_ranks`), keyed by (state indices, mode, tolerance). The
+        cache is exact: the rank is a function of the states the indices
+        name, the mode and the tolerance alone, whatever effect met the
+        set, so a kept rank is the rank computed afresh. It is bounded: an
+        effect in the cone vanishes exactly on the extreme states of a face
+        of the polytope, so exact mode keeps at most one rank per face (a
+        polygon's extreme effects meet its n edges, every effect on one ray
+        the same edge), and float mode's sets within eps of zero lie near
+        faces; past `_FACE_RANKS` keys a new set is ranked and not kept."""
+        rows = [e.coeffs for e in effects]
+        F = self._field(rows, tol)
+        return [self._extremal(values, F) for values in self._values(rows, F)]
+
+    def _field(self, rows: Sequence, tol: Tolerance):
+        """The field of the space and the coefficient vectors together: a
+        vector of another dimension than the space raises ValueError, and
+        exact and float numbers together ModeError."""
+        return resolve((self.kind, rows_kind(rows, self.ambient_dim)), tol)
+
+    def _values(self, rows: Sequence, F) -> list:
+        """The values of each coefficient vector on the extreme states, a
+        list each: in exact mode integer products of the cleared vector with
+        the integer states (`_integer_states`), in float mode one product of
+        the float states with every vector, whose (vectors, dim, 1) operand
+        makes numpy's matmul call the matrix-vector kernel once per vector,
+        so that each value is the float of `states @ e` for that vector
+        alone, bit for bit (a (dim, vectors) operand would go to the
+        matrix-matrix kernel, which rounds otherwise)."""
+        if F.mode == FLOAT:
+            E = np.array(rows, dtype=float).reshape(-1, self.ambient_dim)
+            return (self._float_states @ E[:, :, None])[:, :, 0].tolist()
+        states = self._integer_states[0]
+        return [[sum(map(mul, E, s)) for s in states] for E, _ in map(integer_row, rows)]
+
+    def _extremal(self, values: list, F) -> bool:
+        """The rank test on one effect's values (a list, as Python reads a
+        few numbers faster than numpy)."""
         if not min(values) >= -F.eps:  # a NaN coefficient makes every value NaN
             return False
-        tight = [i for i, v in enumerate(values) if v <= F.eps]
+        tight = tuple(i for i, v in enumerate(values) if v <= F.eps)
         if len(tight) < self.ambient_dim - 1:
             return False
-        states = [self.extreme_states[i] for i in tight]
-        return geometry.rank(states, tol=tol, mode=F.mode) == self.ambient_dim - 1
+        key = (tight, F.mode, F.tol)
+        rank = self._face_ranks.get(key)
+        if rank is None:
+            rank = geometry.rank([self.extreme_states[i] for i in tight], tol=F.tol, mode=F.mode)
+            if len(self._face_ranks) < _FACE_RANKS:
+                self._face_ranks[key] = rank
+        return rank == self.ambient_dim - 1
 
-    def refine(self, effect: "Effect", tol: Tolerance = DEFAULT_TOLERANCE) -> list:
-        """Decompose over the dual-cone extreme rays.
+    @cached_property
+    def _face_ranks(self) -> dict:
+        """The rank of each tight set that `is_extremal` has ranked, by
+        (state indices, mode, tolerance): made empty once per space, next
+        to `_float_states` and `_integer_states`."""
+        return {}
+
+    def refine(self, effects: Sequence, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
+        """Decompose each effect over the dual-cone extreme rays: one list of
+        parts per effect, in one field (`_field`).
 
         The coefficients are the lexicographic maximum in the rays' canonical
         (sorted) order, so the decomposition is deterministic. The zero
-        effect refines into the empty list; an effect of another dimension
-        than the space, zero or not, and a non-extremal effect outside the
-        cone raise ValueError.
+        effect refines into the empty list, and an extremal one
+        (`is_extremal`) into itself; an effect of another dimension than the
+        space, zero or not, and a non-extremal effect outside the cone raise
+        ValueError.
 
-        A non-extremal effect is first tried on the bases that earlier
-        refinements over the same rays ended on (`_Bases`); otherwise
-        `geometry.conic_decompose` solves its LP, and an answer with exactly
-        dim positive coefficients stores the LP's basis with its B^-1. Such
-        an answer is a nondegenerate vertex, whose basis is optimal for the
-        tie-broken objective c_0 + d c_1 + d^2 c_2 + ... at every small
-        d > 0 whatever the effect, so exact mode returns the LP's own
-        Fractions, and float mode agrees with the LP within rounding.
+        The non-extremal effects are first tried on the bases that earlier
+        refinements over the same rays ended on (`_Bases`), all in one scan.
+        Each effect that no stored basis decides, in order, has its LP solved
+        by `geometry.conic_decompose`, and an answer with exactly dim
+        positive coefficients stores the LP's basis with its B^-1; the
+        effects after it that no basis was feasible for are then tried on
+        that basis. So the parts and the stored bases, in their order, are
+        those that one call per effect makes, and the last solve's basis
+        waits in the store's `pending` as it would after that call. A stored
+        basis is a nondegenerate vertex, which is optimal for the tie-broken
+        objective c_0 + d c_1 + d^2 c_2 + ... at every small d > 0 whatever
+        the effect, so exact mode returns the LP's own Fractions, and float
+        mode agrees with the LP within rounding.
         """
-        self._require_dim(effect)
-        F = resolve((self.kind, kind_of(effect.coeffs)), tol)
-        if F.is_zero(effect.coeffs):
-            return []
-        if self.is_extremal(effect, tol):
-            return [effect]
+        F = self._field([e.coeffs for e in effects], tol)
+        nonzero = [k for k, e in enumerate(effects) if not F.is_zero(e.coeffs)]
+        parts, todo = [[] for _ in effects], []
+        for k, values in zip(nonzero, self._values([effects[k].coeffs for k in nonzero], F)):
+            if self._extremal(values, F):
+                parts[k] = [effects[k]]
+            else:
+                todo.append(k)
+        if not todo:
+            return parts
         rays = dual_cone_rays(self, tol)
         store = lp.answers(("refinement", self, self.mode, F.mode, tol), lambda: _Bases(rays, F))
-        coefficients = store.decide(effect.coeffs)
-        if coefficients is None:
-            res = geometry.conic_decompose(effect.coeffs, rays, mode=F.mode, tol=tol)
+        vectors = [effects[k].coeffs for k in todo]
+        scans = store.decide(vectors)
+        for i, v in enumerate(vectors):
+            if scans[i][1] is not None:
+                continue
+            res = geometry.conic_decompose(v, rays, mode=F.mode, tol=tol)
             if not res.inside:
                 raise ValueError("effect lies outside the positive dual cone")
-            coefficients = res.coefficients
-            store.pending = partial(store.add, res)
-        return [Effect(vscale(c, r)) for c, r in zip(coefficients, rays) if c > F.eps]
+            scans[i] = (None, res.coefficients)
+            if i + 1 == len(vectors):
+                store.pending = partial(store.add, res)
+                continue
+            stored = len(store.bases)
+            store.add(res)
+            untried = [j for j in range(i + 1, len(vectors)) if scans[j][0] is None]
+            if len(store.bases) > stored and untried:
+                found = store.decide([vectors[j] for j in untried], start=stored)
+                for j, scan in zip(untried, found):
+                    scans[j] = scan
+        for k, (_, coefficients) in zip(todo, scans):
+            parts[k] = [Effect(vscale(c, r)) for c, r in zip(coefficients, rays) if c > F.eps]
+        return parts
 
     @cached_property
     def _float_states(self) -> np.ndarray:
@@ -502,19 +583,27 @@ class _Bases(lp.Answers):
         super().__init__(F, cap=64)
         self.rays = tuple(tuple(map(F.coerce, r)) for r in rays)
 
-    def decide(self, v: Sequence) -> Optional[list]:
-        """The coefficients over the rays from the first stored basis feasible
-        for v, if they pass `geometry.replay_conic`; else None."""
+    def decide(self, vectors: Sequence, start: int = 0) -> list:
+        """For each coefficient vector v, (k, coefficients): k the first basis
+        stored from `start` on that is feasible for v, from one scan of
+        them all (`lp.Answers.feasible`), or None when none is, and the
+        coefficients over the rays that it gives v if they pass
+        `geometry.replay_inside`, one call for every hit, else None."""
         F = self.F
-        hit = self.basis(*cleared(F, v))
-        if hit is None or hit[1] is None:
-            return None
-        support, x = hit
-        res = geometry.ConicResult(geometry.INSIDE, coefficients=tuple(x))
-        if not geometry.replay_conic(res, v, [self.rays[j] for j in support], F.tol):
-            return None
-        placed = dict(zip(support, x))
-        return [placed.get(j, F.zero) for j in range(len(self.rays))]
+        if not vectors:
+            return []
+        rows = [cleared(F, v) for v in vectors]
+        found = self.feasible(np.stack([b for b, _ in rows]), [L for _, L in rows], start)
+        hits = [(i, k, x) for i, (k, x) in enumerate(found) if k is not None]
+        replays = geometry.replay_inside([x for _, _, x in hits], [vectors[i] for i, _, _ in hits],
+                                         [[self.rays[j] for j in self.bases[k]] for _, k, _ in hits],
+                                         F.tol)
+        decided = [(k, None) for k, _ in found]
+        for (i, k, x), holds in zip(hits, replays):
+            if holds:
+                placed = dict(zip(self.bases[k], x))
+                decided[i] = (k, [placed.get(j, F.zero) for j in range(len(self.rays))])
+        return decided
 
     def add(self, res: geometry.ConicResult):
         """Store the LP's basis and B^-1 behind an answer with exactly dim
@@ -544,14 +633,14 @@ def is_indecomposable(effect: Effect, space,
     """
     if resolve((space.kind, kind_of(effect.coeffs)), tol).is_zero(effect.coeffs):
         raise ValueError("indecomposability is defined for nonzero effects only")
-    return space.is_extremal(effect, tol)
+    return space.is_extremal([effect], tol)[0]
 
 
 def decompose_into_indecomposables(effect: Effect, space,
                                    tol: Tolerance = DEFAULT_TOLERANCE) -> list:
     """Write a valid effect as a finite sum of indecomposable effects
     (`space.refine`). The zero effect decomposes into the empty list."""
-    return space.refine(effect, tol)
+    return space.refine([effect], tol)[0]
 
 
 def is_informationally_complete(obs: Observable, space: Optional[StateSpace] = None,

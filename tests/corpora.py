@@ -15,7 +15,8 @@ driver, so a decision that solves several programs (a conic decomposition,
 a compatibility bracket, a `reproduce` criterion) gives several lines.
 After its solves, each decision gives one line of its own, without a solve
 index: the decision's verdict ("passed" or "failed" for a criterion,
-"<k> leaves" for a decomposition), a digest of the certificate it returned
+"<k> leaves" for a decomposition, "irreducible" or "reducible" for an
+irreducibility test), a digest of the certificate it returned
 (an answer read from a store makes no solve, so only this digest sees it),
 and whether `replay_simulation` accepts its certificate, against the source
 for a relation decision and against the leaves for a decomposition (null
@@ -58,6 +59,7 @@ from gptsim.catalog import (
     polygon,
     polygon_irreducibles,
     qubit_compatibility_bracket,
+    qubit_suite,
     random_observable,
     square_bit,
     tetrahedron_rational,
@@ -65,7 +67,7 @@ from gptsim.catalog import (
 from gptsim.geometry import conic_decompose
 from gptsim.lp import FEASIBLE, INFEASIBLE, lp_solve, make_program
 from gptsim.postprocessing import apply, is_postprocessing_of, merge_channel
-from gptsim.qubit import QubitEffect, dichotomic
+from gptsim.qubit import QubitEffect, dichotomic, random_qubit_observable
 from gptsim.reproduce import CRITERIA, CriterionResult, run_criterion
 from gptsim.scalars import EXACT, FLOAT
 from gptsim.serialize import certificate_to_json, observable_to_json
@@ -74,6 +76,7 @@ from gptsim.simulation import (
     SimulationCertificate,
     decompose_to_irreducibles,
     is_compatible,
+    is_simulation_irreducible,
     replay_simulation,
     simulation_program,
 )
@@ -300,6 +303,28 @@ def decomposition_corpus():
     return observables + [random_observable(square_bit().space, rng) for _ in range(12)]
 
 
+def irreducibility_corpus():
+    """Observables to test for simulation irreducibility: every catalog
+    member and six seeded random observables on each polygon n = 5..8
+    (float); E, F, their coarse-graining and six seeded random observables
+    on the square bit, and six on the tetrahedron, classical(4) (exact);
+    the qubit suite, two sharp and two unsharp dichotomic observables, and
+    six seeded random qubit observables (float and integer)."""
+    observables = []
+    for n in range(5, 9):
+        cat, rng = polygon_irreducibles(n), random.Random(f"irreducibility/{n}")
+        observables += [*cat.observables,
+                        *(random_observable(cat.theory.space, rng) for _ in range(6))]
+    sq, rng = square_bit(), random.Random("irreducibility/exact")
+    observables += [sq.E, sq.F, apply(merge_channel(sq.E.labels, sq.E.labels, "+"), sq.E)]
+    observables += [random_observable(sq.space, rng) for _ in range(6)]
+    observables += [random_observable(classical(4).space, rng) for _ in range(6)]
+    suite, rng = qubit_suite(), random.Random("irreducibility/qubit")
+    observables += [suite.X, suite.Y, suite.Z, suite.T, suite.tetrahedron,
+                    suite.tetra_dichotomic(), suite.ct(1.0), suite.ct(0.5), suite.xt(0.25)]
+    return observables + [random_qubit_observable(rng) for _ in range(6)]
+
+
 def bracket_corpus():
     """24 seeded dichotomic qubit triples and pairs for 128-facet brackets."""
     return _qubit_targets(random.Random("bracket-128-digest"), 24)
@@ -349,6 +374,8 @@ CORPORA = {
     "compatibility": _compatibility_decisions,
     "decomposition": lambda: [partial(decompose_to_irreducibles, obs)
                               for obs in decomposition_corpus()],
+    "irreducibility": lambda: [partial(is_simulation_irreducible, obs)
+                               for obs in irreducibility_corpus()],
     "bracket-128": lambda: [partial(qubit_compatibility_bracket, targets, 128)
                             for targets in bracket_corpus()],
     "reproduce": lambda: [partial(run_criterion, cid) for cid in CRITERIA],
@@ -390,6 +417,8 @@ def _decision(corpus, index, decide, result) -> dict:
     replays, written = None, repr(result)
     if isinstance(result, CriterionResult):
         verdict = "passed" if result.passed else "failed"
+    elif isinstance(result, bool):  # an irreducibility decision
+        verdict = "irreducible" if result else "reducible"
     elif isinstance(result, IrreducibleDecomposition):
         verdict = f"{len(result.observables)} leaves"
         replays = replay_simulation(result.certificate, *decide.args, list(result.observables))

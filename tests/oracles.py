@@ -5,19 +5,21 @@ come from numpy on explicit 2x2 matrices, polytope noise content from a
 direct minimum over extreme states, simulability of dichotomic targets
 from a dense grid over mixing weights where that is tractable, exact
 LP outcomes from a dense simplex tableau of plain Fractions, and the
-minimally sufficient form from pairwise rank tests. `min_value` and
-`price` keep the per-effect cone formulas that `min_values` and `prices`
-answer for many effects at once.
+minimally sufficient form from pairwise rank tests. `min_value`,
+`price`, `is_extremal` and `refine` keep the per-effect cone formulas that
+`min_values`, `prices`, `is_extremal` and `refine` answer for many effects
+at once.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from gptsim.geometry import rank
+from gptsim.geometry import conic_decompose, rank
 from gptsim.postprocessing import Postprocessing
 from gptsim.qubit import QubitSpace
-from gptsim.scalars import DEFAULT_TOLERANCE, FLOAT, ModeError, field, kind_of, resolve, vdot
+from gptsim.scalars import (DEFAULT_TOLERANCE, FLOAT, ModeError, field, kind_of, resolve, vdot,
+                            vscale)
 from gptsim.spaces import Effect, Observable, dual_cone_rays
 
 SIGMA = (
@@ -76,6 +78,53 @@ def price(space, z, tol=DEFAULT_TOLERANCE) -> tuple:
     c = [field(space.mode).coerce(sum(x)) / n for x in zip(*space.extreme_states)]
     return max(((vdot(z, r) / vdot(r, c), r) for r in dual_cone_rays(space, tol)),
                key=lambda pair: pair[0])
+
+
+def is_extremal(space, coeffs, tol=DEFAULT_TOLERANCE) -> bool:
+    """Whether one effect spans an extreme ray: the qubit's ||e|| = 2 tau > 0,
+    or a polytope's tight-state test, from the `vdot` of the effect with
+    each extreme state and a rank of its tight set computed afresh."""
+    if isinstance(space, QubitSpace):
+        *bloch, tau = coeffs
+        F = resolve((kind_of(coeffs),), tol)
+        norm = F.sqrt(sum(x * x for x in bloch))
+        return 2 * tau > F.eps and norm is not None and abs(norm - 2 * tau) <= F.eps
+    F = resolve((space.kind, kind_of(coeffs)), tol)
+    values = [vdot(coeffs, s) for s in space.extreme_states]
+    if not min(values) >= -F.eps:
+        return False
+    tight = [s for s, v in zip(space.extreme_states, values) if v <= F.eps]
+    return (len(tight) >= space.ambient_dim - 1
+            and rank(tight, tol=tol, mode=F.mode) == space.ambient_dim - 1)
+
+
+def refine(space, coeffs, tol=DEFAULT_TOLERANCE) -> list:
+    """The parts of one effect, as coefficient tuples: none for the zero
+    effect; for the qubit, its spectral split along the Bloch direction (a
+    multiple of the identity along z); for a polytope, the effect itself
+    when it is extremal, else the positive terms of one `conic_decompose`
+    solve over the dual-cone rays, with ValueError outside the cone."""
+    if isinstance(space, QubitSpace):
+        F, tau, bloch, norm = _qubit_spectrum(coeffs, tol)
+        if 2 * tau <= F.eps and norm <= F.eps:
+            return []
+        if norm <= F.eps:
+            c = F.coerce(tau)
+            return [(F.zero, F.zero, c, c / 2), (F.zero, F.zero, -c, c / 2)]
+        d = [x / norm for x in bloch]
+        plus, minus = (2 * tau + norm) / 2, (2 * tau - norm) / 2
+        return [(*(plus * x for x in d), plus / 2)] + (
+            [(*(-minus * x for x in d), minus / 2)] if minus > F.eps else [])
+    F = resolve((space.kind, kind_of(coeffs)), tol)
+    if F.is_zero(coeffs):
+        return []
+    if is_extremal(space, coeffs, tol):
+        return [tuple(coeffs)]
+    rays = dual_cone_rays(space, tol)
+    res = conic_decompose(coeffs, rays, mode=F.mode, tol=tol)
+    if not res.inside:
+        raise ValueError("effect lies outside the positive dual cone")
+    return [vscale(c, r) for c, r in zip(res.coefficients, rays) if c > F.eps]
 
 
 def qubit_noise_content_grid(obs, steps: int = 20001) -> float:

@@ -110,6 +110,21 @@ def test_polygon_defining_identities(n):
         assert is_valid_observable(obs)
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_dichotomic_observables_are_made_when_read(n):
+    # the catalog never reads them, so neither it nor `polygon` makes them
+    assert "dichotomic_observables" not in vars(polygon_irreducibles(n).theory)
+    theory = polygon(n)
+    assert "dichotomic_observables" not in vars(theory)
+    rays, m = theory.extreme_effects, n // 2
+    pairs = ([(rays[k], rays[k + m]) for k in range(m)] if n % 2 == 0
+             else list(zip(theory.f_effects, rays)))
+    assert [tuple(e.coeffs for e in obs.effects) for obs in theory.dichotomic_observables] == pairs
+    assert all(obs.labels == ("+", "-") and obs.space is theory.space
+               for obs in theory.dichotomic_observables)
+    assert theory.dichotomic_observables is theory.dichotomic_observables
+
+
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_odd_polygon_ray_intersection_identity(n):
     # f_k is the point where the two upward rays straddling its antipode

@@ -57,3 +57,18 @@ def test_a_moved_certificate_is_reported_not_an_alarm(tmp_path):
     assert "decision #0: certificate; passed -> passed" in text
     alarms, text = run(DECISION, dict(DECISION, certificate="b"))
     assert alarms == 0 and "moved nothing" in text
+
+
+def test_an_added_corpus_is_reported_not_an_alarm(tmp_path):
+    # a corpus that the old dump lacks, such as irreducibility verdicts that
+    # make no solve, reads as new decisions
+    paths = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    added = [dict(DECISION, corpus="irreducibility", index=k, verdict=v, certificate="a")
+             for k, v in enumerate(("irreducible", "reducible"))]
+    for path, lines in zip(paths, ([DECISION], [DECISION, *added])):
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    out = io.StringIO()
+    assert diff(*paths, file=out) == 0
+    text = out.getvalue()
+    assert "irreducibility: 0 -> 0 solves" in text and "decisions: 0 -> 2 (0 gone, 2 new)" in text
+    assert "moved nothing" not in text

@@ -171,6 +171,25 @@ def test_float_farkas_with_an_infinite_entry_fails():
             assert verify_farkas(q, (-1.0, nan)) is False
 
 
+def test_a_float_program_with_an_inf_or_a_nan_is_refused_before_any_solve():
+    # a NaN reached the kernel's ratio test as an empty candidate list
+    from gptsim import lp
+
+    nan, inf = float("nan"), float("inf")
+    programs = [program for bad in (nan, inf, -inf) for program in (
+        *_with_array_twin([(1.0, bad)], (1.0,)), *_with_array_twin([(1.0, 1.0)], (bad,)),
+        make_program([(1.0, 1.0)], (1.0,), objective=(1.0, bad)),
+        make_program([(1.0, 1.0)], (1.0,), objective=(1.0, 0.0), tiebreaks=[(bad, 0.0)]))]
+    lp.reset_stats()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for program in programs:
+            for mode in (None, FLOAT):
+                with pytest.raises(ValueError, match="finite"):
+                    lp_solve(program, mode=mode)
+    assert lp.stats == {"solves": 0, "pivots": 0}
+
+
 def test_float_verifiers_allow_eps_and_no_more():
     eps = DEFAULT_TOLERANCE.eps
     for p in _with_array_twin([(1.0, 1.0)], (1.0,)):

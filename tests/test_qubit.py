@@ -77,9 +77,9 @@ def test_dichotomic_is_an_observable_on_the_qubit_cone():
 
 def test_rank_one_matches_eigenvalues(suite):
     for eff in suite.tetrahedron.effects:
-        assert QubitSpace().is_extremal(eff)
+        assert QubitSpace().is_extremal([eff])[0]
         assert abs(qubit_min_eigenvalue(eff.coeffs)) < 1e-12
-    assert not QubitSpace().is_extremal(QubitEffect(0, (0, 0, 0.5)))
+    assert not QubitSpace().is_extremal([QubitEffect(0, (0, 0, 0.5))])[0]
     # min eigenvalue formula against numpy
     e = QubitEffect(0.2, (0.1, -0.3, 0.2))
     assert abs(QubitSpace().min_values([e.coeffs])[0] - qubit_min_eigenvalue(e.coeffs)) < 1e-12
@@ -109,31 +109,31 @@ def test_spectral_refiner_sums_and_rank(suite):
     for _ in range(20):
         obs = random_qubit_observable(rng)
         for eff in obs.effects:
-            parts = QubitSpace().refine(eff)
+            parts = QubitSpace().refine([eff])[0]
             total = [sum(p.coeffs[d] for p in parts) for d in range(4)]
             assert max(abs(a - b) for a, b in zip(total, eff.coeffs)) < 1e-9
             for p in parts:
-                assert QubitSpace().is_extremal(p), p
+                assert QubitSpace().is_extremal([p])[0], p
 
 
 def test_qubit_cone_exact_arithmetic():
     space = QubitSpace()
     x_plus = Effect((F(1, 2), 0, 0, F(1, 4)))  # rank one, rational Bloch norm
-    assert space.is_extremal(x_plus)
+    assert space.is_extremal([x_plus])[0]
     assert space.min_values([x_plus.coeffs]) == [0]
-    assert space.refine(x_plus) == [x_plus]
+    assert space.refine([x_plus])[0] == [x_plus]
     half_id = Effect((0, 0, 0, F(1, 2)))
-    assert space.refine(half_id) == [Effect((0, 0, F(1, 2), F(1, 4))),
+    assert space.refine([half_id])[0] == [Effect((0, 0, F(1, 2), F(1, 4))),
                                      Effect((0, 0, F(-1, 2), F(1, 4)))]
-    assert all(type(c) is F for p in space.refine(half_id) for c in p.coeffs)
+    assert all(type(c) is F for p in space.refine([half_id])[0] for c in p.coeffs)
     # Bloch norm sqrt(1/8) is irrational: no rank-one verdict needs it, but
     # the eigenvalue and the spectral split would leave exact arithmetic
     diagonal = Effect((F(1, 4), F(1, 4), 0, F(1, 2)))
-    assert not space.is_extremal(diagonal)
+    assert not space.is_extremal([diagonal])[0]
     with pytest.raises(ModeError):
         space.min_values([diagonal.coeffs])
     with pytest.raises(ModeError):
-        space.refine(diagonal)
+        space.refine([diagonal])
 
 
 def test_vector_observable_unit(suite):

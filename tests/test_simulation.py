@@ -1556,7 +1556,7 @@ def _three_ray_effect(space, seed):
     rng = random.Random(seed)
     while True:
         for effect in random_observable(space, rng).effects:
-            if len(space.refine(effect)) == space.ambient_dim:
+            if len(space.refine([effect])[0]) == space.ambient_dim:
                 return effect
 
 
@@ -1576,7 +1576,7 @@ def test_registry_bounds_refinement_bases_too(pentagon, sq):
 
     def refine_solves():
         before = lp.stats["solves"]
-        space.refine(effect)
+        space.refine([effect])
         return lp.stats["solves"] - before
 
     def decide_sets(count):
@@ -1600,7 +1600,7 @@ def _decide_twice(kind, sq):
     if kind == "refinement":
         space = polygon(5).space
         effect = _three_ray_effect(space, 13)
-        return lambda: space.refine(effect)
+        return lambda: space.refine([effect])
     if kind == "simulation":
         target = random_observable(sq.space, random.Random(3), 3)
         return lambda: is_simulable(target, [sq.E, sq.F])
@@ -1732,3 +1732,31 @@ def test_the_bracket_starts_from_the_cached_generators_and_the_targets_direction
     for (x, y, z, tau), eff in zip(first[16:], (e for t in triple for e in t.effects)):
         assert tau == 0.5 and max(abs(a - b / math.dist(eff.coeffs[:3], (0, 0, 0)))
                                   for a, b in zip((x, y, z), eff.coeffs[:3])) < 1e-12
+
+
+def test_noise_content_refuses_a_nan_effect():
+    # a NaN passed `mx < -eps` and gave value nan with NaN weights
+    nan = float("nan")
+    space = polygon(5).space
+    for effects in ([(nan, 0.0, 0.5), (0.0, 0.0, 0.5)], [(0.0, 0.0, 0.5), (0.0, nan, 0.5)]):
+        with pytest.raises(ValueError, match="noise content needs valid effects"):
+            noise_content(observable(space, zip("ab", effects)))
+
+
+@pytest.mark.parametrize("verdict", ["simulable", "refuted"])
+def test_replays_read_a_certificate_kind_once(monkeypatch, sq, verdict):
+    # each replay resolves its field over the certificate's numbers: a scan
+    # of every number, now made once per certificate
+    import gptsim.simulation as simulation
+
+    target = sq.E.as_float() if verdict == "simulable" else sq.F.as_float()
+    simulators = [sq.E.as_float()]
+    cert = dataclasses.replace(is_simulable(target, simulators))  # no kind read yet
+    assert cert.simulable == (verdict == "simulable")
+    numbers = cert.scheme if cert.simulable else cert.farkas
+    scans, kind_of = [], simulation.kind_of
+    monkeypatch.setattr(simulation, "kind_of",
+                        lambda values: scans.append(values) or kind_of(values))
+    assert replay_simulation(cert, target, simulators)
+    assert replay_simulation(cert, target, simulators)
+    assert sum(values is numbers for values in scans) == 1

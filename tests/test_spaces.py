@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 
-from gptsim import lp
+from oracles import is_extremal as oracle_is_extremal, refine as oracle_refine
+from gptsim import geometry, lp
 from gptsim.catalog import classical, polygon, random_observable, square_bit, tetrahedron_rational
 from gptsim.geometry import conic_decompose
-from gptsim.qubit import QubitSpace
-from gptsim.scalars import FLOAT, kind_of, vscale
+from gptsim.qubit import QubitEffect, QubitSpace, random_qubit_observable
+from gptsim.scalars import EXACT, FLOAT, ModeError, cleared, field, kind_of, vscale
 from gptsim.simulation import noise_content
 from gptsim.spaces import (
     Effect,
@@ -282,10 +284,10 @@ def test_warm_refinements_equal_cold_ones_and_the_lp(name):
     cold = []
     for effect in effects:
         dual_cone_rays.cache_clear()
-        cold.append([p.coeffs for p in space.refine(effect)])
+        cold.append([p.coeffs for p in space.refine([effect])[0]])
     dual_cone_rays.cache_clear()
     lp.reset_stats()
-    warm = [[p.coeffs for p in space.refine(effect)] for effect in effects]
+    warm = [[p.coeffs for p in space.refine([effect])[0]] for effect in effects]
     assert lp.stats["solves"] < len(effects) // 2  # the store decided most of them
     lps = [_from_lp(effect, space) for effect in effects]
     if space.mode == "exact":
@@ -304,17 +306,17 @@ def test_warm_store_still_rejects_effects_outside_the_cone(name):
     space = REFINED_THEORIES[name]().space
     dual_cone_rays.cache_clear()
     for effect in _seeded_effects(space, 5):
-        space.refine(effect)
+        space.refine([effect])
     rng = random.Random(6)
     outside = [Effect(tuple(-x for x in space.unit))]
     while len(outside) < 10:
         e = Effect(tuple(rng.uniform(-1, 1) if space.mode == "float" else F(rng.randint(-4, 4), 3)
                          for _ in range(space.ambient_dim)))
-        if space.min_values([e.coeffs])[0] < 0 and not space.is_extremal(e):
+        if space.min_values([e.coeffs])[0] < 0 and not space.is_extremal([e])[0]:
             outside.append(e)
     for effect in outside:
         with pytest.raises(ValueError, match="outside the positive dual cone"):
-            space.refine(effect)
+            space.refine([effect])
 
 
 def test_float_refinements_never_read_exact_bases():
@@ -324,12 +326,12 @@ def test_float_refinements_never_read_exact_bases():
                        (0, 0, 1))
     assert space.kind is None
     dual_cone_rays.cache_clear()
-    effect = next(e for e in _seeded_effects(space, 8) if len(space.refine(e)) == 3)
+    effect = next(e for e in _seeded_effects(space, 8) if len(space.refine([e])[0]) == 3)
     lp.reset_stats()
-    space.refine(effect)
+    space.refine([effect])
     assert lp.stats["solves"] == 0  # the exact store holds its basis
     for space_ in (space.as_float(), space):
-        parts = space_.refine(effect.as_float())
+        parts = space_.refine([effect.as_float()])[0]
         assert kind_of(x for p in parts for x in p.coeffs) == FLOAT
         assert lp.stats["solves"] == 1
         lp.reset_stats()
@@ -339,14 +341,14 @@ def test_cache_clear_empties_the_stored_bases(pentagon):
     # an effect on three rays stores its basis; the next refinement of it
     # reads the store until the cache is cleared
     space = pentagon.space
-    effect = next(e for e in _seeded_effects(space, 9) if len(space.refine(e)) == 3)
+    effect = next(e for e in _seeded_effects(space, 9) if len(space.refine([e])[0]) == 3)
     dual_cone_rays.cache_clear()
     lp.reset_stats()
-    space.refine(effect)
-    space.refine(effect)
+    space.refine([effect])
+    space.refine([effect])
     assert lp.stats["solves"] == 1
     dual_cone_rays.cache_clear()
-    space.refine(effect)
+    space.refine([effect])
     assert lp.stats["solves"] == 2
 
 
@@ -355,16 +357,16 @@ def test_refinement_store_stays_at_its_cap():
     space = polygon(8).space
     effects = _seeded_effects(space, 10)
     dual_cone_rays.cache_clear()
-    space.refine(effects[0])
+    space.refine([effects[0]])[0]
     (store,) = [store for key, store in lp._ANSWERS.items() if key[0] == "refinement"]
     assert store.cap == 64
     store.cap = 2
     for effect in effects:
-        space.refine(effect)
+        space.refine([effect])
     assert len(store.bases) == len(set(store.bases)) == len(store.inverses) == 2
     kept = list(store.bases)
     for effect in _seeded_effects(space, 11):
-        space.refine(effect)
+        space.refine([effect])
     assert store.bases == kept
 
 
@@ -379,10 +381,10 @@ def test_effect_outside_the_cone_is_not_extremal(sq, mode):
     if mode == "float":
         effect, space = effect.as_float(), space.as_float()
     assert space.min_values([effect.coeffs]) == [-2]
-    assert not space.is_extremal(effect)
+    assert not space.is_extremal([effect])[0]
     assert not is_indecomposable(effect, space)
     with pytest.raises(ValueError, match="outside the positive dual cone"):
-        space.refine(effect)
+        space.refine([effect])
 
 
 def test_refinement_store_holds_the_lps_own_bases(monkeypatch):
@@ -404,8 +406,8 @@ def test_refinement_store_holds_the_lps_own_bases(monkeypatch):
         space = theory().space
         for seed in range(3):
             for effect in _seeded_effects(space, f"{name}/{seed}"):
-                space.refine(effect)
-                space.as_float().refine(effect.as_float())
+                space.refine([effect])
+                space.as_float().refine([effect.as_float()])
     stored = [basis for key, store in lp._ANSWERS.items() if key[0] == "refinement"
               for basis in store.bases]
     assert len(stored) > 20
@@ -426,10 +428,202 @@ def test_effects_of_another_dimension_raise(space, coeffs):
     # effect whose dimension is not the space's, rather than read its
     # coefficients as if it were
     effect = Effect(coeffs)
-    for method in (space.is_extremal, space.refine, lambda e: space.min_values([e.coeffs])):
+    for method in (space.is_extremal, space.refine,
+                   lambda es: space.min_values([e.coeffs for e in es])):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            method(effect)
+            method([effect])
     with pytest.raises(ValueError, match="dimension mismatch"):  # zero, and still another dimension
-        space.refine(Effect(tuple(0 * x for x in coeffs)))
+        space.refine([Effect(tuple(0 * x for x in coeffs))])
     with pytest.raises(ValueError, match="dimension mismatch"):
         noise_content(observable(space, [("a", coeffs), ("b", coeffs)]))
+
+
+# The cone calls take every effect of a question at once; `oracles` keeps the
+# one-effect formulas.
+CONE_SPACES = {"square": lambda: square_bit().space, "classical3": lambda: classical(3).space,
+               "tetrahedron": _rational_tetrahedron_space,
+               **{f"polygon{n}": partial(lambda n: polygon(n).space, n) for n in (5, 6, 7, 8)},
+               "qubit": QubitSpace, "qubit-exact": QubitSpace}
+
+
+def _cone_effects(name, space):
+    """Seeded effects of random observables, extremal ones (rays and half
+    rays, or rank-one qubit effects), the unit and the zero effect."""
+    rng = random.Random(f"cone/{name}")
+    if name == "qubit-exact":  # rational Bloch norms: 1/2, 0 and 1/5
+        effects = [QubitEffect(0, (F(3, 10), F(2, 5), 0)), QubitEffect(F(-1, 2), (0, F(1, 2), 0)),
+                   QubitEffect(0, (0, 0, 0)), QubitEffect(F(1, 4), (F(1, 5), 0, 0))]
+        return effects + [Effect((0, 0, 0, 0))]
+    if name == "qubit":
+        effects = [e for _ in range(8) for e in random_qubit_observable(rng).effects]
+        effects += [QubitEffect(0.0, (0.6, 0.0, 0.8)), QubitEffect(-0.5, (0.0, 0.5, 0.0))]
+    else:
+        half = 0.5 if space.mode == FLOAT else HALF
+        effects = [e for _ in range(8) for e in random_observable(space, rng).effects]
+        effects += [Effect(vscale(c, r)) for r in dual_cone_rays(space)[:3] for c in (1, half)]
+    return effects + [Effect(space.unit), Effect((0 * space.unit[0],) * space.ambient_dim)]
+
+
+@pytest.mark.parametrize("name", list(CONE_SPACES))
+def test_batched_cone_calls_match_the_one_effect_oracles(name):
+    space = CONE_SPACES[name]()
+    effects = _cone_effects(name, space)
+    got = space.is_extremal(effects)
+    assert got == [oracle_is_extremal(space, e.coeffs) for e in effects]
+    assert any(got) and not all(got)
+    exact = kind_of(x for e in effects for x in e.coeffs) != FLOAT or name == "qubit"
+    wanted = [oracle_refine(space, e.coeffs) for e in effects]
+    for parts, want in zip(space.refine(effects), wanted):
+        assert len(parts) == len(want)
+        for part, coeffs in zip(parts, want):
+            if exact:  # the same numbers (the qubit's floats by the same formula)
+                assert part.coeffs == coeffs
+            else:  # a stored basis agrees with the LP within rounding
+                assert max(abs(a - b) for a, b in zip(part.coeffs, coeffs)) <= 1e-12
+    # outside the cone: no extremal effect, and a polytope refuses to refine it
+    outside = Effect(tuple(-x for x in space.unit))
+    assert space.is_extremal([*effects, outside])[-1] is False
+    assert oracle_is_extremal(space, outside.coeffs) is False
+    if not isinstance(space, QubitSpace):
+        for call in (lambda: space.refine([*effects, outside]),
+                     lambda: oracle_refine(space, outside.coeffs)):
+            with pytest.raises(ValueError, match="outside the positive dual cone"):
+                call()
+    # one effect of another dimension, or exact and float numbers together,
+    # fail the whole call
+    wrong = Effect((*effects[0].coeffs, effects[0].coeffs[0]))
+    other = (Effect(tuple(map(F, effects[0].coeffs))) if kind_of(effects[0].coeffs) == FLOAT
+             else Effect(tuple(map(float, effects[0].coeffs))))
+    for call in (space.is_extremal, space.refine):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            call([*effects, wrong])
+        if kind_of(other.coeffs) == FLOAT and space.kind is None and name != "qubit-exact":
+            continue  # a float effect on an integer space makes the call float
+        if any(kind_of(e.coeffs) for e in effects):
+            with pytest.raises(ModeError):
+                call([*effects, other])
+
+
+@pytest.mark.parametrize("name", list(REFINED_THEORIES))
+def test_one_refine_call_leaves_the_store_of_one_call_per_effect(name):
+    # the parts, the stored bases and B^-1 in their order, the basis left
+    # pending and the solves: from an empty store, and from a store that
+    # has room for two bases only
+    space = REFINED_THEORIES[name]().space
+    effects = _seeded_effects(space, f"batch/{name}")
+
+    def run(refine_all, cap=None):
+        dual_cone_rays.cache_clear()
+        if cap is not None:
+            space.refine(effects[:1])
+            (store,) = [s for key, s in lp._ANSWERS.items() if key[0] == "refinement"]
+            store.cap = cap
+        lp.reset_stats()
+        parts = [[repr(p.coeffs) for p in ps] for ps in refine_all()]
+        ((key, store),) = [item for item in lp._ANSWERS.items() if item[0][0] == "refinement"]
+        pending = store.pending is not None
+        lp.answers(key, None)  # stores the pending basis
+        inverses = store.inverses.tolist() if store.inverses is not None else None
+        return parts, list(store.bases), repr(inverses), pending, lp.stats["solves"]
+
+    for cap in (None, 2):
+        batched = run(lambda: space.refine(effects), cap)
+        assert batched == run(lambda: [space.refine([e])[0] for e in effects], cap)
+        assert batched[-1] < len(effects)  # the store decides some
+
+
+def test_face_ranks_are_computed_once_per_tight_set(monkeypatch):
+    # every extreme effect on one ray vanishes on one edge, so a polygon
+    # ranks n tight sets, whatever the effects; an integer space keeps its
+    # exact and its float ranks apart; a kept rank is the rank afresh
+    rank, calls = geometry.rank, []
+
+    def counting(vectors, *args, **kwargs):
+        calls.append((tuple(map(tuple, vectors)), kwargs.get("mode")))
+        return rank(vectors, *args, **kwargs)
+
+    integer = StateSpace("integer square", 3, [(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1)],
+                         (0, 0, 1))
+    cases = [(polygon(7).space, (FLOAT,)), (square_bit().space, (EXACT,)),
+             (integer, (EXACT, FLOAT))]
+    effects = {space: _seeded_effects(space, 12) for space, _ in cases}  # rays ranked here
+    monkeypatch.setattr(geometry, "rank", counting)
+    for space, modes in cases:
+        calls.clear()
+        rays = dual_cone_rays(space)
+        for mode in modes:
+            scales = (1.0, 0.25) if mode == FLOAT else (1, F(1, 4))
+            extreme = [Effect(tuple(c * (float(x) if mode == FLOAT else x) for x in r))
+                       for r in rays for c in scales]
+            for _ in range(3):
+                assert all(space.is_extremal(extreme))
+        assert len(calls) == len(set(calls)) == len(space._face_ranks) == len(rays) * len(modes)
+        for effect in effects[space]:
+            space.refine([effect])
+        assert len(set(calls)) == len(calls)
+        for (tight, mode, tol), kept in space._face_ranks.items():
+            assert kept == rank([space.extreme_states[i] for i in tight], tol=tol, mode=mode) == 2
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_float_extremality_values_are_one_product_per_effect(n):
+    # one call's product runs the matrix-vector kernel once per effect, so
+    # every value is that of `states @ e` for the effect alone, bit for bit
+    space = polygon(n).space
+    effects = _seeded_effects(space, f"values/{n}")
+    got = space._values([e.coeffs for e in effects], field(FLOAT))
+    want = [(space._float_states @ np.array(e.coeffs, dtype=float)).tolist() for e in effects]
+    assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in want]
+
+
+@pytest.mark.parametrize("name", ["polygon7", "square"])
+def test_store_hits_replay_in_one_call_as_each_alone(name):
+    # the store replays all its hits in one `replay_inside` call: on stored
+    # bases and seeded effects, nudged by a few eps either way, and with NaN
+    # and inf, each verdict is `replay_conic`'s on that hit alone
+    space = REFINED_THEORIES[name]().space
+    space.refine(_seeded_effects(space, 4))
+    ((key, store),) = [item for item in lp._ANSWERS.items() if item[0][0] == "refinement"]
+    lp.answers(key, None)
+    rng = random.Random(name)
+    vectors = [tuple(-x for x in space.unit)]
+    for effect in _seeded_effects(space, 5):
+        vectors.append(effect.coeffs)
+        if space.mode == FLOAT:
+            vectors += [tuple(x + rng.choice((-3e-9, -1e-9, 1e-9, 3e-9)) for x in effect.coeffs),
+                        (effect.coeffs[0], float("nan"), effect.coeffs[2]),
+                        (float("inf"), *effect.coeffs[1:])]
+    found = []
+    for v in vectors:
+        b, L = cleared(store.F, v)
+        found += store.feasible(b[None], [L])
+    for k in range(len(store.bases)):  # every stored basis, feasible or not
+        for v in vectors[:6]:
+            b, L = cleared(store.F, v)
+            found.append((k, store._levels(store.inverses[k] @ b, k, L)))
+            vectors.append(v)
+    hits = [(v, kx) for v, kx in zip(vectors, found) if kx[0] is not None]
+    assert len(hits) > 20
+    want = [geometry.replay_conic(geometry.ConicResult(geometry.INSIDE, coefficients=tuple(x)), v,
+                                  [store.rays[j] for j in store.bases[k]], store.F.tol)
+            for v, (k, x) in hits]
+    assert geometry.replay_inside([x for _, (_, x) in hits], [v for v, _ in hits],
+                                  [[store.rays[j] for j in store.bases[k]] for _, (k, _) in hits],
+                                  store.F.tol) == want
+    assert True in want and False in want
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_non_finite_effects_are_refused_before_any_solve(warm):
+    # a NaN effect reached the float kernel ("min() arg is an empty
+    # sequence"), and an inf one warned; now the LP refuses the program
+    space = square_bit().space.as_float()
+    if warm:
+        space.refine(_seeded_effects(space, 3))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for effect in (Effect((bad, 0.0, 0.5)), Effect((0.25, bad, 0.5))):
+            assert space.is_extremal([effect]) == [False]
+            lp.reset_stats()
+            with pytest.raises(ValueError, match="finite"):
+                space.refine([effect])
+            assert lp.stats["solves"] == 0
