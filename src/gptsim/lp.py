@@ -1014,8 +1014,8 @@ class Answers:
     the first of ties: a float caller of the simulation or compatibility
     store starts the LP's dual phase there (`lp_solve`'s `start`). A store keeps at most `cap` bases and `cap`
     refutations, the first ones stored; callers test for room before they
-    translate an answer. A solve's answer waits in `pending` until `answers`
-    reads its key again, so a key read once costs no copies. Verdicts never
+    translate an answer. An answer is stacked when the solve that found it
+    returns, so each miss pays for its own store step. Verdicts never
     depend on earlier calls: a caller tests a stored answer as it tests an
     LP answer of its mode, and one that fails is a miss. Certificates may,
     and replay as well as the LP's own. (A float b within eps of the
@@ -1024,7 +1024,7 @@ class Answers:
     solve: `stats` does not move."""
 
     def __init__(self, F, cap: int):
-        self.F, self.cap, self.pending = F, cap, None
+        self.F, self.cap = F, cap
         self.bases, self.refutations = [], []  # what turns each answer into a certificate
         self.refuting = self.limits = self.inverses = self.structural = self.dens = None
         self.buffers = {}  # stack name -> the array behind its view
@@ -1052,25 +1052,25 @@ class Answers:
             return self.bases[k], None
         return self.bases[k], self._levels(X[k], k, L)
 
-    def feasible(self, B: np.ndarray, Ls: Sequence, start: int = 0) -> list:
+    def feasible(self, B: np.ndarray, Ls: Sequence) -> list:
         """`basis` for many b at once, the rows of B, each cleared over its
-        scale in Ls, against the bases stored from `start` on: for each b,
-        (the index of the first of them feasible for b, B^-1 b), or (None,
-        None) when none is. Viewed as (count, 1, m, 1), B makes numpy's
-        matmul call the matrix-vector kernel for each pair of a stored B^-1
-        and a b, the kernel of `basis`'s product, so each float is the one
-        that b alone gets (B's transpose, one (m, count) operand, would go
-        to the matrix-matrix kernel, which rounds otherwise). An inf or a
-        NaN is feasible for no basis and gives no warning."""
-        if self.inverses is None or start >= len(self.bases):
+        scale in Ls: for each b, (the index of the first stored basis
+        feasible for b, B^-1 b), or (None, None) when none is. Viewed as
+        (count, 1, m, 1), B makes numpy's matmul call the matrix-vector
+        kernel for each pair of a stored B^-1 and a b, the kernel of
+        `basis`'s product, so each float is the one that b alone gets (B's
+        transpose, one (m, count) operand, would go to the matrix-matrix
+        kernel, which rounds otherwise). An inf or a NaN is feasible for no
+        basis and gives no warning."""
+        if self.inverses is None:
             return [(None, None)] * len(B)
         with np.errstate(over="ignore", invalid="ignore"):
-            X = (self.inverses[start:] @ B[:, None, :, None])[..., 0]
-            ok = self._failing(X, self.structural[start:]) == 0
+            X = (self.inverses @ B[:, None, :, None])[..., 0]
+            ok = self._failing(X, self.structural) == 0
         found = []
         for x, row, L in zip(X, ok, Ls):
             k = int(row.argmax())
-            found.append((start + k, self._levels(x[k], start + k, L)) if row[k] else (None, None))
+            found.append((k, self._levels(x[k], k, L)) if row[k] else (None, None))
         return found
 
     def _failing(self, X, structural):
@@ -1129,18 +1129,16 @@ _ANSWERS = {}  # key -> Answers, the least recently used first
 
 
 def answers(key, make) -> Answers:
-    """The `Answers` of `key` (made by `make()` if new), its pending answer
-    stored, now the most recently used. Every caller's keys, each starting
-    with the caller's kind, share at most `_KEYS` places, the least recently
-    used leaving first; `spaces.dual_cone_rays.cache_clear()` empties them."""
+    """The `Answers` of `key` (made by `make()` if new), now the most
+    recently used. A caller stacks each answer there when its solve returns.
+    Every caller's keys, each starting with the caller's kind, share at most
+    `_KEYS` places, the least recently used leaving first;
+    `spaces.dual_cone_rays.cache_clear()` empties them."""
     store = _ANSWERS.pop(key, None)
     if store is None:
         store = make()
         if len(_ANSWERS) >= _KEYS:
             del _ANSWERS[next(iter(_ANSWERS))]
-    elif store.pending is not None:
-        pending, store.pending = store.pending, None
-        pending()
     _ANSWERS[key] = store
     return store
 

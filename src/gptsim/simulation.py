@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import partial
 from math import lcm
 from typing import Optional, Sequence
 
@@ -407,11 +406,11 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
     out = lp_solve(program, mode=F.mode, tol=tol, start=start if F.mode == FLOAT else None)
     if out.verdict != FEASIBLE:
         farkas = out.farkas + (F.zero,) * target.dim
-        store.pending = partial(store.refuted, farkas, simulators)
+        store.refuted(farkas, simulators)
         return SimulationCertificate(NOT_SIMULABLE, farkas=farkas)
     if F.mode == FLOAT and not _scheme_holds(target, simulators, out.solution, F):
         raise CertificateError("float solution fails the target's last-outcome rows")
-    store.pending = partial(store.solved, out, len(program.rhs))
+    store.solved(out, len(program.rhs))
     return _simulable(target, simulators, out.solution)
 
 
@@ -1025,7 +1024,7 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
             result = CompatibilityResult("incompatible", farkas=tuple(y))
             if not replay_compatibility(result, targets, tol):
                 raise CertificateError("compatibility refutation fails replay")
-            store.pending = partial(store.refuted, result.farkas, bound, frame)
+            store.refuted(result.farkas, bound, frame)
             return result
         if F.mode == FLOAT:
             basic = _owners(out.basis, len(gens), joint)
@@ -1038,7 +1037,7 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
     result = store.result(targets, coeffs)
     if not replay_compatibility(result, targets, tol):
         raise CertificateError("compatibility joint fails replay")
-    store.pending = partial(store.solved, out, vectors, frame)
+    store.solved(out, vectors, frame)
     return result
 
 

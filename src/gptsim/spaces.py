@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
@@ -115,7 +115,15 @@ class StateSpace:
         return self.kind or EXACT
 
     def as_float(self) -> "StateSpace":
-        """The space over floats: itself when every coordinate is a float."""
+        """The space over floats: itself when every coordinate is a float,
+        else the one float twin of this space (`_float_twin`)."""
+        return self._float_twin
+
+    @cached_property
+    def _float_twin(self) -> "StateSpace":
+        """The float twin, made once per space as `_face_ranks`,
+        `_float_states` and `_integer_states` are: every `as_float()` of one
+        space is one object, so the twin's own caches are built once."""
         if all(type(x) is float for v in (*self.extreme_states, self.unit) for x in v):
             return self
         return StateSpace(self.name, self.ambient_dim,
@@ -201,17 +209,16 @@ class StateSpace:
 
         The non-extremal effects are first tried on the bases that earlier
         refinements over the same rays ended on (`_Bases`), all in one scan.
-        Each effect that no stored basis decides, in order, has its LP solved
-        by `geometry.conic_decompose`, and an answer with exactly dim
-        positive coefficients stores the LP's basis with its B^-1; the
-        effects after it that no basis was feasible for are then tried on
-        that basis. So the parts and the stored bases, in their order, are
-        those that one call per effect makes, and the last solve's basis
-        waits in the store's `pending` as it would after that call. A stored
-        basis is a nondegenerate vertex, which is optimal for the tie-broken
-        objective c_0 + d c_1 + d^2 c_2 + ... at every small d > 0 whatever
-        the effect, so exact mode returns the LP's own Fractions, and float
-        mode agrees with the LP within rounding.
+        Each effect that no stored basis decides, in order, is tried again
+        on every basis once this call has stored one, and otherwise has its
+        LP solved by `geometry.conic_decompose`; an answer with exactly dim
+        positive coefficients stores the LP's basis with its B^-1 at once.
+        So the parts and the stored bases, in their order, are those that
+        one call per effect makes. A stored basis is a nondegenerate vertex,
+        which is optimal for the tie-broken objective c_0 + d c_1 + d^2 c_2
+        + ... at every small d > 0 whatever the effect, so exact mode returns
+        the LP's own Fractions, and float mode agrees with the LP within
+        rounding.
         """
         F = self._field([e.coeffs for e in effects], tol)
         nonzero = [k for k, e in enumerate(effects) if not F.is_zero(e.coeffs)]
@@ -226,25 +233,17 @@ class StateSpace:
         rays = dual_cone_rays(self, tol)
         store = lp.answers(("refinement", self, self.mode, F.mode, tol), lambda: _Bases(rays, F))
         vectors = [effects[k].coeffs for k in todo]
-        scans = store.decide(vectors)
+        found, stored = store.decide(vectors), len(store.bases)
         for i, v in enumerate(vectors):
-            if scans[i][1] is not None:
-                continue
-            res = geometry.conic_decompose(v, rays, mode=F.mode, tol=tol)
-            if not res.inside:
-                raise ValueError("effect lies outside the positive dual cone")
-            scans[i] = (None, res.coefficients)
-            if i + 1 == len(vectors):
-                store.pending = partial(store.add, res)
-                continue
-            stored = len(store.bases)
-            store.add(res)
-            untried = [j for j in range(i + 1, len(vectors)) if scans[j][0] is None]
-            if len(store.bases) > stored and untried:
-                found = store.decide([vectors[j] for j in untried], start=stored)
-                for j, scan in zip(untried, found):
-                    scans[j] = scan
-        for k, (_, coefficients) in zip(todo, scans):
+            if found[i] is None and len(store.bases) > stored:
+                found[i] = store.decide([v])[0]
+            if found[i] is None:
+                res = geometry.conic_decompose(v, rays, mode=F.mode, tol=tol)
+                if not res.inside:
+                    raise ValueError("effect lies outside the positive dual cone")
+                found[i] = res.coefficients
+                store.add(res)
+        for k, coefficients in zip(todo, found):
             parts[k] = [Effect(vscale(c, r)) for c, r in zip(coefficients, rays) if c > F.eps]
         return parts
 
@@ -518,12 +517,21 @@ def _in_unit_interval(vectors: Sequence, space, eps) -> bool:
     return all(v >= -eps for v in space.min_values(vectors + rests))
 
 
+def _require_probabilities(weights: Sequence):
+    """Raise ValueError unless the weights are a probability vector in their
+    own field: their sum within its eps of 1 and each weight at least -eps
+    (eps 0 in exact mode); a NaN fails."""
+    eps = resolve([kind_of(weights)]).eps
+    if not abs(sum(weights) - 1) <= eps:
+        raise ValueError("weights must sum to 1")
+    if not all(w >= -eps for w in weights):
+        raise ValueError("weights must be nonnegative")
+
+
 def trivial_observable(space: StateSpace, dist) -> Observable:
     """Observable with effects t(x) * u for the given (label, weight) pairs,
-    whose sum is 1 within the eps of their own field (0 in exact mode)."""
-    weights = [w for _, w in dist]
-    if not abs(sum(weights) - 1) <= resolve([kind_of(weights)]).eps:  # NaN fails too
-        raise ValueError("trivial observable weights must sum to 1")
+    a probability vector (`_require_probabilities`)."""
+    _require_probabilities([w for _, w in dist])
     return Observable(tuple((lab, Effect(vscale(w, space.unit))) for lab, w in dist),
                       space)
 
@@ -532,10 +540,14 @@ def mix_observables(observables: Sequence[Observable], weights) -> Observable:
     """Convex mixture on the union outcome set, without tracking the choice.
 
     Observables are zero-extended to the union of their label sets (order of
-    first appearance) before the weighted sum.
+    first appearance) before the weighted sum. The weights must be a
+    probability vector (`_require_probabilities`).
     """
+    if not observables:
+        raise ValueError("observables must be nonempty")
     if len(observables) != len(weights):
         raise ValueError("one weight per observable required")
+    _require_probabilities(weights)
     labels = []
     for obs in observables:
         for lab in obs.labels:
@@ -583,26 +595,25 @@ class _Bases(lp.Answers):
         super().__init__(F, cap=64)
         self.rays = tuple(tuple(map(F.coerce, r)) for r in rays)
 
-    def decide(self, vectors: Sequence, start: int = 0) -> list:
-        """For each coefficient vector v, (k, coefficients): k the first basis
-        stored from `start` on that is feasible for v, from one scan of
-        them all (`lp.Answers.feasible`), or None when none is, and the
-        coefficients over the rays that it gives v if they pass
-        `geometry.replay_inside`, one call for every hit, else None."""
+    def decide(self, vectors: Sequence) -> list:
+        """For each coefficient vector v, the coefficients over the rays that
+        the first stored basis feasible for v gives it, from one scan of
+        them all (`lp.Answers.feasible`), if they pass
+        `geometry.replay_inside`, one call for every hit; else None."""
         F = self.F
         if not vectors:
             return []
         rows = [cleared(F, v) for v in vectors]
-        found = self.feasible(np.stack([b for b, _ in rows]), [L for _, L in rows], start)
+        found = self.feasible(np.stack([b for b, _ in rows]), [L for _, L in rows])
         hits = [(i, k, x) for i, (k, x) in enumerate(found) if k is not None]
         replays = geometry.replay_inside([x for _, _, x in hits], [vectors[i] for i, _, _ in hits],
                                          [[self.rays[j] for j in self.bases[k]] for _, k, _ in hits],
                                          F.tol)
-        decided = [(k, None) for k, _ in found]
+        decided = [None] * len(vectors)
         for (i, k, x), holds in zip(hits, replays):
             if holds:
                 placed = dict(zip(self.bases[k], x))
-                decided[i] = (k, [placed.get(j, F.zero) for j in range(len(self.rays))])
+                decided[i] = [placed.get(j, F.zero) for j in range(len(self.rays))]
         return decided
 
     def add(self, res: geometry.ConicResult):

@@ -1066,9 +1066,6 @@ def test_every_stored_basis_starts_a_solve_to_the_cold_verdict(monkeypatch):
         is_simulable(target, sims)
     bases = {}
     for key, answers in _stores("simulation").items():
-        if answers.pending is not None:  # the last solve's answer, kept on the next decision
-            answers.pending()
-            answers.pending = None
         bases[key[3:5]] = list(answers.bases)
     start, refuted = [], []
     row_farkas = lp._FloatRevised.row_farkas
@@ -1126,9 +1123,6 @@ def test_store_never_returns_a_corrupted_inverse():
         assert is_simulable(target, sims).simulable
     assert lp.stats["solves"] < len(cases)
     for answers in _stores("simulation").values():
-        if answers.pending is not None:  # the last solve's answer, kept on the next decision
-            answers.pending()
-            answers.pending = None
         answers.inverses = answers.inverses * 1.01
     lp.reset_stats()
     for target, sims in cases:
@@ -1462,13 +1456,10 @@ def test_every_stored_joint_basis_starts_a_solve_to_the_cold_verdict(monkeypatch
     dual_cone_rays.cache_clear()
     stored = []  # (store, bases stored before the decision), a decision each
     for decide, _ in cases:
-        decide()  # its own answer waits in `pending`
+        counts = {id(store): len(store.bases) for store in _stores("compatibility").values()}
+        decide()  # its own answer is stacked when it returns
         store = list(_stores("compatibility").values())[-1]
-        stored.append((store, len(store.bases)))
-    for store in _stores("compatibility").values():
-        if store.pending is not None:
-            store.pending()
-            store.pending = None
+        stored.append((store, counts.get(id(store), 0)))
     starts = [store.bases[:count] if store.F.mode == "float" else [] for store, count in stored]
     start, refuted = [], []
     row_farkas = lp._FloatRevised.row_farkas
@@ -1547,7 +1538,7 @@ def test_a_capped_compatibility_start_solves_cold(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# One registry and one deferral policy for every answer store.
+# One registry for every answer store, each answer kept when it is found.
 # ---------------------------------------------------------------------------
 
 def _three_ray_effect(space, seed):
@@ -1609,10 +1600,9 @@ def _decide_twice(kind, sq):
 
 
 @pytest.mark.parametrize("kind", ["refinement", "simulation", "compatibility"])
-def test_every_store_defers_an_answer_until_its_key_is_read_again(kind, sq):
-    # one deferral policy: after one decision its key holds the answer in
-    # `pending` and nothing stacked; the next read stacks it before it scans,
-    # so the repeat is decided from the store
+def test_every_store_keeps_an_answer_when_it_is_found(kind, sq):
+    # after one decision from empty stores, its store already holds the
+    # answer that its solve found, so a repeat is decided without a solve
     from gptsim import lp
     from gptsim.spaces import dual_cone_rays
 
@@ -1622,12 +1612,10 @@ def test_every_store_defers_an_answer_until_its_key_is_read_again(kind, sq):
     decide()
     assert lp.stats["solves"] >= 1
     (store,) = _stores(kind).values()
-    assert store.pending is not None
-    assert store.inverses is store.refuting is None and not (store.bases or store.refutations)
+    assert store.bases or store.refutations
     solves = lp.stats["solves"]
     decide()
     assert lp.stats["solves"] == solves
-    assert store.pending is None and (store.bases or store.refutations)
 
 
 def test_replay_compatibility_rejects_tampered_answers(sq):

@@ -190,6 +190,30 @@ def test_mix_observables_union_labels(sq):
     assert is_valid_observable(both)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda sq: trivial_observable(sq.space, [("a", 2), ("b", -1)]), "must be nonnegative"),
+    (lambda sq: mix_observables([sq.E, sq.F], [2, -1]), "must be nonnegative"),
+    (lambda sq: mix_observables([sq.E.as_float(), sq.F.as_float()], [1.5, -0.5]),
+     "must be nonnegative"),
+    (lambda sq: mix_observables([sq.E, sq.F], [HALF, HALF + F(1, 10 ** 13)]), "must sum to 1"),
+    (lambda sq: mix_observables([sq.E.as_float(), sq.F.as_float()], [0.5, float("nan")]),
+     "must sum to 1"),
+    (lambda sq: mix_observables([], []), "observables must be nonempty"),
+], ids=["trivial-negative", "mix-negative", "mix-float-negative", "mix-exact-sum", "mix-nan",
+        "mix-empty"])
+def test_weights_outside_the_simplex_make_no_observable(sq, call, message):
+    # weights that sum to 1 with a negative one gave an effect -u, and an
+    # empty mixture an IndexError
+    with pytest.raises(ValueError, match=message):
+        call(sq)
+
+
+def test_float_weights_within_eps_below_zero_still_mix(sq):
+    # a float weight within eps below zero is rounding, not a negative weight
+    mixed = mix_observables([sq.E.as_float(), sq.F.as_float()], [1 + 1e-12, -1e-12])
+    assert is_valid_observable(mixed)
+
+
 def test_trivial_observable_weights_sum_to_one_in_their_own_field(sq):
     # exact weights get no float slack: a sum 10^-13 above 1 is no observable
     with pytest.raises(ValueError, match="must sum to 1"):
@@ -506,9 +530,8 @@ def test_batched_cone_calls_match_the_one_effect_oracles(name):
 
 @pytest.mark.parametrize("name", list(REFINED_THEORIES))
 def test_one_refine_call_leaves_the_store_of_one_call_per_effect(name):
-    # the parts, the stored bases and B^-1 in their order, the basis left
-    # pending and the solves: from an empty store, and from a store that
-    # has room for two bases only
+    # the parts, the stored bases and B^-1 in their order and the solves:
+    # from an empty store, and from a store that has room for two bases only
     space = REFINED_THEORIES[name]().space
     effects = _seeded_effects(space, f"batch/{name}")
 
@@ -520,11 +543,9 @@ def test_one_refine_call_leaves_the_store_of_one_call_per_effect(name):
             store.cap = cap
         lp.reset_stats()
         parts = [[repr(p.coeffs) for p in ps] for ps in refine_all()]
-        ((key, store),) = [item for item in lp._ANSWERS.items() if item[0][0] == "refinement"]
-        pending = store.pending is not None
-        lp.answers(key, None)  # stores the pending basis
+        (store,) = [s for key, s in lp._ANSWERS.items() if key[0] == "refinement"]
         inverses = store.inverses.tolist() if store.inverses is not None else None
-        return parts, list(store.bases), repr(inverses), pending, lp.stats["solves"]
+        return parts, list(store.bases), repr(inverses), lp.stats["solves"]
 
     for cap in (None, 2):
         batched = run(lambda: space.refine(effects), cap)
@@ -563,6 +584,21 @@ def test_face_ranks_are_computed_once_per_tight_set(monkeypatch):
         assert len(set(calls)) == len(calls)
         for (tight, mode, tol), kept in space._face_ranks.items():
             assert kept == rank([space.extreme_states[i] for i in tight], tol=tol, mode=mode) == 2
+
+
+def test_float_twin_is_made_once_per_space():
+    # every `as_float()` of one space is one object, so the float twin's
+    # caches are built on its first use and kept by every later twin
+    theory = square_bit()
+    twin = theory.space.as_float()
+    assert theory.space.as_float() is twin and twin.as_float() is twin
+    first, second = theory.E.as_float(), theory.E.as_float()
+    assert first.space is second.space is twin
+    assert all(first.space.is_extremal(first.effects))
+    states, ranks = first.space._float_states, first.space._face_ranks
+    assert all(second.space.is_extremal(second.effects))
+    assert second.space._float_states is states and second.space._face_ranks is ranks
+    assert len(ranks) == 2  # one tight set per effect, ranked once
 
 
 @pytest.mark.parametrize("n", [5, 8])
