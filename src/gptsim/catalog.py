@@ -446,17 +446,18 @@ def qubit_compatibility_bracket(targets: Sequence[Observable], facets: int = 128
     over `sphere_directions(facets)`, made once per facet count
     (`rank_one_generators`), plus those over the targets' own Bloch
     directions (so exact reconstructions, such as a target and its
-    postprocessing, stay feasible at any facet count)."""
+    postprocessing, stay feasible at any facet count), in one list that
+    `is_compatible` reads as it is."""
     targets = list(targets)
     if any(len(t.outcomes) != 2 or not isinstance(t.space, QubitSpace) for t in targets):
         raise ValueError("the bracket accepts dichotomic qubit observables only")
-    vectors = [t.as_float() for t in targets]
-    gens = list(rank_one_generators(facets))
-    for eff in (e for v in vectors for e in v.effects):
-        norm = math.sqrt(sum(x ** 2 for x in eff.coeffs[:3]))
+    targets = [t.as_float() for t in targets]
+    gens = [*rank_one_generators(facets)]
+    for x, y, z in (eff.coeffs[:3] for t in targets for eff in t.effects):
+        norm = math.sqrt(x ** 2 + y ** 2 + z ** 2)
         if norm > 1e-12:
-            gens.append((*(x / norm for x in eff.coeffs[:3]), 0.5))
-    return is_compatible(vectors, tol, generators=gens)
+            gens.append((x / norm, y / norm, z / norm, 0.5))
+    return is_compatible(targets, tol, generators=gens)
 
 
 def xyz_threshold_bracket(facets: int = 128, t_tol: float = 1e-3,

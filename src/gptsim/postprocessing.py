@@ -15,6 +15,8 @@ from functools import cached_property, reduce
 from operator import add
 from typing import Sequence
 
+import numpy as np
+
 from .scalars import (
     DEFAULT_TOLERANCE,
     EXACT,
@@ -183,11 +185,13 @@ def minimally_sufficient_with_channels(obs: Observable,
 
 def is_postprocessing_clean(obs: Observable, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """True iff every nonzero effect is indecomposable: one `is_extremal`
-    call for them all."""
+    call for them all, on one array of their coefficients in the
+    observable's field, so that a float one is scanned for its field once."""
     if obs.space is None:
         raise ValueError("postprocessing cleanness needs the state space")
     F = field(obs.mode, tol)
-    return all(obs.space.is_extremal([e for e in obs.effects if not F.is_zero(e.coeffs)], tol))
+    rows = np.array([e.coeffs for e in obs.effects if not F.is_zero(e.coeffs)], dtype=F.dtype)
+    return all(obs.space.is_extremal(rows.reshape(-1, obs.dim), tol))
 
 
 def binarization(obs: Observable, label: str) -> Observable:

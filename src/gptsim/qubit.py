@@ -61,9 +61,11 @@ class QubitSpace:
         return self
 
     def is_extremal(self, effects: Sequence, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
-        """Rank one, for each effect: exactly one nonzero eigenvalue, ||e|| =
-        2 tau > 0, the norms from one `_norms` pass."""
-        F, rows, norms = self._norms([e.coeffs for e in effects], tol, exact_roots=False)
+        """Rank one, for each effect (or row of an array of coefficients, as
+        `spaces.StateSpace.is_extremal` takes): exactly one nonzero
+        eigenvalue, ||e|| = 2 tau > 0, the norms from one `_norms` pass."""
+        rows = effects if isinstance(effects, np.ndarray) else [e.coeffs for e in effects]
+        F, rows, norms = self._norms(rows, tol, exact_roots=False)
         return [2 * row[3] > F.eps and norm is not None and abs(norm - 2 * row[3]) <= F.eps
                 for row, norm in zip(rows, norms)]
 
@@ -126,12 +128,15 @@ class QubitSpace:
         orthogonal to that is longer than eps into the xz-plane with x > 0.
         With no such second part, x is the axis least aligned with z, made
         orthogonal to it. None, the identity, when no Bloch part is longer
-        than eps or an effect is exact (a rotation is float). A rotation is
-        a symmetry of the qubit: it keeps the cone, the unit and `prices`."""
-        if kind_of(x for e in effects for x in e) == EXACT:
+        than eps or the effects (coefficient rows, or an array of them, whose
+        dtype is then their field) are not float: a rotation is float. A
+        rotation is a symmetry of the qubit: it keeps the cone, the unit and
+        `prices`."""
+        effects = np.asarray(effects)
+        if effects.dtype != float:
             return None
         eps, z, x = tol.eps, None, None
-        for *bloch, _ in effects:
+        for *bloch, _ in effects.tolist():
             if z is not None:
                 along = sum(a * b for a, b in zip(bloch, z))
                 bloch = [a - along * b for a, b in zip(bloch, z)]

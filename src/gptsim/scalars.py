@@ -216,8 +216,11 @@ def scaled(F: Field, values: Sequence) -> tuple:
 
 def cleared(F: Field, *parts) -> tuple:
     """Each part (a sequence of numbers) as an array of `F.dtype`, then the
-    one scale D of all parts together (`scaled`)."""
-    values, D = scaled(F, [x for part in parts for x in part])
+    one scale D of all parts together (`scaled`): in float mode D = 1 and
+    each part is only converted (a float array is itself)."""
+    if F.mode == FLOAT:
+        return (*(np.asarray(part, dtype=float) for part in parts), 1)
+    values, D = integer_row([x for part in parts for x in part])
     array, ends = np.array(values, dtype=F.dtype), [0, *itertools.accumulate(map(len, parts))]
     return (*(array[a:b] for a, b in zip(ends, ends[1:])), D)
 

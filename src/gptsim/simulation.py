@@ -85,8 +85,8 @@ from .scalars import (
 from .spaces import (
     Effect,
     Observable,
-    are_valid_observables,
     mix_observables,
+    valid_effect_rows,
 )
 
 SIMULABLE = "simulable"
@@ -737,12 +737,15 @@ def noise_monotonicity_check(target: Observable, simulators: Sequence[Observable
 
 
 def _targets_space(targets: list):
-    """The one state space of a nonempty target list, or ValueError."""
+    """The one state space of a target list; ValueError for no targets,
+    mixed spaces, or none."""
     if not targets:
         raise ValueError("targets must be nonempty")
     space = targets[0].space
     if any(t.space is not space and t.space != space for t in targets):
         raise ValueError("mixed state spaces rejected")
+    if space is None:
+        raise ValueError("compatibility needs the state space")
     return space
 
 
@@ -775,8 +778,50 @@ def _prices(space, y: Sequence, counts: Sequence[int], F, tol: Tolerance) -> tup
     return space.prices(Z, tol)
 
 
-def _joint_effects(owners, weights, vectors: np.ndarray, n: int, F) -> list:
-    """The coefficients of the n joint effects G_w, a list each: G_w is the
+def _holds(space, A: np.ndarray, counts: Sequence[int], F, tol: Tolerance,
+           farkas: Optional[tuple] = None, joint: Optional[np.ndarray] = None,
+           channels: Optional[tuple] = None) -> bool:
+    """The definition's test of a compatibility answer for targets with
+    these outcome counts whose effects are the rows of A, in the field F:
+    `replay_compatibility`, a store hit and the LP's own answers all ask it.
+
+    A refutation y (`farkas`, one entry per row of the full layout) holds
+    when y.b > max(0, max_w price(z_w)), b the rows of A in order
+    (`is_compatible` says why). A joint (one row of coefficients per joint
+    outcome) holds with the marginal channels (C, E) (`_stacked`) when it
+    lies in the cone (one `space.min_values` call), sums to the unit, every
+    entry of C lies in [0, E], the rows of each channel sum to E, and the
+    marginals C.T @ joint equal A: exactly in exact mode (the joint, A and
+    the unit cleared over one D first), within eps in float mode, and an inf
+    or a NaN fails."""
+    if farkas is not None:
+        prices, _ = _prices(space, farkas, counts, F, tol)
+        return bool(vdot(farkas, A.ravel().tolist()) > max(F.zero, *prices))
+    C, E = channels
+    J, A, U, D = cleared(F, joint.ravel(), A.ravel(), space.unit)
+    dim, eps = space.ambient_dim, F.eps
+    J = J.reshape(-1, dim)
+    if not all(v >= -eps for v in space.min_values(J)):  # J is the joint times D > 0
+        return False
+    starts = list(itertools.accumulate(counts[:-1], initial=0))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or a NaN fails
+        return bool((abs(J.sum(axis=0) - U) <= eps).all()
+                    and (C >= -eps).all() and (C <= E + eps).all()
+                    and (abs(np.add.reduceat(C, starts, axis=1) - E) <= eps).all()
+                    and (abs(C.T @ J - A.reshape(-1, dim) * E) <= eps).all())  # times D E
+
+
+def _stacked(matrices: Sequence, joint: int, F) -> tuple:
+    """(C, E): the matrices of channels from `joint` joint outcomes side by
+    side, cleared over one scale E (`cleared`): row w of C holds every
+    channel's row w in turn, so C.T @ J stacks the marginals of the joint J
+    in the layout of b."""
+    C, E = cleared(F, [x for w in range(joint) for matrix in matrices for x in matrix[w]])
+    return C.reshape(joint, -1), E
+
+
+def _joint_effects(owners, weights, vectors: np.ndarray, n: int, F) -> np.ndarray:
+    """The coefficients of the n joint effects G_w, a row each: G_w is the
     sum of x g over the terms (w, x, g) of `owners`, `weights` and the rows
     of `vectors` whose owner w is not negative, added in term order from
     zero as a Python sum adds them (`np.add.at`)."""
@@ -784,7 +829,7 @@ def _joint_effects(owners, weights, vectors: np.ndarray, n: int, F) -> list:
     coeffs = np.full((n, vectors.shape[1]), F.zero, dtype=F.dtype)
     np.add.at(coeffs, owners[used],
               (np.asarray(weights, dtype=F.dtype)[:, None] * vectors)[used])
-    return coeffs.tolist()
+    return coeffs
 
 
 def _turned(values, frame: np.ndarray, dim: int) -> np.ndarray:
@@ -829,11 +874,13 @@ class _JointAnswers(Answers):
     back and joined to a call's own, let that call's solve start from the
     basis. A refutation is its full-layout y, also its payload, with its
     target-free bound P(y) = max(0, max_w price(z_w)), which every joint
-    observable's y.b stays below, whatever generators built it."""
+    observable's y.b stays below, whatever generators built it. The
+    deterministic marginal channels are cleared once per layout
+    (`channels`, as `_stacked` gives them)."""
 
     def __init__(self, counts: Sequence[int], dim: int, F):
         super().__init__(F, cap=64)
-        self.dim = dim
+        self.counts, self.dim = counts, dim
         self.joint_outcomes = list(itertools.product(*map(range, counts)))
         # Full-layout block b = firsts[ti] + li holds the rows of (target ti,
         # outcome li); the programs keep every block but the last of each
@@ -848,6 +895,7 @@ class _JointAnswers(Answers):
             tuple(tuple(F.one if omega[ti] == li else F.zero for li in range(n))
                   for omega in self.joint_outcomes)
             for ti, n in enumerate(counts))
+        self.channels = _stacked(self.marginals, len(self.joint_outcomes), F)
         self.labelled = None  # (targets' labels, joint labels, channels) of the last result
 
     def result(self, targets: Sequence[Observable], coeffs: list) -> CompatibilityResult:
@@ -865,39 +913,40 @@ class _JointAnswers(Answers):
         return CompatibilityResult("compatible", marginal_channels=channels, joint=Observable(
             tuple(zip(joint, map(Effect, coeffs))), targets[0].space))
 
-    def decide(self, targets: Sequence[Observable], frame, tol: Tolerance) -> tuple:
-        """(answer, None) for b, the targets' effects turned by `frame` (None:
-        the identity), from the stored answers turned back into the targets'
-        frame. On a miss, (None, the payload of the stored basis with the
-        fewest rows out of feasibility), or (None, None) when no basis is
-        stored or the answer of a feasible one fails `replay_compatibility`."""
+    def decide(self, targets: Sequence[Observable], A: np.ndarray, frame,
+               tol: Tolerance) -> tuple:
+        """(answer, None) for b, the targets' effects A turned by `frame`
+        (None: the identity), from the stored answers turned back into the
+        targets' frame. On a miss, (None, the payload of the stored basis
+        with the fewest rows out of feasibility), or (None, None) when no
+        basis is stored or a feasible one's answer fails `_holds`."""
         if not (self.refutations or self.bases):
             return None, None
-        F, dim = self.F, self.dim
-        b = [c for t in targets for eff in t.effects for c in eff.coeffs]
-        if frame is not None:
-            b = _turned(b, frame, dim).ravel()
-        b, L = scaled(F, b)
-        b = np.array(b, dtype=F.dtype)
+        F, dim, space = self.F, self.dim, targets[0].space
+        b, L = scaled(F, (A if frame is None else A @ frame.T).ravel())
+        b = np.asarray(b, dtype=F.dtype)
         y = self.refutation(b, L)
         if y is not None:
             if frame is not None:
                 y = _turned(y, frame.T, dim)
-            result = CompatibilityResult("incompatible", farkas=tuple(y.ravel().tolist()))
-        else:
-            hit = self.basis(b.reshape(-1, dim)[self.kept].ravel(), L)
-            if hit is None:
+            farkas = tuple(y.ravel().tolist())
+            if not _holds(space, A, self.counts, F, tol, farkas=farkas):
                 return None, None
-            if hit[1] is None:
-                return None, hit[0]
-            (owners, vectors), values = hit
-            coeffs = _joint_effects(owners, values, vectors, len(self.joint_outcomes), F)
-            if frame is not None:
-                coeffs = _turned(coeffs, frame.T, dim).tolist()
-            result = self.result(targets, coeffs)
-        return (result if replay_compatibility(result, targets, tol) else None), None
+            return CompatibilityResult("incompatible", farkas=farkas), None
+        hit = self.basis(b.reshape(-1, dim)[self.kept].ravel(), L)
+        if hit is None:
+            return None, None
+        if hit[1] is None:
+            return None, hit[0]
+        (owners, vectors), values = hit
+        J = _joint_effects(owners, values, vectors, len(self.joint_outcomes), F)
+        if frame is not None:
+            J = _turned(J, frame.T, dim)
+        if not _holds(space, A, self.counts, F, tol, joint=J, channels=self.channels):
+            return None, None
+        return self.result(targets, J.tolist()), None
 
-    def restored(self, payload, gens: list, frame) -> tuple:
+    def restored(self, payload, gens: Sequence, frame) -> tuple:
         """(gens, then the generators of the stored basis `payload` turned
         back by `frame` that are not among them; that basis as `_owners`
         reads it over those generators)."""
@@ -952,6 +1001,14 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
     undecided). A polytope starts from every dual-cone ray, so its first
     program decides. Equivalent to smin(targets) <= 1.
 
+    The targets are read once: their effects become one array A, a row per
+    effect in target order, in the field of the targets and the generators
+    (`spaces.valid_effect_rows`, which also tests that every target is a
+    valid observable). The canonical frame, the stored answers' b, the
+    program's right-hand side and every replay read A. Targets without a
+    state space, or of another dimension than it, raise ValueError before
+    any stored answer is read.
+
     Row layout: the full layout has a block of dim rows per (target t,
     outcome l), in target order and then outcome order, each matching
     coefficient d of A^t_l with the marginal sum_{w: w_t = l} G_w(d). The
@@ -959,21 +1016,21 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
     so it has dim * (sum_t n_t - (k - 1)) rows for k targets. Those rows are
     implied: row (t, last, d) = sum_l row (0, l, d) - sum_{l < last}
     row (t, l, d), with right-hand side A^t_last(d) = u(d) - sum_{l < last}
-    A^t_l(d), since every target passed `is_valid_observable` (effects sum
-    to u, exactly in exact mode, within eps per coordinate in float mode).
-    A Farkas vector of the program is padded with zeros in the dropped
-    blocks, which keeps it a refutation of the full layout, so `farkas` has
-    one entry per full-layout row and the pricing reads it. Every verdict
-    the LP reaches is replayed against the definition
-    (`replay_compatibility`), and one that fails raises CertificateError: a
-    float joint is so tested on the dropped blocks too, each marginal within
-    eps of its target in each coordinate (in exact mode the identity makes
-    them hold).
+    A^t_l(d), since every target is valid (effects sum to u, exactly in
+    exact mode, within eps per coordinate in float mode). A Farkas vector of
+    the program is padded with zeros in the dropped blocks, which keeps it a
+    refutation of the full layout, so `farkas` has one entry per full-layout
+    row and the pricing reads it. Every verdict the LP reaches is replayed
+    against the definition by the predicate that `replay_compatibility`
+    asks (`_holds`), and one that fails raises CertificateError: a float
+    joint is so tested on the dropped blocks too, each marginal within eps
+    of its target in each coordinate (in exact mode the identity makes them
+    hold).
 
     The program's A depends on the targets only through their outcome
     counts (and on the generators), so the layout's stored answers
-    (`_JointAnswers`) are read first; one that fails `replay_compatibility`
-    is a miss. They may decide what the LP would leave undecided after
+    (`_JointAnswers`) are read first; one that fails the same predicate is
+    a miss. They may decide what the LP would leave undecided after
     `_ROUNDS` programs (too few generators). A float solve starts from a
     basis (`lp_solve`'s `start`, the dual phase): the first from the stored
     basis with the fewest rows out of feasibility, whose generators, turned
@@ -984,22 +1041,22 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
     """
     targets = list(targets)
     space = _targets_space(targets)
-    if not are_valid_observables(targets, space, tol):
+    A = valid_effect_rows(targets, space, tol)
+    if A is None:
         raise ValueError("compatibility targets must be valid observables")
-    gens = list(space.generators(tol) if generators is None else generators)
+    gens = space.generators(tol) if generators is None else generators
     # Generators share one arithmetic, so the first stands for all of them.
     F = resolve((*(t.kind for t in targets), kind_of(x for g in gens[:1] for x in g)), tol)
-    zero, dim = F.zero, space.ambient_dim
+    A, zero, dim = A.astype(F.dtype, copy=False), F.zero, space.ambient_dim
     counts = tuple(t.n_outcomes for t in targets)
     store = answers(("compatibility", lp_solve, space, counts, F.mode, F.eps),
                     lambda: _JointAnswers(counts, dim, F))
-    effects = [eff.coeffs for t in targets for eff in t.effects]  # full block b's effect
-    frame = space.canonical_frame(effects, tol)
-    result, near = store.decide(targets, frame, tol)
+    frame = space.canonical_frame(A, tol)
+    result, near = store.decide(targets, A, frame, tol)
     if result is not None:
         return result
     joint, kept, (blocks, ws) = len(store.joint_outcomes), store.kept, store.entries
-    rhs = [x for b in kept for x in effects[b]]
+    rhs = A[kept].ravel().tolist()
     basic = None  # the start, as `_owners` reads it (float mode only)
     if near is not None and F.mode == FLOAT:
         gens, basic = store.restored(near, gens, frame)
@@ -1008,37 +1065,36 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
         # w with w_ti = li for its (ti, li), and zeros elsewhere. The blocks
         # are placed, not multiplied in: 0.0 * x is -0.0 for negative x.
         vectors = np.array(gens, dtype=F.dtype).reshape(len(gens), dim)
-        A = np.full((len(kept), dim, joint, len(gens)), zero, dtype=F.dtype)
-        A[blocks, :, ws, :] = vectors.T
-        rows = A.reshape(len(kept) * dim, joint * len(gens))
+        P = np.full((len(kept), dim, joint, len(gens)), zero, dtype=F.dtype)
+        P[blocks, :, ws, :] = vectors.T
+        rows = P.reshape(len(kept) * dim, joint * len(gens))
         start = None if basic is None else _columns(*basic, len(gens), joint)
         out = lp_solve(make_program(rows=rows, rhs=rhs), mode=F.mode, tol=tol, start=start)
         if out.verdict == FEASIBLE:
             break
-        y = [zero] * (len(effects) * dim)  # zeros in the dropped blocks
+        y = [zero] * A.size  # zeros in the dropped blocks
         for j, b in enumerate(kept):
             y[b * dim:(b + 1) * dim] = out.farkas[j * dim:(j + 1) * dim]
         prices, priced = _prices(space, y, counts, F, tol)
         bound = max(zero, *prices)
         if vdot(out.farkas, rhs) > bound:
             result = CompatibilityResult("incompatible", farkas=tuple(y))
-            if not replay_compatibility(result, targets, tol):
+            if not _holds(space, A, counts, F, tol, farkas=result.farkas):
                 raise CertificateError("compatibility refutation fails replay")
             store.refuted(result.farkas, bound, frame)
             return result
         if F.mode == FLOAT:
             basic = _owners(out.basis, len(gens), joint)
-        gens += [g for p, g in zip(prices, priced) if p > 0]
+        gens = [*gens, *(g for p, g in zip(prices, priced) if p > 0)]
     else:
         return CompatibilityResult("undecided")
     sol = np.array(out.solution, dtype=F.dtype)
     used = np.flatnonzero(sol)  # the nonzero weights
-    coeffs = _joint_effects(used // len(gens), sol[used], vectors[used % len(gens)], joint, F)
-    result = store.result(targets, coeffs)
-    if not replay_compatibility(result, targets, tol):
+    J = _joint_effects(used // len(gens), sol[used], vectors[used % len(gens)], joint, F)
+    if not _holds(space, A, counts, F, tol, joint=J, channels=store.channels):
         raise CertificateError("compatibility joint fails replay")
     store.solved(out, vectors, frame)
-    return result
+    return store.result(targets, J.tolist())
 
 
 def replay_compatibility(result: CompatibilityResult, targets: Sequence[Observable],
@@ -1047,7 +1103,15 @@ def replay_compatibility(result: CompatibilityResult, targets: Sequence[Observab
     result and the targets alone: it builds no program and reads no
     generators. Exact values are compared exactly, float values within eps,
     and an inf or a NaN fails; an undecided result has nothing to replay and
-    fails.
+    fails. Targets without a state space, or of another dimension than it,
+    raise ValueError, as in `is_compatible`.
+
+    This is a thin wrapper around the one predicate that also tests every
+    answer `is_compatible` returns, stored or solved (`_holds`): it checks
+    what the arrays do not carry (the result's verdict and shape, the
+    joint's space and dimension, and the channels' count and labels), then
+    hands the predicate the targets' effects, the joint's and the channels'
+    stacked matrices as arrays in the field of all of them.
 
     A refutation is a vector y of the full layout of `is_compatible` (a
     block of dim entries per target outcome, in target order). With z_w the
@@ -1056,39 +1120,28 @@ def replay_compatibility(result: CompatibilityResult, targets: Sequence[Observab
     in the same layout (`is_compatible` says why), so y replays when y.b
     exceeds that bound. A compatible verdict replays when the joint is an
     observable on the targets' space whose effects lie in the cone
-    (`space.min_values` >= -eps, one call for all) and sum to the unit, and each marginal
-    channel, stochastic and from the joint's labels to its target's,
-    reproduces its target in every coordinate of every effect."""
+    (`space.min_values` >= -eps, one call for all) and sum to the unit, and
+    each marginal channel, stochastic and from the joint's labels to its
+    target's, reproduces its target in every coordinate of every effect."""
     targets = list(targets)
     space = _targets_space(targets)
-    b = [c for t in targets for eff in t.effects for c in eff.coeffs]
+    dim, counts = space.ambient_dim, [t.n_outcomes for t in targets]
+    if any(t.dim != dim for t in targets):
+        raise ValueError("effect dimension does not match state space")
+    rows = [eff.coeffs for t in targets for eff in t.effects]
     if result.verdict == "incompatible":
         y = result.farkas
-        if y is None or len(y) != len(b):
+        if y is None or len(y) != len(rows) * dim:
             return False
         F = resolve((*(t.kind for t in targets), kind_of(y)), tol)
-        prices, _ = _prices(space, y, [t.n_outcomes for t in targets], F, tol)
-        return bool(vdot(y, b) > max(F.zero, *prices))
+        return _holds(space, np.array(rows, dtype=F.dtype), counts, F, tol, farkas=y)
     joint, channels = result.joint, result.marginal_channels
     if (not result.compatible or joint is None or channels is None
-            or len(channels) != len(targets) or joint.space != space
+            or len(channels) != len(targets) or joint.space != space or joint.dim != dim
             or any(chan.source != joint.labels or chan.target != t.labels
                    for chan, t in zip(channels, targets))):
         return False
-    nw, dim = joint.n_outcomes, space.ambient_dim
-    # Row w of C holds every channel's row w in turn: C.T @ J stacks the
-    # marginals in the layout of b.
-    entries = [x for w in range(nw) for chan in channels for x in chan.matrix[w]]
-    flat = [c for e in joint.effects for c in e.coeffs]
-    F = resolve((kind_of(flat), *(chan.kind for chan in channels), *(t.kind for t in targets)), tol)
-    J, A, U, D = cleared(F, flat, b, space.unit)
-    C, E = cleared(F, entries)  # the channels' entries over one scale E
-    C, J, eps = C.reshape(nw, -1), J.reshape(nw, dim), F.eps
-    if not all(v >= -eps for v in space.min_values(J)):  # J is the joint times D > 0
-        return False
-    starts = list(itertools.accumulate((t.n_outcomes for t in targets[:-1]), initial=0))
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or a NaN fails
-        return bool((abs(J.sum(axis=0) - U) <= eps).all()
-                    and (C >= -eps).all() and (C <= E + eps).all()
-                    and (abs(np.add.reduceat(C, starts, axis=1) - E) <= eps).all()
-                    and (abs(C.T @ J - A.reshape(-1, dim) * E) <= eps).all())  # times D E
+    F = resolve((joint.kind, *(chan.kind for chan in channels), *(t.kind for t in targets)), tol)
+    return _holds(space, np.array(rows, dtype=F.dtype), counts, F, tol,
+                  joint=np.array([e.coeffs for e in joint.effects], dtype=F.dtype),
+                  channels=_stacked([chan.matrix for chan in channels], joint.n_outcomes, F))

@@ -5,20 +5,24 @@ finite labelled families of effects summing to the unit. A state space is
 known through its effect cone, and every space answers these questions
 about it:
 
-* `is_extremal(effects, tol)`: for each effect, does it span an extreme
-  ray of the cone (is it indecomposable)?
+* `is_extremal(effects, tol)`: for each effect (or row of an array of
+  coefficients), does it span an extreme ray of the cone (is it
+  indecomposable)?
 * `refine(effects, tol)`: each effect written as a sum of such extreme
   effects;
 * `min_values(effects)`: the least value on a state of each effect (a
-  coefficient vector), so that an effect lies in the cone exactly when its
-  minimum is nonnegative.
+  coefficient vector, or a row of an array), so that an effect lies in the
+  cone exactly when its minimum is nonnegative.
 
 These three take every effect of a question at once, in one field for the
-space and all of them: `is_valid_effect` and `are_valid_observables` ask
-`min_values` about every e and u - e together, `simulation.noise_content`
-and `simulation.replay_compatibility` about all their effects;
-`postprocessing.is_postprocessing_clean` asks `is_extremal` about every
-nonzero effect of an observable, and
+space and all of them. Validity reads the effects once, as one array A, a
+row each: `is_valid_effect` and `valid_effect_rows` (behind
+`are_valid_observables` and `simulation.is_compatible`, which keeps A) ask
+`min_values` about [A; u - A] and sum each observable's rows in order;
+`simulation.noise_content` and the compatibility replay ask `min_values`
+about all their effects;
+`postprocessing.is_postprocessing_clean` asks `is_extremal` about one
+array of every nonzero effect of an observable, and
 `simulation.decompose_to_irreducibles` asks `refine` about every effect of
 its target. The one-effect `is_indecomposable` and
 `decompose_into_indecomposables` wrap them. The other calls serve
@@ -54,6 +58,7 @@ space.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -147,8 +152,10 @@ class StateSpace:
         of the polytope, so exact mode keeps at most one rank per face (a
         polygon's extreme effects meet its n edges, every effect on one ray
         the same edge), and float mode's sets within eps of zero lie near
-        faces; past `_FACE_RANKS` keys a new set is ranked and not kept."""
-        rows = [e.coeffs for e in effects]
+        faces; past `_FACE_RANKS` keys a new set is ranked and not kept.
+        The effects may come as an array of their coefficient rows, whose
+        float dtype gives the field without a scan (`rows_kind`)."""
+        rows = effects if isinstance(effects, np.ndarray) else [e.coeffs for e in effects]
         F = self._field(rows, tol)
         return [self._extremal(values, F) for values in self._values(rows, F)]
 
@@ -484,8 +491,8 @@ def is_valid_effect(effect: Effect, space,
     -eps on the states (`_in_unit_interval`)."""
     if effect.dim != space.ambient_dim:
         raise ValueError("effect dimension does not match state space")
-    return _in_unit_interval([effect.coeffs], space,
-                             resolve((space.kind, kind_of(effect.coeffs)), tol).eps)
+    F = resolve((space.kind, kind_of(effect.coeffs)), tol)
+    return _in_unit_interval(np.array([effect.coeffs], dtype=F.dtype), space, F.eps)
 
 
 def is_valid_observable(obs: Observable, space: Optional[StateSpace] = None,
@@ -496,25 +503,47 @@ def is_valid_observable(obs: Observable, space: Optional[StateSpace] = None,
 
 def are_valid_observables(observables: Sequence[Observable], space,
                           tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """`is_valid_observable` for every observable on one space (None: the
-    labels only), with one `space.min_values` call for all their effects."""
-    if any(len(set(obs.labels)) != obs.n_outcomes for obs in observables):
-        return False
+    """`is_valid_observable` for every observable on one space: their
+    `valid_effect_rows` exist (None: the labels only)."""
     if space is None:
-        return True
+        return all(len(set(obs.labels)) == obs.n_outcomes for obs in observables)
+    return valid_effect_rows(observables, space, tol) is not None
+
+
+def valid_effect_rows(observables: Sequence[Observable], space,
+                      tol: Tolerance = DEFAULT_TOLERANCE) -> Optional[np.ndarray]:
+    """The effects of observables on `space` as one array, a row of
+    coefficients per effect in order, of the observables' own dtype (float
+    when a float occurs in them, else object), when every observable is
+    valid: distinct labels, every effect in [0, u] (`_in_unit_interval`, one
+    `space.min_values` call for all) and each observable's effects summing
+    to u within eps in each coordinate, eps that of the space and the
+    observables together; else None. Each sum adds the rows in order, as
+    `Observable.effect_sum` does, so that a sum within an ulp of eps gets
+    that sum's verdict. An effect of another dimension than the space
+    raises ValueError."""
+    if any(len(set(obs.labels)) != obs.n_outcomes for obs in observables):
+        return None
     if any(obs.dim != space.ambient_dim for obs in observables):
         raise ValueError("effect dimension does not match state space")
-    eps = resolve((space.kind, *(obs.kind for obs in observables)), tol).eps
-    return (_in_unit_interval([e.coeffs for obs in observables for e in obs.effects], space, eps)
-            and all(abs(a - b) <= eps
-                    for obs in observables for a, b in zip(obs.effect_sum, space.unit)))
+    kinds, dim = [obs.kind for obs in observables], space.ambient_dim
+    eps = resolve((space.kind, *kinds), tol).eps
+    A = np.array([e.coeffs for obs in observables for e in obs.effects],
+                 dtype=float if FLOAT in kinds else object).reshape(-1, dim)
+    ends = list(itertools.accumulate(obs.n_outcomes for obs in observables))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or a NaN fails
+        sums = np.array([A[a:b].sum(axis=0) for a, b in zip([0, *ends], ends)]).reshape(-1, dim)
+        valid = (_in_unit_interval(A, space, eps)
+                 and (abs(sums - np.array(space.unit, dtype=A.dtype)) <= eps).all())
+    return A if valid else None
 
 
-def _in_unit_interval(vectors: Sequence, space, eps) -> bool:
-    """0 <= e <= u for every coefficient vector e: the least values of each e
-    and each u - e, from one `space.min_values` call, are at least -eps."""
-    rests = [tuple(a - b for a, b in zip(space.unit, e)) for e in vectors]
-    return all(v >= -eps for v in space.min_values(vectors + rests))
+def _in_unit_interval(A: np.ndarray, space, eps) -> bool:
+    """0 <= e <= u for every row e of A: the least values of each e and each
+    u - e, from one `space.min_values` call over [A; u - A], are at least
+    -eps."""
+    rests = np.array(space.unit, dtype=A.dtype) - A
+    return all(v >= -eps for v in space.min_values(np.concatenate([A, rests])))
 
 
 def _require_probabilities(weights: Sequence):

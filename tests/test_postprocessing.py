@@ -305,6 +305,42 @@ def test_postprocessing_clean(sq):
         assert 2 * ex ** 2 + 6 * ey ** 2 + ez ** 2 == (2 * tau) ** 2
 
 
+def test_postprocessing_clean_scans_a_float_form_for_its_field_once(monkeypatch):
+    # the field is resolved once, from the observable's kind: the effects
+    # reach `is_extremal` as one array of that field, whose float dtype
+    # needs no second scan; the verdicts are those of one `is_extremal`
+    # call per effect
+    from gptsim import postprocessing, qubit, scalars, spaces
+    from gptsim.geometry import conic_decompose
+    from gptsim.spaces import Observable, dual_cone_rays
+
+    space = polygon(7).space
+    rays = dual_cone_rays(space)
+    parts = conic_decompose(space.unit, rays, mode=space.mode).coefficients
+    sharp = observable(space, [(str(k), vscale(c, r))  # one ray per outcome: clean
+                               for k, (c, r) in enumerate(zip(parts, rays)) if c > 0])
+    rng, verdicts = random.Random(38), set()
+    for obs in [sharp, *(random_observable(space, rng, 3) for _ in range(8))]:
+        form = minimally_sufficient(obs)
+        fresh = Observable(form.outcomes, form.space)  # no kind read yet
+        numbers = {x for eff in fresh.effects for x in eff.coeffs}
+        scans, kind_of = [], scalars.kind_of
+
+        def counted(values):
+            values = list(values)
+            scans.append(values)
+            return kind_of(values)
+
+        with monkeypatch.context() as patch:
+            for module in (postprocessing, qubit, scalars, spaces):
+                patch.setattr(module, "kind_of", counted)
+            clean = is_postprocessing_clean(fresh)
+        assert clean == all(space.is_extremal([eff])[0] for eff in form.effects)
+        assert sum(set(values) == numbers for values in scans) == 1
+        verdicts.add(clean)
+    assert verdicts == {True, False}
+
+
 def test_binarization(sq):
     halves = observable(sq.space, [
         ("1", tuple(HALF * x for x in sq.E.effects[0].coeffs)),

@@ -1654,7 +1654,7 @@ def test_compatibility_answer_failing_replay_raises(monkeypatch, sq, verdict):
 
     targets = [sq.E, sq.F] if verdict == "incompatible" else [sq.E, sq.E]
     assert is_compatible(targets).verdict == verdict
-    monkeypatch.setattr(simulation, "replay_compatibility", lambda *args: False)
+    monkeypatch.setattr(simulation, "_holds", lambda *args, **kwargs: False)
     with pytest.raises(CertificateError, match="fails replay"):
         is_compatible(targets)
 
@@ -1692,6 +1692,177 @@ def test_a_bracket_store_hit_asks_the_cone_once_for_targets_and_once_for_its_joi
     res = _bracket(triple)
     assert res.compatible and lp.stats["solves"] == 0
     assert calls == [12, 8]
+
+
+def _busch_pairs(count, seed, lo, hi):
+    """Seeded pairs of unbiased qubit observables whose Busch value
+    |a+b| + |a-b| lies in [lo, hi]: compatible below 2, not above it."""
+    from gptsim.qubit import QubitEffect, dichotomic
+
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        a, b = (rng.uniform(0.3, 1.0) * _rotation(rng)[:, 0] for _ in range(2))
+        if lo <= np.linalg.norm(a + b) + np.linalg.norm(a - b) <= hi:
+            out.append([dichotomic("+", "-", QubitEffect(0.0, tuple(map(float, v))))
+                        for v in (a, b)])
+    return out
+
+
+def test_every_store_hit_passes_the_public_replay():
+    # a store hit tests its answer with the predicate behind
+    # `replay_compatibility`, on arrays it built from the targets once;
+    # the public replay, building its own from the result, agrees
+    from gptsim.simulation import replay_compatibility
+
+    hits = 0
+    for cases in (_triples(40, 33, 0.45, 0.62), _busch_pairs(40, 34, 1.2, 2.4)):
+        decided = _decided_by_solves(cases)
+        assert sum(not solved for _, solved in decided) >= 5
+        for (res, solved), targets in zip(decided, cases):
+            assert res.verdict != "undecided" and replay_compatibility(res, targets)
+            hits += not solved
+    assert hits >= 20
+
+
+def test_a_store_hit_scans_its_targets_for_their_field_once(monkeypatch):
+    # the only scans of a float triple's numbers are the three `kind`
+    # reads: validation, the canonical frame, the store's b and the replay
+    # read the one array built from them
+    from gptsim import catalog, lp, postprocessing, qubit, scalars, simulation, spaces
+
+    triple = _triples(1, 35, 0.5, 0.5)[0]
+    assert _bracket(triple).compatible  # its basis is stored
+    fresh = [Observable(t.outcomes, t.space) for t in triple]  # no kind read yet
+    numbers = {x for t in fresh for eff in t.effects for x in eff.coeffs[:3]}
+    scans, kind_of = [], scalars.kind_of
+
+    def counted(values):
+        values = list(values)
+        scans.append(values)
+        return kind_of(values)
+
+    for module in (catalog, postprocessing, qubit, scalars, simulation, spaces):
+        monkeypatch.setattr(module, "kind_of", counted, raising=False)
+    lp.reset_stats()
+    assert _bracket(fresh).compatible and lp.stats["solves"] == 0
+    assert sum(any(x in numbers for x in values) for values in scans) == 3
+
+
+def test_compatibility_without_a_state_space_raises():
+    # before any store is read, as noise content and decomposition do; the
+    # replay too
+    from gptsim.simulation import CompatibilityResult, replay_compatibility
+
+    targets = [observable(None, [("+", (1, 0, 0)), ("-", (0, 0, 1))])] * 2
+    for call in (lambda: is_compatible(targets),
+                 lambda: replay_compatibility(CompatibilityResult("undecided"), targets)):
+        with pytest.raises(ValueError, match="compatibility needs the state space"):
+            call()
+    assert not _stores("compatibility")
+
+
+def test_replay_compatibility_rejects_a_joint_of_another_dimension():
+    # a malformed certificate fails, as a Farkas vector of the wrong length does
+    from gptsim.simulation import replay_compatibility
+
+    pair = _triples(1, 36, 0.5, 0.5)[0][:2]
+    res = _bracket(pair)
+    assert res.compatible and replay_compatibility(res, pair)
+    short = Observable(tuple((lab, eff.coeffs[:3]) for lab, eff in res.joint.outcomes),
+                       res.joint.space)
+    assert not replay_compatibility(dataclasses.replace(res, joint=short), pair)
+
+
+@pytest.mark.parametrize("verdict", ["compatible", "incompatible"])
+def test_replay_compatibility_rejects_targets_of_another_dimension(verdict):
+    from gptsim.simulation import replay_compatibility
+
+    # a pair at 0.5 is compatible, a triple at 0.7 is not; the second
+    # target's effects lose their last coefficient
+    triple = _triples(1, 37, 0.5 if verdict == "compatible" else 0.7, 0.5)[0]
+    targets = triple[:2] if verdict == "compatible" else triple
+    res = _bracket(targets)
+    assert res.verdict == verdict
+    targets[1] = Observable(tuple((lab, eff.coeffs[:3]) for lab, eff in targets[1].outcomes),
+                            targets[1].space)
+    with pytest.raises(ValueError, match="effect dimension does not match state space"):
+        replay_compatibility(res, targets)
+
+
+def _trine_answer():
+    """A 3-outcome qubit observable X, and the compatible answer for (X, X)
+    whose joint is X on the diagonal outcomes and zero off it, with its
+    deterministic marginal channels."""
+    from gptsim.qubit import QubitSpace
+    from gptsim.simulation import CompatibilityResult
+
+    labels = ("0", "1", "2")
+    effects = [(0.4 * math.cos(a), 0.0, 0.4 * math.sin(a), 1 / 3)
+               for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]
+    X = Observable(tuple(zip(labels, effects)), QubitSpace())
+    omegas = list(itertools.product(range(3), repeat=2))
+    joint = tuple(f"{labels[i]}|{labels[j]}" for i, j in omegas)
+    channels = tuple(Postprocessing(joint, labels, tuple(
+        tuple(1.0 if omega[t] == li else 0.0 for li in range(3)) for omega in omegas))
+        for t in range(2))
+    coeffs = [effects[i] if i == j else (0.0,) * 4 for i, j in omegas]
+    return X, CompatibilityResult("compatible", joint=Observable(tuple(zip(joint, coeffs)),
+                                                                 X.space),
+                                  marginal_channels=channels)
+
+
+def _tampered(res, w, delta):
+    """The joint of `res` with the coefficient vectors `delta` added to its
+    effects w, a list of joint outcome indices."""
+    coeffs = [list(eff.coeffs) for eff in res.joint.effects]
+    for k, d in zip(w, delta):
+        coeffs[k] = [a + b for a, b in zip(coeffs[k], d)]
+    return dataclasses.replace(res, joint=Observable(
+        tuple(zip(res.joint.labels, map(tuple, coeffs))), res.joint.space))
+
+
+def _row(res, w, row):
+    """`res` with row w of its first marginal channel replaced."""
+    first, *rest = res.marginal_channels
+    matrix = list(first.matrix)
+    matrix[w] = row
+    return dataclasses.replace(res, marginal_channels=(
+        Postprocessing(first.source, first.target, tuple(matrix)), *rest))
+
+
+@pytest.mark.parametrize("clause", ["cone", "unit", "nonnegative", "at-most-one", "row-sums",
+                                    "marginals", "price-bound"])
+def test_replay_compatibility_tests_each_clause_of_the_definition(clause):
+    # each tampered answer breaks exactly one clause of the predicate, so
+    # the replay rejects it only when that clause is tested; joint outcome
+    # 1 is (0, 1) and 2 is (0, 2), whose joint effects are zero
+    from gptsim.simulation import CompatibilityResult, replay_compatibility
+
+    X, res = _trine_answer()
+    targets = [X, X]
+    assert replay_compatibility(res, targets)
+    tau = (0.0, 0.0, 0.0, 0.01)
+    minus = tuple(-x for x in tau)
+    if clause == "cone":  # the marginals and the sum kept, G_(0,2) negative
+        bad = _tampered(res, [1, 2, 5, 4], [tau, minus, tau, minus])
+    elif clause == "unit":  # targets and joint halved: a joint of no valid targets
+        targets = [Observable(tuple((lab, tuple(x / 2 for x in eff.coeffs))
+                                    for lab, eff in X.outcomes), X.space)] * 2
+        bad = dataclasses.replace(res, joint=Observable(tuple(
+            (lab, tuple(x / 2 for x in eff.coeffs)) for lab, eff in res.joint.outcomes),
+            X.space))
+    elif clause == "nonnegative":
+        bad = _row(res, 1, (0.5, 1.0, -0.5))
+    elif clause == "at-most-one":
+        bad = _row(res, 1, (1 + 1.8e-9, -0.9e-9, -0.9e-9))
+    elif clause == "row-sums":
+        bad = _row(res, 1, (0.5, 0.3, 0.0))
+    elif clause == "marginals":  # the same labels over other effects
+        targets = [X, Observable(tuple(zip(X.labels, X.effects[1:] + X.effects[:1])), X.space)]
+        bad = res
+    else:  # y.b = 1/3 > 0, below the price bound 1 of the joint outcomes (0, l)
+        bad = CompatibilityResult("incompatible", farkas=(0.0, 0.0, 0.0, 1.0) + (0.0,) * 20)
+    assert not replay_compatibility(bad, targets)
 
 
 def test_a_float_observable_is_its_own_float_copy(sq, suite):

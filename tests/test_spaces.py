@@ -180,6 +180,22 @@ def test_valid_observable_complements(sq, rng):
             assert is_valid_effect(comp, sq.space)
 
 
+def test_effect_sums_add_in_outcome_order():
+    # the taus sum to 1 + 1.00000008e-9 added in order, as `effect_sum` adds
+    # them, and to 1 + 0.99999986e-9 as a + (b + c): the verdict is the one
+    # of the sum in order, for one observable and among others
+    from gptsim.spaces import are_valid_observables
+
+    taus = (0.2175564987276249, 0.3306375661832034, 0.45180593608917163)
+    obs = Observable(tuple((str(k), (0.0, 0.0, 0.0, t)) for k, t in enumerate(taus)),
+                     QubitSpace())
+    assert abs(obs.effect_sum[3] - 1) > 1e-9 >= abs(taus[0] + (taus[1] + taus[2]) - 1)
+    fine = random_qubit_observable(random.Random(39), 2)
+    assert are_valid_observables([fine], QubitSpace())
+    assert not is_valid_observable(obs)
+    assert not are_valid_observables([fine, obs], QubitSpace())
+
+
 def test_mix_observables_union_labels(sq):
     mixed = mix_observables([sq.E, sq.F], [HALF, HALF])
     assert mixed.labels == ("+", "-")
