@@ -111,10 +111,11 @@ class QubitSpace:
             raise ModeError("exact qubit effect with an irrational Bloch norm")
         return F, rows, norms
 
-    def min_values(self, effects: Sequence) -> list:
-        """The least eigenvalue tau - ||e|| / 2 of each effect (`_norms`)."""
+    def min_values(self, effects: Sequence, scale: int = 1) -> list:
+        """The least eigenvalue tau - ||e|| / 2 of each effect (`_norms`),
+        the effects given over the positive integer scale."""
         F, rows, norms = self._norms(effects, DEFAULT_TOLERANCE)
-        return [F.coerce(e[3]) - norm / 2 for e, norm in zip(rows, norms)]
+        return [(F.coerce(e[3]) - norm / 2) / scale for e, norm in zip(rows, norms)]
 
     def generators(self, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
         """The rank-one effects (d, 1/2) over `sphere_directions(128)`."""

@@ -32,12 +32,22 @@ clears or inverts a basis of its own) and the basic values it reads from it
 the integer products of an exact effect with a polytope's extreme states
 against the float array of them (`spaces.StateSpace.min_values`, `prices`,
 `is_extremal`), the exact Bloch norms of qubit effects against one float
-array of them (`qubit.QubitSpace._norms`),
-`serialize.decode_number` and the command line's `--mode`. The one clearing
-of numbers to integers lives here: `integer_row` (rationals over their
-least common denominator), and `scaled` and `cleared` (a field's numbers
-over one scale D, floats over D = 1), so one test against eps reads both
-modes and every definition check clears through them.
+array of them (`qubit.QubitSpace._norms`), the noise content's residual
+(one Fraction per coefficient from integers, or floats:
+`simulation.noise_content`), `serialize.decode_number` and the command
+line's `--mode`.
+
+The one clearing of numbers to integers lives here: `integer_row`
+(rationals over their least common denominator), `scaled` (a field's
+numbers over one scale D, floats over D = 1), `joined` (parts already over
+scales of their own, as (numbers, D) pairs, brought over one scale without
+clearing them again) and `cleared` (each part over its own lcm, then
+joined), so one test against eps reads both modes and every definition
+check clears through them. An observable clears its effects once, on first
+read, to its cleared form (`spaces.Observable.cleared_rows`, one (rows, D)
+pair): the simulation-set store's b, the scheme test, both simulation
+replays and the noise content join those pairs instead of clearing the
+effects again, and clear only a certificate's numbers.
 """
 
 from __future__ import annotations
@@ -214,15 +224,27 @@ def scaled(F: Field, values: Sequence) -> tuple:
     return (values, 1) if F.mode == FLOAT else integer_row(values)
 
 
+def joined(F: Field, *parts) -> tuple:
+    """Each part, a pair (array, D) of numbers over the scale D > 0 (as
+    `scaled` or `spaces.Observable.cleared_rows` gives it), over the one
+    scale L of them all, then L: in exact mode, where every D clears its
+    numbers to integers, L is the lcm of the Ds and each array is multiplied
+    by L // D (an array already over L is itself); in float mode L = 1 and
+    each part is only converted to a float array (a float array is itself)."""
+    L = 1 if F.mode == FLOAT else math.lcm(*(D for _, D in parts))
+    return (*(np.asarray(values, dtype=F.dtype) * (L // D) if D != L
+              else np.asarray(values, dtype=F.dtype) for values, D in parts), L)
+
+
 def cleared(F: Field, *parts) -> tuple:
     """Each part (a sequence of numbers) as an array of `F.dtype`, then the
-    one scale D of all parts together (`scaled`): in float mode D = 1 and
-    each part is only converted (a float array is itself)."""
+    one scale D of all parts together: in exact mode each part cleared over
+    its own lcm (`integer_row`), then all brought over one (`joined`), which
+    gives the numerators over the lcm of every denominator; in float mode
+    D = 1 and each part is only converted (a float array is itself)."""
     if F.mode == FLOAT:
         return (*(np.asarray(part, dtype=float) for part in parts), 1)
-    values, D = integer_row([x for part in parts for x in part])
-    array, ends = np.array(values, dtype=F.dtype), [0, *itertools.accumulate(map(len, parts))]
-    return (*(array[a:b] for a, b in zip(ends, ends[1:])), D)
+    return joined(F, *map(integer_row, parts))
 
 
 def to_float_vector(v: Sequence[Number]) -> Vec:

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
@@ -75,6 +76,7 @@ from .scalars import (
     cleared,
     field,
     integer_row,
+    joined,
     kind_of,
     resolve,
     scaled,
@@ -269,19 +271,28 @@ def _simulable(target: Observable, simulators: Sequence[Observable],
                                  labels=tuple((sim.labels, target.labels) for sim in simulators))
 
 
-def _farkas_bounds(F, y, B, D, sizes: Sequence[int], ny: int) -> bool:
+def _farkas_bounds(F, y, B, D, simulators: Sequence[Observable]) -> bool:
     """The target-free half of a refutation: alpha_g + phi_y . B_g <= eps
     for every column M[g, y] and beta <= sum_{g in i} alpha_g for every
     weight column c_i, for a Farkas vector y = (alpha, beta, phi) of the
-    full layout and the simulators' effects B (row g's effect), both cleared
-    over D; an inf or a NaN fails."""
-    nx = sum(sizes)
-    alpha, beta, phi = y[:nx], y[nx], y[nx + 1:].reshape(ny, -1)
-    starts = list(itertools.accumulate(sizes[:-1], initial=0))
+    full layout, over a scale of its own, and the simulators' effects B (row
+    g's effect, a row each) over D; an inf or a NaN fails."""
+    starts = list(itertools.accumulate([b.n_outcomes for b in simulators[:-1]], initial=0))
+    alpha, beta, phi = y[:len(B)], y[len(B)], y[len(B) + 1:].reshape(-1, B.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        columns = alpha[:, None] * D + B.reshape(nx, -1) @ phi.T  # times D^2
-        weights = beta - np.add.reduceat(alpha, starts)  # times D
+        columns = alpha[:, None] * D + B @ phi.T  # times D and y's scale
+        weights = beta - np.add.reduceat(alpha, starts)  # times y's scale
         return bool((columns <= F.eps).all() and (weights <= F.eps).all())
+
+
+def _effects(F, target: Observable, simulators: Sequence[Observable]) -> tuple:
+    """(B, A, D): the simulators' effects, row g the effect of simulator
+    outcome g, and the target's, a row per outcome, over one scale D: their
+    `cleared_rows` brought together (`joined`), so no observable is cleared
+    again. A certificate's numbers are cleared over a scale of their own, and
+    each test below weighs its terms so that both sides carry both scales."""
+    A, *Bs, D = joined(F, target.cleared_rows, *(sim.cleared_rows for sim in simulators))
+    return (Bs[0] if len(Bs) == 1 else np.concatenate(Bs)), A, D
 
 
 def _scheme_holds(target: Observable, simulators: Sequence[Observable], x: Sequence,
@@ -289,20 +300,19 @@ def _scheme_holds(target: Observable, simulators: Sequence[Observable], x: Seque
     """x has one entry per column of `simulation_program`, x >= -eps, sum_y
     M[g, y] = c_i for each outcome g of simulator i, sum_i c_i = 1, and
     sum_g M[g, y] B_g = A_y for every outcome y, the last included: tested
-    on x and the effects cleared over one scale D, exactly in exact mode and
-    within eps in float mode; an inf or a NaN fails."""
-    sizes, ny, dim = [sim.n_outcomes for sim in simulators], target.n_outcomes, target.dim
-    nx = sum(sizes)
-    if len(x) != nx * ny + len(sizes):
+    on x cleared over E and the effects over D (`_effects`), exactly in
+    exact mode and within eps in float mode, where E = D = 1; an inf or a
+    NaN fails."""
+    (X, E), (B, A, _) = cleared(F, x), _effects(F, target, simulators)
+    nx, ny, sizes = len(B), len(A), [sim.n_outcomes for sim in simulators]
+    if len(X) != nx * ny + len(sizes):
         return False
-    X, B, A, D = cleared(F, x, [c for sim in simulators for eff in sim.effects for c in eff.coeffs],
-                         [c for eff in target.effects for c in eff.coeffs])
     M, c = X[:nx * ny].reshape(nx, ny), X[nx * ny:]
     with np.errstate(over="ignore", invalid="ignore"):
-        gap = M.T @ B.reshape(nx, dim) - A.reshape(ny, dim) * D  # times D^2
+        gap = M.T @ B - A * E  # times D E
         return bool((X >= -F.eps).all()
                     and (abs(M.sum(axis=1) - np.repeat(c, sizes)) <= F.eps).all()
-                    and abs(c.sum() - D) <= F.eps and (abs(gap) <= F.eps).all())
+                    and abs(c.sum() - E) <= F.eps and (abs(gap) <= F.eps).all())
 
 
 class _SetAnswers(Answers):
@@ -315,9 +325,7 @@ class _SetAnswers(Answers):
 
     def __init__(self, simulators: Sequence[Observable], ny: int, F):
         super().__init__(F, cap=8)
-        self.ny = ny
-        self.sizes = [sim.n_outcomes for sim in simulators]
-        self.nx, self.dim = sum(self.sizes), simulators[0].dim
+        self.nx, self.dim = sum(sim.n_outcomes for sim in simulators), simulators[0].dim
         self.n = self.nx * ny + len(simulators)  # the program's columns
         self.m = self.nx + 1 + (ny - 1) * self.dim  # the program's rows
 
@@ -325,13 +333,15 @@ class _SetAnswers(Answers):
         """(certificate, None) for the target from the stored answers. On a
         miss, (None, the stored basis with the fewest rows out of
         feasibility), or (None, None) when no basis is stored or a float
-        scheme of a feasible one fails a row of the full layout."""
+        scheme of a feasible one fails a row of the full layout. The target's
+        b is read from its `cleared_rows` (N, L): (L, N_0, ..., N_{ny-2})
+        over the scale L."""
         if not (self.refutations or self.bases):
             return None, None  # `simulation_program` tests the effect sums
         F = self.F
         _require_sums(target, simulators, F)
-        b, L = scaled(F, [F.one, *(c for eff in target.effects[:-1] for c in eff.coeffs)])
-        b = np.array(b, dtype=F.dtype)
+        N, L = joined(F, target.cleared_rows)
+        b = np.concatenate((np.array([L], dtype=F.dtype), N[:-1].ravel()))
         farkas = self.refutation(b, L)
         if farkas is not None:
             return SimulationCertificate(NOT_SIMULABLE, farkas=farkas), None
@@ -349,15 +359,13 @@ class _SetAnswers(Answers):
             return None, None
         return _simulable(target, simulators, x), None
 
-    def refuted(self, farkas: tuple, simulators: Sequence[Observable]):
+    def refuted(self, farkas: tuple, target: Observable, simulators: Sequence[Observable]):
         """Store a full-layout Farkas vector that passes the target-free half
         of `replay_simulation` (`_farkas_bounds`), if there is room."""
-        F = self.F
         if len(self.refutations) >= self.cap or len(farkas) != self.m + self.dim:
             return
-        y, B, D = cleared(F, farkas, [c for sim in simulators for eff in sim.effects
-                                      for c in eff.coeffs])
-        if _farkas_bounds(F, y, B, D, self.sizes, self.ny):
+        (y, _), (B, _, D) = cleared(self.F, farkas), _effects(self.F, target, simulators)
+        if _farkas_bounds(self.F, y, B, D, simulators):
             self.keep_refutation(farkas, y[self.nx:self.m])
 
     def solved(self, out, rows: int):
@@ -406,7 +414,7 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
     out = lp_solve(program, mode=F.mode, tol=tol, start=start if F.mode == FLOAT else None)
     if out.verdict != FEASIBLE:
         farkas = out.farkas + (F.zero,) * target.dim
-        store.refuted(farkas, simulators)
+        store.refuted(farkas, target, simulators)
         return SimulationCertificate(NOT_SIMULABLE, farkas=farkas)
     if F.mode == FLOAT and not _scheme_holds(target, simulators, out.solution, F):
         raise CertificateError("float solution fails the target's last-outcome rows")
@@ -422,7 +430,10 @@ def replay_simulation(cert: SimulationCertificate, target: Observable,
     program. Observables of different ambient dimensions or state spaces
     raise ValueError, as in `is_simulable`; the field is resolved over the
     certificate's numbers too, so exact and float ones mixed raise
-    ModeError. Exact values are cleared to integers over one denominator
+    ModeError. A certificate whose verdict is neither simulable nor not
+    simulable, or that lacks its verdict's scheme or Farkas vector, fails.
+    Exact values are cleared to integers (the certificate's numbers over
+    their own denominator, the observables read from their `cleared_rows`)
     and compared exactly, float values within eps, and a NaN fails every
     test.
 
@@ -446,19 +457,16 @@ def replay_simulation(cert: SimulationCertificate, target: Observable,
     """
     simulators = list(simulators)
     _check_same_space(target, simulators)
+    if {SIMULABLE: cert.scheme, NOT_SIMULABLE: cert.farkas}.get(cert.verdict) is None:
+        return False  # another verdict, or no payload for this one
     F = resolve((target.kind, *(b.kind for b in simulators), cert.kind), tol)
     if not cert.simulable:
-        ny, dim = target.n_outcomes, target.dim
-        sizes = [sim.n_outcomes for sim in simulators]
-        nx = sum(sizes)
-        if len(cert.farkas) != nx + 1 + ny * dim:
+        (y, _), (B, A, D) = cleared(F, cert.farkas), _effects(F, target, simulators)
+        if len(y) != len(B) + 1 + A.size:
             return False
-        y, B, A, D = cleared(F, cert.farkas,
-                             [c for sim in simulators for eff in sim.effects for c in eff.coeffs],
-                             [c for eff in target.effects for c in eff.coeffs])
         with np.errstate(over="ignore", invalid="ignore"):  # a NaN value fails
-            value = y[nx] * D + y[nx + 1:] @ A  # times D^2
-        return _farkas_bounds(F, y, B, D, sizes, ny) and bool(value > F.eps)
+            value = y[len(B)] * D + y[len(B) + 1:] @ A.ravel()  # times D and y's scale
+        return bool(value > F.eps) and _farkas_bounds(F, y, B, D, simulators)
     return (cert.labels == tuple((sim.labels, target.labels) for sim in simulators)
             and _scheme_holds(target, simulators, cert.scheme, F))
 
@@ -587,32 +595,38 @@ def noise_content(target: Observable,
     every outcome: the minimum over extreme states, or the least eigenvalue
     for the qubit), and the outcomes do not constrain each other, so each
     m_x takes that minimum.
+
+    The minima and the residual read the target's `cleared_rows`, N over
+    D, and the unit cleared over D too (U, `joined`): `min_values(N, D)`
+    gives the minima. In exact mode, with m_x = p_x / q_x and 1 - lambda =
+    r / s, residual coefficient d of outcome x is the one Fraction (q_x
+    N_x(d) - p_x U(d)) s / (D q_x r) of integer products; in float mode,
+    where D = 1, it is (N_x(d) - m_x U(d)) / (1 - lambda) in floats.
     """
     if target.space is None:
         raise ValueError("noise content needs the state space")
     space = target.space
     F = resolve((target.kind, space.kind), tol)
-    one, zero = F.one, F.zero
-    n = target.n_outcomes
-    m = []
-    for mx in map(F.coerce, space.min_values([eff.coeffs for eff in target.effects])):
-        if not mx >= -F.eps:  # a NaN fails too
-            raise ValueError("noise content needs valid effects")
-        m.append(max(mx, zero))
+    N, U, D = joined(F, target.cleared_rows, scaled(F, space.unit))
+    m = space.min_values(N, D)
+    if not all(mx >= -F.eps for mx in m):  # a NaN fails too
+        raise ValueError("noise content needs valid effects")
+    m = [max(mx, F.zero) for mx in m]
     lam = sum(m)
     if lam <= F.eps:
-        return NoiseContentResult(zero, (one / n,) * n, target)
+        return NoiseContentResult(F.zero, (F.one / len(m),) * len(m), target)
     t_weights = tuple(mx / lam for mx in m)
     if abs(lam - 1) <= F.eps:
-        residual = Observable(
-            tuple((lab, Effect(vscale(tw, space.unit)))
-                  for (lab, _), tw in zip(target.outcomes, t_weights)), space)
-        return NoiseContentResult(lam, t_weights, residual)
-    residual = Observable(
-        tuple((lab, Effect(tuple((c - mx * u) / (one - lam)
-                                 for c, u in zip(eff.coeffs, space.unit))))
-              for (lab, eff), mx in zip(target.outcomes, m)), space)
-    return NoiseContentResult(lam, t_weights, residual)
+        rows = [vscale(tw, space.unit) for tw in t_weights]
+    elif F.mode == FLOAT:  # on Python floats: a numpy scalar would reach the effects
+        rows = [[(c - x * u) / (F.one - lam) for c, u in zip(row, U.tolist())]
+                for row, x in zip(N.tolist(), m)]
+    else:
+        r, s = (F.one - lam).as_integer_ratio()
+        rows = [[Fraction((x.denominator * c - x.numerator * u) * s, D * x.denominator * r)
+                 for c, u in zip(row, U)] for row, x in zip(N, m)]
+    return NoiseContentResult(lam, t_weights,
+                              Observable(tuple(zip(target.labels, map(Effect, rows))), space))
 
 
 def smin(targets: Sequence[Observable], pool: Sequence[Observable],

@@ -10,17 +10,19 @@ about it:
   indecomposable)?
 * `refine(effects, tol)`: each effect written as a sum of such extreme
   effects;
-* `min_values(effects)`: the least value on a state of each effect (a
-  coefficient vector, or a row of an array), so that an effect lies in the
-  cone exactly when its minimum is nonnegative.
+* `min_values(effects, scale)`: the least value on a state of each effect
+  (a coefficient vector, or a row of an array), the effects given over one
+  positive integer scale (1 by default), so that an effect lies in the cone
+  exactly when its minimum is nonnegative.
 
 These three take every effect of a question at once, in one field for the
 space and all of them. Validity reads the effects once, as one array A, a
 row each: `is_valid_effect` and `valid_effect_rows` (behind
 `are_valid_observables` and `simulation.is_compatible`, which keeps A) ask
 `min_values` about [A; u - A] and sum each observable's rows in order;
-`simulation.noise_content` and the compatibility replay ask `min_values`
-about all their effects;
+`simulation.noise_content` asks `min_values` about its target's
+`cleared_rows` over their scale, and the compatibility replay about all its
+effects;
 `postprocessing.is_postprocessing_clean` asks `is_extremal` about one
 array of every nonzero effect of an observable, and
 `simulation.decompose_to_irreducibles` asks `refine` about every effect of
@@ -269,29 +271,33 @@ class StateSpace:
         n = self.ambient_dim
         return tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n)), D
 
-    def min_values(self, effects: Sequence) -> list:
+    def min_values(self, effects: Sequence, scale: int = 1) -> list:
         """The least value over the extreme states of each effect (a
-        coefficient vector). With no float on either side, an effect cleared
-        to integers E over L and the states to S over D give it as the one
-        Fraction min_S (E . S) / (L D); otherwise one array of the float
-        products of every effect with every state (`scalars.dots`) gives
-        each row's first least value, the float of min over `vdot`. An
-        effect of another dimension than the space raises ValueError, and
-        a float one on a space with a Fraction in it ModeError."""
+        coefficient vector, or a row of an array), the effects given over one
+        positive integer scale (an observable's `cleared_rows` (N, D) as
+        `min_values(N, D)`). With no float on either side, the effects
+        cleared together to integer rows E over L (one `integer_row` for them
+        all, L = 1 for rows of ints) and the states to S over D give each
+        minimum as the one Fraction min_S (E . S) / (L D scale), of integer
+        products alone; otherwise one array of the float products of every
+        effect with every state (`scalars.dots`) gives each row's first least
+        value, the float of min over `vdot`, over the scale. An effect of
+        another dimension than the space raises ValueError, and a float one
+        on a space with a Fraction in it ModeError."""
         require_dim(effects, self.ambient_dim)
         if self.kind != FLOAT:
             try:
-                cleared = list(map(integer_row, effects))
+                flat, L = integer_row([x for e in effects for x in e])
             except ValueError:  # a float coefficient
                 if self.kind == EXACT:
                     raise ModeError("float effects on an exact state space") from None
             else:
-                states, D = self._integer_states
-                return [Fraction(min(sum(map(mul, E, s)) for s in states), L * D)
-                        for E, L in cleared]
+                (states, D), n = self._integer_states, self.ambient_dim
+                return [Fraction(min(sum(map(mul, flat[i:i + n], s)) for s in states),
+                                 L * D * scale) for i in range(0, len(flat), n)]
         values = dots(np.asarray(effects, dtype=float).reshape(len(effects), self.ambient_dim),
                       self._float_states)
-        return values[np.arange(len(effects)), values.argmin(axis=1)].tolist()
+        return [v / scale for v in values[np.arange(len(effects)), values.argmin(axis=1)].tolist()]
 
     def generators(self, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple:
         """Every dual-cone extreme ray."""
@@ -397,6 +403,20 @@ class Observable:
         for eff in self.effects[1:]:
             total = tuple(a + b for a, b in zip(total, eff.coeffs))
         return total
+
+    @cached_property
+    def cleared_rows(self) -> tuple:
+        """(N, D): the effects' coefficients as one read-only array N, a row
+        per effect, over one scale D > 0 (`scalars.cleared`), made on first
+        read as `effect_sum` is: Python ints over their lcm in an object
+        array, or floats over D = 1 when a float occurs. The field is read
+        first, so a bool raises ModeError (`integer_row` would take True for
+        1). Simulation decisions and replays and the noise content read the
+        effects from here (`scalars.joined`)."""
+        rows, D = cleared(field(self.mode), [x for eff in self.effects for x in eff.coeffs])
+        rows = rows.reshape(self.n_outcomes, self.dim)
+        rows.flags.writeable = False
+        return rows, D
 
     @property
     def mode(self) -> str:

@@ -261,3 +261,18 @@ def test_conic_and_hull_replays_reject_malformed_certificates(kind):
     # in every comparison, but it is no functional.
     assert replay_conic(ConicResult("outside", functional=(-inf, 0.0)),
                         (-1.0, 0.0), [(1.0, 0.0), (1.0, 1.0)]) is False
+
+
+@pytest.mark.parametrize("kind", [Fraction, float])
+def test_replay_conic_tests_each_clause_of_an_outside_functional(kind):
+    # phi replays when phi . r <= eps on every ray and phi . v > eps; each
+    # functional below breaks one of the two clauses and keeps the other
+    rays = [tuple(map(kind, r)) for r in ((1, 0), (1, 1))]
+    v = (kind(-1), kind(0))
+
+    def replays(phi):
+        return replay_conic(ConicResult("outside", functional=tuple(map(kind, phi))), v, rays)
+
+    assert replays((-1, 0))
+    assert not replays((-1, 2))  # phi . (1, 1) = 1 > 0, phi . v = 1
+    assert not replays((0, -1))  # phi . r <= 0 on both rays, phi . v = 0

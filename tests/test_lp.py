@@ -807,3 +807,17 @@ def test_answer_stacks_are_views_of_buffers_that_double_up_to_the_cap():
     exact = lp.Answers(field(EXACT), cap=2)
     exact.keep_basis(0, [(np.array([1, 2]), 3), (np.array([4, 5]), 6)], [True, True])
     assert exact.dens.tolist() == [[3, 6]] and exact.inverses.tolist() == [[[1, 2], [4, 5]]]
+
+
+def test_ray_replay_tests_each_clause():
+    # an unbounded ray replays when A r = 0, r >= -eps and c'r > eps; each
+    # ray or objective below breaks one clause and keeps the others
+    from gptsim import lp
+
+    program = make_program(rows=[(1.0, -1.0, 1.0)], rhs=(1.0,))
+    eps = DEFAULT_TOLERANCE.eps
+    grows = (1.0, 0.0, 0.0)
+    assert lp._ray_replays(program, (1.0, 1.0, 0.0), grows, eps)
+    assert not lp._ray_replays(program, (1.0, 0.0, -1.0), grows, eps)  # r_2 < 0
+    assert not lp._ray_replays(program, (1.0, 1.0, 0.0), (0.0, 0.0, 1.0), eps)  # c'r = 0
+    assert not lp._ray_replays(program, (1.0, 0.0, 0.0), grows, eps)  # A r = 1

@@ -39,6 +39,7 @@ from gptsim.postprocessing import (
 from gptsim.scalars import ModeError, field
 from gptsim.simulation import (
     NOT_SIMULABLE,
+    SIMULABLE,
     SimulationCertificate,
     check_closure_laws,
     decompose_to_irreducibles,
@@ -1919,3 +1920,108 @@ def test_replays_read_a_certificate_kind_once(monkeypatch, sq, verdict):
     assert replay_simulation(cert, target, simulators)
     assert replay_simulation(cert, target, simulators)
     assert sum(values is numbers for values in scans) == 1
+
+
+@pytest.mark.parametrize("case", ["unknown-verdict", "simulable-without-scheme",
+                                  "refutation-without-farkas"])
+def test_replay_rejects_a_certificate_without_a_payload_of_its_verdict(sq, case):
+    # a verdict other than simulable was read as a refutation, so a valid
+    # Farkas vector under any other verdict replayed, and a certificate with
+    # no payload raised TypeError from its kind
+    refuted = is_simulable(sq.F, [sq.E])
+    assert not refuted.simulable and replay_simulation(refuted, sq.F, [sq.E])
+    cert = {"unknown-verdict": SimulationCertificate("bogus", farkas=refuted.farkas),
+            "simulable-without-scheme": SimulationCertificate(SIMULABLE),
+            "refutation-without-farkas": SimulationCertificate(NOT_SIMULABLE)}[case]
+    assert replay_simulation(cert, sq.F, [sq.E]) is False
+
+
+def _tetrahedron_simplex():
+    """The state space on which the rational tetrahedron's B reads out the
+    pure states: extreme states s_j with B_i(s_j) = 1 for i = j, else 0."""
+    from gptsim.spaces import StateSpace
+
+    states = [(2, 0, -HALF, 1), (-1, 3, -HALF, 1), (-1, -3, -HALF, 1), (0, 0, 3 * HALF, 1)]
+    space = StateSpace("tetrahedron-simplex", 4, [tuple(map(F, s)) for s in states],
+                       (F(0), F(0), F(0), F(1)))
+    rat = tetrahedron_rational()
+    assert [[eff(s) for s in space.extreme_states] for eff in rat["B"].effects] == \
+        [[int(i == j) for j in range(4)] for i in range(4)]
+    return space, [Observable(rat[name].outcomes, space) for name in ("B", "A", "C1", "D1")]
+
+
+def _noise_oracle(target):
+    """(w, trivial weights, residual rows) in plain Fractions, from the
+    closed form: m_x the least value of A_x on an extreme state, w = sum m_x,
+    A_x = w t_x u + (1 - w) R_x."""
+    space, n = target.space, target.n_outcomes
+    m = [max(F(0), min(sum((F(c) * x for c, x in zip(eff.coeffs, s)), F(0))
+                       for s in space.extreme_states)) for eff in target.effects]
+    w = sum(m, F(0))
+    if w == 0:
+        return w, (F(1, n),) * n, [eff.coeffs for eff in target.effects]
+    weights = tuple(x / w for x in m)
+    if w == 1:
+        return w, weights, [tuple(t * u for u in space.unit) for t in weights]
+    return w, weights, [tuple((c - x * u) / (1 - w) for c, u in zip(eff.coeffs, space.unit))
+                        for eff, x in zip(target.effects, m)]
+
+
+@pytest.mark.parametrize("theory", ["square-bit", "classical-3", "tetrahedron"])
+def test_noise_content_matches_its_closed_form(theory):
+    from gptsim.catalog import classical
+
+    if theory == "tetrahedron":
+        space, named = _tetrahedron_simplex()
+    else:
+        known = square_bit() if theory == "square-bit" else classical(3)
+        space = known.space
+        named = [known.E, known.F] if theory == "square-bit" else [known.distinguishing]
+    rng = random.Random(f"noise-oracle/{theory}")
+    targets = [*named, trivial_observable(space, [("a", F(1, 3)), ("b", F(2, 3))]),
+               *(random_observable(space, rng, k) for k in (2, 3, 4, 5) for _ in range(6))]
+    branches = set()
+    for target in targets:
+        value, weights, rows = _noise_oracle(target)
+        branches.add(value if value in (0, 1) else "between")
+        res = noise_content(target)
+        assert res.value == value and res.trivial_weights == weights
+        assert [eff.coeffs for eff in res.residual.effects] == rows
+        assert res.residual.labels == target.labels and res.residual.space is space
+        assert all(type(x) is F for x in (res.value, *res.trivial_weights))
+        twin = noise_content(target.as_float())
+        numbers = [(twin.value, value), *zip(twin.trivial_weights, weights),
+                   *((a, b) for got, want in zip(twin.residual.effects, rows)
+                     for a, b in zip(got.coeffs, want))]
+        assert all(type(a) is float and abs(a - b) <= 1e-9 for a, b in numbers)
+    assert branches == {0, 1, "between"}
+
+
+@pytest.mark.parametrize("target", ["simulable", "refuted"])
+def test_a_store_hit_clears_each_observable_once(monkeypatch, sq, target):
+    # the store's b, the scheme test and both replays read each observable's
+    # cleared rows, made once; a store hit and its replay clear only the
+    # certificate's numbers
+    from gptsim import scalars, spaces
+
+    simulators = [Observable(sq.E.outcomes, sq.space)]
+    goal = (trivial_observable(sq.space, [("a", F(1, 3)), ("b", F(2, 3))])
+            if target == "simulable" else Observable(sq.F.outcomes, sq.space))
+    cleared, integer_row = [], scalars.integer_row
+
+    def counted(values):
+        cleared.append(tuple(values))
+        return integer_row(values)
+
+    monkeypatch.setattr(scalars, "integer_row", counted)
+    monkeypatch.setattr(spaces, "integer_row", counted)
+    cert = is_simulable(goal, simulators)  # solved, then stored
+    assert cert.simulable == (target == "simulable")
+    assert replay_simulation(cert, goal, simulators)
+    rows = [tuple(x for eff in obs.effects for x in eff.coeffs) for obs in (goal, *simulators)]
+    assert [cleared.count(r) for r in rows] == [1, 1]
+    cleared.clear()
+    for _ in range(3):
+        hit = is_simulable(goal, simulators)
+        assert hit == cert and replay_simulation(hit, goal, simulators)
+    assert cleared == [cert.scheme if cert.simulable else cert.farkas] * 3
