@@ -59,8 +59,7 @@ programs. Code that builds an answer from a certificate raises
 returns it. Every outcome also carries the final basis and its inverse
 B^-1, read from the kernel's final state with no extra elimination
 (`LPOutcome`), so that a caller can decide another right-hand side over the
-same rows without a solve: `Answers` keeps such bases and Farkas vectors per
-constraint matrix, in one registry (`answers`).
+same rows without a solve (`Answers`, below).
 
 A float program without an objective may also start from a given basis,
 one column per row with n + i for row i's artificial (`lp_solve`'s
@@ -95,10 +94,19 @@ so that a near-singular basis does not turn rounding noise into basic
 values. Float mode caps the pivots of a whole solve at 10**4 * (variables +
 constraints) and raises SolverLimitError instead of returning a verdict
 when the cap is hit.
+
+A question that is one LP over a fixed constraint matrix per key, with b
+read from the question (a refinement over one space's rays, a simulation
+over one simulation set, a compatibility decision over one layout), first
+reads the answers of earlier solves over that matrix through one store
+loop, `Answers`, in one registry (`answers`): a scan, a hit replayed by its
+kind, a start for a miss, and the solve's answer kept. Each kind keeps only
+its b, its translations and replay, and its own program and solve.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
@@ -986,11 +994,15 @@ class _FloatRevised:
         return float(np.dot(np.array(a, dtype=float), np.array(b, dtype=float)))
 
 
+# The scan's context in exact mode: object arithmetic raises no float warning.
+_OBJECT_ARITHMETIC = contextlib.nullcontext()
+
+
 class Answers:
     """Answers of earlier solves of programs that share one constraint
-    matrix A and differ in b, so that a new b is decided without a solve.
-    Callers subclass it to translate b in and certificates out, one store
-    per space's rays (`spaces.StateSpace.refine`), per simulation set
+    matrix A and differ in b, so that a new b is decided without a solve:
+    the store loop of every kind of question, one store per space's rays
+    (`spaces.StateSpace.refine`), per simulation set
     (`simulation.is_simulable`) and per layout (`simulation.is_compatible`).
 
     A basis B with B^-1 b >= 0 is a feasible vertex for b whichever b it was
@@ -998,87 +1010,93 @@ class Answers:
     objective, or a nondegenerate lexicographic optimum); a Farkas vector y
     with y'A <= 0 refutes every b with y.b > 0 (Gal, "Postoptimal Analyses,
     Parametric Programming, and Related Topics", 1995). Refutations are
-    stacked as y on the rows that b reaches, with a bound that y.b of every
+    stacked as y on the entries of b, with a bound that y.b of every
     feasible b stays below (0 for a Farkas vector: `limits` stays None);
-    bases as B^-1 in the columns of those rows, with a mask of the rows
-    whose basic column is structural, since a row the solve dropped
-    (`LPOutcome`) needs B^-1 b within eps of zero. Exact B^-1 is kept as
-    integers, each row over its denominator (`dens`). Each stack is the view
-    of the filled rows of a buffer that doubles up to the cap, so that
-    storing an answer copies one row, and filling a store copies O(cap)
-    rows (`_push`).
+    bases as B^-1 in the columns `reached` (the program's rows that b
+    gives), read on the entries `reads` of b, with a mask of the rows whose
+    basic column is structural, since a row the solve dropped (`LPOutcome`)
+    needs B^-1 b within eps of zero. Exact B^-1 is kept as integers, each
+    row over its denominator (`dens`). Each stack is the view of the filled
+    rows of a buffer that doubles up to the cap, so that storing an answer
+    copies one row, and filling a store copies O(cap) rows (`_push`).
 
-    A scan returns the first stored answer that decides b, so the hash seed
-    changes nothing. When no stored basis is feasible for b, the scan that
-    tested them all names the one with the fewest rows out of feasibility,
-    the first of ties: a float caller of the simulation or compatibility
-    store starts the LP's dual phase there (`lp_solve`'s `start`). A store keeps at most `cap` bases and `cap`
-    refutations, the first ones stored; callers test for room before they
-    translate an answer. An answer is stacked when the solve that found it
-    returns, so each miss pays for its own store step. Verdicts never
-    depend on earlier calls: a caller tests a stored answer as it tests an
-    LP answer of its mode, and one that fails is a miss. Certificates may,
-    and replay as well as the LP's own. (A float b within eps of the
-    boundary is the LP's exception too: phase 1 tests a sum of residuals
-    against eps, the store each row.) An answer from the store is no LP
-    solve: `stats` does not move."""
+    A kind subclasses it with its translations and leaves the loop here.
+    `decide` scans the store once for one b or many: for each b, the first
+    stored refutation with y.b above its bound, else the first stored basis
+    feasible for b. The kind turns the payload of a refutation into its
+    answer (`refuted`), and the hits of bases into theirs (`solved`, every
+    hit of one scan at once), and gives None for an answer that fails its
+    replay: that b is a miss with no start. Any other miss starts from the
+    stored basis with the fewest rows out of feasibility, the first of
+    ties, in float mode (`lp_solve`'s `start`, the dual phase); an exact
+    store gives no start, since rebuilding the integer tableau from B^-1
+    costs more than the few pivots a start saves. A scan takes the first
+    answer in storing order, so the hash seed changes nothing.
+
+    `keep_refutation` and `keep_basis` stack the answer of a solve when the
+    solve returns, so each miss pays for its own store step, and only while
+    the store holds fewer than `cap` answers of that kind: only then does
+    the kind translate the answer into what the store keeps
+    (`kept_refutation`, `kept_basis`, None for one it does not keep), so a
+    full store translates nothing. A basis whose key (None: no key) is
+    stored already is not stacked again. `Answers` itself, with no kind,
+    keeps answers given in the form it stacks them.
+
+    Verdicts never depend on earlier calls: a kind tests a stored answer as
+    it tests an LP answer of its mode. Certificates may, and replay as well
+    as the LP's own. (A float b within eps of the boundary is the LP's
+    exception too: phase 1 tests a sum of residuals against eps, the store
+    each row.) An answer from the store is no LP solve: `stats` does not
+    move."""
+
+    reached = reads = slice(None)
 
     def __init__(self, F, cap: int):
         self.F, self.cap = F, cap
         self.bases, self.refutations = [], []  # what turns each answer into a certificate
+        self.keys = set()  # the stored bases' keys
         self.refuting = self.limits = self.inverses = self.structural = self.dens = None
         self.buffers = {}  # stack name -> the array behind its view
 
-    def refutation(self, b, L=1):
-        """The payload of the first stored refutation y with y.b > its bound
-        + eps, for b cleared over the scale L; None when none refutes b."""
-        if self.refuting is None:
-            return None
-        limits = self.F.eps if self.limits is None else self.limits * L
-        hits = np.flatnonzero(self.refuting @ b > limits)
-        return self.refutations[hits[0]] if hits.size else None
-
-    def basis(self, b, L=1) -> Optional[tuple]:
-        """(payload, B^-1 b as the field's numbers, a row each) for the first
-        stored basis feasible for b, b cleared over the scale L. When none
-        is, (payload, None) for the basis with the fewest failing rows, the
-        first of ties; None when no basis is stored."""
-        if self.inverses is None:
-            return None
-        X = self.inverses @ b
-        failing = self._failing(X, self.structural)
-        k = int(failing.argmin())
-        if failing[k]:
-            return self.bases[k], None
-        return self.bases[k], self._levels(X[k], k, L)
-
-    def feasible(self, B: np.ndarray, Ls: Sequence) -> list:
-        """`basis` for many b at once, the rows of B, each cleared over its
-        scale in Ls: for each b, (the index of the first stored basis
-        feasible for b, B^-1 b), or (None, None) when none is. Viewed as
-        (count, 1, m, 1), B makes numpy's matmul call the matrix-vector
-        kernel for each pair of a stored B^-1 and a b, the kernel of
-        `basis`'s product, so each float is the one that b alone gets (B's
-        transpose, one (m, count) operand, would go to the matrix-matrix
-        kernel, which rounds otherwise). An inf or a NaN is feasible for no
-        basis and gives no warning."""
-        if self.inverses is None:
-            return [(None, None)] * len(B)
-        with np.errstate(over="ignore", invalid="ignore"):
-            X = (self.inverses @ B[:, None, :, None])[..., 0]
-            ok = self._failing(X, self.structural) == 0
-        found = []
-        for x, row, L in zip(X, ok, Ls):
-            k = int(row.argmax())
-            found.append((k, self._levels(x[k], k, L)) if row[k] else (None, None))
+    def decide(self, bs: Sequence, Ls: Sequence, *question) -> list:
+        """(answer, start) for each b in bs, an array in the field's dtype
+        cleared over its scale in Ls, with `question` passed on to the kind's
+        translations: (answer, None) for a hit, (None, the payload of the
+        basis to start from, or None) for a miss; an empty store misses every
+        b at once. `solved` gets each hit as (b's index, payload, B^-1 b as
+        the field's numbers). Each b is scanned alone, by `refuting @ b` and
+        `inverses @ b`, which run numpy's matrix-vector kernel for each stored
+        y and B^-1, so every float is the one that b gets whatever else the
+        call asks (one operand of every b would go to the matrix-matrix
+        kernel, which rounds otherwise). An inf or a NaN gives no warning."""
+        F, found, refuted, solved = self.F, [(None, None)] * len(bs), [], []
+        if not (self.refutations or self.bases):
+            return found
+        with np.errstate(over="ignore", invalid="ignore") if F.mode == FLOAT else _OBJECT_ARITHMETIC:
+            for i, (b, L) in enumerate(zip(bs, Ls)):
+                if self.refuting is not None:
+                    limits = F.eps if self.limits is None else self.limits * L
+                    hits = np.flatnonzero(self.refuting @ b > limits)
+                    if hits.size:
+                        refuted.append((i, self.refutations[hits[0]]))
+                        continue
+                if self.inverses is None:
+                    continue
+                X = self.inverses @ b[self.reads]
+                # a row is out of feasibility below -eps, or above eps where its
+                # basic column is not structural
+                failing = (~((X >= -F.eps) & ((X <= F.eps) | self.structural))).sum(axis=-1)
+                k = int(failing.argmin())
+                if failing[k]:
+                    found[i] = None, (self.bases[k] if F.mode == FLOAT else None)
+                else:
+                    solved.append((i, self.bases[k], self._levels(X[k], k, L)))
+        for i, payload in refuted:
+            found[i] = self.refuted(payload, *question), None
+        if solved:
+            for (i, _, _), answer in zip(solved, self.solved(solved, *question)):
+                found[i] = answer, None
         return found
-
-    def _failing(self, X, structural):
-        """The count of rows of each B^-1 b in X (the last axis) out of
-        feasibility: below -eps, or above eps where the basic column is not
-        structural."""
-        F = self.F
-        return (~((X >= -F.eps) & ((X <= F.eps) | structural))).sum(axis=-1)
 
     def _levels(self, x, k, L) -> list:
         """B^-1 b of stored basis k, x, as the field's numbers: exact rows
@@ -1087,24 +1105,46 @@ class Answers:
             return (x + self.F.zero).tolist()
         return list(map(Fraction, x.tolist(), (self.dens[k] * L).tolist()))
 
-    def keep_refutation(self, payload, y, bound=None):
-        """Stack y with its bound: bounds for all refutations or for none."""
-        self.refutations.append(payload)
-        self._push("refuting", y)
-        if bound is not None:
-            self._push("limits", bound + self.F.eps)
+    def keep_refutation(self, *answer):
+        """Stack a refutation as the kind keeps it, (payload, y, bound or
+        None), if there is room: bounds for all refutations or for none."""
+        kept = len(self.refutations) < self.cap and self.kept_refutation(*answer)
+        if kept:
+            payload, y, bound = kept
+            self.refutations.append(payload)
+            self._push("refuting", y)
+            if bound is not None:
+                self._push("limits", bound + self.F.eps)
 
-    def keep_basis(self, payload, inverse, structural, reached=slice(None)):
-        """Stack B^-1, as `LPOutcome.inverse` holds it (a float array, or
-        exact rows of (numerators, denominator)), in the columns `reached`."""
+    def keep_basis(self, *answer):
+        """Stack a basis as the kind keeps it, (payload, key, B^-1 as
+        `LPOutcome.inverse` holds it (a float array, or exact rows of
+        (numerators, denominator)), structural mask), if there is room and
+        its key is new."""
+        kept = len(self.bases) < self.cap and self.kept_basis(*answer)
+        if not kept or kept[1] is not None and kept[1] in self.keys:
+            return
+        payload, key, inverse, structural = kept
+        self.keys.add(key)
         if self.F.mode == FLOAT:
-            inverse = np.asarray(inverse, dtype=float)[:, reached]
+            inverse = np.asarray(inverse, dtype=float)[:, self.reached]
         else:
             self._push("dens", [den for _, den in inverse], object)
-            inverse = [row[reached] for row, _ in inverse]
+            inverse = [row[self.reached] for row, _ in inverse]
         self.bases.append(payload)
         self._push("inverses", inverse, self.F.dtype)
         self._push("structural", structural)
+
+    @staticmethod
+    def kept_refutation(payload, y, bound=None):
+        """(payload, y, bound): a refutation given as the store keeps it."""
+        return payload, y, bound
+
+    @staticmethod
+    def kept_basis(payload, inverse, structural):
+        """(payload, no key, B^-1, structural mask): a basis given as the
+        store keeps it."""
+        return payload, None, inverse, structural
 
     def _push(self, name: str, item, dtype=None):
         """Append item to the stack `name` (None while empty) by one row copy

@@ -113,7 +113,9 @@ class QubitSpace:
 
     def min_values(self, effects: Sequence, scale: int = 1) -> list:
         """The least eigenvalue tau - ||e|| / 2 of each effect (`_norms`),
-        the effects given over the positive integer scale."""
+        the effects given over the positive integer scale (an array, or any
+        iterable, read once)."""
+        effects = effects if isinstance(effects, np.ndarray) else list(effects)
         F, rows, norms = self._norms(effects, DEFAULT_TOLERANCE)
         return [(F.coerce(e[3]) - norm / 2) / scale for e, norm in zip(rows, norms)]
 

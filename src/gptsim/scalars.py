@@ -25,10 +25,12 @@ also fills the program's cleared rows), the effect-sum guard
 `simulation._require_sums` (exact equality, or eps in each coordinate), the
 float-only test of a float scheme, solved or read from the simulation-set
 store, on every row of the full layout (`simulation._scheme_holds`, which
-a replay runs in both modes), the float or integer B^-1 that every
-answer store keeps as its LP left it (`LPOutcome.inverse`, so no store
-clears or inverts a basis of its own) and the basic values it reads from it
-(`lp.Answers`: Fractions over each basis row's denominator in exact mode),
+a replay runs in both modes), the one store loop of every answer store
+(`lp.Answers`): the float or integer B^-1 it keeps as its LP left it
+(`LPOutcome.inverse`, so no store clears or inverts a basis of its own),
+the basic values it reads from it (Fractions over each basis row's
+denominator in exact mode), the start it names for a miss (none in exact
+mode) and its scan's float warnings, silenced for an inf or a NaN b,
 the integer products of an exact effect with a polytope's extreme states
 against the float array of them (`spaces.StateSpace.min_values`, `prices`,
 `is_extremal`), the exact Bloch norms of qubit effects against one float

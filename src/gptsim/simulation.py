@@ -43,10 +43,16 @@ rows left out, so it keeps one entry per row of the full layout.
 One simulation set is tested against many targets (every target against
 (E, F) on the square bit, the subsets of one pool in `smin`, one source in
 the postprocessing relation) with programs that differ only in b, as are
-compatibility programs of one layout; both first read the answers of
-earlier solves (`lp.Answers`), and a float program that they do not decide
-is solved from the stored basis nearest to feasibility (a later round of
-compatibility's column generation from the basis of the round before).
+compatibility programs of one layout. Both first read the answers of
+earlier solves through the one store loop (`lp.Answers.decide`), and keep
+their own answers there (`keep_refutation`, `keep_basis`); a float program
+that the store does not decide is solved from the stored basis nearest to
+feasibility (a later round of compatibility's column generation from the
+basis of the round before). Each store here keeps only its kind's part:
+its b, the translation of a stored payload into a certificate with the
+replay that certificate gets from the LP too (`_SetAnswers`,
+`_JointAnswers`), and the translation of a solve's answer into what it
+stores.
 """
 
 from __future__ import annotations
@@ -320,62 +326,45 @@ class _SetAnswers(Answers):
     most 8 of each kind. A target reaches the weight row and the effect rows
     of its first ny - 1 outcomes, b = (1, A_0, ..., A_{ny-2}), and there a
     refutation keeps its entries (beta, phi), its payload the full-layout
-    Farkas vector, and a basis its B^-1 columns, its payload each row's
-    basic column (n + i for a dropped row)."""
+    Farkas vector, and a basis its B^-1 columns, its payload and its key
+    each row's basic column (n + i for a dropped row)."""
 
     def __init__(self, simulators: Sequence[Observable], ny: int, F):
         super().__init__(F, cap=8)
         self.nx, self.dim = sum(sim.n_outcomes for sim in simulators), simulators[0].dim
         self.n = self.nx * ny + len(simulators)  # the program's columns
         self.m = self.nx + 1 + (ny - 1) * self.dim  # the program's rows
+        self.reached = slice(self.nx, None)
 
-    def decide(self, target: Observable, simulators: Sequence[Observable]) -> tuple:
-        """(certificate, None) for the target from the stored answers. On a
-        miss, (None, the stored basis with the fewest rows out of
-        feasibility), or (None, None) when no basis is stored or a float
-        scheme of a feasible one fails a row of the full layout. The target's
-        b is read from its `cleared_rows` (N, L): (L, N_0, ..., N_{ny-2})
-        over the scale L."""
-        if not (self.refutations or self.bases):
-            return None, None  # `simulation_program` tests the effect sums
-        F = self.F
-        _require_sums(target, simulators, F)
-        N, L = joined(F, target.cleared_rows)
-        b = np.concatenate((np.array([L], dtype=F.dtype), N[:-1].ravel()))
-        farkas = self.refutation(b, L)
-        if farkas is not None:
-            return SimulationCertificate(NOT_SIMULABLE, farkas=farkas), None
-        hit = self.basis(b, L)
-        if hit is None:
-            return None, None
-        basis, values = hit
-        if values is None:
-            return None, basis
-        x = [F.zero] * self.n
+    @staticmethod
+    def refuted(farkas: tuple, target: Observable, simulators: Sequence[Observable]):
+        """A stored refutation as it is: its target-free half passed when it
+        was kept, and the scan tested beta + phi . b > 0."""
+        return SimulationCertificate(NOT_SIMULABLE, farkas=farkas)
+
+    def solved(self, hits, target: Observable, simulators: Sequence[Observable]) -> list:
+        """The scheme of a feasible stored basis; a float one that fails a
+        row of the full layout (`_scheme_holds`) is None."""
+        ((_, basis, values),) = hits
+        x = [self.F.zero] * self.n
         for col, v in zip(basis, values):
             if col < self.n:
                 x[col] = v
-        if F.mode == FLOAT and not _scheme_holds(target, simulators, x, F):
-            return None, None
-        return _simulable(target, simulators, x), None
+        holds = self.F.mode != FLOAT or _scheme_holds(target, simulators, x, self.F)
+        return [_simulable(target, simulators, x) if holds else None]
 
-    def refuted(self, farkas: tuple, target: Observable, simulators: Sequence[Observable]):
-        """Store a full-layout Farkas vector that passes the target-free half
-        of `replay_simulation` (`_farkas_bounds`), if there is room."""
-        if len(self.refutations) >= self.cap or len(farkas) != self.m + self.dim:
-            return
-        (y, _), (B, _, D) = cleared(self.F, farkas), _effects(self.F, target, simulators)
-        if _farkas_bounds(self.F, y, B, D, simulators):
-            self.keep_refutation(farkas, y[self.nx:self.m])
+    def kept_refutation(self, farkas: tuple, target: Observable, simulators: Sequence[Observable]):
+        """A full-layout Farkas vector that passes the target-free half of
+        `replay_simulation` (`_farkas_bounds`)."""
+        if len(farkas) == self.m + self.dim:
+            (y, _), (B, _, D) = cleared(self.F, farkas), _effects(self.F, target, simulators)
+            if _farkas_bounds(self.F, y, B, D, simulators):
+                return farkas, y[self.nx:self.m], None
 
-    def solved(self, out, rows: int):
-        """Store the final basis of a solve of this set's program with `rows`
-        rows, if there is room and it is new."""
-        if (len(self.bases) >= self.cap or rows != self.m or out.basis is None
-                or out.basis in self.bases):
-            return
-        self.keep_basis(out.basis, out.inverse, [col < self.n for col in out.basis],
-                        slice(self.nx, None))
+    def kept_basis(self, out, rows: int):
+        """The final basis of a solve of this set's program with `rows` rows."""
+        if rows == self.m and out.basis is not None:
+            return out.basis, out.basis, out.inverse, [col < self.n for col in out.basis]
 
 
 def is_simulable(target: Observable, simulators: Sequence[Observable],
@@ -390,14 +379,13 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
     entry per row of the full program.
 
     The program is solved only when the set's stored answers
-    (`_SetAnswers`) do not decide the target. A float scheme read from them
-    is tested on every row of the full layout at eps, or it is not returned;
-    a refutation's target-free inequalities are tested when it is stored.
-    A float solve starts from the stored basis with the fewest rows out of
-    feasibility for the target, when one is stored (`lp_solve`'s `start`,
-    the dual phase); its answer is tested as a cold solve's. Exact solves
-    start cold: rebuilding the integer tableau from B^-1 costs more than
-    the few pivots a start saves there."""
+    (`_SetAnswers`, read by `lp.Answers.decide` on the target's b) do not
+    decide the target. A float scheme read from them is tested on every row
+    of the full layout at eps, or it is not returned; a refutation's
+    target-free inequalities are tested when it is stored. A float solve
+    starts from the start the store names (`lp_solve`'s `start`, the dual
+    phase); its answer is tested as a cold solve's. Exact solves start
+    cold."""
     simulators = list(simulators)
     _check_same_space(target, simulators)
     F = _common_field(target, simulators, tol)
@@ -407,18 +395,21 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
     key = ("simulation", simulation_program, lp_solve,
            tuple(sim.coefficient_key for sim in simulators), target.n_outcomes, F.mode, F.eps)
     store = answers(key, lambda: _SetAnswers(simulators, target.n_outcomes, F))
-    cert, start = store.decide(target, simulators)
+    _require_sums(target, simulators, F)
+    N, L = joined(F, target.cleared_rows)
+    b = np.concatenate((np.array([L], dtype=F.dtype), N[:-1].ravel()))
+    ((cert, start),) = store.decide([b], [L], target, simulators)
     if cert is not None:
         return cert
     program = simulation_program(target, simulators, tol)
-    out = lp_solve(program, mode=F.mode, tol=tol, start=start if F.mode == FLOAT else None)
+    out = lp_solve(program, mode=F.mode, tol=tol, start=start)
     if out.verdict != FEASIBLE:
         farkas = out.farkas + (F.zero,) * target.dim
-        store.refuted(farkas, target, simulators)
+        store.keep_refutation(farkas, target, simulators)
         return SimulationCertificate(NOT_SIMULABLE, farkas=farkas)
     if F.mode == FLOAT and not _scheme_holds(target, simulators, out.solution, F):
         raise CertificateError("float solution fails the target's last-outcome rows")
-    store.solved(out, len(program.rhs))
+    store.keep_basis(out, len(program.rhs))
     return _simulable(target, simulators, out.solution)
 
 
@@ -803,11 +794,12 @@ def _holds(space, A: np.ndarray, counts: Sequence[int], F, tol: Tolerance,
     when y.b > max(0, max_w price(z_w)), b the rows of A in order
     (`is_compatible` says why). A joint (one row of coefficients per joint
     outcome) holds with the marginal channels (C, E) (`_stacked`) when it
-    lies in the cone (one `space.min_values` call), sums to the unit, every
-    entry of C lies in [0, E], the rows of each channel sum to E, and the
-    marginals C.T @ joint equal A: exactly in exact mode (the joint, A and
-    the unit cleared over one D first), within eps in float mode, and an inf
-    or a NaN fails."""
+    lies in the cone (one `space.min_values` call), sums to the unit, and
+    the marginals C.T @ joint equal A: exactly in exact mode (the joint, A
+    and the unit cleared over one D first), within eps in float mode, and an
+    inf or a NaN fails. That the channels are stochastic is the caller's to
+    know: a store's are its deterministic ones, fixed per layout, and
+    `replay_compatibility` tests those it is given."""
     if farkas is not None:
         prices, _ = _prices(space, farkas, counts, F, tol)
         return bool(vdot(farkas, A.ravel().tolist()) > max(F.zero, *prices))
@@ -817,11 +809,8 @@ def _holds(space, A: np.ndarray, counts: Sequence[int], F, tol: Tolerance,
     J = J.reshape(-1, dim)
     if not all(v >= -eps for v in space.min_values(J)):  # J is the joint times D > 0
         return False
-    starts = list(itertools.accumulate(counts[:-1], initial=0))
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or a NaN fails
         return bool((abs(J.sum(axis=0) - U) <= eps).all()
-                    and (C >= -eps).all() and (C <= E + eps).all()
-                    and (abs(np.add.reduceat(C, starts, axis=1) - E) <= eps).all()
                     and (abs(C.T @ J - A.reshape(-1, dim) * E) <= eps).all())  # times D E
 
 
@@ -879,18 +868,20 @@ class _JointAnswers(Answers):
     (`space.canonical_frame`: the identity for a polytope, a rotation for
     the qubit, so every rotation of one orthogonal triple reads one b).
 
-    A program keeps the full layout's blocks in `kept`, and `entries` places
-    the generators: (program block, joint outcome) for every block a joint
-    outcome enters. The generators change from call to call, so a basis's
-    payload is one array pair, the joint outcome of each row's basic column
-    (-1 for an artificial) and its generator (any one for an artificial):
-    B^-1 b >= -eps gives the joint effects G_w, and the generators, turned
-    back and joined to a call's own, let that call's solve start from the
-    basis. A refutation is its full-layout y, also its payload, with its
-    target-free bound P(y) = max(0, max_w price(z_w)), which every joint
-    observable's y.b stays below, whatever generators built it. The
-    deterministic marginal channels are cleared once per layout
-    (`channels`, as `_stacked` gives them)."""
+    A program keeps the full layout's blocks in `kept` (a basis reads b on
+    their rows, `reads`), and `entries` places the generators: (program
+    block, joint outcome) for every block a joint outcome enters. The
+    generators change from call to call, so a basis's payload is one array
+    pair, the joint outcome of each row's basic column (-1 for an
+    artificial) and its generator (any one for an artificial): B^-1 b >=
+    -eps gives the joint effects G_w, and the generators, turned back and
+    joined to a call's own, let that call's solve start from the basis
+    (`restored`). A basis has no key: the same one may be stored twice. A
+    refutation is its full-layout y, also its payload, with its target-free
+    bound P(y) = max(0, max_w price(z_w)), which every joint observable's
+    y.b stays below, whatever generators built it. The deterministic
+    marginal channels are cleared once per layout (`channels`, as
+    `_stacked` gives them), so their range and row sums need no test."""
 
     def __init__(self, counts: Sequence[int], dim: int, F):
         super().__init__(F, cap=64)
@@ -901,6 +892,7 @@ class _JointAnswers(Answers):
         # target after the first, and kept[j] is the full block of block j.
         firsts = list(itertools.accumulate(counts, initial=0))
         self.kept = [b for b in range(firsts[-1]) if b + 1 not in firsts[2:]]
+        self.reads = (np.array(self.kept)[:, None] * dim + np.arange(dim)).ravel()  # b's kept rows
         at = {b: j for j, b in enumerate(self.kept)}
         self.entries = tuple(zip(*((at[firsts[ti] + li], w)
                                    for w, omega in enumerate(self.joint_outcomes)
@@ -927,38 +919,27 @@ class _JointAnswers(Answers):
         return CompatibilityResult("compatible", marginal_channels=channels, joint=Observable(
             tuple(zip(joint, map(Effect, coeffs))), targets[0].space))
 
-    def decide(self, targets: Sequence[Observable], A: np.ndarray, frame,
-               tol: Tolerance) -> tuple:
-        """(answer, None) for b, the targets' effects A turned by `frame`
-        (None: the identity), from the stored answers turned back into the
-        targets' frame. On a miss, (None, the payload of the stored basis
-        with the fewest rows out of feasibility), or (None, None) when no
-        basis is stored or a feasible one's answer fails `_holds`."""
-        if not (self.refutations or self.bases):
-            return None, None
-        F, dim, space = self.F, self.dim, targets[0].space
-        b, L = scaled(F, (A if frame is None else A @ frame.T).ravel())
-        b = np.asarray(b, dtype=F.dtype)
-        y = self.refutation(b, L)
-        if y is not None:
-            if frame is not None:
-                y = _turned(y, frame.T, dim)
-            farkas = tuple(y.ravel().tolist())
-            if not _holds(space, A, self.counts, F, tol, farkas=farkas):
-                return None, None
-            return CompatibilityResult("incompatible", farkas=farkas), None
-        hit = self.basis(b.reshape(-1, dim)[self.kept].ravel(), L)
-        if hit is None:
-            return None, None
-        if hit[1] is None:
-            return None, hit[0]
-        (owners, vectors), values = hit
-        J = _joint_effects(owners, values, vectors, len(self.joint_outcomes), F)
+    def refuted(self, y: np.ndarray, targets: Sequence[Observable], A: np.ndarray, frame,
+                tol: Tolerance) -> Optional[CompatibilityResult]:
+        """The incompatible verdict of a stored refutation turned back by
+        `frame` into the targets' frame, if it passes `_holds`."""
         if frame is not None:
-            J = _turned(J, frame.T, dim)
-        if not _holds(space, A, self.counts, F, tol, joint=J, channels=self.channels):
-            return None, None
-        return self.result(targets, J.tolist()), None
+            y = _turned(y, frame.T, self.dim)
+        farkas = tuple(y.ravel().tolist())
+        if _holds(targets[0].space, A, self.counts, self.F, tol, farkas=farkas):
+            return CompatibilityResult("incompatible", farkas=farkas)
+
+    def solved(self, hits, targets: Sequence[Observable], A: np.ndarray, frame,
+               tol: Tolerance) -> list:
+        """The compatible verdict of a feasible stored basis, its joint turned
+        back by `frame`, if it passes `_holds`."""
+        ((_, (owners, vectors), values),) = hits
+        J = _joint_effects(owners, values, vectors, len(self.joint_outcomes), self.F)
+        if frame is not None:
+            J = _turned(J, frame.T, self.dim)
+        holds = _holds(targets[0].space, A, self.counts, self.F, tol, joint=J,
+                       channels=self.channels)
+        return [self.result(targets, J.tolist()) if holds else None]
 
     def restored(self, payload, gens: Sequence, frame) -> tuple:
         """(gens, then the generators of the stored basis `payload` turned
@@ -979,24 +960,20 @@ class _JointAnswers(Answers):
             index.append(k)
         return gens, (owners, np.array(index, dtype=int))
 
-    def refuted(self, y: tuple, bound, frame):
-        """Store a full-layout refutation with its bound P(y), turned by `frame`."""
-        if len(self.refutations) >= self.cap:
-            return
-        y = np.array(y, dtype=self.F.dtype) if frame is None else _turned(y, frame, self.dim)
-        self.keep_refutation(y.ravel(), y.ravel(), bound)
+    def kept_refutation(self, y: tuple, bound, frame):
+        """A full-layout refutation with its bound P(y), turned by `frame`."""
+        y = (np.array(y, dtype=self.F.dtype) if frame is None else _turned(y, frame, self.dim)).ravel()
+        return y, y, bound
 
-    def solved(self, out, vectors: np.ndarray, frame):
-        """Store the final basis of a solve over the generators `vectors`
-        (one row each), turned by `frame`."""
-        if len(self.bases) >= self.cap:
-            return
+    def kept_basis(self, out, vectors: np.ndarray, frame):
+        """The final basis of a solve over the generators `vectors` (one row
+        each), turned by `frame`."""
         owners, index = _owners(out.basis, len(vectors), len(self.joint_outcomes))
         inverse, basic = out.inverse, vectors[index]
         if frame is not None:  # a float B^-1: a frame is a rotation
             inverse = _turned(inverse, frame, self.dim).reshape(inverse.shape)
             basic = _turned(basic, frame, self.dim)
-        self.keep_basis((owners, basic), inverse, owners >= 0)
+        return (owners, basic), None, inverse, owners >= 0
 
 
 def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERANCE,
@@ -1043,15 +1020,15 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
 
     The program's A depends on the targets only through their outcome
     counts (and on the generators), so the layout's stored answers
-    (`_JointAnswers`) are read first; one that fails the same predicate is
+    (`_JointAnswers`, read by `lp.Answers.decide` on the targets' b in the
+    canonical frame) are read first; one that fails the same predicate is
     a miss. They may decide what the LP would leave undecided after
     `_ROUNDS` programs (too few generators). A float solve starts from a
-    basis (`lp_solve`'s `start`, the dual phase): the first from the stored
-    basis with the fewest rows out of feasibility, whose generators, turned
-    back by `frame`, join the program's columns where they are not among
-    them, and each later one from the basis the round before ended on, its
-    columns renumbered for the generators that round added. Exact solves
-    start cold.
+    basis (`lp_solve`'s `start`, the dual phase): the first from the start
+    the store names, whose generators, turned back by `frame`, join the
+    program's columns where they are not among them, and each later one
+    from the basis the round before ended on, its columns renumbered for
+    the generators that round added. Exact solves start cold.
     """
     targets = list(targets)
     space = _targets_space(targets)
@@ -1066,13 +1043,14 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
     store = answers(("compatibility", lp_solve, space, counts, F.mode, F.eps),
                     lambda: _JointAnswers(counts, dim, F))
     frame = space.canonical_frame(A, tol)
-    result, near = store.decide(targets, A, frame, tol)
+    b, L = scaled(F, (A if frame is None else A @ frame.T).ravel())
+    ((result, near),) = store.decide([np.asarray(b, dtype=F.dtype)], [L], targets, A, frame, tol)
     if result is not None:
         return result
     joint, kept, (blocks, ws) = len(store.joint_outcomes), store.kept, store.entries
     rhs = A[kept].ravel().tolist()
     basic = None  # the start, as `_owners` reads it (float mode only)
-    if near is not None and F.mode == FLOAT:
+    if near is not None:
         gens, basic = store.restored(near, gens, frame)
     for _ in range(_ROUNDS):
         # Block j holds the generators (as columns) under every joint outcome
@@ -1095,7 +1073,7 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
             result = CompatibilityResult("incompatible", farkas=tuple(y))
             if not _holds(space, A, counts, F, tol, farkas=result.farkas):
                 raise CertificateError("compatibility refutation fails replay")
-            store.refuted(result.farkas, bound, frame)
+            store.keep_refutation(result.farkas, bound, frame)
             return result
         if F.mode == FLOAT:
             basic = _owners(out.basis, len(gens), joint)
@@ -1107,7 +1085,7 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
     J = _joint_effects(used // len(gens), sol[used], vectors[used % len(gens)], joint, F)
     if not _holds(space, A, counts, F, tol, joint=J, channels=store.channels):
         raise CertificateError("compatibility joint fails replay")
-    store.solved(out, vectors, frame)
+    store.keep_basis(out, vectors, frame)
     return store.result(targets, J.tolist())
 
 
@@ -1123,7 +1101,8 @@ def replay_compatibility(result: CompatibilityResult, targets: Sequence[Observab
     This is a thin wrapper around the one predicate that also tests every
     answer `is_compatible` returns, stored or solved (`_holds`): it checks
     what the arrays do not carry (the result's verdict and shape, the
-    joint's space and dimension, and the channels' count and labels), then
+    joint's space and dimension, and the channels' count and labels) and
+    that each channel is stochastic (`Postprocessing.is_stochastic`), then
     hands the predicate the targets' effects, the joint's and the channels'
     stacked matrices as arrays in the field of all of them.
 
@@ -1153,7 +1132,7 @@ def replay_compatibility(result: CompatibilityResult, targets: Sequence[Observab
     if (not result.compatible or joint is None or channels is None
             or len(channels) != len(targets) or joint.space != space or joint.dim != dim
             or any(chan.source != joint.labels or chan.target != t.labels
-                   for chan, t in zip(channels, targets))):
+                   or not chan.is_stochastic(tol) for chan, t in zip(channels, targets))):
         return False
     F = resolve((joint.kind, *(chan.kind for chan in channels), *(t.kind for t in targets)), tol)
     return _holds(space, np.array(rows, dtype=F.dtype), counts, F, tol,

@@ -207,7 +207,8 @@ class StateSpace:
 
     def refine(self, effects: Sequence, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
         """Decompose each effect over the dual-cone extreme rays: one list of
-        parts per effect, in one field (`_field`).
+        parts per effect, in one field (`_field`). The effects may come as
+        any iterable, read once.
 
         The coefficients are the lexicographic maximum in the rays' canonical
         (sorted) order, so the decomposition is deterministic. The zero
@@ -217,18 +218,22 @@ class StateSpace:
         ValueError.
 
         The non-extremal effects are first tried on the bases that earlier
-        refinements over the same rays ended on (`_Bases`), all in one scan.
-        Each effect that no stored basis decides, in order, is tried again
-        on every basis once this call has stored one, and otherwise has its
-        LP solved by `geometry.conic_decompose`; an answer with exactly dim
-        positive coefficients stores the LP's basis with its B^-1 at once.
-        So the parts and the stored bases, in their order, are those that
-        one call per effect makes. A stored basis is a nondegenerate vertex,
+        refinements over the same rays ended on, all of them in one scan of
+        the store (`lp.Answers.decide`, b an effect's coefficients), whose
+        hits are replayed in one call (`_Bases.solved`); a hit that fails
+        its replay is a miss. Each effect that no stored basis decides, in
+        order, is tried again on every basis once this call has stored one,
+        and otherwise has its LP solved by `geometry.conic_decompose`; an
+        answer with exactly dim positive coefficients keeps the LP's basis
+        with its B^-1 at once (`lp.Answers.keep_basis`, keyed by its set of
+        rays). So the parts and the stored bases, in their order, are those
+        that one call per effect makes. A stored basis is a nondegenerate vertex,
         which is optimal for the tie-broken objective c_0 + d c_1 + d^2 c_2
         + ... at every small d > 0 whatever the effect, so exact mode returns
         the LP's own Fractions, and float mode agrees with the LP within
         rounding.
         """
+        effects = list(effects)
         F = self._field([e.coeffs for e in effects], tol)
         nonzero = [k for k, e in enumerate(effects) if not F.is_zero(e.coeffs)]
         parts, todo = [[] for _ in effects], []
@@ -242,16 +247,17 @@ class StateSpace:
         rays = dual_cone_rays(self, tol)
         store = lp.answers(("refinement", self, self.mode, F.mode, tol), lambda: _Bases(rays, F))
         vectors = [effects[k].coeffs for k in todo]
-        found, stored = store.decide(vectors), len(store.bases)
+        bs, Ls = zip(*(cleared(F, v) for v in vectors))
+        found, stored = [c for c, _ in store.decide(bs, Ls, vectors)], len(store.bases)
         for i, v in enumerate(vectors):
             if found[i] is None and len(store.bases) > stored:
-                found[i] = store.decide([v])[0]
+                ((found[i], _),) = store.decide(bs[i:i + 1], Ls[i:i + 1], [v])
             if found[i] is None:
                 res = geometry.conic_decompose(v, rays, mode=F.mode, tol=tol)
                 if not res.inside:
                     raise ValueError("effect lies outside the positive dual cone")
                 found[i] = res.coefficients
-                store.add(res)
+                store.keep_basis(res)
         for k, coefficients in zip(todo, found):
             parts[k] = [Effect(vscale(c, r)) for c, r in zip(coefficients, rays) if c > F.eps]
         return parts
@@ -283,7 +289,9 @@ class StateSpace:
         effect with every state (`scalars.dots`) gives each row's first least
         value, the float of min over `vdot`, over the scale. An effect of
         another dimension than the space raises ValueError, and a float one
-        on a space with a Fraction in it ModeError."""
+        on a space with a Fraction in it ModeError. Effects other than an
+        array may come as any iterable, read once."""
+        effects = effects if isinstance(effects, np.ndarray) else list(effects)
         require_dim(effects, self.ambient_dim)
         if self.kind != FLOAT:
             try:
@@ -635,8 +643,9 @@ def _dual_cone_rays(space: StateSpace, mode: str, tol: Tolerance) -> tuple:
 class _Bases(lp.Answers):
     """The lexicographically optimal bases of the refinements over one
     space's rays in one field F (`lp.Answers`, at most 64): a basis's
-    payload is the LP's final basis (ray indices, row i's basic ray at i)
-    and its B^-1 the one the LP ended on (`geometry.ConicResult.inverse`),
+    payload is the LP's final basis (ray indices, row i's basic ray at i),
+    its key the set of those rays, and its B^-1 the one the LP ended on
+    (`geometry.ConicResult.inverse`),
     so no basis is inverted twice. The rays are held in F's numbers, so
     that a float effect on an integer space reads float ones."""
 
@@ -644,36 +653,27 @@ class _Bases(lp.Answers):
         super().__init__(F, cap=64)
         self.rays = tuple(tuple(map(F.coerce, r)) for r in rays)
 
-    def decide(self, vectors: Sequence) -> list:
-        """For each coefficient vector v, the coefficients over the rays that
-        the first stored basis feasible for v gives it, from one scan of
-        them all (`lp.Answers.feasible`), if they pass
+    def solved(self, hits, vectors: Sequence) -> list:
+        """For each hit of a coefficient vector v, the coefficients over the
+        rays that its feasible stored basis gives v, if they pass
         `geometry.replay_inside`, one call for every hit; else None."""
         F = self.F
-        if not vectors:
-            return []
-        rows = [cleared(F, v) for v in vectors]
-        found = self.feasible(np.stack([b for b, _ in rows]), [L for _, L in rows])
-        hits = [(i, k, x) for i, (k, x) in enumerate(found) if k is not None]
         replays = geometry.replay_inside([x for _, _, x in hits], [vectors[i] for i, _, _ in hits],
-                                         [[self.rays[j] for j in self.bases[k]] for _, k, _ in hits],
+                                         [[self.rays[j] for j in basis] for _, basis, _ in hits],
                                          F.tol)
-        decided = [None] * len(vectors)
-        for (i, k, x), holds in zip(hits, replays):
-            if holds:
-                placed = dict(zip(self.bases[k], x))
-                decided[i] = [placed.get(j, F.zero) for j in range(len(self.rays))]
-        return decided
+        found = []
+        for (_, basis, x), holds in zip(hits, replays):
+            placed = dict(zip(basis, x))
+            found.append([placed.get(j, F.zero) for j in range(len(self.rays))] if holds else None)
+        return found
 
-    def add(self, res: geometry.ConicResult):
-        """Store the LP's basis and B^-1 behind an answer with exactly dim
-        positive coefficients, if there is room and its support (the set of
-        its basic rays, in any row order) is new."""
+    def kept_basis(self, res: geometry.ConicResult):
+        """The LP's basis and B^-1 behind an answer with exactly dim positive
+        coefficients, keyed by its support (the set of its basic rays, in any
+        row order)."""
         d = len(self.rays[0])
-        if (sum(c > self.F.eps for c in res.coefficients) != d or len(self.bases) >= self.cap
-                or frozenset(res.basis) in map(frozenset, self.bases)):
-            return
-        self.keep_basis(res.basis, res.inverse, [True] * d)
+        if sum(c > self.F.eps for c in res.coefficients) == d:
+            return res.basis, frozenset(res.basis), res.inverse, [True] * d
 
 
 def _cache_clear():

@@ -787,7 +787,7 @@ def test_answer_stacks_are_views_of_buffers_that_double_up_to_the_cap():
     assert store.inverses is store.refuting is None
     for k, rows in enumerate((1, 2, 3)):
         store.keep_basis(("basis", k), np.full((2, 2), float(k)), [True, k > 0])
-        store.keep_refutation(("y", k), [float(k), 1.0], bound=float(k))
+        store.keep_refutation(("y", k), [float(k), 1.0], float(k))
         buffers = dict(store.buffers)
         assert {name: len(b) for name, b in buffers.items()} == dict.fromkeys(buffers, rows)
     assert set(buffers) == {"inverses", "structural", "refuting", "limits"}
@@ -797,6 +797,7 @@ def test_answer_stacks_are_views_of_buffers_that_double_up_to_the_cap():
     assert store.structural.tolist() == [[True, False], [True, True], [True, True]]
     assert store.limits.tolist() == [1e-9, 1 + 1e-9, 2 + 1e-9]
     store.inverses = store.inverses * 2
+    store.cap = 4  # room for a fourth basis
     store.keep_basis(("basis", 3), np.full((2, 2), 3.0), [True, True])
     assert store.inverses[:, 0, 0].tolist() == [0.0, 2.0, 4.0, 3.0]
     assert store.refuting.base is buffers["refuting"]

@@ -1070,7 +1070,7 @@ def test_every_stored_basis_starts_a_solve_to_the_cold_verdict(monkeypatch):
         bases[key[3:5]] = list(answers.bases)
     start, refuted = [], []
     row_farkas = lp._FloatRevised.row_farkas
-    monkeypatch.setattr(simulation._SetAnswers, "decide", lambda *args: (None, start[0]))
+    monkeypatch.setattr(simulation._SetAnswers, "decide", lambda *args: [(None, start[0])])
     monkeypatch.setattr(lp._FloatRevised, "row_farkas",
                         lambda *args: refuted.append(args[1]) or row_farkas(*args))
     started = 0
@@ -1113,23 +1113,53 @@ def test_warm_store_still_rejects_other_effect_sums(sq):
         is_simulable(half, [sq.E])
 
 
-def test_store_never_returns_a_corrupted_inverse():
-    # every stored float inverse is scaled by 1.01: a scheme read from it
-    # has total weight 1.01, fails the full layout, and the LP decides instead
-    from gptsim import lp
+def _corruptible(kind):
+    """Seeded (decide, replays) pairs of one kind over float stores that
+    decide some of them: decide() answers, and replays(answer) checks the
+    answer against the definition."""
+    from gptsim.simulation import replay_compatibility
 
-    cases = [(target, sims) for target, sims in _store_cases("polygon6") if len(sims) > 1]
+    if kind == "refinement":  # one effect each, so that a cold decision is one LP
+        space, rng = polygon(6).space.as_float(), random.Random("store/refinement")
+        effects = [e for _ in range(10) for e in random_observable(space, rng, 3).effects]
+        return [(partial(space.refine, [e]),
+                 lambda parts, e=e: all(space.is_extremal(parts[0])) and np.allclose(
+                     np.sum([p.coeffs for p in parts[0]], axis=0), e.coeffs)) for e in effects]
+    if kind == "simulation":
+        return [(partial(is_simulable, target, sims), partial(replay_simulation, target=target,
+                                                                simulators=sims))
+                for target, sims in _store_cases("polygon6") if len(sims) > 1]
+    return [(partial(_bracket, targets),
+             partial(replay_compatibility, targets=[t.as_float() for t in targets]))
+            for targets in _triples(40, 21, 0.45, 0.55)]
+
+
+@pytest.mark.parametrize("kind", ["refinement", "simulation", "compatibility"])
+def test_store_never_returns_a_corrupted_inverse(kind):
+    # every stored inverse is scaled by 1.01: an answer read from it (parts
+    # that sum to 1.01 v, a scheme of total weight 1.01, a joint that sums to
+    # 1.01 u) fails its replay, and the LP decides instead, as it does cold
+    from gptsim import lp
+    from gptsim.spaces import dual_cone_rays
+
+    decisions, cold, solves = _corruptible(kind), [], 0
+    for decide, _ in decisions:
+        dual_cone_rays.cache_clear()
+        lp.reset_stats()
+        cold.append(decide())
+        solves += lp.stats["solves"]
+    dual_cone_rays.cache_clear()
     lp.reset_stats()
-    for target, sims in cases:
-        assert is_simulable(target, sims).simulable
-    assert lp.stats["solves"] < len(cases)
-    for answers in _stores("simulation").values():
+    assert all(replays(decide()) for decide, replays in decisions)
+    assert lp.stats["solves"] < solves  # the store decided some
+    for answers in _stores(kind).values():
         answers.inverses = answers.inverses * 1.01
+        answers.cap = 0  # no new answer joins the store
     lp.reset_stats()
-    for target, sims in cases:
-        cert = is_simulable(target, sims)
-        assert cert.simulable and replay_simulation(cert, target, sims)
-    assert lp.stats["solves"] == len(cases)
+    for (decide, replays), answer in zip(decisions, cold):
+        got = decide()
+        assert got == answer and replays(got)
+    assert lp.stats["solves"] == solves
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -1368,21 +1398,6 @@ def _decided_by_solves(cases):
     return solved
 
 
-def test_joint_store_never_returns_a_corrupted_inverse():
-    # every stored inverse is scaled by 1.01: a joint read from it sums to
-    # 1.01 u, fails the replay, and the LP decides instead
-    from gptsim.simulation import replay_compatibility
-
-    cases = _triples(40, 21, 0.45, 0.55)
-    assert not all(solved for _, solved in _decided_by_solves(cases))  # the store decided some
-    for answers in _stores("compatibility").values():
-        answers.inverses = answers.inverses * 1.01
-        answers.cap = 0  # no new answer joins the store
-    for (res, solved), targets in zip(_decided_by_solves(cases), cases):
-        assert solved and res.compatible
-        assert replay_compatibility(res, [t.as_float() for t in targets])
-
-
 def test_joint_store_never_returns_a_lowered_refutation():
     # every stored bound P(y) is lowered by 10, so each stored y passes the
     # store's test for every target; a compatible target's answer then fails
@@ -1464,7 +1479,7 @@ def test_every_stored_joint_basis_starts_a_solve_to_the_cold_verdict(monkeypatch
     starts = [store.bases[:count] if store.F.mode == "float" else [] for store, count in stored]
     start, refuted = [], []
     row_farkas = lp._FloatRevised.row_farkas
-    monkeypatch.setattr(simulation._JointAnswers, "decide", lambda *args: (None, start[0]))
+    monkeypatch.setattr(simulation._JointAnswers, "decide", lambda *args: [(None, start[0])])
     monkeypatch.setattr(lp._FloatRevised, "row_farkas",
                         lambda *args: refuted.append(args[1]) or row_farkas(*args))
     started = 0

@@ -617,6 +617,22 @@ def test_float_twin_is_made_once_per_space():
     assert len(ranks) == 2  # one tight set per effect, ranked once
 
 
+@pytest.mark.parametrize("case", ["exact", "float", "qubit"])
+def test_refine_and_min_values_read_a_one_shot_iterable_once(case):
+    # a generator of effects gets the answers of the list of them; refine
+    # and min_values of a polytope, and the qubit's min_values, answered []
+    if case == "qubit":
+        space, obs = QubitSpace(), random_qubit_observable(random.Random(3), 3)
+    else:
+        space, obs = square_bit().space, random_observable(square_bit().space, random.Random(3), 3)
+        if case == "float":
+            space, obs = space.as_float(), obs.as_float()
+    effects = list(obs.effects)
+    assert space.refine(e for e in effects) == space.refine(effects)
+    assert (space.min_values(e.coeffs for e in effects)
+            == space.min_values([e.coeffs for e in effects]) != [])
+
+
 @pytest.mark.parametrize("n", [5, 8])
 def test_float_extremality_values_are_one_product_per_effect(n):
     # one call's product runs the matrix-vector kernel once per effect, so
@@ -645,24 +661,42 @@ def test_store_hits_replay_in_one_call_as_each_alone(name):
             vectors += [tuple(x + rng.choice((-3e-9, -1e-9, 1e-9, 3e-9)) for x in effect.coeffs),
                         (effect.coeffs[0], float("nan"), effect.coeffs[2]),
                         (float("inf"), *effect.coeffs[1:])]
-    found = []
+    hits = []  # (v, (basis, x)) for each hit of the scan, as it hands them over
+
+    def record(found, vs):
+        hits.extend((vs[i], (basis, x)) for i, basis, x in found)
+        return [None] * len(found)
+
+    store.solved = record
     for v in vectors:
         b, L = cleared(store.F, v)
-        found += store.feasible(b[None], [L])
-    for k in range(len(store.bases)):  # every stored basis, feasible or not
+        store.decide([b], [L], [v])
+    for k, basis in enumerate(store.bases):  # every stored basis, feasible or not
         for v in vectors[:6]:
             b, L = cleared(store.F, v)
-            found.append((k, store._levels(store.inverses[k] @ b, k, L)))
-            vectors.append(v)
-    hits = [(v, kx) for v, kx in zip(vectors, found) if kx[0] is not None]
+            hits.append((v, (basis, store._levels(store.inverses[k] @ b, k, L))))
     assert len(hits) > 20
     want = [geometry.replay_conic(geometry.ConicResult(geometry.INSIDE, coefficients=tuple(x)), v,
-                                  [store.rays[j] for j in store.bases[k]], store.F.tol)
-            for v, (k, x) in hits]
+                                  [store.rays[j] for j in basis], store.F.tol)
+            for v, (basis, x) in hits]
     assert geometry.replay_inside([x for _, (_, x) in hits], [v for v, _ in hits],
-                                  [[store.rays[j] for j in store.bases[k]] for _, (k, _) in hits],
+                                  [[store.rays[j] for j in basis] for _, (basis, _) in hits],
                                   store.F.tol) == want
     assert True in want and False in want
+
+
+def test_refinement_store_keeps_each_support_once():
+    # with every stored inverse corrupted, each refinement goes to the LP,
+    # which ends on the basis the store holds already: it is not kept again
+    space = polygon(6).space.as_float()
+    effects = _seeded_effects(space, 6)
+    space.refine(effects)
+    (store,) = [s for key, s in lp._ANSWERS.items() if key[0] == "refinement"]
+    stored = list(store.bases)
+    store.inverses = store.inverses * 1.01
+    lp.reset_stats()
+    space.refine(effects)
+    assert lp.stats["solves"] > 0 and store.bases == stored
 
 
 @pytest.mark.parametrize("warm", [False, True])
