@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .lp import INFEASIBLE, UNBOUNDED, lp_solve, make_program
-from .scalars import DEFAULT_TOLERANCE, Tolerance, cleared, field, infer_mode, vdot, vscale
+from .scalars import DEFAULT_TOLERANCE, Tolerance, cleared, field, infer_mode, refutes, vdot, vscale
 
 INSIDE = "inside"
 OUTSIDE = "outside"
@@ -168,11 +168,14 @@ def conic_decompose(v: Sequence, rays: Sequence[Sequence],
 def replay_conic(result: ConicResult, v: Sequence, rays: Sequence[Sequence],
                  tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Check a ConicResult against the definition, on v and the rays alone:
-    one coefficient c_k >= -eps per ray with sum_k c_k r_k = v, or a functional
-    phi as long as v with phi . r_k <= eps for every ray and phi . v > eps.
-    Exact values compare exactly and floats within eps (`scalars.cleared`), and
-    an inf or a NaN fails. Rays of another length than v raise ValueError, and
-    a float among Fractions raises ModeError, as mixed modes do everywhere."""
+    one coefficient c_k >= -eps per ray with sum_k c_k r_k = v (`replay_inside`),
+    or a functional phi as long as v with phi . r_k <= eps for every ray and
+    phi . v > eps: the LP refutation test `scalars.refutes` with the rays as
+    the columns of A and v as b, all cleared over one scale D
+    (`scalars.cleared`), so that it reads D^2 times phi . r_k and phi . v.
+    Exact values compare exactly and floats within eps, and an inf or a NaN
+    fails. Rays of another length than v raise ValueError, and a float among
+    Fractions raises ModeError, as mixed modes do everywhere."""
     if any(len(r) != len(v) for r in rays):
         raise ValueError("replay_conic: dimension mismatch")
     cert = result.coefficients if result.inside else result.functional
@@ -181,11 +184,8 @@ def replay_conic(result: ConicResult, v: Sequence, rays: Sequence[Sequence],
     if result.inside:
         return replay_inside([cert], [v], [rays], tol)[0]
     F = field(infer_mode(x for part in (*rays, v, cert) for x in part), tol)
-    X, R, V, D = cleared(F, cert, [x for r in rays for x in r], v)
-    R = R.reshape(len(rays), len(v))
-    with np.errstate(over="ignore", invalid="ignore"):  # each test fails on an inf or a NaN
-        return bool((abs(X) < np.inf).all()  # D^2 times phi . r_k and phi . v:
-                    and (R @ X <= F.eps).all() and X @ V > F.eps)
+    X, R, V, _ = cleared(F, cert, [x for r in rays for x in r], v)
+    return refutes(X, R.reshape(len(rays), len(v)).T, V, F.eps)
 
 
 def replay_inside(coefficients: Sequence, vectors: Sequence, rays: Sequence,

@@ -28,8 +28,8 @@ returns `fractions.Fraction` values;
 compared with tolerances: it keeps A and a small inverse of the basis
 instead of the tableau, so a pivot on a program of m rows costs O(m^2) plus
 one pricing product over A, not a rewrite of m x (n + m) entries.
-Exact mode reads the rows and right-hand sides cleared to integers once per
-program (`LinearProgram.integer_data`): cleared from the rows on first
+The exact kernel reads the rows and right-hand sides cleared to integers
+once per program (`LinearProgram.integer_data`): cleared from the rows on first
 read by `scalars.integer_row`, the package's one clearing, or filled in
 with the same integers by a builder that knows its layout
 (`simulation.simulation_program`). A request checks only the
@@ -41,25 +41,30 @@ its numbers is rejected with ValueError before its solve too.
 Every verdict is checkable after the fact: a feasible outcome carries the
 solution vector, an infeasible outcome carries a Farkas vector y with
 y'A <= 0 and y'b = 1, an unbounded outcome a vertex and a ray along which
-the objective improves. `verify_solution` and `verify_farkas` replay the
-first two against the original program: in exact mode on integers, by
-reading `integer_data`, clearing the certificate's denominators and
-testing signs of integer dot products (as Applegate, Cook, Dash & Espinoza
-2007 check exact LP certificates), in float mode by one matrix-vector
-product over the rows, tuple or ndarray (A x for a solution, y'A for a
-Farkas vector), whose entries are tested against eps so that an inf or a
-NaN fails. `_simplex` replays every float FEASIBLE or UNBOUNDED outcome
-by `verify_solution`'s test, on the float array its solution tuple is
-made from, and the ray of an UNBOUNDED one against A r = 0,
-r >= 0 and c'r > 0 for the objective c that grows along it, and raises
-`CertificateError` instead of returning one that fails; a float Farkas vector is not replayed there,
-since the absolute eps rejects correct refutations of badly scaled
-programs. Code that builds an answer from a certificate raises
-`CertificateError` when the certificate fails that replay, so it never
-returns it. Every outcome also carries the final basis and its inverse
-B^-1, read from the kernel's final state with no extra elimination
-(`LPOutcome`), so that a caller can decide another right-hand side over the
-same rows without a solve (`Answers`, below).
+the objective improves. Two predicates are the only place where these tests
+are written: `scalars.satisfies` (A x = b, x >= 0) and `scalars.refutes`
+(y'A <= 0 < y.b), each on arrays over one scale, with eps 0 on integers
+and eps on floats, so that an inf or a NaN fails. `verify_solution` and
+`verify_farkas` replay the first two against the original program through
+them, on the data `_cleared` reads: in float mode the float arrays the
+kernel reads (`LinearProgram.float_data`); in exact mode the rows, the
+right-hand side and the certificate cleared over one common scale by
+`scalars.cleared`, whose signs and zeros are those of the rationals (as
+Applegate, Cook, Dash & Espinoza 2007 check exact LP certificates), and a
+float among them raises ValueError. `_simplex` replays every float
+FEASIBLE or UNBOUNDED outcome on the float array its solution tuple is
+made from, and the ray of an UNBOUNDED one against A r = 0, r >= 0
+(`satisfies` with b = 0) and c'r > 0 for the objective c that grows along
+it (`_ray_replays`), and raises `CertificateError` instead of returning
+one that fails; the dual phase replays its Farkas vector by `refutes`
+(below), but phase 1's float Farkas vector is not replayed, since the
+absolute eps rejects correct refutations of badly scaled programs. Code
+that builds an answer from a certificate raises `CertificateError` when
+the certificate fails that replay, so it never returns it. Every outcome
+also carries the final basis and its inverse B^-1, read from the kernel's
+final state with no extra elimination (`LPOutcome`), so that a caller can
+decide another right-hand side over the same rows without a solve
+(`Answers`, below).
 
 A float program without an objective may also start from a given basis,
 one column per row with n + i for row i's artificial (`lp_solve`'s
@@ -122,9 +127,12 @@ from .scalars import (
     EXACT,
     FLOAT,
     Tolerance,
+    cleared,
     field,
     infer_mode,
     integer_row,
+    refutes,
+    satisfies,
     vdot,
 )
 
@@ -233,12 +241,14 @@ class LinearProgram:
     def integer_data(self) -> tuple:
         """Each row with its rhs cleared to integers, as (numerators, positive
         denominator) with the numerators a tuple and the denominator their
-        least common one, for the exact kernel and the exact verifiers.
+        least common one. Its one reader is the exact kernel; the exact
+        verifiers clear the rows with the certificate instead (`_cleared`).
         Made from the rows on first read (`scalars.integer_row`); a float
         raises ValueError. The builder of a program, and only it, may fill it
         first by storing the value in the instance's `__dict__` before anything
-        reads it (`simulation.simulation_program` does, from its layout); a
-        filled value must equal this generic clearing, row for row."""
+        reads it (`simulation.simulation_program` does, from its layout, which
+        costs less than this generic clearing); a filled value must equal
+        this generic clearing, row for row."""
         return tuple((tuple(row), den) for row, den in
                      (integer_row((*r, b)) for r, b in zip(self.rows, self.rhs)))
 
@@ -345,68 +355,38 @@ def _finite(program: LinearProgram) -> bool:
 
 def verify_solution(program: LinearProgram, solution: Sequence,
                     tol: Tolerance = DEFAULT_TOLERANCE, mode: Optional[str] = None) -> bool:
-    """Replay a feasible certificate against the program.
-
-    Exact mode clears x to integers X over L and reads row i, rhs included,
-    as integers N_i, B_i from `integer_data`, then tests N_i . X == B_i * L
-    and X >= 0; a float raises ValueError. Float mode computes A x as one
-    matrix-vector product over the rows, tuple or ndarray, and allows eps in
-    each row and sign.
-    """
-    mode = mode or program.mode()
-    if len(solution) != program.num_vars:
-        return False
-    if mode == EXACT:
-        X, L = integer_row(solution)
-        for N, _ in program.integer_data:
-            if sum(a * x for a, x in zip(N, X)) != N[-1] * L:  # zip stops before B_i
-                return False
-        return all(x >= 0 for x in X)
-    return _solution_replays(program, np.asarray(solution, dtype=float), field(mode, tol).eps)
-
-
-def _solution_replays(program: LinearProgram, x, eps) -> bool:
-    """A x = b within eps in each row and x >= 0 within eps in each entry,
-    for a float array x; an inf or a NaN fails."""
-    A, b = program.float_data
-    with np.errstate(over="ignore", invalid="ignore"):
-        return bool((np.abs(A @ x - b) <= eps).all() and (x >= -eps).all())
+    """Replay a feasible certificate against the program: A x = b and x >= 0
+    (`scalars.satisfies`), exactly in exact mode, where a float raises
+    ValueError, and within eps in each row and sign in float mode, where an
+    inf or a NaN fails."""
+    A, b, x, eps = _cleared(program, solution, tol, mode)
+    return len(x) == program.num_vars and satisfies(A, x, b, eps)
 
 
 def verify_farkas(program: LinearProgram, farkas: Sequence,
                   tol: Tolerance = DEFAULT_TOLERANCE, mode: Optional[str] = None) -> bool:
-    """Replay an infeasibility certificate: y'A <= 0 and y'b > 0.
-
-    Exact mode clears y to integers Y and reads each row i, rhs included,
-    as integers over D_i from `integer_data`. The sum over Y_i != 0 of
-    Y_i * (L / D_i) times row i, L the lcm of those D_i, is (y'A, y'b)
-    times a positive number, so its signs are tested exactly; a float in y
-    or in the program raises ValueError. Float mode computes y'A as one
-    vector-matrix product over the rows, tuple or ndarray, and allows eps
-    in each sign; an inf or a NaN in y fails.
-    """
-    mode = mode or program.mode()
-    if len(farkas) != len(program.rows):
-        return False
-    if mode != EXACT:
-        return _farkas_replays(program, np.asarray(farkas, dtype=float), field(mode, tol).eps)
-    Y, _ = integer_row(farkas)
-    terms = [(y, row, den) for y, (row, den) in zip(Y, program.integer_data) if y]
-    L = lcm(*(den for _, _, den in terms))
-    acc = [0] * (program.num_vars + 1)
-    for y, row, den in terms:
-        k = y * (L // den)
-        acc = [a + k * x for a, x in zip(acc, row)]
-    *combo, yb = acc
-    return all(z <= 0 for z in combo) and yb > 0
+    """Replay an infeasibility certificate: y'A <= 0 and y'b > 0
+    (`scalars.refutes`), exactly in exact mode, where a float raises
+    ValueError, and within eps in each sign in float mode, where an inf or a
+    NaN in y fails."""
+    A, b, y, eps = _cleared(program, farkas, tol, mode)
+    return len(y) == len(b) and refutes(y, A, b, eps)
 
 
-def _farkas_replays(program: LinearProgram, y, eps) -> bool:
-    """y'A <= eps in each entry and y'b > eps, for a float array y; an inf
-    or a NaN fails."""
-    A, b = program.float_data
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a test
-        return bool(np.isfinite(y).all() and (y @ A <= eps).all() and y @ b > eps)
+def _cleared(program: LinearProgram, certificate: Sequence, tol: Tolerance,
+             mode: Optional[str]) -> tuple:
+    """(A, b, certificate, eps) as the pair `scalars.satisfies` and
+    `scalars.refutes` reads them. Float mode: the arrays the float kernel
+    reads (`float_data`) and the certificate as a float array. Exact mode:
+    the rows, the right-hand side and the certificate cleared together over
+    one scale D (`scalars.cleared`), with b taken once more times D, so that
+    A x - b, y'A and y.b are D^2 or D^3 times their values and keep their
+    signs and zeros; eps is 0, and a float raises ValueError."""
+    F = field(mode or program.mode(), tol)
+    if F.mode == FLOAT:
+        return (*program.float_data, np.asarray(certificate, dtype=float), F.eps)
+    A, b, z, D = cleared(F, list(chain.from_iterable(program.rows)), program.rhs, certificate)
+    return A.reshape(len(b), program.num_vars), b * D, z, F.eps
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +409,7 @@ def _simplex(program: LinearProgram, kernel, F, start=None) -> LPOutcome:
         pivots, row = _dual(tab, n, _DUAL_CAP * m)
         if row is not None and row >= 0:
             y = tab.row_farkas(row, flips)
-            if _farkas_replays(program, y, F.eps):
+            if refutes(y, *program.float_data, F.eps):
                 return LPOutcome(INFEASIBLE, F.mode, farkas=tuple(y.tolist()), pivots=pivots,
                                  basis=tuple(tab.basis), inverse=tab.basis_inverse(flips))
         if row != -1:  # the cap, or a refutation that fails replay: solve cold
@@ -481,7 +461,8 @@ def _simplex(program: LinearProgram, kernel, F, start=None) -> LPOutcome:
         x = np.zeros(n)
         x[basis] = [F.zero + tab.value(i) for i in range(len(basis))]
         sol = tuple(x.tolist())
-        if not _solution_replays(program, x, F.eps):
+        A, b = program.float_data
+        if not satisfies(A, x, b, F.eps):
             raise CertificateError("float solution fails replay against its program")
     else:
         # Exact values need no -0.0 fix-up: each is one Fraction of the kernel.
@@ -510,13 +491,13 @@ def _initial_basis(program: LinearProgram) -> list:
 
 
 def _ray_replays(program: LinearProgram, ray, objective, eps) -> bool:
-    """A r = 0 and r >= 0 within eps in each row and sign, and c'r > eps for
-    the objective c that grows along r; an inf or a NaN fails."""
-    A, _ = program.float_data
+    """A r = 0 and r >= 0 within eps in each row and sign (`scalars.satisfies`
+    with b = 0), and c'r > eps for the objective c that grows along r; an
+    inf or a NaN fails."""
+    r = np.asarray(ray, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = np.asarray(ray, dtype=float)
-        return bool((np.abs(A @ r) <= eps).all() and (r >= -eps).all()
-                    and np.asarray(objective, dtype=float) @ r > eps)
+        return satisfies(program.float_data[0], r, 0.0, eps) and bool(
+            np.asarray(objective, dtype=float) @ r > eps)
 
 
 def _dual(tab, n, cap):
@@ -1016,9 +997,10 @@ class Answers:
     gives), read on the entries `reads` of b, with a mask of the rows whose
     basic column is structural, since a row the solve dropped (`LPOutcome`)
     needs B^-1 b within eps of zero. Exact B^-1 is kept as integers, each
-    row over its denominator (`dens`). Each stack is the view of the filled
-    rows of a buffer that doubles up to the cap, so that storing an answer
-    copies one row, and filling a store copies O(cap) rows (`_push`).
+    row over its denominator (`dens`). A stack grows by one row per answer
+    kept, concatenated onto a copy of the stack (`_push`): nothing is
+    allocated ahead, since most exact simulation-set stores keep one answer,
+    and a store holds at most `cap` answers of each kind.
 
     A kind subclasses it with its translations and leaves the loop here.
     `decide` scans the store once for one b or many: for each b, the first
@@ -1056,7 +1038,6 @@ class Answers:
         self.bases, self.refutations = [], []  # what turns each answer into a certificate
         self.keys = set()  # the stored bases' keys
         self.refuting = self.limits = self.inverses = self.structural = self.dens = None
-        self.buffers = {}  # stack name -> the array behind its view
 
     def decide(self, bs: Sequence, Ls: Sequence, *question) -> list:
         """(answer, start) for each b in bs, an array in the field's dtype
@@ -1147,21 +1128,9 @@ class Answers:
         return payload, None, inverse, structural
 
     def _push(self, name: str, item, dtype=None):
-        """Append item to the stack `name` (None while empty) by one row copy
-        into its buffer. A full buffer, or a stack that is no longer the view
-        of its buffer (a caller replaced it), moves to a new buffer of twice
-        the rows, at most the cap. The buffer doubles rather than starting at
-        the cap because most exact simulation-set stores keep one answer, and
-        a buffer of the cap would fill cap x m x m object slots for it."""
-        item, stack = np.asarray(item, dtype=dtype), getattr(self, name)
-        n, buffer = 0 if stack is None else len(stack), self.buffers.get(name)
-        if buffer is None or stack is None or stack.base is not buffer or n == len(buffer):
-            rows = max(n + 1, min(2 * n, self.cap))
-            buffer = self.buffers[name] = np.empty((rows, *item.shape), item.dtype)
-            if n:
-                buffer[:n] = stack
-        buffer[n] = item
-        setattr(self, name, buffer[:n + 1])
+        """Append item to the stack `name` (None while empty) as its last row."""
+        item, stack = np.asarray(item, dtype=dtype)[None], getattr(self, name)
+        setattr(self, name, item if stack is None else np.concatenate((stack, item)))
 
 
 _KEYS = 64

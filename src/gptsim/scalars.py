@@ -17,8 +17,9 @@ holds its numbers, the zero test and the dedup key.
 
 Code outside this module branches on the mode only where the two modes run
 different algorithms or read outside input: the backend choice in
-`lp.lp_solve`, the exact and float replays in `lp.verify_solution` and
-`lp.verify_farkas`, the float-only replay in `lp._simplex` (an exact
+`lp.lp_solve`, `lp._cleared`'s choice of data form for the verifiers (the
+float arrays the float kernel reads, or the rows cleared with the
+certificate), the float-only replay in `lp._simplex` (an exact
 solution is the kernel's Fractions as they are), the float-array versus
 exact-tuple layout of `simulation.simulation_program` (whose exact branch
 also fills the program's cleared rows), the effect-sum guard
@@ -50,6 +51,13 @@ read, to its cleared form (`spaces.Observable.cleared_rows`, one (rows, D)
 pair): the simulation-set store's b, the scheme test, both simulation
 replays and the noise content join those pairs instead of clearing the
 effects again, and clear only a certificate's numbers.
+
+The tests of an LP certificate are written once, here, on arrays over one
+scale (integers with eps 0, or floats): `satisfies` (A x = b and x >= 0,
+within eps) and `refutes` (y'A <= eps and y.b > eps, Farkas). The LP
+verifiers, the simplex driver's replays and the conic refutation replay
+(`geometry.replay_conic`) call them, so that a change of the test, such as
+its float bound, is made in one place.
 """
 
 from __future__ import annotations
@@ -247,6 +255,22 @@ def cleared(F: Field, *parts) -> tuple:
     if F.mode == FLOAT:
         return (*(np.asarray(part, dtype=float) for part in parts), 1)
     return joined(F, *map(integer_row, parts))
+
+
+def satisfies(A, x, b, eps) -> bool:
+    """A x = b within eps in each row and x >= -eps in each entry: the one
+    solution test of an LP certificate, for arrays over one scale (integers
+    with eps 0, or floats, as `cleared` gives them); an inf or a NaN fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool((abs(A @ x - b) <= eps).all() and (x >= -eps).all())
+
+
+def refutes(y, A, b, eps) -> bool:
+    """y'A <= eps in each entry and y . b > eps: the one refutation test of
+    an LP certificate (Farkas), for arrays over one scale as `satisfies`
+    reads them; an inf or a NaN in y fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool((abs(y) < np.inf).all() and (y @ A <= eps).all() and y @ b > eps)
 
 
 def to_float_vector(v: Sequence[Number]) -> Vec:

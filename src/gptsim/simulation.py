@@ -629,14 +629,13 @@ def smin(targets: Sequence[Observable], pool: Sequence[Observable],
     k_max); the value is exact relative to the pool. An empty target list
     or pool, or k_max < 1, raises ValueError.
     """
-    targets = list(targets)
+    targets, pool = list(targets), list(pool)
     if not targets:
         raise ValueError("targets must be nonempty")
     if not pool:
         raise ValueError("pool must be nonempty")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    pool = list(pool)
     for k in range(1, min(k_max, len(pool)) + 1):
         for subset in itertools.combinations(pool, k):
             if all(is_simulable(t, list(subset), tol).simulable for t in targets):

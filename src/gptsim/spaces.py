@@ -588,6 +588,7 @@ def _require_probabilities(weights: Sequence):
 def trivial_observable(space: StateSpace, dist) -> Observable:
     """Observable with effects t(x) * u for the given (label, weight) pairs,
     a probability vector (`_require_probabilities`)."""
+    dist = list(dist)
     _require_probabilities([w for _, w in dist])
     return Observable(tuple((lab, Effect(vscale(w, space.unit))) for lab, w in dist),
                       space)

@@ -224,9 +224,11 @@ def test_verifiers_on_a_program_without_rows(mode):
 
 
 def test_exact_verifiers_reject_float_data():
-    p = make_program(rows=[(0.5, 0.5)], rhs=(1.0,))
+    # a float row, as a tuple or as an array, or a float certificate
+    p, twin = _with_array_twin([(0.5, 0.5)], (1.0,))
     q = make_program(rows=[(1, 1)], rhs=(2,))
-    for program, farkas, solution in ((p, (F(1),), (F(1), F(1))), (q, (1.0,), (1.0, 1.0))):
+    for program, farkas, solution in ((p, (F(1),), (F(1), F(1))), (twin, (F(1),), (F(1), F(1))),
+                                      (q, (1.0,), (1.0, 1.0))):
         with pytest.raises(ValueError, match="exact mode requested for float data"):
             verify_farkas(program, farkas, mode=EXACT)
         with pytest.raises(ValueError, match="exact mode requested for float data"):
@@ -775,39 +777,34 @@ def test_a_singular_start_or_the_dual_cap_solves_cold(monkeypatch):
     assert ends and all(end == (0, None) for end in ends)
 
 
-def test_answer_stacks_are_views_of_buffers_that_double_up_to_the_cap():
-    # storing an answer copies one row into a buffer of 1, 2, 4, ... rows,
-    # at most the cap; each stack reads the filled rows in storing order,
-    # and a stack that a caller replaced is copied, not lost, when the next
+def test_answer_stacks_keep_each_answer_in_storing_order_up_to_the_cap():
+    # each stack holds one row per answer kept, in storing order, until the
+    # cap; a stack that a caller replaced keeps its rows when the next
     # answer comes
     from gptsim import lp
     from gptsim.scalars import field
 
     store = lp.Answers(field(FLOAT), cap=3)
-    assert store.inverses is store.refuting is None
-    for k, rows in enumerate((1, 2, 3)):
+    assert store.inverses is store.refuting is store.limits is None
+    for k in range(4):  # the fourth of each kind finds the store full
         store.keep_basis(("basis", k), np.full((2, 2), float(k)), [True, k > 0])
         store.keep_refutation(("y", k), [float(k), 1.0], float(k))
-        buffers = dict(store.buffers)
-        assert {name: len(b) for name, b in buffers.items()} == dict.fromkeys(buffers, rows)
-    assert set(buffers) == {"inverses", "structural", "refuting", "limits"}
     assert store.bases == [("basis", 0), ("basis", 1), ("basis", 2)]
-    assert all(getattr(store, name).base is buffer for name, buffer in buffers.items())
-    assert store.inverses[:, 0, 0].tolist() == [0.0, 1.0, 2.0]
+    assert store.refutations == [("y", 0), ("y", 1), ("y", 2)]
+    assert store.inverses.tolist() == [np.full((2, 2), float(k)).tolist() for k in range(3)]
     assert store.structural.tolist() == [[True, False], [True, True], [True, True]]
-    assert store.limits.tolist() == [1e-9, 1 + 1e-9, 2 + 1e-9]
+    assert store.refuting.tolist() == [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]]
+    assert store.limits.tolist() == [1e-9, 1 + 1e-9, 2 + 1e-9]  # bound + eps
     store.inverses = store.inverses * 2
     store.cap = 4  # room for a fourth basis
     store.keep_basis(("basis", 3), np.full((2, 2), 3.0), [True, True])
     assert store.inverses[:, 0, 0].tolist() == [0.0, 2.0, 4.0, 3.0]
-    assert store.refuting.base is buffers["refuting"]
-    big = lp.Answers(field(FLOAT), cap=64)
-    for k in range(5):
-        big.keep_refutation(k, [1.0])
-        assert len(big.buffers["refuting"]) == (1, 2, 4, 4, 8)[k]
     exact = lp.Answers(field(EXACT), cap=2)
     exact.keep_basis(0, [(np.array([1, 2]), 3), (np.array([4, 5]), 6)], [True, True])
-    assert exact.dens.tolist() == [[3, 6]] and exact.inverses.tolist() == [[[1, 2], [4, 5]]]
+    exact.keep_basis(1, [(np.array([7, 8]), 9), (np.array([10, 11]), 12)], [True, False])
+    assert exact.dens.tolist() == [[3, 6], [9, 12]]
+    assert exact.inverses.tolist() == [[[1, 2], [4, 5]], [[7, 8], [10, 11]]]
+    assert exact.structural.tolist() == [[True, True], [True, False]]
 
 
 def test_ray_replay_tests_each_clause():

@@ -678,6 +678,18 @@ def test_smin_rejects_no_targets(suite):
         smin([], [suite.X])
 
 
+@pytest.mark.parametrize("case", ["smin-empty-pool", "trivial-observable"])
+def test_a_one_shot_iterable_is_read_once(sq, suite, case):
+    # a generator is true before it is read and empty when read again
+    if case == "smin-empty-pool":
+        with pytest.raises(ValueError, match="pool must be nonempty"):
+            smin([suite.X], (pool for pool in []))
+    else:
+        dist = [("a", HALF), ("b", HALF)]
+        assert (trivial_observable(sq.space, iter(dist)).effects
+                == trivial_observable(sq.space, dist).effects)
+
+
 def test_hull_necessary(suite, hexagon):
     ex = hexagon_noise_example(0.25)
     results = dichotomic_hull_necessary(ex.observable, list(ex.simulators))
