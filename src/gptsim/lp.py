@@ -52,13 +52,14 @@ right-hand side and the certificate cleared over one common scale by
 `scalars.cleared`, whose signs and zeros are those of the rationals (as
 Applegate, Cook, Dash & Espinoza 2007 check exact LP certificates), and a
 float among them raises ValueError. `_simplex` replays every float
-FEASIBLE or UNBOUNDED outcome on the float array its solution tuple is
-made from, and the ray of an UNBOUNDED one against A r = 0, r >= 0
-(`satisfies` with b = 0) and c'r > 0 for the objective c that grows along
-it (`_ray_replays`), and raises `CertificateError` instead of returning
-one that fails; the dual phase replays its Farkas vector by `refutes`
-(below), but phase 1's float Farkas vector is not replayed, since the
-absolute eps rejects correct refutations of badly scaled programs. Code
+FEASIBLE or UNBOUNDED outcome by `satisfies`, on the float array its
+solution tuple is made from, and the ray of an UNBOUNDED one against
+A r = 0, r >= 0 (`satisfies` with b = 0) and c'r > 0 for the objective c
+that grows along it (`_ray_replays`), and raises `CertificateError`
+instead of returning one that fails; the dual phase replays its Farkas
+vector by `refutes` (below), but phase 1's float Farkas vector is not
+replayed, since the absolute eps rejects correct refutations of badly
+scaled programs. Code
 that builds an answer from a certificate raises `CertificateError` when
 the certificate fails that replay, so it never returns it. Every outcome
 also carries the final basis and its inverse B^-1, read from the kernel's
@@ -83,8 +84,8 @@ that row, signed to move its value toward zero, is most negative below
 the program: y = (row r of B^-1) / x_r, which is -(row r of B^-1) / |x_r|
 for a value below zero, has y'A <= 0 and y'b = 1 once the flips are
 undone. The dual phase makes at most `_DUAL_CAP` pivots per row. A
-singular B, the cap, or a Farkas vector that fails `verify_farkas`'s test
-sends the program to the cold two phases, the only fallback, with the
+singular B, the cap, or a Farkas vector that fails `refutes` sends the
+program to the cold two phases, the only fallback, with the
 pivots spent so far counted; a primal feasible basis goes on to the
 drive-out of artificials at level zero and the float replay, as phase 1's
 does. Exact mode and programs with an objective take no start.
