@@ -11,8 +11,8 @@ the witnessing channel, or a Farkas refutation of the simulation program.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import add
+from functools import cached_property
+from operator import add, itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -126,36 +126,32 @@ def are_equivalent(a: Observable, b: Observable,
             and is_postprocessing_of(a, b, tol).simulable)
 
 
-def _proportionality_groups(obs: Observable, tol: Tolerance) -> list:
-    """Outcome indices of the nonzero effects grouped by ray, in order of
-    first appearance: by the key (`F.key`) of the canonical ray
-    (`geometry.canonical_ray`), as `simulation.decompose_to_irreducibles`
-    groups its parts."""
+def proportional_groups(obs: Observable, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
+    """The nonzero effects grouped by ray, as (smallest label, summed
+    coefficients, outcome indices) per group, sorted by label: a ray's key
+    is the `F.key` of its canonical form (`geometry.canonical_ray`), as
+    `simulation.decompose_to_irreducibles` groups its parts, and each group
+    sums its effects' coefficient tuples in outcome order. The one grouping
+    behind `minimally_sufficient(_with_channels)` and
+    `simulation.is_simulation_irreducible`; an all-zero observable raises
+    the ValueError of an observable with no outcome."""
     F = field(obs.mode, tol)
     groups = {}
-    for i, eff in enumerate(obs.effects):
-        if not F.is_zero(eff.coeffs):
-            key = F.key(geometry.canonical_ray(eff.coeffs, F.mode, tol))
-            groups.setdefault(key, []).append(i)
-    return list(groups.values())
-
-
-def _merged(obs: Observable, tol: Tolerance) -> tuple:
-    """(merged, groups): each group of proportional effects summed under its
-    smallest label, sorted by label, with the (label, effect, indices) of
-    each group in that order."""
-    groups = []
-    for grp in _proportionality_groups(obs, tol):
-        coeffs = reduce(lambda a, b: tuple(map(add, a, b)), (obs.effects[i].coeffs for i in grp))
-        groups.append((min(obs.labels[i] for i in grp), Effect(coeffs), grp))
-    groups.sort(key=lambda t: t[0])
-    return Observable(tuple((lab, eff) for lab, eff, _ in groups), obs.space), groups
+    for i, (label, eff) in enumerate(obs.outcomes):
+        if not F.is_zero(c := eff.coeffs):
+            key = F.key(geometry.canonical_ray(c, F.mode, tol))
+            found = groups.get(key)
+            groups[key] = ((label, c, [i]) if found is None else
+                           (min(found[0], label), tuple(map(add, found[1], c)), found[2] + [i]))
+    if not groups:
+        raise ValueError("an observable needs at least one outcome")
+    return sorted(groups.values(), key=itemgetter(0))
 
 
 def minimally_sufficient(obs: Observable, tol: Tolerance = DEFAULT_TOLERANCE) -> Observable:
     """The merged observable of `minimally_sufficient_with_channels`,
-    without its channels."""
-    return _merged(obs, tol)[0]
+    without its channels: one outcome per group of `proportional_groups`."""
+    return Observable(tuple(g[:2] for g in proportional_groups(obs, tol)), obs.space)
 
 
 def minimally_sufficient_with_channels(obs: Observable,
@@ -165,28 +161,32 @@ def minimally_sufficient_with_channels(obs: Observable,
     Returns (merged, forward, backward) where forward maps the original
     outcomes onto the merged ones (merged = forward o original) and backward
     splits them again proportionally (original = backward o merged). Zero
-    effects are dropped; each group merges into its lexicographically
-    smallest label; the result is sorted by label.
+    effects are dropped; each group of `proportional_groups` merges into its
+    lexicographically smallest label; the result is sorted by label. The
+    backward shares are divided in the observable's field, so that an
+    observable of integers gets exact channels.
     """
     F = field(obs.mode, tol)
-    merged, groups = _merged(obs, tol)
+    groups = proportional_groups(obs, tol)
+    merged = Observable(tuple(g[:2] for g in groups), obs.space)
     target, n = merged.labels, obs.n_outcomes
     to = {i: lab for lab, _, grp in groups for i in grp}  # a zero effect goes to target[0]
     forward = Postprocessing(obs.labels, target, tuple(
         tuple(F.one if t == to.get(i, target[0]) else F.zero for t in target) for i in range(n)))
     back_rows = []
-    for _, eff, grp in groups:
-        total = eff.coeffs
+    for _, total, grp in groups:
         j = max(range(len(total)), key=lambda k: abs(total[k]))
-        back_rows.append(tuple(obs.effects[i].coeffs[j] / total[j] if i in grp else F.zero
-                               for i in range(n)))
+        back_rows.append(tuple(F.coerce(obs.effects[i].coeffs[j]) / total[j] if i in grp
+                               else F.zero for i in range(n)))
     return merged, forward, Postprocessing(target, obs.labels, tuple(back_rows))
 
 
 def is_postprocessing_clean(obs: Observable, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """True iff every nonzero effect is indecomposable: one `is_extremal`
     call for them all, on one array of their coefficients in the
-    observable's field, so that a float one is scanned for its field once."""
+    observable's field, so that a float one is scanned for its field once.
+    `simulation.is_simulation_irreducible` runs the same test on the rows
+    of `proportional_groups`, with no merged observable built."""
     if obs.space is None:
         raise ValueError("postprocessing cleanness needs the state space")
     F = field(obs.mode, tol)

@@ -70,9 +70,8 @@ from .lp import FEASIBLE, Answers, CertificateError, LinearProgram, answers, lp_
 from .postprocessing import (
     Postprocessing,
     apply,
-    is_postprocessing_clean,
     merge_channel,
-    minimally_sufficient,
+    proportional_groups,
 )
 from .scalars import (
     DEFAULT_TOLERANCE,
@@ -464,22 +463,31 @@ def replay_simulation(cert: SimulationCertificate, target: Observable,
 
 def is_simulation_irreducible(obs: Observable,
                               tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Criterion on the minimally sufficient form: linearly independent
-    indecomposable effects. More effects than the space has dimensions are
-    never independent, so such a form is decided without the cone call
-    (`is_postprocessing_clean`) once the space and the observable agree on
-    dimension and field, as that call would test."""
+    """The paper's criterion: the minimally sufficient form has linearly
+    independent indecomposable effects. The form is read as the rows of
+    `proportional_groups`, with no merged `Observable` built, in the field
+    of those rows: the observable's own, unless a dropped zero effect held
+    its only float or Fraction, when the rows are scanned. More rows than
+    the space has dimensions are never independent, so such a form is
+    decided without the cone call once the space and the rows agree on
+    dimension and field, as that call would test. Otherwise one
+    `is_extremal` call on one array of the nonzero rows is the cleanness
+    test of `postprocessing.is_postprocessing_clean` (a one-effect group's
+    row is a nonzero effect; opposite effects on one ray sum to a zero
+    row), and `geometry.rank` reads every row, so a zero row fails it."""
     space = obs.space
     if space is None:
         raise ValueError("simulation irreducibility needs the state space")
-    hat = minimally_sufficient(obs, tol)
-    if hat.n_outcomes > space.ambient_dim == hat.dim:
-        resolve((space.kind, hat.kind), tol)
+    groups = proportional_groups(obs, tol)
+    rows = [coeffs for _, coeffs, _ in groups]
+    kind = obs.kind if sum(len(g[2]) for g in groups) == obs.n_outcomes else kind_of(sum(rows, ()))
+    F = field(kind or EXACT, tol)
+    if len(rows) > space.ambient_dim == obs.dim:
+        resolve((space.kind, kind), tol)
         return False
-    if not is_postprocessing_clean(hat, tol):
-        return False
-    vecs = [e.coeffs for e in hat.effects]
-    return geometry.rank(vecs, tol=tol, mode=hat.mode) == len(vecs)
+    nonzero = [row for row, g in zip(rows, groups) if len(g[2]) == 1 or not F.is_zero(row)]
+    return (all(space.is_extremal(np.array(nonzero, dtype=F.dtype).reshape(-1, obs.dim), tol))
+            and geometry.rank(rows, tol=tol, mode=F.mode) == len(rows))
 
 
 @dataclass(frozen=True)
@@ -544,7 +552,7 @@ def decompose_to_irreducibles(target: Observable,
         d = max(range(len(total)), key=lambda i: abs(total[i]))
         nu = [F.zero] * target.n_outcomes
         for y, c in parts:
-            nu[y] += c[d] / total[d]
+            nu[y] += F.coerce(c[d]) / total[d]
         labels.append(label)
         effects.append(total)
         shares.append(tuple(nu))

@@ -24,7 +24,9 @@ row each: `is_valid_effect` and `valid_effect_rows` (behind
 `cleared_rows` over their scale, and the compatibility replay about all its
 effects;
 `postprocessing.is_postprocessing_clean` asks `is_extremal` about one
-array of every nonzero effect of an observable, and
+array of every nonzero effect of an observable,
+`simulation.is_simulation_irreducible` about one array of the nonzero rows
+of its minimally sufficient form (`postprocessing.proportional_groups`), and
 `simulation.decompose_to_irreducibles` asks `refine` about every effect of
 its target. The one-effect `is_indecomposable` and
 `decompose_into_indecomposables` wrap them. The other calls serve

@@ -4,8 +4,9 @@ These deliberately avoid the library's own computational paths: eigenvalues
 come from numpy on explicit 2x2 matrices, polytope noise content from a
 direct minimum over extreme states, simulability of dichotomic targets
 from a dense grid over mixing weights where that is tractable, exact
-LP outcomes from a dense simplex tableau of plain Fractions, and the
-minimally sufficient form from pairwise rank tests. `min_value`,
+LP outcomes from a dense simplex tableau of plain Fractions, the
+minimally sufficient form from pairwise rank tests, and simulation
+irreducibility from that form built as an `Observable`. `min_value`,
 `price`, `is_extremal` and `refine` keep the per-effect cone formulas that
 `min_values`, `prices`, `is_extremal` and `refine` answer for many effects
 at once.
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from gptsim.geometry import conic_decompose, rank
-from gptsim.postprocessing import Postprocessing
+from gptsim.postprocessing import Postprocessing, is_postprocessing_clean, minimally_sufficient
 from gptsim.qubit import QubitSpace
 from gptsim.scalars import (DEFAULT_TOLERANCE, FLOAT, ModeError, field, kind_of, resolve, vdot,
                             vscale)
@@ -318,3 +319,19 @@ def minimally_sufficient_pairwise(obs, tol=DEFAULT_TOLERANCE):
                                for i in range(obs.n_outcomes)))
     return (merged, Postprocessing(obs.labels, target, tuple(fwd_rows)),
             Postprocessing(target, obs.labels, tuple(back_rows)))
+
+
+def simulation_irreducible_by_definition(obs, tol=DEFAULT_TOLERANCE):
+    """The paper's criterion read off the minimally sufficient `Observable`
+    itself: postprocessing clean (`is_postprocessing_clean`) and effects of
+    full rank, in that observable's own field; more effects than the space
+    has dimensions are answered False once the space and the form agree on
+    field, with the errors of each step."""
+    if obs.space is None:
+        raise ValueError("simulation irreducibility needs the state space")
+    hat = minimally_sufficient(obs, tol)
+    if hat.n_outcomes > obs.space.ambient_dim == hat.dim:
+        resolve((obs.space.kind, hat.kind), tol)
+        return False
+    return (is_postprocessing_clean(hat, tol)
+            and rank([e.coeffs for e in hat.effects], tol=tol, mode=hat.mode) == hat.n_outcomes)

@@ -19,6 +19,7 @@ from gptsim.postprocessing import (
     merge_channel,
     minimally_sufficient,
     minimally_sufficient_with_channels,
+    proportional_groups,
     replay_relation,
 )
 from gptsim.scalars import field, vscale
@@ -263,6 +264,17 @@ def test_minimally_sufficient_matches_the_pairwise_rank_grouping(family):
         expected = minimally_sufficient_pairwise(obs)
         assert minimally_sufficient(obs) == expected[0]
         assert minimally_sufficient_with_channels(obs) == expected
+
+
+def test_proportional_groups_sum_in_outcome_order_under_the_smallest_label(sq):
+    # one (smallest label, summed coefficients, outcome indices) per ray,
+    # sorted by label; a zero effect joins no group
+    (e, _), (f, _) = sq.E.effects, sq.F.effects
+    third = F(1, 3)
+    obs = observable(sq.space, [("m", f.coeffs), ("z", vscale(third, e.coeffs)), ("q", (0, 0, 0)),
+                                ("a", vscale(1 - third, e.coeffs))])
+    assert proportional_groups(obs) == [("a", e.coeffs, [1, 3]), ("m", f.coeffs, [0])]
+    assert minimally_sufficient(obs).outcomes == (("a", e), ("m", f))
 
 
 def test_preorder_reflexive_transitive(sq, rng):

@@ -16,12 +16,18 @@ from corpora import (
     float_simulation_cases,
     simulation_corpus,
 )
-from oracles import polytope_noise_content_direct, qubit_noise_content_grid
+from oracles import (
+    polytope_noise_content_direct,
+    qubit_noise_content_grid,
+    simulation_irreducible_by_definition,
+)
 
 from gptsim.catalog import (
+    classical,
     hexagon_noise_example,
     polygon,
     polygon_irreducibles,
+    qubit_suite,
     random_observable,
     square_bit,
     tetrahedron_rational,
@@ -34,9 +40,10 @@ from gptsim.postprocessing import (
     is_postprocessing_clean,
     is_postprocessing_of,
     merge_channel,
+    minimally_sufficient_with_channels,
     replay_relation,
 )
-from gptsim.scalars import ModeError, field
+from gptsim.scalars import ModeError, field, vdot, vscale
 from gptsim.simulation import (
     NOT_SIMULABLE,
     SIMULABLE,
@@ -55,7 +62,9 @@ from gptsim.simulation import (
 )
 from gptsim.spaces import (
     Observable,
+    StateSpace,
     decompose_into_indecomposables,
+    dual_cone_rays,
     observable,
     trivial_observable,
 )
@@ -486,6 +495,179 @@ def test_irreducibility_verdicts(sq, suite):
                        ("-2", QubitEffect(F(-1, 2), (0, -HALF, 0)))), QubitSpace())
     assert is_postprocessing_clean(a4_q)
     assert not is_simulation_irreducible(a4_q)
+
+
+def _split_and_zero(obs):
+    """obs with its first outcome split into two proportional parts (3/10
+    and 7/10), and obs with a zero effect appended: the first merges two
+    effects into one row, the second drops one."""
+    F = field(obs.mode)
+    (label, eff), *rest = obs.outcomes
+    w = F.coerce(3) / 10
+    items = [(lab, e.coeffs) for lab, e in rest]
+    return (observable(obs.space, [(label + "a", vscale(w, eff.coeffs)),
+                                   (label + "b", vscale(1 - w, eff.coeffs)), *items]),
+            observable(obs.space, [(label, eff.coeffs), *items, ("z", (F.zero,) * obs.dim)]))
+
+
+def _unit_ray_pairs(space):
+    """Every two-outcome observable (a r, b s) of two dual-cone rays r, s
+    with a r + b s = u, a, b > 0: irreducible by the paper's criterion."""
+    u = space.unit
+    for r, s in itertools.combinations(dual_cone_rays(space), 2):
+        i, j = next((i, j) for i, j in itertools.combinations(range(len(u)), 2)
+                    if r[i] * s[j] != r[j] * s[i])
+        det = r[i] * s[j] - r[j] * s[i]
+        a, b = (u[i] * s[j] - u[j] * s[i]) / det, (r[i] * u[j] - r[j] * u[i]) / det
+        if a > 0 and b > 0 and vscale(a, r) == tuple(x - b * y for x, y in zip(u, s)):
+            yield observable(space, [("a", vscale(a, r)), ("b", vscale(b, s))])
+
+
+INTEGER_TRIT = [("1", (1, 0, 0)), ("2", (0, 1, 0)), ("3", (-1, -1, 1))]
+
+
+def _decided(decide, obs):
+    """The verdict of decide(obs), or the type and message of its error."""
+    try:
+        return decide(obs)
+    except (ValueError, ModeError) as err:
+        return type(err), str(err)
+
+
+def _irreducibility_cases(family):
+    if family == "polygon-catalogs":
+        return [m for n in range(3, 17) for m in polygon_irreducibles(n).observables]
+    if family == "polygon-random":
+        rng = random.Random(49)
+        base = [a for n in (5, 6, 7, 8) for a in (polygon_irreducibles(n).observables[0],
+                                                  *(random_observable(polygon(n).space, rng)
+                                                    for _ in range(8)))]
+        return [obs for a in base for obs in (a, *_split_and_zero(a))]
+    if family == "square":
+        sq = square_bit()
+        rng = random.Random(50)
+        (e_plus, e_minus), f_plus = sq.E.effects, sq.F.effects[0].coeffs
+        # a ray beside its negative merges into a zero row, which the cone
+        # call skips and the rank counts; its Fraction zero joins no field
+        # with the integer rows of the second, on the float square
+        cancelling = [observable(sq.space, [("+", e_plus.coeffs), ("-", e_minus.coeffs),
+                                            ("p", f_plus), ("m", vscale(-1, f_plus))]),
+                      observable(sq.space.as_float(), [("a", (0, -1, 1)), ("b", (0, 1, 1)),
+                                                       ("p", (HALF, 0, 0)), ("m", (-HALF, 0, 0))])]
+        base = [sq.E, sq.F, *_unit_ray_pairs(sq.space), *cancelling,
+                *(random_observable(sq.space, rng) for _ in range(6))]
+    elif family == "classical3":
+        trit = classical(3)
+        rng = random.Random(51)
+        base = [trit.distinguishing, observable(trit.space, INTEGER_TRIT),
+                *(random_observable(trit.space, rng) for _ in range(6))]
+    else:
+        suite = qubit_suite()
+        base = [suite.X, suite.Y, suite.Z, suite.tetrahedron, suite.ct(0.5), suite.ct(1.0),
+                suite.tetra_dichotomic()]
+    return [obs for a in base for b in (a, a.as_float()) for obs in (b, *_split_and_zero(b))]
+
+
+@pytest.mark.parametrize("family", ["polygon-catalogs", "polygon-random", "square", "classical3",
+                                    "qubit"])
+def test_irreducibility_equals_its_definition(family):
+    # the grouped rows give the verdict of the merged Observable's own
+    # cleanness and rank tests, exact and float, with merged and dropped
+    # zero effects, and both verdicts in each family
+    cases = _irreducibility_cases(family)
+    verdicts = [_decided(is_simulation_irreducible, obs) for obs in cases]
+    assert verdicts == [_decided(simulation_irreducible_by_definition, obs) for obs in cases]
+    assert {True, False} & set(verdicts) == ({True} if family == "polygon-catalogs"
+                                             else {True, False})
+
+
+def test_irreducibility_of_an_integer_form_beside_a_float_zero_is_exact(trit):
+    # the only float sits in the dropped zero effect: the merged rows are
+    # integers, decided in exact mode, as the merged Observable would be
+    obs = observable(trit.space, [*INTEGER_TRIT, ("z", (0.0, 0.0, 0.0))])
+    assert obs.kind == "float"
+    assert is_simulation_irreducible(obs) and simulation_irreducible_by_definition(obs)
+
+
+@pytest.mark.parametrize("case", ["no-space", "all-zero", "mixed-within", "mixed-early",
+                                  "mixed-cone", "dimension"])
+def test_irreducibility_raises_the_errors_of_its_definition(sq, suite, case):
+    halves = [(name + lab, vscale(HALF, e.coeffs)) for name, obs in (("E", sq.E), ("F", sq.F))
+              for lab, e in obs.outcomes]
+    obs = {
+        "no-space": lambda: observable(None, [(lab, e.coeffs) for lab, e in sq.E.outcomes]),
+        "all-zero": lambda: observable(sq.space, [("a", (0, 0, 0)), ("b", (F(0),) * 3)]),
+        "mixed-within": lambda: observable(sq.space, [(lab, e.coeffs) for lab, e in sq.E.outcomes]
+                                           + [("z", (0.0, 0.0, 0.0))]),
+        # four rays on a three-dimensional space: the early answer's field check
+        "mixed-early": lambda: Observable(observable(None, halves).as_float().outcomes, sq.space),
+        "mixed-cone": lambda: Observable(sq.E.as_float().outcomes, sq.space),
+        "dimension": lambda: Observable(suite.Z.outcomes, sq.space),
+    }[case]()
+    error = _decided(is_simulation_irreducible, obs)
+    assert error == _decided(simulation_irreducible_by_definition, obs)
+    assert error[0] is (ModeError if case.startswith("mixed") else ValueError)
+    assert {"no-space": "needs the state space", "all-zero": "at least one outcome",
+            "dimension": "dimension mismatch"}.get(case, "mixed") in error[1]
+
+
+def test_irreducibility_of_a_catalog_member_builds_no_observable(monkeypatch):
+    # the test reads the member's effects as grouped rows: no minimally
+    # sufficient Observable is made and validated on the way
+    member = polygon_irreducibles(7).observables[0]
+    built, init = [], Observable.__post_init__
+    monkeypatch.setattr(Observable, "__post_init__", lambda self: built.append(self) or init(self))
+    assert is_simulation_irreducible(member)
+    assert built == []
+
+
+def test_irreducibility_of_exact_and_float_twins_agrees(sq, trit):
+    # exact mode is the reference: each rational construction and its float
+    # twin get one verdict, on the square bit, classical(3) and the simplex
+    # of the rational tetrahedron's points, both verdicts occurring
+    rat = tetrahedron_rational()
+    simplex = StateSpace("rational tetrahedron", 4,
+                         [(*(2 * x for x in e.coeffs[:3]), 1) for e in rat["B"].effects],
+                         (0, 0, 0, 1))
+    # each dual-cone ray of a simplex is positive on one extreme state only
+    states = simplex.extreme_states
+    reading = observable(simplex, [(str(k), vscale(1 / max(vdot(r, s) for s in states), r))
+                                   for k, r in enumerate(dual_cone_rays(simplex))])
+    assert reading.effect_sum == simplex.unit
+    rng = random.Random(52)
+    cases = [sq.E, sq.F, *_unit_ray_pairs(sq.space), *_split_and_zero(sq.E),
+             *(random_observable(sq.space, rng) for _ in range(4)),
+             trit.distinguishing, observable(trit.space, INTEGER_TRIT),
+             *_split_and_zero(trit.distinguishing),
+             *(random_observable(trit.space, rng) for _ in range(4)),
+             reading, *_split_and_zero(reading),
+             *(Observable(rat[name].outcomes, simplex)
+               for name in ("A", "B", "C1", "C2", "C3", "C4", "D1", "D2"))]
+    verdicts = [is_simulation_irreducible(obs) for obs in cases]
+    assert verdicts == [is_simulation_irreducible(obs.as_float()) for obs in cases]
+    assert set(verdicts) == {True, False}
+
+
+@pytest.mark.parametrize("case", ["decompose", "decompose-refined", "backward-channel",
+                                  "backward-channel-split"])
+def test_an_integer_observable_gets_exact_shares(trit, case):
+    # integers are exact: a share of an integer effect is a Fraction, so the
+    # decomposition's certificate and the backward channel are exact
+    items = {"decompose": INTEGER_TRIT, "backward-channel": INTEGER_TRIT,
+             "decompose-refined": [("1", (1, 0, 0)), ("2", (-1, 0, 1))],
+             "backward-channel-split": [("a", (1, 0, 0)), ("b", (1, 0, 0)), ("c", (0, 1, 0)),
+                                        ("d", (-2, -1, 1))]}[case]
+    obs = observable(trit.space, items)
+    assert obs.kind is None
+    if case.startswith("decompose"):
+        dec = decompose_to_irreducibles(obs)
+        assert dec.certificate.kind == "exact"
+        assert replay_simulation(dec.certificate, obs, dec.observables)
+    else:
+        hat, forward, backward = minimally_sufficient_with_channels(obs)
+        assert backward.kind == "exact" and backward.is_stochastic()
+        assert apply(backward, hat).outcomes == obs.outcomes
+        assert apply(forward, obs).effects == hat.effects
 
 
 def test_decompose_four_outcome_mixture_into_x_and_y():
