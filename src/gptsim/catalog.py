@@ -503,7 +503,7 @@ def random_observable(space: StateSpace, rng, n_outcomes: Optional[int] = None,
     R = len(rays)
     dim = space.ambient_dim
     obj = tuple(F.coerce(rng.randint(1, 1000)) for _ in range(R))
-    rows = [tuple(r[d] for r in rays) for d in range(dim)]
+    rows = np.array(list(zip(*rays)), dtype=F.dtype)  # one column per ray
     out = lp_solve(make_program(rows=rows, rhs=space.unit, objective=obj),
                    mode=F.mode, tol=tol)
     if out.verdict != FEASIBLE:

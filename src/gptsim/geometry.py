@@ -150,7 +150,7 @@ def conic_decompose(v: Sequence, rays: Sequence[Sequence],
             raise ValueError("conic_decompose: dimension mismatch")
         if all(x == 0 for x in r):
             raise ValueError("conic_decompose: zero ray")
-    rows = [tuple(r[i] for r in rays) for i in range(len(v))]  # one column per ray
+    rows = np.array(list(zip(*rays)), dtype=F.dtype)  # one column per ray
     units = [tuple(F.one if j == k else F.zero for j in range(len(rays)))
              for k in range(len(rays))]
     out = lp_solve(make_program(rows=rows, rhs=v, objective=units[0], tiebreaks=units[1:]),

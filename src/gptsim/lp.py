@@ -5,11 +5,12 @@ nonnegative variables, `x >= 0`, with an optional linear objective to
 maximize and optional tie-breaks, maximized in turn. The library asks
 nothing else: simulation, postprocessing and compatibility weights and
 conic coefficients are nonnegative, and a minimum is the maximum of the
-negated objective. The rows of A are a tuple of tuples or, for float data
-only, a read-only 2-D float ndarray; a program holding an array is not
-hashable. Either way the float kernel and the float verifiers read the
-program as float arrays (`LinearProgram.float_data`), converted at most
-once per program.
+negated objective. A program holds one array, in its field, fixed when it
+is built (`LinearProgram.data`): a float program its read-only float64 A
+beside b, an exact program the integer matrix that the exact kernel reads,
+each row's numerators with its right-hand side over one positive
+denominator per row. So a program knows its field without a scan
+(`LinearProgram.mode`), and equal inputs give equal programs.
 One two-phase simplex driver, `_simplex`, owns the algorithm: phase 1 from
 artificial columns (row i starts on column n + i unless the program's
 `start` names a unit column e_i for it, which then starts basic at level
@@ -28,15 +29,18 @@ returns `fractions.Fraction` values;
 compared with tolerances: it keeps A and a small inverse of the basis
 instead of the tableau, so a pivot on a program of m rows costs O(m^2) plus
 one pricing product over A, not a rewrite of m x (n + m) entries.
-The exact kernel reads the rows and right-hand sides cleared to integers
-once per program (`LinearProgram.integer_data`): cleared from the rows on first
-read by `scalars.integer_row`, the package's one clearing, or filled in
-with the same integers by a builder that knows its layout
-(`simulation.simulation_program`). A request checks only the
-objectives for floats up front, and a float row or right-hand side raises
-ValueError when the kernel reads `integer_data`, before any pivot, so a
-rejected program is no solve. A float program with an inf or a NaN among
-its numbers is rejected with ValueError before its solve too.
+Each kernel reads the program in its own field: the float kernel a float
+program's arrays as they are, the exact kernel an exact program's integer
+matrix as it is (`make_program` clears rows by `scalars.integer_row`, the
+package's one clearing, and `simulation.simulation_program` places the same
+integers from its layout). Asked of the other field, a program gives a
+view: an exact program's float arrays, made once, each entry rounded once
+as float(Fraction) rounds it (`float_data`), and a float program's rows
+cleared to integers, where a float raises ValueError (`integer_data`),
+before any pivot, so a rejected program is no solve (a float program
+without rows raises at its float objective, when the exact kernel prices
+it). A float program with an inf or a NaN among its numbers is rejected
+with ValueError before its solve too.
 
 Every verdict is checkable after the fact: a feasible outcome carries the
 solution vector, an infeasible outcome carries a Farkas vector y with
@@ -47,11 +51,12 @@ are written: `scalars.satisfies` (A x = b, x >= 0) and `scalars.refutes`
 and eps on floats, so that an inf or a NaN fails. `verify_solution` and
 `verify_farkas` replay the first two against the original program through
 them, on the data `_cleared` reads: in float mode the float arrays the
-kernel reads (`LinearProgram.float_data`); in exact mode the rows, the
-right-hand side and the certificate cleared over one common scale by
-`scalars.cleared`, whose signs and zeros are those of the rationals (as
-Applegate, Cook, Dash & Espinoza 2007 check exact LP certificates), and a
-float among them raises ValueError. `_simplex` replays every float
+kernel reads (`LinearProgram.float_data`); in exact mode the integer
+matrix the exact kernel reads, each row over its positive denominator,
+with the certificate cleared to integers, whose signs and zeros are those
+of the rationals (as Applegate, Cook, Dash & Espinoza 2007 check exact LP
+certificates), and a float in the certificate raises ValueError.
+`_simplex` replays every float
 FEASIBLE or UNBOUNDED outcome by `satisfies`, on the float array its
 solution tuple is made from, and the ray of an UNBOUNDED one against
 A r = 0, r >= 0 (`satisfies` with b = 0) and c'r > 0 for the objective c
@@ -128,7 +133,6 @@ from .scalars import (
     EXACT,
     FLOAT,
     Tolerance,
-    cleared,
     field,
     infer_mode,
     integer_row,
@@ -165,61 +169,72 @@ class CertificateError(RuntimeError):
     the solver broke down before it could issue one."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """Equality-form program: maximize the objective subject to rows . x = rhs
-    and x >= 0. Each tie-break is maximized over the optimal face of the
+    """Equality-form program: maximize the objective subject to A x = b and
+    x >= 0. Each tie-break is maximized over the optimal face of the
     objectives before it.
 
-    `rows` is a tuple of tuples or a read-only 2-D float ndarray (float data
-    only); a program with ndarray rows is not hashable. Float replay of
-    either is one matrix-vector product over the rows as one float array,
-    `float_data`, which the float kernel reads too.
+    `data` is the program's one stored form, in its field, fixed when the
+    program is built; `mode()` reads the field from it. A float program
+    holds (A, b): A a read-only float64 array of m rows and num_vars
+    columns, b a read-only float64 array of m entries, which the float
+    kernel and the float verifiers read as they are. An exact program holds
+    (N, den): N a read-only object array of Python ints, m rows of num_vars
+    + 1 columns, row i the numerators of row i of A with b_i last over the
+    positive int den[i] (a read-only object array of m entries), equal row
+    for row to `scalars.integer_row` of the row with its right-hand side;
+    the exact kernel and the exact verifiers read it as it is. `float_data`
+    and `integer_data` give either program in the other field, and `rows`
+    and `rhs` read it as numbers, each made only when read.
+
+    Two programs are equal when their variable count, field, stored arrays,
+    objectives and start are, so equal inputs give equal programs and an
+    exact program differs from its float twin; a program is not hashable.
 
     `start` holds (row, column) pairs: the simplex starts each named row on
     that column instead of its artificial. The column must be the unit
     column e_row and the row's right-hand side nonnegative, so that the
-    column is basic at level rhs[row]; a row named twice, an index out of
+    column is basic at level b[row]; a row named twice, an index out of
     range or any other column raises ValueError."""
 
     num_vars: int
-    rows: tuple
-    rhs: tuple
+    data: tuple
     objective: Optional[tuple] = None
     tiebreaks: tuple = ()
     start: tuple = ()
 
     def __post_init__(self):
-        if len(self.rows) != len(self.rhs):
-            raise ValueError("row count does not match rhs length")
-        if (self.rows.shape[1:] != (self.num_vars,) if isinstance(self.rows, np.ndarray)
-                else any(len(r) != self.num_vars for r in self.rows)):
-            raise ValueError("constraint row width must equal variable count")
+        A, v = self.data
+        if len(A) != len(v) or A.shape[1:] != (self.num_vars + (self.mode() == EXACT),):
+            raise ValueError("constraint row width must equal variable count (rows: rhs length)")
         if self.objective is None and self.tiebreaks:
             raise ValueError("tie-breaks need an objective")
         if any(len(c) != self.num_vars for c in self.objectives()):
             raise ValueError("objective width must equal variable count")
+        A.flags.writeable = v.flags.writeable = False
         if self.start:
             self._check_start()
 
     def _check_start(self):
-        m, n = len(self.rhs), self.num_vars
+        (A, v), n = self.data, self.num_vars
         named, cols = zip(*self.start)
-        if not all(0 <= i < m for i in named) or not all(0 <= j < n for j in cols):
+        if not all(0 <= i < len(v) for i in named) or not all(0 <= j < n for j in cols):
             raise ValueError("start names a row or column out of range")
         if len(set(named)) != len(named):
             raise ValueError("start names a row twice")
-        if any(self.rhs[i] < 0 for i in named):
+        b, ones = self._rhs(), (np.ones(len(v)) if self.mode() == FLOAT else v)
+        if any(b[i] < 0 for i in named):
             raise ValueError("a started row needs a nonnegative right-hand side")
-        if isinstance(self.rows, np.ndarray):
-            block = self.rows[:, cols]
-            unit = ((block[named, range(len(cols))] == 1).all()
-                    and np.count_nonzero(block) == len(cols))
-        else:
-            columns = list(zip(*self.rows))
-            unit = all(columns[j].count(0) == m - 1 and columns[j][i] == 1 for i, j in self.start)
-        if not unit:
+        # one nonzero per start column, 1 in its row (den[i] / den[i] in an exact program)
+        if not (np.count_nonzero(A.take(cols, axis=1)) == len(cols)
+                and all(A[i, j] == ones[i] for i, j in self.start)):
             raise ValueError("a start column must be the unit column of its row")
+
+    def __eq__(self, other):
+        same = isinstance(other, LinearProgram) and all(map(np.array_equal, self.data, other.data))
+        return same and (self.num_vars, self.mode(), self.objectives(), self.start) == (
+            other.num_vars, other.mode(), other.objectives(), other.start)
 
     @property
     def nonneg(self) -> tuple:
@@ -233,59 +248,82 @@ class LinearProgram:
         return () if self.objective is None else (self.objective,) + self.tiebreaks
 
     def mode(self) -> str:
-        vals = [x for r in self.rows for x in r]
-        vals.extend(self.rhs)
-        vals.extend(x for c in self.objectives() for x in c)
-        return infer_mode(vals)
+        """The field of the stored form: FLOAT for a float array, else EXACT."""
+        return FLOAT if self.data[0].dtype == float else EXACT
 
-    @cached_property
+    def _rhs(self) -> list:
+        """The right-hand side as stored, whose signs are b's: the floats, or
+        the numerators over positive denominators."""
+        return (self.data[1] if self.mode() == FLOAT else self.data[0][:, -1]).tolist()
+
+    @property
     def integer_data(self) -> tuple:
-        """Each row with its rhs cleared to integers, as (numerators, positive
-        denominator) with the numerators a tuple and the denominator their
-        least common one. Its one reader is the exact kernel; the exact
-        verifiers clear the rows with the certificate instead (`_cleared`).
-        Made from the rows on first read (`scalars.integer_row`); a float
-        raises ValueError. The builder of a program, and only it, may fill it
-        first by storing the value in the instance's `__dict__` before anything
-        reads it (`simulation.simulation_program` does, from its layout, which
-        costs less than this generic clearing); a filled value must equal
-        this generic clearing, row for row."""
-        return tuple((tuple(row), den) for row, den in
-                     (integer_row((*r, b)) for r, b in zip(self.rows, self.rhs)))
+        """(N, den) as the exact kernel and the exact verifiers read it: an
+        exact program's stored form; a float program's rows cleared as
+        `make_program` clears rows, so a float among them raises ValueError
+        (a program without rows has none)."""
+        return self.data if self.mode() == EXACT else _integer_form(*self.data, self.num_vars)
 
     @cached_property
     def float_data(self) -> tuple:
-        """(A, b) as read-only float arrays, made on first use: an ndarray's
-        rows come without a copy, tuple rows are converted once for the float
-        kernel and the float verifiers."""
-        data = (np.asarray(self.rows, dtype=float).reshape(len(self.rhs), self.num_vars),
-                np.asarray(self.rhs, dtype=float))
-        for a in data:
-            a.flags.writeable = False
-        return data
+        """(A, b) as the float kernel and the float verifiers read it: a float
+        program's stored form; for an exact program, read-only float arrays
+        made on first read, each entry its numerator divided by its row's
+        denominator as Python ints, which rounds once, as float(Fraction)
+        does (a numerator above 2**53 made a float first would round twice)."""
+        if self.mode() == FLOAT:
+            return self.data
+        scaled = (self.data[0] / self.data[1][:, None]).astype(float)
+        return make_program(scaled[:, :-1].copy(), scaled[:, -1]).data  # its float twin's form
+
+    @cached_property
+    def rows(self):
+        """The rows of A, for reading: a float program's stored array, an
+        exact program's as tuples of Fractions, made on first read."""
+        A, v = self.data
+        return A if self.mode() == FLOAT else tuple(
+            tuple(Fraction(x, d) for x in r[:-1]) for r, d in zip(A.tolist(), v.tolist()))
+
+    @cached_property
+    def rhs(self) -> tuple:
+        """b as a tuple, for reading: floats, or Fractions made on first read."""
+        b = self._rhs()
+        return tuple(b if self.mode() == FLOAT else map(Fraction, b, self.data[1]))
+
+
+def _integer_form(rows, rhs, n: int) -> tuple:
+    """(N, den) of an exact program (`LinearProgram.data`): each row with its
+    right-hand side cleared to integers by `scalars.integer_row`, the
+    package's one clearing; a float raises ValueError."""
+    cleared = [integer_row((*r, b)) for r, b in zip(rows, rhs, strict=True)]
+    N = np.array([nums for nums, _ in cleared], dtype=object).reshape(len(cleared), n + 1)
+    return N, np.array([den for _, den in cleared], dtype=object)
 
 
 def make_program(rows, rhs, objective=None, tiebreaks=(), start=()) -> LinearProgram:
     """Convenience constructor.
 
-    A 2-D float ndarray of rows is kept as a read-only view, without a copy;
-    any other rows become a tuple of tuples.
+    A 2-D float64 ndarray of rows is kept as a read-only view, without a
+    copy or a scan, beside the right-hand side as a float array. Any other
+    rows are read once: one `infer_mode` pass over the rows, the right-hand
+    side and the objectives picks the field, and the rows become one float
+    array, or are cleared to integers row by row with their right-hand
+    sides (`scalars.integer_row`). Rows of unequal length raise ValueError.
     """
+    objective = None if objective is None else tuple(objective)
+    tiebreaks = tuple(tuple(c) for c in tiebreaks)
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == float:
-        rows = rows.view()
-        rows.flags.writeable = False
-        n = rows.shape[1]
+        n, data = rows.shape[1], (rows.view(), np.array(rhs, dtype=float))
     else:
-        rows = tuple(tuple(r) for r in rows)
-        n = len(rows[0]) if len(rows) else (len(objective) if objective is not None else 0)
-    return LinearProgram(
-        num_vars=n,
-        rows=rows,
-        rhs=tuple(rhs),
-        objective=tuple(objective) if objective is not None else None,
-        tiebreaks=tuple(tuple(c) for c in tiebreaks),
-        start=tuple((int(i), int(j)) for i, j in start),
-    )
+        rows, rhs = [tuple(r) for r in rows], tuple(rhs)
+        n = len(rows[0]) if rows else len(objective) if objective is not None else 0
+        if any(len(r) != n for r in rows):
+            raise ValueError("constraint row width must equal variable count")
+        if infer_mode(chain(chain.from_iterable(rows), rhs, objective or (), *tiebreaks)) == EXACT:
+            data = _integer_form(rows, rhs, n)
+        else:
+            data = np.array(rows, dtype=float).reshape(len(rows), n), np.array(rhs, dtype=float)
+    return LinearProgram(n, data, objective, tiebreaks, tuple((int(i), int(j)) for i, j in start))
 
 
 @dataclass(frozen=True)
@@ -320,7 +358,8 @@ class LPOutcome:
 
 def lp_solve(program: LinearProgram, mode: Optional[str] = None,
              tol: Tolerance = DEFAULT_TOLERANCE, start: Optional[Sequence] = None) -> LPOutcome:
-    """Solve a LinearProgram, inferring the arithmetic mode if not given.
+    """Solve a LinearProgram in its own field (`LinearProgram.mode`), or in
+    the field that `mode` names, reading the program's view in that field.
 
     `start` is a basis to start from, as `LPOutcome.basis` holds one, of
     any verdict: row i's basic column, structural or n + i for row i's
@@ -329,17 +368,14 @@ def lp_solve(program: LinearProgram, mode: Optional[str] = None,
     length or naming another column, raises ValueError before any solve,
     as does an inf or a NaN in a float program's rows, right-hand side or
     objectives."""
-    if mode is None:
-        mode = program.mode()
-    elif mode == EXACT and infer_mode(x for c in program.objectives() for x in c) == FLOAT:
-        raise ValueError("exact mode requested for float data")
+    mode = mode or program.mode()
     if mode == FLOAT and not _finite(program):
         raise ValueError("a float program needs finite numbers")
     if start is not None:
         if mode == EXACT or program.objective is not None:
             raise ValueError("a start needs a float program without an objective")
         n = program.num_vars
-        if len(start) != len(program.rhs) or not all(
+        if len(start) != len(program.data[1]) or not all(
                 0 <= j < n or j == n + i for i, j in enumerate(start)):
             raise ValueError("a start names a structural column or its row's artificial per row")
     kernel = _IntTableau if mode == EXACT else _FloatRevised
@@ -350,8 +386,8 @@ def lp_solve(program: LinearProgram, mode: Optional[str] = None,
 
 def _finite(program: LinearProgram) -> bool:
     """Every number of the program, as the float kernel reads it, is finite."""
-    return bool(np.isfinite(program.float_data[0]).all()) and all(
-        map(isfinite, chain(program.rhs, *program.objectives())))
+    return all(np.isfinite(a).all() for a in program.float_data) and all(
+        map(isfinite, chain(*program.objectives())))
 
 
 def verify_solution(program: LinearProgram, solution: Sequence,
@@ -360,7 +396,7 @@ def verify_solution(program: LinearProgram, solution: Sequence,
     (`scalars.satisfies`), exactly in exact mode, where a float raises
     ValueError, and within eps in each row and sign in float mode, where an
     inf or a NaN fails."""
-    A, b, x, eps = _cleared(program, solution, tol, mode)
+    A, b, x, eps = _cleared(program, solution, tol, mode, False)
     return len(x) == program.num_vars and satisfies(A, x, b, eps)
 
 
@@ -370,24 +406,31 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
     (`scalars.refutes`), exactly in exact mode, where a float raises
     ValueError, and within eps in each sign in float mode, where an inf or a
     NaN in y fails."""
-    A, b, y, eps = _cleared(program, farkas, tol, mode)
+    A, b, y, eps = _cleared(program, farkas, tol, mode, True)
     return len(y) == len(b) and refutes(y, A, b, eps)
 
 
 def _cleared(program: LinearProgram, certificate: Sequence, tol: Tolerance,
-             mode: Optional[str]) -> tuple:
+             mode: Optional[str], farkas: bool) -> tuple:
     """(A, b, certificate, eps) as the pair `scalars.satisfies` and
     `scalars.refutes` reads them. Float mode: the arrays the float kernel
     reads (`float_data`) and the certificate as a float array. Exact mode:
-    the rows, the right-hand side and the certificate cleared together over
-    one scale D (`scalars.cleared`), with b taken once more times D, so that
-    A x - b, y'A and y.b are D^2 or D^3 times their values and keep their
-    signs and zeros; eps is 0, and a float raises ValueError."""
+    the integer rows N and right-hand side n_b that the exact kernel reads
+    (`integer_data`), row i over den[i] > 0, and the certificate cleared to
+    integers (`scalars.integer_row`), with eps 0; a float raises ValueError.
+    Every den[i] is positive, so for a solution x = X / D, A x = b holds
+    exactly when N X = n_b D does, row by row; for a Farkas vector y of one
+    entry per row, y'A <= 0 < y.b holds exactly when z'N <= 0 < z.n_b
+    does for z_i = y_i / den_i, cleared to integers (a y of another length
+    is returned as it is, for the caller's length test)."""
     F = field(mode or program.mode(), tol)
     if F.mode == FLOAT:
         return (*program.float_data, np.asarray(certificate, dtype=float), F.eps)
-    A, b, z, D = cleared(F, list(chain.from_iterable(program.rows)), program.rhs, certificate)
-    return A.reshape(len(b), program.num_vars), b * D, z, F.eps
+    (N, den), n = program.integer_data, program.num_vars
+    X, D = integer_row(certificate)
+    if farkas and len(X) == len(den):  # z_i = y_i / den_i, cleared; b needs no scale
+        X, D = integer_row([Fraction(x, d) for x, d in zip(X, den)])[0], 1
+    return N[:, :n], N[:, n] * D, np.array(X, dtype=object), F.eps
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +442,8 @@ def _cleared(program: LinearProgram, certificate: Sequence, tol: Tolerance,
 def _simplex(program: LinearProgram, kernel, F, start=None) -> LPOutcome:
     """Two-phase simplex on a tableau of class `kernel` in the arithmetic of
     F; given a `start` (float kernel only), the dual phase from it first."""
-    m, n = len(program.rows), program.num_vars
-    flips = [-1 if b < 0 else 1 for b in program.rhs]
+    m, n = len(program.data[1]), program.num_vars
+    flips = [-1 if b < 0 else 1 for b in program._rhs()]
     tab = kernel(program, flips, F)
     stats["solves"] += 1  # only now: a program the kernel rejects is no solve
     cap = None if kernel.CAP is None else kernel.CAP * (n + m)
@@ -485,7 +528,7 @@ def _initial_basis(program: LinearProgram) -> list:
     """Row i's starting basic column: the one `program.start` names for it,
     or its artificial n + i."""
     n = program.num_vars
-    basis = list(range(n, n + len(program.rhs)))
+    basis = list(range(n, n + len(program.data[1])))
     for i, j in program.start:
         basis[i] = j
     return basis
@@ -559,8 +602,8 @@ def _optimize(tab, basis, allowed, cap, pivots):
 #
 # Row i of T holds integer numerators over the positive denominator D[i]; the
 # last row is the reduced-cost row. The rows start as lists copied from the
-# program's `integer_data`, which clears each program to integers once, since
-# the kernel updates its rows in place. The pivot rule compares numerators
+# program's `integer_data`, an exact program's stored form, since the kernel
+# updates its rows in place. The pivot rule compares numerators
 # only within the reduced-cost row, which share one denominator, and the
 # ratio test compares T[i][last] / T[i][col] by cross products (the
 # denominator of row i cancels), so no choice depends on a row's scale. A
@@ -604,10 +647,10 @@ class _IntTableau:
     CAP = None  # Bland's rule terminates in exact arithmetic
 
     def __init__(self, program, flips, F):
-        m, n = len(program.rows), program.num_vars
-        data = program.integer_data
-        T = [list(r) if flip > 0 else [-x for x in r] for (r, _), flip in zip(data, flips)]
-        D = [den for _, den in data]
+        m, n = len(flips), program.num_vars
+        N, den = program.integer_data
+        T = [r if flip > 0 else [-x for x in r] for r, flip in zip(N.tolist(), flips)]
+        D = den.tolist()
         basis = _initial_basis(program)
         # Phase 1 reduced costs for minimizing the sum of the artificials that
         # start basic: minus the sum of their rows (f = den subtracts a row
@@ -686,8 +729,7 @@ class _IntTableau:
         D_j that count, y'|b| = N / (L den) for the integer N = sum_j v_j
         |B_j| L / D_j, so entry i is the one Fraction v_i L / +-N."""
         v = [self.dual(i) for i in range(len(flips))]
-        terms = [(x * abs(row[-1]), den) for x, (row, den) in zip(v, program.integer_data)
-                 if x and row[-1]]
+        terms = [(x * abs(r[-1]), d) for x, r, d in zip(v, *program.integer_data) if x and r[-1]]
         L = lcm(*(den for _, den in terms))
         N = sum(t * (L // den) for t, den in terms)
         if not N > 0:
@@ -773,7 +815,7 @@ class _FloatRevised:
     CAP = 10_000  # pivots per variable and constraint before SolverLimitError
 
     def __init__(self, program, flips, F):
-        m, n = len(program.rows), program.num_vars
+        m, n = len(flips), program.num_vars
         self.eps = F.eps
         A, b = program.float_data
         C = np.zeros((m + 1, n))  # phase 1 prices structural columns at zero
@@ -908,7 +950,7 @@ class _FloatRevised:
         """y / y'|b| with the flips undone, for the duals y of the flipped
         rows, whose right-hand sides are |b|; None unless y'|b| > 0."""
         y = [self.dual(i) for i in range(len(flips))]
-        scale = self.dot(y, [abs(b) for b in program.rhs])
+        scale = self.dot(y, np.abs(program.float_data[1]))
         if not scale > 0:
             return None
         return tuple(v / scale if flip > 0 else v / -scale for v, flip in zip(y, flips))

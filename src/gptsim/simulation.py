@@ -60,7 +60,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -209,15 +208,14 @@ def simulation_program(target: Observable, simulators: Sequence[Observable],
     column g * ny + ny - 1, M[g, last], is the unit column of row g, and the
     program starts each row g on it (`LinearProgram.start`).
 
-    Float mode places these blocks into one zeroed float ndarray, which the
-    float kernel and the float verifiers take as it is. Exact mode keeps
-    tuples of int 0 and +-1 and the effects' own numbers (an object array
-    placed the same way holds the same entries but is slower to build), and
-    fills the program's `integer_data` from the same layout instead of
-    leaving the program to scan every entry for its denominator: the
-    row-sum and weight rows are their own integers over 1, and effect row
-    (y, d) is cleared over one lcm, of coordinate d's simulator column
-    (cleared once for every y) and A_y(d).
+    Both fields place these blocks into one zeroed array of the field's
+    dtype, the program's stored form (`LinearProgram.data`), so the program
+    scans no entry: float mode the coefficients, beside the right-hand side
+    as a float array; exact mode the integers that `scalars.integer_row`
+    clears each row to, each row's right-hand side numerator in a last
+    column, beside the row denominators. The row-sum and weight rows are
+    their own integers over 1, and effect row (y, d) is coordinate d of
+    every simulator outcome with A_y(d), cleared together.
     """
     F = _common_field(target, simulators, tol)
     _require_sums(target, simulators, F)
@@ -225,48 +223,26 @@ def simulation_program(target: Observable, simulators: Sequence[Observable],
     sizes = [sim.n_outcomes for sim in simulators]
     nx = sum(sizes)
     c0 = nx * ny  # block M_i starts at column ny * (outcomes of the simulators before i)
-    zero, one = (F.zero, F.one) if F.mode == FLOAT else (0, 1)
-    rhs = [zero] * nx + [one] + [x for eff in target.effects[:-1] for x in eff.coeffs]
-    effects = [eff.coeffs for sim in simulators for eff in sim.effects]  # row g's effect
-    start = [(g, g * ny + ny - 1) for g in range(nx)]
-    if F.mode == FLOAT:
-        # Placed, not multiplied in: 0.0 * x is -0.0 for negative x.
-        rows = np.zeros((nx + 1 + (ny - 1) * dim, c0 + k))
-        g = np.arange(nx)
-        rows[:nx, :c0].reshape(nx, nx, ny)[g, g] = 1.0
-        rows[g, c0 + np.repeat(np.arange(k), sizes)] = -1.0
-        rows[nx, c0:] = 1.0
-        coeffs = np.array(effects, dtype=float).T  # column g: row g's effect
-        kept = range(ny - 1)
-        rows[nx + 1:, :c0].reshape(ny - 1, dim, nx, ny)[kept, :, :, kept] = coeffs
-        return make_program(rows=rows, rhs=rhs, start=start)
-    rows = []  # of tuples, which make_program keeps without a second copy
-    integers = []  # the same rows, rhs appended, as (integers, denominator)
-    owners = (i for i, n in enumerate(sizes) for _ in range(n))  # row g's simulator
-    for g, i in enumerate(owners):
-        row = [0] * (c0 + k)
-        row[g * ny:(g + 1) * ny] = [1] * ny
-        row[c0 + i] = -1
-        rows.append(tuple(row))
-        integers.append(((*row, 0), 1))
-    rows.append((0,) * c0 + (1,) * k)
-    integers.append(((0,) * c0 + (1,) * (k + 1), 1))
-    columns = [[coeffs[d] for coeffs in effects] for d in range(dim)]
-    over = [integer_row(column) for column in columns]  # coordinate d over its lcm
-    for yi, eff in enumerate(target.effects[:-1]):
-        for column, (nums, den), a in zip(columns, over, eff.coeffs):
-            row = [0] * (c0 + k)
-            row[yi:c0:ny] = column
-            rows.append(tuple(row))
-            full = lcm(den, a.denominator)  # the lcm of the row and its rhs
-            if full != den:
-                nums = [x * (full // den) for x in nums]
-            row.append(a.numerator * (full // a.denominator))
-            row[yi:c0:ny] = nums
-            integers.append((tuple(row), full))
-    program = make_program(rows=rows, rhs=rhs, start=start)
-    vars(program)["integer_data"] = tuple(integers)  # filled before any read
-    return program
+    # coordinate d of every simulator outcome g, one tuple per d
+    columns = list(zip(*(eff.coeffs for sim in simulators for eff in sim.effects)))
+    kept = [eff.coeffs for eff in target.effects[:-1]]  # the effects of the rows kept
+    # Placed, not multiplied in: 0.0 * x is -0.0 for negative x.
+    rows = np.zeros((nx + 1 + (ny - 1) * dim, c0 + k + (F.mode == EXACT)), dtype=F.dtype)
+    g = np.arange(nx)
+    rows[:nx, :c0].reshape(nx, nx, ny)[g, g] = 1
+    rows[g, c0 + np.repeat(np.arange(k), sizes)] = -1
+    rows[nx, c0:] = 1  # in exact mode the weight row's right-hand side too
+    if F.mode == EXACT:  # effect row (y, d): column d with A_y(d), over their lcm
+        cleared = [integer_row((*col, a)) for effect in kept for col, a in zip(columns, effect)]
+        rows[nx + 1:, -1] = [r[-1] for r, _ in cleared]
+        columns, last = [r[:-1] for r, _ in cleared], [1] * (nx + 1) + [d for _, d in cleared]
+    else:  # the same columns for every y
+        last = [0.0] * nx + [1.0] + [x for effect in kept for x in effect]
+    y = range(ny - 1)
+    rows[nx + 1:, :c0].reshape(ny - 1, dim, nx, ny)[y, :, :, y] = \
+        np.array(columns, dtype=F.dtype).reshape(-1, dim, nx)
+    return LinearProgram(c0 + k, (rows, np.array(last, dtype=F.dtype)),
+                         start=tuple((g, g * ny + ny - 1) for g in range(nx)))
 
 
 def _simulable(target: Observable, simulators: Sequence[Observable],
@@ -360,9 +336,9 @@ class _SetAnswers(Answers):
             if _farkas_bounds(self.F, y, B, D, simulators):
                 return farkas, y[self.nx:self.m], None
 
-    def kept_basis(self, out, rows: int):
-        """The final basis of a solve of this set's program with `rows` rows."""
-        if rows == self.m and out.basis is not None:
+    def kept_basis(self, out):
+        """The final basis of a solve of this set's program, one column per row."""
+        if out.basis is not None and len(out.basis) == self.m:
             return out.basis, out.basis, out.inverse, [col < self.n for col in out.basis]
 
 
@@ -400,15 +376,14 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
     ((cert, start),) = store.decide([b], [L], target, simulators)
     if cert is not None:
         return cert
-    program = simulation_program(target, simulators, tol)
-    out = lp_solve(program, mode=F.mode, tol=tol, start=start)
+    out = lp_solve(simulation_program(target, simulators, tol), mode=F.mode, tol=tol, start=start)
     if out.verdict != FEASIBLE:
         farkas = out.farkas + (F.zero,) * target.dim
         store.keep_refutation(farkas, target, simulators)
         return SimulationCertificate(NOT_SIMULABLE, farkas=farkas)
     if F.mode == FLOAT and not _scheme_holds(target, simulators, out.solution, F):
         raise CertificateError("float solution fails the target's last-outcome rows")
-    store.keep_basis(out, len(program.rhs))
+    store.keep_basis(out)
     return _simulable(target, simulators, out.solution)
 
 

@@ -44,7 +44,6 @@ dump covers exactly what the digests pin.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -158,9 +157,7 @@ def float_corpus():
     start), polygon simulation LPs (n = 5..8) against the irreducible
     catalog and against one random observable, and the greedy conic
     decompositions of the effects of random polygon observables."""
-    programs = [dataclasses.replace(p, rows=tuple(tuple(float(x) for x in r) for r in p.rows),
-                                    rhs=tuple(float(b) for b in p.rhs))
-                for p in simulation_corpus()]
+    programs = [make_program(*p.float_data, start=p.start) for p in simulation_corpus()]
     cases = polygon_simulation_cases()
     programs.extend(simulation_program(target, sims) for target, sims in cases)
     conic = [program for target, _ in cases[::2] for effect in target.effects
@@ -391,9 +388,11 @@ def _vector(v):
 
 
 def _digest(program) -> str:
-    """A digest of what defines the program: rows (a tuple or an ndarray),
-    right-hand side, objectives and start."""
-    rows = program.rows.tolist() if hasattr(program.rows, "tolist") else program.rows
+    """A digest of what defines the program: its rows and right-hand side as
+    `LinearProgram.rows` and `rhs` read them (a float program's floats, an
+    exact program's Fractions, which print as their integers where whole),
+    objectives and start."""
+    rows = program.rows.tolist() if program.mode() == FLOAT else program.rows
     text = json.dumps([[_vector(r) for r in rows], _vector(program.rhs),
                        [_vector(c) for c in program.objectives()], program.start])
     return hashlib.sha256(text.encode()).hexdigest()[:16]

@@ -58,9 +58,10 @@ def test_dimension_mismatch_rejected():
         make_program(rows=[(1, 1)], rhs=(1,), objective=(1, 0), tiebreaks=[(1,)])
     from gptsim.lp import LinearProgram
 
-    for rows in (np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 1))):
+    # a float form has num_vars columns, an exact form one more for b
+    for rows in (np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 1)), np.zeros((2, 2), object)):
         with pytest.raises(ValueError, match="constraint row width"):
-            LinearProgram(num_vars=2, rows=rows, rhs=(0.0,) * len(rows))
+            LinearProgram(num_vars=2, data=(rows, np.ones(len(rows), rows.dtype)))
 
 
 def test_exact_solution_is_fraction():
@@ -221,6 +222,23 @@ def test_verifiers_on_a_program_without_rows(mode):
         assert not verify_solution(program, (-1, 0), mode=mode)
         assert not verify_solution(program, (0, -3), mode=mode)
         assert not verify_solution(program, (0,), mode=mode)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_a_certificate_of_another_length_fails_replay(mode):
+    # a refutation of x0 - x1 = 1, -x0 + x1 = 1 (rows over 2 and 3 in exact
+    # mode) and a solution of the first row alone, each with one entry too
+    # many or too few
+    one = F(1) if mode == EXACT else 1.0
+    p = make_program(rows=[(one / 2, -one / 2), (-one / 3, one / 3)], rhs=(one, one))
+    y = lp_solve(p, mode=mode).farkas
+    assert verify_farkas(p, y, mode=mode)
+    for bad in (y + (0 * one,), y + (one,), y[:1]):
+        assert not verify_farkas(p, bad, mode=mode)
+    q = make_program(rows=[(one / 2, -one / 2)], rhs=(one,))
+    assert verify_solution(q, (2 * one, 0 * one), mode=mode)
+    for bad in ((2 * one, 0 * one, 0 * one), (2 * one,)):
+        assert not verify_solution(q, bad, mode=mode)
 
 
 def test_exact_verifiers_reject_float_data():
@@ -635,26 +653,32 @@ def test_started_rows_cost_nothing_in_phase_1(kernel, mode, one):
 
 
 def test_exact_solves_leave_their_program_unchanged():
-    # The kernel updates its rows in place; they are copies, so solving,
-    # replaying and solving again sees the same program each time.
+    # The kernel updates its rows in place; they are copies of the stored
+    # integer rows, so solving, replaying and solving again sees the same
+    # program each time. The stored form is each row with its right-hand
+    # side cleared over its own lcm, read-only.
     p = make_program(rows=[(F(1, 2), 1, 0, F(-1, 3)), (3, F(2, 5), 1, 0), (1, 1, 1, 1)],
                      rhs=(F(1, 4), 2, 1), objective=(1, 0, 2, F(1, 7)),
                      tiebreaks=[(0, 1, 0, 0)])
     rows, rhs = p.rows, p.rhs
+    N, den = p.data
+    assert p.mode() == EXACT and not N.flags.writeable and not den.flags.writeable
+    assert (N.tolist(), den.tolist()) == ([[6, 12, 0, -4, 3], [15, 2, 5, 0, 10], [1, 1, 1, 1, 1]],
+                                          [12, 5, 1])
+    assert all(type(x) is int for x in (*N.flat, *den))
     first = lp_solve(p, mode=EXACT)
-    data = p.integer_data
     assert first.verdict == FEASIBLE and first.pivots > 0
     assert lp_solve(p, mode=EXACT) == first
     assert verify_solution(p, first.solution, mode=EXACT)
     assert lp_solve(p, mode=EXACT) == first
-    assert p.rows == rows and p.rhs == rhs and p.integer_data is data
-    assert data == tuple((tuple(r), d) for r, d in (
-        ([6, 12, 0, -4, 3], 12), ([15, 2, 5, 0, 10], 5), ([1, 1, 1, 1, 1], 1)))
+    assert p.rows == rows and p.rhs == rhs
+    assert (N.tolist(), den.tolist()) == ([[6, 12, 0, -4, 3], [15, 2, 5, 0, 10], [1, 1, 1, 1, 1]],
+                                          [12, 5, 1])
     q = make_program(rows=[(1, -1), (-1, 1)], rhs=(1, 1))
     out = lp_solve(q, mode=EXACT)
     assert out.verdict == INFEASIBLE and verify_farkas(q, out.farkas, mode=EXACT)
     assert lp_solve(q, mode=EXACT) == out
-    assert q.integer_data == (((1, -1, 1), 1), ((-1, 1, 1), 1))
+    assert [r.tolist() for r in q.data] == [[[1, -1, 1], [-1, 1, 1]], [1, 1]]
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
@@ -819,3 +843,88 @@ def test_ray_replay_tests_each_clause():
     assert not lp._ray_replays(program, (1.0, 0.0, -1.0), grows, eps)  # r_2 < 0
     assert not lp._ray_replays(program, (1.0, 1.0, 0.0), (0.0, 0.0, 1.0), eps)  # c'r = 0
     assert not lp._ray_replays(program, (1.0, 0.0, 0.0), grows, eps)  # A r = 1
+
+
+def test_program_equality_reads_the_stored_form():
+    # equal inputs give equal programs in each field, whatever form the
+    # input came in (tuples or lists, ints or Fractions, tuples or an
+    # array); an exact program differs from its float twin, and a program
+    # from one with another objective or start
+    rows, rhs = [(F(1, 2), 1, 0), (0, F(-1, 3), 1)], (F(1, 4), 2)
+    exact = make_program(rows, rhs, objective=(1, 0, 0), start=[(1, 2)])
+    assert exact == make_program([[F(2, 4), F(1), 0], [0, F(-1, 3), F(1)]], [F(1, 4), F(2)],
+                                 objective=[F(1), 0, 0], start=[(1, 2)])
+    floats = ([[float(x) for x in r] for r in rows], [float(b) for b in rhs])
+    twin = make_program(*floats, objective=(1.0, 0.0, 0.0), start=[(1, 2)])
+    assert twin == make_program(np.array(floats[0]), floats[1], objective=(1.0, 0.0, 0.0),
+                                start=[(1, 2)])
+    assert twin == make_program(*exact.float_data, objective=(1.0, 0.0, 0.0), start=[(1, 2)])
+    assert (exact.mode(), twin.mode()) == (EXACT, FLOAT)
+    assert exact != twin and twin != exact
+    for other in (make_program(rows, rhs, objective=(0, 1, 0), start=[(1, 2)]),
+                  make_program(rows, rhs, objective=(1, 0, 0)),
+                  make_program(rows, rhs, start=[(1, 2)]),
+                  make_program(rows, (F(1, 4), 3), objective=(1, 0, 0), start=[(1, 2)])):
+        assert exact != other
+    with pytest.raises(TypeError):
+        hash(exact)
+
+
+def test_float_view_of_an_exact_program_rounds_each_entry_once():
+    # Each entry of the float view is float(Fraction): its numerator
+    # divided by its row's denominator as Python ints, which rounds once.
+    # Row 0 clears over 9, so its first numerator is 3 (2**60 + 1); its
+    # second, 2**60 + 9, made a float first would round twice, to another
+    # float.
+    rows = [(F(2**60 + 1, 3), F(2**60 + 9, 9), 1), (F(-1, 7), 0, F(5, 2**80 + 3))]
+    rhs = (F(1, 3), F(2**61 + 3, 9))
+    p = make_program(rows, rhs)
+    (N, den), (A, b) = p.data, p.float_data
+    assert (N[0, :2].tolist(), den[0]) == ([3 * (2**60 + 1), 2**60 + 9], 9)
+    assert float(N[0, 1]) / den[0] != float(rows[0][1])  # the double rounding
+    assert A.tolist() == [[float(x) for x in r] for r in rows]
+    assert b.tolist() == [float(x) for x in rhs]
+    assert not A.flags.writeable and not b.flags.writeable and A.flags.c_contiguous
+    assert p.float_data is p.float_data  # made once
+    out = lp_solve(p, mode=FLOAT)
+    assert out.mode == FLOAT and out.verdict == INFEASIBLE  # row 1 needs x2 past 1/3
+    assert verify_farkas(p, out.farkas, mode=FLOAT)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_library_programs_carry_their_field(monkeypatch, sq, mode):
+    # The programs that the library builds (a simulation, a compatibility
+    # and a conic decomposition) hold their field: mode() and a solve
+    # without a mode read it from the stored form, and neither calls
+    # infer_mode or kind_of.
+    from gptsim import geometry, lp, scalars, simulation
+    from gptsim.geometry import conic_decompose
+    from gptsim.simulation import is_compatible, simulation_program
+    from gptsim.spaces import dual_cone_rays
+
+    def cast(obs):
+        return obs.as_float() if mode == FLOAT else obs
+
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(make_program(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(simulation, "make_program", recorded)
+    monkeypatch.setattr(geometry, "make_program", recorded)
+    programs = [simulation_program(cast(sq.F), [cast(sq.E), cast(sq.F)])]
+    is_compatible([cast(sq.E), cast(sq.F)])  # incompatible: the square bit's two tests
+    rays = dual_cone_rays(cast(sq.E).space)
+    conic_decompose(cast(sq.E).effects[0].coeffs, rays, mode=mode)
+    programs += built
+    assert len(programs) >= 3
+
+    def scanned(*args, **kwargs):
+        raise AssertionError("a program was scanned for its field")
+
+    for module, name in ((scalars, "infer_mode"), (scalars, "kind_of"), (lp, "infer_mode")):
+        monkeypatch.setattr(module, name, scanned)
+    for program in programs:
+        assert program.mode() == mode
+        assert lp_solve(program).mode == mode

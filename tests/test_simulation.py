@@ -231,15 +231,20 @@ def test_float_simulation_program_is_one_read_only_array():
         assert program.rhs == tuple(rhs) and program.start == start
 
 
-def test_exact_simulation_program_keeps_int_and_fraction_tuples(sq):
+def test_exact_simulation_program_is_one_cleared_integer_matrix(sq):
+    # the layout's rows with their right-hand sides, cleared to Python ints:
+    # one read-only object matrix beside the row denominators, the program
+    # that make_program builds from the layout, read back as its numbers
     sims = [sq.E, sq.F, sq.E]
     program = simulation_program(sq.F, sims)
     rows, rhs, start = _program_layout(sq.F, sims, 0, 1)
-    assert isinstance(program.rows, tuple) and all(isinstance(r, tuple) for r in program.rows)
+    N, den = program.data
+    assert program.mode() == "exact" and N.shape == (len(rows), len(rows[0]) + 1)
+    assert not N.flags.writeable and not den.flags.writeable
+    assert all(type(x) is int for x in (*N.flat, *den))
+    assert program == make_program(rows, rhs, start=start)
     assert program.rows == tuple(map(tuple, rows)) and program.rhs == tuple(rhs)
     assert program.start == start
-    assert [[type(x) for x in r] for r in program.rows] == [[type(x) for x in r] for r in rows]
-    assert {type(x) for r in program.rows for x in r} == {int, Fraction}
 
 
 def _shared_sum_observable(rng, n, kinds, unit):
@@ -256,8 +261,9 @@ def _shared_sum_observable(rng, n, kinds, unit):
 
 
 def test_exact_builder_fills_the_generic_clearing():
-    # simulation_program clears its rows from the layout; the program would
-    # clear the same rows and right-hand sides entry by entry
+    # simulation_program places its integer rows from the layout; they equal
+    # make_program's clearing of the same rational rows and right-hand
+    # sides, entry by entry, denominators past 2**64 included
     rng = random.Random(29)
     programs = simulation_corpus()
     for kinds, unit in ((("int", "zero", "small", "big"), (1, 0, F(1, 3), F(2, 7))),
@@ -267,12 +273,10 @@ def test_exact_builder_fills_the_generic_clearing():
             target = _shared_sum_observable(rng, n_target, kinds, unit)
             sims = [_shared_sum_observable(rng, n, kinds, unit) for n in sizes]
             programs.append(simulation_program(target, sims))
-    assert max(den for p in programs for _, den in p.integer_data) > 2 ** 64
+    assert max(den for p in programs for den in p.data[1]) > 2 ** 64
     for program in programs:
-        assert "integer_data" in vars(program)  # filled by the builder, not on first read
-        generic = make_program(rows=program.rows, rhs=program.rhs).integer_data
-        assert program.integer_data == generic
-        assert all(type(x) is int for row, den in program.integer_data for x in (*row, den))
+        assert program == make_program(rows=program.rows, rhs=program.rhs, start=program.start)
+        assert all(type(x) is int for array in program.data for x in array.flat)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
