@@ -504,8 +504,7 @@ def random_observable(space: StateSpace, rng, n_outcomes: Optional[int] = None,
     dim = space.ambient_dim
     obj = tuple(F.coerce(rng.randint(1, 1000)) for _ in range(R))
     rows = np.array(list(zip(*rays)), dtype=F.dtype)  # one column per ray
-    out = lp_solve(make_program(rows=rows, rhs=space.unit, objective=obj),
-                   mode=F.mode, tol=tol)
+    out = lp_solve(make_program(rows=rows, rhs=space.unit, objective=obj), tol=tol)
     if out.verdict != FEASIBLE:
         raise RuntimeError("the unit always decomposes over the dual rays")
     c = out.solution

@@ -153,15 +153,14 @@ def conic_decompose(v: Sequence, rays: Sequence[Sequence],
     rows = np.array(list(zip(*rays)), dtype=F.dtype)  # one column per ray
     units = [tuple(F.one if j == k else F.zero for j in range(len(rays)))
              for k in range(len(rays))]
-    out = lp_solve(make_program(rows=rows, rhs=v, objective=units[0], tiebreaks=units[1:]),
-                   mode=F.mode, tol=tol)
+    out = lp_solve(make_program(rows=rows, rhs=v, objective=units[0], tiebreaks=units[1:]), tol=tol)
     if out.verdict == INFEASIBLE:
         return ConicResult(OUTSIDE, functional=out.farkas)
     if out.verdict == UNBOUNDED:
         # coefficient k, the first the ray raises, is unbounded
         k = next((j for j, d in enumerate(out.ray) if d > F.eps), 0)
         if not F.is_zero(out.solution[k:]):
-            out = lp_solve(make_program(rows=rows, rhs=v), mode=F.mode, tol=tol)
+            out = lp_solve(make_program(rows=rows, rhs=v), tol=tol)
     return ConicResult(INSIDE, coefficients=out.solution, basis=out.basis, inverse=out.inverse)
 
 

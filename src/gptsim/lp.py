@@ -19,8 +19,8 @@ and Farkas certificate, drive-out of artificials, phase 2, unbounded
 detection and solution and ray recovery. Phase 2 optimizes the
 objectives in turn in one tableau: after each, the nonbasic columns with
 nonzero reduced cost are fixed at zero, so the next one sees only the
-optimal face (a lexicographic optimum). The mode picks one of two
-kernels, which own only their numbers:
+optimal face (a lexicographic optimum). The program's field picks one of
+two kernels, which own only their numbers:
 `_IntTableau` (exact mode, for rational inputs) keeps rows of Python ints
 over per-row denominators, updates a row only at the nonzeros of the pivot
 row and scales it only when the pivot does not divide its entry, and
@@ -29,18 +29,15 @@ returns `fractions.Fraction` values;
 compared with tolerances: it keeps A and a small inverse of the basis
 instead of the tableau, so a pivot on a program of m rows costs O(m^2) plus
 one pricing product over A, not a rewrite of m x (n + m) entries.
-Each kernel reads the program in its own field: the float kernel a float
-program's arrays as they are, the exact kernel an exact program's integer
-matrix as it is (`make_program` clears rows by `scalars.integer_row`, the
-package's one clearing, and `simulation.simulation_program` places the same
-integers from its layout). Asked of the other field, a program gives a
-view: an exact program's float arrays, made once, each entry rounded once
-as float(Fraction) rounds it (`float_data`), and a float program's rows
-cleared to integers, where a float raises ValueError (`integer_data`),
-before any pivot, so a rejected program is no solve (a float program
-without rows raises at its float objective, when the exact kernel prices
-it). A float program with an inf or a NaN among its numbers is rejected
-with ValueError before its solve too.
+Each kernel reads a program in the field it was built in, the only one it
+is solved and replayed in: the float kernel a float program's arrays as they
+are, the exact kernel an exact program's integer matrix as it is
+(`make_program` clears rows by `scalars.integer_row`, the package's one
+clearing, and `simulation.simulation_program` places the same integers from
+its layout). A program in the other field is another program, its twin,
+built from its numbers. A float program with an inf or a NaN among its
+numbers is rejected with ValueError before any pivot, so a rejected program
+is no solve.
 
 Every verdict is checkable after the fact: a feasible outcome carries the
 solution vector, an infeasible outcome carries a Farkas vector y with
@@ -50,11 +47,11 @@ are written: `scalars.satisfies` (A x = b, x >= 0) and `scalars.refutes`
 (y'A <= 0 < y.b), each on arrays over one scale, with eps 0 on integers
 and eps on floats, so that an inf or a NaN fails. `verify_solution` and
 `verify_farkas` replay the first two against the original program through
-them, on the data `_cleared` reads: in float mode the float arrays the
-kernel reads (`LinearProgram.float_data`); in exact mode the integer
-matrix the exact kernel reads, each row over its positive denominator,
-with the certificate cleared to integers, whose signs and zeros are those
-of the rationals (as Applegate, Cook, Dash & Espinoza 2007 check exact LP
+them, in its field, on the data `_cleared` reads: a float program's arrays as
+the float kernel reads them; an exact program's integer matrix as the exact
+kernel reads it, each row over its positive denominator, with the
+certificate cleared to integers, whose signs and zeros are those of the
+rationals (as Applegate, Cook, Dash & Espinoza 2007 check exact LP
 certificates), and a float in the certificate raises ValueError.
 `_simplex` replays every float
 FEASIBLE or UNBOUNDED outcome by `satisfies`, on the float array its
@@ -184,9 +181,8 @@ class LinearProgram:
     + 1 columns, row i the numerators of row i of A with b_i last over the
     positive int den[i] (a read-only object array of m entries), equal row
     for row to `scalars.integer_row` of the row with its right-hand side;
-    the exact kernel and the exact verifiers read it as it is. `float_data`
-    and `integer_data` give either program in the other field, and `rows`
-    and `rhs` read it as numbers, each made only when read.
+    the exact kernel and the exact verifiers read it as it is. `rows` and
+    `rhs` read it as numbers, made only when read.
 
     Two programs are equal when their variable count, field, stored arrays,
     objectives and start are, so equal inputs give equal programs and an
@@ -256,26 +252,6 @@ class LinearProgram:
         the numerators over positive denominators."""
         return (self.data[1] if self.mode() == FLOAT else self.data[0][:, -1]).tolist()
 
-    @property
-    def integer_data(self) -> tuple:
-        """(N, den) as the exact kernel and the exact verifiers read it: an
-        exact program's stored form; a float program's rows cleared as
-        `make_program` clears rows, so a float among them raises ValueError
-        (a program without rows has none)."""
-        return self.data if self.mode() == EXACT else _integer_form(*self.data, self.num_vars)
-
-    @cached_property
-    def float_data(self) -> tuple:
-        """(A, b) as the float kernel and the float verifiers read it: a float
-        program's stored form; for an exact program, read-only float arrays
-        made on first read, each entry its numerator divided by its row's
-        denominator as Python ints, which rounds once, as float(Fraction)
-        does (a numerator above 2**53 made a float first would round twice)."""
-        if self.mode() == FLOAT:
-            return self.data
-        scaled = (self.data[0] / self.data[1][:, None]).astype(float)
-        return make_program(scaled[:, :-1].copy(), scaled[:, -1]).data  # its float twin's form
-
     @cached_property
     def rows(self):
         """The rows of A, for reading: a float program's stored array, an
@@ -295,7 +271,7 @@ def _integer_form(rows, rhs, n: int) -> tuple:
     """(N, den) of an exact program (`LinearProgram.data`): each row with its
     right-hand side cleared to integers by `scalars.integer_row`, the
     package's one clearing; a float raises ValueError."""
-    cleared = [integer_row((*r, b)) for r, b in zip(rows, rhs, strict=True)]
+    cleared = [integer_row((*r, b)) for r, b in zip(rows, rhs)]
     N = np.array([nums for nums, _ in cleared], dtype=object).reshape(len(cleared), n + 1)
     return N, np.array([den for _, den in cleared], dtype=object)
 
@@ -308,11 +284,17 @@ def make_program(rows, rhs, objective=None, tiebreaks=(), start=()) -> LinearPro
     rows are read once: one `infer_mode` pass over the rows, the right-hand
     side and the objectives picks the field, and the rows become one float
     array, or are cleared to integers row by row with their right-hand
-    sides (`scalars.integer_row`). Rows of unequal length raise ValueError.
+    sides (`scalars.integer_row`). An array of rows that is not 2-D, a row
+    count other than the right-hand side's length and rows of unequal
+    length raise ValueError, in either field.
     """
     objective = None if objective is None else tuple(objective)
     tiebreaks = tuple(tuple(c) for c in tiebreaks)
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == float:
+    if isinstance(rows, np.ndarray) and rows.ndim != 2:
+        raise ValueError("constraint rows must be a 2-D table")
+    if len(rows) != len(rhs):
+        raise ValueError("constraint row count must equal right-hand side length")
+    if isinstance(rows, np.ndarray) and rows.dtype == float:
         n, data = rows.shape[1], (rows.view(), np.array(rhs, dtype=float))
     else:
         rows, rhs = [tuple(r) for r in rows], tuple(rhs)
@@ -356,10 +338,9 @@ class LPOutcome:
     inverse: Optional[object] = dataclasses.field(default=None, repr=False, compare=False)
 
 
-def lp_solve(program: LinearProgram, mode: Optional[str] = None,
-             tol: Tolerance = DEFAULT_TOLERANCE, start: Optional[Sequence] = None) -> LPOutcome:
-    """Solve a LinearProgram in its own field (`LinearProgram.mode`), or in
-    the field that `mode` names, reading the program's view in that field.
+def lp_solve(program: LinearProgram, tol: Tolerance = DEFAULT_TOLERANCE,
+             start: Optional[Sequence] = None) -> LPOutcome:
+    """Solve a LinearProgram in its own field (`LinearProgram.mode`).
 
     `start` is a basis to start from, as `LPOutcome.basis` holds one, of
     any verdict: row i's basic column, structural or n + i for row i's
@@ -368,44 +349,45 @@ def lp_solve(program: LinearProgram, mode: Optional[str] = None,
     length or naming another column, raises ValueError before any solve,
     as does an inf or a NaN in a float program's rows, right-hand side or
     objectives."""
-    mode = mode or program.mode()
-    if mode == FLOAT and not _finite(program):
+    F = field(program.mode(), tol)
+    if F.mode == FLOAT and not _finite(program):
         raise ValueError("a float program needs finite numbers")
     if start is not None:
-        if mode == EXACT or program.objective is not None:
+        if F.mode == EXACT or program.objective is not None:
             raise ValueError("a start needs a float program without an objective")
         n = program.num_vars
         if len(start) != len(program.data[1]) or not all(
                 0 <= j < n or j == n + i for i, j in enumerate(start)):
             raise ValueError("a start names a structural column or its row's artificial per row")
-    kernel = _IntTableau if mode == EXACT else _FloatRevised
-    out = _simplex(program, kernel, field(mode, tol), start)
+    out = _simplex(program, _IntTableau if F.mode == EXACT else _FloatRevised, F, start)
     stats["pivots"] += out.pivots
     return out
 
 
 def _finite(program: LinearProgram) -> bool:
-    """Every number of the program, as the float kernel reads it, is finite."""
-    return all(np.isfinite(a).all() for a in program.float_data) and all(
+    """Every number of a float program is finite."""
+    return all(np.isfinite(a).all() for a in program.data) and all(
         map(isfinite, chain(*program.objectives())))
 
 
 def verify_solution(program: LinearProgram, solution: Sequence,
                     tol: Tolerance = DEFAULT_TOLERANCE, mode: Optional[str] = None) -> bool:
-    """Replay a feasible certificate against the program: A x = b and x >= 0
-    (`scalars.satisfies`), exactly in exact mode, where a float raises
-    ValueError, and within eps in each row and sign in float mode, where an
-    inf or a NaN fails."""
+    """Replay a feasible certificate against the program in its field: A x =
+    b and x >= 0 (`scalars.satisfies`), exactly in exact mode, where a float
+    raises ValueError, and within eps in each row and sign in float mode,
+    where an inf or a NaN fails. `mode`, if given, must be the program's
+    (`LinearProgram.mode`), or ValueError is raised."""
     A, b, x, eps = _cleared(program, solution, tol, mode, False)
     return len(x) == program.num_vars and satisfies(A, x, b, eps)
 
 
 def verify_farkas(program: LinearProgram, farkas: Sequence,
                   tol: Tolerance = DEFAULT_TOLERANCE, mode: Optional[str] = None) -> bool:
-    """Replay an infeasibility certificate: y'A <= 0 and y'b > 0
-    (`scalars.refutes`), exactly in exact mode, where a float raises
-    ValueError, and within eps in each sign in float mode, where an inf or a
-    NaN in y fails."""
+    """Replay an infeasibility certificate against the program in its field:
+    y'A <= 0 and y'b > 0 (`scalars.refutes`), exactly in exact mode, where a
+    float raises ValueError, and within eps in each sign in float mode, where
+    an inf or a NaN in y fails. `mode`, if given, must be the program's
+    (`LinearProgram.mode`), or ValueError is raised."""
     A, b, y, eps = _cleared(program, farkas, tol, mode, True)
     return len(y) == len(b) and refutes(y, A, b, eps)
 
@@ -413,20 +395,24 @@ def verify_farkas(program: LinearProgram, farkas: Sequence,
 def _cleared(program: LinearProgram, certificate: Sequence, tol: Tolerance,
              mode: Optional[str], farkas: bool) -> tuple:
     """(A, b, certificate, eps) as the pair `scalars.satisfies` and
-    `scalars.refutes` reads them. Float mode: the arrays the float kernel
-    reads (`float_data`) and the certificate as a float array. Exact mode:
-    the integer rows N and right-hand side n_b that the exact kernel reads
-    (`integer_data`), row i over den[i] > 0, and the certificate cleared to
-    integers (`scalars.integer_row`), with eps 0; a float raises ValueError.
+    `scalars.refutes` reads them, in the program's field; a `mode` other
+    than that field raises ValueError. A float program: its arrays, as the
+    float kernel reads them, and the certificate as a float array. An exact
+    program: the integer rows N and right-hand side n_b of its stored form,
+    which the exact kernel reads, row i over den[i] > 0, and the certificate
+    cleared to integers (`scalars.integer_row`), with eps 0; a float raises
+    ValueError.
     Every den[i] is positive, so for a solution x = X / D, A x = b holds
     exactly when N X = n_b D does, row by row; for a Farkas vector y of one
     entry per row, y'A <= 0 < y.b holds exactly when z'N <= 0 < z.n_b
     does for z_i = y_i / den_i, cleared to integers (a y of another length
     is returned as it is, for the caller's length test)."""
-    F = field(mode or program.mode(), tol)
+    F = field(program.mode(), tol)
+    if mode not in (None, F.mode):
+        raise ValueError(f"a {F.mode} program replays in its own field, not in {mode} mode")
     if F.mode == FLOAT:
-        return (*program.float_data, np.asarray(certificate, dtype=float), F.eps)
-    (N, den), n = program.integer_data, program.num_vars
+        return (*program.data, np.asarray(certificate, dtype=float), F.eps)
+    (N, den), n = program.data, program.num_vars
     X, D = integer_row(certificate)
     if farkas and len(X) == len(den):  # z_i = y_i / den_i, cleared; b needs no scale
         X, D = integer_row([Fraction(x, d) for x, d in zip(X, den)])[0], 1
@@ -453,7 +439,7 @@ def _simplex(program: LinearProgram, kernel, F, start=None) -> LPOutcome:
         pivots, row = _dual(tab, n, _DUAL_CAP * m)
         if row is not None and row >= 0:
             y = tab.row_farkas(row, flips)
-            if refutes(y, *program.float_data, F.eps):
+            if refutes(y, *program.data, F.eps):
                 return LPOutcome(INFEASIBLE, F.mode, farkas=tuple(y.tolist()), pivots=pivots,
                                  basis=tuple(tab.basis), inverse=tab.basis_inverse(flips))
         if row != -1:  # the cap, or a refutation that fails replay: solve cold
@@ -505,7 +491,7 @@ def _simplex(program: LinearProgram, kernel, F, start=None) -> LPOutcome:
         x = np.zeros(n)
         x[basis] = [F.zero + tab.value(i) for i in range(len(basis))]
         sol = tuple(x.tolist())
-        A, b = program.float_data
+        A, b = program.data
         if not satisfies(A, x, b, F.eps):
             raise CertificateError("float solution fails replay against its program")
     else:
@@ -540,7 +526,7 @@ def _ray_replays(program: LinearProgram, ray, objective, eps) -> bool:
     inf or a NaN fails."""
     r = np.asarray(ray, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        return satisfies(program.float_data[0], r, 0.0, eps) and bool(
+        return satisfies(program.data[0], r, 0.0, eps) and bool(
             np.asarray(objective, dtype=float) @ r > eps)
 
 
@@ -602,18 +588,17 @@ def _optimize(tab, basis, allowed, cap, pivots):
 #
 # Row i of T holds integer numerators over the positive denominator D[i]; the
 # last row is the reduced-cost row. The rows start as lists copied from the
-# program's `integer_data`, an exact program's stored form, since the kernel
-# updates its rows in place. The pivot rule compares numerators
-# only within the reduced-cost row, which share one denominator, and the
-# ratio test compares T[i][last] / T[i][col] by cross products (the
-# denominator of row i cancels), so no choice depends on a row's scale. A
-# pivot on P over p, or a cost set-up, subtracts f / p times P from a row
-# (`_eliminate`), and only at the nonzeros of P: when p divides f, in place
-# over the row's own denominator; otherwise the row and its denominator are
-# first scaled by p / gcd(p, f). A row is divided by the gcd of its entries
-# and denominator only once the denominator has outgrown a machine word,
-# which bounds the growth of its integers. Fractions, which are normalized,
-# are built only for the returned values.
+# program's stored form, since the kernel updates its rows in place. The
+# pivot rule compares numerators only within the reduced-cost row, which
+# share one denominator, and the ratio test compares T[i][last] / T[i][col]
+# by cross products (the denominator of row i cancels), so no choice depends
+# on a row's scale. A pivot on P over p, or a cost set-up, subtracts f / p
+# times P from a row (`_eliminate`), and only at the nonzeros of P: when p
+# divides f, in place over the row's own denominator; otherwise the row and
+# its denominator are first scaled by p / gcd(p, f). A row is divided by the
+# gcd of its entries and denominator only once the denominator has outgrown
+# a machine word, which bounds the growth of its integers. Fractions, which
+# are normalized, are built only for the returned values.
 # ---------------------------------------------------------------------------
 
 def _reduced(row, den):
@@ -648,7 +633,7 @@ class _IntTableau:
 
     def __init__(self, program, flips, F):
         m, n = len(flips), program.num_vars
-        N, den = program.integer_data
+        N, den = program.data
         T = [r if flip > 0 else [-x for x in r] for r, flip in zip(N.tolist(), flips)]
         D = den.tolist()
         basis = _initial_basis(program)
@@ -725,11 +710,11 @@ class _IntTableau:
     def farkas(self, program, flips):
         """y / y'|b| with the flips undone, for the duals y = v / den of the
         flipped rows, whose right-hand sides are |b|; None unless y'|b| > 0.
-        With b_j = B_j / D_j read from `integer_data` and L the lcm of the
+        With b_j = B_j / D_j read from `data` and L the lcm of the
         D_j that count, y'|b| = N / (L den) for the integer N = sum_j v_j
         |B_j| L / D_j, so entry i is the one Fraction v_i L / +-N."""
         v = [self.dual(i) for i in range(len(flips))]
-        terms = [(x * abs(r[-1]), d) for x, r, d in zip(v, *program.integer_data) if x and r[-1]]
+        terms = [(x * abs(r[-1]), d) for x, r, d in zip(v, *program.data) if x and r[-1]]
         L = lcm(*(den for _, den in terms))
         N = sum(t * (L // den) for t, den in terms)
         if not N > 0:
@@ -817,7 +802,7 @@ class _FloatRevised:
     def __init__(self, program, flips, F):
         m, n = len(flips), program.num_vars
         self.eps = F.eps
-        A, b = program.float_data
+        A, b = program.data
         C = np.zeros((m + 1, n))  # phase 1 prices structural columns at zero
         C[:m] = A
         negated = [i for i, flip in enumerate(flips) if flip < 0]
@@ -950,7 +935,7 @@ class _FloatRevised:
         """y / y'|b| with the flips undone, for the duals y of the flipped
         rows, whose right-hand sides are |b|; None unless y'|b| > 0."""
         y = [self.dual(i) for i in range(len(flips))]
-        scale = self.dot(y, np.abs(program.float_data[1]))
+        scale = self.dot(y, np.abs(program.data[1]))
         if not scale > 0:
             return None
         return tuple(v / scale if flip > 0 else v / -scale for v, flip in zip(y, flips))

@@ -68,9 +68,12 @@ class Postprocessing:
 
 def merge_channel(labels: Sequence[str], merged: Sequence[str], into: str,
                   mode: str = EXACT) -> Postprocessing:
-    """Deterministic channel sending every label in `merged` to `into`."""
+    """Deterministic channel sending every label in `merged` to `into`; a
+    label of `merged`, or `into`, not among `labels` raises ValueError."""
     F = field(mode)
     labels = tuple(labels)
+    if not {into, *merged} <= set(labels):
+        raise ValueError("merge_channel: merged labels and their target must be among the labels")
     target = tuple(lab for lab in labels if lab not in set(merged) or lab == into)
     rows = []
     for lab in labels:

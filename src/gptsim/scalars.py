@@ -17,14 +17,15 @@ holds its numbers, the zero test and the dedup key.
 
 Code outside this module branches on the mode only where the two modes run
 different algorithms or read outside input: the backend choice in
-`lp.lp_solve`, a program's stored form and its view in the other field
-(`lp.LinearProgram`: float arrays, or integer rows over their
-denominators), `lp._cleared`'s choice of data form for the verifiers (the
-float arrays the float kernel reads, or the integer rows it reads with the
-certificate cleared), the float-only replay in `lp._simplex` (an exact
-solution is the kernel's Fractions as they are), the exact clearing of
-each effect row in `simulation.simulation_program`, which places both
-fields' rows in one layout, the effect-sum guard
+`lp.lp_solve`, by the field of the program, which it solves in no other, a
+program's stored form (`lp.LinearProgram`: float arrays, or integer rows
+over their denominators), `lp._cleared`'s data form for the verifiers,
+the program's own (the float arrays the float kernel reads, or the integer
+rows the exact kernel reads, with the certificate cleared), the float-only
+replay in `lp._simplex` (an exact solution is the kernel's Fractions as
+they are), the exact clearing of each effect row in
+`simulation.simulation_program`, which places both fields' rows in one
+layout, the effect-sum guard
 `simulation._require_sums` (exact equality, or eps in each coordinate), the
 float-only test of a float scheme, solved or read from the simulation-set
 store, on every row of the full layout (`simulation._scheme_holds`, which

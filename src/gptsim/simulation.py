@@ -92,6 +92,7 @@ from .spaces import (
     Effect,
     Observable,
     mix_observables,
+    require_same_space,
     valid_effect_rows,
 )
 
@@ -162,14 +163,7 @@ def _common_field(target: Observable, simulators: Sequence[Observable],
 def _check_same_space(target: Observable, simulators: Sequence[Observable]):
     if not simulators:
         raise ValueError("simulators must be nonempty")
-    # == and not a set: a frozen StateSpace hashes all its coordinates on
-    # every call, while == between the same object returns at once
-    spaces = [obs.space for obs in [target, *simulators] if obs.space is not None]
-    if any(space != spaces[0] for space in spaces[1:]):
-        raise ValueError("mixed state spaces rejected")
-    dims = {obs.dim for obs in [target, *simulators]}
-    if len(dims) > 1:
-        raise ValueError("observables live in different ambient dimensions")
+    require_same_space([target, *simulators])
 
 
 def _require_sums(target: Observable, simulators: Sequence[Observable], F):
@@ -376,7 +370,7 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
     ((cert, start),) = store.decide([b], [L], target, simulators)
     if cert is not None:
         return cert
-    out = lp_solve(simulation_program(target, simulators, tol), mode=F.mode, tol=tol, start=start)
+    out = lp_solve(simulation_program(target, simulators, tol), tol=tol, start=start)
     if out.verdict != FEASIBLE:
         farkas = out.farkas + (F.zero,) * target.dim
         store.keep_refutation(farkas, target, simulators)
@@ -1043,7 +1037,7 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
         P[blocks, :, ws, :] = vectors.T
         rows = P.reshape(len(kept) * dim, joint * len(gens))
         start = None if basic is None else _columns(*basic, len(gens), joint)
-        out = lp_solve(make_program(rows=rows, rhs=rhs), mode=F.mode, tol=tol, start=start)
+        out = lp_solve(make_program(rows=rows, rhs=rhs), tol=tol, start=start)
         if out.verdict == FEASIBLE:
             break
         y = [zero] * A.size  # zeros in the dropped blocks

@@ -596,15 +596,29 @@ def trivial_observable(space: StateSpace, dist) -> Observable:
                       space)
 
 
+def require_same_space(observables: Sequence[Observable]):
+    """ValueError unless the observables that name a state space name one,
+    and all of them live in one ambient dimension."""
+    # == and not a set: a frozen StateSpace hashes all its coordinates on
+    # every call, while == between the same object returns at once
+    spaces = [obs.space for obs in observables if obs.space is not None]
+    if any(space != spaces[0] for space in spaces[1:]):
+        raise ValueError("mixed state spaces rejected")
+    if len({obs.dim for obs in observables}) > 1:
+        raise ValueError("observables live in different ambient dimensions")
+
+
 def mix_observables(observables: Sequence[Observable], weights) -> Observable:
     """Convex mixture on the union outcome set, without tracking the choice.
 
     Observables are zero-extended to the union of their label sets (order of
-    first appearance) before the weighted sum. The weights must be a
+    first appearance) before the weighted sum. They must share one space and
+    one dimension (`require_same_space`), and the weights must be a
     probability vector (`_require_probabilities`).
     """
     if not observables:
         raise ValueError("observables must be nonempty")
+    require_same_space(observables)
     if len(observables) != len(weights):
         raise ValueError("one weight per observable required")
     _require_probabilities(weights)

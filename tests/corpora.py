@@ -52,6 +52,8 @@ import sys
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
+
 from gptsim import lp
 from gptsim.catalog import (
     classical,
@@ -68,7 +70,7 @@ from gptsim.lp import FEASIBLE, INFEASIBLE, lp_solve, make_program
 from gptsim.postprocessing import apply, is_postprocessing_of, merge_channel
 from gptsim.qubit import QubitEffect, dichotomic, random_qubit_observable
 from gptsim.reproduce import CRITERIA, CriterionResult, run_criterion
-from gptsim.scalars import EXACT, FLOAT
+from gptsim.scalars import FLOAT
 from gptsim.serialize import certificate_to_json, observable_to_json
 from gptsim.simulation import (
     IrreducibleDecomposition,
@@ -152,12 +154,21 @@ def greedy_conic_programs(v, rays):
     return programs
 
 
+def float_twin(program):
+    """The float program of an exact program: each entry float(Fraction),
+    which rounds once, with the same objectives and start."""
+    rows = np.array(program.rows, dtype=float).reshape(len(program.rows), program.num_vars)
+    objective, *tiebreaks = [[float(c) for c in t] for t in program.objectives()] or [None]
+    return make_program(rows, np.array(program.rhs, dtype=float), objective, tiebreaks,
+                        program.start)
+
+
 def float_corpus():
     """Seeded float programs: the float twins of the exact corpus (same
     start), polygon simulation LPs (n = 5..8) against the irreducible
     catalog and against one random observable, and the greedy conic
     decompositions of the effects of random polygon observables."""
-    programs = [make_program(*p.float_data, start=p.start) for p in simulation_corpus()]
+    programs = [float_twin(p) for p in simulation_corpus()]
     cases = polygon_simulation_cases()
     programs.extend(simulation_program(target, sims) for target, sims in cases)
     conic = [program for target, _ in cases[::2] for effect in target.effects
@@ -363,9 +374,9 @@ def _compatibility_decisions():
 
 
 CORPORA = {
-    "exact": lambda: [partial(lp_solve, p, EXACT) for p in simulation_corpus()],
-    "float": lambda: [partial(lp_solve, p, FLOAT) for p in float_corpus()],
-    "oracle": lambda: [partial(lp_solve, p, EXACT) for p in oracle_programs(31, 90)],
+    "exact": lambda: [partial(lp_solve, p) for p in simulation_corpus()],
+    "float": lambda: [partial(lp_solve, p) for p in float_corpus()],
+    "oracle": lambda: [partial(lp_solve, p) for p in oracle_programs(31, 90)],
     "conic": lambda: [partial(conic_decompose, v, rays) for v, rays in conic_corpus()],
     "relation": lambda: [partial(is_postprocessing_of, t, s) for t, s in relation_corpus()],
     "compatibility": _compatibility_decisions,

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from corpora import bracket_starts, float_corpus, oracle_programs, simulation_corpus
+from corpora import bracket_starts, float_corpus, float_twin, oracle_programs, simulation_corpus
 from gptsim.lp import (
     FEASIBLE,
     INFEASIBLE,
@@ -52,6 +52,16 @@ def test_unbounded_reported_distinctly():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         make_program(rows=[(1, 1), (1,)], rhs=(1, 1))
+    # a right-hand side of another length, and rows that are not a 2-D
+    # table, raise one ValueError in either field
+    for rows, rhs in (([(1, 1)], (1, 1)), ([(1, 1), (1, 1)], (1,)), ([(1.0, 1.0)], (1.0, 1.0)),
+                      (np.ones((1, 2)), (1.0, 1.0)), (np.ones((2, 2)), (1.0,)),
+                      (np.ones((1, 2), object), (1, 1))):
+        with pytest.raises(ValueError, match="row count must equal right-hand side length"):
+            make_program(rows=rows, rhs=rhs)
+    for rows in (np.zeros(3), np.zeros((3, 2, 1)), np.zeros(3, object)):
+        with pytest.raises(ValueError, match="2-D table"):
+            make_program(rows=rows, rhs=(0.0,) * 3)
     with pytest.raises(ValueError, match="tie-breaks need an objective"):
         make_program(rows=[(1, 1)], rhs=(1,), tiebreaks=[(1, 0)])
     with pytest.raises(ValueError, match="objective width"):
@@ -116,26 +126,22 @@ def test_random_rational_agreement_exact_vs_float(seed):
         assert verify_farkas(p_float, out_f.farkas)
 
 
-def test_exact_mode_rejects_float_data():
-    p = make_program(rows=[(0.5, 0.5)], rhs=(1.0,), objective=(1.0, 0.0))
-    with pytest.raises(ValueError, match="exact mode requested for float data"):
-        lp_solve(p, mode=EXACT)
-
-
 @pytest.mark.parametrize("where", ["objective", "rows"])
-def test_exact_mode_rejects_float_data_before_solving(where):
-    # -x0 - x1 = 1 is infeasible in phase 1, so a float objective must be
-    # caught up front; a float row is caught while the exact kernel clears
-    # it. Neither rejected program counts as a solve.
+def test_one_float_makes_a_float_program(where):
+    # a float in the rows or in the objective makes the whole program a
+    # float one, solved as one: -x0 - x1 = 1 is infeasible in phase 1. A
+    # start that it refuses (it has an objective) counts no solve.
     from gptsim import lp
 
     row, objective = ((-1.0, -1), (1, 0)) if where == "rows" else ((-1, -1), (1.0, 0))
     p = make_program(rows=[row], rhs=(1,), objective=objective)
+    assert p.mode() == FLOAT
     solves = lp.stats["solves"]
-    with pytest.raises(ValueError, match="exact mode requested for float data"):
-        lp_solve(p, mode=EXACT)
+    with pytest.raises(ValueError, match="without an objective"):
+        lp_solve(p, start=(0,))
     assert lp.stats["solves"] == solves
-    assert lp_solve(p, mode=FLOAT).verdict == INFEASIBLE
+    out = lp_solve(p)
+    assert (out.verdict, out.mode, out.farkas) == (INFEASIBLE, FLOAT, (1.0,))
     assert lp.stats["solves"] == solves + 1
 
 
@@ -185,9 +191,8 @@ def test_a_float_program_with_an_inf_or_a_nan_is_refused_before_any_solve():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for program in programs:
-            for mode in (None, FLOAT):
-                with pytest.raises(ValueError, match="finite"):
-                    lp_solve(program, mode=mode)
+            with pytest.raises(ValueError, match="finite"):
+                lp_solve(program)
     assert lp.stats == {"solves": 0, "pivots": 0}
 
 
@@ -208,20 +213,21 @@ def test_float_verifiers_allow_eps_and_no_more():
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_verifiers_on_a_program_without_rows(mode):
-    # the twin's rows are a zero-row float array, which keeps its width even
-    # without an objective to give one
+    # an exact program from no rows, a float one from a zero-row float
+    # array, which keeps its width even without an objective to give one;
+    # x0 grows without bound in either
     assert make_program(rows=np.zeros((0, 2)), rhs=[]).num_vars == 2
-    p, twin = (make_program(rows=rows, rhs=[], objective=(1, 0))
-               for rows in ([], np.zeros((0, 2))))
-    assert isinstance(twin.rows, np.ndarray)
-    assert repr(lp_solve(twin, mode=mode)) == repr(lp_solve(p, mode=mode))
-    for program in (p, twin):
-        assert not verify_farkas(program, (), mode=mode)  # y'b = 0 refutes nothing
-        assert not verify_farkas(program, (1,), mode=mode)
-        assert verify_solution(program, (0, 3), mode=mode)
-        assert not verify_solution(program, (-1, 0), mode=mode)
-        assert not verify_solution(program, (0, -3), mode=mode)
-        assert not verify_solution(program, (0,), mode=mode)
+    program = make_program(rows=[] if mode == EXACT else np.zeros((0, 2)), rhs=[],
+                           objective=(1, 0))
+    assert program.mode() == mode
+    out = lp_solve(program)
+    assert (out.verdict, out.mode, out.solution, out.ray) == (UNBOUNDED, mode, (0, 0), (1, 0))
+    assert not verify_farkas(program, (), mode=mode)  # y'b = 0 refutes nothing
+    assert not verify_farkas(program, (1,), mode=mode)
+    assert verify_solution(program, (0, 3), mode=mode)
+    assert not verify_solution(program, (-1, 0), mode=mode)
+    assert not verify_solution(program, (0, -3), mode=mode)
+    assert not verify_solution(program, (0,), mode=mode)
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
@@ -231,7 +237,7 @@ def test_a_certificate_of_another_length_fails_replay(mode):
     # many or too few
     one = F(1) if mode == EXACT else 1.0
     p = make_program(rows=[(one / 2, -one / 2), (-one / 3, one / 3)], rhs=(one, one))
-    y = lp_solve(p, mode=mode).farkas
+    y = lp_solve(p).farkas
     assert verify_farkas(p, y, mode=mode)
     for bad in (y + (0 * one,), y + (one,), y[:1]):
         assert not verify_farkas(p, bad, mode=mode)
@@ -242,15 +248,29 @@ def test_a_certificate_of_another_length_fails_replay(mode):
 
 
 def test_exact_verifiers_reject_float_data():
-    # a float row, as a tuple or as an array, or a float certificate
-    p, twin = _with_array_twin([(0.5, 0.5)], (1.0,))
+    # a float in the certificate of an exact program, its mode named or not
     q = make_program(rows=[(1, 1)], rhs=(2,))
-    for program, farkas, solution in ((p, (F(1),), (F(1), F(1))), (twin, (F(1),), (F(1), F(1))),
-                                      (q, (1.0,), (1.0, 1.0))):
+    for mode in (None, EXACT):
         with pytest.raises(ValueError, match="exact mode requested for float data"):
-            verify_farkas(program, farkas, mode=EXACT)
+            verify_farkas(q, (1.0,), mode=mode)
         with pytest.raises(ValueError, match="exact mode requested for float data"):
-            verify_solution(program, solution, mode=EXACT)
+            verify_solution(q, (F(1), 1.0), mode=mode)
+
+
+def test_verifiers_replay_in_the_programs_own_field():
+    # a replay in the field of the outcome, as perfbench's tracer asks for
+    # it (tol by position, mode by name), replays; a mode other than the
+    # program's raises, on a float row as a tuple or as an array alike
+    p, twin = _with_array_twin([(-0.5, -0.5)], (1.0,))
+    q = make_program(rows=[(-1, -1)], rhs=(2,))
+    for program, other in ((p, EXACT), (twin, EXACT), (q, FLOAT)):
+        out = lp_solve(program)
+        assert out.verdict == INFEASIBLE and out.mode == program.mode()
+        assert verify_farkas(program, out.farkas, DEFAULT_TOLERANCE, mode=out.mode)
+        with pytest.raises(ValueError, match="its own field"):
+            verify_farkas(program, out.farkas, mode=other)
+        with pytest.raises(ValueError, match="its own field"):
+            verify_solution(program, (0 * out.farkas[0],) * 2, mode=other)
 
 
 @pytest.mark.parametrize("kernel, one", [("_IntTableau", 1), ("_FloatRevised", 1.0)])
@@ -315,7 +335,7 @@ def test_float_unbounded_ray_replays(monkeypatch):
     for program, c in zip(programs, grows):
         out = lp_solve(program)
         assert out.verdict == UNBOUNDED
-        A, _ = program.float_data
+        A, _ = program.data
         r = np.array(out.ray)
         assert np.abs(A @ r).max() <= 1e-12 and r.min() >= 0 and np.dot(c, r) >= 1
     value = lp._FloatRevised.value
@@ -378,7 +398,7 @@ def test_exact_outcomes_pinned():
     digest = hashlib.sha256()
     verdicts = set()
     for program in simulation_corpus():
-        out = lp_solve(program, mode=EXACT)
+        out = lp_solve(program)
         verdicts.add(out.verdict)
         digest.update(repr(out).encode())
     assert verdicts == {FEASIBLE, INFEASIBLE}
@@ -394,7 +414,7 @@ def test_float_outcomes_pinned():
     digest = hashlib.sha256()
     verdicts = []  # 849 programs, 516 with an objective
     for program in float_corpus():
-        out = lp_solve(program, mode=FLOAT)
+        out = lp_solve(program)
         verdicts.append(out.verdict)
         digest.update(repr((out.verdict, out.pivots)).encode())
     assert (verdicts.count(FEASIBLE), verdicts.count(INFEASIBLE)) == (736, 113)
@@ -434,7 +454,7 @@ def test_singleton_columns_start_on_artificials():
             p = make_program(rows=[[kind(x) for x in r] for r in rows],
                              rhs=[kind(b) for b in rhs], objective=[kind(0), kind(0), kind(1)])
             assert kernel(p, [1, 1], field(mode, DEFAULT_TOLERANCE)).basis == list(range(3, 5))
-            out = lp_solve(p, mode=mode)
+            out = lp_solve(p)
             assert out.verdict == verdict
             assert (verify_solution(p, out.solution) if verdict == FEASIBLE
                     else verify_farkas(p, out.farkas))
@@ -465,8 +485,8 @@ def test_float_free_columns_and_flips_agree_with_exact(objective, sense, last):
                     for float_rows in ([[float(x) for x in r] for r in rows],
                                        np.array(rows, dtype=float)))
     assert isinstance(twin.rows, np.ndarray)
-    ref, out = lp_solve(exact, mode=EXACT), lp_solve(floats, mode=FLOAT)
-    assert repr(lp_solve(twin, mode=FLOAT)) == repr(out)
+    ref, out = lp_solve(exact), lp_solve(floats)
+    assert repr(lp_solve(twin)) == repr(out)
     assert out.verdict == ref.verdict == (FEASIBLE if last > 0 else INFEASIBLE)
     assert out.pivots == ref.pivots
     if last > 0:
@@ -573,7 +593,7 @@ def test_exact_kernel_matches_fraction_oracle(monkeypatch, stall_limit):
     programs = oracle_programs(31, 90)
     started = [_with_slack_start(p) for p in programs[::2]] + simulation_corpus()[::4]
     for program in programs + started:
-        out = lp_solve(program, mode=EXACT)
+        out = lp_solve(program)
         verdicts.add((out.verdict, bool(program.start)))
         assert (out.verdict, out.solution, out.farkas, out.ray, out.objective_value,
                 out.pivots) == fraction_simplex(program, lp._STALL_LIMIT)
@@ -625,9 +645,9 @@ def test_programs_without_a_start_keep_their_outcomes():
     twins = [make_program([[float(x) for x in r] for r in p.rows], [float(b) for b in p.rhs],
                           None if p.objective is None else [float(c) for c in p.objective],
                           [[float(c) for c in t] for t in p.tiebreaks]) for p in programs]
-    for program, mode in [(p, EXACT) for p in programs] + [(p, FLOAT) for p in twins]:
+    for program in programs + twins:
         assert not program.start
-        digest.update(repr(lp_solve(program, mode=mode)).encode())
+        digest.update(repr(lp_solve(program)).encode())
     assert digest.hexdigest() == (
         "41fe231ce42eb64b46d0b75107815c91a6e452acc820fa42fa4fce8c99679333")
 
@@ -647,7 +667,7 @@ def test_started_rows_cost_nothing_in_phase_1(kernel, mode, one):
     tab = getattr(lp, kernel)(p, [1, 1], field(mode, DEFAULT_TOLERANCE))
     assert tab.basis == [2, 4]
     assert [tab.dual(i) for i in range(2)] == [0, tab.dual(1)] and tab.dual(1) > 0
-    out = lp_solve(p, mode=mode)
+    out = lp_solve(p)
     assert out.verdict == INFEASIBLE and out.pivots == 0
     assert out.farkas == (0, 1) and verify_farkas(p, out.farkas)
 
@@ -666,18 +686,18 @@ def test_exact_solves_leave_their_program_unchanged():
     assert (N.tolist(), den.tolist()) == ([[6, 12, 0, -4, 3], [15, 2, 5, 0, 10], [1, 1, 1, 1, 1]],
                                           [12, 5, 1])
     assert all(type(x) is int for x in (*N.flat, *den))
-    first = lp_solve(p, mode=EXACT)
+    first = lp_solve(p)
     assert first.verdict == FEASIBLE and first.pivots > 0
-    assert lp_solve(p, mode=EXACT) == first
+    assert lp_solve(p) == first
     assert verify_solution(p, first.solution, mode=EXACT)
-    assert lp_solve(p, mode=EXACT) == first
+    assert lp_solve(p) == first
     assert p.rows == rows and p.rhs == rhs
     assert (N.tolist(), den.tolist()) == ([[6, 12, 0, -4, 3], [15, 2, 5, 0, 10], [1, 1, 1, 1, 1]],
                                           [12, 5, 1])
     q = make_program(rows=[(1, -1), (-1, 1)], rhs=(1, 1))
-    out = lp_solve(q, mode=EXACT)
+    out = lp_solve(q)
     assert out.verdict == INFEASIBLE and verify_farkas(q, out.farkas, mode=EXACT)
-    assert lp_solve(q, mode=EXACT) == out
+    assert lp_solve(q) == out
     assert [r.tolist() for r in q.data] == [[[1, -1, 1], [-1, 1, 1]], [1, 1]]
 
 
@@ -698,7 +718,7 @@ def test_final_basis_and_inverse(mode):
         cases = [(p, None) for p in float_corpus()] + _polygon_starts()[::5] + bracket_starts()
     checked, dropped, refuted = 0, 0, {None: 0, "started": 0}
     for p, start in cases:
-        out = lp_solve(p, mode, start=start)
+        out = lp_solve(p, start=start)
         assert repr(out) == repr(dataclasses.replace(out, basis=None, inverse=None))
         assert out == dataclasses.replace(out, basis=None, inverse=None)
         n, m = p.num_vars, len(p.rhs)
@@ -729,18 +749,20 @@ def test_final_basis_and_inverse(mode):
 
 
 def test_a_start_needs_a_float_program_without_an_objective():
-    # exact mode and objectives take no start, and a start names one
+    # exact programs and objectives take no start, and a start names one
     # structural column or the row's own artificial per row
-    p = make_program(rows=[(1, 1, 0), (0, 1, 1)], rhs=(1, 1))
-    q = make_program(rows=[(1.0, 1.0, 0.0), (0.0, 1.0, 1.0)], rhs=(1.0, 1.0),
-                     objective=(1.0, 0.0, 0.0))
-    for program, mode in ((p, EXACT), (p, None), (q, FLOAT)):
+    rows = [(1, 1, 0), (0, 1, 1)]
+    p = make_program(rows=rows, rhs=(1, 1))
+    floats = np.array(rows, dtype=float)
+    q = make_program(rows=floats, rhs=(1.0, 1.0), objective=(1.0, 0.0, 0.0))
+    for program in (p, q):
         with pytest.raises(ValueError, match="float program without an objective"):
-            lp_solve(program, mode=mode, start=(0, 2))
+            lp_solve(program, start=(0, 2))
+    twin = make_program(rows=floats, rhs=(1.0, 1.0))
     for start in ((0,), (0, 1, 2), (0, 3), (4, 1), (-1, 2), (0, 5)):
         with pytest.raises(ValueError, match="its row's artificial"):
-            lp_solve(p, mode=FLOAT, start=start)
-    assert lp_solve(p, mode=FLOAT, start=(3, 4)).verdict == FEASIBLE
+            lp_solve(twin, start=start)
+    assert lp_solve(twin, start=(3, 4)).verdict == FEASIBLE
 
 
 def test_a_dropped_rows_artificial_above_zero_refutes():
@@ -858,7 +880,7 @@ def test_program_equality_reads_the_stored_form():
     twin = make_program(*floats, objective=(1.0, 0.0, 0.0), start=[(1, 2)])
     assert twin == make_program(np.array(floats[0]), floats[1], objective=(1.0, 0.0, 0.0),
                                 start=[(1, 2)])
-    assert twin == make_program(*exact.float_data, objective=(1.0, 0.0, 0.0), start=[(1, 2)])
+    assert twin == float_twin(exact)
     assert (exact.mode(), twin.mode()) == (EXACT, FLOAT)
     assert exact != twin and twin != exact
     for other in (make_program(rows, rhs, objective=(0, 1, 0), start=[(1, 2)]),
@@ -870,25 +892,25 @@ def test_program_equality_reads_the_stored_form():
         hash(exact)
 
 
-def test_float_view_of_an_exact_program_rounds_each_entry_once():
-    # Each entry of the float view is float(Fraction): its numerator
-    # divided by its row's denominator as Python ints, which rounds once.
-    # Row 0 clears over 9, so its first numerator is 3 (2**60 + 1); its
-    # second, 2**60 + 9, made a float first would round twice, to another
-    # float.
+def test_a_float_twin_rounds_each_entry_once():
+    # Each entry of the float twin that the float corpus builds of an exact
+    # program is float(Fraction), which rounds once. Row 0 clears over 9,
+    # so its first numerator is 3 (2**60 + 1); its second, 2**60 + 9, made a
+    # float first would round twice, to another float. Each program solves
+    # in its own field, to the same verdict.
     rows = [(F(2**60 + 1, 3), F(2**60 + 9, 9), 1), (F(-1, 7), 0, F(5, 2**80 + 3))]
     rhs = (F(1, 3), F(2**61 + 3, 9))
     p = make_program(rows, rhs)
-    (N, den), (A, b) = p.data, p.float_data
+    twin = float_twin(p)
+    (N, den), (A, b) = p.data, twin.data
     assert (N[0, :2].tolist(), den[0]) == ([3 * (2**60 + 1), 2**60 + 9], 9)
     assert float(N[0, 1]) / den[0] != float(rows[0][1])  # the double rounding
     assert A.tolist() == [[float(x) for x in r] for r in rows]
     assert b.tolist() == [float(x) for x in rhs]
-    assert not A.flags.writeable and not b.flags.writeable and A.flags.c_contiguous
-    assert p.float_data is p.float_data  # made once
-    out = lp_solve(p, mode=FLOAT)
-    assert out.mode == FLOAT and out.verdict == INFEASIBLE  # row 1 needs x2 past 1/3
-    assert verify_farkas(p, out.farkas, mode=FLOAT)
+    for program, mode in ((p, EXACT), (twin, FLOAT)):
+        out = lp_solve(program)
+        assert out.mode == mode and out.verdict == INFEASIBLE  # row 1 needs x2 past 1/3
+        assert verify_farkas(program, out.farkas)
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])

@@ -42,6 +42,17 @@ def test_merge_channel_adds_effects(sq):
     assert merged.effects[0].coeffs == sq.E.effects[0].coeffs
 
 
+def test_merge_channel_needs_its_labels():
+    # a target or a merged label outside the labels gave all-zero rows
+    labels = ("a", "b", "c")
+    for merged, into in ((("a", "b"), "a"), (("b", "c"), "a"), (labels, "c"), ((), "b")):
+        for mode in ("exact", "float"):
+            assert merge_channel(labels, merged, into, mode).is_stochastic()
+    for merged, into in ((("a", "b"), "z"), (("a", "z"), "a"), (("z",), "b")):
+        with pytest.raises(ValueError, match="among the labels"):
+            merge_channel(labels, merged, into)
+
+
 def test_postprocessing_produces_ct_from_equal_mixture(suite):
     # the stated two-by-two channel turns the equal X/Y mixture (Bloch part
     # (1,1,0)/2, i.e. t = 1/sqrt(2)) into C_t; stochastic exactly while

@@ -1000,9 +1000,9 @@ def test_compatibility_programs_drop_implied_blocks(monkeypatch, sq, suite):
 
     programs = []
 
-    def recording(program, mode=None, tol=lp.DEFAULT_TOLERANCE, start=None):
+    def recording(program, tol=lp.DEFAULT_TOLERANCE, start=None):
         programs.append(program)
-        return lp.lp_solve(program, mode=mode, tol=tol, start=start)
+        return lp.lp_solve(program, tol=tol, start=start)
 
     monkeypatch.setattr(simulation, "lp_solve", recording)
     three = trivial_observable(sq.space, [(lab, F(1, 3)) for lab in "abc"])
@@ -1052,8 +1052,8 @@ def test_compatibility_float_joint_failing_dropped_blocks_raises(monkeypatch, su
     post = apply(Postprocessing(("+", "-"), ("+", "-"), ((0.8, 0.2), (0.3, 0.7))), x)
     assert is_compatible([x, post]).compatible
 
-    def scaled(program, mode=None, tol=lp.DEFAULT_TOLERANCE, start=None):
-        out = lp.lp_solve(program, mode=mode, tol=tol, start=start)
+    def scaled(program, tol=lp.DEFAULT_TOLERANCE, start=None):
+        out = lp.lp_solve(program, tol=tol, start=start)
         return dataclasses.replace(out, solution=tuple(v * (1 + 1e-6) for v in out.solution))
 
     monkeypatch.setattr(simulation, "lp_solve", scaled)
@@ -1074,8 +1074,8 @@ def test_compatibility_float_agrees_with_exact_on_wide_programs(monkeypatch, nam
 
     solved = []
 
-    def recording(program, mode=None, tol=lp.DEFAULT_TOLERANCE, start=None):
-        out = lp.lp_solve(program, mode=mode, tol=tol, start=start)
+    def recording(program, tol=lp.DEFAULT_TOLERANCE, start=None):
+        out = lp.lp_solve(program, tol=tol, start=start)
         solved.append((program, out))
         return out
 
@@ -1372,8 +1372,8 @@ def test_store_never_keeps_a_corrupted_refutation(sq, mode, monkeypatch):
     sims = [cast(sq.E)]
     solve, calls = simulation.lp_solve, []
 
-    def corrupting(program, mode=None, tol=None, start=None):
-        out = solve(program, mode=mode, tol=tol, start=start)
+    def corrupting(program, tol=None, start=None):
+        out = solve(program, tol=tol, start=start)
         calls.append(out)
         if len(calls) == 1:  # beta = 1 and nothing else: y.b = 1 for every target
             zero = field(mode).zero

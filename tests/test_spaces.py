@@ -215,11 +215,17 @@ def test_mix_observables_union_labels(sq):
     (lambda sq: mix_observables([sq.E.as_float(), sq.F.as_float()], [0.5, float("nan")]),
      "must sum to 1"),
     (lambda sq: mix_observables([], []), "observables must be nonempty"),
+    (lambda sq: mix_observables([sq.E, classical(3).distinguishing], [HALF, HALF]),
+     "mixed state spaces rejected"),
+    (lambda sq: mix_observables([Observable((("a", (1, 0, 0)),)),
+                                 Observable((("a", (1, 0, 0, 0)),))], [HALF, HALF]),
+     "different ambient dimensions"),
 ], ids=["trivial-negative", "mix-negative", "mix-float-negative", "mix-exact-sum", "mix-nan",
-        "mix-empty"])
+        "mix-empty", "mix-spaces", "mix-dimensions"])
 def test_weights_outside_the_simplex_make_no_observable(sq, call, message):
-    # weights that sum to 1 with a negative one gave an effect -u, and an
-    # empty mixture an IndexError
+    # weights that sum to 1 with a negative one gave an effect -u, an empty
+    # mixture an IndexError, observables of two spaces an observable of the
+    # first space, and two dimensions without a space one cut to the shorter
     with pytest.raises(ValueError, match=message):
         call(sq)
 
