@@ -121,7 +121,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, isfinite, lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -297,11 +297,19 @@ def make_program(rows, rhs, objective=None, tiebreaks=(), start=()) -> LinearPro
     if isinstance(rows, np.ndarray) and rows.dtype == float:
         n, data = rows.shape[1], (rows.view(), np.array(rhs, dtype=float))
     else:
-        rows, rhs = [tuple(r) for r in rows], tuple(rhs)
+        table = rows
+        try:
+            rows, rhs = [tuple(r) for r in table], tuple(rhs)
+            mode = infer_mode(chain(chain.from_iterable(rows), rhs, objective or (), *tiebreaks))
+        except TypeError:  # a ModeError too; a row that is a number, or an entry that is a row
+            if all(isinstance(r, Iterable) and not any(
+                    isinstance(x, Iterable) and not isinstance(x, str) for x in r) for r in table):
+                raise
+            raise ValueError("constraint rows must be a 2-D table") from None
         n = len(rows[0]) if rows else len(objective) if objective is not None else 0
         if any(len(r) != n for r in rows):
             raise ValueError("constraint row width must equal variable count")
-        if infer_mode(chain(chain.from_iterable(rows), rhs, objective or (), *tiebreaks)) == EXACT:
+        if mode == EXACT:
             data = _integer_form(rows, rhs, n)
         else:
             data = np.array(rows, dtype=float).reshape(len(rows), n), np.array(rhs, dtype=float)
@@ -1025,10 +1033,12 @@ class Answers:
     gives), read on the entries `reads` of b, with a mask of the rows whose
     basic column is structural, since a row the solve dropped (`LPOutcome`)
     needs B^-1 b within eps of zero. Exact B^-1 is kept as integers, each
-    row over its denominator (`dens`). A stack grows by one row per answer
-    kept, concatenated onto a copy of the stack (`_push`): nothing is
-    allocated ahead, since most exact simulation-set stores keep one answer,
-    and a store holds at most `cap` answers of each kind.
+    row over its denominator (`dens`), and a hit makes a Fraction of B^-1 b
+    only in its nonzero rows, which are rows whose basic column is
+    structural (`_levels`). A stack grows by one row per answer kept,
+    concatenated onto a copy of the stack (`_push`): nothing is allocated
+    ahead, since most exact simulation-set stores keep one answer, and a
+    store holds at most `cap` answers of each kind.
 
     A kind subclasses it with its translations and leaves the loop here.
     `decide` scans the store once for one b or many: for each b, the first
@@ -1073,11 +1083,12 @@ class Answers:
         translations: (answer, None) for a hit, (None, the payload of the
         basis to start from, or None) for a miss; an empty store misses every
         b at once. `solved` gets each hit as (b's index, payload, B^-1 b as
-        the field's numbers). Each b is scanned alone, by `refuting @ b` and
-        `inverses @ b`, which run numpy's matrix-vector kernel for each stored
-        y and B^-1, so every float is the one that b gets whatever else the
-        call asks (one operand of every b would go to the matrix-matrix
-        kernel, which rounds otherwise). An inf or a NaN gives no warning."""
+        the field's numbers, `_levels`). Each b is scanned alone, by
+        `refuting @ b` and `inverses @ b`, which run numpy's matrix-vector
+        kernel for each stored y and B^-1, so every float is the one that b
+        gets whatever else the call asks (one operand of every b would go to
+        the matrix-matrix kernel, which rounds otherwise). An inf or a NaN
+        gives no warning."""
         F, found, refuted, solved = self.F, [(None, None)] * len(bs), [], []
         if not (self.refutations or self.bases):
             return found
@@ -1108,11 +1119,15 @@ class Answers:
         return found
 
     def _levels(self, x, k, L) -> list:
-        """B^-1 b of stored basis k, x, as the field's numbers: exact rows
-        over their denominators times L."""
-        if self.F.mode == FLOAT:  # + 0.0 turns a -0.0 into 0.0
-            return (x + self.F.zero).tolist()
-        return list(map(Fraction, x.tolist(), (self.dens[k] * L).tolist()))
+        """B^-1 b of stored basis k, x, as the field's numbers: in exact mode
+        one Fraction, of Python ints, per nonzero row (the row's integer over
+        its denominator times L), which the scan found to be a row whose
+        basic column is structural, and `F.zero` in every other row; the
+        floats in float mode."""
+        F = self.F
+        if F.mode == FLOAT:  # + 0.0 turns a -0.0 into 0.0
+            return (x + F.zero).tolist()
+        return [Fraction(v, d * L) if v else F.zero for v, d in zip(x.tolist(), self.dens[k])]
 
     def keep_refutation(self, *answer):
         """Stack a refutation as the kind keeps it, (payload, y, bound or

@@ -111,13 +111,21 @@ class QubitSpace:
             raise ModeError("exact qubit effect with an irrational Bloch norm")
         return F, rows, norms
 
-    def min_values(self, effects: Sequence, scale: int = 1) -> list:
+    def min_values(self, effects: Sequence) -> list:
         """The least eigenvalue tau - ||e|| / 2 of each effect (`_norms`),
-        the effects given over the positive integer scale (an array, or any
-        iterable, read once)."""
+        the effects given as an array, or any iterable, read once."""
         effects = effects if isinstance(effects, np.ndarray) else list(effects)
         F, rows, norms = self._norms(effects, DEFAULT_TOLERANCE)
-        return [(F.coerce(e[3]) - norm / 2) / scale for e, norm in zip(rows, norms)]
+        return [F.coerce(e[3]) - norm / 2 for e, norm in zip(rows, norms)]
+
+    def least_values(self, rows: Sequence, F) -> tuple:
+        """(values, Q_s): the least eigenvalue of each row, rows of F's
+        numbers over one scale, times Q_s (`min_values`): in exact mode,
+        rows of Python ints, each value the integer 2 tau - ||e|| over
+        Q_s = 2 (an irrational norm raises ModeError); in float mode over
+        Q_s = 1."""
+        values = self.min_values(rows)
+        return (values, 1) if F.mode != EXACT else ([int(2 * v) for v in values], 2)
 
     def generators(self, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
         """The rank-one effects (d, 1/2) over `sphere_directions(128)`."""

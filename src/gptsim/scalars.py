@@ -13,7 +13,9 @@ call from the kinds of its inputs (`resolve`) or from a given mode
 (`field`). The field carries what the two modes differ in: zero and one,
 the one threshold `eps` (0 in exact mode), the coercion of a scalar, the
 square root (None when an exact root is irrational), the numpy dtype that
-holds its numbers, the zero test and the dedup key.
+holds its numbers, the quotient of two numbers over one scale (`ratio`:
+one Fraction of two integers, or a float division), the zero test and the
+dedup key.
 
 Code outside this module branches on the mode only where the two modes run
 different algorithms or read outside input: the backend choice in
@@ -25,35 +27,36 @@ rows the exact kernel reads, with the certificate cleared), the float-only
 replay in `lp._simplex` (an exact solution is the kernel's Fractions as
 they are), the exact clearing of each effect row in
 `simulation.simulation_program`, which places both fields' rows in one
-layout, the effect-sum guard
-`simulation._require_sums` (exact equality, or eps in each coordinate), the
-float-only test of a float scheme, solved or read from the simulation-set
-store, on every row of the full layout (`simulation._scheme_holds`, which
-a replay runs in both modes), the one store loop of every answer store
-(`lp.Answers`): the float or integer B^-1 it keeps as its LP left it
-(`LPOutcome.inverse`, so no store clears or inverts a basis of its own),
-the basic values it reads from it (Fractions over each basis row's
-denominator in exact mode), the start it names for a miss (none in exact
-mode) and its scan's float warnings, silenced for an inf or a NaN b,
-the integer products of an exact effect with a polytope's extreme states
-against the float array of them (`spaces.StateSpace.min_values`, `prices`,
-`is_extremal`), the exact Bloch norms of qubit effects against one float
-array of them (`qubit.QubitSpace._norms`), the noise content's residual
-(one Fraction per coefficient from integers, or floats:
-`simulation.noise_content`), `serialize.decode_number` and the command
-line's `--mode`.
+layout, the float-only test of a float scheme, solved or read from the
+simulation-set store, on every row of the full layout
+(`simulation._scheme_holds`, which a replay runs in both modes), the one
+store loop of every answer store (`lp.Answers`): the float or integer
+B^-1 it keeps as its LP left it (`LPOutcome.inverse`, so no store clears
+or inverts a basis of its own), the basic values it reads from it
+(Fractions over each basis row's denominator in exact mode, made only in
+the rows whose basic column is structural), the start it names for a miss
+(none in exact mode) and its scan's float warnings, silenced for an inf or
+a NaN b, the integer products of an exact effect with a polytope's extreme
+states against the float array of them (`spaces.StateSpace.least_values`,
+`prices`, `is_extremal`), the exact Bloch norms of qubit effects against
+one float array of them (`qubit.QubitSpace._norms`, `least_values`),
+`serialize.decode_number` and the command line's `--mode`.
 
 The one clearing of numbers to integers lives here: `integer_row`
 (rationals over their least common denominator), `scaled` (a field's
-numbers over one scale D, floats over D = 1), `joined` (parts already over
-scales of their own, as (numbers, D) pairs, brought over one scale without
-clearing them again) and `cleared` (each part over its own lcm, then
-joined), so one test against eps reads both modes and every definition
-check clears through them. An observable clears its effects once, on first
-read, to its cleared form (`spaces.Observable.cleared_rows`, one (rows, D)
-pair): the simulation-set store's b, the scheme test, both simulation
-replays and the noise content join those pairs instead of clearing the
-effects again, and clear only a certificate's numbers.
+numbers over one scale D, floats over D = 1), `joined` (rows of Python
+numbers already over scales of their own, as (rows, D) pairs, brought over
+one scale without clearing them again) and `cleared` (each part over its
+own lcm, then joined, as arrays), so one test against eps reads both modes
+and every definition check clears through them. An observable clears its
+effects once, on first read, to its cleared form
+(`spaces.Observable.cleared_rows`, one (rows, D) pair of Python numbers,
+and its column sums `cleared_sum`): the simulation-set store's b, the
+effect-sum test, the scheme test, both simulation replays and the noise
+content join those pairs instead of clearing the effects again, and clear
+only a certificate's numbers (`scaled`). Those tests and the noise content
+run on the Python numbers, ints in exact mode, with no array arithmetic,
+and make a Fraction only for a number they return (`Field.ratio`).
 
 The tests of an LP certificate are written once, here, on arrays over one
 scale (integers with eps 0, or floats): `satisfies` (A x = b and x >= 0,
@@ -67,6 +70,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -164,6 +168,7 @@ class Field:
     coerce: Callable
     sqrt: Callable
     dtype: type  # float, or object for Fractions
+    ratio: Callable  # n / d as the field's number: Fraction(n, d) of integers, or n / d
 
     def is_zero(self, vector: Sequence) -> bool:
         """Every entry within eps of zero."""
@@ -187,9 +192,10 @@ def field(mode: str, tol: Tolerance = DEFAULT_TOLERANCE) -> Field:
     if found is not None:
         return found
     if mode == EXACT:
-        made = Field(EXACT, tol, Fraction(0), Fraction(1), 0, Fraction, _rational_sqrt, object)
+        made = Field(EXACT, tol, Fraction(0), Fraction(1), 0, Fraction, _rational_sqrt, object,
+                     Fraction)
     elif mode == FLOAT:
-        made = Field(FLOAT, tol, 0.0, 1.0, tol.eps, float, math.sqrt, float)
+        made = Field(FLOAT, tol, 0.0, 1.0, tol.eps, float, math.sqrt, float, operator.truediv)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return _FIELDS.setdefault((mode, tol), made)
@@ -232,32 +238,38 @@ def integer_row(values) -> tuple:
 
 
 def scaled(F: Field, values: Sequence) -> tuple:
-    """(values, D) for one scale D > 0: integers over their lcm (`integer_row`)
-    in exact mode, where eps is 0, and the values over D = 1 in float mode."""
-    return (values, 1) if F.mode == FLOAT else integer_row(values)
+    """(values, D) for one scale D > 0, as a list of Python numbers:
+    integers over their lcm (`integer_row`) in exact mode, where eps is 0,
+    and the values as Python floats over D = 1 in float mode (`float` of a
+    Python float is that float; a numpy scalar, whose arithmetic would warn
+    on an inf or a NaN, becomes one)."""
+    return (list(map(float, values)), 1) if F.mode == FLOAT else integer_row(values)
 
 
 def joined(F: Field, *parts) -> tuple:
-    """Each part, a pair (array, D) of numbers over the scale D > 0 (as
-    `scaled` or `spaces.Observable.cleared_rows` gives it), over the one
-    scale L of them all, then L: in exact mode, where every D clears its
-    numbers to integers, L is the lcm of the Ds and each array is multiplied
-    by L // D (an array already over L is itself); in float mode L = 1 and
-    each part is only converted to a float array (a float array is itself)."""
+    """Each part, a pair (rows, D) of Python numbers over the scale D > 0 (a
+    sequence of rows, as `spaces.Observable.cleared_rows` gives it), over
+    the one scale L of them all, then L: in exact mode, where every D
+    clears its numbers to integers, L is the lcm of the Ds and each integer
+    is multiplied by L // D, in new lists of rows (rows already over L are
+    the part's own); in float mode L = 1 and every part is its own. No
+    array is made."""
     L = 1 if F.mode == FLOAT else math.lcm(*(D for _, D in parts))
-    return (*(np.asarray(values, dtype=F.dtype) * (L // D) if D != L
-              else np.asarray(values, dtype=F.dtype) for values, D in parts), L)
+    return (*(rows if D == L else [[x * (L // D) for x in row] for row in rows]
+              for rows, D in parts), L)
 
 
 def cleared(F: Field, *parts) -> tuple:
     """Each part (a sequence of numbers) as an array of `F.dtype`, then the
     one scale D of all parts together: in exact mode each part cleared over
-    its own lcm (`integer_row`), then all brought over one (`joined`), which
-    gives the numerators over the lcm of every denominator; in float mode
-    D = 1 and each part is only converted (a float array is itself)."""
+    its own lcm (`integer_row`), then all brought over the lcm of those
+    (multiplied as Python ints, before the array is made), which gives the
+    numerators over the lcm of every denominator; in float mode D = 1 and
+    each part is only converted (a float array is itself)."""
     if F.mode == FLOAT:
         return (*(np.asarray(part, dtype=float) for part in parts), 1)
-    return joined(F, *map(integer_row, parts))
+    *rows, D = joined(F, *(([nums], den) for nums, den in map(integer_row, parts)))
+    return (*(np.array(row, dtype=object) for (row,) in rows), D)
 
 
 def satisfies(A, x, b, eps) -> bool:

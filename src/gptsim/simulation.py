@@ -17,9 +17,10 @@ The definition needs no division, so neither does the replay of x. With
 p_i = c_i and nu_i = M_i / c_i where c_i > 0 (a block of weight zero is
 zero, and any channel serves it), x is a scheme exactly when M >= 0, each
 row of block i sums to c_i, sum_i c_i = 1 and sum_g M[g, y] B_g = A_y for
-every outcome y. The replay tests just that on x: on integers over one
-denominator in exact mode, making no Fraction, and at eps on the solved
-numbers in float mode, where M_i / c_i would scale a residual by 1 / c_i.
+every outcome y. The replay tests just that on x, in one body for both
+modes on Python numbers, with no array: on Python ints over one scale in
+exact mode, making no Fraction, and at eps on the solved floats in float
+mode, where M_i / c_i would scale a residual by 1 / c_i.
 Weights and channels are views of x for output; read in, they form x by
 M_i = w_i nu_i (`SimulationCertificate.from_scheme`).
 
@@ -57,9 +58,10 @@ stores.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from operator import add, mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -168,16 +170,14 @@ def _check_same_space(target: Observable, simulators: Sequence[Observable]):
 
 def _require_sums(target: Observable, simulators: Sequence[Observable], F):
     """ValueError unless every simulator's effects sum to the target's effect
-    sum: exactly in exact mode, within eps in each coordinate in float mode."""
-    s = target.effect_sum
-    if F.mode != FLOAT:
-        agree = all(sim.effect_sum == s for sim in simulators)
-    else:
-        agree = all(len(sim.effect_sum) == len(s)
-                    and all(abs(a - b) <= F.eps for a, b in zip(sim.effect_sum, s))
-                    for sim in simulators)
-    if not agree:
-        raise ValueError("the target's effects and each simulator's must sum to one vector")
+    sum: their `cleared_sum`s compared over one scale, exactly in exact
+    mode and within eps in each coordinate in float mode, where every scale
+    is 1."""
+    s, D = target.cleared_sum
+    for sim in simulators:
+        t, E = sim.cleared_sum
+        if len(t) != len(s) or not all(abs(a * D - b * E) <= F.eps for a, b in zip(t, s)):
+            raise ValueError("the target's effects and each simulator's must sum to one vector")
 
 
 def simulation_program(target: Observable, simulators: Sequence[Observable],
@@ -246,28 +246,33 @@ def _simulable(target: Observable, simulators: Sequence[Observable],
                                  labels=tuple((sim.labels, target.labels) for sim in simulators))
 
 
-def _farkas_bounds(F, y, B, D, simulators: Sequence[Observable]) -> bool:
+def _farkas_bounds(F, y, Bs, D) -> bool:
     """The target-free half of a refutation: alpha_g + phi_y . B_g <= eps
     for every column M[g, y] and beta <= sum_{g in i} alpha_g for every
     weight column c_i, for a Farkas vector y = (alpha, beta, phi) of the
-    full layout, over a scale of its own, and the simulators' effects B (row
-    g's effect, a row each) over D; an inf or a NaN fails."""
-    starts = list(itertools.accumulate([b.n_outcomes for b in simulators[:-1]], initial=0))
-    alpha, beta, phi = y[:len(B)], y[len(B)], y[len(B) + 1:].reshape(-1, B.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        columns = alpha[:, None] * D + B @ phi.T  # times D and y's scale
-        weights = beta - np.add.reduceat(alpha, starts)  # times y's scale
-        return bool((columns <= F.eps).all() and (weights <= F.eps).all())
+    full layout, a sequence of numbers over a scale of its own, and the
+    simulators' effects over D, a block of rows per simulator (`_effects`):
+    on Python ints in exact mode, where eps is 0, and on floats in float
+    mode; an inf or a NaN fails."""
+    B = list(itertools.chain.from_iterable(Bs))
+    nx, dim, eps = len(B), len(B[0]), F.eps
+    alpha, beta = y[:nx], y[nx]
+    phis = [y[k:k + dim] for k in range(nx + 1, len(y), dim)]
+    ends = list(itertools.accumulate(map(len, Bs)))
+    return (all(a * D + sum(map(mul, phi, b)) <= eps for a, b in zip(alpha, B) for phi in phis)
+            and all(beta - sum(alpha[start:end]) <= eps for start, end in zip([0, *ends], ends)))
 
 
 def _effects(F, target: Observable, simulators: Sequence[Observable]) -> tuple:
-    """(B, A, D): the simulators' effects, row g the effect of simulator
-    outcome g, and the target's, a row per outcome, over one scale D: their
+    """(Bs, A, D): the simulators' effects, a block of rows per simulator,
+    row g the effect of simulator outcome g, and the target's, a row per
+    outcome, over one scale D, as rows of Python numbers: their
     `cleared_rows` brought together (`joined`), so no observable is cleared
-    again. A certificate's numbers are cleared over a scale of their own, and
-    each test below weighs its terms so that both sides carry both scales."""
+    again. A certificate's numbers are cleared over a scale of their own
+    (`scaled`), and each test below weighs its terms so that both sides
+    carry both scales."""
     A, *Bs, D = joined(F, target.cleared_rows, *(sim.cleared_rows for sim in simulators))
-    return (Bs[0] if len(Bs) == 1 else np.concatenate(Bs)), A, D
+    return Bs, A, D
 
 
 def _scheme_holds(target: Observable, simulators: Sequence[Observable], x: Sequence,
@@ -275,28 +280,33 @@ def _scheme_holds(target: Observable, simulators: Sequence[Observable], x: Seque
     """x has one entry per column of `simulation_program`, x >= -eps, sum_y
     M[g, y] = c_i for each outcome g of simulator i, sum_i c_i = 1, and
     sum_g M[g, y] B_g = A_y for every outcome y, the last included: tested
-    on x cleared over E and the effects over D (`_effects`), exactly in
-    exact mode and within eps in float mode, where E = D = 1; an inf or a
-    NaN fails."""
-    (X, E), (B, A, _) = cleared(F, x), _effects(F, target, simulators)
-    nx, ny, sizes = len(B), len(A), [sim.n_outcomes for sim in simulators]
-    if len(X) != nx * ny + len(sizes):
+    on x cleared over E (`scaled`) and the effects over D (`_effects`), as
+    Python numbers: on ints, exactly, in exact mode, and within eps on
+    floats in float mode, where E = D = 1; an inf or a NaN fails. No array
+    is made."""
+    (X, E), (Bs, A, _) = scaled(F, x), _effects(F, target, simulators)
+    B = list(itertools.chain.from_iterable(Bs))
+    ny, eps, size = len(A), F.eps, len(B) * len(A)
+    c = X[size:]
+    if len(c) != len(Bs) or not min(X) >= -eps:  # a NaN fails a sum below
         return False
-    M, c = X[:nx * ny].reshape(nx, ny), X[nx * ny:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = M.T @ B - A * E  # times D E
-        return bool((X >= -F.eps).all()
-                    and (abs(M.sum(axis=1) - np.repeat(c, sizes)) <= F.eps).all()
-                    and abs(c.sum() - E) <= F.eps and (abs(gap) <= F.eps).all())
+    M = [X[y:size:ny] for y in range(ny)]  # M[g, y] over g, for each y
+    rows = functools.reduce(functools.partial(map, add), M)  # sum_y M[g, y] over g
+    weights = itertools.chain.from_iterable(map(itertools.repeat, c, map(len, Bs)))
+    columns = list(zip(*B))  # B_g(d) over g, for each d
+    return (all(abs(r - w) <= eps for r, w in zip(rows, weights))
+            and abs(sum(c) - E) <= eps
+            and all(abs(sum(map(mul, m, b)) - a * E) <= eps  # times D E
+                    for m, row in zip(M, A) for b, a in zip(columns, row)))
 
 
 class _SetAnswers(Answers):
     """The answers of the solves over one simulation set (`lp.Answers`), at
     most 8 of each kind. A target reaches the weight row and the effect rows
     of its first ny - 1 outcomes, b = (1, A_0, ..., A_{ny-2}), and there a
-    refutation keeps its entries (beta, phi), its payload the full-layout
-    Farkas vector, and a basis its B^-1 columns, its payload and its key
-    each row's basic column (n + i for a dropped row)."""
+    refutation keeps its entries (beta, phi), its payload the certificate
+    of the full-layout Farkas vector, and a basis its B^-1 columns, its
+    payload and its key each row's basic column (n + i for a dropped row)."""
 
     def __init__(self, simulators: Sequence[Observable], ny: int, F):
         super().__init__(F, cap=8)
@@ -306,10 +316,12 @@ class _SetAnswers(Answers):
         self.reached = slice(self.nx, None)
 
     @staticmethod
-    def refuted(farkas: tuple, target: Observable, simulators: Sequence[Observable]):
-        """A stored refutation as it is: its target-free half passed when it
-        was kept, and the scan tested beta + phi . b > 0."""
-        return SimulationCertificate(NOT_SIMULABLE, farkas=farkas)
+    def refuted(cert: SimulationCertificate, target: Observable,
+                simulators: Sequence[Observable]) -> SimulationCertificate:
+        """A stored refutation's certificate as it is, one object for every
+        hit, so that its kind is scanned once: its target-free half passed
+        when it was kept, and the scan tested beta + phi . b > 0."""
+        return cert
 
     def solved(self, hits, target: Observable, simulators: Sequence[Observable]) -> list:
         """The scheme of a feasible stored basis; a float one that fails a
@@ -322,13 +334,14 @@ class _SetAnswers(Answers):
         holds = self.F.mode != FLOAT or _scheme_holds(target, simulators, x, self.F)
         return [_simulable(target, simulators, x) if holds else None]
 
-    def kept_refutation(self, farkas: tuple, target: Observable, simulators: Sequence[Observable]):
-        """A full-layout Farkas vector that passes the target-free half of
-        `replay_simulation` (`_farkas_bounds`)."""
-        if len(farkas) == self.m + self.dim:
-            (y, _), (B, _, D) = cleared(self.F, farkas), _effects(self.F, target, simulators)
-            if _farkas_bounds(self.F, y, B, D, simulators):
-                return farkas, y[self.nx:self.m], None
+    def kept_refutation(self, cert: SimulationCertificate, target: Observable,
+                        simulators: Sequence[Observable]):
+        """A refutation whose full-layout Farkas vector passes the
+        target-free half of `replay_simulation` (`_farkas_bounds`)."""
+        if len(cert.farkas) == self.m + self.dim:
+            (y, _), (Bs, _, D) = scaled(self.F, cert.farkas), _effects(self.F, target, simulators)
+            if _farkas_bounds(self.F, y, Bs, D):
+                return cert, np.array(y[self.nx:self.m], dtype=self.F.dtype), None
 
     def kept_basis(self, out):
         """The final basis of a solve of this set's program, one column per row."""
@@ -341,11 +354,13 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
     """Decide membership of `target` in the simulation set of `simulators`.
 
     A target whose effects do not sum to the simulators' common effect sum
-    raises ValueError, before any answer is read from the store or solved
-    (`simulation_program`). A float solution is tested on the rows the
-    program drops as well, and one that fails them raises CertificateError.
-    A Farkas vector is padded with zeros in the dropped rows, so it has one
-    entry per row of the full program.
+    raises ValueError, and the sums are tested once per call: a store hit
+    tests them (`_require_sums`) before it is returned, and a miss leaves
+    the test to `simulation_program`, which makes it before it builds the
+    program, so nothing is solved for such a target. A float solution is
+    tested on the rows the program drops as well, and one that fails them
+    raises CertificateError. A Farkas vector is padded with zeros in the
+    dropped rows, so it has one entry per row of the full program.
 
     The program is solved only when the set's stored answers
     (`_SetAnswers`, read by `lp.Answers.decide` on the target's b) do not
@@ -364,17 +379,17 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
     key = ("simulation", simulation_program, lp_solve,
            tuple(sim.coefficient_key for sim in simulators), target.n_outcomes, F.mode, F.eps)
     store = answers(key, lambda: _SetAnswers(simulators, target.n_outcomes, F))
-    _require_sums(target, simulators, F)
-    N, L = joined(F, target.cleared_rows)
-    b = np.concatenate((np.array([L], dtype=F.dtype), N[:-1].ravel()))
+    N, L = target.cleared_rows
+    b = np.concatenate((np.array([L], dtype=F.dtype), np.asarray(N[:-1], dtype=F.dtype).ravel()))
     ((cert, start),) = store.decide([b], [L], target, simulators)
     if cert is not None:
+        _require_sums(target, simulators, F)
         return cert
     out = lp_solve(simulation_program(target, simulators, tol), tol=tol, start=start)
     if out.verdict != FEASIBLE:
-        farkas = out.farkas + (F.zero,) * target.dim
-        store.keep_refutation(farkas, target, simulators)
-        return SimulationCertificate(NOT_SIMULABLE, farkas=farkas)
+        cert = SimulationCertificate(NOT_SIMULABLE, farkas=out.farkas + (F.zero,) * target.dim)
+        store.keep_refutation(cert, target, simulators)
+        return cert
     if F.mode == FLOAT and not _scheme_holds(target, simulators, out.solution, F):
         raise CertificateError("float solution fails the target's last-outcome rows")
     store.keep_basis(out)
@@ -391,10 +406,10 @@ def replay_simulation(cert: SimulationCertificate, target: Observable,
     certificate's numbers too, so exact and float ones mixed raise
     ModeError. A certificate whose verdict is neither simulable nor not
     simulable, or that lacks its verdict's scheme or Farkas vector, fails.
-    Exact values are cleared to integers (the certificate's numbers over
-    their own denominator, the observables read from their `cleared_rows`)
-    and compared exactly, float values within eps, and a NaN fails every
-    test.
+    Exact values are cleared to Python ints (the certificate's numbers over
+    their own denominator, `scaled`, the observables read from their
+    `cleared_rows`) and compared exactly, float values within eps, and a
+    NaN fails every test; the tests make no array and no Fraction.
 
     A scheme x = (M, c) replays when it carries the simulators' and the
     target's label pairs and satisfies the definition as the module
@@ -420,12 +435,12 @@ def replay_simulation(cert: SimulationCertificate, target: Observable,
         return False  # another verdict, or no payload for this one
     F = resolve((target.kind, *(b.kind for b in simulators), cert.kind), tol)
     if not cert.simulable:
-        (y, _), (B, A, D) = cleared(F, cert.farkas), _effects(F, target, simulators)
-        if len(y) != len(B) + 1 + A.size:
+        (y, _), (Bs, A, D) = scaled(F, cert.farkas), _effects(F, target, simulators)
+        nx, flat = sum(map(len, Bs)), list(itertools.chain.from_iterable(A))
+        if len(y) != nx + 1 + len(flat):
             return False
-        with np.errstate(over="ignore", invalid="ignore"):  # a NaN value fails
-            value = y[len(B)] * D + y[len(B) + 1:] @ A.ravel()  # times D and y's scale
-        return bool(value > F.eps) and _farkas_bounds(F, y, B, D, simulators)
+        value = y[nx] * D + sum(map(mul, y[nx + 1:], flat))  # times D and y's scale
+        return value > F.eps and _farkas_bounds(F, y, Bs, D)  # a NaN value fails
     return (cert.labels == tuple((sim.labels, target.labels) for sim in simulators)
             and _scheme_holds(target, simulators, cert.scheme, F))
 
@@ -559,41 +574,40 @@ def noise_content(target: Observable,
 
     Closed form w(A) = sum_x min_s A_x(s). Writing m_x = lambda * t(x), the
     residual A_x - m_x u stays in the effect cone exactly when m_x is at
-    most the least value of A_x on a state (`space.min_values`, one call for
-    every outcome: the minimum over extreme states, or the least eigenvalue
-    for the qubit), and the outcomes do not constrain each other, so each
-    m_x takes that minimum.
+    most the least value of A_x on a state (`space.least_values`, one call
+    for every outcome: the minimum over extreme states, or the least
+    eigenvalue for the qubit), and the outcomes do not constrain each
+    other, so each m_x takes that minimum.
 
-    The minima and the residual read the target's `cleared_rows`, N over
-    D, and the unit cleared over D too (U, `joined`): `min_values(N, D)`
-    gives the minima. In exact mode, with m_x = p_x / q_x and 1 - lambda =
-    r / s, residual coefficient d of outcome x is the one Fraction (q_x
-    N_x(d) - p_x U(d)) s / (D q_x r) of integer products; in float mode,
-    where D = 1, it is (N_x(d) - m_x U(d)) / (1 - lambda) in floats.
+    Everything is read over one scale: the target's `cleared_rows`, N over
+    D, with the unit over D too (U, `joined`), and each minimum m_x as p_x
+    over Q = D Q_s, Q_s the scale that `least_values(N)` gives its values
+    over. With P = sum_x p_x, lambda = P / Q, t_x = p_x / P, and residual
+    coefficient d of outcome x is (N_x(d) Q - p_x U(d)) / (D (Q - P)): each
+    one number made by `F.ratio` from Python ints in exact mode, where no
+    other Fraction is made, and from floats in float mode, where
+    D = Q_s = 1.
     """
     if target.space is None:
         raise ValueError("noise content needs the state space")
     space = target.space
     F = resolve((target.kind, space.kind), tol)
-    N, U, D = joined(F, target.cleared_rows, scaled(F, space.unit))
-    m = space.min_values(N, D)
-    if not all(mx >= -F.eps for mx in m):  # a NaN fails too
+    u, Du = scaled(F, space.unit)
+    N, (U,), D = joined(F, target.cleared_rows, ([u], Du))
+    p, Qs = space.least_values(N, F)
+    if not all(x >= -F.eps for x in p):  # Q = 1 in float mode; a NaN fails too
         raise ValueError("noise content needs valid effects")
-    m = [max(mx, F.zero) for mx in m]
-    lam = sum(m)
-    if lam <= F.eps:
-        return NoiseContentResult(F.zero, (F.one / len(m),) * len(m), target)
-    t_weights = tuple(mx / lam for mx in m)
-    if abs(lam - 1) <= F.eps:
+    p, Q = [max(x, F.zero) for x in p], D * Qs
+    P = sum(p)
+    if P <= F.eps:
+        return NoiseContentResult(F.zero, (F.one / len(p),) * len(p), target)
+    t_weights = tuple(F.ratio(x, P) for x in p)
+    if abs(P - Q) <= F.eps:
         rows = [vscale(tw, space.unit) for tw in t_weights]
-    elif F.mode == FLOAT:  # on Python floats: a numpy scalar would reach the effects
-        rows = [[(c - x * u) / (F.one - lam) for c, u in zip(row, U.tolist())]
-                for row, x in zip(N.tolist(), m)]
     else:
-        r, s = (F.one - lam).as_integer_ratio()
-        rows = [[Fraction((x.denominator * c - x.numerator * u) * s, D * x.denominator * r)
-                 for c, u in zip(row, U)] for row, x in zip(N, m)]
-    return NoiseContentResult(lam, t_weights,
+        rows = [[F.ratio(c * Q - x * v, D * (Q - P)) for c, v in zip(row, U)]
+                for row, x in zip(N, p)]
+    return NoiseContentResult(F.ratio(P, Q), t_weights,
                               Observable(tuple(zip(target.labels, map(Effect, rows))), space))
 
 
@@ -770,10 +784,11 @@ def _holds(space, A: np.ndarray, counts: Sequence[int], F, tol: Tolerance,
     when y.b > max(0, max_w price(z_w)), b the rows of A in order
     (`is_compatible` says why). A joint (one row of coefficients per joint
     outcome) holds with the marginal channels (C, E) (`_stacked`) when it
-    lies in the cone (one `space.min_values` call), sums to the unit, and
-    the marginals C.T @ joint equal A: exactly in exact mode (the joint, A
-    and the unit cleared over one D first), within eps in float mode, and an
-    inf or a NaN fails. That the channels are stochastic is the caller's to
+    lies in the cone (one `space.least_values` call on its rows, integers
+    read as they are in exact mode), sums to the unit, and the marginals
+    C.T @ joint equal A: exactly in exact mode (the joint, A and the unit
+    cleared over one D first), within eps in float mode, and an inf or a
+    NaN fails. That the channels are stochastic is the caller's to
     know: a store's are its deterministic ones, fixed per layout, and
     `replay_compatibility` tests those it is given."""
     if farkas is not None:
@@ -783,7 +798,7 @@ def _holds(space, A: np.ndarray, counts: Sequence[int], F, tol: Tolerance,
     J, A, U, D = cleared(F, joint.ravel(), A.ravel(), space.unit)
     dim, eps = space.ambient_dim, F.eps
     J = J.reshape(-1, dim)
-    if not all(v >= -eps for v in space.min_values(J)):  # J is the joint times D > 0
+    if not all(v >= -eps for v in space.least_values(J, F)[0]):  # J is the joint times D > 0
         return False
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or a NaN fails
         return bool((abs(J.sum(axis=0) - U) <= eps).all()
@@ -1019,8 +1034,8 @@ def is_compatible(targets: Sequence[Observable], tol: Tolerance = DEFAULT_TOLERA
     store = answers(("compatibility", lp_solve, space, counts, F.mode, F.eps),
                     lambda: _JointAnswers(counts, dim, F))
     frame = space.canonical_frame(A, tol)
-    b, L = scaled(F, (A if frame is None else A @ frame.T).ravel())
-    ((result, near),) = store.decide([np.asarray(b, dtype=F.dtype)], [L], targets, A, frame, tol)
+    b, L = cleared(F, (A if frame is None else A @ frame.T).ravel())
+    ((result, near),) = store.decide([b], [L], targets, A, frame, tol)
     if result is not None:
         return result
     joint, kept, (blocks, ws) = len(store.joint_outcomes), store.kept, store.entries

@@ -10,19 +10,21 @@ about it:
   indecomposable)?
 * `refine(effects, tol)`: each effect written as a sum of such extreme
   effects;
-* `min_values(effects, scale)`: the least value on a state of each effect
-  (a coefficient vector, or a row of an array), the effects given over one
-  positive integer scale (1 by default), so that an effect lies in the cone
-  exactly when its minimum is nonnegative.
+* `min_values(effects)`: the least value on a state of each effect (a
+  coefficient vector, or a row of an array), so that an effect lies in the
+  cone exactly when its minimum is nonnegative;
+* `least_values(rows, F)`: the same minima of rows already over one scale
+  (integers in exact mode, read as they are), each times a scale Q_s of
+  the space's own, so that an exact minimum is one integer.
 
-These three take every effect of a question at once, in one field for the
+These take every effect of a question at once, in one field for the
 space and all of them. Validity reads the effects once, as one array A, a
 row each: `is_valid_effect` and `valid_effect_rows` (behind
 `are_valid_observables` and `simulation.is_compatible`, which keeps A) ask
 `min_values` about [A; u - A] and sum each observable's rows in order;
-`simulation.noise_content` asks `min_values` about its target's
-`cleared_rows` over their scale, and the compatibility replay about all its
-effects;
+`simulation.noise_content` asks `least_values` about its target's
+`cleared_rows`, and the compatibility replay about all its joint effects,
+cleared over one scale;
 `postprocessing.is_postprocessing_clean` asks `is_extremal` about one
 array of every nonzero effect of an observable,
 `simulation.is_simulation_irreducible` about one array of the nonzero rows
@@ -279,20 +281,16 @@ class StateSpace:
         n = self.ambient_dim
         return tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n)), D
 
-    def min_values(self, effects: Sequence, scale: int = 1) -> list:
+    def min_values(self, effects: Sequence) -> list:
         """The least value over the extreme states of each effect (a
-        coefficient vector, or a row of an array), the effects given over one
-        positive integer scale (an observable's `cleared_rows` (N, D) as
-        `min_values(N, D)`). With no float on either side, the effects
-        cleared together to integer rows E over L (one `integer_row` for them
-        all, L = 1 for rows of ints) and the states to S over D give each
-        minimum as the one Fraction min_S (E . S) / (L D scale), of integer
-        products alone; otherwise one array of the float products of every
-        effect with every state (`scalars.dots`) gives each row's first least
-        value, the float of min over `vdot`, over the scale. An effect of
-        another dimension than the space raises ValueError, and a float one
-        on a space with a Fraction in it ModeError. Effects other than an
-        array may come as any iterable, read once."""
+        coefficient vector, or a row of an array), from `least_values`: with
+        no float on either side, the effects cleared together to integer
+        rows over L (one `integer_row` for them all, L = 1 for rows of
+        ints), each minimum the one Fraction of the integer minimum over
+        L Q_s; otherwise the float values as `least_values` gives them. An
+        effect of another dimension than the space raises ValueError, and a
+        float one on a space with a Fraction in it ModeError. Effects other
+        than an array may come as any iterable, read once."""
         effects = effects if isinstance(effects, np.ndarray) else list(effects)
         require_dim(effects, self.ambient_dim)
         if self.kind != FLOAT:
@@ -302,12 +300,30 @@ class StateSpace:
                 if self.kind == EXACT:
                     raise ModeError("float effects on an exact state space") from None
             else:
-                (states, D), n = self._integer_states, self.ambient_dim
-                return [Fraction(min(sum(map(mul, flat[i:i + n], s)) for s in states),
-                                 L * D * scale) for i in range(0, len(flat), n)]
-        values = dots(np.asarray(effects, dtype=float).reshape(len(effects), self.ambient_dim),
+                n = self.ambient_dim
+                values, Qs = self.least_values([flat[i:i + n] for i in range(0, len(flat), n)],
+                                               field(EXACT))
+                return [Fraction(v, L * Qs) for v in values]
+        return self.least_values(effects, field(FLOAT))[0]
+
+    def least_values(self, rows: Sequence, F) -> tuple:
+        """(values, Q_s): the least value over the extreme states of each
+        row, rows of F's numbers over one scale (an observable's
+        `cleared_rows`, as lists or an array), times Q_s. In exact mode the
+        rows are Python ints, read as they are with no clearing, and each
+        value is the integer min_S (row . S) over the states' scale Q_s = D
+        (`_integer_states`), of integer products alone; in float mode one
+        array of the float products of every row with every state
+        (`scalars.dots`) gives each row's first least value, the float of
+        min over `vdot`, over Q_s = 1. A row of another dimension than the
+        space raises ValueError."""
+        require_dim(rows, self.ambient_dim)
+        if F.mode == EXACT:
+            states, D = self._integer_states
+            return [min(sum(map(mul, row, s)) for s in states) for row in rows], D
+        values = dots(np.asarray(rows, dtype=float).reshape(len(rows), self.ambient_dim),
                       self._float_states)
-        return [v / scale for v in values[np.arange(len(effects)), values.argmin(axis=1)].tolist()]
+        return values[np.arange(len(rows)), values.argmin(axis=1)].tolist(), 1
 
     def generators(self, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple:
         """Every dual-cone extreme ray."""
@@ -416,17 +432,30 @@ class Observable:
 
     @cached_property
     def cleared_rows(self) -> tuple:
-        """(N, D): the effects' coefficients as one read-only array N, a row
-        per effect, over one scale D > 0 (`scalars.cleared`), made on first
-        read as `effect_sum` is: Python ints over their lcm in an object
-        array, or floats over D = 1 when a float occurs. The field is read
-        first, so a bool raises ModeError (`integer_row` would take True for
-        1). Simulation decisions and replays and the noise content read the
-        effects from here (`scalars.joined`)."""
-        rows, D = cleared(field(self.mode), [x for eff in self.effects for x in eff.coeffs])
-        rows = rows.reshape(self.n_outcomes, self.dim)
-        rows.flags.writeable = False
-        return rows, D
+        """(N, D): the effects' coefficients as a tuple N of rows, one tuple
+        per effect, over one scale D > 0, made on first read as `effect_sum`
+        is: Python ints over their lcm (`scalars.integer_row`), or Python
+        floats over D = 1 when a float occurs (`float` of a Python float is
+        that float, so no number is made). The field is read first, so a
+        bool raises ModeError (`integer_row` would take True for 1).
+        Simulation decisions and replays and the noise content read the
+        effects from here (`scalars.joined`), as Python numbers with no
+        array arithmetic."""
+        if self.mode == FLOAT:
+            return tuple(tuple(map(float, eff.coeffs)) for eff in self.effects), 1
+        flat, D = integer_row([x for eff in self.effects for x in eff.coeffs])
+        n = self.dim
+        return tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n)), D
+
+    @cached_property
+    def cleared_sum(self) -> tuple:
+        """(s, D): the sum of the effects as a list of Python numbers over
+        the scale D of `cleared_rows`, each coordinate summed over the rows
+        in order, made on first read: the effect-sum test of a simulation
+        decision reads it (Python ints in exact mode, so no Fraction is
+        added)."""
+        N, D = self.cleared_rows
+        return [sum(column) for column in zip(*N)], D
 
     @property
     def mode(self) -> str:
@@ -596,9 +625,10 @@ def trivial_observable(space: StateSpace, dist) -> Observable:
                       space)
 
 
-def require_same_space(observables: Sequence[Observable]):
-    """ValueError unless the observables that name a state space name one,
-    and all of them live in one ambient dimension."""
+def require_same_space(observables: Sequence[Observable]) -> Optional[StateSpace]:
+    """The one state space that the observables name, None when none names
+    one: ValueError unless those that name a space name one, and all of
+    them live in one ambient dimension."""
     # == and not a set: a frozen StateSpace hashes all its coordinates on
     # every call, while == between the same object returns at once
     spaces = [obs.space for obs in observables if obs.space is not None]
@@ -606,6 +636,7 @@ def require_same_space(observables: Sequence[Observable]):
         raise ValueError("mixed state spaces rejected")
     if len({obs.dim for obs in observables}) > 1:
         raise ValueError("observables live in different ambient dimensions")
+    return spaces[0] if spaces else None
 
 
 def mix_observables(observables: Sequence[Observable], weights) -> Observable:
@@ -614,11 +645,12 @@ def mix_observables(observables: Sequence[Observable], weights) -> Observable:
     Observables are zero-extended to the union of their label sets (order of
     first appearance) before the weighted sum. They must share one space and
     one dimension (`require_same_space`), and the weights must be a
-    probability vector (`_require_probabilities`).
+    probability vector (`_require_probabilities`). The mixture lives on the
+    space that any of them names, whatever their order.
     """
     if not observables:
         raise ValueError("observables must be nonempty")
-    require_same_space(observables)
+    space = require_same_space(observables)
     if len(observables) != len(weights):
         raise ValueError("one weight per observable required")
     _require_probabilities(weights)
@@ -637,7 +669,7 @@ def mix_observables(observables: Sequence[Observable], weights) -> Observable:
             if lab in obs.labels:
                 acc = tuple(a + w * c for a, c in zip(acc, obs.effect(lab).coeffs))
         out.append((lab, Effect(acc)))
-    return Observable(tuple(out), observables[0].space)
+    return Observable(tuple(out), space)
 
 
 def dual_cone_rays(space: StateSpace, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple:

@@ -16,7 +16,7 @@ from gptsim.lp import (
     verify_farkas,
     verify_solution,
 )
-from gptsim.scalars import DEFAULT_TOLERANCE, EXACT, FLOAT
+from gptsim.scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, ModeError
 
 
 F = Fraction
@@ -62,6 +62,14 @@ def test_dimension_mismatch_rejected():
     for rows in (np.zeros(3), np.zeros((3, 2, 1)), np.zeros(3, object)):
         with pytest.raises(ValueError, match="2-D table"):
             make_program(rows=rows, rhs=(0.0,) * 3)
+    # so do lists that are not one: a row that is a number raised TypeError,
+    # and an entry that is a row ModeError
+    for rows, rhs in (([1.0, 2.0], (1.0, 2.0)), ([[[1.0]]], (1.0,)), ([(1, 2), 3], (1, 1)),
+                      ([(F(1, 2), (1,))], (1,)), ([(1.0, np.zeros(2))], (1.0,))):
+        with pytest.raises(ValueError, match="2-D table"):
+            make_program(rows=rows, rhs=rhs)
+    with pytest.raises(ModeError, match="unsupported scalar type str"):  # a number, not a row
+        make_program(rows=[(1.0, "a")], rhs=(1.0,))
     with pytest.raises(ValueError, match="tie-breaks need an objective"):
         make_program(rows=[(1, 1)], rhs=(1,), tiebreaks=[(1, 0)])
     with pytest.raises(ValueError, match="objective width"):

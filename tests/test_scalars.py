@@ -6,6 +6,7 @@ import math
 import pathlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import gptsim
@@ -106,14 +107,15 @@ def test_kinds_and_their_combination():
 
 def test_clearing_over_one_scale():
     # exact numbers become integers over their least common denominator,
-    # floats stay as they are over 1, and several parts share one scale
+    # floats Python floats over 1, and several parts share one scale
     third, half = Fraction(1, 3), Fraction(1, 2)
     assert integer_row([third, half, 2]) == ([2, 3, 12], 6)
     assert integer_row([1, -2]) == ([1, -2], 1)
     with pytest.raises(ValueError):
         integer_row([half, 0.5])
     assert scaled(field(EXACT), (third, 0)) == ([1, 0], 3)
-    assert scaled(field(FLOAT), (0.25, 1)) == ((0.25, 1), 1)
+    assert scaled(field(FLOAT), (0.25, 1)) == ([0.25, 1.0], 1)
+    assert [type(x) for x in scaled(field(FLOAT), (np.float64(0.25), 1))[0]] == [float, float]
     a, b, D = cleared(field(EXACT), [half], (third, 1))
     assert (a.tolist(), b.tolist(), D) == ([3], [2, 6], 6)
     assert all(type(x) is int for x in (*a, *b))

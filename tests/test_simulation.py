@@ -331,6 +331,11 @@ def test_unequal_effect_sums_rejected(sq, mode):
         is_postprocessing_of(target, sims[0])
     cert = is_simulable(sims[0], sims)
     assert replay_simulation(cert, target, sims) is False
+    # a simulator of another dimension, whose first coordinates sum as the
+    # target's do, sums to another vector too
+    longer = Observable(tuple((lab, (*e.coeffs, 0)) for lab, e in sims[0].outcomes))
+    with pytest.raises(ValueError, match="sum to one vector"):
+        simulation_program(sims[0], [longer])
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -390,6 +395,21 @@ def test_replay_rejects_nan_certificates(sq):
         assert replay_simulation(nan_farkas, sims[1], sims[:1]) is False
 
 
+@pytest.mark.parametrize("bad", [np.float64("nan"), np.float64("inf"), np.float64("-inf")])
+def test_replay_reads_numpy_scalars_as_floats(sq, bad):
+    # the replay reads a certificate's numbers as Python floats, so a numpy
+    # inf or NaN in any one entry fails it with no numpy warning (which
+    # tier-1 turns into an error)
+    target, sims = sq.E.as_float(), [sq.E.as_float(), sq.F.as_float()]
+    for t, s in ((target, sims), (sims[1], sims[:1])):
+        cert = is_simulable(t, s)
+        field = "scheme" if cert.simulable else "farkas"
+        numbers = getattr(cert, field)
+        for i in range(len(numbers)):
+            moved = dataclasses.replace(cert, **{field: (*numbers[:i], bad, *numbers[i + 1:])})
+            assert replay_simulation(moved, t, s) is False
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_replay_tests_weights_and_weight_columns(sq, mode):
     # Each of these matches every target effect, so only the test named
@@ -405,6 +425,9 @@ def test_replay_tests_weights_and_weight_columns(sq, mode):
     identity = Postprocessing(e.labels, e.labels, ((one, zero), (zero, one)))
     scheme = SimulationCertificate.from_scheme((one, zero), (identity,) * 2)
     assert scheme.simulable and replay_simulation(scheme, e, [e, e])
+    # one entry more (a zero weight) or one fewer is another layout
+    for numbers in (scheme.scheme + (zero,), scheme.scheme[:-1]):
+        assert not replay_simulation(dataclasses.replace(scheme, scheme=numbers), e, [e, e])
     negative = SimulationCertificate.from_scheme((2 * one, -one), (identity,) * 2)
     assert not replay_simulation(negative, e, [e, e])
     doubled = Observable(tuple((lab, tuple(2 * c for c in eff.coeffs)) for lab, eff in e.outcomes))
@@ -2207,7 +2230,36 @@ def test_noise_content_matches_its_closed_form(theory):
                    *((a, b) for got, want in zip(twin.residual.effects, rows)
                      for a, b in zip(got.coeffs, want))]
         assert all(type(a) is float and abs(a - b) <= 1e-9 for a, b in numbers)
+        # an effect whose least value is -1/1000, the sums kept: still refused
+        x = target.n_outcomes - 1
+        shift = vscale(min(map(target.effects[x], space.extreme_states)) + F(1, 1000), space.unit)
+        moved = [(lab, tuple(c - d if i == x else c + d if i == 0 else c
+                             for c, d in zip(eff.coeffs, shift)))
+                 for i, (lab, eff) in enumerate(target.outcomes)]
+        with pytest.raises(ValueError, match="valid effects"):
+            noise_content(observable(space, moved))
     assert branches == {0, 1, "between"}
+
+
+def test_exact_qubit_noise_content_reads_integer_norms():
+    # rational Bloch norms give the least eigenvalues tau - ||e|| / 2 as
+    # integers over 2 D; an irrational one raises ModeError
+    from gptsim.qubit import QubitSpace
+
+    space = QubitSpace()
+    effects = [(F(3, 10), F(2, 5), 0, F(1, 2)), (F(-3, 10), F(-2, 5), 0, F(1, 3)),
+               (0, 0, 0, F(1, 6))]
+    obs = observable(space, zip("abc", effects))
+    res = noise_content(obs)
+    m = [F(1, 4), F(1, 12), F(1, 6)]  # tau - 1/4, tau - 1/4 and 1/6
+    assert res.value == sum(m) == F(1, 2)
+    assert res.trivial_weights == tuple(x / res.value for x in m)
+    assert [eff.coeffs for eff in res.residual.effects] == [
+        tuple((F(c) - x * u) / (1 - res.value) for c, u in zip(eff, space.unit))
+        for eff, x in zip(effects, m)]
+    with pytest.raises(ModeError, match="irrational Bloch norm"):
+        noise_content(observable(space, [("a", (F(1, 2), F(1, 2), 0, F(1, 2))),
+                                         ("b", (F(-1, 2), F(-1, 2), 0, F(1, 2)))]))
 
 
 @pytest.mark.parametrize("target", ["simulable", "refuted"])
@@ -2238,3 +2290,77 @@ def test_a_store_hit_clears_each_observable_once(monkeypatch, sq, target):
         hit = is_simulable(goal, simulators)
         assert hit == cert and replay_simulation(hit, goal, simulators)
     assert cleared == [cert.scheme if cert.simulable else cert.farkas] * 3
+
+
+def _scheme_by_definition(x, target, simulators) -> bool:
+    """x = (M, c) is a simulation scheme, in plain Fractions: M >= 0, c >= 0,
+    each row of block i sums to c_i, sum_i c_i = 1 and sum_g M[g, y] B_g =
+    A_y for every outcome y."""
+    effects = [tuple(map(F, e.coeffs)) for sim in simulators for e in sim.effects]
+    owner = [i for i, sim in enumerate(simulators) for _ in sim.effects]
+    nx, ny = len(effects), target.n_outcomes
+    if len(x) != nx * ny + len(simulators):
+        return False
+    x = [F(v) for v in x]
+    M, c = [x[g * ny:(g + 1) * ny] for g in range(nx)], x[nx * ny:]
+    return (all(v >= 0 for v in x) and sum(c) == 1
+            and all(sum(M[g]) == c[owner[g]] for g in range(nx))
+            and all(sum((M[g][y] * effects[g][d] for g in range(nx)), F(0)) == F(a)
+                    for y, eff in enumerate(target.effects) for d, a in enumerate(eff.coeffs)))
+
+
+def _farkas_terms(y, target, simulators) -> tuple:
+    """(columns, weights, value) of a full-layout Farkas vector y = (alpha,
+    beta, phi), in plain Fractions: alpha_g + phi_y . B_g for every column
+    M[g, y], beta - sum_{g in i} alpha_g for every weight column c_i, and
+    beta + sum_y phi_y . A_y."""
+    effects = [tuple(map(F, e.coeffs)) for sim in simulators for e in sim.effects]
+    nx, dim = len(effects), target.dim
+    y = [F(v) for v in y]
+    alpha, beta = y[:nx], y[nx]
+    phi = [y[nx + 1 + k * dim:nx + 1 + (k + 1) * dim] for k in range(target.n_outcomes)]
+    columns = [[alpha[g] + sum(a * b for a, b in zip(p, effects[g])) for p in phi]
+               for g in range(nx)]
+    ends = list(itertools.accumulate(sim.n_outcomes for sim in simulators))
+    weights = [beta - sum(alpha[a:b]) for a, b in zip([0, *ends], ends)]
+    value = beta + sum(q * F(a) for row, eff in zip(phi, target.effects)
+                       for q, a in zip(row, eff.coeffs))
+    return columns, weights, value
+
+
+def _refutes_by_definition(y, target, simulators) -> bool:
+    if len(y) != sum(sim.n_outcomes for sim in simulators) + 1 + target.n_outcomes * target.dim:
+        return False
+    columns, weights, value = _farkas_terms(y, target, simulators)
+    return (all(v <= 0 for row in columns for v in row) and all(w <= 0 for w in weights)
+            and value > 0)
+
+
+def test_integer_replays_match_the_definition_in_fractions():
+    # the scheme and refutation tests run on Python ints over one scale; on
+    # every certificate of the exact simulation corpus they agree with the
+    # definition stated in plain Fractions, and a copy with one entry moved
+    # by 1/den, den the certificate's common denominator, fails both
+    from corpora import simulation_cases
+
+    rng = random.Random(52)
+    refuted = 0
+    for target, sims in simulation_cases():
+        cert = is_simulable(target, sims)
+        numbers = cert.scheme if cert.simulable else cert.farkas
+        by_definition = _scheme_by_definition if cert.simulable else _refutes_by_definition
+        assert by_definition(numbers, target, sims) and replay_simulation(cert, target, sims)
+        step = F(1, math.lcm(*(F(v).denominator for v in numbers)))
+        if cert.simulable:  # any entry: a row sum or the total weight moves
+            i, step = rng.randrange(len(numbers)), rng.choice((step, -step))
+        else:  # alpha_g up where a column is tight, else beta up where a weight is
+            refuted += 1
+            columns, weights, _ = _farkas_terms(numbers, target, sims)
+            tight = [g for g, row in enumerate(columns) if 0 in row]
+            assert tight or 0 in weights
+            i = tight[0] if tight else len(columns)
+        moved = (*numbers[:i], numbers[i] + step, *numbers[i + 1:])
+        bad = dataclasses.replace(cert, **{"scheme" if cert.simulable else "farkas": moved})
+        assert not by_definition(moved, target, sims)
+        assert not replay_simulation(bad, target, sims)
+    assert 0 < refuted < len(simulation_cases())

@@ -230,6 +230,17 @@ def test_weights_outside_the_simplex_make_no_observable(sq, call, message):
         call(sq)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_a_mixture_lives_on_the_space_any_observable_names(sq, mode):
+    # the result took its space from the first observable only, so a
+    # space-less first observable gave a space-less mixture
+    E, weights = (sq.E, [HALF, HALF]) if mode == "exact" else (sq.E.as_float(), [0.5, 0.5])
+    bare = Observable(E.outcomes)
+    for pair in ([bare, E], [E, bare]):
+        assert mix_observables(pair, weights).space is E.space is not None
+    assert mix_observables([bare, bare], weights).space is None
+
+
 def test_float_weights_within_eps_below_zero_still_mix(sq):
     # a float weight within eps below zero is rounding, not a negative weight
     mixed = mix_observables([sq.E.as_float(), sq.F.as_float()], [1 + 1e-12, -1e-12])
