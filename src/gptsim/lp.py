@@ -77,7 +77,9 @@ renumbered for the program that adds columns to it (a round of column
 generation, `simulation.is_compatible`). With no cost every basis is dual
 feasible, so
 `_simplex` runs a dual phase from it instead of phase 1 (Koberstein 2005;
-Bixby 2002): `_FloatRevised.restart` inverts B once, and each pivot lets
+Bixby 2002): `_FloatRevised.restart` inverts B once, or reads B^-1 from a
+start that carries it (`Start`, which `factored` makes when a store keeps a
+basis, since A does not depend on b), and each pivot lets
 the row furthest out of feasibility leave, a basic value below -eps or a
 basic artificial at a level beyond eps either way (an artificial may only
 sit at zero), for the nonbasic structural column whose entry alpha_rj in
@@ -352,11 +354,13 @@ def lp_solve(program: LinearProgram, tol: Tolerance = DEFAULT_TOLERANCE,
 
     `start` is a basis to start from, as `LPOutcome.basis` holds one, of
     any verdict: row i's basic column, structural or n + i for row i's
-    artificial. Only a float program without an objective takes one (the
-    dual phase of the module docstring); any other, or a start of another
-    length or naming another column, raises ValueError before any solve,
-    as does an inf or a NaN in a float program's rows, right-hand side or
-    objectives."""
+    artificial. A `Start` (`factored`) carries B^-1 over the program's A as
+    well, which the dual phase then reads instead of inverting B; any other
+    sequence of columns is inverted when the solve starts. Only a float
+    program without an objective takes a start (the dual phase of the
+    module docstring); any other, or a start of another length or naming
+    another column, raises ValueError before any solve, as does an inf or a
+    NaN in a float program's rows, right-hand side or objectives."""
     F = field(program.mode(), tol)
     if F.mode == FLOAT and not _finite(program):
         raise ValueError("a float program needs finite numbers")
@@ -370,6 +374,44 @@ def lp_solve(program: LinearProgram, tol: Tolerance = DEFAULT_TOLERANCE,
     out = _simplex(program, _IntTableau if F.mode == EXACT else _FloatRevised, F, start)
     stats["pivots"] += out.pivots
     return out
+
+
+class Start(tuple):
+    """A basis to start a float solve from (`lp_solve`'s `start`), row i's
+    basic column, that carries `inverse`: B^-1 over the program's own A, as
+    built, with the unit column e_i for row i's artificial n + i. A and so
+    B^-1 do not depend on b, so one start serves every b over the same rows;
+    the solve applies its own flips of the rows with a negative b_i
+    (`_FloatRevised.restart`)."""
+
+    def __new__(cls, basis, inverse):
+        start = super().__new__(cls, basis)
+        start.inverse = inverse
+        return start
+
+
+def factored(program: LinearProgram, basis) -> Optional[Start]:
+    """`basis` (row i's basic column, n + i for row i's artificial) as a
+    `Start` over the rows of a float program, B inverted once; None when B
+    is singular."""
+    inverse = _inverted(program.data[0], np.asarray(basis, dtype=int))
+    if inverse is None:
+        return None
+    inverse.flags.writeable = False
+    return Start(basis, inverse)
+
+
+def _inverted(A, cols):
+    """The inverse of B, column k of A's column cols[k], or the unit column
+    e_k where cols[k] is no column of A (an artificial); None when B is
+    singular."""
+    B = np.eye(len(A))
+    ours = cols < A.shape[1]
+    B[:, ours] = A[:, cols[ours]]
+    try:
+        return np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _finite(program: LinearProgram) -> bool:
@@ -438,12 +480,12 @@ def _simplex(program: LinearProgram, kernel, F, start=None) -> LPOutcome:
     F; given a `start` (float kernel only), the dual phase from it first."""
     m, n = len(program.data[1]), program.num_vars
     flips = [-1 if b < 0 else 1 for b in program._rhs()]
-    tab = kernel(program, flips, F)
+    tab = kernel(program, flips, F, start)
     stats["solves"] += 1  # only now: a program the kernel rejects is no solve
     cap = None if kernel.CAP is None else kernel.CAP * (n + m)
 
     pivots, row = 0, None
-    if start is not None and tab.restart(start):
+    if tab.started:
         pivots, row = _dual(tab, n, _DUAL_CAP * m)
         if row is not None and row >= 0:
             y = tab.row_farkas(row, flips)
@@ -497,7 +539,7 @@ def _simplex(program: LinearProgram, kernel, F, start=None) -> LPOutcome:
         # The replay reads the array that the solution is made from, so it
         # tests the very floats returned, without a round trip through a tuple.
         x = np.zeros(n)
-        x[basis] = [F.zero + tab.value(i) for i in range(len(basis))]
+        x[basis] = tab.values() + F.zero
         sol = tuple(x.tolist())
         A, b = program.data
         if not satisfies(A, x, b, F.eps):
@@ -544,7 +586,7 @@ def _dual(tab, n, cap):
     until none is. Returns the pivots with -1 once the basis is primal
     feasible, with the row that no entering column repairs, or with None
     when `cap` pivots did not suffice."""
-    basis, pivots = tab.basis, 0
+    pivots = 0
     while True:
         row = tab.infeasible(n)
         if row < 0:
@@ -554,8 +596,7 @@ def _dual(tab, n, cap):
             return pivots, row
         if pivots >= cap:
             return pivots, None
-        tab.pivot(row, col)
-        basis[row] = col
+        tab.enter(row, col)
         pivots += 1
 
 
@@ -638,8 +679,9 @@ def _eliminate(row, den, f, P, p, nz):
 
 class _IntTableau:
     CAP = None  # Bland's rule terminates in exact arithmetic
+    started = False  # exact mode takes no start (`lp_solve`)
 
-    def __init__(self, program, flips, F):
+    def __init__(self, program, flips, F, start=None):
         m, n = len(flips), program.num_vars
         N, den = program.data
         T = [r if flip > 0 else [-x for x in r] for r, flip in zip(N.tolist(), flips)]
@@ -800,14 +842,20 @@ class _IntTableau:
 # program names for it, so B is the identity: R is the identity beside |b|,
 # with -y = -1 on a row started on its artificial and 0 on a started row.
 # A dual phase restarts from a given basis instead, with no cost: R is B^-1
-# beside B^-1 |b| over the last row (0 1 0).
+# beside B^-1 |b| over the last row (0 1 0), and phase 1's R is not built.
+# B^-1 is the start's own when it carries one (`Start`), over the unflipped
+# A: with D the flips and S the flips of the rows whose basic column is an
+# artificial (whose unit column no flip negates), the flipped B is D B S,
+# so its inverse is S B^-1 D, a change of signs that rounds nothing.
+# During the dual phase the basis is also an int array with a mask of its
+# structural columns, which `infeasible` and `repair` read.
 # Entries within eps of zero count as zero.
 # ---------------------------------------------------------------------------
 
 class _FloatRevised:
     CAP = 10_000  # pivots per variable and constraint before SolverLimitError
 
-    def __init__(self, program, flips, F):
+    def __init__(self, program, flips, F, start=None):
         m, n = len(flips), program.num_vars
         self.eps = F.eps
         A, b = program.data
@@ -816,6 +864,11 @@ class _FloatRevised:
         negated = [i for i, flip in enumerate(flips) if flip < 0]
         if negated:
             C[negated] *= -1.0
+        self.C, self.dropped = C, ([], None)
+        self.red, self.col, self.d = None, -1, None
+        self.started = start is not None and self.restart(start, flips, np.abs(b))
+        if self.started:
+            return
         self.basis = _initial_basis(program)
         R = np.eye(m + 1, m + 2)
         R[:m, -1] = np.abs(b)
@@ -826,43 +879,51 @@ class _FloatRevised:
             R[-1, started] = 0.0
             art = np.delete(art, started)
         R[-1, -1] = -art.sum()
-        self.C, self.dropped = C, ([], None)
         self._inverse(R)
-        self.red, self.col, self.d = None, -1, None
 
     def _inverse(self, R):
         """Install R with its views: the inverse, the basic values and -y."""
         self.R, self.Q, self.x, self.ybar = R, R[:, :-1], R[:-1, -1], R[-1, :-1]
 
-    def restart(self, start) -> bool:
+    def restart(self, start, flips, level) -> bool:
         """Start from the basis `start` (row i's basic column, n + i for the
-        artificial e_i) with no cost, B inverted once; False, with nothing
-        changed, when B is singular."""
-        m, n = len(self.basis), self.C.shape[1]
+        artificial e_i) with no cost, at the levels B^-1 |b| for |b| =
+        `level`: B^-1 from the start when it carries one (`Start`), with the
+        flips applied, else B inverted once; False, with nothing installed,
+        when B is singular."""
+        m, n = len(flips), self.C.shape[1]
         cols = np.asarray(start, dtype=int)
-        ours = cols < n
-        B = np.eye(m)
-        B[:, ours] = self.C[:m, cols[ours]]
-        try:
-            inverse = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            return False
+        stored = getattr(start, "inverse", None)
+        if stored is None:
+            inverse = _inverted(self.C[:m], cols)
+            if inverse is None:
+                return False
+        else:  # S B^-1 D
+            signs = np.asarray(flips, dtype=float)
+            inverse = stored * signs
+            inverse[(cols >= n) & (signs < 0)] *= -1.0
         R = np.zeros((m + 1, m + 2))
         R[:m, :m] = inverse
-        R[:m, -1] = inverse @ self.x  # x is still |b|, the slack start's values
+        R[:m, -1] = inverse @ level
         R[m, m] = 1.0
         self._inverse(R)
-        self.basis, self.col = list(start), -1
+        self.basis, self.cols, self.ours = list(start), cols, cols < n
         return True
+
+    def enter(self, row, col):
+        """A dual-phase pivot: `col` becomes row's basic column."""
+        self.pivot(row, col)
+        self.basis[row] = self.cols[row] = col
+        self.ours[row] = True
 
     def infeasible(self, n):
         """The row furthest out of feasibility beyond eps, -1 if none: a
         basic value below -eps, or a basic artificial's level beyond eps
-        either way."""
+        either way; the first of ties."""
         x = self.x
-        gap = np.where(np.asarray(self.basis) < n, -x, np.abs(x))
-        rows = np.flatnonzero(gap > self.eps)
-        return int(rows[gap[rows].argmax()]) if rows.size else -1
+        gap = np.where(self.ours, -x, np.abs(x))
+        row = int(gap.argmax())
+        return row if gap[row] > self.eps else -1
 
     def repair(self, row, n):
         """The nonbasic structural column whose entry in `row` of B^-1 A is
@@ -872,7 +933,7 @@ class _FloatRevised:
         alpha = self.Q[row] @ self.C
         if self.x[row] > 0:
             alpha = -alpha
-        alpha[[j for j in self.basis if j < n]] = 0.0
+        alpha[self.cols[self.ours]] = 0.0
         col = int(alpha.argmin()) if n else -1
         return -1 if col < 0 or alpha[col] >= -self.eps else col
 
@@ -986,8 +1047,13 @@ class _FloatRevised:
         R[-1, -2] = 1.0
         self.col = -1
 
-    def value(self, i, col=-1):  # by default the basic value of row i
-        return float(self.R[i, -1] if col < 0 else self.column(col)[i])
+    def value(self, i, col):
+        """Entry i of the tableau column of `col`."""
+        return float(self.column(col)[i])
+
+    def values(self):
+        """The basic values, one array."""
+        return self.x
 
     def basis_inverse(self, flips):
         """B^-1, one row per program row, the flips undone: R's inverse in
@@ -1048,10 +1114,16 @@ class Answers:
     hit of one scan at once), and gives None for an answer that fails its
     replay: that b is a miss with no start. Any other miss starts from the
     stored basis with the fewest rows out of feasibility, the first of
-    ties, in float mode (`lp_solve`'s `start`, the dual phase); an exact
-    store gives no start, since rebuilding the integer tableau from B^-1
-    costs more than the few pivots a start saves. A scan takes the first
-    answer in storing order, so the hash seed changes nothing.
+    ties, in float mode (`lp_solve`'s `start`, the dual phase): the miss
+    gets that basis's payload, which a kind may keep as a `Start` that
+    carries the basis's B^-1 over the program's A, factored once when it
+    was kept, so that no miss inverts B again (`simulation._SetAnswers`).
+    That B^-1 is not the solve's own (`LPOutcome.inverse`), which the
+    pivots accumulated, so a restart reads the inverse that inverting B
+    gives. An exact store gives no start, since rebuilding the integer
+    tableau from B^-1 costs more than the few pivots a start saves. A scan
+    takes the first answer in storing order, so the hash seed changes
+    nothing.
 
     `keep_refutation` and `keep_basis` stack the answer of a solve when the
     solve returns, so each miss pays for its own store step, and only while

@@ -67,7 +67,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import geometry
-from .lp import FEASIBLE, Answers, CertificateError, LinearProgram, answers, lp_solve, make_program
+from .lp import (
+    FEASIBLE,
+    Answers,
+    CertificateError,
+    LinearProgram,
+    answers,
+    factored,
+    lp_solve,
+    make_program,
+)
 from .postprocessing import (
     Postprocessing,
     apply,
@@ -126,9 +135,11 @@ class SimulationCertificate:
     @property
     def kind(self):
         """EXACT, FLOAT, or None when every number is an integer: scanned
-        once per certificate, as every replay resolves its field over it.
-        It is kept as a plain attribute, since a `cached_property` would
-        give every certificate a `__dict__` of its own."""
+        once per certificate, as every replay resolves its field over it,
+        unless it was set when the certificate was made (a float scheme of
+        `_simulable`). It is kept as a plain attribute, since a
+        `cached_property` would give every certificate a `__dict__` of its
+        own."""
         kind = getattr(self, "_kind", False)
         if kind is False:
             kind = kind_of(self.scheme if self.simulable else self.farkas)
@@ -240,10 +251,16 @@ def simulation_program(target: Observable, simulators: Sequence[Observable],
 
 
 def _simulable(target: Observable, simulators: Sequence[Observable],
-               x: Sequence) -> SimulationCertificate:
-    """The simulable certificate of a solution x of `simulation_program`."""
-    return SimulationCertificate(SIMULABLE, scheme=tuple(x),
+               x: Sequence, F) -> SimulationCertificate:
+    """The simulable certificate of a solution x of `simulation_program` in
+    F's numbers. In float mode every entry of x is a float, so the
+    certificate's kind is FLOAT and is set here, not scanned on its first
+    replay; an exact certificate's kind is scanned."""
+    cert = SimulationCertificate(SIMULABLE, scheme=tuple(x),
                                  labels=tuple((sim.labels, target.labels) for sim in simulators))
+    if F.mode == FLOAT:
+        object.__setattr__(cert, "_kind", FLOAT)
+    return cert
 
 
 def _farkas_bounds(F, y, Bs, D) -> bool:
@@ -305,8 +322,12 @@ class _SetAnswers(Answers):
     most 8 of each kind. A target reaches the weight row and the effect rows
     of its first ny - 1 outcomes, b = (1, A_0, ..., A_{ny-2}), and there a
     refutation keeps its entries (beta, phi), its payload the certificate
-    of the full-layout Farkas vector, and a basis its B^-1 columns, its
-    payload and its key each row's basic column (n + i for a dropped row)."""
+    of the full-layout Farkas vector, and a basis its B^-1 columns, its key
+    each row's basic column (n + i for a dropped row) and its payload the
+    same columns, in float mode as an `lp.Start` that carries B^-1 over the
+    program's A, factored once when it is kept (`kept_basis`): A depends on
+    the set and the target's outcome count alone, so a miss of any target
+    restarts from that B^-1 with its own flips."""
 
     def __init__(self, simulators: Sequence[Observable], ny: int, F):
         super().__init__(F, cap=8)
@@ -332,7 +353,7 @@ class _SetAnswers(Answers):
             if col < self.n:
                 x[col] = v
         holds = self.F.mode != FLOAT or _scheme_holds(target, simulators, x, self.F)
-        return [_simulable(target, simulators, x) if holds else None]
+        return [_simulable(target, simulators, x, self.F) if holds else None]
 
     def kept_refutation(self, cert: SimulationCertificate, target: Observable,
                         simulators: Sequence[Observable]):
@@ -343,10 +364,16 @@ class _SetAnswers(Answers):
             if _farkas_bounds(self.F, y, Bs, D):
                 return cert, np.array(y[self.nx:self.m], dtype=self.F.dtype), None
 
-    def kept_basis(self, out):
-        """The final basis of a solve of this set's program, one column per row."""
+    def kept_basis(self, out, program: LinearProgram):
+        """The final basis of a solve of this set's program, one column per
+        row. In float mode its payload is the basis as a start that carries
+        its B^-1 over the program's A (`lp.factored`), which every target's
+        program shares, so a miss that starts from it inverts nothing. A
+        singular B gives no `Start`: the bare basis is kept, and a miss that
+        starts from it inverts B, finds it singular and solves cold."""
         if out.basis is not None and len(out.basis) == self.m:
-            return out.basis, out.basis, out.inverse, [col < self.n for col in out.basis]
+            start = self.F.mode == FLOAT and factored(program, out.basis)
+            return start or out.basis, out.basis, out.inverse, [col < self.n for col in out.basis]
 
 
 def is_simulable(target: Observable, simulators: Sequence[Observable],
@@ -367,9 +394,10 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
     decide the target. A float scheme read from them is tested on every row
     of the full layout at eps, or it is not returned; a refutation's
     target-free inequalities are tested when it is stored. A float solve
-    starts from the start the store names (`lp_solve`'s `start`, the dual
-    phase); its answer is tested as a cold solve's. Exact solves start
-    cold."""
+    starts from the stored basis the store names (`lp_solve`'s `start`, the
+    dual phase), which carries the B^-1 it was factored with when it was
+    stored (`lp.Start`), so the miss inverts nothing. Its answer is tested
+    as a cold solve's. Exact solves start cold."""
     simulators = list(simulators)
     _check_same_space(target, simulators)
     F = _common_field(target, simulators, tol)
@@ -385,15 +413,16 @@ def is_simulable(target: Observable, simulators: Sequence[Observable],
     if cert is not None:
         _require_sums(target, simulators, F)
         return cert
-    out = lp_solve(simulation_program(target, simulators, tol), tol=tol, start=start)
+    program = simulation_program(target, simulators, tol)
+    out = lp_solve(program, tol=tol, start=start)
     if out.verdict != FEASIBLE:
         cert = SimulationCertificate(NOT_SIMULABLE, farkas=out.farkas + (F.zero,) * target.dim)
         store.keep_refutation(cert, target, simulators)
         return cert
     if F.mode == FLOAT and not _scheme_holds(target, simulators, out.solution, F):
         raise CertificateError("float solution fails the target's last-outcome rows")
-    store.keep_basis(out)
-    return _simulable(target, simulators, out.solution)
+    store.keep_basis(out, program)
+    return _simulable(target, simulators, out.solution, F)
 
 
 def replay_simulation(cert: SimulationCertificate, target: Observable,
@@ -553,7 +582,7 @@ def decompose_to_irreducibles(target: Observable,
         weights.append(alpha * rho)
         blocks += [weights[-1] * s for r in v for s in shares[r]]
         rho -= weights[-1]
-    cert = _simulable(target, leaves, blocks + weights)
+    cert = _simulable(target, leaves, blocks + weights, F)
     if not replay_simulation(cert, target, leaves, tol):
         raise CertificateError("irreducible decomposition certificate failed to replay")
     return IrreducibleDecomposition(tuple(leaves), cert)

@@ -629,14 +629,17 @@ def require_same_space(observables: Sequence[Observable]) -> Optional[StateSpace
     """The one state space that the observables name, None when none names
     one: ValueError unless those that name a space name one, and all of
     them live in one ambient dimension."""
-    # == and not a set: a frozen StateSpace hashes all its coordinates on
-    # every call, while == between the same object returns at once
+    # Identity, then ==, and not a set: a frozen StateSpace hashes all its
+    # coordinates on every call, and even == between the same object
+    # compares field tuples. Each dimension is one len of a first effect.
     spaces = [obs.space for obs in observables if obs.space is not None]
-    if any(space != spaces[0] for space in spaces[1:]):
+    first = spaces[0] if spaces else None
+    if any(space is not first and space != first for space in spaces[1:]):
         raise ValueError("mixed state spaces rejected")
-    if len({obs.dim for obs in observables}) > 1:
+    dim = len(observables[0].outcomes[0][1].coeffs)
+    if any(len(obs.outcomes[0][1].coeffs) != dim for obs in observables[1:]):
         raise ValueError("observables live in different ambient dimensions")
-    return spaces[0] if spaces else None
+    return first
 
 
 def mix_observables(observables: Sequence[Observable], weights) -> Observable:

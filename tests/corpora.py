@@ -27,15 +27,16 @@ change of a certificate's in-memory form alone moves no digest.
 solve of NEW takes the first solve of OLD after the last one paired that
 has its digest, so a solve that a change skips reads as gone and one whose
 program moved as gone and new. It prints, per corpus, how many paired
-solves moved verdict, certificate or pivots, the pivot totals and the
-replay failures, then one line per paired solve that moved, then the same
-for the decisions' verdicts, certificates and replays, and "moved nothing"
-when no solve or decision moved, went or appeared. It exits 1 when the
-verdict of a paired solve or of a decision moves or a replay is lost; a
-moved certificate is reported, not an alarm, and a dump written before
-decision lines carried the digest compares none. Run `dump` on the
-parent commit in a second checkout and on the change, then `diff` the two
-files.
+solves moved verdict, certificate, only the signs of zero entries of the
+certificate ("zero signs": a -0.0 for a 0.0, or the other way) or pivots,
+the pivot totals and the replay failures, then one line per paired solve
+that moved, then the same for the decisions' verdicts, certificates and
+replays, and "moved nothing" when no solve or decision moved, went or
+appeared. It exits 1 when the verdict of a paired solve or of a decision
+moves or a replay is lost; a moved certificate is reported, not an alarm,
+and a dump written before decision lines carried the digest compares none.
+Run `dump` on the parent commit in a second checkout and on the change,
+then `diff` the two files.
 
 The test modules build their pinned corpora from the functions here, so a
 dump covers exactly what the digests pin.
@@ -515,9 +516,23 @@ def _paired(a, b) -> tuple:
 
 _CERTIFICATE = ("solution", "farkas", "ray", "objective")
 
+
+def _unsigned(value):
+    """A certificate field with every float zero unsigned: "-0.0" reads "0.0"."""
+    if isinstance(value, list):
+        return [_unsigned(x) for x in value]
+    return "0.0" if value == "-0.0" else value
+
+
+def _certificate_moved(a, b) -> bool:
+    return any(_unsigned(a[f]) != _unsigned(b[f]) for f in _CERTIFICATE)
+
+
 _SOLVE_MOVES = {
     "verdict": lambda a, b: a["verdict"] != b["verdict"],
-    "certificate": lambda a, b: any(a[f] != b[f] for f in _CERTIFICATE),
+    "certificate": _certificate_moved,
+    "zero signs": lambda a, b: (any(a[f] != b[f] for f in _CERTIFICATE)
+                                and not _certificate_moved(a, b)),
     "pivots": lambda a, b: a["pivots"] != b["pivots"],
     "replay lost": lambda a, b: a["replays"] and not b["replays"],
 }

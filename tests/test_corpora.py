@@ -72,3 +72,21 @@ def test_an_added_corpus_is_reported_not_an_alarm(tmp_path):
     text = out.getvalue()
     assert "irreducibility: 0 -> 0 solves" in text and "decisions: 0 -> 2 (0 gone, 2 new)" in text
     assert "moved nothing" not in text
+
+
+def test_a_certificate_moved_in_zero_signs_alone_is_counted_apart(tmp_path):
+    # -0.0 for 0.0 (or the other way) in a Farkas vector or a solution is a
+    # move of its own; any other entry that moves is a certificate move
+    def solve(farkas, solution=None):
+        return dict(_solve(0, "a", "infeasible"), farkas=farkas, solution=solution)
+
+    alarms, text = _diff(tmp_path, [solve(["0.0", "-0.0", "1.0"], ["-0.0"])],
+                         [solve(["-0.0", "0.0", "1.0"], ["0.0"])])
+    assert alarms == 0 and "moved nothing" not in text
+    assert "moved: verdict 0, certificate 0, zero signs 1, pivots 0," in text
+    assert "#0.0: zero signs; infeasible -> infeasible" in text
+    alarms, text = _diff(tmp_path, [solve(["0.0", "1.0"])], [solve(["-0.0", "2.0"])])
+    assert alarms == 0
+    assert "moved: verdict 0, certificate 1, zero signs 0, pivots 0," in text
+    alarms, text = _diff(tmp_path, [solve(["0", "1"])], [solve(["0", "1"])])
+    assert "moved nothing" in text

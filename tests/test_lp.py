@@ -320,9 +320,8 @@ def test_float_solution_failing_replay_raises(monkeypatch):
     unbounded = make_program(rows=[(1.0, -1.0)], rhs=(1.0,), objective=(1.0, 0.0))
     assert lp_solve(bounded).verdict == FEASIBLE
     assert lp_solve(unbounded).verdict == UNBOUNDED
-    value = lp._FloatRevised.value
-    monkeypatch.setattr(lp._FloatRevised, "value",
-                        lambda self, i, col=-1: value(self, i, col) + (1e-6 if col < 0 else 0.0))
+    values = lp._FloatRevised.values
+    monkeypatch.setattr(lp._FloatRevised, "values", lambda self: values(self) + 1e-6)
     for program in (bounded, unbounded):
         with pytest.raises(lp.CertificateError, match="fails replay"):
             lp_solve(program)
@@ -347,8 +346,7 @@ def test_float_unbounded_ray_replays(monkeypatch):
         r = np.array(out.ray)
         assert np.abs(A @ r).max() <= 1e-12 and r.min() >= 0 and np.dot(c, r) >= 1
     value = lp._FloatRevised.value
-    monkeypatch.setattr(lp._FloatRevised, "value",
-                        lambda self, i, col=-1: value(self, i, col) + (1e-6 if col >= 0 else 0.0))
+    monkeypatch.setattr(lp._FloatRevised, "value", lambda self, i, col: value(self, i, col) + 1e-6)
     for program in programs:
         with pytest.raises(lp.CertificateError, match="unbounded ray fails replay"):
             lp_solve(program)
@@ -804,13 +802,16 @@ def _polygon_starts():
 
 
 def test_a_singular_start_or_the_dual_cap_solves_cold(monkeypatch):
-    # A start whose B is singular, or a dual phase that reaches its cap
-    # (patched to 0 pivots per row), gives the cold outcome, pivot count
-    # included; with the cap in place the same starts save pivots.
+    # A start whose B is singular, which factors into no `Start`, or a dual
+    # phase that reaches its cap (patched to 0 pivots per row), gives the
+    # cold outcome, pivot count included; with the cap in place the same
+    # starts save pivots.
     from gptsim import lp
 
     p = make_program(rows=[(1.0, 1.0, 0.0), (2.0, 2.0, 1.0)], rhs=(1.0, 3.0))
     assert lp_solve(p, start=(0, 1)) == lp_solve(p)  # columns 0 and 1 are parallel
+    assert lp.factored(p, (0, 1)) is None
+    assert lp.factored(p, (0, 2)).inverse.tolist() == [[1.0, 0.0], [-2.0, 1.0]]
     starts = _polygon_starts()
     warm = [lp_solve(program, start=start) for program, start in starts]
     cold = [lp_solve(program) for program, _ in starts]

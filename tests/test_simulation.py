@@ -13,7 +13,9 @@ import pytest
 from corpora import (
     bracket_corpus,
     compatibility_corpus,
+    decomposition_corpus,
     float_simulation_cases,
+    simulation_cases,
     simulation_corpus,
 )
 from oracles import (
@@ -43,7 +45,7 @@ from gptsim.postprocessing import (
     minimally_sufficient_with_channels,
     replay_relation,
 )
-from gptsim.scalars import ModeError, field, vdot, vscale
+from gptsim.scalars import EXACT, FLOAT, ModeError, field, kind_of, vdot, vscale
 from gptsim.simulation import (
     NOT_SIMULABLE,
     SIMULABLE,
@@ -1305,6 +1307,130 @@ def test_every_stored_basis_starts_a_solve_to_the_cold_verdict(monkeypatch):
             assert replay_simulation(cert, target, sims)
             started += 1
     assert started > 200 and len(refuted) > 20
+
+
+def _kept_starts(monkeypatch) -> list:
+    """(program, cold outcome, stored starts) for every float simulation
+    case, each stored start a basis that the store of its set kept, as it
+    keeps them when every case is decided in turn."""
+    from gptsim import lp
+
+    monkeypatch.setattr(lp, "_KEYS", 1000)  # every set keeps its store
+    cases = float_simulation_cases()
+    for target, sims in cases:
+        is_simulable(target, sims)
+    kept = {key[3:5]: list(store.bases) for key, store in _stores("simulation").items()}
+    runs = []
+    for target, sims in cases:
+        program = simulation_program(target, sims)
+        starts = kept.get((tuple(sim.coefficient_key for sim in sims), target.n_outcomes), [])
+        runs.append((program, lp_solve(program), starts))
+    return runs
+
+
+def test_every_kept_float_basis_carries_its_inverse(monkeypatch):
+    # Each basis that a float simulation store keeps is a start that carries
+    # B^-1 over the program's own A, the unit column e_i for a dropped row's
+    # artificial n + i: B^-1 B is the identity, for every target of its set.
+    from gptsim import lp
+
+    checked = dropped = 0
+    for program, _, starts in _kept_starts(monkeypatch):
+        A, n = program.rows, program.num_vars
+        m = len(A)
+        for start in starts:
+            assert isinstance(start, lp.Start) and not start.inverse.flags.writeable
+            B = np.eye(m)
+            ours = [k for k, j in enumerate(start) if j < n]
+            B[:, ours] = A[:, [start[k] for k in ours]]
+            assert np.abs(start.inverse @ B - np.eye(m)).max() <= 1e-9
+            checked += 1
+            dropped += any(j >= n for j in start)
+    assert checked > 200 and dropped > 50
+
+
+def test_a_stored_inverse_restarts_as_inverting_b_does(monkeypatch):
+    # A restart that reads the stored B^-1, flipped for the program's b,
+    # and one that inverts B reach the same verdict, basis, pivot count and
+    # values on every float simulation case and every start of its set.
+    outs = 0
+    for program, _, starts in _kept_starts(monkeypatch):
+        for start in starts:
+            stored, inverted = lp_solve(program, start=start), lp_solve(program, start=tuple(start))
+            assert stored == inverted and stored.basis == inverted.basis
+            outs += 1
+    assert outs > 200
+
+
+def test_a_wrong_stored_inverse_never_gives_a_wrong_verdict(monkeypatch):
+    # A start that carries a wrong B^-1 (scaled, transposed, or B's own
+    # numbers) gives the cold verdict, with a certificate that replays, or
+    # raises CertificateError: the dual phase replays its refutation, and
+    # the float solution is replayed before it is returned.
+    from gptsim import lp
+
+    wrongs = [lambda inv: inv * 1.01, lambda inv: inv.T, np.linalg.inv]
+    outcomes = {"cold verdict": 0, "raised": 0}
+    for program, cold, starts in _kept_starts(monkeypatch):
+        for start, wrong in itertools.product(starts[:2], wrongs):
+            try:
+                out = lp_solve(program, start=lp.Start(start, wrong(start.inverse)))
+            except lp.CertificateError:
+                outcomes["raised"] += 1
+                continue
+            assert out.verdict == cold.verdict
+            assert (verify_farkas(program, out.farkas) if out.verdict == INFEASIBLE
+                    else lp.verify_solution(program, out.solution))
+            outcomes["cold verdict"] += 1
+    assert outcomes["cold verdict"] > 100 and outcomes["raised"] > 100
+
+
+def test_a_basis_kept_without_its_inverse_still_decides(monkeypatch):
+    # A basis that factors into no `Start` (a singular B) is kept bare: its
+    # hits still decide, and a miss that starts from it inverts B, to the
+    # verdict of a cold solve.
+    from gptsim import lp, simulation
+
+    solve, starts = simulation.lp_solve, []
+
+    def recorded(program, tol=None, start=None):
+        starts.append(start)
+        return solve(program, tol=tol, start=start)
+
+    monkeypatch.setattr(simulation, "lp_solve", recorded)
+    monkeypatch.setattr(simulation, "factored", lambda program, basis: None)
+    cases = [(t, sims) for t, sims in float_simulation_cases() if len(sims) > 1]
+    certs = [is_simulable(target, sims) for target, sims in cases]
+    stores = _stores("simulation").values()
+    assert any(store.bases for store in stores)
+    assert not any(isinstance(basis, lp.Start) for store in stores for basis in store.bases)
+    assert len(starts) < len(cases) and not any(isinstance(s, lp.Start) for s in starts)
+    assert any(start is not None for start in starts)
+    for cert, (target, sims) in zip(certs, cases):
+        assert cert.simulable == (lp_solve(simulation_program(target, sims)).verdict != INFEASIBLE)
+        assert replay_simulation(cert, target, sims)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_a_certificate_knows_its_kind(mode):
+    # A float scheme made from a solve, a store hit or a decomposition has
+    # its kind set when it is made, no scan needed; an exact one is scanned.
+    # Either way the kind is that of its numbers. The second pass over the
+    # cases reads the stores.
+    cast = (lambda obs: obs.as_float()) if mode == FLOAT else (lambda obs: obs)
+    certs = []
+    for _ in range(2):
+        for target, sims in simulation_cases():
+            certs.append(is_simulable(cast(target), [cast(sim) for sim in sims]))
+    certs += [decompose_to_irreducibles(cast(obs)).certificate
+              for obs in decomposition_corpus() if mode == FLOAT or obs.mode == EXACT]
+    for cert in certs:
+        if cert.simulable:
+            assert mode == EXACT or vars(cert)["_kind"] == FLOAT
+            assert cert.kind == kind_of(cert.scheme)
+        else:
+            assert cert.kind == kind_of(cert.farkas)
+    assert {cert.simulable for cert in certs} == {True, False}
 
 
 def test_store_decides_a_repeated_target_and_cache_clear_empties_it(sq):

@@ -26,6 +26,7 @@ from gptsim.spaces import (
     is_valid_observable,
     mix_observables,
     observable,
+    require_same_space,
     trivial_observable,
     validate_state_space,
 )
@@ -228,6 +229,26 @@ def test_weights_outside_the_simplex_make_no_observable(sq, call, message):
     # first space, and two dimensions without a space one cut to the shorter
     with pytest.raises(ValueError, match=message):
         call(sq)
+
+
+def test_require_same_space_compares_spaces_then_dimensions(sq):
+    # one space object, or equal but distinct ones, pass, and the first
+    # space named is returned; another space, or another dimension with or
+    # without a space, raises
+    twin = StateSpace(sq.space.name, sq.space.ambient_dim, sq.space.extreme_states, sq.space.unit)
+    assert twin == sq.space and twin is not sq.space
+    on_twin = Observable(sq.F.outcomes, twin)
+    bare = Observable(sq.E.outcomes)
+    assert require_same_space([sq.E, sq.F]) is sq.space
+    assert require_same_space([bare, on_twin, sq.E]) is twin
+    assert require_same_space([bare, Observable(sq.F.outcomes)]) is None
+    other = StateSpace("other", sq.space.ambient_dim, sq.space.extreme_states[:-1], sq.space.unit)
+    with pytest.raises(ValueError, match="mixed state spaces rejected"):
+        require_same_space([sq.E, Observable(sq.F.outcomes, other)])
+    longer = Observable((("a", (1, 0, 0, 0)),))
+    for observables in ([sq.E, longer], [bare, longer], [longer, bare]):
+        with pytest.raises(ValueError, match="different ambient dimensions"):
+            require_same_space(observables)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
